@@ -170,7 +170,8 @@ def test_ablation_detector_choice(character, save_result):
     shift) and count alarms."""
     import random
 
-    from repro.core.outliers import LevelShiftDetector, StaticThresholdDetector
+    from repro.core.outliers import StaticThresholdDetector
+    from repro.core.streamstats import IncrementalLevelShiftDetector
 
     rng = random.Random(7)
     series = []
@@ -182,7 +183,7 @@ def test_ablation_detector_choice(character, save_result):
             base += 0.040                        # the injected shift
         series.append((ts, base + rng.uniform(0, 0.002)))
 
-    adaptive = LevelShiftDetector(min_delta=0.004, cooldown=5.0)
+    adaptive = IncrementalLevelShiftDetector(min_delta=0.004, cooldown=5.0)
     static = StaticThresholdDetector(threshold=0.015)
     for ts, value in series:
         adaptive.update(ts, value)

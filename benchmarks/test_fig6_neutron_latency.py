@@ -22,13 +22,13 @@ def test_level_shift_detector_cost(benchmark):
     """Per-sample cost of the online LS detector."""
     import random
 
-    from repro.core.outliers import LevelShiftDetector
+    from repro.core.streamstats import IncrementalLevelShiftDetector
 
     rng = random.Random(0)
     values = [0.01 + rng.uniform(0, 0.002) for _ in range(5000)]
 
     def run():
-        detector = LevelShiftDetector()
+        detector = IncrementalLevelShiftDetector()
         for index, value in enumerate(values):
             detector.update(float(index), value)
         return detector

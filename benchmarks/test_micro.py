@@ -93,7 +93,7 @@ def test_levelshift_update(benchmark):
 def test_levelshift_update_reference(benchmark):
     """The same series through the from-scratch reference detector
     (three sorts per sample) — the before/after pair for streamstats."""
-    from repro.core.outliers import LevelShiftDetector
+    from repro.reference import LevelShiftDetector
 
     series = _levelshift_series()
 
@@ -108,7 +108,7 @@ def test_levelshift_update_reference(benchmark):
     assert detector.alarms
 
 
-def _detection_fixture(character, **overrides):
+def _detection_fixture(character, detector_class=None):
     from repro.core.config import GretelConfig
     from repro.core.detector import OperationDetector
     from repro.core.window import Snapshot
@@ -121,9 +121,9 @@ def _detection_fixture(character, **overrides):
     fault = next(e for e in events if e.error)
     snapshot = Snapshot(fault=fault, events=events[:1400],
                         fault_index=events.index(fault))
-    detector = OperationDetector(
+    detector = (detector_class or OperationDetector)(
         character.library, character.library.symbols, catalog,
-        GretelConfig(p_rate=1300.0, **overrides),
+        GretelConfig(p_rate=1300.0),
     )
     return detector, snapshot
 
@@ -143,8 +143,8 @@ def _growth_windows(detector, snapshot):
 
 
 def test_operation_detection(benchmark, character):
-    """One full Algorithm-2 pass on a realistic snapshot
-    (incremental engine, the production default)."""
+    """One full Algorithm-2 pass on a realistic snapshot (the
+    production detector)."""
     detector, snapshot = _detection_fixture(character)
 
     result = benchmark(detector.detect, snapshot)
@@ -154,8 +154,11 @@ def test_operation_detection(benchmark, character):
 def test_operation_detection_reference(benchmark, character):
     """The same pass with the from-scratch reference scorer — the
     before/after pair for the incremental engine."""
-    detector, snapshot = _detection_fixture(character,
-                                            incremental_match=False)
+    from repro.reference import ScratchScoringDetector
+
+    detector, snapshot = _detection_fixture(
+        character, ScratchScoringDetector,
+    )
 
     result = benchmark(detector.detect, snapshot)
     assert result.candidates > 0
@@ -165,7 +168,11 @@ def test_score_fresh(benchmark, character):
     """From-scratch scoring across one β growth schedule: every
     iteration re-joins, re-strips and re-runs the LCS over the whole
     window (the reference scorer's cost model)."""
-    detector, snapshot = _detection_fixture(character)
+    from repro.reference import ScratchScoringDetector, score_buffer
+
+    detector, snapshot = _detection_fixture(
+        character, ScratchScoringDetector,
+    )
     candidates = detector.candidates_for(snapshot.fault.api_key)
     windows = _growth_windows(detector, snapshot)
 
@@ -173,10 +180,10 @@ def test_score_fresh(benchmark, character):
         finalized = {}
         scores = {}
         for lo, hi in windows:
-            scores = detector._score(
+            scores = score_buffer(
                 candidates,
                 detector._buffer_symbols(snapshot, lo, hi, ""),
-                finalized,
+                detector.config, finalized,
             )
         return scores
 

@@ -189,10 +189,9 @@ def test_parallel_throughput_baseline(character, save_result):
         sharded.append(sample)
 
     # The process-backend column at 4 shards: same stream, each shard
-    # in its own worker process.  The wall-clock gate for this backend
-    # lives in test_parallel_process.py (BENCH_parallel_process.json);
-    # here it rides along for a same-payload comparison plus the
-    # cross-backend oracle.
+    # in its own worker process.  The per-shard-count table for this
+    # backend lives in test_parallel_process.py; here it rides along
+    # for a same-payload comparison plus the cross-backend oracle.
     process = _rates(
         _time_sharded(library, events, 4, backend="process"),
         event_count,

@@ -36,8 +36,8 @@ lives in ``docs/linting.md``; the compiled-artifact story is in
 The package also houses the library *compiler*
 (``repro.analysis.compile``): the same static analysis, promoted from
 a diagnostic into a versioned ``CompiledIndex`` artifact the online
-detector consumes (``GretelConfig.indexed_selection``), with
-``verify_selection`` as its differential oracle.
+detector selects candidates from, with ``verify_selection`` as its
+differential oracle.
 """
 
 from repro.analysis.findings import Finding, LintReport, Severity

@@ -4,27 +4,26 @@
 this module *compiles* it.  :func:`compile_library` statically
 analyzes a :class:`~repro.core.fingerprint.FingerprintLibrary` and
 emits a versioned :class:`CompiledIndex` artifact that the online
-detector consumes (``GretelConfig.indexed_selection``):
+detector selects candidates from:
 
 * **Inverted postings** — state-change/read symbol → the operations
   containing it, sorted by operation name (the pinned
   ``ops_containing`` order), so ``GET_POSSIBLE_OFFENDING_OPERATIONS``
   is a dictionary lookup instead of a per-detection preparation scan;
 * **Prepared candidates** — for every ``(symbol, operation)`` posting,
-  the RPC-pruned, truncated, cut-pointed scoring preparation that
-  :meth:`OperationDetector.candidates_for` would otherwise derive at
-  detection time, deduplicated into a prep pool (workload-template
-  instances share fingerprint shapes, so the pool is far smaller than
-  the posting count);
+  the RPC-pruned, truncated, cut-pointed scoring preparation that a
+  from-scratch selection would derive at detection time, deduplicated
+  into a prep pool (workload-template instances share fingerprint
+  shapes, so the pool is far smaller than the posting count);
 * **Discriminability facts** — per fingerprint: its *anchor symbols*
   (the symbols with the shortest postings lists — the faults for which
   this operation is cheap to select), postings-length extremes, and
-  the minimum ``upper_bound``-feasible buffer composition per
+  the minimum multiplicity-gate-feasible buffer composition per
   truncation cut (the smallest symbol-multiplicity overlap a context
   buffer must supply before the gate can pass).
 
 Preparation goes through the *same*
-:func:`repro.core.detector.prepare_candidate` the full-scan path
+:func:`repro.core.detector.prepare_candidate` the reference full scan
 uses, so a hydrated candidate equals a scanned one by construction;
 :func:`verify_selection` is the differential oracle that proves it on
 live inputs and end-to-end detections.
@@ -34,8 +33,8 @@ contents and the symbol table (:func:`library_hash`,
 :func:`symbol_table_hash`) plus the selection-relevant config flags.
 The ``index-drift`` lint pass re-derives both hashes from the live
 system and fails CI when they disagree; at runtime a detector refuses
-to serve from an index whose flags do not match its config (it falls
-back to the full scan — a stale index must never change a diagnosis).
+to be constructed over an index whose flags do not match its config
+(``ValueError`` — a stale index must never change a diagnosis).
 
 Serialization is canonical: symbols are stored as zero-padded
 uppercase hex code points, every mapping is emitted with sorted keys,
@@ -50,7 +49,7 @@ import hashlib
 import json
 import weakref
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -227,7 +226,7 @@ class FingerprintFacts:
     pass's DSC001).  ``min_feasible`` maps each truncation cut length
     to the smallest symbol-multiplicity overlap
     (``Σ min(needle count, buffer count)``) a context buffer must
-    supply before the ``upper_bound`` gate can pass for that cut.
+    supply before the multiplicity gate can pass for that cut.
     """
 
     operation: str
@@ -315,7 +314,7 @@ class CompiledIndex:
     def serves(self, config: GretelConfig) -> bool:
         """Whether this index was compiled for ``config``'s selection
         flags (a mismatched index must not be served — the detector
-        falls back to the full scan)."""
+        refuses it at construction)."""
         return selection_flags(config) == self.flags
 
     def entry_for(self, symbol: str) -> Optional[SymbolEntry]:
@@ -333,9 +332,8 @@ class CompiledIndex:
         lookup, bound to ``library``'s live fingerprint objects.
 
         Built once and shared by every detector served from this
-        artifact; candidates are read-only at detection time (the one
-        lazily-assigned field, the foreign-symbol strip pattern, is
-        idempotent), so sharing is safe.  Binding a *different* library
+        artifact; candidates are read-only at detection time, so
+        sharing is safe.  Binding a *different* library
         object resets the memo.
         """
         bound = self._bound() if self._bound is not None else None
@@ -814,10 +812,12 @@ def verify_selection(
 ) -> SelectionEquivalence:
     """Prove indexed selection equivalent to the full scan.
 
-    Two fresh detectors share the library/symbols/catalog and differ
-    only in ``indexed_selection`` (the indexed one may be handed a
-    pre-built — possibly corrupted — ``index``; by default it compiles
-    its own).  Two comparisons run:
+    Two fresh detectors share the library/symbols/catalog/config and
+    differ only in selection: the production one hydrates from the
+    compiled index (it may be handed a pre-built — possibly corrupted
+    — ``index``; by default it compiles its own), the reference
+    package's ``ScanSelectionDetector`` prepares every containing
+    fingerprint from scratch.  Two comparisons run:
 
     * per ``api_key`` × truncation mode, the prepared candidate lists
       must match signature-for-signature (operation multiset equality
@@ -833,19 +833,15 @@ def verify_selection(
     """
     from repro.core.detector import OperationDetector
     from repro.core.matching.oracle import detection_signature
+    from repro.reference.detector import ScanSelectionDetector
 
-    base = config or GretelConfig()
+    config = config or GretelConfig()
     symbols = symbols or library.symbols
     catalog = catalog or default_catalog()
     indexed = OperationDetector(
-        library, symbols, catalog,
-        replace(base, indexed_selection=True),
-        compiled_index=index,
+        library, symbols, catalog, config, compiled_index=index,
     )
-    reference = OperationDetector(
-        library, symbols, catalog,
-        replace(base, indexed_selection=False),
-    )
+    reference = ScanSelectionDetector(library, symbols, catalog, config)
     if api_keys is None:
         api_keys = _library_api_keys(library, symbols)
 

@@ -43,7 +43,6 @@ from repro.core.parallel import (
 )
 from repro.core.fingerprint import Fingerprint, FingerprintLibrary, generate_fingerprint
 from repro.core.incidents import Incident, IncidentAggregator
-from repro.core.outliers import LevelShiftDetector
 from repro.core.pipeline import (
     AnalysisPipeline,
     PipelineAnalyzer,
@@ -69,7 +68,6 @@ __all__ = [
     "GretelConfig",
     "Incident",
     "IncidentAggregator",
-    "LevelShiftDetector",
     "OperationDetector",
     "PipelineAnalyzer",
     "PipelineBuilder",

@@ -4,10 +4,9 @@ REST latencies are computed by pairing request and response on TCP
 connection metadata; RPC latencies pair on the oslo message id (§5.3).
 Our wire events already carry both timestamps, so the tracker consumes
 the observed latency directly and feeds one level-shift detector per
-API identity — the incremental ``repro.core.streamstats`` engine by
-default, the reference :class:`~repro.core.outliers.LevelShiftDetector`
-when ``GretelConfig.incremental_ls`` is off (the two are held
-bit-identical by ``repro.core.streamstats.verify_levelshift``).
+API identity — the incremental ``repro.core.streamstats`` engine,
+held bit-identical to its from-scratch reference twin by
+``repro.core.streamstats.verify_levelshift``.
 
 In the composable pipeline this tracker is the state behind
 :class:`repro.core.pipeline.stages.LatencyStage`; anomalies it emits
@@ -23,9 +22,9 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 from repro.openstack.wire import WireEvent
 from repro.core.config import GretelConfig
 from repro.core.outliers import LevelShift
-from repro.core.state import StateFormatError, parse_fmt, require_state
+from repro.core.state import StateFormatError, require_state
 from repro.core.streamstats.detector import (
-    LsDetector,
+    IncrementalLevelShiftDetector,
     detector_from_config,
 )
 
@@ -72,7 +71,7 @@ class LatencyTracker:
 
     def __init__(self, config: Optional[GretelConfig] = None):
         self.config = config or GretelConfig()
-        self._detectors: Dict[str, LsDetector] = {}
+        self._detectors: Dict[str, IncrementalLevelShiftDetector] = {}
         self._samples_fed = 0
         self.anomalies: List[PerformanceAnomaly] = []
         self._listeners: List[Callable[[PerformanceAnomaly], None]] = []
@@ -81,7 +80,7 @@ class LatencyTracker:
         """Register a performance-fault consumer."""
         self._listeners.append(callback)
 
-    def detector_for(self, api_key: str) -> LsDetector:
+    def detector_for(self, api_key: str) -> IncrementalLevelShiftDetector:
         """The (lazily created) detector for one API identity."""
         detector = self._detectors.get(api_key)
         if detector is None:
@@ -161,10 +160,10 @@ class LatencyTracker:
     def ls_threshold_recomputes(self) -> int:
         """(median, MAD, threshold) recomputations across all series.
 
-        With the incremental engine this counts cache misses (one per
-        window mutation that reached a threshold read); the reference
-        detector recomputes on every ``threshold()`` call, so the
-        ratio of this to :attr:`ls_samples_fed` is the cache's win.
+        Counts cache misses (one per window mutation that reached a
+        threshold read); a from-scratch detector recomputes on every
+        ``threshold()`` call, so the ratio of this to
+        :attr:`ls_samples_fed` is the cache's win.
         """
         return sum(
             detector.threshold_recomputes
@@ -201,28 +200,20 @@ class LatencyTracker:
     def restore_state(self, state: Mapping[str, Any]) -> None:
         """Rehydrate a fresh tracker with the same config.
 
-        Each serialized series carries its own fmt tag, which picks
-        the detector implementation — so a checkpoint taken under
-        ``incremental_ls`` restores incremental detectors regardless
-        of this tracker's default, keeping replay bit-identical.
+        Every series must carry the production LS detector's fmt tag;
+        any other tag (a reference detector's, say) is refused with
+        the offending series named, never resurrected.
         """
         require_state(state, self.STATE_FMT)
         self._detectors.clear()
         for api_key, detector_state in state["detectors"].items():
-            layer, _ = parse_fmt(detector_state.get("fmt"))
-            if layer == "ls-incremental":
-                incremental = True
-            elif layer == "ls-reference":
-                incremental = False
-            else:
+            detector = detector_from_config(self.config)
+            try:
+                detector.restore_state(detector_state)
+            except StateFormatError as error:
                 raise StateFormatError(
-                    f"unknown LS detector state fmt for {api_key!r}: "
-                    f"{detector_state.get('fmt')!r}"
-                )
-            detector = detector_from_config(
-                self.config, incremental=incremental
-            )
-            detector.restore_state(detector_state)
+                    f"latency series {api_key!r}: {error}"
+                ) from error
             self._detectors[api_key] = detector
         self._samples_fed = state["samples_fed"]
         self.anomalies = [

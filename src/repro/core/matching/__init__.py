@@ -5,7 +5,7 @@ bit-parallel rows alive across context-buffer growth iterations; the
 indexes (``index``) replace the per-candidate foreign-symbol regex
 strip with per-snapshot symbol/position lookups; the oracle
 (``oracle``) proves the engine's results bit-identical to the
-reference ``OperationDetector._score`` path.
+from-scratch reference scorer.
 """
 
 from repro.core.matching.engine import (

@@ -29,10 +29,10 @@ steady-state per-iteration cost to a function of what *changed*:
   bit-identical to the reference.  A window whose relevant span did
   not change since the candidate's previous iteration returns its
   cached score without touching the DP.
-* **Shared multiplicity gate.**  The Counter-based upper bound
-  (``_Candidate.upper_bound``) is evaluated with per-symbol window
-  counts bisected out of the snapshot index and cached across all
-  candidates of the iteration; the summed bound is an integer, so the
+* **Shared multiplicity gate.**  The reference's Counter-based
+  upper bound is evaluated with per-symbol window counts bisected out
+  of the snapshot index and cached across all candidates of the
+  iteration; the summed bound is an integer, so the
   resulting float (and the gate decision) is identical to the
   reference's ``Counter``-over-the-joined-string computation.
 
@@ -123,8 +123,6 @@ class ScoringCandidate(Protocol):
 
     @property
     def final_length(self) -> int: ...
-
-    def upper_bound(self, buffer_counts: Mapping[str, int]) -> float: ...
 
 
 @dataclass
@@ -319,7 +317,7 @@ class _CandidateState:
 class MatchSession:
     """Scoring state for one snapshot's adaptive-buffer loop.
 
-    Drop-in replacement for ``OperationDetector._score`` over
+    Drop-in replacement for the from-scratch reference scorer over
     successive windows of a single snapshot: :meth:`score` takes the
     same ``finalized`` dict and returns the same
     ``{candidate index: (length, coverage)}`` mapping — with identical
@@ -402,12 +400,13 @@ class MatchSession:
     ) -> Dict[int, Score]:
         """Score every candidate against ``events[lo:hi]``.
 
-        Mirrors the reference ``_score`` decision-for-decision: the
+        Mirrors the reference scorer decision-for-decision: the
         finalized short-circuit, the multiplicity gate, the coverage
         threshold and the finalization rule all use the same values in
-        the same order.  The gate is ``upper_bound`` inlined: the
-        per-symbol window counts come from the index and the credit
-        sum is an integer, so the resulting bound float is identical.
+        the same order.  The gate is the reference's multiplicity
+        upper bound inlined: the per-symbol window counts come from
+        the index and the credit sum is an integer, so the resulting
+        bound float is identical.
         """
         stats = self._stats
         index_count = self._index.count

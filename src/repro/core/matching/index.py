@@ -15,7 +15,7 @@ bisects), so the per-iteration cost no longer scales with the buffer:
   per symbol.
 * :class:`WindowCounts` is a lazy multiplicity view of one window,
   shared by every candidate scored against it; it duck-types the
-  mapping the multiplicity gate (``_Candidate.upper_bound``) reads, so
+  mapping the reference multiplicity gate (``upper_bound``) reads, so
   the gate sees *identical* counts to a ``Counter`` over the joined
   window string.
 """

@@ -3,9 +3,10 @@
 Same pattern as ``repro.core.parallel.verify_equivalence`` (PR 2): a
 performance path is only trusted once it is *proven* to produce the
 same diagnoses as the reference implementation on the same input.
-Here the two paths are ``OperationDetector`` with
-``incremental_match`` on (the ``repro.core.matching`` engine) and off
-(the from-scratch ``_score`` loop), replayed over the same frozen
+Here the two paths are ``OperationDetector`` (the
+``repro.core.matching`` engine) and the reference package's
+``ScratchScoringDetector`` (the same detector with a from-scratch
+scorer over the joined window string), replayed over the same frozen
 snapshots; every field an operator acts on — matched operations, θ,
 β_used, iteration count, per-operation coverages, matched events and
 the context-buffer span — must be identical, not merely close.
@@ -13,7 +14,7 @@ the context-buffer span — must be identical, not merely close.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.core.config import GretelConfig
@@ -108,24 +109,19 @@ def verify_detection(
 ) -> DetectionEquivalence:
     """Replay ``snapshots`` through both scoring paths and compare.
 
-    Two fresh detectors share the library/symbols/catalog and differ
-    only in ``incremental_match``.  With ``strict`` (the default) any
+    Two fresh detectors share the library/symbols/catalog/config and
+    differ only in the scorer.  With ``strict`` (the default) any
     divergence raises :class:`ScoringDivergence`; otherwise the caller
     inspects :attr:`DetectionEquivalence.ok`.
     """
     from repro.core.detector import OperationDetector
+    from repro.reference.detector import ScratchScoringDetector
 
-    base = config or GretelConfig()
+    config = config or GretelConfig()
     symbols = symbols or library.symbols
     catalog = catalog or default_catalog()
-    reference = OperationDetector(
-        library, symbols, catalog,
-        replace(base, incremental_match=False),
-    )
-    incremental = OperationDetector(
-        library, symbols, catalog,
-        replace(base, incremental_match=True),
-    )
+    reference = ScratchScoringDetector(library, symbols, catalog, config)
+    incremental = OperationDetector(library, symbols, catalog, config)
     result = DetectionEquivalence(snapshots=len(snapshots))
     for snapshot in snapshots:
         expected = detection_signature(

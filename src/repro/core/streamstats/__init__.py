@@ -10,7 +10,6 @@ behind a version-cached (median, MAD, threshold) triple; the oracle
 
 from repro.core.streamstats.detector import (
     IncrementalLevelShiftDetector,
-    LsDetector,
     detector_from_config,
 )
 from repro.core.streamstats.oracle import (
@@ -25,7 +24,6 @@ __all__ = [
     "IncrementalLevelShiftDetector",
     "LevelShiftDivergence",
     "LevelShiftEquivalence",
-    "LsDetector",
     "SortedWindow",
     "detector_from_config",
     "verify_levelshift",

@@ -1,9 +1,9 @@
 """Incremental level-shift detection: the streaming-robust-stats LS.
 
-Semantics are the reference :class:`repro.core.outliers.
-LevelShiftDetector`'s, *bit for bit* — warmup, cooldown, confirm
-streaks, the pending re-seed, alarm fields, everything — with the
-per-sample cost model replaced:
+Semantics are the from-scratch reference detector's (the oracle's
+other half, kept outside the production packages), *bit for bit* —
+warmup, cooldown, confirm streaks, the pending re-seed, alarm fields,
+everything — with the per-sample cost model replaced:
 
 ===============================  =====================  ==============
 step                             reference              incremental
@@ -27,23 +27,17 @@ matching`` uses for Algorithm 2 scoring.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.config import GretelConfig
 from repro.core.outliers import (
     LevelShift,
-    LevelShiftDetector,
     _median,
     check_ls_params,
     ls_params,
 )
 from repro.core.state import decode_ts, encode_ts, require_state
 from repro.core.streamstats.window import SortedWindow
-
-#: Either half of the differential pair; both expose the same surface
-#: (``update`` / ``threshold`` / ``baseline`` / ``spread`` / ``alarms``
-#: / ``reset`` / ``threshold_recomputes``).
-LsDetector = Union[LevelShiftDetector, "IncrementalLevelShiftDetector"]
 
 
 class IncrementalLevelShiftDetector:
@@ -257,21 +251,10 @@ class IncrementalLevelShiftDetector:
 
 
 def detector_from_config(
-    config: GretelConfig, *, incremental: Optional[bool] = None
-) -> LsDetector:
-    """One per-series LS detector wired from ``config``'s ls_* knobs.
-
-    ``incremental`` overrides ``config.incremental_ls`` (the oracle
-    builds both halves of the differential pair from one config).
-    """
-    use_incremental = (
-        config.incremental_ls if incremental is None else incremental
-    )
-    cls = (
-        IncrementalLevelShiftDetector if use_incremental
-        else LevelShiftDetector
-    )
-    return cls(
+    config: GretelConfig,
+) -> IncrementalLevelShiftDetector:
+    """One per-series LS detector wired from ``config``'s ls_* knobs."""
+    return IncrementalLevelShiftDetector(
         window=config.ls_window,
         sigmas=config.ls_sigmas,
         min_delta=config.ls_min_delta,

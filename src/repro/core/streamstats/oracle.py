@@ -4,7 +4,9 @@ Same pattern as ``repro.core.matching.oracle.verify_detection`` and
 ``repro.core.parallel.verify_equivalence``: the fast path is only
 trusted once it is *proven* to produce the same outputs as the
 reference implementation on the same input.  Here the two paths are
-the reference :class:`~repro.core.outliers.LevelShiftDetector` and the
+the from-scratch reference ``LevelShiftDetector`` (imported from the
+reference package inside :func:`verify_levelshift`, so production
+imports never load it) and the
 :class:`~repro.core.streamstats.detector.IncrementalLevelShiftDetector`
 replayed over the same (ts, value) stream; after every sample the
 update result (``None`` or the full :class:`~repro.core.outliers.
@@ -15,10 +17,11 @@ merely close — or the replay records a divergence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import GretelConfig
-from repro.core.streamstats.detector import LsDetector, detector_from_config
+from repro.core.outliers import ls_params
+from repro.core.streamstats.detector import detector_from_config
 from repro.openstack.wire import WireEvent
 
 
@@ -64,8 +67,8 @@ class LevelShiftEquivalence:
 
 def _replay(
     samples: Sequence[Tuple[float, float]],
-    reference: LsDetector,
-    incremental: LsDetector,
+    reference: Any,
+    incremental: Any,
     label: str,
 ) -> LevelShiftEquivalence:
     result = LevelShiftEquivalence(series=1, samples=len(samples))
@@ -99,14 +102,14 @@ def verify_levelshift(
     samples: Sequence[Tuple[float, float]],
     *,
     config: Optional[GretelConfig] = None,
-    detectors: Optional[Tuple[LsDetector, LsDetector]] = None,
+    detectors: Optional[Tuple[Any, Any]] = None,
     label: str = "series",
     strict: bool = True,
 ) -> LevelShiftEquivalence:
     """Replay one (ts, value) stream through both detectors and compare.
 
-    Two fresh detectors are built from ``config``'s ls_* knobs and
-    differ only in implementation; ``detectors`` overrides the pair
+    Two fresh detectors with ``config``'s ls_* tuning differ only in
+    implementation; ``detectors`` overrides the pair
     (testing hook — the negative oracle test injects a mismatched
     one).  With ``strict`` (the default) any divergence raises
     :class:`LevelShiftDivergence`; otherwise the caller inspects
@@ -114,8 +117,10 @@ def verify_levelshift(
     """
     base = config or GretelConfig()
     if detectors is None:
-        reference = detector_from_config(base, incremental=False)
-        incremental = detector_from_config(base, incremental=True)
+        from repro.reference.levelshift import LevelShiftDetector
+
+        incremental = detector_from_config(base)
+        reference = LevelShiftDetector(**ls_params(incremental))
     else:
         reference, incremental = detectors
     result = _replay(samples, reference, incremental, label)

@@ -1,7 +1,7 @@
 """Sorted rolling window: the order statistics behind streaming LS.
 
-The reference :class:`~repro.core.outliers.LevelShiftDetector` keeps
-its baseline in a ``deque`` and re-sorts it three times per sample —
+The from-scratch reference LS detector keeps its baseline in a
+``deque`` and re-sorts it three times per sample —
 once for the median and twice inside the MAD — giving O(w·log w) per
 latency observation.  :class:`SortedWindow` keeps the same FIFO window
 *in sorted order as it rolls*: an append is one ``insort`` plus (when

@@ -1,0 +1,31 @@
+"""Reference implementations: the slow halves of the twin oracles.
+
+Every hot layer of the analyzer has exactly one production path
+(``repro.core``, ``repro.analysis``, ``repro.service``).  What that
+path must stay bit-identical to lives here: from-scratch candidate
+selection and context-buffer scoring (``detector``) and the
+sort-per-sample level-shift detector (``levelshift``).
+
+Nothing in the production packages imports this one at module level —
+only the three oracles do, inside the call (``verify_selection``,
+``verify_detection``, ``verify_levelshift``), plus tests and
+benchmarks.  ``tests/test_import_hygiene.py`` holds that line.  A
+production path that gets replaced is parked here as the new path's
+oracle half, not kept beside it behind a switch.
+"""
+
+from repro.reference.detector import (
+    ScanSelectionDetector,
+    ScratchScoringDetector,
+    score_buffer,
+    upper_bound,
+)
+from repro.reference.levelshift import LevelShiftDetector
+
+__all__ = [
+    "LevelShiftDetector",
+    "ScanSelectionDetector",
+    "ScratchScoringDetector",
+    "score_buffer",
+    "upper_bound",
+]

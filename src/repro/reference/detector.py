@@ -1,0 +1,194 @@
+"""From-scratch Algorithm 2: the reference halves of
+``verify_selection`` and ``verify_detection``.
+
+:class:`~repro.core.detector.OperationDetector` runs one path: it
+hydrates candidates from the compiled index and scores the context
+buffer through an incremental ``MatchSession``.  Each of those layers
+has a slow, obviously-correct twin here, plugged into the detector's
+two hooks so that the β-growth loop, ranking and result assembly are
+the production code, not a copy:
+
+* :class:`ScanSelectionDetector` prepares every containing fingerprint
+  from scratch (``_select``) — the oracle half of indexed selection;
+* :class:`ScratchScoringDetector` re-scores each window from its joined
+  symbol string (``_scorer``) — the oracle half of incremental
+  matching.
+
+Each oracle uses the class that differs from production in exactly the
+layer it judges, so a divergence names its layer.
+"""
+
+from __future__ import annotations
+
+import re
+from collections import Counter
+from functools import lru_cache
+from typing import FrozenSet, List, Mapping, Optional, Sequence, Tuple
+
+from repro.core.config import GretelConfig
+from repro.core.detector import (
+    OperationDetector,
+    Scorer,
+    Scores,
+    _Candidate,
+    prepare_candidate,
+)
+from repro.core.fingerprint import prefix_lcs_lengths
+from repro.core.matching.engine import select_cut
+from repro.core.window import Snapshot
+from repro.openstack.wire import WireEvent
+
+
+# -- from-scratch scoring ---------------------------------------------------
+
+def upper_bound(candidate: _Candidate,
+                buffer_counts: Mapping[str, int]) -> float:
+    """Coverage upper bound from symbol multiplicities.
+
+    ``Σ min(needle count, buffer count) / len(needle)``: an LCS
+    cannot use a buffer symbol more often than the buffer holds
+    it, so a needle ``XX`` is not credited twice by a buffer with
+    a single ``X`` (the set-intersection bound this replaces did).
+    Monotone nondecreasing under buffer growth, which both the
+    gate and the adaptive loop's ``finalized`` set rely on.
+    """
+    source = candidate.needle
+    if not source:
+        return 0.0
+    get = buffer_counts.get
+    matched = 0
+    for symbol, count in candidate.needle_counts.items():
+        have = get(symbol, 0)
+        matched += count if count < have else have
+    return matched / len(source)
+
+
+@lru_cache(maxsize=4096)
+def _foreign(alphabet: FrozenSet[str]) -> "re.Pattern[str]":
+    """Matches runs of symbols outside ``alphabet``."""
+    return re.compile("[^" + re.escape("".join(sorted(alphabet))) + "]+")
+
+
+def score_candidate(candidate: _Candidate,
+                    buffer_symbols: str) -> Tuple[int, float]:
+    """Best (corroborated length, coverage) over truncation points.
+
+    The corroborated length is the LCS between the truncated
+    fingerprint and the buffer — how many of the operation's
+    ordered symbols the buffer actually witnesses.
+    """
+    if candidate.alphabet:
+        # C-speed removal of symbols outside the candidate's alphabet
+        # before the (Python-level) LCS.
+        buffer_symbols = _foreign(candidate.alphabet).sub("", buffer_symbols)
+    if candidate.pure_read:
+        lengths = prefix_lcs_lengths(candidate.full_symbols, buffer_symbols)
+        total = max(1, len(candidate.full_symbols))
+        return lengths[-1], lengths[-1] / total
+    lengths = prefix_lcs_lengths(candidate.sc_symbols, buffer_symbols)
+    return select_cut(candidate.cut_lengths, lengths)
+
+
+def score_buffer(candidates: Sequence[_Candidate], buffer_symbols: str,
+                 config: GretelConfig,
+                 finalized: Optional[Scores] = None) -> Scores:
+    """(corroborated length, coverage) per gated candidate index.
+
+    From-scratch over the joined window string.  ``MatchSession.score``
+    replays these decisions incrementally and must stay bit-identical.
+    """
+    threshold = config.match_coverage
+    buffer_counts = Counter(buffer_symbols)
+    scores: Scores = {}
+    strict = not config.relaxed_match
+    for index, candidate in enumerate(candidates):
+        if finalized and index in finalized:
+            scores[index] = finalized[index]
+            continue
+        required = 0.999 if (candidate.pure_read or strict) else threshold
+        if upper_bound(candidate, buffer_counts) < required:
+            continue
+        length, coverage = score_candidate(candidate, buffer_symbols)
+        if coverage >= required:
+            scores[index] = (length, coverage)
+            # A candidate is final only once its *longest* cut is
+            # fully corroborated: shorter cuts at coverage 1.0 could
+            # still be overtaken as the buffer grows.
+            if (coverage >= 0.999
+                    and length >= candidate.final_length
+                    and finalized is not None):
+                finalized[index] = (length, coverage)
+    return scores
+
+
+class ScratchScoringDetector(OperationDetector):
+    """Production selection, from-scratch scoring."""
+
+    def _encode_events(self, events: Sequence[WireEvent],
+                       correlation_id: str = "") -> str:
+        """Snapshot window → symbol string (noise always excluded;
+        RPCs excluded under pruning).
+
+        With ``correlation_id`` set (the §5.3.1 future-work mode), only
+        messages carrying the offending message's correlation header
+        are matched — "reducing the number of packets against which a
+        fingerprint is matched".
+        """
+        fragment = self._fragment
+        if not correlation_id:
+            return "".join(map(fragment, events))
+        parts = []
+        for event in events:
+            piece = fragment(event)
+            if piece and event.request_id == correlation_id:
+                parts.append(piece)
+        return "".join(parts)
+
+    def _buffer_symbols(self, snapshot: Snapshot, lo: int, hi: int,
+                        correlation_id: str) -> str:
+        """Symbol string for ``snapshot.events[lo:hi]``.
+
+        Snapshots frozen by an encoding window carry one pre-encoded
+        fragment per event, so a buffer is a join of a slice;
+        correlation filtering depends on the fault's request id, which
+        the pre-encoding cannot bake in, so that mode falls back to
+        per-event encoding.
+        """
+        encoded = snapshot.encoded
+        if encoded is not None and not correlation_id:
+            return "".join(encoded[lo:hi])
+        return self._encode_events(snapshot.events[lo:hi], correlation_id)
+
+    def _scorer(self, snapshot: Snapshot, candidates: List[_Candidate],
+                correlation_id: str) -> Scorer:
+        def score(lo: int, hi: int,
+                  finalized: Optional[Scores] = None) -> Scores:
+            return score_buffer(
+                candidates,
+                self._buffer_symbols(snapshot, lo, hi, correlation_id),
+                self.config, finalized,
+            )
+        return score
+
+
+# -- from-scratch selection -------------------------------------------------
+
+class ScanSelectionDetector(OperationDetector):
+    """From-scratch selection, production scoring.  Never compiles or
+    consults an index."""
+
+    def _select(self, symbol: str, truncate: bool) -> List[_Candidate]:
+        prune = self.config.prune_rpcs
+        relaxed = self.config.relaxed_match
+        prepared: List[_Candidate] = []
+        for fingerprint in self.library.ops_containing(symbol):
+            self.postings_scanned += 1
+            effective = (
+                fingerprint.rest_only(self.symbols) if prune
+                else fingerprint
+            )
+            prepared.append(prepare_candidate(
+                fingerprint, effective, symbol,
+                truncate=truncate, relaxed=relaxed,
+            ))
+        return prepared

@@ -33,6 +33,7 @@ from repro.scenarios.base import (
     FaultSpec,
     Localization,
     Scenario,
+    ScenarioError,
 )
 from repro.scenarios.registry import scenario
 from repro.workloads.tempest import TempestTest
@@ -99,13 +100,21 @@ class IdenticalFaultStorm(Scenario):
         rng = self.rng()
         cloud, plane, captured, runner = self._open_capture()
         suite = default_suite()
-        faulty = rng.choice(
-            [t for t in suite.tests if t.category == "compute"]
-        )
-        api_key = _distinctive_fault_api(
-            faulty, self.character, self.character.library.symbols, rng,
-        )
-        assert api_key is not None
+        remaining = [t for t in suite.tests if t.category == "compute"]
+        api_key = None
+        while api_key is None:
+            if not remaining:
+                raise ScenarioError(
+                    f"{self.name}: no compute test has a distinctive "
+                    "state-change REST API to fault"
+                )
+            # Some compute tests change no state over REST: redraw.
+            faulty = rng.choice(remaining)
+            remaining.remove(faulty)
+            api_key = _distinctive_fault_api(
+                faulty, self.character, self.character.library.symbols,
+                rng,
+            )
         for _ in range(self.n_faults):
             cloud.faults.inject_api_error(
                 api_key, 500, "Injected identical fault", count=1,

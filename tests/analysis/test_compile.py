@@ -108,6 +108,18 @@ def test_serves_requires_matching_selection_flags(library):
     assert not index.serves(flipped)
 
 
+def test_detector_refuses_an_index_it_cannot_serve_from(library, catalog):
+    """A mismatched artifact fails construction; it used to demote the
+    detector to the full scan for life, silently."""
+    index = compile_library(library, config=GretelConfig())
+    flipped = GretelConfig(relaxed_match=False)
+    with pytest.raises(ValueError, match="selection flags"):
+        OperationDetector(
+            library, library.symbols, catalog, flipped,
+            compiled_index=index,
+        )
+
+
 def test_memoized_compile_tracks_library_version(
     library, make_fingerprint, state_change_keys
 ):
@@ -154,7 +166,7 @@ def test_hydrated_candidates_are_shared_across_detectors(
                           compiled_index=index)
     api_key = library.symbols.api_key(sorted(library.postings())[0])
     # Hydration is memoized on the artifact: both detectors serve the
-    # same read-only list (the perf contract behind BENCH_index).
+    # same read-only list.
     assert a.candidates_for(api_key) is b.candidates_for(api_key)
     assert a.candidates_indexed > 0
 

@@ -2,12 +2,32 @@
 
 from collections import Counter
 
+import pytest
+
 from repro.openstack.apis import ApiKind
 from repro.openstack.wire import WireEvent
 from repro.core.config import GretelConfig
 from repro.core.latency import LatencyTracker
-from repro.core.outliers import LevelShiftDetector
+from repro.core.outliers import ls_params
+from repro.core.state import StateFormatError
 from repro.core.streamstats import IncrementalLevelShiftDetector
+from repro.reference import LevelShiftDetector
+
+
+def reference_tracker(config=None):
+    """A tracker whose series run the reference LS detector."""
+    tracker = LatencyTracker(config)
+    production_detector_for = tracker.detector_for
+
+    def detector_for(api_key):
+        if api_key not in tracker._detectors:
+            tracker._detectors[api_key] = LevelShiftDetector(
+                **ls_params(production_detector_for(api_key))
+            )
+        return tracker._detectors[api_key]
+
+    tracker.detector_for = detector_for
+    return tracker
 
 
 def make_event(seq, api_key, latency, ts=None, status=200, noise=False):
@@ -63,12 +83,22 @@ def test_anomaly_carries_triggering_event():
 
 
 def test_incremental_engine_selected_by_config():
-    on = LatencyTracker(GretelConfig(incremental_ls=True))
-    off = LatencyTracker(GretelConfig(incremental_ls=False))
-    assert isinstance(
-        on.detector_for("a"), IncrementalLevelShiftDetector
-    )
-    assert isinstance(off.detector_for("a"), LevelShiftDetector)
+    detector = LatencyTracker(GretelConfig(ls_window=30)).detector_for("a")
+    assert isinstance(detector, IncrementalLevelShiftDetector)
+    assert detector.window == 30
+
+
+def test_restore_refuses_reference_series_tag():
+    """A series serialized by the reference detector must not be
+    resurrected inside a production tracker."""
+    source = reference_tracker()
+    source.observe(make_event(1, "api-a", 0.01))
+    state = source.snapshot_state()
+    assert state["detectors"]["api-a"]["fmt"] == "ls-reference/v1"
+    with pytest.raises(StateFormatError) as caught:
+        LatencyTracker().restore_state(state)
+    assert "ls-reference/v1" in str(caught.value)
+    assert "api-a" in str(caught.value)
 
 
 def shift_stream(apis=3, steady=50, shifted=25):
@@ -97,15 +127,12 @@ def test_batch_equals_serial_anomalies():
     ]
     stream = events[:30] + gated + events[30:]
 
-    for config in (
-        GretelConfig(incremental_ls=True),
-        GretelConfig(incremental_ls=False),
-    ):
-        serial = LatencyTracker(config)
+    for make_tracker in (LatencyTracker, reference_tracker):
+        serial = make_tracker()
         for event in stream:
             if not event.noise and not event.error:
                 serial.observe(event)
-        batched = LatencyTracker(config)
+        batched = make_tracker()
         observed = 0
         for start in range(0, len(stream), 17):
             observed += batched.observe_batch(stream[start:start + 17])
@@ -136,13 +163,12 @@ def test_batch_gate_skips_noise_and_errors():
 
 
 def test_threshold_recompute_counter_aggregates_series():
-    config = GretelConfig(incremental_ls=True)
-    tracker = LatencyTracker(config)
+    tracker = LatencyTracker()
     tracker.observe_batch(shift_stream(apis=2))
     incremental_recomputes = tracker.ls_threshold_recomputes
     assert 0 < incremental_recomputes
 
-    reference = LatencyTracker(GretelConfig(incremental_ls=False))
+    reference = reference_tracker()
     reference.observe_batch(shift_stream(apis=2))
     # The incremental cache recomputes at most once per window
     # mutation; the reference recomputes on every threshold() call.

@@ -22,6 +22,7 @@ from repro.core.matching import (
 )
 from repro.core.symbols import SymbolTable
 from repro.core.window import Snapshot
+from repro.reference import ScratchScoringDetector, score_buffer, upper_bound
 
 
 @pytest.fixture(scope="module")
@@ -159,10 +160,10 @@ def test_upper_bound_respects_multiplicities():
     candidate = make_candidate("AAB")
     # Set-of-symbols view: both symbols present => old bound was 1.0.
     assert candidate.alphabet == frozenset("AB")
-    assert candidate.upper_bound({"A": 1, "B": 1}) == pytest.approx(2 / 3)
-    assert candidate.upper_bound({"A": 2, "B": 1}) == pytest.approx(1.0)
+    assert upper_bound(candidate, {"A": 1, "B": 1}) == pytest.approx(2 / 3)
+    assert upper_bound(candidate, {"A": 2, "B": 1}) == pytest.approx(1.0)
     # Surplus buffer copies never over-credit.
-    assert candidate.upper_bound({"A": 9, "B": 9}) == pytest.approx(1.0)
+    assert upper_bound(candidate, {"A": 9, "B": 9}) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("needle,buffer_symbols", [
@@ -180,7 +181,7 @@ def test_upper_bound_is_a_true_upper_bound(needle, buffer_symbols):
 
     candidate = make_candidate(needle)
     lcs = prefix_lcs_lengths(needle, buffer_symbols)[-1]
-    bound = candidate.upper_bound(Counter(buffer_symbols))
+    bound = upper_bound(candidate, Counter(buffer_symbols))
     assert bound >= lcs / len(needle)
 
 
@@ -192,7 +193,7 @@ def test_upper_bound_monotone_under_buffer_growth():
     previous = 0.0
     for extension in ["A", "B", "Z", "A", "C", "B", "A"]:
         buffer_symbols += extension
-        bound = candidate.upper_bound(Counter(buffer_symbols))
+        bound = upper_bound(candidate, Counter(buffer_symbols))
         assert bound >= previous
         previous = bound
 
@@ -228,6 +229,7 @@ def snapshot_windows(snapshot, config):
 
 def test_session_matches_reference_scorer(library, symbols, catalog):
     detector = make_detector(library, symbols, catalog)
+    reference_detector = ScratchScoringDetector(library, symbols, catalog)
     snapshot = make_snapshot(
         catalog,
         [KEYPAIR, LIST_IMAGES, IMAGE, VOLUME, UPLOAD, LIST_IMAGES, BOOT,
@@ -244,10 +246,10 @@ def test_session_matches_reference_scorer(library, symbols, catalog):
     finalized_ref = {}
     finalized_inc = {}
     for lo, hi in snapshot_windows(snapshot, detector.config):
-        reference = detector._score(
+        reference = score_buffer(
             candidates,
-            detector._buffer_symbols(snapshot, lo, hi, ""),
-            finalized_ref,
+            reference_detector._buffer_symbols(snapshot, lo, hi, ""),
+            detector.config, finalized_ref,
         )
         incremental = session.score(lo, hi, finalized_inc)
         assert incremental == reference
@@ -275,16 +277,12 @@ def test_session_rescore_uses_cache(library, symbols, catalog):
     assert detector.matching.stats.rescore_hits > before
 
 
-def test_config_flag_switches_engine_without_changing_results(
+def test_reference_scorer_bypasses_engine_without_changing_results(
         library, symbols, catalog):
     from repro.core.matching import detection_signature
 
-    reference = make_detector(
-        library, symbols, catalog, incremental_match=False,
-    )
-    incremental = make_detector(
-        library, symbols, catalog, incremental_match=True,
-    )
+    reference = ScratchScoringDetector(library, symbols, catalog)
+    incremental = make_detector(library, symbols, catalog)
     snapshot = make_snapshot(
         catalog, [KEYPAIR, IMAGE, VOLUME, UPLOAD, BOOT, PORT, POLL], POLL,
     )

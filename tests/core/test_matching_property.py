@@ -1,7 +1,7 @@
 """Property tests: incremental scoring is equivalent to from-scratch.
 
 The engine's contract is *bit-identical* equivalence with
-``OperationDetector._score`` (see ``docs/matching.md``), so these
+``repro.reference.score_buffer`` (see ``docs/matching.md``), so these
 properties randomize everything the adaptive loop varies — snapshot
 contents, fault position, β growth schedule, candidate needles, cut
 points and pure-read flags — and hold the two scorers to exact
@@ -15,6 +15,7 @@ from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
 from repro.core.detector import OperationDetector, _Candidate
 from repro.core.matching import verify_detection
+from repro.reference import score_buffer
 from repro.workloads.traffic import SyntheticStream
 
 ALPHABET = "ABCDE"
@@ -27,7 +28,7 @@ def library(small_character):
 
 @pytest.fixture(scope="module")
 def detector(library):
-    """Any detector works: ``_score`` reads only its config."""
+    """Supplies the matching engine and the default config."""
     return OperationDetector(
         library, library.symbols, library.symbols.catalog,
     )
@@ -91,7 +92,9 @@ def test_session_equals_reference_on_random_growth(detector, case):
     finalized_inc = {}
     for lo, hi in growth_windows(len(fragments), fault, beta, delta):
         buffer_symbols = "".join(fragments[lo:hi])
-        reference = detector._score(pool, buffer_symbols, finalized_ref)
+        reference = score_buffer(
+            pool, buffer_symbols, detector.config, finalized_ref,
+        )
         incremental = session.score(lo, hi, finalized_inc)
         assert incremental == reference
         assert finalized_inc == finalized_ref
@@ -106,16 +109,13 @@ def test_session_equals_reference_without_finalization(
     profiles — the non-adaptive / performance-fault path."""
     fragments, fault, beta, delta, pool = case
     config = GretelConfig(relaxed_match=not strict)
-    reference_detector = OperationDetector(
-        detector.library, detector.symbols, detector.catalog, config,
-    )
-    session = reference_detector.matching.session(
+    session = detector.matching.session(
         fragments, pool,
         threshold=config.match_coverage, strict=strict,
     )
     for lo, hi in growth_windows(len(fragments), fault, beta, delta):
         buffer_symbols = "".join(fragments[lo:hi])
-        reference = reference_detector._score(pool, buffer_symbols)
+        reference = score_buffer(pool, buffer_symbols, config)
         assert session.score(lo, hi) == reference
 
 
@@ -129,7 +129,8 @@ def test_session_equals_reference_without_finalization(
 def test_detect_equivalence_on_random_streams(library, seed, fault_every,
                                               count):
     """End-to-end: full ``detect`` over randomized synthetic streams
-    produces identical results with the engine on and off."""
+    produces identical results from the engine and the reference
+    scorer."""
     stream = SyntheticStream(library, library.symbols,
                              fault_every=fault_every, seed=seed)
     analyzer = GretelAnalyzer(

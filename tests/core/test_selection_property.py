@@ -18,6 +18,7 @@ from repro.core.detector import OperationDetector
 from repro.core.fingerprint import Fingerprint, FingerprintLibrary
 from repro.core.symbols import SymbolTable
 from repro.openstack.catalog import default_catalog
+from repro.reference import ScanSelectionDetector
 
 _CATALOG = default_catalog()
 _SYMBOLS = SymbolTable(_CATALOG)
@@ -60,15 +61,7 @@ def test_indexed_selection_equals_full_scan(data):
     indexed = OperationDetector(
         library, _SYMBOLS, _CATALOG, config, compiled_index=index,
     )
-    reference = OperationDetector(
-        library, _SYMBOLS, _CATALOG,
-        GretelConfig(
-            prune_rpcs=config.prune_rpcs,
-            relaxed_match=config.relaxed_match,
-            truncate_fingerprints=config.truncate_fingerprints,
-            indexed_selection=False,
-        ),
-    )
+    reference = ScanSelectionDetector(library, _SYMBOLS, _CATALOG, config)
 
     # Queried symbols include ones absent from every fingerprint.
     queries = data.draw(st.lists(

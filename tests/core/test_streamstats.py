@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import GretelConfig
-from repro.core.outliers import LevelShiftDetector, _median
+from repro.core.outliers import _median, ls_params
 from repro.core.streamstats import (
     IncrementalLevelShiftDetector,
     LevelShiftDivergence,
@@ -15,6 +15,7 @@ from repro.core.streamstats import (
     detector_from_config,
     verify_levelshift,
 )
+from repro.reference import LevelShiftDetector
 
 
 def feed(detector, values, start_ts=0.0):
@@ -284,30 +285,13 @@ def test_oracle_flags_divergence():
         )
 
 
-def test_detector_from_config_honors_flag():
-    on = GretelConfig(incremental_ls=True)
-    off = GretelConfig(incremental_ls=False)
-    assert isinstance(
-        detector_from_config(on), IncrementalLevelShiftDetector
-    )
-    assert isinstance(detector_from_config(off), LevelShiftDetector)
-    # Explicit override beats the config flag (the oracle's hook).
-    assert isinstance(
-        detector_from_config(off, incremental=True),
-        IncrementalLevelShiftDetector,
-    )
-    assert isinstance(
-        detector_from_config(on, incremental=False), LevelShiftDetector
-    )
-
-
 def test_detector_from_config_wires_ls_knobs():
     config = GretelConfig(
         ls_window=16, ls_sigmas=5.0, ls_min_delta=0.01,
         ls_confirm=2, ls_warmup=8, ls_rel_delta=0.3, ls_cooldown=7.0,
     )
-    for incremental in (False, True):
-        detector = detector_from_config(config, incremental=incremental)
+    production = detector_from_config(config)
+    for detector in (production, LevelShiftDetector(**ls_params(production))):
         assert detector.window == 16
         assert detector.sigmas == 5.0
         assert detector.min_delta == 0.01

@@ -23,7 +23,10 @@ from repro.scenarios import (
     run_catalog,
     run_scenario,
 )
-from repro.scenarios.catalog import CorrelatedMultiService
+from repro.scenarios.catalog import (
+    CorrelatedMultiService,
+    IdenticalFaultStorm,
+)
 
 PINNED_SEED = 0
 SHARDS = 4
@@ -84,6 +87,15 @@ def test_committed_scorecard_has_not_drifted(catalog_result):
     fresh = build_scorecard(catalog_result)
     drift = diff_scorecards(committed, fresh)
     assert drift == [], "\n".join(drift)
+
+
+def test_identical_fault_storm_redraws_a_faultable_test(full_character):
+    """Seed 3's first draw is a compute test with no state-change REST
+    API; capture must redraw, not assert."""
+    scenario = IdenticalFaultStorm(full_character, seed=3)
+    captured = scenario.capture()
+    assert captured.injected == scenario.n_faults
+    assert captured.meta["api_key"]
 
 
 def test_detect_disabled_control_grades_without_crashing(full_character):

@@ -258,8 +258,6 @@ def test_analyze_verify_selection_oracle(full_character, capsys):
                  "--no-latency", "--verify-selection"]) == 0
     out = capsys.readouterr().out
     assert "EQUIVALENT: indexed vs full-scan selection" in out
-    assert "serial reports with indexed_selection on vs off" in out
-    assert "2-shard reports with indexed_selection on vs off" in out
     assert "DIVERGED" not in out
 
 
