@@ -10,9 +10,7 @@ reference stable artifacts.  Scale is controlled by the
   faults, 60K-event streams), tens of minutes.
 """
 
-import json
 import os
-from typing import Any, Dict, Optional
 
 import pytest
 
@@ -20,60 +18,9 @@ from repro.evaluation.common import default_characterization, default_suite
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
 
-#: Drift floor shared by every committed-baseline gate: an achieved
-#: ratio metric (speedup, events/s ratio) must stay within this
-#: fraction of the committed full-scale baseline's.  A ratio of
-#: ratios, so portable across machines; only enforced at full scale.
-BASELINE_DRIFT_FLOOR = 0.9
-
 
 def full_scale() -> bool:
     return os.environ.get("GRETEL_EVAL_SCALE", "small") == "full"
-
-
-def load_committed(name: str) -> Optional[Dict[str, Any]]:
-    """The committed full-scale baseline payload under ``results/``.
-
-    Returns ``None`` when the file is absent, unreadable, or was
-    recorded at small scale (smoke runs must not be compared against —
-    or mistaken for — the committed full-scale numbers).
-    """
-    path = os.path.join(RESULTS_DIR, name)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    return payload if payload.get("scale") == "full" else None
-
-
-def save_committed(name: str, payload: Dict[str, Any]) -> str:
-    """Write a committed-baseline JSON under ``results/``.
-
-    Callers gate this on :func:`full_scale` — the committed JSON is a
-    full-scale run and the small smoke scale must not clobber it with
-    reduced-stream numbers.
-    """
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, name)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    return path
-
-
-def assert_no_drift(
-    metric: str,
-    achieved: float,
-    previous: float,
-    floor: float = BASELINE_DRIFT_FLOOR,
-) -> None:
-    """Gate ``achieved`` against the committed baseline's ``previous``."""
-    assert achieved >= floor * previous, (
-        f"{metric} {achieved:.2f} drifted more than "
-        f"{(1 - floor) * 100:.0f}% below the committed baseline's "
-        f"{previous:.2f}"
-    )
 
 
 @pytest.fixture(scope="session")

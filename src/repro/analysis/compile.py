@@ -67,6 +67,7 @@ from repro.core.config import GretelConfig
 from repro.core.fingerprint import Fingerprint, FingerprintLibrary
 from repro.core.symbols import SymbolTable
 from repro.openstack.catalog import ApiCatalog, default_catalog
+from repro.oracle import OracleResult, diff_multisets, settle
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.detector import _Candidate
@@ -739,11 +740,6 @@ def compiled_index_for(
 # Differential selection oracle
 # ---------------------------------------------------------------------------
 
-class SelectionDivergence(AssertionError):
-    """Indexed candidate selection diverged from the full-scan
-    reference (or changed an end-to-end detection)."""
-
-
 #: Complete comparable identity of one prepared candidate.
 CandidateSignature = Tuple[str, str, Tuple[int, ...], str, bool]
 
@@ -759,35 +755,6 @@ def candidate_signature(candidate: "_Candidate") -> CandidateSignature:
         candidate.full_symbols,
         candidate.pure_read,
     )
-
-
-@dataclass
-class SelectionEquivalence:
-    """Outcome of one indexed-vs-full-scan differential replay."""
-
-    api_keys: int
-    snapshots: int
-    #: Human-readable divergence descriptions.
-    mismatches: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """Whether every comparison was identical."""
-        return not self.mismatches
-
-    def summary(self) -> str:
-        """One operator-facing line (plus divergence details if any)."""
-        verdict = "EQUIVALENT" if self.ok else "DIVERGED"
-        lines = [
-            f"{verdict}: indexed vs full-scan selection on "
-            f"{self.api_keys} api key(s) x 2 truncation modes, "
-            f"{self.snapshots} end-to-end snapshot(s) — "
-            f"{len(self.mismatches)} mismatches"
-        ]
-        lines.extend(f"  {detail}" for detail in self.mismatches[:5])
-        if len(self.mismatches) > 5:
-            lines.append(f"  ... {len(self.mismatches) - 5} more")
-        return "\n".join(lines)
 
 
 def _library_api_keys(
@@ -809,7 +776,7 @@ def verify_selection(
     snapshots: Sequence["Snapshot"] = (),
     index: Optional[CompiledIndex] = None,
     strict: bool = True,
-) -> SelectionEquivalence:
+) -> OracleResult:
     """Prove indexed selection equivalent to the full scan.
 
     Two fresh detectors share the library/symbols/catalog/config and
@@ -827,12 +794,10 @@ def verify_selection(
       :func:`~repro.core.matching.oracle.detection_signature` equality
       — indexed selection must not change a single diagnosis field.
 
-    With ``strict`` (the default) any divergence raises
-    :class:`SelectionDivergence`; otherwise inspect
-    :attr:`SelectionEquivalence.ok`.
+    ``strict`` is :func:`repro.oracle.settle`'s.
     """
     from repro.core.detector import OperationDetector
-    from repro.core.matching.oracle import detection_signature
+    from repro.core.matching.oracle import compare_detections
     from repro.reference.detector import ScanSelectionDetector
 
     config = config or GretelConfig()
@@ -845,54 +810,43 @@ def verify_selection(
     if api_keys is None:
         api_keys = _library_api_keys(library, symbols)
 
-    result = SelectionEquivalence(
-        api_keys=len(api_keys), snapshots=len(snapshots),
+    result = OracleResult(
+        layer="selection",
+        reference="full-scan",
+        candidate="indexed",
+        facts={
+            "api_keys": len(api_keys),
+            "truncation_modes": 2,
+            "snapshots": len(snapshots),
+        },
     )
     for api_key in api_keys:
         for truncate in (True, False):
-            expected = [
-                candidate_signature(c)
-                for c in reference.candidates_for(
-                    api_key, truncate=truncate
-                )
-            ]
-            actual = [
-                candidate_signature(c)
-                for c in indexed.candidates_for(
-                    api_key, truncate=truncate
-                )
-            ]
+            expected, actual = (
+                [
+                    candidate_signature(c)
+                    for c in detector.candidates_for(
+                        api_key, truncate=truncate
+                    )
+                ]
+                for detector in (reference, indexed)
+            )
             if expected == actual:
                 continue
-            expected_ops = Counter(sig[0] for sig in expected)
-            actual_ops = Counter(sig[0] for sig in actual)
-            if expected_ops != actual_ops:
-                missing = sorted(
-                    (expected_ops - actual_ops).elements()
-                )[:3]
-                extra = sorted(
-                    (actual_ops - expected_ops).elements()
-                )[:3]
+            missing, extra = diff_multisets(
+                (sig[0] for sig in expected), (sig[0] for sig in actual)
+            )
+            if missing or extra:
                 result.mismatches.append(
                     f"{api_key} (truncate={truncate}): candidate "
                     f"multisets differ — scan {len(expected)} vs "
-                    f"indexed {len(actual)}; missing {missing}, "
-                    f"extra {extra}"
+                    f"indexed {len(actual)}; missing {missing[:3]}, "
+                    f"extra {extra[:3]}"
                 )
             else:
                 result.mismatches.append(
                     f"{api_key} (truncate={truncate}): same operations "
                     "but preparations or order differ"
                 )
-    for snapshot in snapshots:
-        expected_sig = detection_signature(reference.detect(snapshot))
-        actual_sig = detection_signature(indexed.detect(snapshot))
-        if expected_sig != actual_sig:
-            result.mismatches.append(
-                f"fault seq={expected_sig[0]}: detection diverged — "
-                f"scan ops={list(expected_sig[1])} vs indexed "
-                f"ops={list(actual_sig[1])}"
-            )
-    if strict and not result.ok:
-        raise SelectionDivergence(result.summary())
-    return result
+    compare_detections(result, snapshots, reference, indexed)
+    return settle(result, strict)

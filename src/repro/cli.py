@@ -49,9 +49,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.evaluation import case_studies
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.oracle import OracleResult
 
 #: The CLI-wide exit-code contract (documented in the module
 #: docstring and docs/scenarios.md): every subcommand returns one of
@@ -59,6 +62,45 @@ from repro.evaluation import case_studies
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+
+def _record_verdict(args: argparse.Namespace, document: dict, key: str,
+                    result: "OracleResult", code: int) -> int:
+    """Fold one oracle verdict into a command's output and exit code:
+    the result lands under ``key`` in the JSON document, its summary
+    is printed in text mode, and a divergence turns ``code`` into
+    ``EXIT_FAIL``."""
+    document[key] = result.to_dict()
+    if args.format == "text":
+        print(result.summary())
+    return code if result.ok else EXIT_FAIL
+
+
+def _replay_inputs(args: argparse.Namespace):
+    """``(library, events, config)`` for the synthetic replay that
+    ``analyze`` and ``serve`` drive (:func:`_add_replay_arguments`)."""
+    from repro.core.config import GretelConfig
+    from repro.evaluation.common import default_characterization
+    from repro.workloads.traffic import SyntheticStream
+
+    library = default_characterization(
+        seed=args.seed, use_disk_cache=not args.no_cache,
+    ).library
+    stream = SyntheticStream(
+        library, library.symbols,
+        fault_every=args.fault_every, seed=args.seed,
+    )
+    return library, stream.events(args.events), GretelConfig(alpha=args.alpha)
+
+
+def _write_document(args: argparse.Namespace, payload: str) -> None:
+    """Emit a command's serialized JSON document: stdout under
+    ``--format json``, and the ``--out`` file whenever one is given."""
+    if args.format == "json":
+        sys.stdout.write(payload)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(payload)
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
@@ -333,32 +375,23 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     import time
     from dataclasses import asdict
 
-    from repro.core.config import GretelConfig
     from repro.core.parallel import verify_equivalence
     from repro.core.pipeline import PipelineBuilder, StageCounters, StageTimer
-    from repro.evaluation.common import default_characterization
     from repro.monitoring.store import MetadataStore
-    from repro.workloads.traffic import SyntheticStream
 
     text_mode = args.format == "text"
-    character = default_characterization(
-        seed=args.seed, use_disk_cache=not args.no_cache,
-    )
-    library = character.library
-    stream = SyntheticStream(
-        library, library.symbols,
-        fault_every=args.fault_every, seed=args.seed,
-    )
-    events = stream.events(args.events)
-    config = GretelConfig(alpha=args.alpha)
+    library, events, config = _replay_inputs(args)
 
-    builder = (
-        PipelineBuilder(library)
-        .with_store(MetadataStore())
-        .with_config(config)
-        .track_latency(not args.no_latency)
-        .defer_detection(True)
-    )
+    def deferred_builder() -> PipelineBuilder:
+        return (
+            PipelineBuilder(library)
+            .with_store(MetadataStore())
+            .with_config(config)
+            .track_latency(not args.no_latency)
+            .defer_detection(True)
+        )
+
+    builder = deferred_builder()
     timer: "StageTimer | None" = None
     counters: "StageCounters | None" = None
     if args.stage_stats and args.backend == "inline":
@@ -464,66 +497,46 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             defer_detection=True, strict=False,
             backend=args.backend,
         )
-        document["verify_shards"] = {
-            "ok": result.ok, "summary": result.summary(),
-        }
-        if text_mode:
-            print(result.summary())
-        if not result.ok:
-            code = EXIT_FAIL
+        code = _record_verdict(
+            args, document, "verify_shards", result, code
+        )
 
     if args.verify_selection:
         from repro.analysis.compile import verify_selection
 
         # Candidate-level + per-snapshot oracle over the stream's
         # frozen snapshots, collected once serially.
-        serial = (
-            PipelineBuilder(library)
-            .with_store(MetadataStore())
-            .with_config(config)
-            .track_latency(not args.no_latency)
-            .defer_detection(True)
-            .build_serial()
-        )
+        serial = deferred_builder().build_serial()
         serial.feed(events)
         serial.flush()
         snapshots = serial.pipeline.deferred_snapshots()
         selection = verify_selection(
             library, config=config, snapshots=snapshots, strict=False,
         )
-        document["verify_selection"] = {
-            "ok": selection.ok, "summary": selection.summary(),
-        }
-        if text_mode:
-            print(selection.summary())
-        if not selection.ok:
-            code = EXIT_FAIL
+        code = _record_verdict(
+            args, document, "verify_selection", selection, code
+        )
 
     document["exit_code"] = code
-    payload = json.dumps(document, indent=2) + "\n"
-    if not text_mode:
-        sys.stdout.write(payload)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+    _write_document(args, json.dumps(document, indent=2) + "\n")
     return code
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import json
-    import threading
     import time
 
-    from repro.core.config import GretelConfig
-    from repro.evaluation.common import default_characterization
     from repro.service import (
         CheckpointStore,
         StreamingService,
         verify_async,
         verify_checkpoint,
     )
-    from repro.service.async_oracle import bucket_tenant
-    from repro.workloads.traffic import SyntheticStream
+    from repro.service.async_oracle import (
+        bucket_tenant,
+        drive_producers,
+        partition_tenants,
+    )
 
     text_mode = args.format == "text"
     if args.checkpoint_every and not args.checkpoint_dir:
@@ -540,20 +553,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("--pump-threads must be >= 0", file=sys.stderr)
         return EXIT_USAGE
 
-    character = default_characterization(
-        seed=args.seed, use_disk_cache=not args.no_cache,
-    )
-    library = character.library
-    stream = SyntheticStream(
-        library, library.symbols,
-        fault_every=args.fault_every, seed=args.seed,
-    )
-    events = stream.events(args.events)
-    config = GretelConfig(alpha=args.alpha)
+    library, events, config = _replay_inputs(args)
 
-    store = None
-    if args.checkpoint_dir:
-        store = CheckpointStore(args.checkpoint_dir)
+    store = (
+        CheckpointStore(args.checkpoint_dir) if args.checkpoint_dir else None
+    )
+    producers = args.pump_threads or args.tenants
     service = StreamingService(
         library,
         config=config,
@@ -579,53 +584,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # analysis at the final flush.
         service.restore_all()
 
-    def bucket(tenant: str) -> str:
-        # Re-key the synthetic stream's 64 tenants into the requested
-        # number of sessions (deterministic, id-stable).
-        return bucket_tenant(tenant, args.tenants)
-
     if args.async_ingest:
-        # Pump router: partition the stream per session bucket, then
-        # drive the front door from N concurrent producer threads —
-        # each bucket owned by exactly one producer, so per-tenant
-        # order (and the report multiset) matches the sync router.
-        buckets = {}
-        for event in events:
-            buckets.setdefault(bucket(event.tenant), []).append(event)
-        # Create the sessions before the producers start: process-
-        # backed pools fork workers, and forking from a quiet parent
-        # is the safe order (docs/service.md).
-        for key in buckets:
-            service.session(key)
-        producers = args.pump_threads or args.tenants
-        owned = [[] for _ in range(producers)]
-        for index, item in enumerate(buckets.items()):
-            owned[index % producers].append(item)
-
-        def produce(work):
-            for key, stream_slice in work:
-                for _ in range(args.passes):
-                    for event in stream_slice:
-                        service.submit(event, tenant=key)
-
-        threads = [
-            threading.Thread(target=produce, args=(work,))
-            for work in owned if work
-        ]
+        # Pump router: N concurrent producer threads, each session
+        # bucket owned by exactly one of them, so per-tenant order
+        # (and the report multiset) matches the sync router.
+        buckets = partition_tenants(events, args.tenants)
         started = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        service.drain()
-        elapsed = time.perf_counter() - started
+        drive_producers(service, buckets, producers, passes=args.passes)
     else:
         started = time.perf_counter()
         for _ in range(args.passes):
             for event in events:
-                service.submit(event, tenant=bucket(event.tenant))
-        service.drain()
-        elapsed = time.perf_counter() - started
+                # Re-key the synthetic stream's 64 tenants into the
+                # requested number of sessions (id-stable).
+                service.submit(
+                    event, tenant=bucket_tenant(event.tenant, args.tenants)
+                )
+    service.drain()
+    elapsed = time.perf_counter() - started
     if store is not None:
         service.checkpoint_all()
     service.flush()
@@ -641,10 +617,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "session_shards": args.session_shards,
         "backend": args.backend,
         "async_ingest": args.async_ingest,
-        "pump_threads": (
-            (args.pump_threads or args.tenants)
-            if args.async_ingest else 0
-        ),
+        "pump_threads": producers if args.async_ingest else 0,
         "alpha": args.alpha,
         "queue_size": args.queue_size,
         "policy": args.policy,
@@ -673,36 +646,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         async_result = verify_async(
             events, library,
             tenants=args.tenants,
-            producers=args.pump_threads or args.tenants,
+            producers=producers,
             config=config,
             track_latency=not args.no_latency,
             shards=args.session_shards,
             backend=args.backend,
             strict=False,
         )
-        document["verify_async"] = async_result.to_dict()
-        if text_mode:
-            print(async_result.summary())
-        if not async_result.ok:
-            code = EXIT_FAIL
+        code = _record_verdict(
+            args, document, "verify_async", async_result, code
+        )
     if args.verify_checkpoint:
         result = verify_checkpoint(
             events, library, cuts=args.cuts, config=config,
             track_latency=not args.no_latency, strict=False,
         )
-        document["verify_checkpoint"] = result.to_dict()
-        if text_mode:
-            print(result.summary())
-        if not result.ok:
-            code = EXIT_FAIL
+        code = _record_verdict(
+            args, document, "verify_checkpoint", result, code
+        )
 
     document["exit_code"] = code
-    payload = json.dumps(document, indent=2) + "\n"
-    if not text_mode:
-        sys.stdout.write(payload)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+    _write_document(args, json.dumps(document, indent=2) + "\n")
     return code
 
 
@@ -759,14 +723,9 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
     )
     document = build_scorecard(result)
 
-    if args.format == "json":
-        sys.stdout.write(dump_scorecard(document))
-    else:
+    if args.format == "text":
         print(render_scorecard(document))
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(dump_scorecard(document))
+    _write_document(args, dump_scorecard(document))
 
     if args.check:
         try:
@@ -785,6 +744,41 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
         print("scorecard matches the committed baseline", file=sys.stderr)
 
     return result.exit_code
+
+
+def _add_replay_arguments(parser: argparse.ArgumentParser) -> None:
+    """The synthetic-stream options ``analyze`` and ``serve`` share
+    (read back by :func:`_replay_inputs`)."""
+    parser.add_argument(
+        "--events", type=int, default=60_000,
+        help="stream length in wire events (default: the Fig. 8c 60K)",
+    )
+    parser.add_argument(
+        "--fault-every", type=int, default=1000,
+        help="one REST fault per this many events (default 1000)",
+    )
+    parser.add_argument(
+        "--alpha", type=int, default=768,
+        help="sliding-window size α (default: the paper's 768)",
+    )
+    parser.add_argument(
+        "--no-latency", action="store_true",
+        help="disable per-API latency tracking (pure operational path)",
+    )
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--no-cache", action="store_true")
+
+
+def _add_document_arguments(parser: argparse.ArgumentParser) -> None:
+    """``--format`` / ``--out``, consumed by :func:`_write_document`."""
+    parser.add_argument(
+        "--format", choices=("text", "json"), default="text",
+        help="json emits the run as one machine-readable document",
+    )
+    parser.add_argument(
+        "--out", "-o", metavar="FILE",
+        help="also write the JSON document here (any --format)",
+    )
 
 
 EXPERIMENTS = ("table1", "fig5", "fig6", "fig7a", "fig7b", "fig7c",
@@ -909,14 +903,8 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze",
         help="replay a synthetic stream through the sharded analyzer",
     )
-    analyze.add_argument(
-        "--events", type=int, default=60_000,
-        help="stream length in wire events (default: the Fig. 8c 60K)",
-    )
-    analyze.add_argument(
-        "--fault-every", type=int, default=1000,
-        help="one REST fault per this many events (default 1000)",
-    )
+    _add_replay_arguments(analyze)
+    _add_document_arguments(analyze)
     analyze.add_argument(
         "--shards", type=int, default=4,
         help="number of analyzer shards (default 4)",
@@ -930,14 +918,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard execution backend: inline runs shards in this "
              "process, process gives each shard a worker process "
              "(docs/parallelism.md)",
-    )
-    analyze.add_argument(
-        "--alpha", type=int, default=768,
-        help="sliding-window size α (default: the paper's 768)",
-    )
-    analyze.add_argument(
-        "--no-latency", action="store_true",
-        help="disable per-API latency tracking (pure operational path)",
     )
     analyze.add_argument(
         "--stage-stats", action="store_true",
@@ -958,17 +938,6 @@ def build_parser() -> argparse.ArgumentParser:
              "and identical detections on this stream's snapshots "
              "(differential oracle; exit 1 on divergence)",
     )
-    analyze.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="json emits the run (reports, pipeline stats, oracle "
-             "verdicts) as one machine-readable document",
-    )
-    analyze.add_argument(
-        "--out", "-o", metavar="FILE",
-        help="also write the JSON document here (any --format)",
-    )
-    analyze.add_argument("--seed", type=int, default=0)
-    analyze.add_argument("--no-cache", action="store_true")
     analyze.set_defaults(handler=_cmd_analyze)
 
     serve = sub.add_parser(
@@ -976,26 +945,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay a synthetic stream through the multi-tenant "
              "streaming service layer (docs/service.md)",
     )
-    serve.add_argument(
-        "--events", type=int, default=60_000,
-        help="stream length in wire events (default: the Fig. 8c 60K)",
-    )
+    _add_replay_arguments(serve)
+    _add_document_arguments(serve)
     serve.add_argument(
         "--passes", type=int, default=1,
         help="replay the stream this many times (soak; default 1)",
     )
     serve.add_argument(
-        "--fault-every", type=int, default=1000,
-        help="one REST fault per this many events (default 1000)",
-    )
-    serve.add_argument(
         "--tenants", type=int, default=4,
         help="re-key the stream into this many tenant sessions "
              "(default 4)",
-    )
-    serve.add_argument(
-        "--alpha", type=int, default=768,
-        help="sliding-window size α (default: the paper's 768)",
     )
     serve.add_argument(
         "--queue-size", type=int, default=4096,
@@ -1045,10 +1004,6 @@ def build_parser() -> argparse.ArgumentParser:
              "--checkpoint-dir before replaying",
     )
     serve.add_argument(
-        "--no-latency", action="store_true",
-        help="disable per-API latency tracking (pure operational path)",
-    )
-    serve.add_argument(
         "--verify-checkpoint", action="store_true",
         help="also run the checkpoint/kill/restore differential "
              "oracle on this stream (exit 1 on divergence)",
@@ -1063,15 +1018,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="checkpoint/kill/restore points for --verify-checkpoint "
              "(default 3)",
     )
-    serve.add_argument(
-        "--format", choices=("text", "json"), default="text",
-    )
-    serve.add_argument(
-        "--out", "-o", metavar="FILE",
-        help="also write the JSON document here (any --format)",
-    )
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--no-cache", action="store_true")
     serve.set_defaults(handler=_cmd_serve)
 
     scenarios = sub.add_parser(
@@ -1109,13 +1055,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution backend for the sharded replay "
              "(docs/parallelism.md)",
     )
-    scenarios_run.add_argument(
-        "--format", choices=("text", "json"), default="text",
-    )
-    scenarios_run.add_argument(
-        "--out", "-o", metavar="FILE",
-        help="also write the JSON scorecard here",
-    )
+    _add_document_arguments(scenarios_run)
     scenarios_run.add_argument(
         "--check", metavar="FILE",
         help="diff the scorecard against this committed baseline; "

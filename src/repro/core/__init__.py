@@ -36,8 +36,6 @@ from repro.core.config import GretelConfig
 from repro.core.detector import DetectionResult, OperationDetector
 from repro.core.parallel import (
     AnalyzerShard,
-    EquivalenceResult,
-    ShardDivergence,
     ShardedAnalyzer,
     verify_equivalence,
 )
@@ -60,7 +58,6 @@ __all__ = [
     "AnalyzerShard",
     "CharacterizationResult",
     "DetectionResult",
-    "EquivalenceResult",
     "FaultReport",
     "Fingerprint",
     "FingerprintLibrary",
@@ -73,7 +70,6 @@ __all__ = [
     "PipelineBuilder",
     "PipelineStats",
     "RootCauseFinding",
-    "ShardDivergence",
     "ShardedAnalyzer",
     "StageCounters",
     "StageTimer",

@@ -17,19 +17,15 @@ from repro.core.matching.engine import (
 )
 from repro.core.matching.index import SnapshotIndex, WindowCounts
 from repro.core.matching.oracle import (
-    DetectionEquivalence,
-    ScoringDivergence,
     detection_signature,
     verify_detection,
 )
 
 __all__ = [
-    "DetectionEquivalence",
     "MatchSession",
     "MatchingEngine",
     "MatchingStats",
     "ScoringCandidate",
-    "ScoringDivergence",
     "SnapshotIndex",
     "WindowCounts",
     "detection_signature",

@@ -14,19 +14,19 @@ the context-buffer span — must be identical, not merely close.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from repro.core.config import GretelConfig
 from repro.core.fingerprint import FingerprintLibrary
 from repro.core.symbols import SymbolTable
 from repro.core.window import Snapshot
 from repro.openstack.catalog import ApiCatalog, default_catalog
+from repro.oracle import OracleResult, settle
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     # ``detector`` imports the engine, so the runtime import of the
     # detector must wait until :func:`verify_detection` is called.
-    from repro.core.detector import DetectionResult
+    from repro.core.detector import DetectionResult, OperationDetector
 
 #: (fault seq, operations, θ, β_used, iterations, candidates,
 #:  window span, per-operation coverages, matched event seqs).
@@ -57,44 +57,31 @@ def detection_signature(result: "DetectionResult") -> DetectionSignature:
     )
 
 
-class ScoringDivergence(AssertionError):
-    """The incremental engine's detections diverged from reference."""
-
-
-@dataclass
-class DetectionEquivalence:
-    """Outcome of one incremental-vs-reference differential replay."""
-
-    snapshots: int
-    #: (reference signature, incremental signature) per divergence.
-    mismatches: List[Tuple[DetectionSignature, DetectionSignature]] = (
-        field(default_factory=list)
-    )
-
-    @property
-    def ok(self) -> bool:
-        """Whether every snapshot produced identical results."""
-        return not self.mismatches
-
-    def summary(self) -> str:
-        """One operator-facing line (plus divergence details if any)."""
-        verdict = "EQUIVALENT" if self.ok else "DIVERGED"
-        lines = [
-            f"{verdict}: incremental vs reference scoring on "
-            f"{self.snapshots} snapshots — "
-            f"{len(self.mismatches)} mismatches"
-        ]
-        for reference, incremental in self.mismatches[:5]:
-            lines.append(
-                f"  fault seq={reference[0]}: "
-                f"reference ops={list(reference[1])} "
-                f"theta={reference[2]:.4f} beta={reference[3]} vs "
-                f"incremental ops={list(incremental[1])} "
-                f"theta={incremental[2]:.4f} beta={incremental[3]}"
+def compare_detections(
+    result: OracleResult,
+    snapshots: Sequence[Snapshot],
+    reference: "OperationDetector",
+    candidate: "OperationDetector",
+    *,
+    performance_fault: bool = False,
+) -> None:
+    """Run every snapshot through both detectors; record one mismatch
+    line on ``result`` per snapshot they diagnose differently."""
+    for snapshot in snapshots:
+        expected, actual = (
+            detection_signature(
+                detector.detect(snapshot, performance_fault=performance_fault)
             )
-        if len(self.mismatches) > 5:
-            lines.append(f"  ... {len(self.mismatches) - 5} more")
-        return "\n".join(lines)
+            for detector in (reference, candidate)
+        )
+        if expected != actual:
+            result.mismatches.append(
+                f"fault seq={expected[0]}: "
+                f"{result.reference} ops={list(expected[1])} "
+                f"theta={expected[2]:.4f} beta={expected[3]} vs "
+                f"{result.candidate} ops={list(actual[1])} "
+                f"theta={actual[2]:.4f} beta={actual[3]}"
+            )
 
 
 def verify_detection(
@@ -106,13 +93,13 @@ def verify_detection(
     config: Optional[GretelConfig] = None,
     performance_fault: bool = False,
     strict: bool = True,
-) -> DetectionEquivalence:
+) -> OracleResult:
     """Replay ``snapshots`` through both scoring paths and compare.
 
     Two fresh detectors share the library/symbols/catalog/config and
-    differ only in the scorer.  With ``strict`` (the default) any
-    divergence raises :class:`ScoringDivergence`; otherwise the caller
-    inspects :attr:`DetectionEquivalence.ok`.
+    differ only in the scorer; one mismatch line is recorded per
+    snapshot whose signatures differ.  ``strict`` is
+    :func:`repro.oracle.settle`'s.
     """
     from repro.core.detector import OperationDetector
     from repro.reference.detector import ScratchScoringDetector
@@ -122,16 +109,14 @@ def verify_detection(
     catalog = catalog or default_catalog()
     reference = ScratchScoringDetector(library, symbols, catalog, config)
     incremental = OperationDetector(library, symbols, catalog, config)
-    result = DetectionEquivalence(snapshots=len(snapshots))
-    for snapshot in snapshots:
-        expected = detection_signature(
-            reference.detect(snapshot, performance_fault=performance_fault)
-        )
-        actual = detection_signature(
-            incremental.detect(snapshot, performance_fault=performance_fault)
-        )
-        if expected != actual:
-            result.mismatches.append((expected, actual))
-    if strict and not result.ok:
-        raise ScoringDivergence(result.summary())
-    return result
+    result = OracleResult(
+        layer="detection",
+        reference="scratch",
+        candidate="incremental",
+        facts={"snapshots": len(snapshots)},
+    )
+    compare_detections(
+        result, snapshots, reference, incremental,
+        performance_fault=performance_fault,
+    )
+    return settle(result, strict)

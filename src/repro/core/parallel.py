@@ -42,8 +42,6 @@ both the test suite and ``repro analyze --verify-shards``.  See
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
 from typing import (
     Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
 )
@@ -62,6 +60,7 @@ from repro.core.reports import FaultReport
 from repro.core.state import StateError, require_state
 from repro.core.symbols import SymbolTable
 from repro.monitoring.store import MetadataStore
+from repro.oracle import OracleResult, diff_multisets, settle
 
 #: Default number of events per shard step.
 DEFAULT_BATCH_SIZE = 1024
@@ -551,49 +550,6 @@ class ShardedAnalyzer:
 # Differential-correctness oracle
 # ---------------------------------------------------------------------------
 
-class ShardDivergence(AssertionError):
-    """The sharded analyzer's reports diverged from the serial ones."""
-
-
-@dataclass
-class EquivalenceResult:
-    """Outcome of one serial-vs-sharded differential replay."""
-
-    shards: int
-    events: int
-    serial_reports: int
-    sharded_reports: int
-    #: Signatures present serially but absent (or fewer) sharded.
-    missing: List[ReportSignature] = field(default_factory=list)
-    #: Signatures produced sharded but not (or more often) serially.
-    extra: List[ReportSignature] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """Whether the two report multisets are identical."""
-        return not self.missing and not self.extra
-
-    def summary(self) -> str:
-        """One operator-facing line (plus divergence details if any)."""
-        verdict = "EQUIVALENT" if self.ok else "DIVERGED"
-        lines = [
-            f"{verdict}: serial vs {self.shards}-shard on {self.events} "
-            f"events — {self.serial_reports} serial / "
-            f"{self.sharded_reports} sharded reports"
-        ]
-        for label, signatures in (("missing", self.missing),
-                                  ("extra", self.extra)):
-            for kind, seq, operations, precision, _ in signatures[:5]:
-                ops = ",".join(operations) or "<none>"
-                lines.append(
-                    f"  {label}: {kind} fault seq={seq} ops=[{ops}] "
-                    f"theta={precision:.4f}"
-                )
-            if len(signatures) > 5:
-                lines.append(f"  ... {len(signatures) - 5} more {label}")
-        return "\n".join(lines)
-
-
 def verify_equivalence(
     events: Sequence[WireEvent],
     library: FingerprintLibrary,
@@ -608,7 +564,7 @@ def verify_equivalence(
     defer_detection: bool = False,
     strict: bool = True,
     backend: str = "inline",
-) -> EquivalenceResult:
+) -> OracleResult:
     """Replay ``events`` serially and sharded; compare report sets.
 
     Both analyzers run the same configuration, the stream is flushed,
@@ -617,9 +573,8 @@ def verify_equivalence(
     ``store`` (e.g. the populated store of a captured live run) makes
     both halves consult the same read-only metadata, so root-cause
     findings are part of the comparison too.  Reports are compared as
-    multisets of :func:`report_signature`; with ``strict`` (the
-    default) any divergence raises :class:`ShardDivergence`, otherwise
-    the caller inspects :attr:`EquivalenceResult.ok`.
+    multisets of :func:`report_signature`; ``strict`` is
+    :func:`repro.oracle.settle`'s.
 
     ``backend`` selects the sharded half's execution backend, so the
     same oracle that proves partitioning semantics-preserving also
@@ -652,22 +607,23 @@ def verify_equivalence(
             serial.process_deferred()
             sharded.process_deferred()
 
-        serial_counts = Counter(
-            report_signature(r) for r in serial.reports
+        missing, extra = diff_multisets(
+            (report_signature(r) for r in serial.reports),
+            (report_signature(r) for r in sharded.reports),
         )
-        sharded_counts = Counter(
-            report_signature(r) for r in sharded.reports
-        )
-        result = EquivalenceResult(
-            shards=shards,
-            events=len(events),
-            serial_reports=len(serial.reports),
-            sharded_reports=len(sharded.reports),
-            missing=sorted((serial_counts - sharded_counts).elements()),
-            extra=sorted((sharded_counts - serial_counts).elements()),
+        result = OracleResult(
+            layer="shards",
+            reference="serial",
+            candidate=f"{shards}-shard {backend}",
+            facts={
+                "events": len(events),
+                "shards": shards,
+                "reference_reports": len(serial.reports),
+                "candidate_reports": len(sharded.reports),
+            },
+            missing=missing,
+            extra=extra,
         )
     finally:
         sharded.close()
-    if strict and not result.ok:
-        raise ShardDivergence(result.summary())
-    return result
+    return settle(result, strict)

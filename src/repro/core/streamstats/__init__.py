@@ -13,8 +13,6 @@ from repro.core.streamstats.detector import (
     detector_from_config,
 )
 from repro.core.streamstats.oracle import (
-    LevelShiftDivergence,
-    LevelShiftEquivalence,
     verify_levelshift,
     verify_levelshift_stream,
 )
@@ -22,8 +20,6 @@ from repro.core.streamstats.window import SortedWindow
 
 __all__ = [
     "IncrementalLevelShiftDetector",
-    "LevelShiftDivergence",
-    "LevelShiftEquivalence",
     "SortedWindow",
     "detector_from_config",
     "verify_levelshift",

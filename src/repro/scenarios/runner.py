@@ -25,14 +25,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.core.characterize import CharacterizationResult
 from repro.core.config import GretelConfig
-from repro.core.parallel import (
-    EquivalenceResult,
-    ShardedAnalyzer,
-    verify_equivalence,
-)
+from repro.core.parallel import ShardedAnalyzer, verify_equivalence
 from repro.core.pipeline import PipelineBuilder
 from repro.core.reports import FaultReport
 from repro.evaluation.common import DetectionCounts
+from repro.oracle import OracleResult
 from repro.scenarios import registry
 from repro.scenarios.base import CapturedRun, Expectation, Scenario
 from repro.scenarios.oracles import (
@@ -92,7 +89,7 @@ def _grade(scenario: Scenario, captured: CapturedRun,
     return [oracle.grade(ctx) for oracle in oracles_for(scenario)]
 
 
-def _detection_equivalent(result: EquivalenceResult) -> bool:
+def _detection_equivalent(result: OracleResult) -> bool:
     """Whether divergence is only in matched-operation sets.
 
     Report signatures are ``(kind, fault-event seq, operations, θ,
@@ -127,15 +124,16 @@ def _grade_equivalence(scenario: Scenario, captured: CapturedRun,
         track_latency=scenario.track_latency, strict=False,
         backend=backend,
     )
+    serial_reports = result.facts["reference_reports"]
     counts: Dict[str, object] = {
-        "serial_reports": result.serial_reports,
-        "sharded_reports": result.sharded_reports,
+        "serial_reports": serial_reports,
+        "sharded_reports": result.facts["candidate_reports"],
         "diverging": len(result.missing) + len(result.extra),
     }
     if result.ok:
         return OracleOutcome(
             oracle="shard-equivalence", grade=PASS, score=1.0,
-            detail=(f"exact: {result.serial_reports} reports "
+            detail=(f"exact: {serial_reports} reports "
                     f"identical across {shards} shards"),
             counts=counts,
         )

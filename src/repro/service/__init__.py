@@ -17,25 +17,13 @@ observably the sync router (:mod:`repro.service.async_oracle`).
 ``docs/service.md``.
 """
 
-from repro.service.async_oracle import (
-    AsyncDivergence,
-    AsyncResult,
-    verify_async,
-)
+from repro.service.async_oracle import verify_async
 from repro.service.checkpoint import CheckpointStore
 from repro.service.manager import ServiceStats, StreamingService
-from repro.service.oracle import (
-    CheckpointDivergence,
-    CheckpointResult,
-    verify_checkpoint,
-)
+from repro.service.oracle import verify_checkpoint
 from repro.service.session import TenantSession
 
 __all__ = [
-    "AsyncDivergence",
-    "AsyncResult",
-    "CheckpointDivergence",
-    "CheckpointResult",
     "CheckpointStore",
     "ServiceStats",
     "StreamingService",

@@ -20,8 +20,7 @@ into an assertion:
 Both halves must agree, per tenant, on the report multiset (compared
 via :func:`repro.core.parallel.report_signature`) and on the ingest
 counters (``events_ingested`` / ``events_analyzed`` / ``events_shed``
-/ ``reports_emitted``).  Any divergence raises
-:class:`AsyncDivergence`.  The oracle runs under the ``"block"``
+/ ``reports_emitted``).  The oracle runs under the ``"block"``
 policy — shedding is timing-dependent by design, so a shed-policy
 replay is not deterministic and cannot be differentially compared.
 
@@ -33,16 +32,20 @@ oracle trips.
 from __future__ import annotations
 
 import threading
-from collections import Counter
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import GretelConfig
 from repro.core.fingerprint import FingerprintLibrary
-from repro.core.parallel import ReportSignature, report_signature
+from repro.core.parallel import report_signature
 from repro.monitoring.store import MetadataStore
 from repro.openstack.catalog import ApiCatalog
 from repro.openstack.wire import WireEvent
+from repro.oracle import (
+    OracleResult,
+    diff_counters,
+    diff_multisets,
+    settle,
+)
 from repro.service.manager import StreamingService
 
 #: Per-session counters compared between the two halves.
@@ -53,85 +56,8 @@ COUNTER_FIELDS = (
     "reports_emitted",
 )
 
-class AsyncDivergence(AssertionError):
-    """The pump router's observable output diverged from the sync
-    router's."""
-
-
-@dataclass
-class AsyncResult:
-    """Outcome of one sync-vs-async differential replay."""
-
-    events: int
-    tenants: int
-    producers: int
-    sync_reports: int
-    async_reports: int
-    #: (tenant, signature) present sync but absent (or fewer) async.
-    missing: List[Tuple[str, ReportSignature]] = field(
-        default_factory=list
-    )
-    #: (tenant, signature) produced async but not (or more) sync.
-    extra: List[Tuple[str, ReportSignature]] = field(
-        default_factory=list
-    )
-    #: tenant -> counter -> (sync value, async value) for mismatches.
-    counter_diff: Dict[str, Dict[str, Tuple[int, int]]] = field(
-        default_factory=dict
-    )
-
-    @property
-    def ok(self) -> bool:
-        return not (self.missing or self.extra or self.counter_diff)
-
-    def summary(self) -> str:
-        verdict = "EQUIVALENT" if self.ok else "DIVERGED"
-        lines = [
-            f"async-ingest oracle {verdict}: sync vs pump router on "
-            f"{self.events} events, {self.tenants} tenant(s), "
-            f"{self.producers} producer(s) — {self.sync_reports} sync "
-            f"/ {self.async_reports} async reports, "
-            f"{len(self.counter_diff)} counter diffs"
-        ]
-        for label, entries in (("missing", self.missing),
-                               ("extra", self.extra)):
-            for tenant, (kind, seq, ops, theta, _) in entries[:5]:
-                names = ",".join(ops) or "<none>"
-                lines.append(
-                    f"  {label}: [{tenant}] {kind} fault seq={seq} "
-                    f"ops=[{names}] theta={theta:.4f}"
-                )
-            if len(entries) > 5:
-                lines.append(
-                    f"  ... {len(entries) - 5} more {label}"
-                )
-        for tenant, diffs in sorted(self.counter_diff.items()):
-            for name, (sync, live) in sorted(diffs.items()):
-                lines.append(
-                    f"  counter: [{tenant}] {name} sync={sync} "
-                    f"async={live}"
-                )
-        return "\n".join(lines)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "ok": self.ok,
-            "events": self.events,
-            "tenants": self.tenants,
-            "producers": self.producers,
-            "sync_reports": self.sync_reports,
-            "async_reports": self.async_reports,
-            "missing": [
-                [tenant, list(sig)] for tenant, sig in self.missing
-            ],
-            "extra": [
-                [tenant, list(sig)] for tenant, sig in self.extra
-            ],
-            "counter_diff": {
-                tenant: {k: list(v) for k, v in diffs.items()}
-                for tenant, diffs in self.counter_diff.items()
-            },
-        }
+#: :func:`~repro.core.parallel.report_signature` + ``(tenant,)``.
+Signature = Tuple[object, ...]
 
 
 def bucket_tenant(tenant: str, buckets: int) -> str:
@@ -143,7 +69,7 @@ def bucket_tenant(tenant: str, buckets: int) -> str:
     return f"tenant-{index % buckets}"
 
 
-def _partition(
+def partition_tenants(
     events: Sequence[WireEvent], tenants: int
 ) -> Dict[str, List[WireEvent]]:
     """Stream order per bucket, buckets in first-appearance order."""
@@ -154,13 +80,53 @@ def _partition(
     return buckets
 
 
-def _counters(service: StreamingService) -> Dict[str, Dict[str, int]]:
-    return {
-        live.tenant: {
-            name: getattr(live, name) for name in COUNTER_FIELDS
-        }
-        for live in service.sessions.values()
-    }
+def drive_producers(
+    service: StreamingService,
+    buckets: Dict[str, List[WireEvent]],
+    producers: int,
+    passes: int = 1,
+) -> None:
+    """Submit every bucket from ``producers`` concurrent threads.
+
+    Each bucket is owned by exactly one producer, which replays it
+    ``passes`` times in stream order — so per-tenant delivery order is
+    the stream order however the threads interleave.  The sessions
+    are created *before* the producers start: process-backed pools
+    fork workers, and forking from a quiet parent is the safe order
+    (docs/service.md).  Returns once every producer has finished; the
+    first exception a producer raised is re-raised here rather than
+    left on its thread.
+    """
+    owned: List[List[Tuple[str, List[WireEvent]]]] = [
+        [] for _ in range(producers)
+    ]
+    for index, (tenant, stream) in enumerate(buckets.items()):
+        service.session(tenant)
+        owned[index % producers].append((tenant, stream))
+    failures: List[Exception] = []
+
+    def produce(work: List[Tuple[str, List[WireEvent]]]) -> None:
+        try:
+            for tenant, stream in work:
+                for _ in range(passes):
+                    for event in stream:
+                        service.submit(event, tenant=tenant)
+        except Exception as error:
+            failures.append(error)  # re-raised on the caller below
+
+    threads = [
+        threading.Thread(
+            target=produce, args=(work,),
+            name=f"gretel-producer-{index}",
+        )
+        for index, work in enumerate(owned) if work
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[0]
 
 
 def verify_async(
@@ -177,17 +143,17 @@ def verify_async(
     backend: str = "inline",
     queue_capacity: int = 1024,
     strict: bool = True,
-) -> AsyncResult:
-    """Prove the pump router is observably the sync router.
+) -> OracleResult:
+    """Prove the pump router is observably the sync router (see the
+    module docstring for the two halves).
 
-    Replays ``events`` through a synchronous service and a pump-mode
-    one (``producers`` concurrent threads, each owning a disjoint set
-    of tenant buckets) and compares per-tenant report multisets and
-    ingest counters.  ``shards``/``backend`` configure the per-session
-    analyzer, so the same oracle also covers pump threads driving
-    process-backed worker pools.  With ``strict`` (default) any
-    divergence raises :class:`AsyncDivergence`; otherwise inspect
-    :attr:`AsyncResult.ok`.
+    ``shards``/``backend`` configure the per-session analyzer, so the
+    same oracle also covers pump threads driving process-backed
+    worker pools.  A report signature here is
+    :func:`~repro.core.parallel.report_signature` with the tenant
+    appended; a counter divergence is a ``counter: [tenant] <name>
+    ...`` line in ``mismatches``.  ``strict`` is
+    :func:`repro.oracle.settle`'s.
     """
     if tenants < 1:
         raise ValueError("tenants must be at least 1")
@@ -195,10 +161,12 @@ def verify_async(
         raise ValueError("producers must be at least 1")
     events = list(events)
     config = config or GretelConfig()
-    buckets = _partition(events, tenants)
+    buckets = partition_tenants(events, tenants)
 
-    def build(async_ingest: bool) -> StreamingService:
-        return StreamingService(
+    def replay(async_ingest: bool) -> Tuple[
+        List[Signature], Dict[str, Dict[str, int]]
+    ]:
+        service = StreamingService(
             library,
             catalog=catalog,
             store=store,
@@ -210,89 +178,55 @@ def verify_async(
             backend=backend,
             async_ingest=async_ingest,
         )
-
-    # Sync half: single-threaded, bucket by bucket in stream order.
-    sync_service = build(async_ingest=False)
-    sync_sigs: List[Tuple[str, ReportSignature]] = []
-    sync_service.on_report(
-        lambda tenant, report: sync_sigs.append(
-            (tenant, report_signature(report))
-        )
-    )
-    try:
-        for tenant, stream in buckets.items():
-            for event in stream:
-                sync_service.submit(event, tenant=tenant)
-        sync_service.flush()
-        sync_counters = _counters(sync_service)
-    finally:
-        sync_service.shutdown()
-
-    # Async half: pre-create the sessions *before* the producer
-    # threads start — process-backed pools fork workers, and forking
-    # from a quiet parent is the safe order (docs/service.md).
-    async_service = build(async_ingest=True)
-    async_sigs: List[Tuple[str, ReportSignature]] = []
-    async_service.on_report(
-        lambda tenant, report: async_sigs.append(
-            (tenant, report_signature(report))
-        )
-    )
-    try:
-        owned: List[List[Tuple[str, List[WireEvent]]]] = [
-            [] for _ in range(producers)
-        ]
-        for index, (tenant, stream) in enumerate(buckets.items()):
-            async_service.session(tenant)
-            owned[index % producers].append((tenant, stream))
-
-        def produce(
-            work: List[Tuple[str, List[WireEvent]]]
-        ) -> None:
-            for tenant, stream in work:
-                for event in stream:
-                    async_service.submit(event, tenant=tenant)
-
-        threads = [
-            threading.Thread(
-                target=produce, args=(work,),
-                name=f"gretel-producer-{index}",
+        signatures: List[Signature] = []
+        service.on_report(
+            lambda tenant, report: signatures.append(
+                report_signature(report) + (tenant,)
             )
-            for index, work in enumerate(owned) if work
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        async_service.flush()
-        async_counters = _counters(async_service)
-    finally:
-        async_service.shutdown()
+        )
+        try:
+            if async_ingest:
+                drive_producers(service, buckets, producers)
+            else:
+                # Single-threaded, bucket by bucket in stream order.
+                for tenant, stream in buckets.items():
+                    for event in stream:
+                        service.submit(event, tenant=tenant)
+            service.flush()
+            return signatures, {
+                live.tenant: {
+                    name: getattr(live, name) for name in COUNTER_FIELDS
+                }
+                for live in service.sessions.values()
+            }
+        finally:
+            service.shutdown()
 
-    sync_counts: Counter = Counter(sync_sigs)
-    async_counts: Counter = Counter(async_sigs)
-    counter_diff: Dict[str, Dict[str, Tuple[int, int]]] = {}
-    for tenant in sorted(set(sync_counters) | set(async_counters)):
-        left = sync_counters.get(tenant, {})
-        right = async_counters.get(tenant, {})
-        diffs = {
-            name: (left.get(name, -1), right.get(name, -1))
-            for name in COUNTER_FIELDS
-            if left.get(name, -1) != right.get(name, -1)
-        }
-        if diffs:
-            counter_diff[tenant] = diffs
+    sync_sigs, sync_counters = replay(async_ingest=False)
+    async_sigs, async_counters = replay(async_ingest=True)
 
-    result = AsyncResult(
-        events=len(events),
-        tenants=tenants,
-        producers=producers,
-        sync_reports=len(sync_sigs),
-        async_reports=len(async_sigs),
-        missing=sorted((sync_counts - async_counts).elements()),
-        extra=sorted((async_counts - sync_counts).elements()),
-        counter_diff=counter_diff,
+    missing, extra = diff_multisets(sync_sigs, async_sigs)
+    result = OracleResult(
+        layer="async",
+        reference="sync",
+        candidate="pump",
+        facts={
+            "events": len(events),
+            "tenants": tenants,
+            "producers": producers,
+            "reference_reports": len(sync_sigs),
+            "candidate_reports": len(async_sigs),
+        },
+        missing=missing,
+        extra=extra,
+        mismatches=[
+            line
+            for tenant in sorted(set(sync_counters) | set(async_counters))
+            for line in diff_counters(
+                sync_counters.get(tenant, {}),
+                async_counters.get(tenant, {}),
+                scope=tenant,
+            )
+        ],
     )
-    if strict and not result.ok:
-        raise AsyncDivergence(result.summary())
-    return result
+    return settle(result, strict)

@@ -46,7 +46,7 @@ from repro.openstack.catalog import ApiCatalog
 from repro.openstack.wire import WireEvent
 from repro.service.checkpoint import CheckpointStore
 from repro.service.session import (
-    ReportSink, SessionAnalyzer, TenantSession,
+    ReportSink, SessionAnalyzer, TenantSession, _AtomicCounter,
 )
 
 #: Tenant bucket used when an event carries no tenant id.
@@ -60,7 +60,9 @@ class ServiceStats:
     ``events_submitted`` counts every front-door offer;
     ``events_accepted`` only those that entered a queue.  The shed
     rate is their difference (``events_shed``) — no cross-referencing
-    of per-session stats required.
+    of per-session stats required.  Offers refused because the
+    service was already shut down belong to no session; they are
+    counted here (submitted and shed) so no drop goes unrecorded.
     """
 
     tenants: int = 0
@@ -128,6 +130,9 @@ class StreamingService:
         self._checkpoint_seq: Dict[str, int] = {}
         self._sinks: List[ReportSink] = []
         self._shut_down = False
+        #: Offers refused after shutdown (lock-free: the reject path
+        #: must stay as cheap as the shed path).
+        self._rejected = _AtomicCounter()
         #: Serializes lazy session creation (async producers race on
         #: first submit for a new tenant).
         self._session_lock = threading.Lock()
@@ -209,9 +214,11 @@ class StreamingService:
         The explicit ``tenant`` overrides the event's own tenant id
         (replay tools re-bucket streams this way); events with neither
         land in the ``"default"`` session.  A shut-down service sheds
-        everything (and creates no sessions).
+        everything (and creates no sessions); those offers are counted
+        service-wide, in ``events_submitted`` and ``events_shed``.
         """
         if self._shut_down:
+            self._rejected.bump()
             return False
         key = tenant or event.tenant or DEFAULT_TENANT
         live = self.session(key)
@@ -349,21 +356,18 @@ class StreamingService:
 
     @property
     def events_submitted(self) -> int:
-        """Every front-door offer, accepted or shed (all sessions)."""
-        return sum(
-            live.events_ingested + live.events_shed
-            for live in self._live_sessions()
-        )
+        """Every front-door offer, accepted or shed (all sessions,
+        plus offers refused after shutdown)."""
+        return self.stats().events_submitted
 
     @property
     def events_accepted(self) -> int:
         """Offers that actually entered a session queue."""
-        return sum(
-            live.events_ingested for live in self._live_sessions()
-        )
+        return self.stats().events_accepted
 
     def stats(self) -> ServiceStats:
         stats = ServiceStats(
+            events_shed=self._rejected.value,
             checkpoints_written=self.checkpoints_written,
             sessions_restored=self.sessions_restored,
         )

@@ -14,9 +14,10 @@ Both halves must publish the identical multiset of fault reports
 (compared via :func:`repro.core.parallel.report_signature`) and end
 with identical :class:`~repro.core.pipeline.stages.PipelineStats`
 (every counter except wall-clock ``analysis_seconds``).  Any
-divergence raises :class:`CheckpointDivergence` — counters too, since
-a checkpoint that silently resets e.g. ``postings_scanned`` would
-corrupt capacity planning after every service restart.
+divergence raises :class:`~repro.oracle.OracleDivergence` — counters
+too, since a checkpoint that silently resets e.g.
+``postings_scanned`` would corrupt capacity planning after every
+service restart.
 
 The ``mutate`` hook lets tests prove the oracle actually fires:
 it edits the decoded state dict before restore, and a correct
@@ -26,8 +27,7 @@ implementation must then diverge (or refuse to restore).
 from __future__ import annotations
 
 import json
-from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from typing import (
     Any,
     Callable,
@@ -42,61 +42,20 @@ from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
 from repro.core.fingerprint import FingerprintLibrary
 from repro.core.parallel import ReportSignature, report_signature
-from repro.core.reports import FaultReport
 from repro.monitoring.store import MetadataStore
 from repro.openstack.catalog import ApiCatalog
 from repro.openstack.wire import WireEvent
+from repro.oracle import (
+    OracleResult,
+    diff_counters,
+    diff_multisets,
+    settle,
+)
 
 #: Stats fields that legitimately differ between runs.
 _TIMING_FIELDS = ("analysis_seconds",)
 
 StateMutator = Callable[[Dict[str, Any]], Dict[str, Any]]
-
-
-class CheckpointDivergence(AssertionError):
-    """Checkpoint/restore changed the analyzer's observable output."""
-
-
-@dataclass
-class CheckpointResult:
-    """Outcome of one straight-vs-restored differential run."""
-
-    events: int
-    cuts: Tuple[int, ...]
-    straight_reports: int
-    restored_reports: int
-    missing: List[Tuple[Any, ...]] = field(default_factory=list)
-    extra: List[Tuple[Any, ...]] = field(default_factory=list)
-    stats_diff: Dict[str, Tuple[Any, Any]] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not (self.missing or self.extra or self.stats_diff)
-
-    def summary(self) -> str:
-        verdict = "PASS" if self.ok else "FAIL"
-        return (
-            f"checkpoint oracle {verdict}: {self.events} events, "
-            f"cuts at {list(self.cuts)}, reports "
-            f"{self.straight_reports}/{self.restored_reports} "
-            f"(straight/restored), {len(self.missing)} missing, "
-            f"{len(self.extra)} extra, "
-            f"{len(self.stats_diff)} counter diffs"
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "ok": self.ok,
-            "events": self.events,
-            "cuts": list(self.cuts),
-            "straight_reports": self.straight_reports,
-            "restored_reports": self.restored_reports,
-            "missing": [list(sig) for sig in self.missing],
-            "extra": [list(sig) for sig in self.extra],
-            "stats_diff": {
-                key: list(pair) for key, pair in self.stats_diff.items()
-            },
-        }
 
 
 def _cut_points(total: int, cuts: int) -> Tuple[int, ...]:
@@ -112,35 +71,6 @@ def _cut_points(total: int, cuts: int) -> Tuple[int, ...]:
     return tuple(points)
 
 
-def _collecting_analyzer(
-    library: FingerprintLibrary,
-    *,
-    store: MetadataStore,
-    config: Optional[GretelConfig],
-    catalog: Optional[ApiCatalog],
-    track_latency: bool,
-    defer_detection: bool,
-    sink: List[FaultReport],
-) -> GretelAnalyzer:
-    analyzer = GretelAnalyzer(
-        library,
-        catalog=catalog,
-        store=store,
-        config=config,
-        track_latency=track_latency,
-        defer_detection=defer_detection,
-    )
-    analyzer.on_report(sink.append)
-    return analyzer
-
-
-def _final_stats(analyzer: GretelAnalyzer) -> Dict[str, Any]:
-    stats = asdict(analyzer.stats())
-    for name in _TIMING_FIELDS:
-        stats.pop(name, None)
-    return stats
-
-
 def verify_checkpoint(
     events: Sequence[WireEvent],
     library: FingerprintLibrary,
@@ -153,84 +83,75 @@ def verify_checkpoint(
     defer_detection: bool = False,
     mutate: Optional[StateMutator] = None,
     strict: bool = True,
-) -> CheckpointResult:
+) -> OracleResult:
     """Prove checkpoint/kill/restore is invisible on ``events``.
 
     The restored half kills and rehydrates the analyzer at ``cuts``
     evenly spaced points; each checkpoint crosses a real JSON round
     trip.  Both halves share the same (possibly caller-provided)
-    metadata store so root-cause findings are compared too.  With
-    ``strict`` (default) any divergence raises
-    :class:`CheckpointDivergence`; otherwise inspect
-    :attr:`CheckpointResult.ok`.  ``mutate`` edits each decoded state
-    dict before restore — the negative-test hook.
+    metadata store so root-cause findings are compared too; a counter
+    divergence is a ``counter: <name> ...`` line in ``mismatches``.
+    ``mutate`` edits each decoded state dict before restore — the
+    negative-test hook.  ``strict`` is :func:`repro.oracle.settle`'s.
     """
     store = store if store is not None else MetadataStore()
-    build: Callable[[List[FaultReport]], GretelAnalyzer] = (
-        lambda sink: _collecting_analyzer(
-            library,
-            store=store,
-            config=config,
-            catalog=catalog,
-            track_latency=track_latency,
-            defer_detection=defer_detection,
-            sink=sink,
-        )
-    )
 
-    straight_reports: List[FaultReport] = []
-    straight = build(straight_reports)
-    for event in events:
-        straight.on_event(event)
-    straight.flush()
-    if defer_detection:
-        straight.process_deferred()
-    straight_stats = _final_stats(straight)
+    def replay(
+        points: Tuple[int, ...]
+    ) -> Tuple[List[ReportSignature], Dict[str, Any]]:
+        """Run ``events`` through an analyzer that is killed and
+        rehydrated at each of ``points`` (none: the straight half)."""
+        signatures: List[ReportSignature] = []
+
+        def build() -> GretelAnalyzer:
+            analyzer = GretelAnalyzer(
+                library, catalog=catalog, store=store, config=config,
+                track_latency=track_latency,
+                defer_detection=defer_detection,
+            )
+            analyzer.on_report(
+                lambda report: signatures.append(report_signature(report))
+            )
+            return analyzer
+
+        analyzer = build()
+        position = 0
+        for cut in points:
+            for event in events[position:cut]:
+                analyzer.on_event(event)
+            position = cut
+            state = json.loads(json.dumps(analyzer.snapshot_state()))
+            if mutate is not None:
+                state = mutate(state)
+            analyzer = build()
+            analyzer.restore_state(state)
+        for event in events[position:]:
+            analyzer.on_event(event)
+        analyzer.flush()
+        if defer_detection:
+            analyzer.process_deferred()
+        stats = asdict(analyzer.stats())
+        for name in _TIMING_FIELDS:
+            del stats[name]
+        return signatures, stats
 
     points = _cut_points(len(events), cuts)
-    restored_reports: List[FaultReport] = []
-    restored = build(restored_reports)
-    position = 0
-    for cut in points:
-        for event in events[position:cut]:
-            restored.on_event(event)
-        position = cut
-        frozen = json.dumps(restored.snapshot_state())
-        state = json.loads(frozen)
-        if mutate is not None:
-            state = mutate(state)
-        restored = build(restored_reports)
-        restored.restore_state(state)
-    for event in events[position:]:
-        restored.on_event(event)
-    restored.flush()
-    if defer_detection:
-        restored.process_deferred()
-    restored_stats = _final_stats(restored)
+    straight, straight_stats = replay(())
+    restored, restored_stats = replay(points)
 
-    straight_sigs: Counter[ReportSignature] = Counter(
-        report_signature(r) for r in straight_reports
+    missing, extra = diff_multisets(straight, restored)
+    result = OracleResult(
+        layer="checkpoint",
+        reference="straight",
+        candidate="restored",
+        facts={
+            "events": len(events),
+            "cuts": list(points),
+            "reference_reports": len(straight),
+            "candidate_reports": len(restored),
+        },
+        missing=missing,
+        extra=extra,
+        mismatches=diff_counters(straight_stats, restored_stats),
     )
-    restored_sigs: Counter[ReportSignature] = Counter(
-        report_signature(r) for r in restored_reports
-    )
-    missing = sorted((straight_sigs - restored_sigs).elements())
-    extra = sorted((restored_sigs - straight_sigs).elements())
-    stats_diff = {
-        key: (straight_stats[key], restored_stats[key])
-        for key in straight_stats
-        if straight_stats[key] != restored_stats.get(key)
-    }
-
-    result = CheckpointResult(
-        events=len(events),
-        cuts=points,
-        straight_reports=len(straight_reports),
-        restored_reports=len(restored_reports),
-        missing=list(missing),
-        extra=list(extra),
-        stats_diff=stats_diff,
-    )
-    if strict and not result.ok:
-        raise CheckpointDivergence(result.summary())
-    return result
+    return settle(result, strict)

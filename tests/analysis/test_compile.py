@@ -7,7 +7,6 @@ import pytest
 from repro.analysis.compile import (
     FORMAT_VERSION,
     CompiledIndex,
-    SelectionDivergence,
     candidate_signature,
     compile_library,
     compiled_index_for,
@@ -20,6 +19,7 @@ from repro.analysis.compile import (
 from repro.core.config import GretelConfig
 from repro.core.detector import OperationDetector
 from repro.core.fingerprint import FingerprintLibrary
+from repro.oracle import OracleDivergence
 
 
 @pytest.fixture()
@@ -183,8 +183,9 @@ def test_corrupted_postings_raise_selection_divergence(library):
     victim = sorted(payload["postings"])[0]
     del payload["postings"][victim]
     corrupted = CompiledIndex.from_dict(payload)
-    with pytest.raises(SelectionDivergence, match="DIVERGED"):
+    with pytest.raises(OracleDivergence, match="DIVERGED") as excinfo:
         verify_selection(library, index=corrupted)
+    assert excinfo.value.result.layer == "selection"
     result = verify_selection(library, index=corrupted, strict=False)
     assert not result.ok
     assert any("multisets differ" in m for m in result.mismatches)

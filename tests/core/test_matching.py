@@ -14,7 +14,6 @@ from repro.core.fingerprint import (
 from repro.core.matching import (
     MatchSession,
     MatchingStats,
-    ScoringDivergence,
     SnapshotIndex,
     WindowCounts,
     select_cut,
@@ -22,6 +21,7 @@ from repro.core.matching import (
 )
 from repro.core.symbols import SymbolTable
 from repro.core.window import Snapshot
+from repro.oracle import OracleDivergence
 from repro.reference import ScratchScoringDetector, score_buffer, upper_bound
 
 
@@ -320,7 +320,7 @@ def oracle_snapshots(catalog):
 def test_verify_detection_equivalent(library, catalog, oracle_snapshots):
     outcome = verify_detection(oracle_snapshots, library, catalog=catalog)
     assert outcome.ok
-    assert outcome.snapshots == len(oracle_snapshots)
+    assert outcome.facts["snapshots"] == len(oracle_snapshots)
     assert outcome.summary().startswith("EQUIVALENT")
 
 
@@ -331,9 +331,9 @@ def test_verify_detection_raises_on_divergence(
         MatchSession, "score",
         lambda self, lo, hi, finalized=None: {},
     )
-    with pytest.raises(ScoringDivergence) as excinfo:
+    with pytest.raises(OracleDivergence, match="DIVERGED") as excinfo:
         verify_detection(oracle_snapshots, library, catalog=catalog)
-    assert "DIVERGED" in str(excinfo.value)
+    assert excinfo.value.result.layer == "detection"
     outcome = verify_detection(
         oracle_snapshots, library, catalog=catalog, strict=False,
     )

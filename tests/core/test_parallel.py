@@ -10,13 +10,13 @@ from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
 from repro.core.latency import PerformanceAnomaly
 from repro.core.parallel import (
-    ShardDivergence,
     ShardedAnalyzer,
     report_order_key,
     report_signature,
     source_node_key,
     verify_equivalence,
 )
+from repro.oracle import OracleDivergence
 from repro.workloads.traffic import SyntheticStream
 
 
@@ -89,7 +89,8 @@ def test_equivalent_to_serial(library, shards, defer):
         batch_size=128, defer_detection=defer, strict=True,
     )
     assert result.ok
-    assert result.serial_reports == result.sharded_reports > 0
+    assert (result.facts["reference_reports"]
+            == result.facts["candidate_reports"] > 0)
 
 
 def test_on_event_streaming_equals_bulk_ingest(library):
@@ -217,7 +218,7 @@ def test_sharded_deferred_equivalent_to_serial_deferred(library):
         track_latency=False, defer_detection=True, strict=True,
     )
     assert result.ok
-    assert result.serial_reports > 0
+    assert result.facts["reference_reports"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +275,8 @@ def test_sharded_performance_path_equivalent_to_serial(library):
         track_latency=True, strict=True,
     )
     assert result.ok
-    assert result.serial_reports >= 1  # at least the perf report
+    # at least the perf report
+    assert result.facts["reference_reports"] >= 1
 
 
 def test_sharded_perf_debounce_suppresses_repeat_anomalies(library):
@@ -322,11 +324,13 @@ def test_oracle_flags_context_splitting_partition(library):
     assert not result.ok
     assert result.missing or result.extra
     assert "DIVERGED" in result.summary()
-    with pytest.raises(ShardDivergence):
+    with pytest.raises(OracleDivergence, match="DIVERGED") as excinfo:
         verify_equivalence(
             events, library, 4, key=shredder, batch_size=64,
             config=config(), strict=True,
         )
+    assert excinfo.value.result.layer == "shards"
+    assert excinfo.value.result.missing or excinfo.value.result.extra
 
 
 def test_oracle_summary_on_equivalent_run(library):
@@ -334,7 +338,8 @@ def test_oracle_summary_on_equivalent_run(library):
     result = verify_equivalence(events, library, 2, config=config(),
                                 strict=True)
     assert "EQUIVALENT" in result.summary()
-    assert result.events == 400
+    assert result.layer == "shards"
+    assert result.facts["events"] == 400
 
 
 def test_source_node_key_reads_src_node(library):
@@ -359,7 +364,7 @@ def test_process_backend_rejects_middleware(library):
                         middleware=(StageTimer(),))
 
 
-@pytest.mark.parametrize("shards", [1, 2, 4])
+@pytest.mark.parametrize("shards", [1, 2, 4, 8])
 def test_process_backend_equivalent_to_serial(library, shards):
     events = make_stream(library, fault_every=40).events(1200)
     result = verify_equivalence(
@@ -367,7 +372,8 @@ def test_process_backend_equivalent_to_serial(library, shards):
         strict=True, backend="process",
     )
     assert result.ok
-    assert result.serial_reports == result.sharded_reports > 0
+    assert (result.facts["reference_reports"]
+            == result.facts["candidate_reports"] > 0)
 
 
 def test_process_backend_counters_and_reports_match_inline(library):
@@ -470,9 +476,12 @@ def test_worker_dropping_a_report_raises_divergence(library, monkeypatch):
 
     monkeypatch.setattr(workers.ProcessShard, "_collect", dropping)
     events = make_stream(library, fault_every=40).events(800)
-    with pytest.raises(ShardDivergence):
+    with pytest.raises(OracleDivergence, match="DIVERGED") as excinfo:
         verify_equivalence(events, library, 2, batch_size=64,
                            config=config(), backend="process")
+    assert excinfo.value.result.layer == "shards"
+    assert len(excinfo.value.result.missing) == 1
+    assert not excinfo.value.result.extra
 
 
 def test_worker_duplicating_a_report_raises_divergence(
@@ -493,9 +502,12 @@ def test_worker_duplicating_a_report_raises_divergence(
 
     monkeypatch.setattr(workers.ProcessShard, "_collect", duplicating)
     events = make_stream(library, fault_every=40).events(800)
-    with pytest.raises(ShardDivergence):
+    with pytest.raises(OracleDivergence, match="DIVERGED") as excinfo:
         verify_equivalence(events, library, 2, batch_size=64,
                            config=config(), backend="process")
+    assert excinfo.value.result.layer == "shards"
+    assert len(excinfo.value.result.extra) == 1
+    assert not excinfo.value.result.missing
 
 
 def test_killed_worker_raises_worker_error_not_hang(library):

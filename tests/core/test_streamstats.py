@@ -10,11 +10,11 @@ from repro.core.config import GretelConfig
 from repro.core.outliers import _median, ls_params
 from repro.core.streamstats import (
     IncrementalLevelShiftDetector,
-    LevelShiftDivergence,
     SortedWindow,
     detector_from_config,
     verify_levelshift,
 )
+from repro.oracle import OracleDivergence
 from repro.reference import LevelShiftDetector
 
 
@@ -252,13 +252,13 @@ def test_incremental_equivalent_to_reference(seed, window, confirm, cooldown):
     )
     result = verify_levelshift(shift_series(seed), config=config)
     assert result.ok
-    assert result.samples == 400
+    assert result.facts["samples"] == 400
 
 
 def test_oracle_counts_alarms():
     result = verify_levelshift(shift_series(7))
     assert result.ok
-    assert result.alarms >= 1
+    assert result.facts["alarms"] >= 1
     assert "EQUIVALENT" in result.summary()
 
 
@@ -275,7 +275,7 @@ def test_oracle_flags_divergence():
     )
     assert not result.ok
     assert "DIVERGED" in result.summary()
-    with pytest.raises(LevelShiftDivergence):
+    with pytest.raises(OracleDivergence, match="DIVERGED") as excinfo:
         verify_levelshift(
             shift_series(3),
             detectors=(
@@ -283,6 +283,8 @@ def test_oracle_flags_divergence():
                 IncrementalLevelShiftDetector(window=8),
             ),
         )
+    assert excinfo.value.result.layer == "levelshift"
+    assert excinfo.value.result.mismatches
 
 
 def test_detector_from_config_wires_ls_knobs():

@@ -14,13 +14,17 @@ import threading
 import pytest
 
 from repro.core.parallel import report_signature
+from repro.oracle import OracleDivergence
 from repro.service import (
-    AsyncDivergence,
     CheckpointStore,
     StreamingService,
     verify_async,
 )
-from repro.service.async_oracle import bucket_tenant
+from repro.service.async_oracle import (
+    bucket_tenant,
+    drive_producers,
+    partition_tenants,
+)
 from repro.service.session import TenantSession
 
 from .conftest import CONFIG
@@ -35,11 +39,7 @@ def build_service(library, **kwargs):
 
 
 def partition(events, tenants=TENANTS):
-    buckets = {}
-    for event in events:
-        key = bucket_tenant(event.tenant, tenants)
-        buckets.setdefault(key, []).append(event)
-    return buckets
+    return partition_tenants(events, tenants)
 
 
 def run_producers(service, jobs):
@@ -299,9 +299,10 @@ def test_verify_async_inline_backend(library, stream_events):
         queue_capacity=64,
     )
     assert result.ok
-    assert result.sync_reports == result.async_reports > 0
+    assert (result.facts["reference_reports"]
+            == result.facts["candidate_reports"] > 0)
     assert result.missing == [] and result.extra == []
-    assert result.counter_diff == {}
+    assert result.mismatches == []
     assert result.to_dict()["ok"] is True
     assert "EQUIVALENT" in result.summary()
 
@@ -326,11 +327,23 @@ def test_tampered_pump_trips_the_oracle(
     monkeypatch.setattr(
         TenantSession, "_pump_step", lambda self, chunk: None,
     )
-    with pytest.raises(AsyncDivergence, match="DIVERGED"):
+    with pytest.raises(OracleDivergence, match="DIVERGED") as excinfo:
         verify_async(
             stream_events, library,
             tenants=TENANTS, producers=2, config=CONFIG,
         )
+    result = excinfo.value.result
+    assert result.layer == "async"
+    # Every sync report is missing from the pump half, each carrying
+    # its tenant as the signature's last element.
+    assert len(result.missing) == result.facts["reference_reports"] > 0
+    assert {sig[-1] for sig in result.missing} <= {
+        f"tenant-{index}" for index in range(TENANTS)
+    }
+    assert any(
+        line.startswith("counter: [tenant-") and "reports_emitted" in line
+        for line in result.mismatches
+    )
 
 
 def test_verify_async_rejects_bad_arguments(library, stream_events):
@@ -340,6 +353,31 @@ def test_verify_async_rejects_bad_arguments(library, stream_events):
         verify_async(
             stream_events, library, producers=0, config=CONFIG,
         )
+
+
+def test_producer_exception_surfaces_on_the_caller(
+    library, stream_events, monkeypatch
+):
+    """A producer thread that dies must fail the replay on the calling
+    thread, not leave a traceback on stderr and a short stream."""
+    service = build_service(library)
+    poisoned = stream_events[5]
+
+    original = StreamingService.submit
+
+    def submit(self, event, *, tenant=None):
+        if event is poisoned:
+            raise RuntimeError("front door blew up")
+        return original(self, event, tenant=tenant)
+
+    monkeypatch.setattr(StreamingService, "submit", submit)
+    try:
+        with pytest.raises(RuntimeError, match="front door blew up"):
+            drive_producers(
+                service, partition(stream_events[:50]), PRODUCERS,
+            )
+    finally:
+        service.shutdown()
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,31 @@ def test_stats_split_submitted_vs_accepted(library, stream_events):
     assert document["events_accepted"] == 8
 
 
+def test_offers_after_shutdown_are_counted_as_shed(library, stream_events):
+    """A shut-down service refuses every offer — and counts it, so
+    no drop is silent.  Per-session counters (what ``verify_async``
+    compares) do not move: the offer never reached a session."""
+    service = build_service(library)
+    for event in stream_events[:20]:
+        service.submit(event, tenant="acme")
+    service.shutdown()
+    before = service.stats()
+    session = service.sessions["acme"]
+    per_session = (session.events_ingested, session.events_shed)
+
+    refused = 7
+    for event in stream_events[20:20 + refused]:
+        assert service.submit(event, tenant="acme") is False
+    after = service.stats()
+    assert after.events_shed == before.events_shed + refused
+    assert after.events_submitted == before.events_submitted + refused
+    assert after.events_accepted == before.events_accepted
+    assert service.events_submitted == after.events_submitted
+    assert service.events_accepted == after.events_accepted
+    assert (session.events_ingested, session.events_shed) == per_session
+    assert list(service.sessions) == ["acme"]
+
+
 def test_periodic_checkpoints_fire_per_tenant(library, stream_events, tmp_path):
     store = CheckpointStore(tmp_path)
     service = build_service(

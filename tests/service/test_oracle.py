@@ -7,7 +7,8 @@ and a behavior-level corruption and the oracle must flag each.
 
 import pytest
 
-from repro.service import CheckpointDivergence, verify_checkpoint
+from repro.oracle import OracleDivergence
+from repro.service import verify_checkpoint
 from repro.service.oracle import _cut_points
 
 from .conftest import CONFIG
@@ -30,9 +31,10 @@ def test_checkpoint_restore_is_invisible(library, stream_events):
         stream_events, library, cuts=3, config=CONFIG,
     )
     assert result.ok
-    assert result.straight_reports == result.restored_reports > 0
-    assert len(result.cuts) == 3
-    assert "PASS" in result.summary()
+    assert (result.facts["reference_reports"]
+            == result.facts["candidate_reports"] > 0)
+    assert len(result.facts["cuts"]) == 3
+    assert result.summary().startswith("EQUIVALENT: restored vs straight")
     assert result.to_dict()["ok"] is True
 
 
@@ -41,11 +43,13 @@ def test_oracle_flags_counter_corruption(library, stream_events):
         state["ingest"]["events_processed"] += 7
         return state
 
-    with pytest.raises(CheckpointDivergence, match="counter diffs"):
+    with pytest.raises(OracleDivergence, match="DIVERGED") as excinfo:
         verify_checkpoint(
             stream_events, library, cuts=1, config=CONFIG,
             mutate=bump_counter,
         )
+    assert excinfo.value.result.layer == "checkpoint"
+    assert "counter: events_processed" in str(excinfo.value)
 
 
 def test_oracle_flags_behavioral_corruption(library, stream_events):
@@ -60,7 +64,7 @@ def test_oracle_flags_behavioral_corruption(library, stream_events):
     )
     assert not result.ok
     assert result.missing
-    assert "FAIL" in result.summary()
+    assert result.summary().startswith("DIVERGED: ")
 
 
 def test_strict_false_returns_instead_of_raising(library, stream_events):
@@ -73,4 +77,7 @@ def test_strict_false_returns_instead_of_raising(library, stream_events):
         mutate=bump_counter, strict=False,
     )
     assert not result.ok
-    assert "events_processed" in result.stats_diff
+    assert any(
+        line.startswith("counter: events_processed reference=")
+        for line in result.mismatches
+    )

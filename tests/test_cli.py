@@ -249,8 +249,8 @@ def test_analyze_verify_shards_oracle(full_character, capsys):
     assert main(["analyze", "--events", "4000", "--shards", "4",
                  "--batch-size", "256", "--verify-shards"]) == 0
     out = capsys.readouterr().out
-    assert "EQUIVALENT" in out
-    assert "4-shard on 4000 events" in out
+    assert "EQUIVALENT: 4-shard inline vs serial analysis" in out
+    assert "events=4000" in out
 
 
 def test_analyze_verify_selection_oracle(full_character, capsys):
@@ -281,8 +281,8 @@ def test_analyze_process_backend_verify_shards(full_character, capsys):
                  "--verify-shards"]) == 0
     out = capsys.readouterr().out
     assert "2-shard analyzer (process backend)" in out
-    assert "EQUIVALENT" in out
-    assert "2-shard on 3000 events" in out
+    assert "EQUIVALENT: 2-shard process vs serial analysis" in out
+    assert "events=3000" in out
 
 
 def test_analyze_process_backend_stage_stats_per_shard(
@@ -465,8 +465,10 @@ def test_serve_verify_async_oracle(full_character, capsys):
     document = json.loads(capsys.readouterr().out)
     verdict = document["verify_async"]
     assert verdict["ok"] is True
-    assert verdict["producers"] == 2
-    assert verdict["sync_reports"] == verdict["async_reports"]
+    assert verdict["layer"] == "async"
+    facts = verdict["facts"]
+    assert facts["producers"] == 2
+    assert facts["reference_reports"] == facts["candidate_reports"]
     assert verdict["missing"] == [] and verdict["extra"] == []
 
 
@@ -514,5 +516,62 @@ def test_serve_verify_checkpoint_oracle(full_character, capsys):
     document = json.loads(capsys.readouterr().out)
     verdict = document["verify_checkpoint"]
     assert verdict["ok"] is True
-    assert len(verdict["cuts"]) == 2
-    assert verdict["straight_reports"] == verdict["restored_reports"]
+    assert verdict["layer"] == "checkpoint"
+    facts = verdict["facts"]
+    assert len(facts["cuts"]) == 2
+    assert facts["reference_reports"] == facts["candidate_reports"]
+
+
+def test_verdict_blocks_share_one_shape(full_character, capsys):
+    """All four ``--verify-*`` flags go through one helper: same key
+    set in the JSON document, same ``EQUIVALENT: `` line in text."""
+    assert main(["analyze", "--events", "2000", "--shards", "2",
+                 "--no-latency", "--verify-shards", "--verify-selection",
+                 "--format", "json"]) == 0
+    analyze = json.loads(capsys.readouterr().out)
+    assert main(["serve", "--events", "2000", "--tenants", "2",
+                 "--alpha", "64", "--no-latency", "--verify-async",
+                 "--verify-checkpoint", "--cuts", "2",
+                 "--format", "json"]) == 0
+    serve = json.loads(capsys.readouterr().out)
+    blocks = {
+        "shards": analyze["verify_shards"],
+        "selection": analyze["verify_selection"],
+        "async": serve["verify_async"],
+        "checkpoint": serve["verify_checkpoint"],
+    }
+    for layer, block in blocks.items():
+        assert block["layer"] == layer
+        assert block["ok"] is True
+        assert block["summary"].startswith("EQUIVALENT: ")
+        assert set(block) == set(blocks["shards"])
+
+    assert main(["serve", "--events", "2000", "--tenants", "2",
+                 "--alpha", "64", "--no-latency", "--verify-async",
+                 "--verify-checkpoint", "--cuts", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "EQUIVALENT: pump vs sync router" in out
+    assert "EQUIVALENT: restored vs straight replay" in out
+
+
+def test_diverged_verdict_turns_the_exit_code_into_1(
+    full_character, capsys, monkeypatch
+):
+    """A tampered pump (the ``verify_async`` seam) must surface as a
+    ``DIVERGED`` block and exit 1, with the clean oracle beside it
+    still reported ``EQUIVALENT``."""
+    from repro.service.session import TenantSession
+
+    monkeypatch.setattr(
+        TenantSession, "_pump_step", lambda self, chunk: None,
+    )
+    assert main(["serve", "--events", "2000", "--tenants", "2",
+                 "--alpha", "64", "--no-latency", "--verify-async",
+                 "--verify-checkpoint", "--cuts", "2",
+                 "--format", "json"]) == 1
+    document = json.loads(capsys.readouterr().out)
+    assert document["exit_code"] == 1
+    assert document["verify_async"]["ok"] is False
+    assert document["verify_async"]["summary"].startswith("DIVERGED: ")
+    assert document["verify_async"]["missing"]
+    assert document["verify_checkpoint"]["ok"] is True
