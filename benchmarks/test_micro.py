@@ -4,9 +4,9 @@ from repro.openstack.catalog import default_catalog
 from repro.core.fingerprint import (
     filter_noise,
     longest_common_subsequence,
-    prefix_lcs_lengths,
 )
 from repro.core.window import SlidingWindow
+from repro.reference import prefix_lcs_lengths
 
 
 def test_sliding_window_append(benchmark, character):
@@ -200,7 +200,7 @@ def test_score_incremental(benchmark, character):
 
     def run():
         session = detector.matching.session(
-            fragments, candidates,
+            fragments, candidates.classes,
             threshold=detector.config.match_coverage,
             strict=not detector.config.relaxed_match,
         )

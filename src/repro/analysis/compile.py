@@ -70,7 +70,7 @@ from repro.openstack.catalog import ApiCatalog, default_catalog
 from repro.oracle import OracleResult, diff_multisets, settle
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.detector import _Candidate
+    from repro.core.detector import Selection, _Candidate
     from repro.core.window import Snapshot
 
 #: Artifact format version; bumped on any serialization change.
@@ -297,15 +297,16 @@ class CompiledIndex:
         self.preps = preps
         self._entries = entries
         self.facts = facts
-        # Hydration memo: one shared candidate list per (symbol,
-        # truncation mode), built on first use against the bound
-        # library.  Production runs any number of detectors — every
+        # Hydration memo: one shared candidate list — a ``Selection``,
+        # so its scoring-class partition is memoized with it — per
+        # (symbol, truncation mode), built on first use against the
+        # bound library.  Production runs any number of detectors — every
         # shard of a sharded analyzer — over one artifact, so
         # hydration is a per-artifact cost, not a per-detector one.
         # The bound library is held weakly: the module-level compile
         # memo keys on the library, and a strong value→key reference
         # inside a WeakKeyDictionary would leak both.
-        self._hydrated: Dict[Tuple[str, bool], List["_Candidate"]] = {}
+        self._hydrated: Dict[Tuple[str, bool], "Selection"] = {}
         self._bound: Optional[
             "weakref.ref[FingerprintLibrary]"
         ] = None
@@ -328,14 +329,15 @@ class CompiledIndex:
         symbol: str,
         truncated: bool,
         library: FingerprintLibrary,
-    ) -> List["_Candidate"]:
+    ) -> "Selection":
         """The prepared candidate list for one ``(symbol, truncation)``
         lookup, bound to ``library``'s live fingerprint objects.
 
-        Built once and shared by every detector served from this
-        artifact; candidates are read-only at detection time, so
-        sharing is safe.  Binding a *different* library
-        object resets the memo.
+        Built once — scoring-class partition included, so the prep
+        pool's dedup reaches the scorer — and shared by every detector
+        served from this artifact; candidates are read-only at
+        detection time, so sharing is safe.  Binding a *different*
+        library object resets the memo.
         """
         bound = self._bound() if self._bound is not None else None
         if bound is not library:
@@ -353,12 +355,12 @@ class CompiledIndex:
         symbol: str,
         truncated: bool,
         library: FingerprintLibrary,
-    ) -> List["_Candidate"]:
-        from repro.core.detector import _Candidate
+    ) -> "Selection":
+        from repro.core.detector import Selection, _Candidate
 
         entry = self._entries.get(symbol)
         if entry is None:
-            return []
+            return Selection(())
         prep_ids = entry.truncated if truncated else entry.untruncated
         preps = self.preps
         get = library.get
@@ -374,7 +376,7 @@ class CompiledIndex:
                 alphabet=prep.alphabet,
                 needle_counts=prep.needle_counts,
             ))
-        return candidates
+        return Selection(candidates)
 
     # -- introspection ----------------------------------------------------
 

@@ -45,6 +45,7 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -57,7 +58,11 @@ from repro.openstack.catalog import ApiCatalog
 from repro.openstack.wire import WireEvent
 from repro.core.config import GretelConfig
 from repro.core.fingerprint import Fingerprint, FingerprintLibrary
-from repro.core.matching.engine import MatchingEngine, MatchingStats
+from repro.core.matching.engine import (
+    MatchingEngine,
+    MatchingStats,
+    scoring_classes,
+)
 from repro.core.precision import theta
 from repro.core.state import require_state
 from repro.core.symbols import SymbolTable
@@ -165,6 +170,22 @@ class _Candidate:
                 else self.cut_lengths[-1])
 
 
+class Selection(List[_Candidate]):
+    """One prepared candidate list plus its scoring-class partition.
+
+    What ``candidates_for`` serves.  The candidates are read-only once
+    selected, so the partition (``repro.core.matching.engine.
+    scoring_classes``) is computed once, here, and travels with the
+    list: a selection hydrated by the compiled index is memoized on
+    the artifact and shared — classes included — by every detector,
+    shard and worker over it.
+    """
+
+    def __init__(self, candidates: Iterable[_Candidate]) -> None:
+        super().__init__(candidates)
+        self.classes = scoring_classes(self)
+
+
 def prepare_candidate(
     fingerprint: Fingerprint,
     effective: Fingerprint,
@@ -270,7 +291,7 @@ class OperationDetector:
         self.symbols = symbols
         self.catalog = catalog
         self.config = config or GretelConfig()
-        self._candidate_cache: Dict[Tuple[str, bool], List[_Candidate]] = {}
+        self._candidate_cache: Dict[Tuple[str, bool], Selection] = {}
         self._fragment_cache: Dict[str, str] = {}
         if compiled_index is not None and not compiled_index.serves(
             self.config
@@ -346,7 +367,7 @@ class OperationDetector:
     # -- candidate preparation ------------------------------------------------
 
     def candidates_for(self, api_key: str, *,
-                       truncate: bool = True) -> List["_Candidate"]:
+                       truncate: bool = True) -> Selection:
         """Possible offending operations with truncation cut points.
 
         Candidates are ordered by operation name (the
@@ -363,6 +384,10 @@ class OperationDetector:
             self.symbols.symbol(api_key),
             truncate and self.config.truncate_fingerprints,
         )
+        if not isinstance(prepared, Selection):
+            # A ``_select`` override that prepares its own list (the
+            # reference full scan) gets the same partition function.
+            prepared = Selection(prepared)
         self._candidate_cache[cache_key] = prepared
         return prepared
 
@@ -370,10 +395,11 @@ class OperationDetector:
         """Postings lookup + prepared-candidate hydration.
 
         The compile is memoized per ``(library, version, flags)`` and
-        the hydrated list per ``(symbol, truncation)`` on the artifact
-        (:meth:`CompiledIndex.hydrated`), so every detector over one
-        library — e.g. all shards of a sharded analyzer — shares one
-        compilation and the same read-only candidate objects.
+        the hydrated :class:`Selection` per ``(symbol, truncation)`` on
+        the artifact (:meth:`CompiledIndex.hydrated`), so every
+        detector over one library — e.g. all shards of a sharded
+        analyzer — shares one compilation, the same read-only
+        candidate objects and one scoring-class partition.
         """
         if self._compiled is None:
             from repro.analysis.compile import compiled_index_for
@@ -435,19 +461,21 @@ class OperationDetector:
 
     # -- scoring --------------------------------------------------------------------
 
-    def _scorer(self, snapshot: Snapshot, candidates: List[_Candidate],
+    def _scorer(self, snapshot: Snapshot, candidates: Selection,
                 correlation_id: str) -> Scorer:
         """The window scorer for one snapshot's context-buffer loop.
 
-        Opens an incremental :class:`MatchSession`: matcher state
-        stays alive across the loop's growing windows, so each
-        iteration costs what *changed*.  A from-scratch scorer over
-        the joined window string returns identical mappings —
+        Opens an incremental :class:`MatchSession` over the
+        selection's scoring classes: matcher state stays alive across
+        the loop's growing windows, so each iteration costs what
+        *changed*, once per distinct preparation.  A from-scratch,
+        per-candidate scorer over the joined window string returns
+        identical mappings —
         ``repro.core.matching.oracle.verify_detection`` is the oracle.
         """
         return self.matching.session(
             self._session_fragments(snapshot, correlation_id),
-            candidates,
+            candidates.classes,
             threshold=self.config.match_coverage,
             strict=not self.config.relaxed_match,
         ).score

@@ -147,54 +147,6 @@ def longest_common_subsequence(a: Sequence[str], b: Sequence[str]) -> List[str]:
     return result
 
 
-def prefix_lcs_lengths(needle: str, haystack: str) -> List[int]:
-    """LCS(needle[:i], haystack) for every prefix length i.
-
-    Returns a list of ``len(needle) + 1`` integers; entry ``i`` is the
-    longest order-consistent overlap between the first ``i`` symbols of
-    ``needle`` and ``haystack``.  The haystack is pre-filtered to the
-    needle's alphabet, which keeps the work small when the snapshot is
-    dominated by other operations' symbols.
-
-    This is the matching primitive behind the paper's relaxed match:
-    Fig. 4 shows a fingerprint matching even though one of its
-    state-change symbols is absent from the context buffer, so a match
-    must be judged by how much of the fingerprint's symbol *order* the
-    buffer corroborates, not by requiring every literal.
-
-    Implementation: Hyyrö's bit-parallel LCS.  The row bit-vector is
-    the delta-encoding of the DP table's final column — a zero bit at
-    position ``i`` means ``LCS(needle[:i+1]) = LCS(needle[:i]) + 1`` —
-    so one O(|haystack|) pass yields every prefix value at once.
-    Fingerprints are ≲100 symbols, so the row vector is one or two
-    machine words inside a Python int.
-    """
-    if not needle:
-        return [0]
-    n = len(needle)
-    match: Dict[str, int] = {}
-    for index, symbol in enumerate(needle):
-        match[symbol] = match.get(symbol, 0) | (1 << index)
-
-    width_mask = (1 << n) - 1
-    row = width_mask  # all ones: no increments yet
-    get = match.get
-    for symbol in haystack:
-        mask = get(symbol)
-        if mask is None:
-            continue
-        update = row & mask
-        row = ((row + update) | (row - update)) & width_mask
-
-    result = [0] * (n + 1)
-    count = 0
-    for index in range(n):
-        if not (row >> index) & 1:
-            count += 1
-        result[index + 1] = count
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Fingerprint
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Incremental matching: O(δ) re-scoring for Algorithm 2's loop.
 
-See ``docs/matching.md``.  The engine (``engine``) keeps per-candidate
-bit-parallel rows alive across context-buffer growth iterations; the
+See ``docs/matching.md``.  The engine (``engine``) keeps one
+bit-parallel row per scoring class — the candidates of a selection
+that share a preparation — alive across context-buffer growth
+iterations and fans each score out to the class's members; the
 indexes (``index``) replace the per-candidate foreign-symbol regex
 strip with per-snapshot symbol/position lookups; the oracle
 (``oracle``) proves the engine's results bit-identical to the
@@ -13,6 +15,8 @@ from repro.core.matching.engine import (
     MatchingStats,
     MatchSession,
     ScoringCandidate,
+    ScoringClass,
+    scoring_classes,
     select_cut,
 )
 from repro.core.matching.index import SnapshotIndex, WindowCounts
@@ -26,9 +30,11 @@ __all__ = [
     "MatchingEngine",
     "MatchingStats",
     "ScoringCandidate",
+    "ScoringClass",
     "SnapshotIndex",
     "WindowCounts",
     "detection_signature",
+    "scoring_classes",
     "select_cut",
     "verify_detection",
 ]

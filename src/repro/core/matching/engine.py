@@ -8,30 +8,43 @@ though at most 2δ events are new.  This engine keeps matcher state
 alive across the iterations of one snapshot and reduces the
 steady-state per-iteration cost to a function of what *changed*:
 
-* **Alphabet blocks.**  Candidates sharing a fault symbol overlap
-  heavily: on the Fig. 8c stream ~14 candidates share each distinct
-  symbol-set.  Everything that depends only on the *alphabet* — the
-  sorted snapshot positions of its symbols, the bit-parallel match
-  masks over those filtered coordinates, the window→rank-span bisects
-  and the left-trimmed mask cache — is built once per (alphabet,
-  snapshot) in an :class:`_AlphabetBlock` and shared by every
-  candidate with that alphabet.  The blocks replace the reference
-  path's per-iteration string join and per-candidate foreign-symbol
-  regex strip.
+* **Scoring classes.**  The library stamps ~1200 fingerprints out of
+  ~140 operations, so once candidates are truncated at the offending
+  API and reduced to their state-change skeleton most of a selection
+  is *the same string*: ~370 candidates per fault on the Fig. 8c
+  stream, ~30 distinct ``(needle, cut_lengths, pure_read)`` triples.
+  Candidates sharing that triple get the same multiplicity bound, the
+  same DP rows and the same :func:`select_cut` result on every
+  window, so the triple — a :class:`ScoringClass` — is the unit the
+  session gates, DPs and caches; each result is fanned out to the
+  class's member indexes.  :func:`scoring_classes` computes the
+  partition (and everything static per class) once per selection;
+  the compiled index memoizes it beside the hydrated candidate list.
+* **Alphabet blocks.**  Everything that depends only on a needle's
+  *alphabet* — the sorted snapshot positions of its symbols, the
+  bit-parallel match masks over those filtered coordinates, the
+  window→rank-span bisects and the left-trimmed mask cache — is built
+  once per (alphabet, snapshot) in an :class:`_AlphabetBlock` and
+  shared by every class with that alphabet (~1.1 classes per block on
+  the Fig. 8c stream: the class layer took over nearly all of the
+  sharing this layer used to provide, see ``docs/matching.md``).  The
+  blocks replace the reference path's per-iteration string join and
+  per-candidate foreign-symbol regex strip.
 * **Orientation-swapped Hyyrö rows.**  The reference scorer runs
-  :func:`prefix_lcs_lengths` with row bits over the *needle* and feeds
-  the O(β) buffer through the recurrence.  The engine swaps the roles:
-  bits span the candidate-relevant window slice and the ≤n needle
-  symbols are fed through the identical recurrence, pausing at each
+  ``repro.reference.prefix_lcs_lengths`` with row bits over the
+  *needle* and feeds the O(β) buffer through the recurrence.  The
+  engine swaps the roles: bits span the needle-relevant window slice
+  and the ≤n needle symbols are fed through the identical recurrence,
+  pausing at each
   truncation cut to read off ``LCS(needle[:cut], window)`` as the
   count of zero bits.  LCS is symmetric, so the integers — and
   therefore every coverage float, gate decision and ranking — are
   bit-identical to the reference.  A window whose relevant span did
-  not change since the candidate's previous iteration returns its
-  cached score without touching the DP.
+  not change since the class's previous iteration returns its cached
+  score without touching the DP.
 * **Shared multiplicity gate.**  The reference's Counter-based
   upper bound is evaluated with per-symbol window counts bisected out
-  of the snapshot index and cached across all candidates of the
+  of the snapshot index and cached across all classes of the
   iteration; the summed bound is an integer, so the
   resulting float (and the gate decision) is identical to the
   reference's ``Counter``-over-the-joined-string computation.
@@ -54,7 +67,7 @@ independent of β, and is exact.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import (
     Any,
     Dict,
@@ -69,13 +82,19 @@ from typing import (
 )
 
 from repro.core.matching.index import SnapshotIndex, WindowCounts
-from repro.core.state import StateError, require_state
+from repro.core.state import (
+    StateError,
+    StateFormatError,
+    require_state,
+)
 
 __all__ = [
     "MatchSession",
     "MatchingEngine",
     "MatchingStats",
     "ScoringCandidate",
+    "ScoringClass",
+    "scoring_classes",
     "select_cut",
 ]
 
@@ -90,8 +109,8 @@ def select_cut(
 
     ``lengths`` maps a cut (a needle prefix length) to the LCS between
     that prefix and the buffer; list results from
-    :func:`prefix_lcs_lengths` index the same way, so the reference and
-    incremental scorers share this exact tie-break.
+    ``repro.reference.prefix_lcs_lengths`` index the same way, so the
+    reference and incremental scorers share this exact tie-break.
     """
     best: Score = (0, 0.0)
     for cut in cut_lengths:
@@ -136,13 +155,13 @@ class MatchingStats:
     """
 
     #: Candidates skipped by the multiplicity upper bound before any
-    #: LCS work.
+    #: LCS work (a gated class counts every member).
     candidates_gated: int = 0
     #: Alphabet blocks materialized (first un-gated sight of a
-    #: distinct candidate alphabet in a session).
+    #: distinct needle alphabet in a session).
     blocks_built: int = 0
     #: DP passes actually run — window evaluations whose relevant
-    #: span changed since the candidate's previous iteration.
+    #: span changed since the class's previous iteration.
     lcs_row_extensions: int = 0
     #: Needle symbols fed through the bit-parallel recurrence across
     #: all DP passes.
@@ -152,19 +171,14 @@ class MatchingStats:
     rescore_hits: int = 0
 
     def __add__(self, other: "MatchingStats") -> "MatchingStats":
-        return MatchingStats(
-            candidates_gated=(
-                self.candidates_gated + other.candidates_gated
-            ),
-            blocks_built=self.blocks_built + other.blocks_built,
-            lcs_row_extensions=(
-                self.lcs_row_extensions + other.lcs_row_extensions
-            ),
-            lcs_symbols_fed=(
-                self.lcs_symbols_fed + other.lcs_symbols_fed
-            ),
-            rescore_hits=self.rescore_hits + other.rescore_hits,
-        )
+        # Merge by iterating own fields (the ``PipelineStats`` rule):
+        # a counter added above is summed without another line here.
+        return MatchingStats(**{
+            spec.name: (
+                getattr(self, spec.name) + getattr(other, spec.name)
+            )
+            for spec in fields(self)
+        })
 
     def to_dict(self) -> Dict[str, int]:
         """JSON-serializable rendering (checkpoint/restore protocol)."""
@@ -238,28 +252,82 @@ class _AlphabetBlock:
         return self._shifted
 
 
-class _CandidateState:
-    """One candidate's live scoring state within a session."""
+class ScoringClass:
+    """Candidates of one selection the scorer cannot tell apart.
+
+    Everything :meth:`MatchSession.score` reads off a candidate is a
+    function of ``(needle, cut_lengths, pure_read)``: the multiplicity
+    bound, the DP rows, the :func:`select_cut` result and the
+    finalization length.  ``members`` are the indexes (into the
+    selection's candidate list) that share the triple; the other
+    attributes are the static scoring data, derived once here so a
+    session sets up in O(classes) attribute copies.
+    """
 
     __slots__ = (
-        "candidate", "needle", "cuts", "pure_read", "final_length",
-        "needle_items", "size", "required", "block", "last_span",
-        "last_result",
+        "needle", "cuts", "pure_read", "alphabet", "needle_items",
+        "size", "final_length", "members",
     )
 
     def __init__(
-        self, candidate: ScoringCandidate, required: float
+        self, representative: ScoringCandidate, members: Tuple[int, ...]
     ) -> None:
-        self.candidate = candidate
-        needle = candidate.needle
+        needle = representative.needle
         self.needle = needle
-        self.cuts = candidate.cut_lengths
-        self.pure_read = candidate.pure_read
-        self.final_length = candidate.final_length
-        self.needle_items = tuple(candidate.needle_counts.items())
+        self.cuts = tuple(representative.cut_lengths)
+        self.pure_read = representative.pure_read
+        self.alphabet = representative.alphabet
+        self.needle_items = tuple(representative.needle_counts.items())
         # ``max(1, …)``: an empty needle sums 0 credits, and 0/1 keeps
         # the 0.0 bound the reference computes without a zero division.
         self.size = max(1, len(needle))
+        self.final_length = representative.final_length
+        self.members = members
+
+
+def scoring_classes(
+    candidates: Sequence[ScoringCandidate],
+) -> Tuple[ScoringClass, ...]:
+    """Partition one selection into its :class:`ScoringClass` es.
+
+    The single source of the partition: the compiled index memoizes
+    its result per ``(symbol, truncation)`` and a scan-selected list
+    goes through it as well.  Classes are ordered by first member and
+    members ascend, so the partition is a pure function of the list.
+    """
+    groups: Dict[Tuple[str, Tuple[int, ...], bool], List[int]] = {}
+    for position, candidate in enumerate(candidates):
+        groups.setdefault(
+            (
+                candidate.needle, tuple(candidate.cut_lengths),
+                candidate.pure_read,
+            ),
+            [],
+        ).append(position)
+    return tuple(
+        ScoringClass(candidates[members[0]], tuple(members))
+        for members in groups.values()
+    )
+
+
+class _CandidateState:
+    """One scoring class's live state within a session."""
+
+    __slots__ = (
+        "needle", "cuts", "pure_read", "alphabet", "needle_items",
+        "size", "final_length", "members", "required", "block",
+        "last_span", "last_result",
+    )
+
+    def __init__(self, scoring_class: ScoringClass, required: float) -> None:
+        self.needle = scoring_class.needle
+        self.cuts = scoring_class.cuts
+        self.pure_read = scoring_class.pure_read
+        self.alphabet = scoring_class.alphabet
+        self.needle_items = scoring_class.needle_items
+        self.size = scoring_class.size
+        self.final_length = scoring_class.final_length
+        self.members = scoring_class.members
         self.required = required
         self.block: Optional[_AlphabetBlock] = None
         self.last_span: Optional[Tuple[int, int]] = None
@@ -274,11 +342,12 @@ class _CandidateState:
         """One orientation-swapped Hyyrö pass over ``width`` ranks.
 
         The recurrence is byte-for-byte the one in
-        :func:`prefix_lcs_lengths`; only the roles are swapped — row
-        bits span the (filtered) window, and the needle symbols are
-        fed through it.  Bits at ranks ≥ ``width`` in a shifted mask
-        lie outside the window; they never enter ``row`` because
-        ``update = row & mask`` confines the carry to live bits.
+        ``repro.reference.prefix_lcs_lengths``; only the roles are
+        swapped — row bits span the (filtered) window, and the needle
+        symbols are fed through it.  Bits at ranks ≥ ``width`` in a
+        shifted mask lie outside the window; they never enter ``row``
+        because ``update = row & mask`` confines the carry to live
+        bits.
         """
         window_mask = (1 << width) - 1
         row = window_mask  # all ones: no increments yet
@@ -321,13 +390,15 @@ class MatchSession:
     successive windows of a single snapshot: :meth:`score` takes the
     same ``finalized`` dict and returns the same
     ``{candidate index: (length, coverage)}`` mapping — with identical
-    floats — while keeping blocks and rows alive between calls.
+    floats — while keeping blocks and rows alive between calls.  The
+    session works class by class (:class:`ScoringClass`) and fans each
+    result out to the class's member indexes.
     """
 
     def __init__(
         self,
         index: SnapshotIndex,
-        candidates: Sequence[ScoringCandidate],
+        classes: Sequence[ScoringClass],
         *,
         threshold: float,
         strict: bool,
@@ -336,10 +407,11 @@ class MatchSession:
         self._index = index
         self._states = [
             _CandidateState(
-                candidate,
-                0.999 if (candidate.pure_read or strict) else threshold,
+                scoring_class,
+                0.999 if (scoring_class.pure_read or strict)
+                else threshold,
             )
-            for candidate in candidates
+            for scoring_class in classes
         ]
         self._blocks: Dict[FrozenSet[str], _AlphabetBlock] = {}
         self._stats = stats
@@ -350,18 +422,23 @@ class MatchSession:
 
     # -- state lifecycle (see repro.core.state) -------------------------
 
-    STATE_FMT = "match-session/v1"
+    STATE_FMT = "match-session/v2"
+
+    def _candidate_count(self) -> int:
+        """Candidates behind the classes (the checkpoint shape guard;
+        summed on demand to keep it off the per-freeze set-up)."""
+        return sum(len(state.members) for state in self._states)
 
     def snapshot_state(self) -> Dict[str, Any]:
         """Versioned, JSON-serializable rendering of the session.
 
-        Only the per-candidate memoization — the last scored span and
-        its result — is state; alphabet blocks are pure caches over
-        the snapshot index and are rebuilt lazily on the next score.
+        Only the per-class memoization — the last scored span and its
+        result — is state; alphabet blocks are pure caches over the
+        snapshot index and are rebuilt lazily on the next score.
         """
         return {
             "fmt": self.STATE_FMT,
-            "candidates": len(self._states),
+            "candidates": self._candidate_count(),
             "states": [
                 {
                     "span": (
@@ -378,10 +455,21 @@ class MatchSession:
         """Rehydrate a fresh session over the same snapshot and
         candidate list."""
         require_state(state, self.STATE_FMT)
-        if state["candidates"] != len(self._states):
+        if state["fmt"] != self.STATE_FMT:
+            # v1 kept one entry per *candidate*; mapping those onto
+            # classes would be a guess, so refuse rather than migrate.
+            raise StateFormatError(
+                f"state fmt {state['fmt']!r} predates scoring classes; "
+                f"this session restores only {self.STATE_FMT!r}"
+            )
+        candidates = self._candidate_count()
+        if (state["candidates"] != candidates
+                or len(state["states"]) != len(self._states)):
             raise StateError(
                 f"session state carries {state['candidates']} "
-                f"candidates, this session has {len(self._states)}"
+                f"candidates in {len(state['states'])} classes, this "
+                f"session has {candidates} candidates in "
+                f"{len(self._states)} classes"
             )
         for live, saved in zip(self._states, state["states"]):
             span = saved["span"]
@@ -403,10 +491,15 @@ class MatchSession:
         Mirrors the reference scorer decision-for-decision: the
         finalized short-circuit, the multiplicity gate, the coverage
         threshold and the finalization rule all use the same values in
-        the same order.  The gate is the reference's multiplicity
-        upper bound inlined: the per-symbol window counts come from
-        the index and the credit sum is an integer, so the resulting
-        bound float is identical.
+        the same order — once per class, with the outcome fanned out
+        to every member index.  The gate is the reference's
+        multiplicity upper bound inlined: the per-symbol window counts
+        come from the index and the credit sum is an integer, so the
+        resulting bound float is identical.
+
+        ``finalized`` must be the dict this session's earlier calls
+        filled (or a copy of it): members of a class finalize
+        together, so the first member answers for the class.
         """
         stats = self._stats
         index_count = self._index.count
@@ -415,9 +508,12 @@ class MatchSession:
         counts_get = counts.get
         scores: Dict[int, Score] = {}
         gated = 0
-        for position, state in enumerate(self._states):
-            if finalized and position in finalized:
-                scores[position] = finalized[position]
+        for state in self._states:
+            members = state.members
+            if finalized and members[0] in finalized:
+                result = finalized[members[0]]
+                for position in members:
+                    scores[position] = result
                 continue
             matched = 0
             for symbol, need in state.needle_items:
@@ -428,11 +524,11 @@ class MatchSession:
                 matched += need if need < have else have
             required = state.required
             if matched / state.size < required:
-                gated += 1
+                gated += len(members)
                 continue
             block = state.block
             if block is None:
-                alphabet = state.candidate.alphabet
+                alphabet = state.alphabet
                 block = blocks.get(alphabet)
                 if block is None:
                     block = _AlphabetBlock(alphabet, self._index)
@@ -455,13 +551,15 @@ class MatchSession:
                 state.last_result = result
             length, coverage = result
             if coverage >= required:
-                scores[position] = result
-                # A candidate is final only once its *longest* cut is
+                for position in members:
+                    scores[position] = result
+                # A class is final only once its *longest* cut is
                 # fully corroborated (see the reference scorer).
                 if (coverage >= 0.999
                         and length >= state.final_length
                         and finalized is not None):
-                    finalized[position] = result
+                    for position in members:
+                        finalized[position] = result
         stats.candidates_gated += gated
         return scores
 
@@ -475,13 +573,14 @@ class MatchingEngine:
     def session(
         self,
         fragments: Sequence[str],
-        candidates: Sequence[ScoringCandidate],
+        classes: Sequence[ScoringClass],
         *,
         threshold: float,
         strict: bool,
     ) -> MatchSession:
-        """A fresh scoring session over one snapshot's fragments."""
+        """A fresh scoring session over one snapshot's fragments and
+        one selection's :func:`scoring_classes`."""
         return MatchSession(
-            SnapshotIndex(fragments), candidates,
+            SnapshotIndex(fragments), classes,
             threshold=threshold, strict=strict, stats=self.stats,
         )

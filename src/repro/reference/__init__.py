@@ -3,7 +3,8 @@
 Every hot layer of the analyzer has exactly one production path
 (``repro.core``, ``repro.analysis``, ``repro.service``).  What that
 path must stay bit-identical to lives here: from-scratch candidate
-selection and context-buffer scoring (``detector``) and the
+selection and per-candidate context-buffer scoring over the
+needle-oriented Hyyrö row ``prefix_lcs_lengths`` (``detector``) and the
 sort-per-sample level-shift detector (``levelshift``).
 
 Nothing in the production packages imports this one at module level —
@@ -17,6 +18,7 @@ oracle half, not kept beside it behind a switch.
 from repro.reference.detector import (
     ScanSelectionDetector,
     ScratchScoringDetector,
+    prefix_lcs_lengths,
     score_buffer,
     upper_bound,
 )
@@ -26,6 +28,7 @@ __all__ = [
     "LevelShiftDetector",
     "ScanSelectionDetector",
     "ScratchScoringDetector",
+    "prefix_lcs_lengths",
     "score_buffer",
     "upper_bound",
 ]

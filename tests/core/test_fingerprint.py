@@ -10,9 +10,9 @@ from repro.core.fingerprint import (
     filter_noise,
     generate_fingerprint,
     longest_common_subsequence,
-    prefix_lcs_lengths,
 )
 from repro.core.symbols import SymbolTable
+from repro.reference import prefix_lcs_lengths
 
 
 @pytest.fixture(scope="module")

@@ -5,9 +5,9 @@ Three families of guarantees:
 * ``longest_common_subsequence`` returns a *common subsequence* and a
   *longest* one (cross-checked against brute-force enumeration on
   short inputs);
-* ``prefix_lcs_lengths`` (the Hyyrö bit-parallel row used by the
-  relaxed matcher) agrees with the DP LCS at every prefix and obeys
-  the LCS monotonicity laws;
+* ``prefix_lcs_lengths`` (the Hyyrö bit-parallel row of the
+  reference scorer, ``repro.reference``) agrees with the DP LCS at
+  every prefix and obeys the LCS monotonicity laws;
 * ``Fingerprint.matches`` is differentially tested against a plain
   ``re`` reference built by *parsing Algorithm 1's literal output*
   (``paper_regex()``: reads starred, writes literal), including on
@@ -22,8 +22,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.fingerprint import (
     Fingerprint,
     longest_common_subsequence,
-    prefix_lcs_lengths,
 )
+from repro.reference import prefix_lcs_lengths
 
 # Single-character symbols, as the SymbolTable allocates; a few extras
 # act as snapshot noise outside any fingerprint's alphabet.

@@ -9,20 +9,25 @@ from repro.core.detector import OperationDetector, _Candidate
 from repro.core.fingerprint import (
     FingerprintLibrary,
     generate_fingerprint,
-    prefix_lcs_lengths,
 )
 from repro.core.matching import (
     MatchSession,
     MatchingStats,
     SnapshotIndex,
     WindowCounts,
+    scoring_classes,
     select_cut,
     verify_detection,
 )
 from repro.core.symbols import SymbolTable
 from repro.core.window import Snapshot
 from repro.oracle import OracleDivergence
-from repro.reference import ScratchScoringDetector, score_buffer, upper_bound
+from repro.reference import (
+    ScratchScoringDetector,
+    prefix_lcs_lengths,
+    score_buffer,
+    upper_bound,
+)
 
 
 @pytest.fixture(scope="module")
@@ -239,7 +244,7 @@ def test_session_matches_reference_scorer(library, symbols, catalog):
     candidates = detector.candidates_for(snapshot.fault.api_key)
     session = detector.matching.session(
         detector._session_fragments(snapshot, ""),
-        candidates,
+        candidates.classes,
         threshold=detector.config.match_coverage,
         strict=not detector.config.relaxed_match,
     )
@@ -265,7 +270,7 @@ def test_session_rescore_uses_cache(library, symbols, catalog):
     candidates = detector.candidates_for(snapshot.fault.api_key)
     session = detector.matching.session(
         detector._session_fragments(snapshot, ""),
-        candidates,
+        candidates.classes,
         threshold=detector.config.match_coverage,
         strict=not detector.config.relaxed_match,
     )
@@ -293,6 +298,127 @@ def test_reference_scorer_bypasses_engine_without_changing_results(
     # path did real work.
     assert reference.matching.stats.lcs_row_extensions == 0
     assert incremental.matching.stats.lcs_row_extensions > 0
+
+
+# -- scoring classes ------------------------------------------------------
+
+
+def test_scoring_classes_group_identical_preparations():
+    pool = [
+        make_candidate("ABC", [2, 3]),
+        make_candidate("ABD"),
+        make_candidate("ABC", [2, 3], full_symbols="AxBC"),
+        make_candidate("ABC", [2, 3]),
+    ]
+    classes = scoring_classes(pool)
+    # Ordered by first member; reads outside the state-change
+    # skeleton (``full_symbols``) do not split a class.
+    assert [c.members for c in classes] == [(0, 2, 3), (1,)]
+    first = classes[0]
+    assert (first.needle, first.cuts, first.pure_read) == (
+        "ABC", (2, 3), False,
+    )
+    assert first.alphabet == frozenset("ABC")
+    assert dict(first.needle_items) == {"A": 1, "B": 1, "C": 1}
+    assert (first.size, first.final_length) == (3, 3)
+
+
+def test_scoring_classes_separate_cuts_and_pure_read(
+        library, symbols, catalog):
+    """Same needle, different ``cut_lengths`` → different classes;
+    same symbols, different ``pure_read`` → different classes.  Each
+    pair also *scores* differently on the window below, so merging
+    either would be a wrong answer, not just a different layout."""
+    detector = make_detector(library, symbols, catalog)
+    pool = [
+        make_candidate("ABCD", [4]),
+        make_candidate("ABCD", [2, 4]),
+        make_candidate("ABCD", [4], pure_read=True),
+        make_candidate("ABCD", [4]),
+    ]
+    assert [c.members for c in scoring_classes(pool)] == [
+        (0, 3), (1,), (2,),
+    ]
+    fragments = ["A", "B", "C"]
+    session = detector.matching.session(
+        fragments, scoring_classes(pool),
+        threshold=detector.config.match_coverage, strict=False,
+    )
+    scores = session.score(0, 3)
+    assert scores == score_buffer(pool, "ABC", detector.config)
+    # 3/4 passes the 0.7 threshold; the [2, 4] twin prefers its fully
+    # covered short cut; the pure read needs 0.999 and is gated.
+    assert scores == {0: (3, 0.75), 1: (2, 1.0), 3: (3, 0.75)}
+
+
+def duplicate_library(catalog, symbols):
+    """Operations that differ only *after* ``PORT``: truncated at a
+    ``PORT`` fault, a/b share one preparation and c/d another."""
+    library = FingerprintLibrary(symbols)
+    operations = {
+        "op-a": [IMAGE, UPLOAD, BOOT, PORT, POLL, DEL_SRV],
+        "op-b": [IMAGE, UPLOAD, BOOT, PORT, KEYPAIR],
+        "op-c": [VOLUME, BOOT, PORT, POLL],
+        "op-d": [VOLUME, BOOT, PORT, DEL_SRV],
+        "op-e": [KEYPAIR, IMAGE, UPLOAD, BOOT, PORT],
+    }
+    for name, specs in operations.items():
+        library.add(generate_fingerprint(
+            name, [to_keys(catalog, specs)], symbols, catalog,
+        ))
+    return library
+
+
+def test_stats_account_for_every_candidate_of_every_iteration(
+        catalog, symbols):
+    """On one fixed snapshot: per window, candidates gated + members
+    of the classes evaluated + members answered from ``finalized`` is
+    the whole selection.  ``candidates_gated`` counts candidates;
+    ``lcs_row_extensions`` + ``rescore_hits`` count the evaluations
+    actually run — one per class."""
+    from collections import Counter
+
+    library = duplicate_library(catalog, symbols)
+    detector = make_detector(library, symbols, catalog)
+    reference_detector = ScratchScoringDetector(library, symbols, catalog)
+    snapshot = make_snapshot(
+        catalog, [KEYPAIR, IMAGE, UPLOAD, LIST_IMAGES, BOOT, POLL, PORT],
+        PORT,
+    )
+    candidates = detector.candidates_for(snapshot.fault.api_key)
+    classes = candidates.classes
+    assert sorted(len(c.members) for c in classes) == [1, 2, 2]
+    session = detector.matching.session(
+        detector._session_fragments(snapshot, ""), classes,
+        threshold=detector.config.match_coverage,
+        strict=not detector.config.relaxed_match,
+    )
+    stats = detector.matching_stats
+    windows = snapshot_windows(snapshot, detector.config)
+    finalized = {}
+    accounted = 0
+    for lo, hi in windows:
+        buffer_counts = Counter(
+            reference_detector._buffer_symbols(snapshot, lo, hi, "")
+        )
+        answered = len(finalized)
+        evaluated = [
+            c for c in classes
+            if c.members[0] not in finalized and upper_bound(
+                candidates[c.members[0]], buffer_counts,
+            ) >= detector.config.match_coverage
+        ]
+        gated_before = stats.candidates_gated
+        runs_before = stats.lcs_row_extensions + stats.rescore_hits
+        session.score(lo, hi, finalized)
+        gated = stats.candidates_gated - gated_before
+        runs = stats.lcs_row_extensions + stats.rescore_hits - runs_before
+        assert runs == len(evaluated)
+        fanned_out = sum(len(c.members) for c in evaluated)
+        assert gated + fanned_out + answered == len(candidates)
+        accounted += gated + fanned_out + answered
+    assert len(windows) > 1 and finalized
+    assert accounted == len(candidates) * len(windows)
 
 
 # -- differential oracle --------------------------------------------------
@@ -339,6 +465,40 @@ def test_verify_detection_raises_on_divergence(
     )
     assert not outcome.ok
     assert outcome.mismatches
+
+
+def test_verify_detection_catches_a_member_dropped_from_fan_out(
+        catalog, symbols, monkeypatch):
+    """The reference scores candidate by candidate, so a class that
+    forgets one member shows up as a missing operation."""
+    import repro.core.detector as detector_module
+
+    def lossy(candidates):
+        classes = scoring_classes(candidates)
+        for scoring_class in classes:
+            if len(scoring_class.members) > 1:
+                scoring_class.members = scoring_class.members[:-1]
+                break
+        return classes
+
+    snapshots = [make_snapshot(
+        catalog, [IMAGE, UPLOAD, BOOT, PORT], PORT,
+    )]
+    # Selections memoize their partition on the compiled index, keyed
+    # by library: a fresh library per half keeps the tampered one out
+    # of the honest run.
+    honest = verify_detection(
+        snapshots, duplicate_library(catalog, symbols), catalog=catalog,
+    )
+    assert honest.ok
+    monkeypatch.setattr(detector_module, "scoring_classes", lossy)
+    outcome = verify_detection(
+        snapshots, duplicate_library(catalog, symbols), catalog=catalog,
+        strict=False,
+    )
+    assert not outcome.ok
+    assert outcome.summary().startswith("DIVERGED")
+    assert "op-b" in outcome.mismatches[0]
 
 
 def test_verify_detection_covers_performance_path(

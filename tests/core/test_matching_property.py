@@ -8,13 +8,15 @@ points and pure-read flags — and hold the two scorers to exact
 equality, including the ``finalized`` side-channel.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
 from repro.core.detector import OperationDetector, _Candidate
-from repro.core.matching import verify_detection
+from repro.core.matching import scoring_classes, verify_detection
 from repro.reference import score_buffer
 from repro.workloads.traffic import SyntheticStream
 
@@ -78,13 +80,28 @@ def growth_windows(length, fault, beta, delta):
         beta += delta
 
 
-@given(case=scoring_cases())
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_session_equals_reference_on_random_growth(detector, case):
+@st.composite
+def duplicate_heavy_cases(draw):
+    """``scoring_cases`` with the pool stamped out of ≤3 preparations,
+    the way the library stamps tests out of operations: most scoring
+    classes have several members, spread over the index range."""
+    fragments, fault, beta, delta, preps = draw(scoring_cases())
+    preps = preps[:3]
+    pool = [
+        dataclasses.replace(prep)
+        for prep in draw(st.lists(
+            st.sampled_from(preps), min_size=2, max_size=12,
+        ))
+    ]
+    return fragments, fault, beta, delta, pool
+
+
+def assert_session_equals_reference_on_growth(detector, case):
+    """The whole growth schedule, one ``finalized`` dict per scorer
+    carried across it: mappings equal index for index, floats ``==``."""
     fragments, fault, beta, delta, pool = case
     session = detector.matching.session(
-        fragments, pool,
+        fragments, scoring_classes(pool),
         threshold=detector.config.match_coverage,
         strict=not detector.config.relaxed_match,
     )
@@ -100,6 +117,24 @@ def test_session_equals_reference_on_random_growth(detector, case):
         assert finalized_inc == finalized_ref
 
 
+@given(case=scoring_cases())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_session_equals_reference_on_random_growth(detector, case):
+    assert_session_equals_reference_on_growth(detector, case)
+
+
+@given(case=duplicate_heavy_cases())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_session_fans_class_scores_out_to_every_member(detector, case):
+    """The per-candidate reference scorer knows nothing of scoring
+    classes, so equality here proves the fan-out."""
+    pool = case[-1]
+    assert len(scoring_classes(pool)) <= 3
+    assert_session_equals_reference_on_growth(detector, case)
+
+
 @given(case=scoring_cases(), strict=st.booleans())
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -110,7 +145,7 @@ def test_session_equals_reference_without_finalization(
     fragments, fault, beta, delta, pool = case
     config = GretelConfig(relaxed_match=not strict)
     session = detector.matching.session(
-        fragments, pool,
+        fragments, scoring_classes(pool),
         threshold=config.match_coverage, strict=strict,
     )
     for lo, hi in growth_windows(len(fragments), fault, beta, delta):

@@ -14,6 +14,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.matching import scoring_classes
 from repro.core.streamstats.detector import IncrementalLevelShiftDetector
 from repro.core.streamstats.window import SortedWindow
 from repro.core.window import SlidingWindow
@@ -225,8 +226,11 @@ def match_cases(draw):
         st.sampled_from(list(ALPHABET) + [""]),
         min_size=1, max_size=30,
     ))
-    pool = []
-    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+    # A few distinct preparations, each stamped out several times (as
+    # the library stamps tests out of operations): the session keeps
+    # one state per scoring class, so classes of size > 1 must occur.
+    preps = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
         needle = draw(st.text(
             alphabet=ALPHABET, min_size=1, max_size=8,
         ))
@@ -234,11 +238,16 @@ def match_cases(draw):
             st.integers(min_value=1, max_value=len(needle)), max_size=3,
         ))
         cuts.add(len(needle))
-        pool.append(_Candidate(
-            original=None, sc_symbols=needle,
-            cut_lengths=sorted(cuts), full_symbols=needle,
-            pure_read=False,
+        preps.append((needle, sorted(cuts)))
+    pool = [
+        _Candidate(
+            original=None, sc_symbols=needle, cut_lengths=list(cuts),
+            full_symbols=needle, pure_read=False,
+        )
+        for needle, cuts in draw(st.lists(
+            st.sampled_from(preps), min_size=1, max_size=8,
         ))
+    ]
     # Outward-growing (lo, hi) windows with a freeze between two.
     spans = draw(st.integers(min_value=2, max_value=6))
     fault = draw(st.integers(min_value=0, max_value=len(fragments) - 1))
@@ -260,7 +269,7 @@ def test_match_session_round_trip(detector, case):
 
     def build():
         return detector.matching.session(
-            fragments, pool,
+            fragments, scoring_classes(pool),
             threshold=detector.config.match_coverage,
             strict=not detector.config.relaxed_match,
         )
@@ -298,10 +307,33 @@ def test_match_session_refuses_candidate_count_mismatch(detector):
 
     def build(size):
         return detector.matching.session(
-            ["A", "B"], pool(size),
+            ["A", "B"], scoring_classes(pool(size)),
             threshold=detector.config.match_coverage, strict=True,
         )
 
     state = build(2).snapshot_state()
+    # One class either way: the member count still has to agree.
+    assert len(state["states"]) == 1
     with pytest.raises(StateError, match="candidates"):
         build(3).restore_state(state)
+
+
+def test_match_session_refuses_per_candidate_v1_state(detector):
+    """``match-session/v1`` carried one entry per candidate; a v2
+    session keeps one per scoring class and must not guess a mapping."""
+    from repro.core.detector import _Candidate
+    from repro.core.state import StateFormatError
+
+    session = detector.matching.session(
+        ["A", "B"],
+        scoring_classes([_Candidate(
+            original=None, sc_symbols="AB", cut_lengths=[2],
+            full_symbols="AB", pure_read=False,
+        )]),
+        threshold=detector.config.match_coverage, strict=True,
+    )
+    state = session.snapshot_state()
+    assert state["fmt"] == "match-session/v2"
+    stale = dict(state, fmt="match-session/v1")
+    with pytest.raises(StateFormatError, match="match-session/v1"):
+        session.restore_state(stale)
