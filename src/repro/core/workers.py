@@ -65,7 +65,9 @@ seeding, rejected alternatives).
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
+import os
 import threading
 import time
 import traceback
@@ -108,6 +110,38 @@ def _context() -> Any:
         if method in multiprocessing.get_all_start_methods():
             return multiprocessing.get_context(method)
     return multiprocessing.get_context()
+
+
+#: Process-wide round-robin cursor over the CPUs the parent may run
+#: on; every new worker, of whichever pool, takes the next one.
+_cpu_cursor = itertools.count()
+
+
+def _pin(pid: int) -> None:
+    """Pin one worker to the next allowed CPU.
+
+    A worker sleeps in ``recv`` between chunks and is woken by the
+    parent's ``send``.  A socket write is a *sync* wakeup: the
+    scheduler assumes the writer is about to sleep and places the
+    wakee on the writer's CPU.  Every worker is woken by the one
+    parent, so the pool gravitates onto a single core and stays there
+    (sampled on 2 cores: both workers runnable on the same CPU in
+    100 % of samples), or does not, run by run — the pool is either
+    serial or parallel depending on where the scheduler happened to
+    leave it.  One worker per core is the design, so say so.  Best
+    effort: a platform without the call, a single allowed CPU or a
+    sandbox that forbids it leave placement to the scheduler.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    try:
+        cpus = sorted(os.sched_getaffinity(0))
+        if len(cpus) > 1:
+            os.sched_setaffinity(
+                pid, {cpus[next(_cpu_cursor) % len(cpus)]}
+            )
+    except OSError:
+        pass
 
 
 @dataclass
@@ -270,6 +304,7 @@ class ProcessShard:
         )
         self.process.start()
         child.close()
+        _pin(self.process.pid)
 
     # -- report fan-in ----------------------------------------------------
 

@@ -407,6 +407,25 @@ def test_process_backend_report_listeners_fire_on_parent(library):
         assert len(seen) == len(analyzer.reports) > 0
 
 
+def test_process_workers_are_spread_over_the_allowed_cpus(library):
+    """One worker per core: each worker is pinned to a single allowed
+    CPU and a pool no larger than the CPU set never doubles up."""
+    import os
+
+    if not hasattr(os, "sched_getaffinity"):
+        pytest.skip("no CPU affinity on this platform")
+    allowed = os.sched_getaffinity(0)
+    if len(allowed) < 2:
+        pytest.skip("one allowed CPU: placement is left alone")
+    with ShardedAnalyzer(library, 2, config=config(),
+                         backend="process") as analyzer:
+        placed = [os.sched_getaffinity(shard.process.pid)
+                  for shard in analyzer.shards]
+    assert all(len(cpus) == 1 and cpus <= allowed for cpus in placed)
+    assert placed[0] != placed[1]
+    assert os.sched_getaffinity(0) == allowed  # the parent is untouched
+
+
 def test_process_backend_checkpoint_roundtrip(library):
     """Snapshot a process-backed run mid-stream, restore into a fresh
     pool, finish the stream: the union of reports matches an
