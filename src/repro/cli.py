@@ -412,9 +412,19 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     detect_seconds = time.perf_counter() - started
 
     count = len(events)
+    shard_stats = analyzer.shard_stats()
+    shard_events = [stats.events_processed for stats in shard_stats]
+    if args.shards > 1 and count and max(shard_events) == count:
+        # Loud, not fatal: the replay (and --verify-shards, same
+        # stream, same key) is correct, just silent about partitioning.
+        print(f"warning: all {count} events landed on one of "
+              f"{args.shards} shards (the source-node key takes one "
+              "value on this stream): only one shard was active, here "
+              "and under --verify-shards", file=sys.stderr)
     document = {
         "events": count,
         "shards": args.shards,
+        "shard_events": shard_events,
         "backend": args.backend,
         "batch_size": args.batch_size,
         "fault_every": args.fault_every,
@@ -436,9 +446,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         }
         document["stage_items"] = dict(sorted(counters.items.items()))
     if args.stage_stats and args.backend == "process":
-        document["shard_stats"] = [
-            asdict(shard.stats()) for shard in analyzer.shards
-        ]
+        document["shard_stats"] = [asdict(stats) for stats in shard_stats]
 
     if text_mode:
         print(f"{args.shards}-shard analyzer ({args.backend} backend) "
@@ -532,11 +540,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         verify_async,
         verify_checkpoint,
     )
-    from repro.service.async_oracle import (
-        bucket_tenant,
-        drive_producers,
-        partition_tenants,
-    )
+    from repro.service.async_oracle import drive_producers, partition_tenants
 
     text_mode = args.format == "text"
     if args.checkpoint_every and not args.checkpoint_dir:
@@ -545,9 +549,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     if args.resume and not args.checkpoint_dir:
         print("--resume requires --checkpoint-dir", file=sys.stderr)
-        return EXIT_USAGE
-    if args.pump_threads and not args.async_ingest:
-        print("--pump-threads requires --async", file=sys.stderr)
         return EXIT_USAGE
     if args.pump_threads < 0:
         print("--pump-threads must be >= 0", file=sys.stderr)
@@ -570,12 +571,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         restore=args.resume,
         shards=args.session_shards,
         backend=args.backend,
-        async_ingest=args.async_ingest,
     )
     published = []
     service.on_report(
-        # list.append is atomic, so the same sink serves both routers
-        # (async-mode sinks fire on per-tenant pump threads).
+        # Sinks fire on per-tenant pump threads; list.append is atomic.
         lambda tenant, report: published.append((tenant, report))
     )
     if args.resume:
@@ -584,22 +583,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # analysis at the final flush.
         service.restore_all()
 
-    if args.async_ingest:
-        # Pump router: N concurrent producer threads, each session
-        # bucket owned by exactly one of them, so per-tenant order
-        # (and the report multiset) matches the sync router.
-        buckets = partition_tenants(events, args.tenants)
-        started = time.perf_counter()
-        drive_producers(service, buckets, producers, passes=args.passes)
-    else:
-        started = time.perf_counter()
-        for _ in range(args.passes):
-            for event in events:
-                # Re-key the synthetic stream's 64 tenants into the
-                # requested number of sessions (id-stable).
-                service.submit(
-                    event, tenant=bucket_tenant(event.tenant, args.tenants)
-                )
+    # Re-key the synthetic stream's 64 tenants into the requested
+    # number of sessions (id-stable), then replay from N concurrent
+    # producer threads, each session bucket owned by exactly one of
+    # them, so per-tenant order is the stream order.
+    buckets = partition_tenants(events, args.tenants)
+    started = time.perf_counter()
+    drive_producers(service, buckets, producers, passes=args.passes)
     service.drain()
     elapsed = time.perf_counter() - started
     if store is not None:
@@ -616,8 +606,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "tenants": args.tenants,
         "session_shards": args.session_shards,
         "backend": args.backend,
-        "async_ingest": args.async_ingest,
-        "pump_threads": producers if args.async_ingest else 0,
+        "pump_threads": producers,
         "alpha": args.alpha,
         "queue_size": args.queue_size,
         "policy": args.policy,
@@ -630,10 +619,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ],
     }
     if text_mode:
-        router = "async pump" if args.async_ingest else "sync"
         print(f"streaming service over {count} events "
               f"({args.passes} pass(es), {args.tenants} tenant "
-              f"session(s), {router} router, policy {args.policy}):")
+              f"session(s), {producers} producer thread(s), "
+              f"policy {args.policy}):")
         print(f"  drained   {count / elapsed:12,.0f} events/s "
               f"({elapsed:.3f}s)")
         for key, value in stats.to_dict().items():
@@ -972,22 +961,16 @@ def build_parser() -> argparse.ArgumentParser:
              "(docs/parallelism.md)",
     )
     serve.add_argument(
-        "--async", dest="async_ingest", action="store_true",
-        help="async ingest router: one daemon pump thread per tenant "
-             "session drains a thread-safe bounded queue, and the "
-             "replay drives submit() from concurrent producer "
-             "threads (docs/service.md)",
-    )
-    serve.add_argument(
         "--pump-threads", type=int, default=0,
-        help="producer threads driving the async front door "
-             "(default 0 = one per tenant session; requires --async)",
+        help="producer threads driving submit() concurrently while "
+             "each tenant session's pump thread drains its queue "
+             "(default 0 = one per tenant session; docs/service.md)",
     )
     serve.add_argument(
         "--policy", choices=("block", "shed"), default="block",
         help="backpressure when a session queue is full: block stalls "
-             "the producer (sync: drains inline; async: waits on the "
-             "pump), shed drops and counts (default block)",
+             "the producer until the pump frees space, shed drops and "
+             "counts (default block)",
     )
     serve.add_argument(
         "--checkpoint-dir", metavar="DIR",
@@ -1010,7 +993,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--verify-async", action="store_true",
-        help="also run the sync-vs-async ingest-router differential "
+        help="also run the pump-vs-reference-sync-router differential "
              "oracle on this stream (exit 1 on divergence)",
     )
     serve.add_argument(

@@ -441,11 +441,16 @@ class ShardedAnalyzer:
 
     # -- aggregate stats ---------------------------------------------------
 
+    def shard_stats(self) -> List[PipelineStats]:
+        """Each shard's own counters, in shard order (a one-valued
+        partition key leaves all but one at ``events_processed == 0``)."""
+        if self.backend == "process":
+            return self._fanout("stats")
+        return [shard.stats() for shard in self.shards]
+
     def stats(self) -> PipelineStats:
         """Counters merged across all shards."""
-        if self.backend == "process":
-            return PipelineStats.merged(self._fanout("stats"))
-        return PipelineStats.merged(s.stats() for s in self.shards)
+        return PipelineStats.merged(self.shard_stats())
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -618,6 +623,12 @@ def verify_equivalence(
             facts={
                 "events": len(events),
                 "shards": shards,
+                # 1 of several: the key sent the whole stream to one
+                # shard; the run proves "one active shard ≡ serial".
+                "active_shards": sum(
+                    bool(stats.events_processed)
+                    for stats in sharded.shard_stats()
+                ),
                 "reference_reports": len(serial.reports),
                 "candidate_reports": len(sharded.reports),
             },

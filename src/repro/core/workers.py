@@ -78,7 +78,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 from repro.core.config import GretelConfig
 from repro.core.fingerprint import FingerprintLibrary
 from repro.core.parallel import AnalyzerShard, ShardWorkerError
-from repro.core.pipeline.stages import PipelineStats
 from repro.core.reports import FaultReport
 from repro.monitoring.store import MetadataStore
 from repro.openstack.catalog import ApiCatalog
@@ -465,11 +464,6 @@ class ProcessShard:
 
     def process_deferred(self) -> int:
         return int(self.call("deferred"))
-
-    def stats(self) -> PipelineStats:
-        stats = self.call("stats")
-        assert isinstance(stats, PipelineStats)
-        return stats
 
     def snapshot_state(self) -> Dict[str, Any]:
         state = self.call("snapshot")

@@ -4,15 +4,16 @@ Everything below :mod:`repro.core` analyzes one finite capture and is
 discarded; this package promotes that machinery to a standing service
 (the ROADMAP's "streaming service mode"): per-tenant analyzer
 sessions (:mod:`repro.service.session`) with bounded ingest queues,
-an explicit backpressure policy and an optional per-tenant pump
-thread (the async ingest router), durable periodic checkpoints
+an explicit backpressure policy and one pump thread per tenant (the
+service's only router), durable periodic checkpoints
 (:mod:`repro.service.checkpoint`) built on the core state-lifecycle
 protocol (:mod:`repro.core.state`), a service manager that keys
 sessions by tenant and restores them on start
 (:mod:`repro.service.manager`), and two differential oracles: one
 proving checkpoint/kill/restore changes nothing
 (:mod:`repro.service.oracle`), one proving the pump router is
-observably the sync router (:mod:`repro.service.async_oracle`).
+observably the single-threaded reference router parked in
+:mod:`repro.reference.session` (:mod:`repro.service.async_oracle`).
 ``repro serve`` drives it all over replayed captures; see
 ``docs/service.md``.
 """

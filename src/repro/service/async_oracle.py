@@ -1,21 +1,20 @@
 """Differential oracle: the pump router must change nothing.
 
-The async ingest router (``StreamingService(async_ingest=True)``)
-moves analysis from the submitter's thread onto one dedicated pump
-thread per tenant.  Because each tenant keeps exactly **one**
+The service's router (:class:`~repro.service.session.TenantSession`)
+analyzes on one dedicated pump thread per tenant, never on the
+submitter's thread.  Because each tenant keeps exactly **one**
 consumer thread and producers deliver each tenant's events in order,
 per-tenant event order is preserved — so the per-tenant report
 multiset and the per-tenant ingest counters must be *identical* to
-the synchronous router's.  :func:`verify_async` turns that argument
-into an assertion:
+those of a single-threaded router that drains inline.
+:func:`verify_async` turns that argument into an assertion:
 
-* **sync half** — one ``StreamingService`` (default router) consumes
-  the stream single-threaded, bucketed into ``tenants`` sessions;
-* **async half** — a second service in pump mode consumes the same
-  stream from ``producers`` concurrent producer threads (each tenant
-  owned by exactly one producer, so per-tenant delivery order is the
-  stream order), is flushed through the quiesce barrier, and shut
-  down.
+* **sync half** — one :class:`repro.reference.session.SyncSession`
+  per tenant bucket consumes its bucket on the calling thread;
+* **pump half** — a ``StreamingService`` consumes the same stream
+  from ``producers`` concurrent producer threads (each tenant owned
+  by exactly one producer, so per-tenant delivery order is the stream
+  order), is flushed through the quiesce barrier, and shut down.
 
 Both halves must agree, per tenant, on the report multiset (compared
 via :func:`repro.core.parallel.report_signature`) and on the ingest
@@ -32,7 +31,7 @@ oracle trips.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import GretelConfig
 from repro.core.fingerprint import FingerprintLibrary
@@ -144,8 +143,8 @@ def verify_async(
     queue_capacity: int = 1024,
     strict: bool = True,
 ) -> OracleResult:
-    """Prove the pump router is observably the sync router (see the
-    module docstring for the two halves).
+    """Prove the pump router is observably the reference sync router
+    (see the module docstring for the two halves).
 
     ``shards``/``backend`` configure the per-session analyzer, so the
     same oracle also covers pump threads driving process-backed
@@ -160,50 +159,61 @@ def verify_async(
     if producers < 1:
         raise ValueError("producers must be at least 1")
     events = list(events)
-    config = config or GretelConfig()
     buckets = partition_tenants(events, tenants)
 
-    def replay(async_ingest: bool) -> Tuple[
-        List[Signature], Dict[str, Dict[str, int]]
-    ]:
-        service = StreamingService(
-            library,
-            catalog=catalog,
-            store=store,
-            config=config,
-            track_latency=track_latency,
-            queue_capacity=queue_capacity,
-            policy="block",
-            shards=shards,
-            backend=backend,
-            async_ingest=async_ingest,
-        )
-        signatures: List[Signature] = []
-        service.on_report(
-            lambda tenant, report: signatures.append(
-                report_signature(report) + (tenant,)
-            )
-        )
-        try:
-            if async_ingest:
-                drive_producers(service, buckets, producers)
-            else:
-                # Single-threaded, bucket by bucket in stream order.
-                for tenant, stream in buckets.items():
-                    for event in stream:
-                        service.submit(event, tenant=tenant)
-            service.flush()
-            return signatures, {
-                live.tenant: {
-                    name: getattr(live, name) for name in COUNTER_FIELDS
-                }
-                for live in service.sessions.values()
-            }
-        finally:
-            service.shutdown()
+    # Inside the call only (tests/test_import_hygiene.py).
+    from repro.reference.session import SyncSession
 
-    sync_sigs, sync_counters = replay(async_ingest=False)
-    async_sigs, async_counters = replay(async_ingest=True)
+    service = StreamingService(
+        library,
+        catalog=catalog,
+        store=store,
+        config=config,
+        track_latency=track_latency,
+        queue_capacity=queue_capacity,
+        policy="block",
+        shards=shards,
+        backend=backend,
+    )
+
+    def sink(signatures: List[Signature]) -> Any:
+        return lambda tenant, report: signatures.append(
+            report_signature(report) + (tenant,)
+        )
+
+    def counters(live: Any) -> Dict[str, int]:
+        return {name: getattr(live, name) for name in COUNTER_FIELDS}
+
+    # Sync half: single-threaded, bucket by bucket in stream order,
+    # each bucket through its own reference session.
+    sync_sigs: List[Signature] = []
+    sync_counters: Dict[str, Dict[str, int]] = {}
+    for tenant, stream in buckets.items():
+        session = SyncSession(
+            tenant, service.build_analyzer(),
+            queue_capacity=queue_capacity, policy="block",
+        )
+        session.on_report(sink(sync_sigs))
+        try:
+            for event in stream:
+                session.submit(event)
+            session.flush()
+            sync_counters[tenant] = counters(session)
+        finally:
+            session.close()
+
+    # Pump half: the production service under concurrent producers.
+    async_sigs: List[Signature] = []
+    service.on_report(sink(async_sigs))
+    try:
+        drive_producers(service, buckets, producers)
+        service.flush()
+        async_counters = {
+            live.tenant: counters(live)
+            for live in service.sessions.values()
+        }
+    finally:
+        service.shutdown()
 
     missing, extra = diff_multisets(sync_sigs, async_sigs)
     result = OracleResult(

@@ -8,16 +8,11 @@ each session's analyzer from one shared
 tenants differ only in their stream, exactly as one GRETEL deployment
 watches many clouds).
 
-The service runs in one of two router modes (``docs/service.md``):
-
-* **sync** (default) — ``submit()`` routes and, under ``"block"``
-  backpressure, analyzes inline on the submitter's thread.  The
-  deterministic differential-oracle half.
-* **async** (``async_ingest=True``) — every session gets a dedicated
-  pump thread; ``submit()`` only routes and enqueues, so N producer
-  threads ingest concurrently and tenants drain in parallel.  Session
-  creation, checkpoint triggering and the stats rollup are
-  thread-safe; :meth:`flush` is a barrier that quiesces every pump.
+Every session has a dedicated pump thread (``docs/service.md``):
+``submit()`` only routes and enqueues, so N producer threads ingest
+concurrently and tenants drain in parallel.  Session creation,
+checkpoint triggering and the stats rollup are thread-safe;
+:meth:`flush` is a barrier that quiesces every pump.
 
 Durability is opt-in: hand the service a
 :class:`~repro.service.checkpoint.CheckpointStore` and it (a)
@@ -27,8 +22,8 @@ that tenant appears (unless built with ``restore=False``; see also
 session every ``checkpoint_every`` accepted events (0 disables the
 periodic trigger; explicit :meth:`StreamingService.checkpoint_all`
 still works).  Because a session's state includes its ingest queue —
-and, in async mode, a checkpoint pauses the tenant's pump at an event
-boundary — a checkpoint never needs to force a drain first.
+and a checkpoint pauses the tenant's pump at an event boundary — a
+checkpoint never needs to force a drain first.
 """
 
 from __future__ import annotations
@@ -100,15 +95,25 @@ class StreamingService:
         restore: bool = True,
         shards: int = 1,
         backend: str = "inline",
-        async_ingest: bool = False,
+        async_ingest: bool = True,
     ) -> None:
+        # Residue, not an option: the ledger's service workload
+        # (benchmarks/e2e/workloads.py) still passes this keyword, and
+        # a PR may not edit the benchmark it is judged by.  It selects
+        # nothing — there is one router — and goes with the next
+        # benchmark PR.
+        if async_ingest is not True:
+            raise ValueError(
+                "async_ingest accepts only True: every session is a "
+                "pump session, and the inline-drain router is "
+                "repro.reference.SyncSession (verify_async's reference)"
+            )
         if checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
         if shards < 1:
             raise ValueError("shards must be at least 1")
         self.shards = shards
         self.backend = backend
-        self.async_ingest = async_ingest
         self.library = library
         self._symbols = symbols
         self._catalog = catalog
@@ -133,8 +138,8 @@ class StreamingService:
         #: Offers refused after shutdown (lock-free: the reject path
         #: must stay as cheap as the shed path).
         self._rejected = _AtomicCounter()
-        #: Serializes lazy session creation (async producers race on
-        #: first submit for a new tenant).
+        #: Serializes lazy session creation (producers race on first
+        #: submit for a new tenant).
         self._session_lock = threading.Lock()
         #: Serializes checkpoint writes and the periodic trigger's
         #: check-then-write (reentrant: the trigger calls checkpoint).
@@ -142,7 +147,9 @@ class StreamingService:
 
     # -- session lifecycle ----------------------------------------------
 
-    def _build_analyzer(self) -> SessionAnalyzer:
+    def build_analyzer(self) -> SessionAnalyzer:
+        """A fresh analyzer configured as every session's is
+        (``verify_async`` hands these to its reference sessions)."""
         builder = (
             PipelineBuilder(self.library)
             .with_symbols(self._symbols)
@@ -174,11 +181,10 @@ class StreamingService:
                 return live
             live = TenantSession(
                 tenant,
-                self._build_analyzer(),
+                self.build_analyzer(),
                 queue_capacity=self.queue_capacity,
                 policy=self.policy,
                 report_retention=self.report_retention,
-                async_ingest=self.async_ingest,
             )
             for sink in self._sinks:
                 live.on_report(sink)
@@ -192,14 +198,14 @@ class StreamingService:
         return live
 
     def _live_sessions(self) -> List[TenantSession]:
-        """A stable view of the sessions (async producers may be
-        creating more while we iterate)."""
+        """A stable view of the sessions (producers may be creating
+        more while we iterate)."""
         with self._session_lock:
             return list(self.sessions.values())
 
     def on_report(self, sink: ReportSink) -> None:
         """Register a ``(tenant, report)`` consumer on every session —
-        current and future.  Async-mode sinks fire on pump threads."""
+        current and future.  Sinks fire on pump threads."""
         self._sinks.append(sink)
         for live in self._live_sessions():
             live.on_report(sink)
@@ -305,21 +311,14 @@ class StreamingService:
     # -- draining ---------------------------------------------------------
 
     def drain(self) -> int:
-        """Drain every session's queue; returns events analyzed.
-
-        Async mode: blocks until every pump has emptied its queue
-        (the count is what the pumps analyzed while waiting).
-        """
-        return sum(
-            live.drain() for live in self._live_sessions()
-        )
+        """Block until every pump has emptied its queue; returns the
+        events the pumps analyzed while waiting."""
+        return sum(live.quiesce() for live in self._live_sessions())
 
     def flush(self) -> None:
-        """Drain and flush every session (end of replay).
-
-        Async mode: a barrier — quiesces every pump, then flushes
-        each analyzer with its pump parked.
-        """
+        """Drain and flush every session (end of replay): a barrier
+        that quiesces each pump, then flushes its analyzer with the
+        pump parked."""
         for live in self._live_sessions():
             live.flush()
 
@@ -337,10 +336,12 @@ class StreamingService:
         additionally stops pump threads and per-session worker pools
         (sharded ``backend="process"`` sessions).  The order matters
         with live producers: **seal first** (so queues stop growing
-        and blocked producers wake), then flush/quiesce, then
-        checkpoint, then stop pumps and workers.  Checkpoints are
-        written before workers stop, so a restarted service restores
-        cleanly.
+        and blocked producers wake), then per session flush/quiesce,
+        checkpoint (before its workers stop, so a restarted service
+        restores cleanly), stop pump and workers.  One tenant's
+        failure (a dead pump re-raising out of its flush) must not
+        strand the others: **every** session is closed, and only
+        then is the first failure raised.
         """
         if self._shut_down:
             return
@@ -348,9 +349,18 @@ class StreamingService:
         sessions = self._live_sessions()
         for live in sessions:
             live.seal()
-        self.close()
+        failures: List[Exception] = []
         for live in sessions:
-            live.close()
+            try:
+                live.flush()
+                if self.checkpoints is not None:
+                    self.checkpoint(live.tenant)
+            except Exception as error:
+                failures.append(error)
+            finally:
+                live.close()
+        if failures:
+            raise failures[0]
 
     # -- observability ----------------------------------------------------
 

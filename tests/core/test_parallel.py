@@ -342,6 +342,20 @@ def test_oracle_summary_on_equivalent_run(library):
     assert result.facts["events"] == 400
 
 
+def test_oracle_says_how_many_shards_were_active(library):
+    """The default key sends a single-source stream to one shard; the
+    oracle must say so rather than pass vacuously in silence."""
+    events = make_stream(library).events(400)
+    single = verify_equivalence(events, library, 2, config=config())
+    assert single.facts["active_shards"] == 1
+    assert "active_shards=1" in single.summary()
+    spread = verify_equivalence(
+        events, library, 2, key=lambda e: e.dst_service,
+        config=config(), strict=False,
+    )
+    assert spread.facts["active_shards"] > 1
+
+
 def test_source_node_key_reads_src_node(library):
     event = make_stream(library).events(1)[0]
     assert source_node_key(event) == event.src_node

@@ -1,12 +1,13 @@
-"""Concurrency tests for the async ingest router (pump mode).
+"""Concurrency tests for the pump router.
 
 The pump router's contract (``docs/service.md``): concurrent
 producers lose nothing under ``"block"``, account for everything
 under ``"shed"``, checkpointing races cleanly with live pumps,
 shutdown with producers still running neither deadlocks nor leaks a
-pump thread, and the whole thing is observably identical to the sync
-router (:func:`repro.service.verify_async` — including a negative
-test proving the oracle actually trips on a tampered pump).
+pump thread — nor lets one dead pump strand the other tenants — and
+the whole thing is observably identical to the reference sync router
+(:func:`repro.service.verify_async` — including a negative test
+proving the oracle actually trips on a tampered pump).
 """
 
 import threading
@@ -33,11 +34,6 @@ TENANTS = 3
 PRODUCERS = 4
 
 
-def build_service(library, **kwargs):
-    kwargs.setdefault("async_ingest", True)
-    return StreamingService(library, config=CONFIG, **kwargs)
-
-
 def partition(events, tenants=TENANTS):
     return partition_tenants(events, tenants)
 
@@ -62,11 +58,10 @@ def run_producers(service, jobs):
 # Pump lifecycle
 # ---------------------------------------------------------------------------
 
-def test_pump_thread_starts_and_joins(library, stream_events):
-    service = build_service(library)
+def test_pump_thread_starts_and_joins(build_service, stream_events):
+    service = build_service()
     service.submit(stream_events[0], tenant="acme")
     session = service.sessions["acme"]
-    assert session.async_ingest
     assert session.pump_alive
     service.shutdown()
     assert not session.pump_alive
@@ -76,25 +71,16 @@ def test_pump_thread_starts_and_joins(library, stream_events):
     assert service.submit(stream_events[1], tenant="acme") is False
 
 
-def test_sync_session_has_no_pump(library, stream_events):
-    service = build_service(library, async_ingest=False)
-    service.submit(stream_events[0], tenant="acme")
-    session = service.sessions["acme"]
-    assert not session.pump_alive
-    with pytest.raises(RuntimeError, match="no pump thread"):
-        session.pause()
-
-
 # ---------------------------------------------------------------------------
 # N producers x M tenants, both policies
 # ---------------------------------------------------------------------------
 
 def test_block_policy_concurrent_producers_lose_nothing(
-    library, stream_events
+    build_service, stream_events
 ):
     # A tiny queue forces real backpressure: producers must park on
     # the not-full condition and be woken by the pump.
-    service = build_service(library, queue_capacity=16)
+    service = build_service(queue_capacity=16)
     buckets = partition(stream_events)
     for key in buckets:
         service.session(key)
@@ -122,15 +108,13 @@ def test_block_policy_concurrent_producers_lose_nothing(
 
 
 def test_shed_policy_concurrent_producers_account_for_everything(
-    library, stream_events
+    build_service, stream_events
 ):
     # Capacity 1 makes shedding near-certain, but the invariant below
     # holds at any drop rate: every offer is either accepted (and
     # eventually analyzed) or counted shed — never lost, never
     # duplicated.
-    service = build_service(
-        library, queue_capacity=1, policy="shed",
-    )
+    service = build_service(queue_capacity=1, policy="shed")
     buckets = partition(stream_events)
     for key in buckets:
         service.session(key)
@@ -162,12 +146,10 @@ def test_shed_policy_concurrent_producers_account_for_everything(
 # ---------------------------------------------------------------------------
 
 def test_checkpoint_races_cleanly_with_live_pump(
-    library, stream_events, tmp_path
+    build_service, stream_events, tmp_path
 ):
     store = CheckpointStore(tmp_path)
-    service = build_service(
-        library, checkpoint_store=store, queue_capacity=32,
-    )
+    service = build_service(checkpoint_store=store, queue_capacity=32)
     bucket = partition(stream_events)["tenant-0"]
     service.session("acme")
 
@@ -195,12 +177,11 @@ def test_checkpoint_races_cleanly_with_live_pump(
 
 
 def test_async_checkpoint_resume_matches_straight_run(
-    library, stream_events, tmp_path
+    build_service, stream_events, tmp_path
 ):
     """Kill-and-resume through the pump router replays to the same
-    per-tenant reports as one uninterrupted async run.  As in the
-    sync invariant: checkpoint after a *quiesce*, never a flush —
-    flush is an end-of-stream operation."""
+    per-tenant reports as one uninterrupted run.  Checkpoint after a
+    *quiesce*, never a flush — flush is an end-of-stream operation."""
     def sink(service):
         sigs = []
         service.on_report(
@@ -208,7 +189,7 @@ def test_async_checkpoint_resume_matches_straight_run(
         )
         return sigs
 
-    straight = build_service(library)
+    straight = build_service()
     straight_sigs = sink(straight)
     for event in stream_events:
         straight.submit(
@@ -219,7 +200,7 @@ def test_async_checkpoint_resume_matches_straight_run(
 
     cut = len(stream_events) // 2
     store = CheckpointStore(tmp_path)
-    first = build_service(library, checkpoint_store=store)
+    first = build_service(checkpoint_store=store)
     first_sigs = sink(first)
     for event in stream_events[:cut]:
         first.submit(
@@ -232,7 +213,7 @@ def test_async_checkpoint_resume_matches_straight_run(
     for live in first.sessions.values():
         live.close()
 
-    second = build_service(library, checkpoint_store=store)
+    second = build_service(checkpoint_store=store)
     second_sigs = sink(second)
     assert second.restore_all() == len(first.sessions)
     for event in stream_events[cut:]:
@@ -251,9 +232,9 @@ def test_async_checkpoint_resume_matches_straight_run(
 # ---------------------------------------------------------------------------
 
 def test_shutdown_with_live_producers_neither_deadlocks_nor_leaks(
-    library, stream_events
+    build_service, stream_events
 ):
-    service = build_service(library, queue_capacity=8)
+    service = build_service(queue_capacity=8)
     buckets = partition(stream_events)
     for key in buckets:
         service.session(key)
@@ -356,11 +337,11 @@ def test_verify_async_rejects_bad_arguments(library, stream_events):
 
 
 def test_producer_exception_surfaces_on_the_caller(
-    library, stream_events, monkeypatch
+    build_service, stream_events, monkeypatch
 ):
     """A producer thread that dies must fail the replay on the calling
     thread, not leave a traceback on stderr and a short stream."""
-    service = build_service(library)
+    service = build_service()
     poisoned = stream_events[5]
 
     original = StreamingService.submit
@@ -371,13 +352,10 @@ def test_producer_exception_surfaces_on_the_caller(
         return original(self, event, tenant=tenant)
 
     monkeypatch.setattr(StreamingService, "submit", submit)
-    try:
-        with pytest.raises(RuntimeError, match="front door blew up"):
-            drive_producers(
-                service, partition(stream_events[:50]), PRODUCERS,
-            )
-    finally:
-        service.shutdown()
+    with pytest.raises(RuntimeError, match="front door blew up"):
+        drive_producers(
+            service, partition(stream_events[:50]), PRODUCERS,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +363,13 @@ def test_producer_exception_surfaces_on_the_caller(
 # ---------------------------------------------------------------------------
 
 def test_pump_death_seals_session_and_surfaces_on_flush(
-    library, stream_events, monkeypatch
+    build_service, stream_events, monkeypatch
 ):
     def explode(self, chunk):
         raise RuntimeError("pipeline blew up")
 
     monkeypatch.setattr(TenantSession, "_pump_step", explode)
-    service = build_service(library)
+    service = build_service()
     service.submit(stream_events[0], tenant="acme")
     session = service.sessions["acme"]
     # The pump records the error, seals the door, and exits.
@@ -400,3 +378,34 @@ def test_pump_death_seals_session_and_surfaces_on_flush(
     assert service.submit(stream_events[1], tenant="acme") is False
     with pytest.raises(RuntimeError, match="pump thread died"):
         session.flush()
+    with pytest.raises(RuntimeError, match="pump thread died"):
+        service.shutdown()
+
+
+def test_one_dead_pump_does_not_strand_the_other_tenants(
+    build_service, stream_events, monkeypatch, tmp_path
+):
+    """``shutdown`` with one dead pump still flushes, checkpoints and
+    closes every healthy tenant before raising the failure."""
+    step = TenantSession._pump_step
+
+    def poisoned_step(self, chunk):
+        if self.tenant == "doomed":
+            raise RuntimeError("pipeline blew up")
+        step(self, chunk)
+
+    monkeypatch.setattr(TenantSession, "_pump_step", poisoned_step)
+    store = CheckpointStore(tmp_path)
+    service = build_service(checkpoint_store=store)
+    # The doomed tenant is created (and so flushed) first.
+    service.submit(stream_events[0], tenant="doomed")
+    service.pump(stream_events[:100], tenant="healthy")
+    service.sessions["doomed"].quiesce()  # its pump has died by now
+
+    with pytest.raises(RuntimeError, match="'doomed' pump thread died"):
+        service.shutdown()
+    for live in service.sessions.values():
+        assert live.pump_alive is False
+    assert store.load("healthy")["events_analyzed"] == 100
+    # The dead tenant lost a claimed chunk: its state is not saved.
+    assert store.tenants() == ["healthy"]

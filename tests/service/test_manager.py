@@ -4,17 +4,12 @@ import pytest
 
 from repro.core.parallel import report_signature
 from repro.service import CheckpointStore, StreamingService
+from repro.service.async_oracle import partition_tenants
 from repro.service.manager import DEFAULT_TENANT
 
-from .conftest import CONFIG
 
-
-def build_service(library, **kwargs):
-    return StreamingService(library, config=CONFIG, **kwargs)
-
-
-def test_routes_by_event_tenant(library, stream_events):
-    service = build_service(library)
+def test_routes_by_event_tenant(build_service, stream_events):
+    service = build_service()
     service.pump(stream_events[:40])
     # The synthetic stream stamps per-operation tenant ids.
     assert len(service.sessions) > 1
@@ -26,40 +21,44 @@ def test_routes_by_event_tenant(library, stream_events):
     assert stats.tenants == len(service.sessions)
 
 
-def test_explicit_tenant_overrides_event_tenant(library, stream_events):
-    service = build_service(library)
+def test_explicit_tenant_overrides_event_tenant(
+    build_service, stream_events
+):
+    service = build_service()
     service.pump(stream_events[:10], tenant="override")
     assert list(service.sessions) == ["override"]
 
 
-def test_untagged_events_land_in_default_session(library, stream_events):
+def test_untagged_events_land_in_default_session(
+    build_service, stream_events
+):
     from dataclasses import replace
 
-    service = build_service(library)
+    service = build_service()
     service.submit(replace(stream_events[0], tenant=""))
     assert list(service.sessions) == [DEFAULT_TENANT]
 
 
-def test_checkpoint_requires_store(library, stream_events):
-    service = build_service(library)
+def test_checkpoint_requires_store(build_service, stream_events):
+    service = build_service()
     service.submit(stream_events[0])
     with pytest.raises(ValueError, match="no checkpoint store"):
         service.checkpoint_all()
 
 
-def test_checkpoint_every_validation(library):
+def test_checkpoint_every_validation(build_service):
     with pytest.raises(ValueError, match="checkpoint_every"):
-        build_service(library, checkpoint_every=-1)
+        build_service(checkpoint_every=-1)
 
 
 def test_checkpoint_unknown_tenant_raises(
-    library, stream_events, tmp_path
+    build_service, stream_events, tmp_path
 ):
     """checkpoint() must not conjure an empty session for a typo'd
     tenant — unknown tenants are a KeyError, and the session table
     stays untouched."""
     store = CheckpointStore(tmp_path)
-    service = build_service(library, checkpoint_store=store)
+    service = build_service(checkpoint_store=store)
     service.submit(stream_events[0], tenant="acme")
     service.checkpoint("acme")
     with pytest.raises(KeyError, match="unknown tenant 'ghost'"):
@@ -68,14 +67,15 @@ def test_checkpoint_unknown_tenant_raises(
     assert store.tenants() == ["acme"]
 
 
-def test_stats_split_submitted_vs_accepted(library, stream_events):
+def test_stats_split_submitted_vs_accepted(build_service, stream_events):
     """Offers and acceptances are separate counters; shed is exactly
     their difference."""
-    service = build_service(
-        library, queue_capacity=8, policy="shed",
-    )
-    for event in stream_events[:40]:
-        service.submit(event, tenant="acme")
+    service = build_service(queue_capacity=8, policy="shed")
+    # Park the pump so the queue cannot free up: exactly 8 of the 40
+    # offers fit.
+    with service.session("acme").parked():
+        for event in stream_events[:40]:
+            service.submit(event, tenant="acme")
     stats = service.stats()
     assert stats.events_submitted == 40
     assert stats.events_accepted == 8
@@ -87,11 +87,13 @@ def test_stats_split_submitted_vs_accepted(library, stream_events):
     assert document["events_accepted"] == 8
 
 
-def test_offers_after_shutdown_are_counted_as_shed(library, stream_events):
+def test_offers_after_shutdown_are_counted_as_shed(
+    build_service, stream_events
+):
     """A shut-down service refuses every offer — and counts it, so
     no drop is silent.  Per-session counters (what ``verify_async``
     compares) do not move: the offer never reached a session."""
-    service = build_service(library)
+    service = build_service()
     for event in stream_events[:20]:
         service.submit(event, tenant="acme")
     service.shutdown()
@@ -112,19 +114,21 @@ def test_offers_after_shutdown_are_counted_as_shed(library, stream_events):
     assert list(service.sessions) == ["acme"]
 
 
-def test_periodic_checkpoints_fire_per_tenant(library, stream_events, tmp_path):
+def test_periodic_checkpoints_fire_per_tenant(
+    build_service, stream_events, tmp_path
+):
     store = CheckpointStore(tmp_path)
-    service = build_service(
-        library, checkpoint_store=store, checkpoint_every=10,
-    )
+    service = build_service(checkpoint_store=store, checkpoint_every=10)
     service.pump(stream_events[:60], tenant="acme")
     assert service.checkpoints_written == 6
     assert store.tenants() == ["acme"]
 
 
-def test_close_flushes_then_checkpoints(library, stream_events, tmp_path):
+def test_close_flushes_then_checkpoints(
+    build_service, stream_events, tmp_path
+):
     store = CheckpointStore(tmp_path)
-    service = build_service(library, checkpoint_store=store)
+    service = build_service(checkpoint_store=store)
     service.pump(stream_events, tenant="acme")
     service.close()
     session = service.sessions["acme"]
@@ -135,9 +139,9 @@ def test_close_flushes_then_checkpoints(library, stream_events, tmp_path):
 
 
 def test_report_sinks_cover_current_and_future_sessions(
-    library, stream_events
+    build_service, stream_events
 ):
-    service = build_service(library)
+    service = build_service()
     seen = []
     service.pump(stream_events[:5], tenant="early")
     service.on_report(lambda tenant, report: seen.append(tenant))
@@ -149,11 +153,13 @@ def test_report_sinks_cover_current_and_future_sessions(
     assert "late" in seen
 
 
-def test_kill_and_resume_equals_straight_run(library, stream_events, tmp_path):
+def test_kill_and_resume_equals_straight_run(
+    build_service, stream_events, tmp_path
+):
     """The service-level restart invariant: checkpoint (no flush!),
     abandon the process, start a fresh service over the same store,
     finish the stream — reports match the uninterrupted run."""
-    straight = build_service(library)
+    straight = build_service()
     straight_reports = []
     straight.on_report(lambda t, r: straight_reports.append((t, r)))
     straight.pump(stream_events)
@@ -161,16 +167,19 @@ def test_kill_and_resume_equals_straight_run(library, stream_events, tmp_path):
 
     cut = len(stream_events) // 2
     store = CheckpointStore(tmp_path)
-    first = build_service(library, checkpoint_store=store)
+    first = build_service(checkpoint_store=store)
     first_reports = []
     first.on_report(lambda t, r: first_reports.append((t, r)))
     first.pump(stream_events[:cut])
     # Mid-stream durability point: checkpoint *without* flushing —
     # flush() is an end-of-stream operation that would freeze pending
-    # snapshots early and diverge from the straight run.
+    # snapshots early and diverge from the straight run.  (Drained
+    # first only because this "killed" service's pumps live on in the
+    # test process: anything still queued would be analyzed twice.)
+    first.drain()
     first.checkpoint_all()
 
-    resumed = build_service(library, checkpoint_store=store)
+    resumed = build_service(checkpoint_store=store)
     resumed_reports = []
     resumed.on_report(lambda t, r: resumed_reports.append((t, r)))
     # Up-front resurrection: tenants that never reappear in the tail
@@ -193,15 +202,13 @@ def test_kill_and_resume_equals_straight_run(library, stream_events, tmp_path):
     assert stats.events_analyzed == len(stream_events)
 
 
-def test_restore_false_starts_fresh(library, stream_events, tmp_path):
+def test_restore_false_starts_fresh(build_service, stream_events, tmp_path):
     store = CheckpointStore(tmp_path)
-    first = build_service(library, checkpoint_store=store)
+    first = build_service(checkpoint_store=store)
     first.pump(stream_events[:100], tenant="acme")
     first.checkpoint_all()
 
-    fresh = build_service(
-        library, checkpoint_store=store, restore=False,
-    )
+    fresh = build_service(checkpoint_store=store, restore=False)
     fresh.pump(stream_events[100:110], tenant="acme")
     assert fresh.sessions_restored == 0
     assert fresh.sessions["acme"].events_ingested == 10
@@ -219,13 +226,24 @@ def _published(service):
     return reports
 
 
-def test_sharded_sessions_match_serial_sessions(library, stream_events):
-    serial = build_service(library)
+def _pump_bucketed(service, events, tenants=3):
+    """Re-key the stream's 64 tenant ids into a few sessions: every
+    process-backed session forks its own worker pool — beside live
+    pump threads once the first session exists — and three pools
+    prove what sixty-four would."""
+    for tenant, stream in partition_tenants(events, tenants).items():
+        service.pump(stream, tenant=tenant)
+
+
+def test_sharded_sessions_match_serial_sessions(
+    build_service, stream_events
+):
+    serial = build_service()
     serial_reports = _published(serial)
     serial.pump(stream_events)
     serial.flush()
 
-    sharded = build_service(library, shards=2)
+    sharded = build_service(shards=2)
     sharded_reports = _published(sharded)
     sharded.pump(stream_events)
     sharded.flush()
@@ -235,22 +253,20 @@ def test_sharded_sessions_match_serial_sessions(library, stream_events):
         serial.stats().events_analyzed
 
 
-def test_process_backend_sessions_match_serial(library, stream_events):
-    serial = build_service(library)
+def test_process_backend_sessions_match_serial(build_service, stream_events):
+    serial = build_service()
     serial_reports = _published(serial)
-    serial.pump(stream_events)
+    _pump_bucketed(serial, stream_events)
     serial.flush()
 
-    service = build_service(library, shards=2, backend="process")
+    service = build_service(shards=2, backend="process")
     process_reports = _published(service)
-    try:
-        service.pump(stream_events)
-        service.flush()
-        assert sorted(process_reports) == sorted(serial_reports)
-        assert len(process_reports) > 0
-        assert service.stats().events_analyzed == len(stream_events)
-    finally:
-        service.shutdown()
+    _pump_bucketed(service, stream_events)
+    service.flush()
+    assert sorted(process_reports) == sorted(serial_reports)
+    assert len(process_reports) > 0
+    assert service.stats().events_analyzed == len(stream_events)
+    service.shutdown()
     # Shutdown is terminal for the worker pools…
     for live in service.sessions.values():
         assert all(shard.closed for shard in live.analyzer.shards)
@@ -259,38 +275,44 @@ def test_process_backend_sessions_match_serial(library, stream_events):
 
 
 def test_process_backend_checkpoint_and_resume(
-    library, stream_events, tmp_path,
+    build_service, stream_events, tmp_path
 ):
     cut = 500
     store = CheckpointStore(tmp_path)
 
     first = build_service(
-        library, shards=2, backend="process", checkpoint_store=store,
+        shards=2, backend="process", checkpoint_store=store,
     )
     first_reports = _published(first)
-    first.pump(stream_events[:cut])
+    _pump_bucketed(first, stream_events[:cut])
     first.drain()
     first.shutdown()  # checkpoints, then stops the worker pools
 
     second = build_service(
-        library, shards=2, backend="process", checkpoint_store=store,
+        shards=2, backend="process", checkpoint_store=store,
     )
     second_reports = _published(second)
-    try:
-        second.pump(stream_events[cut:])
-        second.flush()
-    finally:
-        second.shutdown()
+    _pump_bucketed(second, stream_events[cut:])
+    second.flush()
 
-    straight = build_service(library, shards=2)
+    straight = build_service(shards=2)
     straight_reports = _published(straight)
-    straight.pump(stream_events)
+    _pump_bucketed(straight, stream_events)
     straight.flush()
 
     assert sorted(first_reports + second_reports) == \
         sorted(straight_reports)
 
 
-def test_service_shard_validation(library):
+def test_service_shard_validation(build_service):
     with pytest.raises(ValueError, match="shards"):
-        build_service(library, shards=0)
+        build_service(shards=0)
+
+
+def test_router_keyword_selects_nothing(library):
+    """``async_ingest`` survives only because the ledger still passes
+    it: ``True`` is accepted, anything else names where the sync
+    router went."""
+    with pytest.raises(ValueError, match="repro.reference.SyncSession"):
+        StreamingService(library, async_ingest=False)
+    StreamingService(library, async_ingest=True)  # builds no session

@@ -1,67 +1,42 @@
-"""Tests for the bounded-queue tenant session."""
+"""Tests for the bounded-queue tenant session (the pump session).
+
+Where a test needs "accepted but not yet analyzed" it holds the pump
+``parked()``; the inline-drain behaviours of the reference router are
+in ``test_reference_session.py``.
+"""
 
 import json
 
 import pytest
 
-from repro.core.analyzer import GretelAnalyzer
+from repro.core.parallel import report_signature
 from repro.core.state import StateError
-from repro.monitoring.store import MetadataStore
-from repro.service import TenantSession
-
-from .conftest import CONFIG
 
 
-def build_session(library, **kwargs):
-    analyzer = GretelAnalyzer(
-        library, store=MetadataStore(), config=CONFIG,
-    )
-    return TenantSession("acme", analyzer, **kwargs)
-
-
-def test_constructor_validation(library):
+def test_constructor_validation(build_session):
     with pytest.raises(ValueError, match="queue_capacity"):
-        build_session(library, queue_capacity=0)
+        build_session(queue_capacity=0)
     with pytest.raises(ValueError, match="policy"):
-        build_session(library, policy="drop-newest")
+        build_session(policy="drop-newest")
+    with pytest.raises(TypeError, match="async_ingest"):
+        build_session(async_ingest=False)
 
 
-def test_submit_queues_without_analyzing(library, stream_events):
-    session = build_session(library, queue_capacity=100)
-    for event in stream_events[:10]:
-        assert session.submit(event)
-    assert session.queued == 10
-    assert session.events_ingested == 10
-    assert session.events_analyzed == 0
-    assert session.drain() == 10
+def test_parked_pump_queues_without_analyzing(build_session, stream_events):
+    session = build_session(queue_capacity=100)
+    with session.parked():
+        for event in stream_events[:10]:
+            assert session.submit(event)
+        assert session.queued == 10
+        assert session.events_ingested == 10
+        assert session.events_analyzed == 0
+    assert session.quiesce() == 10
     assert session.queued == 0
     assert session.events_analyzed == 10
 
 
-def test_block_policy_drains_synchronously(library, stream_events):
-    session = build_session(library, queue_capacity=8, policy="block")
-    for event in stream_events[:20]:
-        assert session.submit(event)
-    # Capacity 8: submits 9 and 17 each forced a drain of 8.
-    assert session.events_shed == 0
-    assert session.events_analyzed == 16
-    assert session.queued == 4
-
-
-def test_shed_policy_drops_and_counts(library, stream_events):
-    session = build_session(library, queue_capacity=8, policy="shed")
-    accepted = [session.submit(e) for e in stream_events[:20]]
-    assert accepted == [True] * 8 + [False] * 12
-    assert session.events_shed == 12
-    assert session.queued == 8
-    assert session.events_ingested == 8
-    # Draining frees capacity again.
-    session.drain()
-    assert session.submit(stream_events[20])
-
-
-def test_reports_fan_out_with_tenant(library, stream_events):
-    session = build_session(library)
+def test_reports_fan_out_with_tenant(build_session, stream_events):
+    session = build_session()
     seen = []
     session.on_report(lambda tenant, report: seen.append(tenant))
     for event in stream_events:
@@ -71,8 +46,8 @@ def test_reports_fan_out_with_tenant(library, stream_events):
     assert seen == ["acme"] * session.reports_emitted
 
 
-def test_retention_ring_is_bounded(library, stream_events):
-    session = build_session(library, report_retention=2)
+def test_retention_ring_is_bounded(build_session, stream_events):
+    session = build_session(report_retention=2)
     for event in stream_events:
         session.submit(event)
     session.flush()
@@ -83,54 +58,55 @@ def test_retention_ring_is_bounded(library, stream_events):
     assert not session.analyzer.pipeline.tracker.anomalies
 
 
-def test_snapshot_round_trip_mid_stream(library, stream_events):
+def test_snapshot_round_trip_mid_stream(build_session, stream_events):
     cut = len(stream_events) // 2
-    straight = build_session(library)
+    straight = build_session()
     straight_reports = []
     straight.on_report(lambda t, r: straight_reports.append(r))
     for event in stream_events:
         straight.submit(event)
     straight.flush()
 
-    first = build_session(library)
-    for event in stream_events[:cut]:
+    # Analyze part of the first half, then park the pump so the rest
+    # of it is still queued at the cut.
+    first = build_session()
+    for event in stream_events[:cut // 2]:
         first.submit(event)
-    # No drain before the snapshot: the queue is part of the state.
-    state = json.loads(json.dumps(first.snapshot_state()))
-    assert state["queue"]
+    first.quiesce()
+    with first.parked():
+        for event in stream_events[cut // 2:cut]:
+            first.submit(event)
+        # No drain before the snapshot: the queue is part of the
+        # state.
+        state = json.loads(json.dumps(first.snapshot_state()))
+        emitted_at_cut = first.reports_emitted
+    assert len(state["queue"]) == cut - cut // 2
 
-    resumed = build_session(library)
+    resumed = build_session()
     resumed_reports = []
     resumed.on_report(lambda t, r: resumed_reports.append(r))
-    resumed.restore_state(state)
-    assert resumed.queued == first.queued
+    with resumed.parked():
+        resumed.restore_state(state)
+        assert resumed.queued == len(state["queue"])
     for event in stream_events[cut:]:
         resumed.submit(event)
     resumed.flush()
 
-    from repro.core.parallel import report_signature
-
-    # The resumed session replays only the tail, so its own emit count
-    # is the straight run's minus what the first half already emitted.
-    assert (
-        first.reports_emitted + len(resumed_reports)
-        == len(straight_reports)
-    )
+    # The resumed session replays only what the first had not yet
+    # analyzed, so its own emit count is the straight run's minus what
+    # the first had already emitted at the cut.
+    assert emitted_at_cut + len(resumed_reports) == len(straight_reports)
     assert (
         [report_signature(r) for r in resumed_reports]
         == [report_signature(r)
-            for r in straight_reports[first.reports_emitted:]]
+            for r in straight_reports[emitted_at_cut:]]
     )
     assert resumed.events_ingested == straight.events_ingested
     assert resumed.events_analyzed == straight.events_analyzed
 
 
-def test_restore_refuses_foreign_tenant(library):
-    session = build_session(library)
-    state = session.snapshot_state()
-    analyzer = GretelAnalyzer(
-        library, store=MetadataStore(), config=CONFIG,
-    )
-    other = TenantSession("umbrella", analyzer)
+def test_restore_refuses_foreign_tenant(build_session):
+    state = build_session().snapshot_state()
+    other = build_session("umbrella")
     with pytest.raises(StateError, match="acme"):
         other.restore_state(state)

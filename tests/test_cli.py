@@ -399,9 +399,14 @@ def test_scenarios_run_unreadable_baseline_is_usage_error(
 def test_analyze_json_document(full_character, capsys):
     assert main(["analyze", "--events", "3000", "--shards", "2",
                  "--no-latency", "--format", "json"]) == 0
-    document = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    document = json.loads(captured.out)
     assert document["events"] == 3000
     assert document["shards"] == 2
+    # The synthetic stream has one source node: the default key keeps
+    # one shard busy, and the CLI says so on stderr.
+    assert document["shard_events"] == [3000, 0]
+    assert "only one shard was active" in captured.err
     assert document["exit_code"] == 0
     assert document["ingest_events_per_s"] > 0
     assert document["stats"]["events_processed"] == 3000
@@ -436,21 +441,26 @@ def test_serve_usage_errors(capsys):
     assert main(["serve", "--events", "100", "--resume"]) == 2
     assert "--checkpoint-dir" in capsys.readouterr().err
     assert main(["serve", "--events", "100",
-                 "--pump-threads", "2"]) == 2
-    assert "--async" in capsys.readouterr().err
-    assert main(["serve", "--events", "100", "--async",
                  "--pump-threads", "-1"]) == 2
     assert ">= 0" in capsys.readouterr().err
+    # The flag that used to select the router is gone, not ignored.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", "--events", "100", "--async"])
+    assert excinfo.value.code == 2
 
 
 def test_serve_async_json_document(full_character, capsys):
-    assert main(["serve", "--events", "2000", "--tenants", "2",
-                 "--alpha", "64", "--no-latency", "--async",
+    """Every replay is pump-routed — the document carries no router
+    key — and fewer producers than tenants still drains everything
+    (one producer thread then owns several tenant buckets)."""
+    assert main(["serve", "--events", "2000", "--tenants", "3",
+                 "--alpha", "64", "--no-latency", "--pump-threads", "2",
                  "--format", "json"]) == 0
     document = json.loads(capsys.readouterr().out)
     assert document["exit_code"] == 0
-    assert document["async_ingest"] is True
-    assert document["pump_threads"] == 2  # default: one per tenant
+    assert "async_ingest" not in document
+    assert document["pump_threads"] == 2
+    assert document["service"]["tenants"] == 3
     assert document["service"]["events_accepted"] == 2000
     assert document["service"]["events_analyzed"] == 2000
     assert document["service"]["queued"] == 0
@@ -459,7 +469,7 @@ def test_serve_async_json_document(full_character, capsys):
 
 def test_serve_verify_async_oracle(full_character, capsys):
     assert main(["serve", "--events", "2000", "--tenants", "2",
-                 "--alpha", "64", "--no-latency", "--async",
+                 "--alpha", "64", "--no-latency",
                  "--pump-threads", "2", "--verify-async",
                  "--format", "json"]) == 0
     document = json.loads(capsys.readouterr().out)
@@ -478,6 +488,7 @@ def test_serve_json_document(full_character, capsys):
                  "--format", "json"]) == 0
     document = json.loads(capsys.readouterr().out)
     assert document["exit_code"] == 0
+    assert document["pump_threads"] == 2  # default: one per tenant
     assert document["service"]["tenants"] == 2
     assert document["service"]["events_analyzed"] == 2000
     assert document["events_per_s"] > 0
