@@ -517,7 +517,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         serial = deferred_builder().build_serial()
         serial.feed(events)
         serial.flush()
-        snapshots = serial.pipeline.deferred_snapshots()
+        snapshots = serial.deferred_snapshots()
         selection = verify_selection(
             library, config=config, snapshots=snapshots, strict=False,
         )

@@ -19,17 +19,30 @@ This package implements the paper's primary contribution:
   adaptive context buffer;
 * :mod:`repro.core.rootcause` — Algorithm 3: metadata-driven root
   cause analysis;
-* :mod:`repro.core.pipeline` — the composable stage graph (typed
-  stages, middleware, :class:`~repro.core.pipeline.PipelineBuilder`)
-  every execution engine runs (see ``docs/architecture.md``);
-* :mod:`repro.core.analyzer` — the serial execution engine wiring
-  everything together;
-* :mod:`repro.core.parallel` — the sharded execution engine and the
+* :mod:`repro.core.pipeline` — the analyzer object that wires the
+  four components above into the paper's chain
+  (:class:`~repro.core.pipeline.AnalysisPipeline`), its stage
+  middleware and :class:`~repro.core.pipeline.PipelineBuilder` (see
+  ``docs/architecture.md``);
+* :mod:`repro.core.analyzer` — the serial execution engine: that
+  object plus the per-event receiver;
+* :mod:`repro.core.parallel` — the sharded execution engine (that
+  object plus a batched event loop, N times) and the
   serial-vs-sharded differential-correctness oracle;
 * :mod:`repro.core.characterize` — the offline fingerprinting
   pipeline over a (Tempest-like) suite (§7.1).
 """
 
+# First: ``repro.core.pipeline`` re-exports the builder, which imports
+# the engine modules, which subclass ``pipeline.graph.AnalysisPipeline``
+# — entering through the package keeps that chain one-way.
+from repro.core.pipeline import (
+    AnalysisPipeline,
+    PipelineBuilder,
+    PipelineStats,
+    StageCounters,
+    StageTimer,
+)
 from repro.core.analyzer import GretelAnalyzer
 from repro.core.characterize import CharacterizationResult, characterize_suite
 from repro.core.config import GretelConfig
@@ -41,14 +54,6 @@ from repro.core.parallel import (
 )
 from repro.core.fingerprint import Fingerprint, FingerprintLibrary, generate_fingerprint
 from repro.core.incidents import Incident, IncidentAggregator
-from repro.core.pipeline import (
-    AnalysisPipeline,
-    PipelineAnalyzer,
-    PipelineBuilder,
-    PipelineStats,
-    StageCounters,
-    StageTimer,
-)
 from repro.core.precision import theta
 from repro.core.reports import FaultReport, RootCauseFinding
 from repro.core.symbols import SymbolTable
@@ -66,7 +71,6 @@ __all__ = [
     "Incident",
     "IncidentAggregator",
     "OperationDetector",
-    "PipelineAnalyzer",
     "PipelineBuilder",
     "PipelineStats",
     "RootCauseFinding",

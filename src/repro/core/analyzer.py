@@ -1,6 +1,6 @@
 """The central GRETEL analyzer service (serial execution engine).
 
-Wires the full §5 pipeline behind one ``on_event`` entry point:
+The full §5 chain behind one ``on_event`` entry point:
 
 1. **event receiver** — every wire event from the network agents lands
    here, in per-agent FIFO order;
@@ -13,39 +13,33 @@ Wires the full §5 pipeline behind one ``on_event`` entry point:
 5. a :class:`~repro.core.reports.FaultReport` is appended to
    :attr:`reports`.
 
-Since the pipeline refactor (see ``docs/architecture.md``) the chain
-itself lives in :class:`repro.core.pipeline.graph.AnalysisPipeline`;
-this class is the *serial execution engine*: a
-:class:`~repro.core.pipeline.facade.PipelineAnalyzer` facade plus the
-per-event intake loop.  The analyzer stays deliberately synchronous
-and allocation-light: the paper's throughput claims (§7.4.1) rest on
-the sliding window and the snapshot path being cheap, and the
-benchmark harness measures exactly this object's ``on_event`` loop.
+The chain itself is
+:class:`repro.core.pipeline.graph.AnalysisPipeline` (see
+``docs/architecture.md``); this class *is* one, wired for per-event
+intake, and adds only the receiver: ``on_event`` / ``feed``.  The
+analyzer stays deliberately synchronous and allocation-light: the
+paper's throughput claims (§7.4.1) rest on the sliding window and the
+snapshot path being cheap, and the benchmark harness measures exactly
+this object's ``on_event`` loop.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.openstack.catalog import ApiCatalog
 from repro.openstack.wire import WireEvent
 from repro.core.config import GretelConfig
 from repro.core.fingerprint import FingerprintLibrary
-from repro.core.pipeline.builder import PipelineBuilder
-from repro.core.pipeline.facade import PipelineAnalyzer
 from repro.core.pipeline.graph import AnalysisPipeline
+from repro.core.pipeline.middleware import StageObserver
+from repro.core.reports import FaultReport
 from repro.core.symbols import SymbolTable
-from repro.core.window import BatchEncoder
 from repro.monitoring.store import MetadataStore
 
 
-class GretelAnalyzer(PipelineAnalyzer):
-    """The assembled analyzer service (serial engine).
-
-    Either pass a pre-wired ``pipeline`` (usually from
-    :meth:`repro.core.pipeline.builder.PipelineBuilder.build_serial`)
-    or the individual collaborators, which are forwarded to a builder.
-    """
+class GretelAnalyzer(AnalysisPipeline):
+    """The assembled analyzer service (serial engine)."""
 
     def __init__(
         self,
@@ -56,31 +50,28 @@ class GretelAnalyzer(PipelineAnalyzer):
         config: Optional[GretelConfig] = None,
         track_latency: bool = True,
         defer_detection: bool = False,
-        encode_batch: Optional[BatchEncoder] = None,
-        pipeline: Optional[AnalysisPipeline] = None,
+        *,
+        middleware: Sequence[StageObserver] = (),
+        report_listeners: Sequence[
+            Callable[[FaultReport], None]
+        ] = (),
     ):
-        if pipeline is None:
-            pipeline = (
-                PipelineBuilder(library)
-                .with_symbols(symbols)
-                .with_catalog(catalog)
-                .with_store(store)
-                .with_config(config)
-                .track_latency(track_latency)
-                .defer_detection(defer_detection)
-                .build(encode_batch=encode_batch)
-            )
-        super().__init__(pipeline)
+        super().__init__(
+            library, symbols=symbols, catalog=catalog, store=store,
+            config=config, track_latency=track_latency,
+            defer_detection=defer_detection, batch_size=None,
+            middleware=middleware, report_listeners=report_listeners,
+        )
 
     # -- the event receiver -----------------------------------------------
 
     def on_event(self, event: WireEvent) -> None:
-        """Feed one wire event through the full pipeline."""
-        self.pipeline.process_event(event)
+        """Feed one wire event through the full chain."""
+        self.process_event(event)
 
     def feed(self, events: Iterable[WireEvent]) -> int:
         """Pump a pre-recorded stream; returns the event count."""
-        process = self.pipeline.process_event
+        process = self.process_event
         count = 0
         for event in events:
             process(event)

@@ -87,47 +87,6 @@ Scores = Dict[int, Tuple[int, float]]
 Scorer = Callable[[int, int, Optional[Scores]], Scores]
 
 
-def batch_encoder(
-    symbols: SymbolTable, config: Optional[GretelConfig] = None,
-) -> Callable[[Sequence[WireEvent]], List[str]]:
-    """A chunk-at-a-time event→symbol encoder for the sharded path.
-
-    Returns a callable mapping a run of wire events to one symbol
-    fragment per event — ``""`` for events that
-    :meth:`OperationDetector._fragment` filters (noise, and RPCs under
-    ``prune_rpcs``), the API's symbol otherwise.  The two must stay in
-    lockstep: windows built with this encoder attach the
-    fragments to their snapshots, and :meth:`OperationDetector.detect`
-    joins slices of them instead of re-encoding the context buffer.
-    Filtering is folded into a per-API cache, so steady-state encoding
-    is one dict lookup per event instead of a method call plus kind
-    checks.
-    """
-    config = config or GretelConfig()
-    prune = config.prune_rpcs
-    lookup = symbols.symbol
-    rpc = ApiKind.RPC
-    cache: Dict[str, str] = {}
-
-    def encode(events: Sequence[WireEvent]) -> List[str]:
-        fragments: List[str] = []
-        append = fragments.append
-        get = cache.get
-        for event in events:
-            if event.noise:
-                append("")
-                continue
-            fragment = get(event.api_key)
-            if fragment is None:
-                symbol = lookup(event.api_key)
-                fragment = "" if (prune and event.kind is rpc) else symbol
-                cache[event.api_key] = fragment
-            append(fragment)
-        return fragments
-
-    return encode
-
-
 @dataclass
 class _Candidate:
     """One possible offending operation, prepared for scoring."""
@@ -318,7 +277,6 @@ class OperationDetector:
         #: counters accumulate across every detection this detector
         #: runs and surface through ``PipelineStats``.
         self.matching = MatchingEngine()
-        self.detections = 0
 
     @property
     def matching_stats(self):
@@ -346,7 +304,6 @@ class OperationDetector:
                 [api_key, truncate]
                 for api_key, truncate in sorted(self._candidate_cache)
             ],
-            "detections": self.detections,
             "postings_scanned": self.postings_scanned,
             "candidates_indexed": self.candidates_indexed,
             "matching": self.matching.stats.to_dict(),
@@ -359,7 +316,6 @@ class OperationDetector:
         self._fragment_cache.clear()
         for api_key, truncate in state["selections"]:
             self.candidates_for(api_key, truncate=truncate)
-        self.detections = state["detections"]
         self.postings_scanned = state["postings_scanned"]
         self.candidates_indexed = state["candidates_indexed"]
         self.matching.stats = MatchingStats.from_dict(state["matching"])
@@ -414,26 +370,36 @@ class OperationDetector:
 
     # -- buffer encoding ----------------------------------------------------------
 
-    def _fragment(self, event: WireEvent) -> str:
-        """Symbol fragment for one event; ``""`` excludes it from
-        matching (noise always; RPCs under pruning).
+    def fragments(self, events: Sequence[WireEvent]) -> List[str]:
+        """One symbol fragment per event; ``""`` excludes the event
+        from matching (noise always; RPCs under ``prune_rpcs``).
 
-        The symbol lookup and kind check are folded into a per-API
-        cache, the same trick :func:`batch_encoder` plays for the
-        sharded path — steady state is one dict hit per event.
+        The one event→fragment encoder.  A chunk-wired window takes
+        this method as its ``encode_batch`` and attaches the fragments
+        to its snapshots, so :meth:`detect` slices them instead of
+        re-encoding the context buffer; a snapshot frozen without them
+        is encoded here, once per :meth:`detect`.  Filtering is folded
+        into a per-API cache, so steady-state encoding is one dict
+        lookup per event instead of a symbol lookup plus kind checks.
         """
-        if event.noise:
-            return ""
-        fragment = self._fragment_cache.get(event.api_key)
-        if fragment is None:
-            symbol = self.symbols.symbol(event.api_key)
-            fragment = (
-                "" if (self.config.prune_rpcs
-                       and event.kind is ApiKind.RPC)
-                else symbol
-            )
-            self._fragment_cache[event.api_key] = fragment
-        return fragment
+        prune = self.config.prune_rpcs
+        lookup = self.symbols.symbol
+        rpc = ApiKind.RPC
+        cache = self._fragment_cache
+        get = cache.get
+        fragments: List[str] = []
+        append = fragments.append
+        for event in events:
+            if event.noise:
+                append("")
+                continue
+            fragment = get(event.api_key)
+            if fragment is None:
+                symbol = lookup(event.api_key)
+                fragment = "" if (prune and event.kind is rpc) else symbol
+                cache[event.api_key] = fragment
+            append(fragment)
+        return fragments
 
     def _session_fragments(self, snapshot: Snapshot,
                            correlation_id: str) -> Sequence[str]:
@@ -449,8 +415,7 @@ class OperationDetector:
         if snapshot.encoded is not None:
             encoded = snapshot.encoded
         else:
-            fragment = self._fragment
-            encoded = [fragment(event) for event in snapshot.events]
+            encoded = self.fragments(snapshot.events)
         if correlation_id:
             encoded = [
                 piece if piece and event.request_id == correlation_id
@@ -501,7 +466,6 @@ class OperationDetector:
     def detect(self, snapshot: Snapshot, *,
                performance_fault: bool = False) -> DetectionResult:
         """Run operation detection on one frozen snapshot."""
-        self.detections += 1
         fault = snapshot.fault
         config = self.config
         candidates = self.candidates_for(

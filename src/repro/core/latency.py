@@ -8,9 +8,9 @@ API identity — the incremental ``repro.core.streamstats`` engine,
 held bit-identical to its from-scratch reference twin by
 ``repro.core.streamstats.verify_levelshift``.
 
-In the composable pipeline this tracker is the state behind
-:class:`repro.core.pipeline.stages.LatencyStage`; anomalies it emits
-enter the performance path via
+The analyzer holds one tracker as ``analyzer.latency`` (observed
+under the ``latency`` stage name); anomalies it emits enter the
+performance path via
 :meth:`repro.core.pipeline.graph.AnalysisPipeline.process_anomaly`.
 """
 

@@ -69,7 +69,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields
 from typing import (
-    Any,
     Dict,
     FrozenSet,
     List,
@@ -81,12 +80,7 @@ from typing import (
     Union,
 )
 
-from repro.core.matching.index import SnapshotIndex, WindowCounts
-from repro.core.state import (
-    StateError,
-    StateFormatError,
-    require_state,
-)
+from repro.core.matching.index import SnapshotIndex
 
 __all__ = [
     "MatchSession",
@@ -415,70 +409,6 @@ class MatchSession:
         ]
         self._blocks: Dict[FrozenSet[str], _AlphabetBlock] = {}
         self._stats = stats
-
-    def counts(self, lo: int, hi: int) -> WindowCounts:
-        """Multiplicity view of one window (tests and diagnostics)."""
-        return WindowCounts(self._index, lo, hi)
-
-    # -- state lifecycle (see repro.core.state) -------------------------
-
-    STATE_FMT = "match-session/v2"
-
-    def _candidate_count(self) -> int:
-        """Candidates behind the classes (the checkpoint shape guard;
-        summed on demand to keep it off the per-freeze set-up)."""
-        return sum(len(state.members) for state in self._states)
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        """Versioned, JSON-serializable rendering of the session.
-
-        Only the per-class memoization — the last scored span and its
-        result — is state; alphabet blocks are pure caches over the
-        snapshot index and are rebuilt lazily on the next score.
-        """
-        return {
-            "fmt": self.STATE_FMT,
-            "candidates": self._candidate_count(),
-            "states": [
-                {
-                    "span": (
-                        None if state.last_span is None
-                        else list(state.last_span)
-                    ),
-                    "result": list(state.last_result),
-                }
-                for state in self._states
-            ],
-        }
-
-    def restore_state(self, state: Mapping[str, Any]) -> None:
-        """Rehydrate a fresh session over the same snapshot and
-        candidate list."""
-        require_state(state, self.STATE_FMT)
-        if state["fmt"] != self.STATE_FMT:
-            # v1 kept one entry per *candidate*; mapping those onto
-            # classes would be a guess, so refuse rather than migrate.
-            raise StateFormatError(
-                f"state fmt {state['fmt']!r} predates scoring classes; "
-                f"this session restores only {self.STATE_FMT!r}"
-            )
-        candidates = self._candidate_count()
-        if (state["candidates"] != candidates
-                or len(state["states"]) != len(self._states)):
-            raise StateError(
-                f"session state carries {state['candidates']} "
-                f"candidates in {len(state['states'])} classes, this "
-                f"session has {candidates} candidates in "
-                f"{len(self._states)} classes"
-            )
-        for live, saved in zip(self._states, state["states"]):
-            span = saved["span"]
-            live.last_span = (
-                None if span is None else (span[0], span[1])
-            )
-            result = saved["result"]
-            live.last_result = (result[0], result[1])
-            live.block = None
 
     def score(
         self,

@@ -13,16 +13,16 @@ and nothing in the pipeline requires a total order across nodes.
 * events are routed to one of N :class:`AnalyzerShard` workers by a
   deterministic partition key (source node by default, first-seen
   round-robin assignment);
-* each shard composes its own
+* each shard is its own
   :class:`~repro.core.pipeline.graph.AnalysisPipeline` — the same
-  stage graph as the serial engine, wired by one shared
-  :class:`~repro.core.pipeline.builder.PipelineBuilder` — so shards
-  share no mutable state and a step never crosses shard boundaries;
+  class as the serial engine, wired for chunks — so shards share no
+  mutable state and a step never crosses shard boundaries;
 * a shard step ingests a *chunk* of events via the pipeline's chunked
-  entry: one cheap scan finds the (rare) faults, fault-free runs land
+  intake: one cheap scan finds the (rare) faults, fault-free runs land
   in the window via C-level ``deque.extend``, symbols are encoded once
-  per chunk (:func:`repro.core.detector.batch_encoder`) instead of per
-  event per match iteration, and latencies are observed per chunk;
+  per chunk (:meth:`repro.core.detector.OperationDetector.fragments`)
+  instead of per event per match iteration, and latencies are observed
+  per chunk;
 * the merge stage orders every shard's
   :class:`~repro.core.reports.FaultReport` deterministically by
   (fault event sequence, fault kind, report timestamp), so two runs
@@ -51,11 +51,12 @@ from repro.openstack.wire import WireEvent
 from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
 from repro.core.fingerprint import FingerprintLibrary
-from repro.core.pipeline.builder import PipelineBuilder
-from repro.core.pipeline.facade import PipelineAnalyzer
-from repro.core.pipeline.graph import AnalysisPipeline
+from repro.core.pipeline.graph import (
+    STAT_FIELDS,
+    AnalysisPipeline,
+    PipelineStats,
+)
 from repro.core.pipeline.middleware import StageObserver
-from repro.core.pipeline.stages import STAT_FIELDS, PipelineStats
 from repro.core.reports import FaultReport
 from repro.core.state import StateError, require_state
 from repro.core.symbols import SymbolTable
@@ -121,37 +122,41 @@ def report_signature(report: FaultReport) -> ReportSignature:
     )
 
 
-class AnalyzerShard(PipelineAnalyzer):
-    """One worker shard: the stage graph with a batched event loop.
+class AnalyzerShard(AnalysisPipeline):
+    """One worker shard: the analyzer with a batched event loop.
 
-    Composes the same :class:`AnalysisPipeline` as the serial engine
-    (snapshot analysis, performance path, deferred-detection queue)
-    and replaces the per-event receiver with :meth:`ingest_batch`.
-    The shard's pipeline is wired for chunked ingest: its window
-    pre-encodes symbols per chunk (so snapshots carry the context
-    buffer in symbol form and detection slices instead of
-    re-encoding), and its performance context keeps a recent-history
-    ring because latencies are observed once per chunk, after the
-    window has already advanced past the anomalous event.
+    The same :class:`AnalysisPipeline` as the serial engine (snapshot
+    analysis, performance path, deferred-detection queue), wired for
+    chunks of ``batch_size`` events, with :meth:`ingest_batch` in
+    place of the per-event receiver.
     """
 
-    def __init__(self, shard_id: int, library: FingerprintLibrary,
-                 *, batch_size: int = DEFAULT_BATCH_SIZE,
-                 pipeline: Optional[AnalysisPipeline] = None, **kwargs):
+    def __init__(
+        self,
+        shard_id: int,
+        library: FingerprintLibrary,
+        *,
+        batch_size: int = DEFAULT_BATCH_SIZE,
+        symbols: Optional[SymbolTable] = None,
+        catalog: Optional[ApiCatalog] = None,
+        store: Optional[MetadataStore] = None,
+        config: Optional[GretelConfig] = None,
+        track_latency: bool = True,
+        defer_detection: bool = False,
+        middleware: Sequence[StageObserver] = (),
+        report_listeners: Sequence[
+            Callable[[FaultReport], None]
+        ] = (),
+    ):
         self.shard_id = shard_id
         self.batch_size = max(1, batch_size)
-        if pipeline is None:
-            pipeline = (
-                PipelineBuilder(library)
-                .with_symbols(kwargs.get("symbols"))
-                .with_catalog(kwargs.get("catalog"))
-                .with_store(kwargs.get("store"))
-                .with_config(kwargs.get("config"))
-                .track_latency(kwargs.get("track_latency", True))
-                .defer_detection(kwargs.get("defer_detection", False))
-                .build_batched(self.batch_size)
-            )
-        super().__init__(pipeline)
+        super().__init__(
+            library, symbols=symbols, catalog=catalog, store=store,
+            config=config, track_latency=track_latency,
+            defer_detection=defer_detection,
+            batch_size=self.batch_size,
+            middleware=middleware, report_listeners=report_listeners,
+        )
 
     def ingest_batch(self, chunk: Sequence[WireEvent]) -> None:
         """Process a FIFO run of this shard's events in batched steps.
@@ -164,7 +169,7 @@ class AnalyzerShard(PipelineAnalyzer):
         total = len(chunk)
         if not total:
             return
-        process = self.pipeline.process_chunk
+        process = self.process_chunk
         if total > self.batch_size:
             for start in range(0, total, self.batch_size):
                 process(chunk[start:start + self.batch_size])
@@ -180,7 +185,7 @@ class ShardedAnalyzer:
     counters) so callers can swap it in; events are routed to shards
     by ``key`` and buffered into chunks of ``batch_size`` per shard.
     Aggregate counters come from merging the shards'
-    :class:`~repro.core.pipeline.stages.PipelineStats` instead of a
+    :class:`~repro.core.pipeline.graph.PipelineStats` instead of a
     hand-written property per counter.
 
     ``backend`` selects how shards execute: ``"inline"`` (default)
@@ -217,7 +222,6 @@ class ShardedAnalyzer:
             Callable[[FaultReport], None]
         ] = (),
         backend: str = "inline",
-        max_inflight: Optional[int] = None,
     ):
         if shards < 1:
             raise ValueError("shards must be at least 1")
@@ -239,52 +243,33 @@ class ShardedAnalyzer:
         self.batch_size = max(1, batch_size)
         self.store = store or MetadataStore()
         self.config = config or GretelConfig()
+        # Both backends build the same ``AnalyzerShard(...)``: inline
+        # here, the process backend inside each worker from the seed.
+        wiring = {
+            "batch_size": self.batch_size,
+            "symbols": symbols,
+            "catalog": catalog,
+            "store": self.store,
+            "config": self.config,
+            "track_latency": track_latency,
+            "defer_detection": defer_detection,
+        }
         if backend == "process":
             # Imported lazily: workers builds AnalyzerShards, so the
             # module import is parallel -> workers one-way only here.
-            from repro.core.workers import (
-                DEFAULT_MAX_INFLIGHT,
-                ProcessShard,
-                WorkerSeed,
-            )
+            from repro.core.workers import ProcessShard, WorkerSeed
 
             self.shards = []
             for index in range(shards):
-                seed = WorkerSeed(
-                    shard_id=index,
-                    library=library,
-                    config=self.config,
-                    catalog=catalog,
-                    store=self.store,
-                    batch_size=self.batch_size,
-                    track_latency=track_latency,
-                    defer_detection=defer_detection,
-                )
-                client = ProcessShard(
-                    seed,
-                    max_inflight=max_inflight or DEFAULT_MAX_INFLIGHT,
-                )
+                client = ProcessShard(WorkerSeed(index, library, wiring))
                 for callback in report_listeners:
                     client.on_report(callback)
                 self.shards.append(client)
         else:
-            builder = (
-                PipelineBuilder(library)
-                .with_symbols(symbols)
-                .with_catalog(catalog)
-                .with_store(self.store)
-                .with_config(self.config)
-                .track_latency(track_latency)
-                .defer_detection(defer_detection)
-            )
-            for observer in middleware:
-                builder.with_middleware(observer)
-            for callback in report_listeners:
-                builder.on_report(callback)
             self.shards = [
                 AnalyzerShard(
-                    index, library, batch_size=self.batch_size,
-                    pipeline=builder.build_batched(self.batch_size),
+                    index, library, middleware=middleware,
+                    report_listeners=report_listeners, **wiring,
                 )
                 for index in range(shards)
             ]

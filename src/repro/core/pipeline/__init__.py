@@ -1,66 +1,44 @@
-"""The composable analysis pipeline behind every GRETEL engine.
+"""The analyzer object behind every GRETEL engine.
 
 The paper's analyzer is a fixed chain — event receiver → sliding
 window → anomaly detection → operation detection (Alg. 2) → root
-cause (Alg. 3) → report (§5, Fig. 1).  This package factors that
-chain into typed stages (:mod:`repro.core.pipeline.stages`), a stage
-graph that runs them (:mod:`repro.core.pipeline.graph`), pluggable
-per-stage observers (:mod:`repro.core.pipeline.middleware`) and a
-builder that wires everything (:mod:`repro.core.pipeline.builder`).
-
-Execution engines — the serial
-:class:`~repro.core.analyzer.GretelAnalyzer`, the batched
+cause (Alg. 3) → report (§5, Fig. 1).  One class *is* that chain:
+:class:`~repro.core.pipeline.graph.AnalysisPipeline` owns the four
+components, the counters and the report log, and reports its seven
+stage steps to pluggable observers
+(:mod:`repro.core.pipeline.middleware`).  The execution engines — the
+serial :class:`~repro.core.analyzer.GretelAnalyzer` and the
 :class:`~repro.core.parallel.AnalyzerShard` workers behind
-:class:`~repro.core.parallel.ShardedAnalyzer`, and any future async /
-process-pool engine — *compose* one
-:class:`~repro.core.pipeline.graph.AnalysisPipeline` each instead of
-re-implementing (or subclass-overriding) the paper's chain.  See
-``docs/architecture.md`` for the stage graph and its mapping to the
-paper's sections.
+:class:`~repro.core.parallel.ShardedAnalyzer` — are subclasses that
+add only their event intake, and
+:class:`~repro.core.pipeline.builder.PipelineBuilder` is a fluent
+keyword collector in front of their constructors.  See
+``docs/architecture.md``.
 """
 
-from repro.core.pipeline.builder import PipelineBuilder
-from repro.core.pipeline.facade import PipelineAnalyzer
-from repro.core.pipeline.graph import AnalysisPipeline
+from repro.core.pipeline.graph import (
+    STAT_FIELDS,
+    AnalysisPipeline,
+    PipelineStats,
+)
 from repro.core.pipeline.middleware import (
     STAGE_NAMES,
     StageCounters,
     StageObserver,
     StageTimer,
 )
-from repro.core.pipeline.stages import (
-    STAT_FIELDS,
-    DetectionStage,
-    FaultScanStage,
-    IngestStage,
-    LatencyStage,
-    PerfContext,
-    PipelineStats,
-    PublishStage,
-    RecentHistoryPerfContext,
-    RootCauseStage,
-    WindowPerfContext,
-    WindowStage,
-)
+
+# Last: the builder imports the engines, which subclass
+# ``AnalysisPipeline`` from the submodule above.
+from repro.core.pipeline.builder import PipelineBuilder
 
 __all__ = [
     "STAGE_NAMES",
     "STAT_FIELDS",
     "AnalysisPipeline",
-    "DetectionStage",
-    "FaultScanStage",
-    "IngestStage",
-    "LatencyStage",
-    "PerfContext",
-    "PipelineAnalyzer",
     "PipelineBuilder",
     "PipelineStats",
-    "PublishStage",
-    "RecentHistoryPerfContext",
-    "RootCauseStage",
     "StageCounters",
     "StageObserver",
     "StageTimer",
-    "WindowPerfContext",
-    "WindowStage",
 ]

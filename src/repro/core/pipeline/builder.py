@@ -1,57 +1,42 @@
-"""Builder that wires the stage graph once and hands it to engines.
+"""Fluent keyword collector in front of the two analyzer constructors.
 
-One configured :class:`PipelineBuilder` can build any engine shape:
+One configured :class:`PipelineBuilder` builds either engine:
 
-* :meth:`PipelineBuilder.build` — a bare
-  :class:`~repro.core.pipeline.graph.AnalysisPipeline` (per-event,
-  window-backed performance context);
-* :meth:`PipelineBuilder.build_batched` — a pipeline for chunked
-  ingest (pre-encoding window, recent-history performance context);
-* :meth:`PipelineBuilder.build_serial` /
-  :meth:`PipelineBuilder.build_sharded` — ready-to-run analyzers.
+* :meth:`PipelineBuilder.build_serial` — a
+  :class:`~repro.core.analyzer.GretelAnalyzer`;
+* :meth:`PipelineBuilder.build_sharded` — a
+  :class:`~repro.core.parallel.ShardedAnalyzer`.
 
-Middleware observers and report listeners registered on the builder
-are attached to every pipeline it builds, so a sharded analyzer's
+Construction flows one way: the builder calls the engines'
+constructors, the engines wire themselves
+(:class:`~repro.core.pipeline.graph.AnalysisPipeline`) and know
+nothing of the builder.  Middleware observers and report listeners
+registered here reach every analyzer built, so a sharded analyzer's
 shards share one set of observers and report aggregated stage stats.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
+from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
-from repro.core.detector import OperationDetector, batch_encoder
 from repro.core.fingerprint import FingerprintLibrary
-from repro.core.latency import LatencyTracker
-from repro.core.pipeline.graph import AnalysisPipeline
-from repro.core.pipeline.middleware import StageObserver
-from repro.core.pipeline.stages import (
-    DetectionStage,
-    FaultScanStage,
-    IngestStage,
-    LatencyStage,
-    PerfContext,
-    PublishStage,
-    RecentHistoryPerfContext,
-    RootCauseStage,
-    WindowPerfContext,
-    WindowStage,
+from repro.core.parallel import (
+    DEFAULT_BATCH_SIZE,
+    ShardedAnalyzer,
+    source_node_key,
 )
+from repro.core.pipeline.middleware import StageObserver
 from repro.core.reports import FaultReport
-from repro.core.rootcause import RootCauseEngine
 from repro.core.symbols import SymbolTable
-from repro.core.window import BatchEncoder, SlidingWindow
 from repro.monitoring.store import MetadataStore
-from repro.openstack.catalog import ApiCatalog, default_catalog
+from repro.openstack.catalog import ApiCatalog
 from repro.openstack.wire import WireEvent
-
-if TYPE_CHECKING:  # engine imports would be circular at runtime
-    from repro.core.analyzer import GretelAnalyzer
-    from repro.core.parallel import ShardedAnalyzer
 
 
 class PipelineBuilder:
-    """Fluent wiring of one analysis stage graph.
+    """Fluent configuration of one analyzer.
 
     All ``with_*`` setters are ``None``-tolerant (a ``None`` keeps the
     default), so call sites can forward optional arguments verbatim.
@@ -109,92 +94,35 @@ class PipelineBuilder:
     def with_middleware(
         self, observer: StageObserver
     ) -> "PipelineBuilder":
-        """Attach a per-stage observer to every pipeline built."""
+        """Attach a per-stage observer to every analyzer built."""
         self._middleware.append(observer)
         return self
 
     def on_report(
         self, callback: Callable[[FaultReport], None]
     ) -> "PipelineBuilder":
-        """Subscribe a report listener on every pipeline built."""
+        """Subscribe a report listener on every analyzer built."""
         self._listeners.append(callback)
         return self
 
-    # -- wiring -----------------------------------------------------------
-
-    def _build(
-        self,
-        *,
-        batch_size: Optional[int],
-        encode_batch: Optional[BatchEncoder],
-    ) -> AnalysisPipeline:
-        library = self._library
-        symbols = self._symbols or library.symbols
-        catalog = self._catalog or default_catalog()
-        store = self._store or MetadataStore()
-        config = self._config or GretelConfig()
-
-        alpha = config.sliding_window_size(max(library.fp_max, 2))
-        encode = encode_batch
-        if batch_size is not None and encode is None:
-            # Chunked engines pre-encode symbols once per chunk so
-            # snapshot matching slices instead of re-encoding.
-            encode = batch_encoder(symbols, config)
-        window = SlidingWindow(alpha, encode_batch=encode)
-
-        perf_context: PerfContext
-        if batch_size is not None and self._track_latency:
-            perf_context = RecentHistoryPerfContext(
-                alpha, alpha + max(1, batch_size)
-            )
-        else:
-            perf_context = WindowPerfContext(window)
-
-        publish = PublishStage()
-        for callback in self._listeners:
-            publish.subscribe(callback)
-
-        return AnalysisPipeline(
-            library=library,
-            symbols=symbols,
-            catalog=catalog,
-            store=store,
-            config=config,
-            ingest=IngestStage(),
-            faults=FaultScanStage(),
-            windowing=WindowStage(window),
-            latency=LatencyStage(
-                LatencyTracker(config), enabled=self._track_latency
-            ),
-            detection=DetectionStage(
-                OperationDetector(library, symbols, catalog, config)
-            ),
-            rootcause=RootCauseStage(RootCauseEngine(store, config)),
-            publish=publish,
-            perf_context=perf_context,
-            defer_detection=self._defer_detection,
-            observers=tuple(self._middleware),
-        )
-
-    def build(
-        self, *, encode_batch: Optional[BatchEncoder] = None
-    ) -> AnalysisPipeline:
-        """Wire a pipeline for per-event (serial) ingest."""
-        return self._build(batch_size=None, encode_batch=encode_batch)
-
-    def build_batched(self, batch_size: int) -> AnalysisPipeline:
-        """Wire a pipeline for chunked ingest of ``batch_size`` runs."""
-        return self._build(
-            batch_size=max(1, batch_size), encode_batch=None
-        )
-
     # -- ready-to-run engines --------------------------------------------
 
-    def build_serial(self) -> "GretelAnalyzer":
-        """A serial analyzer composed over a freshly wired pipeline."""
-        from repro.core.analyzer import GretelAnalyzer
+    def _collected(self) -> Dict[str, Any]:
+        """The keywords both engine constructors share."""
+        return {
+            "symbols": self._symbols,
+            "catalog": self._catalog,
+            "store": self._store,
+            "config": self._config,
+            "track_latency": self._track_latency,
+            "defer_detection": self._defer_detection,
+            "middleware": tuple(self._middleware),
+            "report_listeners": tuple(self._listeners),
+        }
 
-        return GretelAnalyzer(self._library, pipeline=self.build())
+    def build_serial(self) -> GretelAnalyzer:
+        """A serial analyzer."""
+        return GretelAnalyzer(self._library, **self._collected())
 
     def build_sharded(
         self,
@@ -203,32 +131,19 @@ class PipelineBuilder:
         key: Optional[Callable[[WireEvent], str]] = None,
         batch_size: Optional[int] = None,
         backend: str = "inline",
-    ) -> "ShardedAnalyzer":
-        """A sharded analyzer whose shards share this wiring.
+    ) -> ShardedAnalyzer:
+        """A sharded analyzer whose shards share this configuration.
 
         ``backend="process"`` runs each shard in a long-lived worker
         process (see ``docs/parallelism.md``); note stage middleware
         cannot cross the process boundary, so combining the two is
         rejected by the analyzer.
         """
-        from repro.core.parallel import (
-            DEFAULT_BATCH_SIZE,
-            ShardedAnalyzer,
-            source_node_key,
-        )
-
         return ShardedAnalyzer(
             self._library,
             shards,
             key=key or source_node_key,
             batch_size=batch_size or DEFAULT_BATCH_SIZE,
-            symbols=self._symbols,
-            catalog=self._catalog,
-            store=self._store,
-            config=self._config,
-            track_latency=self._track_latency,
-            defer_detection=self._defer_detection,
-            middleware=tuple(self._middleware),
-            report_listeners=tuple(self._listeners),
             backend=backend,
+            **self._collected(),
         )

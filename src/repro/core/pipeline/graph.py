@@ -1,29 +1,44 @@
-"""The assembled stage graph: one pipeline, many execution engines.
+"""The analyzer: one object for the paper's four-component chain.
 
-:class:`AnalysisPipeline` owns the control flow of the paper's chain
-(§5, Fig. 1) over the stage instances built by
-:class:`repro.core.pipeline.builder.PipelineBuilder`.  Engines differ
-only in *how* they feed it: the serial analyzer calls
-:meth:`AnalysisPipeline.process_event` per wire event, shard workers
-call :meth:`AnalysisPipeline.process_chunk` per batch, and both share
-:meth:`AnalysisPipeline.process_anomaly` for the performance path.
+§5, Fig. 1: event receiver + dual-buffer window → anomaly detection
+→ operation detection (Alg. 2) → root cause (Alg. 3) → report.
+:class:`AnalysisPipeline` *is* that chain.  It owns the four
+components (:class:`~repro.core.window.SlidingWindow`,
+:class:`~repro.core.latency.LatencyTracker`,
+:class:`~repro.core.detector.OperationDetector`,
+:class:`~repro.core.rootcause.RootCauseEngine`), the counters, the
+report log with its listeners and — when wired for chunks — the ring
+of recent events the performance path cuts its context from.  The
+execution engines subclass it and add only their intake: the serial
+:class:`~repro.core.analyzer.GretelAnalyzer` (``on_event``) and the
+shard worker :class:`~repro.core.parallel.AnalyzerShard`
+(``ingest_batch``).
 
-Performance note: the per-event path is the §7.4 receiver hot loop
-(~0.7 µs/event at the committed baseline), so ``process_event`` fuses
-the stage work inline — the stages still own every counter and all
-state — and only falls back to instrumented stage dispatch when
-middleware observers are attached.  The chunked path always runs
-instrumented; its per-chunk overhead is amortized over ~1024 events.
+There are three intake bodies, and they are three on purpose:
+
+* :meth:`AnalysisPipeline.process_event`, fused — the §7.4 receiver
+  hot loop (~0.7 µs/event at the committed baseline), no dispatch;
+* the observed per-event body it switches to when middleware is
+  attached, one :meth:`AnalysisPipeline._call` per stage per event;
+* :meth:`AnalysisPipeline.process_chunk`, always through ``_call``;
+  its per-chunk overhead is amortized over ~1024 events.
+
+``tests/core/test_pipeline.py::test_middleware_does_not_change_reports``
+holds the first two equal and ``verify_equivalence``
+(``repro analyze --verify-shards``) holds the third to the first.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict
+from collections import deque
+from dataclasses import asdict, dataclass, fields
 from typing import (
     Any,
     Callable,
+    Deque,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -37,202 +52,321 @@ from repro.core.fingerprint import FingerprintLibrary
 from repro.core.latency import LatencyTracker, PerformanceAnomaly
 from repro.core.opfaults import is_operational_fault
 from repro.core.pipeline.middleware import StageObserver
-from repro.core.pipeline.stages import (
-    DetectionStage,
-    FaultScanStage,
-    IngestStage,
-    LatencyStage,
-    PerfContext,
-    PipelineStats,
-    PublishStage,
-    RootCauseStage,
-    WindowStage,
-)
 from repro.core.reports import FaultReport
 from repro.core.rootcause import RootCauseEngine
-from repro.core.state import StateError, require_state
+from repro.core.state import (
+    StateError,
+    StateFormatError,
+    require_state,
+)
 from repro.core.symbols import SymbolTable
 from repro.core.window import SlidingWindow, Snapshot
 from repro.monitoring.store import MetadataStore
 from repro.openstack.apis import ApiKind
-from repro.openstack.catalog import ApiCatalog
+from repro.openstack.catalog import ApiCatalog, default_catalog
 from repro.openstack.wire import WireEvent
 
 
-class AnalysisPipeline:
-    """One wired instance of the GRETEL stage graph.
+@dataclass(frozen=True)
+class PipelineStats:
+    """Mergeable snapshot of one pipeline's counters.
 
-    Construct via :class:`~repro.core.pipeline.builder.PipelineBuilder`
-    — the keyword-only constructor exists for tests and for engines
-    that need to swap a single stage.
+    ``ShardedAnalyzer`` sums one of these per shard instead of
+    delegating each counter by hand.
+    """
+
+    events_processed: int = 0
+    bytes_processed: int = 0
+    operational_faults_seen: int = 0
+    snapshots_taken: int = 0
+    analysis_seconds: float = 0.0
+    # Detection-engine counters (``repro.core.matching``): candidates
+    # skipped by the multiplicity gate (a gated scoring class counts
+    # every member), bit-parallel DP passes run, and needle symbols
+    # fed through them (``docs/matching.md``).
+    candidates_gated: int = 0
+    lcs_row_extensions: int = 0
+    lcs_symbols_fed: int = 0
+    # Candidate-selection counters (``docs/indexing.md``): postings
+    # entries examined by ``candidates_for`` and candidates hydrated
+    # from the compiled index.  Every selection is served from the
+    # index, so the two are equal here; they are two counters on the
+    # detector because the reference full scan (``repro.reference``)
+    # examines postings without hydrating.
+    postings_scanned: int = 0
+    candidates_indexed: int = 0
+    # Level-shift engine counters (``repro.core.streamstats``):
+    # latency samples fed to per-API detectors, and (median, MAD,
+    # threshold) triples actually recomputed — the misses of the
+    # version-keyed cache (``docs/streamstats.md``).
+    ls_samples_fed: int = 0
+    ls_threshold_recomputes: int = 0
+
+    def __add__(self, other: "PipelineStats") -> "PipelineStats":
+        # Every counter merges by summation, so merge generically:
+        # a field added here (or to the matching engine) is summed
+        # across shards without another hand-written line.
+        return PipelineStats(**{
+            spec.name: getattr(self, spec.name) + getattr(other, spec.name)
+            for spec in fields(self)
+        })
+
+    @classmethod
+    def merged(cls, parts: Iterable["PipelineStats"]) -> "PipelineStats":
+        total = cls()
+        for part in parts:
+            total = total + part
+        return total
+
+
+STAT_FIELDS: Tuple[str, ...] = tuple(
+    field.name for field in fields(PipelineStats)
+)
+
+
+class AnalysisPipeline:
+    """The GRETEL analyzer: four components, one chain.
+
+    ``batch_size`` is the one wiring choice.  ``None`` wires for
+    per-event intake: latencies are observed right after each append,
+    so the live window *is* the α events ending at an anomalous one.
+    An int wires for chunks of (at most) that many events: the window
+    pre-encodes symbols once per chunk — snapshots carry the context
+    buffer in symbol form and detection slices instead of re-encoding
+    — and, because latencies are then observed once per chunk, after
+    the window has advanced past the anomalous event, a ring of the
+    last α + ``batch_size`` events is kept to cut that context from.
     """
 
     def __init__(
         self,
-        *,
         library: FingerprintLibrary,
-        symbols: SymbolTable,
-        catalog: ApiCatalog,
-        store: MetadataStore,
-        config: GretelConfig,
-        ingest: IngestStage,
-        faults: FaultScanStage,
-        windowing: WindowStage,
-        latency: LatencyStage,
-        detection: DetectionStage,
-        rootcause: RootCauseStage,
-        publish: PublishStage,
-        perf_context: PerfContext,
+        *,
+        symbols: Optional[SymbolTable] = None,
+        catalog: Optional[ApiCatalog] = None,
+        store: Optional[MetadataStore] = None,
+        config: Optional[GretelConfig] = None,
+        track_latency: bool = True,
         defer_detection: bool = False,
-        observers: Sequence[StageObserver] = (),
+        batch_size: Optional[int] = None,
+        middleware: Sequence[StageObserver] = (),
+        report_listeners: Sequence[
+            Callable[[FaultReport], None]
+        ] = (),
     ) -> None:
         self.library = library
-        self.symbols = symbols
-        self.catalog = catalog
-        self.store = store
-        self.config = config
-        self.ingest = ingest
-        self.faults = faults
-        self.windowing = windowing
-        self.latency = latency
-        self.detection = detection
-        self.rootcause = rootcause
-        self.publish = publish
-        self.perf_context = perf_context
+        self.symbols = library.symbols if symbols is None else symbols
+        self.catalog = default_catalog() if catalog is None else catalog
+        self.store = MetadataStore() if store is None else store
+        self.config = config or GretelConfig()
+        self.track_latency = track_latency
         self.defer_detection = defer_detection
-        self._observers: Tuple[StageObserver, ...] = tuple(observers)
+
+        self.detector = OperationDetector(
+            library, self.symbols, self.catalog, self.config
+        )
+        self.latency = LatencyTracker(self.config)
+        self.rootcause = RootCauseEngine(self.store, self.config)
+        alpha = self.config.sliding_window_size(max(library.fp_max, 2))
+        self._recent: Optional[Deque[WireEvent]] = None
+        if batch_size is None:
+            self.window = SlidingWindow(alpha)
+        else:
+            self.window = SlidingWindow(
+                alpha, encode_batch=self.detector.fragments
+            )
+            if track_latency:
+                self._recent = deque(maxlen=alpha + max(1, batch_size))
+
+        self.events_processed = 0
+        self.bytes_processed = 0
+        self.operational_faults_seen = 0
+        self.analysis_seconds = 0.0
+        #: Published reports, in emit order.  Long-lived callers bound
+        #: it with :meth:`shed_logs`.
+        self.reports: List[FaultReport] = []
+        self._listeners = list(report_listeners)
+        self._observers: Tuple[StageObserver, ...] = tuple(middleware)
         self._deferred: List[Snapshot] = []
         self._last_perf_analysis: Dict[str, float] = {}
-        # Hot-path bindings: the graph is immutable once wired, so the
-        # per-event path can pre-resolve its attribute chains.
-        self._append = windowing.window.append
-        self._mark = windowing.window.mark_fault
-        self._observe = latency.tracker.observe
-        self._latency_enabled = latency.enabled
-        self._track: Optional[Callable[[Sequence[WireEvent]], None]] = (
-            perf_context.track if perf_context.needs_history else None
-        )
-        latency.on_anomaly(self.process_anomaly)
-
-    # ------------------------------------------------------------------
-    # Convenience views over the wired stages.
-    @property
-    def window(self) -> SlidingWindow:
-        return self.windowing.window
+        # Hot-path bindings: the components are fixed once wired (and
+        # restored in place), so the per-event path pre-resolves its
+        # attribute chains.
+        self._append = self.window.append
+        self._mark = self.window.mark_fault
+        self._observe = self.latency.observe
+        self.latency.on_anomaly(self.process_anomaly)
 
     @property
-    def detector(self) -> OperationDetector:
-        return self.detection.detector
-
-    @property
-    def tracker(self) -> LatencyTracker:
-        return self.latency.tracker
-
-    @property
-    def engine(self) -> RootCauseEngine:
-        return self.rootcause.engine
+    def pipeline(self) -> "AnalysisPipeline":
+        # Residue, like ``StreamingService(async_ingest=)``: the
+        # ledger reads ``parked.pipeline.deferred_snapshots()``
+        # (benchmarks/e2e/workloads.py, which only a ``benchmark`` PR
+        # may edit).  Nothing else uses this spelling; it leaves with
+        # that line.
+        return self
 
     @property
     def alpha(self) -> int:
-        return self.windowing.window.alpha
+        """Sliding-window size α (§5.3.1)."""
+        return self.window.alpha
+
+    # ------------------------------------------------------------------
+    # Reports and counters.
+    @property
+    def operational_reports(self) -> List[FaultReport]:
+        """Reports for operational faults."""
+        return [r for r in self.reports if r.kind == "operational"]
 
     @property
-    def reports(self) -> List[FaultReport]:
-        return self.publish.reports
+    def performance_reports(self) -> List[FaultReport]:
+        """Reports for performance faults."""
+        return [r for r in self.reports if r.kind == "performance"]
+
+    def on_report(self, callback: Callable[[FaultReport], None]) -> None:
+        """Register a fault-report consumer."""
+        self._listeners.append(callback)
+
+    def shed_logs(self) -> None:
+        """Discard the delivered report and anomaly logs.
+
+        For long-lived callers that have already fanned reports out to
+        listeners: keeps analyzer memory bounded by the windows, not
+        by reports published.  The report log is replaced, not
+        cleared, so a caller that read :attr:`reports` first keeps
+        what it read.  Counters are unaffected.
+        """
+        self.reports = []
+        self.latency.drain_anomalies()
 
     def stats(self) -> PipelineStats:
-        detector = self.detection.detector
+        """Mergeable snapshot of the counters."""
+        detector = self.detector
         matching = detector.matching.stats
-        tracker = self.latency.tracker
+        latency = self.latency
         return PipelineStats(
-            events_processed=self.ingest.events_processed,
-            bytes_processed=self.ingest.bytes_processed,
-            operational_faults_seen=self.faults.operational_faults_seen,
-            snapshots_taken=self.windowing.window.snapshots_taken,
-            analysis_seconds=self.publish.analysis_seconds,
+            events_processed=self.events_processed,
+            bytes_processed=self.bytes_processed,
+            operational_faults_seen=self.operational_faults_seen,
+            snapshots_taken=self.window.snapshots_taken,
+            analysis_seconds=self.analysis_seconds,
             candidates_gated=matching.candidates_gated,
             lcs_row_extensions=matching.lcs_row_extensions,
             lcs_symbols_fed=matching.lcs_symbols_fed,
             postings_scanned=detector.postings_scanned,
             candidates_indexed=detector.candidates_indexed,
-            ls_samples_fed=tracker.ls_samples_fed,
-            ls_threshold_recomputes=tracker.ls_threshold_recomputes,
+            ls_samples_fed=latency.ls_samples_fed,
+            ls_threshold_recomputes=latency.ls_threshold_recomputes,
         )
+
+    def close(self) -> None:
+        """Release analyzer resources (nothing to release in-process).
+
+        Exists so callers can treat every engine uniformly:
+        ``ShardedAnalyzer.close()`` stops process-backend workers.
+        """
 
     # ------------------------------------------------------------------
     # State lifecycle (see repro.core.state).
 
-    STATE_FMT = "analysis-pipeline/v1"
+    STATE_FMT = "analysis-pipeline/v2"
+
+    #: The counters this object owns, as checkpointed.  Every other
+    #: :class:`PipelineStats` field lives in (and is restored by) the
+    #: component that counts it.
+    _COUNTERS = (
+        "events_processed",
+        "bytes_processed",
+        "operational_faults_seen",
+        "analysis_seconds",
+    )
 
     def snapshot_state(self) -> Dict[str, Any]:
-        """Freeze the whole stage graph mid-stream, JSON-serializably.
+        """Freeze the analyzer mid-stream, JSON-serializably.
 
         Collaborators (library, symbols, catalog, store) are
         construction-time inputs and are *not* serialized; the config
-        rendering rides along purely as a rehydration guard.
+        rendering rides along purely as a rehydration guard.  The
+        report log is an output, not in-flight state, and stays out
+        (see :mod:`repro.core.state`).
         ``repro.service.oracle.verify_checkpoint`` proves a restored
-        pipeline finishes the stream bit-identically.
+        analyzer finishes the stream bit-identically.
         """
+        recent = self._recent
         return {
             "fmt": self.STATE_FMT,
             "config": asdict(self.config),
             "defer_detection": self.defer_detection,
-            "latency_enabled": self.latency.enabled,
-            "ingest": self.ingest.snapshot_state(),
-            "faults": self.faults.snapshot_state(),
+            "track_latency": self.track_latency,
+            "counters": {
+                name: getattr(self, name) for name in self._COUNTERS
+            },
             "window": self.window.snapshot_state(),
-            "tracker": self.tracker.snapshot_state(),
+            "latency": self.latency.snapshot_state(),
             "detector": self.detector.snapshot_state(),
-            "rootcause": self.rootcause.snapshot_state(),
-            "publish": self.publish.snapshot_state(),
-            "perf_context": self.perf_context.snapshot_state(),
+            "recent_depth": None if recent is None else recent.maxlen,
+            "recent": (
+                [] if recent is None
+                else [event.to_dict() for event in recent]
+            ),
             "deferred": [s.to_dict() for s in self._deferred],
             "last_perf_analysis": dict(self._last_perf_analysis),
         }
 
     def restore_state(self, state: Mapping[str, Any]) -> None:
-        """Rehydrate a freshly built, identically configured pipeline.
+        """Rehydrate a freshly built, identically wired analyzer.
 
-        Stages are restored *in place* (the hot-path bound methods
-        keep pointing at the same objects); a config, latency-mode or
-        defer-mode mismatch refuses loudly instead of replaying the
-        stream under different semantics.
+        Components are restored *in place* (the hot-path bound methods
+        keep pointing at the same objects); a config, latency-mode,
+        defer-mode or wiring mismatch refuses loudly instead of
+        replaying the stream under different semantics.
         """
         require_state(state, self.STATE_FMT)
+        if state["fmt"] != self.STATE_FMT:
+            # v1 nested one fmt-tagged document per stage wrapper;
+            # ``require_state`` alone lets older versions through, and
+            # mapping those onto this layout would be a guess.
+            raise StateFormatError(
+                f"state fmt {state['fmt']!r} is the per-stage layout; "
+                f"this analyzer restores only {self.STATE_FMT!r}"
+            )
         if state["config"] != asdict(self.config):
             raise StateError(
                 "pipeline state was captured under a different config"
             )
-        if state["defer_detection"] != self.defer_detection:
+        for name in ("defer_detection", "track_latency"):
+            if state[name] != getattr(self, name):
+                raise StateError(
+                    f"pipeline state {name}={state[name]} does not "
+                    f"match this pipeline's {getattr(self, name)}"
+                )
+        recent = self._recent
+        depth = None if recent is None else recent.maxlen
+        if state["recent_depth"] != depth:
             raise StateError(
-                "pipeline state defer_detection="
-                f"{state['defer_detection']} does not match this "
-                f"pipeline's {self.defer_detection}"
+                f"pipeline state keeps a recent-event ring of depth "
+                f"{state['recent_depth']}, this pipeline one of {depth}"
             )
-        if state["latency_enabled"] != self.latency.enabled:
-            raise StateError(
-                f"pipeline state latency_enabled="
-                f"{state['latency_enabled']} does not match this "
-                f"pipeline's {self.latency.enabled}"
-            )
-        self.ingest.restore_state(state["ingest"])
-        self.faults.restore_state(state["faults"])
+        for name in self._COUNTERS:
+            setattr(self, name, state["counters"][name])
         self.window.restore_state(state["window"])
-        self.tracker.restore_state(state["tracker"])
+        self.latency.restore_state(state["latency"])
         self.detector.restore_state(state["detector"])
-        self.rootcause.restore_state(state["rootcause"])
-        self.publish.restore_state(state["publish"])
-        self.perf_context.restore_state(state["perf_context"])
+        if recent is not None:
+            recent.clear()
+            recent.extend(
+                WireEvent.from_dict(e) for e in state["recent"]
+            )
+        self.reports = []
         self._deferred = [
             Snapshot.from_dict(s) for s in state["deferred"]
         ]
-        self._last_perf_analysis = {
-            api_key: ts
-            for api_key, ts in state["last_perf_analysis"].items()
-        }
+        self._last_perf_analysis = dict(state["last_perf_analysis"])
 
     # ------------------------------------------------------------------
-    # Middleware plumbing.
+    # The middleware seam: every stage step of the observed per-event
+    # body and of the chunk body goes through here, under one of the
+    # seven ``STAGE_NAMES``.
     def _call(
         self,
         stage: str,
@@ -251,66 +385,133 @@ class AnalysisPipeline:
         return result
 
     # ------------------------------------------------------------------
-    # Per-event entry (serial engines).
+    # Per-event intake (serial engine).
     def process_event(self, event: WireEvent) -> None:
-        """Run one wire event through the graph in stream order."""
+        """Run one wire event through the chain in stream order."""
         if self._observers:
             self._process_event_observed(event)
             return
-        # Fused fast path: identical stage semantics, no dispatch.
-        ingest = self.ingest
-        ingest.events_processed += 1
-        ingest.bytes_processed += event.size_bytes
+        # Fused fast path: the same steps as the observed body below,
+        # no dispatch.
+        self.events_processed += 1
+        self.bytes_processed += event.size_bytes
         completed = self._append(event)
         if completed:
             for snapshot in completed:
                 self._dispatch(snapshot)
         if event.kind is ApiKind.REST and event.status >= 400:
-            # is_rest_fault(event), inlined (§5.3.1: REST errors
-            # freeze the window).
-            self.faults.operational_faults_seen += 1
+            # §5.3.1: REST error responses freeze the window.
+            self.operational_faults_seen += 1
             self._mark(event)
         elif is_operational_fault(event):
-            self.faults.operational_faults_seen += 1
-        if self._track is not None:
-            self._track((event,))
-        if self._latency_enabled and not event.noise and not event.error:
+            # RPC bodies are scanned for error markers and counted
+            # but — matching the paper's REST-triggered snapshots —
+            # do not freeze it.
+            self.operational_faults_seen += 1
+        if self._recent is not None:
+            self._recent.append(event)
+        if self.track_latency and not event.noise and not event.error:
             self._observe(event)
 
     def _process_event_observed(self, event: WireEvent) -> None:
-        self._call("ingest", 1, self.ingest.count_one, event)
-        completed = self._call("window", 1, self.windowing.push, event)
+        self._call("ingest", 1, self._count_one, event)
+        completed = self._call("window", 1, self._append, event)
         for snapshot in completed:
             self._dispatch(snapshot)
-        if self._call("fault-scan", 1, self.faults.scan_one, event):
-            self.windowing.mark(event)
-        if self._track is not None:
-            self._track((event,))
-        self._call("latency", 1, self.latency.observe_one, event)
+        if self._call("fault-scan", 1, self._scan_one, event):
+            self._mark(event)
+        if self._recent is not None:
+            self._recent.append(event)
+        self._call("latency", 1, self._observe_one, event)
+
+    def _count_one(self, event: WireEvent) -> None:
+        self.events_processed += 1
+        self.bytes_processed += event.size_bytes
+
+    def _scan_one(self, event: WireEvent) -> bool:
+        """Count ``event`` if faulty; True if it freezes the window
+        (a REST error response)."""
+        if event.kind is ApiKind.REST and event.status >= 400:
+            self.operational_faults_seen += 1
+            return True
+        if is_operational_fault(event):
+            self.operational_faults_seen += 1
+        return False
+
+    def _observe_one(self, event: WireEvent) -> None:
+        if self.track_latency and not event.noise and not event.error:
+            self._observe(event)
 
     # ------------------------------------------------------------------
-    # Chunked entry (batched/sharded engines).
+    # Chunked intake (shard engine).
     def process_chunk(self, chunk: Sequence[WireEvent]) -> None:
-        """Run a chunk of stream-ordered events through the graph."""
+        """Run a chunk of stream-ordered events through the chain."""
         total = len(chunk)
         if not total:
             return
-        self._call("ingest", total, self.ingest.count, chunk)
-        if self._track is not None:
-            self._track(chunk)
-        cuts = self._call("fault-scan", total, self.faults.scan, chunk)
+        self._call("ingest", total, self._count, chunk)
+        if self._recent is not None:
+            self._recent.extend(chunk)
+        cuts = self._call("fault-scan", total, self._scan, chunk)
         completed = self._call(
-            "window", total, self.windowing.push_runs, chunk, cuts
+            "window", total, self._push_runs, chunk, cuts
         )
         for snapshot in completed:
             self._dispatch(snapshot)
-        self._call("latency", total, self.latency.observe_chunk, chunk)
+        self._call("latency", total, self._observe_chunk, chunk)
+
+    def _count(self, chunk: Sequence[WireEvent]) -> None:
+        self.events_processed += len(chunk)
+        self.bytes_processed += sum(e.size_bytes for e in chunk)
+
+    def _scan(
+        self, chunk: Sequence[WireEvent]
+    ) -> List[Tuple[int, WireEvent]]:
+        """Scan a chunk; return ``(index, event)`` window-freeze cuts.
+
+        :meth:`_scan_one` over the chunk in one pass, so the window
+        appends can be split at each cut.
+        """
+        cuts: List[Tuple[int, WireEvent]] = []
+        rest = ApiKind.REST
+        for index, event in enumerate(chunk):
+            failed = event.status >= 400
+            if failed and event.kind is rest:
+                self.operational_faults_seen += 1
+                cuts.append((index, event))
+            elif failed or (event.kind is not rest and event.body):
+                if is_operational_fault(event):
+                    self.operational_faults_seen += 1
+        return cuts
+
+    def _push_runs(
+        self,
+        chunk: Sequence[WireEvent],
+        cuts: Sequence[Tuple[int, WireEvent]],
+    ) -> List[Snapshot]:
+        """Append ``chunk`` split at each fault cut, marking faults in
+        stream order, exactly as per-event append/mark would."""
+        window = self.window
+        completed: List[Snapshot] = []
+        start = 0
+        for index, fault in cuts:
+            completed.extend(window.append_batch(chunk[start:index + 1]))
+            start = index + 1
+            window.mark_fault(fault)
+        if start < len(chunk):
+            completed.extend(window.append_batch(chunk[start:]))
+        return completed
+
+    def _observe_chunk(self, chunk: Sequence[WireEvent]) -> None:
+        if self.track_latency:
+            self.latency.observe_batch(chunk)
 
     # ------------------------------------------------------------------
     # Draining.
     def flush(self) -> None:
-        """Freeze and analyze any pending (partial) snapshots."""
-        for snapshot in self.windowing.flush():
+        """Freeze and analyze all pending (partial) snapshots (end of
+        stream / experiment)."""
+        for snapshot in self.window.flush():
             self._dispatch(snapshot)
 
     def deferred_snapshots(self) -> List[Snapshot]:
@@ -321,8 +522,8 @@ class AnalysisPipeline:
         return list(self._deferred)
 
     def process_deferred(self) -> int:
-        """Analyze snapshots parked by ``defer_detection``; return the
-        number drained."""
+        """Analyze snapshots parked by ``defer_detection`` (the
+        detection 'thread''s backlog); return the number drained."""
         drained = self._deferred
         self._deferred = []
         for snapshot in drained:
@@ -340,7 +541,7 @@ class AnalysisPipeline:
     def _analyze_operational(self, snapshot: Snapshot) -> None:
         started = time.perf_counter()
         detection = self._call(
-            "detect", 1, self.detection.detect, snapshot
+            "detect", 1, self.detector.detect, snapshot
         )
         error_events = [
             e for e in snapshot.events if is_operational_fault(e)
@@ -365,12 +566,18 @@ class AnalysisPipeline:
             analysis_seconds=elapsed,
             report_delay=delay,
         )
-        self._call("publish", 1, self.publish.emit, report)
+        self._call("publish", 1, self._publish, report)
+
+    def _publish(self, report: FaultReport) -> None:
+        self.analysis_seconds += report.analysis_seconds
+        self.reports.append(report)
+        for callback in self._listeners:
+            callback(report)
 
     # ------------------------------------------------------------------
     # Performance path (§5.3.2 level-shift anomaly → Alg. 2/3).
     def _detect_performance(self, snapshot: Snapshot) -> DetectionResult:
-        return self.detection.detect(snapshot, performance_fault=True)
+        return self.detector.detect(snapshot, performance_fault=True)
 
     def process_anomaly(self, anomaly: PerformanceAnomaly) -> None:
         """Debounce per API identity, reconstruct the α-event context
@@ -382,9 +589,15 @@ class AnalysisPipeline:
         self._last_perf_analysis[anomaly.api_key] = anomaly.ts
 
         started = time.perf_counter()
-        events = self.perf_context.context(anomaly)
-        fault_index = -1
         seq = anomaly.event.seq
+        if self._recent is None:
+            events = self.window.live_events()
+        else:
+            # Chunk wiring: the window is already past the anomalous
+            # event, so cut the ring at it.
+            events = [e for e in self._recent if e.seq <= seq]
+            events = events[-self.alpha:]
+        fault_index = -1
         for index, candidate in enumerate(events):
             if candidate.seq == seq:
                 fault_index = index
@@ -419,4 +632,4 @@ class AnalysisPipeline:
             analysis_seconds=elapsed,
             report_delay=0.0,
         )
-        self._call("publish", 1, self.publish.emit, report)
+        self._call("publish", 1, self._publish, report)

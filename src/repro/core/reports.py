@@ -1,8 +1,9 @@
 """Fault reports: what GRETEL hands the operator.
 
-Reports are emitted by the pipeline's publish stage
-(:class:`repro.core.pipeline.stages.PublishStage`), which also fans
-them out to listeners registered via ``on_report``.
+Reports are emitted by the analyzer's publish step
+(:class:`repro.core.pipeline.graph.AnalysisPipeline`, stage name
+``publish``), which also fans them out to listeners registered via
+``on_report``.
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ class RootCauseEngine:
                  config: Optional[GretelConfig] = None):
         self.store = store
         self.config = config or GretelConfig()
-        self.analyses = 0
 
     # -- entry point --------------------------------------------------------
 
@@ -40,7 +39,6 @@ class RootCauseEngine:
                 error_events: Optional[Sequence[WireEvent]] = None
                 ) -> List[RootCauseFinding]:
         """GET_ROOT_CAUSE: error nodes first, then the operation's rest."""
-        self.analyses += 1
         window_start, window_end = detection.window_span
         errors = list(error_events or [])
         if detection.fault not in errors:

@@ -1,8 +1,8 @@
 """The uniform state-lifecycle protocol behind checkpoint/restore.
 
 Every stateful layer of the analysis chain — the sliding window, the
-level-shift detectors, the matching sessions, the pipeline stages and
-the assembled pipeline itself — exposes the same two methods:
+level-shift detectors, the latency tracker, the operation detector and
+the analyzer that owns them — exposes the same two methods:
 
 ``snapshot_state() -> dict``
     A *pure-JSON* rendering (dicts, lists, strings, numbers, bools,

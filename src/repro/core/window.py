@@ -107,12 +107,10 @@ class SlidingWindow:
     """Dual-buffer sliding window of the α most recent events."""
 
     def __init__(self, alpha: int,
-                 on_snapshot: Optional[Callable[[Snapshot], None]] = None,
                  encode_batch: Optional[BatchEncoder] = None):
         if alpha < 2:
             raise ValueError("alpha must be at least 2")
         self.alpha = alpha
-        self.on_snapshot = on_snapshot
         self._events: Deque[WireEvent] = deque(maxlen=alpha)
         self._encode = encode_batch
         self._encoded: Optional[Deque[str]] = (
@@ -208,12 +206,9 @@ class SlidingWindow:
             events = [fault] + events
             if encoded is not None:
                 encoded = [fault_symbol] + encoded
-        snapshot = Snapshot(fault=fault, events=events,
-                            fault_index=fault_index, encoded=encoded)
         self.snapshots_taken += 1
-        if self.on_snapshot is not None:
-            self.on_snapshot(snapshot)
-        return snapshot
+        return Snapshot(fault=fault, events=events,
+                        fault_index=fault_index, encoded=encoded)
 
     @property
     def pending_snapshots(self) -> int:

@@ -11,7 +11,7 @@ turns under the GIL.  The module has two halves:
   ``AnalyzerShard`` locally (hydrating detector caches and the
   compiled selection index in-process), then serves commands from a
   duplex pipe.  Exchange commands (``reap``/``flush``/``stats``/…)
-  drain the pipeline's publish log and anomaly log and ship the new
+  drain the shard's report log and anomaly log and ship the new
   :class:`~repro.core.reports.FaultReport` batch back with the reply,
   so worker memory stays bounded and the parent streams reports at
   chunk granularity; chunk commands are acknowledged with *empty*
@@ -33,18 +33,18 @@ worker traceback).  Lifecycle robustness:
 
 * **Backpressure** — ``ingest_batch`` splits work into
   ``batch_size``-event chunk commands and caps unacknowledged chunks
-  at ``max_inflight``; once the cap is reached the parent blocks on
-  the next reply, so a slow shard stalls its producer instead of
-  growing an unbounded pipe buffer.
+  at :data:`DEFAULT_MAX_INFLIGHT`; once the cap is reached the parent
+  blocks on the next reply, so a slow shard stalls its producer
+  instead of growing an unbounded pipe buffer.
 * **Deadlock freedom** — chunk acks never carry reports.  A reply
   batch big enough to fill the worker→parent buffer while the parent
   is itself blocked sending the next chunk would deadlock the pair
   (each side in a blocking ``send``, neither receiving).  Tiny acks
   cannot fill the buffer, so the worker always returns to ``recv``
   and the parent's ``send`` always completes; accumulated reports are
-  fetched every ``reap_every`` chunks by an explicit reap *exchange*,
-  during which the parent sends nothing else and actively receives —
-  a reply of any size drains safely.
+  fetched every :data:`DEFAULT_REAP_EVERY` chunks by an explicit reap
+  *exchange*, during which the parent sends nothing else and actively
+  receives — a reply of any size drains safely.
 * **Liveness** — every reply wait polls the worker's ``is_alive`` and
   a deadline; a dead or wedged worker raises
   :class:`~repro.core.parallel.ShardWorkerError` instead of hanging.
@@ -73,14 +73,11 @@ import time
 import traceback
 import tracemalloc
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Sequence
 
-from repro.core.config import GretelConfig
 from repro.core.fingerprint import FingerprintLibrary
 from repro.core.parallel import AnalyzerShard, ShardWorkerError
 from repro.core.reports import FaultReport
-from repro.monitoring.store import MetadataStore
-from repro.openstack.catalog import ApiCatalog
 from repro.openstack.wire import WireEvent
 
 #: Maximum unacknowledged chunk commands per shard before the parent
@@ -147,34 +144,20 @@ def _pin(pid: int) -> None:
 class WorkerSeed:
     """Everything a worker needs to build its shard, pickled once.
 
-    The metadata store crosses the boundary as a snapshot copy: the
-    analysis pipeline only *reads* monitoring metadata (populated at
-    capture time), so each worker consults an identical read-only
-    copy.  Collaborators with in-process caches (fingerprint matchers,
-    the compiled selection index) rehydrate lazily inside the worker.
+    ``wiring`` holds the :class:`~repro.core.parallel.AnalyzerShard`
+    keywords exactly as ``ShardedAnalyzer`` passes them to its inline
+    shards (batch size, symbols, catalog, store, config, the latency
+    and defer flags).  The metadata store crosses the boundary as a
+    snapshot copy: the analyzer only *reads* monitoring metadata
+    (populated at capture time), so each worker consults an identical
+    read-only copy.  Collaborators with in-process caches (fingerprint
+    matchers, the compiled selection index) rehydrate lazily inside
+    the worker.
     """
 
     shard_id: int
     library: FingerprintLibrary
-    config: Optional[GretelConfig]
-    catalog: Optional[ApiCatalog]
-    store: Optional[MetadataStore]
-    batch_size: int
-    track_latency: bool
-    defer_detection: bool
-
-
-def _build_shard(seed: WorkerSeed) -> AnalyzerShard:
-    return AnalyzerShard(
-        seed.shard_id,
-        seed.library,
-        batch_size=seed.batch_size,
-        catalog=seed.catalog,
-        store=seed.store,
-        config=seed.config,
-        track_latency=seed.track_latency,
-        defer_detection=seed.defer_detection,
-    )
+    wiring: Dict[str, Any]
 
 
 def _dispatch(shard: AnalyzerShard, op: str, payload: Any) -> Any:
@@ -209,7 +192,7 @@ def shard_worker_main(conn: Any, seed: WorkerSeed) -> None:
         # analysis call instead.
         tracemalloc.stop()
     try:
-        shard = _build_shard(seed)
+        shard = AnalyzerShard(seed.shard_id, seed.library, **seed.wiring)
     except BaseException:
         try:
             conn.send(("error", "seed", traceback.format_exc(), []))
@@ -217,7 +200,6 @@ def shard_worker_main(conn: Any, seed: WorkerSeed) -> None:
             pass
         conn.close()
         return
-    pipeline = shard.pipeline
     while True:
         try:
             op, payload = conn.recv()
@@ -237,14 +219,14 @@ def shard_worker_main(conn: Any, seed: WorkerSeed) -> None:
             # next chunk — a bidirectional pipe deadlock.  Reports ride
             # only on exchange ops (reap/flush/stats/...), where the
             # parent is actively receiving and sends nothing else, and
-            # the per-``reap_every`` reap keeps worker memory bounded
-            # by the window and the deferred queue, never by reports
-            # published.
+            # the reap every ``DEFAULT_REAP_EVERY`` chunks keeps worker
+            # memory bounded by the window and the deferred queue,
+            # never by reports published.
             if op == "chunk":
                 reports = []
             else:
-                reports = pipeline.publish.drain()
-                pipeline.tracker.drain_anomalies()
+                reports = shard.reports
+                shard.shed_logs()
             reply = ("ok", op, result, reports)
         except BaseException:
             reply = ("error", op, traceback.format_exc(), [])
@@ -265,21 +247,10 @@ class ProcessShard:
     :attr:`reports` or handed off via :meth:`shed_logs`.
     """
 
-    def __init__(
-        self,
-        seed: WorkerSeed,
-        *,
-        max_inflight: int = DEFAULT_MAX_INFLIGHT,
-        reap_every: int = DEFAULT_REAP_EVERY,
-        reply_timeout: float = REPLY_TIMEOUT,
-        context: Any = None,
-    ) -> None:
-        ctx = context or _context()
+    def __init__(self, seed: WorkerSeed) -> None:
+        ctx = _context()
         self.shard_id = seed.shard_id
-        self.batch_size = max(1, seed.batch_size)
-        self.max_inflight = max(1, max_inflight)
-        self.reap_every = max(1, reap_every)
-        self.reply_timeout = reply_timeout
+        self.batch_size = seed.wiring["batch_size"]
         # The wire protocol is strict FIFO request/reply, so two
         # threads interleaving commands on one pipe would corrupt the
         # pairing (and worse, interleave one tenant's chunk stream
@@ -374,7 +345,7 @@ class ProcessShard:
         """
         if self._closed:
             self._fail(f"shard {self.shard_id} worker is closed")
-        deadline = time.monotonic() + self.reply_timeout
+        deadline = time.monotonic() + REPLY_TIMEOUT
         while not self._conn.poll(0.05):
             if not self.process.is_alive() and not self._conn.poll():
                 self._fail(
@@ -385,7 +356,7 @@ class ProcessShard:
             if time.monotonic() >= deadline:
                 self._fail(
                     f"shard {self.shard_id} worker did not reply "
-                    f"within {self.reply_timeout:.0f}s"
+                    f"within {REPLY_TIMEOUT:.0f}s"
                 )
         try:
             tag, op, payload, reports = self._conn.recv()
@@ -428,11 +399,11 @@ class ProcessShard:
         """Ship a FIFO run of this shard's events as chunk commands.
 
         Splits into ``batch_size`` chunks, absorbs any replies already
-        waiting, and blocks once ``max_inflight`` chunks are
+        waiting, and blocks once ``DEFAULT_MAX_INFLIGHT`` chunks are
         unacknowledged — synchronous backpressure, so a slow worker
         stalls its producer instead of buffering without bound.  Chunk
         acks carry no reports (see :func:`shard_worker_main` on why
-        that matters for deadlock freedom); every ``reap_every``
+        that matters for deadlock freedom); every ``DEFAULT_REAP_EVERY``
         chunks a reap exchange collects what the worker accumulated.
         """
         total = len(chunk)
@@ -447,10 +418,10 @@ class ProcessShard:
                     list(chunk[start:start + self.batch_size]),
                 )
                 self._unreaped += 1
-                while self._inflight >= self.max_inflight:
+                while self._inflight >= DEFAULT_MAX_INFLIGHT:
                     self._reply()
-            if self._unreaped >= self.reap_every:
-                # One round-trip per reap_every chunks: the wait
+            if self._unreaped >= DEFAULT_REAP_EVERY:
+                # One round-trip per that many chunks: the wait
                 # absorbs the outstanding chunk acks (FIFO) and then
                 # the reap reply carrying the report batch — received
                 # while nothing else is being sent, so a reply of any

@@ -181,15 +181,13 @@ class ScratchScoringDetector(OperationDetector):
         are matched — "reducing the number of packets against which a
         fingerprint is matched".
         """
-        fragment = self._fragment
+        fragments = self.fragments(events)
         if not correlation_id:
-            return "".join(map(fragment, events))
-        parts = []
-        for event in events:
-            piece = fragment(event)
-            if piece and event.request_id == correlation_id:
-                parts.append(piece)
-        return "".join(parts)
+            return "".join(fragments)
+        return "".join(
+            piece for piece, event in zip(fragments, events)
+            if event.request_id == correlation_id
+        )
 
     def _buffer_symbols(self, snapshot: Snapshot, lo: int, hi: int,
                         correlation_id: str) -> str:

@@ -12,7 +12,7 @@ same configuration:
 
 Both halves must publish the identical multiset of fault reports
 (compared via :func:`repro.core.parallel.report_signature`) and end
-with identical :class:`~repro.core.pipeline.stages.PipelineStats`
+with identical :class:`~repro.core.pipeline.graph.PipelineStats`
 (every counter except wall-clock ``analysis_seconds``).  Any
 divergence raises :class:`~repro.oracle.OracleDivergence` — counters
 too, since a checkpoint that silently resets e.g.

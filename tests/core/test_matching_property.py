@@ -173,6 +173,6 @@ def test_detect_equivalence_on_random_streams(library, seed, fault_every,
     )
     analyzer.feed(stream.generate(count))
     analyzer.flush()
-    snapshots = list(analyzer.pipeline._deferred)
+    snapshots = analyzer.deferred_snapshots()
     outcome = verify_detection(snapshots, library)
     assert outcome.ok, outcome.summary()

@@ -291,20 +291,56 @@ def test_sharded_perf_debounce_suppresses_repeat_anomalies(library):
                                   observed=0.08, baseline=0.01,
                                   event=trigger)
 
-    shard.pipeline.process_anomaly(anomaly(ts=100.0))
+    shard.process_anomaly(anomaly(ts=100.0))
     assert len(shard.performance_reports) == 1
     # Within the debounce interval on the same API: suppressed.
-    shard.pipeline.process_anomaly(
+    shard.process_anomaly(
         anomaly(ts=100.0 + config.perf_debounce / 2)
     )
     assert len(shard.performance_reports) == 1
     # Beyond the debounce interval: analyzed again.
-    shard.pipeline.process_anomaly(
+    shard.process_anomaly(
         anomaly(ts=100.0 + 2 * config.perf_debounce)
     )
     assert len(shard.performance_reports) == 2
     # The merged view sees only this shard's reports.
     assert len(analyzer.performance_reports) == 2
+
+
+# ---------------------------------------------------------------------------
+# Chunk wiring
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("prune_rpcs", [True, False])
+def test_chunk_wired_snapshots_carry_the_detectors_fragments(
+    library, prune_rpcs,
+):
+    """One encoder: what a chunk-wired shard's window attaches to a
+    snapshot is what a detector encodes from the same events."""
+    from repro.core.detector import OperationDetector
+    from repro.core.parallel import AnalyzerShard
+
+    events = [
+        replace(event, noise=True)
+        if event.seq % 7 == 0 and event.status < 400 else event
+        for event in make_stream(library).events(600)
+    ]
+    tuned = replace(config(), prune_rpcs=prune_rpcs)
+    shard = AnalyzerShard(0, library, batch_size=64, config=tuned,
+                          track_latency=False, defer_detection=True)
+    shard.ingest_batch(events)
+    shard.flush()
+    snapshots = shard.deferred_snapshots()
+    assert snapshots
+    fresh = OperationDetector(library, library.symbols, shard.catalog,
+                              tuned)
+    kept = []
+    for snapshot in snapshots:
+        assert snapshot.encoded == fresh.fragments(snapshot.events)
+        kept += [event for event, piece
+                 in zip(snapshot.events, snapshot.encoded) if piece]
+    assert not any(event.noise for event in kept)
+    assert any(event.kind is ApiKind.RPC for event in kept) != prune_rpcs
 
 
 # ---------------------------------------------------------------------------
@@ -441,40 +477,54 @@ def test_process_workers_are_spread_over_the_allowed_cpus(library):
 
 
 def test_process_backend_checkpoint_roundtrip(library):
-    """Snapshot a process-backed run mid-stream, restore into a fresh
-    pool, finish the stream: the union of reports matches an
-    uninterrupted inline run bit-for-bit."""
+    """Snapshot a sharded run mid-stream, send the state through JSON,
+    restore into a fresh pool, finish the stream: the union of reports
+    matches an uninterrupted inline run bit-for-bit.  On both backends,
+    and with latency tracking on — the only wiring whose state carries
+    the recent-event ring — as well as off."""
+    import json
+
     events = make_stream(library, fault_every=40).events(1200)
     cut = 700
 
-    reference = ShardedAnalyzer(library, 2, batch_size=64,
-                                config=config(), track_latency=False)
-    reference.ingest(events)
-    reference.flush()
+    def roundtrip(backend, track_latency):
+        def build(backend):
+            return ShardedAnalyzer(
+                library, 2, batch_size=64, config=config(),
+                track_latency=track_latency, backend=backend,
+            )
 
-    first = ShardedAnalyzer(library, 2, batch_size=64, config=config(),
-                            track_latency=False, backend="process")
-    try:
-        for event in events[:cut]:
-            first.on_event(event)
-        state = first.snapshot_state()
-        early = [report_signature(r) for r in first.reports]
-    finally:
-        first.close()
+        reference = build("inline")
+        reference.ingest(events)
+        reference.flush()
 
-    second = ShardedAnalyzer(library, 2, batch_size=64, config=config(),
-                             track_latency=False, backend="process")
-    try:
-        second.restore_state(state)
-        for event in events[cut:]:
-            second.on_event(event)
-        second.flush()
-        late = [report_signature(r) for r in second.reports]
-    finally:
-        second.close()
+        first = build(backend)
+        try:
+            for event in events[:cut]:
+                first.on_event(event)
+            state = json.loads(json.dumps(first.snapshot_state()))
+            early = [report_signature(r) for r in first.reports]
+        finally:
+            first.close()
 
-    assert early + late == \
-        [report_signature(r) for r in reference.reports]
+        second = build(backend)
+        try:
+            second.restore_state(state)
+            for event in events[cut:]:
+                second.on_event(event)
+            second.flush()
+            late = [report_signature(r) for r in second.reports]
+        finally:
+            second.close()
+
+        assert early + late == \
+            [report_signature(r) for r in reference.reports], \
+            (backend, track_latency)
+
+    # One test, four inputs (not parametrized: the id is on the floor).
+    for backend in ("process", "inline"):
+        for track_latency in (False, True):
+            roundtrip(backend, track_latency)
 
 
 def test_restore_rejects_mismatched_shard_count(library):

@@ -18,7 +18,7 @@ import pytest
 from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
 from repro.core.parallel import report_signature
-from repro.core.pipeline.stages import STAT_FIELDS, PipelineStats
+from repro.core.pipeline import STAT_FIELDS, PipelineStats
 from repro.monitoring.store import MetadataStore
 from repro.workloads.traffic import SyntheticStream
 

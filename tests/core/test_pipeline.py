@@ -1,5 +1,5 @@
-"""Tests for the composable analysis pipeline (builder, middleware,
-stage graph, merged stats)."""
+"""Tests for the analyzer object (builder, middleware, the engines
+that subclass it, merged stats)."""
 
 import pytest
 
@@ -8,6 +8,7 @@ from repro.core.config import GretelConfig
 from repro.core.parallel import ShardedAnalyzer, report_signature
 from repro.core.pipeline import (
     STAGE_NAMES,
+    AnalysisPipeline,
     PipelineBuilder,
     PipelineStats,
     StageCounters,
@@ -255,20 +256,30 @@ def test_sharded_unknown_attribute_raises(library):
 
 
 # ---------------------------------------------------------------------------
-# Facade wiring
+# Engines
 # ---------------------------------------------------------------------------
 
-def test_facade_views_are_pipeline_state(library):
-    analyzer = (
-        PipelineBuilder(library).with_config(config()).build_serial()
-    )
-    pipeline = analyzer.pipeline
-    assert analyzer.window is pipeline.window
-    assert analyzer.detector is pipeline.detector
-    assert analyzer.latency is pipeline.tracker
-    assert analyzer.rootcause is pipeline.engine
-    assert analyzer.reports is pipeline.reports
-    assert analyzer.alpha == pipeline.alpha
+def test_engines_are_the_pipeline(library):
+    serial = PipelineBuilder(library).with_config(config()).build_serial()
+    sharded = ShardedAnalyzer(library, 3, config=config())
+    assert isinstance(serial, AnalysisPipeline)
+    assert all(isinstance(shard, AnalysisPipeline)
+               for shard in sharded.shards)
+    # The one residue of the old composition (the ledger reads it).
+    assert serial.pipeline is serial
+
+
+def test_restore_refuses_per_stage_v1_state(library):
+    """``analysis-pipeline/v1`` nested one tagged document per stage
+    wrapper; v2 is flat and must not guess a mapping."""
+    from repro.core.state import StateFormatError
+
+    analyzer = PipelineBuilder(library).with_config(config()).build_serial()
+    state = analyzer.snapshot_state()
+    assert state["fmt"] == "analysis-pipeline/v2"
+    stale = dict(state, fmt="analysis-pipeline/v1")
+    with pytest.raises(StateFormatError, match="analysis-pipeline/v1"):
+        analyzer.restore_state(stale)
 
 
 def test_shards_compose_shared_wiring(library):

@@ -12,9 +12,8 @@ lockstep afterwards.
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.core.matching import scoring_classes
 from repro.core.streamstats.detector import IncrementalLevelShiftDetector
 from repro.core.streamstats.window import SortedWindow
 from repro.core.window import SlidingWindow
@@ -199,141 +198,3 @@ def test_incremental_ls_refuses_retuned_restore():
     state = original.snapshot_state()
     with pytest.raises(StateError):
         IncrementalLevelShiftDetector(window=12).restore_state(state)
-
-
-# ---------------------------------------------------------------------------
-# MatchSession
-# ---------------------------------------------------------------------------
-
-ALPHABET = "ABCDE"
-
-
-@pytest.fixture(scope="module")
-def detector(small_character):
-    from repro.core.detector import OperationDetector
-
-    library = small_character.library
-    return OperationDetector(
-        library, library.symbols, library.symbols.catalog,
-    )
-
-
-@st.composite
-def match_cases(draw):
-    from repro.core.detector import _Candidate
-
-    fragments = draw(st.lists(
-        st.sampled_from(list(ALPHABET) + [""]),
-        min_size=1, max_size=30,
-    ))
-    # A few distinct preparations, each stamped out several times (as
-    # the library stamps tests out of operations): the session keeps
-    # one state per scoring class, so classes of size > 1 must occur.
-    preps = []
-    for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        needle = draw(st.text(
-            alphabet=ALPHABET, min_size=1, max_size=8,
-        ))
-        cuts = draw(st.sets(
-            st.integers(min_value=1, max_value=len(needle)), max_size=3,
-        ))
-        cuts.add(len(needle))
-        preps.append((needle, sorted(cuts)))
-    pool = [
-        _Candidate(
-            original=None, sc_symbols=needle, cut_lengths=list(cuts),
-            full_symbols=needle, pure_read=False,
-        )
-        for needle, cuts in draw(st.lists(
-            st.sampled_from(preps), min_size=1, max_size=8,
-        ))
-    ]
-    # Outward-growing (lo, hi) windows with a freeze between two.
-    spans = draw(st.integers(min_value=2, max_value=6))
-    fault = draw(st.integers(min_value=0, max_value=len(fragments) - 1))
-    windows = []
-    beta = 1
-    for _ in range(spans):
-        windows.append((max(0, fault - beta),
-                        min(len(fragments), fault + beta + 1)))
-        beta += draw(st.integers(min_value=1, max_value=4))
-    cut = draw(st.integers(min_value=1, max_value=spans - 1))
-    return fragments, pool, windows, cut
-
-
-@given(case=match_cases())
-@settings(max_examples=80, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_match_session_round_trip(detector, case):
-    fragments, pool, windows, cut = case
-
-    def build():
-        return detector.matching.session(
-            fragments, scoring_classes(pool),
-            threshold=detector.config.match_coverage,
-            strict=not detector.config.relaxed_match,
-        )
-
-    original = build()
-    finalized_orig = {}
-    finalized_rest = {}
-    for lo, hi in windows[:cut]:
-        original.score(lo, hi, finalized_orig)
-
-    restored = build()
-    restored.restore_state(round_trip(original.snapshot_state()))
-    finalized_rest.update(finalized_orig)
-
-    for lo, hi in windows[cut:]:
-        assert (
-            original.score(lo, hi, finalized_orig)
-            == restored.score(lo, hi, finalized_rest)
-        )
-        assert finalized_orig == finalized_rest
-
-
-def test_match_session_refuses_candidate_count_mismatch(detector):
-    from repro.core.detector import _Candidate
-    from repro.core.state import StateError
-
-    def pool(size):
-        return [
-            _Candidate(
-                original=None, sc_symbols="AB", cut_lengths=[2],
-                full_symbols="AB", pure_read=False,
-            )
-            for _ in range(size)
-        ]
-
-    def build(size):
-        return detector.matching.session(
-            ["A", "B"], scoring_classes(pool(size)),
-            threshold=detector.config.match_coverage, strict=True,
-        )
-
-    state = build(2).snapshot_state()
-    # One class either way: the member count still has to agree.
-    assert len(state["states"]) == 1
-    with pytest.raises(StateError, match="candidates"):
-        build(3).restore_state(state)
-
-
-def test_match_session_refuses_per_candidate_v1_state(detector):
-    """``match-session/v1`` carried one entry per candidate; a v2
-    session keeps one per scoring class and must not guess a mapping."""
-    from repro.core.detector import _Candidate
-    from repro.core.state import StateFormatError
-
-    session = detector.matching.session(
-        ["A", "B"],
-        scoring_classes([_Candidate(
-            original=None, sc_symbols="AB", cut_lengths=[2],
-            full_symbols="AB", pure_read=False,
-        )]),
-        threshold=detector.config.match_coverage, strict=True,
-    )
-    state = session.snapshot_state()
-    assert state["fmt"] == "match-session/v2"
-    stale = dict(state, fmt="match-session/v1")
-    with pytest.raises(StateFormatError, match="match-session/v1"):
-        session.restore_state(stale)

@@ -93,18 +93,6 @@ def test_flush_freezes_pending():
     assert window.pending_snapshots == 0
 
 
-def test_on_snapshot_callback():
-    seen = []
-    window = SlidingWindow(alpha=6, on_snapshot=seen.append)
-    fault = make_event(0, status=500)
-    window.append(fault)
-    window.mark_fault(fault)
-    for seq in range(1, 10):
-        window.append(make_event(seq))
-    assert len(seen) == 1
-    assert isinstance(seen[0], Snapshot)
-
-
 def test_fault_scrolled_out_still_anchored():
     window = SlidingWindow(alpha=4)
     fault = make_event(0, status=500)

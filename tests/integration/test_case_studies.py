@@ -53,3 +53,4 @@ def test_neutron_api_latency(character):
     result = case_studies.neutron_api_latency(character)
     assert result.diagnosis_correct, result.narrative
     assert result.details["alarms"]
+    assert result.details["alarms_in_window"] >= 1

@@ -46,6 +46,7 @@ def test_parallel_fault_localization(full_character):
 def test_performance_bottleneck(full_character):
     out = run_example("performance_bottleneck.py")
     assert "Level-shift alarms" in out
+    assert "CPU root cause on neutron-ctl found: True" in out
 
 
 @pytest.mark.slow

@@ -40,7 +40,7 @@ def test_checkpoint_restore_is_invisible(library, stream_events):
 
 def test_oracle_flags_counter_corruption(library, stream_events):
     def bump_counter(state):
-        state["ingest"]["events_processed"] += 7
+        state["counters"]["events_processed"] += 7
         return state
 
     with pytest.raises(OracleDivergence, match="DIVERGED") as excinfo:
@@ -69,7 +69,7 @@ def test_oracle_flags_behavioral_corruption(library, stream_events):
 
 def test_strict_false_returns_instead_of_raising(library, stream_events):
     def bump_counter(state):
-        state["ingest"]["events_processed"] += 7
+        state["counters"]["events_processed"] += 7
         return state
 
     result = verify_checkpoint(

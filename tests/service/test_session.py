@@ -55,7 +55,7 @@ def test_retention_ring_is_bounded(build_session, stream_events):
     assert len(session.recent_reports) == 2
     # The pipeline-internal logs were handed off: bounded memory.
     assert not session.analyzer.reports
-    assert not session.analyzer.pipeline.tracker.anomalies
+    assert not session.analyzer.latency.anomalies
 
 
 def test_snapshot_round_trip_mid_stream(build_session, stream_events):

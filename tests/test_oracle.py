@@ -205,7 +205,7 @@ def snapshots(library, events):
     )
     serial.feed(events)
     serial.flush()
-    return serial.pipeline.deferred_snapshots()
+    return serial.deferred_snapshots()
 
 
 def run_oracle(layer, library, events, snapshots):
