@@ -5,7 +5,7 @@ fingerprint library (Alg. 1): if two operations' state-change
 subsequences subsume each other, or a truncation point is unreachable,
 the online matcher (Alg. 2) silently misattributes faults.  This
 package is the build-time gate that proves the library sound before it
-ever sees traffic — seven passes over the library, symbol table, API
+ever sees traffic — six passes over the library, symbol table, API
 catalog and :class:`~repro.core.config.GretelConfig`:
 
 ``ambiguity``
@@ -23,21 +23,17 @@ catalog and :class:`~repro.core.config.GretelConfig`:
     dead noise-filter rules and α/β/δ sizing invariants (NSE*/CFG*);
 ``discriminability``
     candidate-selection cost facts: anchorless fingerprints and hot
-    symbols whose postings defeat the inverted index (DSC*);
-``index-drift``
-    compiled selection artifact vs live library/symbol table: content
-    hashes, structural postings agreement, selection flags (IDX*).
+    symbols whose postings defeat the inverted index (DSC*).
 
 Each pass emits structured :class:`Finding` objects through a shared
 reporting layer with text and JSON output.  Rule-by-rule documentation
-lives in ``docs/linting.md``; the compiled-artifact story is in
-``docs/indexing.md``.
+lives in ``docs/linting.md``.
 
 The package also houses the library *compiler*
 (``repro.analysis.compile``): the same static analysis, promoted from
-a diagnostic into a versioned ``CompiledIndex`` artifact the online
-detector selects candidates from, with ``verify_selection`` as its
-differential oracle.
+a diagnostic into the in-memory ``CompiledIndex`` the online detector
+looks candidates up in, with ``verify_selection`` as its differential
+oracle (``docs/indexing.md``).
 """
 
 from repro.analysis.findings import Finding, LintReport, Severity

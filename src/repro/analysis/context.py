@@ -9,15 +9,12 @@ a pure function ``LintContext -> List[Finding]``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.config import GretelConfig
 from repro.core.fingerprint import Fingerprint, FingerprintLibrary
 from repro.core.symbols import PUA_CAPACITY, SymbolTable
 from repro.openstack.catalog import ApiCatalog
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.analysis.compile import CompiledIndex
 
 
 @dataclass
@@ -67,11 +64,6 @@ class LintContext:
     #: A symbol whose postings list covers at least this fraction of
     #: the library is reported as *hot* (DSC002, informational).
     hot_symbol_share: float = 0.5
-
-    #: Compiled selection artifact to check for drift against the live
-    #: library (``repro lint --index``).  ``None`` makes the drift pass
-    #: compile (and thereby self-check) a fresh index instead.
-    compiled_index: Optional["CompiledIndex"] = None
 
     def group_of(self, operation: str) -> str:
         """The ambiguity group of an operation (itself when unmapped)."""

@@ -5,10 +5,10 @@ Algorithm 2's first step selects every operation whose fingerprint
 a static property of the library: a symbol's postings-list length is
 exactly the candidate count a fault on that symbol produces, and a
 fingerprint's *anchor* — its rarest symbol — bounds how cheap its
-best-case selection can ever be.  The library compiler
-(``repro.analysis.compile``) stores these facts in the artifact; this
-pass derives the same numbers directly from the library's inverted
-index and turns the pathologies into findings.
+best-case selection can ever be.  This pass derives those numbers
+from the library's inverted index — the postings the library compiler
+(``repro.analysis.compile``) builds its selections from — and turns
+the pathologies into findings.
 
 Rules
 -----

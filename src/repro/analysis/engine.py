@@ -8,7 +8,6 @@ from repro.analysis import (
     ambiguity,
     configlint,
     discriminability,
-    indexdrift,
     integrity,
     regexlint,
     truncation,
@@ -24,7 +23,6 @@ PASSES: Dict[str, Callable[[LintContext], List[Finding]]] = {
     regexlint.PASS_NAME: regexlint.run,
     configlint.PASS_NAME: configlint.run,
     discriminability.PASS_NAME: discriminability.run,
-    indexdrift.PASS_NAME: indexdrift.run,
 }
 
 

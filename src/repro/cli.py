@@ -14,11 +14,7 @@ Commands
     Describe the generated Tempest-like suite.
 ``lint``
     Statically verify the fingerprint library, symbol table, catalog
-    and config (seven analysis passes; see ``docs/linting.md``).
-``index build`` / ``index inspect``
-    Compile the fingerprint library into the versioned candidate-
-    selection artifact, or summarize/drift-check an existing one
-    (see ``docs/indexing.md``).
+    and config (six analysis passes; see ``docs/linting.md``).
 ``analyze``
     Replay a synthetic wire-event stream through the sharded online
     analyzer and print throughput (``--format json`` emits reports +
@@ -198,7 +194,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _resolve_library(args: argparse.Namespace):
-    """Shared ``--library``/characterization loader for lint/index.
+    """``repro lint``'s ``--library``/characterization loader.
 
     Returns ``(library, symbols, catalog, groups)`` or ``None`` after
     printing an error (exit code 2 territory).
@@ -240,20 +236,6 @@ def _resolve_library(args: argparse.Namespace):
     return library, symbols, catalog, groups
 
 
-def _load_index(path: str):
-    """Load a serialized :class:`CompiledIndex`, or ``None`` + error."""
-    import json
-
-    from repro.analysis.compile import CompiledIndex
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return CompiledIndex.from_dict(json.load(handle))
-    except (OSError, ValueError, KeyError) as error:
-        print(f"cannot read index {path!r}: {error}", file=sys.stderr)
-        return None
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis import LintContext, render_json, render_text, run_lint
     from repro.analysis.engine import PASSES
@@ -275,16 +257,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     library, symbols, catalog, groups = resolved
 
-    compiled_index = None
-    if args.index:
-        compiled_index = _load_index(args.index)
-        if compiled_index is None:
-            return EXIT_USAGE
-
     ctx = LintContext(
         library=library, symbols=symbols, catalog=catalog,
         config=GretelConfig(), operation_groups=groups,
-        compiled_index=compiled_index,
     )
     if args.max_symbols is not None:
         ctx.max_symbols = args.max_symbols
@@ -294,80 +269,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     else:
         print(render_text(report))
     return report.exit_code(strict=args.strict)
-
-
-def _cmd_index_build(args: argparse.Namespace) -> int:
-    from repro.analysis.compile import compile_library
-    from repro.core.config import GretelConfig
-
-    resolved = _resolve_library(args)
-    if resolved is None:
-        return EXIT_USAGE
-    library, symbols, _catalog, _groups = resolved
-    index = compile_library(library, symbols, GretelConfig())
-    payload = index.to_json() + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-        print(
-            f"wrote {args.out}: {len(index.operations)} operations, "
-            f"{len(index.symbols)} symbols, "
-            f"{index.postings_total} postings, "
-            f"{len(index.preps)} prepared candidates "
-            f"(artifact sha256 {index.artifact_hash()[:12]})"
-        )
-    else:
-        sys.stdout.write(payload)
-    return EXIT_OK
-
-
-def _cmd_index_inspect(args: argparse.Namespace) -> int:
-    index = _load_index(args.artifact)
-    if index is None:
-        return EXIT_USAGE
-    flags = index.flags
-    print(f"format version: {index.format_version}")
-    print(f"library sha256: {index.library_hash}")
-    print(f"symbols sha256: {index.symbols_hash}")
-    print(f"artifact sha256: {index.artifact_hash()}")
-    print(
-        f"selection flags: prune_rpcs={flags[0]}, "
-        f"relaxed_match={flags[1]}, truncate_fingerprints={flags[2]}, "
-        f"match_coverage={index.match_coverage}"
-    )
-    print(
-        f"{len(index.operations)} operations, "
-        f"{len(index.symbols)} symbols, "
-        f"{index.postings_total} postings, "
-        f"{len(index.preps)} prepared candidates"
-    )
-    postings = index.postings()
-    hottest = sorted(
-        postings, key=lambda s: (-len(postings[s]), s)
-    )[:5]
-    print("longest postings lists:")
-    for symbol in hottest:
-        print(f"  U+{ord(symbol):04X}: {len(postings[symbol])} operations")
-
-    if not args.check:
-        return EXIT_OK
-    resolved = _resolve_library(args)
-    if resolved is None:
-        return EXIT_USAGE
-    library, symbols, _catalog, _groups = resolved
-    problems = index.verify_against(library, symbols)
-    if not problems:
-        problems = [
-            f"structural drift: {p}"
-            for p in index.check_postings(library)
-        ]
-    if problems:
-        print("DRIFT:")
-        for problem in problems:
-            print(f"  {problem}")
-        return EXIT_FAIL
-    print("fresh: artifact matches the live library and symbol table")
-    return EXIT_OK
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -809,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="statically verify the fingerprint library (7 analysis passes)",
+        help="statically verify the fingerprint library (6 analysis passes)",
     )
     lint.add_argument(
         "--library", metavar="FILE",
@@ -825,68 +726,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--passes", metavar="P1,P2",
         help="comma-separated subset of passes "
              "(ambiguity, truncation, integrity, regex, noise-config, "
-             "discriminability, index-drift)",
+             "discriminability)",
     )
     lint.add_argument(
         "--max-symbols", type=int, default=None, metavar="N",
         help="override the symbol-space capacity checked by the "
              "integrity pass (capacity planning / testing)",
     )
-    lint.add_argument(
-        "--index", metavar="FILE",
-        help="check this compiled selection artifact for drift against "
-             "the live library (index-drift pass); default: compile a "
-             "fresh index as a self-check",
-    )
     lint.add_argument("--seed", type=int, default=0)
     lint.add_argument("--iterations", type=int, default=2)
     lint.add_argument("--no-cache", action="store_true")
     lint.set_defaults(handler=_cmd_lint)
-
-    index = sub.add_parser(
-        "index",
-        help="compile/inspect the candidate-selection artifact "
-             "(docs/indexing.md)",
-    )
-    index_sub = index.add_subparsers(dest="index_command", required=True)
-    index_build = index_sub.add_parser(
-        "build",
-        help="statically compile the fingerprint library into the "
-             "versioned CompiledIndex artifact (canonical JSON)",
-    )
-    index_build.add_argument(
-        "--out", "-o", metavar="FILE",
-        help="write the artifact here (default: stdout)",
-    )
-    index_build.add_argument(
-        "--library", metavar="FILE",
-        help="compile a serialized fingerprint-library JSON instead of "
-             "the characterized suite",
-    )
-    index_build.add_argument("--seed", type=int, default=0)
-    index_build.add_argument("--iterations", type=int, default=2)
-    index_build.add_argument("--no-cache", action="store_true")
-    index_build.set_defaults(handler=_cmd_index_build)
-    index_inspect = index_sub.add_parser(
-        "inspect",
-        help="summarize an artifact; --check verifies it against the "
-             "live library (exit 1 on drift)",
-    )
-    index_inspect.add_argument("artifact", metavar="FILE")
-    index_inspect.add_argument(
-        "--check", action="store_true",
-        help="verify content hashes and postings against the live "
-             "library/symbol table; exit 1 on drift",
-    )
-    index_inspect.add_argument(
-        "--library", metavar="FILE",
-        help="with --check: the library JSON to verify against "
-             "(default: the characterized suite)",
-    )
-    index_inspect.add_argument("--seed", type=int, default=0)
-    index_inspect.add_argument("--iterations", type=int, default=2)
-    index_inspect.add_argument("--no-cache", action="store_true")
-    index_inspect.set_defaults(handler=_cmd_index_inspect)
 
     analyze = sub.add_parser(
         "analyze",

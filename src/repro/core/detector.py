@@ -37,17 +37,16 @@ RPC symbols are pruned from fingerprints and buffer when
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -61,6 +60,8 @@ from repro.core.fingerprint import Fingerprint, FingerprintLibrary
 from repro.core.matching.engine import (
     MatchingEngine,
     MatchingStats,
+    Preparation,
+    PreparationKey,
     scoring_classes,
 )
 from repro.core.precision import theta
@@ -87,60 +88,26 @@ Scores = Dict[int, Tuple[int, float]]
 Scorer = Callable[[int, int, Optional[Scores]], Scores]
 
 
-@dataclass
-class _Candidate:
-    """One possible offending operation, prepared for scoring."""
+class Candidate(NamedTuple):
+    """One possible offending operation: a library fingerprint paired
+    with its scoring preparation."""
 
-    original: Fingerprint
-    #: State-change symbols of the longest considered truncation.
-    sc_symbols: str
-    #: Prefix lengths (into ``sc_symbols``) for each truncation point,
-    #: ascending; the last entry is ``len(sc_symbols)``.
-    cut_lengths: List[int]
-    #: Full symbol string of the longest truncation (for pure reads).
-    full_symbols: str
-    pure_read: bool
-    alphabet: FrozenSet[str] = field(default_factory=frozenset)
-    #: Needle symbol multiplicities, feeding the multiplicity gate.
-    needle_counts: Dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.needle_counts:
-            # Hydrated from a compiled index: the alphabet and counts
-            # were computed once at compile time and are shared
-            # (read-only) across every hydration of this prep.
-            return
-        source = self.needle
-        self.alphabet = frozenset(source)
-        self.needle_counts = dict(Counter(source))
-
-    @property
-    def needle(self) -> str:
-        """The symbol string the candidate is scored on."""
-        return self.full_symbols if self.pure_read else self.sc_symbols
-
-    @property
-    def final_length(self) -> int:
-        """Corroborated length at which a candidate's score can no
-        longer improve — the longest cut, fully covered.  Shorter cuts
-        at coverage 1.0 could still be overtaken by a longer cut as
-        the buffer grows, so they do not finalize."""
-        return (len(self.full_symbols) if self.pure_read
-                else self.cut_lengths[-1])
+    fingerprint: Fingerprint
+    preparation: Preparation
 
 
-class Selection(List[_Candidate]):
+class Selection(List[Candidate]):
     """One prepared candidate list plus its scoring-class partition.
 
     What ``candidates_for`` serves.  The candidates are read-only once
     selected, so the partition (``repro.core.matching.engine.
     scoring_classes``) is computed once, here, and travels with the
-    list: a selection hydrated by the compiled index is memoized on
-    the artifact and shared — classes included — by every detector,
-    shard and worker over it.
+    list: the library compiler builds every selection up front, and
+    each is shared — classes included — by every detector and shard
+    over that compilation.
     """
 
-    def __init__(self, candidates: Iterable[_Candidate]) -> None:
+    def __init__(self, candidates: Iterable[Candidate]) -> None:
         super().__init__(candidates)
         self.classes = scoring_classes(self)
 
@@ -152,19 +119,25 @@ def prepare_candidate(
     *,
     truncate: bool,
     relaxed: bool,
-) -> _Candidate:
+    pool: Optional[Dict[PreparationKey, Preparation]] = None,
+) -> Preparation:
     """Prepare one fingerprint for scoring against ``symbol`` faults.
 
     The single source of truth for candidate preparation: the
     library compiler (``repro.analysis.compile``) calls it per posting
     at compile time and the reference full scan calls it per
-    ``candidates_for`` miss — so a hydrated candidate is bit-identical
+    ``candidates_for`` miss — so a compiled candidate is bit-identical
     to a scanned one by construction, not by parallel maintenance.
 
     ``effective`` is the (possibly RPC-pruned) fingerprint; when
     pruning removed the offending symbol itself, the unpruned
     fingerprint is used for this candidate (the fault demonstrably
     involved the pruned RPC).
+
+    ``pool`` interns: a preparation whose :meth:`Preparation.key` is
+    already in it is returned as that entry, and a new one is added,
+    so alphabet and counts are derived once per distinct key however
+    many postings share it.
     """
     if symbol not in effective.symbols:
         effective = fingerprint
@@ -176,20 +149,24 @@ def prepare_candidate(
         # required literal.
         required_symbols = longest.symbols
     if truncate:
-        cut_lengths = _cut_lengths(longest, symbol, all_symbols=not relaxed)
+        cuts = _cut_lengths(longest, symbol, all_symbols=not relaxed)
     else:
-        cut_lengths = [len(required_symbols)]
-    return _Candidate(
-        original=fingerprint,
-        sc_symbols=required_symbols,
-        cut_lengths=cut_lengths,
-        full_symbols=longest.symbols,
-        pure_read=not required_symbols,
-    )
+        cuts = (len(required_symbols),)
+    # Pure reads (no required symbol at all) are scored on their full
+    # symbol sequence instead (see the module docstring).
+    pure_read = not required_symbols
+    key = (longest.symbols if pure_read else required_symbols, cuts,
+           pure_read)
+    if pool is None:
+        return Preparation(*key)
+    preparation = pool.get(key)
+    if preparation is None:
+        preparation = pool[key] = Preparation(*key)
+    return preparation
 
 
 def _cut_lengths(fingerprint: Fingerprint, symbol: str,
-                 all_symbols: bool = False) -> List[int]:
+                 all_symbols: bool = False) -> Tuple[int, ...]:
     """Required-symbol prefix lengths at each occurrence of
     ``symbol`` (state-change prefix by default; every symbol in the
     strict ablation)."""
@@ -206,7 +183,7 @@ def _cut_lengths(fingerprint: Fingerprint, symbol: str,
         total = (len(fingerprint.symbols) if all_symbols
                  else len(fingerprint.state_change_symbols))
         cuts = [total]
-    return cuts[-_MAX_TRUNCATIONS:]
+    return tuple(cuts[-_MAX_TRUNCATIONS:])
 
 
 @dataclass
@@ -263,14 +240,14 @@ class OperationDetector:
                 "detector's config; recompile the index for it"
             )
         #: Compiled selection index (``docs/indexing.md``).  ``None``
-        #: means "compile lazily on first selection"; an injected
-        #: artifact is used as-is (the ``verify_selection``
-        #: negative-oracle tests rely on that).
+        #: means "fetch the library's memoized compilation on first
+        #: selection"; an injected index is used as-is (the
+        #: ``verify_selection`` negative-oracle tests rely on that).
         self._compiled = compiled_index
         #: Selection counters, surfaced through ``PipelineStats``:
-        #: postings entries examined and candidates hydrated from the
+        #: postings entries examined and candidates served from the
         #: compiled index (equal on this path; a full scan examines
-        #: postings without hydrating).
+        #: postings without being served any).
         self.postings_scanned = 0
         self.candidates_indexed = 0
         #: Incremental scoring engine (``docs/matching.md``); its
@@ -327,9 +304,9 @@ class OperationDetector:
         """Possible offending operations with truncation cut points.
 
         Candidates are ordered by operation name (the
-        :meth:`FingerprintLibrary.ops_containing` contract), hydrated
-        from the compiled index's postings.  A from-scratch
-        preparation scan produces identical lists —
+        :meth:`FingerprintLibrary.ops_containing` contract), served
+        from the compiled index.  A from-scratch preparation scan
+        produces identical lists —
         ``repro.analysis.compile.verify_selection`` is the oracle.
         """
         cache_key = (api_key, truncate)
@@ -347,15 +324,14 @@ class OperationDetector:
         self._candidate_cache[cache_key] = prepared
         return prepared
 
-    def _select(self, symbol: str, truncate: bool) -> List["_Candidate"]:
-        """Postings lookup + prepared-candidate hydration.
+    def _select(self, symbol: str, truncate: bool) -> List[Candidate]:
+        """One lookup in the compiled index.
 
         The compile is memoized per ``(library, version, flags)`` and
-        the hydrated :class:`Selection` per ``(symbol, truncation)`` on
-        the artifact (:meth:`CompiledIndex.hydrated`), so every
-        detector over one library — e.g. all shards of a sharded
-        analyzer — shares one compilation, the same read-only
-        candidate objects and one scoring-class partition.
+        builds every ``(symbol, truncation)`` :class:`Selection` up
+        front, so every detector over one library — e.g. all shards
+        of a sharded analyzer — shares one compilation, the same
+        read-only candidate objects and one scoring-class partition.
         """
         if self._compiled is None:
             from repro.analysis.compile import compiled_index_for
@@ -363,7 +339,7 @@ class OperationDetector:
             self._compiled = compiled_index_for(
                 self.library, self.symbols, self.catalog, self.config,
             )
-        prepared = self._compiled.hydrated(symbol, truncate, self.library)
+        prepared = self._compiled.selection(symbol, truncate)
         self.postings_scanned += len(prepared)
         self.candidates_indexed += len(prepared)
         return prepared
@@ -445,7 +421,7 @@ class OperationDetector:
             strict=not self.config.relaxed_match,
         ).score
 
-    def _rank(self, candidates: List[_Candidate],
+    def _rank(self, candidates: List[Candidate],
               scores: Scores) -> List[int]:
         """Keep candidates whose corroborated length is near the best.
 
@@ -455,7 +431,9 @@ class OperationDetector:
         """
         if not scores:
             return []
-        sc_indexes = [i for i in scores if not candidates[i].pure_read]
+        sc_indexes = [
+            i for i in scores if not candidates[i].preparation.pure_read
+        ]
         pool = sc_indexes or list(scores)
         best_length = max(scores[i][0] for i in pool)
         floor = best_length - self.config.length_tolerance
@@ -531,13 +509,14 @@ class OperationDetector:
             events=snapshot.window(final_beta),
         )
 
-    def _finish(self, snapshot: Snapshot, candidates: List[_Candidate],
+    def _finish(self, snapshot: Snapshot, candidates: List[Candidate],
                 total: int, *, scores: Scores, beta: int, iterations: int,
                 events: Sequence[WireEvent]) -> DetectionResult:
         ranked = self._rank(candidates, scores)
-        matched = [candidates[i].original for i in ranked]
+        matched = [candidates[i].fingerprint for i in ranked]
         coverages = {
-            candidates[i].original.operation: scores[i][1] for i in ranked
+            fingerprint.operation: scores[i][1]
+            for fingerprint, i in zip(matched, ranked)
         }
         span = (
             (events[0].ts_request, events[-1].ts_response)

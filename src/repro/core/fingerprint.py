@@ -324,10 +324,9 @@ class FingerprintLibrary:
     def version(self) -> int:
         """Mutation counter, bumped by every :meth:`add`.
 
-        Compiled artifacts derived from the library (the
-        ``repro.analysis.compile`` index) key their caches on
-        ``(library, version)`` so a mutated library can never serve a
-        stale compilation.
+        The compile memo (``repro.analysis.compile.
+        compiled_index_for``) keys on ``(library, version)`` so a
+        mutated library can never be served a stale compilation.
         """
         return self._version
 
@@ -408,7 +407,7 @@ class FingerprintLibrary:
         operation name**, never in library insertion order.  Candidate
         ranking ties (``length_tolerance``) resolve in candidate-list
         order, and the compiled selection index
-        (``repro.analysis.compile``) stores its postings sorted by
+        (``repro.analysis.compile``) builds its selections sorted by
         operation name — the two paths can only be proven equivalent
         because this order is pinned.  A regression test guards it
         (``tests/core/test_fingerprint.py``).
@@ -419,8 +418,8 @@ class FingerprintLibrary:
     def postings(self) -> Dict[str, Tuple[str, ...]]:
         """The inverted index as canonical data: symbol → operation
         names, sorted by operation name per symbol, symbols sorted by
-        code point.  This is the ground truth the compiled selection
-        index snapshots and the lint drift pass re-derives."""
+        code point.  This is what the library compiler builds its
+        selections from and the discriminability lint pass reads."""
         return {
             symbol: tuple(sorted(names))
             for symbol, names in sorted(self._containing.items())

@@ -4,7 +4,7 @@ See ``docs/matching.md``.  The engine (``engine``) keeps one
 bit-parallel row per scoring class — the candidates of a selection
 that share a preparation — alive across context-buffer growth
 iterations and fans each score out to the class's members; the
-indexes (``index``) replace the per-candidate foreign-symbol regex
+index (``index``) replaces the per-candidate foreign-symbol regex
 strip with per-snapshot symbol/position lookups; the oracle
 (``oracle``) proves the engine's results bit-identical to the
 from-scratch reference scorer.
@@ -14,12 +14,12 @@ from repro.core.matching.engine import (
     MatchingEngine,
     MatchingStats,
     MatchSession,
-    ScoringCandidate,
+    Preparation,
     ScoringClass,
     scoring_classes,
     select_cut,
 )
-from repro.core.matching.index import SnapshotIndex, WindowCounts
+from repro.core.matching.index import SnapshotIndex
 from repro.core.matching.oracle import (
     detection_signature,
     verify_detection,
@@ -29,10 +29,9 @@ __all__ = [
     "MatchSession",
     "MatchingEngine",
     "MatchingStats",
-    "ScoringCandidate",
+    "Preparation",
     "ScoringClass",
     "SnapshotIndex",
-    "WindowCounts",
     "detection_signature",
     "scoring_classes",
     "select_cut",

@@ -12,14 +12,15 @@ steady-state per-iteration cost to a function of what *changed*:
   ~140 operations, so once candidates are truncated at the offending
   API and reduced to their state-change skeleton most of a selection
   is *the same string*: ~370 candidates per fault on the Fig. 8c
-  stream, ~30 distinct ``(needle, cut_lengths, pure_read)`` triples.
+  stream, ~30 distinct ``(needle, cuts, pure_read)`` triples.
   Candidates sharing that triple get the same multiplicity bound, the
   same DP rows and the same :func:`select_cut` result on every
-  window, so the triple — a :class:`ScoringClass` — is the unit the
-  session gates, DPs and caches; each result is fanned out to the
-  class's member indexes.  :func:`scoring_classes` computes the
-  partition (and everything static per class) once per selection;
-  the compiled index memoizes it beside the hydrated candidate list.
+  window, so the triple — a :class:`Preparation`, held once per
+  :class:`ScoringClass` — is the unit the session gates, DPs and
+  caches; each result is fanned out to the class's member indexes.
+  :func:`scoring_classes` computes the partition once per selection;
+  the library compiler runs it at compile time over preparations it
+  has already interned.
 * **Alphabet blocks.**  Everything that depends only on a needle's
   *alphabet* — the sorted snapshot positions of its symbols, the
   bit-parallel match masks over those filtered coordinates, the
@@ -67,6 +68,7 @@ independent of β, and is exact.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from typing import (
     Dict,
@@ -74,7 +76,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Protocol,
     Sequence,
     Tuple,
     Union,
@@ -86,7 +87,7 @@ __all__ = [
     "MatchSession",
     "MatchingEngine",
     "MatchingStats",
-    "ScoringCandidate",
+    "Preparation",
     "ScoringClass",
     "scoring_classes",
     "select_cut",
@@ -118,24 +119,57 @@ def select_cut(
     return best
 
 
-class ScoringCandidate(Protocol):
-    """What the engine needs from a prepared candidate fingerprint.
+#: What a scorer can tell two preparations apart by.
+PreparationKey = Tuple[str, Tuple[int, ...], bool]
 
-    Structurally matched by ``repro.core.detector._Candidate`` — the
-    engine deliberately depends on this surface, not on the detector
-    module, so the detector can import the engine without a cycle.
+
+class Preparation:
+    """One fingerprint made ready for scoring against one fault symbol.
+
+    The only prepared-candidate type: ``repro.core.detector.
+    prepare_candidate`` returns it, the library compiler interns it
+    under :meth:`key` and a candidate is a ``(fingerprint,
+    preparation)`` pair.  Everything :meth:`MatchSession.score` reads
+    is a function of ``(needle, cuts, pure_read)`` — the multiplicity
+    bound, the DP rows, the :func:`select_cut` result and the
+    finalization length — and is derived once, here.  Read-only after
+    construction: one instance is shared by every candidate, selection,
+    detector and shard that scores the same skeleton.
     """
 
-    pure_read: bool
-    cut_lengths: List[int]
-    alphabet: FrozenSet[str]
-    needle_counts: Dict[str, int]
+    __slots__ = (
+        "needle", "cuts", "pure_read", "alphabet", "needle_items",
+        "size", "final_length",
+    )
 
-    @property
-    def needle(self) -> str: ...
+    def __init__(
+        self, needle: str, cuts: Tuple[int, ...], pure_read: bool
+    ) -> None:
+        #: The symbol string scored: the state-change symbols of the
+        #: longest considered truncation (every symbol in the strict
+        #: ablation), or its full symbol string for a pure read.
+        self.needle = needle
+        #: Prefix lengths into the required symbols, one per
+        #: truncation point, ascending.  A pure read has no required
+        #: symbol to cut at and is scored whole.
+        self.cuts = cuts
+        self.pure_read = pure_read
+        self.alphabet: FrozenSet[str] = frozenset(needle)
+        #: Needle symbol multiplicities, feeding the multiplicity gate.
+        self.needle_items = tuple(Counter(needle).items())
+        # ``max(1, …)``: an empty needle sums 0 credits, and 0/1 keeps
+        # the 0.0 bound the reference computes without a zero division.
+        self.size = max(1, len(needle))
+        #: Corroborated length at which the score can no longer
+        #: improve — the longest cut, fully covered.  Shorter cuts at
+        #: coverage 1.0 could still be overtaken by a longer cut as
+        #: the buffer grows, so they do not finalize.
+        self.final_length = len(needle) if pure_read else cuts[-1]
 
-    @property
-    def final_length(self) -> int: ...
+    def key(self) -> PreparationKey:
+        """The scorer's identity: pool-interning and class-partition
+        key."""
+        return (self.needle, self.cuts, self.pure_read)
 
 
 @dataclass
@@ -246,60 +280,33 @@ class _AlphabetBlock:
         return self._shifted
 
 
+@dataclass
 class ScoringClass:
-    """Candidates of one selection the scorer cannot tell apart.
+    """Candidates of one selection the scorer cannot tell apart:
+    their shared :class:`Preparation` and their indexes into the
+    selection's candidate list."""
 
-    Everything :meth:`MatchSession.score` reads off a candidate is a
-    function of ``(needle, cut_lengths, pure_read)``: the multiplicity
-    bound, the DP rows, the :func:`select_cut` result and the
-    finalization length.  ``members`` are the indexes (into the
-    selection's candidate list) that share the triple; the other
-    attributes are the static scoring data, derived once here so a
-    session sets up in O(classes) attribute copies.
-    """
-
-    __slots__ = (
-        "needle", "cuts", "pure_read", "alphabet", "needle_items",
-        "size", "final_length", "members",
-    )
-
-    def __init__(
-        self, representative: ScoringCandidate, members: Tuple[int, ...]
-    ) -> None:
-        needle = representative.needle
-        self.needle = needle
-        self.cuts = tuple(representative.cut_lengths)
-        self.pure_read = representative.pure_read
-        self.alphabet = representative.alphabet
-        self.needle_items = tuple(representative.needle_counts.items())
-        # ``max(1, …)``: an empty needle sums 0 credits, and 0/1 keeps
-        # the 0.0 bound the reference computes without a zero division.
-        self.size = max(1, len(needle))
-        self.final_length = representative.final_length
-        self.members = members
+    preparation: Preparation
+    members: Tuple[int, ...]
 
 
 def scoring_classes(
-    candidates: Sequence[ScoringCandidate],
+    candidates: Sequence[Tuple[object, Preparation]],
 ) -> Tuple[ScoringClass, ...]:
     """Partition one selection into its :class:`ScoringClass` es.
 
-    The single source of the partition: the compiled index memoizes
-    its result per ``(symbol, truncation)`` and a scan-selected list
-    goes through it as well.  Classes are ordered by first member and
-    members ascend, so the partition is a pure function of the list.
+    The single source of the partition: the library compiler runs it
+    per ``(symbol, truncation)`` over interned preparations and a
+    scan-selected list goes through it as well, so it groups by
+    :meth:`Preparation.key`, not by object identity.  Classes are
+    ordered by first member and members ascend, so the partition is a
+    pure function of the list.
     """
-    groups: Dict[Tuple[str, Tuple[int, ...], bool], List[int]] = {}
-    for position, candidate in enumerate(candidates):
-        groups.setdefault(
-            (
-                candidate.needle, tuple(candidate.cut_lengths),
-                candidate.pure_read,
-            ),
-            [],
-        ).append(position)
+    groups: Dict[PreparationKey, List[int]] = {}
+    for position, (_, preparation) in enumerate(candidates):
+        groups.setdefault(preparation.key(), []).append(position)
     return tuple(
-        ScoringClass(candidates[members[0]], tuple(members))
+        ScoringClass(candidates[members[0]][1], tuple(members))
         for members in groups.values()
     )
 
@@ -308,19 +315,12 @@ class _CandidateState:
     """One scoring class's live state within a session."""
 
     __slots__ = (
-        "needle", "cuts", "pure_read", "alphabet", "needle_items",
-        "size", "final_length", "members", "required", "block",
-        "last_span", "last_result",
+        "preparation", "members", "required", "block", "last_span",
+        "last_result",
     )
 
     def __init__(self, scoring_class: ScoringClass, required: float) -> None:
-        self.needle = scoring_class.needle
-        self.cuts = scoring_class.cuts
-        self.pure_read = scoring_class.pure_read
-        self.alphabet = scoring_class.alphabet
-        self.needle_items = scoring_class.needle_items
-        self.size = scoring_class.size
-        self.final_length = scoring_class.final_length
+        self.preparation = scoring_class.preparation
         self.members = scoring_class.members
         self.required = required
         self.block: Optional[_AlphabetBlock] = None
@@ -345,9 +345,10 @@ class _CandidateState:
         """
         window_mask = (1 << width) - 1
         row = window_mask  # all ones: no increments yet
-        needle = self.needle
+        preparation = self.preparation
+        needle = preparation.needle
         get = shifted.get
-        if self.pure_read:
+        if preparation.pure_read:
             for symbol in needle:
                 mask = get(symbol)
                 if mask:
@@ -355,9 +356,9 @@ class _CandidateState:
                     row = ((row + update) | (row - update)) & window_mask
             stats.lcs_symbols_fed += len(needle)
             length = width - bin(row).count("1")
-            return length, length / self.size
+            return length, length / preparation.size
         lengths: Dict[int, int] = {}
-        cuts = self.cuts
+        cuts = preparation.cuts
         remaining = len(cuts)
         cut_index = 0
         fed = 0
@@ -402,7 +403,7 @@ class MatchSession:
         self._states = [
             _CandidateState(
                 scoring_class,
-                0.999 if (scoring_class.pure_read or strict)
+                0.999 if (scoring_class.preparation.pure_read or strict)
                 else threshold,
             )
             for scoring_class in classes
@@ -445,20 +446,21 @@ class MatchSession:
                 for position in members:
                     scores[position] = result
                 continue
+            preparation = state.preparation
             matched = 0
-            for symbol, need in state.needle_items:
+            for symbol, need in preparation.needle_items:
                 have = counts_get(symbol)
                 if have is None:
                     have = index_count(symbol, lo, hi)
                     counts[symbol] = have
                 matched += need if need < have else have
             required = state.required
-            if matched / state.size < required:
+            if matched / preparation.size < required:
                 gated += len(members)
                 continue
             block = state.block
             if block is None:
-                alphabet = state.alphabet
+                alphabet = preparation.alphabet
                 block = blocks.get(alphabet)
                 if block is None:
                     block = _AlphabetBlock(alphabet, self._index)
@@ -486,7 +488,7 @@ class MatchSession:
                 # A class is final only once its *longest* cut is
                 # fully corroborated (see the reference scorer).
                 if (coverage >= 0.999
-                        and length >= state.final_length
+                        and length >= preparation.final_length
                         and finalized is not None):
                     for position in members:
                         finalized[position] = result

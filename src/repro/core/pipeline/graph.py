@@ -54,11 +54,7 @@ from repro.core.opfaults import is_operational_fault
 from repro.core.pipeline.middleware import StageObserver
 from repro.core.reports import FaultReport
 from repro.core.rootcause import RootCauseEngine
-from repro.core.state import (
-    StateError,
-    StateFormatError,
-    require_state,
-)
+from repro.core.state import StateError, require_state
 from repro.core.symbols import SymbolTable
 from repro.core.window import SlidingWindow, Snapshot
 from repro.monitoring.store import MetadataStore
@@ -88,11 +84,11 @@ class PipelineStats:
     lcs_row_extensions: int = 0
     lcs_symbols_fed: int = 0
     # Candidate-selection counters (``docs/indexing.md``): postings
-    # entries examined by ``candidates_for`` and candidates hydrated
+    # entries examined by ``candidates_for`` and candidates served
     # from the compiled index.  Every selection is served from the
     # index, so the two are equal here; they are two counters on the
     # detector because the reference full scan (``repro.reference``)
-    # examines postings without hydrating.
+    # examines postings without being served any.
     postings_scanned: int = 0
     candidates_indexed: int = 0
     # Level-shift engine counters (``repro.core.streamstats``):
@@ -322,14 +318,6 @@ class AnalysisPipeline:
         replaying the stream under different semantics.
         """
         require_state(state, self.STATE_FMT)
-        if state["fmt"] != self.STATE_FMT:
-            # v1 nested one fmt-tagged document per stage wrapper;
-            # ``require_state`` alone lets older versions through, and
-            # mapping those onto this layout would be a guess.
-            raise StateFormatError(
-                f"state fmt {state['fmt']!r} is the per-stage layout; "
-                f"this analyzer restores only {self.STATE_FMT!r}"
-            )
         if state["config"] != asdict(self.config):
             raise StateError(
                 "pipeline state was captured under a different config"

@@ -30,9 +30,10 @@ honest:
   in-flight stream position.  (This is also what lets a long-lived
   service session keep bounded memory — see ``docs/service.md``.)
 
-:func:`require_state` is the shared format/version check: unknown
-layer names and *newer* versions raise :class:`StateFormatError`
-(forward compatibility is refused loudly, not guessed at).
+:func:`require_state` is the shared format/version check: a foreign
+layer name or any version but the layer's current one raises
+:class:`StateFormatError`.  No layer migrates an older document or
+guesses at a newer one, so the gate admits only what can be read.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ class StateError(ValueError):
 
 
 class StateFormatError(StateError):
-    """The ``fmt`` tag is missing, malformed, foreign, or too new."""
+    """The ``fmt`` tag is missing, malformed, foreign, or not the
+    layer's current version."""
 
 
 class Checkpointable(Protocol):
@@ -91,9 +93,8 @@ def require_state(state: Mapping[str, Any], expected: str) -> None:
     """Check a state dict's ``fmt`` against ``expected``.
 
     ``expected`` is the layer's *current* tag (e.g.
-    ``"sliding-window/v1"``).  The layer name must match exactly; the
-    persisted version must not exceed the current one (older versions
-    are the caller's chance to migrate, newer ones are refused).
+    ``"sliding-window/v1"``).  Layer name and version must both
+    match exactly: no layer reads any version but its current one.
     """
     if not isinstance(state, Mapping):
         raise StateFormatError(
@@ -111,6 +112,11 @@ def require_state(state: Mapping[str, Any], expected: str) -> None:
     if version > want_version:
         raise StateFormatError(
             f"state fmt {tag!r} is newer than supported {expected!r}"
+        )
+    if version < want_version:
+        raise StateFormatError(
+            f"state fmt {tag!r} is older than {expected!r}, the only "
+            f"version this build restores"
         )
 
 

@@ -8,8 +8,8 @@ turns under the GIL.  The module has two halves:
 * :func:`shard_worker_main` — the worker's event loop.  It is seeded
   **once** with a pickled :class:`WorkerSeed` (fingerprint library,
   config, catalog, metadata-store snapshot), builds its own
-  ``AnalyzerShard`` locally (hydrating detector caches and the
-  compiled selection index in-process), then serves commands from a
+  ``AnalyzerShard`` locally (compiling its own selection index
+  in-process on the first fault), then serves commands from a
   duplex pipe.  Exchange commands (``reap``/``flush``/``stats``/…)
   drain the shard's report log and anomaly log and ship the new
   :class:`~repro.core.reports.FaultReport` batch back with the reply,

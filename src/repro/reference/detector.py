@@ -2,7 +2,7 @@
 ``verify_selection`` and ``verify_detection``.
 
 :class:`~repro.core.detector.OperationDetector` runs one path: it
-hydrates candidates from the compiled index and scores the context
+looks candidates up in the compiled index and scores the context
 buffer through an incremental ``MatchSession``.  Each of those layers
 has a slow, obviously-correct twin here, plugged into the detector's
 two hooks so that the β-growth loop, ranking and result assembly are
@@ -27,13 +27,13 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.config import GretelConfig
 from repro.core.detector import (
+    Candidate,
     OperationDetector,
     Scorer,
     Scores,
-    _Candidate,
     prepare_candidate,
 )
-from repro.core.matching.engine import select_cut
+from repro.core.matching.engine import Preparation, select_cut
 from repro.core.window import Snapshot
 from repro.openstack.wire import WireEvent
 
@@ -88,7 +88,7 @@ def prefix_lcs_lengths(needle: str, haystack: str) -> List[int]:
     return result
 
 
-def upper_bound(candidate: _Candidate,
+def upper_bound(preparation: Preparation,
                 buffer_counts: Mapping[str, int]) -> float:
     """Coverage upper bound from symbol multiplicities.
 
@@ -99,12 +99,12 @@ def upper_bound(candidate: _Candidate,
     Monotone nondecreasing under buffer growth, which both the
     gate and the adaptive loop's ``finalized`` set rely on.
     """
-    source = candidate.needle
+    source = preparation.needle
     if not source:
         return 0.0
     get = buffer_counts.get
     matched = 0
-    for symbol, count in candidate.needle_counts.items():
+    for symbol, count in preparation.needle_items:
         have = get(symbol, 0)
         matched += count if count < have else have
     return matched / len(source)
@@ -116,7 +116,7 @@ def _foreign(alphabet: FrozenSet[str]) -> "re.Pattern[str]":
     return re.compile("[^" + re.escape("".join(sorted(alphabet))) + "]+")
 
 
-def score_candidate(candidate: _Candidate,
+def score_candidate(preparation: Preparation,
                     buffer_symbols: str) -> Tuple[int, float]:
     """Best (corroborated length, coverage) over truncation points.
 
@@ -124,19 +124,20 @@ def score_candidate(candidate: _Candidate,
     fingerprint and the buffer — how many of the operation's
     ordered symbols the buffer actually witnesses.
     """
-    if candidate.alphabet:
+    if preparation.alphabet:
         # C-speed removal of symbols outside the candidate's alphabet
         # before the (Python-level) LCS.
-        buffer_symbols = _foreign(candidate.alphabet).sub("", buffer_symbols)
-    if candidate.pure_read:
-        lengths = prefix_lcs_lengths(candidate.full_symbols, buffer_symbols)
-        total = max(1, len(candidate.full_symbols))
+        buffer_symbols = _foreign(preparation.alphabet).sub(
+            "", buffer_symbols
+        )
+    lengths = prefix_lcs_lengths(preparation.needle, buffer_symbols)
+    if preparation.pure_read:
+        total = max(1, len(preparation.needle))
         return lengths[-1], lengths[-1] / total
-    lengths = prefix_lcs_lengths(candidate.sc_symbols, buffer_symbols)
-    return select_cut(candidate.cut_lengths, lengths)
+    return select_cut(preparation.cuts, lengths)
 
 
-def score_buffer(candidates: Sequence[_Candidate], buffer_symbols: str,
+def score_buffer(candidates: Sequence[Candidate], buffer_symbols: str,
                  config: GretelConfig,
                  finalized: Optional[Scores] = None) -> Scores:
     """(corroborated length, coverage) per gated candidate index.
@@ -148,21 +149,21 @@ def score_buffer(candidates: Sequence[_Candidate], buffer_symbols: str,
     buffer_counts = Counter(buffer_symbols)
     scores: Scores = {}
     strict = not config.relaxed_match
-    for index, candidate in enumerate(candidates):
+    for index, (_, preparation) in enumerate(candidates):
         if finalized and index in finalized:
             scores[index] = finalized[index]
             continue
-        required = 0.999 if (candidate.pure_read or strict) else threshold
-        if upper_bound(candidate, buffer_counts) < required:
+        required = 0.999 if (preparation.pure_read or strict) else threshold
+        if upper_bound(preparation, buffer_counts) < required:
             continue
-        length, coverage = score_candidate(candidate, buffer_symbols)
+        length, coverage = score_candidate(preparation, buffer_symbols)
         if coverage >= required:
             scores[index] = (length, coverage)
             # A candidate is final only once its *longest* cut is
             # fully corroborated: shorter cuts at coverage 1.0 could
             # still be overtaken as the buffer grows.
             if (coverage >= 0.999
-                    and length >= candidate.final_length
+                    and length >= preparation.final_length
                     and finalized is not None):
                 finalized[index] = (length, coverage)
     return scores
@@ -204,7 +205,7 @@ class ScratchScoringDetector(OperationDetector):
             return "".join(encoded[lo:hi])
         return self._encode_events(snapshot.events[lo:hi], correlation_id)
 
-    def _scorer(self, snapshot: Snapshot, candidates: List[_Candidate],
+    def _scorer(self, snapshot: Snapshot, candidates: List[Candidate],
                 correlation_id: str) -> Scorer:
         def score(lo: int, hi: int,
                   finalized: Optional[Scores] = None) -> Scores:
@@ -222,18 +223,18 @@ class ScanSelectionDetector(OperationDetector):
     """From-scratch selection, production scoring.  Never compiles or
     consults an index."""
 
-    def _select(self, symbol: str, truncate: bool) -> List[_Candidate]:
+    def _select(self, symbol: str, truncate: bool) -> List[Candidate]:
         prune = self.config.prune_rpcs
         relaxed = self.config.relaxed_match
-        prepared: List[_Candidate] = []
+        prepared: List[Candidate] = []
         for fingerprint in self.library.ops_containing(symbol):
             self.postings_scanned += 1
             effective = (
                 fingerprint.rest_only(self.symbols) if prune
                 else fingerprint
             )
-            prepared.append(prepare_candidate(
+            prepared.append(Candidate(fingerprint, prepare_candidate(
                 fingerprint, effective, symbol,
                 truncate=truncate, relaxed=relaxed,
-            ))
+            )))
         return prepared

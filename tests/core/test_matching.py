@@ -5,7 +5,7 @@ import pytest
 from repro.openstack.catalog import default_catalog
 from repro.openstack.wire import WireEvent
 from repro.core.config import GretelConfig
-from repro.core.detector import OperationDetector, _Candidate
+from repro.core.detector import Candidate, OperationDetector
 from repro.core.fingerprint import (
     FingerprintLibrary,
     generate_fingerprint,
@@ -13,8 +13,8 @@ from repro.core.fingerprint import (
 from repro.core.matching import (
     MatchSession,
     MatchingStats,
+    Preparation,
     SnapshotIndex,
-    WindowCounts,
     scoring_classes,
     select_cut,
     verify_detection,
@@ -112,15 +112,10 @@ def make_snapshot(catalog, specs, fault_spec, fault_status=500):
                     fault_index=events.index(fault_event))
 
 
-def make_candidate(sc_symbols, cut_lengths=None, full_symbols=None,
-                   pure_read=False):
-    """A bare _Candidate for symbol-level engine tests."""
-    return _Candidate(
-        original=None,
-        sc_symbols=sc_symbols,
-        cut_lengths=cut_lengths or [len(sc_symbols)],
-        full_symbols=full_symbols or sc_symbols,
-        pure_read=pure_read,
+def make_candidate(needle, cuts=None, pure_read=False):
+    """A fingerprint-less candidate for symbol-level engine tests."""
+    return Candidate(
+        None, Preparation(needle, tuple(cuts or [len(needle)]), pure_read),
     )
 
 
@@ -141,20 +136,6 @@ def test_index_excludes_blank_fragments():
     assert index.count("", 0, 3) == 0
 
 
-def test_window_counts_matches_counter_semantics():
-    from collections import Counter
-
-    fragments = ["A", "B", "", "A", "C", "A", "B"]
-    lo, hi = 1, 6
-    counts = WindowCounts(SnapshotIndex(fragments), lo, hi)
-    reference = Counter("".join(fragments[lo:hi]))
-    for symbol in "ABCZ":
-        assert counts.get(symbol, 0) == reference.get(symbol, 0)
-        assert counts[symbol] == reference.get(symbol, 0)
-    assert set(iter(counts)) == {"A", "B", "C"}
-    assert len(counts) == 3
-
-
 # -- multiplicity gate (satellite 1) --------------------------------------
 
 
@@ -162,13 +143,13 @@ def test_upper_bound_respects_multiplicities():
     """A needle 'AAB' must not be fully credited by a single 'A'
     (the set-intersection bound this replaced credited alphabet
     membership, not occurrences)."""
-    candidate = make_candidate("AAB")
+    preparation = Preparation("AAB", (3,), False)
     # Set-of-symbols view: both symbols present => old bound was 1.0.
-    assert candidate.alphabet == frozenset("AB")
-    assert upper_bound(candidate, {"A": 1, "B": 1}) == pytest.approx(2 / 3)
-    assert upper_bound(candidate, {"A": 2, "B": 1}) == pytest.approx(1.0)
+    assert preparation.alphabet == frozenset("AB")
+    assert upper_bound(preparation, {"A": 1, "B": 1}) == pytest.approx(2 / 3)
+    assert upper_bound(preparation, {"A": 2, "B": 1}) == pytest.approx(1.0)
     # Surplus buffer copies never over-credit.
-    assert upper_bound(candidate, {"A": 9, "B": 9}) == pytest.approx(1.0)
+    assert upper_bound(preparation, {"A": 9, "B": 9}) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("needle,buffer_symbols", [
@@ -184,21 +165,21 @@ def test_upper_bound_is_a_true_upper_bound(needle, buffer_symbols):
     bound >= LCS(needle, buffer) / len(needle), always."""
     from collections import Counter
 
-    candidate = make_candidate(needle)
+    preparation = Preparation(needle, (len(needle),), False)
     lcs = prefix_lcs_lengths(needle, buffer_symbols)[-1]
-    bound = upper_bound(candidate, Counter(buffer_symbols))
+    bound = upper_bound(preparation, Counter(buffer_symbols))
     assert bound >= lcs / len(needle)
 
 
 def test_upper_bound_monotone_under_buffer_growth():
     from collections import Counter
 
-    candidate = make_candidate("AABBC")
+    preparation = Preparation("AABBC", (5,), False)
     buffer_symbols = ""
     previous = 0.0
     for extension in ["A", "B", "Z", "A", "C", "B", "A"]:
         buffer_symbols += extension
-        bound = upper_bound(candidate, Counter(buffer_symbols))
+        bound = upper_bound(preparation, Counter(buffer_symbols))
         assert bound >= previous
         previous = bound
 
@@ -307,17 +288,16 @@ def test_scoring_classes_group_identical_preparations():
     pool = [
         make_candidate("ABC", [2, 3]),
         make_candidate("ABD"),
-        make_candidate("ABC", [2, 3], full_symbols="AxBC"),
+        make_candidate("ABC", [2, 3]),
         make_candidate("ABC", [2, 3]),
     ]
     classes = scoring_classes(pool)
-    # Ordered by first member; reads outside the state-change
-    # skeleton (``full_symbols``) do not split a class.
+    # Ordered by first member; grouped by key, not by object identity
+    # (none of these preparations is interned).
     assert [c.members for c in classes] == [(0, 2, 3), (1,)]
-    first = classes[0]
-    assert (first.needle, first.cuts, first.pure_read) == (
-        "ABC", (2, 3), False,
-    )
+    first = classes[0].preparation
+    assert first is pool[0].preparation
+    assert first.key() == ("ABC", (2, 3), False)
     assert first.alphabet == frozenset("ABC")
     assert dict(first.needle_items) == {"A": 1, "B": 1, "C": 1}
     assert (first.size, first.final_length) == (3, 3)
@@ -325,7 +305,7 @@ def test_scoring_classes_group_identical_preparations():
 
 def test_scoring_classes_separate_cuts_and_pure_read(
         library, symbols, catalog):
-    """Same needle, different ``cut_lengths`` → different classes;
+    """Same needle, different ``cuts`` → different classes;
     same symbols, different ``pure_read`` → different classes.  Each
     pair also *scores* differently on the window below, so merging
     either would be a wrong answer, not just a different layout."""
@@ -405,7 +385,7 @@ def test_stats_account_for_every_candidate_of_every_iteration(
         evaluated = [
             c for c in classes
             if c.members[0] not in finalized and upper_bound(
-                candidates[c.members[0]], buffer_counts,
+                c.preparation, buffer_counts,
             ) >= detector.config.match_coverage
         ]
         gated_before = stats.candidates_gated
@@ -484,9 +464,9 @@ def test_verify_detection_catches_a_member_dropped_from_fan_out(
     snapshots = [make_snapshot(
         catalog, [IMAGE, UPLOAD, BOOT, PORT], PORT,
     )]
-    # Selections memoize their partition on the compiled index, keyed
-    # by library: a fresh library per half keeps the tampered one out
-    # of the honest run.
+    # Selections are partitioned when their library is compiled, and
+    # the compilation is memoized per library: a fresh library per
+    # half keeps the tampered one out of the honest run.
     honest = verify_detection(
         snapshots, duplicate_library(catalog, symbols), catalog=catalog,
     )

@@ -8,15 +8,17 @@ points and pure-read flags — and hold the two scorers to exact
 equality, including the ``finalized`` side-channel.
 """
 
-import dataclasses
-
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
-from repro.core.detector import OperationDetector, _Candidate
-from repro.core.matching import scoring_classes, verify_detection
+from repro.core.detector import Candidate, OperationDetector
+from repro.core.matching import (
+    Preparation,
+    scoring_classes,
+    verify_detection,
+)
 from repro.reference import score_buffer
 from repro.workloads.traffic import SyntheticStream
 
@@ -41,17 +43,13 @@ def candidates(draw):
     pure_read = draw(st.booleans())
     needle = draw(st.text(alphabet=ALPHABET, min_size=1, max_size=8))
     if pure_read:
-        return _Candidate(
-            original=None, sc_symbols="", cut_lengths=[0],
-            full_symbols=needle, pure_read=True,
-        )
+        return Candidate(None, Preparation(needle, (0,), True))
     cuts = draw(st.sets(
         st.integers(min_value=1, max_value=len(needle)), max_size=4,
     ))
     cuts.add(len(needle))
-    return _Candidate(
-        original=None, sc_symbols=needle, cut_lengths=sorted(cuts),
-        full_symbols=needle, pure_read=False,
+    return Candidate(
+        None, Preparation(needle, tuple(sorted(cuts)), False),
     )
 
 
@@ -88,7 +86,8 @@ def duplicate_heavy_cases(draw):
     fragments, fault, beta, delta, preps = draw(scoring_cases())
     preps = preps[:3]
     pool = [
-        dataclasses.replace(prep)
+        # A fresh, un-interned copy each: classes form by key.
+        Candidate(None, Preparation(*prep.preparation.key()))
         for prep in draw(st.lists(
             st.sampled_from(preps), min_size=2, max_size=12,
         ))

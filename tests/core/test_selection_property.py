@@ -7,15 +7,18 @@ through random libraries, random selection-flag configurations, and
 random offending symbols (including symbols no fingerprint contains)
 and requires signature-identical candidate lists: same operations in
 the same pinned order, with the same preparation content (required
-symbols, truncation cut points, pure-read classification).
+symbols, truncation cut points, pure-read classification) and the same
+scoring-class partition — and that the compiled side's preparations
+are the entries of one pool holding each distinct one once.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis.compile import candidate_signature, compile_library
 from repro.core.config import GretelConfig
-from repro.core.detector import OperationDetector
+from repro.core.detector import OperationDetector, prepare_candidate
 from repro.core.fingerprint import Fingerprint, FingerprintLibrary
+from repro.core.matching import scoring_classes
 from repro.core.symbols import SymbolTable
 from repro.openstack.catalog import default_catalog
 from repro.reference import ScanSelectionDetector
@@ -81,5 +84,34 @@ def test_indexed_selection_equals_full_scan(data):
                 f"{api_key} truncate={truncate}: indexed selection "
                 f"diverged under flags {index.flags}"
             )
+            # The compile-time partition is the one ``scoring_classes``
+            # makes of the scanned list, which shares no object with it.
+            served = indexed.candidates_for(api_key, truncate=truncate)
+            scanned = reference.candidates_for(api_key, truncate=truncate)
+            assert [c.members for c in served.classes] == [
+                c.members for c in scoring_classes(scanned)
+            ]
+            for scoring_class in served.classes:
+                preparation = scoring_class.preparation
+                assert preparation is index.pool[preparation.key()]
+                assert all(
+                    served[member].preparation is preparation
+                    for member in scoring_class.members
+                )
     # Counters prove the indexed path actually served the lookups.
     assert indexed.candidates_indexed == indexed.postings_scanned
+    # One pool entry per distinct preparation of a from-scratch sweep
+    # over every posting × both modes.
+    swept = set()
+    for symbol in library.postings():
+        for fingerprint in library.ops_containing(symbol):
+            effective = (
+                fingerprint.rest_only(_SYMBOLS) if config.prune_rpcs
+                else fingerprint
+            )
+            for truncate in (config.truncate_fingerprints, False):
+                swept.add(prepare_candidate(
+                    fingerprint, effective, symbol,
+                    truncate=truncate, relaxed=config.relaxed_match,
+                ).key())
+    assert set(index.pool) == swept

@@ -35,10 +35,11 @@ def test_parse_fmt_rejects_malformed_tags(tag):
 # require_state
 # ---------------------------------------------------------------------------
 
-def test_require_state_accepts_current_and_older_versions():
+def test_require_state_accepts_only_the_current_version():
     require_state({"fmt": "layer/v2"}, "layer/v2")
-    # Older persisted versions are the caller's chance to migrate.
-    require_state({"fmt": "layer/v1"}, "layer/v2")
+    # No layer migrates, so an older document is refused by name.
+    with pytest.raises(StateFormatError, match="layer/v1.*layer/v2"):
+        require_state({"fmt": "layer/v1"}, "layer/v2")
 
 
 def test_require_state_refuses_newer_versions():

@@ -75,7 +75,7 @@ def test_lint_clean_library_exits_zero(full_character, capsys):
     assert "repro lint: 1200 fingerprints" in out
     assert "0 error(s)" in out
     assert ("passes: ambiguity, truncation, integrity, regex, "
-            "noise-config, discriminability, index-drift") in out
+            "noise-config, discriminability") in out
 
 
 def test_lint_strict_flags_injected_ambiguous_pair(tmp_path, capsys):
@@ -120,97 +120,60 @@ def test_lint_unreadable_library_is_usage_error(tmp_path, capsys):
     assert "cannot read library" in capsys.readouterr().err
 
 
-# ---------------------------------------------------------------------------
-# repro index
-# ---------------------------------------------------------------------------
-
-def _drifted_copy(library_path, tmp_path):
-    """The same library minus one fingerprint — a stale-index library."""
-    with open(library_path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    del data["fingerprints"][0]
-    path = tmp_path / "drifted.json"
-    path.write_text(json.dumps(data))
-    return str(path)
-
-
-def test_index_build_and_inspect_round_trip(tmp_path, capsys):
-    library = _ambiguous_library_file(tmp_path)
-    artifact = str(tmp_path / "index.json")
-    assert main(["index", "build", "--library", library,
-                 "--out", artifact]) == 0
-    out = capsys.readouterr().out
-    assert "wrote" in out and "2 operations" in out
-
-    assert main(["index", "inspect", artifact]) == 0
-    out = capsys.readouterr().out
-    assert "format version: 1" in out
-    assert "selection flags: prune_rpcs=True" in out
-    assert "longest postings lists:" in out
-
-    assert main(["index", "inspect", artifact, "--check",
-                 "--library", library]) == 0
-    assert "fresh" in capsys.readouterr().out
-
-
-def test_index_inspect_check_reports_drift(tmp_path, capsys):
-    library = _ambiguous_library_file(tmp_path)
-    artifact = str(tmp_path / "index.json")
-    assert main(["index", "build", "--library", library,
-                 "--out", artifact]) == 0
-    capsys.readouterr()
-    # A different library behind the same artifact: stale hashes.
-    other = _drifted_copy(library, tmp_path)
-    assert main(["index", "inspect", artifact, "--check",
-                 "--library", other]) == 1
-    out = capsys.readouterr().out
-    assert "DRIFT:" in out
-    assert "library hash mismatch" in out
-
-
-def test_index_build_writes_to_stdout_without_out(tmp_path, capsys):
-    library = _ambiguous_library_file(tmp_path)
-    assert main(["index", "build", "--library", library]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["format_version"] == 1
-
-
-def test_index_inspect_unreadable_artifact_is_usage_error(
-    tmp_path, capsys
-):
-    assert main(["index", "inspect",
-                 str(tmp_path / "missing.json")]) == 2
-    assert "cannot read index" in capsys.readouterr().err
-
-
-def test_lint_with_stale_index_fails(tmp_path, capsys):
-    library = _ambiguous_library_file(tmp_path)
-    artifact = str(tmp_path / "index.json")
-    assert main(["index", "build", "--library", library,
-                 "--out", artifact]) == 0
-    capsys.readouterr()
-    other = _drifted_copy(library, tmp_path)
-    assert main(["lint", "--library", other, "--index", artifact,
-                 "--passes", "index-drift"]) == 1
-    assert "IDX001" in capsys.readouterr().out
+def test_removed_index_surface_is_a_usage_error():
+    """The ``index`` subcommands and ``lint --index`` went with the
+    serialized artifact (docs/indexing.md, "Rejected designs")."""
+    for argv in (["index", "build"], ["lint", "--index", "x.json"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
 
 
 # ---------------------------------------------------------------------------
 # Determinism: byte-identical output across hash seeds
 # ---------------------------------------------------------------------------
 
-def _cli_subprocess(args, hash_seed):
-    """Run the CLI in a subprocess under a pinned PYTHONHASHSEED."""
+_CLI_SCRIPT = (
+    "import sys; from repro.cli import main; "
+    "sys.exit(main(sys.argv[1:]))"
+)
+
+#: Compiles the library file in argv[1] and prints one digest over
+#: everything a detector is served: per (symbol, mode), the candidate
+#: signatures in order and the scoring-class member tuples.
+_INDEX_DIGEST_SCRIPT = """
+import hashlib, json, sys
+from repro.analysis.compile import candidate_signature, compile_library
+from repro.core.fingerprint import FingerprintLibrary
+from repro.core.symbols import SymbolTable
+from repro.openstack.catalog import default_catalog
+
+with open(sys.argv[1], encoding="utf-8") as handle:
+    library = FingerprintLibrary.from_dict(
+        json.load(handle), SymbolTable(default_catalog()),
+    )
+index = compile_library(library)
+digest = hashlib.sha256()
+for symbol in library.postings():
+    for truncated in (True, False):
+        selection = index.selection(symbol, truncated)
+        digest.update(repr((
+            [candidate_signature(c) for c in selection],
+            [c.members for c in selection.classes],
+        )).encode("utf-8"))
+print(digest.hexdigest())
+"""
+
+
+def _cli_subprocess(args, hash_seed, script=_CLI_SCRIPT):
+    """Run the CLI (or ``script``) in a subprocess under a pinned
+    PYTHONHASHSEED."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         repro.__file__
     )))
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed
     env["PYTHONPATH"] = src
-    script = (
-        "import sys; from repro.cli import main; "
-        "sys.exit(main(sys.argv[1:]))"
-    )
     run = subprocess.run(
         [sys.executable, "-c", script, *args],
         capture_output=True, env=env, check=False,
@@ -226,9 +189,13 @@ def test_lint_json_is_hash_seed_invariant(tmp_path):
 
 
 def test_index_build_is_hash_seed_invariant(tmp_path):
+    """Spawned shard workers each compile under their own hash seed."""
     library = _ambiguous_library_file(tmp_path)
-    args = ["index", "build", "--library", library]
-    assert _cli_subprocess(args, "0") == _cli_subprocess(args, "1")
+    first, second = (
+        _cli_subprocess([library], seed, _INDEX_DIGEST_SCRIPT)
+        for seed in ("0", "1")
+    )
+    assert first == second and len(first.strip()) == 64
 
 
 # ---------------------------------------------------------------------------
