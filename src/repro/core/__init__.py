@@ -27,7 +27,7 @@ This package implements the paper's primary contribution:
 * :mod:`repro.core.analyzer` — the serial execution engine: that
   object plus the per-event receiver;
 * :mod:`repro.core.parallel` — the sharded execution engine (that
-  object plus a batched event loop, N times) and the
+  object N times, each fed its partition in chunks) and the
   serial-vs-sharded differential-correctness oracle;
 * :mod:`repro.core.characterize` — the offline fingerprinting
   pipeline over a (Tempest-like) suite (§7.1).
@@ -48,7 +48,6 @@ from repro.core.characterize import CharacterizationResult, characterize_suite
 from repro.core.config import GretelConfig
 from repro.core.detector import DetectionResult, OperationDetector
 from repro.core.parallel import (
-    AnalyzerShard,
     ShardedAnalyzer,
     verify_equivalence,
 )
@@ -60,7 +59,6 @@ from repro.core.symbols import SymbolTable
 
 __all__ = [
     "AnalysisPipeline",
-    "AnalyzerShard",
     "CharacterizationResult",
     "DetectionResult",
     "FaultReport",

@@ -15,12 +15,12 @@ The full §5 chain behind one ``on_event`` entry point:
 
 The chain itself is
 :class:`repro.core.pipeline.graph.AnalysisPipeline` (see
-``docs/architecture.md``); this class *is* one, wired for per-event
-intake, and adds only the receiver: ``on_event`` / ``feed``.  The
-analyzer stays deliberately synchronous and allocation-light: the
-paper's throughput claims (§7.4.1) rest on the sliding window and the
-snapshot path being cheap, and the benchmark harness measures exactly
-this object's ``on_event`` loop.
+``docs/architecture.md``); this class *is* one and adds only the
+receiver: ``on_event`` / ``feed``.  The analyzer stays deliberately
+synchronous and allocation-light: the paper's throughput claims
+(§7.4.1) rest on the sliding window and the snapshot path being
+cheap, and the benchmark harness measures exactly this object's
+``on_event`` loop.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class GretelAnalyzer(AnalysisPipeline):
         super().__init__(
             library, symbols=symbols, catalog=catalog, store=store,
             config=config, track_latency=track_latency,
-            defer_detection=defer_detection, batch_size=None,
+            defer_detection=defer_detection,
             middleware=middleware, report_listeners=report_listeners,
         )
 

@@ -350,13 +350,12 @@ class OperationDetector:
         """One symbol fragment per event; ``""`` excludes the event
         from matching (noise always; RPCs under ``prune_rpcs``).
 
-        The one event→fragment encoder.  A chunk-wired window takes
-        this method as its ``encode_batch`` and attaches the fragments
-        to its snapshots, so :meth:`detect` slices them instead of
-        re-encoding the context buffer; a snapshot frozen without them
-        is encoded here, once per :meth:`detect`.  Filtering is folded
-        into a per-API cache, so steady-state encoding is one dict
-        lookup per event instead of a symbol lookup plus kind checks.
+        The one event→fragment encoder, called once per
+        :meth:`detect` on the frozen snapshot (the adaptive-growth
+        loop then slices the fragments, it does not re-encode).
+        Filtering is folded into a per-API cache, so steady-state
+        encoding is one dict lookup per event instead of a symbol
+        lookup plus kind checks.
         """
         prune = self.config.prune_rpcs
         lookup = self.symbols.symbol
@@ -381,17 +380,12 @@ class OperationDetector:
                            correlation_id: str) -> Sequence[str]:
         """Per-event fragments for one incremental scoring session.
 
-        Reuses the snapshot's pre-encoded fragments when present;
-        correlation filtering blanks the fragments of events outside
+        Correlation filtering blanks the fragments of events outside
         the offending request, which keeps positions aligned with
         ``snapshot.events`` while matching what per-event encoding
         would keep.
         """
-        encoded: Sequence[str]
-        if snapshot.encoded is not None:
-            encoded = snapshot.encoded
-        else:
-            encoded = self.fragments(snapshot.events)
+        encoded: Sequence[str] = self.fragments(snapshot.events)
         if correlation_id:
             encoded = [
                 piece if piece and event.request_id == correlation_id

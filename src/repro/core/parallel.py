@@ -10,19 +10,16 @@ and nothing in the pipeline requires a total order across nodes.
 
 :class:`ShardedAnalyzer` exploits exactly that partitioning:
 
-* events are routed to one of N :class:`AnalyzerShard` workers by a
-  deterministic partition key (source node by default, first-seen
-  round-robin assignment);
+* events are routed to one of N shards by a deterministic partition
+  key (source node by default, first-seen round-robin assignment);
 * each shard is its own
   :class:`~repro.core.pipeline.graph.AnalysisPipeline` — the same
-  class as the serial engine, wired for chunks — so shards share no
-  mutable state and a step never crosses shard boundaries;
-* a shard step ingests a *chunk* of events via the pipeline's chunked
-  intake: one cheap scan finds the (rare) faults, fault-free runs land
-  in the window via C-level ``deque.extend``, symbols are encoded once
-  per chunk (:meth:`repro.core.detector.OperationDetector.fragments`)
-  instead of per event per match iteration, and latencies are observed
-  per chunk;
+  class, built the same way, as the serial engine — so shards share
+  no mutable state and a step never crosses shard boundaries;
+* a shard step feeds a *chunk* of events to the pipeline's
+  ``process_chunk``: latencies are observed per chunk, one cheap scan
+  finds the (rare) faults, and fault-free runs land in the window via
+  C-level ``deque.extend``;
 * the merge stage orders every shard's
   :class:`~repro.core.reports.FaultReport` deterministically by
   (fault event sequence, fault kind, report timestamp), so two runs
@@ -43,7 +40,8 @@ both the test suite and ``repro analyze --verify-shards``.  See
 from __future__ import annotations
 
 from typing import (
-    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+    Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence,
+    Tuple,
 )
 
 from repro.openstack.catalog import ApiCatalog
@@ -122,61 +120,6 @@ def report_signature(report: FaultReport) -> ReportSignature:
     )
 
 
-class AnalyzerShard(AnalysisPipeline):
-    """One worker shard: the analyzer with a batched event loop.
-
-    The same :class:`AnalysisPipeline` as the serial engine (snapshot
-    analysis, performance path, deferred-detection queue), wired for
-    chunks of ``batch_size`` events, with :meth:`ingest_batch` in
-    place of the per-event receiver.
-    """
-
-    def __init__(
-        self,
-        shard_id: int,
-        library: FingerprintLibrary,
-        *,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        symbols: Optional[SymbolTable] = None,
-        catalog: Optional[ApiCatalog] = None,
-        store: Optional[MetadataStore] = None,
-        config: Optional[GretelConfig] = None,
-        track_latency: bool = True,
-        defer_detection: bool = False,
-        middleware: Sequence[StageObserver] = (),
-        report_listeners: Sequence[
-            Callable[[FaultReport], None]
-        ] = (),
-    ):
-        self.shard_id = shard_id
-        self.batch_size = max(1, batch_size)
-        super().__init__(
-            library, symbols=symbols, catalog=catalog, store=store,
-            config=config, track_latency=track_latency,
-            defer_detection=defer_detection,
-            batch_size=self.batch_size,
-            middleware=middleware, report_listeners=report_listeners,
-        )
-
-    def ingest_batch(self, chunk: Sequence[WireEvent]) -> None:
-        """Process a FIFO run of this shard's events in batched steps.
-
-        Byte-equivalent to calling the serial engine's ``on_event``
-        per event: faults mark the window at their exact positions,
-        snapshots freeze after their own α/2 successors, and latencies
-        are observed in arrival order.
-        """
-        total = len(chunk)
-        if not total:
-            return
-        process = self.process_chunk
-        if total > self.batch_size:
-            for start in range(0, total, self.batch_size):
-                process(chunk[start:start + self.batch_size])
-            return
-        process(chunk)
-
-
 class ShardedAnalyzer:
     """N-way partitioned GRETEL analyzer with deterministic merging.
 
@@ -184,6 +127,10 @@ class ShardedAnalyzer:
     ``feed`` / ``flush`` / ``process_deferred`` / ``reports`` /
     counters) so callers can swap it in; events are routed to shards
     by ``key`` and buffered into chunks of ``batch_size`` per shard.
+    A shard is an :class:`AnalysisPipeline` (or, on the process
+    backend, the :class:`~repro.core.workers.ProcessShard` client of
+    one living in a worker); both answer to the pipeline's method
+    names.
     Aggregate counters come from merging the shards'
     :class:`~repro.core.pipeline.graph.PipelineStats` instead of a
     hand-written property per counter.
@@ -243,10 +190,10 @@ class ShardedAnalyzer:
         self.batch_size = max(1, batch_size)
         self.store = store or MetadataStore()
         self.config = config or GretelConfig()
-        # Both backends build the same ``AnalyzerShard(...)``: inline
-        # here, the process backend inside each worker from the seed.
+        # Both backends build the same ``AnalysisPipeline(library,
+        # **wiring)``: inline here, the process backend inside each
+        # worker from the seed.
         wiring = {
-            "batch_size": self.batch_size,
             "symbols": symbols,
             "catalog": catalog,
             "store": self.store,
@@ -255,8 +202,9 @@ class ShardedAnalyzer:
             "defer_detection": defer_detection,
         }
         if backend == "process":
-            # Imported lazily: workers builds AnalyzerShards, so the
-            # module import is parallel -> workers one-way only here.
+            # Imported lazily: workers raises this module's
+            # ShardWorkerError, so the module import is parallel ->
+            # workers one-way only here.
             from repro.core.workers import ProcessShard, WorkerSeed
 
             self.shards = []
@@ -267,11 +215,11 @@ class ShardedAnalyzer:
                 self.shards.append(client)
         else:
             self.shards = [
-                AnalyzerShard(
-                    index, library, middleware=middleware,
+                AnalysisPipeline(
+                    library, middleware=middleware,
                     report_listeners=report_listeners, **wiring,
                 )
-                for index in range(shards)
+                for _ in range(shards)
             ]
         #: partition key → shard index, assigned first-seen round-robin
         #: (deterministic for a given stream, maximally balanced across
@@ -308,24 +256,32 @@ class ShardedAnalyzer:
     # -- event intake ------------------------------------------------------
 
     def _step(self, index: int, chunk: Sequence[WireEvent]) -> None:
-        """Run one shard step; on worker death, tear the pool down."""
+        """Feed one shard a FIFO run of its events, ``batch_size`` at
+        a time; on worker death, tear the pool down."""
+        process = self.shards[index].process_chunk
+        size = self.batch_size
         try:
-            self.shards[index].ingest_batch(chunk)
+            for start in range(0, len(chunk), size):
+                process(chunk[start:start + size])
         except ShardWorkerError:
             self.close()
             raise
 
-    def _fanout(self, op: str) -> List:
-        """Post ``op`` to every process shard, then collect replies.
+    def _fanout(self, op: str) -> List[Any]:
+        """Call the pipeline method ``op`` on every shard; results in
+        shard order.
 
-        Posting first and collecting second keeps all workers busy
-        simultaneously — a sequential call/reply loop would serialize
-        the pool on one core at a time.
+        Process shards are all posted to first and collected second,
+        which keeps every worker busy simultaneously — a sequential
+        call/reply loop would serialize the pool on one core at a
+        time.
         """
         try:
-            for shard in self.shards:
-                shard.post(op)
-            return [shard.wait(op) for shard in self.shards]
+            if self.backend == "process":
+                for shard in self.shards:
+                    shard.post(op)
+                return [shard.wait(op) for shard in self.shards]
+            return [getattr(shard, op)() for shard in self.shards]
         except ShardWorkerError:
             self.close()
             raise
@@ -383,17 +339,11 @@ class ShardedAnalyzer:
             if buffer:
                 self._step(index, buffer)
                 self._buffers[index] = []
-        if self.backend == "process":
-            self._fanout("flush")
-            return
-        for shard in self.shards:
-            shard.flush()
+        self._fanout("flush")
 
     def process_deferred(self) -> int:
         """Analyze every shard's queued snapshots; returns the total."""
-        if self.backend == "process":
-            return sum(int(n) for n in self._fanout("deferred"))
-        return sum(shard.process_deferred() for shard in self.shards)
+        return sum(self._fanout("process_deferred"))
 
     # -- merge stage -------------------------------------------------------
 
@@ -429,9 +379,7 @@ class ShardedAnalyzer:
     def shard_stats(self) -> List[PipelineStats]:
         """Each shard's own counters, in shard order (a one-valued
         partition key leaves all but one at ``events_processed == 0``)."""
-        if self.backend == "process":
-            return self._fanout("stats")
-        return [shard.stats() for shard in self.shards]
+        return self._fanout("stats")
 
     def stats(self) -> PipelineStats:
         """Counters merged across all shards."""
@@ -465,10 +413,7 @@ class ShardedAnalyzer:
         worker's pipeline over the wire, so a process-backed session
         checkpoints exactly like an inline one.
         """
-        if self.backend == "process":
-            pipelines = self._fanout("snapshot")
-        else:
-            pipelines = [shard.snapshot_state() for shard in self.shards]
+        pipelines = self._fanout("snapshot_state")
         return {
             "fmt": self.STATE_FMT,
             "backend": self.backend,
@@ -501,28 +446,35 @@ class ShardedAnalyzer:
                 f"state has {len(pipelines)} pipeline states for "
                 f"{state['shards']} shards"
             )
-        self._assignment = {
-            str(k): int(v) for k, v in state["assignment"].items()
-        }
-        self._buffers = [
+        # A checkpoint file is outside input: every length and every
+        # shard index is checked before anything is installed, so a
+        # refused document leaves the analyzer as it was.
+        buffers = [
             [WireEvent.from_dict(e) for e in buffer]
             for buffer in state["buffers"]
         ]
-        if len(self._buffers) != self.n_shards:
+        if len(buffers) != self.n_shards:
             raise StateError(
-                f"state has {len(self._buffers)} buffers for "
+                f"state has {len(buffers)} buffers for "
                 f"{state['shards']} shards"
             )
-        if self.backend == "process":
-            try:
-                for shard, pipeline in zip(self.shards, pipelines):
-                    shard.restore_state(pipeline)
-            except ShardWorkerError:
-                self.close()
-                raise
-        else:
+        assignment = {
+            str(k): int(v) for k, v in state["assignment"].items()
+        }
+        for partition_key, index in assignment.items():
+            if not 0 <= index < self.n_shards:
+                raise StateError(
+                    f"state routes {partition_key!r} to shard {index}, "
+                    f"analyzer has shards 0..{self.n_shards - 1}"
+                )
+        self._assignment = assignment
+        self._buffers = buffers
+        try:
             for shard, pipeline in zip(self.shards, pipelines):
                 shard.restore_state(pipeline)
+        except ShardWorkerError:
+            self.close()
+            raise
 
     def __getattr__(self, name: str):
         # Aggregate counters (events_processed, bytes_processed,
@@ -597,29 +549,54 @@ def verify_equivalence(
             serial.process_deferred()
             sharded.process_deferred()
 
-        missing, extra = diff_multisets(
-            (report_signature(r) for r in serial.reports),
-            (report_signature(r) for r in sharded.reports),
-        )
-        result = OracleResult(
-            layer="shards",
-            reference="serial",
-            candidate=f"{shards}-shard {backend}",
-            facts={
-                "events": len(events),
-                "shards": shards,
-                # 1 of several: the key sent the whole stream to one
-                # shard; the run proves "one active shard ≡ serial".
-                "active_shards": sum(
-                    bool(stats.events_processed)
-                    for stats in sharded.shard_stats()
-                ),
-                "reference_reports": len(serial.reports),
-                "candidate_reports": len(sharded.reports),
-            },
-            missing=missing,
-            extra=extra,
-        )
+        sharded_reports = sharded.reports
+        shard_stats = sharded.shard_stats()
     finally:
         sharded.close()
+    return compare_replays(
+        len(events), serial.reports, sharded_reports, shard_stats,
+        strict=strict, backend=backend,
+    )
+
+
+def compare_replays(
+    events: int,
+    serial_reports: Sequence[FaultReport],
+    sharded_reports: Sequence[FaultReport],
+    shard_stats: Sequence[PipelineStats],
+    *,
+    strict: bool = True,
+    backend: str = "inline",
+) -> OracleResult:
+    """The ``shards`` oracle's verdict on two finished replays.
+
+    What :func:`verify_equivalence` does once both halves have run,
+    for a caller that already holds a serial and a sharded replay of
+    the same ``events``-long stream (the scenario runner grades both
+    and must not replay twice more).  ``shard_stats`` is the sharded
+    half's :meth:`ShardedAnalyzer.shard_stats`, taken before close.
+    """
+    missing, extra = diff_multisets(
+        (report_signature(r) for r in serial_reports),
+        (report_signature(r) for r in sharded_reports),
+    )
+    shards = len(shard_stats)
+    result = OracleResult(
+        layer="shards",
+        reference="serial",
+        candidate=f"{shards}-shard {backend}",
+        facts={
+            "events": events,
+            "shards": shards,
+            # 1 of several: the key sent the whole stream to one
+            # shard; the run proves "one active shard ≡ serial".
+            "active_shards": sum(
+                bool(stats.events_processed) for stats in shard_stats
+            ),
+            "reference_reports": len(serial_reports),
+            "candidate_reports": len(sharded_reports),
+        },
+        missing=missing,
+        extra=extra,
+    )
     return settle(result, strict)

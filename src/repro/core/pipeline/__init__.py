@@ -6,14 +6,13 @@ cause (Alg. 3) → report (§5, Fig. 1).  One class *is* that chain:
 :class:`~repro.core.pipeline.graph.AnalysisPipeline` owns the four
 components, the counters and the report log, and reports its seven
 stage steps to pluggable observers
-(:mod:`repro.core.pipeline.middleware`).  The execution engines — the
-serial :class:`~repro.core.analyzer.GretelAnalyzer` and the
-:class:`~repro.core.parallel.AnalyzerShard` workers behind
-:class:`~repro.core.parallel.ShardedAnalyzer` — are subclasses that
-add only their event intake, and
-:class:`~repro.core.pipeline.builder.PipelineBuilder` is a fluent
-keyword collector in front of their constructors.  See
-``docs/architecture.md``.
+(:mod:`repro.core.pipeline.middleware`).  The serial
+:class:`~repro.core.analyzer.GretelAnalyzer` is a subclass that adds
+only the per-event receiver; the shards behind
+:class:`~repro.core.parallel.ShardedAnalyzer` are plain instances fed
+in chunks; and :class:`~repro.core.pipeline.builder.PipelineBuilder`
+is a fluent keyword collector in front of the two engines'
+constructors.  See ``docs/architecture.md``.
 """
 
 from repro.core.pipeline.graph import (
@@ -28,8 +27,8 @@ from repro.core.pipeline.middleware import (
     StageTimer,
 )
 
-# Last: the builder imports the engines, which subclass
-# ``AnalysisPipeline`` from the submodule above.
+# Last: the builder imports the engines, which subclass or
+# instantiate ``AnalysisPipeline`` from the submodule above.
 from repro.core.pipeline.builder import PipelineBuilder
 
 __all__ = [

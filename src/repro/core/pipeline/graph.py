@@ -6,13 +6,13 @@
 components (:class:`~repro.core.window.SlidingWindow`,
 :class:`~repro.core.latency.LatencyTracker`,
 :class:`~repro.core.detector.OperationDetector`,
-:class:`~repro.core.rootcause.RootCauseEngine`), the counters, the
-report log with its listeners and — when wired for chunks — the ring
-of recent events the performance path cuts its context from.  The
-execution engines subclass it and add only their intake: the serial
-:class:`~repro.core.analyzer.GretelAnalyzer` (``on_event``) and the
-shard worker :class:`~repro.core.parallel.AnalyzerShard`
-(``ingest_batch``).
+:class:`~repro.core.rootcause.RootCauseEngine`), the counters and the
+report log with its listeners.  There is one wiring: the same object
+takes events one at a time or in chunks, and its state does not
+record which.  The serial :class:`~repro.core.analyzer.GretelAnalyzer`
+subclasses it to add the receiver (``on_event`` / ``feed``); a shard
+of :class:`~repro.core.parallel.ShardedAnalyzer` is this class as it
+stands, fed through :meth:`AnalysisPipeline.process_chunk`.
 
 There are three intake bodies, and they are three on purpose:
 
@@ -31,12 +31,10 @@ holds the first two equal and ``verify_equivalence``
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import asdict, dataclass, fields
 from typing import (
     Any,
     Callable,
-    Deque,
     Dict,
     Iterable,
     List,
@@ -123,15 +121,11 @@ STAT_FIELDS: Tuple[str, ...] = tuple(
 class AnalysisPipeline:
     """The GRETEL analyzer: four components, one chain.
 
-    ``batch_size`` is the one wiring choice.  ``None`` wires for
-    per-event intake: latencies are observed right after each append,
-    so the live window *is* the α events ending at an anomalous one.
-    An int wires for chunks of (at most) that many events: the window
-    pre-encodes symbols once per chunk — snapshots carry the context
-    buffer in symbol form and detection slices instead of re-encoding
-    — and, because latencies are then observed once per chunk, after
-    the window has advanced past the anomalous event, a ring of the
-    last α + ``batch_size`` events is kept to cut that context from.
+    One window of events, one encoder call site (operation detection
+    encodes a snapshot once per ``detect``), one source of performance
+    context: the live window — which per-event intake has just
+    appended the anomalous event to, and which chunk intake extends
+    with the chunk being observed up to that event.
     """
 
     def __init__(
@@ -144,7 +138,6 @@ class AnalysisPipeline:
         config: Optional[GretelConfig] = None,
         track_latency: bool = True,
         defer_detection: bool = False,
-        batch_size: Optional[int] = None,
         middleware: Sequence[StageObserver] = (),
         report_listeners: Sequence[
             Callable[[FaultReport], None]
@@ -164,15 +157,7 @@ class AnalysisPipeline:
         self.latency = LatencyTracker(self.config)
         self.rootcause = RootCauseEngine(self.store, self.config)
         alpha = self.config.sliding_window_size(max(library.fp_max, 2))
-        self._recent: Optional[Deque[WireEvent]] = None
-        if batch_size is None:
-            self.window = SlidingWindow(alpha)
-        else:
-            self.window = SlidingWindow(
-                alpha, encode_batch=self.detector.fragments
-            )
-            if track_latency:
-                self._recent = deque(maxlen=alpha + max(1, batch_size))
+        self.window = SlidingWindow(alpha)
 
         self.events_processed = 0
         self.bytes_processed = 0
@@ -185,6 +170,10 @@ class AnalysisPipeline:
         self._observers: Tuple[StageObserver, ...] = tuple(middleware)
         self._deferred: List[Snapshot] = []
         self._last_perf_analysis: Dict[str, float] = {}
+        #: The chunk whose latencies are being observed, not yet in
+        #: the window; empty outside :meth:`process_chunk`, so never
+        #: part of a checkpoint.
+        self._observing: Sequence[WireEvent] = ()
         # Hot-path bindings: the components are fixed once wired (and
         # restored in place), so the per-event path pre-resolves its
         # attribute chains.
@@ -265,7 +254,7 @@ class AnalysisPipeline:
     # ------------------------------------------------------------------
     # State lifecycle (see repro.core.state).
 
-    STATE_FMT = "analysis-pipeline/v2"
+    STATE_FMT = "analysis-pipeline/v3"
 
     #: The counters this object owns, as checkpointed.  Every other
     #: :class:`PipelineStats` field lives in (and is restored by) the
@@ -288,7 +277,6 @@ class AnalysisPipeline:
         ``repro.service.oracle.verify_checkpoint`` proves a restored
         analyzer finishes the stream bit-identically.
         """
-        recent = self._recent
         return {
             "fmt": self.STATE_FMT,
             "config": asdict(self.config),
@@ -300,22 +288,19 @@ class AnalysisPipeline:
             "window": self.window.snapshot_state(),
             "latency": self.latency.snapshot_state(),
             "detector": self.detector.snapshot_state(),
-            "recent_depth": None if recent is None else recent.maxlen,
-            "recent": (
-                [] if recent is None
-                else [event.to_dict() for event in recent]
-            ),
             "deferred": [s.to_dict() for s in self._deferred],
             "last_perf_analysis": dict(self._last_perf_analysis),
         }
 
     def restore_state(self, state: Mapping[str, Any]) -> None:
-        """Rehydrate a freshly built, identically wired analyzer.
+        """Rehydrate a freshly built, identically configured analyzer.
 
         Components are restored *in place* (the hot-path bound methods
-        keep pointing at the same objects); a config, latency-mode,
-        defer-mode or wiring mismatch refuses loudly instead of
-        replaying the stream under different semantics.
+        keep pointing at the same objects); a config, latency-mode or
+        defer-mode mismatch refuses loudly instead of replaying the
+        stream under different semantics.  Which intake fed the
+        analyzer that took the state is not recorded and does not
+        matter: per-event and chunk intake leave the same state.
         """
         require_state(state, self.STATE_FMT)
         if state["config"] != asdict(self.config):
@@ -328,23 +313,11 @@ class AnalysisPipeline:
                     f"pipeline state {name}={state[name]} does not "
                     f"match this pipeline's {getattr(self, name)}"
                 )
-        recent = self._recent
-        depth = None if recent is None else recent.maxlen
-        if state["recent_depth"] != depth:
-            raise StateError(
-                f"pipeline state keeps a recent-event ring of depth "
-                f"{state['recent_depth']}, this pipeline one of {depth}"
-            )
         for name in self._COUNTERS:
             setattr(self, name, state["counters"][name])
         self.window.restore_state(state["window"])
         self.latency.restore_state(state["latency"])
         self.detector.restore_state(state["detector"])
-        if recent is not None:
-            recent.clear()
-            recent.extend(
-                WireEvent.from_dict(e) for e in state["recent"]
-            )
         self.reports = []
         self._deferred = [
             Snapshot.from_dict(s) for s in state["deferred"]
@@ -396,8 +369,6 @@ class AnalysisPipeline:
             # but — matching the paper's REST-triggered snapshots —
             # do not freeze it.
             self.operational_faults_seen += 1
-        if self._recent is not None:
-            self._recent.append(event)
         if self.track_latency and not event.noise and not event.error:
             self._observe(event)
 
@@ -408,8 +379,6 @@ class AnalysisPipeline:
             self._dispatch(snapshot)
         if self._call("fault-scan", 1, self._scan_one, event):
             self._mark(event)
-        if self._recent is not None:
-            self._recent.append(event)
         self._call("latency", 1, self._observe_one, event)
 
     def _count_one(self, event: WireEvent) -> None:
@@ -433,20 +402,32 @@ class AnalysisPipeline:
     # ------------------------------------------------------------------
     # Chunked intake (shard engine).
     def process_chunk(self, chunk: Sequence[WireEvent]) -> None:
-        """Run a chunk of stream-ordered events through the chain."""
+        """Run a chunk of stream-ordered events through the chain.
+
+        Byte-equivalent to :meth:`process_event` per event: faults
+        mark the window at their exact positions, snapshots freeze
+        after their own α/2 successors, and each API's latencies are
+        observed in arrival order.  Latencies go first, while the
+        window still ends just before the chunk: an anomaly's context
+        is then the live window plus the chunk up to the anomalous
+        event (:meth:`process_anomaly`), with nothing kept per event
+        and nothing copied when no anomaly fires.
+        """
         total = len(chunk)
         if not total:
             return
         self._call("ingest", total, self._count, chunk)
-        if self._recent is not None:
-            self._recent.extend(chunk)
+        self._observing = chunk
+        try:
+            self._call("latency", total, self._observe_chunk, chunk)
+        finally:
+            self._observing = ()
         cuts = self._call("fault-scan", total, self._scan, chunk)
         completed = self._call(
             "window", total, self._push_runs, chunk, cuts
         )
         for snapshot in completed:
             self._dispatch(snapshot)
-        self._call("latency", total, self._observe_chunk, chunk)
 
     def _count(self, chunk: Sequence[WireEvent]) -> None:
         self.events_processed += len(chunk)
@@ -578,13 +559,15 @@ class AnalysisPipeline:
 
         started = time.perf_counter()
         seq = anomaly.event.seq
-        if self._recent is None:
-            events = self.window.live_events()
-        else:
-            # Chunk wiring: the window is already past the anomalous
-            # event, so cut the ring at it.
-            events = [e for e in self._recent if e.seq <= seq]
-            events = events[-self.alpha:]
+        events = self.window.live_events()
+        for index, event in enumerate(self._observing):
+            if event is anomaly.event:
+                # Chunk intake: the window ends just before the chunk
+                # under observation, so the α events ending at the
+                # anomalous one are its tail plus the chunk up to it.
+                events += self._observing[:index + 1]
+                events = events[-self.alpha:]
+                break
         fault_index = -1
         for index, candidate in enumerate(events):
             if candidate.seq == seq:

@@ -93,7 +93,7 @@ def require_state(state: Mapping[str, Any], expected: str) -> None:
     """Check a state dict's ``fmt`` against ``expected``.
 
     ``expected`` is the layer's *current* tag (e.g.
-    ``"sliding-window/v1"``).  Layer name and version must both
+    ``"sliding-window/v2"``).  Layer name and version must both
     match exactly: no layer reads any version but its current one.
     """
     if not isinstance(state, Mapping):

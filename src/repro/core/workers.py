@@ -1,27 +1,29 @@
 """Process-backend shard execution: one worker process per shard.
 
-``ShardedAnalyzer(backend="process")`` places each shard's
-:class:`~repro.core.parallel.AnalyzerShard` in a long-lived worker
-process so shards genuinely run on separate cores instead of taking
-turns under the GIL.  The module has two halves:
+``ShardedAnalyzer(backend="process")`` places each shard — an
+:class:`~repro.core.pipeline.graph.AnalysisPipeline`, the same object
+an inline shard is — in a long-lived worker process so shards
+genuinely run on separate cores instead of taking turns under the
+GIL.  The module has two halves:
 
 * :func:`shard_worker_main` — the worker's event loop.  It is seeded
   **once** with a pickled :class:`WorkerSeed` (fingerprint library,
   config, catalog, metadata-store snapshot), builds its own
-  ``AnalyzerShard`` locally (compiling its own selection index
+  ``AnalysisPipeline`` locally (compiling its own selection index
   in-process on the first fault), then serves commands from a
-  duplex pipe.  Exchange commands (``reap``/``flush``/``stats``/…)
-  drain the shard's report log and anomaly log and ship the new
+  duplex pipe.  A command's op is the pipeline method to call
+  (:data:`PIPELINE_OPS`), or ``reap``, which calls nothing.  Exchange
+  commands (``reap``/``flush``/``stats``/…) drain the shard's report
+  log and anomaly log and ship the new
   :class:`~repro.core.reports.FaultReport` batch back with the reply,
   so worker memory stays bounded and the parent streams reports at
-  chunk granularity; chunk commands are acknowledged with *empty*
-  replies — see the deadlock note below.
-* :class:`ProcessShard` — the parent-side client.  It exposes the same
-  surface as an inline ``AnalyzerShard`` (``ingest_batch`` / ``flush``
-  / ``process_deferred`` / ``stats`` / ``reports`` /
-  ``snapshot_state`` / ``restore_state``) so the routing, merge and
-  stats code in :class:`~repro.core.parallel.ShardedAnalyzer` is
-  backend-agnostic.
+  chunk granularity; ``process_chunk`` commands are acknowledged with
+  *empty* replies — see the deadlock note below.
+* :class:`ProcessShard` — the parent-side client.  It answers to the
+  pipeline's own names where :class:`~repro.core.parallel.ShardedAnalyzer`
+  talks to one shard (``process_chunk`` / ``restore_state`` /
+  ``reports`` / ``on_report`` / ``shed_logs`` / ``close``) and to
+  ``post`` / ``wait`` where it fans one method out to the whole pool.
 
 Wire protocol (one reply per command, FIFO per connection):
 
@@ -31,11 +33,10 @@ Wire protocol (one reply per command, FIFO per connection):
 where ``tag`` is ``"ok"`` or ``"error"`` (payload then carries the
 worker traceback).  Lifecycle robustness:
 
-* **Backpressure** — ``ingest_batch`` splits work into
-  ``batch_size``-event chunk commands and caps unacknowledged chunks
-  at :data:`DEFAULT_MAX_INFLIGHT`; once the cap is reached the parent
-  blocks on the next reply, so a slow shard stalls its producer
-  instead of growing an unbounded pipe buffer.
+* **Backpressure** — ``process_chunk`` sends one chunk command and
+  caps unacknowledged chunks at :data:`DEFAULT_MAX_INFLIGHT`; once the
+  cap is reached the parent blocks on the next reply, so a slow shard
+  stalls its producer instead of growing an unbounded pipe buffer.
 * **Deadlock freedom** — chunk acks never carry reports.  A reply
   batch big enough to fill the worker→parent buffer while the parent
   is itself blocked sending the next chunk would deadlock the pair
@@ -76,7 +77,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Sequence
 
 from repro.core.fingerprint import FingerprintLibrary
-from repro.core.parallel import AnalyzerShard, ShardWorkerError
+from repro.core.parallel import ShardWorkerError
+from repro.core.pipeline.graph import AnalysisPipeline
 from repro.core.reports import FaultReport
 from repro.openstack.wire import WireEvent
 
@@ -144,10 +146,12 @@ def _pin(pid: int) -> None:
 class WorkerSeed:
     """Everything a worker needs to build its shard, pickled once.
 
-    ``wiring`` holds the :class:`~repro.core.parallel.AnalyzerShard`
-    keywords exactly as ``ShardedAnalyzer`` passes them to its inline
-    shards (batch size, symbols, catalog, store, config, the latency
-    and defer flags).  The metadata store crosses the boundary as a
+    ``wiring`` holds the
+    :class:`~repro.core.pipeline.graph.AnalysisPipeline` keywords
+    exactly as ``ShardedAnalyzer`` passes them to its inline shards
+    (symbols, catalog, store, config, the latency and defer flags);
+    ``shard_id`` only names the worker in its process title and error
+    messages.  The metadata store crosses the boundary as a
     snapshot copy: the analyzer only *reads* monitoring metadata
     (populated at capture time), so each worker consults an identical
     read-only copy.  Collaborators with in-process caches (fingerprint
@@ -160,25 +164,26 @@ class WorkerSeed:
     wiring: Dict[str, Any]
 
 
-def _dispatch(shard: AnalyzerShard, op: str, payload: Any) -> Any:
-    if op == "chunk":
-        shard.ingest_batch(payload)
-        return None
-    if op == "flush":
-        shard.flush()
-        return None
-    if op == "deferred":
-        return shard.process_deferred()
-    if op == "stats":
-        return shard.stats()
-    if op == "snapshot":
-        return shard.snapshot_state()
-    if op == "restore":
-        shard.restore_state(payload)
-        return None
+#: Worker ops that are the pipeline's own methods, called by name
+#: (with the command's payload when it carries one).  Anything else
+#: but ``reap`` and ``stop`` is refused: the pipe is not a way to call
+#: arbitrary attributes.
+PIPELINE_OPS = frozenset({
+    "process_chunk",
+    "flush",
+    "process_deferred",
+    "stats",
+    "snapshot_state",
+    "restore_state",
+})
+
+
+def _dispatch(shard: AnalysisPipeline, op: str, payload: Any) -> Any:
+    if op in PIPELINE_OPS:
+        method = getattr(shard, op)
+        return method() if payload is None else method(payload)
     if op == "reap":
-        return None
-    if op == "ping":
+        # Nothing to call: the reply itself carries the report batch.
         return None
     raise ValueError(f"unknown worker op {op!r}")
 
@@ -192,7 +197,7 @@ def shard_worker_main(conn: Any, seed: WorkerSeed) -> None:
         # analysis call instead.
         tracemalloc.stop()
     try:
-        shard = AnalyzerShard(seed.shard_id, seed.library, **seed.wiring)
+        shard = AnalysisPipeline(seed.library, **seed.wiring)
     except BaseException:
         try:
             conn.send(("error", "seed", traceback.format_exc(), []))
@@ -222,7 +227,7 @@ def shard_worker_main(conn: Any, seed: WorkerSeed) -> None:
             # the reap every ``DEFAULT_REAP_EVERY`` chunks keeps worker
             # memory bounded by the window and the deferred queue,
             # never by reports published.
-            if op == "chunk":
+            if op == "process_chunk":
                 reports = []
             else:
                 reports = shard.reports
@@ -240,17 +245,18 @@ def shard_worker_main(conn: Any, seed: WorkerSeed) -> None:
 class ProcessShard:
     """Parent-side client for one shard worker process.
 
-    Mirrors the inline :class:`~repro.core.parallel.AnalyzerShard`
-    surface so :class:`~repro.core.parallel.ShardedAnalyzer` treats
-    both backends identically.  Reports stream back attached to
-    replies and accumulate here (in worker emit order) until read via
-    :attr:`reports` or handed off via :meth:`shed_logs`.
+    Stands in for the worker's
+    :class:`~repro.core.pipeline.graph.AnalysisPipeline` under the
+    same method names, so :class:`~repro.core.parallel.ShardedAnalyzer`
+    steps, restores and reads either kind of shard with one call.
+    Reports stream back attached to replies and accumulate here (in
+    worker emit order) until read via :attr:`reports` or handed off
+    via :meth:`shed_logs`.
     """
 
     def __init__(self, seed: WorkerSeed) -> None:
         ctx = _context()
         self.shard_id = seed.shard_id
-        self.batch_size = seed.wiring["batch_size"]
         # The wire protocol is strict FIFO request/reply, so two
         # threads interleaving commands on one pipe would corrupt the
         # pairing (and worse, interleave one tenant's chunk stream
@@ -393,33 +399,28 @@ class ProcessShard:
             self._post(op, payload)
             return self.wait(op)
 
-    # -- AnalyzerShard surface --------------------------------------------
+    # -- the pipeline's names ---------------------------------------------
 
-    def ingest_batch(self, chunk: Sequence[WireEvent]) -> None:
-        """Ship a FIFO run of this shard's events as chunk commands.
+    def process_chunk(self, chunk: Sequence[WireEvent]) -> None:
+        """Ship one chunk of this shard's events to the worker.
 
-        Splits into ``batch_size`` chunks, absorbs any replies already
-        waiting, and blocks once ``DEFAULT_MAX_INFLIGHT`` chunks are
-        unacknowledged — synchronous backpressure, so a slow worker
-        stalls its producer instead of buffering without bound.  Chunk
-        acks carry no reports (see :func:`shard_worker_main` on why
-        that matters for deadlock freedom); every ``DEFAULT_REAP_EVERY``
-        chunks a reap exchange collects what the worker accumulated.
+        Absorbs any replies already waiting, and blocks once
+        ``DEFAULT_MAX_INFLIGHT`` chunks are unacknowledged —
+        synchronous backpressure, so a slow worker stalls its producer
+        instead of buffering without bound.  Chunk acks carry no
+        reports (see :func:`shard_worker_main` on why that matters for
+        deadlock freedom); every ``DEFAULT_REAP_EVERY`` chunks a reap
+        exchange collects what the worker accumulated.
         """
-        total = len(chunk)
-        if not total:
+        if not chunk:
             return
         with self._io:
-            for start in range(0, total, self.batch_size):
-                while self._conn.poll():
-                    self._reply()
-                self._post(
-                    "chunk",
-                    list(chunk[start:start + self.batch_size]),
-                )
-                self._unreaped += 1
-                while self._inflight >= DEFAULT_MAX_INFLIGHT:
-                    self._reply()
+            while self._conn.poll():
+                self._reply()
+            self._post("process_chunk", chunk)
+            self._unreaped += 1
+            while self._inflight >= DEFAULT_MAX_INFLIGHT:
+                self._reply()
             if self._unreaped >= DEFAULT_REAP_EVERY:
                 # One round-trip per that many chunks: the wait
                 # absorbs the outstanding chunk acks (FIFO) and then
@@ -430,22 +431,11 @@ class ProcessShard:
                 self._post("reap")
                 self.wait("reap")
 
-    def flush(self) -> None:
-        self.call("flush")
-
-    def process_deferred(self) -> int:
-        return int(self.call("deferred"))
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        state = self.call("snapshot")
-        assert isinstance(state, dict)
-        return state
-
     def restore_state(self, state: Mapping[str, Any]) -> None:
         # Restoring rewinds the worker to a fresh-plus-state analyzer;
         # reports accumulated from any earlier stream are not part of
         # the restored run.
-        self.call("restore", dict(state))
+        self.call("restore_state", dict(state))
         self._reports.clear()
 
     # -- lifecycle --------------------------------------------------------

@@ -35,7 +35,6 @@ from repro.core.detector import (
 )
 from repro.core.matching.engine import Preparation, select_cut
 from repro.core.window import Snapshot
-from repro.openstack.wire import WireEvent
 
 
 # -- from-scratch scoring ---------------------------------------------------
@@ -172,16 +171,18 @@ def score_buffer(candidates: Sequence[Candidate], buffer_symbols: str,
 class ScratchScoringDetector(OperationDetector):
     """Production selection, from-scratch scoring."""
 
-    def _encode_events(self, events: Sequence[WireEvent],
-                       correlation_id: str = "") -> str:
-        """Snapshot window → symbol string (noise always excluded;
-        RPCs excluded under pruning).
+    def _buffer_symbols(self, snapshot: Snapshot, lo: int, hi: int,
+                        correlation_id: str) -> str:
+        """Symbol string for ``snapshot.events[lo:hi]``, re-encoded on
+        every call (noise always excluded; RPCs excluded under
+        pruning).
 
         With ``correlation_id`` set (the §5.3.1 future-work mode), only
         messages carrying the offending message's correlation header
         are matched — "reducing the number of packets against which a
         fingerprint is matched".
         """
+        events = snapshot.events[lo:hi]
         fragments = self.fragments(events)
         if not correlation_id:
             return "".join(fragments)
@@ -189,21 +190,6 @@ class ScratchScoringDetector(OperationDetector):
             piece for piece, event in zip(fragments, events)
             if event.request_id == correlation_id
         )
-
-    def _buffer_symbols(self, snapshot: Snapshot, lo: int, hi: int,
-                        correlation_id: str) -> str:
-        """Symbol string for ``snapshot.events[lo:hi]``.
-
-        Snapshots frozen by an encoding window carry one pre-encoded
-        fragment per event, so a buffer is a join of a slice;
-        correlation filtering depends on the fault's request id, which
-        the pre-encoding cannot bake in, so that mode falls back to
-        per-event encoding.
-        """
-        encoded = snapshot.encoded
-        if encoded is not None and not correlation_id:
-            return "".join(encoded[lo:hi])
-        return self._encode_events(snapshot.events[lo:hi], correlation_id)
 
     def _scorer(self, snapshot: Snapshot, candidates: List[Candidate],
                 correlation_id: str) -> Scorer:

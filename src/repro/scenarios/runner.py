@@ -7,10 +7,10 @@
 2. **replay** — the capture is fed through a fresh serial pipeline and
    a fresh :class:`~repro.core.parallel.ShardedAnalyzer`;
 3. **grade** — the scenario's oracle battery judges both replays, and
-   a shard-equivalence check (reusing
-   :func:`~repro.core.parallel.verify_equivalence`) judges
-   serial-vs-sharded agreement at the scenario's declared contract
-   level (``exact`` / ``detection`` / ``off``).
+   a shard-equivalence check (the ``shards`` oracle's
+   :func:`~repro.core.parallel.compare_replays`, over the same two
+   replays) judges serial-vs-sharded agreement at the scenario's
+   declared contract level (``exact`` / ``detection`` / ``off``).
 
 :func:`run_catalog` runs any subset of the registry and micro-averages
 the per-scenario confusion counts into catalog-wide precision /
@@ -25,8 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.core.characterize import CharacterizationResult
 from repro.core.config import GretelConfig
-from repro.core.parallel import ShardedAnalyzer, verify_equivalence
-from repro.core.pipeline import PipelineBuilder
+from repro.core.parallel import ShardedAnalyzer, compare_replays
+from repro.core.pipeline import PipelineBuilder, PipelineStats
 from repro.core.reports import FaultReport
 from repro.evaluation.common import DetectionCounts
 from repro.oracle import OracleResult
@@ -60,10 +60,12 @@ def _serial_replay(captured: CapturedRun, scenario: Scenario,
     return list(analyzer.reports)
 
 
-def _sharded_replay(captured: CapturedRun, scenario: Scenario,
-                    config: GretelConfig, shards: int,
-                    backend: str) -> List[FaultReport]:
-    """Feed the capture through a fresh sharded pipeline."""
+def _sharded_replay(
+    captured: CapturedRun, scenario: Scenario, config: GretelConfig,
+    shards: int, backend: str,
+) -> Tuple[List[FaultReport], List[PipelineStats]]:
+    """Feed the capture through a fresh sharded pipeline; returns its
+    reports and each shard's counters."""
     analyzer = ShardedAnalyzer(
         scenario.character.library, shards,
         store=captured.store, config=config,
@@ -73,7 +75,7 @@ def _sharded_replay(captured: CapturedRun, scenario: Scenario,
     try:
         analyzer.feed(captured.events)
         analyzer.flush()
-        return list(analyzer.reports)
+        return list(analyzer.reports), analyzer.shard_stats()
     finally:
         analyzer.close()
 
@@ -104,10 +106,12 @@ def _detection_equivalent(result: OracleResult) -> bool:
     return fault_ids(result.missing) == fault_ids(result.extra)
 
 
-def _grade_equivalence(scenario: Scenario, captured: CapturedRun,
-                       config: GretelConfig, shards: int,
-                       backend: str) -> OracleOutcome:
-    """Judge serial-vs-sharded agreement at the declared contract."""
+def _grade_equivalence(
+    scenario: Scenario, captured: CapturedRun,
+    serial: List[FaultReport], sharded: List[FaultReport],
+    shard_stats: List[PipelineStats], backend: str,
+) -> OracleOutcome:
+    """Judge the two replays' agreement at the declared contract."""
     mode = scenario.equivalence
     if mode == "off":
         return OracleOutcome(
@@ -118,12 +122,11 @@ def _grade_equivalence(scenario: Scenario, captured: CapturedRun,
                 "pipelines graded by the scenario oracles instead"
             ),
         )
-    result = verify_equivalence(
-        captured.events, scenario.character.library, shards,
-        config=config, store=captured.store,
-        track_latency=scenario.track_latency, strict=False,
-        backend=backend,
+    result = compare_replays(
+        len(captured.events), serial, sharded, shard_stats,
+        strict=False, backend=backend,
     )
+    shards = len(shard_stats)
     serial_reports = result.facts["reference_reports"]
     counts: Dict[str, object] = {
         "serial_reports": serial_reports,
@@ -243,10 +246,11 @@ def run_scenario(
 
     if detect:
         serial = _serial_replay(captured, scenario, config)
-        sharded = _sharded_replay(captured, scenario, config, shards,
-                                  backend)
+        sharded, shard_stats = _sharded_replay(
+            captured, scenario, config, shards, backend,
+        )
         equivalence: Optional[OracleOutcome] = _grade_equivalence(
-            scenario, captured, config, shards, backend,
+            scenario, captured, serial, sharded, shard_stats, backend,
         )
     else:
         serial = []

@@ -9,8 +9,10 @@ The paper's stress experiments replay recorded traffic with tcpreplay
   pump it through any analyzer (GRETEL, HANSEL, ...), optionally
   rescaled in time — the tcpreplay ``--multiplier`` knob.
 
-Recorded traces are plain JSONL, one event per line, so they can be
-inspected, filtered or synthesized with standard tools.
+Recorded traces are plain JSONL, one event per line
+(:meth:`~repro.openstack.wire.WireEvent.to_dict`, the rendering every
+checkpoint uses: every field, ground-truth labels included), so they
+can be inspected, filtered or synthesized with standard tools.
 """
 
 from __future__ import annotations
@@ -18,38 +20,8 @@ from __future__ import annotations
 import json
 from typing import Callable, Iterable, Iterator, List, Optional
 
-from repro.openstack.apis import ApiKind
 from repro.openstack.cloud import Cloud
 from repro.openstack.wire import WireEvent
-
-#: Fields serialized per event (ground-truth labels included so traces
-#: stay useful for evaluation).
-_FIELDS = (
-    "seq", "api_key", "method", "name",
-    "src_service", "src_node", "src_ip",
-    "dst_service", "dst_node", "dst_ip",
-    "ts_request", "ts_response", "status", "body",
-    "msg_id", "size_bytes", "noise",
-    "request_id", "tenant", "op_id", "test_id",
-)
-
-
-def event_to_dict(event: WireEvent) -> dict:
-    """JSON-serializable form of one wire event."""
-    record = {field: getattr(event, field) for field in _FIELDS}
-    record["kind"] = event.kind.value
-    record["conn"] = list(event.conn)
-    record["resource_ids"] = list(event.resource_ids)
-    return record
-
-
-def event_from_dict(record: dict) -> WireEvent:
-    """Inverse of :func:`event_to_dict`."""
-    kwargs = {field: record[field] for field in _FIELDS}
-    kwargs["kind"] = ApiKind(record["kind"])
-    kwargs["conn"] = tuple(record.get("conn", ("", 0, "", 0)))
-    kwargs["resource_ids"] = tuple(record.get("resource_ids", ()))
-    return WireEvent(**kwargs)
 
 
 class TraceRecorder:
@@ -68,7 +40,7 @@ class TraceRecorder:
         """Write the trace as JSONL; returns the event count."""
         with open(path, "w", encoding="utf-8") as handle:
             for event in self.events:
-                handle.write(json.dumps(event_to_dict(event)) + "\n")
+                handle.write(json.dumps(event.to_dict()) + "\n")
         return len(self.events)
 
     def __len__(self) -> int:
@@ -82,7 +54,7 @@ def load_trace(path: str) -> List[WireEvent]:
         for line in handle:
             line = line.strip()
             if line:
-                events.append(event_from_dict(json.loads(line)))
+                events.append(WireEvent.from_dict(json.loads(line)))
     return events
 
 

@@ -1,5 +1,7 @@
 """Tests for operation detection (Algorithm 2)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.openstack.apis import ApiKind
@@ -173,6 +175,13 @@ def test_rpc_pruning_flag(library, symbols, catalog):
     snapshot = make_snapshot(catalog, specs, POLL)
     assert "op-keypair-boot" in with_pruning.detect(snapshot).operations
     assert "op-keypair-boot" in without.detect(snapshot).operations
+    # The one encoder: a blank fragment excludes an event from
+    # matching — pruned RPCs, and noise whatever the flag says.
+    rpc = specs.index(RPC_BUILD)
+    assert with_pruning.fragments(snapshot.events)[rpc] == ""
+    assert all(without.fragments(snapshot.events))
+    noisy = [replace(event, noise=True) for event in snapshot.events]
+    assert not any(without.fragments(noisy))
 
 
 def test_rpc_fault_falls_back_to_unpruned(library, symbols, catalog):

@@ -267,8 +267,9 @@ def test_sharded_performance_path_reports_anomaly(library):
 
 
 def test_sharded_performance_path_equivalent_to_serial(library):
-    """The batched recent-history context reconstructs the serial
-    window view: the performance diagnosis must match exactly."""
+    """The chunk intake's context (live window plus the chunk under
+    observation) reconstructs the serial window view: the performance
+    diagnosis must match exactly."""
     events = level_shift_events(library)
     result = verify_equivalence(
         events, library, 2, batch_size=16, config=perf_config(),
@@ -305,42 +306,6 @@ def test_sharded_perf_debounce_suppresses_repeat_anomalies(library):
     assert len(shard.performance_reports) == 2
     # The merged view sees only this shard's reports.
     assert len(analyzer.performance_reports) == 2
-
-
-# ---------------------------------------------------------------------------
-# Chunk wiring
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("prune_rpcs", [True, False])
-def test_chunk_wired_snapshots_carry_the_detectors_fragments(
-    library, prune_rpcs,
-):
-    """One encoder: what a chunk-wired shard's window attaches to a
-    snapshot is what a detector encodes from the same events."""
-    from repro.core.detector import OperationDetector
-    from repro.core.parallel import AnalyzerShard
-
-    events = [
-        replace(event, noise=True)
-        if event.seq % 7 == 0 and event.status < 400 else event
-        for event in make_stream(library).events(600)
-    ]
-    tuned = replace(config(), prune_rpcs=prune_rpcs)
-    shard = AnalyzerShard(0, library, batch_size=64, config=tuned,
-                          track_latency=False, defer_detection=True)
-    shard.ingest_batch(events)
-    shard.flush()
-    snapshots = shard.deferred_snapshots()
-    assert snapshots
-    fresh = OperationDetector(library, library.symbols, shard.catalog,
-                              tuned)
-    kept = []
-    for snapshot in snapshots:
-        assert snapshot.encoded == fresh.fragments(snapshot.events)
-        kept += [event for event, piece
-                 in zip(snapshot.events, snapshot.encoded) if piece]
-    assert not any(event.noise for event in kept)
-    assert any(event.kind is ApiKind.RPC for event in kept) != prune_rpcs
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +445,7 @@ def test_process_backend_checkpoint_roundtrip(library):
     """Snapshot a sharded run mid-stream, send the state through JSON,
     restore into a fresh pool, finish the stream: the union of reports
     matches an uninterrupted inline run bit-for-bit.  On both backends,
-    and with latency tracking on — the only wiring whose state carries
-    the recent-event ring — as well as off."""
+    with latency tracking on as well as off."""
     import json
 
     events = make_stream(library, fault_every=40).events(1200)
@@ -528,15 +492,45 @@ def test_process_backend_checkpoint_roundtrip(library):
 
 
 def test_restore_rejects_mismatched_shard_count(library):
+    """A checkpoint is outside input: a shard count, an assignment
+    index or a buffer list that does not fit this analyzer is refused
+    at restore, and the refused analyzer is left as it was — it then
+    runs a stream to the straight run's reports."""
     from repro.core.state import StateError
 
-    donor = ShardedAnalyzer(library, 2, config=config(),
-                            track_latency=False)
-    state = donor.snapshot_state()
-    receiver = ShardedAnalyzer(library, 3, config=config(),
+    events = make_stream(library, fault_every=40).events(600)
+
+    def build(shards):
+        return ShardedAnalyzer(library, shards, batch_size=64,
+                               key=lambda e: e.tenant, config=config(),
                                track_latency=False)
+
+    donor = build(2)
+    donor.ingest(events[:300])
+    state = donor.snapshot_state()
+    key = next(iter(state["assignment"]))
+    tampered = {
+        "index too large": {**state, "assignment": {key: 7}},
+        "negative index": {**state, "assignment": {key: -1}},
+        "short buffers": {**state, "buffers": state["buffers"][:1]},
+    }
+    straight = build(2)
+    straight.ingest(events)
+    straight.flush()
+    want = [report_signature(r) for r in straight.reports]
+    assert want
+
     with pytest.raises(StateError):
-        receiver.restore_state(state)
+        build(3).restore_state(state)
+    for case, document in tampered.items():
+        receiver = build(2)
+        with pytest.raises(StateError):
+            receiver.restore_state(document)
+        assert receiver.assignment == {}, case
+        receiver.ingest(events)
+        receiver.flush()
+        assert [report_signature(r) for r in receiver.reports] == want, \
+            case
 
 
 # ---------------------------------------------------------------------------

@@ -271,15 +271,18 @@ def test_engines_are_the_pipeline(library):
 
 def test_restore_refuses_per_stage_v1_state(library):
     """``analysis-pipeline/v1`` nested one tagged document per stage
-    wrapper; v2 is flat and must not guess a mapping."""
+    wrapper and v2 carried a recent-event ring for one of two
+    wirings; v3 is flat, has one wiring, and must not guess a mapping
+    from either."""
     from repro.core.state import StateFormatError
 
     analyzer = PipelineBuilder(library).with_config(config()).build_serial()
     state = analyzer.snapshot_state()
-    assert state["fmt"] == "analysis-pipeline/v2"
-    stale = dict(state, fmt="analysis-pipeline/v1")
-    with pytest.raises(StateFormatError, match="analysis-pipeline/v1"):
-        analyzer.restore_state(stale)
+    assert state["fmt"] == "analysis-pipeline/v3"
+    assert state["window"]["fmt"] == "sliding-window/v2"
+    for older in ("analysis-pipeline/v1", "analysis-pipeline/v2"):
+        with pytest.raises(StateFormatError, match=older):
+            analyzer.restore_state(dict(state, fmt=older))
 
 
 def test_shards_compose_shared_wiring(library):
@@ -291,3 +294,107 @@ def test_shards_compose_shared_wiring(library):
     assert stores == {id(analyzer.store)}
     assert configs == {id(analyzer.config)}
     assert len(windows) == 3
+
+
+# ---------------------------------------------------------------------------
+# One wiring: state and performance context do not depend on the intake
+# ---------------------------------------------------------------------------
+
+def per_event(analyzer, events):
+    for event in events:
+        analyzer.process_event(event)
+
+
+def in_chunks(size):
+    def feed(analyzer, events):
+        for lo in range(0, len(events), size):
+            analyzer.process_chunk(events[lo:lo + size])
+    return feed
+
+
+def test_checkpoint_crosses_intakes(library):
+    """A checkpoint does not record which intake fed it: a shard's
+    state (chunk-fed) restores into a serial analyzer (per-event) and
+    the reverse, through real JSON, and both finish the stream with
+    the straight run's report multiset and counters."""
+    import json
+    from collections import Counter
+    from dataclasses import replace
+
+    events = make_stream(library, fault_every=40).events(1200)
+    cut = 700  # mid-chunk, with snapshots pending
+
+    def build(chunk_fed):
+        if chunk_fed:  # what ShardedAnalyzer builds for a shard
+            return ShardedAnalyzer(library, 1, batch_size=64,
+                                   config=config()).shards[0]
+        return GretelAnalyzer(library, config=config())
+
+    def outcome(reports, stats):
+        return (Counter(report_signature(r) for r in reports),
+                replace(stats, analysis_seconds=0.0))
+
+    straight = build(chunk_fed=False)
+    per_event(straight, events)
+    straight.flush()
+    want = outcome(straight.reports, straight.stats())
+    assert want[0]
+
+    feeds = {True: in_chunks(64), False: per_event}
+    for chunk_first in (True, False):
+        first = build(chunk_fed=chunk_first)
+        feeds[chunk_first](first, events[:cut])
+        state = json.loads(json.dumps(first.snapshot_state()))
+        second = build(chunk_fed=not chunk_first)
+        second.restore_state(state)
+        feeds[not chunk_first](second, events[cut:])
+        second.flush()
+        assert outcome(first.reports + second.reports,
+                       second.stats()) == want, chunk_first
+
+
+def test_performance_context_is_the_same_under_every_intake(library):
+    """The α events ending at an anomalous one, whichever way they
+    arrived: cut from the live window per event, from the window plus
+    the chunk under observation per chunk.  The level shift sits past
+    α, so every chunk size must reach across the window/chunk seam
+    and trim to α (4α: across a chunk boundary)."""
+    from dataclasses import replace
+
+    alpha = 64
+    tuned = GretelConfig(alpha=alpha, ls_warmup=12, ls_confirm=3,
+                         ls_min_delta=0.004, p_rate=150.0)
+    template = next(
+        e for e in make_stream(library).events(200)
+        if e.status < 400 and not e.noise
+    )
+
+    def event(seq):
+        latency = 0.010 + (seq % 3) * 0.0005 if seq < 280 else 0.080
+        ts = seq * 0.1
+        return replace(template, seq=seq, ts_request=ts - latency,
+                       ts_response=ts)
+
+    events = [event(seq) for seq in range(320)]
+
+    def contexts(feed):
+        analyzer = AnalysisPipeline(library, config=tuned)
+        seen = []
+        detect = analyzer._detect_performance
+
+        def recording(snapshot):
+            seen.append(([e.seq for e in snapshot.events],
+                         snapshot.fault_index))
+            return detect(snapshot)
+
+        analyzer._detect_performance = recording
+        feed(analyzer, events)
+        return seen
+
+    want = contexts(per_event)
+    assert len(want) == 1
+    seqs, fault_index = want[0]
+    assert len(seqs) == alpha and seqs[0] > 0
+    assert fault_index == alpha - 1
+    for size in (1, 7, alpha - 1, alpha, alpha + 1, 4 * alpha):
+        assert contexts(in_chunks(size)) == want, size

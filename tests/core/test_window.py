@@ -206,7 +206,7 @@ def test_append_batch_equals_append(alpha, chunks, fault_at):
     for size in chunks:
         chunk = events[cursor:cursor + size]
         cursor += size
-        # Faults are marked per-chunk, as AnalyzerShard.ingest_batch
+        # Faults are marked per-chunk, as AnalysisPipeline.process_chunk
         # does: append up to (and including) the fault, mark, continue.
         start = 0
         for offset, event in enumerate(chunk):

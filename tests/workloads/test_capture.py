@@ -1,13 +1,15 @@
 """Tests for wire-trace capture and replay."""
 
+import json
+from dataclasses import fields
+
 import pytest
 
 from repro.openstack.cloud import Cloud
 from repro.openstack.config import CloudConfig
+from repro.openstack.wire import WireEvent
 from repro.workloads.capture import (
     TraceRecorder,
-    event_from_dict,
-    event_to_dict,
     load_trace,
     replay,
     rescale,
@@ -50,9 +52,15 @@ def test_roundtrip_preserves_events(recorded):
 
 
 def test_event_dict_roundtrip(recorded):
-    recorder, _ = recorded
-    event = recorder.events[0]
-    assert event_from_dict(event_to_dict(event)) == event
+    """A saved line is ``WireEvent.to_dict``: every field of the
+    record, so one added to ``WireEvent`` cannot be dropped from
+    traces, and the loaded events equal the recorded ones."""
+    recorder, path = recorded
+    with open(path, encoding="utf-8") as handle:
+        records = [json.loads(line) for line in handle]
+    names = {spec.name for spec in fields(WireEvent)}
+    assert all(set(record) == names for record in records)
+    assert load_trace(path) == recorder.events
 
 
 def test_rescale_preserves_latency(recorded):
