@@ -796,8 +796,8 @@ def build_parser() -> argparse.ArgumentParser:
              "(default 4)",
     )
     serve.add_argument(
-        "--queue-size", type=int, default=4096,
-        help="per-session ingest queue capacity (default 4096)",
+        "--queue-size", type=int, default=1024,
+        help="per-session ingest queue capacity (default 1024)",
     )
     serve.add_argument(
         "--session-shards", type=int, default=1,

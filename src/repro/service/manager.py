@@ -87,7 +87,7 @@ class StreamingService:
         config: Optional[GretelConfig] = None,
         track_latency: bool = True,
         defer_detection: bool = False,
-        queue_capacity: int = 4096,
+        queue_capacity: int = TenantSession.QUEUE_CAPACITY,
         policy: str = "block",
         report_retention: int = 64,
         checkpoint_store: Optional[CheckpointStore] = None,

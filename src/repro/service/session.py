@@ -124,12 +124,16 @@ class TenantSession:
 
     STATE_FMT = "tenant-session/v1"
 
+    #: Default depth, two pump claims: the queue is checkpointed state,
+    #: so depth is backlog a loaded save serializes (docs/service.md).
+    QUEUE_CAPACITY = 2 * DEFAULT_PUMP_CHUNK
+
     def __init__(
         self,
         tenant: str,
         analyzer: SessionAnalyzer,
         *,
-        queue_capacity: int = 4096,
+        queue_capacity: int = QUEUE_CAPACITY,
         policy: str = "block",
         report_retention: int = 64,
         pump_chunk: int = DEFAULT_PUMP_CHUNK,
