@@ -19,10 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
-from repro.openstack.wire import WireEvent
+from repro.openstack.wire import ROW_FIELDS, WireEvent
 from repro.core.config import GretelConfig
 from repro.core.outliers import LevelShift
-from repro.core.state import StateFormatError, require_state
+from repro.core.state import (
+    StateFormatError,
+    require_columns,
+    require_state,
+)
 from repro.core.streamstats.detector import (
     IncrementalLevelShiftDetector,
     detector_from_config,
@@ -45,13 +49,14 @@ class PerformanceAnomaly:
         return self.observed - self.baseline
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable rendering (checkpoint/restore protocol)."""
+        """JSON-serializable rendering (checkpoint/restore protocol);
+        the event is a row, its columns named by the tracker state."""
         return {
             "api_key": self.api_key,
             "ts": self.ts,
             "observed": self.observed,
             "baseline": self.baseline,
-            "event": self.event.to_dict(),
+            "event": self.event.to_row(),
         }
 
     @classmethod
@@ -62,7 +67,7 @@ class PerformanceAnomaly:
             ts=data["ts"],
             observed=data["observed"],
             baseline=data["baseline"],
-            event=WireEvent.from_dict(data["event"]),
+            event=WireEvent.from_row(data["event"]),
         )
 
 
@@ -183,7 +188,7 @@ class LatencyTracker:
 
     # -- state lifecycle (see repro.core.state) -------------------------
 
-    STATE_FMT = "latency-tracker/v1"
+    STATE_FMT = "latency-tracker/v2"
 
     def snapshot_state(self) -> Dict[str, Any]:
         """Versioned, JSON-serializable rendering of every series."""
@@ -194,6 +199,7 @@ class LatencyTracker:
                 api_key: detector.snapshot_state()
                 for api_key, detector in sorted(self._detectors.items())
             },
+            "columns": list(ROW_FIELDS),
             "anomalies": [a.to_dict() for a in self.anomalies],
         }
 
@@ -205,6 +211,7 @@ class LatencyTracker:
         the offending series named, never resurrected.
         """
         require_state(state, self.STATE_FMT)
+        require_columns(state, ROW_FIELDS)
         self._detectors.clear()
         for api_key, detector_state in state["detectors"].items():
             detector = detector_from_config(self.config)

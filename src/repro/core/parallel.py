@@ -45,7 +45,7 @@ from typing import (
 )
 
 from repro.openstack.catalog import ApiCatalog
-from repro.openstack.wire import WireEvent
+from repro.openstack.wire import ROW_FIELDS, WireEvent
 from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
 from repro.core.fingerprint import FingerprintLibrary
@@ -56,7 +56,7 @@ from repro.core.pipeline.graph import (
 )
 from repro.core.pipeline.middleware import StageObserver
 from repro.core.reports import FaultReport
-from repro.core.state import StateError, require_state
+from repro.core.state import StateError, require_columns, require_state
 from repro.core.symbols import SymbolTable
 from repro.monitoring.store import MetadataStore
 from repro.oracle import OracleResult, diff_multisets, settle
@@ -149,7 +149,7 @@ class ShardedAnalyzer:
     raises :class:`ShardWorkerError` after tearing the pool down.
     """
 
-    STATE_FMT = "sharded-analyzer/v1"
+    STATE_FMT = "sharded-analyzer/v2"
 
     def __init__(
         self,
@@ -420,8 +420,9 @@ class ShardedAnalyzer:
             "shards": self.n_shards,
             "batch_size": self.batch_size,
             "assignment": dict(self._assignment),
+            "columns": list(ROW_FIELDS),
             "buffers": [
-                [event.to_dict() for event in buffer]
+                [event.to_row() for event in buffer]
                 for buffer in self._buffers
             ],
             "pipelines": pipelines,
@@ -435,6 +436,7 @@ class ShardedAnalyzer:
         must, because the round-robin assignment map is keyed by it.
         """
         require_state(state, self.STATE_FMT)
+        require_columns(state, ROW_FIELDS)
         if int(state["shards"]) != self.n_shards:
             raise StateError(
                 f"state has {state['shards']} shards, analyzer has "
@@ -450,7 +452,7 @@ class ShardedAnalyzer:
         # shard index is checked before anything is installed, so a
         # refused document leaves the analyzer as it was.
         buffers = [
-            [WireEvent.from_dict(e) for e in buffer]
+            [WireEvent.from_row(e) for e in buffer]
             for buffer in state["buffers"]
         ]
         if len(buffers) != self.n_shards:

@@ -52,13 +52,13 @@ from repro.core.opfaults import is_operational_fault
 from repro.core.pipeline.middleware import StageObserver
 from repro.core.reports import FaultReport
 from repro.core.rootcause import RootCauseEngine
-from repro.core.state import StateError, require_state
+from repro.core.state import StateError, require_columns, require_state
 from repro.core.symbols import SymbolTable
 from repro.core.window import SlidingWindow, Snapshot
 from repro.monitoring.store import MetadataStore
 from repro.openstack.apis import ApiKind
 from repro.openstack.catalog import ApiCatalog, default_catalog
-from repro.openstack.wire import WireEvent
+from repro.openstack.wire import ROW_FIELDS, WireEvent
 
 
 @dataclass(frozen=True)
@@ -254,7 +254,7 @@ class AnalysisPipeline:
     # ------------------------------------------------------------------
     # State lifecycle (see repro.core.state).
 
-    STATE_FMT = "analysis-pipeline/v3"
+    STATE_FMT = "analysis-pipeline/v4"
 
     #: The counters this object owns, as checkpointed.  Every other
     #: :class:`PipelineStats` field lives in (and is restored by) the
@@ -288,6 +288,7 @@ class AnalysisPipeline:
             "window": self.window.snapshot_state(),
             "latency": self.latency.snapshot_state(),
             "detector": self.detector.snapshot_state(),
+            "columns": list(ROW_FIELDS),
             "deferred": [s.to_dict() for s in self._deferred],
             "last_perf_analysis": dict(self._last_perf_analysis),
         }
@@ -303,6 +304,7 @@ class AnalysisPipeline:
         matter: per-event and chunk intake leave the same state.
         """
         require_state(state, self.STATE_FMT)
+        require_columns(state, ROW_FIELDS)
         if state["config"] != asdict(self.config):
             raise StateError(
                 "pipeline state was captured under a different config"

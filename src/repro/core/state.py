@@ -18,6 +18,13 @@ the analyzer that owns them — exposes the same two methods:
     ``repro.service.oracle.verify_checkpoint`` is the differential
     proof.
 
+Events inside a state dict are positional rows
+(:meth:`repro.openstack.wire.WireEvent.to_row`), not keyed dicts: a
+checkpoint is mostly events, and spelling 24 field names per event
+doubled both its size and its encode time.  Every dict that holds
+rows names their ``columns`` once and :func:`require_columns`
+refuses any other order.
+
 Two deliberate exclusions keep checkpoints small and the protocol
 honest:
 
@@ -38,7 +45,15 @@ guesses at a newer one, so the gate admits only what can be read.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional, Protocol, Tuple
+from typing import (
+    Any,
+    Dict,
+    Mapping,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+)
 
 __all__ = [
     "Checkpointable",
@@ -47,6 +62,7 @@ __all__ = [
     "decode_ts",
     "encode_ts",
     "parse_fmt",
+    "require_columns",
     "require_state",
 ]
 
@@ -93,7 +109,7 @@ def require_state(state: Mapping[str, Any], expected: str) -> None:
     """Check a state dict's ``fmt`` against ``expected``.
 
     ``expected`` is the layer's *current* tag (e.g.
-    ``"sliding-window/v2"``).  Layer name and version must both
+    ``"sliding-window/v3"``).  Layer name and version must both
     match exactly: no layer reads any version but its current one.
     """
     if not isinstance(state, Mapping):
@@ -117,6 +133,22 @@ def require_state(state: Mapping[str, Any], expected: str) -> None:
         raise StateFormatError(
             f"state fmt {tag!r} is older than {expected!r}, the only "
             f"version this build restores"
+        )
+
+
+def require_columns(
+    state: Mapping[str, Any], expected: Sequence[str]
+) -> None:
+    """Check the ``columns`` a row-holding state dict names.
+
+    A document written under another column order cannot be read
+    position by position, so it is refused before a row is decoded.
+    """
+    columns = state.get("columns")
+    if columns != list(expected):
+        raise StateError(
+            f"{state.get('fmt')} state has event columns {columns!r}, "
+            f"this build reads {list(expected)!r}"
         )
 
 

@@ -37,8 +37,8 @@ from typing import (
     Tuple,
 )
 
-from repro.core.state import StateError, require_state
-from repro.openstack.wire import WireEvent
+from repro.core.state import StateError, require_columns, require_state
+from repro.openstack.wire import ROW_FIELDS, WireEvent
 
 
 @dataclass
@@ -70,10 +70,14 @@ class Snapshot:
                 and self.fault_index + radius + 1 >= len(self.events))
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable rendering (checkpoint/restore protocol)."""
+        """JSON-serializable rendering (checkpoint/restore protocol).
+
+        Events are rows; the state dict that embeds the snapshot
+        names their columns.
+        """
         return {
-            "fault": self.fault.to_dict(),
-            "events": [event.to_dict() for event in self.events],
+            "fault": self.fault.to_row(),
+            "events": [event.to_row() for event in self.events],
             "fault_index": self.fault_index,
         }
 
@@ -81,8 +85,8 @@ class Snapshot:
     def from_dict(cls, data: Mapping[str, Any]) -> "Snapshot":
         """Inverse of :meth:`to_dict`."""
         return cls(
-            fault=WireEvent.from_dict(data["fault"]),
-            events=[WireEvent.from_dict(e) for e in data["events"]],
+            fault=WireEvent.from_row(data["fault"]),
+            events=[WireEvent.from_row(e) for e in data["events"]],
             fault_index=data["fault_index"],
         )
 
@@ -183,7 +187,7 @@ class SlidingWindow:
 
     # -- state lifecycle (see repro.core.state) -------------------------
 
-    STATE_FMT = "sliding-window/v2"
+    STATE_FMT = "sliding-window/v3"
 
     def snapshot_state(self) -> Dict[str, Any]:
         """Versioned, JSON-serializable rendering of the live window."""
@@ -192,10 +196,11 @@ class SlidingWindow:
             "alpha": self.alpha,
             "appended": self.appended,
             "snapshots_taken": self.snapshots_taken,
-            "events": [event.to_dict() for event in self._events],
+            "columns": list(ROW_FIELDS),
+            "events": [event.to_row() for event in self._events],
             "pending": [
                 {
-                    "fault": fault.to_dict(),
+                    "fault": fault.to_row(),
                     "due": due,
                 }
                 for fault, due in self._pending
@@ -205,20 +210,24 @@ class SlidingWindow:
     def restore_state(self, state: Mapping[str, Any]) -> None:
         """Rehydrate a freshly constructed window of the same α."""
         require_state(state, self.STATE_FMT)
+        require_columns(state, ROW_FIELDS)
         if state["alpha"] != self.alpha:
             raise StateError(
                 f"window state has alpha={state['alpha']}, "
                 f"this window has alpha={self.alpha}"
             )
-        events = [WireEvent.from_dict(e) for e in state["events"]]
-        self._events.clear()
-        self._events.extend(events)
-        self._pending = [
+        # Decode everything before installing anything: a refused
+        # document leaves the window as it was.
+        events = [WireEvent.from_row(e) for e in state["events"]]
+        pending = [
             (
-                WireEvent.from_dict(entry["fault"]),
+                WireEvent.from_row(entry["fault"]),
                 entry["due"],
             )
             for entry in state["pending"]
         ]
+        self._events.clear()
+        self._events.extend(events)
+        self._pending = pending
         self.appended = state["appended"]
         self.snapshots_taken = state["snapshots_taken"]

@@ -22,8 +22,16 @@ never reads them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Dict, List, Mapping, Tuple
+from dataclasses import MISSING, dataclass, fields
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Sequence,
+    Tuple,
+)
 
 from repro.openstack.apis import ApiKind
 
@@ -81,31 +89,65 @@ class WireEvent:
             f"{self.src_service}->{self.dst_service} {self.name} = {self.status}"
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable rendering (checkpoint/restore protocol).
+    def to_row(self) -> List[Any]:
+        """The event as a JSON list, one value per :data:`ROW_FIELDS`.
 
-        The ``kind`` enum travels by name; the ``conn`` and
-        ``resource_ids`` tuples become lists (JSON has no tuples) and
-        are rebuilt by :meth:`from_dict`.
+        The positional codec every state document embeds (see
+        :mod:`repro.core.state`).  The ``kind`` enum travels by name,
+        the ``conn`` and ``resource_ids`` tuples as lists (JSON has no
+        tuples); :meth:`from_row` rebuilds all three.
         """
-        data: Dict[str, Any] = {
-            spec.name: getattr(self, spec.name)
-            for spec in fields(self)
-        }
-        data["kind"] = self.kind.name
-        data["conn"] = list(self.conn)
-        data["resource_ids"] = list(self.resource_ids)
-        return data
+        return [
+            self.seq, self.api_key, self.kind.name, self.method,
+            self.name, self.src_service, self.src_node, self.src_ip,
+            self.dst_service, self.dst_node, self.dst_ip,
+            self.ts_request, self.ts_response, self.status, self.body,
+            list(self.conn), self.msg_id, self.size_bytes, self.noise,
+            self.request_id, self.tenant, list(self.resource_ids),
+            self.op_id, self.test_id,
+        ]
+
+    @classmethod
+    def from_row(cls, row: Sequence[Any]) -> "WireEvent":
+        """Inverse of :meth:`to_row`, bit-identical fields."""
+        if len(row) != len(ROW_FIELDS):
+            raise ValueError(
+                f"event row has {len(row)} values, "
+                f"expected {len(ROW_FIELDS)}"
+            )
+        values = list(row)
+        values[_KIND] = ApiKind[values[_KIND]]
+        values[_CONN] = tuple(values[_CONN])
+        values[_RESOURCE_IDS] = tuple(values[_RESOURCE_IDS])
+        return cls(*values)
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The row under its field names: the rendering reports and
+        trace files print."""
+        return dict(zip(ROW_FIELDS, self.to_row()))
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "WireEvent":
-        """Inverse of :meth:`to_dict`, bit-identical fields."""
-        payload = dict(data)
-        payload["kind"] = ApiKind[payload["kind"]]
-        conn = payload["conn"]
-        payload["conn"] = (conn[0], conn[1], conn[2], conn[3])
-        payload["resource_ids"] = tuple(payload["resource_ids"])
-        return cls(**payload)
+        """Inverse of :meth:`to_dict`; a field the mapping leaves out
+        takes its default."""
+        return cls.from_row([
+            data[name] if name in data else _DEFAULTS[name]
+            for name in ROW_FIELDS
+        ])
+
+
+#: Column order of :meth:`WireEvent.to_row`: the dataclass field order.
+ROW_FIELDS: Tuple[str, ...] = tuple(
+    spec.name for spec in fields(WireEvent)
+)
+_KIND = ROW_FIELDS.index("kind")
+_CONN = ROW_FIELDS.index("conn")
+_RESOURCE_IDS = ROW_FIELDS.index("resource_ids")
+_DEFAULTS: Dict[str, Any] = {
+    spec.name: spec.default
+    for spec in fields(WireEvent)
+    if spec.default is not MISSING
+}
 
 
 class TapBus:

@@ -68,9 +68,13 @@ class ServiceStats:
     queued: int = 0
     reports: int = 0
     checkpoints_written: int = 0
+    #: What the store's saves cost, cumulative: the size of every
+    #: checkpoint written and the time its caller was stalled.
+    checkpoint_bytes: int = 0
+    checkpoint_seconds: float = 0.0
     sessions_restored: int = 0
 
-    def to_dict(self) -> Dict[str, int]:
+    def to_dict(self) -> Dict[str, float]:
         return asdict(self)
 
 
@@ -381,6 +385,11 @@ class StreamingService:
             checkpoints_written=self.checkpoints_written,
             sessions_restored=self.sessions_restored,
         )
+        if self.checkpoints is not None:
+            stats.checkpoint_bytes = self.checkpoints.bytes_written
+            stats.checkpoint_seconds = round(
+                self.checkpoints.save_seconds, 6
+            )
         for live in self._live_sessions():
             stats.tenants += 1
             stats.events_accepted += live.events_ingested

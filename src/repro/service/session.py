@@ -46,8 +46,8 @@ from typing import (
 )
 
 from repro.core.reports import FaultReport
-from repro.core.state import StateError, require_state
-from repro.openstack.wire import WireEvent
+from repro.core.state import StateError, require_columns, require_state
+from repro.openstack.wire import ROW_FIELDS, WireEvent
 
 #: Accepted backpressure policies.
 POLICIES = ("block", "shed")
@@ -122,7 +122,7 @@ class SessionAnalyzer(Protocol):
 class TenantSession:
     """Bounded-queue streaming session for one tenant (one cloud)."""
 
-    STATE_FMT = "tenant-session/v1"
+    STATE_FMT = "tenant-session/v2"
 
     #: Default depth, two pump claims: the queue is checkpointed state,
     #: so depth is backlog a loaded save serializes (docs/service.md).
@@ -417,7 +417,7 @@ class TenantSession:
         with self.parked():
             # Producers still enqueue while the pump is parked.
             with self._lock:
-                queue = [event.to_dict() for event in self.queue]
+                queue = [event.to_row() for event in self.queue]
                 ingested = self.events_ingested
                 analyzed = self.events_analyzed
             return {
@@ -425,6 +425,7 @@ class TenantSession:
                 "tenant": self.tenant,
                 "policy": self.policy,
                 "queue_capacity": self.queue_capacity,
+                "columns": list(ROW_FIELDS),
                 "queue": queue,
                 "events_ingested": ingested,
                 "events_analyzed": analyzed,
@@ -436,18 +437,18 @@ class TenantSession:
     def restore_state(self, state: Mapping[str, Any]) -> None:
         """Rehydrate a freshly built session for the same tenant."""
         require_state(state, self.STATE_FMT)
+        require_columns(state, ROW_FIELDS)
         if state["tenant"] != self.tenant:
             raise StateError(
                 f"session state is for tenant {state['tenant']!r}, "
                 f"this session is {self.tenant!r}"
             )
+        queue = [WireEvent.from_row(e) for e in state["queue"]]
         with self.parked():
             self.analyzer.restore_state(state["analyzer"])
             with self._lock:
                 self.queue.clear()
-                self.queue.extend(
-                    WireEvent.from_dict(e) for e in state["queue"]
-                )
+                self.queue.extend(queue)
                 self.events_ingested = state["events_ingested"]
                 self.events_analyzed = state["events_analyzed"]
                 self._shed = _AtomicCounter(state["events_shed"])

@@ -10,8 +10,8 @@ The paper's stress experiments replay recorded traffic with tcpreplay
   rescaled in time — the tcpreplay ``--multiplier`` knob.
 
 Recorded traces are plain JSONL, one event per line
-(:meth:`~repro.openstack.wire.WireEvent.to_dict`, the rendering every
-checkpoint uses: every field, ground-truth labels included), so they
+(:meth:`~repro.openstack.wire.WireEvent.to_dict`, the keyed rendering
+reports print: every field, ground-truth labels included), so they
 can be inspected, filtered or synthesized with standard tools.
 """
 

@@ -270,19 +270,49 @@ def test_engines_are_the_pipeline(library):
 
 
 def test_restore_refuses_per_stage_v1_state(library):
-    """``analysis-pipeline/v1`` nested one tagged document per stage
+    """Every retired tag is refused by name, never migrated.
+    ``analysis-pipeline/v1`` nested one tagged document per stage
     wrapper and v2 carried a recent-event ring for one of two
-    wirings; v3 is flat, has one wiring, and must not guess a mapping
-    from either."""
+    wirings; v3 and the tags that retired with it (``sliding-window/v2``,
+    ``latency-tracker/v1``, ``sharded-analyzer/v1``,
+    ``tenant-session/v1``) spelled every event as a keyed dict where
+    the current ones hold rows."""
     from repro.core.state import StateFormatError
+    from repro.service import TenantSession
 
     analyzer = PipelineBuilder(library).with_config(config()).build_serial()
     state = analyzer.snapshot_state()
-    assert state["fmt"] == "analysis-pipeline/v3"
-    assert state["window"]["fmt"] == "sliding-window/v2"
-    for older in ("analysis-pipeline/v1", "analysis-pipeline/v2"):
-        with pytest.raises(StateFormatError, match=older):
-            analyzer.restore_state(dict(state, fmt=older))
+    assert state["fmt"] == "analysis-pipeline/v4"
+    assert state["window"]["fmt"] == "sliding-window/v3"
+    assert state["latency"]["fmt"] == "latency-tracker/v2"
+    refused = [
+        (analyzer, dict(state, fmt=older), older)
+        for older in ("analysis-pipeline/v1", "analysis-pipeline/v2",
+                      "analysis-pipeline/v3")
+    ] + [
+        (analyzer, dict(state, **{part: dict(state[part], fmt=older)}),
+         older)
+        for part, older in (("window", "sliding-window/v2"),
+                            ("latency", "latency-tracker/v1"))
+    ]
+    sharded = ShardedAnalyzer(library, 2, config=config())
+    assert sharded.STATE_FMT == "sharded-analyzer/v2"
+    refused.append((sharded,
+                    dict(sharded.snapshot_state(),
+                         fmt="sharded-analyzer/v1"),
+                    "sharded-analyzer/v1"))
+    session = TenantSession("acme", analyzer)
+    try:
+        assert session.STATE_FMT == "tenant-session/v2"
+        refused.append((session,
+                        dict(session.snapshot_state(),
+                             fmt="tenant-session/v1"),
+                        "tenant-session/v1"))
+        for target, document, older in refused:
+            with pytest.raises(StateFormatError, match=older):
+                target.restore_state(document)
+    finally:
+        session.close()
 
 
 def test_shards_compose_shared_wiring(library):

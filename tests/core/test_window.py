@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.openstack.apis import ApiKind
-from repro.openstack.wire import WireEvent
+from repro.openstack.wire import ROW_FIELDS, WireEvent
+from repro.core.state import StateError
 from repro.core.window import SlidingWindow, Snapshot
 
 
@@ -244,3 +245,30 @@ def test_live_events_is_a_public_snapshot_of_the_window():
     # A copy, not the deque itself: mutating it leaves the window alone.
     live.pop()
     assert [e.seq for e in window.live_events()] == [2, 3, 4, 5]
+
+
+def test_state_under_other_columns_is_refused_and_nothing_moves():
+    donor = SlidingWindow(alpha=4)
+    for seq in range(6):
+        donor.append(make_event(seq))
+    donor.mark_fault(make_event(5, status=500))
+    state = donor.snapshot_state()
+    assert state["columns"] == list(ROW_FIELDS)
+    assert state["events"][0] == make_event(2).to_row()
+
+    window = SlidingWindow(alpha=4)
+    window.append(make_event(40))
+    window.mark_fault(make_event(40, status=500))
+    before = window.snapshot_state()
+    swapped = state["columns"][::-1]
+    short_row = dict(state, pending=[{"fault": [5], "due": 8}])
+    for refused, error in (
+        (dict(state, columns=swapped), StateError),
+        ({k: v for k, v in state.items() if k != "columns"}, StateError),
+        (short_row, ValueError),  # events decoded, pending not
+    ):
+        with pytest.raises(error):
+            window.restore_state(refused)
+        assert window.snapshot_state() == before
+    window.restore_state(state)
+    assert window.snapshot_state() == state

@@ -1,7 +1,13 @@
-"""Tests for wire events and the tap bus."""
+"""Tests for wire events, their two codecs and the tap bus."""
+
+import json
+from dataclasses import fields
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.openstack.apis import ApiKind
-from repro.openstack.wire import TapBus, WireEvent
+from repro.openstack.wire import ROW_FIELDS, TapBus, WireEvent
 
 
 def make_event(seq=1, src_node="ctrl", status=200, kind=ApiKind.REST):
@@ -63,3 +69,79 @@ def test_str_rendering():
     text = str(make_event())
     assert "GET" in text
     assert "horizon->nova" in text
+
+
+# ---------------------------------------------------------------------------
+# Codecs: rows for state documents, keyed dicts for reports and traces
+# ---------------------------------------------------------------------------
+
+_text = st.text(max_size=12)  # any code point: JSON must carry it
+_time = st.floats(allow_nan=False, allow_infinity=False)
+
+wire_events = st.builds(
+    WireEvent,
+    seq=st.integers(min_value=0), api_key=_text,
+    kind=st.sampled_from(ApiKind), method=_text, name=_text,
+    src_service=_text, src_node=_text, src_ip=_text,
+    dst_service=_text, dst_node=_text, dst_ip=_text,
+    ts_request=_time, ts_response=_time,
+    status=st.integers(min_value=0, max_value=599), body=_text,
+    conn=st.tuples(_text, st.integers(0, 65535),
+                   _text, st.integers(0, 65535)),
+    msg_id=_text, size_bytes=st.integers(min_value=0),
+    noise=st.booleans(), request_id=_text, tenant=_text,
+    resource_ids=st.lists(_text, max_size=3).map(tuple),
+    op_id=_text, test_id=_text,
+)
+
+
+@given(event=wire_events)
+@settings(max_examples=200, deadline=None)
+def test_row_and_dict_round_trip_through_json(event):
+    row = json.loads(json.dumps(event.to_row()))
+    assert WireEvent.from_row(row) == event
+    keyed = json.loads(json.dumps(event.to_dict()))
+    assert WireEvent.from_dict(keyed) == event
+    # One codec: the keyed rendering is the row under its names.
+    assert list(keyed) == list(ROW_FIELDS)
+    assert list(keyed.values()) == row
+
+
+def test_row_codec_examples():
+    event = WireEvent(
+        seq=7, api_key="rpc:nova:cast:build", kind=ApiKind.RPC,
+        method="cast", name="build", src_service="nova",
+        src_node="n1", src_ip="10.0.0.1", dst_service="nova",
+        dst_node="n2", dst_ip="10.0.0.2", ts_request=1.5,
+        ts_response=1.75, status=200, body="caf\u00e9 \u2603",
+        msg_id="m-1", resource_ids=(),
+    )
+    row = event.to_row()
+    assert row[ROW_FIELDS.index("kind")] == "RPC"
+    assert row[ROW_FIELDS.index("resource_ids")] == []
+    assert row[ROW_FIELDS.index("conn")] == ["", 0, "", 0]
+    assert WireEvent.from_row(json.loads(json.dumps(row))) == event
+
+
+def test_row_fields_are_the_dataclass_fields_in_order():
+    names = [spec.name for spec in fields(WireEvent)]
+    assert list(ROW_FIELDS) == names
+    assert list(make_event().to_dict()) == names
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_short_or_long_row_is_refused(delta):
+    row = make_event().to_row()
+    row = row[:-1] if delta < 0 else row + [""]
+    with pytest.raises(ValueError, match="24"):
+        WireEvent.from_row(row)
+
+
+def test_from_dict_fills_defaults_and_needs_the_rest():
+    keyed = make_event().to_dict()
+    for name in ("body", "conn", "resource_ids", "test_id"):
+        del keyed[name]
+    assert WireEvent.from_dict(keyed) == make_event()
+    del keyed["seq"]
+    with pytest.raises(KeyError, match="seq"):
+        WireEvent.from_dict(keyed)

@@ -122,6 +122,14 @@ def test_periodic_checkpoints_fire_per_tenant(
     service.pump(stream_events[:60], tenant="acme")
     assert service.checkpoints_written == 6
     assert store.tenants() == ["acme"]
+    # The stall is readable without a harness: size and time of the
+    # saves sit next to their count.
+    stats = service.stats()
+    assert stats.checkpoint_bytes == store.bytes_written
+    assert stats.checkpoint_bytes > store.path_for(
+        "acme").stat().st_size  # cumulative over the six
+    assert stats.checkpoint_seconds > 0.0
+    assert build_service().stats().checkpoint_bytes == 0
 
 
 def test_close_flushes_then_checkpoints(

@@ -105,6 +105,26 @@ def test_snapshot_round_trip_mid_stream(build_session, stream_events):
     assert resumed.events_analyzed == straight.events_analyzed
 
 
+def test_restore_refuses_other_columns_untouched(build_session,
+                                                stream_events):
+    donor = build_session()
+    with donor.parked():
+        for event in stream_events[:20]:
+            donor.submit(event)
+        state = donor.snapshot_state()
+    assert state["queue"][0] == stream_events[0].to_row()
+
+    session = build_session()
+    with session.parked():
+        for event in stream_events[20:25]:
+            session.submit(event)
+        before = session.snapshot_state()
+        moved = state["columns"][1:] + state["columns"][:1]
+        with pytest.raises(StateError, match="columns"):
+            session.restore_state(dict(state, columns=moved))
+        assert session.snapshot_state() == before
+
+
 def test_restore_refuses_foreign_tenant(build_session):
     state = build_session().snapshot_state()
     other = build_session("umbrella")

@@ -475,6 +475,8 @@ def test_serve_checkpoint_resume_round_trip(
                  "--format", "json"]) == 0
     first = json.loads(capsys.readouterr().out)
     assert first["service"]["checkpoints_written"] > 0
+    assert first["service"]["checkpoint_bytes"] > 0
+    assert first["service"]["checkpoint_seconds"] > 0
 
     assert main(["serve", "--events", "2000", "--tenants", "2",
                  "--alpha", "64", "--no-latency",
