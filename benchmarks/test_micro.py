@@ -164,10 +164,9 @@ def test_operation_detection_reference(benchmark, character):
     assert result.candidates > 0
 
 
-def test_score_fresh(benchmark, character):
-    """From-scratch scoring across one β growth schedule: every
-    iteration re-joins, re-strips and re-runs the LCS over the whole
-    window (the reference scorer's cost model)."""
+def _fresh_schedule(character):
+    """``run()`` scores one β growth schedule from scratch, candidate
+    by candidate, and returns the last window's mapping."""
     from repro.reference import ScratchScoringDetector, score_buffer
 
     detector, snapshot = _detection_fixture(
@@ -187,12 +186,23 @@ def test_score_fresh(benchmark, character):
             )
         return scores
 
-    assert benchmark(run)
+    return run
+
+
+def test_score_fresh(benchmark, character):
+    """From-scratch scoring across one β growth schedule: every
+    iteration re-joins, re-strips and re-runs the LCS over the whole
+    window (the reference scorer's cost model)."""
+    assert benchmark(_fresh_schedule(character))
 
 
 def test_score_incremental(benchmark, character):
     """The same growth schedule through a MatchSession: per iteration
-    only the changed span is re-scored (O(δ) steady state)."""
+    only the classes whose relevant positions changed are re-scored
+    (O(δ) steady state), scores stay keyed by class across the
+    schedule and are expanded to candidates once, as ``detect`` does."""
+    from repro.core.matching import member_scores
+
     detector, snapshot = _detection_fixture(character)
     candidates = detector.candidates_for(snapshot.fault.api_key)
     windows = _growth_windows(detector, snapshot)
@@ -208,6 +218,7 @@ def test_score_incremental(benchmark, character):
         scores = {}
         for lo, hi in windows:
             scores = session.score(lo, hi, finalized)
-        return scores
+        return member_scores(candidates.classes, scores)
 
-    assert benchmark(run)
+    scores = benchmark(run)
+    assert scores and scores == _fresh_schedule(character)()

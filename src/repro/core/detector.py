@@ -62,6 +62,8 @@ from repro.core.matching.engine import (
     MatchingStats,
     Preparation,
     PreparationKey,
+    ScoringClass,
+    member_scores,
     scoring_classes,
 )
 from repro.core.precision import theta
@@ -78,8 +80,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Cap on how many truncation points are tried per fingerprint.
 _MAX_TRUNCATIONS = 6
 
-#: ``{candidate index: (corroborated length, coverage)}`` for the gated
-#: candidates of one context-buffer window.
+#: ``{class index: (corroborated length, coverage)}`` for the gated
+#: scoring classes of one context-buffer window — the index is into
+#: the class sequence :meth:`OperationDetector._scorer` returned.
 Scores = Dict[int, Tuple[int, float]]
 #: ``scorer(lo, hi, finalized) -> Scores`` over ``events[lo:hi]`` of
 #: one snapshot.  ``finalized`` carries scores already at full coverage
@@ -262,7 +265,7 @@ class OperationDetector:
 
     # -- state lifecycle (see repro.core.state) -------------------------
 
-    STATE_FMT = "operation-detector/v1"
+    STATE_FMT = "operation-detector/v2"
 
     def snapshot_state(self) -> Dict[str, Any]:
         """Versioned, JSON-serializable rendering of the detector.
@@ -396,42 +399,45 @@ class OperationDetector:
 
     # -- scoring --------------------------------------------------------------------
 
-    def _scorer(self, snapshot: Snapshot, candidates: Selection,
-                correlation_id: str) -> Scorer:
-        """The window scorer for one snapshot's context-buffer loop.
+    def _scorer(
+        self, snapshot: Snapshot, candidates: Selection,
+        correlation_id: str,
+    ) -> Tuple[Sequence[ScoringClass], Scorer]:
+        """The scoring classes of one selection and the window scorer
+        over them, for one snapshot's context-buffer loop.
 
         Opens an incremental :class:`MatchSession` over the
-        selection's scoring classes: matcher state stays alive across
-        the loop's growing windows, so each iteration costs what
-        *changed*, once per distinct preparation.  A from-scratch,
-        per-candidate scorer over the joined window string returns
-        identical mappings —
+        selection's partition: matcher state stays alive across the
+        loop's growing windows, so each iteration costs what
+        *changed*, once per distinct preparation.  The loop ranks the
+        classes it is handed and never looks inside one, so a
+        from-scratch scorer hands it one singleton class per candidate
+        and must end in the same result —
         ``repro.core.matching.oracle.verify_detection`` is the oracle.
         """
-        return self.matching.session(
+        return candidates.classes, self.matching.session(
             self._session_fragments(snapshot, correlation_id),
             candidates.classes,
             threshold=self.config.match_coverage,
             strict=not self.config.relaxed_match,
         ).score
 
-    def _rank(self, candidates: List[Candidate],
+    def _rank(self, classes: Sequence[ScoringClass],
               scores: Scores) -> List[int]:
-        """Keep candidates whose corroborated length is near the best.
+        """Keep classes whose corroborated length is near the best.
 
         State-change evidence outranks read-only evidence: pure-read
-        candidates are considered only when no state-change candidate
+        classes are considered only when no state-change class
         survived the gate.
         """
         if not scores:
             return []
-        sc_indexes = [
-            i for i in scores if not candidates[i].preparation.pure_read
-        ]
-        pool = sc_indexes or list(scores)
+        pool = [
+            i for i in scores if not classes[i].preparation.pure_read
+        ] or list(scores)
         best_length = max(scores[i][0] for i in pool)
         floor = best_length - self.config.length_tolerance
-        return sorted(i for i in pool if scores[i][0] >= floor)
+        return [i for i in pool if scores[i][0] >= floor]
 
     # -- Algorithm 2 ---------------------------------------------------------------
 
@@ -455,13 +461,15 @@ class OperationDetector:
         correlation_id = (
             snapshot.fault.request_id if config.use_correlation_ids else ""
         )
-        run_scores = self._scorer(snapshot, candidates, correlation_id)
+        classes, run_scores = self._scorer(
+            snapshot, candidates, correlation_id
+        )
 
         alpha = max(len(snapshot.events), 2)
         if not config.adaptive_context or performance_fault:
             # Performance faults use the entire context buffer (§5.3.1).
             return self._finish(
-                snapshot, candidates, total,
+                snapshot, candidates, classes, total,
                 scores=run_scores(0, len(snapshot.events), None),
                 beta=len(snapshot.events), iterations=1,
                 events=snapshot.events,
@@ -479,10 +487,12 @@ class OperationDetector:
             iterations += 1
             lo, hi = snapshot.bounds(beta)
             scores = run_scores(lo, hi, finalized)
-            ranked = self._rank(candidates, scores)
+            ranked = self._rank(classes, scores)
             if ranked:
                 length = max(scores[i][0] for i in ranked)
-                key = (length, -len(ranked))
+                # Fewer matched *candidates* breaks a tie on length.
+                key = (length,
+                       -sum(len(classes[i].members) for i in ranked))
                 if key > best_key:
                     best_key, best_scores, best_beta = key, scores, beta
                     stalled = 0
@@ -498,19 +508,24 @@ class OperationDetector:
 
         final_beta = best_beta if best_scores is not None else beta
         return self._finish(
-            snapshot, candidates, total,
+            snapshot, candidates, classes, total,
             scores=best_scores or {}, beta=final_beta, iterations=iterations,
             events=snapshot.window(final_beta),
         )
 
     def _finish(self, snapshot: Snapshot, candidates: List[Candidate],
-                total: int, *, scores: Scores, beta: int, iterations: int,
+                classes: Sequence[ScoringClass], total: int, *,
+                scores: Scores, beta: int, iterations: int,
                 events: Sequence[WireEvent]) -> DetectionResult:
-        ranked = self._rank(candidates, scores)
+        """Expand the ranked classes of the chosen window to their
+        member candidates — the one fan-out of a detection."""
+        ranked = member_scores(
+            classes, {i: scores[i] for i in self._rank(classes, scores)},
+        )
         matched = [candidates[i].fingerprint for i in ranked]
         coverages = {
-            fingerprint.operation: scores[i][1]
-            for fingerprint, i in zip(matched, ranked)
+            candidates[i].fingerprint.operation: coverage
+            for i, (_, coverage) in ranked.items()
         }
         span = (
             (events[0].ts_request, events[-1].ts_response)
@@ -536,10 +551,17 @@ class OperationDetector:
         wanted = set()
         for fingerprint in matched:
             wanted.update(fingerprint.symbols)
+        symbol = self.symbols.symbol
+        # One symbol lookup per distinct API, not per event.
+        keep: Dict[str, bool] = {}
         result = []
         for event in events:
             if event.noise:
                 continue
-            if self.symbols.symbol(event.api_key) in wanted:
+            api_key = event.api_key
+            kept = keep.get(api_key)
+            if kept is None:
+                kept = keep[api_key] = symbol(api_key) in wanted
+            if kept:
                 result.append(event)
         return result

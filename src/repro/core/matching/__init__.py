@@ -1,11 +1,12 @@
 """Incremental matching: O(δ) re-scoring for Algorithm 2's loop.
 
-See ``docs/matching.md``.  The engine (``engine``) keeps one
+See ``docs/matching.md``.  The engine (``engine``) scores one
 bit-parallel row per scoring class — the candidates of a selection
-that share a preparation — alive across context-buffer growth
-iterations and fans each score out to the class's members; the
-index (``index``) replaces the per-candidate foreign-symbol regex
-strip with per-snapshot symbol/position lookups; the oracle
+that share a preparation — per context-buffer window, caching across
+growth iterations, and its scores are keyed by class (``member_scores``
+expands them); the index (``index``) replaces the per-candidate
+foreign-symbol regex strip with one set of per-snapshot symbol
+positions and match masks; the oracle
 (``oracle``) proves the engine's results bit-identical to the
 from-scratch reference scorer.
 """
@@ -16,6 +17,7 @@ from repro.core.matching.engine import (
     MatchSession,
     Preparation,
     ScoringClass,
+    member_scores,
     scoring_classes,
     select_cut,
 )
@@ -33,6 +35,7 @@ __all__ = [
     "ScoringClass",
     "SnapshotIndex",
     "detection_signature",
+    "member_scores",
     "scoring_classes",
     "select_cut",
     "verify_detection",

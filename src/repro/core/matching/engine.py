@@ -17,32 +17,33 @@ steady-state per-iteration cost to a function of what *changed*:
   same DP rows and the same :func:`select_cut` result on every
   window, so the triple — a :class:`Preparation`, held once per
   :class:`ScoringClass` — is the unit the session gates, DPs and
-  caches; each result is fanned out to the class's member indexes.
+  caches, and the unit its scores are keyed by: the β-loop ranks
+  classes, and :func:`member_scores` expands the winning window to
+  candidate indexes once, at the end.
   :func:`scoring_classes` computes the partition once per selection;
   the library compiler runs it at compile time over preparations it
   has already interned.
-* **Alphabet blocks.**  Everything that depends only on a needle's
-  *alphabet* — the sorted snapshot positions of its symbols, the
-  bit-parallel match masks over those filtered coordinates, the
-  window→rank-span bisects and the left-trimmed mask cache — is built
-  once per (alphabet, snapshot) in an :class:`_AlphabetBlock` and
-  shared by every class with that alphabet (~1.1 classes per block on
-  the Fig. 8c stream: the class layer took over nearly all of the
-  sharing this layer used to provide, see ``docs/matching.md``).  The
-  blocks replace the reference path's per-iteration string join and
-  per-candidate foreign-symbol regex strip.
+* **One bit index per snapshot.**  :class:`SnapshotIndex` holds one
+  Hyyrö match mask per symbol in *snapshot coordinates* (bit ``p`` ↔
+  ``snapshot.events[p]``), built once per freeze.  Nothing is derived
+  per needle alphabet: a window ``[lo, hi)`` is ``mask >> lo`` read
+  under a ``hi − lo``-bit row, shifted once per symbol per window and
+  shared by every class.  This replaces the reference path's
+  per-iteration string join and per-candidate foreign-symbol regex
+  strip.
 * **Orientation-swapped Hyyrö rows.**  The reference scorer runs
   ``repro.reference.prefix_lcs_lengths`` with row bits over the
   *needle* and feeds the O(β) buffer through the recurrence.  The
-  engine swaps the roles: bits span the needle-relevant window slice
-  and the ≤n needle symbols are fed through the identical recurrence,
-  pausing at each
+  engine swaps the roles: bits span the window and the ≤n needle
+  symbols are fed through the identical recurrence, pausing at each
   truncation cut to read off ``LCS(needle[:cut], window)`` as the
-  count of zero bits.  LCS is symmetric, so the integers — and
-  therefore every coverage float, gate decision and ranking — are
-  bit-identical to the reference.  A window whose relevant span did
-  not change since the class's previous iteration returns its cached
-  score without touching the DP.
+  count of zero bits.  LCS is symmetric, and a window position whose
+  symbol the needle lacks matches nothing — its bit stays 1 — so
+  leaving it in the row changes no count: the integers, and therefore
+  every coverage float, gate decision and ranking, are bit-identical
+  to the reference.  A window that holds the same relevant positions
+  as the class's previous one returns its cached score without
+  touching the DP.
 * **Shared multiplicity gate.**  The reference's Counter-based
   upper bound is evaluated with per-symbol window counts bisected out
   of the snapshot index and cached across all classes of the
@@ -61,13 +62,13 @@ window with its halves *swapped* — while the split needs
 incremental under outward growth (each left extension *prepends* to
 L).  See ``docs/matching.md`` for the full argument.  The
 orientation-swapped formulation needs no split: per iteration it costs
-O(distinct symbols + n) word operations on ≲2-word integers,
-independent of β, and is exact.
+O(distinct symbols + n) operations on (hi − lo)-bit integers (2 to
+12 machine words at α = 768 — the only term that grows with the
+buffer, and it grows inside C), and is exact.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from typing import (
@@ -89,6 +90,7 @@ __all__ = [
     "MatchingStats",
     "Preparation",
     "ScoringClass",
+    "member_scores",
     "scoring_classes",
     "select_cut",
 ]
@@ -185,17 +187,14 @@ class MatchingStats:
     #: Candidates skipped by the multiplicity upper bound before any
     #: LCS work (a gated class counts every member).
     candidates_gated: int = 0
-    #: Alphabet blocks materialized (first un-gated sight of a
-    #: distinct needle alphabet in a session).
-    blocks_built: int = 0
     #: DP passes actually run — window evaluations whose relevant
-    #: span changed since the class's previous iteration.
+    #: positions changed since the class's previous iteration.
     lcs_row_extensions: int = 0
     #: Needle symbols fed through the bit-parallel recurrence across
     #: all DP passes.
     lcs_symbols_fed: int = 0
-    #: Window evaluations answered from the cached span without a DP
-    #: pass.
+    #: Window evaluations answered from the cached result without a
+    #: DP pass.
     rescore_hits: int = 0
 
     def __add__(self, other: "MatchingStats") -> "MatchingStats":
@@ -216,68 +215,6 @@ class MatchingStats:
     def from_dict(cls, data: Mapping[str, int]) -> "MatchingStats":
         """Inverse of :meth:`to_dict`."""
         return cls(**data)
-
-
-class _AlphabetBlock:
-    """Alphabet-dependent matcher state, shared across candidates.
-
-    ``positions`` are the snapshot positions carrying a symbol of the
-    alphabet; ``masks`` are Hyyrö match masks in those *filtered*
-    coordinates (bit ``r`` ↔ ``positions[r]``).  A window ``[lo, hi)``
-    maps to the rank span ``[a, b)`` by bisection — memoized, since
-    every candidate of one iteration asks about the same window — and
-    :meth:`shifted` keeps the masks left-trimmed to the current ``a``
-    so the DP slices are one C-level shift per symbol, re-baked only
-    when ``lo`` crosses another relevant position.
-    """
-
-    __slots__ = (
-        "positions", "masks", "_window", "_span", "_shift", "_shifted",
-    )
-
-    def __init__(
-        self, alphabet: FrozenSet[str], index: SnapshotIndex
-    ) -> None:
-        merged: List[int] = []
-        occurrences = index.positions
-        for symbol in alphabet:
-            merged.extend(occurrences.get(symbol, ()))
-        merged.sort()
-        self.positions = merged
-        masks: Dict[str, int] = {}
-        fragments = index.fragments
-        bit = 1
-        for position in merged:
-            symbol = fragments[position]
-            masks[symbol] = masks.get(symbol, 0) | bit
-            bit <<= 1
-        self.masks = masks
-        self._window: Optional[Tuple[int, int]] = None
-        self._span: Tuple[int, int] = (0, 0)
-        #: Left-trim baked into ``_shifted`` (−1: nothing baked yet).
-        self._shift = -1
-        self._shifted: Dict[str, int] = {}
-
-    def span(self, lo: int, hi: int) -> Tuple[int, int]:
-        """Rank span ``[a, b)`` of the relevant positions in
-        ``[lo, hi)``."""
-        window = (lo, hi)
-        if window != self._window:
-            positions = self.positions
-            self._span = (
-                bisect_left(positions, lo), bisect_left(positions, hi)
-            )
-            self._window = window
-        return self._span
-
-    def shifted(self, a: int) -> Dict[str, int]:
-        """Match masks with the first ``a`` ranks trimmed off."""
-        if a != self._shift:
-            self._shift = a
-            self._shifted = {
-                symbol: mask >> a for symbol, mask in self.masks.items()
-            }
-        return self._shifted
 
 
 @dataclass
@@ -311,51 +248,101 @@ def scoring_classes(
     )
 
 
+def member_scores(
+    classes: Sequence[ScoringClass], scores: Mapping[int, Score],
+) -> Dict[int, Score]:
+    """Scores keyed by class index, fanned out to every member.
+
+    ``{candidate index: score}`` in ascending candidate order — what a
+    per-candidate scorer returns for the same window.  The one place a
+    class is expanded: the detector calls it on the winning window,
+    the tests on every window they compare.
+    """
+    fanned = {
+        member: score
+        for number, score in scores.items()
+        for member in classes[number].members
+    }
+    return dict(sorted(fanned.items()))
+
+
+class _ShiftedMasks(Dict[str, int]):
+    """``SnapshotIndex.masks`` right-shifted by one window's ``lo``:
+    each symbol shifted on first use and shared by every class scored
+    on that window (a symbol the snapshot never carries shifts to
+    0)."""
+
+    __slots__ = ("_masks", "_lo")
+
+    def __init__(self, masks: Mapping[str, int], lo: int) -> None:
+        super().__init__()
+        self._masks = masks
+        self._lo = lo
+
+    def __missing__(self, symbol: str) -> int:
+        mask = self[symbol] = self._masks.get(symbol, 0) >> self._lo
+        return mask
+
+
 class _CandidateState:
     """One scoring class's live state within a session."""
 
     __slots__ = (
-        "preparation", "members", "required", "block", "last_span",
+        "preparation", "weight", "required", "relevant", "last_key",
         "last_result",
     )
 
-    def __init__(self, scoring_class: ScoringClass, required: float) -> None:
+    def __init__(
+        self,
+        scoring_class: ScoringClass,
+        required: float,
+        masks: Mapping[str, int],
+    ) -> None:
         self.preparation = scoring_class.preparation
-        self.members = scoring_class.members
+        #: Candidates this class answers for (what a gate skips).
+        self.weight = len(scoring_class.members)
         self.required = required
-        self.block: Optional[_AlphabetBlock] = None
-        self.last_span: Optional[Tuple[int, int]] = None
+        #: Snapshot positions carrying a symbol of the needle's
+        #: alphabet, as a bit set.
+        relevant = 0
+        for symbol in self.preparation.alphabet:
+            relevant |= masks.get(symbol, 0)
+        self.relevant = relevant
+        #: ``relevant`` restricted to the last window scored (−1:
+        #: nothing scored yet) — the rescore cache key.
+        self.last_key = -1
         self.last_result: Score = (0, 0.0)
 
     def run(
         self,
-        shifted: Dict[str, int],
+        shifted: Mapping[str, int],
         width: int,
         stats: MatchingStats,
     ) -> Score:
-        """One orientation-swapped Hyyrö pass over ``width`` ranks.
+        """One orientation-swapped Hyyrö pass over a ``width``-event
+        window.
 
         The recurrence is byte-for-byte the one in
         ``repro.reference.prefix_lcs_lengths``; only the roles are
-        swapped — row bits span the (filtered) window, and the needle
-        symbols are fed through it.  Bits at ranks ≥ ``width`` in a
-        shifted mask lie outside the window; they never enter ``row``
-        because ``update = row & mask`` confines the carry to live
-        bits.
+        swapped — row bit ``i`` is window event ``lo + i``, and the
+        needle symbols are fed through it.  A position whose symbol
+        the needle lacks is in no mask, so its bit stays 1 and is
+        never counted.  Bits at ``width`` and above in a shifted mask
+        lie outside the window; they never enter ``row`` because
+        ``update = row & mask`` confines the carry to live bits.
         """
         window_mask = (1 << width) - 1
         row = window_mask  # all ones: no increments yet
         preparation = self.preparation
         needle = preparation.needle
-        get = shifted.get
         if preparation.pure_read:
             for symbol in needle:
-                mask = get(symbol)
+                mask = shifted[symbol]
                 if mask:
                     update = row & mask
                     row = ((row + update) | (row - update)) & window_mask
             stats.lcs_symbols_fed += len(needle)
-            length = width - bin(row).count("1")
+            length = width - row.bit_count()
             return length, length / preparation.size
         lengths: Dict[int, int] = {}
         cuts = preparation.cuts
@@ -364,12 +351,12 @@ class _CandidateState:
         fed = 0
         for symbol in needle:
             fed += 1
-            mask = get(symbol)
+            mask = shifted[symbol]
             if mask:
                 update = row & mask
                 row = ((row + update) | (row - update)) & window_mask
             while cut_index < len(cuts) and cuts[cut_index] == fed:
-                lengths[fed] = width - bin(row).count("1")
+                lengths[fed] = width - row.bit_count()
                 cut_index += 1
                 remaining -= 1
             if not remaining:
@@ -381,13 +368,13 @@ class _CandidateState:
 class MatchSession:
     """Scoring state for one snapshot's adaptive-buffer loop.
 
-    Drop-in replacement for the from-scratch reference scorer over
-    successive windows of a single snapshot: :meth:`score` takes the
-    same ``finalized`` dict and returns the same
-    ``{candidate index: (length, coverage)}`` mapping — with identical
-    floats — while keeping blocks and rows alive between calls.  The
-    session works class by class (:class:`ScoringClass`) and fans each
-    result out to the class's member indexes.
+    Replays the from-scratch reference scorer over successive windows
+    of a single snapshot, class by class: :meth:`score` returns
+    ``{class index: (length, coverage)}`` — the position of each
+    gated :class:`ScoringClass` in the sequence the session was opened
+    over, with the floats the reference computes for every member —
+    while keeping each class's last result alive between calls.
+    :func:`member_scores` expands a mapping to candidate indexes.
     """
 
     def __init__(
@@ -405,10 +392,10 @@ class MatchSession:
                 scoring_class,
                 0.999 if (scoring_class.preparation.pure_read or strict)
                 else threshold,
+                index.masks,
             )
             for scoring_class in classes
         ]
-        self._blocks: Dict[FrozenSet[str], _AlphabetBlock] = {}
         self._stats = stats
 
     def score(
@@ -417,34 +404,37 @@ class MatchSession:
         hi: int,
         finalized: Optional[Dict[int, Score]] = None,
     ) -> Dict[int, Score]:
-        """Score every candidate against ``events[lo:hi]``.
+        """Score every class against ``events[lo:hi]``.
 
         Mirrors the reference scorer decision-for-decision: the
         finalized short-circuit, the multiplicity gate, the coverage
         threshold and the finalization rule all use the same values in
-        the same order — once per class, with the outcome fanned out
-        to every member index.  The gate is the reference's
+        the same order, once per class.  The gate is the reference's
         multiplicity upper bound inlined: the per-symbol window counts
         come from the index and the credit sum is an integer, so the
         resulting bound float is identical.
 
-        ``finalized`` must be the dict this session's earlier calls
-        filled (or a copy of it): members of a class finalize
-        together, so the first member answers for the class.
+        A class whose relevant positions inside the window are the
+        ones it was last scored on returns that result without a DP
+        pass — exact for any pair of windows, nested or not, because
+        those positions *are* the filtered string the reference
+        scores.
+
+        ``finalized`` is keyed like the result and must be the dict
+        this session's earlier calls filled (or a copy of it).
         """
         stats = self._stats
         index_count = self._index.count
-        blocks = self._blocks
+        shifted = _ShiftedMasks(self._index.masks, lo)
+        width = hi - lo
+        window_bits = ((1 << width) - 1) << lo
         counts: Dict[str, int] = {}
         counts_get = counts.get
         scores: Dict[int, Score] = {}
         gated = 0
-        for state in self._states:
-            members = state.members
-            if finalized and members[0] in finalized:
-                result = finalized[members[0]]
-                for position in members:
-                    scores[position] = result
+        for number, state in enumerate(self._states):
+            if finalized and number in finalized:
+                scores[number] = finalized[number]
                 continue
             preparation = state.preparation
             matched = 0
@@ -456,42 +446,26 @@ class MatchSession:
                 matched += need if need < have else have
             required = state.required
             if matched / preparation.size < required:
-                gated += len(members)
+                gated += state.weight
                 continue
-            block = state.block
-            if block is None:
-                alphabet = preparation.alphabet
-                block = blocks.get(alphabet)
-                if block is None:
-                    block = _AlphabetBlock(alphabet, self._index)
-                    blocks[alphabet] = block
-                    stats.blocks_built += 1
-                state.block = block
-            span = block.span(lo, hi)
-            if span == state.last_span:
+            key = state.relevant & window_bits
+            if key == state.last_key:
                 stats.rescore_hits += 1
                 result = state.last_result
             else:
                 stats.lcs_row_extensions += 1
-                a, b = span
-                width = b - a
-                if width <= 0:
-                    result = (0, 0.0)
-                else:
-                    result = state.run(block.shifted(a), width, stats)
-                state.last_span = span
+                result = state.run(shifted, width, stats)
+                state.last_key = key
                 state.last_result = result
             length, coverage = result
             if coverage >= required:
-                for position in members:
-                    scores[position] = result
+                scores[number] = result
                 # A class is final only once its *longest* cut is
                 # fully corroborated (see the reference scorer).
                 if (coverage >= 0.999
                         and length >= preparation.final_length
                         and finalized is not None):
-                    for position in members:
-                        finalized[position] = result
+                    finalized[number] = result
         stats.candidates_gated += gated
         return scores
 

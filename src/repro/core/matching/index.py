@@ -6,11 +6,12 @@ scorer pays O(β) per candidate per iteration: it joins the window's
 symbol fragments into a string, strips symbols outside the candidate's
 alphabet with a per-candidate regex, and re-runs the bit-parallel LCS
 over the result.  :class:`SnapshotIndex` makes every one of those
-steps a function of the *snapshot* (built once) plus the window bounds
-(two bisects), so the per-iteration cost no longer scales with the
-buffer: it maps each symbol to the sorted event positions where it
-occurs, replacing both the join and the regex strip — "which of my
-symbols are in the window, and where" becomes a bisect per symbol.
+steps a function of the *snapshot* (built once per freeze) plus the
+window bounds: it maps each symbol to the sorted event positions where
+it occurs — the gate's window counts are two bisects — and to the same
+positions as one integer bit set, the match mask the DP reads.  Both
+are in snapshot coordinates, so nothing is derived per candidate or
+per needle alphabet: a window is a shift and a width.
 """
 
 from __future__ import annotations
@@ -20,25 +21,35 @@ from typing import Dict, List, Sequence
 
 
 class SnapshotIndex:
-    """Symbol → sorted event positions, over one snapshot's fragments.
+    """Symbol → event positions, over one snapshot's fragments.
 
     ``fragments`` is the snapshot's per-event symbol encoding (one
-    symbol, or ``""`` for events excluded from matching), exactly as
-    attached by the encoding window or produced by the detector's
-    fragment cache.  Position ``p`` refers to ``snapshot.events[p]``,
-    so the window ``[lo, hi)`` from :meth:`Snapshot.bounds` selects
-    index entries directly.
+    symbol, or ``""`` for events excluded from matching), as produced
+    by the detector's fragment cache.  Position ``p`` refers to
+    ``snapshot.events[p]``, so the window ``[lo, hi)`` from
+    :meth:`Snapshot.bounds` selects index entries directly.
+
+    ``positions[symbol]`` is the ascending position list;
+    ``masks[symbol]`` has bit ``p`` set exactly for the ``p`` in that
+    list — a Hyyrö match mask over the whole snapshot.  ``""``
+    fragments are in neither.
     """
 
-    __slots__ = ("fragments", "positions")
+    __slots__ = ("positions", "masks")
 
     def __init__(self, fragments: Sequence[str]) -> None:
-        self.fragments = fragments
         positions: Dict[str, List[int]] = {}
         for position, fragment in enumerate(fragments):
             if fragment:
                 positions.setdefault(fragment, []).append(position)
         self.positions = positions
+        masks: Dict[str, int] = {}
+        for symbol, occurrences in positions.items():
+            mask = 0
+            for position in occurrences:
+                mask |= 1 << position
+            masks[symbol] = mask
+        self.masks = masks
 
     def count(self, symbol: str, lo: int, hi: int) -> int:
         """Occurrences of ``symbol`` at positions in ``[lo, hi)``."""

@@ -514,8 +514,12 @@ class AnalysisPipeline:
         detection = self._call(
             "detect", 1, self.detector.detect, snapshot
         )
+        # ``is_operational_fault`` over the snapshot, cheapest test
+        # first: any status ≥ 400 is a fault, and below that only an
+        # event carrying a body has anything for the regex scan.
         error_events = [
-            e for e in snapshot.events if is_operational_fault(e)
+            e for e in snapshot.events
+            if e.status >= 400 or (e.body and is_operational_fault(e))
         ]
         root_causes = self._call(
             "rootcause", 1, self.rootcause.analyze, detection,

@@ -11,7 +11,8 @@ the production code, not a copy:
 * :class:`ScanSelectionDetector` prepares every containing fingerprint
   from scratch (``_select``) — the oracle half of indexed selection;
 * :class:`ScratchScoringDetector` re-scores each window from its joined
-  symbol string (``_scorer``) — the oracle half of incremental
+  symbol string, candidate by candidate (``_scorer``: one singleton
+  scoring class per candidate) — the oracle half of incremental
   matching.
 
 Each oracle uses the class that differs from production in exactly the
@@ -33,7 +34,11 @@ from repro.core.detector import (
     Scores,
     prepare_candidate,
 )
-from repro.core.matching.engine import Preparation, select_cut
+from repro.core.matching.engine import (
+    Preparation,
+    ScoringClass,
+    select_cut,
+)
 from repro.core.window import Snapshot
 
 
@@ -142,7 +147,8 @@ def score_buffer(candidates: Sequence[Candidate], buffer_symbols: str,
     """(corroborated length, coverage) per gated candidate index.
 
     From-scratch over the joined window string.  ``MatchSession.score``
-    replays these decisions incrementally and must stay bit-identical.
+    replays these decisions incrementally, once per scoring class, and
+    must stay bit-identical for every member.
     """
     threshold = config.match_coverage
     buffer_counts = Counter(buffer_symbols)
@@ -191,8 +197,14 @@ class ScratchScoringDetector(OperationDetector):
             if event.request_id == correlation_id
         )
 
-    def _scorer(self, snapshot: Snapshot, candidates: List[Candidate],
-                correlation_id: str) -> Scorer:
+    def _scorer(
+        self, snapshot: Snapshot, candidates: List[Candidate],
+        correlation_id: str,
+    ) -> Tuple[Sequence[ScoringClass], Scorer]:
+        """One singleton class per candidate — class index = candidate
+        index — so the production loop ranks, breaks ties and fans out
+        over what :func:`score_buffer` returns as it stands, and owes
+        nothing to the selection's partition."""
         def score(lo: int, hi: int,
                   finalized: Optional[Scores] = None) -> Scores:
             return score_buffer(
@@ -200,7 +212,10 @@ class ScratchScoringDetector(OperationDetector):
                 self._buffer_symbols(snapshot, lo, hi, correlation_id),
                 self.config, finalized,
             )
-        return score
+        return [
+            ScoringClass(preparation, (position,))
+            for position, (_, preparation) in enumerate(candidates)
+        ], score
 
 
 # -- from-scratch selection -------------------------------------------------

@@ -15,6 +15,8 @@ from repro.core.matching import (
     MatchingStats,
     Preparation,
     SnapshotIndex,
+    detection_signature,
+    member_scores,
     scoring_classes,
     select_cut,
     verify_detection,
@@ -133,7 +135,37 @@ def test_index_counts_symbols_inside_window():
 def test_index_excludes_blank_fragments():
     index = SnapshotIndex(["", "A", ""])
     assert "" not in index.positions
+    assert "" not in index.masks
     assert index.count("", 0, 3) == 0
+
+
+@pytest.mark.parametrize("fragments", [
+    [],
+    [""],
+    ["", "", ""],
+    ["A"],
+    ["A", "B", "", "A", "C", "A"],
+    # Past one machine word, and past the detector's default α.
+    (["A", "", "B", "B", "", "C", "A"] * 120)[:769],
+])
+def test_index_masks_agree_with_positions_bit_for_bit(fragments):
+    index = SnapshotIndex(fragments)
+    assert index.masks.keys() == index.positions.keys()
+    for symbol, mask in index.masks.items():
+        assert [
+            p for p in range(mask.bit_length()) if mask >> p & 1
+        ] == index.positions[symbol]
+        assert index.positions[symbol] == [
+            p for p, fragment in enumerate(fragments) if fragment == symbol
+        ]
+    # Every non-blank position is in exactly one mask.
+    union = 0
+    for mask in index.masks.values():
+        assert not union & mask
+        union |= mask
+    assert union == sum(
+        1 << p for p, fragment in enumerate(fragments) if fragment
+    )
 
 
 # -- multiplicity gate (satellite 1) --------------------------------------
@@ -238,8 +270,9 @@ def test_session_matches_reference_scorer(library, symbols, catalog):
             detector.config, finalized_ref,
         )
         incremental = session.score(lo, hi, finalized_inc)
-        assert incremental == reference
-        assert finalized_inc == finalized_ref
+        classes = candidates.classes
+        assert member_scores(classes, incremental) == reference
+        assert member_scores(classes, finalized_inc) == finalized_ref
 
 
 def test_session_rescore_uses_cache(library, symbols, catalog):
@@ -265,8 +298,6 @@ def test_session_rescore_uses_cache(library, symbols, catalog):
 
 def test_reference_scorer_bypasses_engine_without_changing_results(
         library, symbols, catalog):
-    from repro.core.matching import detection_signature
-
     reference = ScratchScoringDetector(library, symbols, catalog)
     incremental = make_detector(library, symbols, catalog)
     snapshot = make_snapshot(
@@ -320,11 +351,14 @@ def test_scoring_classes_separate_cuts_and_pure_read(
         (0, 3), (1,), (2,),
     ]
     fragments = ["A", "B", "C"]
+    classes = scoring_classes(pool)
     session = detector.matching.session(
-        fragments, scoring_classes(pool),
+        fragments, classes,
         threshold=detector.config.match_coverage, strict=False,
     )
-    scores = session.score(0, 3)
+    by_class = session.score(0, 3)
+    assert by_class == {0: (3, 0.75), 1: (2, 1.0)}
+    scores = member_scores(classes, by_class)
     assert scores == score_buffer(pool, "ABC", detector.config)
     # 3/4 passes the 0.7 threshold; the [2, 4] twin prefers its fully
     # covered short cut; the pure read needs 0.999 and is gated.
@@ -381,10 +415,10 @@ def test_stats_account_for_every_candidate_of_every_iteration(
         buffer_counts = Counter(
             reference_detector._buffer_symbols(snapshot, lo, hi, "")
         )
-        answered = len(finalized)
+        answered = sum(len(classes[i].members) for i in finalized)
         evaluated = [
-            c for c in classes
-            if c.members[0] not in finalized and upper_bound(
+            c for i, c in enumerate(classes)
+            if i not in finalized and upper_bound(
                 c.preparation, buffer_counts,
             ) >= detector.config.match_coverage
         ]
@@ -489,19 +523,133 @@ def test_verify_detection_covers_performance_path(
     assert outcome.ok
 
 
+def wide_snapshots(library, alpha, count):
+    """Frozen snapshots of a synthetic stream under ``alpha``."""
+    from repro.core.analyzer import GretelAnalyzer
+    from repro.workloads.traffic import SyntheticStream
+
+    analyzer = GretelAnalyzer(
+        library, config=GretelConfig(alpha=alpha),
+        track_latency=False, defer_detection=True,
+    )
+    analyzer.feed(SyntheticStream(
+        library, library.symbols, fault_every=alpha, seed=11,
+    ).generate(count))
+    analyzer.flush()
+    return analyzer.deferred_snapshots()
+
+
+def test_verify_detection_equivalent_on_multi_word_rows(small_character):
+    """Rows are as wide as the window: at α = 3072 the β-loop runs
+    307- to 3072-bit integers through the recurrence (5 to 48 machine
+    words), where the default α stops at 12."""
+    library = small_character.library
+    config = GretelConfig(alpha=3072)
+    snapshots = [
+        snapshot for snapshot in wide_snapshots(library, 3072, 10_000)
+        if len(snapshot.events) >= 3000
+    ]
+    assert len(snapshots) >= 2
+    detector = OperationDetector(
+        library, library.symbols, library.symbols.catalog, config,
+    )
+    assert any(
+        detector.detect(snapshot).matched for snapshot in snapshots
+    )
+    assert detector.matching_stats.lcs_row_extensions > 0
+    outcome = verify_detection(snapshots, library, config=config)
+    assert outcome.ok, outcome.summary()
+
+
+def test_verify_detection_equivalent_at_perf_buffer_cap(small_character):
+    """The performance path scores the whole snapshot in one window:
+    ``perf_buffer_cap`` events, one 1024-bit row per class."""
+    library = small_character.library
+    config = GretelConfig()
+    cap = config.perf_buffer_cap
+    snapshots = []
+    for snapshot in wide_snapshots(library, 2 * cap, 5 * cap):
+        lo = max(0, snapshot.fault_index - cap // 2)
+        events = snapshot.events[lo:lo + cap]
+        if len(events) == cap:
+            snapshots.append(Snapshot(
+                fault=snapshot.fault, events=events,
+                fault_index=snapshot.fault_index - lo,
+            ))
+    assert snapshots
+    detector = OperationDetector(
+        library, library.symbols, library.symbols.catalog, config,
+    )
+    results = [
+        detector.detect(snapshot, performance_fault=True)
+        for snapshot in snapshots
+    ]
+    assert all(result.beta_used == cap for result in results)
+    assert any(result.matched for result in results)
+    outcome = verify_detection(
+        snapshots, library, config=config, performance_fault=True,
+    )
+    assert outcome.ok, outcome.summary()
+
+
+def test_tie_on_length_is_broken_by_candidates_not_classes(
+        catalog, symbols):
+    """Three read-only operations share one preparation and match the
+    two events around the fault; one state-changing operation reaches
+    the same corroborated length two windows later and, being
+    state-change evidence, displaces them.  Same length, so the larger
+    window wins only because it names fewer *candidates* (1 < 3); by
+    classes it is 1 against 1, a tie, and the loop would have kept the
+    small window's three reads."""
+    library = FingerprintLibrary(symbols)
+    operations = {
+        "op-read-a": [LIST_IMAGES, POLL],
+        "op-read-b": [LIST_IMAGES, POLL, LIST_IMAGES],
+        "op-read-c": [LIST_IMAGES, POLL, LIST_IMAGES, LIST_IMAGES],
+        "op-write": [BOOT, PORT, POLL],
+    }
+    for name, specs in operations.items():
+        library.add(generate_fingerprint(
+            name, [to_keys(catalog, specs)], symbols, catalog,
+        ))
+    snapshot = make_snapshot(
+        catalog, [BOOT, PORT, LIST_IMAGES, POLL], POLL,
+    )
+    detector = make_detector(library, symbols, catalog)
+    candidates = detector.candidates_for(snapshot.fault.api_key)
+    assert sorted(
+        (c.preparation.pure_read, len(c.members))
+        for c in candidates.classes
+    ) == [(False, 1), (True, 3)]
+    result = detector.detect(snapshot)
+    assert result.operations == ["op-write"]
+    assert (result.beta_used, result.iterations) == (3, 3)
+    # The per-candidate loop — every class a singleton — agrees.
+    reference = ScratchScoringDetector(library, symbols, catalog)
+    assert detection_signature(reference.detect(snapshot)) == \
+        detection_signature(result)
+    # ... and one window earlier the reads were the answer.
+    early = Snapshot(
+        fault=snapshot.fault, events=snapshot.events[1:], fault_index=2,
+    )
+    assert detector.detect(early).operations == [
+        "op-read-a", "op-read-b", "op-read-c",
+    ]
+
+
 # -- stats plumbing -------------------------------------------------------
 
 
 def test_matching_stats_merge():
     merged = MatchingStats(
-        candidates_gated=1, blocks_built=2, lcs_row_extensions=3,
+        candidates_gated=1, lcs_row_extensions=3,
         lcs_symbols_fed=4, rescore_hits=5,
     ) + MatchingStats(
-        candidates_gated=10, blocks_built=20, lcs_row_extensions=30,
+        candidates_gated=10, lcs_row_extensions=30,
         lcs_symbols_fed=40, rescore_hits=50,
     )
     assert merged == MatchingStats(
-        candidates_gated=11, blocks_built=22, lcs_row_extensions=33,
+        candidates_gated=11, lcs_row_extensions=33,
         lcs_symbols_fed=44, rescore_hits=55,
     )
 

@@ -16,6 +16,7 @@ from repro.core.config import GretelConfig
 from repro.core.detector import Candidate, OperationDetector
 from repro.core.matching import (
     Preparation,
+    member_scores,
     scoring_classes,
     verify_detection,
 )
@@ -95,25 +96,40 @@ def duplicate_heavy_cases(draw):
     return fragments, fault, beta, delta, pool
 
 
-def assert_session_equals_reference_on_growth(detector, case):
-    """The whole growth schedule, one ``finalized`` dict per scorer
-    carried across it: mappings equal index for index, floats ``==``."""
-    fragments, fault, beta, delta, pool = case
+def assert_session_equals_reference(detector, fragments, pool, windows,
+                                    *, config=None, finalize=True):
+    """One session over ``windows`` in order against the from-scratch
+    scorer on each: the session's class-keyed mappings, expanded
+    through ``members``, equal the per-candidate ones index for index,
+    floats ``==`` — and so do the ``finalized`` dicts carried across
+    the windows, when the schedule has them."""
+    config = config or detector.config
+    classes = scoring_classes(pool)
     session = detector.matching.session(
-        fragments, scoring_classes(pool),
-        threshold=detector.config.match_coverage,
-        strict=not detector.config.relaxed_match,
+        fragments, classes,
+        threshold=config.match_coverage,
+        strict=not config.relaxed_match,
     )
-    finalized_ref = {}
-    finalized_inc = {}
-    for lo, hi in growth_windows(len(fragments), fault, beta, delta):
+    finalized_ref = {} if finalize else None
+    finalized_inc = {} if finalize else None
+    for lo, hi in windows:
         buffer_symbols = "".join(fragments[lo:hi])
         reference = score_buffer(
-            pool, buffer_symbols, detector.config, finalized_ref,
+            pool, buffer_symbols, config, finalized_ref,
         )
         incremental = session.score(lo, hi, finalized_inc)
-        assert incremental == reference
-        assert finalized_inc == finalized_ref
+        assert member_scores(classes, incremental) == reference
+        if finalize:
+            assert member_scores(classes, finalized_inc) == finalized_ref
+
+
+def assert_session_equals_reference_on_growth(detector, case):
+    """The whole growth schedule, one ``finalized`` dict per scorer."""
+    fragments, fault, beta, delta, pool = case
+    assert_session_equals_reference(
+        detector, fragments, pool,
+        growth_windows(len(fragments), fault, beta, delta),
+    )
 
 
 @given(case=scoring_cases())
@@ -142,15 +158,42 @@ def test_session_equals_reference_without_finalization(
     """Single-shot windows (no ``finalized`` dict), both strictness
     profiles — the non-adaptive / performance-fault path."""
     fragments, fault, beta, delta, pool = case
-    config = GretelConfig(relaxed_match=not strict)
-    session = detector.matching.session(
-        fragments, scoring_classes(pool),
-        threshold=config.match_coverage, strict=strict,
+    assert_session_equals_reference(
+        detector, fragments, pool,
+        growth_windows(len(fragments), fault, beta, delta),
+        config=GretelConfig(relaxed_match=not strict), finalize=False,
     )
-    for lo, hi in growth_windows(len(fragments), fault, beta, delta):
-        buffer_symbols = "".join(fragments[lo:hi])
-        reference = score_buffer(pool, buffer_symbols, config)
-        assert session.score(lo, hi) == reference
+
+
+@st.composite
+def arbitrary_window_cases(draw):
+    """A snapshot, a duplicate-heavy pool and windows in no particular
+    relation to one another: overlapping, disjoint, shrinking, empty,
+    repeated."""
+    fragments, _, _, _, pool = draw(duplicate_heavy_cases())
+    bound = st.integers(min_value=0, max_value=len(fragments))
+    windows = [
+        tuple(sorted(pair))
+        for pair in draw(st.lists(
+            st.tuples(bound, bound), min_size=2, max_size=8,
+        ))
+    ]
+    return fragments, pool, windows
+
+
+@given(case=arbitrary_window_cases())
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_session_equals_reference_on_non_nested_windows(detector, case):
+    """The rescore cache keys on the relevant positions *inside the
+    window*, so a cached result may be served across any two windows
+    — not only a window and one that contains it.  No ``finalized``
+    dict: finalization leans on coverage being monotone under growth,
+    which an arbitrary schedule does not give."""
+    fragments, pool, windows = case
+    assert_session_equals_reference(
+        detector, fragments, pool, windows, finalize=False,
+    )
 
 
 @given(

@@ -276,7 +276,9 @@ def test_restore_refuses_per_stage_v1_state(library):
     wirings; v3 and the tags that retired with it (``sliding-window/v2``,
     ``latency-tracker/v1``, ``sharded-analyzer/v1``,
     ``tenant-session/v1``) spelled every event as a keyed dict where
-    the current ones hold rows."""
+    the current ones hold rows; ``operation-detector/v1`` counted
+    alphabet blocks the matcher no longer builds (a ``"matching"``
+    key ``MatchingStats.from_dict`` would choke on)."""
     from repro.core.state import StateFormatError
     from repro.service import TenantSession
 
@@ -285,6 +287,8 @@ def test_restore_refuses_per_stage_v1_state(library):
     assert state["fmt"] == "analysis-pipeline/v4"
     assert state["window"]["fmt"] == "sliding-window/v3"
     assert state["latency"]["fmt"] == "latency-tracker/v2"
+    assert state["detector"]["fmt"] == "operation-detector/v2"
+    assert "blocks_built" not in state["detector"]["matching"]
     refused = [
         (analyzer, dict(state, fmt=older), older)
         for older in ("analysis-pipeline/v1", "analysis-pipeline/v2",
@@ -293,7 +297,8 @@ def test_restore_refuses_per_stage_v1_state(library):
         (analyzer, dict(state, **{part: dict(state[part], fmt=older)}),
          older)
         for part, older in (("window", "sliding-window/v2"),
-                            ("latency", "latency-tracker/v1"))
+                            ("latency", "latency-tracker/v1"),
+                            ("detector", "operation-detector/v1"))
     ]
     sharded = ShardedAnalyzer(library, 2, config=config())
     assert sharded.STATE_FMT == "sharded-analyzer/v2"
