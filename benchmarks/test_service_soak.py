@@ -4,11 +4,10 @@ Replays the Fig. 8c synthetic stream (60K events at full scale) as
 one *continuous* multi-pass feed per tenant — timestamps and sequence
 numbers advancing across passes — through the service as deployed:
 producer threads submitting concurrently, one pump thread per tenant
-session, every session on the **process backend** (pump threads
-feeding per-tenant worker pools), checkpointing to disk every pass,
-swept over tenant counts.  It asserts the properties a standing
-service must hold that a batch drain never exercises and no ledger
-row covers:
+session analysing on a serial ``GretelAnalyzer``, checkpointing to
+disk every pass, swept over tenant counts.  It asserts the properties
+a standing service must hold that a batch drain never exercises and
+no ledger row covers:
 
 * **exact accounting** — per leg, every offer submitted is accepted,
   analyzed and diagnosed identically by every tenant; nothing shed,
@@ -17,15 +16,15 @@ row covers:
   to the biggest: traced heap (``tracemalloc``) after the last pass
   stays within a small factor of the steady-state reference (taken
   after the second sampled pass, once warmup caches and the retention
-  ring have filled) — the session's retention hand-off really does
-  bound the router's memory by queue capacity + the retention ring,
-  not by events ingested;
+  ring have filled).  The analyzer lives in the traced process, so
+  the heap includes its window and the matcher caches: session memory
+  really is bounded by α + queue capacity + the retention ring, not
+  by events ingested;
 * **bounded state** — on every session: queue empty post-flush,
   retention ring ≤ its cap, the pipeline's report log drained, and
-  (the window lives in the worker, whose heap is not traced) the
-  window its last checkpoint persisted ≤ α;
-* both service differential oracles (checkpoint, and async on the
-  inline and process backends) hold on the measured stream.
+  the window ≤ α both live and in the last checkpoint persisted;
+* both service differential oracles (checkpoint and async) hold on
+  the measured stream.
 
 This file asserts *properties* and measures no speed: under
 ``tracemalloc`` every events/s figure is several-fold off, and the
@@ -63,7 +62,7 @@ RETENTION = 8
 MEMORY_GROWTH_CEILING = 1.35
 
 #: Tenant-count sweep: (tenants, sampled passes).  Every leg gets one
-#: extra unsampled warmup pass (worker-pool spawn, cold caches).  Full
+#: extra unsampled warmup pass (cold caches).  Full
 #: scale totals ~12.5M events across the sweep.  A leg's heap-growth
 #: ratio compares two different samples only from three passes up, so
 #: the smoke sweep gives the single-session leg three too.
@@ -100,15 +99,15 @@ def _async_leg(
     library, events, config, tenants, passes, stride, count,
     checkpoint_dir,
 ):
-    """One sweep point: ``tenants`` pump sessions on the process
-    backend, one producer thread per tenant (a single producer per
-    tenant preserves per-tenant stream order, so every tenant must
-    emit an identical report log — asserted below).
+    """One sweep point: ``tenants`` pump sessions, one producer
+    thread per tenant (a single producer per tenant preserves
+    per-tenant stream order, so every tenant must emit an identical
+    report log — asserted below).
 
     Per pass the producers submit concurrently, the service drains (a
     quiesce barrier), a checkpoint is written, and the traced heap is
-    sampled — except after pass 0, the warmup (worker-pool spawn, cold
-    caches).  Returns the leg's payload fragment.
+    sampled — except after pass 0, the warmup (cold caches).  Returns
+    the leg's payload fragment.
     """
     store = CheckpointStore(checkpoint_dir)
     service = StreamingService(
@@ -118,8 +117,6 @@ def _async_leg(
         policy="block",
         report_retention=RETENTION,
         checkpoint_store=store,
-        shards=1,
-        backend="process",
     )
     sink_counts = {"reports": 0}
 
@@ -138,8 +135,7 @@ def _async_leg(
         for index in range(passes + 1):
             replay = _pass_events(events, index, stride, count)
             # Every tenant replays the whole pass from its own
-            # producer thread (sessions — and their worker processes
-            # — are created before the first thread starts).
+            # producer thread.
             drive_producers(
                 service, dict.fromkeys(keys, replay), tenants,
             )
@@ -173,9 +169,8 @@ def _async_leg(
             f"{per_tenant_reports}"
         )
         # Bounded state: a long-lived session must not grow with
-        # ingest.  The window lives in the tenant's worker process;
-        # what the last per-pass checkpoint persisted of it is the
-        # readout.
+        # ingest — read from the live analyzer and from what the last
+        # per-pass checkpoint persisted of it.
         for live in service.sessions.values():
             assert live.queued == 0
             assert len(live.recent_reports) <= RETENTION
@@ -183,8 +178,9 @@ def _async_leg(
                 "pipeline report log not drained — session memory "
                 "would grow with every fault"
             )
-            for pipeline in store.load(live.tenant)["analyzer"]["pipelines"]:
-                assert len(pipeline["window"]["events"]) <= ALPHA
+            assert len(live.analyzer.window) <= ALPHA
+            saved = store.load(live.tenant)["analyzer"]
+            assert len(saved["window"]["events"]) <= ALPHA
     finally:
         service.shutdown()
     for live in service.sessions.values():
@@ -204,26 +200,22 @@ def _async_leg(
 
 
 def _run_oracles(library, events, config):
-    """Both service differential oracles on the measured stream:
-    checkpoint, plus async on both analyzer backends.  Strict — a
-    divergence fails the soak with the oracle's own summary."""
+    """Both service differential oracles on the measured stream.
+    Strict — a divergence fails the soak with the oracle's own
+    summary."""
     return {
         "verify_checkpoint": verify_checkpoint(
             events, library, cuts=2, config=config,
         ),
-        "verify_async_inline": verify_async(
+        "verify_async": verify_async(
             events, library, tenants=4, producers=4, config=config,
-        ),
-        "verify_async_process": verify_async(
-            events, library, tenants=4, producers=4, config=config,
-            shards=1, backend="process",
         ),
     }
 
 
 def _render_async(payload):
     lines = [
-        "service async soak — pump router, process backend "
+        "service async soak — pump router, serial sessions "
         f"(scale: {payload['scale']})",
         "",
     ]

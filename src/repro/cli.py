@@ -470,8 +470,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         checkpoint_store=store,
         checkpoint_every=args.checkpoint_every,
         restore=args.resume,
-        shards=args.session_shards,
-        backend=args.backend,
     )
     published = []
     service.on_report(
@@ -505,8 +503,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "events": count,
         "passes": args.passes,
         "tenants": args.tenants,
-        "session_shards": args.session_shards,
-        "backend": args.backend,
         "pump_threads": producers,
         "alpha": args.alpha,
         "queue_size": args.queue_size,
@@ -539,8 +535,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             producers=producers,
             config=config,
             track_latency=not args.no_latency,
-            shards=args.session_shards,
-            backend=args.backend,
             strict=False,
         )
         code = _record_verdict(
@@ -798,17 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--queue-size", type=int, default=1024,
         help="per-session ingest queue capacity (default 1024)",
-    )
-    serve.add_argument(
-        "--session-shards", type=int, default=1,
-        help="shards per tenant session analyzer (default 1 = the "
-             "serial engine)",
-    )
-    serve.add_argument(
-        "--backend", choices=("inline", "process"), default="inline",
-        help="session analyzer backend when sharded: process drains "
-             "each session on its own worker pool "
-             "(docs/parallelism.md)",
     )
     serve.add_argument(
         "--pump-threads", type=int, default=0,

@@ -40,12 +40,11 @@ both the test suite and ``repro analyze --verify-shards``.  See
 from __future__ import annotations
 
 from typing import (
-    Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence,
-    Tuple,
+    Any, Callable, Dict, Iterable, List, Optional, Sequence,
 )
 
 from repro.openstack.catalog import ApiCatalog
-from repro.openstack.wire import ROW_FIELDS, WireEvent
+from repro.openstack.wire import WireEvent
 from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
 from repro.core.fingerprint import FingerprintLibrary
@@ -55,8 +54,13 @@ from repro.core.pipeline.graph import (
     PipelineStats,
 )
 from repro.core.pipeline.middleware import StageObserver
-from repro.core.reports import FaultReport
-from repro.core.state import StateError, require_columns, require_state
+# ``report_signature`` lives with the reports it describes; the ledger
+# (benchmarks/e2e) still spells it ``repro.core.parallel.report_signature``.
+from repro.core.reports import (
+    FaultReport,
+    report_order_key,
+    report_signature,
+)
 from repro.core.symbols import SymbolTable
 from repro.monitoring.store import MetadataStore
 from repro.oracle import OracleResult, diff_multisets, settle
@@ -79,45 +83,10 @@ class ShardWorkerError(RuntimeError):
     stopped or terminated), so the analyzer is safe to abandon.
     """
 
-#: Report signature: (kind, fault seq, matched operations, θ, causes).
-ReportSignature = Tuple[str, int, Tuple[str, ...], float,
-                        Tuple[Tuple[str, str, str], ...]]
-
 
 def source_node_key(event: WireEvent) -> str:
     """The default partition key: the capturing agent's node (§5.2)."""
     return event.src_node
-
-
-def report_order_key(report: FaultReport) -> Tuple[int, int, float]:
-    """Deterministic merge order: (event sequence, fault id).
-
-    The fault id breaks ties between an operational and a performance
-    report anchored on the same wire event: operational first, then by
-    report timestamp.
-    """
-    return (report.fault_event.seq,
-            0 if report.kind == "operational" else 1,
-            report.ts)
-
-
-def report_signature(report: FaultReport) -> ReportSignature:
-    """Order-independent identity of one report, for set comparison.
-
-    Captures everything an operator acts on — fault kind and wire
-    event, the matched operation set, the detection precision θ and
-    the root-cause findings — while ignoring wall-clock measurement
-    fields (``analysis_seconds``) that legitimately differ between
-    runs.
-    """
-    return (
-        report.kind,
-        report.fault_event.seq,
-        tuple(report.detection.operations),
-        round(report.detection.theta, 12),
-        tuple(sorted((c.node, c.kind, c.subject)
-                     for c in report.root_causes)),
-    )
 
 
 class ShardedAnalyzer:
@@ -148,8 +117,6 @@ class ShardedAnalyzer:
     context manager) when done; on worker death every entry point
     raises :class:`ShardWorkerError` after tearing the pool down.
     """
-
-    STATE_FMT = "sharded-analyzer/v2"
 
     def __init__(
         self,
@@ -247,11 +214,6 @@ class ShardedAnalyzer:
     def assignment(self) -> Dict[str, int]:
         """A copy of the partition-key → shard map seen so far."""
         return dict(self._assignment)
-
-    def on_report(self, callback: Callable[[FaultReport], None]) -> None:
-        """Register a fault-report consumer on every shard."""
-        for shard in self.shards:
-            shard.on_report(callback)
 
     # -- event intake ------------------------------------------------------
 
@@ -364,16 +326,6 @@ class ShardedAnalyzer:
         """Merged reports for performance faults."""
         return [r for r in self.reports if r.kind == "performance"]
 
-    def shed_logs(self) -> None:
-        """Discard accumulated report logs on every shard.
-
-        For long-lived callers (the streaming service) that have
-        already fanned reports out to listeners: keeps analyzer memory
-        bounded by the windows, not by reports published.
-        """
-        for shard in self.shards:
-            shard.shed_logs()
-
     # -- aggregate stats ---------------------------------------------------
 
     def shard_stats(self) -> List[PipelineStats]:
@@ -402,81 +354,6 @@ class ShardedAnalyzer:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    # -- checkpoint state --------------------------------------------------
-
-    def snapshot_state(self) -> Dict[str, object]:
-        """Serializable mid-stream state: routing + shard pipelines.
-
-        Reports are excluded per the state protocol
-        (:mod:`repro.core.state`); the process backend snapshots each
-        worker's pipeline over the wire, so a process-backed session
-        checkpoints exactly like an inline one.
-        """
-        pipelines = self._fanout("snapshot_state")
-        return {
-            "fmt": self.STATE_FMT,
-            "backend": self.backend,
-            "shards": self.n_shards,
-            "batch_size": self.batch_size,
-            "assignment": dict(self._assignment),
-            "columns": list(ROW_FIELDS),
-            "buffers": [
-                [event.to_row() for event in buffer]
-                for buffer in self._buffers
-            ],
-            "pipelines": pipelines,
-        }
-
-    def restore_state(self, state: Mapping[str, object]) -> None:
-        """Rehydrate a fresh, identically sharded analyzer.
-
-        The backend need not match the one that took the snapshot —
-        pipeline states are backend-agnostic — but the shard count
-        must, because the round-robin assignment map is keyed by it.
-        """
-        require_state(state, self.STATE_FMT)
-        require_columns(state, ROW_FIELDS)
-        if int(state["shards"]) != self.n_shards:
-            raise StateError(
-                f"state has {state['shards']} shards, analyzer has "
-                f"{self.n_shards}"
-            )
-        pipelines = state["pipelines"]
-        if len(pipelines) != self.n_shards:
-            raise StateError(
-                f"state has {len(pipelines)} pipeline states for "
-                f"{state['shards']} shards"
-            )
-        # A checkpoint file is outside input: every length and every
-        # shard index is checked before anything is installed, so a
-        # refused document leaves the analyzer as it was.
-        buffers = [
-            [WireEvent.from_row(e) for e in buffer]
-            for buffer in state["buffers"]
-        ]
-        if len(buffers) != self.n_shards:
-            raise StateError(
-                f"state has {len(buffers)} buffers for "
-                f"{state['shards']} shards"
-            )
-        assignment = {
-            str(k): int(v) for k, v in state["assignment"].items()
-        }
-        for partition_key, index in assignment.items():
-            if not 0 <= index < self.n_shards:
-                raise StateError(
-                    f"state routes {partition_key!r} to shard {index}, "
-                    f"analyzer has shards 0..{self.n_shards - 1}"
-                )
-        self._assignment = assignment
-        self._buffers = buffers
-        try:
-            for shard, pipeline in zip(self.shards, pipelines):
-                shard.restore_state(pipeline)
-        except ShardWorkerError:
-            self.close()
-            raise
 
     def __getattr__(self, name: str):
         # Aggregate counters (events_processed, bytes_processed,

@@ -9,11 +9,15 @@ Reports are emitted by the analyzer's publish step
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.openstack.wire import WireEvent
 from repro.core.detector import DetectionResult
 from repro.core.latency import PerformanceAnomaly
+
+#: Report signature: (kind, fault seq, matched operations, θ, causes).
+ReportSignature = Tuple[str, int, Tuple[str, ...], float,
+                        Tuple[Tuple[str, str, str], ...]]
 
 
 @dataclass(frozen=True)
@@ -119,3 +123,34 @@ class FaultReport:
             f"({fault.src_service}->{fault.dst_service}) status={fault.status}. "
             f"Operation(s): {ops}. Root cause(s): {causes}."
         )
+
+
+def report_order_key(report: FaultReport) -> Tuple[int, int, float]:
+    """Deterministic merge order: (event sequence, fault id).
+
+    The fault id breaks ties between an operational and a performance
+    report anchored on the same wire event: operational first, then by
+    report timestamp.
+    """
+    return (report.fault_event.seq,
+            0 if report.kind == "operational" else 1,
+            report.ts)
+
+
+def report_signature(report: FaultReport) -> ReportSignature:
+    """Order-independent identity of one report, for set comparison.
+
+    Captures everything an operator acts on — fault kind and wire
+    event, the matched operation set, the detection precision θ and
+    the root-cause findings — while ignoring wall-clock measurement
+    fields (``analysis_seconds``) that legitimately differ between
+    runs.
+    """
+    return (
+        report.kind,
+        report.fault_event.seq,
+        tuple(report.detection.operations),
+        round(report.detection.theta, 12),
+        tuple(sorted((c.node, c.kind, c.subject)
+                     for c in report.root_causes)),
+    )

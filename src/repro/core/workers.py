@@ -21,9 +21,9 @@ GIL.  The module has two halves:
   *empty* replies — see the deadlock note below.
 * :class:`ProcessShard` — the parent-side client.  It answers to the
   pipeline's own names where :class:`~repro.core.parallel.ShardedAnalyzer`
-  talks to one shard (``process_chunk`` / ``restore_state`` /
-  ``reports`` / ``on_report`` / ``shed_logs`` / ``close``) and to
-  ``post`` / ``wait`` where it fans one method out to the whole pool.
+  talks to one shard (``process_chunk`` / ``reports`` / ``on_report``
+  / ``close``) and to ``post`` / ``wait`` where it fans one method out
+  to the whole pool.
 
 Wire protocol (one reply per command, FIFO per connection):
 
@@ -55,10 +55,8 @@ worker traceback).  Lifecycle robustness:
   parent process.
 * **Thread safety** — the pipe protocol is strict FIFO
   request/reply, so every protocol entry point serializes on one
-  per-shard reentrant lock.  The streaming service's per-tenant pump
-  threads each drive their own pool (the lock is uncontended there),
-  but a checkpointing thread snapshotting a pool concurrently with
-  its pump can never interleave one exchange with another.
+  per-shard reentrant lock: two threads driving one pool can never
+  interleave one exchange with another.
 
 See ``docs/parallelism.md`` for the design discussion (chunking,
 seeding, rejected alternatives).
@@ -72,9 +70,8 @@ import os
 import threading
 import time
 import traceback
-import tracemalloc
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Sequence
+from typing import Any, Callable, Dict, List, Sequence
 
 from repro.core.fingerprint import FingerprintLibrary
 from repro.core.parallel import ShardWorkerError
@@ -173,8 +170,6 @@ PIPELINE_OPS = frozenset({
     "flush",
     "process_deferred",
     "stats",
-    "snapshot_state",
-    "restore_state",
 })
 
 
@@ -190,12 +185,6 @@ def _dispatch(shard: AnalysisPipeline, op: str, payload: Any) -> Any:
 
 def shard_worker_main(conn: Any, seed: WorkerSeed) -> None:
     """The worker process: build the shard, then serve commands."""
-    if tracemalloc.is_tracing():
-        # A forked child inherits the parent's allocation tracer.
-        # The parent profiles its own heap (session state, queues);
-        # letting the tracer run here would silently tax every
-        # analysis call instead.
-        tracemalloc.stop()
     try:
         shard = AnalysisPipeline(seed.library, **seed.wiring)
     except BaseException:
@@ -248,10 +237,9 @@ class ProcessShard:
     Stands in for the worker's
     :class:`~repro.core.pipeline.graph.AnalysisPipeline` under the
     same method names, so :class:`~repro.core.parallel.ShardedAnalyzer`
-    steps, restores and reads either kind of shard with one call.
+    steps and reads either kind of shard with one call.
     Reports stream back attached to replies and accumulate here (in
-    worker emit order) until read via :attr:`reports` or handed off
-    via :meth:`shed_logs`.
+    worker emit order), read via :attr:`reports`.
     """
 
     def __init__(self, seed: WorkerSeed) -> None:
@@ -259,12 +247,9 @@ class ProcessShard:
         self.shard_id = seed.shard_id
         # The wire protocol is strict FIFO request/reply, so two
         # threads interleaving commands on one pipe would corrupt the
-        # pairing (and worse, interleave one tenant's chunk stream
-        # with another's snapshot).  Every protocol entry point takes
-        # this reentrant lock; per-tenant pump threads each own their
-        # own pool, so in practice the lock is uncontended — it turns
-        # a would-be protocol corruption under misuse into simple
-        # serialization.
+        # pairing.  Every protocol entry point takes this reentrant
+        # lock; in practice it is uncontended — it turns a would-be
+        # protocol corruption under misuse into simple serialization.
         self._io = threading.RLock()
         self._inflight = 0
         self._unreaped = 0
@@ -308,10 +293,6 @@ class ProcessShard:
     def reports(self) -> List[FaultReport]:
         """Reports received so far (call after flush/drain to sync)."""
         return list(self._reports)
-
-    def shed_logs(self) -> None:
-        """Hand off accumulated reports (already fanned out)."""
-        self._reports.clear()
 
     # -- protocol plumbing ------------------------------------------------
 
@@ -430,13 +411,6 @@ class ProcessShard:
                 self._unreaped = 0
                 self._post("reap")
                 self.wait("reap")
-
-    def restore_state(self, state: Mapping[str, Any]) -> None:
-        # Restoring rewinds the worker to a fresh-plus-state analyzer;
-        # reports accumulated from any earlier stream are not part of
-        # the restored run.
-        self.call("restore_state", dict(state))
-        self._reports.clear()
 
     # -- lifecycle --------------------------------------------------------
 

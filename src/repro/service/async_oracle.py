@@ -17,7 +17,7 @@ those of a single-threaded router that drains inline.
   order), is flushed through the quiesce barrier, and shut down.
 
 Both halves must agree, per tenant, on the report multiset (compared
-via :func:`repro.core.parallel.report_signature`) and on the ingest
+via :func:`repro.core.reports.report_signature`) and on the ingest
 counters (``events_ingested`` / ``events_analyzed`` / ``events_shed``
 / ``reports_emitted``).  The oracle runs under the ``"block"``
 policy — shedding is timing-dependent by design, so a shed-policy
@@ -35,7 +35,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import GretelConfig
 from repro.core.fingerprint import FingerprintLibrary
-from repro.core.parallel import report_signature
+from repro.core.reports import report_signature
 from repro.monitoring.store import MetadataStore
 from repro.openstack.catalog import ApiCatalog
 from repro.openstack.wire import WireEvent
@@ -55,7 +55,7 @@ COUNTER_FIELDS = (
     "reports_emitted",
 )
 
-#: :func:`~repro.core.parallel.report_signature` + ``(tenant,)``.
+#: :func:`~repro.core.reports.report_signature` + ``(tenant,)``.
 Signature = Tuple[object, ...]
 
 
@@ -90,11 +90,9 @@ def drive_producers(
     Each bucket is owned by exactly one producer, which replays it
     ``passes`` times in stream order — so per-tenant delivery order is
     the stream order however the threads interleave.  The sessions
-    are created *before* the producers start: process-backed pools
-    fork workers, and forking from a quiet parent is the safe order
-    (docs/service.md).  Returns once every producer has finished; the
-    first exception a producer raised is re-raised here rather than
-    left on its thread.
+    are created *before* the producers start.  Returns once every
+    producer has finished; the first exception a producer raised is
+    re-raised here rather than left on its thread.
     """
     owned: List[List[Tuple[str, List[WireEvent]]]] = [
         [] for _ in range(producers)
@@ -138,21 +136,17 @@ def verify_async(
     catalog: Optional[ApiCatalog] = None,
     store: Optional[MetadataStore] = None,
     track_latency: bool = True,
-    shards: int = 1,
-    backend: str = "inline",
     queue_capacity: int = 1024,
     strict: bool = True,
 ) -> OracleResult:
     """Prove the pump router is observably the reference sync router
     (see the module docstring for the two halves).
 
-    ``shards``/``backend`` configure the per-session analyzer, so the
-    same oracle also covers pump threads driving process-backed
-    worker pools.  A report signature here is
-    :func:`~repro.core.parallel.report_signature` with the tenant
-    appended; a counter divergence is a ``counter: [tenant] <name>
-    ...`` line in ``mismatches``.  ``strict`` is
-    :func:`repro.oracle.settle`'s.
+    A report signature here is
+    :func:`~repro.core.reports.report_signature` with the tenant
+    appended; a counter divergence is a
+    ``counter: [tenant] <name> ...`` line in ``mismatches``.
+    ``strict`` is :func:`repro.oracle.settle`'s.
     """
     if tenants < 1:
         raise ValueError("tenants must be at least 1")
@@ -172,8 +166,6 @@ def verify_async(
         track_latency=track_latency,
         queue_capacity=queue_capacity,
         policy="block",
-        shards=shards,
-        backend=backend,
     )
 
     def sink(signatures: List[Signature]) -> Any:

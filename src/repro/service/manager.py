@@ -32,6 +32,7 @@ import threading
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional
 
+from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
 from repro.core.fingerprint import FingerprintLibrary
 from repro.core.pipeline.builder import PipelineBuilder
@@ -41,7 +42,7 @@ from repro.openstack.catalog import ApiCatalog
 from repro.openstack.wire import WireEvent
 from repro.service.checkpoint import CheckpointStore
 from repro.service.session import (
-    ReportSink, SessionAnalyzer, TenantSession, _AtomicCounter,
+    ReportSink, TenantSession, _AtomicCounter,
 )
 
 #: Tenant bucket used when an event carries no tenant id.
@@ -97,8 +98,6 @@ class StreamingService:
         checkpoint_store: Optional[CheckpointStore] = None,
         checkpoint_every: int = 0,
         restore: bool = True,
-        shards: int = 1,
-        backend: str = "inline",
         async_ingest: bool = True,
     ) -> None:
         # Residue, not an option: the ledger's service workload
@@ -114,10 +113,6 @@ class StreamingService:
             )
         if checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
-        if shards < 1:
-            raise ValueError("shards must be at least 1")
-        self.shards = shards
-        self.backend = backend
         self.library = library
         self._symbols = symbols
         self._catalog = catalog
@@ -151,10 +146,10 @@ class StreamingService:
 
     # -- session lifecycle ----------------------------------------------
 
-    def build_analyzer(self) -> SessionAnalyzer:
+    def build_analyzer(self) -> GretelAnalyzer:
         """A fresh analyzer configured as every session's is
         (``verify_async`` hands these to its reference sessions)."""
-        builder = (
+        return (
             PipelineBuilder(self.library)
             .with_symbols(self._symbols)
             .with_catalog(self._catalog)
@@ -162,15 +157,8 @@ class StreamingService:
             .with_config(self._config)
             .track_latency(self._track_latency)
             .defer_detection(self._defer_detection)
+            .build_serial()
         )
-        if self.shards > 1 or self.backend != "inline":
-            # A per-tenant sharded engine: sessions drain on their own
-            # worker pool (backend="process"), so tenants genuinely
-            # analyze on separate cores.
-            return builder.build_sharded(
-                self.shards, backend=self.backend
-            )
-        return builder.build_serial()
 
     def session(self, tenant: str) -> TenantSession:
         """The live session for ``tenant``, created (and restored from
@@ -337,12 +325,10 @@ class StreamingService:
 
         :meth:`close` keeps sessions usable (a drained service can
         keep ingesting); ``shutdown`` is terminal and idempotent — it
-        additionally stops pump threads and per-session worker pools
-        (sharded ``backend="process"`` sessions).  The order matters
+        additionally stops the pump threads.  The order matters
         with live producers: **seal first** (so queues stop growing
         and blocked producers wake), then per session flush/quiesce,
-        checkpoint (before its workers stop, so a restarted service
-        restores cleanly), stop pump and workers.  One tenant's
+        checkpoint, stop the pump.  One tenant's
         failure (a dead pump re-raising out of its flush) must not
         strand the others: **every** session is closed, and only
         then is the first failure raised.

@@ -11,7 +11,7 @@ same configuration:
   built* analyzer is rehydrated to continue the stream.
 
 Both halves must publish the identical multiset of fault reports
-(compared via :func:`repro.core.parallel.report_signature`) and end
+(compared via :func:`repro.core.reports.report_signature`) and end
 with identical :class:`~repro.core.pipeline.graph.PipelineStats`
 (every counter except wall-clock ``analysis_seconds``).  Any
 divergence raises :class:`~repro.oracle.OracleDivergence` — counters
@@ -41,7 +41,7 @@ from typing import (
 from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
 from repro.core.fingerprint import FingerprintLibrary
-from repro.core.parallel import ReportSignature, report_signature
+from repro.core.reports import ReportSignature, report_signature
 from repro.monitoring.store import MetadataStore
 from repro.openstack.catalog import ApiCatalog
 from repro.openstack.wire import WireEvent

@@ -1,7 +1,7 @@
 """One tenant's long-lived analyzer session.
 
-A :class:`TenantSession` wraps a serial
-:class:`~repro.core.analyzer.GretelAnalyzer` (or a sharded engine)
+A :class:`TenantSession` wraps one serial
+:class:`~repro.core.analyzer.GretelAnalyzer`
 with the three things a standing service needs that a batch drain
 does not: a **bounded ingest queue**, an **explicit backpressure
 policy** (``"block"`` / ``"shed"``), and **bounded retention** (after
@@ -42,9 +42,10 @@ from collections import deque
 from contextlib import contextmanager
 from typing import (
     Any, Callable, Deque, Dict, Iterator, List, Mapping, Optional,
-    Protocol, Tuple, cast,
+    Tuple, cast,
 )
 
+from repro.core.analyzer import GretelAnalyzer
 from repro.core.reports import FaultReport
 from repro.core.state import StateError, require_columns, require_state
 from repro.openstack.wire import ROW_FIELDS, WireEvent
@@ -93,32 +94,6 @@ class _AtomicCounter:
         return reduced[1][0]
 
 
-class SessionAnalyzer(Protocol):
-    """Structural type of any engine a session can wrap.
-
-    Satisfied by the serial :class:`~repro.core.analyzer.GretelAnalyzer`
-    and by :class:`~repro.core.parallel.ShardedAnalyzer` (either
-    backend), so a tenant session can drain on a process pool without
-    knowing it.
-    """
-
-    def on_event(self, event: WireEvent) -> None: ...
-
-    def on_report(
-        self, callback: Callable[[FaultReport], None]
-    ) -> None: ...
-
-    def flush(self) -> None: ...
-
-    def shed_logs(self) -> None: ...
-
-    def close(self) -> None: ...
-
-    def snapshot_state(self) -> Dict[str, Any]: ...
-
-    def restore_state(self, state: Mapping[str, Any]) -> None: ...
-
-
 class TenantSession:
     """Bounded-queue streaming session for one tenant (one cloud)."""
 
@@ -131,7 +106,7 @@ class TenantSession:
     def __init__(
         self,
         tenant: str,
-        analyzer: SessionAnalyzer,
+        analyzer: GretelAnalyzer,
         *,
         queue_capacity: int = QUEUE_CAPACITY,
         policy: str = "block",
@@ -381,9 +356,7 @@ class TenantSession:
 
     def close(self) -> None:
         """Seal, drain what was accepted, stop the pump, release the
-        analyzer.  Checkpoint before closing: a process-backed
-        analyzer cannot snapshot after its workers have stopped.
-        Idempotent."""
+        analyzer.  Idempotent."""
         with self._state_lock:
             with self._lock:
                 self._sealed = True

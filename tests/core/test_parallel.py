@@ -441,98 +441,6 @@ def test_process_workers_are_spread_over_the_allowed_cpus(library):
     assert os.sched_getaffinity(0) == allowed  # the parent is untouched
 
 
-def test_process_backend_checkpoint_roundtrip(library):
-    """Snapshot a sharded run mid-stream, send the state through JSON,
-    restore into a fresh pool, finish the stream: the union of reports
-    matches an uninterrupted inline run bit-for-bit.  On both backends,
-    with latency tracking on as well as off."""
-    import json
-
-    events = make_stream(library, fault_every=40).events(1200)
-    cut = 700
-
-    def roundtrip(backend, track_latency):
-        def build(backend):
-            return ShardedAnalyzer(
-                library, 2, batch_size=64, config=config(),
-                track_latency=track_latency, backend=backend,
-            )
-
-        reference = build("inline")
-        reference.ingest(events)
-        reference.flush()
-
-        first = build(backend)
-        try:
-            for event in events[:cut]:
-                first.on_event(event)
-            state = json.loads(json.dumps(first.snapshot_state()))
-            early = [report_signature(r) for r in first.reports]
-        finally:
-            first.close()
-
-        second = build(backend)
-        try:
-            second.restore_state(state)
-            for event in events[cut:]:
-                second.on_event(event)
-            second.flush()
-            late = [report_signature(r) for r in second.reports]
-        finally:
-            second.close()
-
-        assert early + late == \
-            [report_signature(r) for r in reference.reports], \
-            (backend, track_latency)
-
-    # One test, four inputs (not parametrized: the id is on the floor).
-    for backend in ("process", "inline"):
-        for track_latency in (False, True):
-            roundtrip(backend, track_latency)
-
-
-def test_restore_rejects_mismatched_shard_count(library):
-    """A checkpoint is outside input: a shard count, an assignment
-    index or a buffer list that does not fit this analyzer is refused
-    at restore, and the refused analyzer is left as it was — it then
-    runs a stream to the straight run's reports."""
-    from repro.core.state import StateError
-
-    events = make_stream(library, fault_every=40).events(600)
-
-    def build(shards):
-        return ShardedAnalyzer(library, shards, batch_size=64,
-                               key=lambda e: e.tenant, config=config(),
-                               track_latency=False)
-
-    donor = build(2)
-    donor.ingest(events[:300])
-    state = donor.snapshot_state()
-    key = next(iter(state["assignment"]))
-    tampered = {
-        "index too large": {**state, "assignment": {key: 7}},
-        "negative index": {**state, "assignment": {key: -1}},
-        "short buffers": {**state, "buffers": state["buffers"][:1]},
-    }
-    straight = build(2)
-    straight.ingest(events)
-    straight.flush()
-    want = [report_signature(r) for r in straight.reports]
-    assert want
-
-    with pytest.raises(StateError):
-        build(3).restore_state(state)
-    for case, document in tampered.items():
-        receiver = build(2)
-        with pytest.raises(StateError):
-            receiver.restore_state(document)
-        assert receiver.assignment == {}, case
-        receiver.ingest(events)
-        receiver.flush()
-        assert [report_signature(r) for r in receiver.reports] == want, \
-            case
-
-
 # ---------------------------------------------------------------------------
 # Process-backend failure modes (the negative oracle)
 # ---------------------------------------------------------------------------

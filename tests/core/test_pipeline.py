@@ -274,11 +274,11 @@ def test_restore_refuses_per_stage_v1_state(library):
     ``analysis-pipeline/v1`` nested one tagged document per stage
     wrapper and v2 carried a recent-event ring for one of two
     wirings; v3 and the tags that retired with it (``sliding-window/v2``,
-    ``latency-tracker/v1``, ``sharded-analyzer/v1``,
-    ``tenant-session/v1``) spelled every event as a keyed dict where
-    the current ones hold rows; ``operation-detector/v1`` counted
-    alphabet blocks the matcher no longer builds (a ``"matching"``
-    key ``MatchingStats.from_dict`` would choke on)."""
+    ``latency-tracker/v1``, ``tenant-session/v1``) spelled every event
+    as a keyed dict where the current ones hold rows;
+    ``operation-detector/v1`` counted alphabet blocks the matcher no
+    longer builds (a ``"matching"`` key ``MatchingStats.from_dict``
+    would choke on)."""
     from repro.core.state import StateFormatError
     from repro.service import TenantSession
 
@@ -300,12 +300,6 @@ def test_restore_refuses_per_stage_v1_state(library):
                             ("latency", "latency-tracker/v1"),
                             ("detector", "operation-detector/v1"))
     ]
-    sharded = ShardedAnalyzer(library, 2, config=config())
-    assert sharded.STATE_FMT == "sharded-analyzer/v2"
-    refused.append((sharded,
-                    dict(sharded.snapshot_state(),
-                         fmt="sharded-analyzer/v1"),
-                    "sharded-analyzer/v1"))
     session = TenantSession("acme", analyzer)
     try:
         assert session.STATE_FMT == "tenant-session/v2"

@@ -54,7 +54,7 @@ def build_session(build_analyzer):
 @pytest.fixture
 def build_service(library):
     """``StreamingService`` factory; everything it built is shut down
-    afterwards (pump threads, process-backed worker pools).  A test
+    afterwards (pump threads).  A test
     that kills a pump must consume the failure ``shutdown`` raises
     itself — the second call here is then a no-op."""
     built = []

@@ -14,7 +14,7 @@ import threading
 
 import pytest
 
-from repro.core.parallel import report_signature
+from repro.core.reports import report_signature
 from repro.oracle import OracleDivergence
 from repro.service import (
     CheckpointStore,
@@ -286,17 +286,6 @@ def test_verify_async_inline_backend(library, stream_events):
     assert result.mismatches == []
     assert result.to_dict()["ok"] is True
     assert "EQUIVALENT" in result.summary()
-
-
-def test_verify_async_process_backend(library, stream_events):
-    # Pump threads driving process-backed worker pools: the pipe
-    # protocol must stay per-tenant FIFO (workers.ProcessShard._io).
-    result = verify_async(
-        stream_events[:400], library,
-        tenants=2, producers=2, config=CONFIG,
-        shards=2, backend="process",
-    )
-    assert result.ok
 
 
 def test_tampered_pump_trips_the_oracle(

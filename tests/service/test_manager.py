@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.core.parallel import report_signature
+from repro.core.reports import report_signature
 from repro.service import CheckpointStore, StreamingService
-from repro.service.async_oracle import partition_tenants
 from repro.service.manager import DEFAULT_TENANT
 
 
@@ -220,101 +219,6 @@ def test_restore_false_starts_fresh(build_service, stream_events, tmp_path):
     fresh.pump(stream_events[100:110], tenant="acme")
     assert fresh.sessions_restored == 0
     assert fresh.sessions["acme"].events_ingested == 10
-
-
-# ---------------------------------------------------------------------------
-# Sharded / process-backed session analyzers
-# ---------------------------------------------------------------------------
-
-def _published(service):
-    reports = []
-    service.on_report(lambda tenant, report: reports.append(
-        (tenant, report_signature(report))
-    ))
-    return reports
-
-
-def _pump_bucketed(service, events, tenants=3):
-    """Re-key the stream's 64 tenant ids into a few sessions: every
-    process-backed session forks its own worker pool — beside live
-    pump threads once the first session exists — and three pools
-    prove what sixty-four would."""
-    for tenant, stream in partition_tenants(events, tenants).items():
-        service.pump(stream, tenant=tenant)
-
-
-def test_sharded_sessions_match_serial_sessions(
-    build_service, stream_events
-):
-    serial = build_service()
-    serial_reports = _published(serial)
-    serial.pump(stream_events)
-    serial.flush()
-
-    sharded = build_service(shards=2)
-    sharded_reports = _published(sharded)
-    sharded.pump(stream_events)
-    sharded.flush()
-
-    assert sorted(sharded_reports) == sorted(serial_reports)
-    assert sharded.stats().events_analyzed == \
-        serial.stats().events_analyzed
-
-
-def test_process_backend_sessions_match_serial(build_service, stream_events):
-    serial = build_service()
-    serial_reports = _published(serial)
-    _pump_bucketed(serial, stream_events)
-    serial.flush()
-
-    service = build_service(shards=2, backend="process")
-    process_reports = _published(service)
-    _pump_bucketed(service, stream_events)
-    service.flush()
-    assert sorted(process_reports) == sorted(serial_reports)
-    assert len(process_reports) > 0
-    assert service.stats().events_analyzed == len(stream_events)
-    service.shutdown()
-    # Shutdown is terminal for the worker pools…
-    for live in service.sessions.values():
-        assert all(shard.closed for shard in live.analyzer.shards)
-    # …and idempotent.
-    service.shutdown()
-
-
-def test_process_backend_checkpoint_and_resume(
-    build_service, stream_events, tmp_path
-):
-    cut = 500
-    store = CheckpointStore(tmp_path)
-
-    first = build_service(
-        shards=2, backend="process", checkpoint_store=store,
-    )
-    first_reports = _published(first)
-    _pump_bucketed(first, stream_events[:cut])
-    first.drain()
-    first.shutdown()  # checkpoints, then stops the worker pools
-
-    second = build_service(
-        shards=2, backend="process", checkpoint_store=store,
-    )
-    second_reports = _published(second)
-    _pump_bucketed(second, stream_events[cut:])
-    second.flush()
-
-    straight = build_service(shards=2)
-    straight_reports = _published(straight)
-    _pump_bucketed(straight, stream_events)
-    straight.flush()
-
-    assert sorted(first_reports + second_reports) == \
-        sorted(straight_reports)
-
-
-def test_service_shard_validation(build_service):
-    with pytest.raises(ValueError, match="shards"):
-        build_service(shards=0)
 
 
 def test_router_keyword_selects_nothing(library):

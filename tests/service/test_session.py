@@ -9,8 +9,8 @@ import json
 
 import pytest
 
-from repro.core.parallel import report_signature
-from repro.core.state import StateError
+from repro.core.reports import report_signature
+from repro.core.state import StateError, StateFormatError
 
 
 def test_constructor_validation(build_session):
@@ -105,8 +105,11 @@ def test_snapshot_round_trip_mid_stream(build_session, stream_events):
     assert resumed.events_analyzed == straight.events_analyzed
 
 
-def test_restore_refuses_other_columns_untouched(build_session,
-                                                stream_events):
+def assert_refused_untouched(build_session, stream_events, tamper,
+                             error, match):
+    """A donor's state (20 events queued), tampered, is refused by a
+    session holding 5 queued events of its own — and the refusal
+    leaves that session exactly as it was."""
     donor = build_session()
     with donor.parked():
         for event in stream_events[:20]:
@@ -119,10 +122,41 @@ def test_restore_refuses_other_columns_untouched(build_session,
         for event in stream_events[20:25]:
             session.submit(event)
         before = session.snapshot_state()
-        moved = state["columns"][1:] + state["columns"][:1]
-        with pytest.raises(StateError, match="columns"):
-            session.restore_state(dict(state, columns=moved))
+        with pytest.raises(error, match=match):
+            session.restore_state(tamper(state))
         assert session.snapshot_state() == before
+
+
+def test_restore_refuses_other_columns_untouched(build_session,
+                                                stream_events):
+    def moved(state):
+        columns = state["columns"]
+        return dict(state, columns=columns[1:] + columns[:1])
+
+    assert_refused_untouched(build_session, stream_events, moved,
+                             StateError, "columns")
+
+
+def test_restore_refuses_sharded_analyzer_state_untouched(
+        build_session, stream_events):
+    """What a service with sharded sessions used to write: a current
+    ``tenant-session/v2`` envelope around a ``sharded-analyzer/v2``
+    analyzer state.  Refused by tag, never migrated, and before the
+    queue or a counter of the refused document is installed."""
+    def sharded(state):
+        return dict(state, analyzer={
+            "fmt": "sharded-analyzer/v2",
+            "backend": "process",
+            "shards": 1,
+            "batch_size": 1024,
+            "assignment": {"ctrl": 0},
+            "columns": state["columns"],
+            "buffers": [[]],
+            "pipelines": [state["analyzer"]],
+        })
+
+    assert_refused_untouched(build_session, stream_events, sharded,
+                             StateFormatError, "sharded-analyzer/v2")
 
 
 def test_restore_refuses_foreign_tenant(build_session):
