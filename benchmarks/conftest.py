@@ -1,20 +1,18 @@
-"""Shared fixtures for the benchmark / experiment-regeneration suite.
+"""Shared fixtures for the benchmark suite.
 
-Every benchmark regenerates one of the paper's tables or figures and
-writes its rendered report under ``results/`` so EXPERIMENTS.md can
-reference stable artifacts.  Scale is controlled by the
-``GRETEL_EVAL_SCALE`` environment variable:
-
-* ``small`` (default) — reduced sweeps, minutes of wall clock;
-* ``full`` — the paper's full grids (100–400 concurrency × 1–16
-  faults, 60K-event streams), tens of minutes.
+``test_paper_figures.py`` runs the paper's evaluation at the committed
+scale and never writes; ``test_micro.py`` holds the pytest-benchmark
+bodies.  Only the service soak and the scenario catalog still pick a
+sweep from ``GRETEL_EVAL_SCALE`` (``small``, the default, or ``full``)
+and write their rendering under ``results/`` — both wait on the
+ROADMAP's ``benchmark`` PR.
 """
 
 import os
 
 import pytest
 
-from repro.evaluation.common import default_characterization, default_suite
+from repro.evaluation.common import default_characterization
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
 
@@ -26,11 +24,6 @@ def full_scale() -> bool:
 @pytest.fixture(scope="session")
 def character():
     return default_characterization()
-
-
-@pytest.fixture(scope="session")
-def suite():
-    return default_suite()
 
 
 @pytest.fixture(scope="session")

@@ -222,3 +222,101 @@ def test_score_incremental(benchmark, character):
 
     scores = benchmark(run)
     assert scores and scores == _fresh_schedule(character)()
+
+
+def test_fingerprint_generation_cost(benchmark, character):
+    """Cost of Algorithm 1 on a Compute-scale pair of traces."""
+    from repro.core.fingerprint import generate_fingerprint
+
+    catalog = default_catalog()
+    symbols = character.library.symbols
+    fingerprint = max(character.library, key=len)
+    trace = symbols.decode(fingerprint.symbols)
+
+    def generate():
+        return generate_fingerprint("bench", [trace, trace[1:] + trace[:1]],
+                                    symbols, catalog)
+
+    result = benchmark(generate)
+    assert len(result) > 0
+
+
+def test_overlap_computation_cost(benchmark, character):
+    from repro.evaluation import fig5
+
+    result = benchmark(fig5.run, character)
+    assert result["all"]
+
+
+def test_level_shift_detector_cost(benchmark):
+    """Per-sample cost of the online LS detector."""
+    import random
+
+    from repro.core.streamstats import IncrementalLevelShiftDetector
+
+    rng = random.Random(0)
+    values = [0.01 + rng.uniform(0, 0.002) for _ in range(5000)]
+
+    def run():
+        detector = IncrementalLevelShiftDetector()
+        for index, value in enumerate(values):
+            detector.update(float(index), value)
+        return detector
+
+    detector = benchmark(run)
+    assert detector.alarms == []
+
+
+def test_detection_cost_per_fault(benchmark, character):
+    """Wall-clock cost of one full Algorithm-2 + Algorithm-3 pass."""
+    from repro.core.config import GretelConfig
+    from repro.evaluation.common import run_fault_workload
+
+    def one_run():
+        return run_fault_workload(
+            concurrency=50, n_faults=1, character=character, seed=13,
+            config=GretelConfig(p_rate=650.0),
+        )
+
+    stats = benchmark.pedantic(one_run, rounds=1, iterations=1)
+    assert stats.injected == 1
+
+
+def test_event_receiver_cost(benchmark, character):
+    """Per-event cost of the GRETEL receiver on a clean stream."""
+    from repro.core.analyzer import GretelAnalyzer
+    from repro.core.config import GretelConfig
+    from repro.workloads.traffic import SyntheticStream
+
+    stream = SyntheticStream(character.library, character.library.symbols,
+                             fault_every=10**9)
+    events = stream.events(5_000)
+
+    def feed():
+        analyzer = GretelAnalyzer(
+            character.library, config=GretelConfig(p_rate=50_000.0),
+            track_latency=False, defer_detection=True,
+        )
+        analyzer.feed(events)
+        return analyzer
+
+    analyzer = benchmark(feed)
+    assert analyzer.events_processed == 5_000
+
+
+def test_hansel_stitching_cost(benchmark, character):
+    """Per-event cost of HANSEL's per-message stitching."""
+    from repro.baselines.hansel import HanselAnalyzer
+    from repro.workloads.traffic import SyntheticStream
+
+    stream = SyntheticStream(character.library, character.library.symbols,
+                             fault_every=10**9)
+    events = stream.events(5_000)
+
+    def feed():
+        hansel = HanselAnalyzer()
+        hansel.feed(events)
+        return hansel
+
+    hansel = benchmark(feed)
+    assert hansel.events_processed == 5_000

@@ -9,7 +9,9 @@ Commands
     Reproduce one of the paper's case studies end to end and print the
     diagnosis (§3.1, §7.2).
 ``evaluate <experiment>``
-    Regenerate one table/figure of §7 and print it.
+    Run one entry of the experiment registry
+    (``repro.evaluation.registry``) at paper scale, print the figure
+    as it is committed under ``results/`` and grade its shape check.
 ``suite``
     Describe the generated Tempest-like suite.
 ``lint``
@@ -48,6 +50,7 @@ import sys
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.evaluation import case_studies
+from repro.evaluation.registry import EXPERIMENTS
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.oracle import OracleResult
@@ -157,39 +160,17 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    from repro.evaluation import (
-        fig5, fig6, fig7, fig8a, fig8b, fig8c, hansel_comparison, overhead,
-        table1,
-    )
     from repro.evaluation.common import default_characterization
 
-    character = default_characterization()
-    name = args.experiment
-    if name == "table1":
-        print(table1.format_report(table1.run(character)))
-    elif name == "fig5":
-        print(fig5.format_report(fig5.run(character), character))
-    elif name == "fig6":
-        print(fig6.format_report(fig6.run(character)))
-    elif name == "fig7a":
-        print(fig7.format_fig7a(fig7.run_fig7a(character)))
-    elif name == "fig7b":
-        print(fig7.format_fig7b(fig7.run_fig7b(character)))
-    elif name == "fig7c":
-        print(fig7.format_fig7c(fig7.run_fig7c(character)))
-    elif name == "fig8a":
-        print(fig8a.format_report(fig8a.run(character)))
-    elif name == "fig8b":
-        print(fig8b.format_report(fig8b.run(character)))
-    elif name == "fig8c":
-        print(fig8c.format_report(fig8c.run(character)))
-    elif name == "overhead":
-        print(overhead.format_report(overhead.run(character)))
-    elif name == "hansel":
-        print(hansel_comparison.format_report(hansel_comparison.run(character)))
-    else:
-        print(f"unknown experiment {name!r}", file=sys.stderr)
-        return EXIT_USAGE
+    experiment = EXPERIMENTS[args.experiment]
+    result = experiment.run(default_characterization())
+    print(experiment.render(result))
+    try:
+        experiment.check(result)
+    except AssertionError as failure:
+        print(f"FAIL: {args.experiment}: shape check failed: {failure}",
+              file=sys.stderr)
+        return EXIT_FAIL
     return EXIT_OK
 
 
@@ -665,10 +646,6 @@ def _add_document_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-EXPERIMENTS = ("table1", "fig5", "fig6", "fig7a", "fig7b", "fig7c",
-               "fig8a", "fig8b", "fig8c", "overhead", "hansel")
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -698,8 +675,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     demo.set_defaults(handler=_cmd_demo)
 
-    evaluate = sub.add_parser("evaluate", help="regenerate a table/figure")
-    evaluate.add_argument("experiment", choices=EXPERIMENTS)
+    evaluate = sub.add_parser(
+        "evaluate", help="regenerate a table/figure",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="\n".join(
+            f"  {name:28s}{experiment.artifact}"
+            for name, experiment in EXPERIMENTS.items()
+        ),
+    )
+    evaluate.add_argument("experiment", choices=list(EXPERIMENTS),
+                          metavar="experiment")
     evaluate.set_defaults(handler=_cmd_evaluate)
 
     lint = sub.add_parser(

@@ -141,7 +141,7 @@ class Preparation:
 
     __slots__ = (
         "needle", "cuts", "pure_read", "alphabet", "needle_items",
-        "size", "final_length",
+        "size", "gate_size", "final_length",
     )
 
     def __init__(
@@ -162,6 +162,14 @@ class Preparation:
         # ``max(1, …)``: an empty needle sums 0 credits, and 0/1 keeps
         # the 0.0 bound the reference computes without a zero division.
         self.size = max(1, len(needle))
+        #: What the gate's credit sum is a fraction of: the *shortest*
+        #: cut.  ``LCS(needle[:cut], window)`` is at most the credits
+        #: of the whole needle, so ``credits / cuts[0]`` bounds the
+        #: coverage of every cut :func:`select_cut` chooses from;
+        #: ``credits / len(needle)`` bounds only the longest one, and
+        #: gating on it dropped operations that failed at an early
+        #: occurrence of the offending API.
+        self.gate_size = self.size if pure_read else max(1, cuts[0])
         #: Corroborated length at which the score can no longer
         #: improve — the longest cut, fully covered.  Shorter cuts at
         #: coverage 1.0 could still be overtaken by a longer cut as
@@ -445,7 +453,7 @@ class MatchSession:
                     counts[symbol] = have
                 matched += need if need < have else have
             required = state.required
-            if matched / preparation.size < required:
+            if matched / preparation.gate_size < required:
                 gated += state.weight
                 continue
             key = state.relevant & window_bits

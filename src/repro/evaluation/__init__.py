@@ -1,23 +1,15 @@
-"""Evaluation harness: one module per table/figure of the paper (§7).
+"""Evaluation harness: the paper's §7, one experiment per figure.
 
-Each experiment module exposes a ``run(...)`` function returning the
-rows/series the corresponding table or figure plots, plus a
-``format_report(...)`` helper that renders paper-versus-measured
-output.  The benchmark suite under ``benchmarks/`` drives these.
-
-========================  ======================================
-Module                    Paper artifact
-========================  ======================================
-``table1``                Table 1 — Tempest characterization
-``fig5``                  Fig. 5 — Compute-operation overlap CDF
-``fig6``                  Fig. 6 — Neutron API latency level shift
-``fig7``                  Fig. 7a/b/c — precision experiments
-``fig8a``                 Fig. 8a — 16 identical parallel faults
-``fig8b``                 Fig. 8b — injected-latency perf faults
-``fig8c``                 Fig. 8c — analyzer throughput
-``overhead``              §7.4.2 — analyzer CPU/memory overhead
-``case_studies``          §3.1 / §7.2 — root-cause case studies
-========================  ======================================
+:mod:`repro.evaluation.registry` is the list: one
+:class:`~repro.evaluation.registry.Experiment` per committed
+``results/<name>.txt`` — its paper-scale ``run``, the ``render`` that
+produces the committed text and the ``check`` holding the figure's
+shape — keyed by the name ``repro evaluate`` takes.  The experiments
+live in one module per figure (``table1``, ``fig5`` … ``fig8c``,
+``overhead``, ``hansel_comparison``) plus ``ablations``;
+``case_studies`` holds the §3.1 / §7.2 scenarios behind ``repro
+demo``, and ``common`` the cached characterization, the monitored
+cloud and the §7.3 fault workload they share.
 """
 
 from repro.evaluation.common import (

@@ -143,7 +143,7 @@ def neutron_api_latency(
     for 30 simulated seconds is the smallest run measured that raises
     a level-shift alarm inside the surge window and names the CPU
     (CHANGES.md, PR 18, has the table).  The paper-scale run is
-    ``repro evaluate fig6`` / ``benchmarks/test_fig6_neutron_latency.py``.
+    ``repro evaluate fig6``.
     """
     from repro.evaluation import fig6
 
@@ -241,18 +241,3 @@ ALL_CASE_STUDIES = (
     linuxbridge_failure,
     ntp_failure,
 )
-
-
-def run_all(character: Optional[CharacterizationResult] = None) -> List[CaseStudyResult]:
-    """Run every case study."""
-    character = character or default_characterization()
-    return [study(character) for study in ALL_CASE_STUDIES]
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    for result in run_all():
-        print(result.summary())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

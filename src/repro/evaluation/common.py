@@ -8,11 +8,12 @@ import os
 import random
 import tempfile
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.openstack.cloud import Cloud
 from repro.openstack.apis import ApiKind
 from repro.openstack.catalog import default_catalog
+from repro.openstack.wire import WireEvent
 from repro.core.analyzer import GretelAnalyzer
 from repro.core.characterize import CharacterizationResult, characterize_suite
 from repro.core.config import GretelConfig
@@ -27,6 +28,9 @@ from repro.workloads.tempest import TempestSuite, TempestTest, build_suite
 #: the simulated deployment is ~13 packets/second per concurrent
 #: operation (the paper measured its own P_rate with Bro, §7).
 P_RATE_PER_OP = 13.0
+
+#: What a network agent delivers captured events to.
+EventCallback = Callable[[WireEvent], None]
 
 _SUITE_CACHE: Dict[int, TempestSuite] = {}
 _CHAR_CACHE: Dict[Tuple[int, int], CharacterizationResult] = {}
@@ -106,8 +110,13 @@ def make_monitored_analyzer(
     concurrency: int = 100,
     config: Optional[GretelConfig] = None,
     track_latency: bool = False,
+    intercept: Optional[Callable[[EventCallback], EventCallback]] = None,
 ) -> Tuple[Cloud, MonitoringPlane, GretelAnalyzer]:
-    """A cloud with full monitoring wired into a GRETEL analyzer."""
+    """A cloud with full monitoring wired into a GRETEL analyzer.
+
+    ``intercept`` wraps the analyzer's ``on_event`` before the agents
+    subscribe to it (§7.4.2 times the analyzer from there).
+    """
     cloud = Cloud(seed=seed)
     plane = MonitoringPlane(cloud)
     if config is None:
@@ -119,7 +128,8 @@ def make_monitored_analyzer(
         .track_latency(track_latency)
         .build_serial()
     )
-    plane.subscribe_events(analyzer.on_event)
+    on_event = analyzer.on_event
+    plane.subscribe_events(intercept(on_event) if intercept else on_event)
     plane.start()
     return cloud, plane, analyzer
 

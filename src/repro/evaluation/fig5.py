@@ -140,9 +140,9 @@ def format_report(series: Dict[str, List[float]],
     return "\n".join(lines)
 
 
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def check(series: Dict[str, List[float]],
+          character: CharacterizationResult) -> None:
+    """Shape: instance operations are substantially unique vs the
+    storage/image/misc categories, and nothing subsumes them."""
+    assert max(series["all"]) < 0.5
+    assert paper_scale_projection(character, series) > 0.85

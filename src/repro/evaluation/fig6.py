@@ -131,9 +131,9 @@ def format_report(result: Fig6Result) -> str:
     return "\n".join(lines)
 
 
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def check(result: Fig6Result) -> None:
+    """The level shift is detected during (not before) the surge, and
+    root cause analysis pins the CPU on the Neutron node."""
+    assert result.alarms
+    assert result.alarms_in_window >= 1
+    assert result.cpu_root_cause_found

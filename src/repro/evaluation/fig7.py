@@ -42,37 +42,43 @@ class PrecisionCell:
     true_hit_rate: float
     reports: int
     max_report_delay: float
+    #: Reports whose snapshot matched no operation at all.
+    no_match: int = 0
 
 
-def _aggregate(concurrency: int, faults: int,
-               character: CharacterizationResult,
-               seeds: Sequence[int],
-               prune_rpcs: bool = True) -> PrecisionCell:
+def aggregate(concurrency: int, faults: int,
+              character: CharacterizationResult,
+              seeds: Sequence[int],
+              fault_phase: str = "late",
+              **overrides: object) -> PrecisionCell:
+    """One §7.3 cell: the fault workload once per seed under
+    ``GretelConfig(p_rate=..., **overrides)``, per-report statistics
+    pooled across the seeds."""
     thetas: List[float] = []
     matched: List[int] = []
     candidates: List[int] = []
     hits: List[bool] = []
     delay = 0.0
-    reports = 0
     for seed in seeds:
-        config = GretelConfig(p_rate=p_rate_for(concurrency), prune_rpcs=prune_rpcs)
+        config = GretelConfig(p_rate=p_rate_for(concurrency), **overrides)
         stats = run_fault_workload(
             concurrency=concurrency, n_faults=faults,
             character=character, seed=seed, config=config,
+            fault_phase=fault_phase,
         )
         thetas.extend(stats.thetas())
         matched.extend(stats.matched_counts())
         candidates.extend(stats.candidate_counts())
         hits.extend(stats.true_hits())
         delay = max(delay, stats.max_report_delay())
-        reports += len(stats.operational)
     mean = lambda xs: sum(xs) / len(xs) if xs else 0.0  # noqa: E731
     return PrecisionCell(
         concurrency=concurrency, faults=faults,
         theta=mean(thetas), matched_mean=mean(matched),
         candidates_mean=mean(candidates),
         true_hit_rate=mean([1.0 if h else 0.0 for h in hits]),
-        reports=reports, max_report_delay=delay,
+        reports=len(thetas), max_report_delay=delay,
+        no_match=sum(1 for n in matched if n == 0),
     )
 
 
@@ -86,7 +92,7 @@ def run_fig7a(
     """The full precision grid."""
     character = character or default_characterization()
     return [
-        _aggregate(concurrency, faults, character, seeds)
+        aggregate(concurrency, faults, character, seeds)
         for concurrency in concurrencies
         for faults in fault_counts
     ]
@@ -101,7 +107,7 @@ def run_fig7b(
     """Operations matched (API error only vs snapshot), 8 faults."""
     character = character or default_characterization()
     return [
-        _aggregate(concurrency, 8, character, seeds)
+        aggregate(concurrency, 8, character, seeds)
         for concurrency in concurrencies
     ]
 
@@ -114,8 +120,8 @@ def run_fig7c(
     """RPC pruning ablation: 100 tests, 8 faults."""
     character = character or default_characterization()
     return {
-        "without_rpcs": _aggregate(100, 8, character, seeds, prune_rpcs=True),
-        "with_rpcs": _aggregate(100, 8, character, seeds, prune_rpcs=False),
+        "without_rpcs": aggregate(100, 8, character, seeds, prune_rpcs=True),
+        "with_rpcs": aggregate(100, 8, character, seeds, prune_rpcs=False),
     }
 
 
@@ -160,12 +166,24 @@ def format_fig7c(cells: Dict[str, PrecisionCell]) -> str:
     return "\n".join(lines)
 
 
-def main() -> None:  # pragma: no cover - CLI convenience
-    character = default_characterization()
-    print(format_fig7a(run_fig7a(character)))
-    print(format_fig7b(run_fig7b(character)))
-    print(format_fig7c(run_fig7c(character)))
+def check_fig7a(cells: List[PrecisionCell]) -> None:
+    """The paper's headline: precision above 98% in every scenario."""
+    thetas = [cell.theta for cell in cells if cell.reports]
+    assert thetas
+    assert min(thetas) > 0.96, min(thetas)
+    assert sum(thetas) / len(thetas) > 0.975
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def check_fig7b(cells: List[PrecisionCell]) -> None:
+    """The figure's shape: the snapshot narrows the candidate set by a
+    large factor relative to matching on the error API alone."""
+    for cell in cells:
+        assert cell.matched_mean < cell.candidates_mean / 3, cell
+
+
+def check_fig7c(cells: Dict[str, PrecisionCell]) -> None:
+    """The paper: including RPCs improves precision only marginally —
+    both variants land in the same precision regime."""
+    without, with_rpcs = cells["without_rpcs"], cells["with_rpcs"]
+    assert abs(without.theta - with_rpcs.theta) < 0.03
+    assert without.theta > 0.95

@@ -128,9 +128,9 @@ def format_report(result: Fig8bResult) -> str:
     return "\n".join(lines)
 
 
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def check(result: Fig8bResult) -> None:
+    """The figure's shape: the LS detector alarms during the injection
+    window and adapts rather than re-alarming continuously, and
+    performance-fault reports flow from the alarms."""
+    assert 1 <= result.alarms_in_window <= 25, result.alarms_in_window
+    assert result.reports

@@ -5,9 +5,9 @@ analyzer at ~4.26 % peak CPU and ~123 MB, with Bro agents under
 12.38 % CPU and ~1 GB.  We run the same workload shape and report:
 
 * the wall-clock share of the experiment spent inside the analyzer's
-  ``on_event`` path plus detection (its "CPU share"),
+  ``on_event`` path, detection included (its "CPU share"),
 * the peak additional memory allocated while the analyzer ran
-  (via :mod:`tracemalloc`).
+  (via :mod:`tracemalloc`, in a second pass of the same workload).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import tracemalloc
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.analysis.compile import compiled_index_for
 from repro.core.characterize import CharacterizationResult
 from repro.core.config import GretelConfig
 from repro.evaluation.common import (
@@ -71,54 +72,71 @@ class OverheadResult:
         return self.per_event_cost * self.events_processed / duration
 
 
+def _workload(character: CharacterizationResult, config: GretelConfig,
+              concurrency: int, seed: int, intercept=None):
+    """The monitored cloud and analyzer of one pass, plus the thunk
+    that drives the 100-test workload through them and returns
+    ``(wall seconds, simulated seconds)``."""
+    cloud, _, analyzer = make_monitored_analyzer(
+        character, seed=seed, concurrency=concurrency, config=config,
+        track_latency=True, intercept=intercept,
+    )
+    tests = default_suite().sample(concurrency, random.Random(seed))
+
+    def drive():
+        started = time.perf_counter()
+        sim_start = cloud.sim.now
+        WorkloadRunner(cloud).run_concurrent(tests, stagger=0.01, settle=2.0)
+        analyzer.flush()
+        return time.perf_counter() - started, cloud.sim.now - sim_start
+
+    return analyzer, drive
+
+
 def run(
     character: Optional[CharacterizationResult] = None,
     *,
     concurrency: int = 100,
     seed: int = 17,
 ) -> OverheadResult:
-    """100 parallel tests with the analyzer's cost instrumented."""
+    """100 parallel tests, twice: CPU time with the tracer off, peak
+    memory with it on.
+
+    ``tracemalloc`` hooks every allocation, so a timer running under it
+    measures the tracer, not the analyzer (EXPERIMENTS.md § 7.4.2 has
+    the two readings).  Detection is not deferred here: it runs inside
+    the timed ``on_event``.
+    """
     character = character or default_characterization()
+    # The selection index is compiled once per library, on the first
+    # detection (~0.3 s, ~10 MB): setup, which the ledger reports as
+    # ``setup_s``, not a per-event cost of this 3.6-second workload.
     config = GretelConfig(p_rate=p_rate_for(concurrency))
-    cloud, plane, analyzer = make_monitored_analyzer(
-        character, seed=seed, concurrency=concurrency,
-        config=config, track_latency=True,
-    )
-
-    # Wrap the analyzer entry point to accumulate its wall time.
+    compiled_index_for(character.library, config=config)
     spent = [0.0]
-    original = analyzer.on_event
 
-    def timed(event):
-        started = time.perf_counter()
-        original(event)
-        spent[0] += time.perf_counter() - started
+    def timed(on_event):
+        def wrapper(event):
+            started = time.perf_counter()
+            on_event(event)
+            spent[0] += time.perf_counter() - started
+        return wrapper
 
-    plane.network_agents  # agents already subscribed to `original`...
-    # ...so re-point their subscription lists at the timed wrapper.
-    for agent in plane.network_agents.values():
-        agent._subscribers = [
-            timed if cb == original else cb for cb in agent._subscribers
-        ]
+    analyzer, drive = _workload(character, config, concurrency, seed, timed)
+    total, simulated = drive()
 
-    rng = random.Random(seed)
-    tests = default_suite().sample(concurrency, rng)
-    runner = WorkloadRunner(cloud)
-
+    _, drive_traced = _workload(character, config, concurrency, seed)
     tracemalloc.start()
-    started = time.perf_counter()
-    sim_start = cloud.sim.now
-    runner.run_concurrent(tests, stagger=0.01, settle=2.0)
-    analyzer.flush()
-    total = time.perf_counter() - started
-    simulated = cloud.sim.now - sim_start
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
+    try:
+        drive_traced()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
 
     return OverheadResult(
         events_processed=analyzer.events_processed,
         total_wall_seconds=total,
-        analyzer_wall_seconds=spent[0] + analyzer.analysis_seconds,
+        analyzer_wall_seconds=spent[0],
         simulated_seconds=simulated,
         peak_memory_mb=peak / 1e6,
         reports=len(analyzer.reports),
@@ -144,9 +162,10 @@ def format_report(result: OverheadResult) -> str:
     ])
 
 
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def check(result: OverheadResult) -> None:
+    """Shape: at the paper's real-time event rate the analyzer is a
+    few percent of one core, and its footprint stays modest (paper:
+    ~4.3% CPU, ~123 MB)."""
+    assert result.events_processed > 500
+    assert result.projected_share() < 0.10
+    assert result.peak_memory_mb < 500

@@ -61,9 +61,10 @@ def format_report(rows: List[Dict]) -> str:
     return "\n".join(lines)
 
 
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def check(rows: List[Dict]) -> None:
+    """Shape: Compute dominates tests, events and fingerprint size."""
+    by_category = {r["category"]: r for r in rows}
+    assert by_category["total"]["tests"] == 1200
+    for other in ("image", "network", "storage", "misc"):
+        assert (by_category["compute"]["avg_fp_with_rpc"]
+                > by_category[other]["avg_fp_with_rpc"]), other

@@ -96,12 +96,17 @@ def upper_bound(preparation: Preparation,
                 buffer_counts: Mapping[str, int]) -> float:
     """Coverage upper bound from symbol multiplicities.
 
-    ``Σ min(needle count, buffer count) / len(needle)``: an LCS
+    ``Σ min(needle count, buffer count) / shortest cut``: an LCS
     cannot use a buffer symbol more often than the buffer holds
     it, so a needle ``XX`` is not credited twice by a buffer with
     a single ``X`` (the set-intersection bound this replaces did).
-    Monotone nondecreasing under buffer growth, which both the
-    gate and the adaptive loop's ``finalized`` set rely on.
+    The credits bound ``LCS(needle[:cut], buffer)`` for every cut,
+    so dividing by the shortest one bounds whichever cut
+    :func:`select_cut` prefers (it exceeds 1 when a short cut could
+    be fully covered; dividing by ``len(needle)`` would bound only
+    the longest cut).  Monotone nondecreasing under buffer growth,
+    which both the gate and the adaptive loop's ``finalized`` set
+    rely on.
     """
     source = preparation.needle
     if not source:
@@ -111,7 +116,7 @@ def upper_bound(preparation: Preparation,
     for symbol, count in preparation.needle_items:
         have = get(symbol, 0)
         matched += count if count < have else have
-    return matched / len(source)
+    return matched / preparation.gate_size
 
 
 @lru_cache(maxsize=4096)

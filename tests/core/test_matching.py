@@ -194,13 +194,18 @@ def test_upper_bound_respects_multiplicities():
 ])
 def test_upper_bound_is_a_true_upper_bound(needle, buffer_symbols):
     """The gate must never prune a candidate the LCS would accept:
-    bound >= LCS(needle, buffer) / len(needle), always."""
+    bound >= the coverage ``select_cut`` settles on, whichever cuts
+    the needle is truncated at (needle ``AB``, buffer ``A``, cuts
+    (1, 2): the short cut is fully covered though the needle is not,
+    and gating on ``LCS / len(needle)`` dropped it)."""
     from collections import Counter
 
-    preparation = Preparation(needle, (len(needle),), False)
-    lcs = prefix_lcs_lengths(needle, buffer_symbols)[-1]
-    bound = upper_bound(preparation, Counter(buffer_symbols))
-    assert bound >= lcs / len(needle)
+    lengths = prefix_lcs_lengths(needle, buffer_symbols)
+    for first_cut in range(1, len(needle) + 1):
+        cuts = tuple(sorted({first_cut, len(needle)}))
+        preparation = Preparation(needle, cuts, False)
+        bound = upper_bound(preparation, Counter(buffer_symbols))
+        assert bound >= select_cut(cuts, lengths)[1], cuts
 
 
 def test_upper_bound_monotone_under_buffer_growth():
@@ -457,11 +462,26 @@ def oracle_snapshots(catalog):
     ]
 
 
-def test_verify_detection_equivalent(library, catalog, oracle_snapshots):
+def test_verify_detection_equivalent(
+        library, catalog, oracle_snapshots, small_character):
     outcome = verify_detection(oracle_snapshots, library, catalog=catalog)
     assert outcome.ok
     assert outcome.facts["snapshots"] == len(oracle_snapshots)
     assert outcome.summary().startswith("EQUIVALENT")
+    # The two non-default configs the committed ablations run
+    # (results/ablation_relaxed_match.txt, extension_correlation_ids
+    # .txt): a window tighter than the operations it watches, and the
+    # buffer filtered to the offending request chain.
+    streamed = small_character.library
+    for alpha, config in (
+        (400, GretelConfig(alpha=400)),
+        (768, GretelConfig(use_correlation_ids=True)),
+    ):
+        snapshots = wide_snapshots(streamed, alpha, 10 * alpha)
+        assert any(snapshot.fault.request_id for snapshot in snapshots)
+        outcome = verify_detection(snapshots, streamed, config=config)
+        assert outcome.ok, outcome.summary()
+        assert outcome.facts["snapshots"] >= 5
 
 
 def test_verify_detection_raises_on_divergence(

@@ -9,13 +9,11 @@ from repro.core.config import GretelConfig
 
 def test_table1_rows(full_character):
     rows = table1.run(full_character)
+    # Table 1's shape: Compute dominates every column.
+    table1.check(rows)
     by_category = {r["category"]: r for r in rows}
     assert by_category["compute"]["tests"] == 517
-    assert by_category["total"]["tests"] == 1200
-    # Table 1's shape: Compute dominates every column.
     for other in ("image", "network", "storage", "misc"):
-        assert (by_category["compute"]["avg_fp_with_rpc"]
-                > by_category[other]["avg_fp_with_rpc"])
         assert (by_category["compute"]["rest_events"]
                 > by_category[other]["rest_events"])
     report = table1.format_report(rows)
@@ -30,9 +28,8 @@ def test_fig5_overlap_shape(full_character):
         values = series[category]
         assert values[len(values) // 2] < 0.20, category
     # No representative is fully contained in another category.
-    assert max(series["all"]) < 0.5
+    fig5.check(series, full_character)
     assert fig5.low_overlap_fraction(series) >= 0.0
-    assert fig5.paper_scale_projection(full_character, series) > 0.85
 
 
 def test_fig7_precision_cell(full_character):
