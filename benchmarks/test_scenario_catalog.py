@@ -24,7 +24,7 @@ def test_scenario_catalog_scorecard(character, save_result):
         selected = None
     else:
         selected = [n for n in names() if n not in EXPENSIVE]
-    result = run_catalog(character, seed=0, shards=4, names=selected)
+    result = run_catalog(character, seed=0, names=selected)
     document = build_scorecard(result)
     save_result("scenario_catalog", render_scorecard(document))
     assert result.all_pass

@@ -7,18 +7,10 @@ made faulty.  Log analysis sees nothing at ERROR level; HANSEL reports
 a low-level message chain 30+ seconds later; GRETEL names the faulty
 high-level operation within its sliding window.
 
-The live consumer is the *sharded* analyzer (``repro.core.parallel``),
-built here via ``PipelineBuilder.build_sharded`` with a ``StageTimer``
-middleware shared by every shard: wire events stream into
-per-capture-agent worker shards, each composing its own pipeline
-(sliding window, detector, ...), and reports merge deterministically.
-Partitioning must keep fault contexts partition-local: on this
-single-cell topology the REST control plane (every symbol fingerprint
-matching uses, since RPCs are pruned, §6) egresses from the controller
-agents, so those agents form one partition while each compute agent —
-emitting only RPC traffic — gets its own.  The differential oracle
-(``verify_equivalence``) re-checks at the end that the sharded
-diagnosis is identical to a serial replay of the same wire log.
+"Parallel" is the workload, not the analyzer: one analyzer, built
+here via ``PipelineBuilder`` with a ``StageTimer`` middleware, takes
+every capture agent's wire events and reports what each pipeline
+stage cost.
 
 Run:  python examples/parallel_fault_localization.py
 """
@@ -29,19 +21,7 @@ from repro import Cloud, GretelConfig, MonitoringPlane, PipelineBuilder, Workloa
 from repro.baselines.hansel import HanselAnalyzer
 from repro.core.pipeline import StageTimer
 from repro.baselines.loganalysis import LogAnalysisBaseline
-from repro.core.parallel import verify_equivalence
 from repro.evaluation.common import default_characterization, default_suite, p_rate_for
-from repro.openstack.topology import default_topology
-
-
-def agent_partition_key(compute_nodes):
-    """Shard key: one partition for the API control plane's agents,
-    one per compute agent (their egress is RPC-only, pruned from
-    matching anyway)."""
-    def key(event):
-        node = event.src_node
-        return node if node in compute_nodes else "api-plane"
-    return key
 
 
 def main() -> None:
@@ -50,8 +30,6 @@ def main() -> None:
 
     cloud = Cloud(seed=77)
     plane = MonitoringPlane(cloud)
-    computes = {node.name for node in default_topology().compute_nodes()}
-    shard_key = agent_partition_key(computes)
     timer = StageTimer()
     analyzer = (
         PipelineBuilder(character.library)
@@ -59,7 +37,7 @@ def main() -> None:
         .with_config(GretelConfig(p_rate=p_rate_for(120)))
         .track_latency(False)
         .with_middleware(timer)
-        .build_sharded(4, key=shard_key)
+        .build_serial()
     )
     plane.subscribe_events(analyzer.on_event)
     plane.start()
@@ -104,12 +82,7 @@ def main() -> None:
               f"reported {report.reporting_latency:.0f}s after the fault; "
               f"no operation name, no root cause")
 
-    print("\n--- GRETEL (4-shard) ---")
-    nodes_per_shard = {}
-    for node, shard in analyzer.assignment.items():
-        nodes_per_shard.setdefault(shard, []).append(node)
-    for shard, nodes in sorted(nodes_per_shard.items()):
-        print(f"  shard {shard}: partition(s) {', '.join(sorted(nodes))}")
+    print("\n--- GRETEL ---")
     for report in analyzer.operational_reports[:3]:
         hit = faulty.test_id in report.detection.operations
         print(f"  fault {report.fault_event.method} {report.fault_event.name} "
@@ -119,17 +92,9 @@ def main() -> None:
               f"ground-truth operation in set: {hit}")
         print(f"    reported {report.report_delay:.2f}s after the fault")
 
-    print("\n  per-stage wall clock across all 4 shards (StageTimer):")
+    print("\n  per-stage wall clock (StageTimer):")
     for line in timer.summary().splitlines():
         print(f"    {line}")
-
-    print("\n--- differential oracle (serial vs sharded on the wire log) ---")
-    result = verify_equivalence(
-        wire_log, character.library, shards=4, key=shard_key,
-        config=GretelConfig(p_rate=p_rate_for(120)),
-        track_latency=False, strict=False,
-    )
-    print(f"  {result.summary()}")
 
 
 if __name__ == "__main__":

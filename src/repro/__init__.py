@@ -39,10 +39,8 @@ from repro.core import (
     Incident,
     IncidentAggregator,
     PipelineBuilder,
-    ShardedAnalyzer,
     SymbolTable,
     characterize_suite,
-    verify_equivalence,
 )
 from repro.workloads import WorkloadRunner, build_suite
 
@@ -61,12 +59,10 @@ __all__ = [
     "IncidentAggregator",
     "MonitoringPlane",
     "PipelineBuilder",
-    "ShardedAnalyzer",
     "SymbolTable",
     "WorkloadRunner",
     "build_suite",
     "characterize_suite",
     "default_topology",
-    "verify_equivalence",
     "__version__",
 ]

@@ -75,10 +75,8 @@ class CompiledIndex:
     """Every selection of one library under one set of selection flags.
 
     Immutable once built and read-only at detection time, so one index
-    serves any number of detectors — including every shard of a
-    :class:`~repro.core.parallel.ShardedAnalyzer` — concurrently, and
-    they all share the same candidate, preparation and scoring-class
-    objects.
+    serves any number of detectors concurrently, and they all share
+    the same candidate, preparation and scoring-class objects.
     """
 
     def __init__(
@@ -184,7 +182,7 @@ def compiled_index_for(
     """Memoized :func:`compile_library`.
 
     All detectors over one ``(library, version, flags)`` share a single
-    compilation — notably every shard of a sharded analyzer.
+    compilation — notably every tenant session of a service.
     ``catalog`` is ignored (preparation only consults the symbol
     table); the positional stays because ``benchmarks/e2e/harness.py``
     passes it and may not be edited here — ROADMAP lists it as residue

@@ -18,13 +18,11 @@ Commands
     Statically verify the fingerprint library, symbol table, catalog
     and config (six analysis passes; see ``docs/linting.md``).
 ``analyze``
-    Replay a synthetic wire-event stream through the sharded online
-    analyzer and print throughput (``--format json`` emits reports +
-    stage stats machine-readably); ``--verify-shards`` also replays it
-    serially and asserts identical report sets, and
-    ``--verify-selection`` proves indexed candidate selection
-    equivalent to the full scan (differential oracles; see
-    ``docs/parallelism.md`` and ``docs/indexing.md``).
+    Replay a synthetic wire-event stream through the online analyzer
+    and print throughput (``--format json`` emits reports + stage
+    stats machine-readably); ``--verify-selection`` proves indexed
+    candidate selection equivalent to the full scan (differential
+    oracle; see ``docs/indexing.md``).
 ``serve``
     Replay a synthetic stream through the multi-tenant streaming
     service layer: per-tenant analyzer sessions with bounded queues
@@ -34,20 +32,21 @@ Commands
     ``docs/service.md``).
 ``scenarios list`` / ``scenarios run``
     Enumerate the fault-injection scenario catalog, or run it (or a
-    subset) with graded oracles against both the serial and the
-    sharded pipeline; ``--check`` diffs the scorecard against a
-    committed baseline (see ``docs/scenarios.md``).
+    subset) with graded oracles over one serial replay per scenario;
+    ``--check`` diffs the scorecard against a committed baseline (see
+    ``docs/scenarios.md``).
 
 Exit codes follow one contract everywhere: ``EXIT_OK`` (0) success /
 all oracles pass, ``EXIT_FAIL`` (1) a graded check failed or drifted,
-``EXIT_USAGE`` (2) unusable input (unknown name, unreadable file).
+``EXIT_USAGE`` (2) unusable input (unknown name, unreadable file, an
+integer flag below its floor).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.evaluation import case_studies
 from repro.evaluation.registry import EXPERIMENTS
@@ -61,6 +60,22 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+
+def _int_at_least(floor: int) -> Callable[[str], int]:
+    """An argparse ``type=`` for an integer flag with a lower bound: a
+    value below ``floor`` exits ``EXIT_USAGE`` with a message instead
+    of a traceback from deep inside the run."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < floor:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {floor}, got {value}"
+            )
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value: ..."
+    return parse
 
 
 def _record_verdict(args: argparse.Namespace, document: dict, key: str,
@@ -257,58 +272,39 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     import time
     from dataclasses import asdict
 
-    from repro.core.parallel import verify_equivalence
     from repro.core.pipeline import PipelineBuilder, StageCounters, StageTimer
     from repro.monitoring.store import MetadataStore
 
     text_mode = args.format == "text"
     library, events, config = _replay_inputs(args)
 
-    def deferred_builder() -> PipelineBuilder:
-        return (
-            PipelineBuilder(library)
-            .with_store(MetadataStore())
-            .with_config(config)
-            .track_latency(not args.no_latency)
-            .defer_detection(True)
-        )
-
-    builder = deferred_builder()
+    builder = (
+        PipelineBuilder(library)
+        .with_store(MetadataStore())
+        .with_config(config)
+        .track_latency(not args.no_latency)
+        .defer_detection(True)
+    )
     timer: "StageTimer | None" = None
     counters: "StageCounters | None" = None
-    if args.stage_stats and args.backend == "inline":
-        # Stage middleware observes in-process stage calls; under
-        # backend=process the shards run elsewhere, so --stage-stats
-        # falls back to per-shard worker counters (shard_stats below).
+    if args.stage_stats:
         timer, counters = StageTimer(), StageCounters()
         builder.with_middleware(timer).with_middleware(counters)
-    analyzer = builder.build_sharded(
-        args.shards, batch_size=args.batch_size, backend=args.backend
-    )
+    analyzer = builder.build_serial()
     started = time.perf_counter()
-    analyzer.ingest(events)
+    analyzer.feed(events)
     analyzer.flush()
     ingest_seconds = time.perf_counter() - started
+    # Taken before detection drains the queue: --verify-selection's
+    # candidate-level + per-snapshot oracle replays these.
+    frozen = analyzer.deferred_snapshots() if args.verify_selection else []
     started = time.perf_counter()
     snapshots = analyzer.process_deferred()
     detect_seconds = time.perf_counter() - started
 
     count = len(events)
-    shard_stats = analyzer.shard_stats()
-    shard_events = [stats.events_processed for stats in shard_stats]
-    if args.shards > 1 and count and max(shard_events) == count:
-        # Loud, not fatal: the replay (and --verify-shards, same
-        # stream, same key) is correct, just silent about partitioning.
-        print(f"warning: all {count} events landed on one of "
-              f"{args.shards} shards (the source-node key takes one "
-              "value on this stream): only one shard was active, here "
-              "and under --verify-shards", file=sys.stderr)
     document = {
         "events": count,
-        "shards": args.shards,
-        "shard_events": shard_events,
-        "backend": args.backend,
-        "batch_size": args.batch_size,
         "fault_every": args.fault_every,
         "alpha": args.alpha,
         "ingest_seconds": round(ingest_seconds, 6),
@@ -327,13 +323,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             for stage, seconds in sorted(timer.seconds.items())
         }
         document["stage_items"] = dict(sorted(counters.items.items()))
-    if args.stage_stats and args.backend == "process":
-        document["shard_stats"] = [asdict(stats) for stats in shard_stats]
 
     if text_mode:
-        print(f"{args.shards}-shard analyzer ({args.backend} backend) "
-              f"over {count} events "
-              f"(1 fault per {args.fault_every}, batch {args.batch_size}):")
+        print(f"analyzer over {count} events "
+              f"(1 fault per {args.fault_every}):")
         print(f"  ingest    {count / ingest_seconds:12,.0f} events/s "
               f"({ingest_seconds:.3f}s)")
         print(f"  effective "
@@ -344,7 +337,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
               f"{len(analyzer.performance_reports)} performance")
 
     if text_mode and timer is not None and counters is not None:
-        print("  per-stage wall clock (all shards, sorted by cost):")
+        print("  per-stage wall clock (sorted by cost):")
         for line in timer.summary().splitlines():
             print(f"    {line}")
         print("  per-stage items: "
@@ -362,46 +355,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
               f"ls_samples_fed={stats.ls_samples_fed}, "
               f"ls_threshold_recomputes={stats.ls_threshold_recomputes}")
 
-    if text_mode and args.stage_stats and args.backend == "process":
-        merged = analyzer.stats()
-        print("  per-shard worker counters (PipelineStats, merged "
-              "deterministically):")
-        for index, shard_stats in enumerate(document["shard_stats"]):
-            print(f"    shard {index}: "
-                  f"events={shard_stats['events_processed']}, "
-                  f"snapshots={shard_stats['snapshots_taken']}, "
-                  f"faults={shard_stats['operational_faults_seen']}, "
-                  f"analysis={shard_stats['analysis_seconds']:.3f}s")
-        print(f"    merged : events={merged.events_processed}, "
-              f"snapshots={merged.snapshots_taken}, "
-              f"faults={merged.operational_faults_seen}, "
-              f"analysis={merged.analysis_seconds:.3f}s")
-
-    analyzer.close()
-
     code = EXIT_OK
-    if args.verify_shards:
-        result = verify_equivalence(
-            events, library, args.shards, batch_size=args.batch_size,
-            config=config, track_latency=not args.no_latency,
-            defer_detection=True, strict=False,
-            backend=args.backend,
-        )
-        code = _record_verdict(
-            args, document, "verify_shards", result, code
-        )
-
     if args.verify_selection:
         from repro.analysis.compile import verify_selection
 
-        # Candidate-level + per-snapshot oracle over the stream's
-        # frozen snapshots, collected once serially.
-        serial = deferred_builder().build_serial()
-        serial.feed(events)
-        serial.flush()
-        snapshots = serial.deferred_snapshots()
         selection = verify_selection(
-            library, config=config, snapshots=snapshots, strict=False,
+            library, config=config, snapshots=frozen, strict=False,
         )
         code = _record_verdict(
             args, document, "verify_selection", selection, code
@@ -431,9 +390,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     if args.resume and not args.checkpoint_dir:
         print("--resume requires --checkpoint-dir", file=sys.stderr)
-        return EXIT_USAGE
-    if args.pump_threads < 0:
-        print("--pump-threads must be >= 0", file=sys.stderr)
         return EXIT_USAGE
 
     library, events, config = _replay_inputs(args)
@@ -547,7 +503,6 @@ def _cmd_scenarios_list(args: argparse.Namespace) -> int:
                 "family": cls.family,
                 "description": cls.description,
                 "is_control": cls.is_control,
-                "equivalence": cls.equivalence,
             }
             for cls in all_scenarios()
         ]
@@ -582,10 +537,7 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
             return EXIT_USAGE
 
     character = default_characterization(use_disk_cache=not args.no_cache)
-    result = run_catalog(
-        character, seed=args.seed, shards=args.shards, names=selected,
-        backend=args.backend,
-    )
+    result = run_catalog(character, seed=args.seed, names=selected)
     document = build_scorecard(result)
 
     if args.format == "text":
@@ -619,11 +571,11 @@ def _add_replay_arguments(parser: argparse.ArgumentParser) -> None:
         help="stream length in wire events (default: the Fig. 8c 60K)",
     )
     parser.add_argument(
-        "--fault-every", type=int, default=1000,
+        "--fault-every", type=_int_at_least(1), default=1000,
         help="one REST fault per this many events (default 1000)",
     )
     parser.add_argument(
-        "--alpha", type=int, default=768,
+        "--alpha", type=_int_at_least(2), default=768,
         help="sliding-window size α (default: the paper's 768)",
     )
     parser.add_argument(
@@ -719,35 +671,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser(
         "analyze",
-        help="replay a synthetic stream through the sharded analyzer",
+        help="replay a synthetic stream through the analyzer",
     )
     _add_replay_arguments(analyze)
     _add_document_arguments(analyze)
     analyze.add_argument(
-        "--shards", type=int, default=4,
-        help="number of analyzer shards (default 4)",
-    )
-    analyze.add_argument(
-        "--batch-size", type=int, default=1024,
-        help="events per shard step (default 1024)",
-    )
-    analyze.add_argument(
-        "--backend", choices=("inline", "process"), default="inline",
-        help="shard execution backend: inline runs shards in this "
-             "process, process gives each shard a worker process "
-             "(docs/parallelism.md)",
-    )
-    analyze.add_argument(
         "--stage-stats", action="store_true",
-        help="attach StageTimer/StageCounters middleware to every "
-             "shard's pipeline and print per-stage cost; with "
-             "--backend process (no cross-process middleware) reports "
-             "per-shard worker counters merged via PipelineStats",
-    )
-    analyze.add_argument(
-        "--verify-shards", action="store_true",
-        help="also replay serially and assert identical report sets "
-             "(differential oracle; exit 1 on divergence)",
+        help="attach StageTimer/StageCounters middleware to the "
+             "analyzer and print per-stage cost",
     )
     analyze.add_argument(
         "--verify-selection", action="store_true",
@@ -770,16 +701,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay the stream this many times (soak; default 1)",
     )
     serve.add_argument(
-        "--tenants", type=int, default=4,
+        "--tenants", type=_int_at_least(1), default=4,
         help="re-key the stream into this many tenant sessions "
              "(default 4)",
     )
     serve.add_argument(
-        "--queue-size", type=int, default=1024,
+        "--queue-size", type=_int_at_least(1), default=1024,
         help="per-session ingest queue capacity (default 1024)",
     )
     serve.add_argument(
-        "--pump-threads", type=int, default=0,
+        "--pump-threads", type=_int_at_least(0), default=0,
         help="producer threads driving submit() concurrently while "
              "each tenant session's pump thread drains its queue "
              "(default 0 = one per tenant session; docs/service.md)",
@@ -795,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="persist per-tenant checkpoints under this directory",
     )
     serve.add_argument(
-        "--checkpoint-every", type=int, default=0,
+        "--checkpoint-every", type=_int_at_least(0), default=0,
         help="checkpoint a session every N accepted events "
              "(0 = only at shutdown; requires --checkpoint-dir)",
     )
@@ -838,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenarios_list.set_defaults(handler=_cmd_scenarios_list)
     scenarios_run = scenarios_sub.add_parser(
         "run",
-        help="capture, replay (serial + sharded) and grade scenarios; "
+        help="capture, replay and grade scenarios; "
              "exit 1 on any FAIL or scorecard drift",
     )
     scenarios_run.add_argument(
@@ -847,15 +778,6 @@ def build_parser() -> argparse.ArgumentParser:
              "catalog)",
     )
     scenarios_run.add_argument("--seed", type=int, default=0)
-    scenarios_run.add_argument(
-        "--shards", type=int, default=4,
-        help="shard count for the parallel replay (default 4)",
-    )
-    scenarios_run.add_argument(
-        "--backend", choices=("inline", "process"), default="inline",
-        help="execution backend for the sharded replay "
-             "(docs/parallelism.md)",
-    )
     _add_document_arguments(scenarios_run)
     scenarios_run.add_argument(
         "--check", metavar="FILE",

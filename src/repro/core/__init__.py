@@ -24,18 +24,15 @@ This package implements the paper's primary contribution:
   (:class:`~repro.core.pipeline.AnalysisPipeline`), its stage
   middleware and :class:`~repro.core.pipeline.PipelineBuilder` (see
   ``docs/architecture.md``);
-* :mod:`repro.core.analyzer` — the serial execution engine: that
-  object plus the per-event receiver;
-* :mod:`repro.core.parallel` — the sharded execution engine (that
-  object N times, each fed its partition in chunks) and the
-  serial-vs-sharded differential-correctness oracle;
+* :mod:`repro.core.analyzer` — the analyzer: that object plus the
+  per-event receiver;
 * :mod:`repro.core.characterize` — the offline fingerprinting
   pipeline over a (Tempest-like) suite (§7.1).
 """
 
 # First: ``repro.core.pipeline`` re-exports the builder, which imports
-# the engine modules, which subclass ``pipeline.graph.AnalysisPipeline``
-# — entering through the package keeps that chain one-way.
+# the analyzer, which subclasses ``pipeline.graph.AnalysisPipeline`` —
+# entering through the package keeps that chain one-way.
 from repro.core.pipeline import (
     AnalysisPipeline,
     PipelineBuilder,
@@ -47,10 +44,6 @@ from repro.core.analyzer import GretelAnalyzer
 from repro.core.characterize import CharacterizationResult, characterize_suite
 from repro.core.config import GretelConfig
 from repro.core.detector import DetectionResult, OperationDetector
-from repro.core.parallel import (
-    ShardedAnalyzer,
-    verify_equivalence,
-)
 from repro.core.fingerprint import Fingerprint, FingerprintLibrary, generate_fingerprint
 from repro.core.incidents import Incident, IncidentAggregator
 from repro.core.precision import theta
@@ -72,12 +65,10 @@ __all__ = [
     "PipelineBuilder",
     "PipelineStats",
     "RootCauseFinding",
-    "ShardedAnalyzer",
     "StageCounters",
     "StageTimer",
     "SymbolTable",
     "characterize_suite",
     "generate_fingerprint",
     "theta",
-    "verify_equivalence",
 ]

@@ -1,6 +1,6 @@
 """Differential-correctness oracle: incremental vs reference scoring.
 
-Same pattern as ``repro.core.parallel.verify_equivalence`` (PR 2): a
+Same pattern as every ``verify_*`` oracle (``repro.oracle``): a
 performance path is only trusted once it is *proven* to produce the
 same diagnoses as the reference implementation on the same input.
 Here the two paths are ``OperationDetector`` (the

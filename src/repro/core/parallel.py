@@ -32,9 +32,12 @@ compares canonical report signatures.  Partitioning is semantics
 preserving whenever fault contexts are partition-local (trivially so
 for single-source streams such as the Fig. 8c replay harness, and for
 any per-node capture deployment analyzed per agent); the oracle turns
-that property from an assumption into an assertion, and is wired into
-both the test suite and ``repro analyze --verify-shards``.  See
-``docs/parallelism.md`` and ``docs/architecture.md``.
+that property from an assumption into an assertion.
+
+No program module imports this one: the CLI, the scenario runner and
+the service all run one serial analyzer.  It exists for the benchmark
+ledger's ``storm_shards`` workload (``benchmarks/e2e``) and its own
+tests.  See ``docs/parallelism.md``.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ from repro.core.pipeline.graph import (
     AnalysisPipeline,
     PipelineStats,
 )
-from repro.core.pipeline.middleware import StageObserver
 # ``report_signature`` lives with the reports it describes; the ledger
 # (benchmarks/e2e) still spells it ``repro.core.parallel.report_signature``.
 from repro.core.reports import (
@@ -131,7 +133,6 @@ class ShardedAnalyzer:
         config: Optional[GretelConfig] = None,
         track_latency: bool = True,
         defer_detection: bool = False,
-        middleware: Sequence[StageObserver] = (),
         report_listeners: Sequence[
             Callable[[FaultReport], None]
         ] = (),
@@ -143,13 +144,6 @@ class ShardedAnalyzer:
             raise ValueError(
                 f"unknown backend {backend!r} (expected one of "
                 f"{BACKENDS})"
-            )
-        if backend == "process" and middleware:
-            raise ValueError(
-                "stage middleware cannot observe shards across the "
-                "process boundary; use backend='inline' for "
-                "StageTimer/StageCounters, or read per-shard "
-                "PipelineStats (ShardedAnalyzer.stats) instead"
             )
         self.library = library
         self.key = key
@@ -183,8 +177,7 @@ class ShardedAnalyzer:
         else:
             self.shards = [
                 AnalysisPipeline(
-                    library, middleware=middleware,
-                    report_listeners=report_listeners, **wiring,
+                    library, report_listeners=report_listeners, **wiring,
                 )
                 for _ in range(shards)
             ]
@@ -395,7 +388,10 @@ def verify_equivalence(
     both halves consult the same read-only metadata, so root-cause
     findings are part of the comparison too.  Reports are compared as
     multisets of :func:`report_signature`; ``strict`` is
-    :func:`repro.oracle.settle`'s.
+    :func:`repro.oracle.settle`'s.  ``facts["active_shards"]`` counts
+    the shards that received any event: 1 of several means the key
+    sent the whole stream to one shard, and the run proved "one
+    active shard ≡ serial" and nothing about partitioning.
 
     ``backend`` selects the sharded half's execution backend, so the
     same oracle that proves partitioning semantics-preserving also
@@ -432,47 +428,21 @@ def verify_equivalence(
         shard_stats = sharded.shard_stats()
     finally:
         sharded.close()
-    return compare_replays(
-        len(events), serial.reports, sharded_reports, shard_stats,
-        strict=strict, backend=backend,
-    )
-
-
-def compare_replays(
-    events: int,
-    serial_reports: Sequence[FaultReport],
-    sharded_reports: Sequence[FaultReport],
-    shard_stats: Sequence[PipelineStats],
-    *,
-    strict: bool = True,
-    backend: str = "inline",
-) -> OracleResult:
-    """The ``shards`` oracle's verdict on two finished replays.
-
-    What :func:`verify_equivalence` does once both halves have run,
-    for a caller that already holds a serial and a sharded replay of
-    the same ``events``-long stream (the scenario runner grades both
-    and must not replay twice more).  ``shard_stats`` is the sharded
-    half's :meth:`ShardedAnalyzer.shard_stats`, taken before close.
-    """
     missing, extra = diff_multisets(
-        (report_signature(r) for r in serial_reports),
+        (report_signature(r) for r in serial.reports),
         (report_signature(r) for r in sharded_reports),
     )
-    shards = len(shard_stats)
     result = OracleResult(
         layer="shards",
         reference="serial",
         candidate=f"{shards}-shard {backend}",
         facts={
-            "events": events,
+            "events": len(events),
             "shards": shards,
-            # 1 of several: the key sent the whole stream to one
-            # shard; the run proves "one active shard ≡ serial".
             "active_shards": sum(
                 bool(stats.events_processed) for stats in shard_stats
             ),
-            "reference_reports": len(serial_reports),
+            "reference_reports": len(serial.reports),
             "candidate_reports": len(sharded_reports),
         },
         missing=missing,

@@ -8,11 +8,10 @@ components, the counters and the report log, and reports its seven
 stage steps to pluggable observers
 (:mod:`repro.core.pipeline.middleware`).  The serial
 :class:`~repro.core.analyzer.GretelAnalyzer` is a subclass that adds
-only the per-event receiver; the shards behind
-:class:`~repro.core.parallel.ShardedAnalyzer` are plain instances fed
-in chunks; and :class:`~repro.core.pipeline.builder.PipelineBuilder`
-is a fluent keyword collector in front of the two engines'
-constructors.  See ``docs/architecture.md``.
+only the per-event receiver, and
+:class:`~repro.core.pipeline.builder.PipelineBuilder` is a fluent
+keyword collector in front of its constructor.  See
+``docs/architecture.md``.
 """
 
 from repro.core.pipeline.graph import (
@@ -27,8 +26,8 @@ from repro.core.pipeline.middleware import (
     StageTimer,
 )
 
-# Last: the builder imports the engines, which subclass or
-# instantiate ``AnalysisPipeline`` from the submodule above.
+# Last: the builder imports the analyzer, which subclasses
+# ``AnalysisPipeline`` from the submodule above.
 from repro.core.pipeline.builder import PipelineBuilder
 
 __all__ = [

@@ -1,38 +1,25 @@
-"""Fluent keyword collector in front of the two analyzer constructors.
+"""Fluent keyword collector in front of the analyzer's constructor.
 
-One configured :class:`PipelineBuilder` builds either engine:
-
-* :meth:`PipelineBuilder.build_serial` — a
-  :class:`~repro.core.analyzer.GretelAnalyzer`;
-* :meth:`PipelineBuilder.build_sharded` — a
-  :class:`~repro.core.parallel.ShardedAnalyzer`.
-
-Construction flows one way: the builder calls the engines'
-constructors, the engines wire themselves
-(:class:`~repro.core.pipeline.graph.AnalysisPipeline`) and know
+:meth:`PipelineBuilder.build_serial` returns a
+:class:`~repro.core.analyzer.GretelAnalyzer`.  Construction flows one
+way: the builder calls the constructor, the analyzer wires itself
+(:class:`~repro.core.pipeline.graph.AnalysisPipeline`) and knows
 nothing of the builder.  Middleware observers and report listeners
-registered here reach every analyzer built, so a sharded analyzer's
-shards share one set of observers and report aggregated stage stats.
+registered here reach every analyzer built.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
 from repro.core.fingerprint import FingerprintLibrary
-from repro.core.parallel import (
-    DEFAULT_BATCH_SIZE,
-    ShardedAnalyzer,
-    source_node_key,
-)
 from repro.core.pipeline.middleware import StageObserver
 from repro.core.reports import FaultReport
 from repro.core.symbols import SymbolTable
 from repro.monitoring.store import MetadataStore
 from repro.openstack.catalog import ApiCatalog
-from repro.openstack.wire import WireEvent
 
 
 class PipelineBuilder:
@@ -105,45 +92,18 @@ class PipelineBuilder:
         self._listeners.append(callback)
         return self
 
-    # -- ready-to-run engines --------------------------------------------
-
-    def _collected(self) -> Dict[str, Any]:
-        """The keywords both engine constructors share."""
-        return {
-            "symbols": self._symbols,
-            "catalog": self._catalog,
-            "store": self._store,
-            "config": self._config,
-            "track_latency": self._track_latency,
-            "defer_detection": self._defer_detection,
-            "middleware": tuple(self._middleware),
-            "report_listeners": tuple(self._listeners),
-        }
+    # -- the ready-to-run analyzer ---------------------------------------
 
     def build_serial(self) -> GretelAnalyzer:
         """A serial analyzer."""
-        return GretelAnalyzer(self._library, **self._collected())
-
-    def build_sharded(
-        self,
-        shards: int = 4,
-        *,
-        key: Optional[Callable[[WireEvent], str]] = None,
-        batch_size: Optional[int] = None,
-        backend: str = "inline",
-    ) -> ShardedAnalyzer:
-        """A sharded analyzer whose shards share this configuration.
-
-        ``backend="process"`` runs each shard in a long-lived worker
-        process (see ``docs/parallelism.md``); note stage middleware
-        cannot cross the process boundary, so combining the two is
-        rejected by the analyzer.
-        """
-        return ShardedAnalyzer(
+        return GretelAnalyzer(
             self._library,
-            shards,
-            key=key or source_node_key,
-            batch_size=batch_size or DEFAULT_BATCH_SIZE,
-            backend=backend,
-            **self._collected(),
+            symbols=self._symbols,
+            catalog=self._catalog,
+            store=self._store,
+            config=self._config,
+            track_latency=self._track_latency,
+            defer_detection=self._defer_detection,
+            middleware=tuple(self._middleware),
+            report_listeners=tuple(self._listeners),
         )

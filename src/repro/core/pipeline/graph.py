@@ -10,9 +10,9 @@ components (:class:`~repro.core.window.SlidingWindow`,
 report log with its listeners.  There is one wiring: the same object
 takes events one at a time or in chunks, and its state does not
 record which.  The serial :class:`~repro.core.analyzer.GretelAnalyzer`
-subclasses it to add the receiver (``on_event`` / ``feed``); a shard
-of :class:`~repro.core.parallel.ShardedAnalyzer` is this class as it
-stands, fed through :meth:`AnalysisPipeline.process_chunk`.
+subclasses it to add the receiver (``on_event`` / ``feed``); the
+chunk intake, :meth:`AnalysisPipeline.process_chunk`, is this class
+as it stands.
 
 There are three intake bodies, and they are three on purpose:
 
@@ -24,8 +24,9 @@ There are three intake bodies, and they are three on purpose:
   its per-chunk overhead is amortized over ~1024 events.
 
 ``tests/core/test_pipeline.py::test_middleware_does_not_change_reports``
-holds the first two equal and ``verify_equivalence``
-(``repro analyze --verify-shards``) holds the third to the first.
+holds the first two equal, and ``test_checkpoint_crosses_intakes``
+and ``test_performance_context_is_the_same_under_every_intake`` in
+the same file hold the third to the first.
 """
 
 from __future__ import annotations

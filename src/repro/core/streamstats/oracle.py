@@ -1,13 +1,12 @@
 """Differential oracle: incremental vs reference level-shift detection.
 
-Same pattern as ``repro.core.matching.oracle.verify_detection`` and
-``repro.core.parallel.verify_equivalence``: the fast path is only
-trusted once it is *proven* to produce the same outputs as the
-reference implementation on the same input.  Here the two paths are
-the from-scratch reference ``LevelShiftDetector`` (imported from the
-reference package inside :func:`verify_levelshift`, so production
-imports never load it) and the
-:class:`~repro.core.streamstats.detector.IncrementalLevelShiftDetector`
+Same pattern as ``repro.core.matching.oracle.verify_detection``: the
+fast path is only trusted once it is *proven* to produce the same
+outputs as the reference implementation on the same input.  Here the
+two paths are the from-scratch reference ``LevelShiftDetector``
+(imported from the reference package inside
+:func:`verify_levelshift`, so production imports never load it) and
+the :class:`~repro.core.streamstats.detector.IncrementalLevelShiftDetector`
 replayed over the same (ts, value) stream; after every sample the
 update result (``None`` or the full :class:`~repro.core.outliers.
 LevelShift`), the baseline and the threshold must be identical — not

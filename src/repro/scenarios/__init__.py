@@ -4,9 +4,8 @@ An SREGym-style evaluation subsystem: each registered
 :class:`~repro.scenarios.base.Scenario` bundles a deterministic seeded
 fault injector, a traffic profile, and a machine-checkable
 expectation; graded oracles turn GRETEL's fault reports into
-PASS/FAIL/SKIP verdicts with precision / recall / F1 scores, run
-against both the serial and the sharded pipeline.  See
-``docs/scenarios.md``.
+PASS/FAIL/SKIP verdicts with precision / recall / F1 scores over one
+serial replay of each capture.  See ``docs/scenarios.md``.
 """
 
 from repro.scenarios import catalog as _catalog  # noqa: F401

@@ -19,8 +19,8 @@ experiment needs (the SREGym ``Problem`` shape, see SNIPPETS.md):
 Capture and grading are split on purpose: :meth:`Scenario.capture`
 runs the (expensive) simulation exactly once and records the wire
 stream every monitoring agent emitted plus the populated metadata
-store; graders then *replay* that capture through fresh serial and
-sharded pipelines cheaply.  The replayed results are provably the
+store; graders then *replay* that capture through a fresh analyzer
+cheaply.  The replayed results are provably the
 live results — the monitoring plane's tap bus captures each event at
 its source-node agent exactly once, in the order the analyzer saw it.
 """
@@ -164,14 +164,6 @@ class Scenario(abc.ABC):
     is_control: ClassVar[bool] = False
     #: Whether replays track per-API latency (performance scenarios).
     track_latency: ClassVar[bool] = False
-    #: Serial-vs-sharded contract: ``"exact"`` (byte-identical report
-    #: multisets — holds for partition-safe single-source streams),
-    #: ``"detection"`` (same (kind, fault-event) multiset; matched-op
-    #: sets may differ because per-shard context buffers differ), or
-    #: ``"off"`` (per-source-node latency series legitimately split,
-    #: §5.2 per-agent calibration — graded by the scenario oracles on
-    #: both pipelines instead).
-    equivalence: ClassVar[str] = "detection"
     #: Concurrency the analyzer window is calibrated for.
     concurrency: ClassVar[int] = 24
 

@@ -155,16 +155,14 @@ class SyntheticErrorBurst(Scenario):
     """Fault slots on a fabricated single-source stream (Fig. 8c shape).
 
     A :class:`SyntheticStream` with one fault slot per 800 events —
-    the stream itself is the ground truth, and because every event
-    shares one source node the serial-vs-sharded contract is *exact*.
+    the stream itself is the ground truth.
     """
 
     name = "synthetic_error_burst"
     family = "storm"
     description = ("fabricated 4.8K-event stream with one fault slot "
-                   "per 800 events; exact shard equivalence")
+                   "per 800 events")
     track_latency = True
-    equivalence = "exact"
     n_events: ClassVar[int] = 4800
     fault_every: ClassVar[int] = 800
 
@@ -217,11 +215,6 @@ class PerformanceLevelShift(Scenario):
     CPU surge strikes the Neutron controller mid-run.  The level-shift
     detector must alarm inside the surge window and Algorithm 3 must
     name the CPU on ``neutron-ctl``.
-
-    Shard equivalence is ``off`` by design: per-API latency series are
-    calibrated per capture agent (§5.2), so splitting the stream by
-    source node legitimately re-baselines the detectors.  Both
-    pipelines are still graded by the scenario oracles.
     """
 
     name = "performance_level_shift"
@@ -229,7 +222,6 @@ class PerformanceLevelShift(Scenario):
     description = ("mid-run 60% CPU surge on neutron-ctl under a "
                    "sustained 48-way workload (Fig. 6 shape)")
     track_latency = True
-    equivalence = "off"
     concurrency = 48
     duration: ClassVar[float] = 24.0
     surge: ClassVar[float] = 0.6
@@ -644,7 +636,7 @@ class NoopSyntheticControl(Scenario):
     exactly the silent mistake :meth:`SyntheticStream.fault_slots`
     exposes and non-control scenarios must assert against.  Here the
     fault-free stream is the point: a 4K-event healthy replay that
-    must stay silent, with exact shard equivalence.
+    must stay silent.
     """
 
     name = "noop_synthetic_control"
@@ -653,7 +645,6 @@ class NoopSyntheticControl(Scenario):
                    "length (zero fault slots); must stay silent")
     is_control = True
     track_latency = True
-    equivalence = "exact"
     n_events: ClassVar[int] = 4000
     fault_every: ClassVar[int] = 5000
 

@@ -72,7 +72,6 @@ class GradingContext:
     captured: CapturedRun
     expectation: Expectation
     reports: List[FaultReport]
-    label: str                       # "serial" | "4-shard" | ...
 
 
 class Oracle(abc.ABC):

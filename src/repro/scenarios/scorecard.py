@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.scenarios.runner import CatalogResult
 
-SCHEMA = "gretel-scenarios/v1"
+SCHEMA = "gretel-scenarios/v2"
 
 
 def build_scorecard(result: CatalogResult) -> Dict[str, Any]:
@@ -52,7 +52,7 @@ def render_scorecard(document: Dict[str, Any]) -> str:
     )
     f1 = catalog["f1"]
     lines.append(
-        f"seed={document['seed']} shards={document['shards']} "
+        f"seed={document['seed']} "
         f"f1={'n/a' if f1 is None else format(f1, '.3f')}"
     )
     return "\n".join(lines)
@@ -67,13 +67,13 @@ def diff_scorecards(committed: Dict[str, Any],
                     fresh: Dict[str, Any]) -> List[str]:
     """Human-readable drift between two scorecards; empty = no drift.
 
-    Compares the gate-relevant facts — schema, seed/shards, the
+    Compares the gate-relevant facts — schema, seed, the
     scenario set, each scenario's pass verdict and confusion counts,
     and the catalog micro-average — while ignoring free-text details
     so reworded oracle messages don't trip CI.
     """
     drift: List[str] = []
-    for key in ("schema", "seed", "shards"):
+    for key in ("schema", "seed"):
         if committed.get(key) != fresh.get(key):
             drift.append(
                 f"{key}: committed {committed.get(key)!r} "
@@ -90,7 +90,7 @@ def diff_scorecards(committed: Dict[str, Any],
         drift.append(f"scenario added: {name}")
     for name in sorted(set(old) & set(new)):
         for key in ("passed", "counts", "injected", "events",
-                    "serial_reports", "sharded_reports"):
+                    "serial_reports"):
             if old[name].get(key) != new[name].get(key):
                 drift.append(
                     f"{name}.{key}: committed {old[name].get(key)!r} "

@@ -371,14 +371,6 @@ def test_unknown_backend_rejected(library):
         ShardedAnalyzer(library, 2, backend="threads")
 
 
-def test_process_backend_rejects_middleware(library):
-    from repro.core.pipeline import StageTimer
-
-    with pytest.raises(ValueError):
-        ShardedAnalyzer(library, 2, backend="process",
-                        middleware=(StageTimer(),))
-
-
 @pytest.mark.parametrize("shards", [1, 2, 4, 8])
 def test_process_backend_equivalent_to_serial(library, shards):
     events = make_stream(library, fault_every=40).events(1200)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
-from repro.core.parallel import ShardedAnalyzer, report_signature
+from repro.core.parallel import ShardedAnalyzer
 from repro.core.pipeline import (
     STAGE_NAMES,
     AnalysisPipeline,
@@ -14,6 +14,7 @@ from repro.core.pipeline import (
     StageCounters,
     StageTimer,
 )
+from repro.core.reports import report_signature
 from repro.workloads.traffic import SyntheticStream
 
 
@@ -53,28 +54,6 @@ def test_build_serial_equals_direct_construction(library):
 
     assert built.alpha == direct.alpha
     assert built.events_processed == direct.events_processed
-    assert [report_signature(r) for r in built.reports] == \
-        [report_signature(r) for r in direct.reports]
-
-
-def test_build_sharded_equals_direct_construction(library):
-    events = make_stream(library).events(800)
-
-    direct = ShardedAnalyzer(library, 3, batch_size=64,
-                             config=config(), track_latency=False)
-    direct.ingest(events)
-    direct.flush()
-
-    built = (
-        PipelineBuilder(library)
-        .with_config(config())
-        .track_latency(False)
-        .build_sharded(3, batch_size=64)
-    )
-    built.ingest(events)
-    built.flush()
-
-    assert built.n_shards == 3
     assert [report_signature(r) for r in built.reports] == \
         [report_signature(r) for r in direct.reports]
 
@@ -120,18 +99,18 @@ def test_builder_report_listener_fires(library):
 
 
 def test_builder_report_listener_on_every_shard(library):
+    """``report_listeners=`` reaches every shard (the benchmark
+    ledger's ``storm_shards`` workload clocks reports through it)."""
     events = make_stream(library).events(800)
     seen = []
-    analyzer = (
-        PipelineBuilder(library)
-        .with_config(config())
-        .track_latency(False)
-        .on_report(seen.append)
-        .build_sharded(3, batch_size=64)
+    analyzer = ShardedAnalyzer(
+        library, 3, batch_size=64, config=config(), track_latency=False,
+        key=lambda event: event.tenant, report_listeners=(seen.append,),
     )
     analyzer.ingest(events)
     analyzer.flush()
     assert len(seen) == len(analyzer.reports) > 0
+    assert sum(bool(shard.reports) for shard in analyzer.shards) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -155,27 +134,6 @@ def test_middleware_counts_serial_stages(library):
     assert counters.calls["detect"] == len(analyzer.reports)
     assert counters.calls["publish"] == len(analyzer.reports)
     assert set(counters.calls) <= set(STAGE_NAMES)
-
-
-def test_middleware_counts_sharded_stages(library):
-    events = make_stream(library).events(1000)
-    counters = StageCounters()
-    timer = StageTimer()
-    analyzer = (
-        PipelineBuilder(library)
-        .with_config(config())
-        .track_latency(False)
-        .with_middleware(counters)
-        .with_middleware(timer)
-        .build_sharded(4, batch_size=128)
-    )
-    analyzer.ingest(events)
-    analyzer.flush()
-    # Observers are shared by all shards: totals span the whole stream.
-    assert counters.items["ingest"] == len(events)
-    assert counters.calls["publish"] == len(analyzer.reports)
-    assert timer.calls["ingest"] == counters.calls["ingest"]
-    assert all(cost >= 0.0 for cost in timer.seconds.values())
 
 
 def test_middleware_does_not_change_reports(library):
@@ -354,9 +312,8 @@ def test_checkpoint_crosses_intakes(library):
     cut = 700  # mid-chunk, with snapshots pending
 
     def build(chunk_fed):
-        if chunk_fed:  # what ShardedAnalyzer builds for a shard
-            return ShardedAnalyzer(library, 1, batch_size=64,
-                                   config=config()).shards[0]
+        if chunk_fed:  # the bare pipeline: no per-event receiver
+            return AnalysisPipeline(library, config=config())
         return GretelAnalyzer(library, config=config())
 
     def outcome(reports, stats):

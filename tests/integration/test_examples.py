@@ -37,9 +37,9 @@ def test_incident_export(full_character):
 
 def test_parallel_fault_localization(full_character):
     out = run_example("parallel_fault_localization.py")
-    assert "--- GRETEL (4-shard) ---" in out
+    assert "--- GRETEL ---" in out
     assert "ground-truth operation in set: True" in out
-    assert "EQUIVALENT" in out  # the serial-vs-sharded oracle
+    assert "per-stage wall clock (StageTimer)" in out
 
 
 @pytest.mark.slow

@@ -1,6 +1,6 @@
 """Integration: the shipped catalog passes end to end at the pinned seed.
 
-Runs the full catalog once (serial + 4-shard replays, all oracles),
+Runs the full catalog once (one serial replay each, all oracles),
 then checks the scorecard round-trips through JSON, matches the
 committed ``results/SCENARIOS.json`` baseline, and that the CLI
 surface behaves.
@@ -29,7 +29,6 @@ from repro.scenarios.catalog import (
 )
 
 PINNED_SEED = 0
-SHARDS = 4
 SCORECARD_PATH = os.path.join(
     os.path.dirname(__file__), "..", "..", "results", "SCENARIOS.json",
 )
@@ -37,21 +36,19 @@ SCORECARD_PATH = os.path.join(
 
 @pytest.fixture(scope="module")
 def catalog_result(full_character):
-    return run_catalog(full_character, seed=PINNED_SEED, shards=SHARDS)
+    return run_catalog(full_character, seed=PINNED_SEED)
 
 
 @pytest.mark.slow
-def test_full_catalog_passes_serial_and_sharded(catalog_result):
+def test_full_catalog_passes(catalog_result):
     assert catalog_result.all_pass
     assert len(catalog_result.results) == len(names()) >= 9
     for result in catalog_result.results:
-        serial_fail = [o for o in result.serial_outcomes if not o.ok]
-        sharded_fail = [o for o in result.sharded_outcomes if not o.ok]
-        assert not serial_fail, (result.name, serial_fail)
-        assert not sharded_fail, (result.name, sharded_fail)
-        if result.equivalence is not None:
-            assert result.equivalence.ok, (result.name,
-                                           result.equivalence.detail)
+        failed = [o for o in result.serial_outcomes if not o.ok]
+        assert not failed, (result.name, failed)
+        # The frozen benchmark ledger still reads these two.
+        assert result.sharded_outcomes == []
+        assert result.equivalence is None
 
 
 @pytest.mark.slow
@@ -72,9 +69,12 @@ def test_scorecard_round_trips_through_json(catalog_result):
     document = build_scorecard(catalog_result)
     reloaded = json.loads(dump_scorecard(document))
     assert reloaded == document
-    assert reloaded["schema"] == "gretel-scenarios/v1"
+    assert reloaded["schema"] == "gretel-scenarios/v2"
     assert reloaded["seed"] == PINNED_SEED
-    assert reloaded["shards"] == SHARDS
+    assert "shards" not in reloaded
+    for entry in reloaded["scenarios"]:
+        assert not {"shards", "sharded", "sharded_reports",
+                    "equivalence"} & set(entry)
     scenario_names = [e["name"] for e in reloaded["scenarios"]]
     assert scenario_names == sorted(scenario_names) == names()
     assert diff_scorecards(document, reloaded) == []
@@ -163,7 +163,7 @@ def test_cli_scenarios_run_json_round_trip(full_character, capsys):
                  "--seed", str(PINNED_SEED), "--format", "json"])
     assert code == 0
     document = json.loads(capsys.readouterr().out)
-    assert document["schema"] == "gretel-scenarios/v1"
+    assert document["schema"] == "gretel-scenarios/v2"
     assert [e["name"] for e in document["scenarios"]] == ["noop_control"]
     assert document["all_pass"] is True
 

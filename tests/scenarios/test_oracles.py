@@ -31,8 +31,7 @@ def _ctx(expectation, reports, scenario=None):
     captured = CapturedRun(events=[], store=MetadataStore(),
                            injected=1, duration=1.0)
     return GradingContext(scenario=scenario, captured=captured,
-                          expectation=expectation, reports=reports,
-                          label="serial")
+                          expectation=expectation, reports=reports)
 
 
 SPEC = FaultSpec(label="x", start=0.0, services=("nova",),

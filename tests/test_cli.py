@@ -189,7 +189,7 @@ def test_lint_json_is_hash_seed_invariant(tmp_path):
 
 
 def test_index_build_is_hash_seed_invariant(tmp_path):
-    """Spawned shard workers each compile under their own hash seed."""
+    """Every process compiles the index under its own hash seed."""
     library = _ambiguous_library_file(tmp_path)
     first, second = (
         _cli_subprocess([library], seed, _INDEX_DIGEST_SCRIPT)
@@ -204,25 +204,16 @@ def test_index_build_is_hash_seed_invariant(tmp_path):
 
 def test_analyze_reports_throughput(full_character, capsys):
     # full_character warms the on-disk cache the CLI will read.
-    assert main(["analyze", "--events", "3000", "--shards", "2",
-                 "--no-latency"]) == 0
+    assert main(["analyze", "--events", "3000", "--no-latency"]) == 0
     out = capsys.readouterr().out
-    assert "2-shard analyzer (inline backend) over 3000 events" in out
+    assert "analyzer over 3000 events" in out
     assert "ingest" in out and "events/s" in out
     assert "reports: 2 operational" in out
 
 
-def test_analyze_verify_shards_oracle(full_character, capsys):
-    assert main(["analyze", "--events", "4000", "--shards", "4",
-                 "--batch-size", "256", "--verify-shards"]) == 0
-    out = capsys.readouterr().out
-    assert "EQUIVALENT: 4-shard inline vs serial analysis" in out
-    assert "events=4000" in out
-
-
 def test_analyze_verify_selection_oracle(full_character, capsys):
-    assert main(["analyze", "--events", "3000", "--shards", "2",
-                 "--no-latency", "--verify-selection"]) == 0
+    assert main(["analyze", "--events", "3000", "--no-latency",
+                 "--verify-selection"]) == 0
     out = capsys.readouterr().out
     assert "EQUIVALENT: indexed vs full-scan selection" in out
     assert "DIVERGED" not in out
@@ -231,71 +222,22 @@ def test_analyze_verify_selection_oracle(full_character, capsys):
 def test_analyze_stage_stats_report_selection_counters(
     full_character, capsys
 ):
-    assert main(["analyze", "--events", "3000", "--shards", "2",
-                 "--no-latency", "--stage-stats"]) == 0
+    assert main(["analyze", "--events", "3000", "--no-latency",
+                 "--stage-stats"]) == 0
     out = capsys.readouterr().out
     assert "candidate selection: postings_scanned=" in out
     assert "candidates_indexed=" in out
 
 
-# ---------------------------------------------------------------------------
-# repro analyze --backend process
-# ---------------------------------------------------------------------------
-
-def test_analyze_process_backend_verify_shards(full_character, capsys):
-    assert main(["analyze", "--events", "3000", "--shards", "2",
-                 "--batch-size", "256", "--backend", "process",
-                 "--verify-shards"]) == 0
-    out = capsys.readouterr().out
-    assert "2-shard analyzer (process backend)" in out
-    assert "EQUIVALENT: 2-shard process vs serial analysis" in out
-    assert "events=3000" in out
-
-
-def test_analyze_process_backend_stage_stats_per_shard(
-    full_character, capsys
-):
-    # No cross-process middleware: --stage-stats falls back to
-    # per-shard worker counters merged via PipelineStats.
-    assert main(["analyze", "--events", "3000", "--shards", "2",
-                 "--no-latency", "--backend", "process",
-                 "--stage-stats", "--format", "json"]) == 0
-    document = json.loads(capsys.readouterr().out)
-    assert document["backend"] == "process"
-    assert "stage_seconds" not in document
-    shard_stats = document["shard_stats"]
-    assert len(shard_stats) == 2
-    total = sum(s["events_processed"] for s in shard_stats)
-    assert total == 3000
-    assert document["stats"]["events_processed"] == 3000
-
-
-def test_analyze_process_backend_json_matches_inline(
-    full_character, capsys
-):
-    assert main(["analyze", "--events", "3000", "--shards", "2",
-                 "--no-latency", "--format", "json"]) == 0
-    inline = json.loads(capsys.readouterr().out)
-    assert main(["analyze", "--events", "3000", "--shards", "2",
-                 "--no-latency", "--backend", "process",
-                 "--format", "json"]) == 0
-    process = json.loads(capsys.readouterr().out)
-    assert inline["backend"] == "inline"
-    assert process["backend"] == "process"
-    strip = ("kind", "operations", "theta")
-    assert [
-        {k: r[k] for k in strip} for r in process["reports"]
-    ] == [
-        {k: r[k] for k in strip} for r in inline["reports"]
-    ]
-    assert process["stats"]["events_processed"] == \
-        inline["stats"]["events_processed"]
-
-
-def test_analyze_rejects_unknown_backend(full_character):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["analyze", "--events", "1000", "--backend", "threads"])
-    assert excinfo.value.code == 2
+def test_analyze_rejects_unknown_backend():
+    """The analyzer is serial: every backend is unknown, and the other
+    flags that configured a sharded replay are gone, not ignored."""
+    for flags in (["--backend", "threads"], ["--backend", "process"],
+                  ["--shards", "2"], ["--batch-size", "64"],
+                  ["--verify-shards"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", "--events", "1000", *flags])
+        assert excinfo.value.code == 2
 
 
 def test_serve_has_no_shard_flags():
@@ -311,17 +253,12 @@ def test_serve_has_no_shard_flags():
 
 
 def test_scenarios_run_rejects_unknown_backend():
-    with pytest.raises(SystemExit) as excinfo:
-        main(["scenarios", "run", "--backend", "threads"])
-    assert excinfo.value.code == 2
-
-
-def test_scenarios_run_process_backend(full_character, capsys):
-    assert main(["scenarios", "run",
-                 "--scenario", "synthetic_error_burst",
-                 "--backend", "process"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out
+    """One serial replay per scenario: no backend, no shard count."""
+    for flags in (["--backend", "threads"], ["--backend", "process"],
+                  ["--shards", "4"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scenarios", "run", *flags])
+        assert excinfo.value.code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +269,30 @@ def test_exit_code_constants():
     from repro.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE
 
     assert (EXIT_OK, EXIT_FAIL, EXIT_USAGE) == (0, 1, 2)
+
+
+#: Bounded integer flags, one unusable value each, and the message
+#: argparse must answer it with.
+UNUSABLE_FLAG_VALUES = {
+    "serve --tenants 0": "--tenants: must be >= 1, got 0",
+    "serve --queue-size 0": "--queue-size: must be >= 1, got 0",
+    "serve --pump-threads -1": "--pump-threads: must be >= 0, got -1",
+    "serve --checkpoint-every -1": "--checkpoint-every: must be >= 0",
+    "serve --alpha 1": "--alpha: must be >= 2, got 1",
+    "analyze --fault-every 0": "--fault-every: must be >= 1, got 0",
+    "analyze --alpha 0": "--alpha: must be >= 2, got 0",
+    "analyze --fault-every x": "--fault-every: invalid int value: 'x'",
+}
+
+
+@pytest.mark.parametrize("command", list(UNUSABLE_FLAG_VALUES))
+def test_unusable_flag_values_exit_2(command, capsys):
+    """Checked at parse time: a usage error with a message, never a
+    traceback from inside the run."""
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command.split(), "--events", "2000", "--no-latency"])
+    assert excinfo.value.code == 2
+    assert UNUSABLE_FLAG_VALUES[command] in capsys.readouterr().err
 
 
 def test_scenarios_run_exit_codes(full_character, capsys):
@@ -358,16 +319,14 @@ def test_scenarios_run_unreadable_baseline_is_usage_error(
 # ---------------------------------------------------------------------------
 
 def test_analyze_json_document(full_character, capsys):
-    assert main(["analyze", "--events", "3000", "--shards", "2",
+    assert main(["analyze", "--events", "3000",
                  "--no-latency", "--format", "json"]) == 0
     captured = capsys.readouterr()
     document = json.loads(captured.out)
+    assert captured.err == ""
     assert document["events"] == 3000
-    assert document["shards"] == 2
-    # The synthetic stream has one source node: the default key keeps
-    # one shard busy, and the CLI says so on stderr.
-    assert document["shard_events"] == [3000, 0]
-    assert "only one shard was active" in captured.err
+    assert not {"shards", "shard_events", "backend", "batch_size",
+                "shard_stats", "verify_shards"} & set(document)
     assert document["exit_code"] == 0
     assert document["ingest_events_per_s"] > 0
     assert document["stats"]["events_processed"] == 3000
@@ -382,10 +341,10 @@ def test_analyze_out_writes_json_even_in_text_mode(
     full_character, tmp_path, capsys
 ):
     out = tmp_path / "run.json"
-    assert main(["analyze", "--events", "3000", "--shards", "2",
+    assert main(["analyze", "--events", "3000",
                  "--no-latency", "--out", str(out)]) == 0
     # stdout stays human-readable; the file carries the document.
-    assert "2-shard analyzer" in capsys.readouterr().out
+    assert "analyzer over 3000 events" in capsys.readouterr().out
     document = json.loads(out.read_text())
     assert document["events"] == 3000
     assert document["exit_code"] == 0
@@ -401,9 +360,6 @@ def test_serve_usage_errors(capsys):
     assert "--checkpoint-dir" in capsys.readouterr().err
     assert main(["serve", "--events", "100", "--resume"]) == 2
     assert "--checkpoint-dir" in capsys.readouterr().err
-    assert main(["serve", "--events", "100",
-                 "--pump-threads", "-1"]) == 2
-    assert ">= 0" in capsys.readouterr().err
     # The flag that used to select the router is gone, not ignored.
     with pytest.raises(SystemExit) as excinfo:
         main(["serve", "--events", "100", "--async"])
@@ -497,10 +453,10 @@ def test_serve_verify_checkpoint_oracle(full_character, capsys):
 
 
 def test_verdict_blocks_share_one_shape(full_character, capsys):
-    """All four ``--verify-*`` flags go through one helper: same key
+    """All three ``--verify-*`` flags go through one helper: same key
     set in the JSON document, same ``EQUIVALENT: `` line in text."""
-    assert main(["analyze", "--events", "2000", "--shards", "2",
-                 "--no-latency", "--verify-shards", "--verify-selection",
+    assert main(["analyze", "--events", "2000",
+                 "--no-latency", "--verify-selection",
                  "--format", "json"]) == 0
     analyze = json.loads(capsys.readouterr().out)
     assert main(["serve", "--events", "2000", "--tenants", "2",
@@ -509,7 +465,6 @@ def test_verdict_blocks_share_one_shape(full_character, capsys):
                  "--format", "json"]) == 0
     serve = json.loads(capsys.readouterr().out)
     blocks = {
-        "shards": analyze["verify_shards"],
         "selection": analyze["verify_selection"],
         "async": serve["verify_async"],
         "checkpoint": serve["verify_checkpoint"],
@@ -518,7 +473,7 @@ def test_verdict_blocks_share_one_shape(full_character, capsys):
         assert block["layer"] == layer
         assert block["ok"] is True
         assert block["summary"].startswith("EQUIVALENT: ")
-        assert set(block) == set(blocks["shards"])
+        assert set(block) == set(blocks["selection"])
 
     assert main(["serve", "--events", "2000", "--tenants", "2",
                  "--alpha", "64", "--no-latency", "--verify-async",

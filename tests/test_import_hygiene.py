@@ -1,6 +1,7 @@
 """The production packages never load the reference implementations,
-the oracle harness depends on none of them, and the service never
-reaches the sharding modules."""
+the oracle harness depends on none of them, and nothing in the
+program reaches the sharding modules (only the benchmark ledger and
+their own tests still use them)."""
 
 import ast
 import glob
@@ -10,22 +11,29 @@ import sys
 
 import repro
 
+SHARDING = ("repro.core.parallel", "repro.core.workers")
+
 PROBE = """
 import sys
 import {modules}
-loaded = sorted(m for m in sys.modules if m.startswith("repro.reference"))
+loaded = sorted(m for m in sys.modules if m.startswith({prefixes!r}))
 assert not loaded, loaded
 """
 
 
-def assert_reference_unloaded_after_importing(*modules):
+def assert_unloaded_after_importing(prefixes, *modules):
     src = os.path.dirname(os.path.dirname(repro.__file__))
     env = dict(os.environ, PYTHONPATH=src)
+    probe = PROBE.format(modules=", ".join(modules), prefixes=prefixes)
     done = subprocess.run(
-        [sys.executable, "-c", PROBE.format(modules=", ".join(modules))],
+        [sys.executable, "-c", probe],
         env=env, capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
+
+
+def assert_reference_unloaded_after_importing(*modules):
+    assert_unloaded_after_importing(("repro.reference",), *modules)
 
 
 def imported_names(path):
@@ -73,20 +81,28 @@ def test_oracle_harness_leaves_reference_unloaded():
 
 
 def test_service_imports_no_sharding_module():
-    """A tenant session is one serial analyzer on its pump thread:
-    nothing under ``repro/service`` may import the shard router or its
-    worker pool (``report_signature`` comes from
-    ``repro.core.reports``)."""
-    import repro.service
-
-    sharding = ("repro.core.parallel", "repro.core.workers")
-    package = os.path.dirname(repro.service.__file__)
-    paths = sorted(glob.glob(os.path.join(package, "*.py")))
-    assert paths
+    """The analyzer is serial everywhere — a tenant session, ``repro
+    analyze``, the scenario runner, the builder: no file under
+    ``src/repro`` but the two sharding modules themselves may import
+    the shard router or its worker pool (``report_signature`` comes
+    from ``repro.core.reports``)."""
+    root = os.path.dirname(repro.__file__)
+    paths = sorted(glob.glob(os.path.join(root, "**", "*.py"),
+                             recursive=True))
+    own = {os.path.join(root, "core", "parallel.py"),
+           os.path.join(root, "core", "workers.py")}
+    assert own <= set(paths) and len(paths) > 100
     offenders = [
-        (os.path.basename(path), name)
-        for path in paths
+        (os.path.relpath(path, root), name)
+        for path in sorted(set(paths) - own)
         for name in imported_names(path)
-        if name.startswith(sharding)
+        if name.startswith(SHARDING)
     ]
     assert not offenders, offenders
+
+
+def test_program_imports_leave_sharding_unloaded():
+    assert_unloaded_after_importing(
+        SHARDING, "repro", "repro.cli", "repro.scenarios",
+        "repro.service", "repro.analysis",
+    )
