@@ -567,7 +567,7 @@ def _add_replay_arguments(parser: argparse.ArgumentParser) -> None:
     """The synthetic-stream options ``analyze`` and ``serve`` share
     (read back by :func:`_replay_inputs`)."""
     parser.add_argument(
-        "--events", type=int, default=60_000,
+        "--events", type=_int_at_least(1), default=60_000,
         help="stream length in wire events (default: the Fig. 8c 60K)",
     )
     parser.add_argument(
@@ -610,7 +610,9 @@ def build_parser() -> argparse.ArgumentParser:
         "characterize", help="run offline fingerprinting and print Table 1"
     )
     characterize.add_argument("--seed", type=int, default=0)
-    characterize.add_argument("--iterations", type=int, default=2)
+    characterize.add_argument(
+        "--iterations", type=_int_at_least(1), default=2
+    )
     characterize.add_argument("--no-cache", action="store_true")
     characterize.set_defaults(handler=_cmd_characterize)
 
@@ -665,7 +667,9 @@ def build_parser() -> argparse.ArgumentParser:
              "integrity pass (capacity planning / testing)",
     )
     lint.add_argument("--seed", type=int, default=0)
-    lint.add_argument("--iterations", type=int, default=2)
+    lint.add_argument(
+        "--iterations", type=_int_at_least(1), default=2
+    )
     lint.add_argument("--no-cache", action="store_true")
     lint.set_defaults(handler=_cmd_lint)
 
@@ -697,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_replay_arguments(serve)
     _add_document_arguments(serve)
     serve.add_argument(
-        "--passes", type=int, default=1,
+        "--passes", type=_int_at_least(1), default=1,
         help="replay the stream this many times (soak; default 1)",
     )
     serve.add_argument(
@@ -746,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
              "oracle on this stream (exit 1 on divergence)",
     )
     serve.add_argument(
-        "--cuts", type=int, default=3,
+        "--cuts", type=_int_at_least(1), default=3,
         help="checkpoint/kill/restore points for --verify-checkpoint "
              "(default 3)",
     )

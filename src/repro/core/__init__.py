@@ -19,39 +19,28 @@ This package implements the paper's primary contribution:
   adaptive context buffer;
 * :mod:`repro.core.rootcause` — Algorithm 3: metadata-driven root
   cause analysis;
-* :mod:`repro.core.pipeline` — the analyzer object that wires the
-  four components above into the paper's chain
-  (:class:`~repro.core.pipeline.AnalysisPipeline`), its stage
-  middleware and :class:`~repro.core.pipeline.PipelineBuilder` (see
+* :mod:`repro.core.analyzer` — the analyzer that wires the four
+  components above into the paper's chain behind one per-event
+  receiver (:class:`~repro.core.analyzer.GretelAnalyzer`, see
   ``docs/architecture.md``);
-* :mod:`repro.core.analyzer` — the analyzer: that object plus the
-  per-event receiver;
+* :mod:`repro.core.pipeline` — its stage middleware and
+  :class:`~repro.core.pipeline.PipelineBuilder`;
 * :mod:`repro.core.characterize` — the offline fingerprinting
   pipeline over a (Tempest-like) suite (§7.1).
 """
 
-# First: ``repro.core.pipeline`` re-exports the builder, which imports
-# the analyzer, which subclasses ``pipeline.graph.AnalysisPipeline`` —
-# entering through the package keeps that chain one-way.
-from repro.core.pipeline import (
-    AnalysisPipeline,
-    PipelineBuilder,
-    PipelineStats,
-    StageCounters,
-    StageTimer,
-)
-from repro.core.analyzer import GretelAnalyzer
+from repro.core.analyzer import GretelAnalyzer, PipelineStats
 from repro.core.characterize import CharacterizationResult, characterize_suite
 from repro.core.config import GretelConfig
 from repro.core.detector import DetectionResult, OperationDetector
 from repro.core.fingerprint import Fingerprint, FingerprintLibrary, generate_fingerprint
 from repro.core.incidents import Incident, IncidentAggregator
+from repro.core.pipeline import PipelineBuilder, StageCounters, StageTimer
 from repro.core.precision import theta
 from repro.core.reports import FaultReport, RootCauseFinding
 from repro.core.symbols import SymbolTable
 
 __all__ = [
-    "AnalysisPipeline",
     "CharacterizationResult",
     "DetectionResult",
     "FaultReport",

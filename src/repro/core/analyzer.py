@@ -1,9 +1,11 @@
-"""The central GRETEL analyzer service (serial execution engine).
+"""The GRETEL analyzer: one object for the paper's four-component chain.
 
-The full §5 chain behind one ``on_event`` entry point:
+§5, Fig. 1: event receiver + dual-buffer window → anomaly detection
+→ operation detection (Alg. 2) → root cause (Alg. 3) → report.
+:class:`GretelAnalyzer` *is* that chain:
 
 1. **event receiver** — every wire event from the network agents lands
-   here, in per-agent FIFO order;
+   in :meth:`GretelAnalyzer.on_event`, in per-agent FIFO order;
 2. **anomaly detector** — REST error statuses trigger the snapshot
    mechanism on the dual-buffer sliding window; per-API latencies feed
    the level-shift detectors;
@@ -11,35 +13,122 @@ The full §5 chain behind one ``on_event`` entry point:
 4. **root cause analysis** — matched operations plus the monitoring
    metadata run Algorithm 3;
 5. a :class:`~repro.core.reports.FaultReport` is appended to
-   :attr:`reports`.
+   :attr:`GretelAnalyzer.reports` and handed to every listener.
 
-The chain itself is
-:class:`repro.core.pipeline.graph.AnalysisPipeline` (see
-``docs/architecture.md``); this class *is* one and adds only the
-receiver: ``on_event`` / ``feed``.  The analyzer stays deliberately
-synchronous and allocation-light: the paper's throughput claims
-(§7.4.1) rest on the sliding window and the snapshot path being
-cheap, and the benchmark harness measures exactly this object's
-``on_event`` loop.
+It owns the four components (:class:`~repro.core.window.SlidingWindow`,
+:class:`~repro.core.latency.LatencyTracker`,
+:class:`~repro.core.detector.OperationDetector`,
+:class:`~repro.core.rootcause.RootCauseEngine`), the counters and the
+report log.  Events arrive one at a time; ``feed`` is a loop over
+``on_event``.  There are two per-event bodies: the fused one, the
+§7.4 receiver hot loop with no dispatch, and the observed one it
+switches to when middleware (:mod:`repro.core.pipeline.middleware`)
+is attached, one :meth:`GretelAnalyzer._call` per stage per event.
+``tests/core/test_pipeline.py::test_middleware_does_not_change_reports``
+holds the two equal.  See ``docs/architecture.md``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+import time
+from dataclasses import asdict, dataclass, fields
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from repro.openstack.catalog import ApiCatalog
-from repro.openstack.wire import WireEvent
 from repro.core.config import GretelConfig
+from repro.core.detector import DetectionResult, OperationDetector
 from repro.core.fingerprint import FingerprintLibrary
-from repro.core.pipeline.graph import AnalysisPipeline
-from repro.core.pipeline.middleware import StageObserver
+from repro.core.latency import LatencyTracker, PerformanceAnomaly
+from repro.core.opfaults import is_operational_fault
 from repro.core.reports import FaultReport
+from repro.core.rootcause import RootCauseEngine
+from repro.core.state import StateError, require_columns, require_state
 from repro.core.symbols import SymbolTable
+from repro.core.window import SlidingWindow, Snapshot
 from repro.monitoring.store import MetadataStore
+from repro.openstack.apis import ApiKind
+from repro.openstack.catalog import ApiCatalog, default_catalog
+from repro.openstack.wire import ROW_FIELDS, WireEvent
+
+if TYPE_CHECKING:
+    from repro.core.pipeline.middleware import StageObserver
 
 
-class GretelAnalyzer(AnalysisPipeline):
-    """The assembled analyzer service (serial engine)."""
+@dataclass(frozen=True)
+class PipelineStats:
+    """Mergeable snapshot of one analyzer's counters.
+
+    ``ShardedAnalyzer`` sums one of these per shard instead of
+    delegating each counter by hand.
+    """
+
+    events_processed: int = 0
+    bytes_processed: int = 0
+    operational_faults_seen: int = 0
+    snapshots_taken: int = 0
+    analysis_seconds: float = 0.0
+    # Detection-engine counters (``repro.core.matching``): candidates
+    # skipped by the multiplicity gate (a gated scoring class counts
+    # every member), bit-parallel DP passes run, and needle symbols
+    # fed through them (``docs/matching.md``).
+    candidates_gated: int = 0
+    lcs_row_extensions: int = 0
+    lcs_symbols_fed: int = 0
+    # Candidate-selection counters (``docs/indexing.md``): postings
+    # entries examined by ``candidates_for`` and candidates served
+    # from the compiled index.  Every selection is served from the
+    # index, so the two are equal here; they are two counters on the
+    # detector because the reference full scan (``repro.reference``)
+    # examines postings without being served any.
+    postings_scanned: int = 0
+    candidates_indexed: int = 0
+    # Level-shift engine counters (``repro.core.streamstats``):
+    # latency samples fed to per-API detectors, and (median, MAD,
+    # threshold) triples actually recomputed — the misses of the
+    # version-keyed cache (``docs/streamstats.md``).
+    ls_samples_fed: int = 0
+    ls_threshold_recomputes: int = 0
+
+    def __add__(self, other: "PipelineStats") -> "PipelineStats":
+        # Every counter merges by summation, so merge generically:
+        # a field added here (or to the matching engine) is summed
+        # across shards without another hand-written line.
+        return PipelineStats(**{
+            spec.name: getattr(self, spec.name) + getattr(other, spec.name)
+            for spec in fields(self)
+        })
+
+    @classmethod
+    def merged(cls, parts: Iterable["PipelineStats"]) -> "PipelineStats":
+        total = cls()
+        for part in parts:
+            total = total + part
+        return total
+
+
+STAT_FIELDS: Tuple[str, ...] = tuple(
+    field.name for field in fields(PipelineStats)
+)
+
+
+class GretelAnalyzer:
+    """The GRETEL analyzer: four components, one chain.
+
+    One window of events, one encoder call site (operation detection
+    encodes a snapshot once per ``detect``), one source of performance
+    context: the live window, which ``on_event`` has just appended the
+    anomalous event to.
+    """
 
     def __init__(
         self,
@@ -55,25 +144,391 @@ class GretelAnalyzer(AnalysisPipeline):
         report_listeners: Sequence[
             Callable[[FaultReport], None]
         ] = (),
-    ):
-        super().__init__(
-            library, symbols=symbols, catalog=catalog, store=store,
-            config=config, track_latency=track_latency,
-            defer_detection=defer_detection,
-            middleware=middleware, report_listeners=report_listeners,
+    ) -> None:
+        self.library = library
+        self.symbols = library.symbols if symbols is None else symbols
+        self.catalog = default_catalog() if catalog is None else catalog
+        self.store = MetadataStore() if store is None else store
+        self.config = config or GretelConfig()
+        self.track_latency = track_latency
+        self.defer_detection = defer_detection
+
+        self.detector = OperationDetector(
+            library, self.symbols, self.catalog, self.config
+        )
+        self.latency = LatencyTracker(self.config)
+        self.rootcause = RootCauseEngine(self.store, self.config)
+        alpha = self.config.sliding_window_size(max(library.fp_max, 2))
+        self.window = SlidingWindow(alpha)
+
+        self.events_processed = 0
+        self.bytes_processed = 0
+        self.operational_faults_seen = 0
+        self.analysis_seconds = 0.0
+        #: Published reports, in emit order.  Long-lived callers bound
+        #: it with :meth:`shed_logs`.
+        self.reports: List[FaultReport] = []
+        self._listeners = list(report_listeners)
+        self._observers: Tuple[StageObserver, ...] = tuple(middleware)
+        self._deferred: List[Snapshot] = []
+        self._last_perf_analysis: Dict[str, float] = {}
+        # Hot-path bindings: the components are fixed once wired (and
+        # restored in place), so the per-event path pre-resolves its
+        # attribute chains.
+        self._append = self.window.append
+        self._mark = self.window.mark_fault
+        self._observe = self.latency.observe
+        self.latency.on_anomaly(self.process_anomaly)
+
+    @property
+    def pipeline(self) -> "GretelAnalyzer":
+        # Residue, like ``StreamingService(async_ingest=)``: the
+        # ledger reads ``parked.pipeline.deferred_snapshots()``
+        # (benchmarks/e2e/workloads.py, which only a ``benchmark`` PR
+        # may edit).  Nothing else uses this spelling; it leaves with
+        # that line.
+        return self
+
+    @property
+    def alpha(self) -> int:
+        """Sliding-window size α (§5.3.1)."""
+        return self.window.alpha
+
+    # ------------------------------------------------------------------
+    # Reports and counters.
+    @property
+    def operational_reports(self) -> List[FaultReport]:
+        """Reports for operational faults."""
+        return [r for r in self.reports if r.kind == "operational"]
+
+    @property
+    def performance_reports(self) -> List[FaultReport]:
+        """Reports for performance faults."""
+        return [r for r in self.reports if r.kind == "performance"]
+
+    def on_report(self, callback: Callable[[FaultReport], None]) -> None:
+        """Register a fault-report consumer."""
+        self._listeners.append(callback)
+
+    def shed_logs(self) -> None:
+        """Discard the delivered report and anomaly logs.
+
+        For long-lived callers that have already fanned reports out to
+        listeners: keeps analyzer memory bounded by the windows, not
+        by reports published.  The report log is replaced, not
+        cleared, so a caller that read :attr:`reports` first keeps
+        what it read.  Counters are unaffected.
+        """
+        self.reports = []
+        self.latency.drain_anomalies()
+
+    def stats(self) -> PipelineStats:
+        """Mergeable snapshot of the counters."""
+        detector = self.detector
+        matching = detector.matching.stats
+        latency = self.latency
+        return PipelineStats(
+            events_processed=self.events_processed,
+            bytes_processed=self.bytes_processed,
+            operational_faults_seen=self.operational_faults_seen,
+            snapshots_taken=self.window.snapshots_taken,
+            analysis_seconds=self.analysis_seconds,
+            candidates_gated=matching.candidates_gated,
+            lcs_row_extensions=matching.lcs_row_extensions,
+            lcs_symbols_fed=matching.lcs_symbols_fed,
+            postings_scanned=detector.postings_scanned,
+            candidates_indexed=detector.candidates_indexed,
+            ls_samples_fed=latency.ls_samples_fed,
+            ls_threshold_recomputes=latency.ls_threshold_recomputes,
         )
 
-    # -- the event receiver -----------------------------------------------
+    def close(self) -> None:
+        """Release analyzer resources (nothing to release in-process).
 
+        Exists so callers can treat every engine uniformly:
+        ``ShardedAnalyzer.close()`` stops process-backend workers.
+        """
+
+    # ------------------------------------------------------------------
+    # State lifecycle (see repro.core.state).
+
+    STATE_FMT = "analysis-pipeline/v4"
+
+    #: The counters this object owns, as checkpointed.  Every other
+    #: :class:`PipelineStats` field lives in (and is restored by) the
+    #: component that counts it.
+    _COUNTERS = (
+        "events_processed",
+        "bytes_processed",
+        "operational_faults_seen",
+        "analysis_seconds",
+    )
+
+    def snapshot_state(self) -> Dict[str, Any]:
+        """Freeze the analyzer mid-stream, JSON-serializably.
+
+        Collaborators (library, symbols, catalog, store) are
+        construction-time inputs and are *not* serialized; the config
+        rendering rides along purely as a rehydration guard.  The
+        report log is an output, not in-flight state, and stays out
+        (see :mod:`repro.core.state`).
+        ``repro.service.oracle.verify_checkpoint`` proves a restored
+        analyzer finishes the stream bit-identically.
+        """
+        return {
+            "fmt": self.STATE_FMT,
+            "config": asdict(self.config),
+            "defer_detection": self.defer_detection,
+            "track_latency": self.track_latency,
+            "counters": {
+                name: getattr(self, name) for name in self._COUNTERS
+            },
+            "window": self.window.snapshot_state(),
+            "latency": self.latency.snapshot_state(),
+            "detector": self.detector.snapshot_state(),
+            "columns": list(ROW_FIELDS),
+            "deferred": [s.to_dict() for s in self._deferred],
+            "last_perf_analysis": dict(self._last_perf_analysis),
+        }
+
+    def restore_state(self, state: Mapping[str, Any]) -> None:
+        """Rehydrate a freshly built, identically configured analyzer.
+
+        Components are restored *in place* (the hot-path bound methods
+        keep pointing at the same objects); a config, latency-mode or
+        defer-mode mismatch refuses loudly instead of replaying the
+        stream under different semantics.
+        """
+        require_state(state, self.STATE_FMT)
+        require_columns(state, ROW_FIELDS)
+        if state["config"] != asdict(self.config):
+            raise StateError(
+                "pipeline state was captured under a different config"
+            )
+        for name in ("defer_detection", "track_latency"):
+            if state[name] != getattr(self, name):
+                raise StateError(
+                    f"pipeline state {name}={state[name]} does not "
+                    f"match this pipeline's {getattr(self, name)}"
+                )
+        for name in self._COUNTERS:
+            setattr(self, name, state["counters"][name])
+        self.window.restore_state(state["window"])
+        self.latency.restore_state(state["latency"])
+        self.detector.restore_state(state["detector"])
+        self.reports = []
+        self._deferred = [
+            Snapshot.from_dict(s) for s in state["deferred"]
+        ]
+        self._last_perf_analysis = dict(state["last_perf_analysis"])
+
+    # ------------------------------------------------------------------
+    # The middleware seam: every stage step of the observed per-event
+    # body and of the analysis paths goes through here, under one of
+    # the seven ``STAGE_NAMES``.
+    def _call(
+        self,
+        stage: str,
+        items: int,
+        func: Callable[..., Any],
+        *args: Any,
+    ) -> Any:
+        observers = self._observers
+        if not observers:
+            return func(*args)
+        started = time.perf_counter()
+        result = func(*args)
+        elapsed = time.perf_counter() - started
+        for observer in observers:
+            observer.observe(stage, elapsed, items)
+        return result
+
+    # ------------------------------------------------------------------
+    # The event receiver.
     def on_event(self, event: WireEvent) -> None:
-        """Feed one wire event through the full chain."""
-        self.process_event(event)
+        """Run one wire event through the chain in stream order."""
+        if self._observers:
+            self._on_event_observed(event)
+            return
+        # Fused fast path: the same steps as the observed body below,
+        # no dispatch.
+        self.events_processed += 1
+        self.bytes_processed += event.size_bytes
+        completed = self._append(event)
+        if completed:
+            for snapshot in completed:
+                self._dispatch(snapshot)
+        if event.kind is ApiKind.REST and event.status >= 400:
+            # §5.3.1: REST error responses freeze the window.
+            self.operational_faults_seen += 1
+            self._mark(event)
+        elif is_operational_fault(event):
+            # RPC bodies are scanned for error markers and counted
+            # but — matching the paper's REST-triggered snapshots —
+            # do not freeze it.
+            self.operational_faults_seen += 1
+        if self.track_latency and not event.noise and not event.error:
+            self._observe(event)
 
     def feed(self, events: Iterable[WireEvent]) -> int:
         """Pump a pre-recorded stream; returns the event count."""
-        process = self.process_event
+        on_event = self.on_event
         count = 0
         for event in events:
-            process(event)
+            on_event(event)
             count += 1
         return count
+
+    def _on_event_observed(self, event: WireEvent) -> None:
+        self._call("ingest", 1, self._count_one, event)
+        completed = self._call("window", 1, self._append, event)
+        for snapshot in completed:
+            self._dispatch(snapshot)
+        if self._call("fault-scan", 1, self._scan_one, event):
+            self._mark(event)
+        self._call("latency", 1, self._observe_one, event)
+
+    def _count_one(self, event: WireEvent) -> None:
+        self.events_processed += 1
+        self.bytes_processed += event.size_bytes
+
+    def _scan_one(self, event: WireEvent) -> bool:
+        """Count ``event`` if faulty; True if it freezes the window
+        (a REST error response)."""
+        if event.kind is ApiKind.REST and event.status >= 400:
+            self.operational_faults_seen += 1
+            return True
+        if is_operational_fault(event):
+            self.operational_faults_seen += 1
+        return False
+
+    def _observe_one(self, event: WireEvent) -> None:
+        if self.track_latency and not event.noise and not event.error:
+            self._observe(event)
+
+    # ------------------------------------------------------------------
+    # Draining.
+    def flush(self) -> None:
+        """Freeze and analyze all pending (partial) snapshots (end of
+        stream / experiment)."""
+        for snapshot in self.window.flush():
+            self._dispatch(snapshot)
+
+    def deferred_snapshots(self) -> List[Snapshot]:
+        """Snapshots parked by ``defer_detection``, in freeze order
+        (read-only view; :meth:`process_deferred` drains them).  The
+        differential oracles (`repro analyze --verify-selection`)
+        replay these through paired detectors."""
+        return list(self._deferred)
+
+    def process_deferred(self) -> int:
+        """Analyze snapshots parked by ``defer_detection`` (the
+        detection 'thread''s backlog); return the number drained."""
+        drained = self._deferred
+        self._deferred = []
+        for snapshot in drained:
+            self._analyze_operational(snapshot)
+        return len(drained)
+
+    # ------------------------------------------------------------------
+    # Operational path (Alg. 2 + Alg. 3 over a frozen snapshot).
+    def _dispatch(self, snapshot: Snapshot) -> None:
+        if self.defer_detection:
+            self._deferred.append(snapshot)
+        else:
+            self._analyze_operational(snapshot)
+
+    def _analyze_operational(self, snapshot: Snapshot) -> None:
+        started = time.perf_counter()
+        detection = self._call(
+            "detect", 1, self.detector.detect, snapshot
+        )
+        # ``is_operational_fault`` over the snapshot, cheapest test
+        # first: any status ≥ 400 is a fault, and below that only an
+        # event carrying a body has anything for the regex scan.
+        error_events = [
+            e for e in snapshot.events
+            if e.status >= 400 or (e.body and is_operational_fault(e))
+        ]
+        root_causes = self._call(
+            "rootcause", 1, self.rootcause.analyze, detection,
+            error_events,
+        )
+        elapsed = time.perf_counter() - started
+        delay = 0.0
+        if snapshot.events:
+            delay = (
+                snapshot.events[-1].ts_response
+                - snapshot.fault.ts_response
+            )
+        report = FaultReport(
+            ts=snapshot.fault.ts_response,
+            kind="operational",
+            fault_event=snapshot.fault,
+            detection=detection,
+            root_causes=root_causes,
+            analysis_seconds=elapsed,
+            report_delay=delay,
+        )
+        self._call("publish", 1, self._publish, report)
+
+    def _publish(self, report: FaultReport) -> None:
+        self.analysis_seconds += report.analysis_seconds
+        self.reports.append(report)
+        for callback in self._listeners:
+            callback(report)
+
+    # ------------------------------------------------------------------
+    # Performance path (§5.3.2 level-shift anomaly → Alg. 2/3).
+    def _detect_performance(self, snapshot: Snapshot) -> DetectionResult:
+        return self.detector.detect(snapshot, performance_fault=True)
+
+    def process_anomaly(self, anomaly: PerformanceAnomaly) -> None:
+        """Debounce per API identity, cut the α-event context ending
+        at the anomalous event from the live window, and run
+        detection + root cause."""
+        last = self._last_perf_analysis.get(anomaly.api_key)
+        debounce = self.config.perf_debounce
+        if last is not None and anomaly.ts - last < debounce:
+            return
+        self._last_perf_analysis[anomaly.api_key] = anomaly.ts
+
+        started = time.perf_counter()
+        seq = anomaly.event.seq
+        events = self.window.live_events()
+        fault_index = -1
+        for index, candidate in enumerate(events):
+            if candidate.seq == seq:
+                fault_index = index
+                break
+        if fault_index < 0:
+            events.append(anomaly.event)
+            fault_index = len(events) - 1
+        cap = max(2, self.config.perf_buffer_cap)
+        if len(events) > cap:
+            lo = max(0, fault_index - cap // 2)
+            hi = min(len(events), lo + cap)
+            lo = max(0, hi - cap)
+            events = events[lo:hi]
+            fault_index -= lo
+        snapshot = Snapshot(
+            fault=anomaly.event, events=events, fault_index=fault_index
+        )
+        detection = self._call(
+            "detect", 1, self._detect_performance, snapshot
+        )
+        root_causes = self._call(
+            "rootcause", 1, self.rootcause.analyze, detection
+        )
+        elapsed = time.perf_counter() - started
+        report = FaultReport(
+            ts=anomaly.ts,
+            kind="performance",
+            fault_event=anomaly.event,
+            detection=detection,
+            root_causes=root_causes,
+            performance=anomaly,
+            analysis_seconds=elapsed,
+            report_delay=0.0,
+        )
+        self._call("publish", 1, self._publish, report)

@@ -8,16 +8,17 @@ API identity — the incremental ``repro.core.streamstats`` engine,
 held bit-identical to its from-scratch reference twin by
 ``repro.core.streamstats.verify_levelshift``.
 
-The analyzer holds one tracker as ``analyzer.latency`` (observed
+The analyzer holds one tracker as ``analyzer.latency`` and feeds it
+one event at a time, skipping noise and error exchanges (observed
 under the ``latency`` stage name); anomalies it emits enter the
 performance path via
-:meth:`repro.core.pipeline.graph.AnalysisPipeline.process_anomaly`.
+:meth:`repro.core.analyzer.GretelAnalyzer.process_anomaly`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.openstack.wire import ROW_FIELDS, WireEvent
 from repro.core.config import GretelConfig
@@ -117,40 +118,6 @@ class LatencyTracker:
         if shift is None:
             return None
         return self._emit(event.api_key, shift, event)
-
-    def observe_batch(self, events: Sequence[WireEvent]) -> int:
-        """Feed a run of events, skipping noise and error exchanges.
-
-        Applies the same gate the serial analyzer applies per event
-        (``not event.noise and not event.error``), so a batched caller
-        sees exactly the serial anomaly multiset.  The run is bucketed
-        by ``api_key`` first: each series is then fed through a single
-        bound ``update`` with no per-event dict lookup.  Detectors are
-        independent per API, so within-series order (the only order LS
-        semantics depend on) is untouched; cross-series anomaly
-        interleaving may differ from strictly serial feeding, which the
-        pipeline already tolerates (reports are compared and merged as
-        ordered multisets).  Returns the number of latencies observed.
-        """
-        buckets: Dict[str, List[WireEvent]] = {}
-        observed = 0
-        for event in events:
-            if event.noise or event.error:
-                continue
-            bucket = buckets.get(event.api_key)
-            if bucket is None:
-                buckets[event.api_key] = [event]
-            else:
-                bucket.append(event)
-            observed += 1
-        for api_key, series in buckets.items():
-            update = self.detector_for(api_key).update
-            for event in series:
-                shift = update(event.ts_response, event.latency)
-                if shift is not None:
-                    self._emit(api_key, shift, event)
-        self._samples_fed += observed
-        return observed
 
     def series_count(self) -> int:
         """How many API series are being tracked."""

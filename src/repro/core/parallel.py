@@ -12,14 +12,13 @@ and nothing in the pipeline requires a total order across nodes.
 
 * events are routed to one of N shards by a deterministic partition
   key (source node by default, first-seen round-robin assignment);
-* each shard is its own
-  :class:`~repro.core.pipeline.graph.AnalysisPipeline` — the same
-  class, built the same way, as the serial engine — so shards share
-  no mutable state and a step never crosses shard boundaries;
-* a shard step feeds a *chunk* of events to the pipeline's
-  ``process_chunk``: latencies are observed per chunk, one cheap scan
-  finds the (rare) faults, and fault-free runs land in the window via
-  C-level ``deque.extend``;
+* each shard is its own :class:`~repro.core.analyzer.GretelAnalyzer`
+  — the same class, built the same way, as the serial engine — so
+  shards share no mutable state and a step never crosses shard
+  boundaries;
+* a shard step hands a *chunk* of the shard's events to its ``feed``
+  (per event, as serially); on the process backend one chunk is one
+  pipe message, so the IPC is paid per chunk, not per event;
 * the merge stage orders every shard's
   :class:`~repro.core.reports.FaultReport` deterministically by
   (fault event sequence, fault kind, report timestamp), so two runs
@@ -48,14 +47,9 @@ from typing import (
 
 from repro.openstack.catalog import ApiCatalog
 from repro.openstack.wire import WireEvent
-from repro.core.analyzer import GretelAnalyzer
+from repro.core.analyzer import STAT_FIELDS, GretelAnalyzer, PipelineStats
 from repro.core.config import GretelConfig
 from repro.core.fingerprint import FingerprintLibrary
-from repro.core.pipeline.graph import (
-    STAT_FIELDS,
-    AnalysisPipeline,
-    PipelineStats,
-)
 # ``report_signature`` lives with the reports it describes; the ledger
 # (benchmarks/e2e) still spells it ``repro.core.parallel.report_signature``.
 from repro.core.reports import (
@@ -98,12 +92,12 @@ class ShardedAnalyzer:
     ``feed`` / ``flush`` / ``process_deferred`` / ``reports`` /
     counters) so callers can swap it in; events are routed to shards
     by ``key`` and buffered into chunks of ``batch_size`` per shard.
-    A shard is an :class:`AnalysisPipeline` (or, on the process
+    A shard is a :class:`GretelAnalyzer` (or, on the process
     backend, the :class:`~repro.core.workers.ProcessShard` client of
-    one living in a worker); both answer to the pipeline's method
+    one living in a worker); both answer to the analyzer's method
     names.
     Aggregate counters come from merging the shards'
-    :class:`~repro.core.pipeline.graph.PipelineStats` instead of a
+    :class:`~repro.core.analyzer.PipelineStats` instead of a
     hand-written property per counter.
 
     ``backend`` selects how shards execute: ``"inline"`` (default)
@@ -151,7 +145,7 @@ class ShardedAnalyzer:
         self.batch_size = max(1, batch_size)
         self.store = store or MetadataStore()
         self.config = config or GretelConfig()
-        # Both backends build the same ``AnalysisPipeline(library,
+        # Both backends build the same ``GretelAnalyzer(library,
         # **wiring)``: inline here, the process backend inside each
         # worker from the seed.
         wiring = {
@@ -176,7 +170,7 @@ class ShardedAnalyzer:
                 self.shards.append(client)
         else:
             self.shards = [
-                AnalysisPipeline(
+                GretelAnalyzer(
                     library, report_listeners=report_listeners, **wiring,
                 )
                 for _ in range(shards)
@@ -213,17 +207,17 @@ class ShardedAnalyzer:
     def _step(self, index: int, chunk: Sequence[WireEvent]) -> None:
         """Feed one shard a FIFO run of its events, ``batch_size`` at
         a time; on worker death, tear the pool down."""
-        process = self.shards[index].process_chunk
+        feed = self.shards[index].feed
         size = self.batch_size
         try:
             for start in range(0, len(chunk), size):
-                process(chunk[start:start + size])
+                feed(chunk[start:start + size])
         except ShardWorkerError:
             self.close()
             raise
 
     def _fanout(self, op: str) -> List[Any]:
-        """Call the pipeline method ``op`` on every shard; results in
+        """Call the analyzer method ``op`` on every shard; results in
         shard order.
 
         Process shards are all posted to first and collected second,

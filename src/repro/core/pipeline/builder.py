@@ -2,10 +2,9 @@
 
 :meth:`PipelineBuilder.build_serial` returns a
 :class:`~repro.core.analyzer.GretelAnalyzer`.  Construction flows one
-way: the builder calls the constructor, the analyzer wires itself
-(:class:`~repro.core.pipeline.graph.AnalysisPipeline`) and knows
-nothing of the builder.  Middleware observers and report listeners
-registered here reach every analyzer built.
+way: the builder calls the constructor, the analyzer wires itself and
+knows nothing of the builder.  Middleware observers and report
+listeners registered here reach every analyzer built.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Fault reports: what GRETEL hands the operator.
 
 Reports are emitted by the analyzer's publish step
-(:class:`repro.core.pipeline.graph.AnalysisPipeline`, stage name
+(:class:`repro.core.analyzer.GretelAnalyzer`, stage name
 ``publish``), which also fans them out to listeners registered via
 ``on_report``.
 """

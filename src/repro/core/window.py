@@ -12,10 +12,7 @@ Multiple overlapping faults are supported: each fault registers its
 own pending snapshot, and each snapshot completes after its own α/2
 subsequent events (or a flush).  Pending snapshots are stored as
 absolute due positions (the ``appended`` count at which they freeze),
-which makes the per-event cost a single front-of-list comparison and
-lets :meth:`SlidingWindow.append_batch` ingest whole fault-free runs
-with one C-level ``deque.extend`` — the mechanism behind the chunk
-intake (:meth:`repro.core.pipeline.graph.AnalysisPipeline.process_chunk`).
+which makes the per-event cost a single front-of-list comparison.
 
 The window holds events and nothing else.  Turning a snapshot's
 events into symbol fragments is operation detection's job, done once
@@ -27,15 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Deque,
-    Dict,
-    List,
-    Mapping,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Deque, Dict, List, Mapping, Tuple
 
 from repro.core.state import StateError, require_columns, require_state
 from repro.openstack.wire import ROW_FIELDS, WireEvent
@@ -113,34 +102,6 @@ class SlidingWindow:
         while self._pending and self._pending[0][1] <= self.appended:
             fault, _ = self._pending.pop(0)
             completed.append(self._freeze(fault))
-        return completed
-
-    def append_batch(self, events: Sequence[WireEvent]) -> List[Snapshot]:
-        """Add a FIFO run of events in one step.
-
-        Equivalent to calling :meth:`append` per event (snapshots
-        freeze at exactly the same positions), but fault-free spans
-        between due points are ingested with a single ``deque.extend``.
-        Fault *marking* stays with the caller: split the run at each
-        fault so :meth:`mark_fault` lands at the right position.
-        """
-        completed: List[Snapshot] = []
-        total = len(events)
-        if not total:
-            return completed
-        base = self.appended
-        start = 0
-        while self._pending and self._pending[0][1] <= base + total:
-            fault, due = self._pending.pop(0)
-            cut = due - base
-            if cut > start:
-                self._events.extend(events[start:cut])
-                start = cut
-            self.appended = base + start
-            completed.append(self._freeze(fault))
-        if start < total:
-            self._events.extend(events[start:])
-        self.appended = base + total
         return completed
 
     def live_events(self) -> List[WireEvent]:

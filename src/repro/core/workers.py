@@ -1,27 +1,27 @@
 """Process-backend shard execution: one worker process per shard.
 
-``ShardedAnalyzer(backend="process")`` places each shard — an
-:class:`~repro.core.pipeline.graph.AnalysisPipeline`, the same object
-an inline shard is — in a long-lived worker process so shards
+``ShardedAnalyzer(backend="process")`` places each shard — a
+:class:`~repro.core.analyzer.GretelAnalyzer`, the same object an
+inline shard is — in a long-lived worker process so shards
 genuinely run on separate cores instead of taking turns under the
 GIL.  The module has two halves:
 
 * :func:`shard_worker_main` — the worker's event loop.  It is seeded
   **once** with a pickled :class:`WorkerSeed` (fingerprint library,
   config, catalog, metadata-store snapshot), builds its own
-  ``AnalysisPipeline`` locally (compiling its own selection index
+  ``GretelAnalyzer`` locally (compiling its own selection index
   in-process on the first fault), then serves commands from a
-  duplex pipe.  A command's op is the pipeline method to call
+  duplex pipe.  A command's op is the analyzer method to call
   (:data:`PIPELINE_OPS`), or ``reap``, which calls nothing.  Exchange
   commands (``reap``/``flush``/``stats``/…) drain the shard's report
   log and anomaly log and ship the new
   :class:`~repro.core.reports.FaultReport` batch back with the reply,
   so worker memory stays bounded and the parent streams reports at
-  chunk granularity; ``process_chunk`` commands are acknowledged with
+  chunk granularity; ``feed`` commands are acknowledged with
   *empty* replies — see the deadlock note below.
 * :class:`ProcessShard` — the parent-side client.  It answers to the
-  pipeline's own names where :class:`~repro.core.parallel.ShardedAnalyzer`
-  talks to one shard (``process_chunk`` / ``reports`` / ``on_report``
+  analyzer's own names where :class:`~repro.core.parallel.ShardedAnalyzer`
+  talks to one shard (``feed`` / ``reports`` / ``on_report``
   / ``close``) and to ``post`` / ``wait`` where it fans one method out
   to the whole pool.
 
@@ -33,7 +33,7 @@ Wire protocol (one reply per command, FIFO per connection):
 where ``tag`` is ``"ok"`` or ``"error"`` (payload then carries the
 worker traceback).  Lifecycle robustness:
 
-* **Backpressure** — ``process_chunk`` sends one chunk command and
+* **Backpressure** — ``feed`` sends one chunk command and
   caps unacknowledged chunks at :data:`DEFAULT_MAX_INFLIGHT`; once the
   cap is reached the parent blocks on the next reply, so a slow shard
   stalls its producer instead of growing an unbounded pipe buffer.
@@ -75,7 +75,7 @@ from typing import Any, Callable, Dict, List, Sequence
 
 from repro.core.fingerprint import FingerprintLibrary
 from repro.core.parallel import ShardWorkerError
-from repro.core.pipeline.graph import AnalysisPipeline
+from repro.core.analyzer import GretelAnalyzer
 from repro.core.reports import FaultReport
 from repro.openstack.wire import WireEvent
 
@@ -144,7 +144,7 @@ class WorkerSeed:
     """Everything a worker needs to build its shard, pickled once.
 
     ``wiring`` holds the
-    :class:`~repro.core.pipeline.graph.AnalysisPipeline` keywords
+    :class:`~repro.core.analyzer.GretelAnalyzer` keywords
     exactly as ``ShardedAnalyzer`` passes them to its inline shards
     (symbols, catalog, store, config, the latency and defer flags);
     ``shard_id`` only names the worker in its process title and error
@@ -161,19 +161,14 @@ class WorkerSeed:
     wiring: Dict[str, Any]
 
 
-#: Worker ops that are the pipeline's own methods, called by name
+#: Worker ops that are the analyzer's own methods, called by name
 #: (with the command's payload when it carries one).  Anything else
 #: but ``reap`` and ``stop`` is refused: the pipe is not a way to call
 #: arbitrary attributes.
-PIPELINE_OPS = frozenset({
-    "process_chunk",
-    "flush",
-    "process_deferred",
-    "stats",
-})
+PIPELINE_OPS = ("feed", "flush", "process_deferred", "stats")
 
 
-def _dispatch(shard: AnalysisPipeline, op: str, payload: Any) -> Any:
+def _dispatch(shard: GretelAnalyzer, op: str, payload: Any) -> Any:
     if op in PIPELINE_OPS:
         method = getattr(shard, op)
         return method() if payload is None else method(payload)
@@ -186,7 +181,7 @@ def _dispatch(shard: AnalysisPipeline, op: str, payload: Any) -> Any:
 def shard_worker_main(conn: Any, seed: WorkerSeed) -> None:
     """The worker process: build the shard, then serve commands."""
     try:
-        shard = AnalysisPipeline(seed.library, **seed.wiring)
+        shard = GretelAnalyzer(seed.library, **seed.wiring)
     except BaseException:
         try:
             conn.send(("error", "seed", traceback.format_exc(), []))
@@ -216,7 +211,7 @@ def shard_worker_main(conn: Any, seed: WorkerSeed) -> None:
             # the reap every ``DEFAULT_REAP_EVERY`` chunks keeps worker
             # memory bounded by the window and the deferred queue,
             # never by reports published.
-            if op == "process_chunk":
+            if op == "feed":
                 reports = []
             else:
                 reports = shard.reports
@@ -235,7 +230,7 @@ class ProcessShard:
     """Parent-side client for one shard worker process.
 
     Stands in for the worker's
-    :class:`~repro.core.pipeline.graph.AnalysisPipeline` under the
+    :class:`~repro.core.analyzer.GretelAnalyzer` under the
     same method names, so :class:`~repro.core.parallel.ShardedAnalyzer`
     steps and reads either kind of shard with one call.
     Reports stream back attached to replies and accumulate here (in
@@ -380,9 +375,9 @@ class ProcessShard:
             self._post(op, payload)
             return self.wait(op)
 
-    # -- the pipeline's names ---------------------------------------------
+    # -- the analyzer's names ---------------------------------------------
 
-    def process_chunk(self, chunk: Sequence[WireEvent]) -> None:
+    def feed(self, chunk: Sequence[WireEvent]) -> None:
         """Ship one chunk of this shard's events to the worker.
 
         Absorbs any replies already waiting, and blocks once
@@ -398,7 +393,7 @@ class ProcessShard:
         with self._io:
             while self._conn.poll():
                 self._reply()
-            self._post("process_chunk", chunk)
+            self._post("feed", chunk)
             self._unreaped += 1
             while self._inflight >= DEFAULT_MAX_INFLIGHT:
                 self._reply()

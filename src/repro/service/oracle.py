@@ -12,7 +12,7 @@ same configuration:
 
 Both halves must publish the identical multiset of fault reports
 (compared via :func:`repro.core.reports.report_signature`) and end
-with identical :class:`~repro.core.pipeline.graph.PipelineStats`
+with identical :class:`~repro.core.analyzer.PipelineStats`
 (every counter except wall-clock ``analysis_seconds``).  Any
 divergence raises :class:`~repro.oracle.OracleDivergence` — counters
 too, since a checkpoint that silently resets e.g.
@@ -93,7 +93,17 @@ def verify_checkpoint(
     divergence is a ``counter: <name> ...`` line in ``mismatches``.
     ``mutate`` edits each decoded state dict before restore — the
     negative-test hook.  ``strict`` is :func:`repro.oracle.settle`'s.
+    Raises :class:`ValueError` when there is no interior cut to take
+    (``cuts < 1`` or fewer than 2 events): a verdict that restored
+    nothing would check nothing.
     """
+    points = _cut_points(len(events), cuts)
+    if not points:
+        raise ValueError(
+            f"no interior cut point: cuts={cuts} on a "
+            f"{len(events)}-event stream (need cuts >= 1 and at "
+            f"least 2 events)"
+        )
     store = store if store is not None else MetadataStore()
 
     def replay(
@@ -135,7 +145,6 @@ def verify_checkpoint(
             del stats[name]
         return signatures, stats
 
-    points = _cut_points(len(events), cuts)
     straight, straight_stats = replay(())
     restored, restored_stats = replay(points)
 

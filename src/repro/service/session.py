@@ -280,9 +280,7 @@ class TenantSession:
         tests patch this to drop or duplicate an event and assert the
         oracle trips.
         """
-        on_event = self.analyzer.on_event
-        for event in chunk:
-            on_event(event)
+        self.analyzer.feed(chunk)
         self.analyzer.shed_logs()
 
     @contextmanager

@@ -1,7 +1,5 @@
 """Tests for per-API latency tracking."""
 
-from collections import Counter
-
 import pytest
 
 from repro.openstack.apis import ApiKind
@@ -115,61 +113,38 @@ def shift_stream(apis=3, steady=50, shifted=25):
     return events
 
 
-def test_batch_equals_serial_anomalies():
-    """The grouped batch path must see exactly the serial gate and the
-    serial per-API sample order: same anomaly multiset, same counters,
-    with noise and error events excluded by both."""
-    events = shift_stream()
-    # Interleave gated events that neither path may observe.
-    gated = [
-        make_event(10_000, "api-0", 5.0, status=500),
-        make_event(10_001, "api-1", 5.0, noise=True),
-    ]
-    stream = events[:30] + gated + events[30:]
+def test_batch_gate_skips_noise_and_errors(small_character):
+    """The analyzer feeds the tracker only clean exchanges: noise and
+    error responses pass through ``on_event`` without a latency
+    sample, under both per-event bodies (fused, and observed by
+    middleware)."""
+    from repro.core.analyzer import GretelAnalyzer
+    from repro.core.pipeline import StageCounters
 
-    for make_tracker in (LatencyTracker, reference_tracker):
-        serial = make_tracker()
-        for event in stream:
-            if not event.noise and not event.error:
-                serial.observe(event)
-        batched = make_tracker()
-        observed = 0
-        for start in range(0, len(stream), 17):
-            observed += batched.observe_batch(stream[start:start + 17])
-        assert observed == len(events)
-        assert batched.ls_samples_fed == serial.ls_samples_fed
-
-        def key(anomaly):
-            return (
-                anomaly.api_key, anomaly.ts,
-                anomaly.observed, anomaly.baseline,
-            )
-
-        assert Counter(map(key, batched.anomalies)) == \
-            Counter(map(key, serial.anomalies))
-        assert len(batched.anomalies) == 3
-
-
-def test_batch_gate_skips_noise_and_errors():
-    tracker = LatencyTracker()
-    fed = tracker.observe_batch([
-        make_event(1, "a", 0.01),
-        make_event(2, "a", 0.01, status=404),
-        make_event(3, "a", 0.01, noise=True),
-        make_event(4, "a", 0.01, status=399),
-    ])
-    assert fed == 2
-    assert tracker.ls_samples_fed == 2
+    for middleware in ((), (StageCounters(),)):
+        analyzer = GretelAnalyzer(
+            small_character.library, middleware=middleware,
+        )
+        for event in (
+            make_event(1, "a", 0.01),
+            make_event(2, "a", 0.01, status=404),
+            make_event(3, "a", 0.01, noise=True),
+            make_event(4, "a", 0.01, status=399),
+        ):
+            analyzer.on_event(event)
+        assert analyzer.events_processed == 4
+        assert analyzer.stats().ls_samples_fed == 2, middleware
 
 
 def test_threshold_recompute_counter_aggregates_series():
     tracker = LatencyTracker()
-    tracker.observe_batch(shift_stream(apis=2))
+    reference = reference_tracker()
+    for event in shift_stream(apis=2):
+        tracker.observe(event)
+        reference.observe(event)
     incremental_recomputes = tracker.ls_threshold_recomputes
     assert 0 < incremental_recomputes
 
-    reference = reference_tracker()
-    reference.observe_batch(shift_stream(apis=2))
     # The incremental cache recomputes at most once per window
     # mutation; the reference recomputes on every threshold() call.
     assert incremental_recomputes <= reference.ls_threshold_recomputes

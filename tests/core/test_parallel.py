@@ -520,3 +520,18 @@ def test_worker_internal_error_propagates_and_closes_pool(library):
     assert "no-such-op" in str(excinfo.value)
     assert analyzer.shards[0].closed
     analyzer.close()
+
+
+def test_worker_dispatch_calls_only_analyzer_ops(library):
+    """A worker op is one of the analyzer's own methods or refused:
+    ``feed`` runs a chunk, and any other name (the retired chunk-body
+    op included) raises instead of reaching an attribute."""
+    from repro.core.workers import _dispatch
+
+    shard = GretelAnalyzer(library, config=config())
+    events = make_stream(library).events(50)
+    assert _dispatch(shard, "feed", events) == 50
+    assert shard.events_processed == 50
+    for op in ("process_chunk", "on_event", "restore_state"):
+        with pytest.raises(ValueError, match="unknown worker op"):
+            _dispatch(shard, op, events)

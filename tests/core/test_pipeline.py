@@ -1,5 +1,5 @@
 """Tests for the analyzer object (builder, middleware, the engines
-that subclass it, merged stats)."""
+built from it, merged stats)."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.core.config import GretelConfig
 from repro.core.parallel import ShardedAnalyzer
 from repro.core.pipeline import (
     STAGE_NAMES,
-    AnalysisPipeline,
     PipelineBuilder,
     PipelineStats,
     StageCounters,
@@ -220,8 +219,8 @@ def test_sharded_unknown_attribute_raises(library):
 def test_engines_are_the_pipeline(library):
     serial = PipelineBuilder(library).with_config(config()).build_serial()
     sharded = ShardedAnalyzer(library, 3, config=config())
-    assert isinstance(serial, AnalysisPipeline)
-    assert all(isinstance(shard, AnalysisPipeline)
+    assert isinstance(serial, GretelAnalyzer)
+    assert all(isinstance(shard, GretelAnalyzer)
                for shard in sharded.shards)
     # The one residue of the old composition (the ledger reads it).
     assert serial.pipeline is serial
@@ -284,67 +283,15 @@ def test_shards_compose_shared_wiring(library):
 
 
 # ---------------------------------------------------------------------------
-# One wiring: state and performance context do not depend on the intake
+# Performance context
 # ---------------------------------------------------------------------------
 
-def per_event(analyzer, events):
-    for event in events:
-        analyzer.process_event(event)
-
-
-def in_chunks(size):
-    def feed(analyzer, events):
-        for lo in range(0, len(events), size):
-            analyzer.process_chunk(events[lo:lo + size])
-    return feed
-
-
-def test_checkpoint_crosses_intakes(library):
-    """A checkpoint does not record which intake fed it: a shard's
-    state (chunk-fed) restores into a serial analyzer (per-event) and
-    the reverse, through real JSON, and both finish the stream with
-    the straight run's report multiset and counters."""
-    import json
-    from collections import Counter
-    from dataclasses import replace
-
-    events = make_stream(library, fault_every=40).events(1200)
-    cut = 700  # mid-chunk, with snapshots pending
-
-    def build(chunk_fed):
-        if chunk_fed:  # the bare pipeline: no per-event receiver
-            return AnalysisPipeline(library, config=config())
-        return GretelAnalyzer(library, config=config())
-
-    def outcome(reports, stats):
-        return (Counter(report_signature(r) for r in reports),
-                replace(stats, analysis_seconds=0.0))
-
-    straight = build(chunk_fed=False)
-    per_event(straight, events)
-    straight.flush()
-    want = outcome(straight.reports, straight.stats())
-    assert want[0]
-
-    feeds = {True: in_chunks(64), False: per_event}
-    for chunk_first in (True, False):
-        first = build(chunk_fed=chunk_first)
-        feeds[chunk_first](first, events[:cut])
-        state = json.loads(json.dumps(first.snapshot_state()))
-        second = build(chunk_fed=not chunk_first)
-        second.restore_state(state)
-        feeds[not chunk_first](second, events[cut:])
-        second.flush()
-        assert outcome(first.reports + second.reports,
-                       second.stats()) == want, chunk_first
-
-
-def test_performance_context_is_the_same_under_every_intake(library):
-    """The α events ending at an anomalous one, whichever way they
-    arrived: cut from the live window per event, from the window plus
-    the chunk under observation per chunk.  The level shift sits past
-    α, so every chunk size must reach across the window/chunk seam
-    and trim to α (4α: across a chunk boundary)."""
+def test_performance_context_is_the_alpha_events_ending_at_the_fault(
+    library,
+):
+    """A performance report's context is the α events ending at the
+    anomalous one, cut from the live window.  The level shift sits
+    past α, so the context starts past event 0 and is α long."""
     from dataclasses import replace
 
     alpha = 64
@@ -363,24 +310,19 @@ def test_performance_context_is_the_same_under_every_intake(library):
 
     events = [event(seq) for seq in range(320)]
 
-    def contexts(feed):
-        analyzer = AnalysisPipeline(library, config=tuned)
-        seen = []
-        detect = analyzer._detect_performance
+    analyzer = GretelAnalyzer(library, config=tuned)
+    seen = []
+    detect = analyzer._detect_performance
 
-        def recording(snapshot):
-            seen.append(([e.seq for e in snapshot.events],
-                         snapshot.fault_index))
-            return detect(snapshot)
+    def recording(snapshot):
+        seen.append(snapshot)
+        return detect(snapshot)
 
-        analyzer._detect_performance = recording
-        feed(analyzer, events)
-        return seen
+    analyzer._detect_performance = recording
+    analyzer.feed(events)
 
-    want = contexts(per_event)
-    assert len(want) == 1
-    seqs, fault_index = want[0]
+    assert len(seen) == 1
+    seqs = [e.seq for e in seen[0].events]
     assert len(seqs) == alpha and seqs[0] > 0
-    assert fault_index == alpha - 1
-    for size in (1, 7, alpha - 1, alpha, alpha + 1, 4 * alpha):
-        assert contexts(in_chunks(size)) == want, size
+    assert seen[0].fault_index == alpha - 1
+    assert seqs[-1] == seen[0].fault.seq >= 280

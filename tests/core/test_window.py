@@ -180,59 +180,6 @@ def test_flush_completes_with_partial_future_context():
     assert window.pending_snapshots == 0
 
 
-@given(
-    alpha=st.integers(min_value=2, max_value=32),
-    chunks=st.lists(st.integers(min_value=0, max_value=40),
-                    min_size=1, max_size=6),
-    fault_at=st.integers(min_value=0, max_value=60),
-)
-@settings(max_examples=100, deadline=None)
-def test_append_batch_equals_append(alpha, chunks, fault_at):
-    """Chunked ingestion is observationally identical to the serial
-    one-event loop: same snapshots, same anchors, same window state."""
-    total = sum(chunks)
-    events = [make_event(seq, status=500 if seq == fault_at else 200)
-              for seq in range(total)]
-
-    serial = SlidingWindow(alpha=alpha)
-    serial_completed = []
-    for event in events:
-        serial_completed.extend(serial.append(event))
-        if event.status == 500:
-            serial.mark_fault(event)
-
-    batched = SlidingWindow(alpha=alpha)
-    batched_completed = []
-    cursor = 0
-    for size in chunks:
-        chunk = events[cursor:cursor + size]
-        cursor += size
-        # Faults are marked per-chunk, as AnalysisPipeline.process_chunk
-        # does: append up to (and including) the fault, mark, continue.
-        start = 0
-        for offset, event in enumerate(chunk):
-            if event.status == 500:
-                batched_completed.extend(
-                    batched.append_batch(chunk[start:offset + 1]))
-                batched.mark_fault(event)
-                start = offset + 1
-        batched_completed.extend(batched.append_batch(chunk[start:]))
-
-    assert [e.seq for e in batched._events] == [e.seq for e in serial._events]
-    assert batched.appended == serial.appended
-    assert len(batched_completed) == len(serial_completed)
-    for ours, theirs in zip(batched_completed, serial_completed):
-        assert [e.seq for e in ours.events] == [e.seq for e in theirs.events]
-        assert ours.fault.seq == theirs.fault.seq
-        assert ours.fault_index == theirs.fault_index
-    serial_flushed = serial.flush()
-    batched_flushed = batched.flush()
-    assert len(batched_flushed) == len(serial_flushed)
-    for ours, theirs in zip(batched_flushed, serial_flushed):
-        assert ours.fault.seq == theirs.fault.seq
-        assert ours.fault_index == theirs.fault_index
-
-
 def test_live_events_is_a_public_snapshot_of_the_window():
     window = SlidingWindow(alpha=4)
     assert window.live_events() == []

@@ -38,6 +38,18 @@ def test_checkpoint_restore_is_invisible(library, stream_events):
     assert result.to_dict()["ok"] is True
 
 
+@pytest.mark.parametrize("cuts, length", [(0, 900), (-2, 900), (3, 1)])
+def test_oracle_refuses_to_check_nothing(
+    library, stream_events, cuts, length
+):
+    """No interior cut means nothing was restored: that is not a
+    verdict, so the oracle refuses instead of printing EQUIVALENT."""
+    with pytest.raises(ValueError, match="no interior cut"):
+        verify_checkpoint(
+            stream_events[:length], library, cuts=cuts, config=CONFIG,
+        )
+
+
 def test_oracle_flags_counter_corruption(library, stream_events):
     def bump_counter(state):
         state["counters"]["events_processed"] += 7

@@ -282,15 +282,29 @@ UNUSABLE_FLAG_VALUES = {
     "analyze --fault-every 0": "--fault-every: must be >= 1, got 0",
     "analyze --alpha 0": "--alpha: must be >= 2, got 0",
     "analyze --fault-every x": "--fault-every: invalid int value: 'x'",
+    "analyze --events -5": "--events: must be >= 1, got -5",
+    "serve --events 0": "--events: must be >= 1, got 0",
+    "serve --passes 0": "--passes: must be >= 1, got 0",
+    "serve --passes -1": "--passes: must be >= 1, got -1",
+    "serve --cuts 0": "--cuts: must be >= 1, got 0",
+    "serve --cuts -2": "--cuts: must be >= 1, got -2",
+    "characterize --iterations 0": "--iterations: must be >= 1, got 0",
+    "lint --iterations 0": "--iterations: must be >= 1, got 0",
 }
+
+#: What the replay subcommands need besides the flag under test.
+REPLAY_ARGS = ("--events", "2000", "--no-latency")
 
 
 @pytest.mark.parametrize("command", list(UNUSABLE_FLAG_VALUES))
 def test_unusable_flag_values_exit_2(command, capsys):
     """Checked at parse time: a usage error with a message, never a
     traceback from inside the run."""
+    argv = command.split()
+    if argv[0] in ("analyze", "serve"):
+        argv += REPLAY_ARGS
     with pytest.raises(SystemExit) as excinfo:
-        main([*command.split(), "--events", "2000", "--no-latency"])
+        main(argv)
     assert excinfo.value.code == 2
     assert UNUSABLE_FLAG_VALUES[command] in capsys.readouterr().err
 
