@@ -1,6 +1,7 @@
 """Micro-benchmarks of GRETEL's hot paths."""
 
 from repro.openstack.catalog import default_catalog
+from repro.core.detector import MATCH_COVERAGE
 from repro.core.fingerprint import (
     filter_noise,
     longest_common_subsequence,
@@ -211,7 +212,7 @@ def test_score_incremental(benchmark, character):
     def run():
         session = detector.matching.session(
             fragments, candidates.classes,
-            threshold=detector.config.match_coverage,
+            threshold=MATCH_COVERAGE,
             strict=not detector.config.relaxed_match,
         )
         finalized = {}

@@ -20,7 +20,7 @@ catalog and :class:`~repro.core.config.GretelConfig`:
     vacuous or strict-equivalent matchers, bounded matcher-step
     estimation (RGX*);
 ``noise-config``
-    dead noise-filter rules and α/β/δ sizing invariants (NSE*/CFG*);
+    dead noise-filter rules and α sizing invariants (NSE*/CFG*);
 ``discriminability``
     candidate-selection cost facts: anchorless fingerprints and hot
     symbols whose postings defeat the inverted index (DSC*).

@@ -1,10 +1,12 @@
 """Pass 5 — dead noise-filter rules and GretelConfig invariants.
 
-Algorithm 1's noise filter and the α/β/δ sizing of Algorithm 2 are the
-two pieces of configuration the rest of the pipeline trusts blindly:
-a dead filter rule silently changes what "noise" means, and a
-mis-sized window breaks the precision math.  Both are checkable
-symbolically — no traffic required.
+Algorithm 1's noise filter and the α sizing of Algorithm 2 are the two
+pieces of configuration the rest of the pipeline trusts blindly: a
+dead filter rule silently changes what "noise" means, and a mis-sized
+window breaks the precision math.  Both are checkable symbolically —
+no traffic required.  The other thresholds (c1, c2, the match
+coverage, ...) are module constants, not settings, so there is nothing
+of theirs to check.
 
 Rules
 -----
@@ -15,10 +17,9 @@ Rules
     A fingerprint contains a symbol the noise filter would have
     dropped — the library was not generated through ``filter_noise``.
 ``CFG001`` (error)
-    A violated α/β/δ/θ sizing invariant from
+    A violated α sizing invariant from
     :meth:`repro.core.config.GretelConfig.invariants`
-    (α > 0, α ≥ 2·FP_max, 0 < c1 ≤ 1, 0 < c2 ≤ 1, β ≤ α,
-    0 < match_coverage ≤ 1, stop_patience ≥ 1, length_tolerance ≥ 0).
+    (α > 0, α ≥ 2·FP_max).
 """
 
 from __future__ import annotations

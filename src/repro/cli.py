@@ -381,6 +381,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         verify_async,
         verify_checkpoint,
     )
+    from repro.core.state import StateError
     from repro.service.async_oracle import drive_producers, partition_tenants
 
     text_mode = args.format == "text"
@@ -413,19 +414,30 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # Sinks fire on per-tenant pump threads; list.append is atomic.
         lambda tenant, report: published.append((tenant, report))
     )
-    if args.resume:
-        # Resurrect every checkpointed tenant up front, so sessions
-        # whose tenants never reappear still finish their pending
-        # analysis at the final flush.
-        service.restore_all()
-
     # Re-key the synthetic stream's 64 tenants into the requested
     # number of sessions (id-stable), then replay from N concurrent
     # producer threads, each session bucket owned by exactly one of
     # them, so per-tenant order is the stream order.
     buckets = partition_tenants(events, args.tenants)
-    started = time.perf_counter()
-    drive_producers(service, buckets, producers, passes=args.passes)
+    try:
+        if args.resume:
+            # Resurrect every checkpointed tenant up front, so sessions
+            # whose tenants never reappear still finish their pending
+            # analysis at the final flush.
+            service.restore_all()
+        started = time.perf_counter()
+        # Creates (and restores) each bucket's session before any
+        # producer starts.
+        drive_producers(service, buckets, producers, passes=args.passes)
+    except StateError as error:
+        # A checkpoint this build cannot restore (an older format, or
+        # another config) is unusable input; the directory is left as
+        # it was.
+        for live in service.sessions.values():
+            live.close()
+        print(f"cannot resume from {args.checkpoint_dir}: {error}",
+              file=sys.stderr)
+        return EXIT_USAGE
     service.drain()
     elapsed = time.perf_counter() - started
     if store is not None:
@@ -662,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
              "discriminability)",
     )
     lint.add_argument(
-        "--max-symbols", type=int, default=None, metavar="N",
+        "--max-symbols", type=_int_at_least(1), default=None, metavar="N",
         help="override the symbol-space capacity checked by the "
              "integrity pass (capacity planning / testing)",
     )

@@ -63,6 +63,18 @@ from repro.openstack.wire import ROW_FIELDS, WireEvent
 if TYPE_CHECKING:
     from repro.core.pipeline.middleware import StageObserver
 
+#: At most one performance-fault analysis per API within this many
+#: (simulated) seconds — level shifts during a node-wide surge fire
+#: across many API series at once, and each analysis is a full
+#: snapshot match.
+PERF_DEBOUNCE = 5.0
+#: Cap on the number of context-buffer events a performance-fault
+#: match considers (centered on the anomaly).  The paper matches "the
+#: entire context buffer" at α = 768; at high packet rates our α can
+#: be far larger, and matching thousands of messages per alarm buys
+#: no precision.
+PERF_BUFFER_CAP = 1024
+
 
 @dataclass(frozen=True)
 class PipelineStats:
@@ -156,8 +168,8 @@ class GretelAnalyzer:
         self.detector = OperationDetector(
             library, self.symbols, self.catalog, self.config
         )
-        self.latency = LatencyTracker(self.config)
-        self.rootcause = RootCauseEngine(self.store, self.config)
+        self.latency = LatencyTracker()
+        self.rootcause = RootCauseEngine(self.store)
         alpha = self.config.sliding_window_size(max(library.fp_max, 2))
         self.window = SlidingWindow(alpha)
 
@@ -252,7 +264,11 @@ class GretelAnalyzer:
     # ------------------------------------------------------------------
     # State lifecycle (see repro.core.state).
 
-    STATE_FMT = "analysis-pipeline/v4"
+    #: The ``config`` guard covers only the settable fields: changing a
+    #: module constant (``MATCH_COVERAGE``, ``LS_WINDOW``,
+    #: ``_MAX_TRUNCATIONS``, ...) changes what a restored analyzer
+    #: computes, so it bumps this tag.
+    STATE_FMT = "analysis-pipeline/v5"
 
     #: The counters this object owns, as checkpointed.  Every other
     #: :class:`PipelineStats` field lives in (and is restored by) the
@@ -301,9 +317,16 @@ class GretelAnalyzer:
         """
         require_state(state, self.STATE_FMT)
         require_columns(state, ROW_FIELDS)
-        if state["config"] != asdict(self.config):
+        theirs = state["config"]
+        differing = [
+            f"{name}: {theirs.get(name)} in the checkpoint, {value} here"
+            for name, value in asdict(self.config).items()
+            if theirs.get(name) != value
+        ]
+        if differing:
             raise StateError(
-                "pipeline state was captured under a different config"
+                "pipeline state was captured under a different config ("
+                + "; ".join(differing) + ")"
             )
         for name in ("defer_detection", "track_latency"):
             if state[name] != getattr(self, name):
@@ -488,8 +511,7 @@ class GretelAnalyzer:
         at the anomalous event from the live window, and run
         detection + root cause."""
         last = self._last_perf_analysis.get(anomaly.api_key)
-        debounce = self.config.perf_debounce
-        if last is not None and anomaly.ts - last < debounce:
+        if last is not None and anomaly.ts - last < PERF_DEBOUNCE:
             return
         self._last_perf_analysis[anomaly.api_key] = anomaly.ts
 
@@ -504,11 +526,10 @@ class GretelAnalyzer:
         if fault_index < 0:
             events.append(anomaly.event)
             fault_index = len(events) - 1
-        cap = max(2, self.config.perf_buffer_cap)
-        if len(events) > cap:
-            lo = max(0, fault_index - cap // 2)
-            hi = min(len(events), lo + cap)
-            lo = max(0, hi - cap)
+        if len(events) > PERF_BUFFER_CAP:
+            lo = max(0, fault_index - PERF_BUFFER_CAP // 2)
+            hi = min(len(events), lo + PERF_BUFFER_CAP)
+            lo = max(0, hi - PERF_BUFFER_CAP)
             events = events[lo:hi]
             fault_index -= lo
         snapshot = Snapshot(

@@ -23,8 +23,8 @@ tolerating absent ones (Fig. 4 matches with symbol A missing).  We
 therefore score **order-consistent coverage** — the LCS between the
 truncated fingerprint's state-change symbols and the buffer, as a
 fraction of the fingerprint — and accept candidates above
-``match_coverage``, then keep only those within
-``completeness_tolerance`` of the best coverage (the snapshot-driven
+``MATCH_COVERAGE``, then keep only those within ``LENGTH_TOLERANCE``
+symbols of the best corroborated length (the snapshot-driven
 pruning that keeps GRETEL's false positives low, §7.3).
 
 Pure-read fingerprints (no state-change symbol at all) are scored on
@@ -79,6 +79,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Cap on how many truncation points are tried per fingerprint.
 _MAX_TRUNCATIONS = 6
+
+#: Minimum order-consistent coverage of a (truncated) fingerprint's
+#: state-change symbols for a match.  Fig. 4 shows a match with a
+#: state-change symbol missing from the context buffer, so matching
+#: cannot demand every literal; 0.7 tolerates scroll-out and
+#: interleaving while rejecting coincidental overlaps.
+MATCH_COVERAGE = 0.7
+#: Among gated candidates, keep those whose corroborated state-change
+#: symbol count is within this many symbols of the best candidate — a
+#: long ordered corroboration is much stronger evidence than a short
+#: fully-covered one.
+LENGTH_TOLERANCE = 0
+#: Stop growing the context buffer after this many iterations without
+#: ranking improvement (the θ-drop stopping rule).
+STOP_PATIENCE = 3
 
 #: ``{class index: (corroborated length, coverage)}`` for the gated
 #: scoring classes of one context-buffer window — the index is into
@@ -418,7 +433,7 @@ class OperationDetector:
         return candidates.classes, self.matching.session(
             self._session_fragments(snapshot, correlation_id),
             candidates.classes,
-            threshold=self.config.match_coverage,
+            threshold=MATCH_COVERAGE,
             strict=not self.config.relaxed_match,
         ).score
 
@@ -436,7 +451,7 @@ class OperationDetector:
             i for i in scores if not classes[i].preparation.pure_read
         ] or list(scores)
         best_length = max(scores[i][0] for i in pool)
-        floor = best_length - self.config.length_tolerance
+        floor = best_length - LENGTH_TOLERANCE
         return [i for i in pool if scores[i][0] >= floor]
 
     # -- Algorithm 2 ---------------------------------------------------------------
@@ -500,7 +515,7 @@ class OperationDetector:
                     # Growth stopped sharpening the match (θ no longer
                     # improving / starting to drop): stop soon (§5.3.1).
                     stalled += 1
-                    if stalled >= config.stop_patience:
+                    if stalled >= STOP_PATIENCE:
                         break
             if snapshot.covers_all(beta):
                 break

@@ -59,6 +59,26 @@ def _median(values: List[float]) -> float:
     return 0.5 * (ordered[mid - 1] + ordered[mid])
 
 
+# The LS tuning GRETEL runs: the constructor defaults of both the
+# production and the reference detector.
+
+#: Baseline window length (samples).
+LS_WINDOW = 24
+#: Shift threshold in robust sigmas.
+LS_SIGMAS = 4.0
+#: Minimum absolute shift (seconds for latency series), so
+#: micro-jitter does not alarm.
+LS_MIN_DELTA = 0.004
+#: Minimum shift as a fraction of the baseline (a shift is a regime
+#: change, not load jitter).
+LS_REL_DELTA = 0.5
+#: Consecutive outliers required to confirm a shift.
+LS_CONFIRM = 3
+#: Samples before a series may alarm.
+LS_WARMUP = 12
+#: Quiet period after an alarm, seconds of series time.
+LS_COOLDOWN = 10.0
+
 #: Construction parameters shared by production and reference LS; a
 #: checkpoint taken under one parameterization must not silently
 #: rehydrate a detector tuned differently.

@@ -24,14 +24,32 @@ from repro.monitoring.store import MetadataStore
 #: they are legitimate root causes (nova-compute down, ...).
 _IGNORED_PROCESSES = frozenset({"apache2"})
 
+#: Resource anomaly thresholds.  CPU is anomalous above its baseline
+#: mean plus this many standard deviations ...
+CPU_ANOMALY_SIGMAS = 4.0
+#: ... and above this utilization in any case.
+CPU_ANOMALY_MIN = 0.35
+#: Disk is anomalous below either free-space floor.
+DISK_FREE_FRACTION_MIN = 0.05
+DISK_FREE_GB_MIN = 10.0
+#: Memory utilization above which memory is anomalous.
+MEM_UTIL_MAX = 0.92
+#: How far before the fault the baseline window reaches (seconds).
+BASELINE_HORIZON = 60.0
+
 
 class RootCauseEngine:
     """Algorithm 3 over the monitoring metadata store."""
 
     def __init__(self, store: MetadataStore,
                  config: Optional[GretelConfig] = None):
+        # Residue: Algorithm 3's thresholds are the constants above,
+        # so ``config`` is ignored.  The positional stays because
+        # ``benchmarks/e2e/workloads.py`` passes it and may not be
+        # edited here — ROADMAP lists it as residue for the next
+        # ``benchmark`` PR.
+        del config
         self.store = store
-        self.config = config or GretelConfig()
 
     # -- entry point --------------------------------------------------------
 
@@ -77,7 +95,6 @@ class RootCauseEngine:
 
     def _resource_anomalies(self, node: str, start: float,
                             end: float) -> List[RootCauseFinding]:
-        config = self.config
         window = self.store.samples_between(node, start - 1.0, end + 1.0)
         if not window:
             latest = self.store.latest_sample(node, before=end + 1.0)
@@ -85,7 +102,7 @@ class RootCauseEngine:
                 return []
             window = [latest]
         baseline = self.store.baseline_samples(
-            node, start - 1.0, horizon=config.baseline_horizon
+            node, start - 1.0, horizon=BASELINE_HORIZON
         )
         findings: List[RootCauseFinding] = []
 
@@ -93,8 +110,8 @@ class RootCauseEngine:
         cpu_base = [s.cpu_util for s in baseline] or [0.05]
         base_mean, base_std = _mean(cpu_base), _std(cpu_base)
         cpu_threshold = max(
-            base_mean + config.cpu_anomaly_sigmas * max(base_std, 0.01),
-            config.cpu_anomaly_min,
+            base_mean + CPU_ANOMALY_SIGMAS * max(base_std, 0.01),
+            CPU_ANOMALY_MIN,
         )
         if cpu_now > cpu_threshold:
             findings.append(RootCauseFinding(
@@ -105,8 +122,8 @@ class RootCauseEngine:
             ))
 
         last = window[-1]
-        if (last.disk_free_fraction < config.disk_free_fraction_min
-                or last.disk_free_gb < config.disk_free_gb_min):
+        if (last.disk_free_fraction < DISK_FREE_FRACTION_MIN
+                or last.disk_free_gb < DISK_FREE_GB_MIN):
             findings.append(RootCauseFinding(
                 node=node, kind="resource", subject="disk",
                 detail=(f"only {last.disk_free_gb:.1f} GB free "
@@ -115,7 +132,7 @@ class RootCauseEngine:
             ))
 
         mem_now = _mean([s.mem_util for s in window])
-        if mem_now > config.mem_util_max:
+        if mem_now > MEM_UTIL_MAX:
             findings.append(RootCauseFinding(
                 node=node, kind="resource", subject="memory",
                 detail=f"memory utilization {mem_now:.0%}",

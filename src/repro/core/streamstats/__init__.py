@@ -8,10 +8,7 @@ behind a version-cached (median, MAD, threshold) triple; the oracle
 (``oracle``) proves it by differential replay.
 """
 
-from repro.core.streamstats.detector import (
-    IncrementalLevelShiftDetector,
-    detector_from_config,
-)
+from repro.core.streamstats.detector import IncrementalLevelShiftDetector
 from repro.core.streamstats.oracle import (
     verify_levelshift,
     verify_levelshift_stream,
@@ -21,7 +18,6 @@ from repro.core.streamstats.window import SortedWindow
 __all__ = [
     "IncrementalLevelShiftDetector",
     "SortedWindow",
-    "detector_from_config",
     "verify_levelshift",
     "verify_levelshift_stream",
 ]

@@ -29,12 +29,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.core.config import GretelConfig
 from repro.core.outliers import (
-    LevelShift,
-    _median,
-    check_ls_params,
-    ls_params,
+    LS_CONFIRM, LS_COOLDOWN, LS_MIN_DELTA, LS_REL_DELTA, LS_SIGMAS,
+    LS_WARMUP, LS_WINDOW, LevelShift, _median, check_ls_params, ls_params,
 )
 from repro.core.state import decode_ts, encode_ts, require_state
 from repro.core.streamstats.window import SortedWindow
@@ -45,13 +42,13 @@ class IncrementalLevelShiftDetector:
 
     def __init__(
         self,
-        window: int = 24,
-        sigmas: float = 4.0,
-        min_delta: float = 0.004,
-        confirm: int = 3,
-        warmup: int = 12,
-        rel_delta: float = 0.5,
-        cooldown: float = 10.0,
+        window: int = LS_WINDOW,
+        sigmas: float = LS_SIGMAS,
+        min_delta: float = LS_MIN_DELTA,
+        confirm: int = LS_CONFIRM,
+        warmup: int = LS_WARMUP,
+        rel_delta: float = LS_REL_DELTA,
+        cooldown: float = LS_COOLDOWN,
     ) -> None:
         if window < 4:
             raise ValueError("window must be at least 4")
@@ -248,18 +245,3 @@ class IncrementalLevelShiftDetector:
         self._cache_version = cache["version"]
         self._cached_median = cache["median"]
         self._cached_threshold = cache["threshold"]
-
-
-def detector_from_config(
-    config: GretelConfig,
-) -> IncrementalLevelShiftDetector:
-    """One per-series LS detector wired from ``config``'s ls_* knobs."""
-    return IncrementalLevelShiftDetector(
-        window=config.ls_window,
-        sigmas=config.ls_sigmas,
-        min_delta=config.ls_min_delta,
-        confirm=config.ls_confirm,
-        warmup=config.ls_warmup,
-        rel_delta=config.ls_rel_delta,
-        cooldown=config.ls_cooldown,
-    )

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.config import GretelConfig
-from repro.core.outliers import ls_params
-from repro.core.streamstats.detector import detector_from_config
+from repro.core.streamstats.detector import IncrementalLevelShiftDetector
 from repro.openstack.wire import WireEvent
 from repro.oracle import OracleResult, settle
 
@@ -60,26 +58,24 @@ def _replay(
 def verify_levelshift(
     samples: Sequence[Tuple[float, float]],
     *,
-    config: Optional[GretelConfig] = None,
     detectors: Optional[Tuple[Any, Any]] = None,
     label: str = "series",
     strict: bool = True,
 ) -> OracleResult:
     """Replay one (ts, value) stream through both detectors and compare.
 
-    Two fresh detectors with ``config``'s ls_* tuning differ only in
-    implementation; ``detectors`` overrides the pair
-    (testing hook — the negative oracle test injects a mismatched
-    one).  ``strict`` is :func:`repro.oracle.settle`'s.
+    Two fresh detectors with the default LS tuning
+    (``repro.core.outliers``) differ only in implementation;
+    ``detectors`` overrides the ``(reference, incremental)`` pair —
+    the property over random tunings passes pairs built from the
+    parameters it draws, and the negative oracle test injects a
+    mismatched one.  ``strict`` is :func:`repro.oracle.settle`'s.
     """
-    base = config or GretelConfig()
     if detectors is None:
         from repro.reference.levelshift import LevelShiftDetector
 
-        incremental = detector_from_config(base)
-        reference = LevelShiftDetector(**ls_params(incremental))
-    else:
-        reference, incremental = detectors
+        detectors = (LevelShiftDetector(), IncrementalLevelShiftDetector())
+    reference, incremental = detectors
     return settle(
         _replay(samples, reference, incremental, label), strict
     )
@@ -88,7 +84,6 @@ def verify_levelshift(
 def verify_levelshift_stream(
     events: Sequence[WireEvent],
     *,
-    config: Optional[GretelConfig] = None,
     strict: bool = True,
 ) -> OracleResult:
     """Replay a wire-event stream's per-API latency series differentially.
@@ -99,7 +94,6 @@ def verify_levelshift_stream(
     :func:`verify_levelshift` on every series, so the oracle covers
     precisely the samples the production LS path would see.
     """
-    base = config or GretelConfig()
     series: Dict[str, List[Tuple[float, float]]] = {}
     for event in events:
         if event.noise or event.error:
@@ -110,8 +104,6 @@ def verify_levelshift_stream(
     total = _result(series=0, samples=0)
     for api_key, samples in series.items():
         total.merge(
-            verify_levelshift(
-                samples, config=base, label=api_key, strict=False
-            )
+            verify_levelshift(samples, label=api_key, strict=False)
         )
     return settle(total, strict)

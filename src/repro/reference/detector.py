@@ -28,6 +28,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.config import GretelConfig
 from repro.core.detector import (
+    MATCH_COVERAGE,
     Candidate,
     OperationDetector,
     Scorer,
@@ -155,7 +156,6 @@ def score_buffer(candidates: Sequence[Candidate], buffer_symbols: str,
     replays these decisions incrementally, once per scoring class, and
     must stay bit-identical for every member.
     """
-    threshold = config.match_coverage
     buffer_counts = Counter(buffer_symbols)
     scores: Scores = {}
     strict = not config.relaxed_match
@@ -163,7 +163,8 @@ def score_buffer(candidates: Sequence[Candidate], buffer_symbols: str,
         if finalized and index in finalized:
             scores[index] = finalized[index]
             continue
-        required = 0.999 if (preparation.pure_read or strict) else threshold
+        required = (0.999 if preparation.pure_read or strict
+                    else MATCH_COVERAGE)
         if upper_bound(preparation, buffer_counts) < required:
             continue
         length, coverage = score_candidate(preparation, buffer_symbols)

@@ -16,10 +16,8 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Mapping, Optional
 
 from repro.core.outliers import (
-    LevelShift,
-    _median,
-    check_ls_params,
-    ls_params,
+    LS_CONFIRM, LS_COOLDOWN, LS_MIN_DELTA, LS_REL_DELTA, LS_SIGMAS,
+    LS_WARMUP, LS_WINDOW, LevelShift, _median, check_ls_params, ls_params,
 )
 from repro.core.state import decode_ts, encode_ts, require_state
 
@@ -29,13 +27,13 @@ class LevelShiftDetector:
 
     def __init__(
         self,
-        window: int = 24,
-        sigmas: float = 4.0,
-        min_delta: float = 0.004,
-        confirm: int = 3,
-        warmup: int = 12,
-        rel_delta: float = 0.5,
-        cooldown: float = 10.0,
+        window: int = LS_WINDOW,
+        sigmas: float = LS_SIGMAS,
+        min_delta: float = LS_MIN_DELTA,
+        confirm: int = LS_CONFIRM,
+        warmup: int = LS_WARMUP,
+        rel_delta: float = LS_REL_DELTA,
+        cooldown: float = LS_COOLDOWN,
     ):
         if window < 4:
             raise ValueError("window must be at least 4")

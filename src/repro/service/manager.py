@@ -36,6 +36,7 @@ from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
 from repro.core.fingerprint import FingerprintLibrary
 from repro.core.pipeline.builder import PipelineBuilder
+from repro.core.state import StateError
 from repro.core.symbols import SymbolTable
 from repro.monitoring.store import MetadataStore
 from repro.openstack.catalog import ApiCatalog
@@ -181,10 +182,14 @@ class StreamingService:
             for sink in self._sinks:
                 live.on_report(sink)
             if self.checkpoints is not None and self.restore_on_start:
-                state = self.checkpoints.load(tenant)
-                if state is not None:
-                    live.restore_state(state)
-                    self.sessions_restored += 1
+                try:
+                    state = self.checkpoints.load(tenant)
+                    if state is not None:
+                        live.restore_state(state)
+                        self.sessions_restored += 1
+                except StateError:
+                    live.close()  # refused: stop its pump, keep no session
+                    raise
             self._checkpoint_seq[tenant] = live.events_ingested
             self.sessions[tenant] = live
         return live

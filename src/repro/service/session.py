@@ -11,7 +11,7 @@ capacity + the retention ring, not by events ingested).
 
 Every session is a **pump session** (``docs/service.md``): a
 dedicated daemon *pump thread* drains a thread-safe bounded queue in
-``pump_chunk``-event claims.  ``"block"`` producers wait on a
+``DEFAULT_PUMP_CHUNK``-event claims.  ``"block"`` producers wait on a
 condition variable until the pump frees space (real backpressure —
 the producer sleeps instead of analyzing someone else's backlog);
 ``"shed"`` rejections are counted lock-free (one GIL-atomic C-level
@@ -111,12 +111,9 @@ class TenantSession:
         queue_capacity: int = QUEUE_CAPACITY,
         policy: str = "block",
         report_retention: int = 64,
-        pump_chunk: int = DEFAULT_PUMP_CHUNK,
     ) -> None:
         if queue_capacity < 1:
             raise ValueError("queue_capacity must be at least 1")
-        if pump_chunk < 1:
-            raise ValueError("pump_chunk must be at least 1")
         if policy not in POLICIES:
             raise ValueError(
                 f"unknown backpressure policy {policy!r} "
@@ -126,7 +123,7 @@ class TenantSession:
         self.analyzer = analyzer
         self.queue_capacity = queue_capacity
         self.policy = policy
-        self.pump_chunk = min(pump_chunk, queue_capacity)
+        self.pump_chunk = min(DEFAULT_PUMP_CHUNK, queue_capacity)
         self.queue: Deque[WireEvent] = deque()
         self.events_ingested = 0
         self.events_analyzed = 0

@@ -25,7 +25,7 @@ def find_test(suite, prefix):
 
 def test_alpha_from_config_and_library(small_character):
     analyzer = GretelAnalyzer(small_character.library,
-                              config=GretelConfig(p_rate=150.0, t=1.0))
+                              config=GretelConfig(p_rate=150.0))
     assert analyzer.alpha == 2 * max(small_character.library.fp_max, 150)
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.openstack.apis import ApiKind
 from repro.openstack.wire import WireEvent
-from repro.core.config import GretelConfig
 from repro.core.latency import LatencyTracker
 from repro.core.outliers import ls_params
 from repro.core.state import StateFormatError
@@ -12,9 +11,9 @@ from repro.core.streamstats import IncrementalLevelShiftDetector
 from repro.reference import LevelShiftDetector
 
 
-def reference_tracker(config=None):
+def reference_tracker():
     """A tracker whose series run the reference LS detector."""
-    tracker = LatencyTracker(config)
+    tracker = LatencyTracker()
     production_detector_for = tracker.detector_for
 
     def detector_for(api_key):
@@ -47,8 +46,7 @@ def test_separate_series_per_api():
 
 
 def test_anomaly_on_level_shift():
-    config = GretelConfig(ls_warmup=12, ls_confirm=3, ls_min_delta=0.004)
-    tracker = LatencyTracker(config)
+    tracker = LatencyTracker()
     seen = []
     tracker.on_anomaly(seen.append)
     for seq in range(60):
@@ -80,10 +78,10 @@ def test_anomaly_carries_triggering_event():
     assert result.event.api_key == "a"
 
 
-def test_incremental_engine_selected_by_config():
-    detector = LatencyTracker(GretelConfig(ls_window=30)).detector_for("a")
+def test_tracker_builds_default_tuned_detectors():
+    detector = LatencyTracker().detector_for("a")
     assert isinstance(detector, IncrementalLevelShiftDetector)
-    assert detector.window == 30
+    assert ls_params(detector) == ls_params(IncrementalLevelShiftDetector())
 
 
 def test_restore_refuses_reference_series_tag():

@@ -5,7 +5,8 @@ import pytest
 from repro.openstack.catalog import default_catalog
 from repro.openstack.wire import WireEvent
 from repro.core.config import GretelConfig
-from repro.core.detector import Candidate, OperationDetector
+from repro.core.analyzer import PERF_BUFFER_CAP
+from repro.core.detector import MATCH_COVERAGE, Candidate, OperationDetector
 from repro.core.fingerprint import (
     FingerprintLibrary,
     generate_fingerprint,
@@ -263,7 +264,7 @@ def test_session_matches_reference_scorer(library, symbols, catalog):
     session = detector.matching.session(
         detector._session_fragments(snapshot, ""),
         candidates.classes,
-        threshold=detector.config.match_coverage,
+        threshold=MATCH_COVERAGE,
         strict=not detector.config.relaxed_match,
     )
     finalized_ref = {}
@@ -290,7 +291,7 @@ def test_session_rescore_uses_cache(library, symbols, catalog):
     session = detector.matching.session(
         detector._session_fragments(snapshot, ""),
         candidates.classes,
-        threshold=detector.config.match_coverage,
+        threshold=MATCH_COVERAGE,
         strict=not detector.config.relaxed_match,
     )
     lo, hi = 0, len(snapshot.events)
@@ -359,7 +360,7 @@ def test_scoring_classes_separate_cuts_and_pure_read(
     classes = scoring_classes(pool)
     session = detector.matching.session(
         fragments, classes,
-        threshold=detector.config.match_coverage, strict=False,
+        threshold=MATCH_COVERAGE, strict=False,
     )
     by_class = session.score(0, 3)
     assert by_class == {0: (3, 0.75), 1: (2, 1.0)}
@@ -409,7 +410,7 @@ def test_stats_account_for_every_candidate_of_every_iteration(
     assert sorted(len(c.members) for c in classes) == [1, 2, 2]
     session = detector.matching.session(
         detector._session_fragments(snapshot, ""), classes,
-        threshold=detector.config.match_coverage,
+        threshold=MATCH_COVERAGE,
         strict=not detector.config.relaxed_match,
     )
     stats = detector.matching_stats
@@ -425,7 +426,7 @@ def test_stats_account_for_every_candidate_of_every_iteration(
             c for i, c in enumerate(classes)
             if i not in finalized and upper_bound(
                 c.preparation, buffer_counts,
-            ) >= detector.config.match_coverage
+            ) >= MATCH_COVERAGE
         ]
         gated_before = stats.candidates_gated
         runs_before = stats.lcs_row_extensions + stats.rescore_hits
@@ -583,10 +584,10 @@ def test_verify_detection_equivalent_on_multi_word_rows(small_character):
 
 def test_verify_detection_equivalent_at_perf_buffer_cap(small_character):
     """The performance path scores the whole snapshot in one window:
-    ``perf_buffer_cap`` events, one 1024-bit row per class."""
+    ``PERF_BUFFER_CAP`` events, one 1024-bit row per class."""
     library = small_character.library
     config = GretelConfig()
-    cap = config.perf_buffer_cap
+    cap = PERF_BUFFER_CAP
     snapshots = []
     for snapshot in wide_snapshots(library, 2 * cap, 5 * cap):
         lo = max(0, snapshot.fault_index - cap // 2)

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
-from repro.core.detector import Candidate, OperationDetector
+from repro.core.detector import MATCH_COVERAGE, Candidate, OperationDetector
 from repro.core.matching import (
     Preparation,
     member_scores,
@@ -107,7 +107,7 @@ def assert_session_equals_reference(detector, fragments, pool, windows,
     classes = scoring_classes(pool)
     session = detector.matching.session(
         fragments, classes,
-        threshold=config.match_coverage,
+        threshold=MATCH_COVERAGE,
         strict=not config.relaxed_match,
     )
     finalized_ref = {} if finalize else None

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.openstack.apis import ApiKind
-from repro.core.analyzer import GretelAnalyzer
+from repro.core.analyzer import PERF_DEBOUNCE, GretelAnalyzer
 from repro.core.config import GretelConfig
 from repro.core.latency import PerformanceAnomaly
 from repro.core.parallel import (
@@ -233,12 +233,6 @@ def perf_template(library):
     )
 
 
-def perf_config():
-    # Low-warmup level-shift settings so an 80-event series triggers.
-    return GretelConfig(ls_warmup=12, ls_confirm=3, ls_min_delta=0.004,
-                        p_rate=150.0)
-
-
 def level_shift_events(library):
     """One API's series: 60 steady latencies, then a 0.08 s shift."""
     template = perf_template(library)
@@ -257,7 +251,7 @@ def level_shift_events(library):
 def test_sharded_performance_path_reports_anomaly(library):
     events = level_shift_events(library)
     analyzer = ShardedAnalyzer(library, 2, batch_size=16,
-                               config=perf_config(), track_latency=True)
+                               config=config(), track_latency=True)
     analyzer.ingest(events)
     analyzer.flush()
     assert len(analyzer.performance_reports) == 1
@@ -272,7 +266,7 @@ def test_sharded_performance_path_equivalent_to_serial(library):
     diagnosis must match exactly."""
     events = level_shift_events(library)
     result = verify_equivalence(
-        events, library, 2, batch_size=16, config=perf_config(),
+        events, library, 2, batch_size=16, config=config(),
         track_latency=True, strict=True,
     )
     assert result.ok
@@ -281,8 +275,7 @@ def test_sharded_performance_path_equivalent_to_serial(library):
 
 
 def test_sharded_perf_debounce_suppresses_repeat_anomalies(library):
-    config = perf_config()
-    analyzer = ShardedAnalyzer(library, 2, batch_size=16, config=config,
+    analyzer = ShardedAnalyzer(library, 2, batch_size=16, config=config(),
                                track_latency=True)
     shard = analyzer.shards[0]
     trigger = perf_template(library)
@@ -295,14 +288,10 @@ def test_sharded_perf_debounce_suppresses_repeat_anomalies(library):
     shard.process_anomaly(anomaly(ts=100.0))
     assert len(shard.performance_reports) == 1
     # Within the debounce interval on the same API: suppressed.
-    shard.process_anomaly(
-        anomaly(ts=100.0 + config.perf_debounce / 2)
-    )
+    shard.process_anomaly(anomaly(ts=100.0 + PERF_DEBOUNCE / 2))
     assert len(shard.performance_reports) == 1
     # Beyond the debounce interval: analyzed again.
-    shard.process_anomaly(
-        anomaly(ts=100.0 + 2 * config.perf_debounce)
-    )
+    shard.process_anomaly(anomaly(ts=100.0 + 2 * PERF_DEBOUNCE))
     assert len(shard.performance_reports) == 2
     # The merged view sees only this shard's reports.
     assert len(analyzer.performance_reports) == 2

@@ -235,13 +235,14 @@ def test_restore_refuses_per_stage_v1_state(library):
     as a keyed dict where the current ones hold rows;
     ``operation-detector/v1`` counted alphabet blocks the matcher no
     longer builds (a ``"matching"`` key ``MatchingStats.from_dict``
-    would choke on)."""
+    would choke on); ``analysis-pipeline/v4`` guarded 29 config
+    fields where the current config has seven."""
     from repro.core.state import StateFormatError
     from repro.service import TenantSession
 
     analyzer = PipelineBuilder(library).with_config(config()).build_serial()
     state = analyzer.snapshot_state()
-    assert state["fmt"] == "analysis-pipeline/v4"
+    assert state["fmt"] == "analysis-pipeline/v5"
     assert state["window"]["fmt"] == "sliding-window/v3"
     assert state["latency"]["fmt"] == "latency-tracker/v2"
     assert state["detector"]["fmt"] == "operation-detector/v2"
@@ -249,7 +250,7 @@ def test_restore_refuses_per_stage_v1_state(library):
     refused = [
         (analyzer, dict(state, fmt=older), older)
         for older in ("analysis-pipeline/v1", "analysis-pipeline/v2",
-                      "analysis-pipeline/v3")
+                      "analysis-pipeline/v3", "analysis-pipeline/v4")
     ] + [
         (analyzer, dict(state, **{part: dict(state[part], fmt=older)}),
          older)
@@ -295,8 +296,7 @@ def test_performance_context_is_the_alpha_events_ending_at_the_fault(
     from dataclasses import replace
 
     alpha = 64
-    tuned = GretelConfig(alpha=alpha, ls_warmup=12, ls_confirm=3,
-                         ls_min_delta=0.004, p_rate=150.0)
+    tuned = GretelConfig(alpha=alpha, p_rate=150.0)
     template = next(
         e for e in make_stream(library).events(200)
         if e.status < 400 and not e.noise

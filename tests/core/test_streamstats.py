@@ -6,12 +6,11 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.config import GretelConfig
+from repro.core import outliers
 from repro.core.outliers import _median, ls_params
 from repro.core.streamstats import (
     IncrementalLevelShiftDetector,
     SortedWindow,
-    detector_from_config,
     verify_levelshift,
 )
 from repro.oracle import OracleDivergence
@@ -240,17 +239,16 @@ def shift_series(draw_seed, n=400):
 )
 @settings(max_examples=60, deadline=None)
 def test_incremental_equivalent_to_reference(seed, window, confirm, cooldown):
-    """The tentpole property: over random streams *and* random ls_*
-    configurations, the incremental detector is bit-identical to the
+    """The tentpole property: over random streams *and* random LS
+    tunings, the incremental detector is bit-identical to the
     reference — every alarm field, every baseline, every threshold."""
-    config = GretelConfig(
-        ls_window=window,
-        ls_confirm=confirm,
-        ls_cooldown=cooldown,
-        ls_warmup=confirm + 1,
-        ls_min_delta=0.001,
+    tuning = dict(window=window, confirm=confirm, cooldown=cooldown,
+                  warmup=confirm + 1, min_delta=0.001)
+    result = verify_levelshift(
+        shift_series(seed),
+        detectors=(LevelShiftDetector(**tuning),
+                   IncrementalLevelShiftDetector(**tuning)),
     )
-    result = verify_levelshift(shift_series(seed), config=config)
     assert result.ok
     assert result.facts["samples"] == 400
 
@@ -287,17 +285,16 @@ def test_oracle_flags_divergence():
     assert excinfo.value.result.mismatches
 
 
-def test_detector_from_config_wires_ls_knobs():
-    config = GretelConfig(
-        ls_window=16, ls_sigmas=5.0, ls_min_delta=0.01,
-        ls_confirm=2, ls_warmup=8, ls_rel_delta=0.3, ls_cooldown=7.0,
-    )
-    production = detector_from_config(config)
-    for detector in (production, LevelShiftDetector(**ls_params(production))):
-        assert detector.window == 16
-        assert detector.sigmas == 5.0
-        assert detector.min_delta == 0.01
-        assert detector.confirm == 2
-        assert detector.warmup == 8
-        assert detector.rel_delta == 0.3
-        assert detector.cooldown == 7.0
+def test_both_detectors_default_to_the_stated_tuning():
+    """The LS tuning is written out once, in ``repro.core.outliers``;
+    the production and the reference detector both default to it."""
+    stated = {
+        name: getattr(outliers, f"LS_{name.upper()}")
+        for name in outliers.LS_PARAM_FIELDS
+    }
+    assert stated == {
+        "window": 24, "sigmas": 4.0, "min_delta": 0.004, "rel_delta": 0.5,
+        "confirm": 3, "warmup": 12, "cooldown": 10.0,
+    }
+    for detector in (IncrementalLevelShiftDetector(), LevelShiftDetector()):
+        assert ls_params(detector) == stated

@@ -290,6 +290,8 @@ UNUSABLE_FLAG_VALUES = {
     "serve --cuts -2": "--cuts: must be >= 1, got -2",
     "characterize --iterations 0": "--iterations: must be >= 1, got 0",
     "lint --iterations 0": "--iterations: must be >= 1, got 0",
+    "lint --max-symbols 0": "--max-symbols: must be >= 1, got 0",
+    "lint --max-symbols -1": "--max-symbols: must be >= 1, got -1",
 }
 
 #: What the replay subcommands need besides the flag under test.
@@ -450,6 +452,38 @@ def test_serve_checkpoint_resume_round_trip(
     assert second["service"]["sessions_restored"] == 2
     # The restored watermark carries over: 2000 restored + 2000 new.
     assert second["service"]["events_analyzed"] == 4000
+
+
+def test_serve_refused_checkpoint_is_a_usage_error(
+    full_character, tmp_path, capsys
+):
+    """A checkpoint this build will not restore (another config, an
+    older format) is unusable input: exit 2 with the reason, not a
+    traceback, and the directory is left as it was."""
+    replay = ["serve", "--events", "2000", "--tenants", "2",
+              "--no-latency", "--format", "json"]
+    checkpoints = tmp_path / "ckpt"
+    assert main(replay + ["--alpha", "64",
+                          "--checkpoint-dir", str(checkpoints)]) == 0
+    capsys.readouterr()
+    saved = {path: path.read_bytes() for path in checkpoints.iterdir()}
+    assert len(saved) == 2
+
+    assert main(replay + ["--alpha", "96", "--resume",
+                          "--checkpoint-dir", str(checkpoints)]) == 2
+    assert ("alpha: 64 in the checkpoint, 96 here"
+            in capsys.readouterr().err)
+    assert {path: path.read_bytes() for path in checkpoints.iterdir()} \
+        == saved
+
+    stale = tmp_path / "stale"
+    stale.mkdir()
+    (stale / "tenant-0.checkpoint.json").write_text(
+        '{"fmt":"gretel-checkpoint/v0"}'
+    )
+    assert main(replay + ["--alpha", "64", "--resume",
+                          "--checkpoint-dir", str(stale)]) == 2
+    assert "gretel-checkpoint/v0" in capsys.readouterr().err
 
 
 def test_serve_verify_checkpoint_oracle(full_character, capsys):

@@ -220,7 +220,7 @@ def run_oracle(layer, library, events, snapshots):
     if layer == "levelshift":
         from repro.core.streamstats import verify_levelshift_stream
 
-        return verify_levelshift_stream(events, config=CONFIG)
+        return verify_levelshift_stream(events)
     if layer == "selection":
         from repro.analysis.compile import verify_selection
 
