@@ -199,10 +199,12 @@ def test_score_fresh(benchmark, character):
 
 def test_score_incremental(benchmark, character):
     """The same growth schedule through a MatchSession: per iteration
-    only the classes whose relevant positions changed are re-scored
-    (O(δ) steady state), scores stay keyed by class across the
-    schedule and are expanded to candidates once, as ``detect`` does."""
-    from repro.core.matching import member_scores
+    only the classes that can still rank and whose relevant positions
+    changed are re-scored (O(δ) steady state), scores stay keyed by
+    class across the schedule and are expanded to candidates once, as
+    ``detect`` does.  The session returns the ranked classes, so it
+    equals the from-scratch schedule's last mapping once ranked."""
+    from repro.core.matching import member_scores, rank
 
     detector, snapshot = _detection_fixture(character)
     candidates = detector.candidates_for(snapshot.fault.api_key)
@@ -222,7 +224,7 @@ def test_score_incremental(benchmark, character):
         return member_scores(candidates.classes, scores)
 
     scores = benchmark(run)
-    assert scores and scores == _fresh_schedule(character)()
+    assert scores and scores == rank(candidates, _fresh_schedule(character)())
 
 
 def test_fingerprint_generation_cost(benchmark, character):

@@ -10,8 +10,9 @@
 the service and the ledger pin α = 768), and the five switches the
 Fig. 7c and ablation figures turn off.  Every other threshold has one
 value in use, so it is a constant next to the code that reads it:
-``T`` / ``C1`` / ``C2`` here, ``MATCH_COVERAGE`` / ``LENGTH_TOLERANCE``
-/ ``STOP_PATIENCE`` in :mod:`repro.core.detector`, the level-shift
+``T`` / ``C1`` / ``C2`` here, ``MATCH_COVERAGE`` / ``STOP_PATIENCE``
+in :mod:`repro.core.detector`, ``LENGTH_TOLERANCE`` in
+:mod:`repro.core.matching.engine`, the level-shift
 tuning (``LS_*``) in :mod:`repro.core.outliers`, ``PERF_DEBOUNCE`` /
 ``PERF_BUFFER_CAP`` in :mod:`repro.core.analyzer` and Algorithm 3's
 resource thresholds in :mod:`repro.core.rootcause`.

@@ -25,7 +25,8 @@ truncated fingerprint's state-change symbols and the buffer, as a
 fraction of the fingerprint — and accept candidates above
 ``MATCH_COVERAGE``, then keep only those within ``LENGTH_TOLERANCE``
 symbols of the best corroborated length (the snapshot-driven
-pruning that keeps GRETEL's false positives low, §7.3).
+pruning that keeps GRETEL's false positives low, §7.3; the rule is
+``repro.core.matching.engine.rank``).
 
 Pure-read fingerprints (no state-change symbol at all) are scored on
 their full symbol sequence instead: under the paper's literal
@@ -49,6 +50,7 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -86,23 +88,19 @@ _MAX_TRUNCATIONS = 6
 #: cannot demand every literal; 0.7 tolerates scroll-out and
 #: interleaving while rejecting coincidental overlaps.
 MATCH_COVERAGE = 0.7
-#: Among gated candidates, keep those whose corroborated state-change
-#: symbol count is within this many symbols of the best candidate — a
-#: long ordered corroboration is much stronger evidence than a short
-#: fully-covered one.
-LENGTH_TOLERANCE = 0
 #: Stop growing the context buffer after this many iterations without
 #: ranking improvement (the θ-drop stopping rule).
 STOP_PATIENCE = 3
 
-#: ``{class index: (corroborated length, coverage)}`` for the gated
+#: ``{class index: (corroborated length, coverage)}`` for the ranked
 #: scoring classes of one context-buffer window — the index is into
 #: the class sequence :meth:`OperationDetector._scorer` returned.
 Scores = Dict[int, Tuple[int, float]]
 #: ``scorer(lo, hi, finalized) -> Scores`` over ``events[lo:hi]`` of
-#: one snapshot.  ``finalized`` carries scores already at full coverage
-#: from a smaller buffer (coverage is monotone in buffer growth, so
-#: they need no re-evaluation); the scorer adds to it.
+#: one snapshot, already ranked (``repro.core.matching.engine.rank``).
+#: ``finalized`` carries scores already at full coverage from a
+#: smaller buffer (coverage is monotone in buffer growth, so they need
+#: no re-evaluation); the scorer adds to it.
 Scorer = Callable[[int, int, Optional[Scores]], Scores]
 
 
@@ -119,10 +117,11 @@ class Selection(List[Candidate]):
 
     What ``candidates_for`` serves.  The candidates are read-only once
     selected, so the partition (``repro.core.matching.engine.
-    scoring_classes``) is computed once, here, and travels with the
-    list: the library compiler builds every selection up front, and
-    each is shared — classes included — by every detector and shard
-    over that compilation.
+    scoring_classes``, with the multiplicity gate's terms over the
+    selection's union alphabet) is computed once, here, and travels
+    with the list: the library compiler builds every selection up
+    front, and each is shared — classes included — by every detector
+    and shard over that compilation.
     """
 
     def __init__(self, candidates: Iterable[Candidate]) -> None:
@@ -190,7 +189,9 @@ def _cut_lengths(fingerprint: Fingerprint, symbol: str,
     strict ablation)."""
     cuts: List[int] = []
     count = 0
-    for sym, is_sc in zip(fingerprint.symbols, fingerprint.state_change_mask):
+    for sym, is_sc in zip(
+        fingerprint.symbols, fingerprint.state_change_mask, strict=True,
+    ):
         if all_symbols or is_sc:
             count += 1
         if sym == symbol:
@@ -240,7 +241,7 @@ class OperationDetector:
         config: Optional[GretelConfig] = None,
         *,
         compiled_index: Optional["CompiledIndex"] = None,
-    ):
+    ) -> None:
         self.library = library
         self.symbols = symbols
         self.catalog = catalog
@@ -274,7 +275,7 @@ class OperationDetector:
         self.matching = MatchingEngine()
 
     @property
-    def matching_stats(self):
+    def matching_stats(self) -> MatchingStats:
         """Counters of the incremental engine (all sessions so far)."""
         return self.matching.stats
 
@@ -315,7 +316,7 @@ class OperationDetector:
         self.candidates_indexed = state["candidates_indexed"]
         self.matching.stats = MatchingStats.from_dict(state["matching"])
 
-    # -- candidate preparation ------------------------------------------------
+    # -- candidate preparation ------------------------------------------
 
     def candidates_for(self, api_key: str, *,
                        truncate: bool = True) -> Selection:
@@ -362,7 +363,7 @@ class OperationDetector:
         self.candidates_indexed += len(prepared)
         return prepared
 
-    # -- buffer encoding ----------------------------------------------------------
+    # -- buffer encoding ------------------------------------------------
 
     def fragments(self, events: Sequence[WireEvent]) -> List[str]:
         """One symbol fragment per event; ``""`` excludes the event
@@ -408,11 +409,13 @@ class OperationDetector:
             encoded = [
                 piece if piece and event.request_id == correlation_id
                 else ""
-                for piece, event in zip(encoded, snapshot.events)
+                for piece, event in zip(
+                    encoded, snapshot.events, strict=True,
+                )
             ]
         return encoded
 
-    # -- scoring --------------------------------------------------------------------
+    # -- scoring --------------------------------------------------------
 
     def _scorer(
         self, snapshot: Snapshot, candidates: Selection,
@@ -424,7 +427,8 @@ class OperationDetector:
         Opens an incremental :class:`MatchSession` over the
         selection's partition: matcher state stays alive across the
         loop's growing windows, so each iteration costs what
-        *changed*, once per distinct preparation.  The loop ranks the
+        *changed*, once per distinct preparation, and only for the
+        classes that can still rank.  The loop reads the ranked
         classes it is handed and never looks inside one, so a
         from-scratch scorer hands it one singleton class per candidate
         and must end in the same result —
@@ -437,24 +441,7 @@ class OperationDetector:
             strict=not self.config.relaxed_match,
         ).score
 
-    def _rank(self, classes: Sequence[ScoringClass],
-              scores: Scores) -> List[int]:
-        """Keep classes whose corroborated length is near the best.
-
-        State-change evidence outranks read-only evidence: pure-read
-        classes are considered only when no state-change class
-        survived the gate.
-        """
-        if not scores:
-            return []
-        pool = [
-            i for i in scores if not classes[i].preparation.pure_read
-        ] or list(scores)
-        best_length = max(scores[i][0] for i in pool)
-        floor = best_length - LENGTH_TOLERANCE
-        return [i for i in pool if scores[i][0] >= floor]
-
-    # -- Algorithm 2 ---------------------------------------------------------------
+    # -- Algorithm 2 ----------------------------------------------------
 
     def detect(self, snapshot: Snapshot, *,
                performance_fault: bool = False) -> DetectionResult:
@@ -502,12 +489,11 @@ class OperationDetector:
             iterations += 1
             lo, hi = snapshot.bounds(beta)
             scores = run_scores(lo, hi, finalized)
-            ranked = self._rank(classes, scores)
-            if ranked:
-                length = max(scores[i][0] for i in ranked)
+            if scores:
+                length = max(score[0] for score in scores.values())
                 # Fewer matched *candidates* breaks a tie on length.
                 key = (length,
-                       -sum(len(classes[i].members) for i in ranked))
+                       -sum(len(classes[i].members) for i in scores))
                 if key > best_key:
                     best_key, best_scores, best_beta = key, scores, beta
                     stalled = 0
@@ -534,20 +520,19 @@ class OperationDetector:
                 events: Sequence[WireEvent]) -> DetectionResult:
         """Expand the ranked classes of the chosen window to their
         member candidates — the one fan-out of a detection."""
-        ranked = member_scores(
-            classes, {i: scores[i] for i in self._rank(classes, scores)},
-        )
+        ranked = member_scores(classes, scores)
         matched = [candidates[i].fingerprint for i in ranked]
         coverages = {
             candidates[i].fingerprint.operation: coverage
             for i, (_, coverage) in ranked.items()
         }
+        fault = snapshot.fault
         span = (
             (events[0].ts_request, events[-1].ts_response)
-            if events else (snapshot.fault.ts_request, snapshot.fault.ts_response)
+            if events else (fault.ts_request, fault.ts_response)
         )
         return DetectionResult(
-            fault=snapshot.fault,
+            fault=fault,
             matched=matched,
             candidates=len(candidates),
             theta=theta(total, len(matched)),
@@ -563,13 +548,13 @@ class OperationDetector:
         """The snapshot events whose symbols belong to matched ops."""
         if not matched:
             return []
-        wanted = set()
+        wanted: Set[str] = set()
         for fingerprint in matched:
             wanted.update(fingerprint.symbols)
         symbol = self.symbols.symbol
         # One symbol lookup per distinct API, not per event.
         keep: Dict[str, bool] = {}
-        result = []
+        result: List[WireEvent] = []
         for event in events:
             if event.noise:
                 continue

@@ -44,12 +44,24 @@ steady-state per-iteration cost to a function of what *changed*:
   to the reference.  A window that holds the same relevant positions
   as the class's previous one returns its cached score without
   touching the DP.
-* **Shared multiplicity gate.**  The reference's Counter-based
-  upper bound is evaluated with per-symbol window counts bisected out
-  of the snapshot index and cached across all classes of the
-  iteration; the summed bound is an integer, so the
-  resulting float (and the gate decision) is identical to the
-  reference's ``Counter``-over-the-joined-string computation.
+* **The multiplicity gate as one popcount.**  The reference's
+  Counter-based upper bound sums ``min(need, have)`` over a needle's
+  symbols.  Almost every needle symbol is needed once, so each class
+  carries a ``ones`` bit set over its selection's union alphabet
+  (:class:`ScoringClasses` ``.symbols``) and a short ``multi`` tuple
+  for the rest; per window the session marks which union symbols
+  occur in it (``present``), and a class's credits are
+  ``(present & ones).bit_count()`` plus its few ``multi`` terms.  The
+  credit sum is the same integer, so the bound float, the gate
+  decision and ``candidates_gated`` are identical to the reference's
+  ``Counter``-over-the-joined-string computation.
+* **Bound-ordered scoring.**  The credits also bound the class's
+  corroborated length on that window, so the session scores gated-in
+  classes in descending bound order and stops once a bound falls
+  below the best length seen minus ``LENGTH_TOLERANCE``; pure-read
+  classes are scored only when no state-change class passed coverage.
+  What it skips could not have ranked.  :meth:`MatchSession.score`
+  returns the ranked classes only (:func:`rank`).
 
 Why not the incremental Hirschberg split?  An earlier design kept a
 forward row fed by right-side extensions plus a reversed-needle row
@@ -78,6 +90,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -85,17 +98,26 @@ from typing import (
 from repro.core.matching.index import SnapshotIndex
 
 __all__ = [
+    "LENGTH_TOLERANCE",
     "MatchSession",
     "MatchingEngine",
     "MatchingStats",
     "Preparation",
     "ScoringClass",
+    "ScoringClasses",
     "member_scores",
+    "rank",
     "scoring_classes",
     "select_cut",
 ]
 
 Score = Tuple[int, float]
+
+#: Among scored classes, keep those whose corroborated symbol count is
+#: within this many symbols of the best one — a long ordered
+#: corroboration is much stronger evidence than a short fully-covered
+#: one.
+LENGTH_TOLERANCE = 0
 
 
 def select_cut(
@@ -229,15 +251,33 @@ class MatchingStats:
 class ScoringClass:
     """Candidates of one selection the scorer cannot tell apart:
     their shared :class:`Preparation` and their indexes into the
-    selection's candidate list."""
+    selection's candidate list.
+
+    ``ones`` and ``multi`` restate the preparation's
+    ``needle_items`` over the partition's union alphabet
+    (:attr:`ScoringClasses.symbols`) for the multiplicity gate: bit
+    ``i`` of ``ones`` is set when the needle holds ``symbols[i]``
+    exactly once, and ``multi`` lists ``(i, need)`` for the symbols it
+    holds more often.
+    """
 
     preparation: Preparation
     members: Tuple[int, ...]
+    ones: int = 0
+    multi: Tuple[Tuple[int, int], ...] = ()
+
+
+class ScoringClasses(Tuple[ScoringClass, ...]):
+    """One selection's :class:`ScoringClass` es plus the gate's union
+    alphabet: ``symbols`` lists, in sorted order, every symbol some
+    class's needle holds; the classes' ``ones`` / ``multi`` index it."""
+
+    symbols: Tuple[str, ...] = ()
 
 
 def scoring_classes(
     candidates: Sequence[Tuple[object, Preparation]],
-) -> Tuple[ScoringClass, ...]:
+) -> ScoringClasses:
     """Partition one selection into its :class:`ScoringClass` es.
 
     The single source of the partition: the library compiler runs it
@@ -245,15 +285,67 @@ def scoring_classes(
     scan-selected list goes through it as well, so it groups by
     :meth:`Preparation.key`, not by object identity.  Classes are
     ordered by first member and members ascend, so the partition is a
-    pure function of the list.
+    pure function of the list — and so are its gate terms, derived
+    here once per selection.
     """
     groups: Dict[PreparationKey, List[int]] = {}
     for position, (_, preparation) in enumerate(candidates):
         groups.setdefault(preparation.key(), []).append(position)
-    return tuple(
-        ScoringClass(candidates[members[0]][1], tuple(members))
+    alphabet: Set[str] = set()
+    for members in groups.values():
+        alphabet |= candidates[members[0]][1].alphabet
+    symbols = tuple(sorted(alphabet))
+    bit_of = {symbol: bit for bit, symbol in enumerate(symbols)}
+    classes = ScoringClasses(
+        _with_gate_terms(candidates[members[0]][1], tuple(members), bit_of)
         for members in groups.values()
     )
+    classes.symbols = symbols
+    return classes
+
+
+def _with_gate_terms(
+    preparation: Preparation,
+    members: Tuple[int, ...],
+    bit_of: Mapping[str, int],
+) -> ScoringClass:
+    """The class of ``preparation``, its ``ones`` / ``multi`` over the
+    union alphabet numbered by ``bit_of``."""
+    ones = 0
+    multi: List[Tuple[int, int]] = []
+    for symbol, need in preparation.needle_items:
+        if need == 1:
+            ones |= 1 << bit_of[symbol]
+        else:
+            multi.append((bit_of[symbol], need))
+    return ScoringClass(preparation, members, ones, tuple(multi))
+
+
+def rank(
+    classes: Sequence[ScoringClass], scores: Mapping[int, Score],
+) -> Dict[int, Score]:
+    """Algorithm 2's ranking rule over one window's class scores.
+
+    State-change evidence outranks read-only evidence: pure-read
+    classes are considered only when no state-change class passed
+    coverage.  Of that pool, keep the classes whose corroborated
+    length is within ``LENGTH_TOLERANCE`` of the best.
+    :meth:`MatchSession.score` applies it to what it scored; the
+    reference detector applies it to the from-scratch scores.  It
+    reads only ``classes[i].preparation``, so a candidate list ranks
+    per-candidate scores the same way.
+    """
+    pool = [
+        number for number in scores
+        if not classes[number].preparation.pure_read
+    ] or list(scores)
+    if not pool:
+        return {}
+    floor = max(scores[number][0] for number in pool) - LENGTH_TOLERANCE
+    return {
+        number: scores[number] for number in pool
+        if scores[number][0] >= floor
+    }
 
 
 def member_scores(
@@ -296,26 +388,27 @@ class _CandidateState:
     """One scoring class's live state within a session."""
 
     __slots__ = (
-        "preparation", "weight", "required", "relevant", "last_key",
+        "preparation", "pure_read", "ones", "multi", "gate_size",
+        "final_length", "weight", "required", "relevant", "last_key",
         "last_result",
     )
 
     def __init__(
-        self,
-        scoring_class: ScoringClass,
-        required: float,
-        masks: Mapping[str, int],
+        self, scoring_class: ScoringClass, required: float,
     ) -> None:
-        self.preparation = scoring_class.preparation
+        preparation = self.preparation = scoring_class.preparation
+        self.pure_read = preparation.pure_read
+        self.ones = scoring_class.ones
+        self.multi = scoring_class.multi
+        self.gate_size = preparation.gate_size
+        self.final_length = preparation.final_length
         #: Candidates this class answers for (what a gate skips).
         self.weight = len(scoring_class.members)
         self.required = required
         #: Snapshot positions carrying a symbol of the needle's
-        #: alphabet, as a bit set.
-        relevant = 0
-        for symbol in self.preparation.alphabet:
-            relevant |= masks.get(symbol, 0)
-        self.relevant = relevant
+        #: alphabet, as a bit set (−1: not derived yet — a class the
+        #: gate or the bound always skips never needs it).
+        self.relevant = -1
         #: ``relevant`` restricted to the last window scored (−1:
         #: nothing scored yet) — the rescore cache key.
         self.last_key = -1
@@ -373,13 +466,19 @@ class _CandidateState:
         return select_cut(cuts, lengths)
 
 
+#: A gated-in class waiting for its DP: ``(−bound, class index)``, so
+#: an ascending sort is descending bound, ties by class index.
+_Queued = Tuple[int, int]
+
+
 class MatchSession:
     """Scoring state for one snapshot's adaptive-buffer loop.
 
-    Replays the from-scratch reference scorer over successive windows
-    of a single snapshot, class by class: :meth:`score` returns
-    ``{class index: (length, coverage)}`` — the position of each
-    gated :class:`ScoringClass` in the sequence the session was opened
+    Replays the from-scratch reference scorer, followed by
+    :func:`rank`, over successive windows of a single snapshot, class
+    by class: :meth:`score` returns ``{class index: (length,
+    coverage)}`` for the *ranked* classes — the position of each
+    :class:`ScoringClass` in the partition the session was opened
     over, with the floats the reference computes for every member —
     while keeping each class's last result alive between calls.
     :func:`member_scores` expands a mapping to candidate indexes.
@@ -388,21 +487,31 @@ class MatchSession:
     def __init__(
         self,
         index: SnapshotIndex,
-        classes: Sequence[ScoringClass],
+        classes: ScoringClasses,
         *,
         threshold: float,
         strict: bool,
         stats: MatchingStats,
     ) -> None:
-        self._index = index
+        masks = self._masks = index.masks
+        self._classes = classes
         self._states = [
             _CandidateState(
                 scoring_class,
                 0.999 if (scoring_class.preparation.pure_read or strict)
                 else threshold,
-                index.masks,
             )
             for scoring_class in classes
+        ]
+        #: Snapshot-wide mask per union symbol, in ``symbols`` order
+        #: (what a ``multi`` term counts in a window) ...
+        union = self._union = [
+            masks.get(symbol, 0) for symbol in classes.symbols
+        ]
+        #: ... and ``(bit, mask)`` for those the snapshot carries at
+        #: all: the only ones that can set a ``present`` bit.
+        self._carried = [
+            (1 << bit, mask) for bit, mask in enumerate(union) if mask
         ]
         self._stats = stats
 
@@ -412,51 +521,107 @@ class MatchSession:
         hi: int,
         finalized: Optional[Dict[int, Score]] = None,
     ) -> Dict[int, Score]:
-        """Score every class against ``events[lo:hi]``.
+        """Score against ``events[lo:hi]``; return the ranked classes.
 
-        Mirrors the reference scorer decision-for-decision: the
-        finalized short-circuit, the multiplicity gate, the coverage
-        threshold and the finalization rule all use the same values in
-        the same order, once per class.  The gate is the reference's
-        multiplicity upper bound inlined: the per-symbol window counts
-        come from the index and the credit sum is an integer, so the
-        resulting bound float is identical.
+        Equal to :func:`rank` over the reference scorer's mapping for
+        the same window, floats ``==``.  Every class not in
+        ``finalized`` passes through the multiplicity gate, whose
+        credit sum is the reference's integer, so the gate decisions
+        and ``candidates_gated`` are the reference's.  The gated-in
+        classes are then scored in descending order of their bound,
+        ``min(credits, final_length)`` — no cut's LCS exceeds either.
+        State-change classes go first; pure reads are scored only
+        when no state-change class passed coverage, because otherwise
+        :func:`rank` drops every pure read.  Scoring stops at the
+        first bound below the best length seen minus
+        ``LENGTH_TOLERANCE``, the best seeded from ``finalized``.  The
+        best only grows, so a class skipped there is below
+        :func:`rank`'s floor.  A skipped class is not entered in
+        ``finalized``; on a later, larger window it scores what
+        ``finalized`` would have served (coverage is monotone under
+        growth).
 
         A class whose relevant positions inside the window are the
         ones it was last scored on returns that result without a DP
         pass — exact for any pair of windows, nested or not, because
         those positions *are* the filtered string the reference
-        scores.
+        scores; so a class skipped on some windows is never served
+        stale.
 
         ``finalized`` is keyed like the result and must be the dict
         this session's earlier calls filled (or a copy of it).
         """
-        stats = self._stats
-        index_count = self._index.count
-        shifted = _ShiftedMasks(self._index.masks, lo)
         width = hi - lo
         window_bits = ((1 << width) - 1) << lo
-        counts: Dict[str, int] = {}
-        counts_get = counts.get
+        present = 0
+        for bit, mask in self._carried:
+            if mask & window_bits:
+                present |= bit
+        union = self._union
         scores: Dict[int, Score] = {}
+        queued: List[_Queued] = []
+        queued_reads: List[_Queued] = []
+        best = best_read = -1
         gated = 0
         for number, state in enumerate(self._states):
             if finalized and number in finalized:
-                scores[number] = finalized[number]
+                result = scores[number] = finalized[number]
+                length = result[0]
+                if state.pure_read:
+                    best_read = max(best_read, length)
+                else:
+                    best = max(best, length)
                 continue
-            preparation = state.preparation
-            matched = 0
-            for symbol, need in preparation.needle_items:
-                have = counts_get(symbol)
-                if have is None:
-                    have = index_count(symbol, lo, hi)
-                    counts[symbol] = have
-                matched += need if need < have else have
-            required = state.required
-            if matched / preparation.gate_size < required:
+            credits = (present & state.ones).bit_count()
+            for bit, need in state.multi:
+                have = (union[bit] & window_bits).bit_count()
+                credits += need if need < have else have
+            if credits / state.gate_size < state.required:
                 gated += state.weight
                 continue
-            key = state.relevant & window_bits
+            final_length = state.final_length
+            bound = credits if credits < final_length else final_length
+            (queued_reads if state.pure_read else queued).append(
+                (-bound, number)
+            )
+        self._stats.candidates_gated += gated
+        shifted = _ShiftedMasks(self._masks, lo)
+        if self._scan(
+            queued, best, scores, finalized, shifted, window_bits, width,
+        ) < 0:
+            self._scan(
+                queued_reads, best_read, scores, finalized, shifted,
+                window_bits, width,
+            )
+        return rank(self._classes, scores)
+
+    def _scan(
+        self,
+        queued: List[_Queued],
+        best: int,
+        scores: Dict[int, Score],
+        finalized: Optional[Dict[int, Score]],
+        shifted: Mapping[str, int],
+        window_bits: int,
+        width: int,
+    ) -> int:
+        """Score ``queued`` in bound order into ``scores`` until the
+        next bound cannot reach ``best`` minus the tolerance; return
+        the best length that passed coverage (−1: none)."""
+        stats = self._stats
+        states = self._states
+        queued.sort()
+        for negative_bound, number in queued:
+            if -negative_bound < best - LENGTH_TOLERANCE:
+                break
+            state = states[number]
+            relevant = state.relevant
+            if relevant < 0:
+                relevant = 0
+                for symbol in state.preparation.alphabet:
+                    relevant |= self._masks.get(symbol, 0)
+                state.relevant = relevant
+            key = relevant & window_bits
             if key == state.last_key:
                 stats.rescore_hits += 1
                 result = state.last_result
@@ -466,16 +631,17 @@ class MatchSession:
                 state.last_key = key
                 state.last_result = result
             length, coverage = result
-            if coverage >= required:
+            if coverage >= state.required:
                 scores[number] = result
+                if length > best:
+                    best = length
                 # A class is final only once its *longest* cut is
                 # fully corroborated (see the reference scorer).
                 if (coverage >= 0.999
-                        and length >= preparation.final_length
+                        and length >= state.final_length
                         and finalized is not None):
                     finalized[number] = result
-        stats.candidates_gated += gated
-        return scores
+        return best
 
 
 class MatchingEngine:
@@ -487,7 +653,7 @@ class MatchingEngine:
     def session(
         self,
         fragments: Sequence[str],
-        classes: Sequence[ScoringClass],
+        classes: ScoringClasses,
         *,
         threshold: float,
         strict: bool,

@@ -38,6 +38,7 @@ from repro.core.detector import (
 from repro.core.matching.engine import (
     Preparation,
     ScoringClass,
+    rank,
     select_cut,
 )
 from repro.core.window import Snapshot
@@ -152,9 +153,11 @@ def score_buffer(candidates: Sequence[Candidate], buffer_symbols: str,
                  finalized: Optional[Scores] = None) -> Scores:
     """(corroborated length, coverage) per gated candidate index.
 
-    From-scratch over the joined window string.  ``MatchSession.score``
-    replays these decisions incrementally, once per scoring class, and
-    must stay bit-identical for every member.
+    From-scratch over the joined window string, every gated-in
+    candidate scored.  ``MatchSession.score`` replays these decisions
+    incrementally, once per scoring class and only for the classes
+    that can rank: it must equal ``rank`` of this mapping, floats
+    ``==``, for every member.
     """
     buffer_counts = Counter(buffer_symbols)
     scores: Scores = {}
@@ -208,20 +211,22 @@ class ScratchScoringDetector(OperationDetector):
         correlation_id: str,
     ) -> Tuple[Sequence[ScoringClass], Scorer]:
         """One singleton class per candidate — class index = candidate
-        index — so the production loop ranks, breaks ties and fans out
-        over what :func:`score_buffer` returns as it stands, and owes
-        nothing to the selection's partition."""
+        index — so the production loop breaks ties and fans out over
+        :func:`rank` of what :func:`score_buffer` returns as it stands,
+        and owes nothing to the selection's partition."""
+        classes = [
+            ScoringClass(preparation, (position,))
+            for position, (_, preparation) in enumerate(candidates)
+        ]
+
         def score(lo: int, hi: int,
                   finalized: Optional[Scores] = None) -> Scores:
-            return score_buffer(
+            return rank(classes, score_buffer(
                 candidates,
                 self._buffer_symbols(snapshot, lo, hi, correlation_id),
                 self.config, finalized,
-            )
-        return [
-            ScoringClass(preparation, (position,))
-            for position, (_, preparation) in enumerate(candidates)
-        ], score
+            ))
+        return classes, score
 
 
 # -- from-scratch selection -------------------------------------------------

@@ -13,11 +13,13 @@ from repro.core.fingerprint import (
 )
 from repro.core.matching import (
     MatchSession,
+    MatchingEngine,
     MatchingStats,
     Preparation,
     SnapshotIndex,
     detection_signature,
     member_scores,
+    rank,
     scoring_classes,
     select_cut,
     verify_detection,
@@ -89,15 +91,18 @@ def make_detector(library, symbols, catalog, **overrides):
     return OperationDetector(library, symbols, catalog, config)
 
 
-def make_snapshot(catalog, specs, fault_spec, fault_status=500):
-    keys = to_keys(catalog, specs)
+def make_snapshot(catalog, specs, fault_spec, fault_status=500, tail=()):
+    """The last of ``specs`` faults when it is ``fault_spec``; the
+    ``tail`` specs follow the fault, so the buffer grows past it."""
+    keys = to_keys(catalog, list(specs) + list(tail))
     fault_key = to_keys(catalog, [fault_spec])[0]
     events = []
     fault_event = None
     for index, key in enumerate(keys):
         api = catalog.get(key)
         status = 200
-        if key == fault_key and fault_event is None and index == len(keys) - 1:
+        if (key == fault_key and fault_event is None
+                and index == len(specs) - 1):
             status = fault_status
         event = WireEvent(
             seq=index, api_key=key, kind=api.kind, method=api.method,
@@ -125,19 +130,26 @@ def make_candidate(needle, cuts=None, pure_read=False):
 # -- snapshot index -------------------------------------------------------
 
 
+def window_count(index, symbol, lo, hi):
+    """Occurrences of ``symbol`` in ``[lo, hi)``, read the way the
+    gate reads them: the symbol's mask under the window's bits."""
+    window_bits = ((1 << (hi - lo)) - 1) << lo
+    return (index.masks.get(symbol, 0) & window_bits).bit_count()
+
+
 def test_index_counts_symbols_inside_window():
     index = SnapshotIndex(["A", "B", "", "A", "C", "A"])
-    assert index.count("A", 0, 6) == 3
-    assert index.count("A", 1, 5) == 1
-    assert index.count("A", 4, 4) == 0
-    assert index.count("Z", 0, 6) == 0
+    assert window_count(index, "A", 0, 6) == 3
+    assert window_count(index, "A", 1, 5) == 1
+    assert window_count(index, "A", 4, 4) == 0
+    assert window_count(index, "A", 5, 6) == 1
+    assert window_count(index, "Z", 0, 6) == 0
 
 
 def test_index_excludes_blank_fragments():
     index = SnapshotIndex(["", "A", ""])
-    assert "" not in index.positions
-    assert "" not in index.masks
-    assert index.count("", 0, 3) == 0
+    assert index.masks == {"A": 0b10}
+    assert window_count(index, "", 0, 3) == 0
 
 
 @pytest.mark.parametrize("fragments", [
@@ -151,12 +163,11 @@ def test_index_excludes_blank_fragments():
 ])
 def test_index_masks_agree_with_positions_bit_for_bit(fragments):
     index = SnapshotIndex(fragments)
-    assert index.masks.keys() == index.positions.keys()
+    assert index.masks.keys() == set(fragments) - {""}
     for symbol, mask in index.masks.items():
         assert [
             p for p in range(mask.bit_length()) if mask >> p & 1
-        ] == index.positions[symbol]
-        assert index.positions[symbol] == [
+        ] == [
             p for p, fragment in enumerate(fragments) if fragment == symbol
         ]
     # Every non-blank position is in exactly one mask.
@@ -277,8 +288,13 @@ def test_session_matches_reference_scorer(library, symbols, catalog):
         )
         incremental = session.score(lo, hi, finalized_inc)
         classes = candidates.classes
-        assert member_scores(classes, incremental) == reference
-        assert member_scores(classes, finalized_inc) == finalized_ref
+        assert member_scores(classes, incremental) == rank(
+            candidates, reference,
+        )
+        # The session finalizes only what it scored: a subset of the
+        # reference's entries, at the same values.
+        assert (member_scores(classes, finalized_inc).items()
+                <= finalized_ref.items())
 
 
 def test_session_rescore_uses_cache(library, symbols, catalog):
@@ -362,13 +378,17 @@ def test_scoring_classes_separate_cuts_and_pure_read(
         fragments, classes,
         threshold=MATCH_COVERAGE, strict=False,
     )
-    by_class = session.score(0, 3)
-    assert by_class == {0: (3, 0.75), 1: (2, 1.0)}
-    scores = member_scores(classes, by_class)
-    assert scores == score_buffer(pool, "ABC", detector.config)
+    reference = score_buffer(pool, "ABC", detector.config)
     # 3/4 passes the 0.7 threshold; the [2, 4] twin prefers its fully
     # covered short cut; the pure read needs 0.999 and is gated.
-    assert scores == {0: (3, 0.75), 1: (2, 1.0), 3: (3, 0.75)}
+    assert reference == {0: (3, 0.75), 1: (2, 1.0), 3: (3, 0.75)}
+    # Ranked, the longer corroboration wins: that is all the session
+    # returns, and it fans out to both members.
+    by_class = session.score(0, 3)
+    assert by_class == {0: (3, 0.75)}
+    assert member_scores(classes, by_class) == rank(pool, reference) == {
+        0: (3, 0.75), 3: (3, 0.75),
+    }
 
 
 def duplicate_library(catalog, symbols):
@@ -392,10 +412,11 @@ def duplicate_library(catalog, symbols):
 def test_stats_account_for_every_candidate_of_every_iteration(
         catalog, symbols):
     """On one fixed snapshot: per window, candidates gated + members
-    of the classes evaluated + members answered from ``finalized`` is
-    the whole selection.  ``candidates_gated`` counts candidates;
-    ``lcs_row_extensions`` + ``rescore_hits`` count the evaluations
-    actually run — one per class."""
+    of the classes that pass the gate + members answered from
+    ``finalized`` is the whole selection.  ``candidates_gated`` counts
+    candidates; ``lcs_row_extensions`` + ``rescore_hits`` count the
+    evaluations actually run — one per class at most, none for a
+    class whose bound cannot reach the best length."""
     from collections import Counter
 
     library = duplicate_library(catalog, symbols)
@@ -433,7 +454,7 @@ def test_stats_account_for_every_candidate_of_every_iteration(
         session.score(lo, hi, finalized)
         gated = stats.candidates_gated - gated_before
         runs = stats.lcs_row_extensions + stats.rescore_hits - runs_before
-        assert runs == len(evaluated)
+        assert runs <= len(evaluated)
         fanned_out = sum(len(c.members) for c in evaluated)
         assert gated + fanned_out + answered == len(candidates)
         accounted += gated + fanned_out + answered
@@ -469,16 +490,24 @@ def test_verify_detection_equivalent(
     assert outcome.ok
     assert outcome.facts["snapshots"] == len(oracle_snapshots)
     assert outcome.summary().startswith("EQUIVALENT")
-    # The two non-default configs the committed ablations run
-    # (results/ablation_relaxed_match.txt, extension_correlation_ids
-    # .txt): a window tighter than the operations it watches, and the
-    # buffer filtered to the offending request chain.
+    # The non-default configs the committed ablations run
+    # (results/ablation_*.txt, extension_correlation_ids.txt): a
+    # window tighter than the operations it watches, the buffer
+    # filtered to the offending request chain, and the three switches
+    # that change what bound-ordered scoring reads — the required
+    # symbols, the truncation cuts and which classes are pure reads.
     streamed = small_character.library
+    snapshots_at = {}
     for alpha, config in (
         (400, GretelConfig(alpha=400)),
         (768, GretelConfig(use_correlation_ids=True)),
+        (768, GretelConfig(relaxed_match=False)),
+        (768, GretelConfig(truncate_fingerprints=False)),
+        (768, GretelConfig(prune_rpcs=False)),
     ):
-        snapshots = wide_snapshots(streamed, alpha, 10 * alpha)
+        if alpha not in snapshots_at:
+            snapshots_at[alpha] = wide_snapshots(streamed, alpha, 10 * alpha)
+        snapshots = snapshots_at[alpha]
         assert any(snapshot.fault.request_id for snapshot in snapshots)
         outcome = verify_detection(snapshots, streamed, config=config)
         assert outcome.ok, outcome.summary()
@@ -656,6 +685,122 @@ def test_tie_on_length_is_broken_by_candidates_not_classes(
     assert detector.detect(early).operations == [
         "op-read-a", "op-read-b", "op-read-c",
     ]
+
+
+# -- bound-ordered scoring ------------------------------------------------
+
+
+def open_session(pool, fragments):
+    """A session over ``pool``'s classes on its own engine, so the
+    counters start at zero."""
+    engine = MatchingEngine()
+    classes = scoring_classes(pool)
+    session = engine.session(
+        fragments, classes, threshold=MATCH_COVERAGE, strict=False,
+    )
+    return session, classes, engine.stats
+
+
+def test_pure_reads_run_no_dp_once_a_state_change_class_scores():
+    """The pure read ``AB`` passes the gate and would pass coverage
+    (the reference scores it), but a state-change class passed
+    coverage, so ranking drops every pure read: the session runs one
+    DP pass, not three.  Fails if pure reads are scored whenever they
+    pass the gate."""
+    pool = [
+        make_candidate("AB"),
+        make_candidate("AB", pure_read=True),
+        make_candidate("BA", pure_read=True),
+    ]
+    session, classes, stats = open_session(pool, ["A", "B"])
+    reference = score_buffer(pool, "AB", GretelConfig())
+    assert reference == {0: (2, 1.0), 1: (2, 1.0)}
+    assert session.score(0, 2) == rank(pool, reference) == {0: (2, 1.0)}
+    assert stats.lcs_row_extensions == 1
+    assert stats.candidates_gated == 0
+
+
+def test_bound_below_the_best_skips_the_dp():
+    """Four classes pass the gate; the first scored (bound 3) reaches
+    length 3, and every other bound is below it: one DP pass for four
+    gated-in classes.  Fails if the scan does not stop at the first
+    bound below the best."""
+    pool = [
+        make_candidate("AB"), make_candidate("ABC"),
+        make_candidate("BC"), make_candidate("A"),
+    ]
+    session, classes, stats = open_session(pool, ["A", "B", "C"])
+    assert session.score(0, 3) == {1: (3, 1.0)}
+    assert stats.candidates_gated == 0
+    assert stats.lcs_row_extensions == 1 < len(classes)
+    assert rank(pool, score_buffer(pool, "ABC", GretelConfig())) == {
+        1: (3, 1.0),
+    }
+
+
+def test_classes_tied_at_the_best_length_both_rank():
+    """``AB`` and ``CD`` both corroborate 2 symbols: the second one's
+    bound equals the best, so it is scored and ranks beside the first.
+    Fails if the prune compares with ``<=``."""
+    pool = [make_candidate("AB"), make_candidate("CD")]
+    session, classes, stats = open_session(pool, ["A", "B", "C", "D"])
+    assert session.score(0, 4) == {0: (2, 1.0), 1: (2, 1.0)}
+    assert stats.lcs_row_extensions == 2
+
+
+def test_class_pruned_where_the_reference_finalizes_it(catalog, symbols):
+    """On the window that first holds all of ``op-long``, ``op-short``
+    is fully covered too: the reference finalizes it there, the
+    session skips it (bound 2 below the best, 4) and keeps skipping
+    it while the buffer grows past the fault.  The session's
+    ``finalized`` stays a subset of the reference's, at equal values,
+    and the detection ends in the reference's result.  The subset
+    check fails if a skipped class is entered in ``finalized`` with
+    its cached result."""
+    library = FingerprintLibrary(symbols)
+    for name, specs in {
+        "op-short": [KEYPAIR, PORT],
+        "op-long": [KEYPAIR, IMAGE, BOOT, PORT],
+    }.items():
+        library.add(generate_fingerprint(
+            name, [to_keys(catalog, specs)], symbols, catalog,
+        ))
+    snapshot = make_snapshot(
+        catalog, [KEYPAIR, IMAGE, BOOT, PORT], PORT,
+        tail=[LIST_IMAGES] * 5,
+    )
+    detector = make_detector(library, symbols, catalog)
+    reference_detector = ScratchScoringDetector(library, symbols, catalog)
+    candidates = detector.candidates_for(snapshot.fault.api_key)
+    classes = candidates.classes
+    session = detector.matching.session(
+        detector._session_fragments(snapshot, ""), classes,
+        threshold=MATCH_COVERAGE, strict=False,
+    )
+    finalized_ref = {}
+    finalized_inc = {}
+    skipped_final = []
+    for lo, hi in snapshot_windows(snapshot, detector.config):
+        reference = score_buffer(
+            candidates,
+            reference_detector._buffer_symbols(snapshot, lo, hi, ""),
+            detector.config, finalized_ref,
+        )
+        ranked = session.score(lo, hi, finalized_inc)
+        assert member_scores(classes, ranked) == rank(candidates, reference)
+        session_final = member_scores(classes, finalized_inc)
+        assert session_final.items() <= finalized_ref.items()
+        skipped_final.append(sorted(
+            candidates[i].fingerprint.operation
+            for i in finalized_ref.keys() - session_final.keys()
+        ))
+    assert skipped_final[2:] == [["op-short"]] * (len(skipped_final) - 2)
+    assert len(skipped_final) > 3
+    result = detector.detect(snapshot)
+    assert result.operations == ["op-long"]
+    assert detection_signature(result) == detection_signature(
+        reference_detector.detect(snapshot)
+    )
 
 
 # -- stats plumbing -------------------------------------------------------
