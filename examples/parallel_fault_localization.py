@@ -7,17 +7,16 @@ made faulty.  Log analysis sees nothing at ERROR level; HANSEL reports
 a low-level message chain 30+ seconds later; GRETEL names the faulty
 high-level operation within its sliding window.
 
-"Parallel" is the workload, not the analyzer: one analyzer, built
-here via ``PipelineBuilder`` with a ``StageTimer`` middleware, takes
-every capture agent's wire events and reports what each pipeline
-stage cost.
+"Parallel" is the workload, not the analyzer: one ``GretelAnalyzer``,
+built here with a ``StageTimer`` middleware, takes every capture
+agent's wire events and reports what each pipeline stage cost.
 
 Run:  python examples/parallel_fault_localization.py
 """
 
 import random
 
-from repro import Cloud, GretelConfig, MonitoringPlane, PipelineBuilder, WorkloadRunner
+from repro import Cloud, GretelAnalyzer, GretelConfig, MonitoringPlane, WorkloadRunner
 from repro.baselines.hansel import HanselAnalyzer
 from repro.core.pipeline import StageTimer
 from repro.baselines.loganalysis import LogAnalysisBaseline
@@ -31,13 +30,12 @@ def main() -> None:
     cloud = Cloud(seed=77)
     plane = MonitoringPlane(cloud)
     timer = StageTimer()
-    analyzer = (
-        PipelineBuilder(character.library)
-        .with_store(plane.store)
-        .with_config(GretelConfig(p_rate=p_rate_for(120)))
-        .track_latency(False)
-        .with_middleware(timer)
-        .build_serial()
+    analyzer = GretelAnalyzer(
+        character.library,
+        store=plane.store,
+        config=GretelConfig(p_rate=p_rate_for(120)),
+        track_latency=False,
+        middleware=[timer],
     )
     plane.subscribe_events(analyzer.on_event)
     plane.start()

@@ -7,8 +7,9 @@ Walks the full GRETEL pipeline in five steps:
    (Algorithm 1 — operational fingerprints);
 2. stand up a monitored deployment (network taps + collectd-style
    resource agents + dependency watchers on every node) and build the
-   analyzer with ``PipelineBuilder``, attaching a custom middleware (a
-   per-stage latency histogram — see ``docs/architecture.md``);
+   analyzer with the ``GretelAnalyzer`` constructor, attaching a custom
+   middleware (a per-stage latency histogram — see
+   ``docs/architecture.md``);
 3. inject a fault: crash the Neutron Linux bridge agent on every
    hypervisor (the paper's §7.2.3 scenario);
 4. run an administrative operation that trips over it;
@@ -19,7 +20,7 @@ Walks the full GRETEL pipeline in five steps:
 Run:  python examples/quickstart.py
 """
 
-from repro import Cloud, GretelConfig, MonitoringPlane, PipelineBuilder, WorkloadRunner
+from repro import Cloud, GretelAnalyzer, GretelConfig, MonitoringPlane, WorkloadRunner
 from repro.evaluation.common import default_characterization, default_suite
 
 
@@ -58,12 +59,11 @@ def main() -> None:
     cloud = Cloud(seed=2026)
     plane = MonitoringPlane(cloud)
     histogram = StageLatencyHistogram()
-    analyzer = (
-        PipelineBuilder(character.library)
-        .with_store(plane.store)
-        .with_config(GretelConfig(p_rate=150.0))
-        .with_middleware(histogram)
-        .build_serial()
+    analyzer = GretelAnalyzer(
+        character.library,
+        store=plane.store,
+        config=GretelConfig(p_rate=150.0),
+        middleware=[histogram],
     )
     plane.subscribe_events(analyzer.on_event)
     plane.start()

@@ -38,7 +38,6 @@ from repro.core import (
     GretelConfig,
     Incident,
     IncidentAggregator,
-    PipelineBuilder,
     SymbolTable,
     characterize_suite,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "Incident",
     "IncidentAggregator",
     "MonitoringPlane",
-    "PipelineBuilder",
     "SymbolTable",
     "WorkloadRunner",
     "build_suite",

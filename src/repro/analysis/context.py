@@ -2,8 +2,10 @@
 
 A :class:`LintContext` carries everything a pass may consult — the
 fingerprint library, symbol table, API catalog, analyzer config, an
-optional operation→group mapping, and tunable limits — so each pass is
-a pure function ``LintContext -> List[Finding]``.
+optional operation→group mapping, and the symbol capacity — so each
+pass is a pure function ``LintContext -> List[Finding]``.  The limits
+no caller varies are module constants in the pass that reads them
+(``MAX_WITNESSES`` here, shared by every pass's witness lists).
 """
 
 from __future__ import annotations
@@ -16,10 +18,13 @@ from repro.core.fingerprint import Fingerprint, FingerprintLibrary
 from repro.core.symbols import PUA_CAPACITY, SymbolTable
 from repro.openstack.catalog import ApiCatalog
 
+#: Witness lists inside one finding are capped at this length.
+MAX_WITNESSES = 6
+
 
 @dataclass
 class LintContext:
-    """Inputs and knobs for one lint run."""
+    """Inputs for one lint run."""
 
     library: FingerprintLibrary
     symbols: SymbolTable
@@ -35,35 +40,8 @@ class LintContext:
 
     #: Symbol-space capacity the integrity pass checks the catalog
     #: against.  Defaults to the BMP private-use area; override to
-    #: model a smaller symbol budget (capacity planning / tests).
+    #: model a smaller symbol budget (``repro lint --max-symbols``).
     max_symbols: int = PUA_CAPACITY
-
-    #: Rendered findings are capped per rule; exact counts survive in
-    #: ``LintReport.rule_counts``.
-    max_findings_per_rule: int = 25
-
-    #: Witness lists inside one finding are capped at this length.
-    max_witnesses: int = 6
-
-    #: Matcher-step budget for the regex pass's bounded estimator.
-    step_budget: int = 10_000_000
-
-    #: Reads-only runs of at least this length are flagged as star runs.
-    star_run_threshold: int = 12
-
-    #: A fingerprint is *anchorless* (DSC001) when even its rarest
-    #: symbol is contained by more than this fraction of the library —
-    #: every fault symbol selects it as a candidate.
-    anchor_share: float = 0.5
-
-    #: Library size below which the discriminability pass stays quiet:
-    #: in a tiny library every symbol is "common", so anchor shares
-    #: carry no signal.
-    anchor_min_library: int = 16
-
-    #: A symbol whose postings list covers at least this fraction of
-    #: the library is reported as *hot* (DSC002, informational).
-    hot_symbol_share: float = 0.5
 
     def group_of(self, operation: str) -> str:
         """The ambiguity group of an operation (itself when unmapped)."""
@@ -78,9 +56,9 @@ class LintContext:
         return f"<unknown symbol U+{ord(symbol):04X}>"
 
     def api_labels(self, symbols: str) -> Tuple[str, ...]:
-        """Labels for a symbol string, capped at :attr:`max_witnesses`."""
-        labels = [self.api_label(s) for s in symbols[: self.max_witnesses]]
-        extra = len(symbols) - self.max_witnesses
+        """Labels for a symbol string, capped at :data:`MAX_WITNESSES`."""
+        labels = [self.api_label(s) for s in symbols[:MAX_WITNESSES]]
+        extra = len(symbols) - MAX_WITNESSES
         if extra > 0:
             labels.append(f"... {extra} more")
         return tuple(labels)
@@ -88,8 +66,8 @@ class LintContext:
     def sample_ops(self, operations: List[str]) -> Tuple[str, ...]:
         """A sorted, capped sample of operation names for witnesses."""
         ordered = sorted(operations)
-        sample = ordered[: self.max_witnesses]
-        extra = len(ordered) - self.max_witnesses
+        sample = ordered[:MAX_WITNESSES]
+        extra = len(ordered) - MAX_WITNESSES
         if extra > 0:
             sample.append(f"... {extra} more")
         return tuple(sample)

@@ -14,15 +14,15 @@ Rules
 -----
 ``DSC001`` (warning)
     Anchorless fingerprint: even the operation's *rarest* symbol is
-    contained by more than ``anchor_share`` of the library, so the
+    contained by more than ``ANCHOR_SHARE`` of the library, so the
     operation is selected as a candidate for nearly every fault and
     its preparation/scoring cost is paid on every detection.
 ``DSC002`` (info)
     Hot symbol: a single symbol's postings list covers at least
-    ``hot_symbol_share`` of the library — a fault on that API degrades
+    ``HOT_SYMBOL_SHARE`` of the library — a fault on that API degrades
     selection to a near-full scan regardless of indexing.
 
-Libraries smaller than ``anchor_min_library`` are skipped: with a
+Libraries smaller than ``ANCHOR_MIN_LIBRARY`` are skipped: with a
 handful of fingerprints every symbol is "common" and shares carry no
 signal.  Anchorless findings aggregate per fingerprint *shape* (the
 compiler's dedup unit), so one over-general template is one finding,
@@ -38,13 +38,26 @@ from repro.analysis.findings import Finding, Severity
 
 PASS_NAME = "discriminability"
 
+#: A fingerprint is *anchorless* (DSC001) when even its rarest symbol
+#: is contained by more than this fraction of the library — every
+#: fault symbol selects it as a candidate.
+ANCHOR_SHARE = 0.5
+
+#: Library size below which the pass stays quiet: in a tiny library
+#: every symbol is "common", so anchor shares carry no signal.
+ANCHOR_MIN_LIBRARY = 16
+
+#: A symbol whose postings list covers at least this fraction of the
+#: library is reported as *hot* (DSC002, informational).
+HOT_SYMBOL_SHARE = 0.5
+
 
 def run(ctx: LintContext) -> List[Finding]:
     """Emit DSC findings for the context's library."""
     findings: List[Finding] = []
     library = ctx.library
     total = len(library)
-    if total < ctx.anchor_min_library:
+    if total < ANCHOR_MIN_LIBRARY:
         return findings
     postings = library.postings()
     posting_len: Dict[str, int] = {
@@ -59,7 +72,7 @@ def run(ctx: LintContext) -> List[Finding]:
             continue  # empty fingerprint: integrity pass territory
         rarest = min(distinct, key=lambda s: (posting_len[s], s))
         share = posting_len[rarest] / total
-        if share <= ctx.anchor_share:
+        if share <= ANCHOR_SHARE:
             continue
         findings.append(Finding(
             rule="DSC001",
@@ -70,7 +83,7 @@ def run(ctx: LintContext) -> List[Finding]:
                 f"anchorless fingerprint ({len(operations)} "
                 f"operation(s)): its rarest symbol is still contained "
                 f"by {posting_len[rarest]}/{total} fingerprints "
-                f"({share:.0%} > anchor share {ctx.anchor_share:.0%}), "
+                f"({share:.0%} > anchor share {ANCHOR_SHARE:.0%}), "
                 "so every fault on any of its symbols selects it as a "
                 "candidate and its scoring cost is paid on nearly "
                 "every detection"
@@ -88,7 +101,7 @@ def run(ctx: LintContext) -> List[Finding]:
     for symbol in sorted(postings):
         count = posting_len[symbol]
         share = count / total
-        if share < ctx.hot_symbol_share:
+        if share < HOT_SYMBOL_SHARE:
             continue
         findings.append(Finding(
             rule="DSC002",
@@ -97,7 +110,7 @@ def run(ctx: LintContext) -> List[Finding]:
             location=f"symbol:U+{ord(symbol):04X}",
             message=(
                 f"hot symbol: {count}/{total} fingerprints "
-                f"({share:.0%} ≥ {ctx.hot_symbol_share:.0%}) contain "
+                f"({share:.0%} ≥ {HOT_SYMBOL_SHARE:.0%}) contain "
                 f"{ctx.api_label(symbol)}; a fault on it selects "
                 "nearly the whole library regardless of indexing"
             ),

@@ -15,6 +15,10 @@ from repro.analysis import (
 from repro.analysis.context import LintContext
 from repro.analysis.findings import Finding, LintReport, sort_findings
 
+#: Rendered findings are capped per rule; exact counts survive in
+#: ``LintReport.rule_counts``.
+MAX_FINDINGS_PER_RULE = 25
+
 #: All passes, in execution order.  Names are the CLI ``--passes`` vocabulary.
 PASSES: Dict[str, Callable[[LintContext], List[Finding]]] = {
     ambiguity.PASS_NAME: ambiguity.run,
@@ -85,7 +89,7 @@ def run_lint(
         rule_counts[finding.rule] = rule_counts.get(finding.rule, 0) + 1
 
     capped = _cap_per_rule(
-        sort_findings(findings), ctx.max_findings_per_rule
+        sort_findings(findings), MAX_FINDINGS_PER_RULE
     )
     used_symbols = {
         symbol for fingerprint in ctx.library for symbol in fingerprint.symbols

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import List, Set
 
-from repro.analysis.context import LintContext
+from repro.analysis.context import MAX_WITNESSES, LintContext
 from repro.analysis.findings import Finding, Severity
 
 PASS_NAME = "integrity"
@@ -90,7 +90,7 @@ def run(ctx: LintContext) -> List[Finding]:
                 f"{catalog_size} catalog APIs, "
                 f"{len(round_trip_bad)} round-trip failures)"
             ),
-            witness=tuple(round_trip_bad[: ctx.max_witnesses]),
+            witness=tuple(round_trip_bad[:MAX_WITNESSES]),
             fix_hint="rebuild the symbol table from a deduplicated catalog",
         ))
 
@@ -112,7 +112,7 @@ def run(ctx: LintContext) -> List[Finding]:
                     "symbol table cannot decode"
                 ),
                 witness=tuple(
-                    f"U+{ord(s):04X}" for s in unknown[: ctx.max_witnesses]
+                    f"U+{ord(s):04X}" for s in unknown[:MAX_WITNESSES]
                 ),
                 fix_hint=(
                     "regenerate the library against the current "
@@ -153,9 +153,9 @@ def run(ctx: LintContext) -> List[Finding]:
                 "localized to an operation"
             ),
             witness=tuple(
-                str(api) for api in uncovered[: ctx.max_witnesses]
-            ) + ((f"... {len(uncovered) - ctx.max_witnesses} more",)
-                 if len(uncovered) > ctx.max_witnesses else ()),
+                str(api) for api in uncovered[:MAX_WITNESSES]
+            ) + ((f"... {len(uncovered) - MAX_WITNESSES} more",)
+                 if len(uncovered) > MAX_WITNESSES else ()),
             fix_hint=(
                 "expected for vendor-extension filler endpoints; add "
                 "workload templates if any uncovered API matters in "

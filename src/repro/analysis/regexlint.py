@@ -30,7 +30,7 @@ Rules
     multiplicity.
 
 ``RGX005`` (info)
-    A run of ≥ ``star_run_threshold`` consecutive starred reads: the
+    A run of ≥ ``STAR_RUN_THRESHOLD`` consecutive starred reads: the
     strict matcher demands a long exact read sequence (brittle), while
     the relaxed matcher skips the whole run — the two ablation arms
     diverge maximally on this fingerprint.
@@ -46,6 +46,13 @@ from repro.analysis.findings import Finding, Severity
 from repro.core.fingerprint import Fingerprint
 
 PASS_NAME = "regex"
+
+#: Matcher-step budget for the bounded estimator (RGX004).
+STEP_BUDGET = 10_000_000
+
+#: Reads-only runs of at least this length are flagged as star runs
+#: (RGX005).
+STAR_RUN_THRESHOLD = 12
 
 
 def estimate_matcher_steps(literals: str, window: int) -> int:
@@ -158,7 +165,7 @@ def run(ctx: LintContext) -> List[Finding]:
         steps = estimate_matcher_steps(
             fingerprint.state_change_symbols, alpha
         )
-        if steps > ctx.step_budget:
+        if steps > STEP_BUDGET:
             findings.append(Finding(
                 rule="RGX004",
                 severity=Severity.WARNING,
@@ -166,7 +173,7 @@ def run(ctx: LintContext) -> List[Finding]:
                 location=location,
                 message=(
                     f"estimated worst-case matcher steps {steps:,} "
-                    f"exceed the budget {ctx.step_budget:,} "
+                    f"exceed the budget {STEP_BUDGET:,} "
                     f"(α = {alpha}, {n_literals} literals, repeated "
                     "literals allow re-anchoring)"
                 ),
@@ -179,7 +186,7 @@ def run(ctx: LintContext) -> List[Finding]:
             ))
 
         read_run = _longest_read_run(fingerprint)
-        if read_run >= ctx.star_run_threshold:
+        if read_run >= STAR_RUN_THRESHOLD:
             findings.append(Finding(
                 rule="RGX005",
                 severity=Severity.INFO,

@@ -272,25 +272,19 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     import time
     from dataclasses import asdict
 
-    from repro.core.pipeline import PipelineBuilder, StageCounters, StageTimer
+    from repro.core.analyzer import GretelAnalyzer
+    from repro.core.pipeline import StageCounters, StageTimer
     from repro.monitoring.store import MetadataStore
 
     text_mode = args.format == "text"
     library, events, config = _replay_inputs(args)
 
-    builder = (
-        PipelineBuilder(library)
-        .with_store(MetadataStore())
-        .with_config(config)
-        .track_latency(not args.no_latency)
-        .defer_detection(True)
+    timer, counters = StageTimer(), StageCounters()
+    analyzer = GretelAnalyzer(
+        library, store=MetadataStore(), config=config,
+        track_latency=not args.no_latency, defer_detection=True,
+        middleware=(timer, counters) if args.stage_stats else (),
     )
-    timer: "StageTimer | None" = None
-    counters: "StageCounters | None" = None
-    if args.stage_stats:
-        timer, counters = StageTimer(), StageCounters()
-        builder.with_middleware(timer).with_middleware(counters)
-    analyzer = builder.build_serial()
     started = time.perf_counter()
     analyzer.feed(events)
     analyzer.flush()
@@ -317,7 +311,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "reports": [r.to_dict() for r in analyzer.reports],
         "stats": asdict(analyzer.stats()),
     }
-    if timer is not None and counters is not None:
+    if args.stage_stats:
         document["stage_seconds"] = {
             stage: round(seconds, 6)
             for stage, seconds in sorted(timer.seconds.items())
@@ -336,7 +330,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(f"  reports: {len(analyzer.operational_reports)} operational, "
               f"{len(analyzer.performance_reports)} performance")
 
-    if text_mode and timer is not None and counters is not None:
+    if text_mode and args.stage_stats:
         print("  per-stage wall clock (sorted by cost):")
         for line in timer.summary().splitlines():
             print(f"    {line}")

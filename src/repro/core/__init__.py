@@ -21,10 +21,9 @@ This package implements the paper's primary contribution:
   cause analysis;
 * :mod:`repro.core.analyzer` — the analyzer that wires the four
   components above into the paper's chain behind one per-event
-  receiver (:class:`~repro.core.analyzer.GretelAnalyzer`, see
-  ``docs/architecture.md``);
-* :mod:`repro.core.pipeline` — its stage middleware and
-  :class:`~repro.core.pipeline.PipelineBuilder`;
+  receiver (:class:`~repro.core.analyzer.GretelAnalyzer`, built by
+  calling its constructor; see ``docs/architecture.md``);
+* :mod:`repro.core.pipeline` — its stage middleware;
 * :mod:`repro.core.characterize` — the offline fingerprinting
   pipeline over a (Tempest-like) suite (§7.1).
 """
@@ -35,7 +34,7 @@ from repro.core.config import GretelConfig
 from repro.core.detector import DetectionResult, OperationDetector
 from repro.core.fingerprint import Fingerprint, FingerprintLibrary, generate_fingerprint
 from repro.core.incidents import Incident, IncidentAggregator
-from repro.core.pipeline import PipelineBuilder, StageCounters, StageTimer
+from repro.core.pipeline import StageCounters, StageTimer
 from repro.core.precision import theta
 from repro.core.reports import FaultReport, RootCauseFinding
 from repro.core.symbols import SymbolTable
@@ -51,7 +50,6 @@ __all__ = [
     "Incident",
     "IncidentAggregator",
     "OperationDetector",
-    "PipelineBuilder",
     "PipelineStats",
     "RootCauseFinding",
     "StageCounters",

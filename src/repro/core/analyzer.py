@@ -168,7 +168,7 @@ class GretelAnalyzer:
         self.detector = OperationDetector(
             library, self.symbols, self.catalog, self.config
         )
-        self.latency = LatencyTracker()
+        self.latency = LatencyTracker(on_anomaly=self.process_anomaly)
         self.rootcause = RootCauseEngine(self.store)
         alpha = self.config.sliding_window_size(max(library.fp_max, 2))
         self.window = SlidingWindow(alpha)
@@ -190,7 +190,6 @@ class GretelAnalyzer:
         self._append = self.window.append
         self._mark = self.window.mark_fault
         self._observe = self.latency.observe
-        self.latency.on_anomaly(self.process_anomaly)
 
     @property
     def pipeline(self) -> "GretelAnalyzer":
@@ -223,7 +222,7 @@ class GretelAnalyzer:
         self._listeners.append(callback)
 
     def shed_logs(self) -> None:
-        """Discard the delivered report and anomaly logs.
+        """Discard the delivered report log.
 
         For long-lived callers that have already fanned reports out to
         listeners: keeps analyzer memory bounded by the windows, not
@@ -232,7 +231,6 @@ class GretelAnalyzer:
         what it read.  Counters are unaffected.
         """
         self.reports = []
-        self.latency.drain_anomalies()
 
     def stats(self) -> PipelineStats:
         """Mergeable snapshot of the counters."""

@@ -14,21 +14,20 @@ offline, from repeated isolated executions of the operation:
    state-change APIs (POST/PUT/DELETE and RPCs) are required literals,
    reads are starred (optional), per Algorithm 1.
 
-Matching at runtime uses two compiled forms:
-
-* the **relaxed** matcher keeps only state-change symbols with
-  arbitrary gaps (`§5.3.1`: "a regular expression matches the snapshot
-  if the sequence of symbols corresponding to the state change
-  operations is preserved" — with gap wildcards, optional reads can
-  never fail a match, so this is exactly the paper-regex semantics);
-* the **strict** matcher requires every symbol, reads included, in
-  order (the ablation baseline).
+:meth:`Fingerprint.paper_regex` renders Algorithm 1's output, but no
+regex runs at detection time: ``repro.core.detector`` prepares each
+truncated fingerprint and ``repro.core.matching`` scores it against
+a snapshot with a bit-parallel LCS — over the state-change symbols
+when matching is relaxed (§5.3.1: "a regular expression matches the
+snapshot if the sequence of symbols corresponding to the state change
+operations is preserved"; starred reads can never fail a match), over
+every symbol when it is strict (the ablation baseline).  See
+``docs/matching.md``.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.openstack.apis import Api, ApiKind
@@ -161,9 +160,6 @@ class Fingerprint:
     category: str = ""
     nodes: Tuple[str, ...] = ()       # deployment nodes the operation touches
     dependencies: Tuple[Tuple[str, str], ...] = ()  # (node, process) pairs
-    _matcher_cache: Dict[Tuple[str, bool, bool], "re.Pattern"] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -212,42 +208,6 @@ class Fingerprint:
             nodes=self.nodes,
             dependencies=self.dependencies,
         )
-
-    def matcher(self, relaxed: bool = True) -> "re.Pattern":
-        """Compiled subsequence matcher over a snapshot symbol string."""
-        key = (self.symbols, relaxed, True)
-        pattern = self._matcher_cache.get(key)
-        if pattern is None:
-            if relaxed:
-                literals = self.state_change_symbols
-            else:
-                literals = self.symbols
-            pattern = re.compile(".*?".join(re.escape(s) for s in literals),
-                                 re.DOTALL)
-            self._matcher_cache[key] = pattern
-        return pattern
-
-    def matches(self, snapshot_symbols: str, relaxed: bool = True) -> bool:
-        """Whether the (truncated) fingerprint matches a snapshot."""
-        literals = self.state_change_symbols if relaxed else self.symbols
-        if not literals:
-            return False
-        return self.matcher(relaxed).search(snapshot_symbols) is not None
-
-    def coverage(self, snapshot_symbols: str, relaxed: bool = True) -> float:
-        """Greedy-subsequence fraction of required literals present."""
-        literals = self.state_change_symbols if relaxed else self.symbols
-        if not literals:
-            return 0.0
-        found = 0
-        position = 0
-        for literal in literals:
-            index = snapshot_symbols.find(literal, position)
-            if index < 0:
-                continue
-            found += 1
-            position = index + 1
-        return found / len(literals)
 
     def to_dict(self) -> Dict:
         """JSON-serializable form."""

@@ -10,24 +10,21 @@ held bit-identical to its from-scratch reference twin by
 
 The analyzer holds one tracker as ``analyzer.latency`` and feeds it
 one event at a time, skipping noise and error exchanges (observed
-under the ``latency`` stage name); anomalies it emits enter the
-performance path via
-:meth:`repro.core.analyzer.GretelAnalyzer.process_anomaly`.
+under the ``latency`` stage name).  It builds the tracker with
+``on_anomaly`` set to its own
+:meth:`~repro.core.analyzer.GretelAnalyzer.process_anomaly`, so a
+confirmed shift enters the performance path the moment it is seen;
+the tracker keeps no log of what it emitted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional
 
-from repro.openstack.wire import ROW_FIELDS, WireEvent
+from repro.openstack.wire import WireEvent
 from repro.core.config import GretelConfig
-from repro.core.outliers import LevelShift
-from repro.core.state import (
-    StateFormatError,
-    require_columns,
-    require_state,
-)
+from repro.core.state import StateFormatError, require_state
 from repro.core.streamstats.detector import IncrementalLevelShiftDetector
 
 
@@ -46,33 +43,16 @@ class PerformanceAnomaly:
         """Latency increase over the baseline, seconds."""
         return self.observed - self.baseline
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable rendering (checkpoint/restore protocol);
-        the event is a row, its columns named by the tracker state."""
-        return {
-            "api_key": self.api_key,
-            "ts": self.ts,
-            "observed": self.observed,
-            "baseline": self.baseline,
-            "event": self.event.to_row(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PerformanceAnomaly":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            api_key=data["api_key"],
-            ts=data["ts"],
-            observed=data["observed"],
-            baseline=data["baseline"],
-            event=WireEvent.from_row(data["event"]),
-        )
-
 
 class LatencyTracker:
     """Streams per-API latencies into per-API level-shift detectors."""
 
-    def __init__(self, config: Optional[GretelConfig] = None):
+    def __init__(
+        self,
+        config: Optional[GretelConfig] = None,
+        *,
+        on_anomaly: Optional[Callable[[PerformanceAnomaly], None]] = None,
+    ) -> None:
         # Residue: every series runs the one LS tuning of
         # ``repro.core.outliers``, so ``config`` is ignored.  The
         # positional stays because ``benchmarks/e2e/workloads.py``
@@ -81,12 +61,10 @@ class LatencyTracker:
         del config
         self._detectors: Dict[str, IncrementalLevelShiftDetector] = {}
         self._samples_fed = 0
-        self.anomalies: List[PerformanceAnomaly] = []
-        self._listeners: List[Callable[[PerformanceAnomaly], None]] = []
-
-    def on_anomaly(self, callback: Callable[[PerformanceAnomaly], None]) -> None:
-        """Register a performance-fault consumer."""
-        self._listeners.append(callback)
+        #: The one consumer of confirmed shifts (the analyzer's
+        #: performance path); ``None`` leaves them to the caller of
+        #: :meth:`observe`.
+        self._on_anomaly = on_anomaly
 
     def detector_for(self, api_key: str) -> IncrementalLevelShiftDetector:
         """The (lazily created) detector for one API identity."""
@@ -96,30 +74,25 @@ class LatencyTracker:
             self._detectors[api_key] = detector
         return detector
 
-    def _emit(
-        self, api_key: str, shift: LevelShift, event: WireEvent
-    ) -> PerformanceAnomaly:
-        anomaly = PerformanceAnomaly(
-            api_key=api_key,
-            ts=shift.ts,
-            observed=shift.observed,
-            baseline=shift.baseline,
-            event=event,
-        )
-        self.anomalies.append(anomaly)
-        for callback in self._listeners:
-            callback(anomaly)
-        return anomaly
-
     def observe(self, event: WireEvent) -> Optional[PerformanceAnomaly]:
-        """Feed one event's latency; returns an anomaly if confirmed."""
+        """Feed one event's latency; returns an anomaly if confirmed
+        (after handing it to ``on_anomaly``)."""
         self._samples_fed += 1
         shift = self.detector_for(event.api_key).update(
             event.ts_response, event.latency
         )
         if shift is None:
             return None
-        return self._emit(event.api_key, shift, event)
+        anomaly = PerformanceAnomaly(
+            api_key=event.api_key,
+            ts=shift.ts,
+            observed=shift.observed,
+            baseline=shift.baseline,
+            event=event,
+        )
+        if self._on_anomaly is not None:
+            self._on_anomaly(anomaly)
+        return anomaly
 
     def series_count(self) -> int:
         """How many API series are being tracked."""
@@ -144,20 +117,11 @@ class LatencyTracker:
             for detector in self._detectors.values()
         )
 
-    def drain_anomalies(self) -> List[PerformanceAnomaly]:
-        """Hand off (and forget) the accumulated anomaly log.
-
-        Listeners already saw every anomaly at emission time; a
-        long-lived service session drains this log after each pump so
-        tracker memory stays bounded by the live detector windows.
-        """
-        drained = self.anomalies
-        self.anomalies = []
-        return drained
-
     # -- state lifecycle (see repro.core.state) -------------------------
 
-    STATE_FMT = "latency-tracker/v2"
+    #: v2 also carried the emitted-anomaly log (and the ``columns``
+    #: of its event rows); it is refused, never migrated.
+    STATE_FMT = "latency-tracker/v3"
 
     def snapshot_state(self) -> Dict[str, Any]:
         """Versioned, JSON-serializable rendering of every series."""
@@ -168,8 +132,6 @@ class LatencyTracker:
                 api_key: detector.snapshot_state()
                 for api_key, detector in sorted(self._detectors.items())
             },
-            "columns": list(ROW_FIELDS),
-            "anomalies": [a.to_dict() for a in self.anomalies],
         }
 
     def restore_state(self, state: Mapping[str, Any]) -> None:
@@ -180,7 +142,6 @@ class LatencyTracker:
         the offending series named, never resurrected.
         """
         require_state(state, self.STATE_FMT)
-        require_columns(state, ROW_FIELDS)
         self._detectors.clear()
         for api_key, detector_state in state["detectors"].items():
             detector = IncrementalLevelShiftDetector()
@@ -192,6 +153,3 @@ class LatencyTracker:
                 ) from error
             self._detectors[api_key] = detector
         self._samples_fed = state["samples_fed"]
-        self.anomalies = [
-            PerformanceAnomaly.from_dict(a) for a in state["anomalies"]
-        ]

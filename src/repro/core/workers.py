@@ -14,7 +14,7 @@ GIL.  The module has two halves:
   duplex pipe.  A command's op is the analyzer method to call
   (:data:`PIPELINE_OPS`), or ``reap``, which calls nothing.  Exchange
   commands (``reap``/``flush``/``stats``/…) drain the shard's report
-  log and anomaly log and ship the new
+  log and ship the new
   :class:`~repro.core.reports.FaultReport` batch back with the reply,
   so worker memory stays bounded and the parent streams reports at
   chunk granularity; ``feed`` commands are acknowledged with
@@ -151,9 +151,8 @@ class WorkerSeed:
     messages.  The metadata store crosses the boundary as a
     snapshot copy: the analyzer only *reads* monitoring metadata
     (populated at capture time), so each worker consults an identical
-    read-only copy.  Collaborators with in-process caches (fingerprint
-    matchers, the compiled selection index) rehydrate lazily inside
-    the worker.
+    read-only copy.  In-process caches (the compiled selection index)
+    rehydrate lazily inside the worker.
     """
 
     shard_id: int

@@ -17,7 +17,6 @@ from repro.openstack.wire import WireEvent
 from repro.core.analyzer import GretelAnalyzer
 from repro.core.characterize import CharacterizationResult, characterize_suite
 from repro.core.config import GretelConfig
-from repro.core.pipeline import PipelineBuilder
 from repro.core.reports import FaultReport
 from repro.core.symbols import SymbolTable
 from repro.monitoring.plane import MonitoringPlane
@@ -121,12 +120,9 @@ def make_monitored_analyzer(
     plane = MonitoringPlane(cloud)
     if config is None:
         config = GretelConfig(p_rate=p_rate_for(concurrency))
-    analyzer = (
-        PipelineBuilder(character.library)
-        .with_store(plane.store)
-        .with_config(config)
-        .track_latency(track_latency)
-        .build_serial()
+    analyzer = GretelAnalyzer(
+        character.library, store=plane.store, config=config,
+        track_latency=track_latency,
     )
     on_event = analyzer.on_event
     plane.subscribe_events(intercept(on_event) if intercept else on_event)

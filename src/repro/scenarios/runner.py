@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Type, Union
 
 from repro.core.characterize import CharacterizationResult
-from repro.core.pipeline import PipelineBuilder
+from repro.core.analyzer import GretelAnalyzer
 from repro.core.reports import FaultReport
 from repro.evaluation.common import DetectionCounts
 from repro.scenarios import registry
@@ -35,12 +35,10 @@ ScenarioRef = Union[str, Type[Scenario]]
 
 def _replay(captured: CapturedRun, scenario: Scenario) -> List[FaultReport]:
     """Feed the capture through a fresh serial analyzer."""
-    analyzer = (
-        PipelineBuilder(scenario.character.library)
-        .with_store(captured.store)
-        .with_config(scenario.analyzer_config())
-        .track_latency(scenario.track_latency)
-        .build_serial()
+    analyzer = GretelAnalyzer(
+        scenario.character.library, store=captured.store,
+        config=scenario.analyzer_config(),
+        track_latency=scenario.track_latency,
     )
     analyzer.feed(captured.events)
     analyzer.flush()

@@ -37,7 +37,6 @@ from repro.core.config import GretelConfig
 from repro.core.fingerprint import FingerprintLibrary
 from repro.core.reports import report_signature
 from repro.monitoring.store import MetadataStore
-from repro.openstack.catalog import ApiCatalog
 from repro.openstack.wire import WireEvent
 from repro.oracle import (
     OracleResult,
@@ -133,7 +132,6 @@ def verify_async(
     tenants: int = 4,
     producers: int = 2,
     config: Optional[GretelConfig] = None,
-    catalog: Optional[ApiCatalog] = None,
     store: Optional[MetadataStore] = None,
     track_latency: bool = True,
     queue_capacity: int = 1024,
@@ -160,7 +158,6 @@ def verify_async(
 
     service = StreamingService(
         library,
-        catalog=catalog,
         store=store,
         config=config,
         track_latency=track_latency,

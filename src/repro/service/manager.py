@@ -2,11 +2,10 @@
 
 :class:`StreamingService` owns one
 :class:`~repro.service.session.TenantSession` per tenant id, building
-each session's analyzer from one shared
-:class:`~repro.core.pipeline.builder.PipelineBuilder` configuration
-(same library, config, and latency/defer switches for every tenant —
-tenants differ only in their stream, exactly as one GRETEL deployment
-watches many clouds).
+each session's :class:`~repro.core.analyzer.GretelAnalyzer` from one
+shared recipe (same library, metadata store, config and latency
+switch for every tenant — tenants differ only in their stream,
+exactly as one GRETEL deployment watches many clouds).
 
 Every session has a dedicated pump thread (``docs/service.md``):
 ``submit()`` only routes and enqueues, so N producer threads ingest
@@ -35,11 +34,8 @@ from typing import Any, Dict, List, Optional
 from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
 from repro.core.fingerprint import FingerprintLibrary
-from repro.core.pipeline.builder import PipelineBuilder
 from repro.core.state import StateError
-from repro.core.symbols import SymbolTable
 from repro.monitoring.store import MetadataStore
-from repro.openstack.catalog import ApiCatalog
 from repro.openstack.wire import WireEvent
 from repro.service.checkpoint import CheckpointStore
 from repro.service.session import (
@@ -87,12 +83,9 @@ class StreamingService:
         self,
         library: FingerprintLibrary,
         *,
-        symbols: Optional[SymbolTable] = None,
-        catalog: Optional[ApiCatalog] = None,
         store: Optional[MetadataStore] = None,
         config: Optional[GretelConfig] = None,
         track_latency: bool = True,
-        defer_detection: bool = False,
         queue_capacity: int = TenantSession.QUEUE_CAPACITY,
         policy: str = "block",
         report_retention: int = 64,
@@ -115,12 +108,9 @@ class StreamingService:
         if checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
         self.library = library
-        self._symbols = symbols
-        self._catalog = catalog
         self._store = store
         self._config = config
         self._track_latency = track_latency
-        self._defer_detection = defer_detection
         self.queue_capacity = queue_capacity
         self.policy = policy
         self.report_retention = report_retention
@@ -150,15 +140,9 @@ class StreamingService:
     def build_analyzer(self) -> GretelAnalyzer:
         """A fresh analyzer configured as every session's is
         (``verify_async`` hands these to its reference sessions)."""
-        return (
-            PipelineBuilder(self.library)
-            .with_symbols(self._symbols)
-            .with_catalog(self._catalog)
-            .with_store(self._store)
-            .with_config(self._config)
-            .track_latency(self._track_latency)
-            .defer_detection(self._defer_detection)
-            .build_serial()
+        return GretelAnalyzer(
+            self.library, store=self._store, config=self._config,
+            track_latency=self._track_latency,
         )
 
     def session(self, tenant: str) -> TenantSession:

@@ -43,7 +43,6 @@ from repro.core.config import GretelConfig
 from repro.core.fingerprint import FingerprintLibrary
 from repro.core.reports import ReportSignature, report_signature
 from repro.monitoring.store import MetadataStore
-from repro.openstack.catalog import ApiCatalog
 from repro.openstack.wire import WireEvent
 from repro.oracle import (
     OracleResult,
@@ -77,7 +76,6 @@ def verify_checkpoint(
     cuts: int = 3,
     *,
     config: Optional[GretelConfig] = None,
-    catalog: Optional[ApiCatalog] = None,
     store: Optional[MetadataStore] = None,
     track_latency: bool = True,
     defer_detection: bool = False,
@@ -115,7 +113,7 @@ def verify_checkpoint(
 
         def build() -> GretelAnalyzer:
             analyzer = GretelAnalyzer(
-                library, catalog=catalog, store=store, config=config,
+                library, store=store, config=config,
                 track_latency=track_latency,
                 defer_detection=defer_detection,
             )

@@ -5,9 +5,9 @@ A :class:`TenantSession` wraps one serial
 with the three things a standing service needs that a batch drain
 does not: a **bounded ingest queue**, an **explicit backpressure
 policy** (``"block"`` / ``"shed"``), and **bounded retention** (after
-every drain the pipeline's report log and the latency tracker's
-anomaly log are handed off, so session memory is bounded by α + queue
-capacity + the retention ring, not by events ingested).
+every drain the analyzer's report log is handed off, so session
+memory is bounded by α + queue capacity + the retention ring, not by
+events ingested).
 
 Every session is a **pump session** (``docs/service.md``): a
 dedicated daemon *pump thread* drains a thread-safe bounded queue in
@@ -221,7 +221,7 @@ class TenantSession:
             self.quiesce()
             with self.parked():
                 self.analyzer.flush()
-                # Hand off pipeline-internal logs (already fanned out).
+                # Hand off the report log (already fanned out).
                 self.analyzer.shed_logs()
 
     # -- pump machinery --------------------------------------------------

@@ -58,17 +58,20 @@ def test_distinct_anchors_are_clean(
 def test_small_libraries_are_skipped(
     make_fingerprint, make_context, state_change_keys
 ):
-    # The same pathological shape below anchor_min_library: shares
+    # The same pathological shape below ANCHOR_MIN_LIBRARY: shares
     # carry no signal at this size, so the pass stays silent.
     fps = _identical(make_fingerprint, state_change_keys, 4)
     assert discriminability.run(make_context(fps)) == []
 
 
 def test_thresholds_are_tunable(
-    make_fingerprint, make_context, state_change_keys
+    make_fingerprint, make_context, state_change_keys, monkeypatch
 ):
     fps = _identical(make_fingerprint, state_change_keys, 16)
-    quiet = make_context(fps, anchor_share=1.0, hot_symbol_share=1.1)
-    assert discriminability.run(quiet) == []
-    eager = make_context(fps, anchor_min_library=4)
-    assert "DSC001" in _rules(discriminability.run(eager))
+    with monkeypatch.context() as quiet:
+        quiet.setattr(discriminability, "ANCHOR_SHARE", 1.0)
+        quiet.setattr(discriminability, "HOT_SYMBOL_SHARE", 1.1)
+        assert discriminability.run(make_context(fps)) == []
+    monkeypatch.setattr(discriminability, "ANCHOR_MIN_LIBRARY", 4)
+    small = _identical(make_fingerprint, state_change_keys, 4)
+    assert "DSC001" in _rules(discriminability.run(make_context(small)))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import LintContext, run_lint
+from repro.analysis import LintContext, engine, run_lint
 from repro.analysis.engine import PASSES
 from repro.analysis.render import render_json, render_text
 from repro.analysis.findings import LintReport, Severity
@@ -34,15 +34,16 @@ def test_pass_subset_runs_in_registry_order(
 
 
 def test_per_rule_capping_preserves_exact_counts(
-    make_fingerprint, make_context, read_keys, state_change_keys
+    make_fingerprint, make_context, read_keys, state_change_keys,
+    monkeypatch,
 ):
     # 10 distinct shapes, each with a degenerate truncation → 10 TRN001.
     fps = [
         make_fingerprint(f"op-{i}", [read_keys[i], state_change_keys[i]])
         for i in range(10)
     ]
-    ctx = make_context(fps, max_findings_per_rule=3)
-    report = run_lint(ctx, passes=["truncation"])
+    monkeypatch.setattr(engine, "MAX_FINDINGS_PER_RULE", 3)
+    report = run_lint(make_context(fps), passes=["truncation"])
     assert report.rule_counts["TRN001"] == 10
     rendered = [f for f in report.findings if f.rule == "TRN001"]
     # 3 kept + 1 aggregate overflow note.

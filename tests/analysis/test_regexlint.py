@@ -52,22 +52,23 @@ def test_no_reads_means_strict_equals_relaxed(
 
 
 def test_step_budget_exceeded_flagged(
-    make_fingerprint, make_context, state_change_keys
+    make_fingerprint, make_context, state_change_keys, monkeypatch
 ):
     # 60 repetitions of one literal: multiplicity drives the estimate
     # far past a tiny budget.
     keys = [state_change_keys[0]] * 60
-    ctx = make_context([make_fingerprint("op", keys)], step_budget=10_000)
-    findings = regexlint.run(ctx)
+    monkeypatch.setattr(regexlint, "STEP_BUDGET", 10_000)
+    findings = regexlint.run(make_context([make_fingerprint("op", keys)]))
     assert "RGX004" in _rules(findings)
 
 
 def test_long_star_run_reported(
-    make_fingerprint, make_context, state_change_keys, read_keys
+    make_fingerprint, make_context, state_change_keys, read_keys,
+    monkeypatch,
 ):
     keys = [state_change_keys[0]] + read_keys[:12] + [state_change_keys[1]]
-    ctx = make_context([make_fingerprint("op", keys)], star_run_threshold=12)
-    findings = regexlint.run(ctx)
+    monkeypatch.setattr(regexlint, "STAR_RUN_THRESHOLD", 12)
+    findings = regexlint.run(make_context([make_fingerprint("op", keys)]))
     assert "RGX005" in _rules(findings)
 
 

@@ -253,18 +253,6 @@ def test_truncate_missing_symbol_is_identity(catalog, symbols):
     assert fingerprint.truncate_at("￿").symbols == fingerprint.symbols
 
 
-def test_matches_relaxed_allows_gaps(catalog, symbols):
-    trace = keys(
-        catalog,
-        ("rest", "glance", "POST", "/v2/images"),
-        ("rest", "nova", "POST", "/v2.1/servers"),
-    )
-    fingerprint = generate_fingerprint("op", [trace], symbols, catalog)
-    a, b = symbols.symbol(trace[0]), symbols.symbol(trace[1])
-    assert fingerprint.matches(f"x{a}yy{b}z")
-    assert not fingerprint.matches(f"{b}...{a}")  # order violated
-
-
 def test_serialization_roundtrip(catalog, symbols):
     trace = keys(
         catalog,

@@ -4,6 +4,7 @@ import pytest
 
 from repro.openstack.apis import ApiKind
 from repro.openstack.wire import WireEvent
+from repro.core.config import GretelConfig
 from repro.core.latency import LatencyTracker
 from repro.core.outliers import ls_params
 from repro.core.state import StateFormatError
@@ -46,29 +47,33 @@ def test_separate_series_per_api():
 
 
 def test_anomaly_on_level_shift():
-    tracker = LatencyTracker()
     seen = []
-    tracker.on_anomaly(seen.append)
+    tracker = LatencyTracker(on_anomaly=seen.append)
+    returned = []
     for seq in range(60):
         tracker.observe(make_event(seq, "api-a", 0.010 + (seq % 3) * 0.0005))
     for seq in range(60, 80):
-        tracker.observe(make_event(seq, "api-a", 0.080))
+        returned.append(tracker.observe(make_event(seq, "api-a", 0.080)))
     assert len(seen) == 1
     anomaly = seen[0]
     assert anomaly.api_key == "api-a"
     assert anomaly.magnitude > 0.05
-    assert tracker.anomalies == seen
+    # The callback gets exactly what ``observe`` returns.
+    assert [a for a in returned if a is not None] == seen
 
 
 def test_no_anomaly_on_steady_series():
-    tracker = LatencyTracker()
+    seen = []
+    tracker = LatencyTracker(on_anomaly=seen.append)
     for seq in range(200):
         tracker.observe(make_event(seq, "api-a", 0.010 + (seq % 5) * 0.0004))
-    assert tracker.anomalies == []
+    assert seen == []
 
 
 def test_anomaly_carries_triggering_event():
-    tracker = LatencyTracker()
+    # The ledger's positional call: no callback, ``observe`` returns
+    # the anomaly.
+    tracker = LatencyTracker(GretelConfig())
     for seq in range(40):
         tracker.observe(make_event(seq, "a", 0.01))
     result = None

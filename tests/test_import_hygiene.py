@@ -1,7 +1,8 @@
 """The production packages never load the reference implementations,
-the oracle harness depends on none of them, and nothing in the
-program reaches the sharding modules (only the benchmark ledger and
-their own tests still use them)."""
+the oracle harness depends on none of them, nothing in the program
+reaches the sharding modules (only the benchmark ledger and their own
+tests still use them), and nothing builds an analyzer through the
+ledger's ``PipelineBuilder`` residue."""
 
 import ast
 import glob
@@ -97,6 +98,40 @@ def test_service_imports_no_sharding_module():
         for path in sorted(set(paths) - own)
         for name in imported_names(path)
         if name.startswith(SHARDING)
+    ]
+    assert not offenders, offenders
+
+
+def named_identifiers(path):
+    """Every identifier a file's code names: variables, attributes,
+    imported names and definitions (docstrings and comments are not
+    code)."""
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update((node.name.split(".")[-1], node.asname))
+        elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            names.add(node.name)
+    return names
+
+
+def test_only_the_shim_names_pipeline_builder():
+    """Every program caller builds ``GretelAnalyzer(...)`` itself; the
+    builder survives only as the ledger's shim in
+    ``repro.core.pipeline``."""
+    root = os.path.dirname(repro.__file__)
+    shim = os.path.join(root, "core", "pipeline", "__init__.py")
+    paths = glob.glob(os.path.join(root, "**", "*.py"), recursive=True)
+    assert "PipelineBuilder" in named_identifiers(shim)
+    offenders = [
+        os.path.relpath(path, root) for path in sorted(paths)
+        if path != shim and "PipelineBuilder" in named_identifiers(path)
     ]
     assert not offenders, offenders
 

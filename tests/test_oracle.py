@@ -10,8 +10,8 @@ import json
 
 import pytest
 
+from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
-from repro.core.pipeline import PipelineBuilder
 from repro.monitoring.store import MetadataStore
 from repro.oracle import (
     DETAIL_LIMIT,
@@ -196,12 +196,8 @@ def events(library):
 
 @pytest.fixture(scope="module")
 def snapshots(library, events):
-    serial = (
-        PipelineBuilder(library)
-        .with_store(MetadataStore())
-        .with_config(CONFIG)
-        .defer_detection(True)
-        .build_serial()
+    serial = GretelAnalyzer(
+        library, store=MetadataStore(), config=CONFIG, defer_detection=True,
     )
     serial.feed(events)
     serial.flush()
