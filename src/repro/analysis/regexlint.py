@@ -1,10 +1,11 @@
 """Pass 4 — paper-regex pathology.
 
 Algorithm 1 emits one regex per operation: state-change symbols as
-literals, reads starred.  The runtime matchers derived from it are
-linear chains (`L1.*?L2.*?...Ln`), so classic nested-quantifier
-explosions cannot occur — but the linear form has its own pathologies,
-all checkable statically.
+literals, reads starred.  Nothing compiles these regexes at run time —
+the detector scores the state-change sequence by LCS — but their
+shape still says what relaxed and strict matching can tell apart, and
+the linear form (`L1.*?L2.*?...Ln`) has pathologies checkable
+statically.
 
 Rules
 -----
@@ -23,12 +24,6 @@ Rules
     No starred symbols at all: relaxed and strict matchers are the
     same expression, so the strict ablation is meaningless for this
     operation.
-``RGX004`` (warning)
-    Bounded matcher-step estimate exceeds the budget: repeated
-    literals let the lazy-gap matcher re-anchor, and the worst-case
-    work grows with window size × literal count × literal
-    multiplicity.
-
 ``RGX005`` (info)
     A run of ≥ ``STAR_RUN_THRESHOLD`` consecutive starred reads: the
     strict matcher demands a long exact read sequence (brittle), while
@@ -38,7 +33,6 @@ Rules
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import List, Tuple
 
 from repro.analysis.context import LintContext
@@ -47,30 +41,9 @@ from repro.core.fingerprint import Fingerprint
 
 PASS_NAME = "regex"
 
-#: Matcher-step budget for the bounded estimator (RGX004).
-STEP_BUDGET = 10_000_000
-
 #: Reads-only runs of at least this length are flagged as star runs
 #: (RGX005).
 STAR_RUN_THRESHOLD = 12
-
-
-def estimate_matcher_steps(literals: str, window: int) -> int:
-    """Upper-bound estimate of lazy-gap matcher work on one window.
-
-    The relaxed matcher is ``L1.*?L2.*?...Ln`` searched over a window
-    of ``window`` symbols.  With all-distinct literals the scan is one
-    pass, O(window).  Every repeated literal lets a failed search
-    re-anchor at the next occurrence and rescan, so the worst case
-    grows with the literal count times the highest multiplicity.  We
-    bound steps by ``window · (1 + n · (m − 1))`` where ``n`` is the
-    literal count and ``m`` the highest multiplicity of any literal —
-    deliberately pessimistic, deterministic, and cheap.
-    """
-    if not literals or window <= 0:
-        return 0
-    multiplicity = max(Counter(literals).values())
-    return window * (1 + len(literals) * (multiplicity - 1))
 
 
 def _adjacent_starred_pairs(fingerprint: Fingerprint) -> List[str]:
@@ -97,7 +70,6 @@ def _longest_read_run(fingerprint: Fingerprint) -> int:
 def run(ctx: LintContext) -> List[Finding]:
     """Emit RGX findings, aggregated per fingerprint shape."""
     findings: List[Finding] = []
-    alpha = ctx.config.sliding_window_size(ctx.library.fp_max)
     for symbols, operations in sorted(
         ctx.symbol_classes().items(), key=lambda item: sorted(item[1])[0]
     ):
@@ -160,29 +132,6 @@ def run(ctx: LintContext) -> List[Finding]:
                 ),
                 witness=ops_witness,
                 fix_hint="informational; the strict ablation is a no-op here",
-            ))
-
-        steps = estimate_matcher_steps(
-            fingerprint.state_change_symbols, alpha
-        )
-        if steps > STEP_BUDGET:
-            findings.append(Finding(
-                rule="RGX004",
-                severity=Severity.WARNING,
-                pass_name=PASS_NAME,
-                location=location,
-                message=(
-                    f"estimated worst-case matcher steps {steps:,} "
-                    f"exceed the budget {STEP_BUDGET:,} "
-                    f"(α = {alpha}, {n_literals} literals, repeated "
-                    "literals allow re-anchoring)"
-                ),
-                witness=ops_witness,
-                fix_hint=(
-                    "prune repeated state-change literals (RPC pruning "
-                    "helps), shrink α, or raise the lint step budget if "
-                    "the matcher is known to keep up"
-                ),
             ))
 
         read_run = _longest_read_run(fingerprint)

@@ -1,21 +1,23 @@
 """Pass 2 — truncation reachability.
 
 Algorithm 2 truncates every candidate fingerprint at the *last*
-occurrence of the offending API before matching.  For that cut to be
-matchable at all, the resulting prefix must contain at least one
-state-change literal — the relaxed matcher scores state-change symbol
-order only, so a reads-only prefix corroborates nothing and the
-operation is invisible to faults at that API.
+occurrence of the offending API before matching.  The relaxed matcher
+scores state-change symbol order, so a prefix with no state-change
+literal has nothing to score that way: candidate preparation
+(``repro.core.detector.prepare_candidate``) turns it into a pure read
+— cuts ``(0,)``, scored on the prefix's full symbol sequence — and a
+pure read ranks only when no state-change candidate passes coverage.
 
 Rules
 -----
 ``TRN001`` (info)
     Truncating at some symbol of the fingerprint yields a prefix with
-    zero state-change literals.  A fault striking that API can never be
-    attributed to this operation.  Info severity: the blind spot is
-    inherent to Alg. 2 (the operation simply had not changed state yet)
-    and pervasive in any real library, but the witness list tells an
-    operator exactly which APIs are uncovered.
+    zero state-change literals.  A fault striking that API scores this
+    operation as a pure read on the reads-only prefix, so it is named
+    only when no state-change candidate matches.  Info severity: the
+    weak spot is inherent to Alg. 2 (the operation simply had not
+    changed state yet) and pervasive in any real library, but the
+    witness list tells an operator exactly which APIs it affects.
 ``TRN002`` (info)
     Truncating at the fingerprint's first state-change symbol yields a
     single-literal prefix.  A one-symbol cut reaches coverage 1.0 from
@@ -64,15 +66,18 @@ def run(ctx: LintContext) -> List[Finding]:
                 message=(
                     f"truncation at {len(degenerate)} of the "
                     f"fingerprint's symbols leaves no state-change "
-                    f"literal; faults at those APIs cannot be "
-                    f"attributed to these {len(operations)} operation(s)"
+                    f"literal; a fault at those APIs scores these "
+                    f"{len(operations)} operation(s) as pure reads, "
+                    f"ranked only when no state-change candidate "
+                    f"passes coverage"
                 ),
                 witness=ctx.sample_ops(operations)
                 + ctx.api_labels("".join(degenerate)),
                 fix_hint=(
-                    "acceptable if those APIs are fault-injected only "
-                    "after a state change elsewhere; otherwise move a "
-                    "state-change API earlier in the operation"
+                    "acceptable if another operation's state changes "
+                    "explain faults at those APIs; otherwise move a "
+                    "state-change API earlier in the operation so the "
+                    "cut keeps a literal"
                 ),
             ))
         first_sc_index = mask.index(True)
@@ -97,7 +102,7 @@ def run(ctx: LintContext) -> List[Finding]:
                 witness=ctx.sample_ops(operations)
                 + (ctx.api_label(first_sc_symbol),),
                 fix_hint=(
-                    "rely on snapshot pruning (length_tolerance) to "
+                    "rely on snapshot pruning (LENGTH_TOLERANCE) to "
                     "discount single-literal matches, or start the "
                     "operation with a more distinctive state change"
                 ),

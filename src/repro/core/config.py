@@ -12,10 +12,11 @@ Fig. 7c and ablation figures turn off.  Every other threshold has one
 value in use, so it is a constant next to the code that reads it:
 ``T`` / ``C1`` / ``C2`` here, ``MATCH_COVERAGE`` / ``STOP_PATIENCE``
 in :mod:`repro.core.detector`, ``LENGTH_TOLERANCE`` in
-:mod:`repro.core.matching.engine`, the level-shift
-tuning (``LS_*``) in :mod:`repro.core.outliers`, ``PERF_DEBOUNCE`` /
-``PERF_BUFFER_CAP`` in :mod:`repro.core.analyzer` and Algorithm 3's
-resource thresholds in :mod:`repro.core.rootcause`.
+:mod:`repro.core.matching.engine`, the level-shift tuning
+(``LS_*``, which both LS detectors read when built and the latency
+tracker's checkpoint records) in :mod:`repro.core.outliers`,
+``PERF_DEBOUNCE`` / ``PERF_BUFFER_CAP`` in :mod:`repro.core.analyzer`
+and Algorithm 3's resource thresholds in :mod:`repro.core.rootcause`.
 """
 
 from __future__ import annotations

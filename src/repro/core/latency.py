@@ -14,7 +14,9 @@ under the ``latency`` stage name).  It builds the tracker with
 ``on_anomaly`` set to its own
 :meth:`~repro.core.analyzer.GretelAnalyzer.process_anomaly`, so a
 confirmed shift enters the performance path the moment it is seen;
-the tracker keeps no log of what it emitted.
+neither the tracker nor a detector keeps a log of what it emitted.
+Every series runs the one LS tuning of :mod:`repro.core.outliers`,
+and a checkpoint records that tuning once, for the whole tracker.
 """
 
 from __future__ import annotations
@@ -23,9 +25,19 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.openstack.wire import WireEvent
+from repro.core import outliers
 from repro.core.config import GretelConfig
-from repro.core.state import StateFormatError, require_state
+from repro.core.state import StateError, StateFormatError, require_state
 from repro.core.streamstats.detector import IncrementalLevelShiftDetector
+
+
+def _ls_tuning() -> Dict[str, Any]:
+    """The tuning every series is built with: the ``LS_*`` constants
+    of :mod:`repro.core.outliers`, by name."""
+    return {
+        name: value for name, value in vars(outliers).items()
+        if name.startswith("LS_")
+    }
 
 
 @dataclass(frozen=True)
@@ -119,14 +131,20 @@ class LatencyTracker:
 
     # -- state lifecycle (see repro.core.state) -------------------------
 
-    #: v2 also carried the emitted-anomaly log (and the ``columns``
-    #: of its event rows); it is refused, never migrated.
-    STATE_FMT = "latency-tracker/v3"
+    #: v3 repeated the LS tuning in every series state (and v2 also
+    #: carried the emitted-anomaly log); both are refused, never
+    #: migrated.
+    STATE_FMT = "latency-tracker/v4"
 
     def snapshot_state(self) -> Dict[str, Any]:
-        """Versioned, JSON-serializable rendering of every series."""
+        """Versioned, JSON-serializable rendering of every series.
+
+        The LS tuning is written once, as ``tuning``: every series
+        ran it, so no series state repeats it.
+        """
         return {
             "fmt": self.STATE_FMT,
+            "tuning": _ls_tuning(),
             "samples_fed": self._samples_fed,
             "detectors": {
                 api_key: detector.snapshot_state()
@@ -137,11 +155,24 @@ class LatencyTracker:
     def restore_state(self, state: Mapping[str, Any]) -> None:
         """Rehydrate a fresh tracker.
 
-        Every series must carry the production LS detector's fmt tag;
-        any other tag (a reference detector's, say) is refused with
-        the offending series named, never resurrected.
+        A checkpoint taken under another LS tuning is refused with
+        each differing constant named.  Every series must carry the
+        production LS detector's fmt tag; any other tag is refused
+        with the offending series named, never resurrected.
         """
         require_state(state, self.STATE_FMT)
+        theirs, here = state["tuning"], _ls_tuning()
+        differing = [
+            f"{name}: {theirs.get(name)} in the checkpoint, "
+            f"{here.get(name)} here"
+            for name in sorted(theirs.keys() | here.keys())
+            if theirs.get(name) != here.get(name)
+        ]
+        if differing:
+            raise StateError(
+                "latency state was captured under a different LS "
+                "tuning (" + "; ".join(differing) + ")"
+            )
         self._detectors.clear()
         for api_key, detector_state in state["detectors"].items():
             detector = IncrementalLevelShiftDetector()

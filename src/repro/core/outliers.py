@@ -12,12 +12,13 @@ LS semantics, which this online implementation preserves:
   there is a sudden spike"; smaller subsequent variation is ignored).
 
 A detector keeps a rolling window, estimates a robust baseline
-(median + MAD), and confirms a shift after ``confirm`` consecutive
-points beyond ``sigmas`` robust deviations (and an absolute floor
-``min_delta``).  This module holds what every detector shares — the
-:class:`LevelShift` alarm record, the tuning-parameter guard for the
-state protocol — and the static-threshold ablation.  The LS detector
-GRETEL runs is ``repro.core.streamstats``'s
+(median + MAD), and confirms a shift after ``LS_CONFIRM`` consecutive
+points beyond ``LS_SIGMAS`` robust deviations (and an absolute floor
+``LS_MIN_DELTA``).  This module holds what every detector shares —
+the :class:`LevelShift` alarm record and the one LS tuning, the
+``LS_*`` constants — and the static-threshold ablation.  A detector
+keeps no log of its alarms: ``update`` returns each one, once.  The
+LS detector GRETEL runs is ``repro.core.streamstats``'s
 ``IncrementalLevelShiftDetector``; its from-scratch twin is the
 reference half of ``repro.core.streamstats.verify_levelshift`` and
 lives outside the production packages.
@@ -25,10 +26,8 @@ lives outside the production packages.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Mapping, Optional
-
-from repro.core.state import StateError
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -41,15 +40,6 @@ class LevelShift:
     magnitude: float        # observed - baseline
     index: int              # sample index at confirmation
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable rendering (checkpoint/restore protocol)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LevelShift":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**data)
-
 
 def _median(values: List[float]) -> float:
     ordered = sorted(values)
@@ -59,8 +49,10 @@ def _median(values: List[float]) -> float:
     return 0.5 * (ordered[mid - 1] + ordered[mid])
 
 
-# The LS tuning GRETEL runs: the constructor defaults of both the
-# production and the reference detector.
+# The one LS tuning GRETEL runs.  Both the production and the
+# reference detector read these when constructed (so a test retunes
+# both with one ``monkeypatch.setattr`` on this module), and the
+# latency tracker's checkpoint records them as its tuning guard.
 
 #: Baseline window length (samples).
 LS_WINDOW = 24
@@ -79,30 +71,6 @@ LS_WARMUP = 12
 #: Quiet period after an alarm, seconds of series time.
 LS_COOLDOWN = 10.0
 
-#: Construction parameters shared by production and reference LS; a
-#: checkpoint taken under one parameterization must not silently
-#: rehydrate a detector tuned differently.
-LS_PARAM_FIELDS = (
-    "window", "sigmas", "min_delta", "rel_delta", "confirm",
-    "warmup", "cooldown",
-)
-
-
-def ls_params(detector: Any) -> Dict[str, Any]:
-    """The LS tuning knobs of either detector implementation."""
-    return {name: getattr(detector, name) for name in LS_PARAM_FIELDS}
-
-
-def check_ls_params(detector: Any, state: Mapping[str, Any]) -> None:
-    """Raise :class:`StateError` on a tuning mismatch."""
-    params = state["params"]
-    for name in LS_PARAM_FIELDS:
-        if params[name] != getattr(detector, name):
-            raise StateError(
-                f"LS state has {name}={params[name]!r}, this detector "
-                f"has {name}={getattr(detector, name)!r}"
-            )
-
 
 class StaticThresholdDetector:
     """The naive alternative to LS: alarm whenever a fixed threshold is
@@ -115,16 +83,15 @@ class StaticThresholdDetector:
     The ablation bench compares false-alarm behaviour directly.
     """
 
-    def __init__(self, threshold: float, confirm: int = 3):
+    def __init__(self, threshold: float, confirm: int = 3) -> None:
         if threshold <= 0:
             raise ValueError("threshold must be positive")
         if confirm < 1:
             raise ValueError("confirm must be at least 1")
         self.threshold_value = threshold
         self.confirm = confirm
-        self._streak: List[tuple] = []
+        self._streak: List[Tuple[float, float]] = []
         self._count = 0
-        self.alarms: List[LevelShift] = []
 
     def threshold(self) -> float:
         """The fixed alarm threshold."""
@@ -146,15 +113,8 @@ class StaticThresholdDetector:
                     # the LS detector (not the alarm count).
                     index=self._count,
                 )
-                self.alarms.append(shift)
                 self._streak.clear()
                 return shift
             return None
         self._streak.clear()
         return None
-
-    def reset(self) -> None:
-        """Forget all state."""
-        self._streak.clear()
-        self._count = 0
-        self.alarms.clear()

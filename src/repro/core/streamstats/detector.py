@@ -29,10 +29,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.core.outliers import (
-    LS_CONFIRM, LS_COOLDOWN, LS_MIN_DELTA, LS_REL_DELTA, LS_SIGMAS,
-    LS_WARMUP, LS_WINDOW, LevelShift, _median, check_ls_params, ls_params,
-)
+from repro.core import outliers
+from repro.core.outliers import LevelShift, _median
 from repro.core.state import decode_ts, encode_ts, require_state
 from repro.core.streamstats.window import SortedWindow
 
@@ -40,32 +38,20 @@ from repro.core.streamstats.window import SortedWindow
 class IncrementalLevelShiftDetector:
     """Online LS detector for one time series, amortized O(log w)."""
 
-    def __init__(
-        self,
-        window: int = LS_WINDOW,
-        sigmas: float = LS_SIGMAS,
-        min_delta: float = LS_MIN_DELTA,
-        confirm: int = LS_CONFIRM,
-        warmup: int = LS_WARMUP,
-        rel_delta: float = LS_REL_DELTA,
-        cooldown: float = LS_COOLDOWN,
-    ) -> None:
-        if window < 4:
-            raise ValueError("window must be at least 4")
-        if confirm < 1:
-            raise ValueError("confirm must be at least 1")
-        self.window = window
-        self.sigmas = sigmas
-        self.min_delta = min_delta
-        self.rel_delta = rel_delta
-        self.confirm = confirm
-        self.warmup = max(warmup, confirm + 1)
-        self.cooldown = cooldown
+    def __init__(self) -> None:
+        # The one LS tuning, read at construction (not import) so a
+        # patched ``repro.core.outliers`` retunes every new series;
+        # ``update`` reads the copies as plain attributes.
+        self.sigmas = outliers.LS_SIGMAS
+        self.min_delta = outliers.LS_MIN_DELTA
+        self.rel_delta = outliers.LS_REL_DELTA
+        self.confirm = outliers.LS_CONFIRM
+        self.warmup = max(outliers.LS_WARMUP, self.confirm + 1)
+        self.cooldown = outliers.LS_COOLDOWN
         self._cooldown_until = float("-inf")
-        self._baseline = SortedWindow(window)
+        self._baseline = SortedWindow(outliers.LS_WINDOW)
         self._pending: List[Tuple[float, float]] = []
         self._count = 0
-        self.alarms: List[LevelShift] = []
         #: Perf counter: (median, MAD, threshold) recomputes actually
         #: performed (cache misses); the reference detector counts one
         #: per ``threshold()`` call.  Surfaced as the pipeline's
@@ -173,7 +159,6 @@ class IncrementalLevelShiftDetector:
                     magnitude=observed - med,
                     index=self._count,
                 )
-                self.alarms.append(shift)
                 baseline.clear()
                 for _, pending_value in self._pending:
                     baseline.append(pending_value)
@@ -191,18 +176,11 @@ class IncrementalLevelShiftDetector:
         baseline.append(value)
         return None
 
-    def reset(self) -> None:
-        """Forget all state (fresh series)."""
-        self._baseline.clear()
-        self._pending.clear()
-        self._count = 0
-        self._cooldown_until = float("-inf")
-        self.alarms.clear()
-        self._cache_version = -1
-
     # -- state lifecycle (see repro.core.state) -------------------------
 
-    STATE_FMT = "ls-incremental/v1"
+    #: v1 also carried the tuning and every alarm the series had
+    #: raised; it is refused, never migrated.
+    STATE_FMT = "ls-incremental/v2"
 
     def snapshot_state(self) -> Dict[str, Any]:
         """Versioned, JSON-serializable rendering of the detector.
@@ -215,12 +193,10 @@ class IncrementalLevelShiftDetector:
         """
         return {
             "fmt": self.STATE_FMT,
-            "params": ls_params(self),
             "baseline": self._baseline.snapshot_state(),
             "pending": [list(pair) for pair in self._pending],
             "count": self._count,
             "cooldown_until": encode_ts(self._cooldown_until),
-            "alarms": [shift.to_dict() for shift in self.alarms],
             "threshold_recomputes": self.threshold_recomputes,
             "cache": {
                 "version": self._cache_version,
@@ -230,16 +206,13 @@ class IncrementalLevelShiftDetector:
         }
 
     def restore_state(self, state: Mapping[str, Any]) -> None:
-        """Rehydrate a fresh detector with the same tuning."""
+        """Rehydrate a fresh detector (the latency tracker checks that
+        the checkpoint ran the same tuning)."""
         require_state(state, self.STATE_FMT)
-        check_ls_params(self, state)
         self._baseline.restore_state(state["baseline"])
         self._pending = [(ts, value) for ts, value in state["pending"]]
         self._count = state["count"]
         self._cooldown_until = decode_ts(state["cooldown_until"])
-        self.alarms = [
-            LevelShift.from_dict(shift) for shift in state["alarms"]
-        ]
         self.threshold_recomputes = state["threshold_recomputes"]
         cache = state["cache"]
         self._cache_version = cache["version"]

@@ -64,12 +64,11 @@ def verify_levelshift(
 ) -> OracleResult:
     """Replay one (ts, value) stream through both detectors and compare.
 
-    Two fresh detectors with the default LS tuning
-    (``repro.core.outliers``) differ only in implementation;
+    Two fresh detectors, both built from the ``LS_*`` tuning of
+    ``repro.core.outliers``, differ only in implementation;
     ``detectors`` overrides the ``(reference, incremental)`` pair —
-    the property over random tunings passes pairs built from the
-    parameters it draws, and the negative oracle test injects a
-    mismatched one.  ``strict`` is :func:`repro.oracle.settle`'s.
+    the negative oracle test injects a mismatched one.  ``strict`` is
+    :func:`repro.oracle.settle`'s.
     """
     if detectors is None:
         from repro.reference.levelshift import LevelShiftDetector

@@ -222,8 +222,9 @@ def run_detector_choice(
     load growth + one injected shift); ``(alarms, alarms during the
     shift)`` per detector."""
     rng = random.Random(7)
-    adaptive = IncrementalLevelShiftDetector(min_delta=0.004, cooldown=5.0)
-    static = StaticThresholdDetector(threshold=0.015)
+    detectors = (("LS", IncrementalLevelShiftDetector()),
+                 ("static", StaticThresholdDetector(threshold=0.015)))
+    alarms = {name: [0, 0] for name, _ in detectors}
     ts = 0.0
     for step in range(2000):
         ts += 0.05
@@ -231,13 +232,14 @@ def run_detector_choice(
         if 600 <= step < 900:
             base += 0.040                        # the injected shift
         value = base + rng.uniform(0, 0.002)
-        adaptive.update(ts, value)
-        static.update(ts, value)
-    return {
-        name: (len(detector.alarms),
-               sum(1 for a in detector.alarms if 30.0 <= a.ts <= 47.0))
-        for name, detector in (("LS", adaptive), ("static", static))
-    }
+        for name, detector in detectors:
+            shift = detector.update(ts, value)
+            if shift is None:
+                continue
+            alarms[name][0] += 1
+            if 30.0 <= shift.ts <= 47.0:
+                alarms[name][1] += 1
+    return {name: (total, during) for name, (total, during) in alarms.items()}
 
 
 def format_detector_choice(alarms: Dict[str, Tuple[int, int]]) -> str:

@@ -18,6 +18,7 @@ from repro.core.analyzer import GretelAnalyzer
 from repro.core.characterize import CharacterizationResult, characterize_suite
 from repro.core.config import GretelConfig
 from repro.core.reports import FaultReport
+from repro.core.streamstats import IncrementalLevelShiftDetector
 from repro.core.symbols import SymbolTable
 from repro.monitoring.plane import MonitoringPlane
 from repro.workloads.runner import OperationOutcome, WorkloadRunner
@@ -128,6 +129,38 @@ def make_monitored_analyzer(
     plane.subscribe_events(intercept(on_event) if intercept else on_event)
     plane.start()
     return cloud, plane, analyzer
+
+
+def record_ls_series(
+    api_key: str, samples: List[Tuple[float, float]],
+) -> Callable[[EventCallback], EventCallback]:
+    """An ``intercept`` that appends to ``samples`` each
+    ``(ts, latency)`` the analyzer feeds ``api_key``'s LS series: the
+    clean exchanges (neither noise nor error), in ``on_event`` order."""
+    def intercept(on_event: EventCallback) -> EventCallback:
+        def recording(event: WireEvent) -> None:
+            if (event.api_key == api_key and not event.noise
+                    and not event.error):
+                samples.append((event.ts_response, event.latency))
+            on_event(event)
+        return recording
+    return intercept
+
+
+def ls_alarms(
+    samples: Iterable[Tuple[float, float]],
+) -> List[Tuple[float, float, float]]:
+    """``(ts, observed, baseline)`` of every shift a fresh LS detector
+    confirms over ``samples``.  A detector keeps no alarm log, so a
+    figure replays the series :func:`record_ls_series` recorded: the
+    same samples in the same order raise the analyzer's alarms."""
+    detector = IncrementalLevelShiftDetector()
+    alarms = []
+    for ts, value in samples:
+        shift = detector.update(ts, value)
+        if shift is not None:
+            alarms.append((shift.ts, shift.observed, shift.baseline))
+    return alarms
 
 
 # ---------------------------------------------------------------------------

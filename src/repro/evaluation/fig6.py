@@ -19,8 +19,10 @@ from repro.core.config import GretelConfig
 from repro.evaluation.common import (
     default_characterization,
     default_suite,
+    ls_alarms,
     make_monitored_analyzer,
     p_rate_for,
+    record_ls_series,
 )
 from repro.workloads.runner import WorkloadRunner
 
@@ -57,9 +59,11 @@ def run(
     """Sustained workload with a mid-run CPU surge on the Neutron node."""
     character = character or default_characterization()
     config = GretelConfig(p_rate=p_rate_for(concurrency))
+    ls_series: List[Tuple[float, float]] = []
     cloud, plane, analyzer = make_monitored_analyzer(
         character, seed=seed, concurrency=concurrency,
         config=config, track_latency=True,
+        intercept=record_ls_series(TARGET_API, ls_series),
     )
 
     series: List[Tuple[float, float]] = []
@@ -79,8 +83,7 @@ def run(
     )
     analyzer.flush()
 
-    detector = analyzer.latency.detector_for(TARGET_API)
-    alarms = [(a.ts, a.observed, a.baseline) for a in detector.alarms]
+    alarms = ls_alarms(ls_series)
     performance = analyzer.performance_reports
     cpu_found = any(
         cause.kind == "resource" and cause.subject == "cpu"

@@ -22,8 +22,10 @@ from repro.core.config import GretelConfig
 from repro.evaluation.common import (
     default_characterization,
     default_suite,
+    ls_alarms,
     make_monitored_analyzer,
     p_rate_for,
+    record_ls_series,
 )
 from repro.workloads.runner import WorkloadRunner
 
@@ -65,9 +67,11 @@ def run(
     """Sustained workload with a tc-style latency injection on Glance."""
     character = character or default_characterization()
     config = GretelConfig(p_rate=p_rate_for(concurrency))
+    ls_series: List[Tuple[float, float]] = []
     cloud, plane, analyzer = make_monitored_analyzer(
         character, seed=seed, concurrency=concurrency,
         config=config, track_latency=True,
+        intercept=record_ls_series(TARGET_API, ls_series),
     )
 
     series: List[Tuple[float, float]] = []
@@ -87,10 +91,9 @@ def run(
     )
     analyzer.flush()
 
-    detector = analyzer.latency.detector_for(TARGET_API)
     return Fig8bResult(
         series=series,
-        alarms=[(a.ts, a.observed, a.baseline) for a in detector.alarms],
+        alarms=ls_alarms(ls_series),
         injection_window=(start, end),
         injected_delay=injected_delay,
         reports=analyzer.performance_reports,

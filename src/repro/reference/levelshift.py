@@ -13,50 +13,34 @@ thresholds against this class.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Mapping, Optional
+from typing import Deque, List, Optional, Tuple
 
-from repro.core.outliers import (
-    LS_CONFIRM, LS_COOLDOWN, LS_MIN_DELTA, LS_REL_DELTA, LS_SIGMAS,
-    LS_WARMUP, LS_WINDOW, LevelShift, _median, check_ls_params, ls_params,
-)
-from repro.core.state import decode_ts, encode_ts, require_state
+from repro.core import outliers
+from repro.core.outliers import LevelShift, _median
 
 
 class LevelShiftDetector:
     """Online LS detector for one time series."""
 
-    def __init__(
-        self,
-        window: int = LS_WINDOW,
-        sigmas: float = LS_SIGMAS,
-        min_delta: float = LS_MIN_DELTA,
-        confirm: int = LS_CONFIRM,
-        warmup: int = LS_WARMUP,
-        rel_delta: float = LS_REL_DELTA,
-        cooldown: float = LS_COOLDOWN,
-    ):
-        if window < 4:
-            raise ValueError("window must be at least 4")
-        if confirm < 1:
-            raise ValueError("confirm must be at least 1")
-        self.window = window
-        self.sigmas = sigmas
-        self.min_delta = min_delta
+    def __init__(self) -> None:
+        # The tuning is ``repro.core.outliers``'s, read at construction
+        # like the production detector's.
+        self.sigmas = outliers.LS_SIGMAS
+        self.min_delta = outliers.LS_MIN_DELTA
         #: Minimum shift as a fraction of the baseline: a *level shift*
         #: is a jump to a new regime, not jitter around the old one.
-        self.rel_delta = rel_delta
-        self.confirm = confirm
-        self.warmup = max(warmup, confirm + 1)
+        self.rel_delta = outliers.LS_REL_DELTA
+        self.confirm = outliers.LS_CONFIRM
+        self.warmup = max(outliers.LS_WARMUP, self.confirm + 1)
         #: Quiet period after an alarm (seconds of series time): the
         #: transition into/out of a new level is volatile, and one
         #: level shift should raise one alarm, not a storm (the paper's
         #: LS "does not report many false alarms").
-        self.cooldown = cooldown
+        self.cooldown = outliers.LS_COOLDOWN
         self._cooldown_until = float("-inf")
-        self._baseline: Deque[float] = deque(maxlen=window)
-        self._pending: List[tuple] = []   # (ts, value) candidates
+        self._baseline: Deque[float] = deque(maxlen=outliers.LS_WINDOW)
+        self._pending: List[Tuple[float, float]] = []   # shift candidates
         self._count = 0
-        self.alarms: List[LevelShift] = []
         #: Perf counter: every ``threshold()`` call re-derives the
         #: (median, MAD, threshold) triple from scratch here; the
         #: incremental engine only recomputes on window mutation.
@@ -91,7 +75,7 @@ class LevelShiftDetector:
             self.rel_delta * baseline,
         )
 
-    # -- feeding -------------------------------------------------------------
+    # -- feeding ----------------------------------------------------------
 
     def update(self, ts: float, value: float) -> Optional[LevelShift]:
         """Feed one sample; returns a :class:`LevelShift` when confirmed."""
@@ -106,14 +90,15 @@ class LevelShiftDetector:
         if value > self.threshold():
             self._pending.append((ts, value))
             if len(self._pending) >= self.confirm:
+                observed = _median([v for _, v in self._pending])
+                baseline = self.baseline
                 shift = LevelShift(
                     ts=self._pending[0][0],
-                    observed=_median([v for _, v in self._pending]),
-                    baseline=self.baseline,
-                    magnitude=_median([v for _, v in self._pending]) - self.baseline,
+                    observed=observed,
+                    baseline=baseline,
+                    magnitude=observed - baseline,
                     index=self._count,
                 )
-                self.alarms.append(shift)
                 # Adapt: the series has moved to a new level — re-seed
                 # the baseline on it (tsoutliers' LS adjustment), so
                 # the same shift is reported exactly once.
@@ -128,47 +113,8 @@ class LevelShiftDetector:
         # A below-threshold sample breaks any pending shift (isolated
         # spikes never alarm — LS wants sustained level changes).
         if self._pending:
-            for pending_ts, pending_value in self._pending:
+            for _, pending_value in self._pending:
                 self._baseline.append(pending_value)
             self._pending.clear()
         self._baseline.append(value)
         return None
-
-    def reset(self) -> None:
-        """Forget all state (fresh series)."""
-        self._baseline.clear()
-        self._pending.clear()
-        self._count = 0
-        self._cooldown_until = float("-inf")
-        self.alarms.clear()
-
-    # -- state lifecycle (see repro.core.state) -------------------------
-
-    STATE_FMT = "ls-reference/v1"
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        """Versioned, JSON-serializable rendering of the detector."""
-        return {
-            "fmt": self.STATE_FMT,
-            "params": ls_params(self),
-            "baseline": list(self._baseline),
-            "pending": [list(pair) for pair in self._pending],
-            "count": self._count,
-            "cooldown_until": encode_ts(self._cooldown_until),
-            "alarms": [shift.to_dict() for shift in self.alarms],
-            "threshold_recomputes": self.threshold_recomputes,
-        }
-
-    def restore_state(self, state: Mapping[str, Any]) -> None:
-        """Rehydrate a fresh detector with the same tuning."""
-        require_state(state, self.STATE_FMT)
-        check_ls_params(self, state)
-        self._baseline.clear()
-        self._baseline.extend(state["baseline"])
-        self._pending = [(ts, value) for ts, value in state["pending"]]
-        self._count = state["count"]
-        self._cooldown_until = decode_ts(state["cooldown_until"])
-        self.alarms = [
-            LevelShift.from_dict(shift) for shift in state["alarms"]
-        ]
-        self.threshold_recomputes = state["threshold_recomputes"]

@@ -1,9 +1,6 @@
-"""Regex pass: star pathologies and the bounded step estimator."""
-
-from hypothesis import given, strategies as st
+"""Regex pass: star pathologies."""
 
 from repro.analysis import regexlint
-from repro.analysis.regexlint import estimate_matcher_steps
 from repro.core.fingerprint import Fingerprint
 
 
@@ -51,17 +48,6 @@ def test_no_reads_means_strict_equals_relaxed(
     assert "RGX002" not in _rules(findings)
 
 
-def test_step_budget_exceeded_flagged(
-    make_fingerprint, make_context, state_change_keys, monkeypatch
-):
-    # 60 repetitions of one literal: multiplicity drives the estimate
-    # far past a tiny budget.
-    keys = [state_change_keys[0]] * 60
-    monkeypatch.setattr(regexlint, "STEP_BUDGET", 10_000)
-    findings = regexlint.run(make_context([make_fingerprint("op", keys)]))
-    assert "RGX004" in _rules(findings)
-
-
 def test_long_star_run_reported(
     make_fingerprint, make_context, state_change_keys, read_keys,
     monkeypatch,
@@ -70,33 +56,6 @@ def test_long_star_run_reported(
     monkeypatch.setattr(regexlint, "STAR_RUN_THRESHOLD", 12)
     findings = regexlint.run(make_context([make_fingerprint("op", keys)]))
     assert "RGX005" in _rules(findings)
-
-
-def test_estimator_baseline_and_empty():
-    assert estimate_matcher_steps("", 1000) == 0
-    assert estimate_matcher_steps("abc", 0) == 0
-    # All-distinct literals: one linear pass.
-    assert estimate_matcher_steps("abc", 500) == 500
-
-
-@given(
-    literals=st.text(alphabet="abcd", max_size=40),
-    window=st.integers(min_value=0, max_value=10_000),
-)
-def test_estimator_properties(literals, window):
-    steps = estimate_matcher_steps(literals, window)
-    assert steps >= 0
-    # Never below one pass over the window (when there is work to do).
-    if literals and window:
-        assert steps >= window
-    # Monotone in the window size.
-    assert estimate_matcher_steps(literals, window + 100) >= steps
-
-
-def test_estimator_grows_with_multiplicity():
-    flat = estimate_matcher_steps("abcdef", 768)
-    spiky = estimate_matcher_steps("aaabcf", 768)
-    assert spiky > flat
 
 
 def test_vacuous_empty_fingerprint_ignored(make_context):

@@ -68,3 +68,24 @@ def test_identical_shapes_aggregate_into_one_finding(
                 if f.rule == "TRN001"]
     assert len(findings) == 1
     assert "5 operation(s)" in findings[0].message
+
+
+def test_degenerate_cut_prepares_as_a_pure_read(
+    make_fingerprint, make_context, state_change_keys, read_keys
+):
+    """A TRN001 witness is not unattributable: candidate preparation
+    scores its reads-only prefix as a pure read (no cut, the prefix's
+    full symbol sequence), which ranks only when no state-change
+    class passes coverage."""
+    from repro.core.detector import prepare_candidate
+
+    keys = read_keys[:2] + state_change_keys[:2]
+    fp = make_fingerprint("op", keys)
+    assert "TRN001" in _rules(truncation.run(make_context([fp])))
+    for symbol in fp.symbols[:2]:
+        preparation = prepare_candidate(
+            fp, fp, symbol, truncate=True, relaxed=True
+        )
+        assert preparation.pure_read
+        assert preparation.cuts == (0,)
+        assert preparation.needle == fp.truncate_at(symbol).symbols

@@ -5,8 +5,8 @@ import pytest
 from repro.openstack.apis import ApiKind
 from repro.openstack.wire import WireEvent
 from repro.core.config import GretelConfig
+from repro.core import outliers
 from repro.core.latency import LatencyTracker
-from repro.core.outliers import ls_params
 from repro.core.state import StateFormatError
 from repro.core.streamstats import IncrementalLevelShiftDetector
 from repro.reference import LevelShiftDetector
@@ -15,13 +15,10 @@ from repro.reference import LevelShiftDetector
 def reference_tracker():
     """A tracker whose series run the reference LS detector."""
     tracker = LatencyTracker()
-    production_detector_for = tracker.detector_for
 
     def detector_for(api_key):
         if api_key not in tracker._detectors:
-            tracker._detectors[api_key] = LevelShiftDetector(
-                **ls_params(production_detector_for(api_key))
-            )
+            tracker._detectors[api_key] = LevelShiftDetector()
         return tracker._detectors[api_key]
 
     tracker.detector_for = detector_for
@@ -84,21 +81,31 @@ def test_anomaly_carries_triggering_event():
 
 
 def test_tracker_builds_default_tuned_detectors():
-    detector = LatencyTracker().detector_for("a")
+    """Every series is the production detector; the tracker's state
+    names the one tuning they all run, once."""
+    tracker = LatencyTracker()
+    detector = tracker.detector_for("a")
     assert isinstance(detector, IncrementalLevelShiftDetector)
-    assert ls_params(detector) == ls_params(IncrementalLevelShiftDetector())
+    assert detector._baseline.maxlen == outliers.LS_WINDOW
+    assert tracker.snapshot_state()["tuning"] == {
+        "LS_WINDOW": 24, "LS_SIGMAS": 4.0, "LS_MIN_DELTA": 0.004,
+        "LS_REL_DELTA": 0.5, "LS_CONFIRM": 3, "LS_WARMUP": 12,
+        "LS_COOLDOWN": 10.0,
+    }
 
 
-def test_restore_refuses_reference_series_tag():
-    """A series serialized by the reference detector must not be
-    resurrected inside a production tracker."""
-    source = reference_tracker()
+def test_restore_refuses_foreign_series_tag():
+    """A series state under any tag but the production detector's
+    current one (here the retired ``ls-incremental/v1``, which
+    repeated the tuning and logged every alarm) is refused with the
+    tag and the series named, never resurrected."""
+    source = LatencyTracker()
     source.observe(make_event(1, "api-a", 0.01))
     state = source.snapshot_state()
-    assert state["detectors"]["api-a"]["fmt"] == "ls-reference/v1"
+    state["detectors"]["api-a"]["fmt"] = "ls-incremental/v1"
     with pytest.raises(StateFormatError) as caught:
         LatencyTracker().restore_state(state)
-    assert "ls-reference/v1" in str(caught.value)
+    assert "ls-incremental/v1" in str(caught.value)
     assert "api-a" in str(caught.value)
 
 

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import outliers
 from repro.reference import LevelShiftDetector
 
 
@@ -39,7 +40,7 @@ def test_detects_level_shift():
 
 
 def test_isolated_spike_does_not_alarm():
-    detector = LevelShiftDetector(confirm=3)
+    detector = LevelShiftDetector()
     series = steady(50) + [0.500] + steady(50, seed=3)
     assert feed(detector, series) == []
 
@@ -59,32 +60,26 @@ def test_second_shift_alarms_again():
     assert len(alarms) == 2
 
 
-def test_small_variation_below_min_delta_ignored():
-    detector = LevelShiftDetector(min_delta=0.050)
+def test_small_variation_below_min_delta_ignored(monkeypatch):
+    monkeypatch.setattr(outliers, "LS_MIN_DELTA", 0.050)
+    detector = LevelShiftDetector()
     series = steady(60) + steady(60, level=0.020, seed=7)
     assert feed(detector, series) == []
 
 
-def test_warmup_suppresses_early_alarms():
-    detector = LevelShiftDetector(warmup=20)
+def test_warmup_suppresses_early_alarms(monkeypatch):
+    monkeypatch.setattr(outliers, "LS_WARMUP", 20)
+    detector = LevelShiftDetector()
     series = [0.010] * 5 + [0.500] * 4
     assert feed(detector, series) == []
 
 
-def test_reset_clears_state():
-    detector = LevelShiftDetector()
-    feed(detector, steady(60) + steady(20, level=0.100))
-    assert detector.alarms
-    detector.reset()
-    assert detector.alarms == []
-    assert feed(detector, steady(50)) == []
-
-
 def test_constructor_validation():
-    with pytest.raises(ValueError):
-        LevelShiftDetector(window=2)
-    with pytest.raises(ValueError):
-        LevelShiftDetector(confirm=0)
+    """The reference detector takes no tuning argument: its tuning is
+    the ``LS_*`` constants of ``repro.core.outliers``."""
+    detector_class = LevelShiftDetector
+    with pytest.raises(TypeError):
+        detector_class(window=24)
 
 
 def test_threshold_above_baseline():
@@ -97,7 +92,9 @@ def test_threshold_above_baseline():
        st.floats(min_value=3.0, max_value=20.0))
 @settings(max_examples=30, deadline=None)
 def test_large_shift_always_detected(level, factor):
-    detector = LevelShiftDetector(min_delta=0.0001)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(outliers, "LS_MIN_DELTA", 0.0001)
+        detector = LevelShiftDetector()
     series = steady(60, level=level, jitter=level * 0.05)
     series += steady(30, level=level * factor, jitter=level * 0.05, seed=9)
     alarms = feed(detector, series)
@@ -123,13 +120,14 @@ def test_static_misses_shift_below_threshold():
     assert alarms == []
 
 
-def test_static_never_adapts_and_alarm_storms():
+def test_static_never_adapts_and_alarm_storms(monkeypatch):
     """The LS selling point (§6): once organic load crosses a static
     threshold, the naive detector alarms forever; LS adapts once."""
     series = steady(30) + steady(300, level=0.08, jitter=0.002, seed=13)
     static = StaticThresholdDetector(threshold=0.05)
     static_alarms = feed(static, series)
-    adaptive = LevelShiftDetector(min_delta=0.001)
+    monkeypatch.setattr(outliers, "LS_MIN_DELTA", 0.001)
+    adaptive = LevelShiftDetector()
     adaptive_alarms = feed(adaptive, series)
     assert len(static_alarms) > 10 * max(1, len(adaptive_alarms))
 
@@ -141,14 +139,6 @@ def test_static_validation():
         StaticThresholdDetector(threshold=0.0)
     with _pytest.raises(ValueError):
         StaticThresholdDetector(threshold=1.0, confirm=0)
-
-
-def test_static_reset():
-    detector = StaticThresholdDetector(threshold=0.01, confirm=1)
-    feed(detector, [0.5, 0.5])
-    assert detector.alarms
-    detector.reset()
-    assert detector.alarms == []
 
 
 def test_static_alarm_index_is_sample_index():
@@ -166,11 +156,9 @@ def test_static_streak_identity_stable_across_alarms():
     detector keeps alarming on every confirmed crossing."""
     detector = StaticThresholdDetector(threshold=0.05, confirm=2)
     streak = detector._streak
-    feed(detector, [0.08, 0.09, 0.01, 0.08, 0.09, 0.08, 0.09])
+    alarms = feed(detector, [0.08, 0.09, 0.01, 0.08, 0.09, 0.08, 0.09])
     assert detector._streak is streak
-    assert len(detector.alarms) == 3
-    detector.reset()
-    assert detector._streak is streak
+    assert len(alarms) == 3
 
 
 def test_reference_counts_threshold_recomputes():

@@ -271,7 +271,9 @@ def test_restore_refuses_per_stage_v1_state(library):
     longer builds (a ``"matching"`` key ``MatchingStats.from_dict``
     would choke on); ``analysis-pipeline/v4`` guarded 29 config
     fields where the current config has seven; ``latency-tracker/v2``
-    carried a log of emitted anomalies nothing read."""
+    carried a log of emitted anomalies nothing read, and v3 repeated
+    the LS tuning in every series state, next to each series' own
+    unread alarm log."""
     from repro.core.state import StateFormatError
     from repro.service import TenantSession
 
@@ -279,8 +281,10 @@ def test_restore_refuses_per_stage_v1_state(library):
     state = analyzer.snapshot_state()
     assert state["fmt"] == "analysis-pipeline/v5"
     assert state["window"]["fmt"] == "sliding-window/v3"
-    assert state["latency"]["fmt"] == "latency-tracker/v3"
-    assert set(state["latency"]) == {"fmt", "samples_fed", "detectors"}
+    assert state["latency"]["fmt"] == "latency-tracker/v4"
+    assert set(state["latency"]) == {
+        "fmt", "tuning", "samples_fed", "detectors",
+    }
     assert state["detector"]["fmt"] == "operation-detector/v2"
     assert "blocks_built" not in state["detector"]["matching"]
     refused = [
@@ -293,6 +297,7 @@ def test_restore_refuses_per_stage_v1_state(library):
         for part, older in (("window", "sliding-window/v2"),
                             ("latency", "latency-tracker/v1"),
                             ("latency", "latency-tracker/v2"),
+                            ("latency", "latency-tracker/v3"),
                             ("detector", "operation-detector/v1"))
     ]
     session = TenantSession("acme", analyzer)

@@ -14,6 +14,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import outliers
+from repro.core.latency import LatencyTracker
+from repro.core.state import StateError
 from repro.core.streamstats.detector import IncrementalLevelShiftDetector
 from repro.core.streamstats.window import SortedWindow
 from repro.core.window import SlidingWindow
@@ -152,13 +155,11 @@ def latency_streams(draw):
 
 def observe(detector, ts, value):
     """Everything externally visible after one sample."""
-    shift = detector.update(ts, value)
     return (
-        None if shift is None else shift.to_dict(),
+        detector.update(ts, value),
         detector.baseline,
         detector.threshold(),
         detector.threshold_recomputes,
-        len(detector.alarms),
     )
 
 
@@ -167,17 +168,17 @@ def observe(detector, ts, value):
 def test_incremental_ls_round_trip(case):
     window, confirm, samples, cut = case
 
-    def build():
-        return IncrementalLevelShiftDetector(
-            window=window, confirm=confirm, warmup=confirm + 1,
-            cooldown=3.0,
-        )
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in (
+            ("LS_WINDOW", window), ("LS_CONFIRM", confirm),
+            ("LS_WARMUP", confirm + 1), ("LS_COOLDOWN", 3.0),
+        ):
+            patch.setattr(outliers, name, value)
+        original = IncrementalLevelShiftDetector()
+        restored = IncrementalLevelShiftDetector()
 
-    original = build()
     for index, value in enumerate(samples[:cut]):
         original.update(float(index), value)
-
-    restored = build()
     restored.restore_state(round_trip(original.snapshot_state()))
 
     for index in range(cut, len(samples)):
@@ -185,16 +186,35 @@ def test_incremental_ls_round_trip(case):
             observe(original, float(index), samples[index])
             == observe(restored, float(index), samples[index])
         )
-    assert (
-        [a.to_dict() for a in original.alarms]
-        == [a.to_dict() for a in restored.alarms]
-    )
 
 
-def test_incremental_ls_refuses_retuned_restore():
-    from repro.core.state import StateError
+def test_incremental_ls_refuses_retuned_restore(monkeypatch):
+    """The latency tracker's checkpoint records the LS tuning once, and
+    a tracker built under another tuning refuses it by constant name
+    (``LS_SIGMAS`` shapes no window, so only this guard catches it)."""
+    original = LatencyTracker()
+    original.observe(make_event(1))
+    state = round_trip(original.snapshot_state())
+    assert state["tuning"]["LS_SIGMAS"] == 4.0
+    assert "tuning" not in state["detectors"][make_event(1).api_key]
 
-    original = IncrementalLevelShiftDetector(window=8)
-    state = original.snapshot_state()
-    with pytest.raises(StateError):
-        IncrementalLevelShiftDetector(window=12).restore_state(state)
+    monkeypatch.setattr(outliers, "LS_SIGMAS", 3.0)
+    with pytest.raises(
+        StateError, match="LS_SIGMAS: 4.0 in the checkpoint, 3.0 here"
+    ):
+        LatencyTracker().restore_state(state)
+
+
+def test_incremental_ls_state_does_not_grow_with_alarms():
+    """A series keeps no alarm log: after 20 confirmed shifts its
+    serialized state is as large as after the first, give or take the
+    digits its counters gained."""
+    detector = IncrementalLevelShiftDetector()
+    sizes = []
+    ts = 0.0
+    while len(sizes) < 20:
+        for value in [0.01] * 30 + [0.5] * 30:
+            ts += 1.0
+            if detector.update(ts, value) is not None:
+                sizes.append(len(json.dumps(detector.snapshot_state())))
+    assert sizes[-1] <= sizes[0] + 32, sizes

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import outliers
-from repro.core.outliers import _median, ls_params
+from repro.core.outliers import _median
 from repro.core.streamstats import (
     IncrementalLevelShiftDetector,
     SortedWindow,
@@ -122,10 +122,10 @@ def test_window_mad_with_duplicates():
 
 
 def test_incremental_constructor_validation():
-    with pytest.raises(ValueError):
-        IncrementalLevelShiftDetector(window=2)
-    with pytest.raises(ValueError):
-        IncrementalLevelShiftDetector(confirm=0)
+    """The production detector takes no tuning argument either."""
+    detector_class = IncrementalLevelShiftDetector
+    with pytest.raises(TypeError):
+        detector_class(window=24)
 
 
 def test_incremental_detects_level_shift():
@@ -142,8 +142,8 @@ def test_pending_samples_do_not_poison_baseline():
     """A broken confirm streak folds its pending samples back into the
     window in arrival order — exactly as the reference does — so the
     baselines of both detectors stay element-for-element identical."""
-    reference = LevelShiftDetector(confirm=3)
-    incremental = IncrementalLevelShiftDetector(confirm=3)
+    reference = LevelShiftDetector()
+    incremental = IncrementalLevelShiftDetector()
     # Two above-threshold spikes, then a normal value: streak breaks.
     series = steady(40) + [0.300, 0.310, 0.010]
     for index, value in enumerate(series):
@@ -160,7 +160,7 @@ def test_pending_samples_do_not_poison_baseline():
 def test_alarm_once_per_shift_under_cooldown():
     """One sustained shift raises exactly one alarm: the cooldown and
     the post-alarm re-seed suppress the alarm storm."""
-    detector = IncrementalLevelShiftDetector(cooldown=10.0)
+    detector = IncrementalLevelShiftDetector()
     series = steady(60) + steady(120, level=0.080, seed=4)
     alarms = feed(detector, series)
     assert len(alarms) == 1
@@ -171,16 +171,6 @@ def test_second_shift_alarms_again():
     series = (steady(60) + steady(60, level=0.060, seed=5)
               + steady(60, level=0.200, seed=6))
     assert len(feed(detector, series)) == 2
-
-
-def test_reset_clears_state_and_cache():
-    detector = IncrementalLevelShiftDetector()
-    feed(detector, steady(60) + steady(20, level=0.100))
-    assert detector.alarms
-    detector.reset()
-    assert detector.alarms == []
-    assert detector.baseline == 0.0
-    assert feed(detector, steady(50)) == []
 
 
 def test_threshold_cache_counts_recomputes():
@@ -242,13 +232,14 @@ def test_incremental_equivalent_to_reference(seed, window, confirm, cooldown):
     """The tentpole property: over random streams *and* random LS
     tunings, the incremental detector is bit-identical to the
     reference — every alarm field, every baseline, every threshold."""
-    tuning = dict(window=window, confirm=confirm, cooldown=cooldown,
-                  warmup=confirm + 1, min_delta=0.001)
-    result = verify_levelshift(
-        shift_series(seed),
-        detectors=(LevelShiftDetector(**tuning),
-                   IncrementalLevelShiftDetector(**tuning)),
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in (
+            ("LS_WINDOW", window), ("LS_CONFIRM", confirm),
+            ("LS_COOLDOWN", cooldown), ("LS_WARMUP", confirm + 1),
+            ("LS_MIN_DELTA", 0.001),
+        ):
+            patch.setattr(outliers, name, value)
+        result = verify_levelshift(shift_series(seed))
     assert result.ok
     assert result.facts["samples"] == 400
 
@@ -263,38 +254,42 @@ def test_oracle_counts_alarms():
 def test_oracle_flags_divergence():
     """Negative test: the oracle must *fail* when handed detectors
     that genuinely disagree (mismatched windows)."""
-    samples = shift_series(3)
-    detectors = (
-        LevelShiftDetector(window=24),
-        IncrementalLevelShiftDetector(window=8),
-    )
+    def mismatched():
+        reference = LevelShiftDetector()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(outliers, "LS_WINDOW", 8)
+            return reference, IncrementalLevelShiftDetector()
+
     result = verify_levelshift(
-        samples, detectors=detectors, strict=False
+        shift_series(3), detectors=mismatched(), strict=False
     )
     assert not result.ok
     assert "DIVERGED" in result.summary()
     with pytest.raises(OracleDivergence, match="DIVERGED") as excinfo:
-        verify_levelshift(
-            shift_series(3),
-            detectors=(
-                LevelShiftDetector(window=24),
-                IncrementalLevelShiftDetector(window=8),
-            ),
-        )
+        verify_levelshift(shift_series(3), detectors=mismatched())
     assert excinfo.value.result.layer == "levelshift"
     assert excinfo.value.result.mismatches
 
 
 def test_both_detectors_default_to_the_stated_tuning():
-    """The LS tuning is written out once, in ``repro.core.outliers``;
-    the production and the reference detector both default to it."""
+    """The LS tuning is written out once, as the ``LS_*`` constants of
+    ``repro.core.outliers``; both detectors read them when built, so
+    one patch of the module retunes both."""
     stated = {
-        name: getattr(outliers, f"LS_{name.upper()}")
-        for name in outliers.LS_PARAM_FIELDS
+        name: value for name, value in vars(outliers).items()
+        if name.startswith("LS_")
     }
     assert stated == {
-        "window": 24, "sigmas": 4.0, "min_delta": 0.004, "rel_delta": 0.5,
-        "confirm": 3, "warmup": 12, "cooldown": 10.0,
+        "LS_WINDOW": 24, "LS_SIGMAS": 4.0, "LS_MIN_DELTA": 0.004,
+        "LS_REL_DELTA": 0.5, "LS_CONFIRM": 3, "LS_WARMUP": 12,
+        "LS_COOLDOWN": 10.0,
     }
-    for detector in (IncrementalLevelShiftDetector(), LevelShiftDetector()):
-        assert ls_params(detector) == stated
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(outliers, "LS_WINDOW", 8)
+        patch.setattr(outliers, "LS_SIGMAS", 2.0)
+        patch.setattr(outliers, "LS_WARMUP", 30)
+        detectors = (IncrementalLevelShiftDetector(), LevelShiftDetector())
+    for detector in detectors:
+        assert detector._baseline.maxlen == 8
+        assert (detector.sigmas, detector.warmup) == (2.0, 30)
+        assert (detector.min_delta, detector.confirm) == (0.004, 3)
