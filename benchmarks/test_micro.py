@@ -75,7 +75,7 @@ def _levelshift_series(samples=5_000, seed=5):
 
 def test_levelshift_update(benchmark):
     """Per-sample cost of the streaming LS engine (sorted rolling
-    window + cached threshold — the production default)."""
+    window + median-only floor gate — the production default)."""
     from repro.core.streamstats import IncrementalLevelShiftDetector
 
     series = _levelshift_series()

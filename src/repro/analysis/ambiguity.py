@@ -116,8 +116,8 @@ def run(ctx: LintContext) -> List[Finding]:
             + ctx.api_labels(shorter),
             fix_hint=(
                 "lengthen the shorter fingerprint with a distinctive "
-                "state-change API, or raise match_coverage / lower "
-                "length_tolerance to let snapshot pruning break the tie"
+                "state-change API, or raise MATCH_COVERAGE / lower "
+                "LENGTH_TOLERANCE to let snapshot pruning break the tie"
             ),
         ))
     return findings

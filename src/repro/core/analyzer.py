@@ -49,7 +49,7 @@ from repro.core.config import GretelConfig
 from repro.core.detector import DetectionResult, OperationDetector
 from repro.core.fingerprint import FingerprintLibrary
 from repro.core.latency import LatencyTracker, PerformanceAnomaly
-from repro.core.opfaults import is_operational_fault
+from repro.core.opfaults import rpc_body_error
 from repro.core.reports import FaultReport
 from repro.core.rootcause import RootCauseEngine
 from repro.core.state import StateError, require_columns, require_state
@@ -379,11 +379,12 @@ class GretelAnalyzer:
         if completed:
             for snapshot in completed:
                 self._dispatch(snapshot)
-        if event.kind is ApiKind.REST and event.status >= 400:
-            # §5.3.1: REST error responses freeze the window.
-            self.operational_faults_seen += 1
-            self._mark(event)
-        elif is_operational_fault(event):
+        if event.kind is ApiKind.REST:
+            if event.status >= 400:
+                # §5.3.1: REST error responses freeze the window.
+                self.operational_faults_seen += 1
+                self._mark(event)
+        elif rpc_body_error(event):
             # RPC bodies are scanned for error markers and counted
             # but — matching the paper's REST-triggered snapshots —
             # do not freeze it.
@@ -416,10 +417,12 @@ class GretelAnalyzer:
     def _scan_one(self, event: WireEvent) -> bool:
         """Count ``event`` if faulty; True if it freezes the window
         (a REST error response)."""
-        if event.kind is ApiKind.REST and event.status >= 400:
+        if event.kind is ApiKind.REST:
+            if event.status < 400:
+                return False
             self.operational_faults_seen += 1
             return True
-        if is_operational_fault(event):
+        if rpc_body_error(event):
             self.operational_faults_seen += 1
         return False
 
@@ -466,10 +469,10 @@ class GretelAnalyzer:
         )
         # ``is_operational_fault`` over the snapshot, cheapest test
         # first: any status ≥ 400 is a fault, and below that only an
-        # event carrying a body has anything for the regex scan.
+        # RPC event carrying a body has anything for the regex scan.
         error_events = [
             e for e in snapshot.events
-            if e.status >= 400 or (e.body and is_operational_fault(e))
+            if e.status >= 400 or (e.body and rpc_body_error(e))
         ]
         root_causes = self._call(
             "rootcause", 1, self.rootcause.analyze, detection,

@@ -365,7 +365,7 @@ class FingerprintLibrary:
 
         Ordering contract: fingerprints are returned **sorted by
         operation name**, never in library insertion order.  Candidate
-        ranking ties (``length_tolerance``) resolve in candidate-list
+        ranking ties (``LENGTH_TOLERANCE``) resolve in candidate-list
         order, and the compiled selection index
         (``repro.analysis.compile``) builds its selections sorted by
         operation name — the two paths can only be proven equivalent

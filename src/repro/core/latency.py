@@ -117,12 +117,12 @@ class LatencyTracker:
 
     @property
     def ls_threshold_recomputes(self) -> int:
-        """(median, MAD, threshold) recomputations across all series.
+        """Full (median, MAD, threshold) computations across all series.
 
-        Counts cache misses (one per window mutation that reached a
-        threshold read); a from-scratch detector recomputes on every
-        ``threshold()`` call, so the ratio of this to
-        :attr:`ls_samples_fed` is the cache's win.
+        One per sample above its series' median-only floor; a sample
+        at or under it never needs the MAD.  A from-scratch detector
+        recomputes on every ``threshold()`` call, so the ratio of this
+        to :attr:`ls_samples_fed` is the floor gate's win.
         """
         return sum(
             detector.threshold_recomputes

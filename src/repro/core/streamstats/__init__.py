@@ -4,8 +4,8 @@ See ``docs/streamstats.md``.  The window (``window``) keeps the LS
 rolling baseline sorted as it rolls, making the median an O(1) read
 and the MAD an O(log w) contiguous-slice search; the detector
 (``detector``) preserves the reference LS alarm semantics bit for bit
-behind a version-cached (median, MAD, threshold) triple; the oracle
-(``oracle``) proves it by differential replay.
+and computes the MAD only for a sample above its median-only floor;
+the oracle (``oracle``) proves it by differential replay.
 """
 
 from repro.core.streamstats.detector import IncrementalLevelShiftDetector

@@ -11,18 +11,21 @@ step                             reference              incremental
 window maintenance               O(1) deque append      O(log w) insort
 median                           O(w·log w) sort        O(1) index
 MAD                              2 × O(w·log w) sorts   O(log w) search
-threshold                        recomputed per sample  cached per
-                                                        window version
+threshold                        recomputed per sample  median-only
+                                                        floor; MAD only
+                                                        above it
 ===============================  =====================  ==============
 
-The (median, MAD, threshold) triple is cached against the
-:class:`~repro.core.streamstats.window.SortedWindow` version counter,
-so confirm streaks and repeated threshold reads between window
-mutations are free.  ``repro.core.streamstats.oracle.
-verify_levelshift`` replays both detectors over the same stream and
-raises on any alarm/baseline/threshold divergence — the same
-reference-half-of-a-differential-oracle pattern ``repro.core.
-matching`` uses for Algorithm 2 scoring.
+The threshold is ``med + max(sigmas·spread, min_delta, rel_delta·med)``,
+never below the *floor* ``med + max(min_delta, rel_delta·med)``, and
+round-to-nearest addition is monotone: a sample at or under the floor
+cannot alarm, whatever the MAD.  So ``update`` reads only the median
+for it, and pays for the MAD and the full threshold only above the
+floor (a NaN sample fails ``<=`` and takes that path too).
+``repro.core.streamstats.oracle.verify_levelshift`` replays both
+detectors over the same stream and raises on any alarm/baseline/
+threshold divergence — the same reference-half-of-a-differential-
+oracle pattern ``repro.core.matching`` uses for Algorithm 2 scoring.
 """
 
 from __future__ import annotations
@@ -52,14 +55,11 @@ class IncrementalLevelShiftDetector:
         self._baseline = SortedWindow(outliers.LS_WINDOW)
         self._pending: List[Tuple[float, float]] = []
         self._count = 0
-        #: Perf counter: (median, MAD, threshold) recomputes actually
-        #: performed (cache misses); the reference detector counts one
-        #: per ``threshold()`` call.  Surfaced as the pipeline's
-        #: ``ls_threshold_recomputes``.
+        #: Perf counter: full (median, MAD, threshold) computations
+        #: ``update`` performed, one per sample above the floor; the
+        #: reference detector counts one per ``threshold()`` call.
+        #: Surfaced as the pipeline's ``ls_threshold_recomputes``.
         self.threshold_recomputes = 0
-        self._cache_version = -1
-        self._cached_median = 0.0
-        self._cached_threshold = 0.0
 
     # -- state ------------------------------------------------------------
 
@@ -79,34 +79,34 @@ class IncrementalLevelShiftDetector:
         return max(1.4826 * window.mad(window.median()), 1e-12)
 
     def threshold(self) -> float:
-        """Current alarm threshold above the baseline."""
-        if len(self._baseline) < 4:
-            # Reference parity off the hot path: an under-filled
-            # window has infinite spread, so the same expression
-            # yields the same (infinite) threshold.
-            baseline = self.baseline
-            return baseline + max(
-                self.sigmas * self.spread,
-                self.min_delta,
-                self.rel_delta * baseline,
-            )
-        return self._threshold()
-
-    def _threshold(self) -> float:
-        """The cached threshold; recomputed only on window mutation."""
+        """Current alarm threshold above the baseline (computed afresh;
+        the oracle compares it after every sample)."""
         window = self._baseline
-        if self._cache_version != window.version:
-            med, mad = window.median_mad()
-            spread = max(1.4826 * mad, 1e-12)
-            self._cached_median = med
-            self._cached_threshold = med + max(
-                self.sigmas * spread,
-                self.min_delta,
-                self.rel_delta * med,
-            )
-            self._cache_version = window.version
-            self.threshold_recomputes += 1
-        return self._cached_threshold
+        if window.size < 4:
+            # An under-filled window has infinite spread (an infinite
+            # MAD scales to the same), hence the reference's threshold.
+            return self._threshold(self.baseline, float("inf"))
+        med = window.median()
+        return self._threshold(med, window.mad(med))
+
+    def _threshold(self, med: float, mad: float) -> float:
+        """``med + max(sigmas·spread, min_delta, rel_delta·med)``.
+
+        The ``max()`` is a comparison chain with the builtin dispatch
+        shaved off; leftmost-wins tie-breaking (and NaN propagation) is
+        preserved, because a later value replaces the running maximum
+        only when strictly larger.
+        """
+        spread = 1.4826 * mad
+        if spread < 1e-12:
+            spread = 1e-12
+        margin = self.sigmas * spread
+        if margin < self.min_delta:
+            margin = self.min_delta
+        rel = self.rel_delta * med
+        if margin < rel:
+            margin = rel
+        return med + margin
 
     # -- feeding ----------------------------------------------------------
 
@@ -121,36 +121,25 @@ class IncrementalLevelShiftDetector:
             baseline.append(value)
             return None
 
-        # _threshold()'s cache refresh, inlined: this runs once per
-        # latency sample on the receiver hot path, and the call plus
-        # re-resolved attribute chain costs as much as the fused
-        # (median, MAD) computation itself.  The comparison chains are
-        # ``max()`` with the builtin dispatch shaved off; leftmost-
-        # wins tie-breaking is preserved (values only replace the
-        # running maximum when strictly larger).
-        if self._cache_version != baseline.version:
-            med, mad = baseline.median_mad()
-            spread = 1.4826 * mad
-            if spread < 1e-12:
-                spread = 1e-12
-            margin = self.sigmas * spread
-            if margin < self.min_delta:
-                margin = self.min_delta
-            rel = self.rel_delta * med
-            if margin < rel:
-                margin = rel
-            self._cached_median = med
-            self._cached_threshold = med + margin
-            self._cache_version = baseline.version
+        # The floor gate (module docstring): at or under the floor the
+        # sample takes the below-threshold branch whatever the MAD is,
+        # so this — once per latency sample on the receiver hot path —
+        # reads only the median.  Same leftmost-wins chain as
+        # ``_threshold``.
+        med = baseline.median()
+        margin = self.min_delta
+        rel = self.rel_delta * med
+        if margin < rel:
+            margin = rel
+        if not value <= med + margin:
+            # Above the floor (or NaN): only now does the MAD matter.
             self.threshold_recomputes += 1
-
-        if value > self._cached_threshold:
-            self._pending.append((ts, value))
-            if len(self._pending) >= self.confirm:
-                # The cache is fresh: pending samples never touch the
-                # window, so the median computed for the threshold
-                # check *is* the reference's alarm-time baseline.
-                med = self._cached_median
+            if value > self._threshold(med, baseline.mad(med)):
+                self._pending.append((ts, value))
+                if len(self._pending) < self.confirm:
+                    return None
+                # Pending samples never touch the window, so ``med``
+                # is the reference's alarm-time baseline.
                 observed = _median([v for _, v in self._pending])
                 shift = LevelShift(
                     ts=self._pending[0][0],
@@ -165,7 +154,6 @@ class IncrementalLevelShiftDetector:
                 self._pending.clear()
                 self._cooldown_until = ts + self.cooldown
                 return shift
-            return None
 
         # A below-threshold sample breaks any pending shift; the
         # pending values rejoin the baseline in arrival order.
@@ -178,19 +166,13 @@ class IncrementalLevelShiftDetector:
 
     # -- state lifecycle (see repro.core.state) -------------------------
 
-    #: v1 also carried the tuning and every alarm the series had
-    #: raised; it is refused, never migrated.
-    STATE_FMT = "ls-incremental/v2"
+    #: v2 also carried a version-keyed (median, threshold) cache, and
+    #: v1 the tuning and every alarm the series had raised; both are
+    #: refused, never migrated.
+    STATE_FMT = "ls-incremental/v3"
 
     def snapshot_state(self) -> Dict[str, Any]:
-        """Versioned, JSON-serializable rendering of the detector.
-
-        The (median, threshold) cache and its window-version key are
-        part of the state: they must survive a restore or the next
-        threshold read would recompute, inflating
-        :attr:`threshold_recomputes` relative to the uninterrupted
-        run (the checkpoint oracle compares that counter exactly).
-        """
+        """Versioned, JSON-serializable rendering of the detector."""
         return {
             "fmt": self.STATE_FMT,
             "baseline": self._baseline.snapshot_state(),
@@ -198,11 +180,6 @@ class IncrementalLevelShiftDetector:
             "count": self._count,
             "cooldown_until": encode_ts(self._cooldown_until),
             "threshold_recomputes": self.threshold_recomputes,
-            "cache": {
-                "version": self._cache_version,
-                "median": self._cached_median,
-                "threshold": self._cached_threshold,
-            },
         }
 
     def restore_state(self, state: Mapping[str, Any]) -> None:
@@ -214,7 +191,3 @@ class IncrementalLevelShiftDetector:
         self._count = state["count"]
         self._cooldown_until = decode_ts(state["cooldown_until"])
         self.threshold_recomputes = state["threshold_recomputes"]
-        cache = state["cache"]
-        self._cache_version = cache["version"]
-        self._cached_median = cache["median"]
-        self._cached_threshold = cache["threshold"]

@@ -8,10 +8,6 @@ latency observation.  :class:`SortedWindow` keeps the same FIFO window
 full) one ``bisect`` eviction, the median is an index read, and the
 MAD falls out of the sorted array without ever materializing the
 deviation list (see :meth:`SortedWindow.mad`).
-
-The window exposes a :attr:`version` counter bumped on every mutation
-so derived statistics (the detector's (median, MAD, threshold) triple)
-can be cached and invalidated precisely.
 """
 
 from __future__ import annotations
@@ -32,17 +28,14 @@ class SortedWindow:
     is internal to the order statistics.
     """
 
-    __slots__ = ("maxlen", "version", "size", "_arrival", "_sorted")
+    __slots__ = ("maxlen", "size", "_arrival", "_sorted")
 
     def __init__(self, maxlen: int) -> None:
         if maxlen < 1:
             raise ValueError("maxlen must be at least 1")
         self.maxlen = maxlen
-        #: Mutation counter (cache-invalidation key for statistics)
-        #: and current fill.  Plain attributes, not properties or
-        #: ``len()`` dispatches — both are read once per detector
-        #: update on the receiver hot path.
-        self.version = 0
+        #: Current fill: a plain attribute, not a ``len()`` dispatch —
+        #: it is read once per detector update on the receiver hot path.
         self.size = 0
         self._arrival: Deque[float] = deque()
         self._sorted: List[float] = []
@@ -64,14 +57,12 @@ class SortedWindow:
             self.size += 1
         arrival.append(value)
         insort(ordered, value)
-        self.version += 1
 
     def clear(self) -> None:
         """Forget every value (the detector's post-alarm re-seed)."""
         self._arrival.clear()
         self._sorted.clear()
         self.size = 0
-        self.version += 1
 
     def median(self) -> float:
         """The window median, as an O(1) read of the sorted array.
@@ -137,50 +128,6 @@ class SortedWindow:
             second = max(left_dev, ordered[lo + length - 2] - med)
         return 0.5 * (second + rank_mid)
 
-    def median_mad(self) -> Tuple[float, float]:
-        """``(median, mad(median))`` in one fused pass.
-
-        The detector's cache refresh needs both; fusing them shares
-        the length/midpoint bookkeeping and saves a method dispatch on
-        the per-sample hot path.  Bit-identical to calling
-        :meth:`median` then :meth:`mad`.
-        """
-        ordered = self._sorted
-        n = len(ordered)
-        if not n:
-            raise ValueError("median_mad() of an empty window")
-        mid = n // 2
-        odd = n % 2
-        if odd:
-            med = ordered[mid]
-        else:
-            med = 0.5 * (ordered[mid - 1] + ordered[mid])
-        length = mid + 1
-        lo, hi = 0, n - length
-        while lo < hi:
-            cut = (lo + hi) // 2
-            if med - ordered[cut] > ordered[cut + length] - med:
-                lo = cut + 1
-            else:
-                hi = cut
-        left_dev = med - ordered[lo]
-        right_dev = ordered[lo + length - 1] - med
-        if odd:
-            if left_dev < right_dev:
-                return med, right_dev
-            return med, left_dev
-        if left_dev >= right_dev:
-            rank_mid = left_dev
-            second = med - ordered[lo + 1]
-            if second < right_dev:
-                second = right_dev
-        else:
-            rank_mid = right_dev
-            second = ordered[lo + length - 2] - med
-            if second < left_dev:
-                second = left_dev
-        return med, 0.5 * (second + rank_mid)
-
     def bounds(self) -> Tuple[float, float]:
         """(min, max) of the window — O(1) reads off the sorted array."""
         ordered = self._sorted
@@ -190,19 +137,18 @@ class SortedWindow:
 
     # -- state lifecycle (see repro.core.state) -------------------------
 
-    STATE_FMT = "sorted-window/v1"
+    #: v1 also carried a mutation counter that keyed the detector's
+    #: retired threshold cache; it is refused, never migrated.
+    STATE_FMT = "sorted-window/v2"
 
     def snapshot_state(self) -> Dict[str, Any]:
         """Versioned, JSON-serializable rendering of the window.
 
-        Arrival order is the only payload (the sorted view is derived);
-        the :attr:`version` counter is carried so detector caches keyed
-        to it stay valid across a restore.
+        Arrival order is the only payload (the sorted view is derived).
         """
         return {
             "fmt": self.STATE_FMT,
             "maxlen": self.maxlen,
-            "version": self.version,
             "values": list(self._arrival),
         }
 
@@ -219,4 +165,3 @@ class SortedWindow:
         self._arrival.extend(values)
         self._sorted = sorted(values)
         self.size = len(values)
-        self.version = state["version"]

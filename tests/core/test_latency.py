@@ -96,16 +96,16 @@ def test_tracker_builds_default_tuned_detectors():
 
 def test_restore_refuses_foreign_series_tag():
     """A series state under any tag but the production detector's
-    current one (here the retired ``ls-incremental/v1``, which
-    repeated the tuning and logged every alarm) is refused with the
-    tag and the series named, never resurrected."""
+    current one (here the retired ``ls-incremental/v2``, which carried
+    a threshold cache) is refused with the tag and the series named,
+    never resurrected."""
     source = LatencyTracker()
     source.observe(make_event(1, "api-a", 0.01))
     state = source.snapshot_state()
-    state["detectors"]["api-a"]["fmt"] = "ls-incremental/v1"
+    state["detectors"]["api-a"]["fmt"] = "ls-incremental/v2"
     with pytest.raises(StateFormatError) as caught:
         LatencyTracker().restore_state(state)
-    assert "ls-incremental/v1" in str(caught.value)
+    assert "ls-incremental/v2" in str(caught.value)
     assert "api-a" in str(caught.value)
 
 
@@ -155,6 +155,7 @@ def test_threshold_recompute_counter_aggregates_series():
     incremental_recomputes = tracker.ls_threshold_recomputes
     assert 0 < incremental_recomputes
 
-    # The incremental cache recomputes at most once per window
-    # mutation; the reference recomputes on every threshold() call.
+    # The incremental detector computes the MAD only for samples
+    # above its median-only floor; the reference recomputes on every
+    # threshold() call.
     assert incremental_recomputes <= reference.ls_threshold_recomputes

@@ -1,8 +1,13 @@
 """Tests for operational fault detection (regex scans)."""
 
+import re
+
+import pytest
+
 from repro.openstack.apis import ApiKind
 from repro.openstack.wire import WireEvent
 from repro.core.opfaults import (
+    RPC_ERROR_PATTERN,
     is_operational_fault,
     is_rest_fault,
     rest_error_status,
@@ -70,3 +75,42 @@ def test_generic_error_message_pattern():
     event = make_event(kind=ApiKind.RPC, status=200,
                        body='{"message": "volume backend unavailable"}')
     assert rpc_body_error(event)
+
+
+#: The six separate signatures the one alternation replaced, kept as
+#: its oracle: a body is faulty iff any of them matches.
+SEPARATE_PATTERNS = [
+    re.compile(r'"failure"\s*:'),
+    re.compile(r"MessagingTimeout"),
+    re.compile(r"RemoteError"),
+    re.compile(r"NoValidHost"),
+    re.compile(r"Traceback \(most recent call last\)"),
+    re.compile(
+        r'"message"\s*:\s*".*(?:error|failed|unavailable|timeout)',
+        re.IGNORECASE,
+    ),
+]
+
+
+@pytest.mark.parametrize("body, faulty", [
+    # One witness per separate signature.
+    ('{"failure": "x"}', True),
+    ("MessagingTimeout: no reply on topic nova", True),
+    ("oslo_messaging.rpc.client.RemoteError: boom", True),
+    ("NoValidHost: No valid host was found", True),
+    ("Traceback (most recent call last):\n  File", True),
+    ('{"message": "volume backend unavailable"}', True),
+    # Case is ignored only in the "message" branch.
+    ('{"MESSAGE": "x FAILED"}', True),
+    ("messagingtimeout", False),
+    ("remoteerror novalidhost", False),
+    ('"FAILURE": "x"', False),
+    # Healthy bodies, and "message" without an error word.
+    ('{"result": {"host": "compute-1"}}', False),
+    ('{"message": "ok"}', False),
+    # ``.`` stops at a newline, so the error word must share the line.
+    ('{"message": "ok",\n"note": "error"}', False),
+])
+def test_rpc_error_pattern_table(body, faulty):
+    assert (RPC_ERROR_PATTERN.search(body) is not None) is faulty
+    assert any(p.search(body) for p in SEPARATE_PATTERNS) is faulty

@@ -1,5 +1,7 @@
 """Tests for the streaming robust-statistics LS engine."""
 
+import itertools
+import math
 import random
 from collections import deque
 
@@ -62,15 +64,6 @@ def test_window_eviction_matches_deque():
         mirror.append(value)
         assert list(window) == list(mirror)
     assert window.bounds() == (min(mirror), max(mirror))
-
-
-def test_window_version_bumps_on_every_mutation():
-    window = SortedWindow(4)
-    v0 = window.version
-    window.append(1.0)
-    assert window.version == v0 + 1
-    window.clear()
-    assert window.version == v0 + 2
 
 
 def test_window_median_and_mad_small_cases():
@@ -173,23 +166,18 @@ def test_second_shift_alarms_again():
     assert len(feed(detector, series)) == 2
 
 
-def test_threshold_cache_counts_recomputes():
+def test_floor_gate_counts_full_computations():
+    """Past warmup, a steady series never rises above the median-only
+    floor, so ``update`` computes no MAD; a confirmed shift computes
+    it once per above-floor sample (``threshold()`` reads count none)."""
     detector = IncrementalLevelShiftDetector()
     feed(detector, steady(50))
-    # The last update appended after its threshold check, so one read
-    # re-primes the cache; every read after that is a hit.
+    assert detector.threshold_recomputes == 0
     detector.threshold()
-    recomputes = detector.threshold_recomputes
-    for _ in range(10):
-        detector.threshold()
-    assert detector.threshold_recomputes == recomputes
-    # A mutation invalidates exactly once: the update's own threshold
-    # check hits the primed cache, its append invalidates, the next
-    # read recomputes, and the read after that hits again.
-    detector.update(100.0, 0.010)
-    detector.threshold()
-    detector.threshold()
-    assert detector.threshold_recomputes == recomputes + 1
+    assert detector.threshold_recomputes == 0
+    alarms = feed(detector, [0.060] * detector.confirm, start_ts=50.0)
+    assert len(alarms) == 1
+    assert detector.threshold_recomputes == detector.confirm
 
 
 def test_incremental_threshold_matches_reference_when_underfilled():
@@ -221,17 +209,49 @@ def shift_series(draw_seed, n=400):
     return samples
 
 
+def ls_floor(detector):
+    """The median-only floor ``med + max(min_delta, rel_delta·med)``
+    under which ``update`` skips the MAD."""
+    med = detector.baseline
+    return med + max(detector.min_delta, detector.rel_delta * med)
+
+
+def hug_floor(samples, offsets):
+    """Re-aim ``samples`` at the detector's floor: cycling through
+    ``offsets``, an integer moves the sample to that many ulps from the
+    floor of a probe fed the stream so far; ``None`` keeps it."""
+    probe = IncrementalLevelShiftDetector()
+    hugged = []
+    for (ts, value), offset in zip(samples, itertools.cycle(offsets)):
+        if offset is not None:
+            value = ls_floor(probe)
+            for _ in range(abs(offset)):
+                value = math.nextafter(value, math.copysign(math.inf, offset))
+        probe.update(ts, value)
+        hugged.append((ts, value))
+    return hugged, probe
+
+
 @given(
     st.integers(min_value=0, max_value=10_000),
     st.integers(min_value=4, max_value=48),
     st.integers(min_value=1, max_value=5),
     st.floats(min_value=0.0, max_value=20.0),
+    st.one_of(
+        st.none(),
+        st.lists(
+            st.sampled_from([-1, 0, 1, None]), min_size=1, max_size=8,
+        ),
+    ),
 )
 @settings(max_examples=60, deadline=None)
-def test_incremental_equivalent_to_reference(seed, window, confirm, cooldown):
+def test_incremental_equivalent_to_reference(
+    seed, window, confirm, cooldown, offsets
+):
     """The tentpole property: over random streams *and* random LS
     tunings, the incremental detector is bit-identical to the
-    reference — every alarm field, every baseline, every threshold."""
+    reference — every alarm field, every baseline, every threshold.
+    With ``offsets`` drawn, the stream hugs the floor gate to the ulp."""
     with pytest.MonkeyPatch.context() as patch:
         for name, value in (
             ("LS_WINDOW", window), ("LS_CONFIRM", confirm),
@@ -239,9 +259,29 @@ def test_incremental_equivalent_to_reference(seed, window, confirm, cooldown):
             ("LS_MIN_DELTA", 0.001),
         ):
             patch.setattr(outliers, name, value)
-        result = verify_levelshift(shift_series(seed))
+        samples = shift_series(seed)
+        if offsets:
+            samples, _ = hug_floor(samples, offsets)
+        result = verify_levelshift(samples)
     assert result.ok
     assert result.facts["samples"] == 400
+
+
+@pytest.mark.parametrize("level", [0.010, 0.0, -1.0])
+def test_floor_boundary_matches_reference(level):
+    """Samples exactly at the floor, one ulp either side of it, and a
+    NaN, over zero and negative medians too.  A flat series has MAD 0,
+    so its threshold *is* the floor: a sample one ulp above it joins
+    the confirm streak, one at the floor breaks it.  Only the above-floor samples and the
+    NaN (which fails ``<=``) pay for the MAD."""
+    plan = [0, 0, -1, 1, 0, None, 1, 1, 1]
+    flat = [(float(ts), level) for ts in range(20)]
+    tail = [(20.0 + ts, math.nan) for ts in range(len(plan))]
+    samples, probe = hug_floor(flat + tail, [None] * 20 + plan)
+    result = verify_levelshift(samples)
+    assert result.ok
+    assert result.facts["alarms"] == 1
+    assert probe.threshold_recomputes == plan.count(1) + plan.count(None)
 
 
 def test_oracle_counts_alarms():
