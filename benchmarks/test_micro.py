@@ -196,7 +196,7 @@ def test_score_incremental(benchmark, character):
     class across the schedule and are expanded to candidates once, as
     ``detect`` does.  The session returns the ranked classes, so it
     equals the from-scratch schedule's last mapping once ranked."""
-    from repro.core.matching import member_scores, rank
+    from repro.core.matching import MatchSession, member_scores, rank
 
     detector, snapshot = _detection_fixture(character)
     candidates = detector.candidates_for(snapshot.fault.api_key)
@@ -204,10 +204,11 @@ def test_score_incremental(benchmark, character):
     fragments = detector._session_fragments(snapshot, "")
 
     def run():
-        session = detector.matching.session(
+        session = MatchSession(
             fragments, candidates.classes,
             threshold=MATCH_COVERAGE,
             strict=not detector.config.relaxed_match,
+            stats=detector.matching_stats,
         )
         finalized = {}
         scores = {}

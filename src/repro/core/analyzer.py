@@ -97,17 +97,18 @@ class PipelineStats:
     lcs_row_extensions: int = 0
     lcs_symbols_fed: int = 0
     # Candidate-selection counters (``docs/indexing.md``): postings
-    # entries examined by ``candidates_for`` and candidates served
-    # from the compiled index.  Every selection is served from the
-    # index, so the two are equal here; they are two counters on the
-    # detector because the reference full scan (``repro.reference``)
-    # examines postings without being served any.
+    # entries examined and candidates served from the compiled index,
+    # summed over every ``candidates_for`` call.  Every selection is
+    # served from the index, so the two are equal here; they are two
+    # counters on the detector because the reference full scan
+    # (``repro.reference``) examines postings without being served
+    # any.
     postings_scanned: int = 0
     candidates_indexed: int = 0
     # Level-shift engine counters (``repro.core.streamstats``):
-    # latency samples fed to per-API detectors, and (median, MAD,
-    # threshold) triples actually recomputed — the misses of the
-    # version-keyed cache (``docs/streamstats.md``).
+    # latency samples fed to per-API detectors, and full (median, MAD,
+    # threshold) computations — one per sample above its series'
+    # median-only floor (``docs/streamstats.md``).
     ls_samples_fed: int = 0
     ls_threshold_recomputes: int = 0
 
@@ -235,7 +236,7 @@ class GretelAnalyzer:
     def stats(self) -> PipelineStats:
         """Mergeable snapshot of the counters."""
         detector = self.detector
-        matching = detector.matching.stats
+        matching = detector.matching_stats
         latency = self.latency
         return PipelineStats(
             events_processed=self.events_processed,

@@ -60,8 +60,8 @@ from repro.openstack.wire import WireEvent
 from repro.core.config import GretelConfig
 from repro.core.fingerprint import Fingerprint, FingerprintLibrary
 from repro.core.matching.engine import (
-    MatchingEngine,
     MatchingStats,
+    MatchSession,
     Preparation,
     PreparationKey,
     ScoringClass,
@@ -224,11 +224,6 @@ class DetectionResult:
         """Names of the matched operations."""
         return [fp.operation for fp in self.matched]
 
-    @property
-    def narrowed_to_one(self) -> bool:
-        """True when exactly one operation matched."""
-        return len(self.matched) == 1
-
 
 class OperationDetector:
     """Algorithm 2 over a fingerprint library."""
@@ -246,7 +241,6 @@ class OperationDetector:
         self.symbols = symbols
         self.catalog = catalog
         self.config = config or GretelConfig()
-        self._candidate_cache: Dict[Tuple[str, bool], Selection] = {}
         self._fragment_cache: Dict[str, str] = {}
         if compiled_index is not None and not compiled_index.serves(
             self.config
@@ -265,56 +259,38 @@ class OperationDetector:
         self._compiled = compiled_index
         #: Selection counters, surfaced through ``PipelineStats``:
         #: postings entries examined and candidates served from the
-        #: compiled index (equal on this path; a full scan examines
-        #: postings without being served any).
+        #: compiled index, summed over every ``candidates_for`` call
+        #: (equal on this path; a full scan examines postings without
+        #: being served any).
         self.postings_scanned = 0
         self.candidates_indexed = 0
-        #: Incremental scoring engine (``docs/matching.md``); its
-        #: counters accumulate across every detection this detector
-        #: runs and surface through ``PipelineStats``.
-        self.matching = MatchingEngine()
-
-    @property
-    def matching_stats(self) -> MatchingStats:
-        """Counters of the incremental engine (all sessions so far)."""
-        return self.matching.stats
+        #: Counters of every :class:`MatchSession` this detector opens
+        #: (``docs/matching.md``), surfaced through ``PipelineStats``.
+        self.matching_stats = MatchingStats()
 
     # -- state lifecycle (see repro.core.state) -------------------------
 
-    STATE_FMT = "operation-detector/v2"
+    STATE_FMT = "operation-detector/v3"
 
     def snapshot_state(self) -> Dict[str, Any]:
         """Versioned, JSON-serializable rendering of the detector.
 
-        The prepared-candidate caches themselves are derived purely
-        from the library and config, so only their *keys* travel: the
-        restore path re-prepares each selection, then overwrites the
-        counters with the serialized values — otherwise the first
-        post-restore detection would re-scan postings the original run
-        had already paid for, and ``postings_scanned`` would diverge
-        from the uninterrupted run.
+        Only the counters travel: selections live in the shared
+        compiled index, a pure function of the library and config.
         """
         return {
             "fmt": self.STATE_FMT,
-            "selections": [
-                [api_key, truncate]
-                for api_key, truncate in sorted(self._candidate_cache)
-            ],
             "postings_scanned": self.postings_scanned,
             "candidates_indexed": self.candidates_indexed,
-            "matching": self.matching.stats.to_dict(),
+            "matching": self.matching_stats.to_dict(),
         }
 
     def restore_state(self, state: Mapping[str, Any]) -> None:
         """Rehydrate a fresh detector over the same library/config."""
         require_state(state, self.STATE_FMT)
-        self._candidate_cache.clear()
-        self._fragment_cache.clear()
-        for api_key, truncate in state["selections"]:
-            self.candidates_for(api_key, truncate=truncate)
         self.postings_scanned = state["postings_scanned"]
         self.candidates_indexed = state["candidates_indexed"]
-        self.matching.stats = MatchingStats.from_dict(state["matching"])
+        self.matching_stats = MatchingStats.from_dict(state["matching"])
 
     # -- candidate preparation ------------------------------------------
 
@@ -328,22 +304,12 @@ class OperationDetector:
         produces identical lists —
         ``repro.analysis.compile.verify_selection`` is the oracle.
         """
-        cache_key = (api_key, truncate)
-        cached = self._candidate_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        prepared = self._select(
+        return self._select(
             self.symbols.symbol(api_key),
             truncate and self.config.truncate_fingerprints,
         )
-        if not isinstance(prepared, Selection):
-            # A ``_select`` override that prepares its own list (the
-            # reference full scan) gets the same partition function.
-            prepared = Selection(prepared)
-        self._candidate_cache[cache_key] = prepared
-        return prepared
 
-    def _select(self, symbol: str, truncate: bool) -> List[Candidate]:
+    def _select(self, symbol: str, truncate: bool) -> Selection:
         """One lookup in the compiled index.
 
         The compile is memoized per ``(library, version, flags)`` and
@@ -434,11 +400,12 @@ class OperationDetector:
         and must end in the same result —
         ``repro.core.matching.oracle.verify_detection`` is the oracle.
         """
-        return candidates.classes, self.matching.session(
+        return candidates.classes, MatchSession(
             self._session_fragments(snapshot, correlation_id),
             candidates.classes,
             threshold=MATCH_COVERAGE,
             strict=not self.config.relaxed_match,
+            stats=self.matching_stats,
         ).score
 
     # -- Algorithm 2 ----------------------------------------------------

@@ -392,14 +392,6 @@ class FingerprintLibrary:
             return 0
         return max(len(fp) for fp in self._fingerprints.values())
 
-    def average_size(self, category: Optional[str] = None) -> float:
-        """Mean fingerprint length, optionally for one category."""
-        sizes = [
-            len(fp) for fp in self._fingerprints.values()
-            if category is None or fp.category == category
-        ]
-        return sum(sizes) / len(sizes) if sizes else 0.0
-
     def to_dict(self) -> Dict:
         """JSON-serializable form of the whole library."""
         return {

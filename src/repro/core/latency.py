@@ -106,10 +106,6 @@ class LatencyTracker:
             self._on_anomaly(anomaly)
         return anomaly
 
-    def series_count(self) -> int:
-        """How many API series are being tracked."""
-        return len(self._detectors)
-
     @property
     def ls_samples_fed(self) -> int:
         """Latency samples fed into level-shift detectors."""

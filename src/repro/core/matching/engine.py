@@ -23,12 +23,12 @@ steady-state per-iteration cost to a function of what *changed*:
   :func:`scoring_classes` computes the partition once per selection;
   the library compiler runs it at compile time over preparations it
   has already interned.
-* **One bit index per snapshot.**  :class:`SnapshotIndex` holds one
-  Hyyrö match mask per symbol in *snapshot coordinates* (bit ``p`` ↔
-  ``snapshot.events[p]``), built once per freeze.  Nothing is derived
-  per needle alphabet: a window ``[lo, hi)`` is ``mask >> lo`` read
-  under a ``hi − lo``-bit row, shifted once per symbol per window and
-  shared by every class.  This replaces the reference path's
+* **One bit index per snapshot.**  :func:`symbol_masks` maps each
+  symbol to one Hyyrö match mask in *snapshot coordinates* (bit ``p``
+  ↔ ``snapshot.events[p]``), built once per session.  Nothing is
+  derived per needle alphabet: a window ``[lo, hi)`` is ``mask >> lo``
+  read under a ``hi − lo``-bit row, shifted once per symbol per window
+  and shared by every class.  This replaces the reference path's
   per-iteration string join and per-candidate foreign-symbol regex
   strip.
 * **Orientation-swapped Hyyrö rows.**  The reference scorer runs
@@ -95,12 +95,9 @@ from typing import (
     Union,
 )
 
-from repro.core.matching.index import SnapshotIndex
-
 __all__ = [
     "LENGTH_TOLERANCE",
     "MatchSession",
-    "MatchingEngine",
     "MatchingStats",
     "Preparation",
     "ScoringClass",
@@ -109,6 +106,7 @@ __all__ = [
     "rank",
     "scoring_classes",
     "select_cut",
+    "symbol_masks",
 ]
 
 Score = Tuple[int, float]
@@ -366,8 +364,27 @@ def member_scores(
     return dict(sorted(fanned.items()))
 
 
+def symbol_masks(fragments: Sequence[str]) -> Dict[str, int]:
+    """Symbol → event positions as a bit set, over one snapshot's
+    per-event fragments (one symbol, or ``""`` for an event excluded
+    from matching).
+
+    Bit ``p`` of ``masks[symbol]`` is set exactly when
+    ``fragments[p]`` is ``symbol`` — a Hyyrö match mask over the whole
+    snapshot, so the window ``[lo, hi)`` of :meth:`Snapshot.bounds` is
+    bits ``lo`` to ``hi − 1``.  ``""`` fragments are in no mask.  The
+    gate's window counts are the same masks under the window's bits.
+    """
+    masks: Dict[str, int] = {}
+    get = masks.get
+    for position, fragment in enumerate(fragments):
+        if fragment:
+            masks[fragment] = get(fragment, 0) | 1 << position
+    return masks
+
+
 class _ShiftedMasks(Dict[str, int]):
-    """``SnapshotIndex.masks`` right-shifted by one window's ``lo``:
+    """:func:`symbol_masks` right-shifted by one window's ``lo``:
     each symbol shifted on first use and shared by every class scored
     on that window (a symbol the snapshot never carries shifts to
     0)."""
@@ -482,18 +499,22 @@ class MatchSession:
     over, with the floats the reference computes for every member —
     while keeping each class's last result alive between calls.
     :func:`member_scores` expands a mapping to candidate indexes.
+
+    ``fragments`` is the snapshot's per-event encoding, read once
+    through :func:`symbol_masks`; ``stats`` is the caller's counter
+    object, which every session of one detector adds to.
     """
 
     def __init__(
         self,
-        index: SnapshotIndex,
+        fragments: Sequence[str],
         classes: ScoringClasses,
         *,
         threshold: float,
         strict: bool,
         stats: MatchingStats,
     ) -> None:
-        masks = self._masks = index.masks
+        masks = self._masks = symbol_masks(fragments)
         self._classes = classes
         self._states = [
             _CandidateState(
@@ -642,25 +663,3 @@ class MatchSession:
                         and finalized is not None):
                     finalized[number] = result
         return best
-
-
-class MatchingEngine:
-    """Session factory plus cross-session counters for one detector."""
-
-    def __init__(self) -> None:
-        self.stats = MatchingStats()
-
-    def session(
-        self,
-        fragments: Sequence[str],
-        classes: ScoringClasses,
-        *,
-        threshold: float,
-        strict: bool,
-    ) -> MatchSession:
-        """A fresh scoring session over one snapshot's fragments and
-        one selection's :func:`scoring_classes`."""
-        return MatchSession(
-            SnapshotIndex(fragments), classes,
-            threshold=threshold, strict=strict, stats=self.stats,
-        )

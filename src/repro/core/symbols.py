@@ -30,9 +30,6 @@ PUA_LAST = 0xF8FF
 #: Number of API symbols the private use area can hold (6400).
 PUA_CAPACITY = PUA_LAST - PUA_BASE + 1
 
-#: Backwards-compatible alias for the original module-private name.
-_BASE_CODEPOINT = PUA_BASE
-
 
 class SymbolSpaceExhausted(ValueError):
     """The API catalog does not fit in the symbol code-point budget."""

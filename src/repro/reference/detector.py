@@ -33,6 +33,7 @@ from repro.core.detector import (
     OperationDetector,
     Scorer,
     Scores,
+    Selection,
     prepare_candidate,
 )
 from repro.core.matching.engine import (
@@ -202,7 +203,7 @@ class ScratchScoringDetector(OperationDetector):
         if not correlation_id:
             return "".join(fragments)
         return "".join(
-            piece for piece, event in zip(fragments, events)
+            piece for piece, event in zip(fragments, events, strict=True)
             if event.request_id == correlation_id
         )
 
@@ -235,7 +236,7 @@ class ScanSelectionDetector(OperationDetector):
     """From-scratch selection, production scoring.  Never compiles or
     consults an index."""
 
-    def _select(self, symbol: str, truncate: bool) -> List[Candidate]:
+    def _select(self, symbol: str, truncate: bool) -> Selection:
         prune = self.config.prune_rpcs
         relaxed = self.config.relaxed_match
         prepared: List[Candidate] = []
@@ -249,4 +250,4 @@ class ScanSelectionDetector(OperationDetector):
                 fingerprint, effective, symbol,
                 truncate=truncate, relaxed=relaxed,
             )))
-        return prepared
+        return Selection(prepared)

@@ -88,7 +88,6 @@ class StreamingService:
         track_latency: bool = True,
         queue_capacity: int = TenantSession.QUEUE_CAPACITY,
         policy: str = "block",
-        report_retention: int = 64,
         checkpoint_store: Optional[CheckpointStore] = None,
         checkpoint_every: int = 0,
         restore: bool = True,
@@ -113,7 +112,6 @@ class StreamingService:
         self._track_latency = track_latency
         self.queue_capacity = queue_capacity
         self.policy = policy
-        self.report_retention = report_retention
         self.checkpoints = checkpoint_store
         self.checkpoint_every = checkpoint_every
         self.restore_on_start = restore
@@ -161,7 +159,6 @@ class StreamingService:
                 self.build_analyzer(),
                 queue_capacity=self.queue_capacity,
                 policy=self.policy,
-                report_retention=self.report_retention,
             )
             for sink in self._sinks:
                 live.on_report(sink)

@@ -6,8 +6,7 @@ with the three things a standing service needs that a batch drain
 does not: a **bounded ingest queue**, an **explicit backpressure
 policy** (``"block"`` / ``"shed"``), and **bounded retention** (after
 every drain the analyzer's report log is handed off, so session
-memory is bounded by α + queue capacity + the retention ring, not by
-events ingested).
+memory is bounded by α + queue capacity, not by events ingested).
 
 Every session is a **pump session** (``docs/service.md``): a
 dedicated daemon *pump thread* drains a thread-safe bounded queue in
@@ -30,8 +29,7 @@ the pump around the state transfer and checkpointing a live tenant
 is race-free.
 
 Reports reach every registered sink at emit time, on the *pump
-thread* (:meth:`on_report`); the session additionally keeps the last
-``report_retention`` reports for inspection.
+thread* (:meth:`on_report`); the session keeps none of them.
 """
 
 from __future__ import annotations
@@ -110,7 +108,6 @@ class TenantSession:
         *,
         queue_capacity: int = QUEUE_CAPACITY,
         policy: str = "block",
-        report_retention: int = 64,
     ) -> None:
         if queue_capacity < 1:
             raise ValueError("queue_capacity must be at least 1")
@@ -129,9 +126,6 @@ class TenantSession:
         self.events_analyzed = 0
         self._shed = _AtomicCounter()
         self.reports_emitted = 0
-        self.recent_reports: Deque[FaultReport] = deque(
-            maxlen=report_retention
-        )
         self._sinks: List[ReportSink] = []
         self._sealed = False
         analyzer.on_report(self._on_report)
@@ -170,7 +164,6 @@ class TenantSession:
 
     def _on_report(self, report: FaultReport) -> None:
         self.reports_emitted += 1
-        self.recent_reports.append(report)
         for sink in self._sinks:
             sink(self.tenant, report)
 
@@ -377,10 +370,9 @@ class TenantSession:
         """Freeze the session — queue included — JSON-serializably.
 
         The pump is paused around the snapshot (an event boundary),
-        so no drain is needed first.  The retention ring is *not*
-        serialized (reports are outputs, not in-flight state); the
-        analyzer state carries everything needed to finish the stream
-        bit-identically.
+        so no drain is needed first.  Reports are outputs, not
+        in-flight state; the analyzer state carries everything needed
+        to finish the stream bit-identically.
         """
         with self.parked():
             # Producers still enqueue while the pump is parked.

@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.openstack.apis import ApiKind
 from repro.openstack.catalog import default_catalog
 from repro.openstack.wire import WireEvent
 from repro.core.config import GretelConfig
@@ -102,7 +101,7 @@ def test_detects_single_matching_operation(library, symbols, catalog):
     )
     result = detector.detect(snapshot)
     assert result.operations == ["op-keypair-boot"]
-    assert result.narrowed_to_one
+    assert len(result.matched) == 1
     assert result.theta == 1.0
 
 
@@ -112,6 +111,42 @@ def test_candidates_are_ops_containing_offending_api(library, symbols, catalog):
     result = detector.detect(snapshot)
     # Four fingerprints contain the upload API.
     assert result.candidates == 4
+
+
+def test_selection_counters_grow_on_every_call(library, symbols, catalog):
+    """Every ``candidates_for`` call is served by the shared compiled
+    index, so both counters grow by the selection's size each time;
+    a checkpoint carries the counters alone, with no selection to
+    replay on restore."""
+    poll, boot = to_keys(catalog, [POLL, BOOT])
+    snapshot = make_snapshot(
+        catalog, [KEYPAIR, IMAGE, UPLOAD, BOOT, PORT, POLL], POLL,
+    )
+    plan = [(poll, True), (poll, True), (boot, False), (poll, False),
+            (boot, True), (poll, True)]
+
+    def run(detector, steps):
+        for api_key, truncate in steps:
+            scanned = detector.postings_scanned
+            indexed = detector.candidates_indexed
+            size = len(detector.candidates_for(api_key, truncate=truncate))
+            assert size > 0
+            assert detector.postings_scanned == scanned + size
+            assert detector.candidates_indexed == indexed + size
+        detector.detect(snapshot)
+
+    straight = make_detector(library, symbols, catalog)
+    run(straight, plan)
+    cut = make_detector(library, symbols, catalog)
+    run(cut, plan[:3])
+    state = cut.snapshot_state()
+    assert "selections" not in state
+    resumed = make_detector(library, symbols, catalog)
+    resumed.restore_state(state)
+    assert resumed.snapshot_state() == state
+    run(resumed, plan[3:])
+    straight.detect(snapshot)
+    assert resumed.snapshot_state() == straight.snapshot_state()
 
 
 def test_no_candidates_for_unknown_api(library, symbols, catalog):
@@ -192,13 +227,6 @@ def test_rpc_fault_falls_back_to_unpruned(library, symbols, catalog):
     )
     result = detector.detect(snapshot)
     assert result.candidates == 3  # the three boot variants
-
-
-def test_candidate_cache_reused(library, symbols, catalog):
-    detector = make_detector(library, symbols, catalog)
-    first = detector.candidates_for("rest:nova:GET:/v2.1/servers/{id}")
-    second = detector.candidates_for("rest:nova:GET:/v2.1/servers/{id}")
-    assert first is second
 
 
 def test_matched_events_filtered_to_operations(library, symbols, catalog):

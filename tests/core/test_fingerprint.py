@@ -354,14 +354,3 @@ def test_library_serialization_roundtrip(catalog, symbols):
     library = make_library(catalog, symbols, ("op-a", [boot]))
     clone = FingerprintLibrary.from_dict(library.to_dict(), symbols)
     assert clone.get("op-a").symbols == library.get("op-a").symbols
-
-
-def test_average_size_per_category(catalog, symbols):
-    boot = catalog.find_rest("nova", "POST", "/v2.1/servers").key
-    library = FingerprintLibrary(symbols)
-    library.add(generate_fingerprint("a", [[boot]], symbols, catalog,
-                                     category="compute"))
-    library.add(generate_fingerprint("b", [[boot, boot]], symbols, catalog,
-                                     category="compute"))
-    assert library.average_size("compute") == pytest.approx(1.5)
-    assert library.average_size("image") == 0.0

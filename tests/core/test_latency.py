@@ -40,7 +40,9 @@ def test_separate_series_per_api():
     tracker = LatencyTracker()
     tracker.observe(make_event(1, "api-a", 0.01))
     tracker.observe(make_event(2, "api-b", 0.01))
-    assert tracker.series_count() == 2
+    assert sorted(tracker.snapshot_state()["detectors"]) == [
+        "api-a", "api-b",
+    ]
 
 
 def test_anomaly_on_level_shift():

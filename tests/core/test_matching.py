@@ -13,15 +13,14 @@ from repro.core.fingerprint import (
 )
 from repro.core.matching import (
     MatchSession,
-    MatchingEngine,
     MatchingStats,
     Preparation,
-    SnapshotIndex,
     detection_signature,
     member_scores,
     rank,
     scoring_classes,
     select_cut,
+    symbol_masks,
     verify_detection,
 )
 from repro.core.symbols import SymbolTable
@@ -127,29 +126,29 @@ def make_candidate(needle, cuts=None, pure_read=False):
     )
 
 
-# -- snapshot index -------------------------------------------------------
+# -- symbol masks ---------------------------------------------------------
 
 
-def window_count(index, symbol, lo, hi):
+def window_count(masks, symbol, lo, hi):
     """Occurrences of ``symbol`` in ``[lo, hi)``, read the way the
     gate reads them: the symbol's mask under the window's bits."""
     window_bits = ((1 << (hi - lo)) - 1) << lo
-    return (index.masks.get(symbol, 0) & window_bits).bit_count()
+    return (masks.get(symbol, 0) & window_bits).bit_count()
 
 
 def test_index_counts_symbols_inside_window():
-    index = SnapshotIndex(["A", "B", "", "A", "C", "A"])
-    assert window_count(index, "A", 0, 6) == 3
-    assert window_count(index, "A", 1, 5) == 1
-    assert window_count(index, "A", 4, 4) == 0
-    assert window_count(index, "A", 5, 6) == 1
-    assert window_count(index, "Z", 0, 6) == 0
+    masks = symbol_masks(["A", "B", "", "A", "C", "A"])
+    assert window_count(masks, "A", 0, 6) == 3
+    assert window_count(masks, "A", 1, 5) == 1
+    assert window_count(masks, "A", 4, 4) == 0
+    assert window_count(masks, "A", 5, 6) == 1
+    assert window_count(masks, "Z", 0, 6) == 0
 
 
 def test_index_excludes_blank_fragments():
-    index = SnapshotIndex(["", "A", ""])
-    assert index.masks == {"A": 0b10}
-    assert window_count(index, "", 0, 3) == 0
+    masks = symbol_masks(["", "A", ""])
+    assert masks == {"A": 0b10}
+    assert window_count(masks, "", 0, 3) == 0
 
 
 @pytest.mark.parametrize("fragments", [
@@ -162,9 +161,9 @@ def test_index_excludes_blank_fragments():
     (["A", "", "B", "B", "", "C", "A"] * 120)[:769],
 ])
 def test_index_masks_agree_with_positions_bit_for_bit(fragments):
-    index = SnapshotIndex(fragments)
-    assert index.masks.keys() == set(fragments) - {""}
-    for symbol, mask in index.masks.items():
+    masks = symbol_masks(fragments)
+    assert masks.keys() == set(fragments) - {""}
+    for symbol, mask in masks.items():
         assert [
             p for p in range(mask.bit_length()) if mask >> p & 1
         ] == [
@@ -172,7 +171,7 @@ def test_index_masks_agree_with_positions_bit_for_bit(fragments):
         ]
     # Every non-blank position is in exactly one mask.
     union = 0
-    for mask in index.masks.values():
+    for mask in masks.values():
         assert not union & mask
         union |= mask
     assert union == sum(
@@ -272,11 +271,12 @@ def test_session_matches_reference_scorer(library, symbols, catalog):
         POLL,
     )
     candidates = detector.candidates_for(snapshot.fault.api_key)
-    session = detector.matching.session(
+    session = MatchSession(
         detector._session_fragments(snapshot, ""),
         candidates.classes,
         threshold=MATCH_COVERAGE,
         strict=not detector.config.relaxed_match,
+        stats=detector.matching_stats,
     )
     finalized_ref = {}
     finalized_inc = {}
@@ -304,18 +304,19 @@ def test_session_rescore_uses_cache(library, symbols, catalog):
         catalog, [KEYPAIR, IMAGE, UPLOAD, BOOT, PORT, POLL], POLL,
     )
     candidates = detector.candidates_for(snapshot.fault.api_key)
-    session = detector.matching.session(
+    session = MatchSession(
         detector._session_fragments(snapshot, ""),
         candidates.classes,
         threshold=MATCH_COVERAGE,
         strict=not detector.config.relaxed_match,
+        stats=detector.matching_stats,
     )
     lo, hi = 0, len(snapshot.events)
     first = session.score(lo, hi)
-    before = detector.matching.stats.rescore_hits
+    before = detector.matching_stats.rescore_hits
     second = session.score(lo, hi)
     assert second == first
-    assert detector.matching.stats.rescore_hits > before
+    assert detector.matching_stats.rescore_hits > before
 
 
 def test_reference_scorer_bypasses_engine_without_changing_results(
@@ -330,8 +331,8 @@ def test_reference_scorer_bypasses_engine_without_changing_results(
     assert actual == expected
     # The reference path never touches the engine; the incremental
     # path did real work.
-    assert reference.matching.stats.lcs_row_extensions == 0
-    assert incremental.matching.stats.lcs_row_extensions > 0
+    assert reference.matching_stats.lcs_row_extensions == 0
+    assert incremental.matching_stats.lcs_row_extensions > 0
 
 
 # -- scoring classes ------------------------------------------------------
@@ -374,9 +375,10 @@ def test_scoring_classes_separate_cuts_and_pure_read(
     ]
     fragments = ["A", "B", "C"]
     classes = scoring_classes(pool)
-    session = detector.matching.session(
+    session = MatchSession(
         fragments, classes,
         threshold=MATCH_COVERAGE, strict=False,
+        stats=detector.matching_stats,
     )
     reference = score_buffer(pool, "ABC", detector.config)
     # 3/4 passes the 0.7 threshold; the [2, 4] twin prefers its fully
@@ -429,10 +431,11 @@ def test_stats_account_for_every_candidate_of_every_iteration(
     candidates = detector.candidates_for(snapshot.fault.api_key)
     classes = candidates.classes
     assert sorted(len(c.members) for c in classes) == [1, 2, 2]
-    session = detector.matching.session(
+    session = MatchSession(
         detector._session_fragments(snapshot, ""), classes,
         threshold=MATCH_COVERAGE,
         strict=not detector.config.relaxed_match,
+        stats=detector.matching_stats,
     )
     stats = detector.matching_stats
     windows = snapshot_windows(snapshot, detector.config)
@@ -691,14 +694,15 @@ def test_tie_on_length_is_broken_by_candidates_not_classes(
 
 
 def open_session(pool, fragments):
-    """A session over ``pool``'s classes on its own engine, so the
-    counters start at zero."""
-    engine = MatchingEngine()
+    """A session over ``pool``'s classes with its own counters, so they
+    start at zero."""
+    stats = MatchingStats()
     classes = scoring_classes(pool)
-    session = engine.session(
+    session = MatchSession(
         fragments, classes, threshold=MATCH_COVERAGE, strict=False,
+        stats=stats,
     )
-    return session, classes, engine.stats
+    return session, classes, stats
 
 
 def test_pure_reads_run_no_dp_once_a_state_change_class_scores():
@@ -773,9 +777,10 @@ def test_class_pruned_where_the_reference_finalizes_it(catalog, symbols):
     reference_detector = ScratchScoringDetector(library, symbols, catalog)
     candidates = detector.candidates_for(snapshot.fault.api_key)
     classes = candidates.classes
-    session = detector.matching.session(
+    session = MatchSession(
         detector._session_fragments(snapshot, ""), classes,
         threshold=MATCH_COVERAGE, strict=False,
+        stats=detector.matching_stats,
     )
     finalized_ref = {}
     finalized_inc = {}

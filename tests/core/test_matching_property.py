@@ -16,6 +16,7 @@ from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
 from repro.core.detector import MATCH_COVERAGE, Candidate, OperationDetector
 from repro.core.matching import (
+    MatchSession,
     Preparation,
     member_scores,
     rank,
@@ -109,10 +110,11 @@ def assert_session_equals_reference(detector, fragments, pool, windows,
     at the same values."""
     config = config or detector.config
     classes = scoring_classes(pool)
-    session = detector.matching.session(
+    session = MatchSession(
         fragments, classes,
         threshold=MATCH_COVERAGE,
         strict=not config.relaxed_match,
+        stats=detector.matching_stats,
     )
     finalized_ref = {} if finalize else None
     finalized_inc = {} if finalize else None

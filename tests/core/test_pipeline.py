@@ -269,7 +269,8 @@ def test_restore_refuses_per_stage_v1_state(library):
     as a keyed dict where the current ones hold rows;
     ``operation-detector/v1`` counted alphabet blocks the matcher no
     longer builds (a ``"matching"`` key ``MatchingStats.from_dict``
-    would choke on); ``analysis-pipeline/v4`` guarded 29 config
+    would choke on), and v2 listed the keys of a per-detector
+    selection cache so restore could refill it; ``analysis-pipeline/v4`` guarded 29 config
     fields where the current config has seven; ``latency-tracker/v2``
     carried a log of emitted anomalies nothing read, and v3 repeated
     the LS tuning in every series state, next to each series' own
@@ -285,7 +286,10 @@ def test_restore_refuses_per_stage_v1_state(library):
     assert set(state["latency"]) == {
         "fmt", "tuning", "samples_fed", "detectors",
     }
-    assert state["detector"]["fmt"] == "operation-detector/v2"
+    assert state["detector"]["fmt"] == "operation-detector/v3"
+    assert set(state["detector"]) == {
+        "fmt", "postings_scanned", "candidates_indexed", "matching",
+    }
     assert "blocks_built" not in state["detector"]["matching"]
     refused = [
         (analyzer, dict(state, fmt=older), older)
@@ -298,7 +302,8 @@ def test_restore_refuses_per_stage_v1_state(library):
                             ("latency", "latency-tracker/v1"),
                             ("latency", "latency-tracker/v2"),
                             ("latency", "latency-tracker/v3"),
-                            ("detector", "operation-detector/v1"))
+                            ("detector", "operation-detector/v1"),
+                            ("detector", "operation-detector/v2"))
     ]
     session = TenantSession("acme", analyzer)
     try:
