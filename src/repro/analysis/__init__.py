@@ -5,7 +5,7 @@ fingerprint library (Alg. 1): if two operations' state-change
 subsequences subsume each other, or a truncation point is unreachable,
 the online matcher (Alg. 2) silently misattributes faults.  This
 package is the build-time gate that proves the library sound before it
-ever sees traffic — six passes over the library, symbol table, API
+ever sees traffic — five passes over the library, symbol table, API
 catalog and :class:`~repro.core.config.GretelConfig`:
 
 ``ambiguity``
@@ -15,10 +15,6 @@ catalog and :class:`~repro.core.config.GretelConfig`:
 ``integrity``
     symbol-table bijectivity, private-use-area overflow, orphan
     symbols and uncovered catalog APIs (SYM*);
-``regex``
-    paper-regex pathology: adjacent/nested quantifiers, star runs,
-    vacuous or strict-equivalent matchers, bounded matcher-step
-    estimation (RGX*);
 ``noise-config``
     dead noise-filter rules and α sizing invariants (NSE*/CFG*);
 ``discriminability``

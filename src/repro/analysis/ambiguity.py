@@ -57,7 +57,7 @@ def run(ctx: LintContext) -> List[Finding]:
     # AMB001: identical state-change sequences across groups.
     for sequence in sorted(classes, key=lambda s: (len(s), s)):
         if not sequence:
-            continue  # pure-read fingerprints: regex pass, RGX002
+            continue  # pure reads order no state change; see TRN001
         operations = classes[sequence]
         if len(groups[sequence]) < 2:
             continue

@@ -9,7 +9,6 @@ from repro.analysis import (
     configlint,
     discriminability,
     integrity,
-    regexlint,
     truncation,
 )
 from repro.analysis.context import LintContext
@@ -24,7 +23,6 @@ PASSES: Dict[str, Callable[[LintContext], List[Finding]]] = {
     ambiguity.PASS_NAME: ambiguity.run,
     truncation.PASS_NAME: truncation.run,
     integrity.PASS_NAME: integrity.run,
-    regexlint.PASS_NAME: regexlint.run,
     configlint.PASS_NAME: configlint.run,
     discriminability.PASS_NAME: discriminability.run,
 }

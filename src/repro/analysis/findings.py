@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 
 class Severity(enum.IntEnum):
@@ -24,14 +24,6 @@ class Severity(enum.IntEnum):
     def label(self) -> str:
         """Lower-case name used in rendered output and JSON."""
         return self.name.lower()
-
-    @classmethod
-    def from_label(cls, label: str) -> "Severity":
-        """Inverse of :attr:`label`; raises ``ValueError`` if unknown."""
-        try:
-            return cls[label.upper()]
-        except KeyError:
-            raise ValueError(f"unknown severity {label!r}") from None
 
 
 @dataclass(frozen=True)
@@ -78,19 +70,6 @@ class Finding:
             "witness": list(self.witness),
             "fix_hint": self.fix_hint,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Finding":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            rule=str(data["rule"]),
-            severity=Severity.from_label(str(data["severity"])),
-            pass_name=str(data["pass"]),
-            location=str(data["location"]),
-            message=str(data["message"]),
-            witness=tuple(str(w) for w in data.get("witness", ())),
-            fix_hint=str(data.get("fix_hint", "")),
-        )
 
 
 @dataclass
@@ -142,7 +121,7 @@ class LintReport:
         return result
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (round-trips via :meth:`from_dict`)."""
+        """JSON-serializable form (what ``--format json`` prints)."""
         return {
             "passes": list(self.passes),
             "stats": dict(self.stats),
@@ -150,18 +129,6 @@ class LintReport:
             "counts": self.counts(),
             "findings": [finding.to_dict() for finding in self.findings],
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LintReport":
-        """Inverse of :meth:`to_dict` (``counts`` is derived, ignored)."""
-        return cls(
-            findings=[Finding.from_dict(f) for f in data.get("findings", ())],
-            passes=tuple(str(p) for p in data.get("passes", ())),
-            stats={str(k): int(v) for k, v in data.get("stats", {}).items()},
-            rule_counts={
-                str(k): int(v) for k, v in data.get("rule_counts", {}).items()
-            },
-        )
 
 
 def sort_findings(findings: Sequence[Finding]) -> List[Finding]:

@@ -8,7 +8,7 @@ from repro.analysis.findings import LintReport
 
 
 def render_json(report: LintReport) -> str:
-    """Stable, pretty-printed JSON (round-trips via LintReport.from_dict)."""
+    """Stable, pretty-printed JSON of :meth:`LintReport.to_dict`."""
     return json.dumps(report.to_dict(), indent=2, sort_keys=True)
 
 

@@ -12,9 +12,10 @@ Rules
 -----
 ``TRN001`` (info)
     Truncating at some symbol of the fingerprint yields a prefix with
-    zero state-change literals.  A fault striking that API scores this
-    operation as a pure read on the reads-only prefix, so it is named
-    only when no state-change candidate matches.  Info severity: the
+    zero state-change literals; for a pure-read fingerprint that is
+    every symbol.  A fault striking that API scores this operation as
+    a pure read on the reads-only prefix, so it is named only when no
+    state-change candidate passes coverage.  Info severity: the
     weak spot is inherent to Alg. 2 (the operation simply had not
     changed state yet) and pervasive in any real library, but the
     witness list tells an operator exactly which APIs it affects.
@@ -22,11 +23,8 @@ Rules
     Truncating at the fingerprint's first state-change symbol yields a
     single-literal prefix.  A one-symbol cut reaches coverage 1.0 from
     any single occurrence in the buffer, so matches at that truncation
-    point carry almost no evidence.
-
-Pure-read fingerprints are excluded here; the detector scores them on
-their full symbol sequence (DESIGN.md §5b) and the regex pass reports
-them as RGX002.
+    point carry almost no evidence.  A pure-read fingerprint has no
+    state-change symbol, so it never reports this.
 """
 
 from __future__ import annotations
@@ -48,8 +46,6 @@ def run(ctx: LintContext) -> List[Finding]:
     ):
         fingerprint = ctx.fingerprint_of(sorted(operations)[0])
         mask = fingerprint.state_change_mask
-        if not any(mask):
-            continue  # pure-read: handled as RGX002
         # prefix_sc[i] = state-change literals in symbols[:i]
         prefix_sc = [0] + list(accumulate(1 if sc else 0 for sc in mask))
         degenerate: List[str] = []
@@ -80,8 +76,9 @@ def run(ctx: LintContext) -> List[Finding]:
                     "cut keeps a literal"
                 ),
             ))
-        first_sc_index = mask.index(True)
-        first_sc_symbol = symbols[first_sc_index]
+        if not any(mask):
+            continue
+        first_sc_symbol = symbols[mask.index(True)]
         # The cut at the first state-change symbol's *last* occurrence
         # is single-literal only if that symbol never recurs later and
         # no other state-change literal precedes it.

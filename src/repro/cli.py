@@ -16,7 +16,7 @@ Commands
     Describe the generated Tempest-like suite.
 ``lint``
     Statically verify the fingerprint library, symbol table, catalog
-    and config (six analysis passes; see ``docs/linting.md``).
+    and config (five analysis passes; see ``docs/linting.md``).
 ``analyze``
     Replay a synthetic wire-event stream through the online analyzer
     and print throughput (``--format json`` emits reports + stage
@@ -46,12 +46,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.evaluation import case_studies
 from repro.evaluation.registry import EXPERIMENTS
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.core.config import GretelConfig
+    from repro.core.fingerprint import FingerprintLibrary
+    from repro.core.reports import FaultReport
+    from repro.core.symbols import SymbolTable
+    from repro.openstack.catalog import ApiCatalog
+    from repro.openstack.wire import WireEvent
     from repro.oracle import OracleResult
 
 #: The CLI-wide exit-code contract (documented in the module
@@ -90,7 +96,9 @@ def _record_verdict(args: argparse.Namespace, document: dict, key: str,
     return code if result.ok else EXIT_FAIL
 
 
-def _replay_inputs(args: argparse.Namespace):
+def _replay_inputs(
+    args: argparse.Namespace,
+) -> Tuple[FingerprintLibrary, List[WireEvent], GretelConfig]:
     """``(library, events, config)`` for the synthetic replay that
     ``analyze`` and ``serve`` drive (:func:`_add_replay_arguments`)."""
     from repro.core.config import GretelConfig
@@ -127,7 +135,8 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     )
     print(table1.format_report(character.table1_rows()))
     print(f"\nlargest fingerprint (FP_max): {character.fp_max} APIs")
-    print(f"failed tests during characterization: {len(character.failed_tests)}")
+    print("failed tests during characterization: "
+          f"{len(character.failed_tests)}")
     return EXIT_OK
 
 
@@ -189,11 +198,15 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _resolve_library(args: argparse.Namespace):
+def _resolve_library(
+    args: argparse.Namespace,
+) -> Optional[Tuple[FingerprintLibrary, SymbolTable, ApiCatalog,
+                    Optional[Dict[str, str]]]]:
     """``repro lint``'s ``--library``/characterization loader.
 
     Returns ``(library, symbols, catalog, groups)`` or ``None`` after
-    printing an error (exit code 2 territory).
+    printing an error (exit code 2 territory): a file that cannot be
+    read, is not JSON, or is not a serialized library.
     """
     import json
 
@@ -212,9 +225,18 @@ def _resolve_library(args: argparse.Namespace):
                   file=sys.stderr)
             return None
         symbols = SymbolTable(catalog)
-        library = FingerprintLibrary.from_dict(data, symbols)
+        try:
+            library = FingerprintLibrary.from_dict(data, symbols)
+        except (KeyError, TypeError, ValueError) as error:
+            print(f"cannot read library {args.library!r}: not a "
+                  f"fingerprint library ({type(error).__name__}: "
+                  f"{error})", file=sys.stderr)
+            return None
     else:
-        from repro.evaluation.common import default_characterization, default_suite
+        from repro.evaluation.common import (
+            default_characterization,
+            default_suite,
+        )
 
         character = default_characterization(
             seed=args.seed, iterations=args.iterations,
@@ -239,7 +261,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     passes = None
     if args.passes:
-        passes = [name.strip() for name in args.passes.split(",") if name.strip()]
+        passes = [
+            name.strip() for name in args.passes.split(",") if name.strip()
+        ]
         unknown = [name for name in passes if name not in PASSES]
         if unknown:
             print(
@@ -403,7 +427,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         checkpoint_every=args.checkpoint_every,
         restore=args.resume,
     )
-    published = []
+    published: List[Tuple[str, FaultReport]] = []
     service.on_report(
         # Sinks fire on per-tenant pump threads; list.append is atomic.
         lambda tenant, report: published.append((tenant, report))
@@ -542,14 +566,9 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
                   f"choose from: {', '.join(names())}", file=sys.stderr)
             return EXIT_USAGE
 
-    character = default_characterization(use_disk_cache=not args.no_cache)
-    result = run_catalog(character, seed=args.seed, names=selected)
-    document = build_scorecard(result)
-
-    if args.format == "text":
-        print(render_scorecard(document))
-    _write_document(args, dump_scorecard(document))
-
+    # The baseline is checked before the catalog runs, so an unusable
+    # --check file costs nothing.
+    committed: Optional[Dict[str, Any]] = None
     if args.check:
         try:
             with open(args.check, "r", encoding="utf-8") as handle:
@@ -558,6 +577,21 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
             print(f"cannot read baseline {args.check!r}: {error}",
                   file=sys.stderr)
             return EXIT_USAGE
+        if not isinstance(committed, dict):
+            print(f"cannot read baseline {args.check!r}: not a scorecard "
+                  f"(a JSON {type(committed).__name__}, not an object)",
+                  file=sys.stderr)
+            return EXIT_USAGE
+
+    character = default_characterization(use_disk_cache=not args.no_cache)
+    result = run_catalog(character, seed=args.seed, names=selected)
+    document = build_scorecard(result)
+
+    if args.format == "text":
+        print(render_scorecard(document))
+    _write_document(args, dump_scorecard(document))
+
+    if committed is not None:
         drift = diff_scorecards(committed, document)
         if drift:
             print("DRIFT against committed scorecard:", file=sys.stderr)
@@ -649,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="statically verify the fingerprint library (6 analysis passes)",
+        help="statically verify the fingerprint library (5 analysis passes)",
     )
     lint.add_argument(
         "--library", metavar="FILE",
@@ -664,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--passes", metavar="P1,P2",
         help="comma-separated subset of passes "
-             "(ambiguity, truncation, integrity, regex, noise-config, "
+             "(ambiguity, truncation, integrity, noise-config, "
              "discriminability)",
     )
     lint.add_argument(
@@ -803,8 +837,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
+    handler: Callable[[argparse.Namespace], int] = args.handler
     try:
-        return args.handler(args)
+        return handler(args)
     except BrokenPipeError:
         # Output piped into a pager/head that exited early: not an error.
         try:

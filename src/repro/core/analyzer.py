@@ -468,9 +468,10 @@ class GretelAnalyzer:
         detection = self._call(
             "detect", 1, self.detector.detect, snapshot
         )
-        # ``is_operational_fault`` over the snapshot, cheapest test
-        # first: any status ≥ 400 is a fault, and below that only an
-        # RPC event carrying a body has anything for the regex scan.
+        # Every operational fault in the snapshot, cheapest test
+        # first: any status ≥ 400 is a fault (REST or RPC), and below
+        # that only an RPC event carrying a body has anything for the
+        # regex scan.
         error_events = [
             e for e in snapshot.events
             if e.status >= 400 or (e.body and rpc_body_error(e))

@@ -14,14 +14,16 @@ offline, from repeated isolated executions of the operation:
    state-change APIs (POST/PUT/DELETE and RPCs) are required literals,
    reads are starred (optional), per Algorithm 1.
 
-:meth:`Fingerprint.paper_regex` renders Algorithm 1's output, but no
-regex runs at detection time: ``repro.core.detector`` prepares each
-truncated fingerprint and ``repro.core.matching`` scores it against
-a snapshot with a bit-parallel LCS — over the state-change symbols
-when matching is relaxed (§5.3.1: "a regular expression matches the
-snapshot if the sequence of symbols corresponding to the state change
-operations is preserved"; starred reads can never fail a match), over
-every symbol when it is strict (the ablation baseline).  See
+A fingerprint stores that regex as its symbols plus a state-change
+mask, and nothing ever builds the regex itself.  At detection time
+``repro.core.detector`` prepares each truncated fingerprint and
+``repro.core.matching`` scores it against a snapshot with a
+bit-parallel LCS — over the state-change symbols when matching is
+relaxed (§5.3.1: "a regular expression matches the snapshot if the
+sequence of symbols corresponding to the state change operations is
+preserved"; starred reads can never fail a match), over every symbol
+when it is strict (the ablation baseline).  A pure-read fingerprint
+has no literal to order, so it is scored on its full sequence.  See
 ``docs/matching.md``.
 """
 
@@ -187,13 +189,6 @@ class Fingerprint:
             nodes=self.nodes,
             dependencies=self.dependencies,
         )
-
-    def paper_regex(self) -> str:
-        """Algorithm 1's literal output: reads starred, writes literal."""
-        parts = []
-        for symbol, is_sc in zip(self.symbols, self.state_change_mask):
-            parts.append(symbol if is_sc else symbol + "*")
-        return "".join(parts)
 
     def truncate_at(self, symbol: str) -> "Fingerprint":
         """Truncate at the *last* occurrence of ``symbol`` (Alg. 2)."""

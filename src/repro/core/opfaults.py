@@ -6,12 +6,14 @@ regular expressions to identify error codes in the message":
 * REST — the status code in the response header is enough;
 * RPC — domain-specific error patterns must be spotted in the body
   (oslo.messaging failure envelopes, timeouts, remote errors).
+
+The REST rule is one comparison, so ``repro.core.analyzer`` makes it
+inline; this module holds the RPC scan.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Optional
 
 from repro.openstack.apis import ApiKind
 from repro.openstack.wire import WireEvent
@@ -32,13 +34,6 @@ RPC_ERROR_PATTERN: re.Pattern[str] = re.compile(
 )
 
 
-def rest_error_status(event: WireEvent) -> Optional[int]:
-    """The REST error status, or ``None`` when the response is healthy."""
-    if event.kind is not ApiKind.REST:
-        return None
-    return event.status if event.status >= _REST_ERROR_FLOOR else None
-
-
 def rpc_body_error(event: WireEvent) -> bool:
     """Regex scan of the RPC body for error signatures."""
     if event.kind is not ApiKind.RPC:
@@ -49,16 +44,3 @@ def rpc_body_error(event: WireEvent) -> bool:
     if not body:
         return False
     return RPC_ERROR_PATTERN.search(body) is not None
-
-
-def is_operational_fault(event: WireEvent) -> bool:
-    """Whether a wire event carries an operational fault."""
-    if event.kind is ApiKind.REST:
-        return rest_error_status(event) is not None
-    return rpc_body_error(event)
-
-
-def is_rest_fault(event: WireEvent) -> bool:
-    """REST-only fault check (snapshotting triggers only on REST
-    errors, §5.3.1 "Improving precision")."""
-    return event.kind is ApiKind.REST and event.status >= _REST_ERROR_FLOOR

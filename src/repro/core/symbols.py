@@ -89,10 +89,6 @@ class SymbolTable:
         """Decode a symbol string back into API keys."""
         return [self._by_symbol[symbol] for symbol in symbols]
 
-    def is_state_change(self, symbol: str) -> bool:
-        """Whether the symbol's API is a state-change API."""
-        return self.api(symbol).state_change
-
     def __len__(self) -> int:
         return len(self._by_key)
 

@@ -289,21 +289,6 @@ class FaultRunStats:
             if r.fault_event.op_id
         ]
 
-    def mean_theta(self) -> float:
-        """Average θ across operational reports (1.0 when none)."""
-        values = self.thetas()
-        return sum(values) / len(values) if values else 1.0
-
-    def mean_matched(self) -> float:
-        """Average operations matched per report."""
-        values = self.matched_counts()
-        return sum(values) / len(values) if values else 0.0
-
-    def mean_candidates(self) -> float:
-        """Average 'with API error' candidate count per report."""
-        values = self.candidate_counts()
-        return sum(values) / len(values) if values else 0.0
-
     def max_report_delay(self) -> float:
         """Worst snapshot-fill delay across reports, seconds."""
         delays = [r.report_delay for r in self.operational]

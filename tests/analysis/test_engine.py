@@ -1,17 +1,19 @@
 """Engine: pass selection, capping, and the seed-library gate."""
 
+import json
+
 import pytest
 
 from repro.analysis import LintContext, engine, run_lint
 from repro.analysis.engine import PASSES
 from repro.analysis.render import render_json, render_text
-from repro.analysis.findings import LintReport, Severity
+from repro.analysis.findings import Severity
 from repro.openstack.catalog import default_catalog
 
 
 def test_registry_lists_every_pass():
     assert list(PASSES) == [
-        "ambiguity", "truncation", "integrity", "regex", "noise-config",
+        "ambiguity", "truncation", "integrity", "noise-config",
         "discriminability",
     ]
 
@@ -68,10 +70,17 @@ def test_renderers_on_synthetic_report(make_fingerprint, make_context,
     text = render_text(report)
     assert "repro lint:" in text
     assert "error(s)" in text
-    rebuilt = LintReport.from_dict(
-        __import__("json").loads(render_json(report))
-    )
-    assert rebuilt.to_dict() == report.to_dict()
+    data = json.loads(render_json(report))
+    assert data == report.to_dict()
+    assert data["passes"] == list(PASSES)
+    assert data["stats"]["fingerprints"] == 1
+    assert sum(data["counts"].values()) == len(data["findings"])
+    for finding in data["findings"]:
+        assert set(finding) == {
+            "rule", "severity", "pass", "location", "message", "witness",
+            "fix_hint",
+        }
+        assert finding["pass"] in PASSES
 
 
 def test_seed_library_lints_clean(full_character):

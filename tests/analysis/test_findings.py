@@ -1,9 +1,11 @@
-"""Findings/report layer: severity ordering, gating, JSON round-trip."""
+"""Findings/report layer: severity ordering, gating, JSON document."""
 
-import pytest
+import json
+
 from hypothesis import given, strategies as st
 
 from repro.analysis.findings import Finding, LintReport, Severity, sort_findings
+from repro.analysis.render import render_json
 
 
 def _finding(rule="AMB001", severity=Severity.WARNING, **kwargs):
@@ -18,9 +20,6 @@ def _finding(rule="AMB001", severity=Severity.WARNING, **kwargs):
 def test_severity_order_and_labels():
     assert Severity.INFO < Severity.WARNING < Severity.ERROR
     assert Severity.ERROR.label == "error"
-    assert Severity.from_label("warning") is Severity.WARNING
-    with pytest.raises(ValueError):
-        Severity.from_label("fatal")
 
 
 def test_exit_code_gating():
@@ -65,15 +64,22 @@ def test_sort_findings_severity_first():
 
 
 def test_report_round_trip():
+    """The rendered JSON parses back to exactly :meth:`to_dict`."""
     report = LintReport(
         findings=[_finding(), _finding(rule="SYM001", severity=Severity.ERROR)],
         passes=("ambiguity", "integrity"),
         stats={"fingerprints": 2},
         rule_counts={"AMB001": 1, "SYM001": 1},
     )
-    rebuilt = LintReport.from_dict(report.to_dict())
-    assert rebuilt.to_dict() == report.to_dict()
-    assert rebuilt.findings == report.findings
+    data = json.loads(render_json(report))
+    assert data == report.to_dict()
+    assert set(data) == {
+        "passes", "stats", "rule_counts", "counts", "findings",
+    }
+    assert data["passes"] == ["ambiguity", "integrity"]
+    assert data["counts"] == {"error": 1, "warning": 1, "info": 0}
+    # Rendering keeps the report's own finding order.
+    assert [f["rule"] for f in data["findings"]] == ["AMB001", "SYM001"]
 
 
 _label = st.text(
@@ -93,4 +99,13 @@ def test_finding_round_trip_property(rule, severity, message, witness):
         rule=rule, severity=severity, pass_name="p", location="l",
         message=message, witness=tuple(witness),
     )
-    assert Finding.from_dict(finding.to_dict()) == finding
+    data = json.loads(json.dumps(finding.to_dict()))
+    assert data == {
+        "rule": rule,
+        "severity": severity.label,
+        "pass": "p",
+        "location": "l",
+        "message": message,
+        "witness": witness,
+        "fix_hint": "",
+    }

@@ -52,11 +52,23 @@ def test_repeated_first_literal_not_single(
     assert "TRN002" not in _rules(truncation.run(make_context([fp])))
 
 
-def test_pure_read_fingerprints_skipped(
+def test_pure_read_fingerprint_is_trn001(
     make_fingerprint, make_context, read_keys
 ):
+    """Every cut of a pure-read fingerprint is reads-only, so TRN001
+    lists every symbol; with no state-change symbol there is no first
+    literal for TRN002 to judge."""
+    from repro.core.fingerprint import Fingerprint
+
     fp = make_fingerprint("op", read_keys[:3])
-    assert truncation.run(make_context([fp])) == []
+    ctx = make_context([fp])
+    findings = truncation.run(ctx)
+    assert _rules(findings) == ["TRN001"]
+    assert "3 of" in findings[0].message
+    assert set(ctx.api_labels(fp.symbols)) <= set(findings[0].witness)
+    # A degenerate empty fingerprint has no cut at all.
+    empty = Fingerprint("op-empty", "", ())
+    assert truncation.run(make_context([empty])) == []
 
 
 def test_identical_shapes_aggregate_into_one_finding(
@@ -79,13 +91,15 @@ def test_degenerate_cut_prepares_as_a_pure_read(
     class passes coverage."""
     from repro.core.detector import prepare_candidate
 
-    keys = read_keys[:2] + state_change_keys[:2]
-    fp = make_fingerprint("op", keys)
-    assert "TRN001" in _rules(truncation.run(make_context([fp])))
-    for symbol in fp.symbols[:2]:
-        preparation = prepare_candidate(
-            fp, fp, symbol, truncate=True, relaxed=True
-        )
-        assert preparation.pure_read
-        assert preparation.cuts == (0,)
-        assert preparation.needle == fp.truncate_at(symbol).symbols
+    mixed = make_fingerprint("op", read_keys[:2] + state_change_keys[:2])
+    pure = make_fingerprint("op-pure", read_keys[:3])
+    for fp, cut_symbols in ((mixed, mixed.symbols[:2]),
+                            (pure, pure.symbols)):
+        assert "TRN001" in _rules(truncation.run(make_context([fp])))
+        for symbol in cut_symbols:
+            preparation = prepare_candidate(
+                fp, fp, symbol, truncate=True, relaxed=True
+            )
+            assert preparation.pure_read
+            assert preparation.cuts == (0,)
+            assert preparation.needle == fp.truncate_at(symbol).symbols

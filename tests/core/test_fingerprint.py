@@ -208,19 +208,6 @@ def test_generate_requires_traces(catalog, symbols):
         generate_fingerprint("op", [], symbols, catalog)
 
 
-def test_paper_regex_form(catalog, symbols):
-    trace = keys(
-        catalog,
-        ("rest", "nova", "GET", "/v2.1/servers"),
-        ("rest", "nova", "POST", "/v2.1/servers"),
-    )
-    fingerprint = generate_fingerprint("op", [trace], symbols, catalog)
-    regex = fingerprint.paper_regex()
-    get_sym = symbols.symbol(trace[0])
-    post_sym = symbols.symbol(trace[1])
-    assert regex == f"{get_sym}*{post_sym}"
-
-
 def test_rest_only_prunes_rpcs(catalog, symbols):
     trace = keys(
         catalog,

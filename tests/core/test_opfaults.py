@@ -6,13 +6,11 @@ import pytest
 
 from repro.openstack.apis import ApiKind
 from repro.openstack.wire import WireEvent
-from repro.core.opfaults import (
-    RPC_ERROR_PATTERN,
-    is_operational_fault,
-    is_rest_fault,
-    rest_error_status,
-    rpc_body_error,
-)
+from repro.core.analyzer import GretelAnalyzer
+from repro.core.fingerprint import FingerprintLibrary
+from repro.core.opfaults import RPC_ERROR_PATTERN, rpc_body_error
+from repro.core.symbols import SymbolTable
+from repro.openstack.catalog import default_catalog
 
 
 def make_event(kind=ApiKind.REST, status=200, body=""):
@@ -24,18 +22,30 @@ def make_event(kind=ApiKind.REST, status=200, body=""):
     )
 
 
+def make_analyzer():
+    """An analyzer over an empty library: the fault scan needs none."""
+    library = FingerprintLibrary(SymbolTable(default_catalog()))
+    return GretelAnalyzer(library, track_latency=False)
+
+
 def test_rest_status_codes():
-    assert rest_error_status(make_event(status=200)) is None
-    assert rest_error_status(make_event(status=404)) == 404
-    assert rest_error_status(make_event(status=500)) == 500
-    assert rest_error_status(make_event(kind=ApiKind.RPC, status=500)) is None
+    """REST statuses from 400 and RPC error statuses are counted as
+    operational faults; a healthy REST response is not."""
+    analyzer = make_analyzer()
+    for event, faults_seen in (
+        (make_event(status=200), 0),
+        (make_event(status=404), 1),
+        (make_event(status=500), 2),
+        (make_event(kind=ApiKind.RPC, status=500), 3),
+    ):
+        analyzer.on_event(event)
+        assert analyzer.operational_faults_seen == faults_seen
 
 
 def test_rpc_failure_envelope_detected():
     event = make_event(kind=ApiKind.RPC, status=200,
                        body='{"oslo.message": {"failure": "RemoteError"}}')
     assert rpc_body_error(event)
-    assert is_operational_fault(event)
 
 
 def test_rpc_timeout_detected():
@@ -54,7 +64,6 @@ def test_rpc_healthy_body_clean():
     event = make_event(kind=ApiKind.RPC, status=200,
                        body='{"result": {"host": "compute-1"}}')
     assert not rpc_body_error(event)
-    assert not is_operational_fault(event)
 
 
 def test_rpc_empty_body_clean():
@@ -66,9 +75,17 @@ def test_rpc_error_status_detected_without_body():
 
 
 def test_rest_fault_gate_is_rest_only():
-    assert is_rest_fault(make_event(status=500))
-    assert not is_rest_fault(make_event(status=200))
-    assert not is_rest_fault(make_event(kind=ApiKind.RPC, status=500))
+    """Only a REST error freezes the window (§5.3.1 "Improving
+    precision"); an RPC error is counted but schedules no snapshot."""
+    analyzer = make_analyzer()
+    for event, faults_seen, pending in (
+        (make_event(status=500), 1, 1),
+        (make_event(status=200), 1, 1),
+        (make_event(kind=ApiKind.RPC, status=500), 2, 1),
+    ):
+        analyzer.on_event(event)
+        assert analyzer.operational_faults_seen == faults_seen
+        assert analyzer.window.pending_snapshots == pending
 
 
 def test_generic_error_message_pattern():

@@ -52,8 +52,8 @@ def test_encode_preserves_order_and_repeats(table):
 def test_state_change_query(table):
     post = default_catalog().find_rest("nova", "POST", "/v2.1/servers")
     get = default_catalog().find_rest("nova", "GET", "/v2.1/servers")
-    assert table.is_state_change(table.symbol(post.key))
-    assert not table.is_state_change(table.symbol(get.key))
+    assert table.api(table.symbol(post.key)).state_change
+    assert not table.api(table.symbol(get.key)).state_change
 
 
 def test_unknown_key_raises(table):

@@ -44,9 +44,9 @@ def test_make_monitored_analyzer_wiring(small_character):
 
 def test_fault_run_stats_aggregations():
     stats = FaultRunStats(reports=[], outcomes=[], injected=0, library_size=10)
-    assert stats.mean_theta() == 1.0
-    assert stats.mean_matched() == 0.0
-    assert stats.mean_candidates() == 0.0
+    assert stats.thetas() == []
+    assert stats.matched_counts() == []
+    assert stats.candidate_counts() == []
     assert stats.max_report_delay() == 0.0
     assert stats.true_hits() == []
 

@@ -74,8 +74,8 @@ def test_lint_clean_library_exits_zero(full_character, capsys):
     out = capsys.readouterr().out
     assert "repro lint: 1200 fingerprints" in out
     assert "0 error(s)" in out
-    assert ("passes: ambiguity, truncation, integrity, regex, "
-            "noise-config, discriminability") in out
+    assert ("passes: ambiguity, truncation, integrity, noise-config, "
+            "discriminability") in out
 
 
 def test_lint_strict_flags_injected_ambiguous_pair(tmp_path, capsys):
@@ -89,14 +89,26 @@ def test_lint_strict_flags_injected_ambiguous_pair(tmp_path, capsys):
 
 
 def test_lint_json_output_round_trips(tmp_path, capsys):
-    from repro.analysis.findings import LintReport
-
+    """``--format json`` prints one document that parses back whole."""
     path = _ambiguous_library_file(tmp_path)
     assert main(["lint", "--library", path, "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    report = LintReport.from_dict(data)
-    assert report.to_dict() == data
-    assert report.rule_counts.get("AMB002") == 1
+    assert set(data) == {
+        "passes", "stats", "rule_counts", "counts", "findings",
+    }
+    assert data["rule_counts"]["AMB002"] == 1
+    assert data["counts"]["error"] == 0
+    assert data["findings"]
+    for finding in data["findings"]:
+        assert set(finding) == {
+            "rule", "severity", "pass", "location", "message", "witness",
+            "fix_hint",
+        }
+        assert finding["severity"] in ("error", "warning", "info")
+        assert finding["pass"] in data["passes"]
+        assert isinstance(finding["witness"], list)
+    amb002 = [f for f in data["findings"] if f["rule"] == "AMB002"]
+    assert amb002[0]["location"] == "fingerprint:op-short"
 
 
 def test_lint_synthetic_pua_overflow_is_error(tmp_path, capsys):
@@ -116,8 +128,24 @@ def test_lint_pass_subset_and_unknown_pass(tmp_path, capsys):
 
 
 def test_lint_unreadable_library_is_usage_error(tmp_path, capsys):
-    assert main(["lint", "--library", str(tmp_path / "missing.json")]) == 2
-    assert "cannot read library" in capsys.readouterr().err
+    """A missing file, or JSON that is not a serialized library, exits
+    2 with a message instead of a traceback (exit 1 would read as
+    "lint found errors")."""
+    documents = [
+        {"fingerprints": [{"operation": "x"}]},  # no "symbols"
+        [1, 2],
+        {"fingerprints": [{"operation": "x", "symbols": [0x110000],
+                           "state_change_mask": [True]}]},
+    ]
+    paths = [tmp_path / "missing.json"]
+    for index, document in enumerate(documents):
+        paths.append(tmp_path / f"library-{index}.json")
+        paths[-1].write_text(json.dumps(document))
+    for path in paths:
+        assert main(["lint", "--library", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "cannot read library" in captured.err
+        assert captured.out == ""
 
 
 def test_removed_index_surface_is_a_usage_error():
@@ -322,12 +350,23 @@ def test_scenarios_run_exit_codes(full_character, capsys):
 
 
 def test_scenarios_run_unreadable_baseline_is_usage_error(
-    full_character, tmp_path, capsys
+    tmp_path, capsys, monkeypatch
 ):
-    assert main(["scenarios", "run",
-                 "--scenario", "noop_synthetic_control",
-                 "--check", str(tmp_path / "missing.json")]) == 2
-    assert "cannot read baseline" in capsys.readouterr().err
+    """A missing baseline or one that is not a JSON object exits 2
+    before the catalog runs (``run_catalog`` raising proves it)."""
+    import repro.scenarios
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the catalog ran before the baseline check")
+
+    monkeypatch.setattr(repro.scenarios, "run_catalog", refuse)
+    listed = tmp_path / "list.json"
+    listed.write_text(json.dumps([1, 2]))
+    for baseline in (tmp_path / "missing.json", listed):
+        assert main(["scenarios", "run",
+                     "--scenario", "noop_synthetic_control",
+                     "--check", str(baseline)]) == 2
+        assert "cannot read baseline" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
