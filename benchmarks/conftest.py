@@ -1,11 +1,11 @@
 """Shared fixtures for the benchmark suite.
 
 ``test_paper_figures.py`` runs the paper's evaluation at the committed
-scale and never writes; ``test_micro.py`` holds the pytest-benchmark
-bodies.  Only the service soak and the scenario catalog still pick a
-sweep from ``GRETEL_EVAL_SCALE`` (``small``, the default, or ``full``)
-and write their rendering under ``results/`` — both wait on the
-ROADMAP's ``benchmark`` PR.
+scale and never writes.  Only the service soak still picks a sweep
+from ``GRETEL_EVAL_SCALE`` (``small``, the default, or ``full``) and
+writes its rendering under ``results/`` (full scale only) — it waits
+on the ROADMAP's ``benchmark`` PR.  Speed is timed in one place, the
+ledger under ``e2e/``.
 """
 
 import os

@@ -15,14 +15,13 @@ no ledger row covers:
 * **flat memory** — on every leg, from one long-lived session alone
   to the biggest: traced heap (``tracemalloc``) after the last pass
   stays within a small factor of the steady-state reference (taken
-  after the second sampled pass, once warmup caches and the retention
-  ring have filled).  The analyzer lives in the traced process, so
-  the heap includes its window and the matcher caches: session memory
-  really is bounded by α + queue capacity + the retention ring, not
-  by events ingested;
-* **bounded state** — on every session: queue empty post-flush,
-  retention ring ≤ its cap, the pipeline's report log drained, and
-  the window ≤ α both live and in the last checkpoint persisted;
+  after the second sampled pass, once the warmup caches are built).
+  The analyzer lives in the traced process, so the heap includes its
+  window and the matcher caches: session memory really is bounded by
+  α + queue capacity, not by events ingested;
+* **bounded state** — on every session: the pipeline's report log
+  drained, the queue empty post-flush, and the window ≤ α both live
+  and in the last checkpoint persisted;
 * both service differential oracles (checkpoint and async) hold on
   the measured stream.
 
@@ -182,8 +181,8 @@ def _async_leg(
         assert not live.pump_alive
 
     # Steady-state heap reference: after the second sampled pass the
-    # warmup caches are built and the retention rings are full; from
-    # there on the sessions must be flat.
+    # warmup caches are built; from there on the sessions must be
+    # flat (report log drained, queue empty, window ≤ α).
     return {
         "tenants": tenants,
         "passes": passes,

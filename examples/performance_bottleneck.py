@@ -11,7 +11,7 @@ the CPU surge on the Neutron node.
 Run:  python examples/performance_bottleneck.py
 """
 
-from repro.evaluation import fig6
+from repro.evaluation import case_studies
 from repro.evaluation.common import default_characterization
 
 
@@ -19,14 +19,14 @@ def main() -> None:
     character = default_characterization()
     print("Running a sustained parallel workload with a CPU surge on "
           "the Neutron server mid-run...")
-    # 60 operations x 30 s: the smallest run that still shows the
-    # mechanism (repro evaluate fig6 is the paper-scale one).
-    result = fig6.run(character, concurrency=60, duration=30.0, seed=9)
-
-    print(fig6.format_report(result))
+    # The case study's 60 operations x 30 s capture: the smallest run
+    # that still shows the mechanism (repro evaluate fig6 is the
+    # paper-scale one).
+    result = case_studies.neutron_api_latency(character)
+    print(result.summary())
 
     print("\nLevel-shift alarms (observed vs baseline latency):")
-    for ts, observed, baseline in result.alarms[:8]:
+    for ts, observed, baseline in result.details["alarms"][:8]:
         print(f"  t={ts:7.2f}s  {baseline * 1000:6.2f} ms -> "
               f"{observed * 1000:6.2f} ms")
 
@@ -34,7 +34,7 @@ def main() -> None:
     for report in result.reports[:4]:
         print(f"  {report.summary()}")
 
-    if result.cpu_root_cause_found:
+    if result.diagnosis_correct:
         print("\nGRETEL attributed the latency increase to CPU pressure "
               "on neutron-ctl — the paper's §7.2.2 diagnosis.")
     else:

@@ -12,8 +12,11 @@ It is deliberately its own class sharing no code with the pump: the
 oracle's negative tests tamper with ``TenantSession._pump_step`` and
 rely on this half never noticing (``docs/service.md``).  It carries
 only what the oracle compares — the report fan-out and the four
-``repro.service.async_oracle.COUNTER_FIELDS`` — so no pump, no
-checkpoint state, no retention ring.
+``repro.service.async_oracle.COUNTER_FIELDS`` — so no pump and no
+checkpoint state.  Like the pump session it keeps no reports: each
+is fanned out and ``drain`` empties the analyzer's log
+(``shed_logs``), so it holds only its queue and the analyzer's window
+(≤ α).
 """
 
 from __future__ import annotations

@@ -46,11 +46,3 @@ def test_ntp_failure(character):
     causes = [c for r in result.reports for c in r.root_causes]
     ntp = [c for c in causes if c.subject == "ntp"]
     assert ntp and all(c.node == "cinder-node" for c in ntp)
-
-
-@pytest.mark.slow
-def test_neutron_api_latency(character):
-    result = case_studies.neutron_api_latency(character)
-    assert result.diagnosis_correct, result.narrative
-    assert result.details["alarms"]
-    assert result.details["alarms_in_window"] >= 1

@@ -1,6 +1,7 @@
 """Smoke tests: every example script runs green end to end."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -44,12 +45,12 @@ def test_parallel_fault_localization(full_character):
 
 @pytest.mark.slow
 def test_performance_bottleneck(full_character):
+    # The one tier-1 run of the §7.2.2 surge capture: the example
+    # prints ``case_studies.neutron_api_latency``'s summary.
     out = run_example("performance_bottleneck.py")
+    # [PASS]: at least one LS alarm and the CPU root cause on
+    # neutron-ctl.
+    assert "[PASS] neutron_api_latency" in out
+    in_window = re.search(r"\((\d+) in surge window\)", out)
+    assert in_window and int(in_window.group(1)) >= 1, out
     assert "Level-shift alarms" in out
-    assert "CPU root cause on neutron-ctl found: True" in out
-
-
-@pytest.mark.slow
-def test_throughput_stress(full_character):
-    out = run_example("throughput_stress.py")
-    assert "HANSEL" in out
