@@ -55,26 +55,32 @@ def default_suite(seed: int = 0) -> TempestSuite:
     return suite
 
 
-def _template_space_tag() -> str:
-    """Content hash of everything a trace depends on (workload template
-    sources plus the simulated services), so the on-disk
-    characterization cache invalidates whenever behaviour changes."""
+def _trace_sources() -> List[str]:
+    """Every source file a trace depends on: the workload templates,
+    the simulated services and the simulation kernel under them."""
     import glob
-    import hashlib
 
     import repro.openstack as openstack_pkg
+    import repro.sim as sim_pkg
     import repro.workloads as workloads_pkg
 
+    paths: List[str] = []
+    for pkg in (workloads_pkg, openstack_pkg, sim_pkg):
+        root = os.path.dirname(pkg.__file__)
+        paths.extend(sorted(glob.glob(os.path.join(root, "**", "*.py"),
+                                      recursive=True)))
+    return paths
+
+
+def _template_space_tag() -> str:
+    """Content hash of :func:`_trace_sources`, so the on-disk
+    characterization cache invalidates whenever behaviour changes."""
+    import hashlib
+
     digest = hashlib.sha256()
-    roots = [
-        os.path.dirname(workloads_pkg.__file__),
-        os.path.dirname(openstack_pkg.__file__),
-    ]
-    for root in roots:
-        for path in sorted(glob.glob(os.path.join(root, "**", "*.py"),
-                                     recursive=True)):
-            with open(path, "rb") as handle:
-                digest.update(handle.read())
+    for path in _trace_sources():
+        with open(path, "rb") as handle:
+            digest.update(handle.read())
     return digest.hexdigest()[:12]
 
 

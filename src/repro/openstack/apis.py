@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class ApiKind(enum.Enum):
@@ -69,7 +70,7 @@ class Api:
         if self.kind is ApiKind.RPC and self.method not in ("call", "cast"):
             raise ValueError(f"RPC method must be 'call' or 'cast', got {self.method!r}")
 
-    @property
+    @cached_property
     def key(self) -> str:
         """Canonical identity string, unique across the catalog."""
         return f"{self.kind.value}:{self.service}:{self.method}:{self.name}"

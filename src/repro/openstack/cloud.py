@@ -151,19 +151,16 @@ class Cloud:
 
         Background activity (heartbeats, async casts) keeps the event
         heap non-empty forever, so a plain ``run()`` would not return;
-        this drives the loop stepwise and stops once the given
-        processes are done (or ``limit`` simulated seconds elapsed).
+        :meth:`Simulator.run_processes` drains the heap until the given
+        processes are done (or a step passes ``limit`` simulated
+        seconds, which raises :class:`TimeoutError`).
         """
         pending = list(processes)
-        deadline = self.sim.now + limit
-        while any(p.alive for p in pending):
-            if not self.sim.step():
-                break
-            if self.sim.now > deadline:
-                raise TimeoutError(
-                    f"run_until exceeded {limit}s; "
-                    f"{sum(p.alive for p in pending)} processes still alive"
-                )
+        if not self.sim.run_processes(pending, self.sim.now + limit):
+            raise TimeoutError(
+                f"run_until exceeded {limit}s; "
+                f"{sum(p.alive for p in pending)} processes still alive"
+            )
         return self.sim.now
 
     def settle(self, duration: float) -> float:

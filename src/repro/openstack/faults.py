@@ -167,6 +167,8 @@ class FaultInjector:
 
     def extra_net_delay(self, src_node: str, dst_node: str) -> float:
         """Total injected delay on the (src, dst) path right now."""
+        if not self._latency:
+            return 0  # what the sum of nothing is, bit for bit
         now = self.cloud.sim.now
         return sum(
             inj.delay for inj in self._latency

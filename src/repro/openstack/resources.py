@@ -117,6 +117,8 @@ class NodeResources:
         self.disk_used_gb = max(0.0, self.disk_used_gb - gb)
 
     def _surge_total(self, metric: str, now: float) -> float:
+        if not self._surges:
+            return 0  # what the sum of nothing is, bit for bit
         return sum(s.amount for s in self._surges if s.metric == metric and s.active(now))
 
     # -- derived state -------------------------------------------------------

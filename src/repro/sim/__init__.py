@@ -20,6 +20,12 @@ The public surface is intentionally small:
 ``RandomStreams``
     Named, seeded random streams so independent subsystems draw from
     independent deterministic sequences.
+
+Ordering contract: entries due at the same instant run in the order
+they were queued (FIFO), and a process's ``Timeout`` resume queues
+behind every entry already due at the instant it elapses, even one
+queued after the process yielded.  Every captured trace depends on
+this order byte for byte (see :mod:`repro.sim.kernel`).
 """
 
 from repro.sim.kernel import (

@@ -7,6 +7,19 @@ Simulated activities are Python generators that ``yield`` *waitables*
 another :class:`Process`), and are resumed with the waitable's value
 once it triggers.
 
+Ordering contract
+-----------------
+Entries due at the same instant run in the order they were queued
+(FIFO), and scenario traces depend on it byte for byte.  A process
+that yields a :class:`Timeout` is queued once, as its own wake-up;
+when the wake-up comes due it first steps behind every entry already
+due at that instant, even one queued after the process yielded, and
+ahead of anything queued at the instant itself.  ``Event``,
+``Process``, ``AllOf`` and ``AnyOf`` waits resume through a zero-delay
+callback queued when the event fires, so a ``Timeout`` resumes exactly
+where an :class:`Event` fired at its deadline would resume its waiter,
+for one heap entry instead of two.
+
 Example
 -------
 >>> sim = Simulator()
@@ -22,16 +35,18 @@ Example
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from heapq import heappop, heappush
+from typing import (
+    Any, Callable, Generator, Iterable, List, Optional, Sequence, Union,
+)
 
 
 class SimulationError(RuntimeError):
     """Raised for invalid uses of the simulation kernel."""
 
 
-class Interrupt(Exception):
+class Interrupt(Exception):  # noqa: N818 - SimPy's name, public API
     """Thrown into a process that another process interrupted.
 
     The ``cause`` attribute carries the value supplied to
@@ -43,7 +58,7 @@ class Interrupt(Exception):
         self.cause = cause
 
 
-class ProcessKilled(Exception):
+class ProcessKilled(Exception):  # noqa: N818 - public API
     """Raised inside a process that was forcibly killed."""
 
 
@@ -74,7 +89,8 @@ class Event:
     def fail(self, exception: BaseException) -> "Event":
         """Fire the event with an exception, which is raised in waiters."""
         if not isinstance(exception, BaseException):
-            raise SimulationError("Event.fail() requires an exception instance")
+            raise SimulationError(
+                "Event.fail() requires an exception instance")
         self._trigger(ok=False, value=exception)
         return self
 
@@ -140,19 +156,24 @@ class Process:
     a blocked process and :meth:`kill` to terminate it silently.
     """
 
-    __slots__ = ("sim", "name", "_generator", "_done_event", "_waiting_on", "_alive")
+    __slots__ = ("sim", "name", "_generator", "_done_event", "_waiting_on",
+                 "_alive")
 
-    def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
+    def __init__(self, sim: "Simulator", generator: Generator,
+                 name: str = ""):
         if not hasattr(generator, "send"):
             raise SimulationError(
-                f"Process requires a generator, got {type(generator).__name__}; "
+                "Process requires a generator, got "
+                f"{type(generator).__name__}; "
                 "did you forget to call the generator function?"
             )
         self.sim = sim
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
         self._done_event = Event(sim)
-        self._waiting_on: Optional[Event] = None
+        # What the process is blocked on: an Event, or the sequence
+        # number of its own queued Timeout wake-up.
+        self._waiting_on: Union[Event, int, None] = None
         self._alive = True
 
     # -- waitable protocol -------------------------------------------------
@@ -188,26 +209,44 @@ class Process:
     # -- internal stepping ---------------------------------------------------
 
     def _start(self) -> None:
-        self._step(lambda: self._generator.send(None))
+        self._step(self._generator.send, None)
 
     def _resume(self, event: Event) -> None:
         if not self._alive or self._waiting_on is not event:
             return
         self._waiting_on = None
         if event.ok:
-            self._step(lambda: self._generator.send(event.value))
+            self._step(self._generator.send, event.value)
         else:
-            self._step(lambda: self._generator.throw(event.value))
+            self._step(self._generator.throw, event.value)
+
+    def _wake(self, token: int, value: Any) -> None:
+        """A yielded Timeout elapsed: resume behind what is due now."""
+        sim = self.sim
+        heap = sim._heap
+        if heap and heap[0][0] == sim.now:
+            heappush(heap, (sim.now, next(sim._sequence),
+                            self._wake_due, (token, value)))
+        else:
+            self._wake_due(token, value)
+
+    def _wake_due(self, token: int, value: Any) -> None:
+        # ``token`` is the very int object ``_waiting_on`` held at the
+        # yield; an interrupt or kill since then has replaced it.
+        if self._waiting_on is not token:
+            return
+        self._waiting_on = None
+        self._step(self._generator.send, value)
 
     def _throw(self, exc: BaseException) -> None:
         if not self._alive:
             return
         self._waiting_on = None
-        self._step(lambda: self._generator.throw(exc))
+        self._step(self._generator.throw, exc)
 
-    def _step(self, advance: Callable[[], Any]) -> None:
+    def _step(self, advance: Callable[[Any], Any], arg: Any) -> None:
         try:
-            target = advance()
+            target = advance(arg)
         except StopIteration as stop:
             self._finish(ok=True, value=stop.value)
             return
@@ -217,7 +256,14 @@ class Process:
         except BaseException as exc:  # noqa: BLE001 - propagated to waiters
             self._finish(ok=False, value=exc)
             return
-        self._block_on(self.sim._as_event(target))
+        if isinstance(target, Timeout):
+            sim = self.sim
+            token = next(sim._sequence)
+            self._waiting_on = token
+            heappush(sim._heap, (sim.now + target.delay, token, self._wake,
+                                 (token, target.value)))
+        else:
+            self._block_on(self.sim._as_event(target))
 
     def _block_on(self, event: Event) -> None:
         self._waiting_on = event
@@ -246,10 +292,11 @@ class Simulator:
 
     Callbacks scheduled for the same timestamp run in scheduling order
     (FIFO), which the rest of the reproduction relies on for
-    reproducibility.
+    reproducibility; the module docstring states where a ``Timeout``
+    resume falls in that order.
     """
 
-    def __init__(self):
+    def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: List[Any] = []
         self._sequence = itertools.count()
@@ -262,7 +309,8 @@ class Simulator:
         """Run ``callback(*args)`` after ``delay`` simulated seconds."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: {delay!r}")
-        heapq.heappush(self._heap, (self.now + delay, next(self._sequence), callback, args))
+        heappush(self._heap,
+                 (self.now + delay, next(self._sequence), callback, args))
 
     def call_at(self, when: float, callback: Callable, *args: Any) -> None:
         """Run ``callback(*args)`` at absolute simulated time ``when``.
@@ -277,7 +325,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule into the past: t={when!r} < now={self.now!r}"
             )
-        heapq.heappush(self._heap, (when, next(self._sequence), callback, args))
+        heappush(self._heap, (when, next(self._sequence), callback, args))
 
     def spawn(self, generator: Generator, name: str = "") -> Process:
         """Create and start a :class:`Process` from ``generator``."""
@@ -294,7 +342,7 @@ class Simulator:
         """Convenience constructor mirroring :class:`Timeout`."""
         return Timeout(delay, value)
 
-    # -- running ----------------------------------------------------------------
+    # -- running -------------------------------------------------------------
 
     def run(self, until: Optional[float] = None) -> float:
         """Drain the event heap, optionally stopping at time ``until``.
@@ -308,7 +356,7 @@ class Simulator:
             if until is not None and when > until:
                 self.now = until
                 break
-            heapq.heappop(self._heap)
+            heappop(self._heap)
             self.now = when
             callback(*args)
             self._raise_orphans()
@@ -317,11 +365,35 @@ class Simulator:
                 self.now = until
         return self.now
 
+    def run_processes(self, processes: Sequence[Process],
+                      deadline: float) -> bool:
+        """Drain the heap until every process in ``processes`` finished.
+
+        Returns False when it stopped because a step ran past
+        ``deadline`` (that step has run), True otherwise, including
+        when the heap runs dry first.  A finished process never
+        restarts, so one index walks past the finished ones instead
+        of re-checking the whole list on every step.
+        """
+        heap = self._heap
+        index, count = 0, len(processes)
+        while True:
+            while index < count and not processes[index]._alive:
+                index += 1
+            if index == count or not heap:
+                return True
+            when, _seq, callback, args = heappop(heap)
+            self.now = when
+            callback(*args)
+            self._raise_orphans()
+            if when > deadline:
+                return False
+
     def step(self) -> bool:
         """Process a single pending callback; returns False when idle."""
         if not self._heap:
             return False
-        when, _seq, callback, args = heapq.heappop(self._heap)
+        when, _seq, callback, args = heappop(self._heap)
         self.now = when
         callback(*args)
         self._raise_orphans()
@@ -347,7 +419,7 @@ class Simulator:
         """Number of callbacks waiting in the heap."""
         return len(self._heap)
 
-    # -- waitable coercion -------------------------------------------------------
+    # -- waitable coercion ---------------------------------------------------
 
     def _as_event(self, target: Any) -> Event:
         """Normalize anything a process can yield into an :class:`Event`."""
@@ -363,7 +435,8 @@ class Simulator:
             return self._all_of(target.events)
         if isinstance(target, AnyOf):
             return self._any_of(target.events)
-        raise SimulationError(f"cannot wait on {type(target).__name__}: {target!r}")
+        raise SimulationError(
+            f"cannot wait on {type(target).__name__}: {target!r}")
 
     def _all_of(self, targets: List[Any]) -> Event:
         gate = Event(self)
@@ -386,7 +459,8 @@ class Simulator:
                 gate.succeed(list(values))
 
         for index, event in enumerate(events):
-            event.add_callback(lambda fired, index=index: on_fire(index, fired))
+            event.add_callback(
+                lambda fired, index=index: on_fire(index, fired))
         return gate
 
     def _any_of(self, targets: List[Any]) -> Event:

@@ -18,7 +18,8 @@ from typing import Dict
 
 
 class RandomStreams:
-    """A factory for isolated, deterministic :class:`random.Random` streams."""
+    """A factory for isolated, deterministic :class:`random.Random`
+    streams."""
 
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
@@ -28,15 +29,18 @@ class RandomStreams:
         """Return the stream for ``name``, creating it on first use."""
         stream = self._streams.get(name)
         if stream is None:
-            digest = hashlib.sha256(f"{self.seed}:{name}".encode("utf-8")).digest()
+            digest = hashlib.sha256(
+                f"{self.seed}:{name}".encode("utf-8")).digest()
             stream = random.Random(int.from_bytes(digest[:8], "big"))
             self._streams[name] = stream
         return stream
 
     def fork(self, name: str) -> "RandomStreams":
         """Derive an independent family of streams, e.g. per test run."""
-        digest = hashlib.sha256(f"{self.seed}/{name}".encode("utf-8")).digest()
+        digest = hashlib.sha256(
+            f"{self.seed}/{name}".encode("utf-8")).digest()
         return RandomStreams(int.from_bytes(digest[:8], "big"))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<RandomStreams seed={self.seed} streams={sorted(self._streams)}>"
+        return (f"<RandomStreams seed={self.seed} "
+                f"streams={sorted(self._streams)}>")

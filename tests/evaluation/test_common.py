@@ -1,10 +1,13 @@
 """Unit tests for the evaluation-harness helpers."""
 
+import os
+
 import pytest
 
 from repro.core.config import GretelConfig
 from repro.evaluation.common import (
     FaultRunStats,
+    _trace_sources,
     default_suite,
     make_monitored_analyzer,
     p_rate_for,
@@ -15,6 +18,17 @@ def test_p_rate_floor_and_scaling():
     assert p_rate_for(1) == 150.0
     assert p_rate_for(100) == 1300.0
     assert p_rate_for(400) == 5200.0
+
+
+def test_cache_tag_hashes_every_package_a_trace_depends_on():
+    # A change to any of these can change a trace, so it must move the
+    # characterization cache's tag rather than be served a stale file.
+    hashed = _trace_sources()
+    for package, module in (("sim", "kernel.py"),
+                            ("openstack", "messaging.py"),
+                            ("workloads", "runner.py")):
+        suffix = os.path.join("repro", package, module)
+        assert any(path.endswith(suffix) for path in hashed), suffix
 
 
 def test_default_suite_memoized():

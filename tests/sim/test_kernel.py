@@ -366,3 +366,167 @@ def test_call_at_same_time_fifo_with_schedule():
     sim.call_at(1.0, order.append, "call_at")
     sim.run()
     assert order == ["schedule", "call_at"]
+
+
+# -- same-instant ordering ---------------------------------------------------
+#
+# A process that yields ``Timeout(d)`` resumes *behind* every entry
+# already due at the instant the timeout elapses, even one queued
+# after the process yielded.  Scenario traces depend on this order, so
+# these tests pin it.
+
+
+def test_timeout_resumes_after_callbacks_already_due_at_that_instant():
+    sim = Simulator()
+    order = []
+
+    def proc():
+        yield Timeout(2.0)
+        order.append("process")
+
+    sim.spawn(proc())
+    sim.run(until=1.0)  # the process has yielded; its timeout is queued
+    sim.schedule(1.0, order.append, "schedule")
+    sim.call_at(2.0, order.append, "call_at")
+    sim.run()
+    assert order == ["schedule", "call_at", "process"]
+
+
+def test_callback_queued_at_the_instant_itself_runs_after_the_resume():
+    sim = Simulator()
+    order = []
+
+    def proc():
+        yield Timeout(2.0)
+        order.append("process")
+
+    def first():
+        order.append("first")
+        sim.schedule(0.0, order.append, "queued-by-first")
+
+    sim.spawn(proc())
+    sim.run(until=1.0)
+    sim.call_at(2.0, first)
+    sim.run()
+    assert order == ["first", "process", "queued-by-first"]
+
+
+@pytest.mark.parametrize("gate_position, expected", [
+    (0, ["waiter", "p1", "p2"]),
+    (1, ["p1", "waiter", "p2"]),
+    (2, ["p1", "p2", "waiter"]),
+])
+def test_tied_timeouts_resume_in_yield_order_around_an_event_waiter(
+        gate_position, expected):
+    sim = Simulator()
+    gate = sim.event()
+    order = []
+
+    def waiter():
+        yield gate
+        order.append("waiter")
+
+    def sleeper(name):
+        yield Timeout(1.0)
+        order.append(name)
+
+    sim.spawn(waiter())
+    starts = [lambda: sim.spawn(sleeper("p1")),
+              lambda: sim.spawn(sleeper("p2"))]
+    starts.insert(gate_position,
+                  lambda: sim.schedule(0.0, sim.call_at, 1.0,
+                                       gate.succeed, "go"))
+    for start in starts:
+        start()
+    sim.run()
+    assert order == expected
+
+
+@pytest.mark.parametrize("interrupt_first, expected", [
+    # Interrupt queued before the timeout: it wins, the elapsed wake
+    # is stale and dropped, the re-armed timeout runs to 4.0.
+    (True, [("interrupt", 2.0, "x"), ("elapsed", 4.0)]),
+    # Interrupt queued after the timeout, same instant: the process
+    # resumes first, then takes the interrupt at its next wait.
+    (False, [("elapsed", 2.0), ("interrupt", 2.0, "x")]),
+])
+def test_interrupt_at_the_instant_a_timeout_elapses(interrupt_first,
+                                                    expected):
+    sim = Simulator()
+    log = []
+    pause = Timeout(2.0)  # reused across waits on purpose
+
+    def victim():
+        for _ in range(2):
+            try:
+                yield pause
+                log.append(("elapsed", sim.now))
+            except Interrupt as interrupt:
+                log.append(("interrupt", sim.now, interrupt.cause))
+
+    process = sim.spawn(victim())
+    if not interrupt_first:
+        sim.run(until=1.0)  # the process has yielded; its timeout is queued
+    # Before the first run, the interrupt is queued ahead of the
+    # timeout, which the process only yields once it starts.
+    sim.call_at(2.0, process.interrupt, "x")
+    sim.run()
+    assert log == expected
+    assert sum(1 for entry in log if entry[0] == "interrupt") == 1
+    assert not process.alive
+
+
+@pytest.mark.parametrize("kill_at, kill_before_timeout", [
+    (1.0, False), (2.0, True), (2.0, False),
+])
+def test_process_killed_mid_timeout_never_resumes(kill_at,
+                                                  kill_before_timeout):
+    sim = Simulator()
+    ran = []
+    finished = []
+
+    def victim():
+        yield Timeout(2.0)
+        ran.append(sim.now)
+
+    process = sim.spawn(victim())
+    if not kill_before_timeout:
+        sim.run(until=0.5)
+    sim.call_at(kill_at, process.kill)
+    process.done.add_callback(lambda event: finished.append(sim.now))
+    sim.run()
+    assert ran == []
+    assert finished == [kill_at]
+    assert not process.alive
+    assert sim.pending == 0
+
+
+def test_run_processes_returns_once_the_listed_processes_finish():
+    sim = Simulator()
+
+    def sleeper(delay):
+        yield Timeout(delay)
+
+    def background():
+        while True:
+            yield Timeout(0.5)
+
+    sim.spawn(background())
+    slow, fast = sim.spawn(sleeper(3.0)), sim.spawn(sleeper(1.0))
+    assert sim.run_processes([fast, slow], deadline=10.0)
+    assert sim.now == 3.0
+    assert not slow.alive
+    assert sim.pending > 0  # the background process is still queued
+
+
+def test_run_processes_stops_after_the_step_past_the_deadline():
+    sim = Simulator()
+
+    def forever():
+        while True:
+            yield Timeout(1.0)
+
+    process = sim.spawn(forever())
+    assert not sim.run_processes([process], deadline=2.5)
+    assert sim.now == 3.0
+    assert process.alive
