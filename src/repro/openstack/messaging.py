@@ -26,6 +26,7 @@ from typing import Any, Dict, Generator, Optional, Tuple, TYPE_CHECKING
 from repro.sim import Timeout
 from repro.openstack.apis import Api, ApiKind
 from repro.openstack.errors import ApiError, RpcError
+from repro.openstack.wire import WireEvent
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.openstack.cloud import Cloud
@@ -188,12 +189,6 @@ class Transport:
         base = self.cloud.topology.latency(src_node, dst_node)
         return base + self.cloud.faults.extra_net_delay(src_node, dst_node)
 
-    def _emit(self, **kwargs: Any) -> None:
-        from repro.openstack.wire import WireEvent
-
-        event = WireEvent(seq=next(_seq_counter), **kwargs)
-        self.cloud.taps.emit(event)
-
     # -- authentication leg ---------------------------------------------------
 
     def _needs_auth(self, ctx: CallContext, dst_service: str) -> bool:
@@ -243,30 +238,16 @@ class Transport:
         response = yield from self._dispatch_rest(ctx, api, dst_node, params)
         yield Timeout(self._net_delay(dst_node, ctx.node) * self._jitter())
 
-        self._emit(
-            api_key=api.key,
-            kind=ApiKind.REST,
-            method=api.method,
-            name=api.name,
-            src_service=ctx.service,
-            src_node=ctx.node,
-            src_ip=src_spec.ip,
-            dst_service=api.service,
-            dst_node=dst_node,
-            dst_ip=dst_spec.ip,
-            ts_request=ts_request,
-            ts_response=cloud.sim.now,
-            status=response.status,
-            body=response.body,
-            conn=conn,
-            size_bytes=self.config.rest_size_bytes,
-            noise=api.noise,
-            request_id=ctx.request_id,
-            tenant=ctx.tenant,
-            resource_ids=tuple(resource_ids),
-            op_id=ctx.op_id,
-            test_id=ctx.test_id,
-        )
+        # One positional call, in ``WireEvent`` field order.
+        cloud.taps.emit(WireEvent(
+            next(_seq_counter), api.key, ApiKind.REST, api.method, api.name,
+            ctx.service, ctx.node, src_spec.ip,
+            api.service, dst_node, dst_spec.ip,
+            ts_request, cloud.sim.now, response.status, response.body,
+            conn, "", self.config.rest_size_bytes, api.noise,
+            ctx.request_id, ctx.tenant, tuple(resource_ids),
+            ctx.op_id, ctx.test_id,
+        ))
         return response
 
     def _dispatch_rest(
@@ -379,30 +360,15 @@ class Transport:
                     resources.leave()
                 yield Timeout(broker.hop_delay(dst_node, ctx.node) * self._jitter())
 
-        self._emit(
-            api_key=api.key,
-            kind=ApiKind.RPC,
-            method=api.method,
-            name=api.name,
-            src_service=ctx.service,
-            src_node=ctx.node,
-            src_ip=src_spec.ip,
-            dst_service=api.service,
-            dst_node=dst_node,
-            dst_ip=dst_spec.ip,
-            ts_request=ts_request,
-            ts_response=cloud.sim.now,
-            status=status,
-            body=body,
-            msg_id=msg_id,
-            size_bytes=self.config.rpc_size_bytes,
-            noise=api.noise,
-            request_id=ctx.request_id,
-            tenant=ctx.tenant,
-            resource_ids=tuple(resource_ids),
-            op_id=ctx.op_id,
-            test_id=ctx.test_id,
-        )
+        cloud.taps.emit(WireEvent(
+            next(_seq_counter), api.key, ApiKind.RPC, api.method, api.name,
+            ctx.service, ctx.node, src_spec.ip,
+            api.service, dst_node, dst_spec.ip,
+            ts_request, cloud.sim.now, status, body,
+            ("", 0, "", 0), msg_id, self.config.rpc_size_bytes, api.noise,
+            ctx.request_id, ctx.tenant, tuple(resource_ids),
+            ctx.op_id, ctx.test_id,
+        ))
         return Response(status, data=data, body=body)
 
     def _run_cast(self, ctx: CallContext, api: Api, dst_node: str,

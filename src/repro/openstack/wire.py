@@ -18,6 +18,12 @@ never reads them:
   the HANSEL baseline stitches on,
 * ``op_id`` / ``test_id`` — ground-truth labels used only by the
   evaluation harness to score precision.
+
+The record is slotted and frozen.  Its ``__init__`` and ``__reduce__``
+are generated from the field list by :func:`_direct_slot_stores`: the
+constructor stores each field through its slot descriptor, and a pickle
+carries the constructor call with the values in :data:`ROW_FIELDS`
+order, the order :meth:`WireEvent.to_row` writes.
 """
 
 from __future__ import annotations
@@ -31,12 +37,54 @@ from typing import (
     Mapping,
     Sequence,
     Tuple,
+    Type,
+    TypeVar,
 )
 
 from repro.openstack.apis import ApiKind
 
+_C = TypeVar("_C", bound=Type[Any])
 
-@dataclass(frozen=True)
+
+def _direct_slot_stores(cls: _C) -> _C:
+    """Give a frozen, slotted dataclass a fast ``__init__`` and a
+    positional ``__reduce__``, both generated from ``fields(cls)``.
+
+    The ``__init__`` that ``dataclass(frozen=True)`` writes stores
+    each field with ``object.__setattr__``; this one calls the field's
+    slot descriptor directly.  ``__reduce__`` pickles the record as
+    ``(cls, values)`` in field order, which loads faster than the
+    slotted ``__getstate__`` path and names no field on the wire.
+    """
+    specs = fields(cls)
+    namespace: Dict[str, Any] = {"_cls": cls}
+    params: List[str] = []
+    stores: List[str] = []
+    for spec in specs:
+        name = spec.name
+        namespace[f"_set_{name}"] = cls.__dict__[name].__set__
+        if spec.default is MISSING:
+            params.append(name)
+        else:
+            namespace[f"_default_{name}"] = spec.default
+            params.append(f"{name}=_default_{name}")
+        stores.append(f"    _set_{name}(self, {name})\n")
+    values = "".join(f"self.{spec.name}, " for spec in specs)
+    exec(
+        f"def __init__(self, {', '.join(params)}):\n"
+        + "".join(stores)
+        + f"def __reduce__(self):\n    return _cls, ({values})\n",
+        namespace,
+    )
+    for method in ("__init__", "__reduce__"):
+        function = namespace[method]
+        function.__qualname__ = f"{cls.__qualname__}.{method}"
+        setattr(cls, method, function)
+    return cls
+
+
+@_direct_slot_stores
+@dataclass(frozen=True, slots=True)
 class WireEvent:
     """One observed request/response exchange."""
 
@@ -86,7 +134,8 @@ class WireEvent:
         tag = "REST" if self.is_rest else "RPC "
         return (
             f"[{self.ts_response:10.4f}] {tag} {self.method:6s} "
-            f"{self.src_service}->{self.dst_service} {self.name} = {self.status}"
+            f"{self.src_service}->{self.dst_service} {self.name} "
+            f"= {self.status}"
         )
 
     def to_row(self) -> List[Any]:
@@ -122,8 +171,8 @@ class WireEvent:
         return cls(*values)
 
     def to_dict(self) -> Dict[str, Any]:
-        """The row under its field names: the rendering reports and
-        trace files print."""
+        """The row under its field names: the rendering reports
+        print."""
         return dict(zip(ROW_FIELDS, self.to_row()))
 
     @classmethod
@@ -159,7 +208,7 @@ class TapBus:
     §5.2's ordering guarantee.
     """
 
-    def __init__(self):
+    def __init__(self) -> None:
         self._node_taps: Dict[str, List[Callable[[WireEvent], None]]] = {}
         self._global_taps: List[Callable[[WireEvent], None]] = []
         self.emitted = 0

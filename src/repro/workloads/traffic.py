@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.openstack.apis import Api, ApiKind
 from repro.openstack.catalog import ApiCatalog, default_catalog
@@ -31,6 +31,9 @@ from repro.openstack.topology import Topology, default_topology
 from repro.openstack.wire import WireEvent
 from repro.core.fingerprint import FingerprintLibrary
 from repro.core.symbols import SymbolTable
+
+#: Body of an injected error response.
+_INJECTED_BODY = '{"code": 500, "message": "injected"}'
 
 
 class SyntheticStream:
@@ -49,7 +52,7 @@ class SyntheticStream:
         seed: int = 0,
         rest_size: int = 220,
         rpc_size: int = 160,
-    ):
+    ) -> None:
         if rate_pps <= 0:
             raise ValueError("rate_pps must be positive")
         if fault_every < 1:
@@ -67,57 +70,53 @@ class SyntheticStream:
         self._fingerprints = [fp for fp in library if len(fp) > 0]
         if not self._fingerprints:
             raise ValueError("empty fingerprint library")
+        # Every event leaves horizon; an RPC lands on a compute node,
+        # a REST call on its service's home (filled on first use).
+        self._src_node = self.topology.home_of("horizon")
+        self._src_ip = self.topology.node(self._src_node).ip
+        self._computes = [(node.name, node.ip)
+                          for node in self.topology.compute_nodes()]
+        self._rest_dst: Dict[str, Tuple[str, str]] = {}
 
-    # -- op pool -------------------------------------------------------------
+    # -- op pool ---------------------------------------------------------
 
     def _new_op(self, op_counter: int) -> dict:
         fingerprint = self._rng.choice(self._fingerprints)
+        op_id = f"synthetic-{op_counter}"
         return {
             "keys": self.symbols.decode(fingerprint.symbols),
             "pos": 0,
-            "op_id": f"synthetic-{op_counter}",
+            "op_id": op_id,
+            "resource_ids": (op_id,),
             "operation": fingerprint.operation,
             "tenant": f"tenant-{op_counter % 64}",
         }
 
     def _fabricate(self, seq: int, api: Api, ts: float, *, op: dict,
                    error: bool) -> WireEvent:
-        src_node = self.topology.home_of("horizon")
         if api.kind is ApiKind.REST:
-            dst_node = self.topology.home_of(api.service)
+            dst = self._rest_dst.get(api.service)
+            if dst is None:
+                node = self.topology.home_of(api.service)
+                dst = (node, self.topology.node(node).ip)
+                self._rest_dst[api.service] = dst
             size = self.rest_size
-            status = 500 if error else 200
         else:
-            computes = self.topology.compute_nodes()
-            dst_node = self._rng.choice(computes).name
+            dst = self._rng.choice(self._computes)
             size = self.rpc_size
-            status = 500 if error else 200
         latency = 0.002 * self._rng.uniform(0.5, 2.0)
+        # One positional call, in ``WireEvent`` field order.
         return WireEvent(
-            seq=seq,
-            api_key=api.key,
-            kind=api.kind,
-            method=api.method,
-            name=api.name,
-            src_service="horizon",
-            src_node=src_node,
-            src_ip=self.topology.node(src_node).ip,
-            dst_service=api.service,
-            dst_node=dst_node,
-            dst_ip=self.topology.node(dst_node).ip,
-            ts_request=ts - latency,
-            ts_response=ts,
-            status=status,
-            body='{"code": 500, "message": "injected"}' if error else "",
-            size_bytes=size,
-            noise=api.noise,
-            request_id=op["op_id"],
-            tenant=op["tenant"],
-            resource_ids=(op["op_id"],),
-            op_id=op["op_id"],
+            seq, api.key, api.kind, api.method, api.name,
+            "horizon", self._src_node, self._src_ip,
+            api.service, dst[0], dst[1],
+            ts - latency, ts, 500 if error else 200,
+            _INJECTED_BODY if error else "",
+            ("", 0, "", 0), "", size, api.noise,
+            op["op_id"], op["tenant"], op["resource_ids"], op["op_id"], "",
         )
 
-    # -- generation --------------------------------------------------------------
+    # -- generation ------------------------------------------------------
 
     def generate(self, count: int) -> Iterator[WireEvent]:
         """Yield ``count`` interleaved events at the configured rate."""

@@ -1,13 +1,16 @@
 """Tests for wire events, their two codecs and the tap bus."""
 
+import dataclasses
+import inspect
 import json
-from dataclasses import fields
+import pickle
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.openstack.apis import ApiKind
-from repro.openstack.wire import ROW_FIELDS, TapBus, WireEvent
+from repro.openstack.wire import _DEFAULTS, ROW_FIELDS, TapBus, WireEvent
 
 
 def make_event(seq=1, src_node="ctrl", status=200, kind=ApiKind.REST):
@@ -145,3 +148,115 @@ def test_from_dict_fills_defaults_and_needs_the_rest():
     del keyed["seq"]
     with pytest.raises(KeyError, match="seq"):
         WireEvent.from_dict(keyed)
+
+
+# ---------------------------------------------------------------------------
+# The record: frozen, slotted, one constructor, one pickle wire
+# ---------------------------------------------------------------------------
+
+def full_event():
+    """An event with every field off its default."""
+    return WireEvent(
+        seq=7, api_key="rpc:nova:cast:build", kind=ApiKind.RPC,
+        method="cast", name="build", src_service="nova",
+        src_node="n1", src_ip="10.0.0.1", dst_service="nova",
+        dst_node="n2", dst_ip="10.0.0.2", ts_request=1.5,
+        ts_response=1.75, status=500, body="boom",
+        conn=("10.0.0.1", 32768, "10.0.0.2", 80), msg_id="m-1",
+        size_bytes=160, noise=True, request_id="req-1", tenant="t-1",
+        resource_ids=("vm-1", "vol-2"), op_id="op-3", test_id="test-4",
+    )
+
+
+def test_setting_or_deleting_a_field_is_refused():
+    event = make_event()
+    with pytest.raises(FrozenInstanceError):
+        event.status = 500
+    with pytest.raises(FrozenInstanceError):
+        del event.status
+    assert event.status == 200
+
+
+def test_events_are_slotted():
+    """No per-event ``__dict__``: each event holds its 24 slots only."""
+    event = make_event()
+    assert not hasattr(event, "__dict__")
+    assert WireEvent.__slots__ == ROW_FIELDS
+
+
+def test_equal_fields_give_equal_events_and_hashes():
+    assert full_event() == full_event()
+    assert hash(full_event()) == hash(full_event())
+    assert full_event() != dataclasses.replace(full_event(), seq=8)
+    assert len({full_event(), full_event(), make_event()}) == 2
+
+
+def test_positional_and_keyword_construction_agree():
+    event = full_event()
+    values = [getattr(event, name) for name in ROW_FIELDS]
+    assert WireEvent(*values) == event
+    assert WireEvent(**dict(zip(ROW_FIELDS, values))) == event
+    required = [name for name in ROW_FIELDS if name not in _DEFAULTS]
+    short = WireEvent(*values[:len(required)])
+    for name in ROW_FIELDS:
+        expected = _DEFAULTS.get(name, getattr(event, name))
+        assert getattr(short, name) == expected, name
+    with pytest.raises(TypeError):
+        WireEvent(*values[:len(required) - 1])
+    with pytest.raises(TypeError):
+        WireEvent(*values, "one too many")
+
+
+def test_constructor_parameters_are_the_row_fields_in_order():
+    parameters = inspect.signature(WireEvent).parameters
+    assert tuple(parameters) == ROW_FIELDS
+    for name, parameter in parameters.items():
+        default = _DEFAULTS.get(name, inspect.Parameter.empty)
+        assert parameter.default == default, name
+
+
+def test_replace_keeps_the_other_fields():
+    event = full_event()
+    moved = dataclasses.replace(event, ts_request=3.0, ts_response=3.5)
+    assert (moved.ts_request, moved.ts_response) == (3.0, 3.5)
+    for name in ROW_FIELDS:
+        if name not in ("ts_request", "ts_response"):
+            assert getattr(moved, name) == getattr(event, name), name
+
+
+@pytest.mark.parametrize("protocol", [2, 5])
+def test_pickle_round_trips(protocol):
+    events = [full_event(), make_event()]
+    clones = pickle.loads(pickle.dumps(events, protocol=protocol))
+    assert clones == events
+    assert clones[0].kind is ApiKind.RPC
+
+
+def test_pickle_carries_the_row_order_as_objects():
+    """The pickle wire is the constructor call with the values in
+    ``to_row`` order; ``kind``, ``conn`` and ``resource_ids`` travel
+    as objects, not as their JSON renderings."""
+    event = full_event()
+    cls, values = event.__reduce__()
+    assert cls is WireEvent
+    row = event.to_row()
+    row[ROW_FIELDS.index("kind")] = ApiKind.RPC
+    row[ROW_FIELDS.index("conn")] = ("10.0.0.1", 32768, "10.0.0.2", 80)
+    row[ROW_FIELDS.index("resource_ids")] = ("vm-1", "vol-2")
+    assert values == tuple(row)
+    assert b"api_key" not in pickle.dumps(event, protocol=5)
+
+
+def test_repr_is_pinned():
+    """Capture digests hash ``repr(event)``, so its text is a format."""
+    assert repr(full_event()) == (
+        "WireEvent(seq=7, api_key='rpc:nova:cast:build', "
+        "kind=<ApiKind.RPC: 'rpc'>, method='cast', name='build', "
+        "src_service='nova', src_node='n1', src_ip='10.0.0.1', "
+        "dst_service='nova', dst_node='n2', dst_ip='10.0.0.2', "
+        "ts_request=1.5, ts_response=1.75, status=500, body='boom', "
+        "conn=('10.0.0.1', 32768, '10.0.0.2', 80), msg_id='m-1', "
+        "size_bytes=160, noise=True, request_id='req-1', "
+        "tenant='t-1', resource_ids=('vm-1', 'vol-2'), op_id='op-3', "
+        "test_id='test-4')"
+    )
