@@ -52,13 +52,13 @@ from repro.core.latency import LatencyTracker, PerformanceAnomaly
 from repro.core.opfaults import rpc_body_error
 from repro.core.reports import FaultReport
 from repro.core.rootcause import RootCauseEngine
-from repro.core.state import StateError, require_columns, require_state
+from repro.core.state import StateError, require_state
 from repro.core.symbols import SymbolTable
 from repro.core.window import SlidingWindow, Snapshot
 from repro.monitoring.store import MetadataStore
 from repro.openstack.apis import ApiKind
 from repro.openstack.catalog import ApiCatalog, default_catalog
-from repro.openstack.wire import ROW_FIELDS, WireEvent
+from repro.openstack.wire import WireEvent
 
 if TYPE_CHECKING:
     from repro.core.pipeline.middleware import StageObserver
@@ -266,8 +266,10 @@ class GretelAnalyzer:
     #: The ``config`` guard covers only the settable fields: changing a
     #: module constant (``MATCH_COVERAGE``, ``LS_WINDOW``,
     #: ``_MAX_TRUNCATIONS``, ...) changes what a restored analyzer
-    #: computes, so it bumps this tag.
-    STATE_FMT = "analysis-pipeline/v5"
+    #: computes, so it bumps this tag.  v5 wrote the events of deferred
+    #: snapshots as rows under one ``columns`` list; it is refused,
+    #: never migrated.
+    STATE_FMT = "analysis-pipeline/v6"
 
     #: The counters this object owns, as checkpointed.  Every other
     #: :class:`PipelineStats` field lives in (and is restored by) the
@@ -301,7 +303,6 @@ class GretelAnalyzer:
             "window": self.window.snapshot_state(),
             "latency": self.latency.snapshot_state(),
             "detector": self.detector.snapshot_state(),
-            "columns": list(ROW_FIELDS),
             "deferred": [s.to_dict() for s in self._deferred],
             "last_perf_analysis": dict(self._last_perf_analysis),
         }
@@ -312,10 +313,10 @@ class GretelAnalyzer:
         Components are restored *in place* (the hot-path bound methods
         keep pointing at the same objects); a config, latency-mode or
         defer-mode mismatch refuses loudly instead of replaying the
-        stream under different semantics.
+        stream under different semantics.  A component that refuses
+        its part puts every component back as it was.
         """
         require_state(state, self.STATE_FMT)
-        require_columns(state, ROW_FIELDS)
         theirs = state["config"]
         differing = [
             f"{name}: {theirs.get(name)} in the checkpoint, {value} here"
@@ -333,15 +334,25 @@ class GretelAnalyzer:
                     f"pipeline state {name}={state[name]} does not "
                     f"match this pipeline's {getattr(self, name)}"
                 )
+        before = self.snapshot_state()
+        try:
+            self._install(state)
+        except Exception:
+            self._install(before)
+            raise
+        self.reports = []
+
+    def _install(self, state: Mapping[str, Any]) -> None:
+        deferred = [
+            Snapshot.from_dict(s, f"{self.STATE_FMT} deferred[{i}]")
+            for i, s in enumerate(state["deferred"])
+        ]
         for name in self._COUNTERS:
             setattr(self, name, state["counters"][name])
         self.window.restore_state(state["window"])
         self.latency.restore_state(state["latency"])
         self.detector.restore_state(state["detector"])
-        self.reports = []
-        self._deferred = [
-            Snapshot.from_dict(s) for s in state["deferred"]
-        ]
+        self._deferred = deferred
         self._last_perf_analysis = dict(state["last_perf_analysis"])
 
     # ------------------------------------------------------------------

@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, Mapping, Optional
 from repro.openstack.wire import WireEvent
 from repro.core import outliers
 from repro.core.config import GretelConfig
-from repro.core.state import StateError, StateFormatError, require_state
+from repro.core.state import StateError, require_state
 from repro.core.streamstats.detector import IncrementalLevelShiftDetector
 
 
@@ -153,8 +153,10 @@ class LatencyTracker:
 
         A checkpoint taken under another LS tuning is refused with
         each differing constant named.  Every series must carry the
-        production LS detector's fmt tag; any other tag is refused
-        with the offending series named, never resurrected.
+        production LS detector's fmt tag; any other tag, or a payload
+        that does not decode, is refused with the offending series
+        named, never resurrected.  Every series is rebuilt before any
+        is installed, so a refusal leaves the tracker as it was.
         """
         require_state(state, self.STATE_FMT)
         theirs, here = state["tuning"], _ls_tuning()
@@ -169,14 +171,15 @@ class LatencyTracker:
                 "latency state was captured under a different LS "
                 "tuning (" + "; ".join(differing) + ")"
             )
-        self._detectors.clear()
+        detectors: Dict[str, IncrementalLevelShiftDetector] = {}
         for api_key, detector_state in state["detectors"].items():
             detector = IncrementalLevelShiftDetector()
             try:
                 detector.restore_state(detector_state)
-            except StateFormatError as error:
-                raise StateFormatError(
+            except StateError as error:
+                raise type(error)(
                     f"latency series {api_key!r}: {error}"
                 ) from error
-            self._detectors[api_key] = detector
+            detectors[api_key] = detector
+        self._detectors = detectors
         self._samples_fed = state["samples_fed"]

@@ -34,7 +34,14 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core import outliers
 from repro.core.outliers import LevelShift, _median
-from repro.core.state import decode_ts, encode_ts, require_state
+from repro.core.state import (
+    StateError,
+    decode_ts,
+    encode_ts,
+    pack_floats,
+    require_state,
+    unpack_floats,
+)
 from repro.core.streamstats.window import SortedWindow
 
 
@@ -166,17 +173,23 @@ class IncrementalLevelShiftDetector:
 
     # -- state lifecycle (see repro.core.state) -------------------------
 
-    #: v2 also carried a version-keyed (median, threshold) cache, and
-    #: v1 the tuning and every alarm the series had raised; both are
-    #: refused, never migrated.
-    STATE_FMT = "ls-incremental/v3"
+    #: v3 wrote the pending pairs as JSON lists of floats, v2 also
+    #: carried a version-keyed (median, threshold) cache, and v1 the
+    #: tuning and every alarm the series had raised; all are refused,
+    #: never migrated.
+    STATE_FMT = "ls-incremental/v4"
 
     def snapshot_state(self) -> Dict[str, Any]:
-        """Versioned, JSON-serializable rendering of the detector."""
+        """Versioned, JSON-serializable rendering of the detector.
+
+        The pending ``(ts, value)`` pairs are packed flat, ts first.
+        """
         return {
             "fmt": self.STATE_FMT,
             "baseline": self._baseline.snapshot_state(),
-            "pending": [list(pair) for pair in self._pending],
+            "pending": pack_floats(
+                [x for pair in self._pending for x in pair]
+            ),
             "count": self._count,
             "cooldown_until": encode_ts(self._cooldown_until),
             "threshold_recomputes": self.threshold_recomputes,
@@ -186,8 +199,16 @@ class IncrementalLevelShiftDetector:
         """Rehydrate a fresh detector (the latency tracker checks that
         the checkpoint ran the same tuning)."""
         require_state(state, self.STATE_FMT)
+        flat = unpack_floats(state["pending"], f"{self.STATE_FMT} pending")
+        if len(flat) % 2:
+            raise StateError(
+                f"{self.STATE_FMT} pending: {len(flat)} floats do not "
+                f"pair into (ts, value)"
+            )
+        # Decoded before the baseline is installed: a refused
+        # document leaves the detector as it was.
         self._baseline.restore_state(state["baseline"])
-        self._pending = [(ts, value) for ts, value in state["pending"]]
+        self._pending = list(zip(flat[::2], flat[1::2]))
         self._count = state["count"]
         self._cooldown_until = decode_ts(state["cooldown_until"])
         self.threshold_recomputes = state["threshold_recomputes"]

@@ -16,7 +16,12 @@ from bisect import bisect_left, insort
 from collections import deque
 from typing import Any, Deque, Dict, Iterator, List, Mapping, Tuple
 
-from repro.core.state import StateError, require_state
+from repro.core.state import (
+    StateError,
+    pack_floats,
+    require_state,
+    unpack_floats,
+)
 
 
 class SortedWindow:
@@ -137,19 +142,21 @@ class SortedWindow:
 
     # -- state lifecycle (see repro.core.state) -------------------------
 
-    #: v1 also carried a mutation counter that keyed the detector's
-    #: retired threshold cache; it is refused, never migrated.
-    STATE_FMT = "sorted-window/v2"
+    #: v2 wrote ``values`` as a JSON list of floats, and v1 also
+    #: carried a mutation counter that keyed the detector's retired
+    #: threshold cache; both are refused, never migrated.
+    STATE_FMT = "sorted-window/v3"
 
     def snapshot_state(self) -> Dict[str, Any]:
         """Versioned, JSON-serializable rendering of the window.
 
-        Arrival order is the only payload (the sorted view is derived).
+        Arrival order is the only payload (the sorted view is
+        derived), packed (:func:`~repro.core.state.pack_floats`).
         """
         return {
             "fmt": self.STATE_FMT,
             "maxlen": self.maxlen,
-            "values": list(self._arrival),
+            "values": pack_floats(self._arrival),
         }
 
     def restore_state(self, state: Mapping[str, Any]) -> None:
@@ -160,7 +167,7 @@ class SortedWindow:
                 f"sorted-window state has maxlen={state['maxlen']}, "
                 f"this window has maxlen={self.maxlen}"
             )
-        values = [float(v) for v in state["values"]]
+        values = unpack_floats(state["values"], f"{self.STATE_FMT} values")
         self._arrival.clear()
         self._arrival.extend(values)
         self._sorted = sorted(values)

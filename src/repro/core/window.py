@@ -26,8 +26,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Mapping, Tuple
 
-from repro.core.state import StateError, require_columns, require_state
-from repro.openstack.wire import ROW_FIELDS, WireEvent
+from repro.core.state import (
+    StateError,
+    decode_events,
+    encode_events,
+    require_state,
+)
+from repro.openstack.wire import WireEvent
 
 
 @dataclass
@@ -61,21 +66,26 @@ class Snapshot:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable rendering (checkpoint/restore protocol).
 
-        Events are rows; the state dict that embeds the snapshot
-        names their columns.
+        One event column block (:func:`~repro.core.state.encode_events`)
+        holds the fault, then the snapshot's events.
         """
         return {
-            "fault": self.fault.to_row(),
-            "events": [event.to_row() for event in self.events],
+            "events": encode_events([self.fault, *self.events]),
             "fault_index": self.fault_index,
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Snapshot":
-        """Inverse of :meth:`to_dict`."""
+    def from_dict(
+        cls, data: Mapping[str, Any], where: str = "snapshot"
+    ) -> "Snapshot":
+        """Inverse of :meth:`to_dict`; an undecodable block raises
+        :class:`~repro.core.state.StateError` naming ``where``."""
+        events = decode_events(data["events"], f"{where} events")
+        if not events:
+            raise StateError(f"{where} events: no fault event")
         return cls(
-            fault=WireEvent.from_row(data["fault"]),
-            events=[WireEvent.from_row(e) for e in data["events"]],
+            fault=events[0],
+            events=events[1:],
             fault_index=data["fault_index"],
         )
 
@@ -148,30 +158,30 @@ class SlidingWindow:
 
     # -- state lifecycle (see repro.core.state) -------------------------
 
-    STATE_FMT = "sliding-window/v3"
+    #: v3 wrote each event as a row (two timestamps through ``repr``)
+    #: under one ``columns`` list; it is refused, never migrated.
+    STATE_FMT = "sliding-window/v4"
 
     def snapshot_state(self) -> Dict[str, Any]:
-        """Versioned, JSON-serializable rendering of the live window."""
+        """Versioned, JSON-serializable rendering of the live window.
+
+        The window's events and the pending faults are one event
+        column block each; ``due`` lists each pending fault's due
+        ``appended`` count.
+        """
         return {
             "fmt": self.STATE_FMT,
             "alpha": self.alpha,
             "appended": self.appended,
             "snapshots_taken": self.snapshots_taken,
-            "columns": list(ROW_FIELDS),
-            "events": [event.to_row() for event in self._events],
-            "pending": [
-                {
-                    "fault": fault.to_row(),
-                    "due": due,
-                }
-                for fault, due in self._pending
-            ],
+            "events": encode_events(self._events),
+            "pending": encode_events(fault for fault, _ in self._pending),
+            "due": [due for _, due in self._pending],
         }
 
     def restore_state(self, state: Mapping[str, Any]) -> None:
         """Rehydrate a freshly constructed window of the same α."""
         require_state(state, self.STATE_FMT)
-        require_columns(state, ROW_FIELDS)
         if state["alpha"] != self.alpha:
             raise StateError(
                 f"window state has alpha={state['alpha']}, "
@@ -179,14 +189,17 @@ class SlidingWindow:
             )
         # Decode everything before installing anything: a refused
         # document leaves the window as it was.
-        events = [WireEvent.from_row(e) for e in state["events"]]
-        pending = [
-            (
-                WireEvent.from_row(entry["fault"]),
-                entry["due"],
+        events = decode_events(state["events"], f"{self.STATE_FMT} events")
+        faults = decode_events(
+            state["pending"], f"{self.STATE_FMT} pending"
+        )
+        dues = state["due"]
+        if len(dues) != len(faults):
+            raise StateError(
+                f"{self.STATE_FMT} due: {len(dues)} dues for "
+                f"{len(faults)} pending faults"
             )
-            for entry in state["pending"]
-        ]
+        pending = list(zip(faults, dues))
         self._events.clear()
         self._events.extend(events)
         self._pending = pending

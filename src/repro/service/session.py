@@ -45,8 +45,13 @@ from typing import (
 
 from repro.core.analyzer import GretelAnalyzer
 from repro.core.reports import FaultReport
-from repro.core.state import StateError, require_columns, require_state
-from repro.openstack.wire import ROW_FIELDS, WireEvent
+from repro.core.state import (
+    StateError,
+    decode_events,
+    encode_events,
+    require_state,
+)
+from repro.openstack.wire import WireEvent
 
 #: Accepted backpressure policies.
 POLICIES = ("block", "shed")
@@ -95,7 +100,9 @@ class _AtomicCounter:
 class TenantSession:
     """Bounded-queue streaming session for one tenant (one cloud)."""
 
-    STATE_FMT = "tenant-session/v2"
+    #: v2 wrote the queue as rows (two timestamps through ``repr``)
+    #: under one ``columns`` list; it is refused, never migrated.
+    STATE_FMT = "tenant-session/v3"
 
     #: Default depth, two pump claims: the queue is checkpointed state,
     #: so depth is backlog a loaded save serializes (docs/service.md).
@@ -377,7 +384,7 @@ class TenantSession:
         with self.parked():
             # Producers still enqueue while the pump is parked.
             with self._lock:
-                queue = [event.to_row() for event in self.queue]
+                queued = list(self.queue)
                 ingested = self.events_ingested
                 analyzed = self.events_analyzed
             return {
@@ -385,8 +392,7 @@ class TenantSession:
                 "tenant": self.tenant,
                 "policy": self.policy,
                 "queue_capacity": self.queue_capacity,
-                "columns": list(ROW_FIELDS),
-                "queue": queue,
+                "queue": encode_events(queued),
                 "events_ingested": ingested,
                 "events_analyzed": analyzed,
                 "events_shed": self.events_shed,
@@ -397,13 +403,12 @@ class TenantSession:
     def restore_state(self, state: Mapping[str, Any]) -> None:
         """Rehydrate a freshly built session for the same tenant."""
         require_state(state, self.STATE_FMT)
-        require_columns(state, ROW_FIELDS)
         if state["tenant"] != self.tenant:
             raise StateError(
                 f"session state is for tenant {state['tenant']!r}, "
                 f"this session is {self.tenant!r}"
             )
-        queue = [WireEvent.from_row(e) for e in state["queue"]]
+        queue = decode_events(state["queue"], f"{self.STATE_FMT} queue")
         with self.parked():
             self.analyzer.restore_state(state["analyzer"])
             with self._lock:

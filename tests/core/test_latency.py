@@ -99,16 +99,18 @@ def test_tracker_builds_default_tuned_detectors():
 def test_restore_refuses_foreign_series_tag():
     """A series state under any tag but the production detector's
     current one (here the retired ``ls-incremental/v2``, which carried
-    a threshold cache) is refused with the tag and the series named,
+    a threshold cache, and v3, which wrote its pending pairs as JSON
+    lists of floats) is refused with the tag and the series named,
     never resurrected."""
     source = LatencyTracker()
     source.observe(make_event(1, "api-a", 0.01))
-    state = source.snapshot_state()
-    state["detectors"]["api-a"]["fmt"] = "ls-incremental/v2"
-    with pytest.raises(StateFormatError) as caught:
-        LatencyTracker().restore_state(state)
-    assert "ls-incremental/v2" in str(caught.value)
-    assert "api-a" in str(caught.value)
+    for older in ("ls-incremental/v2", "ls-incremental/v3"):
+        state = source.snapshot_state()
+        state["detectors"]["api-a"]["fmt"] = older
+        with pytest.raises(StateFormatError) as caught:
+            LatencyTracker().restore_state(state)
+        assert older in str(caught.value)
+        assert "api-a" in str(caught.value)
 
 
 def shift_stream(apis=3, steady=50, shifted=25):

@@ -274,14 +274,19 @@ def test_restore_refuses_per_stage_v1_state(library):
     fields where the current config has seven; ``latency-tracker/v2``
     carried a log of emitted anomalies nothing read, and v3 repeated
     the LS tuning in every series state, next to each series' own
-    unread alarm log."""
+    unread alarm log; ``analysis-pipeline/v5``, ``sliding-window/v3``
+    and ``tenant-session/v2`` held events as rows under a ``columns``
+    list, two timestamps per event written through ``repr``, where
+    the current ones hold one event column block with the timestamps
+    packed."""
     from repro.core.state import StateFormatError
     from repro.service import TenantSession
 
     analyzer = GretelAnalyzer(library, config=config())
     state = analyzer.snapshot_state()
-    assert state["fmt"] == "analysis-pipeline/v5"
-    assert state["window"]["fmt"] == "sliding-window/v3"
+    assert state["fmt"] == "analysis-pipeline/v6"
+    assert state["window"]["fmt"] == "sliding-window/v4"
+    assert "columns" not in state and "columns" not in state["window"]
     assert state["latency"]["fmt"] == "latency-tracker/v4"
     assert set(state["latency"]) == {
         "fmt", "tuning", "samples_fed", "detectors",
@@ -294,11 +299,13 @@ def test_restore_refuses_per_stage_v1_state(library):
     refused = [
         (analyzer, dict(state, fmt=older), older)
         for older in ("analysis-pipeline/v1", "analysis-pipeline/v2",
-                      "analysis-pipeline/v3", "analysis-pipeline/v4")
+                      "analysis-pipeline/v3", "analysis-pipeline/v4",
+                      "analysis-pipeline/v5")
     ] + [
         (analyzer, dict(state, **{part: dict(state[part], fmt=older)}),
          older)
         for part, older in (("window", "sliding-window/v2"),
+                            ("window", "sliding-window/v3"),
                             ("latency", "latency-tracker/v1"),
                             ("latency", "latency-tracker/v2"),
                             ("latency", "latency-tracker/v3"),
@@ -307,11 +314,11 @@ def test_restore_refuses_per_stage_v1_state(library):
     ]
     session = TenantSession("acme", analyzer)
     try:
-        assert session.STATE_FMT == "tenant-session/v2"
-        refused.append((session,
-                        dict(session.snapshot_state(),
-                             fmt="tenant-session/v1"),
-                        "tenant-session/v1"))
+        assert session.STATE_FMT == "tenant-session/v3"
+        refused += [
+            (session, dict(session.snapshot_state(), fmt=older), older)
+            for older in ("tenant-session/v1", "tenant-session/v2")
+        ]
         for target, document, older in refused:
             with pytest.raises(StateFormatError, match=older):
                 target.restore_state(document)

@@ -10,13 +10,21 @@ lockstep afterwards.
 """
 
 import json
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import outliers
 from repro.core.latency import LatencyTracker
-from repro.core.state import StateError, StateFormatError
+from repro.core.state import (
+    StateError,
+    StateFormatError,
+    decode_events,
+    encode_events,
+    pack_floats,
+    unpack_floats,
+)
 from repro.core.streamstats.detector import IncrementalLevelShiftDetector
 from repro.core.streamstats.window import SortedWindow
 from repro.core.window import SlidingWindow
@@ -132,14 +140,19 @@ def test_sorted_window_round_trip(maxlen, values, tail):
 
 
 def test_sorted_window_refuses_retired_tag():
-    """``sorted-window/v1`` also carried a mutation counter; it is
-    refused by name, never migrated."""
+    """``sorted-window/v1`` also carried a mutation counter, and v2
+    wrote its values as a JSON list of floats; each is refused by
+    name, never migrated."""
     window = SortedWindow(4)
     window.append(1.0)
     state = round_trip(window.snapshot_state())
-    state["fmt"], state["version"] = "sorted-window/v1", 1
-    with pytest.raises(StateFormatError, match="sorted-window/v1"):
-        SortedWindow(4).restore_state(state)
+    retired = (
+        dict(state, fmt="sorted-window/v1", version=1),
+        dict(state, fmt="sorted-window/v2", values=[1.0]),
+    )
+    for older in retired:
+        with pytest.raises(StateFormatError, match=older["fmt"]):
+            SortedWindow(4).restore_state(older)
 
 
 # ---------------------------------------------------------------------------
@@ -230,3 +243,130 @@ def test_incremental_ls_state_does_not_grow_with_alarms():
             if detector.update(ts, value) is not None:
                 sizes.append(len(json.dumps(detector.snapshot_state())))
     assert sizes[-1] <= sizes[0] + 32, sizes
+
+
+# ---------------------------------------------------------------------------
+# The payload codecs: packed floats and event column blocks
+# ---------------------------------------------------------------------------
+
+def float64_bytes(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+@given(values=st.lists(st.floats(allow_subnormal=True), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_packed_floats_round_trip_bit_exactly(values):
+    """NaN payloads, ±inf, −0.0 and subnormals survive: the bytes are
+    compared, because NaN != NaN."""
+    text = json.loads(json.dumps(pack_floats(values)))
+    decoded = unpack_floats(text)
+    assert float64_bytes(decoded) == float64_bytes(values)
+    assert pack_floats(decoded) == text
+
+
+def test_packed_floats_round_trip_edge_values():
+    edges = [
+        0.0, -0.0, float("inf"), float("-inf"),
+        5e-324, -2.2250738585072e-308,  # subnormals
+        struct.unpack("<d", b"\x01\x00\x00\x00\x00\x00\xf8\x7f")[0],
+        struct.unpack("<d", b"\xff\xff\xff\xff\xff\xff\xf7\xff")[0],
+    ]
+    assert float64_bytes(unpack_floats(pack_floats(edges))) \
+        == float64_bytes(edges)
+    assert pack_floats([]) == ""
+    assert unpack_floats(pack_floats([])) == []
+
+
+wire_text = st.text(max_size=12)
+
+
+@st.composite
+def wire_events(draw):
+    finite = st.floats(allow_nan=False)
+    return WireEvent(
+        draw(st.integers(min_value=-2**63, max_value=2**63)),
+        draw(wire_text), draw(st.sampled_from(ApiKind)),
+        *[draw(wire_text) for _ in range(8)],
+        draw(finite), draw(finite),
+        draw(st.integers(min_value=0, max_value=999)),
+        draw(wire_text),
+        draw(st.tuples(wire_text, st.integers(0, 65535),
+                       wire_text, st.integers(0, 65535))),
+        draw(wire_text),
+        draw(st.integers(min_value=0, max_value=2**31)),
+        draw(st.booleans()),
+        draw(wire_text), draw(wire_text),
+        draw(st.lists(wire_text, max_size=3).map(tuple)),
+        draw(wire_text), draw(wire_text),
+    )
+
+
+@given(events=st.lists(wire_events(), max_size=12))
+@settings(max_examples=150, deadline=None)
+def test_event_blocks_round_trip(events):
+    block = encode_events(events)
+    assert decode_events(round_trip(block)) == events
+    assert decode_events(block) == events
+    # The timestamp columns are bit-exact too (−0.0 == 0.0).
+    for name in ("ts_request", "ts_response"):
+        assert float64_bytes(unpack_floats(block[name])) == float64_bytes(
+            [getattr(event, name) for event in events]
+        )
+
+
+def float_lists(node, path="$"):
+    """Paths of every JSON list in ``node`` that holds a float."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from float_lists(value, f"{path}.{key}")
+    elif isinstance(node, list):
+        if any(isinstance(item, float) for item in node):
+            yield path
+        for index, item in enumerate(node):
+            yield from float_lists(item, f"{path}[{index}]")
+
+
+def test_service_checkpoint_holds_no_float_list(small_character):
+    """The invariant that keeps the encoder off ``repr(float)``: a
+    session checkpoint taken after a fault — queue non-empty, a fault
+    pending, detection deferred, latency series warm — holds no JSON
+    list with a float in it."""
+    from repro.core.analyzer import GretelAnalyzer
+    from repro.core.config import GretelConfig
+    from repro.monitoring.store import MetadataStore
+    from repro.service import TenantSession
+    from repro.workloads.traffic import SyntheticStream
+
+    library = small_character.library
+    events = SyntheticStream(
+        library, library.symbols, fault_every=150, seed=3,
+    ).events(900)
+    faults = [i for i, event in enumerate(events) if event.error]
+    # Stop 4 events after a fault: its α/2 = 32 post-fault events
+    # have not arrived, so it is pending; earlier ones are deferred.
+    stop = next(i for i in faults if i > 300) + 4
+    analyzer = GretelAnalyzer(
+        library, store=MetadataStore(), config=GretelConfig(alpha=64),
+        defer_detection=True,
+    )
+    session = TenantSession("acme", analyzer)
+    try:
+        for event in events[:stop]:
+            session.submit(event)
+        session.quiesce()
+        with session.parked():
+            for event in events[stop:stop + 10]:
+                session.submit(event)
+            state = round_trip(session.snapshot_state())
+    finally:
+        session.close()
+
+    assert len(decode_events(state["queue"])) == 10
+    pipeline = state["analyzer"]
+    assert decode_events(pipeline["window"]["pending"])
+    assert pipeline["deferred"]
+    assert any(
+        unpack_floats(series["baseline"]["values"])
+        for series in pipeline["latency"]["detectors"].values()
+    )
+    assert list(float_lists(state)) == []

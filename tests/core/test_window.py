@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.openstack.apis import ApiKind
 from repro.openstack.wire import ROW_FIELDS, WireEvent
-from repro.core.state import StateError
+from repro.core.state import StateError, decode_events
 from repro.core.window import SlidingWindow, Snapshot
 
 
@@ -200,21 +200,25 @@ def test_state_under_other_columns_is_refused_and_nothing_moves():
         donor.append(make_event(seq))
     donor.mark_fault(make_event(5, status=500))
     state = donor.snapshot_state()
-    assert state["columns"] == list(ROW_FIELDS)
-    assert state["events"][0] == make_event(2).to_row()
+    assert state["events"]["columns"] == list(ROW_FIELDS)
+    assert decode_events(state["events"])[0] == make_event(2)
 
     window = SlidingWindow(alpha=4)
     window.append(make_event(40))
     window.mark_fault(make_event(40, status=500))
     before = window.snapshot_state()
-    swapped = state["columns"][::-1]
-    short_row = dict(state, pending=[{"fault": [5], "due": 8}])
-    for refused, error in (
-        (dict(state, columns=swapped), StateError),
-        ({k: v for k, v in state.items() if k != "columns"}, StateError),
-        (short_row, ValueError),  # events decoded, pending not
+    events = state["events"]
+    swapped = dict(events, columns=events["columns"][::-1])
+    unnamed = {k: v for k, v in events.items() if k != "columns"}
+    # The events decode; the pending block's seq column is short.
+    short_pending = dict(state["pending"], seq=[])
+    for refused in (
+        dict(state, events=swapped),
+        dict(state, events=unnamed),
+        dict(state, pending=short_pending),
+        dict(state, due=[]),
     ):
-        with pytest.raises(error):
+        with pytest.raises(StateError, match="sliding-window/v4"):
             window.restore_state(refused)
         assert window.snapshot_state() == before
     window.restore_state(state)

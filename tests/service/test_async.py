@@ -15,6 +15,7 @@ import threading
 import pytest
 
 from repro.core.reports import report_signature
+from repro.core.state import decode_events
 from repro.oracle import OracleDivergence
 from repro.service import (
     CheckpointStore,
@@ -172,7 +173,7 @@ def test_checkpoint_races_cleanly_with_live_pump(
     assert watermarks == sorted(watermarks)
     state = store.load("acme")
     assert state["events_analyzed"] == len(bucket)
-    assert state["queue"] == []
+    assert decode_events(state["queue"]) == []
     service.shutdown()
 
 

@@ -7,6 +7,7 @@ and a behavior-level corruption and the oracle must flag each.
 
 import pytest
 
+from repro.core.state import encode_events
 from repro.oracle import OracleDivergence
 from repro.service import verify_checkpoint
 from repro.service.oracle import _cut_points
@@ -73,7 +74,8 @@ def test_oracle_flags_counter_corruption(library, stream_events):
 def test_oracle_flags_behavioral_corruption(library, stream_events):
     def drop_pending(state):
         # Forgetting pending snapshots silently loses fault reports.
-        state["window"]["pending"] = []
+        state["window"]["pending"] = encode_events([])
+        state["window"]["due"] = []
         return state
 
     result = verify_checkpoint(

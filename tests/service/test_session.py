@@ -10,7 +10,12 @@ import json
 import pytest
 
 from repro.core.reports import report_signature
-from repro.core.state import StateError, StateFormatError
+from repro.core.state import (
+    StateError,
+    StateFormatError,
+    decode_events,
+    unpack_floats,
+)
 
 
 def test_constructor_validation(build_session):
@@ -78,14 +83,17 @@ def test_snapshot_round_trip_mid_stream(build_session, stream_events):
         # state.
         state = json.loads(json.dumps(first.snapshot_state()))
         emitted_at_cut = first.reports_emitted
-    assert len(state["queue"]) == cut - cut // 2
+    # Count decoded events: the block's own length is its key count.
+    queued = decode_events(state["queue"])
+    assert len(queued) == cut - cut // 2
+    assert queued == stream_events[cut // 2:cut]
 
     resumed = build_session()
     resumed_reports = []
     resumed.on_report(lambda t, r: resumed_reports.append(r))
     with resumed.parked():
         resumed.restore_state(state)
-        assert resumed.queued == len(state["queue"])
+        assert resumed.queued == len(queued)
     for event in stream_events[cut:]:
         resumed.submit(event)
     resumed.flush()
@@ -113,7 +121,7 @@ def assert_refused_untouched(build_session, stream_events, tamper,
         for event in stream_events[:20]:
             donor.submit(event)
         state = donor.snapshot_state()
-    assert state["queue"][0] == stream_events[0].to_row()
+    assert decode_events(state["queue"])[0] == stream_events[0]
 
     session = build_session()
     with session.parked():
@@ -128,8 +136,9 @@ def assert_refused_untouched(build_session, stream_events, tamper,
 def test_restore_refuses_other_columns_untouched(build_session,
                                                 stream_events):
     def moved(state):
-        columns = state["columns"]
-        return dict(state, columns=columns[1:] + columns[:1])
+        columns = state["queue"]["columns"]
+        return dict(state, queue=dict(state["queue"],
+                                      columns=columns[1:] + columns[:1]))
 
     assert_refused_untouched(build_session, stream_events, moved,
                              StateError, "columns")
@@ -138,7 +147,7 @@ def test_restore_refuses_other_columns_untouched(build_session,
 def test_restore_refuses_sharded_analyzer_state_untouched(
         build_session, stream_events):
     """What a service with sharded sessions used to write: a current
-    ``tenant-session/v2`` envelope around a ``sharded-analyzer/v2``
+    ``tenant-session/v3`` envelope around a ``sharded-analyzer/v2``
     analyzer state.  Refused by tag, never migrated, and before the
     queue or a counter of the refused document is installed."""
     def sharded(state):
@@ -148,7 +157,6 @@ def test_restore_refuses_sharded_analyzer_state_untouched(
             "shards": 1,
             "batch_size": 1024,
             "assignment": {"ctrl": 0},
-            "columns": state["columns"],
             "buffers": [[]],
             "pipelines": [state["analyzer"]],
         })
@@ -162,3 +170,82 @@ def test_restore_refuses_foreign_tenant(build_session):
     other = build_session("umbrella")
     with pytest.raises(StateError, match="acme"):
         other.restore_state(state)
+
+
+def assert_corrupt_refused_untouched(build_session, stream_events, tamper,
+                                     match):
+    """A warm donor's state (latency series, faults, 20 events
+    queued), with one payload corrupted, is refused with a
+    ``StateError`` naming the layer and the field — never a
+    ``binascii.Error``, ``struct.error`` or ``IndexError`` — by a warm
+    session that the refusal leaves exactly as it was."""
+    donor = build_session()
+    for event in stream_events[:300]:
+        donor.submit(event)
+    donor.quiesce()
+    with donor.parked():
+        for event in stream_events[300:320]:
+            donor.submit(event)
+        state = json.loads(json.dumps(donor.snapshot_state()))
+    assert state["analyzer"]["latency"]["detectors"]
+
+    session = build_session()
+    for event in stream_events[:100]:
+        session.submit(event)
+    session.quiesce()
+    with session.parked():
+        for event in stream_events[100:105]:
+            session.submit(event)
+        before = session.snapshot_state()
+        tamper(state)
+        with pytest.raises(StateError, match=match):
+            session.restore_state(state)
+        assert session.snapshot_state() == before
+
+
+def test_restore_refuses_non_base64_floats_untouched(build_session,
+                                                     stream_events):
+    def garble(state):
+        state["analyzer"]["window"]["events"]["ts_request"] = "not*b64!"
+
+    assert_corrupt_refused_untouched(
+        build_session, stream_events, garble,
+        r"sliding-window/v4 events\.ts_request: not base64",
+    )
+
+
+def test_restore_refuses_partial_float64_untouched(build_session,
+                                                   stream_events):
+    def truncate(state):
+        series = state["analyzer"]["latency"]["detectors"]
+        key = sorted(series)[-1]
+        series[key]["baseline"]["values"] = "AAAAAAAAAAAAAAAA"  # 12 bytes
+
+    assert_corrupt_refused_untouched(
+        build_session, stream_events, truncate,
+        r"latency series .*sorted-window/v3 values: 12 bytes",
+    )
+
+
+def test_restore_refuses_unequal_columns_untouched(build_session,
+                                                   stream_events):
+    def shorten(state):
+        state["queue"]["seq"].pop()
+
+    assert_corrupt_refused_untouched(
+        build_session, stream_events, shorten,
+        r"tenant-session/v3 queue: columns of unequal length.*seq=19",
+    )
+
+
+def test_restore_refuses_float_list_under_new_tag_untouched(
+        build_session, stream_events):
+    def unpack(state):
+        queue = state["queue"]
+        queue["ts_response"] = unpack_floats(queue["ts_response"])
+
+    assert_corrupt_refused_untouched(
+        build_session, stream_events, unpack,
+        r"tenant-session/v3 queue\.ts_response: expected packed float64 "
+        r"text, got list",
+    )

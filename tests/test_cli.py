@@ -2,8 +2,10 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -523,6 +525,66 @@ def test_serve_refused_checkpoint_is_a_usage_error(
     assert main(replay + ["--alpha", "64", "--resume",
                           "--checkpoint-dir", str(stale)]) == 2
     assert "gretel-checkpoint/v0" in capsys.readouterr().err
+
+
+def test_serve_refuses_a_checkpoint_of_the_previous_format(
+    full_character, tmp_path, capsys
+):
+    """A directory written before events became column blocks (the
+    fixture: ``repro serve --events 30 --tenants 1 --alpha 8
+    --no-latency`` under ``tenant-session/v2``) stops at its first
+    refused tag, with exit 2."""
+    fixture = Path(__file__).parent / "data" / "tenant-session-v2"
+    checkpoints = tmp_path / "ckpt"
+    shutil.copytree(fixture, checkpoints)
+    assert main(["serve", "--events", "30", "--tenants", "1",
+                 "--alpha", "8", "--no-latency", "--resume",
+                 "--checkpoint-dir", str(checkpoints)]) == 2
+    assert ("state fmt 'tenant-session/v2' is older than "
+            "'tenant-session/v3'" in capsys.readouterr().err)
+
+
+def _garble_window_ts(state):
+    state["analyzer"]["window"]["events"]["ts_request"] = "not*b64!"
+
+
+def _truncate_baseline(state):
+    series = state["analyzer"]["latency"]["detectors"]
+    series[sorted(series)[0]]["baseline"]["values"] = "AAAAAAAAAAAAAAAA"
+
+
+def _unequal_queue_columns(state):
+    state["queue"]["seq"] = [1]
+
+
+def _float_list_under_new_tag(state):
+    events = state["analyzer"]["window"]["events"]
+    events["ts_response"] = [0.25] * len(events["seq"])
+
+
+@pytest.mark.parametrize("corrupt, named", [
+    (_garble_window_ts, "sliding-window/v4 events.ts_request"),
+    (_truncate_baseline, "sorted-window/v3 values: 12 bytes"),
+    (_unequal_queue_columns, "tenant-session/v3 queue: columns"),
+    (_float_list_under_new_tag, "sliding-window/v4 events.ts_response"),
+])
+def test_serve_resume_refuses_a_corrupt_payload(
+    full_character, tmp_path, capsys, corrupt, named
+):
+    """A torn payload inside a well-formed checkpoint is a usage error
+    naming the layer and the field: exit 2, no traceback."""
+    replay = ["serve", "--events", "600", "--tenants", "1",
+              "--alpha", "64", "--checkpoint-dir", str(tmp_path)]
+    assert main(replay) == 0
+    capsys.readouterr()
+    path = tmp_path / "tenant-0.checkpoint.json"
+    envelope = json.loads(path.read_text())
+    corrupt(envelope["state"])
+    path.write_text(json.dumps(envelope))
+    assert main(replay + ["--resume"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot resume from {tmp_path}: ")
+    assert named in err
 
 
 def test_serve_verify_checkpoint_oracle(full_character, capsys):
