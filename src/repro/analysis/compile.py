@@ -20,11 +20,12 @@ and both truncation modes, and hands the online detector a
   ~1.2K preparations, and alphabet and counts are derived once per
   pool entry.
 
-Preparation goes through the *same*
-:func:`repro.core.detector.prepare_candidate` the reference full scan
-uses, so a compiled candidate equals a scanned one by construction;
-:func:`verify_selection` is the differential oracle that proves it on
-live inputs and end-to-end detections.
+Preparation slices each fingerprint shape's
+:class:`~repro.core.detector.Skeleton`, derived once per compile; the
+reference full scan prepares from a truncated fingerprint copy
+instead, and :func:`verify_selection` is the differential oracle that
+holds the two derivations equal on live inputs and end-to-end
+detections.
 
 The index is in-memory only and bound to the library it was compiled
 from: its candidates hold that library's fingerprint objects.
@@ -46,6 +47,7 @@ from repro.core.detector import (
     Candidate,
     OperationDetector,
     Selection,
+    Skeleton,
     prepare_candidate,
 )
 from repro.core.fingerprint import Fingerprint, FingerprintLibrary
@@ -118,21 +120,25 @@ def compile_library(
     pool: Dict[PreparationKey, Preparation] = {}
     # Workload templates stamp out many operations sharing one *shape*
     # — symbol sequence plus state-change mask, everything preparation
-    # depends on — so RPC pruning runs once per shape and preparation
-    # once per (shape, symbol, mode).
+    # depends on — so RPC pruning and the skeletons run once per shape
+    # (unpruned first, then effective), preparation once per (shape,
+    # symbol) truncated and once per shape untruncated.
     shape_ids: Dict[Tuple[str, Tuple[bool, ...]], int] = {}
-    effective: List[Fingerprint] = []
+    shapes: List[Tuple[Skeleton, Skeleton]] = []
     members: Dict[str, Tuple[Fingerprint, int]] = {}
     for fingerprint in library:
         shape_key = (fingerprint.symbols, fingerprint.state_change_mask)
         shape = shape_ids.get(shape_key)
         if shape is None:
-            shape = shape_ids[shape_key] = len(effective)
-            effective.append(
-                fingerprint.rest_only(symbols) if prune_rpcs
-                else fingerprint
-            )
+            shape = shape_ids[shape_key] = len(shapes)
+            unpruned = Skeleton.of(fingerprint, relaxed)
+            shapes.append((unpruned, Skeleton.of(
+                fingerprint.rest_only(symbols), relaxed,
+            ) if prune_rpcs else unpruned))
         members[fingerprint.operation] = (fingerprint, shape)
+    # Untruncated preparations by (shape, whether pruning removed the
+    # offending symbol): they do not depend on the symbol otherwise.
+    whole: Dict[Tuple[int, bool], Preparation] = {}
 
     def select(
         symbol: str, operations: Sequence[str], truncated: bool
@@ -142,10 +148,26 @@ def compile_library(
         for fingerprint, shape in map(members.__getitem__, operations):
             preparation = by_shape.get(shape)
             if preparation is None:
-                preparation = by_shape[shape] = prepare_candidate(
-                    fingerprint, effective[shape], symbol,
-                    truncate=truncated, relaxed=relaxed, pool=pool,
-                )
+                unpruned, skeleton = shapes[shape]
+                # Pruning removed the offending symbol itself: the
+                # fault demonstrably involved the pruned RPC, so the
+                # unpruned shape is prepared.
+                pruned_away = symbol not in skeleton.symbols
+                if pruned_away:
+                    skeleton = unpruned
+                if truncated:
+                    preparation = prepare_candidate(
+                        skeleton, symbol, truncate=True, pool=pool,
+                    )
+                elif (shape, pruned_away) in whole:
+                    preparation = whole[shape, pruned_away]
+                else:
+                    preparation = whole[shape, pruned_away] = (
+                        prepare_candidate(
+                            skeleton, symbol, truncate=False, pool=pool,
+                        )
+                    )
+                by_shape[shape] = preparation
             candidates.append(Candidate(fingerprint, preparation))
         return Selection(candidates)
 

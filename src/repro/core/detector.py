@@ -39,6 +39,7 @@ RPC symbols are pruned from fingerprints and buffer when
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, compress
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -129,80 +130,68 @@ class Selection(List[Candidate]):
         self.classes = scoring_classes(self)
 
 
+class Skeleton(NamedTuple):
+    """A fingerprint shape's required symbols — state changes, or every
+    symbol in the strict ablation — with ``prefix[i]`` = how many of
+    them ``symbols[:i]`` holds.  Every preparation of the shape is a
+    slice of it, so the compiler derives it once per shape."""
+
+    symbols: str
+    required: str
+    prefix: Sequence[int]
+
+    @classmethod
+    def of(cls, fingerprint: Fingerprint, relaxed: bool) -> "Skeleton":
+        symbols = fingerprint.symbols
+        if not relaxed:
+            return cls(symbols, symbols, range(len(symbols) + 1))
+        mask = fingerprint.state_change_mask
+        return cls(symbols, "".join(compress(symbols, mask)),
+                   list(accumulate(mask, initial=0)))
+
+
 def prepare_candidate(
-    fingerprint: Fingerprint,
-    effective: Fingerprint,
+    skeleton: Skeleton,
     symbol: str,
     *,
     truncate: bool,
-    relaxed: bool,
-    pool: Optional[Dict[PreparationKey, Preparation]] = None,
+    pool: Dict[PreparationKey, Preparation],
 ) -> Preparation:
-    """Prepare one fingerprint for scoring against ``symbol`` faults.
+    """Prepare a shape holding ``symbol`` for scoring ``symbol`` faults.
 
-    The single source of truth for candidate preparation: the
-    library compiler (``repro.analysis.compile``) calls it per posting
-    at compile time and the reference full scan calls it per
-    ``candidates_for`` miss — so a compiled candidate is bit-identical
-    to a scanned one by construction, not by parallel maintenance.
+    Truncated (Alg. 2), it ends at the last occurrence of ``symbol``
+    and each occurrence is a cut: the required symbols up to it, zero
+    counts dropped, equal neighbours merged, the last
+    ``_MAX_TRUNCATIONS`` kept.  The reference scan derives the same
+    from a truncated fingerprint copy
+    (``repro.reference.detector.prepare_from_scratch``), and
+    ``repro.analysis.compile.verify_selection`` holds the two equal.
 
-    ``effective`` is the (possibly RPC-pruned) fingerprint; when
-    pruning removed the offending symbol itself, the unpruned
-    fingerprint is used for this candidate (the fault demonstrably
-    involved the pruned RPC).
-
-    ``pool`` interns: a preparation whose :meth:`Preparation.key` is
-    already in it is returned as that entry, and a new one is added,
-    so alphabet and counts are derived once per distinct key however
-    many postings share it.
+    ``pool`` interns by :meth:`Preparation.key`, so alphabet and counts
+    are derived once per distinct key however many postings share it.
     """
-    if symbol not in effective.symbols:
-        effective = fingerprint
-    longest = effective.truncate_at(symbol) if truncate else effective
-    if relaxed:
-        required_symbols = longest.state_change_symbols
-    else:
-        # Strict ablation: every symbol (reads included) is a
-        # required literal.
-        required_symbols = longest.symbols
+    symbols, required, prefix = skeleton
+    cuts: Tuple[int, ...] = (len(required),)
     if truncate:
-        cuts = _cut_lengths(longest, symbol, all_symbols=not relaxed)
-    else:
-        cuts = (len(required_symbols),)
+        end = symbols.rfind(symbol) + 1
+        symbols = symbols[:end]
+        required = required[:prefix[end]]
+        counts: List[int] = []
+        at = symbols.find(symbol)
+        while at >= 0:
+            count = prefix[at + 1]
+            if count and (not counts or counts[-1] != count):
+                counts.append(count)
+            at = symbols.find(symbol, at + 1)
+        cuts = tuple(counts[-_MAX_TRUNCATIONS:]) or (len(required),)
     # Pure reads (no required symbol at all) are scored on their full
     # symbol sequence instead (see the module docstring).
-    pure_read = not required_symbols
-    key = (longest.symbols if pure_read else required_symbols, cuts,
-           pure_read)
-    if pool is None:
-        return Preparation(*key)
+    pure_read = not required
+    key = (symbols if pure_read else required, cuts, pure_read)
     preparation = pool.get(key)
     if preparation is None:
         preparation = pool[key] = Preparation(*key)
     return preparation
-
-
-def _cut_lengths(fingerprint: Fingerprint, symbol: str,
-                 all_symbols: bool = False) -> Tuple[int, ...]:
-    """Required-symbol prefix lengths at each occurrence of
-    ``symbol`` (state-change prefix by default; every symbol in the
-    strict ablation)."""
-    cuts: List[int] = []
-    count = 0
-    for sym, is_sc in zip(
-        fingerprint.symbols, fingerprint.state_change_mask, strict=True,
-    ):
-        if all_symbols or is_sc:
-            count += 1
-        if sym == symbol:
-            if not cuts or cuts[-1] != count:
-                cuts.append(count)
-    cuts = [c for c in cuts if c > 0]
-    if not cuts:
-        total = (len(fingerprint.symbols) if all_symbols
-                 else len(fingerprint.state_change_symbols))
-        cuts = [total]
-    return tuple(cuts[-_MAX_TRUNCATIONS:])
 
 
 @dataclass

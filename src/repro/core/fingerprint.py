@@ -190,20 +190,6 @@ class Fingerprint:
             dependencies=self.dependencies,
         )
 
-    def truncate_at(self, symbol: str) -> "Fingerprint":
-        """Truncate at the *last* occurrence of ``symbol`` (Alg. 2)."""
-        index = self.symbols.rfind(symbol)
-        if index < 0:
-            return self
-        return Fingerprint(
-            operation=self.operation,
-            symbols=self.symbols[: index + 1],
-            state_change_mask=self.state_change_mask[: index + 1],
-            category=self.category,
-            nodes=self.nodes,
-            dependencies=self.dependencies,
-        )
-
     def to_dict(self) -> Dict:
         """JSON-serializable form."""
         return {

@@ -161,7 +161,7 @@ class Preparation:
 
     __slots__ = (
         "needle", "cuts", "pure_read", "alphabet", "needle_items",
-        "size", "gate_size", "final_length",
+        "size", "gate_size", "final_length", "_key",
     )
 
     def __init__(
@@ -195,11 +195,12 @@ class Preparation:
         #: coverage 1.0 could still be overtaken by a longer cut as
         #: the buffer grows, so they do not finalize.
         self.final_length = len(needle) if pure_read else cuts[-1]
+        self._key: PreparationKey = (needle, cuts, pure_read)
 
     def key(self) -> PreparationKey:
         """The scorer's identity: pool-interning and class-partition
         key."""
-        return (self.needle, self.cuts, self.pure_read)
+        return self._key
 
 
 @dataclass

@@ -20,6 +20,7 @@ from repro.reference.detector import (
     ScanSelectionDetector,
     ScratchScoringDetector,
     prefix_lcs_lengths,
+    prepare_from_scratch,
     score_buffer,
     upper_bound,
 )
@@ -32,6 +33,7 @@ __all__ = [
     "ScratchScoringDetector",
     "SyncSession",
     "prefix_lcs_lengths",
+    "prepare_from_scratch",
     "score_buffer",
     "upper_bound",
 ]

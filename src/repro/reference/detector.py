@@ -9,7 +9,10 @@ two hooks so that the β-growth loop, ranking and result assembly are
 the production code, not a copy:
 
 * :class:`ScanSelectionDetector` prepares every containing fingerprint
-  from scratch (``_select``) — the oracle half of indexed selection;
+  from scratch (``_select``, through :func:`prepare_from_scratch`: a
+  truncated fingerprint copy, its state-change string, then its cut
+  points) — the oracle half of indexed selection, sharing no
+  preparation code with the compiler's skeleton slices;
 * :class:`ScratchScoringDetector` re-scores each window from its joined
   symbol string, candidate by candidate (``_scorer``: one singleton
   scoring class per candidate) — the oracle half of incremental
@@ -33,9 +36,10 @@ from repro.core.detector import (
     OperationDetector,
     Scorer,
     Scores,
+    _MAX_TRUNCATIONS,
     Selection,
-    prepare_candidate,
 )
+from repro.core.fingerprint import Fingerprint
 from repro.core.matching.engine import (
     Preparation,
     ScoringClass,
@@ -232,6 +236,83 @@ class ScratchScoringDetector(OperationDetector):
 
 # -- from-scratch selection -------------------------------------------------
 
+def prepare_from_scratch(
+    fingerprint: Fingerprint,
+    effective: Fingerprint,
+    symbol: str,
+    *,
+    truncate: bool,
+    relaxed: bool,
+) -> Preparation:
+    """Prepare one fingerprint for scoring against ``symbol`` faults,
+    the long way: truncate a copy of it, derive that copy's required
+    symbols, then walk it for the cut points.
+
+    ``effective`` is the (possibly RPC-pruned) fingerprint; when
+    pruning removed the offending symbol itself, the unpruned
+    fingerprint is used for this candidate (the fault demonstrably
+    involved the pruned RPC).
+    """
+    if symbol not in effective.symbols:
+        effective = fingerprint
+    longest = truncate_at(effective, symbol) if truncate else effective
+    if relaxed:
+        required_symbols = longest.state_change_symbols
+    else:
+        # Strict ablation: every symbol (reads included) is a
+        # required literal.
+        required_symbols = longest.symbols
+    if truncate:
+        cuts = _cut_lengths(longest, symbol, all_symbols=not relaxed)
+    else:
+        cuts = (len(required_symbols),)
+    # Pure reads (no required symbol at all) are scored on their full
+    # symbol sequence instead.
+    pure_read = not required_symbols
+    return Preparation(
+        longest.symbols if pure_read else required_symbols, cuts,
+        pure_read,
+    )
+
+
+def truncate_at(fingerprint: Fingerprint, symbol: str) -> Fingerprint:
+    """Truncate at the *last* occurrence of ``symbol`` (Alg. 2)."""
+    index = fingerprint.symbols.rfind(symbol)
+    if index < 0:
+        return fingerprint
+    return Fingerprint(
+        operation=fingerprint.operation,
+        symbols=fingerprint.symbols[: index + 1],
+        state_change_mask=fingerprint.state_change_mask[: index + 1],
+        category=fingerprint.category,
+        nodes=fingerprint.nodes,
+        dependencies=fingerprint.dependencies,
+    )
+
+
+def _cut_lengths(fingerprint: Fingerprint, symbol: str,
+                 all_symbols: bool = False) -> Tuple[int, ...]:
+    """Required-symbol prefix lengths at each occurrence of
+    ``symbol`` (state-change prefix by default; every symbol in the
+    strict ablation)."""
+    cuts: List[int] = []
+    count = 0
+    for sym, is_sc in zip(
+        fingerprint.symbols, fingerprint.state_change_mask, strict=True,
+    ):
+        if all_symbols or is_sc:
+            count += 1
+        if sym == symbol:
+            if not cuts or cuts[-1] != count:
+                cuts.append(count)
+    cuts = [c for c in cuts if c > 0]
+    if not cuts:
+        total = (len(fingerprint.symbols) if all_symbols
+                 else len(fingerprint.state_change_symbols))
+        cuts = [total]
+    return tuple(cuts[-_MAX_TRUNCATIONS:])
+
+
 class ScanSelectionDetector(OperationDetector):
     """From-scratch selection, production scoring.  Never compiles or
     consults an index."""
@@ -246,7 +327,7 @@ class ScanSelectionDetector(OperationDetector):
                 fingerprint.rest_only(self.symbols) if prune
                 else fingerprint
             )
-            prepared.append(Candidate(fingerprint, prepare_candidate(
+            prepared.append(Candidate(fingerprint, prepare_from_scratch(
                 fingerprint, effective, symbol,
                 truncate=truncate, relaxed=relaxed,
             )))

@@ -161,3 +161,47 @@ def test_candidate_signature_captures_preparation_content(
         assert needle == candidate.preparation.needle
         assert cuts == candidate.preparation.cuts
         assert pure == candidate.preparation.pure_read
+
+
+def test_verify_selection_catches_a_cut_dropped_from_preparation(
+    library, make_fingerprint, state_change_keys, read_keys, monkeypatch
+):
+    """The compiler and the reference scan derive preparations
+    independently, so a fault in the production derivation is a
+    divergence, not a change both halves share."""
+    import repro.analysis.compile as compile_module
+    import repro.core.detector as detector_module
+    from repro.core.matching import Preparation
+
+    # A read polled twice: two cuts for faults on it.
+    poll = read_keys[0]
+    library.add(make_fingerprint(
+        "op-poll", [state_change_keys[0], poll, state_change_keys[1], poll],
+    ))
+    prepare = detector_module.prepare_candidate
+
+    def drop_last_cut(*args, **kwargs):
+        preparation = prepare(*args, **kwargs)
+        if len(preparation.cuts) < 2:
+            return preparation
+        return Preparation(
+            preparation.needle, preparation.cuts[:-1],
+            preparation.pure_read,
+        )
+
+    assert verify_selection(library, strict=False).ok
+    # Every binding of the production function; a fresh compile, since
+    # the memo still holds the unpatched one.
+    for module in (compile_module, detector_module):
+        monkeypatch.setattr(module, "prepare_candidate", drop_last_cut)
+    result = verify_selection(
+        library, index=compile_library(library), strict=False,
+    )
+    assert not result.ok
+    assert result.layer == "selection"
+    assert "DIVERGED" in result.summary()
+    assert any(
+        library.symbols.api_key(library.symbols.symbol(poll)) in m
+        and "preparations or order differ" in m
+        for m in result.mismatches
+    )

@@ -89,7 +89,8 @@ def test_degenerate_cut_prepares_as_a_pure_read(
     scores its reads-only prefix as a pure read (no cut, the prefix's
     full symbol sequence), which ranks only when no state-change
     class passes coverage."""
-    from repro.core.detector import prepare_candidate
+    from repro.core.detector import Skeleton, prepare_candidate
+    from repro.reference.detector import truncate_at
 
     mixed = make_fingerprint("op", read_keys[:2] + state_change_keys[:2])
     pure = make_fingerprint("op-pure", read_keys[:3])
@@ -98,8 +99,9 @@ def test_degenerate_cut_prepares_as_a_pure_read(
         assert "TRN001" in _rules(truncation.run(make_context([fp])))
         for symbol in cut_symbols:
             preparation = prepare_candidate(
-                fp, fp, symbol, truncate=True, relaxed=True
+                Skeleton.of(fp, relaxed=True), symbol,
+                truncate=True, pool={},
             )
             assert preparation.pure_read
             assert preparation.cuts == (0,)
-            assert preparation.needle == fp.truncate_at(symbol).symbols
+            assert preparation.needle == truncate_at(fp, symbol).symbols

@@ -13,6 +13,7 @@ from repro.core.fingerprint import (
 )
 from repro.core.symbols import SymbolTable
 from repro.reference import prefix_lcs_lengths
+from repro.reference.detector import truncate_at
 
 
 @pytest.fixture(scope="module")
@@ -228,16 +229,16 @@ def test_truncate_at_last_occurrence(catalog, symbols):
     fingerprint = generate_fingerprint(
         "op", [[boot, poll, delete, poll]], symbols, catalog
     )
-    truncated = fingerprint.truncate_at(symbols.symbol(poll))
+    truncated = truncate_at(fingerprint, symbols.symbol(poll))
     assert len(truncated) == 4  # last occurrence is the final element
-    truncated2 = fingerprint.truncate_at(symbols.symbol(boot))
+    truncated2 = truncate_at(fingerprint, symbols.symbol(boot))
     assert len(truncated2) == 1
 
 
 def test_truncate_missing_symbol_is_identity(catalog, symbols):
     boot = catalog.find_rest("nova", "POST", "/v2.1/servers").key
     fingerprint = generate_fingerprint("op", [[boot]], symbols, catalog)
-    assert fingerprint.truncate_at("￿").symbols == fingerprint.symbols
+    assert truncate_at(fingerprint, "￿").symbols == fingerprint.symbols
 
 
 def test_serialization_roundtrip(catalog, symbols):

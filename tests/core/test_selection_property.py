@@ -16,12 +16,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis.compile import candidate_signature, compile_library
 from repro.core.config import GretelConfig
-from repro.core.detector import OperationDetector, prepare_candidate
+from repro.core.detector import OperationDetector
 from repro.core.fingerprint import Fingerprint, FingerprintLibrary
 from repro.core.matching import scoring_classes
 from repro.core.symbols import SymbolTable
 from repro.openstack.catalog import default_catalog
-from repro.reference import ScanSelectionDetector
+from repro.reference import ScanSelectionDetector, prepare_from_scratch
 
 _CATALOG = default_catalog()
 _SYMBOLS = SymbolTable(_CATALOG)
@@ -101,7 +101,8 @@ def test_indexed_selection_equals_full_scan(data):
     # Counters prove the indexed path actually served the lookups.
     assert indexed.candidates_indexed == indexed.postings_scanned
     # One pool entry per distinct preparation of a from-scratch sweep
-    # over every posting × both modes.
+    # over every posting × both modes, prepared by the reference twin:
+    # the compiler's skeleton slices share no code with it.
     swept = set()
     for symbol in library.postings():
         for fingerprint in library.ops_containing(symbol):
@@ -110,7 +111,7 @@ def test_indexed_selection_equals_full_scan(data):
                 else fingerprint
             )
             for truncate in (config.truncate_fingerprints, False):
-                swept.add(prepare_candidate(
+                swept.add(prepare_from_scratch(
                     fingerprint, effective, symbol,
                     truncate=truncate, relaxed=config.relaxed_match,
                 ).key())
