@@ -32,7 +32,6 @@ class Broker:
         self.topology = topology
         self.host_node = host_node
         self._msg_ids = itertools.count(1)
-        self.published = 0
 
     @property
     def available(self) -> bool:
@@ -50,7 +49,3 @@ class Broker:
             + self.QUEUE_DELAY
             + self.topology.latency(self.host_node, dst_node)
         )
-
-    def record_publish(self) -> None:
-        """Count one published message (overhead accounting)."""
-        self.published += 1

@@ -66,7 +66,8 @@ class FaultInjector:
     def __init__(self, cloud: "Cloud"):
         self.cloud = cloud
         self._forced: Dict[str, List[_ForcedError]] = {}
-        self._latency: List[_LatencyInjection] = []
+        #: ``tc`` injections; while empty, links add no delay.
+        self.latency_injections: List[_LatencyInjection] = []
         self._service_slowdown: Dict[str, float] = {}
         self.injected_error_count = 0
 
@@ -163,15 +164,14 @@ class FaultInjector:
                        end: Optional[float] = None) -> None:
         """Add ``delay`` seconds to all traffic to/from ``node``."""
         begin = self.cloud.sim.now if start is None else start
-        self._latency.append(_LatencyInjection(node, delay, begin, end))
+        self.latency_injections.append(
+            _LatencyInjection(node, delay, begin, end))
 
     def extra_net_delay(self, src_node: str, dst_node: str) -> float:
         """Total injected delay on the (src, dst) path right now."""
-        if not self._latency:
-            return 0  # what the sum of nothing is, bit for bit
         now = self.cloud.sim.now
         return sum(
-            inj.delay for inj in self._latency
+            inj.delay for inj in self.latency_injections
             if inj.active(now) and inj.node in (src_node, dst_node)
         )
 

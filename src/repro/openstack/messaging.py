@@ -13,8 +13,11 @@ This module implements the mechanics of an API invocation:
   the RabbitMQ broker, and emission of one :class:`WireEvent` per
   exchange onto the tap bus.
 
-All call functions are generators and must be driven with
-``yield from`` inside a simulation process.
+Each exchange is one generator frame: ``rest()`` and ``rpc()`` return
+the transport's exchange generator itself, and the exchange resumes
+the handler's generator directly (:meth:`Service.dispatch` only routes).
+A caller must drive the returned generator with ``yield from`` at
+once, inside a simulation process.
 """
 
 from __future__ import annotations
@@ -30,9 +33,10 @@ from repro.openstack.wire import WireEvent
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.openstack.cloud import Cloud
+    from repro.sim import Simulator
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     """An API invocation as seen by the implementing handler."""
 
@@ -50,7 +54,7 @@ class Request:
         return self.params.get(key, default)
 
 
-@dataclass
+@dataclass(slots=True)
 class Response:
     """The outcome of an API invocation."""
 
@@ -75,6 +79,9 @@ class Response:
         return self
 
 
+#: An exchange: a generator of kernel delays returning the response.
+Exchange = Generator[Timeout, Any, Response]
+
 _port_counter = itertools.count(32768)
 _seq_counter = itertools.count(1)
 _reqid_counter = itertools.count(1)
@@ -91,6 +98,9 @@ def reset_counters() -> None:
 class CallContext:
     """Caller identity and verbs for issuing REST/RPC invocations."""
 
+    __slots__ = ("cloud", "service", "node", "tenant", "op_id", "test_id",
+                 "request_id", "_token_expiry")
+
     def __init__(
         self,
         cloud: "Cloud",
@@ -100,7 +110,7 @@ class CallContext:
         op_id: str = "",
         test_id: str = "",
         request_id: str = "",
-    ):
+    ) -> None:
         self.cloud = cloud
         self.service = service
         self.node = node
@@ -113,7 +123,7 @@ class CallContext:
     # -- derived -----------------------------------------------------------
 
     @property
-    def sim(self):
+    def sim(self) -> "Simulator":
         """The shared simulator."""
         return self.cloud.sim
 
@@ -140,17 +150,19 @@ class CallContext:
         name: str,
         params: Optional[Dict[str, Any]] = None,
         resource_ids: Tuple[str, ...] = (),
-    ) -> Generator:
-        """Issue a REST call; returns a :class:`Response`.
+    ) -> Exchange:
+        """The exchange of one REST call; it returns a :class:`Response`.
 
         Error responses are *returned*, not raised — callers decide
-        whether to propagate (mirroring HTTP client behaviour).
+        whether to propagate (mirroring HTTP client behaviour).  When
+        the authentication leg fails, the call ends there and returns
+        that leg's error response.
         """
-        api = self.cloud.catalog.find_rest(dst_service, method, name)
-        response = yield from self.cloud.transport.rest_exchange(
-            self, api, params or {}, resource_ids
+        cloud = self.cloud
+        return cloud.transport.rest_exchange(
+            self, cloud.catalog.find_rest(dst_service, method, name),
+            params or {}, resource_ids,
         )
-        return response
 
     def rpc(
         self,
@@ -159,51 +171,34 @@ class CallContext:
         params: Optional[Dict[str, Any]] = None,
         target_node: Optional[str] = None,
         resource_ids: Tuple[str, ...] = (),
-    ) -> Generator:
-        """Issue an RPC through the broker; returns a :class:`Response`."""
-        api = self.cloud.catalog.find_rpc(dst_service, name)
-        response = yield from self.cloud.transport.rpc_exchange(
-            self, api, params or {}, target_node, resource_ids
+    ) -> Exchange:
+        """The exchange of one RPC through the broker; it returns a
+        :class:`Response`."""
+        cloud = self.cloud
+        return cloud.transport.rpc_exchange(
+            self, cloud.catalog.find_rpc(dst_service, name),
+            params or {}, target_node, resource_ids,
         )
-        return response
 
-    def sleep(self, seconds: float) -> Generator:
+    def sleep(self, seconds: float) -> Generator[Timeout, Any, None]:
         """Pause the current operation for simulated ``seconds``."""
         yield Timeout(seconds)
 
 
 class Transport:
-    """Executes exchanges: latency, dispatch, faults, wire emission."""
+    """Executes exchanges: latency, dispatch, faults, wire emission.
 
-    def __init__(self, cloud: "Cloud"):
+    Jitter is ``low + span * random()``: ``random.uniform``'s formula.
+    """
+
+    def __init__(self, cloud: "Cloud") -> None:
         self.cloud = cloud
         self.config = cloud.config
-        self._jitter_rng = cloud.rnd.stream("transport.jitter")
-
-    # -- helpers ------------------------------------------------------------
-
-    def _jitter(self) -> float:
-        return self._jitter_rng.uniform(self.config.jitter_low, self.config.jitter_high)
-
-    def _net_delay(self, src_node: str, dst_node: str) -> float:
-        base = self.cloud.topology.latency(src_node, dst_node)
-        return base + self.cloud.faults.extra_net_delay(src_node, dst_node)
-
-    # -- authentication leg ---------------------------------------------------
-
-    def _needs_auth(self, ctx: CallContext, dst_service: str) -> bool:
-        if dst_service == "keystone":
-            return False
-        return self.cloud.sim.now >= ctx._token_expiry
-
-    def _auth_leg(self, ctx: CallContext) -> Generator:
-        """One Keystone token issue/validate round trip (noise traffic)."""
-        api = self.cloud.catalog.find_rest("keystone", "POST", "/v3/auth/tokens")
-        response = yield from self._do_rest(ctx, api, {"user": ctx.tenant}, ())
-        if response.ok:
-            ctx._token_expiry = self.cloud.sim.now + self.config.token_ttl
-        else:
-            raise ApiError(response.status, response.body or "authentication failed")
+        self._random = cloud.rnd.stream("transport.jitter").random
+        self._jitter_low = self.config.jitter_low
+        self._jitter_span = self.config.jitter_high - self.config.jitter_low
+        self._auth_api = cloud.catalog.find_rest(
+            "keystone", "POST", "/v3/auth/tokens")
 
     # -- REST ----------------------------------------------------------------
 
@@ -213,80 +208,84 @@ class Transport:
         api: Api,
         params: Dict[str, Any],
         resource_ids: Tuple[str, ...],
-    ) -> Generator:
-        """One REST exchange: auth leg (if due), dispatch, wire event."""
-        if self._needs_auth(ctx, api.service):
-            yield from self._auth_leg(ctx)
-        response = yield from self._do_rest(ctx, api, params, resource_ids)
-        return response
-
-    def _do_rest(
-        self,
-        ctx: CallContext,
-        api: Api,
-        params: Dict[str, Any],
-        resource_ids: Tuple[str, ...],
-    ) -> Generator:
+    ) -> Exchange:
+        """One REST exchange, in this order (traces depend on it): the
+        auth leg if the token is due (a failed leg ends the exchange
+        with its response), the request leg, the forced error or the
+        handler, the response leg, one :class:`WireEvent`."""
         cloud = self.cloud
-        dst_node = cloud.topology.home_of(api.service)
-        src_spec = cloud.topology.node(ctx.node)
-        dst_spec = cloud.topology.node(dst_node)
-        conn = (src_spec.ip, next(_port_counter), dst_spec.ip, 80)
-        ts_request = cloud.sim.now
+        sim = cloud.sim
+        if sim.now >= ctx._token_expiry and api.service != "keystone":
+            auth = yield from self.rest_exchange(
+                ctx, self._auth_api, {"user": ctx.tenant}, ())
+            if not auth.ok:
+                return auth
+            ctx._token_expiry = sim.now + self.config.token_ttl
 
-        yield Timeout(self._net_delay(ctx.node, dst_node) * self._jitter())
-        response = yield from self._dispatch_rest(ctx, api, dst_node, params)
-        yield Timeout(self._net_delay(dst_node, ctx.node) * self._jitter())
+        topology = cloud.topology
+        faults = cloud.faults
+        low, span, random = self._jitter_low, self._jitter_span, self._random
+        src_node = ctx.node
+        dst_node = topology.home_of(api.service)
+        src_ip = topology.node(src_node).ip
+        dst_ip = topology.node(dst_node).ip
+        conn = (src_ip, next(_port_counter), dst_ip, 80)
+        link = (topology.local_latency if src_node == dst_node
+                else topology.link_latency)
+        ts_request = sim.now
+
+        delay = link
+        if faults.latency_injections:
+            delay += faults.extra_net_delay(src_node, dst_node)
+        yield Timeout(delay * (low + span * random()))
+
+        forced = faults.forced_error(api.key, ctx.op_id)
+        if forced is not None:
+            yield Timeout(self.config.rest_processing * 0.5)
+            response = Response(forced.status, body=forced.body())
+        else:
+            service = cloud.services.get(api.service)
+            resources = cloud.resources[dst_node]
+            resources.enter()
+            try:
+                yield Timeout(
+                    self.config.rest_processing
+                    * resources.slowdown(sim.now)
+                    * (low + span * random())
+                    * faults.processing_multiplier(api.service)
+                )
+                if service is None:
+                    raise ApiError(503, f"service {api.service} not deployed")
+                data = yield from service.dispatch(
+                    ctx.child(api.service, dst_node),
+                    Request(api, params, ctx.service, src_node, ctx.tenant,
+                            ctx.request_id, ctx.op_id, ctx.test_id),
+                )
+                response = Response(
+                    200 if api.method != "POST" else 202, data or {})
+            except ApiError as exc:
+                response = Response(exc.status, body=exc.body())
+            finally:
+                resources.leave()
+
+        delay = link
+        if faults.latency_injections:
+            delay += faults.extra_net_delay(dst_node, src_node)
+        yield Timeout(delay * (low + span * random()))
 
         # One positional call, in ``WireEvent`` field order.
         cloud.taps.emit(WireEvent(
             next(_seq_counter), api.key, ApiKind.REST, api.method, api.name,
-            ctx.service, ctx.node, src_spec.ip,
-            api.service, dst_node, dst_spec.ip,
-            ts_request, cloud.sim.now, response.status, response.body,
+            ctx.service, src_node, src_ip,
+            api.service, dst_node, dst_ip,
+            ts_request, sim.now, response.status, response.body,
             conn, "", self.config.rest_size_bytes, api.noise,
             ctx.request_id, ctx.tenant, tuple(resource_ids),
             ctx.op_id, ctx.test_id,
         ))
         return response
 
-    def _dispatch_rest(
-        self, ctx: CallContext, api: Api, dst_node: str, params: Dict[str, Any]
-    ) -> Generator:
-        cloud = self.cloud
-        forced = cloud.faults.forced_error(api.key, ctx.op_id)
-        if forced is not None:
-            yield Timeout(self.config.rest_processing * 0.5)
-            return Response(forced.status, body=forced.body())
-
-        service = cloud.services.get(api.service)
-        request = Request(
-            api=api, params=params,
-            caller_service=ctx.service, caller_node=ctx.node,
-            tenant=ctx.tenant, request_id=ctx.request_id,
-            op_id=ctx.op_id, test_id=ctx.test_id,
-        )
-        resources = cloud.resources[dst_node]
-        resources.enter()
-        try:
-            processing = (
-                self.config.rest_processing
-                * resources.slowdown(cloud.sim.now)
-                * self._jitter()
-                * cloud.faults.processing_multiplier(api.service)
-            )
-            yield Timeout(processing)
-            if service is None:
-                raise ApiError(503, f"service {api.service} not deployed")
-            handler_ctx = ctx.child(api.service, dst_node)
-            data = yield from service.dispatch(handler_ctx, request)
-            return Response(200 if api.method != "POST" else 202, data=data or {})
-        except ApiError as exc:
-            return Response(exc.status, body=exc.body())
-        finally:
-            resources.leave()
-
-    # -- RPC --------------------------------------------------------------------
+    # -- RPC ------------------------------------------------------------------
 
     def rpc_exchange(
         self,
@@ -295,10 +294,11 @@ class Transport:
         params: Dict[str, Any],
         target_node: Optional[str],
         resource_ids: Tuple[str, ...],
-    ) -> Generator:
+    ) -> Exchange:
         """One RPC exchange via the broker (casts run asynchronously)."""
         cloud = self.cloud
         broker = cloud.broker
+        low, span, random = self._jitter_low, self._jitter_span, self._random
         dst_node = target_node or cloud.topology.home_of(api.service)
         src_spec = cloud.topology.node(ctx.node)
         dst_spec = cloud.topology.node(dst_node)
@@ -315,15 +315,11 @@ class Transport:
                 kind="MessagingTimeout",
             ).body()
         else:
-            broker.record_publish()
-            yield Timeout(broker.hop_delay(ctx.node, dst_node) * self._jitter())
+            yield Timeout(broker.hop_delay(ctx.node, dst_node)
+                          * (low + span * random()))
             forced = cloud.faults.forced_error(api.key, ctx.op_id)
-            request = Request(
-                api=api, params=params,
-                caller_service=ctx.service, caller_node=ctx.node,
-                tenant=ctx.tenant, request_id=ctx.request_id,
-                op_id=ctx.op_id, test_id=ctx.test_id,
-            )
+            request = Request(api, params, ctx.service, ctx.node, ctx.tenant,
+                              ctx.request_id, ctx.op_id, ctx.test_id)
             if forced is not None:
                 status = forced.status
                 body = RpcError(forced.message).body()
@@ -341,24 +337,25 @@ class Transport:
                 resources = cloud.resources[dst_node]
                 resources.enter()
                 try:
-                    processing = (
+                    yield Timeout(
                         self.config.rpc_processing
                         * resources.slowdown(cloud.sim.now)
-                        * self._jitter()
+                        * (low + span * random())
                         * cloud.faults.processing_multiplier(api.service)
                     )
-                    yield Timeout(processing)
                     if service is None:
                         raise RpcError(f"no consumer for topic {api.service}")
                     handler_ctx = ctx.child(api.service, dst_node)
-                    data = (yield from service.dispatch(handler_ctx, request)) or {}
+                    data = (yield from service.dispatch(handler_ctx,
+                                                        request)) or {}
                 except RpcError as exc:
                     status, body = 500, exc.body()
                 except ApiError as exc:
                     status, body = exc.status, RpcError(exc.message).body()
                 finally:
                     resources.leave()
-                yield Timeout(broker.hop_delay(dst_node, ctx.node) * self._jitter())
+                yield Timeout(broker.hop_delay(dst_node, ctx.node)
+                              * (low + span * random()))
 
         cloud.taps.emit(WireEvent(
             next(_seq_counter), api.key, ApiKind.RPC, api.method, api.name,
@@ -372,7 +369,7 @@ class Transport:
         return Response(status, data=data, body=body)
 
     def _run_cast(self, ctx: CallContext, api: Api, dst_node: str,
-                  request: Request) -> Generator:
+                  request: Request) -> Generator[Timeout, Any, None]:
         """Consumer side of a cast, as its own simulation process.
 
         Handler failures are swallowed (they went to the consumer's
@@ -386,13 +383,12 @@ class Transport:
         resources = cloud.resources[dst_node]
         resources.enter()
         try:
-            processing = (
+            yield Timeout(
                 self.config.rpc_processing
                 * resources.slowdown(cloud.sim.now)
-                * self._jitter()
+                * (self._jitter_low + self._jitter_span * self._random())
                 * cloud.faults.processing_multiplier(api.service)
             )
-            yield Timeout(processing)
             handler_ctx = ctx.child(api.service, dst_node)
             yield from service.dispatch(handler_ctx, request)
         except (ApiError, RpcError):

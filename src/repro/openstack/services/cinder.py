@@ -224,7 +224,7 @@ class CinderService(Service):
 
     def list_services(self, ctx: CallContext, request: Request) -> Generator:
         """GET /os-services — backend liveness."""
-        yield from self.db.select(VOLUMES)
+        yield from self.db.scan(VOLUMES)
         home = self.topology.home_of("cinder")
         return {
             "services": [{

@@ -51,7 +51,7 @@ class KeystoneService(Service):
         """
         self._check_clocks(ctx, request)
         token_id = f"tok-{request.tenant}"
-        yield from self.db.insert_or_replace(
+        yield from self.db.insert(
             "keystone:tokens",
             {"id": token_id, "tenant": request.tenant, "issued": ctx.sim.now},
         )

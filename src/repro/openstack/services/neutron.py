@@ -260,7 +260,7 @@ class NeutronService(Service):
 
     def list_agents(self, ctx: CallContext, request: Request) -> Generator:
         """GET /v2.0/agents — agent liveness as neutron sees it."""
-        yield from self.db.select(PORTS)
+        yield from self.db.scan(PORTS)
         agents = []
         for node in self.topology.nodes:
             if self.processes.has(node.name, "neutron-plugin-linuxbridge-agent"):
@@ -277,7 +277,7 @@ class NeutronService(Service):
         """Heavyweight device-detail resolution (the §3.1.2 hotspot)."""
         devices: List[str] = request.param("devices", []) or []
         for _ in range(max(1, len(devices))):
-            yield from self.db.select(PORTS)
+            yield from self.db.scan(PORTS)
         # Deliberately CPU-heavy: scaled by node contention via the
         # transport's slowdown plus this extra plugin-side work.
         yield Timeout(0.006 * self.cloud.resources[ctx.node].slowdown(ctx.sim.now))
@@ -285,13 +285,13 @@ class NeutronService(Service):
 
     def rpc_security_group_info(self, ctx: CallContext, request: Request) -> Generator:
         """Security-group fanout for devices (the other §3.1.2 hotspot)."""
-        yield from self.db.select(SECGROUPS)
+        yield from self.db.scan(SECGROUPS)
         yield Timeout(0.005 * self.cloud.resources[ctx.node].slowdown(ctx.sim.now))
         return {"security_groups": {}}
 
     def rpc_get_device_details(self, ctx: CallContext, request: Request) -> Generator:
         """Single-device detail resolution."""
-        yield from self.db.select(PORTS)
+        yield from self.db.scan(PORTS)
         return {"device": request.param("device", "")}
 
     def rpc_update_device_up(self, ctx: CallContext, request: Request) -> Generator:

@@ -398,7 +398,7 @@ class NovaService(Service):
 
     def list_compute_services(self, ctx: CallContext, request: Request) -> Generator:
         """GET /os-services — liveness as nova sees it (heartbeat-based)."""
-        yield from self.db.select(SERVERS)
+        yield from self.db.scan(SERVERS)
         services = [
             {
                 "binary": "nova-compute",
@@ -421,7 +421,7 @@ class NovaService(Service):
 
     def rpc_select_destinations(self, ctx: CallContext, request: Request) -> Generator:
         """Scheduler: pick a live compute host (round robin)."""
-        yield from self.db.select(SERVERS)
+        yield from self.db.scan(SERVERS)
         hosts = self._live_compute_nodes()
         if not hosts:
             raise RpcError(NO_VALID_HOST, kind="NoValidHost")

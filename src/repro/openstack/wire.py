@@ -23,7 +23,7 @@ The record is slotted and frozen.  Its ``__init__`` and ``__reduce__``
 are generated from the field list by :func:`_direct_slot_stores`: the
 constructor stores each field through its slot descriptor, and a pickle
 carries the constructor call with the values in :data:`ROW_FIELDS`
-order, the order :meth:`WireEvent.to_row` writes.
+order, the dataclass field order.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from typing import (
     Dict,
     List,
     Mapping,
-    Sequence,
     Tuple,
     Type,
     TypeVar,
@@ -138,60 +137,40 @@ class WireEvent:
             f"= {self.status}"
         )
 
-    def to_row(self) -> List[Any]:
-        """The event as a JSON list, one value per :data:`ROW_FIELDS`.
-
-        The positional codec every state document embeds (see
-        :mod:`repro.core.state`).  The ``kind`` enum travels by name,
-        the ``conn`` and ``resource_ids`` tuples as lists (JSON has no
-        tuples); :meth:`from_row` rebuilds all three.
-        """
-        return [
-            self.seq, self.api_key, self.kind.name, self.method,
-            self.name, self.src_service, self.src_node, self.src_ip,
-            self.dst_service, self.dst_node, self.dst_ip,
-            self.ts_request, self.ts_response, self.status, self.body,
-            list(self.conn), self.msg_id, self.size_bytes, self.noise,
-            self.request_id, self.tenant, list(self.resource_ids),
-            self.op_id, self.test_id,
-        ]
-
-    @classmethod
-    def from_row(cls, row: Sequence[Any]) -> "WireEvent":
-        """Inverse of :meth:`to_row`, bit-identical fields."""
-        if len(row) != len(ROW_FIELDS):
-            raise ValueError(
-                f"event row has {len(row)} values, "
-                f"expected {len(ROW_FIELDS)}"
-            )
-        values = list(row)
-        values[_KIND] = ApiKind[values[_KIND]]
-        values[_CONN] = tuple(values[_CONN])
-        values[_RESOURCE_IDS] = tuple(values[_RESOURCE_IDS])
-        return cls(*values)
-
     def to_dict(self) -> Dict[str, Any]:
-        """The row under its field names: the rendering reports
-        print."""
-        return dict(zip(ROW_FIELDS, self.to_row()))
+        """The event under its field names, as JSON values: the
+        rendering reports print.
+
+        The ``kind`` enum travels by name, the ``conn`` and
+        ``resource_ids`` tuples as lists (JSON has no tuples);
+        :meth:`from_dict` rebuilds all three.
+        """
+        data = {name: getattr(self, name) for name in ROW_FIELDS}
+        data["kind"] = self.kind.name
+        data["conn"] = list(self.conn)
+        data["resource_ids"] = list(self.resource_ids)
+        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "WireEvent":
-        """Inverse of :meth:`to_dict`; a field the mapping leaves out
-        takes its default."""
-        return cls.from_row([
-            data[name] if name in data else _DEFAULTS[name]
+        """Inverse of :meth:`to_dict`, bit-identical fields; a field
+        the mapping leaves out takes its default."""
+        values = {
+            name: data[name] if name in data else _DEFAULTS[name]
             for name in ROW_FIELDS
-        ])
+        }
+        values["kind"] = ApiKind[values["kind"]]
+        values["conn"] = tuple(values["conn"])
+        values["resource_ids"] = tuple(values["resource_ids"])
+        return cls(**values)
 
 
-#: Column order of :meth:`WireEvent.to_row`: the dataclass field order.
+#: The dataclass field order: the constructor's positional order, a
+#: pickle's value order and the column order of the column blocks
+#: state documents embed (:func:`repro.core.state.encode_events`).
 ROW_FIELDS: Tuple[str, ...] = tuple(
     spec.name for spec in fields(WireEvent)
 )
-_KIND = ROW_FIELDS.index("kind")
-_CONN = ROW_FIELDS.index("conn")
-_RESOURCE_IDS = ROW_FIELDS.index("resource_ids")
 _DEFAULTS: Dict[str, Any] = {
     spec.name: spec.default
     for spec in fields(WireEvent)

@@ -221,14 +221,16 @@ class Process:
             self._step(self._generator.throw, event.value)
 
     def _wake(self, token: int, value: Any) -> None:
-        """A yielded Timeout elapsed: resume behind what is due now."""
+        """A yielded Timeout elapsed: resume now, or re-queue behind
+        what is already due at this instant."""
         sim = self.sim
         heap = sim._heap
         if heap and heap[0][0] == sim.now:
             heappush(heap, (sim.now, next(sim._sequence),
                             self._wake_due, (token, value)))
-        else:
-            self._wake_due(token, value)
+        elif self._waiting_on is token:
+            self._waiting_on = None
+            self._step(self._generator.send, value)
 
     def _wake_due(self, token: int, value: Any) -> None:
         # ``token`` is the very int object ``_waiting_on`` held at the
@@ -359,7 +361,8 @@ class Simulator:
             heappop(self._heap)
             self.now = when
             callback(*args)
-            self._raise_orphans()
+            if self._orphan_failures:
+                self._raise_orphans()
         else:
             if until is not None and until > self.now:
                 self.now = until
@@ -385,7 +388,8 @@ class Simulator:
             when, _seq, callback, args = heappop(heap)
             self.now = when
             callback(*args)
-            self._raise_orphans()
+            if self._orphan_failures:
+                self._raise_orphans()
             if when > deadline:
                 return False
 
@@ -396,17 +400,16 @@ class Simulator:
         when, _seq, callback, args = heappop(self._heap)
         self.now = when
         callback(*args)
-        self._raise_orphans()
+        if self._orphan_failures:
+            self._raise_orphans()
         return True
 
     def _raise_orphans(self) -> None:
-        """Surface the first unobserved process crash, if any.
+        """Surface the first unobserved process crash.
 
         The original exception is re-raised (annotated with process
         identity) so bugs in simulated components keep their type.
         """
-        if not self._orphan_failures:
-            return
         process, exc = self._orphan_failures.pop(0)
         exc.args = (
             f"[process {process.name!r} at t={self.now:.6f}] "

@@ -109,25 +109,24 @@ def test_broker_unavailable_when_rabbitmq_dead():
 
 
 def test_database_unavailable_when_mysql_dead(quiet_cloud):
-    """With MySQL down even authentication fails: the Keystone leg
-    raises, exactly like a python-client that cannot get a token."""
-    from repro.openstack.errors import ApiError
-
+    """With MySQL down even authentication fails: the exchange ends
+    with the Keystone leg's error response, returned like any other
+    error response, and the glance call never goes out."""
     quiet_cloud.faults.crash_process("ctrl", "mysql")
+    events = []
+    quiet_cloud.taps.attach_global(events.append)
     ctx = quiet_cloud.client_context()
-    caught = []
+    result = []
 
     def proc():
-        try:
-            yield from ctx.rest("glance", "GET", "/v2/images")
-        except ApiError as exc:
-            caught.append(exc)
+        result.append((yield from ctx.rest("glance", "GET", "/v2/images")))
 
     process = quiet_cloud.sim.spawn(proc())
     quiet_cloud.run_until([process])
-    assert caught
-    assert caught[0].status == 503
-    assert "MySQL" in caught[0].message
+    assert result[0].status == 503
+    assert "MySQL" in result[0].body
+    assert [(e.method, e.name) for e in events] == [
+        ("POST", "/v3/auth/tokens")]
 
 
 def test_database_error_midway_returns_500_series(quiet_cloud):

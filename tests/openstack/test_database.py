@@ -88,6 +88,26 @@ def test_mysql_down_raises_dependency_error():
         drive(sim, db.get("t", "x"))
 
 
+def test_scan_costs_one_query_and_returns_no_rows():
+    sim, _, db = make_db()
+    drive(sim, db.insert("t", {"id": "a"}))
+    start, queries = sim.now, db.query_count
+    assert drive(sim, db.scan("t")) is None
+    assert sim.now - start == pytest.approx(Database.QUERY_LATENCY)
+    assert db.query_count == queries + 1
+    # The same cost as the select it stands in for.
+    drive(sim, db.select("t"))
+    assert sim.now - start == pytest.approx(2 * Database.QUERY_LATENCY)
+
+
+def test_scan_raises_when_mysql_down():
+    sim, processes, db = make_db()
+    processes.kill("ctrl", "mysql", now=0.0)
+    with pytest.raises(DependencyUnavailable):
+        drive(sim, db.scan("t"))
+    assert sim.now == pytest.approx(Database.QUERY_LATENCY)
+
+
 def test_returned_records_are_copies():
     sim, _, db = make_db()
     drive(sim, db.insert("t", {"id": "a", "tags": "x"}))

@@ -1,4 +1,4 @@
-"""Tests for wire events, their two codecs and the tap bus."""
+"""Tests for wire events, their dict codec and the tap bus."""
 
 import dataclasses
 import inspect
@@ -75,7 +75,7 @@ def test_str_rendering():
 
 
 # ---------------------------------------------------------------------------
-# Codecs: rows for state documents, keyed dicts for reports and traces
+# The dict codec: what reports print
 # ---------------------------------------------------------------------------
 
 _text = st.text(max_size=12)  # any code point: JSON must carry it
@@ -100,17 +100,13 @@ wire_events = st.builds(
 
 @given(event=wire_events)
 @settings(max_examples=200, deadline=None)
-def test_row_and_dict_round_trip_through_json(event):
-    row = json.loads(json.dumps(event.to_row()))
-    assert WireEvent.from_row(row) == event
+def test_dict_round_trips_through_json(event):
     keyed = json.loads(json.dumps(event.to_dict()))
     assert WireEvent.from_dict(keyed) == event
-    # One codec: the keyed rendering is the row under its names.
     assert list(keyed) == list(ROW_FIELDS)
-    assert list(keyed.values()) == row
 
 
-def test_row_codec_examples():
+def test_dict_codec_examples():
     event = WireEvent(
         seq=7, api_key="rpc:nova:cast:build", kind=ApiKind.RPC,
         method="cast", name="build", src_service="nova",
@@ -119,25 +115,17 @@ def test_row_codec_examples():
         ts_response=1.75, status=200, body="caf\u00e9 \u2603",
         msg_id="m-1", resource_ids=(),
     )
-    row = event.to_row()
-    assert row[ROW_FIELDS.index("kind")] == "RPC"
-    assert row[ROW_FIELDS.index("resource_ids")] == []
-    assert row[ROW_FIELDS.index("conn")] == ["", 0, "", 0]
-    assert WireEvent.from_row(json.loads(json.dumps(row))) == event
+    keyed = event.to_dict()
+    assert keyed["kind"] == "RPC"
+    assert keyed["resource_ids"] == []
+    assert keyed["conn"] == ["", 0, "", 0]
+    assert WireEvent.from_dict(json.loads(json.dumps(keyed))) == event
 
 
 def test_row_fields_are_the_dataclass_fields_in_order():
     names = [spec.name for spec in fields(WireEvent)]
     assert list(ROW_FIELDS) == names
     assert list(make_event().to_dict()) == names
-
-
-@pytest.mark.parametrize("delta", [-1, 1])
-def test_short_or_long_row_is_refused(delta):
-    row = make_event().to_row()
-    row = row[:-1] if delta < 0 else row + [""]
-    with pytest.raises(ValueError, match="24"):
-        WireEvent.from_row(row)
 
 
 def test_from_dict_fills_defaults_and_needs_the_rest():
@@ -234,16 +222,16 @@ def test_pickle_round_trips(protocol):
 
 def test_pickle_carries_the_row_order_as_objects():
     """The pickle wire is the constructor call with the values in
-    ``to_row`` order; ``kind``, ``conn`` and ``resource_ids`` travel
-    as objects, not as their JSON renderings."""
+    ``ROW_FIELDS`` order; ``kind``, ``conn`` and ``resource_ids``
+    travel as objects, not as their JSON renderings."""
     event = full_event()
     cls, values = event.__reduce__()
     assert cls is WireEvent
-    row = event.to_row()
-    row[ROW_FIELDS.index("kind")] = ApiKind.RPC
-    row[ROW_FIELDS.index("conn")] = ("10.0.0.1", 32768, "10.0.0.2", 80)
-    row[ROW_FIELDS.index("resource_ids")] = ("vm-1", "vol-2")
-    assert values == tuple(row)
+    assert values == tuple(getattr(event, name) for name in ROW_FIELDS)
+    assert values[ROW_FIELDS.index("kind")] is ApiKind.RPC
+    assert values[ROW_FIELDS.index("conn")] == (
+        "10.0.0.1", 32768, "10.0.0.2", 80)
+    assert values[ROW_FIELDS.index("resource_ids")] == ("vm-1", "vol-2")
     assert b"api_key" not in pickle.dumps(event, protocol=5)
 
 

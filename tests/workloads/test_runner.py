@@ -30,6 +30,21 @@ def test_outcome_records_failure(cloud, small_suite):
     assert "500" in outcome.error
 
 
+def test_failed_auth_leg_is_a_failed_operation(cloud, suite):
+    """NTP dead on the keystone node (§7.2.4): the first call's auth
+    leg gets a 401, which the operation records as its failure; the
+    simulation goes on."""
+    events = []
+    cloud.taps.attach_global(events.append)
+    cloud.faults.crash_process("ctrl", "ntp")
+    outcome = WorkloadRunner(cloud).run_isolated(suite.tests[0])
+    assert not outcome.ok
+    assert "401" in outcome.error
+    auth = [e for e in events
+            if e.tenant != "service" and e.name == "/v3/auth/tokens"]
+    assert [(e.method, e.status) for e in auth] == [("POST", 401)]
+
+
 def test_concurrent_runs_all(cloud, suite):
     runner = WorkloadRunner(cloud)
     rng = random.Random(1)
