@@ -448,9 +448,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # producer starts.
         drive_producers(service, buckets, producers, passes=args.passes)
     except StateError as error:
-        # A checkpoint this build cannot restore (an older format, or
-        # another config) is unusable input; the directory is left as
-        # it was.
+        # A checkpoint this build cannot restore (an older format,
+        # another config, a malformed document) is unusable input; the
+        # directory is left as it was.
         for live in service.sessions.values():
             live.close()
         print(f"cannot resume from {args.checkpoint_dir}: {error}",

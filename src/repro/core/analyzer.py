@@ -52,7 +52,9 @@ from repro.core.latency import LatencyTracker, PerformanceAnomaly
 from repro.core.opfaults import rpc_body_error
 from repro.core.reports import FaultReport
 from repro.core.rootcause import RootCauseEngine
-from repro.core.state import StateError, require_state
+from repro.core.state import (
+    StateError, decode_key, read_key, require_state, under,
+)
 from repro.core.symbols import SymbolTable
 from repro.core.window import SlidingWindow, Snapshot
 from repro.monitoring.store import MetadataStore
@@ -263,23 +265,22 @@ class GretelAnalyzer:
     # ------------------------------------------------------------------
     # State lifecycle (see repro.core.state).
 
-    #: The ``config`` guard covers only the settable fields: changing a
-    #: module constant (``MATCH_COVERAGE``, ``LS_WINDOW``,
-    #: ``_MAX_TRUNCATIONS``, ...) changes what a restored analyzer
-    #: computes, so it bumps this tag.  v5 wrote the events of deferred
-    #: snapshots as rows under one ``columns`` list; it is refused,
-    #: never migrated.
-    STATE_FMT = "analysis-pipeline/v6"
+    #: The one tag of this document and of every layer state inside
+    #: it: a change to any of their shapes bumps it.  The ``config``
+    #: guard covers only the settable fields, so changing a module
+    #: constant (``MATCH_COVERAGE``, ``LS_WINDOW``,
+    #: ``_MAX_TRUNCATIONS``, ...) bumps it too.
+    STATE_FMT = "analyzer-state/v1"
 
-    #: The counters this object owns, as checkpointed.  Every other
-    #: :class:`PipelineStats` field lives in (and is restored by) the
-    #: component that counts it.
-    _COUNTERS = (
-        "events_processed",
-        "bytes_processed",
-        "operational_faults_seen",
-        "analysis_seconds",
-    )
+    #: The counters this object owns, as checkpointed, by type.  Every
+    #: other :class:`PipelineStats` field lives in (and is restored by)
+    #: the component that counts it.
+    _COUNTERS = {
+        "events_processed": int,
+        "bytes_processed": int,
+        "operational_faults_seen": int,
+        "analysis_seconds": float,
+    }
 
     def snapshot_state(self) -> Dict[str, Any]:
         """Freeze the analyzer mid-stream, JSON-serializably.
@@ -317,7 +318,7 @@ class GretelAnalyzer:
         its part puts every component back as it was.
         """
         require_state(state, self.STATE_FMT)
-        theirs = state["config"]
+        theirs = read_key(state, "config", dict)
         differing = [
             f"{name}: {theirs.get(name)} in the checkpoint, {value} here"
             for name, value in asdict(self.config).items()
@@ -325,14 +326,16 @@ class GretelAnalyzer:
         ]
         if differing:
             raise StateError(
-                "pipeline state was captured under a different config ("
-                + "; ".join(differing) + ")"
+                "captured under a different config ("
+                + "; ".join(differing) + ")",
+                "config",
             )
         for name in ("defer_detection", "track_latency"):
-            if state[name] != getattr(self, name):
+            value = read_key(state, name, bool)
+            if value != getattr(self, name):
                 raise StateError(
-                    f"pipeline state {name}={state[name]} does not "
-                    f"match this pipeline's {getattr(self, name)}"
+                    f"{value} in the checkpoint, {getattr(self, name)} "
+                    f"here", name,
                 )
         before = self.snapshot_state()
         try:
@@ -343,17 +346,25 @@ class GretelAnalyzer:
         self.reports = []
 
     def _install(self, state: Mapping[str, Any]) -> None:
-        deferred = [
-            Snapshot.from_dict(s, f"{self.STATE_FMT} deferred[{i}]")
-            for i, s in enumerate(state["deferred"])
-        ]
-        for name in self._COUNTERS:
-            setattr(self, name, state["counters"][name])
-        self.window.restore_state(state["window"])
-        self.latency.restore_state(state["latency"])
-        self.detector.restore_state(state["detector"])
+        counters = read_key(state, "counters", dict)
+        with under("counters"):
+            values = {
+                name: read_key(counters, name, kind)
+                for name, kind in self._COUNTERS.items()
+            }
+        deferred = []
+        for i, snapshot in enumerate(read_key(state, "deferred", list)):
+            with under(f"deferred[{i}]"):
+                deferred.append(Snapshot.from_dict(snapshot))
+        last_perf = read_key(state, "last_perf_analysis", dict)
+        if not all(isinstance(ts, (int, float)) for ts in last_perf.values()):
+            raise StateError("expected numbers", "last_perf_analysis")
+        for name in ("window", "latency", "detector"):
+            decode_key(state, name, getattr(self, name).restore_state)
+        for name, value in values.items():
+            setattr(self, name, value)
         self._deferred = deferred
-        self._last_perf_analysis = dict(state["last_perf_analysis"])
+        self._last_perf_analysis = dict(last_perf)
 
     # ------------------------------------------------------------------
     # The middleware seam: every stage step of the observed per-event

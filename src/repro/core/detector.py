@@ -38,7 +38,7 @@ RPC symbols are pruned from fingerprints and buffer when
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import accumulate, compress
 from typing import (
     TYPE_CHECKING,
@@ -70,7 +70,7 @@ from repro.core.matching.engine import (
     scoring_classes,
 )
 from repro.core.precision import theta
-from repro.core.state import require_state
+from repro.core.state import read_key, under
 from repro.core.symbols import SymbolTable
 from repro.core.window import Snapshot
 
@@ -259,16 +259,13 @@ class OperationDetector:
 
     # -- state lifecycle (see repro.core.state) -------------------------
 
-    STATE_FMT = "operation-detector/v3"
-
     def snapshot_state(self) -> Dict[str, Any]:
-        """Versioned, JSON-serializable rendering of the detector.
+        """JSON-serializable rendering of the detector.
 
         Only the counters travel: selections live in the shared
         compiled index, a pure function of the library and config.
         """
         return {
-            "fmt": self.STATE_FMT,
             "postings_scanned": self.postings_scanned,
             "candidates_indexed": self.candidates_indexed,
             "matching": self.matching_stats.to_dict(),
@@ -276,10 +273,17 @@ class OperationDetector:
 
     def restore_state(self, state: Mapping[str, Any]) -> None:
         """Rehydrate a fresh detector over the same library/config."""
-        require_state(state, self.STATE_FMT)
-        self.postings_scanned = state["postings_scanned"]
-        self.candidates_indexed = state["candidates_indexed"]
-        self.matching_stats = MatchingStats.from_dict(state["matching"])
+        postings = read_key(state, "postings_scanned", int)
+        indexed = read_key(state, "candidates_indexed", int)
+        matching = read_key(state, "matching", dict)
+        with under("matching"):
+            stats = MatchingStats(**{
+                spec.name: read_key(matching, spec.name, int)
+                for spec in fields(MatchingStats)
+            })
+        self.postings_scanned = postings
+        self.candidates_indexed = indexed
+        self.matching_stats = stats
 
     # -- candidate preparation ------------------------------------------
 

@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, Mapping, Optional
 from repro.openstack.wire import WireEvent
 from repro.core import outliers
 from repro.core.config import GretelConfig
-from repro.core.state import StateError, require_state
+from repro.core.state import StateError, read_key, under
 from repro.core.streamstats.detector import IncrementalLevelShiftDetector
 
 
@@ -127,19 +127,13 @@ class LatencyTracker:
 
     # -- state lifecycle (see repro.core.state) -------------------------
 
-    #: v3 repeated the LS tuning in every series state (and v2 also
-    #: carried the emitted-anomaly log); both are refused, never
-    #: migrated.
-    STATE_FMT = "latency-tracker/v4"
-
     def snapshot_state(self) -> Dict[str, Any]:
-        """Versioned, JSON-serializable rendering of every series.
+        """JSON-serializable rendering of every series.
 
         The LS tuning is written once, as ``tuning``: every series
         ran it, so no series state repeats it.
         """
         return {
-            "fmt": self.STATE_FMT,
             "tuning": _ls_tuning(),
             "samples_fed": self._samples_fed,
             "detectors": {
@@ -152,14 +146,12 @@ class LatencyTracker:
         """Rehydrate a fresh tracker.
 
         A checkpoint taken under another LS tuning is refused with
-        each differing constant named.  Every series must carry the
-        production LS detector's fmt tag; any other tag, or a payload
-        that does not decode, is refused with the offending series
-        named, never resurrected.  Every series is rebuilt before any
-        is installed, so a refusal leaves the tracker as it was.
+        each differing constant named.  A series whose payload does
+        not read is refused with its key path, never resurrected.
+        Every series is rebuilt before any is installed, so a refusal
+        leaves the tracker as it was.
         """
-        require_state(state, self.STATE_FMT)
-        theirs, here = state["tuning"], _ls_tuning()
+        theirs, here = read_key(state, "tuning", dict), _ls_tuning()
         differing = [
             f"{name}: {theirs.get(name)} in the checkpoint, "
             f"{here.get(name)} here"
@@ -168,18 +160,17 @@ class LatencyTracker:
         ]
         if differing:
             raise StateError(
-                "latency state was captured under a different LS "
-                "tuning (" + "; ".join(differing) + ")"
+                "captured under a different LS tuning ("
+                + "; ".join(differing) + ")",
+                "tuning",
             )
+        samples_fed = read_key(state, "samples_fed", int)
+        series = read_key(state, "detectors", dict)
         detectors: Dict[str, IncrementalLevelShiftDetector] = {}
-        for api_key, detector_state in state["detectors"].items():
+        for api_key, detector_state in series.items():
             detector = IncrementalLevelShiftDetector()
-            try:
+            with under(f"detectors[{api_key!r}]"):
                 detector.restore_state(detector_state)
-            except StateError as error:
-                raise type(error)(
-                    f"latency series {api_key!r}: {error}"
-                ) from error
             detectors[api_key] = detector
         self._detectors = detectors
-        self._samples_fed = state["samples_fed"]
+        self._samples_fed = samples_fed

@@ -240,11 +240,6 @@ class MatchingStats:
         """JSON-serializable rendering (checkpoint/restore protocol)."""
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, int]) -> "MatchingStats":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**data)
-
 
 @dataclass
 class ScoringClass:

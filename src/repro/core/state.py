@@ -1,4 +1,4 @@
-"""The uniform state-lifecycle protocol behind checkpoint/restore.
+"""The state-lifecycle protocol behind checkpoint/restore.
 
 Every stateful layer of the analysis chain — the sliding window, the
 level-shift detectors, the latency tracker, the operation detector and
@@ -7,8 +7,6 @@ the analyzer that owns them — exposes the same two methods:
 ``snapshot_state() -> dict``
     A *pure-JSON* rendering (dicts, lists, strings, numbers, bools,
     ``None``) of everything the layer needs to resume mid-stream.
-    Every state dict carries a ``fmt`` tag of the shape
-    ``"<layer>/v<N>"`` so persisted checkpoints are versioned.
 
 ``restore_state(state) -> None``
     Rehydrates a *freshly constructed, identically configured*
@@ -18,45 +16,28 @@ the analyzer that owns them — exposes the same two methods:
     ``repro.service.oracle.verify_checkpoint`` is the differential
     proof.
 
-Two payloads fill a checkpoint, and each has one encoding:
+A checkpoint carries two ``fmt`` tags, each checked once by
+:func:`require_state` at the root its module owns:
+``gretel-checkpoint/vN`` covers the
+:class:`~repro.service.checkpoint.CheckpointStore` envelope and the
+session document inside it, ``analyzer-state/vN`` the
+:class:`~repro.core.analyzer.GretelAnalyzer` document and every layer
+below it, which write plain dicts.  A change to any shape under a tag
+bumps it; any other version is refused, never migrated.
 
-* **Float sequences are packed** (:func:`pack_floats`): little-endian
-  IEEE-754 float64 bytes, then base64.  Writing a double through
-  ``repr`` costs a shortest-round-trip ``dtoa`` (~1 µs) and ~18
-  characters; packed, it is an 8-byte copy and 10.7 base64
-  characters, and round-trips bit-exactly (NaN payloads and −0.0
-  too).  No JSON list in a state document holds a float.
-* **Events are one column block** (:func:`encode_events`): the block
-  names its ``columns`` once, then holds one list per
-  :data:`~repro.openstack.wire.ROW_FIELDS` field, the two timestamp
-  columns packed.  A checkpoint is mostly events; spelling 24 field
-  names per event doubled its size, and a row per event still sent
-  two timestamps per event through ``repr``.
-  :func:`decode_events` refuses any other column order.
+Layers read fields with :func:`read_key` and children with
+:func:`decode_key` or :func:`under`, so a missing key, a value of
+another type or a payload that does not decode is a
+:class:`StateError` naming its key path from the root down
+(``analyzer.latency.detectors['…'].baseline.values: …``).  Each layer
+reads every field before it installs any.
 
-A payload that does not decode — text that is not base64, a byte
-count that is not a multiple of 8, columns of unequal length, a
-float column written as a JSON list — raises :class:`StateError`
-naming where it sat, and leaves the instance as it was: each layer
-decodes before it installs, and the analyzer, whose components
-restore in place, puts them back.
-
-Two deliberate exclusions keep checkpoints small and the protocol
-honest:
-
-* **Collaborators are not state.**  The fingerprint library, symbol
-  table, API catalog, metadata store and config are construction-time
-  inputs, re-provided when the fresh instance is built; the pipeline
-  state embeds a config fingerprint purely as a mismatch guard.
-* **Published reports are not state.**  Reports were already delivered
-  to downstream listeners when emitted; a checkpoint captures only the
-  in-flight stream position.  (This is also what lets a long-lived
-  service session keep bounded memory — see ``docs/service.md``.)
-
-:func:`require_state` is the shared format/version check: a foreign
-layer name or any version but the layer's current one raises
-:class:`StateFormatError`.  No layer migrates an older document or
-guesses at a newer one, so the gate admits only what can be read.
+Float sequences are packed (:func:`pack_floats`: float64 bytes, then
+base64, bit-exact, never through ``repr``), so no JSON list in a state
+document holds a float; a sequence of events is one column block
+(:func:`encode_events`), the two timestamp columns packed.
+Collaborators (library, symbols, catalog, store, config) and published
+reports are not state (``docs/service.md``).
 """
 
 from __future__ import annotations
@@ -68,60 +49,63 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import (
     Any,
+    Callable,
     Collection,
     Dict,
     Iterable,
     List,
     Mapping,
     Optional,
-    Protocol,
     Tuple,
+    Union,
 )
 
 from repro.openstack.apis import ApiKind
 from repro.openstack.wire import ROW_FIELDS, WireEvent
 
 __all__ = [
-    "Checkpointable",
     "StateError",
     "StateFormatError",
     "decode_events",
+    "decode_key",
     "decode_ts",
     "encode_events",
     "encode_ts",
     "pack_floats",
     "parse_fmt",
+    "read_key",
     "require_state",
+    "under",
     "unpack_floats",
 ]
 
 _NEG_INF = float("-inf")
+_MISSING = object()
 
 
 class StateError(ValueError):
     """A state dict cannot be restored into this instance.
 
     Raised for structural problems *other* than the fmt tag: parameter
-    mismatches (restoring a window-24 detector state into a window-48
-    detector), wrong collaborator shapes, corrupted payloads.
+    mismatches (restoring an α-8 window state into an α-10 window),
+    missing keys, values of another type, corrupted payloads.
+    ``path`` is the key path of the refused value below the document
+    being restored (``""`` for the document itself); :func:`under`
+    prefixes it as the error leaves each owner.
     """
+
+    def __init__(self, reason: str, path: str = "") -> None:
+        super().__init__(reason)
+        self.reason = reason
+        self.path = path
+
+    def __str__(self) -> str:
+        return f"{self.path}: {self.reason}" if self.path else self.reason
 
 
 class StateFormatError(StateError):
     """The ``fmt`` tag is missing, malformed, foreign, or not the
-    layer's current version."""
-
-
-class Checkpointable(Protocol):
-    """Structural type of every layer speaking the state protocol."""
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        """A versioned, JSON-serializable rendering of live state."""
-        ...
-
-    def restore_state(self, state: Mapping[str, Any]) -> None:
-        """Rehydrate a fresh, identically configured instance."""
-        ...
+    owner's current version."""
 
 
 def parse_fmt(tag: object) -> Tuple[str, int]:
@@ -137,9 +121,9 @@ def parse_fmt(tag: object) -> Tuple[str, int]:
 def require_state(state: Mapping[str, Any], expected: str) -> None:
     """Check a state dict's ``fmt`` against ``expected``.
 
-    ``expected`` is the layer's *current* tag (e.g.
-    ``"sliding-window/v3"``).  Layer name and version must both
-    match exactly: no layer reads any version but its current one.
+    ``expected`` is the owner's *current* tag (e.g.
+    ``"analyzer-state/v1"``).  Owner name and version must both
+    match exactly: no owner reads any version but its current one.
     """
     if not isinstance(state, Mapping):
         raise StateFormatError(
@@ -163,6 +147,61 @@ def require_state(state: Mapping[str, Any], expected: str) -> None:
             f"state fmt {tag!r} is older than {expected!r}, the only "
             f"version this build restores"
         )
+
+
+class _Under:
+    """The context manager :func:`under` returns; a class rather than a
+    generator, as it runs once per latency series on every restore."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: str) -> None:
+        self.key = key
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, kind: Any, error: Any, traceback: Any) -> None:
+        if isinstance(error, StateError):
+            path = error.path
+            error.path = f"{self.key}.{path}" if path else self.key
+
+
+def under(key: str) -> _Under:
+    """Prefix the path of a :class:`StateError` raised in the block
+    with ``key``, the key the block's document sits under
+    (``"window"``, ``"deferred[3]"``)."""
+    return _Under(key)
+
+
+def read_key(
+    state: object, key: str, kind: Union[type, Tuple[type, ...]]
+) -> Any:
+    """``state[key]``, checked to be a ``kind``.
+
+    A ``state`` that is not a JSON object, a missing ``key`` or a
+    value of another type (a ``bool`` is no ``int`` here) raises
+    :class:`StateError` naming ``key``.
+    """
+    if not isinstance(state, dict):
+        raise StateError(f"expected an object, got {type(state).__name__}")
+    value = state.get(key, _MISSING)
+    if value is _MISSING:
+        raise StateError("missing", key)
+    if isinstance(value, kind) and not (kind is int and type(value) is bool):
+        return value
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    names = " or ".join(each.__name__ for each in kinds)
+    raise StateError(f"expected {names}, got {type(value).__name__}", key)
+
+
+def decode_key(state: object, key: str, decode: Callable[[Any], Any]) -> Any:
+    """``decode(state[key])``, a refusal of either step naming ``key``:
+    ``decode_key(state, "events", decode_events)``, or a child's
+    ``restore_state``."""
+    value = read_key(state, key, object)
+    with under(key):
+        return decode(value)
 
 
 def encode_ts(value: float) -> Optional[float]:
@@ -198,28 +237,26 @@ def _float64s(count: int) -> struct.Struct:
     return struct.Struct(f"<{count}d")
 
 
-def unpack_floats(text: object, where: str = "floats") -> List[float]:
+def unpack_floats(text: object) -> List[float]:
     """Inverse of :func:`pack_floats`.
 
     Anything but the text :func:`pack_floats` writes raises
-    :class:`StateError` naming ``where`` (the layer and field the text
-    sat in).
+    :class:`StateError`; the caller names the key it sat under
+    (:func:`under`).
     """
     if not isinstance(text, str):
         raise StateError(
-            f"{where}: expected packed float64 text, got "
-            f"{type(text).__name__}"
+            f"expected packed float64 text, got {type(text).__name__}"
         )
     if not text:
         return []
     try:
         packed = b64decode(text, validate=True)
     except ValueError as error:  # binascii.Error, or non-ASCII text
-        raise StateError(f"{where}: not base64 text ({error})") from error
+        raise StateError(f"not base64 text ({error})") from error
     if len(packed) % 8:
         raise StateError(
-            f"{where}: {len(packed)} bytes is not a whole number of "
-            f"float64 values"
+            f"{len(packed)} bytes is not a whole number of float64 values"
         )
     return list(_float64s(len(packed) // 8).unpack(packed))
 
@@ -260,37 +297,28 @@ def encode_events(events: Iterable[WireEvent]) -> Dict[str, Any]:
     return block
 
 
-def decode_events(
-    block: object, where: str = "events"
-) -> List[WireEvent]:
+def decode_events(block: object) -> List[WireEvent]:
     """Inverse of :func:`encode_events`, bit-identical fields.
 
     A block under other ``columns``, with a column missing or of
     another length, or with a value no event field takes, raises
-    :class:`StateError` naming ``where``.
+    :class:`StateError`; the caller names the key it sat under
+    (:func:`under`).
     """
-    if not isinstance(block, Mapping):
+    named = read_key(block, "columns", list)
+    if named != list(ROW_FIELDS):
         raise StateError(
-            f"{where}: expected an event column block, got "
-            f"{type(block).__name__}"
+            f"{named!r}, this build reads {list(ROW_FIELDS)!r}", "columns"
         )
-    if block.get("columns") != list(ROW_FIELDS):
-        raise StateError(
-            f"{where}: event columns {block.get('columns')!r}, this "
-            f"build reads {list(ROW_FIELDS)!r}"
-        )
-    columns: List[Any] = []
-    for name in ROW_FIELDS:
-        column = block.get(name)
-        if name in _PACKED:
-            column = unpack_floats(column, f"{where}.{name}")
-        elif not isinstance(column, (list, tuple)):
-            raise StateError(f"{where}.{name}: expected a JSON list")
-        columns.append(column)
+    columns: List[Any] = [
+        decode_key(block, name, unpack_floats) if name in _PACKED
+        else read_key(block, name, (list, tuple))
+        for name in ROW_FIELDS
+    ]
     lengths = {len(column) for column in columns}
     if len(lengths) > 1:
         raise StateError(
-            f"{where}: columns of unequal length "
+            "columns of unequal length "
             + ", ".join(
                 f"{name}={len(column)}"
                 for name, column in zip(ROW_FIELDS, columns)
@@ -301,7 +329,5 @@ def decode_events(
         for index in _TUPLES:
             columns[index] = [tuple(value) for value in columns[index]]
     except (KeyError, TypeError) as error:
-        raise StateError(
-            f"{where}: undecodable column ({error!r})"
-        ) from error
+        raise StateError(f"undecodable column ({error!r})") from error
     return list(map(WireEvent, *columns))

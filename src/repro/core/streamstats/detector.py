@@ -36,10 +36,11 @@ from repro.core import outliers
 from repro.core.outliers import LevelShift, _median
 from repro.core.state import (
     StateError,
+    decode_key,
     decode_ts,
     encode_ts,
     pack_floats,
-    require_state,
+    read_key,
     unpack_floats,
 )
 from repro.core.streamstats.window import SortedWindow
@@ -173,19 +174,12 @@ class IncrementalLevelShiftDetector:
 
     # -- state lifecycle (see repro.core.state) -------------------------
 
-    #: v3 wrote the pending pairs as JSON lists of floats, v2 also
-    #: carried a version-keyed (median, threshold) cache, and v1 the
-    #: tuning and every alarm the series had raised; all are refused,
-    #: never migrated.
-    STATE_FMT = "ls-incremental/v4"
-
     def snapshot_state(self) -> Dict[str, Any]:
-        """Versioned, JSON-serializable rendering of the detector.
+        """JSON-serializable rendering of the detector.
 
         The pending ``(ts, value)`` pairs are packed flat, ts first.
         """
         return {
-            "fmt": self.STATE_FMT,
             "baseline": self._baseline.snapshot_state(),
             "pending": pack_floats(
                 [x for pair in self._pending for x in pair]
@@ -198,17 +192,21 @@ class IncrementalLevelShiftDetector:
     def restore_state(self, state: Mapping[str, Any]) -> None:
         """Rehydrate a fresh detector (the latency tracker checks that
         the checkpoint ran the same tuning)."""
-        require_state(state, self.STATE_FMT)
-        flat = unpack_floats(state["pending"], f"{self.STATE_FMT} pending")
+        flat = decode_key(state, "pending", unpack_floats)
         if len(flat) % 2:
             raise StateError(
-                f"{self.STATE_FMT} pending: {len(flat)} floats do not "
-                f"pair into (ts, value)"
+                f"{len(flat)} floats do not pair into (ts, value)",
+                "pending",
             )
-        # Decoded before the baseline is installed: a refused
-        # document leaves the detector as it was.
-        self._baseline.restore_state(state["baseline"])
+        count = read_key(state, "count", int)
+        cooldown_until = read_key(
+            state, "cooldown_until", (float, int, type(None))
+        )
+        recomputes = read_key(state, "threshold_recomputes", int)
+        # Read before the baseline is installed: a refused document
+        # leaves the detector as it was.
+        decode_key(state, "baseline", self._baseline.restore_state)
         self._pending = list(zip(flat[::2], flat[1::2]))
-        self._count = state["count"]
-        self._cooldown_until = decode_ts(state["cooldown_until"])
-        self.threshold_recomputes = state["threshold_recomputes"]
+        self._count = count
+        self._cooldown_until = decode_ts(cooldown_until)
+        self.threshold_recomputes = recomputes

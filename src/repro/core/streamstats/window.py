@@ -18,8 +18,9 @@ from typing import Any, Deque, Dict, Iterator, List, Mapping, Tuple
 
 from repro.core.state import (
     StateError,
+    decode_key,
     pack_floats,
-    require_state,
+    read_key,
     unpack_floats,
 )
 
@@ -142,32 +143,25 @@ class SortedWindow:
 
     # -- state lifecycle (see repro.core.state) -------------------------
 
-    #: v2 wrote ``values`` as a JSON list of floats, and v1 also
-    #: carried a mutation counter that keyed the detector's retired
-    #: threshold cache; both are refused, never migrated.
-    STATE_FMT = "sorted-window/v3"
-
     def snapshot_state(self) -> Dict[str, Any]:
-        """Versioned, JSON-serializable rendering of the window.
+        """JSON-serializable rendering of the window.
 
         Arrival order is the only payload (the sorted view is
         derived), packed (:func:`~repro.core.state.pack_floats`).
         """
         return {
-            "fmt": self.STATE_FMT,
             "maxlen": self.maxlen,
             "values": pack_floats(self._arrival),
         }
 
     def restore_state(self, state: Mapping[str, Any]) -> None:
         """Rehydrate a fresh window of the same ``maxlen``."""
-        require_state(state, self.STATE_FMT)
-        if state["maxlen"] != self.maxlen:
+        maxlen = read_key(state, "maxlen", int)
+        if maxlen != self.maxlen:
             raise StateError(
-                f"sorted-window state has maxlen={state['maxlen']}, "
-                f"this window has maxlen={self.maxlen}"
+                f"{maxlen} in the checkpoint, {self.maxlen} here", "maxlen"
             )
-        values = unpack_floats(state["values"], f"{self.STATE_FMT} values")
+        values = decode_key(state, "values", unpack_floats)
         self._arrival.clear()
         self._arrival.extend(values)
         self._sorted = sorted(values)

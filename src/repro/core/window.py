@@ -29,8 +29,9 @@ from typing import Any, Deque, Dict, List, Mapping, Tuple
 from repro.core.state import (
     StateError,
     decode_events,
+    decode_key,
     encode_events,
-    require_state,
+    read_key,
 )
 from repro.openstack.wire import WireEvent
 
@@ -75,18 +76,16 @@ class Snapshot:
         }
 
     @classmethod
-    def from_dict(
-        cls, data: Mapping[str, Any], where: str = "snapshot"
-    ) -> "Snapshot":
-        """Inverse of :meth:`to_dict`; an undecodable block raises
-        :class:`~repro.core.state.StateError` naming ``where``."""
-        events = decode_events(data["events"], f"{where} events")
+    def from_dict(cls, data: Mapping[str, Any]) -> "Snapshot":
+        """Inverse of :meth:`to_dict`; a document that does not decode
+        raises :class:`~repro.core.state.StateError` naming the key."""
+        events = decode_key(data, "events", decode_events)
         if not events:
-            raise StateError(f"{where} events: no fault event")
+            raise StateError("no fault event", "events")
         return cls(
             fault=events[0],
             events=events[1:],
-            fault_index=data["fault_index"],
+            fault_index=read_key(data, "fault_index", int),
         )
 
 
@@ -158,19 +157,14 @@ class SlidingWindow:
 
     # -- state lifecycle (see repro.core.state) -------------------------
 
-    #: v3 wrote each event as a row (two timestamps through ``repr``)
-    #: under one ``columns`` list; it is refused, never migrated.
-    STATE_FMT = "sliding-window/v4"
-
     def snapshot_state(self) -> Dict[str, Any]:
-        """Versioned, JSON-serializable rendering of the live window.
+        """JSON-serializable rendering of the live window.
 
         The window's events and the pending faults are one event
         column block each; ``due`` lists each pending fault's due
         ``appended`` count.
         """
         return {
-            "fmt": self.STATE_FMT,
             "alpha": self.alpha,
             "appended": self.appended,
             "snapshots_taken": self.snapshots_taken,
@@ -181,27 +175,26 @@ class SlidingWindow:
 
     def restore_state(self, state: Mapping[str, Any]) -> None:
         """Rehydrate a freshly constructed window of the same α."""
-        require_state(state, self.STATE_FMT)
-        if state["alpha"] != self.alpha:
+        alpha = read_key(state, "alpha", int)
+        if alpha != self.alpha:
             raise StateError(
-                f"window state has alpha={state['alpha']}, "
-                f"this window has alpha={self.alpha}"
+                f"{alpha} in the checkpoint, {self.alpha} here", "alpha"
             )
-        # Decode everything before installing anything: a refused
+        # Read everything before installing anything: a refused
         # document leaves the window as it was.
-        events = decode_events(state["events"], f"{self.STATE_FMT} events")
-        faults = decode_events(
-            state["pending"], f"{self.STATE_FMT} pending"
-        )
-        dues = state["due"]
+        events = decode_key(state, "events", decode_events)
+        faults = decode_key(state, "pending", decode_events)
+        dues = read_key(state, "due", list)
+        if any(type(due) is not int for due in dues):
+            raise StateError("expected a list of int", "due")
         if len(dues) != len(faults):
             raise StateError(
-                f"{self.STATE_FMT} due: {len(dues)} dues for "
-                f"{len(faults)} pending faults"
+                f"{len(dues)} dues for {len(faults)} pending faults", "due"
             )
-        pending = list(zip(faults, dues))
+        appended = read_key(state, "appended", int)
+        snapshots_taken = read_key(state, "snapshots_taken", int)
         self._events.clear()
         self._events.extend(events)
-        self._pending = pending
-        self.appended = state["appended"]
-        self.snapshots_taken = state["snapshots_taken"]
+        self._pending = list(zip(faults, dues))
+        self.appended = appended
+        self.snapshots_taken = snapshots_taken

@@ -1,10 +1,12 @@
 """Durable per-tenant checkpoints: JSON files, atomically replaced.
 
 One :class:`CheckpointStore` owns a directory of
-``<tenant>.checkpoint.json`` files.  Each file is a versioned
-envelope around a :class:`~repro.service.session.TenantSession` state
-dict (itself the core state-lifecycle protocol,
-:mod:`repro.core.state`).  The whole text is encoded before any file
+``<tenant>.checkpoint.json`` files.  Each file is an envelope around a
+:class:`~repro.service.session.TenantSession` state dict (the core
+state-lifecycle protocol, :mod:`repro.core.state`).  The envelope's
+``fmt`` tag, checked once on :meth:`CheckpointStore.load`, covers the
+envelope and the session document; the analyzer document inside
+carries the only other tag.  The whole text is encoded before any file
 is opened — one ``json.dumps``, the only stdlib entry point that
 reaches the C encoder — then written to a temp file and moved in with
 ``os.replace``, so a state that cannot be encoded, or a process killed
@@ -39,7 +41,9 @@ _SUFFIX = ".checkpoint.json"
 class CheckpointStore:
     """Per-tenant checkpoint files under one root directory."""
 
-    STATE_FMT = "gretel-checkpoint/v1"
+    #: Covers the envelope and the session document inside it: a
+    #: change to either shape bumps it.
+    STATE_FMT = "gretel-checkpoint/v2"
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)

@@ -48,8 +48,9 @@ from repro.core.reports import FaultReport
 from repro.core.state import (
     StateError,
     decode_events,
+    decode_key,
     encode_events,
-    require_state,
+    read_key,
 )
 from repro.openstack.wire import WireEvent
 
@@ -99,10 +100,6 @@ class _AtomicCounter:
 
 class TenantSession:
     """Bounded-queue streaming session for one tenant (one cloud)."""
-
-    #: v2 wrote the queue as rows (two timestamps through ``repr``)
-    #: under one ``columns`` list; it is refused, never migrated.
-    STATE_FMT = "tenant-session/v3"
 
     #: Default depth, two pump claims: the queue is checkpointed state,
     #: so depth is backlog a loaded save serializes (docs/service.md).
@@ -388,7 +385,6 @@ class TenantSession:
                 ingested = self.events_ingested
                 analyzed = self.events_analyzed
             return {
-                "fmt": self.STATE_FMT,
                 "tenant": self.tenant,
                 "policy": self.policy,
                 "queue_capacity": self.queue_capacity,
@@ -401,21 +397,31 @@ class TenantSession:
             }
 
     def restore_state(self, state: Mapping[str, Any]) -> None:
-        """Rehydrate a freshly built session for the same tenant."""
-        require_state(state, self.STATE_FMT)
-        if state["tenant"] != self.tenant:
+        """Rehydrate a freshly built session for the same tenant.
+
+        Every field is read before any is installed, and the analyzer
+        restores all or nothing: a refusal leaves the session as it
+        was.  The envelope's tag covers this document.
+        """
+        tenant = read_key(state, "tenant", str)
+        if tenant != self.tenant:
             raise StateError(
-                f"session state is for tenant {state['tenant']!r}, "
-                f"this session is {self.tenant!r}"
+                f"session state is for tenant {tenant!r}, this session "
+                f"is {self.tenant!r}", "tenant",
             )
-        queue = decode_events(state["queue"], f"{self.STATE_FMT} queue")
+        queue = decode_key(state, "queue", decode_events)
+        ingested, analyzed, shed, emitted = [
+            read_key(state, name, int)
+            for name in ("events_ingested", "events_analyzed",
+                         "events_shed", "reports_emitted")
+        ]
         with self.parked():
-            self.analyzer.restore_state(state["analyzer"])
+            decode_key(state, "analyzer", self.analyzer.restore_state)
             with self._lock:
                 self.queue.clear()
                 self.queue.extend(queue)
-                self.events_ingested = state["events_ingested"]
-                self.events_analyzed = state["events_analyzed"]
-                self._shed = _AtomicCounter(state["events_shed"])
-                self.reports_emitted = state["reports_emitted"]
+                self.events_ingested = ingested
+                self.events_analyzed = analyzed
+                self._shed = _AtomicCounter(shed)
+                self.reports_emitted = emitted
                 self._wake.notify_all()

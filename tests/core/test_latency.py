@@ -1,13 +1,10 @@
 """Tests for per-API latency tracking."""
 
-import pytest
-
 from repro.openstack.apis import ApiKind
 from repro.openstack.wire import WireEvent
 from repro.core.config import GretelConfig
 from repro.core import outliers
 from repro.core.latency import LatencyTracker
-from repro.core.state import StateFormatError
 from repro.core.streamstats import IncrementalLevelShiftDetector
 from repro.reference import LevelShiftDetector
 
@@ -94,23 +91,6 @@ def test_tracker_builds_default_tuned_detectors():
         "LS_REL_DELTA": 0.5, "LS_CONFIRM": 3, "LS_WARMUP": 12,
         "LS_COOLDOWN": 10.0,
     }
-
-
-def test_restore_refuses_foreign_series_tag():
-    """A series state under any tag but the production detector's
-    current one (here the retired ``ls-incremental/v2``, which carried
-    a threshold cache, and v3, which wrote its pending pairs as JSON
-    lists of floats) is refused with the tag and the series named,
-    never resurrected."""
-    source = LatencyTracker()
-    source.observe(make_event(1, "api-a", 0.01))
-    for older in ("ls-incremental/v2", "ls-incremental/v3"):
-        state = source.snapshot_state()
-        state["detectors"]["api-a"]["fmt"] = older
-        with pytest.raises(StateFormatError) as caught:
-            LatencyTracker().restore_state(state)
-        assert older in str(caught.value)
-        assert "api-a" in str(caught.value)
 
 
 def shift_stream(apis=3, steady=50, shifted=25):

@@ -261,69 +261,27 @@ def test_engines_are_the_pipeline(library):
 
 
 def test_restore_refuses_per_stage_v1_state(library):
-    """Every retired tag is refused by name, never migrated.
-    ``analysis-pipeline/v1`` nested one tagged document per stage
-    wrapper and v2 carried a recent-event ring for one of two
-    wirings; v3 and the tags that retired with it (``sliding-window/v2``,
-    ``latency-tracker/v1``, ``tenant-session/v1``) spelled every event
-    as a keyed dict where the current ones hold rows;
-    ``operation-detector/v1`` counted alphabet blocks the matcher no
-    longer builds (a ``"matching"`` key ``MatchingStats.from_dict``
-    would choke on), and v2 listed the keys of a per-detector
-    selection cache so restore could refill it; ``analysis-pipeline/v4`` guarded 29 config
-    fields where the current config has seven; ``latency-tracker/v2``
-    carried a log of emitted anomalies nothing read, and v3 repeated
-    the LS tuning in every series state, next to each series' own
-    unread alarm log; ``analysis-pipeline/v5``, ``sliding-window/v3``
-    and ``tenant-session/v2`` held events as rows under a ``columns``
-    list, two timestamps per event written through ``repr``, where
-    the current ones hold one event column block with the timestamps
-    packed."""
+    """The analyzer document carries the one tag of every layer inside
+    it, and every retired analyzer tag is refused by name, never
+    migrated: ``analysis-pipeline/v1`` nested one tagged document per
+    stage wrapper, v2–v6 one tagged document per layer."""
     from repro.core.state import StateFormatError
-    from repro.service import TenantSession
 
     analyzer = GretelAnalyzer(library, config=config())
     state = analyzer.snapshot_state()
-    assert state["fmt"] == "analysis-pipeline/v6"
-    assert state["window"]["fmt"] == "sliding-window/v4"
+    assert state["fmt"] == "analyzer-state/v1"
     assert "columns" not in state and "columns" not in state["window"]
-    assert state["latency"]["fmt"] == "latency-tracker/v4"
-    assert set(state["latency"]) == {
-        "fmt", "tuning", "samples_fed", "detectors",
+    assert set(state["window"]) == {
+        "alpha", "appended", "snapshots_taken", "events", "pending", "due",
     }
-    assert state["detector"]["fmt"] == "operation-detector/v3"
+    assert set(state["latency"]) == {"tuning", "samples_fed", "detectors"}
     assert set(state["detector"]) == {
-        "fmt", "postings_scanned", "candidates_indexed", "matching",
+        "postings_scanned", "candidates_indexed", "matching",
     }
-    assert "blocks_built" not in state["detector"]["matching"]
-    refused = [
-        (analyzer, dict(state, fmt=older), older)
-        for older in ("analysis-pipeline/v1", "analysis-pipeline/v2",
-                      "analysis-pipeline/v3", "analysis-pipeline/v4",
-                      "analysis-pipeline/v5")
-    ] + [
-        (analyzer, dict(state, **{part: dict(state[part], fmt=older)}),
-         older)
-        for part, older in (("window", "sliding-window/v2"),
-                            ("window", "sliding-window/v3"),
-                            ("latency", "latency-tracker/v1"),
-                            ("latency", "latency-tracker/v2"),
-                            ("latency", "latency-tracker/v3"),
-                            ("detector", "operation-detector/v1"),
-                            ("detector", "operation-detector/v2"))
-    ]
-    session = TenantSession("acme", analyzer)
-    try:
-        assert session.STATE_FMT == "tenant-session/v3"
-        refused += [
-            (session, dict(session.snapshot_state(), fmt=older), older)
-            for older in ("tenant-session/v1", "tenant-session/v2")
-        ]
-        for target, document, older in refused:
-            with pytest.raises(StateFormatError, match=older):
-                target.restore_state(document)
-    finally:
-        session.close()
+    for version in range(1, 7):
+        older = f"analysis-pipeline/v{version}"
+        with pytest.raises(StateFormatError, match=older):
+            analyzer.restore_state(dict(state, fmt=older))
 
 
 def test_shards_compose_shared_wiring(library):

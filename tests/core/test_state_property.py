@@ -19,7 +19,6 @@ from repro.core import outliers
 from repro.core.latency import LatencyTracker
 from repro.core.state import (
     StateError,
-    StateFormatError,
     decode_events,
     encode_events,
     pack_floats,
@@ -137,22 +136,6 @@ def test_sorted_window_round_trip(maxlen, values, tail):
             assert restored.median() == med
             assert restored.mad(med) == original.mad(med)
             assert restored.bounds() == original.bounds()
-
-
-def test_sorted_window_refuses_retired_tag():
-    """``sorted-window/v1`` also carried a mutation counter, and v2
-    wrote its values as a JSON list of floats; each is refused by
-    name, never migrated."""
-    window = SortedWindow(4)
-    window.append(1.0)
-    state = round_trip(window.snapshot_state())
-    retired = (
-        dict(state, fmt="sorted-window/v1", version=1),
-        dict(state, fmt="sorted-window/v2", values=[1.0]),
-    )
-    for older in retired:
-        with pytest.raises(StateFormatError, match=older["fmt"]):
-            SortedWindow(4).restore_state(older)
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +309,29 @@ def float_lists(node, path="$"):
             yield from float_lists(item, f"{path}[{index}]")
 
 
-def test_service_checkpoint_holds_no_float_list(small_character):
+def fmt_keys(node, path="$"):
+    """Paths of every object in ``node`` that holds a ``fmt`` key."""
+    if isinstance(node, dict):
+        if "fmt" in node:
+            yield path
+        for key, value in node.items():
+            yield from fmt_keys(value, f"{path}.{key}")
+    elif isinstance(node, list):
+        for index, item in enumerate(node):
+            yield from fmt_keys(item, f"{path}[{index}]")
+
+
+def test_service_checkpoint_holds_no_float_list(small_character, tmp_path):
     """The invariant that keeps the encoder off ``repr(float)``: a
     session checkpoint taken after a fault — queue non-empty, a fault
     pending, detection deferred, latency series warm — holds no JSON
-    list with a float in it."""
+    list with a float in it.  And it carries exactly two format tags,
+    at the envelope root and the analyzer root: no layer below either
+    tags itself."""
     from repro.core.analyzer import GretelAnalyzer
     from repro.core.config import GretelConfig
     from repro.monitoring.store import MetadataStore
-    from repro.service import TenantSession
+    from repro.service import CheckpointStore, TenantSession
     from repro.workloads.traffic import SyntheticStream
 
     library = small_character.library
@@ -370,3 +367,7 @@ def test_service_checkpoint_holds_no_float_list(small_character):
         for series in pipeline["latency"]["detectors"].values()
     )
     assert list(float_lists(state)) == []
+    saved = CheckpointStore(tmp_path).save("acme", state, seq=0)
+    assert list(fmt_keys(json.loads(saved.read_text()))) == [
+        "$", "$.state.analyzer",
+    ]

@@ -212,13 +212,13 @@ def test_state_under_other_columns_is_refused_and_nothing_moves():
     unnamed = {k: v for k, v in events.items() if k != "columns"}
     # The events decode; the pending block's seq column is short.
     short_pending = dict(state["pending"], seq=[])
-    for refused in (
-        dict(state, events=swapped),
-        dict(state, events=unnamed),
-        dict(state, pending=short_pending),
-        dict(state, due=[]),
+    for refused, path in (
+        (dict(state, events=swapped), r"events\.columns: \['test_id'"),
+        (dict(state, events=unnamed), r"events\.columns: missing"),
+        (dict(state, pending=short_pending), "pending: columns of unequal"),
+        (dict(state, due=[]), "due: 0 dues for 1 pending faults"),
     ):
-        with pytest.raises(StateError, match="sliding-window/v4"):
+        with pytest.raises(StateError, match=path):
             window.restore_state(refused)
         assert window.snapshot_state() == before
     window.restore_state(state)

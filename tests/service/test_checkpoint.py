@@ -8,7 +8,7 @@ import pytest
 from repro.core.state import StateError, StateFormatError
 from repro.service import CheckpointStore
 
-STATE = {"fmt": "tenant-session/v2", "tenant": "acme", "queue": []}
+STATE = {"tenant": "acme", "queue": []}
 
 
 def test_save_load_round_trip(tmp_path):
@@ -109,13 +109,14 @@ def test_corrupt_checkpoint_raises(tmp_path):
 
 
 def test_foreign_envelope_fmt_raises(tmp_path):
+    """The envelope's tag covers the session document inside it."""
     store = CheckpointStore(tmp_path)
-    store.path_for("acme").write_text(
-        json.dumps({"fmt": "gretel-checkpoint/v99", "tenant": "acme",
-                    "seq": 0, "state": {}})
-    )
-    with pytest.raises(StateFormatError, match="newer"):
-        store.load("acme")
+    for version, match in ((99, "newer"), (1, "older")):
+        store.path_for("acme").write_text(json.dumps({
+            "fmt": f"gretel-checkpoint/v{version}", "tenant": "acme",
+            "seq": 0, "state": {}}))
+        with pytest.raises(StateFormatError, match=match):
+            store.load("acme")
 
 
 def test_envelope_without_state_dict_raises(tmp_path):

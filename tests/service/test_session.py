@@ -6,6 +6,8 @@ in ``test_reference_session.py``.
 """
 
 import json
+import re
+from functools import reduce
 
 import pytest
 
@@ -146,10 +148,10 @@ def test_restore_refuses_other_columns_untouched(build_session,
 
 def test_restore_refuses_sharded_analyzer_state_untouched(
         build_session, stream_events):
-    """What a service with sharded sessions used to write: a current
-    ``tenant-session/v3`` envelope around a ``sharded-analyzer/v2``
-    analyzer state.  Refused by tag, never migrated, and before the
-    queue or a counter of the refused document is installed."""
+    """What a service with sharded sessions used to write: a session
+    document around a ``sharded-analyzer/v2`` analyzer state.  Refused
+    by tag, never migrated, and before the queue or a counter of the
+    refused document is installed."""
     def sharded(state):
         return dict(state, analyzer={
             "fmt": "sharded-analyzer/v2",
@@ -165,6 +167,31 @@ def test_restore_refuses_sharded_analyzer_state_untouched(
                              StateFormatError, "sharded-analyzer/v2")
 
 
+@pytest.mark.parametrize("path, value, named", [
+    ("analyzer.window.due", None, "analyzer.window.due: missing"),
+    ("events_shed", None, "events_shed: missing"),
+    ("events_ingested", "20", "events_ingested: expected int, got str"),
+    ("events_analyzed", True, "events_analyzed: expected int, got bool"),
+    ("analyzer.window", [], "analyzer.window: expected an object, got list"),
+])
+def test_restore_refuses_a_missing_or_mistyped_key_untouched(
+        build_session, stream_events, path, value, named):
+    """Read before the analyzer, the queue or a counter is installed,
+    and named by its key path."""
+    def tamper(state):
+        state = json.loads(json.dumps(state))
+        *parents, key = path.split(".")
+        node = reduce(dict.__getitem__, parents, state)
+        if value is None:
+            del node[key]
+        else:
+            node[key] = value
+        return state
+
+    assert_refused_untouched(build_session, stream_events, tamper,
+                             StateError, re.escape(named))
+
+
 def test_restore_refuses_foreign_tenant(build_session):
     state = build_session().snapshot_state()
     other = build_session("umbrella")
@@ -176,7 +203,7 @@ def assert_corrupt_refused_untouched(build_session, stream_events, tamper,
                                      match):
     """A warm donor's state (latency series, faults, 20 events
     queued), with one payload corrupted, is refused with a
-    ``StateError`` naming the layer and the field — never a
+    ``StateError`` naming the key path — never a
     ``binascii.Error``, ``struct.error`` or ``IndexError`` — by a warm
     session that the refusal leaves exactly as it was."""
     donor = build_session()
@@ -210,7 +237,7 @@ def test_restore_refuses_non_base64_floats_untouched(build_session,
 
     assert_corrupt_refused_untouched(
         build_session, stream_events, garble,
-        r"sliding-window/v4 events\.ts_request: not base64",
+        r"analyzer\.window\.events\.ts_request: not base64",
     )
 
 
@@ -223,7 +250,8 @@ def test_restore_refuses_partial_float64_untouched(build_session,
 
     assert_corrupt_refused_untouched(
         build_session, stream_events, truncate,
-        r"latency series .*sorted-window/v3 values: 12 bytes",
+        r"analyzer\.latency\.detectors\['.+'\]\.baseline\.values: "
+        r"12 bytes",
     )
 
 
@@ -234,7 +262,7 @@ def test_restore_refuses_unequal_columns_untouched(build_session,
 
     assert_corrupt_refused_untouched(
         build_session, stream_events, shorten,
-        r"tenant-session/v3 queue: columns of unequal length.*seq=19",
+        r"queue: columns of unequal length.*seq=19",
     )
 
 
@@ -246,6 +274,5 @@ def test_restore_refuses_float_list_under_new_tag_untouched(
 
     assert_corrupt_refused_untouched(
         build_session, stream_events, unpack,
-        r"tenant-session/v3 queue\.ts_response: expected packed float64 "
-        r"text, got list",
+        r"queue\.ts_response: expected packed float64 text, got list",
     )

@@ -530,18 +530,21 @@ def test_serve_refused_checkpoint_is_a_usage_error(
 def test_serve_refuses_a_checkpoint_of_the_previous_format(
     full_character, tmp_path, capsys
 ):
-    """A directory written before events became column blocks (the
-    fixture: ``repro serve --events 30 --tenants 1 --alpha 8
-    --no-latency`` under ``tenant-session/v2``) stops at its first
-    refused tag, with exit 2."""
+    """A directory written by an older build (the fixture: ``repro
+    serve --events 30 --tenants 1 --alpha 8 --no-latency`` under
+    ``gretel-checkpoint/v1``) stops at the envelope, with exit 2 and
+    the directory left as it was."""
     fixture = Path(__file__).parent / "data" / "tenant-session-v2"
     checkpoints = tmp_path / "ckpt"
     shutil.copytree(fixture, checkpoints)
+    saved = {path: path.read_bytes() for path in checkpoints.iterdir()}
     assert main(["serve", "--events", "30", "--tenants", "1",
                  "--alpha", "8", "--no-latency", "--resume",
                  "--checkpoint-dir", str(checkpoints)]) == 2
-    assert ("state fmt 'tenant-session/v2' is older than "
-            "'tenant-session/v3'" in capsys.readouterr().err)
+    assert ("'gretel-checkpoint/v1' is older than 'gretel-checkpoint/v2'"
+            in capsys.readouterr().err)
+    assert {path: path.read_bytes() for path in checkpoints.iterdir()} \
+        == saved
 
 
 def _garble_window_ts(state):
@@ -557,22 +560,34 @@ def _unequal_queue_columns(state):
     state["queue"]["seq"] = [1]
 
 
-def _float_list_under_new_tag(state):
+def _float_list_timestamps(state):
     events = state["analyzer"]["window"]["events"]
     events["ts_response"] = [0.25] * len(events["seq"])
 
 
+def _drop_window_due(state):
+    del state["analyzer"]["window"]["due"]
+
+
+def _drop_events_shed(state):
+    del state["events_shed"]
+
+
 @pytest.mark.parametrize("corrupt, named", [
-    (_garble_window_ts, "sliding-window/v4 events.ts_request"),
-    (_truncate_baseline, "sorted-window/v3 values: 12 bytes"),
-    (_unequal_queue_columns, "tenant-session/v3 queue: columns"),
-    (_float_list_under_new_tag, "sliding-window/v4 events.ts_response"),
+    (_garble_window_ts, "analyzer.window.events.ts_request: not base64"),
+    (_truncate_baseline, "].baseline.values: 12 bytes"),
+    (_unequal_queue_columns, "queue: columns of unequal length"),
+    (_float_list_timestamps,
+     "analyzer.window.events.ts_response: expected packed"),
+    (_drop_window_due, "analyzer.window.due: missing"),
+    (_drop_events_shed, "events_shed: missing"),
 ])
 def test_serve_resume_refuses_a_corrupt_payload(
     full_character, tmp_path, capsys, corrupt, named
 ):
-    """A torn payload inside a well-formed checkpoint is a usage error
-    naming the layer and the field: exit 2, no traceback."""
+    """A torn payload or a missing key inside a well-formed checkpoint
+    is a usage error naming its key path: exit 2, no traceback, and
+    the file left as it was."""
     replay = ["serve", "--events", "600", "--tenants", "1",
               "--alpha", "64", "--checkpoint-dir", str(tmp_path)]
     assert main(replay) == 0
@@ -581,10 +596,12 @@ def test_serve_resume_refuses_a_corrupt_payload(
     envelope = json.loads(path.read_text())
     corrupt(envelope["state"])
     path.write_text(json.dumps(envelope))
+    corrupted = path.read_bytes()
     assert main(replay + ["--resume"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"cannot resume from {tmp_path}: ")
     assert named in err
+    assert path.read_bytes() == corrupted
 
 
 def test_serve_verify_checkpoint_oracle(full_character, capsys):
