@@ -30,6 +30,7 @@ holds the two equal.  See ``docs/architecture.md``.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import asdict, dataclass, fields
 from typing import (
@@ -46,7 +47,7 @@ from typing import (
 )
 
 from repro.core.config import GretelConfig
-from repro.core.detector import DetectionResult, OperationDetector
+from repro.core.detector import OperationDetector
 from repro.core.fingerprint import FingerprintLibrary
 from repro.core.latency import LatencyTracker, PerformanceAnomaly
 from repro.core.opfaults import rpc_body_error
@@ -474,7 +475,7 @@ class GretelAnalyzer:
         drained = self._deferred
         self._deferred = []
         for snapshot in drained:
-            self._analyze_operational(snapshot)
+            self._localize(snapshot, time.perf_counter())
         return len(drained)
 
     # ------------------------------------------------------------------
@@ -483,38 +484,35 @@ class GretelAnalyzer:
         if self.defer_detection:
             self._deferred.append(snapshot)
         else:
-            self._analyze_operational(snapshot)
+            self._localize(snapshot, time.perf_counter())
 
-    def _analyze_operational(self, snapshot: Snapshot) -> None:
-        started = time.perf_counter()
-        detection = self._call(
-            "detect", 1, self.detector.detect, snapshot
+    def _localize(self, snapshot: Snapshot, started: float,
+                  anomaly: Optional[PerformanceAnomaly] = None) -> None:
+        """Alg. 2 over ``snapshot``, then Alg. 3 over the page's own
+        error list, then publish one report.  ``anomaly`` marks a
+        performance page; ``started`` is when its analysis began."""
+        detect = functools.partial(
+            self.detector.detect, performance_fault=anomaly is not None
         )
-        # Every operational fault in the snapshot, cheapest test
-        # first: any status ≥ 400 is a fault (REST or RPC), and below
-        # that only an RPC event carrying a body has anything for the
-        # regex scan.
-        error_events = [
-            e for e in snapshot.events
-            if e.status >= 400 or (e.body and rpc_body_error(e))
-        ]
+        detection = self._call("detect", 1, detect, snapshot)
         root_causes = self._call(
-            "rootcause", 1, self.rootcause.analyze, detection,
-            error_events,
+            "rootcause", 1, self.rootcause.analyze, detection
         )
         elapsed = time.perf_counter() - started
-        delay = 0.0
-        if snapshot.events:
-            delay = (
-                snapshot.events[-1].ts_response
-                - snapshot.fault.ts_response
-            )
+        fault = snapshot.fault
+        if anomaly is None:
+            kind, ts, delay = "operational", fault.ts_response, 0.0
+            if snapshot.events:
+                delay = snapshot.events[-1].ts_response - ts
+        else:
+            kind, ts, delay = "performance", anomaly.ts, 0.0
         report = FaultReport(
-            ts=snapshot.fault.ts_response,
-            kind="operational",
-            fault_event=snapshot.fault,
+            ts=ts,
+            kind=kind,
+            fault_event=fault,
             detection=detection,
             root_causes=root_causes,
+            performance=anomaly,
             analysis_seconds=elapsed,
             report_delay=delay,
         )
@@ -528,9 +526,6 @@ class GretelAnalyzer:
 
     # ------------------------------------------------------------------
     # Performance path (§5.3.2 level-shift anomaly → Alg. 2/3).
-    def _detect_performance(self, snapshot: Snapshot) -> DetectionResult:
-        return self.detector.detect(snapshot, performance_fault=True)
-
     def process_anomaly(self, anomaly: PerformanceAnomaly) -> None:
         """Debounce per API identity, cut the α-event context ending
         at the anomalous event from the live window, and run
@@ -560,21 +555,4 @@ class GretelAnalyzer:
         snapshot = Snapshot(
             fault=anomaly.event, events=events, fault_index=fault_index
         )
-        detection = self._call(
-            "detect", 1, self._detect_performance, snapshot
-        )
-        root_causes = self._call(
-            "rootcause", 1, self.rootcause.analyze, detection
-        )
-        elapsed = time.perf_counter() - started
-        report = FaultReport(
-            ts=anomaly.ts,
-            kind="performance",
-            fault_event=anomaly.event,
-            detection=detection,
-            root_causes=root_causes,
-            performance=anomaly,
-            analysis_seconds=elapsed,
-            report_delay=0.0,
-        )
-        self._call("publish", 1, self._publish, report)
+        self._localize(snapshot, started, anomaly)

@@ -2,19 +2,22 @@
 
 GRETEL combines (a) the error metadata from the anomaly detector with
 (b) the distributed state collected by the monitoring agents, within
-the time span of the context buffer.  The search is node-ordered: the
-source/destination nodes of the error messages first, then — only if
-nothing anomalous was found there — the remaining nodes participating
-in the matched operation(s), because "the root cause of the error ...
-may manifest upstream from the actual node where the fault arose."
+the time span of the context buffer.  The error metadata is the
+page's own: its fault event and the error events of its matched
+operation(s) — never other errors that happen to share the snapshot,
+since a fault propagates along its own operation.  The search is
+node-ordered: the source/destination nodes of those errors first,
+then — only if nothing anomalous was found there — the remaining
+nodes participating in the matched operation(s), because "the root
+cause of the error ... may manifest upstream from the actual node
+where the fault arose."
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from repro.openstack.wire import WireEvent
 from repro.core.config import GretelConfig
 from repro.core.detector import DetectionResult
 from repro.core.reports import RootCauseFinding
@@ -42,7 +45,7 @@ class RootCauseEngine:
     """Algorithm 3 over the monitoring metadata store."""
 
     def __init__(self, store: MetadataStore,
-                 config: Optional[GretelConfig] = None):
+                 config: Optional[GretelConfig] = None) -> None:
         # Residue: Algorithm 3's thresholds are the constants above,
         # so ``config`` is ignored.  The positional stays because
         # ``benchmarks/e2e/workloads.py`` passes it and may not be
@@ -54,22 +57,21 @@ class RootCauseEngine:
     # -- entry point --------------------------------------------------------
 
     def analyze(self, detection: DetectionResult,
-                error_events: Optional[Sequence[WireEvent]] = None
-                ) -> List[RootCauseFinding]:
-        """GET_ROOT_CAUSE: error nodes first, then the operation's rest."""
+                error_events: object = None) -> List[RootCauseFinding]:
+        """GET_ROOT_CAUSE over the page's own error list: the fault,
+        then the errors among ``detection.matched_events``.  Their
+        nodes are searched first, then the operations' other nodes."""
+        # Residue: ignored.  ``benchmarks/e2e/workloads.py`` passes the
+        # page's own fault here; ROADMAP lists it with the ledger shims.
+        del error_events
         window_start, window_end = detection.window_span
-        errors = list(error_events or [])
-        if detection.fault not in errors:
-            errors.append(detection.fault)
-        for event in detection.matched_events:
-            if event.error and event not in errors:
-                errors.append(event)
-
-        error_nodes: List[str] = []
-        for event in errors:
-            for node in (event.dst_node, event.src_node):
-                if node and node not in error_nodes:
-                    error_nodes.append(node)
+        fault = detection.fault
+        error_nodes: Dict[str, None] = {}  # an insertion-ordered set
+        for event in (fault, *detection.matched_events):
+            if event is fault or event.error:
+                for node in (event.dst_node, event.src_node):
+                    if node:
+                        error_nodes[node] = None
 
         findings = self._find_root_cause(error_nodes, window_start, window_end)
         if findings:
@@ -78,12 +80,14 @@ class RootCauseEngine:
         operation_nodes: Set[str] = set()
         for fingerprint in detection.matched:
             operation_nodes.update(fingerprint.nodes)
-        remaining = [n for n in sorted(operation_nodes) if n not in error_nodes]
+        remaining = [
+            n for n in sorted(operation_nodes) if n not in error_nodes
+        ]
         return self._find_root_cause(remaining, window_start, window_end)
 
     # -- FIND_ROOT_CAUSE -----------------------------------------------------
 
-    def _find_root_cause(self, nodes: Sequence[str], start: float,
+    def _find_root_cause(self, nodes: Iterable[str], start: float,
                          end: float) -> List[RootCauseFinding]:
         findings: List[RootCauseFinding] = []
         for node in nodes:
@@ -140,16 +144,18 @@ class RootCauseEngine:
             ))
         return findings
 
-    # -- software dependencies --------------------------------------------------
+    # -- software dependencies -----------------------------------------------
 
-    def _software_anomalies(self, node: str, at: float) -> List[RootCauseFinding]:
-        findings = []
+    def _software_anomalies(self, node: str,
+                            at: float) -> List[RootCauseFinding]:
+        findings: List[RootCauseFinding] = []
         for report in self.store.dead_processes(node, at=at + 2.0):
             if report.process in _IGNORED_PROCESSES:
                 continue
             findings.append(RootCauseFinding(
                 node=node, kind="software", subject=report.process,
-                detail=f"process {report.process} is down (since t={report.ts:.1f})",
+                detail=(f"process {report.process} is down "
+                        f"(since t={report.ts:.1f})"),
             ))
         return findings
 

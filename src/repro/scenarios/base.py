@@ -49,6 +49,21 @@ class ScenarioError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class CauseSpec:
+    """One root-cause finding Algorithm 3 is expected to produce."""
+
+    kind: str                  # "resource" | "software"
+    subject: str               # metric or process name
+    node: Optional[str] = None  # None = any node
+
+    def leads(self, report: FaultReport) -> bool:
+        """Whether this is ``report``'s first root-cause finding."""
+        return any(c.kind == self.kind and c.subject == self.subject
+                   and self.node in (None, c.node)
+                   for c in report.root_causes[:1])
+
+
+@dataclass(frozen=True)
 class FaultSpec:
     """Ground truth for one injected fault condition.
 
@@ -76,6 +91,9 @@ class FaultSpec:
     op_id: Optional[str] = None
     #: Number of injected fault instances this spec represents.
     count: int = 1
+    #: The root cause Algorithm 3 must name first on this fault's
+    #: pages; None = no cause to check.
+    cause: Optional[CauseSpec] = None
 
     def attributes(self, report: FaultReport) -> bool:
         """Whether ``report`` is explained by this injection."""
@@ -93,27 +111,17 @@ class FaultSpec:
 
 
 @dataclass(frozen=True)
-class CauseSpec:
-    """One root-cause finding Algorithm 3 is expected to produce."""
-
-    kind: str                  # "resource" | "software"
-    subject: str               # metric or process name
-    node: Optional[str] = None  # None = any node
-
-
-@dataclass(frozen=True)
 class Localization:
-    """What a correct Alg. 3 verdict names for this scenario.
+    """What a correct Alg. 3 verdict names for this scenario, beyond
+    each fault's own :attr:`FaultSpec.cause`.
 
-    Grading is *graded*, not all-or-nothing: each expected cause must
-    appear in at least one attributed report, every attributed report
+    Grading is *graded*, not all-or-nothing: every attributed report
     must target an expected service (when given), and the ground-truth
     operation must be among the matched operations of at least
     ``min_operation_rate`` of the attributed reports that carry
     operation ground truth.
     """
 
-    causes: Tuple[CauseSpec, ...] = ()
     services: Tuple[str, ...] = ()
     operation: Optional[str] = None
     min_operation_rate: float = 0.5

@@ -252,14 +252,12 @@ class PerformanceLevelShift(Scenario):
             label="neutron-cpu-surge", start=float(start), end=float(end),
             slack=3.0, kind="performance",
             services=("neutron", "nova"),
+            cause=CauseSpec("resource", "cpu", "neutron-ctl"),
         )
         return Expectation(
             faults=(spec,),
             min_precision=0.8, min_recall=1.0,
-            localization=Localization(
-                causes=(CauseSpec("resource", "cpu", "neutron-ctl"),),
-                services=("neutron", "nova"),
-            ),
+            localization=Localization(services=("neutron", "nova")),
         )
 
 
@@ -355,14 +353,11 @@ class BrokerPartition(Scenario):
         spec = FaultSpec(
             label="broker-partition", start=0.5, statuses=(500,),
             count=self.n_boots,
+            cause=CauseSpec("software", BROKER_PROCESS, BROKER_NODE),
         )
         return Expectation(
             faults=(spec,),
             min_precision=1.0, min_recall=0.75,
-            localization=Localization(
-                causes=(CauseSpec("software", BROKER_PROCESS,
-                                  BROKER_NODE),),
-            ),
         )
 
 
@@ -442,7 +437,8 @@ class CorrelatedMultiService(Scenario):
     The Glance node runs out of disk (uploads fail 413) while NTP dies
     on the Cinder node (Keystone rejects the skewed tokens with 401 and
     Cinder itself degrades to 503).  One capture, two fault conditions,
-    two distinct root causes that every report must name.
+    two distinct root causes: each page names its own fault's cause
+    only (disk on Glance pages, NTP on Keystone and Cinder pages).
     """
 
     name = "correlated_multiservice"
@@ -474,6 +470,7 @@ class CorrelatedMultiService(Scenario):
             label="glance-disk-full", start=0.0,
             services=("glance",), statuses=(413,),
             count=self.n_uploads,
+            cause=CauseSpec("resource", "disk", "glance-node"),
         )
         # The dead NTP cascades two ways: Keystone rejects the skewed
         # tokens (401) and Cinder itself degrades (503).
@@ -481,15 +478,12 @@ class CorrelatedMultiService(Scenario):
             label="cinder-ntp-skew", start=0.0,
             services=("keystone", "cinder"), statuses=(401, 503),
             count=self.n_queries,
+            cause=CauseSpec("software", "ntp", "cinder-node"),
         )
         return Expectation(
             faults=(disk, auth),
             min_precision=1.0, min_recall=0.75,
             localization=Localization(
-                causes=(
-                    CauseSpec("resource", "disk", "glance-node"),
-                    CauseSpec("software", "ntp", "cinder-node"),
-                ),
                 services=("glance", "keystone", "cinder"),
             ),
         )
@@ -532,12 +526,12 @@ class CascadingAgentFailure(Scenario):
             label="l2-agent-cascade", start=0.3,
             services=("nova",), statuses=(500,),
             count=self.n_boots,
+            cause=CauseSpec("software", L2_AGENT),
         )
         return Expectation(
             faults=(spec,),
             min_precision=1.0, min_recall=0.75,
             localization=Localization(
-                causes=(CauseSpec("software", L2_AGENT),),
                 services=("nova",), operation=boot_id,
                 min_operation_rate=0.5,
             ),
@@ -591,14 +585,12 @@ class SlowBurnDiskLeak(Scenario):
             label="glance-disk-leak", start=4.0,
             services=("glance",), statuses=(413,),
             count=self.n_uploads,
+            cause=CauseSpec("resource", "disk", "glance-node"),
         )
         return Expectation(
             faults=(spec,),
             min_precision=1.0, min_recall=0.75,
-            localization=Localization(
-                causes=(CauseSpec("resource", "disk", "glance-node"),),
-                services=("glance",),
-            ),
+            localization=Localization(services=("glance",)),
         )
 
 

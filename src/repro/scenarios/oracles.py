@@ -15,8 +15,9 @@ The three graders mirror the SREGym oracle family:
     there?  Precision is report-level, recall instance-level (see
     :class:`repro.evaluation.common.DetectionCounts`).
 :class:`LocalizationOracle`
-    Did Algorithm 3 name the expected service / node / operation?
-    Scored as the fraction of expected facts confirmed.
+    Did Algorithm 3 name each fault's own cause first on that fault's
+    pages, and the expected service / operation?  Scored as the
+    fraction of expected facts confirmed.
 :class:`FalsePositiveOracle`
     For no-op controls: any report at all is a false positive, and
     precision over zero reports is *undefined* (0/0 → ``None``), never
@@ -146,13 +147,16 @@ class DetectionOracle(Oracle):
 
 
 class LocalizationOracle(Oracle):
-    """Did Algorithm 3 name the expected service / node / operation?"""
+    """Did Algorithm 3 name each fault's own cause first, and the
+    expected service / operation?"""
 
     name = "localization"
 
     def grade(self, ctx: GradingContext) -> OracleOutcome:
-        loc = ctx.expectation.localization
-        if loc is None:
+        exp = ctx.expectation
+        causes = [(spec, spec.cause) for spec in exp.faults
+                  if spec.cause is not None]
+        if exp.localization is None and not causes:
             return OracleOutcome(
                 oracle=self.name, grade=SKIP,
                 detail="scenario declares no localization contract",
@@ -167,23 +171,24 @@ class LocalizationOracle(Oracle):
         checks: List[str] = []
         failed: List[str] = []
 
-        for cause in loc.causes:
+        # Confirmed only as the first finding of its own fault's page.
+        for spec, cause in causes:
             where = cause.node or "any node"
             label = f"cause {cause.kind}/{cause.subject}@{where}"
             checks.append(label)
-            if not any(r.has_root_cause(cause.kind, cause.subject,
-                                        cause.node)
-                       for r in attributed):
+            if not any(cause.leads(r) for r in attributed
+                       if spec.attributes(r)):
                 failed.append(label)
 
-        if loc.services:
+        loc = exp.localization
+        if loc and loc.services:
             label = "services " + "|".join(loc.services)
             checks.append(label)
             if not all(r.implicates_service(*loc.services)
                        for r in attributed):
                 failed.append(label)
 
-        if loc.operation is not None:
+        if loc and loc.operation is not None:
             with_truth = [r for r in attributed if r.fault_event.op_id]
             label = f"operation {loc.operation}"
             checks.append(label)

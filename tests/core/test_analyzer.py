@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.openstack.apis import ApiKind
 from repro.openstack.cloud import Cloud
+from repro.openstack.wire import WireEvent
 from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
 from repro.monitoring.plane import MonitoringPlane
+from repro.monitoring.store import MetadataStore, WatcherReport
 from repro.workloads.runner import WorkloadRunner
 
 
@@ -109,3 +112,44 @@ def test_report_delay_bounded_by_window(wired, small_suite):
     analyzer.flush()
     for report in analyzer.operational_reports:
         assert report.report_delay >= 0.0
+
+
+def test_page_names_only_its_own_error_nodes(small_character):
+    """Alg. 3 reads the page's own error list: an unrelated error that
+    shares the snapshot (an RPC failure on another node, with a dead
+    process there too) must not leak into the page's root causes."""
+    def event(seq, api_key, src_node, dst_node, status=200):
+        kind, service, method, name = api_key.split(":", 3)
+        return WireEvent(
+            seq=seq, api_key=api_key,
+            kind=ApiKind.REST if kind == "rest" else ApiKind.RPC,
+            method=method, name=name, src_service="horizon",
+            src_node=src_node, src_ip="10.0.0.1", dst_service=service,
+            dst_node=dst_node, dst_ip="10.0.0.2",
+            ts_request=seq * 0.1 - 0.01, ts_response=seq * 0.1,
+            status=status,
+        )
+
+    store = MetadataStore()
+    store.add_watcher_report(WatcherReport("nova-ctl", 0.0, "nova-api",
+                                           False))
+    store.add_watcher_report(WatcherReport("cinder-node", 0.0, "ntp",
+                                           False))
+    analyzer = GretelAnalyzer(small_character.library, store=store)
+    healthy = "rest:nova:GET:/v2.1/servers"
+    events = [event(seq, healthy, "ctrl", "nova-ctl")
+              for seq in range(1, 6)]
+    events.append(event(6, "rpc:cinder:cast:create_volume",
+                        "cinder-node", "cinder-node", status=500))
+    events += [event(seq, healthy, "ctrl", "nova-ctl")
+               for seq in range(7, 12)]
+    events.append(event(12, "rest:nova:GET:/v2.1/servers/{id}",
+                        "ctrl", "nova-ctl", status=500))
+    analyzer.feed(events)
+    analyzer.flush()
+
+    [report] = analyzer.reports
+    assert report.fault_event.seq == 12
+    assert [(c.node, c.subject) for c in report.root_causes] == [
+        ("nova-ctl", "nova-api"),
+    ]

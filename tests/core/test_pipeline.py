@@ -324,13 +324,14 @@ def test_performance_context_is_the_alpha_events_ending_at_the_fault(
 
     analyzer = GretelAnalyzer(library, config=tuned)
     seen = []
-    detect = analyzer._detect_performance
+    detect = analyzer.detector.detect
 
-    def recording(snapshot):
-        seen.append(snapshot)
-        return detect(snapshot)
+    def recording(snapshot, *, performance_fault=False):
+        if performance_fault:
+            seen.append(snapshot)
+        return detect(snapshot, performance_fault=performance_fault)
 
-    analyzer._detect_performance = recording
+    analyzer.detector.detect = recording
     analyzer.feed(events)
 
     assert len(seen) == 1

@@ -8,13 +8,13 @@ surface behaves.
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
+from repro.core.analyzer import GretelAnalyzer
 from repro.scenarios import (
     CauseSpec,
-    Expectation,
-    Localization,
     build_scorecard,
     diff_scorecards,
     dump_scorecard,
@@ -112,8 +112,9 @@ def test_wrong_localization_contract_fails_live(full_character):
     """End-to-end negative path: grading is not vacuous.
 
     A clone of the cheapest live scenario claims mysql on the control
-    node died; Algorithm 3 (correctly) finds the disk and ntp faults
-    instead, so the localization oracle must FAIL the run.
+    node caused both of its faults; Algorithm 3 (correctly) finds the
+    disk and ntp faults instead, so the localization oracle must FAIL
+    the run.
     """
 
     class WronglyLocalized(CorrelatedMultiService):
@@ -121,14 +122,10 @@ def test_wrong_localization_contract_fails_live(full_character):
 
         def expectation(self, captured):
             real = super().expectation(captured)
-            return Expectation(
-                faults=real.faults,
-                min_precision=real.min_precision,
-                min_recall=real.min_recall,
-                localization=Localization(
-                    causes=(CauseSpec("software", "mysql", "ctrl"),),
-                ),
-            )
+            wrong = CauseSpec("software", "mysql", "ctrl")
+            return replace(real, faults=tuple(
+                replace(spec, cause=wrong) for spec in real.faults
+            ))
 
     undo = register_for_testing(WronglyLocalized)
     try:
@@ -142,6 +139,28 @@ def test_wrong_localization_contract_fails_live(full_character):
     assert "mysql" in grades["localization"].detail
     # Detection itself still passes: the faults fired and were found.
     assert grades["detection"].grade == "PASS"
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_concurrent_faults_each_name_only_their_own_cause(
+        full_character, seed):
+    """Two faults share every snapshot of this scenario, yet each page
+    names exactly one cause, its own fault's: Alg. 3 reads the page's
+    own error list, not every error the snapshot holds."""
+    scenario = CorrelatedMultiService(full_character, seed=seed)
+    captured = scenario.capture()
+    analyzer = GretelAnalyzer(full_character.library, store=captured.store,
+                              config=scenario.analyzer_config())
+    analyzer.feed(captured.events)
+    analyzer.flush()
+
+    ntp = ("software", "ntp", "cinder-node")
+    expected = {"glance": ("resource", "disk", "glance-node"),
+                "keystone": ntp, "cinder": ntp}
+    assert analyzer.reports
+    for report in analyzer.reports:
+        causes = [(c.kind, c.subject, c.node) for c in report.root_causes]
+        assert causes == [expected[report.fault_event.dst_service]]
 
 
 # -- CLI surface ------------------------------------------------------------

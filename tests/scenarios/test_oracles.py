@@ -6,6 +6,8 @@ over zero reports must score precision as the undefined 0/0 — never
 crash, never count as 0 or 1.
 """
 
+from dataclasses import replace
+
 from repro.evaluation.common import DetectionCounts, safe_ratio
 from repro.monitoring.store import MetadataStore
 from repro.scenarios import (
@@ -86,47 +88,83 @@ def test_detection_recall_is_instance_level():
 
 # -- localization (incl. the deliberately-wrong negative path) -------------
 
-def _loc_exp(localization):
-    return Expectation(faults=(SPEC,), localization=localization)
+def _loc_exp(localization=None, cause=None):
+    spec = replace(SPEC, cause=cause)
+    return Expectation(faults=(spec,), localization=localization)
 
 
 def test_localization_confirms_expected_facts():
-    loc = Localization(
-        causes=(CauseSpec("software", "rabbitmq", "ctrl"),),
-        services=("nova",), operation="tempest-compute-0001",
-    )
+    loc = Localization(services=("nova",),
+                       operation="tempest-compute-0001")
+    exp = _loc_exp(loc, CauseSpec("software", "rabbitmq", "ctrl"))
     reports = [make_report(operations=("tempest-compute-0001",),
                            causes=(("software", "rabbitmq", "ctrl"),))]
-    outcome = LocalizationOracle().grade(_ctx(_loc_exp(loc), reports))
+    outcome = LocalizationOracle().grade(_ctx(exp, reports))
     assert outcome.grade == PASS
     assert outcome.score == 1.0
+    assert outcome.counts == {"checks": 3, "failed": 0}
 
 
 def test_wrong_expected_cause_fails_not_vacuously():
     # The scenario (wrongly) claims mysql on ctrl died; Algorithm 3
     # correctly found rabbitmq.  The oracle must FAIL, proving the
     # contract is actually checked.
-    loc = Localization(causes=(CauseSpec("software", "mysql", "ctrl"),))
+    exp = _loc_exp(cause=CauseSpec("software", "mysql", "ctrl"))
     reports = [make_report(causes=(("software", "rabbitmq", "ctrl"),))]
-    outcome = LocalizationOracle().grade(_ctx(_loc_exp(loc), reports))
+    outcome = LocalizationOracle().grade(_ctx(exp, reports))
     assert outcome.grade == FAIL
     assert "mysql" in outcome.detail
 
 
 def test_wrong_expected_node_fails():
-    loc = Localization(
-        causes=(CauseSpec("software", "rabbitmq", "compute-1"),),
-    )
+    exp = _loc_exp(cause=CauseSpec("software", "rabbitmq", "compute-1"))
     reports = [make_report(causes=(("software", "rabbitmq", "ctrl"),))]
-    outcome = LocalizationOracle().grade(_ctx(_loc_exp(loc), reports))
+    outcome = LocalizationOracle().grade(_ctx(exp, reports))
     assert outcome.grade == FAIL
 
 
 def test_cause_on_any_node_accepted():
-    loc = Localization(causes=(CauseSpec("software", "rabbitmq"),))
+    # A cause on the spec is a contract of its own: no Localization
+    # is needed for it to be graded.
+    exp = _loc_exp(cause=CauseSpec("software", "rabbitmq"))
     reports = [make_report(causes=(("software", "rabbitmq", "ctrl"),))]
-    outcome = LocalizationOracle().grade(_ctx(_loc_exp(loc), reports))
+    outcome = LocalizationOracle().grade(_ctx(exp, reports))
     assert outcome.grade == PASS
+    assert outcome.counts == {"checks": 1, "failed": 0}
+
+
+def test_expected_cause_named_second_is_not_confirmed():
+    # The page names the expected cause, but behind another finding:
+    # Algorithm 3's verdict is its first finding, so the fact fails.
+    exp = _loc_exp(cause=CauseSpec("software", "rabbitmq", "ctrl"))
+    reports = [make_report(causes=(("software", "mysql", "ctrl"),
+                                   ("software", "rabbitmq", "ctrl")))]
+    outcome = LocalizationOracle().grade(_ctx(exp, reports))
+    assert outcome.grade == FAIL
+    assert "rabbitmq" in outcome.detail
+
+
+def test_cause_on_another_faults_page_is_not_confirmed():
+    # Two concurrent faults: the glance page leads with the nova
+    # fault's cause.  Each cause counts only on its own fault's pages,
+    # so the nova fact holds and the glance fact fails.
+    nova = replace(SPEC, count=1,
+                   cause=CauseSpec("software", "nova-api", "nova-ctl"))
+    glance = FaultSpec(label="y", start=0.0, services=("glance",),
+                       statuses=(413,),
+                       cause=CauseSpec("resource", "disk", "glance-node"))
+    reports = [
+        make_report(causes=(("software", "nova-api", "nova-ctl"),)),
+        make_report(service="glance", status=413,
+                    causes=(("software", "nova-api", "nova-ctl"),
+                            ("resource", "disk", "glance-node"))),
+    ]
+    exp = Expectation(faults=(nova, glance))
+    outcome = LocalizationOracle().grade(_ctx(exp, reports))
+    assert outcome.grade == FAIL
+    assert outcome.counts == {"checks": 2, "failed": 1}
+    assert "disk@glance-node" in outcome.detail
+    assert "nova-api" not in outcome.detail
 
 
 def test_operation_hit_rate_below_floor_fails():
@@ -141,8 +179,8 @@ def test_operation_hit_rate_below_floor_fails():
 
 
 def test_localization_fails_with_no_attributed_reports():
-    loc = Localization(causes=(CauseSpec("software", "rabbitmq"),))
-    outcome = LocalizationOracle().grade(_ctx(_loc_exp(loc), []))
+    exp = _loc_exp(cause=CauseSpec("software", "rabbitmq"))
+    outcome = LocalizationOracle().grade(_ctx(exp, []))
     assert outcome.grade == FAIL
     assert outcome.score == 0.0
 
