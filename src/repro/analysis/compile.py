@@ -4,24 +4,30 @@
 module *compiles* it.  Algorithm 2's first two steps
 (``GET_POSSIBLE_OFFENDING_OPERATIONS``,
 ``TRUNCATE_OPERATION_FINGERPRINTS``) depend only on the offline
-library, so :func:`compile_library` runs them once, for every symbol
-and both truncation modes, and hands the online detector a
-:class:`CompiledIndex` to look selections up in:
+library, so the online detector looks selections up in a
+:class:`CompiledIndex` instead of deriving them per fault:
 
 * **Selections** — per ``(symbol, truncation mode)``, the operations
   containing the symbol, sorted by operation name (the pinned
   ``ops_containing`` order), each paired with the RPC-pruned,
   truncated, cut-pointed :class:`~repro.core.matching.engine.
   Preparation` a from-scratch selection would derive at detection
-  time, plus the selection's scoring-class partition;
+  time, plus the selection's scoring-class partition.  A symbol's two
+  selections are filled on its first lookup, and never change after;
 * **The pool** — every preparation interned under the scorer's own
   identity ``(needle, cuts, pure_read)``.  The library stamps ~1200
   fingerprints out of ~140 operations, so ~44K postings × modes share
   ~1.2K preparations, and alphabet and counts are derived once per
   pool entry.
 
+What is built per library and flags, once, is the shape table and a
+snapshot of the library's postings: a detection pays for its own
+symbol's selections (1/189 of the seed library's), not for every
+symbol's.  :func:`compile_library` is the same index with every
+selection filled.
+
 Preparation slices each fingerprint shape's
-:class:`~repro.core.detector.Skeleton`, derived once per compile; the
+:class:`~repro.core.detector.Skeleton`, derived once per index; the
 reference full scan prepares from a truncated fingerprint copy
 instead, and :func:`verify_selection` is the differential oracle that
 holds the two derivations equal on live inputs and end-to-end
@@ -39,7 +45,8 @@ there is no serialized form.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import threading
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 from repro.core.config import GretelConfig
@@ -73,25 +80,45 @@ def selection_flags(config: GretelConfig) -> SelectionFlags:
     )
 
 
-class CompiledIndex:
-    """Every selection of one library under one set of selection flags.
+#: ``fill(symbol, operations) -> (untruncated, truncated)``: one
+#: symbol's two selections, prepared from the shape table.
+Fill = Callable[[str, Sequence[str]], Tuple[Selection, Selection]]
 
-    Immutable once built and read-only at detection time, so one index
-    serves any number of detectors concurrently, and they all share
-    the same candidate, preparation and scoring-class objects.
+
+class CompiledIndex:
+    """The selections of one library under one set of selection flags,
+    each filled on its symbol's first lookup.
+
+    A filled selection never changes, so one index serves any number
+    of detectors concurrently, and they all share the same candidate,
+    preparation and scoring-class objects.  Fills run under the
+    index's lock; a lookup of a filled selection takes none.
     """
 
     def __init__(
         self,
         flags: SelectionFlags,
         pool: Dict[PreparationKey, Preparation],
-        selections: Dict[Tuple[str, bool], Selection],
+        postings: Mapping[str, Sequence[str]],
+        fill: Fill,
     ) -> None:
         self.flags = flags
-        #: Every preparation any selection refers to, interned by
+        #: Every preparation a filled selection refers to, interned by
         #: :meth:`Preparation.key`.
         self.pool = pool
-        self._selections = selections
+        #: The library's postings (symbol → operation names) at the
+        #: version this index was built for: fills read this snapshot,
+        #: never the live library.
+        self.postings = postings
+        self._fill = fill
+        self._selections: Dict[Tuple[str, bool], Selection] = {}
+        self._lock: threading.Lock = threading.Lock()
+
+    @property
+    def filled(self) -> int:
+        """How many ``(symbol, truncation mode)`` selections have been
+        filled: two per symbol looked up so far."""
+        return len(self._selections)
 
     def serves(self, config: GretelConfig) -> bool:
         """Whether this index was compiled for ``config``'s selection
@@ -103,16 +130,30 @@ class CompiledIndex:
         """The prepared candidates for faults on ``symbol``, truncated
         at it or not; empty when no operation contains the symbol."""
         found = self._selections.get((symbol, truncated))
-        return found if found is not None else Selection(())
+        if found is not None:
+            return found
+        operations = self.postings.get(symbol)
+        if operations is None:
+            return Selection(())
+        with self._lock:
+            # Another thread may have filled the symbol while this one
+            # waited for the lock.
+            found = self._selections.get((symbol, truncated))
+            if found is None:
+                untruncated, cut = self._fill(symbol, operations)
+                self._selections[symbol, False] = untruncated
+                self._selections[symbol, True] = cut
+                found = cut if truncated else untruncated
+        return found
 
 
-def compile_library(
+def _shape_index(
     library: FingerprintLibrary,
-    symbols: Optional[SymbolTable] = None,
-    config: Optional[GretelConfig] = None,
+    symbols: Optional[SymbolTable],
+    config: Optional[GretelConfig],
 ) -> CompiledIndex:
-    """Build every ``(symbol, truncation mode)`` selection of
-    ``library`` — eagerly, so no detection ever pays for one."""
+    """``library``'s shape table and postings, as an index with no
+    selection filled yet."""
     symbols = symbols or library.symbols
     flags = selection_flags(config or GretelConfig())
     prune_rpcs, relaxed, truncate_flag = flags
@@ -171,28 +212,47 @@ def compile_library(
             candidates.append(Candidate(fingerprint, preparation))
         return Selection(candidates)
 
-    selections: Dict[Tuple[str, bool], Selection] = {}
-    for symbol, operations in library.postings().items():
+    def fill(
+        symbol: str, operations: Sequence[str]
+    ) -> Tuple[Selection, Selection]:
         untruncated = select(symbol, operations, False)
-        selections[(symbol, False)] = untruncated
         # ``candidates_for``'s rule: without ``truncate_fingerprints``
         # both modes are untruncated.
-        selections[(symbol, True)] = (
+        return untruncated, (
             select(symbol, operations, True) if truncate_flag
             else untruncated
         )
-    return CompiledIndex(flags, pool, selections)
+
+    return CompiledIndex(flags, pool, library.postings(), fill)
+
+
+def compile_library(
+    library: FingerprintLibrary,
+    symbols: Optional[SymbolTable] = None,
+    config: Optional[GretelConfig] = None,
+) -> CompiledIndex:
+    """``library``'s index with every ``(symbol, truncation mode)``
+    selection filled, in postings order — what the memoized index of
+    :func:`compiled_index_for` holds once every symbol has faulted."""
+    index = _shape_index(library, symbols, config)
+    for symbol in index.postings:
+        index.selection(symbol, False)
+    return index
 
 
 #: One library's compilations, keyed by (selection flags, version).
 _LibraryIndexes = Dict[Tuple[SelectionFlags, int], CompiledIndex]
 
 #: Per-library compile memo.  Keyed weakly so a dropped library
-#: releases its compilation (an index holds the library's fingerprints,
-#: never the library); stale versions are evicted on the next compile.
+#: releases its compilation (an index holds the library's fingerprints
+#: and a postings snapshot, never the library); stale versions are
+#: evicted on the next compile.
 _INDEX_CACHE: (
     "WeakKeyDictionary[FingerprintLibrary, _LibraryIndexes]"
 ) = WeakKeyDictionary()
+#: Serializes the memo, so detectors built on several threads at once
+#: share one index.
+_INDEX_LOCK: threading.Lock = threading.Lock()
 
 
 def compiled_index_for(
@@ -201,10 +261,11 @@ def compiled_index_for(
     catalog: Optional[ApiCatalog] = None,
     config: Optional[GretelConfig] = None,
 ) -> CompiledIndex:
-    """Memoized :func:`compile_library`.
+    """The memoized index of ``library``: its shape table, each
+    selection filled on its symbol's first lookup.
 
     All detectors over one ``(library, version, flags)`` share a single
-    compilation — notably every tenant session of a service.
+    index — notably every tenant session of a service.
     ``catalog`` is ignored (preparation only consults the symbol
     table); the positional stays because ``benchmarks/e2e/harness.py``
     passes it and may not be edited here — ROADMAP lists it as residue
@@ -213,16 +274,15 @@ def compiled_index_for(
     del catalog
     config = config or GretelConfig()
     key = (selection_flags(config), library.version)
-    per_library = _INDEX_CACHE.get(library)
-    if per_library is None:
-        per_library = {}
-        _INDEX_CACHE[library] = per_library
-    index = per_library.get(key)
-    if index is None:
-        for stale in [k for k in per_library if k[1] != library.version]:
-            del per_library[stale]
-        index = compile_library(library, symbols=symbols, config=config)
-        per_library[key] = index
+    with _INDEX_LOCK:
+        per_library = _INDEX_CACHE.setdefault(library, {})
+        index = per_library.get(key)
+        if index is None:
+            for stale in [k for k in per_library if k[1] != library.version]:
+                del per_library[stale]
+            index = per_library[key] = _shape_index(
+                library, symbols, config,
+            )
     return index
 
 

@@ -336,6 +336,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "stats": asdict(analyzer.stats()),
     }
     if args.stage_stats:
+        from repro.analysis.compile import compiled_index_for
+
+        # The index is shared per library and flags, so the count is
+        # every selection this process has filled, not only this run's.
+        selections_filled = compiled_index_for(
+            library, config=config,
+        ).filled
+        document["selections_filled"] = selections_filled
         document["stage_seconds"] = {
             stage: round(seconds, 6)
             for stage, seconds in sorted(timer.seconds.items())
@@ -368,7 +376,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
               f"lcs_symbols_fed={stats.lcs_symbols_fed}")
         print("  candidate selection: "
               f"postings_scanned={stats.postings_scanned}, "
-              f"candidates_indexed={stats.candidates_indexed}")
+              f"candidates_indexed={stats.candidates_indexed}, "
+              f"selections_filled={selections_filled}")
         print("  level-shift engine: "
               f"ls_samples_fed={stats.ls_samples_fed}, "
               f"ls_threshold_recomputes={stats.ls_threshold_recomputes}")

@@ -77,7 +77,7 @@ from repro.core.window import Snapshot
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     # The compiler prepares candidates with this module's helpers, so
     # the runtime import of the compiled index must stay lazy (inside
-    # ``OperationDetector._select``).
+    # ``OperationDetector.__init__``).
     from repro.analysis.compile import CompiledIndex
 
 #: Cap on how many truncation points are tried per fingerprint.
@@ -120,9 +120,9 @@ class Selection(List[Candidate]):
     selected, so the partition (``repro.core.matching.engine.
     scoring_classes``, with the multiplicity gate's terms over the
     selection's union alphabet) is computed once, here, and travels
-    with the list: the library compiler builds every selection up
-    front, and each is shared — classes included — by every detector
-    and shard over that compilation.
+    with the list: the library compiler builds each selection once,
+    on its symbol's first lookup, and it is shared — classes included
+    — by every detector and shard over that compilation.
     """
 
     def __init__(self, candidates: Iterable[Candidate]) -> None:
@@ -231,9 +231,13 @@ class OperationDetector:
         self.catalog = catalog
         self.config = config or GretelConfig()
         self._fragment_cache: Dict[str, str] = {}
-        if compiled_index is not None and not compiled_index.serves(
-            self.config
-        ):
+        if compiled_index is None:
+            from repro.analysis.compile import compiled_index_for
+
+            compiled_index = compiled_index_for(
+                library, symbols, config=self.config,
+            )
+        elif not compiled_index.serves(self.config):
             # Serving preparations compiled for other selection flags
             # would change diagnoses, not just speed.
             raise ValueError(
@@ -241,11 +245,12 @@ class OperationDetector:
                 f"{compiled_index.flags}, which do not match this "
                 "detector's config; recompile the index for it"
             )
-        #: Compiled selection index (``docs/indexing.md``).  ``None``
-        #: means "fetch the library's memoized compilation on first
-        #: selection"; an injected index is used as-is (the
-        #: ``verify_selection`` negative-oracle tests rely on that).
-        self._compiled = compiled_index
+        #: Compiled selection index (``docs/indexing.md``): the
+        #: library's memoized one, fetched here so its shape table is
+        #: built at construction, not inside the first detection.  An
+        #: injected index is used as-is (the ``verify_selection``
+        #: negative-oracle tests rely on that).
+        self._compiled: "CompiledIndex" = compiled_index
         #: Selection counters, surfaced through ``PipelineStats``:
         #: postings entries examined and candidates served from the
         #: compiled index, summed over every ``candidates_for`` call
@@ -305,18 +310,13 @@ class OperationDetector:
     def _select(self, symbol: str, truncate: bool) -> Selection:
         """One lookup in the compiled index.
 
-        The compile is memoized per ``(library, version, flags)`` and
-        builds every ``(symbol, truncation)`` :class:`Selection` up
-        front, so every detector over one library — e.g. all shards
-        of a sharded analyzer — shares one compilation, the same
-        read-only candidate objects and one scoring-class partition.
+        The index is memoized per ``(library, version, flags)``, so
+        every detector over one library — e.g. all tenant sessions of
+        a service — shares it: the same read-only candidate objects
+        and one scoring-class partition.  The first lookup of a symbol
+        fills that symbol's two :class:`Selection` entries, and every
+        later one, from any detector, is a dict hit.
         """
-        if self._compiled is None:
-            from repro.analysis.compile import compiled_index_for
-
-            self._compiled = compiled_index_for(
-                self.library, self.symbols, self.catalog, self.config,
-            )
         prepared = self._compiled.selection(symbol, truncate)
         self.postings_scanned += len(prepared)
         self.candidates_indexed += len(prepared)

@@ -152,7 +152,8 @@ class WorkerSeed:
     snapshot copy: the analyzer only *reads* monitoring metadata
     (populated at capture time), so each worker consults an identical
     read-only copy.  In-process caches (the compiled selection index)
-    rehydrate lazily inside the worker.
+    are rebuilt inside the worker: its shard's detector builds the
+    shape table, and each selection fills on first use.
     """
 
     shard_id: int

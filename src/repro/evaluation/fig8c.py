@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.analysis.compile import compiled_index_for
 from repro.baselines.hansel import HanselAnalyzer
 from repro.core.analyzer import GretelAnalyzer
 from repro.core.characterize import CharacterizationResult
@@ -69,9 +68,6 @@ def run(
     # sliding window α = 768 (its testbed value), not an α rescaled to
     # the replay rate.
     config = GretelConfig(alpha=768)
-    # Compiled once per library (~0.3 s): setup, not a cost of
-    # whichever fault frequency happens to be measured first.
-    compiled_index_for(character.library, config=config)
     points: List[ThroughputPoint] = []
     for fault_every in fault_frequencies:
         stream = SyntheticStream(

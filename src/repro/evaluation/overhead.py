@@ -18,7 +18,6 @@ import tracemalloc
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.analysis.compile import compiled_index_for
 from repro.core.characterize import CharacterizationResult
 from repro.core.config import GretelConfig
 from repro.evaluation.common import (
@@ -108,11 +107,7 @@ def run(
     the timed ``on_event``.
     """
     character = character or default_characterization()
-    # The selection index is compiled once per library, on the first
-    # detection (~0.3 s, ~10 MB): setup, which the ledger reports as
-    # ``setup_s``, not a per-event cost of this 3.6-second workload.
     config = GretelConfig(p_rate=p_rate_for(concurrency))
-    compiled_index_for(character.library, config=config)
     spent = [0.0]
 
     def timed(on_event):

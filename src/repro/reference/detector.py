@@ -314,8 +314,9 @@ def _cut_lengths(fingerprint: Fingerprint, symbol: str,
 
 
 class ScanSelectionDetector(OperationDetector):
-    """From-scratch selection, production scoring.  Never compiles or
-    consults an index."""
+    """From-scratch selection, production scoring.  Never consults an
+    index: the base constructor fetches the library's, but this
+    ``_select`` fills nothing in it."""
 
     def _select(self, symbol: str, truncate: bool) -> Selection:
         prune = self.config.prune_rpcs

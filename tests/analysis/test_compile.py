@@ -1,7 +1,14 @@
 """Library compiler: selections, the pool, the memo and the oracle."""
 
+import gc
+import sys
+import threading
+import weakref
+from weakref import WeakKeyDictionary
+
 import pytest
 
+import repro.analysis.compile as compile_module
 from repro.analysis.compile import (
     CompiledIndex,
     candidate_signature,
@@ -10,10 +17,13 @@ from repro.analysis.compile import (
     selection_flags,
     verify_selection,
 )
+from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
 from repro.core.detector import Candidate, OperationDetector, Selection
 from repro.core.fingerprint import FingerprintLibrary
+from repro.monitoring.store import MetadataStore
 from repro.oracle import OracleDivergence
+from repro.workloads.traffic import SyntheticStream
 
 
 @pytest.fixture()
@@ -84,6 +94,148 @@ def test_memoized_compile_tracks_library_version(
     ]
 
 
+def test_an_index_fills_from_the_postings_of_its_version(
+    library, make_fingerprint, state_change_keys
+):
+    """A mutation is seen by the next index, never by a fill of the
+    index built before it."""
+    before = compiled_index_for(library)
+    library.add(make_fingerprint("op-extra", state_change_keys[:4]))
+    after = compiled_index_for(library)
+    symbol = library.get("op-extra").symbols[0]
+    assert before.filled == after.filled == 0
+
+    def served(index):
+        return [c.fingerprint.operation for c in index.selection(symbol, True)]
+
+    assert "op-extra" in served(after)
+    assert "op-extra" not in served(before)
+    assert served(before) == list(before.postings[symbol])
+
+
+def test_a_dropped_library_releases_its_memo_entry(
+    make_fingerprint, symbols, state_change_keys
+):
+    """The memo is keyed weakly, and an index (its fill included)
+    holds no reference to its library."""
+    library = FingerprintLibrary(symbols)
+    for i in range(3):
+        library.add(make_fingerprint(f"op-{i}", state_change_keys[i:i + 3]))
+    entries = len(compile_module._INDEX_CACHE)
+    index = compiled_index_for(library)
+    index.selection(symbols.symbol(state_change_keys[0]), True)
+    assert len(compile_module._INDEX_CACHE) == entries + 1
+    alive = weakref.ref(library)
+    del library
+    gc.collect()
+    assert alive() is None
+    assert len(compile_module._INDEX_CACHE) == entries
+    # The surviving index still fills, from its own postings snapshot.
+    only_op_2 = symbols.symbol(state_change_keys[4])
+    assert [
+        c.fingerprint.operation for c in index.selection(only_op_2, True)
+    ] == ["op-2"]
+
+
+@pytest.fixture()
+def fresh_memo(monkeypatch):
+    """An empty compile memo, so the seed library gets a new index."""
+    monkeypatch.setattr(compile_module, "_INDEX_CACHE", WeakKeyDictionary())
+
+
+def test_threads_share_one_index_and_one_preparation_per_key(
+    full_character, fresh_memo
+):
+    """Four threads take the memoized index at once and fill
+    overlapping symbols in different orders."""
+    library = full_character.library
+    order = sorted(library.postings())
+    threads = 4
+    barrier = threading.Barrier(threads)
+    taken = [None] * threads
+    served = [None] * threads
+
+    def worker(slot):
+        barrier.wait(timeout=60)
+        index = taken[slot] = compiled_index_for(library)
+        # Each thread starts a quarter further along, so every symbol
+        # is raced by two threads that reached it in different orders.
+        start = slot * len(order) // threads
+        mine = order[start:] + order[:start // 2]
+        modes = (True, False) if slot % 2 else (False, True)
+        served[slot] = {
+            (symbol, cut): index.selection(symbol, cut)
+            for symbol in mine for cut in modes
+        }
+
+    workers = [
+        threading.Thread(target=worker, args=(slot,))
+        for slot in range(threads)
+    ]
+    interval = sys.getswitchinterval()
+    # Switch threads often, so unguarded check-then-act would lose.
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in workers)
+
+    index = taken[0]
+    assert all(other is index for other in taken)
+    for selections in served:
+        for key, selection in selections.items():
+            assert selection is index.selection(*key)
+            for candidate in selection:
+                preparation = candidate.preparation
+                assert index.pool[preparation.key()] is preparation
+    assert index.filled == 2 * len(order)
+    assert sorted(index.pool) == sorted(compile_library(library).pool)
+
+
+def test_first_detection_fills_only_its_own_symbol(
+    full_character, fresh_memo
+):
+    """Analyzer construction builds the shape table; the first page
+    fills its fault symbol's two selections and nothing else."""
+    library = full_character.library
+    analyzer = GretelAnalyzer(
+        library, store=MetadataStore(), track_latency=False,
+        defer_detection=True,
+    )
+    index = compiled_index_for(library)
+    stream = SyntheticStream(
+        library, library.symbols, fault_every=1000, seed=5,
+    )
+    analyzer.feed(stream.events(3000))
+    analyzer.flush()
+    first = analyzer.deferred_snapshots()[0]
+    assert index.filled == 0
+    analyzer.detector.detect(first)
+    assert index.filled == 2
+    # The two filled are the fault symbol's: looking them up again
+    # fills nothing.
+    symbol = library.symbols.symbol(first.fault.api_key)
+    assert all(index.selection(symbol, cut) for cut in (True, False))
+    assert index.filled == 2
+
+
+def test_verify_selection_fills_every_selection_of_a_lazy_index(
+    full_character, fresh_memo
+):
+    library = full_character.library
+    index = compiled_index_for(library)
+    assert index.filled == 0
+    result = verify_selection(library, strict=False)
+    assert result.ok
+    assert "EQUIVALENT" in result.summary()
+    assert result.facts["api_keys"] == len(library.postings()) == 189
+    assert index.filled == 378
+
+
 def test_hydrated_candidates_are_shared_across_detectors(
     library, catalog
 ):
@@ -109,14 +261,17 @@ def test_verify_selection_passes_on_a_fresh_index(library):
 def _tampered(library, tamper):
     """A compiled index with ``tamper`` applied to one selection."""
     index = compile_library(library)
-    selections = {
-        (symbol, truncated): index.selection(symbol, truncated)
-        for symbol in library.postings()
-        for truncated in (True, False)
-    }
-    victim = (sorted(library.postings())[0], True)
-    selections[victim] = Selection(tamper(selections[victim], index))
-    return CompiledIndex(index.flags, index.pool, selections)
+    victim = sorted(library.postings())[0]
+
+    def fill(symbol, operations):
+        untruncated, truncated = (
+            index.selection(symbol, cut) for cut in (False, True)
+        )
+        if symbol == victim:
+            truncated = Selection(tamper(truncated, index))
+        return untruncated, truncated
+
+    return CompiledIndex(index.flags, index.pool, index.postings, fill)
 
 
 def _drop_a_candidate(selection, index):

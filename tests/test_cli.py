@@ -257,6 +257,7 @@ def test_analyze_stage_stats_report_selection_counters(
     out = capsys.readouterr().out
     assert "candidate selection: postings_scanned=" in out
     assert "candidates_indexed=" in out
+    assert "selections_filled=" in out
 
 
 def test_analyze_rejects_unknown_backend():
