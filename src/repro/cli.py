@@ -446,16 +446,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # producer threads, each session bucket owned by exactly one of
     # them, so per-tenant order is the stream order.
     buckets = partition_tenants(events, args.tenants)
+    offsets: Dict[str, int] = {}
     try:
         if args.resume:
             # Resurrect every checkpointed tenant up front, so sessions
             # whose tenants never reappear still finish their pending
-            # analysis at the final flush.
+            # analysis at the final flush.  Each restored tenant
+            # resumes where its checkpoint stopped: every event it
+            # accepted or shed is not offered again.
             service.restore_all()
+            offsets = {
+                tenant: live.events_ingested + live.events_shed
+                for tenant, live in service.sessions.items()
+            }
         started = time.perf_counter()
         # Creates (and restores) each bucket's session before any
         # producer starts.
-        drive_producers(service, buckets, producers, passes=args.passes)
+        drive_producers(
+            service, buckets, producers, passes=args.passes,
+            offsets=offsets,
+        )
     except StateError as error:
         # A checkpoint this build cannot restore (an older format,
         # another config, a malformed document) is unusable input; the
@@ -467,13 +477,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     service.drain()
     elapsed = time.perf_counter() - started
-    if store is not None:
-        service.checkpoint_all()
-    service.flush()
+    # End of stream: flush, then checkpoint (``close``), so a later
+    # --resume finds every session finished and pages nothing twice.
+    service.close()
     for live in service.sessions.values():
         live.close()
 
     count = len(events) * args.passes
+    # The rate counts what this process offered, not what a resumed
+    # session had already taken before its checkpoint.
+    offered = sum(
+        max(0, len(stream) * args.passes - offsets.get(tenant, 0))
+        for tenant, stream in buckets.items()
+    )
     stats = service.stats()
     document = {
         "events": count,
@@ -484,7 +500,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "queue_size": args.queue_size,
         "policy": args.policy,
         "seconds": round(elapsed, 6),
-        "events_per_s": round(count / elapsed, 1),
+        "events_per_s": round(offered / elapsed, 1),
         "service": stats.to_dict(),
         "reports": [
             dict(report.to_dict(), tenant=tenant)
@@ -496,7 +512,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"({args.passes} pass(es), {args.tenants} tenant "
               f"session(s), {producers} producer thread(s), "
               f"policy {args.policy}):")
-        print(f"  drained   {count / elapsed:12,.0f} events/s "
+        print(f"  drained   {offered / elapsed:12,.0f} events/s "
               f"({elapsed:.3f}s)")
         for key, value in stats.to_dict().items():
             print(f"  {key:20s} {value}")
@@ -511,6 +527,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             producers=producers,
             config=config,
             track_latency=not args.no_latency,
+            queue_capacity=args.queue_size,
             strict=False,
         )
         code = _record_verdict(
@@ -760,7 +777,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--queue-size", type=_int_at_least(1), default=1024,
-        help="per-session ingest queue capacity (default 1024)",
+        help="per-session ingest queue capacity, also under "
+             "--verify-async (default 1024)",
     )
     serve.add_argument(
         "--pump-threads", type=_int_at_least(0), default=0,

@@ -30,8 +30,9 @@ oracle trips.
 
 from __future__ import annotations
 
+import itertools
 import threading
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.config import GretelConfig
 from repro.core.fingerprint import FingerprintLibrary
@@ -83,15 +84,19 @@ def drive_producers(
     buckets: Dict[str, List[WireEvent]],
     producers: int,
     passes: int = 1,
+    offsets: Optional[Mapping[str, int]] = None,
 ) -> None:
     """Submit every bucket from ``producers`` concurrent threads.
 
     Each bucket is owned by exactly one producer, which replays it
     ``passes`` times in stream order — so per-tenant delivery order is
-    the stream order however the threads interleave.  The sessions
-    are created *before* the producers start.  Returns once every
-    producer has finished; the first exception a producer raised is
-    re-raised here rather than left on its thread.
+    the stream order however the threads interleave.  A tenant with
+    an offset (a restored session's ``events_ingested +
+    events_shed``) skips that many events of its ``passes`` replays
+    laid end to end.  The sessions are created *before* the producers
+    start.  Returns once every producer has finished; the first
+    exception a producer raised is re-raised here rather than left on
+    its thread.
     """
     owned: List[List[Tuple[str, List[WireEvent]]]] = [
         [] for _ in range(producers)
@@ -99,14 +104,19 @@ def drive_producers(
     for index, (tenant, stream) in enumerate(buckets.items()):
         service.session(tenant)
         owned[index % producers].append((tenant, stream))
+    skip: Mapping[str, int] = offsets or {}
     failures: List[Exception] = []
 
     def produce(work: List[Tuple[str, List[WireEvent]]]) -> None:
         try:
             for tenant, stream in work:
-                for _ in range(passes):
-                    for event in stream:
-                        service.submit(event, tenant=tenant)
+                replay = itertools.chain.from_iterable(
+                    itertools.repeat(stream, passes)
+                )
+                for event in itertools.islice(
+                    replay, skip.get(tenant, 0), None
+                ):
+                    service.submit(event, tenant=tenant)
         except Exception as error:
             failures.append(error)  # re-raised on the caller below
 

@@ -205,10 +205,17 @@ class StreamingService:
             self._rejected.bump()
             return False
         key = tenant or event.tenant or DEFAULT_TENANT
-        live = self.session(key)
+        try:
+            live = self.sessions[key]
+        except KeyError:
+            live = self.session(key)
         accepted = live.submit(event)
-        if accepted and self.checkpoint_every:
-            self._maybe_checkpoint(key, live)
+        every = self.checkpoint_every
+        # The unlocked pre-check keeps the hot path one subtraction.
+        if accepted and every and (
+            live.events_ingested - self._checkpoint_seq[key] >= every
+        ):
+            self._checkpoint_if_due(key, live)
         return accepted
 
     def pump(self, events: Any, *, tenant: Optional[str] = None) -> int:
@@ -221,22 +228,13 @@ class StreamingService:
 
     # -- durability -------------------------------------------------------
 
-    def _maybe_checkpoint(self, key: str, live: TenantSession) -> None:
-        """Fire the periodic checkpoint when a tenant's accepted-event
-        delta crosses ``checkpoint_every``.  The unlocked pre-check
-        keeps the hot path cheap; the locked re-check makes racing
-        producers write one checkpoint, not several."""
-        due = (
-            live.events_ingested
-            - self._checkpoint_seq.get(key, 0)
-        )
-        if due < self.checkpoint_every:
-            return
+    def _checkpoint_if_due(self, key: str, live: TenantSession) -> None:
+        """Fire the periodic checkpoint once a tenant's accepted-event
+        delta crosses ``checkpoint_every`` (``submit`` pre-checks it
+        unlocked).  The locked re-check makes racing producers write
+        one checkpoint, not several."""
         with self._ckpt_lock:
-            due = (
-                live.events_ingested
-                - self._checkpoint_seq.get(key, 0)
-            )
+            due = live.events_ingested - self._checkpoint_seq[key]
             if due >= self.checkpoint_every:
                 self.checkpoint(key)
 

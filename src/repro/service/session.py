@@ -137,10 +137,20 @@ class TenantSession:
         # ingest/analyzed counters; three conditions on it separate
         # the wakeup channels (producers waiting for space, the pump
         # waiting for work, control threads waiting for idle/parked).
+        # Each channel is notified only when someone waits on it: the
+        # waiters count themselves, under the mutex.
         self._lock = threading.Lock()
         self._not_full = threading.Condition(self._lock)
         self._wake = threading.Condition(self._lock)
         self._idle = threading.Condition(self._lock)
+        #: Producers parked on ``_not_full`` and threads parked on
+        #: ``_idle``.
+        self._full_waiters = 0
+        self._idle_waiters = 0
+        #: The pump is parked on ``_wake`` for lack of work.  The
+        #: producer that wakes it clears the flag, so one wait costs
+        #: one notify however many events arrive meanwhile.
+        self._pump_waiting = False
         #: Serializes the control verbs (parked/snapshot/restore/
         #: flush/close) against each other across threads.
         self._state_lock = threading.RLock()
@@ -180,31 +190,37 @@ class TenantSession:
         frees space — the stall *is* the backpressure; ``"shed"``
         rejects a full queue without touching the lock (one
         GIL-atomic counter bump).  A sealed or pump-dead session
-        sheds everything.
+        sheds everything.  The common path is one short hold of the
+        session mutex, and it notifies the pump only when the pump is
+        waiting for work.
         """
         capacity = self.queue_capacity
+        queue = self.queue
         if self._sealed or (
-            self.policy == "shed" and len(self.queue) >= capacity
+            self.policy == "shed" and len(queue) >= capacity
         ):
             # Lock-free reject path: reading a deque's length and
             # bumping the shed counter are both single C calls.
             self._shed.bump()
             return False
-        with self._not_full:
-            while (
-                self.policy == "block"
-                and len(self.queue) >= capacity
-                and not self._sealed
-            ):
-                self._not_full.wait(_WAIT_TICK)
+        with self._lock:
+            if len(queue) >= capacity and self.policy == "block":
+                self._full_waiters += 1
+                try:
+                    while len(queue) >= capacity and not self._sealed:
+                        self._not_full.wait(_WAIT_TICK)
+                finally:
+                    self._full_waiters -= 1
             # Sealed while waiting, or ("shed") filled since the
             # lock-free look.
-            if self._sealed or len(self.queue) >= capacity:
+            if self._sealed or len(queue) >= capacity:
                 self._shed.bump()
                 return False
-            self.queue.append(event)
+            queue.append(event)
             self.events_ingested += 1
-            self._wake.notify()
+            if self._pump_waiting:
+                self._pump_waiting = False
+                self._wake.notify()
         return True
 
     def flush(self) -> None:
@@ -228,30 +244,40 @@ class TenantSession:
 
         The single consumer thread is what preserves per-tenant event
         order; a claimed chunk is always analyzed to completion, so
-        every park point is an event boundary.
+        every park point is an event boundary.  The chunk is claimed
+        with one C call, so the mutex is held for O(1) bytecodes, and
+        the previous chunk is counted analyzed in the same hold.
         """
         queue = self.queue
+        popleft = deque.popleft
+        done = 0
         while True:
             with self._lock:
+                self.events_analyzed += done
                 self._pump_busy = False
-                self._idle.notify_all()
+                if self._idle_waiters:
+                    self._idle.notify_all()
                 while True:
                     if self._pause_requests and not self._stopping:
                         self._paused = True
-                        self._idle.notify_all()
+                        if self._idle_waiters:
+                            self._idle.notify_all()
                         self._wake.wait(_WAIT_TICK)
                         continue
                     self._paused = False
                     if queue or self._stopping:
                         break
+                    self._pump_waiting = True
                     self._wake.wait(_WAIT_TICK)
+                    self._pump_waiting = False
                 if not queue and self._stopping:
                     self._idle.notify_all()
                     return
                 claim = min(len(queue), self.pump_chunk)
-                chunk = [queue.popleft() for _ in range(claim)]
+                chunk = list(map(popleft, itertools.repeat(queue, claim)))
                 self._pump_busy = True
-                self._not_full.notify_all()
+                if self._full_waiters:
+                    self._not_full.notify_all()
             try:
                 self._pump_step(chunk)
             except BaseException as error:  # noqa: B036 - no silent death
@@ -264,8 +290,7 @@ class TenantSession:
                     self._not_full.notify_all()
                     self._idle.notify_all()
                 return
-            with self._lock:
-                self.events_analyzed += len(chunk)
+            done = len(chunk)
 
     def _pump_step(self, chunk: List[WireEvent]) -> None:
         """Analyze one claimed chunk on the pump thread.
@@ -291,11 +316,10 @@ class TenantSession:
             with self._lock:
                 self._pause_requests += 1
                 self._wake.notify_all()
-                while not (
-                    (self._paused or self._stopping)
+                self._await_idle(
+                    lambda: (self._paused or self._stopping)
                     and not self._pump_busy
-                ):
-                    self._idle.wait(_WAIT_TICK)
+                )
             try:
                 if self._pump_error is not None:
                     raise RuntimeError(
@@ -318,14 +342,24 @@ class TenantSession:
         """
         with self._lock:
             before = self.events_analyzed
-            while (self.queue or self._pump_busy) and not (
-                self._stopping and self._pump_error is not None
-            ):
-                if self._stopping and not self._pump.is_alive() \
-                        and not self._pump_busy:
-                    break
-                self._idle.wait(_WAIT_TICK)
+            self._await_idle(
+                lambda: not (self.queue or self._pump_busy)
+                or (self._stopping and self._pump_error is not None)
+                or (self._stopping and not self._pump_busy
+                    and not self._pump.is_alive())
+            )
             return self.events_analyzed - before
+
+    def _await_idle(self, done: Callable[[], bool]) -> None:
+        """Wait on ``_idle`` until ``done()``; the caller holds the
+        session mutex.  Counted, so the pump notifies ``_idle`` only
+        while someone waits on it."""
+        self._idle_waiters += 1
+        try:
+            while not done():
+                self._idle.wait(_WAIT_TICK)
+        finally:
+            self._idle_waiters -= 1
 
     def seal(self) -> None:
         """Close the front door: every later submit is counted shed.

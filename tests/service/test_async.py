@@ -10,9 +10,13 @@ the whole thing is observably identical to the reference sync router
 proving the oracle actually trips on a tampered pump).
 """
 
+import sys
 import threading
+from collections import Counter
 
 import pytest
+
+import repro.service.session
 
 from repro.core.reports import report_signature
 from repro.core.state import decode_events
@@ -226,6 +230,146 @@ def test_async_checkpoint_resume_matches_straight_run(
     assert sorted(combined) == sorted(straight_sigs)
     assert second.stats().events_analyzed == len(stream_events)
     second.shutdown()
+
+
+def test_resume_from_offsets_over_passes_matches_straight_run(
+    build_service, stream_events, tmp_path
+):
+    """A restored tenant resumes at ``events_ingested + events_shed``,
+    counted over its passes laid end to end (what ``repro serve
+    --resume`` does): every event is analyzed once, and the two
+    processes' pages are the straight run's."""
+    passes = 2
+    buckets = partition(stream_events)
+
+    def sink(service):
+        sigs = []
+        service.on_report(
+            lambda t, r: sigs.append((t, report_signature(r)))
+        )
+        return sigs
+
+    straight = build_service()
+    straight_sigs = sink(straight)
+    drive_producers(straight, buckets, PRODUCERS, passes=passes)
+    straight.flush()
+
+    # Kill each tenant at a different point of its two passes: inside
+    # the first, at the seam, inside the second.
+    store = CheckpointStore(tmp_path)
+    first = build_service(checkpoint_store=store)
+    first_sigs = sink(first)
+    cuts = {}
+    for index, (key, stream) in enumerate(buckets.items()):
+        cuts[key] = (index + 1) * len(stream) * passes // (TENANTS + 1)
+        for event in (stream * passes)[:cuts[key]]:
+            first.submit(event, tenant=key)
+    first.drain()
+    first.checkpoint_all()
+    for live in first.sessions.values():
+        live.close()
+
+    second = build_service(checkpoint_store=store)
+    second_sigs = sink(second)
+    assert second.restore_all() == TENANTS
+    offsets = {
+        key: live.events_ingested + live.events_shed
+        for key, live in second.sessions.items()
+    }
+    assert offsets == cuts
+    drive_producers(
+        second, buckets, PRODUCERS, passes=passes, offsets=offsets,
+    )
+    second.flush()
+    assert sorted(first_sigs + second_sigs) == sorted(straight_sigs)
+    assert second.stats().events_analyzed == passes * len(stream_events)
+
+
+# ---------------------------------------------------------------------------
+# Wakeups: every wait ends on a notify, never on the defensive tick
+# ---------------------------------------------------------------------------
+
+def _within(seconds, work):
+    """Run ``work`` on a daemon thread; fail if it is not done in
+    ``seconds`` (far below the patched tick, so only a notify can
+    have ended each wait)."""
+    failures = []
+
+    def run():
+        try:
+            work()
+        except BaseException as error:  # re-raised below
+            failures.append(error)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"{work.__name__} stalled: lost wakeup"
+    if failures:
+        raise failures[0]
+
+
+def test_no_lost_wakeup_the_tick_could_mask(
+    build_session, build_service, build_analyzer, stream_events,
+    monkeypatch,
+):
+    """With the defensive re-check at 60 s and the GIL switching every
+    microsecond, a missed notify on any channel — the pump waiting for
+    work, producers waiting for space, a quiesce waiting for idle —
+    stalls the run past its deadline."""
+    monkeypatch.setattr(repro.service.session, "_WAIT_TICK", 60.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # Round trips into an idle pump: each submit must wake it,
+        # each quiesce must be woken by it.
+        session = build_session(queue_capacity=64)
+        trips = stream_events[:400]
+
+        def round_trips():
+            for event in trips:
+                assert session.submit(event)
+                session.quiesce()
+
+        _within(30, round_trips)
+        assert session.events_ingested == len(trips)
+        assert session.events_analyzed == len(trips)
+
+        # Backpressure: four producers, one per tenant, against a
+        # two-slot queue, so producers park on the not-full channel
+        # while pumps park waiting for work.
+        buckets = partition(stream_events, tenants=4)
+        service = build_service(queue_capacity=2)
+        pumped = []  # list.append is atomic across pump threads
+        service.on_report(
+            lambda t, r: pumped.append((t, report_signature(r)))
+        )
+
+        def produce():
+            drive_producers(service, buckets, 4)
+
+        def flush():
+            service.flush()
+
+        _within(30, produce)
+        _within(30, flush)
+    finally:
+        sys.setswitchinterval(interval)
+    serial = Counter()
+    for key, stream in buckets.items():
+        live = service.sessions[key]
+        assert live.events_ingested == len(stream)
+        assert live.events_analyzed == len(stream)
+        assert live.events_shed == 0
+        analyzer = build_analyzer()
+        analyzer.on_report(
+            lambda r, key=key: serial.update([(key, report_signature(r))])
+        )
+        analyzer.feed(stream)
+        analyzer.flush()
+        analyzer.close()
+    assert sum(serial.values()) > 0
+    assert Counter(pumped) == serial
 
 
 # ---------------------------------------------------------------------------

@@ -492,8 +492,33 @@ def test_serve_checkpoint_resume_round_trip(
                  "--format", "json"]) == 0
     second = json.loads(capsys.readouterr().out)
     assert second["service"]["sessions_restored"] == 2
-    # The restored watermark carries over: 2000 restored + 2000 new.
-    assert second["service"]["events_analyzed"] == 4000
+    # Each restored tenant resumes at its offset: the finished stream
+    # is not offered again.
+    assert second["service"]["events_analyzed"] == 2000
+
+
+def test_serve_resume_ingests_each_event_once(
+    full_character, tmp_path, capsys
+):
+    """``--resume`` over a finished run offers no event twice and
+    publishes none of the first run's pages again."""
+    replay = ["serve", "--events", "3000", "--tenants", "3",
+              "--alpha", "64", "--no-latency", "--passes", "2",
+              "--checkpoint-dir", str(tmp_path), "--format", "json"]
+    assert main(replay + ["--checkpoint-every", "700"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert main(replay + ["--resume"]) == 0
+    second = json.loads(capsys.readouterr().out)
+
+    def pages(document):
+        return {(r["tenant"], r["kind"], r["fault_event"]["seq"])
+                for r in document["reports"]}
+
+    assert first["reports"]
+    assert second["service"]["sessions_restored"] == 3
+    assert second["service"]["events_analyzed"] == 6000
+    assert second["service"]["reports"] == first["service"]["reports"]
+    assert not pages(first) & pages(second)
 
 
 def test_serve_refused_checkpoint_is_a_usage_error(
