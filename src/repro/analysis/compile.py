@@ -62,7 +62,7 @@ from repro.core.matching.engine import Preparation, PreparationKey
 from repro.core.matching.oracle import compare_detections
 from repro.core.symbols import SymbolTable
 from repro.core.window import Snapshot
-from repro.openstack.catalog import ApiCatalog, default_catalog
+from repro.openstack.catalog import ApiCatalog
 from repro.oracle import OracleResult, diff_multisets, settle
 
 #: The config fields that change what a prepared candidate *is*.
@@ -148,13 +148,11 @@ class CompiledIndex:
 
 
 def _shape_index(
-    library: FingerprintLibrary,
-    symbols: Optional[SymbolTable],
-    config: Optional[GretelConfig],
+    library: FingerprintLibrary, config: Optional[GretelConfig],
 ) -> CompiledIndex:
     """``library``'s shape table and postings, as an index with no
     selection filled yet."""
-    symbols = symbols or library.symbols
+    symbols = library.symbols
     flags = selection_flags(config or GretelConfig())
     prune_rpcs, relaxed, truncate_flag = flags
 
@@ -227,14 +225,12 @@ def _shape_index(
 
 
 def compile_library(
-    library: FingerprintLibrary,
-    symbols: Optional[SymbolTable] = None,
-    config: Optional[GretelConfig] = None,
+    library: FingerprintLibrary, config: Optional[GretelConfig] = None,
 ) -> CompiledIndex:
     """``library``'s index with every ``(symbol, truncation mode)``
     selection filled, in postings order — what the memoized index of
     :func:`compiled_index_for` holds once every symbol has faulted."""
-    index = _shape_index(library, symbols, config)
+    index = _shape_index(library, config)
     for symbol in index.postings:
         index.selection(symbol, False)
     return index
@@ -266,12 +262,12 @@ def compiled_index_for(
 
     All detectors over one ``(library, version, flags)`` share a single
     index — notably every tenant session of a service.
-    ``catalog`` is ignored (preparation only consults the symbol
-    table); the positional stays because ``benchmarks/e2e/harness.py``
-    passes it and may not be edited here — ROADMAP lists it as residue
-    for the next ``benchmark`` PR.
+    ``symbols`` and ``catalog`` are ignored (preparation reads the
+    library's own symbol table); the positionals stay because
+    ``benchmarks/e2e/harness.py`` passes them and may not be edited
+    here — ROADMAP item 1 PR B lists them as residue.
     """
-    del catalog
+    del symbols, catalog
     config = config or GretelConfig()
     key = (selection_flags(config), library.version)
     with _INDEX_LOCK:
@@ -280,9 +276,7 @@ def compiled_index_for(
         if index is None:
             for stale in [k for k in per_library if k[1] != library.version]:
                 del per_library[stale]
-            index = per_library[key] = _shape_index(
-                library, symbols, config,
-            )
+            index = per_library[key] = _shape_index(library, config)
     return index
 
 
@@ -302,39 +296,34 @@ def candidate_signature(candidate: Candidate) -> CandidateSignature:
     return (fingerprint.operation,) + preparation.key()
 
 
-def _library_api_keys(
-    library: FingerprintLibrary, symbols: SymbolTable
-) -> List[str]:
+def _library_api_keys(library: FingerprintLibrary) -> List[str]:
     """Every api key whose symbol some fingerprint contains, sorted."""
     return sorted(
-        symbols.api_key(symbol) for symbol in library.postings()
+        library.symbols.api_key(symbol) for symbol in library.postings()
     )
 
 
 def verify_selection(
     library: FingerprintLibrary,
     *,
-    symbols: Optional[SymbolTable] = None,
-    catalog: Optional[ApiCatalog] = None,
     config: Optional[GretelConfig] = None,
-    api_keys: Optional[Sequence[str]] = None,
     snapshots: Sequence[Snapshot] = (),
     index: Optional[CompiledIndex] = None,
     strict: bool = True,
 ) -> OracleResult:
     """Prove indexed selection equivalent to the full scan.
 
-    Two fresh detectors share the library/symbols/catalog/config and
-    differ only in selection: the production one looks candidates up
-    in the compiled index (it may be handed a pre-built — possibly
-    tampered — ``index``; by default it compiles its own), the
-    reference package's ``ScanSelectionDetector`` prepares every
-    containing fingerprint from scratch.  Two comparisons run:
+    Two fresh detectors share the library and config and differ only
+    in selection: the production one looks candidates up in the
+    compiled index (it may be handed a pre-built — possibly tampered
+    — ``index``; by default it compiles its own), the reference
+    package's ``ScanSelectionDetector`` prepares every containing
+    fingerprint from scratch.  Two comparisons run:
 
-    * per ``api_key`` × truncation mode, the prepared candidate lists
-      must match signature-for-signature (operation multiset equality
-      is implied; order and preparation content are held too, because
-      both are pinned contracts);
+    * per api key the library contains × truncation mode, the
+      prepared candidate lists must match signature-for-signature
+      (operation multiset equality is implied; order and preparation
+      content are held too, because both are pinned contracts);
     * per frozen snapshot, end-to-end
       :func:`~repro.core.matching.oracle.detection_signature` equality
       — indexed selection must not change a single diagnosis field.
@@ -344,14 +333,12 @@ def verify_selection(
     from repro.reference.detector import ScanSelectionDetector
 
     config = config or GretelConfig()
-    symbols = symbols or library.symbols
-    catalog = catalog or default_catalog()
+    symbols = library.symbols
     indexed = OperationDetector(
-        library, symbols, catalog, config, compiled_index=index,
+        library, symbols, None, config, compiled_index=index,
     )
-    reference = ScanSelectionDetector(library, symbols, catalog, config)
-    if api_keys is None:
-        api_keys = _library_api_keys(library, symbols)
+    reference = ScanSelectionDetector(library, symbols, None, config)
+    api_keys = _library_api_keys(library)
 
     result = OracleResult(
         layer="selection",

@@ -105,9 +105,7 @@ def _replay_inputs(
     from repro.evaluation.common import default_characterization
     from repro.workloads.traffic import SyntheticStream
 
-    library = default_characterization(
-        seed=args.seed, use_disk_cache=not args.no_cache,
-    ).library
+    library = default_characterization(seed=args.seed).library
     stream = SyntheticStream(
         library, library.symbols,
         fault_every=args.fault_every, seed=args.seed,
@@ -131,7 +129,6 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
     character = default_characterization(
         seed=args.seed, iterations=args.iterations,
-        use_disk_cache=not args.no_cache,
     )
     print(table1.format_report(character.table1_rows()))
     print(f"\nlargest fingerprint (FP_max): {character.fp_max} APIs")
@@ -240,7 +237,6 @@ def _resolve_library(
 
         character = default_characterization(
             seed=args.seed, iterations=args.iterations,
-            use_disk_cache=not args.no_cache,
         )
         library = character.library
         symbols = library.symbols
@@ -297,17 +293,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from dataclasses import asdict
 
     from repro.core.analyzer import GretelAnalyzer
-    from repro.core.pipeline import StageCounters, StageTimer
+    from repro.core.pipeline import StageTimer
     from repro.monitoring.store import MetadataStore
 
     text_mode = args.format == "text"
     library, events, config = _replay_inputs(args)
 
-    timer, counters = StageTimer(), StageCounters()
+    timer = StageTimer()
     analyzer = GretelAnalyzer(
         library, store=MetadataStore(), config=config,
         track_latency=not args.no_latency, defer_detection=True,
-        middleware=(timer, counters) if args.stage_stats else (),
+        middleware=(timer,) if args.stage_stats else (),
     )
     started = time.perf_counter()
     analyzer.feed(events)
@@ -348,7 +344,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             stage: round(seconds, 6)
             for stage, seconds in sorted(timer.seconds.items())
         }
-        document["stage_items"] = dict(sorted(counters.items.items()))
+        document["stage_items"] = dict(sorted(timer.items.items()))
 
     if text_mode:
         print(f"analyzer over {count} events "
@@ -368,7 +364,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             print(f"    {line}")
         print("  per-stage items: "
               + ", ".join(f"{stage}={items}"
-                          for stage, items in sorted(counters.items.items())))
+                          for stage, items in sorted(timer.items.items())))
         stats = analyzer.stats()
         print("  detection engine: "
               f"candidates_gated={stats.candidates_gated}, "
@@ -477,11 +473,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     service.drain()
     elapsed = time.perf_counter() - started
-    # End of stream: flush, then checkpoint (``close``), so a later
-    # --resume finds every session finished and pages nothing twice.
-    service.close()
-    for live in service.sessions.values():
-        live.close()
+    # End of stream: flush, checkpoint and stop every session, so a
+    # later --resume finds every session finished and pages nothing
+    # twice.
+    service.shutdown()
 
     count = len(events) * args.passes
     # The rate counts what this process offered, not what a resumed
@@ -609,7 +604,7 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
 
-    character = default_characterization(use_disk_cache=not args.no_cache)
+    character = default_characterization()
     result = run_catalog(character, seed=args.seed, names=selected)
     document = build_scorecard(result)
 
@@ -649,7 +644,6 @@ def _add_replay_arguments(parser: argparse.ArgumentParser) -> None:
         help="disable per-API latency tracking (pure operational path)",
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--no-cache", action="store_true")
 
 
 def _add_document_arguments(parser: argparse.ArgumentParser) -> None:
@@ -679,7 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
     characterize.add_argument(
         "--iterations", type=_int_at_least(1), default=2
     )
-    characterize.add_argument("--no-cache", action="store_true")
     characterize.set_defaults(handler=_cmd_characterize)
 
     suite = sub.add_parser("suite", help="describe the generated test suite")
@@ -736,7 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--iterations", type=_int_at_least(1), default=2
     )
-    lint.add_argument("--no-cache", action="store_true")
     lint.set_defaults(handler=_cmd_lint)
 
     analyze = sub.add_parser(
@@ -747,8 +739,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_document_arguments(analyze)
     analyze.add_argument(
         "--stage-stats", action="store_true",
-        help="attach StageTimer/StageCounters middleware to the "
-             "analyzer and print per-stage cost",
+        help="attach StageTimer middleware to the analyzer and print "
+             "per-stage cost",
     )
     analyze.add_argument(
         "--verify-selection", action="store_true",
@@ -855,7 +847,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="diff the scorecard against this committed baseline; "
              "exit 1 on drift",
     )
-    scenarios_run.add_argument("--no-cache", action="store_true")
     scenarios_run.set_defaults(handler=_cmd_scenarios_run)
 
     return parser

@@ -34,7 +34,7 @@ from repro.core.config import GretelConfig
 from repro.core.detector import DetectionResult, OperationDetector
 from repro.core.fingerprint import Fingerprint, FingerprintLibrary, generate_fingerprint
 from repro.core.incidents import Incident, IncidentAggregator
-from repro.core.pipeline import StageCounters, StageTimer
+from repro.core.pipeline import StageTimer
 from repro.core.precision import theta
 from repro.core.reports import FaultReport, RootCauseFinding
 from repro.core.symbols import SymbolTable
@@ -52,7 +52,6 @@ __all__ = [
     "OperationDetector",
     "PipelineStats",
     "RootCauseFinding",
-    "StageCounters",
     "StageTimer",
     "SymbolTable",
     "characterize_suite",

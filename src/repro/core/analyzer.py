@@ -56,11 +56,9 @@ from repro.core.rootcause import RootCauseEngine
 from repro.core.state import (
     StateError, decode_key, read_key, require_state, under,
 )
-from repro.core.symbols import SymbolTable
 from repro.core.window import SlidingWindow, Snapshot
 from repro.monitoring.store import MetadataStore
 from repro.openstack.apis import ApiKind
-from repro.openstack.catalog import ApiCatalog, default_catalog
 from repro.openstack.wire import WireEvent
 
 if TYPE_CHECKING:
@@ -72,10 +70,10 @@ if TYPE_CHECKING:
 #: snapshot match.
 PERF_DEBOUNCE = 5.0
 #: Cap on the number of context-buffer events a performance-fault
-#: match considers (centered on the anomaly).  The paper matches "the
-#: entire context buffer" at α = 768; at high packet rates our α can
-#: be far larger, and matching thousands of messages per alarm buys
-#: no precision.
+#: match considers: the newest ones, ending at the anomalous event.
+#: The paper matches "the entire context buffer" at α = 768; at high
+#: packet rates our α can be far larger, and matching thousands of
+#: messages per alarm buys no precision.
 PERF_BUFFER_CAP = 1024
 
 
@@ -149,28 +147,24 @@ class GretelAnalyzer:
     def __init__(
         self,
         library: FingerprintLibrary,
-        symbols: Optional[SymbolTable] = None,
-        catalog: Optional[ApiCatalog] = None,
+        *,
         store: Optional[MetadataStore] = None,
         config: Optional[GretelConfig] = None,
         track_latency: bool = True,
         defer_detection: bool = False,
-        *,
         middleware: Sequence[StageObserver] = (),
         report_listeners: Sequence[
             Callable[[FaultReport], None]
         ] = (),
     ) -> None:
         self.library = library
-        self.symbols = library.symbols if symbols is None else symbols
-        self.catalog = default_catalog() if catalog is None else catalog
         self.store = MetadataStore() if store is None else store
         self.config = config or GretelConfig()
         self.track_latency = track_latency
         self.defer_detection = defer_detection
 
         self.detector = OperationDetector(
-            library, self.symbols, self.catalog, self.config
+            library, library.symbols, None, self.config
         )
         self.latency = LatencyTracker(on_anomaly=self.process_anomaly)
         self.rootcause = RootCauseEngine(self.store)
@@ -286,11 +280,11 @@ class GretelAnalyzer:
     def snapshot_state(self) -> Dict[str, Any]:
         """Freeze the analyzer mid-stream, JSON-serializably.
 
-        Collaborators (library, symbols, catalog, store) are
-        construction-time inputs and are *not* serialized; the config
-        rendering rides along purely as a rehydration guard.  The
-        report log is an output, not in-flight state, and stays out
-        (see :mod:`repro.core.state`).
+        Collaborators (library, store) are construction-time inputs
+        and are *not* serialized; the config rendering rides along
+        purely as a rehydration guard.  The report log is an output,
+        not in-flight state, and stays out (see
+        :mod:`repro.core.state`).
         ``repro.service.oracle.verify_checkpoint`` proves a restored
         analyzer finishes the stream bit-identically.
         """
@@ -536,23 +530,15 @@ class GretelAnalyzer:
         self._last_perf_analysis[anomaly.api_key] = anomaly.ts
 
         started = time.perf_counter()
-        seq = anomaly.event.seq
+        # ``on_event`` has just appended the anomalous event, so it is
+        # the newest live event; a caller that hands in an event the
+        # window never saw gets it appended.
         events = self.window.live_events()
-        fault_index = -1
-        for index, candidate in enumerate(events):
-            if candidate.seq == seq:
-                fault_index = index
-                break
-        if fault_index < 0:
+        if not events or events[-1].seq != anomaly.event.seq:
             events.append(anomaly.event)
-            fault_index = len(events) - 1
-        if len(events) > PERF_BUFFER_CAP:
-            lo = max(0, fault_index - PERF_BUFFER_CAP // 2)
-            hi = min(len(events), lo + PERF_BUFFER_CAP)
-            lo = max(0, hi - PERF_BUFFER_CAP)
-            events = events[lo:hi]
-            fault_index -= lo
+        events = events[-PERF_BUFFER_CAP:]
         snapshot = Snapshot(
-            fault=anomaly.event, events=events, fault_index=fault_index
+            fault=anomaly.event, events=events,
+            fault_index=len(events) - 1,
         )
         self._localize(snapshot, started, anomaly)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.openstack.apis import ApiKind
-from repro.openstack.catalog import ApiCatalog, default_catalog
+from repro.openstack.catalog import default_catalog
 from repro.openstack.cloud import Cloud
 from repro.openstack.wire import WireEvent
 from repro.core.fingerprint import FingerprintLibrary, generate_fingerprint
@@ -108,15 +108,13 @@ def characterize_suite(
     *,
     iterations: int = 3,
     seed: int = 0,
-    catalog: Optional[ApiCatalog] = None,
-    symbols: Optional[SymbolTable] = None,
     cloud_factory: Optional[Callable[[int], Cloud]] = None,
     cache_path: Optional[str] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
 ) -> CharacterizationResult:
-    """Fingerprint every test of ``suite`` (Algorithm 1 end to end)."""
-    catalog = catalog or default_catalog()
-    symbols = symbols or SymbolTable(catalog)
+    """Fingerprint every test of ``suite`` (Algorithm 1 end to end)
+    over the default catalog and a fresh symbol table."""
+    catalog = default_catalog()
+    symbols = SymbolTable(catalog)
 
     if cache_path and os.path.exists(cache_path):
         return _load(cache_path, symbols, iterations)
@@ -130,8 +128,6 @@ def characterize_suite(
     failed: List[str] = []
 
     for index, test in enumerate(suite.tests):
-        if progress is not None:
-            progress(index, len(suite.tests))
         category_stats = stats.setdefault(
             test.category, CategoryStats(category=test.category)
         )

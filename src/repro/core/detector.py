@@ -221,22 +221,24 @@ class OperationDetector:
         self,
         library: FingerprintLibrary,
         symbols: SymbolTable,
-        catalog: ApiCatalog,
+        catalog: Optional[ApiCatalog],
         config: Optional[GretelConfig] = None,
         *,
         compiled_index: Optional["CompiledIndex"] = None,
     ) -> None:
+        # Residue: detection reads no catalog, so ``catalog`` is
+        # ignored.  The positional stays because
+        # ``benchmarks/e2e/workloads.py`` passes it and may not be
+        # edited here — ROADMAP item 1 PR B lists it.
+        del catalog
         self.library = library
         self.symbols = symbols
-        self.catalog = catalog
         self.config = config or GretelConfig()
         self._fragment_cache: Dict[str, str] = {}
         if compiled_index is None:
             from repro.analysis.compile import compiled_index_for
 
-            compiled_index = compiled_index_for(
-                library, symbols, config=self.config,
-            )
+            compiled_index = compiled_index_for(library, config=self.config)
         elif not compiled_index.serves(self.config):
             # Serving preparations compiled for other selection flags
             # would change diagnoses, not just speed.

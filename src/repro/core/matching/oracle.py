@@ -18,9 +18,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from repro.core.config import GretelConfig
 from repro.core.fingerprint import FingerprintLibrary
-from repro.core.symbols import SymbolTable
 from repro.core.window import Snapshot
-from repro.openstack.catalog import ApiCatalog, default_catalog
 from repro.oracle import OracleResult, settle
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -88,27 +86,23 @@ def verify_detection(
     snapshots: Sequence[Snapshot],
     library: FingerprintLibrary,
     *,
-    symbols: Optional[SymbolTable] = None,
-    catalog: Optional[ApiCatalog] = None,
     config: Optional[GretelConfig] = None,
     performance_fault: bool = False,
     strict: bool = True,
 ) -> OracleResult:
     """Replay ``snapshots`` through both scoring paths and compare.
 
-    Two fresh detectors share the library/symbols/catalog/config and
-    differ only in the scorer; one mismatch line is recorded per
-    snapshot whose signatures differ.  ``strict`` is
-    :func:`repro.oracle.settle`'s.
+    Two fresh detectors share the library and config and differ only
+    in the scorer; one mismatch line is recorded per snapshot whose
+    signatures differ.  ``strict`` is :func:`repro.oracle.settle`'s.
     """
     from repro.core.detector import OperationDetector
     from repro.reference.detector import ScratchScoringDetector
 
     config = config or GretelConfig()
-    symbols = symbols or library.symbols
-    catalog = catalog or default_catalog()
-    reference = ScratchScoringDetector(library, symbols, catalog, config)
-    incremental = OperationDetector(library, symbols, catalog, config)
+    symbols = library.symbols
+    reference = ScratchScoringDetector(library, symbols, None, config)
+    incremental = OperationDetector(library, symbols, None, config)
     result = OracleResult(
         layer="detection",
         reference="scratch",

@@ -45,7 +45,6 @@ from typing import (
     Any, Callable, Dict, Iterable, List, Optional, Sequence,
 )
 
-from repro.openstack.catalog import ApiCatalog
 from repro.openstack.wire import WireEvent
 from repro.core.analyzer import STAT_FIELDS, GretelAnalyzer, PipelineStats
 from repro.core.config import GretelConfig
@@ -57,7 +56,6 @@ from repro.core.reports import (
     report_order_key,
     report_signature,
 )
-from repro.core.symbols import SymbolTable
 from repro.monitoring.store import MetadataStore
 from repro.oracle import OracleResult, diff_multisets, settle
 
@@ -121,8 +119,6 @@ class ShardedAnalyzer:
         *,
         key: Callable[[WireEvent], str] = source_node_key,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        symbols: Optional[SymbolTable] = None,
-        catalog: Optional[ApiCatalog] = None,
         store: Optional[MetadataStore] = None,
         config: Optional[GretelConfig] = None,
         track_latency: bool = True,
@@ -149,8 +145,6 @@ class ShardedAnalyzer:
         # **wiring)``: inline here, the process backend inside each
         # worker from the seed.
         wiring = {
-            "symbols": symbols,
-            "catalog": catalog,
             "store": self.store,
             "config": self.config,
             "track_latency": track_latency,
@@ -366,8 +360,6 @@ def verify_equivalence(
     key: Callable[[WireEvent], str] = source_node_key,
     batch_size: int = DEFAULT_BATCH_SIZE,
     config: Optional[GretelConfig] = None,
-    catalog: Optional[ApiCatalog] = None,
-    store: Optional[MetadataStore] = None,
     track_latency: bool = True,
     defer_detection: bool = False,
     strict: bool = True,
@@ -377,11 +369,10 @@ def verify_equivalence(
 
     Both analyzers run the same configuration, the stream is flushed,
     and — when detection is deferred — both backlogs are drained.
-    By default each half gets a fresh (empty) metadata store; passing
-    ``store`` (e.g. the populated store of a captured live run) makes
-    both halves consult the same read-only metadata, so root-cause
-    findings are part of the comparison too.  Reports are compared as
-    multisets of :func:`report_signature`; ``strict`` is
+    Each half gets a fresh (empty) metadata store, so Alg. 3 finds no
+    root cause on either and the comparison covers detection only
+    (no caller has ever handed in a populated store).  Reports are
+    compared as multisets of :func:`report_signature`; ``strict`` is
     :func:`repro.oracle.settle`'s.  ``facts["active_shards"]`` counts
     the shards that received any event: 1 of several means the key
     sent the whole stream to one shard, and the run proved "one
@@ -396,16 +387,15 @@ def verify_equivalence(
     config = config or GretelConfig()
 
     serial = GretelAnalyzer(
-        library, catalog=catalog, store=store or MetadataStore(),
-        config=config,
+        library, store=MetadataStore(), config=config,
         track_latency=track_latency, defer_detection=defer_detection,
     )
     serial.feed(events)
     serial.flush()
 
     sharded = ShardedAnalyzer(
-        library, shards, key=key, batch_size=batch_size, catalog=catalog,
-        store=store or MetadataStore(), config=config,
+        library, shards, key=key, batch_size=batch_size,
+        store=MetadataStore(), config=config,
         track_latency=track_latency,
         defer_detection=defer_detection,
         backend=backend,

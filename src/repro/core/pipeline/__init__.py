@@ -18,7 +18,6 @@ from repro.core.analyzer import STAT_FIELDS, GretelAnalyzer, PipelineStats
 from repro.core.fingerprint import FingerprintLibrary
 from repro.core.pipeline.middleware import (
     STAGE_NAMES,
-    StageCounters,
     StageObserver,
     StageTimer,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "STAGE_NAMES",
     "STAT_FIELDS",
     "PipelineStats",
-    "StageCounters",
     "StageObserver",
     "StageTimer",
 ]

@@ -31,28 +31,18 @@ class StageObserver(Protocol):
         which took ``seconds`` of wall clock."""
 
 
-class StageCounters:
-    """Counts calls and items per stage."""
-
-    def __init__(self) -> None:
-        self.calls: Dict[str, int] = {}
-        self.items: Dict[str, int] = {}
-
-    def observe(self, stage: str, seconds: float, items: int) -> None:
-        self.calls[stage] = self.calls.get(stage, 0) + 1
-        self.items[stage] = self.items.get(stage, 0) + items
-
-
 class StageTimer:
-    """Accumulates wall-clock seconds per stage."""
+    """Accumulates wall-clock seconds, calls and items per stage."""
 
     def __init__(self) -> None:
         self.seconds: Dict[str, float] = {}
         self.calls: Dict[str, int] = {}
+        self.items: Dict[str, int] = {}
 
     def observe(self, stage: str, seconds: float, items: int) -> None:
         self.seconds[stage] = self.seconds.get(stage, 0.0) + seconds
         self.calls[stage] = self.calls.get(stage, 0) + 1
+        self.items[stage] = self.items.get(stage, 0) + items
 
     def summary(self) -> str:
         """Stages sorted by accumulated cost, one line each."""

@@ -8,7 +8,7 @@ GIL.  The module has two halves:
 
 * :func:`shard_worker_main` — the worker's event loop.  It is seeded
   **once** with a pickled :class:`WorkerSeed` (fingerprint library,
-  config, catalog, metadata-store snapshot), builds its own
+  config, metadata-store snapshot), builds its own
   ``GretelAnalyzer`` locally (compiling its own selection index
   in-process on the first fault), then serves commands from a
   duplex pipe.  A command's op is the analyzer method to call
@@ -146,7 +146,7 @@ class WorkerSeed:
     ``wiring`` holds the
     :class:`~repro.core.analyzer.GretelAnalyzer` keywords
     exactly as ``ShardedAnalyzer`` passes them to its inline shards
-    (symbols, catalog, store, config, the latency and defer flags);
+    (store, config, the latency and defer flags);
     ``shard_id`` only names the worker in its process title and error
     messages.  The metadata store crosses the boundary as a
     snapshot copy: the analyzer only *reads* monitoring metadata

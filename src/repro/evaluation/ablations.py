@@ -19,7 +19,6 @@ from repro.core.outliers import StaticThresholdDetector
 from repro.core.streamstats import IncrementalLevelShiftDetector
 from repro.evaluation.common import default_suite
 from repro.evaluation.fig7 import PrecisionCell, aggregate
-from repro.openstack.catalog import default_catalog
 from repro.openstack.cloud import Cloud
 from repro.workloads.tempest import TempestSuite
 
@@ -173,11 +172,10 @@ def run_noise_filter(
     sample = TempestSuite(tests=[
         t for t in default_suite().tests if t.category == "compute"
     ][:10])
-    catalog = default_catalog()
     traces: List[List[str]] = []
 
     def recording_cloud(seed: int) -> Cloud:
-        cloud = Cloud(seed=seed, catalog=catalog)
+        cloud = Cloud(seed=seed)
         trace: List[str] = []
         traces.append(trace)
         cloud.taps.attach_global(lambda event: trace.append(event.api_key))
@@ -185,7 +183,7 @@ def run_noise_filter(
 
     iterations = 2
     filtered = characterize_suite(
-        sample, iterations=iterations, seed=99, catalog=catalog,
+        sample, iterations=iterations, seed=99,
         cloud_factory=recording_cloud,
     )
     raw_sizes = [

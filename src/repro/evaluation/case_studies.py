@@ -31,6 +31,14 @@ from repro.evaluation.common import (
 from repro.workloads.runner import WorkloadRunner
 
 
+#: Seed of each case study's deployment.
+VM_CREATE_NO_COMPUTE_SEED = 101
+FAILED_IMAGE_UPLOAD_SEED = 102
+NEUTRON_API_LATENCY_SEED = 103
+LINUXBRIDGE_FAILURE_SEED = 104
+NTP_FAILURE_SEED = 105
+
+
 @dataclass
 class CaseStudyResult:
     """Outcome of one scenario."""
@@ -59,13 +67,15 @@ def _has_cause(reports: List[FaultReport], kind: str, subject: str,
 
 
 def vm_create_no_compute(
-    character: Optional[CharacterizationResult] = None, *, seed: int = 101,
+    character: Optional[CharacterizationResult] = None,
 ) -> CaseStudyResult:
     """§3.1.1: every nova-compute is down; dashboard shows
     "No valid host was found"; GRETEL should localize the dead
     compute services."""
     character = character or default_characterization()
-    cloud, plane, analyzer = make_monitored_analyzer(character, seed=seed)
+    cloud, plane, analyzer = make_monitored_analyzer(
+        character, seed=VM_CREATE_NO_COMPUTE_SEED,
+    )
     downed = cloud.faults.crash_everywhere("nova-compute")
     test = _find_test("compute.boot_server")
     WorkloadRunner(cloud).run_isolated(test, settle=2.0)
@@ -94,12 +104,14 @@ def vm_create_no_compute(
 
 
 def failed_image_upload(
-    character: Optional[CharacterizationResult] = None, *, seed: int = 102,
+    character: Optional[CharacterizationResult] = None,
 ) -> CaseStudyResult:
     """§7.2.1: Glance node low on disk; upload fails 413; GRETEL
     narrows to the image-upload operation and flags the disk."""
     character = character or default_characterization()
-    cloud, plane, analyzer = make_monitored_analyzer(character, seed=seed)
+    cloud, plane, analyzer = make_monitored_analyzer(
+        character, seed=FAILED_IMAGE_UPLOAD_SEED,
+    )
     cloud.faults.fill_disk("glance-node", leave_free_gb=6.0)
     suite = default_suite()
     test = next(
@@ -133,7 +145,7 @@ def failed_image_upload(
 
 
 def neutron_api_latency(
-    character: Optional[CharacterizationResult] = None, *, seed: int = 103,
+    character: Optional[CharacterizationResult] = None,
 ) -> CaseStudyResult:
     """§7.2.2 / §3.1.2: CPU surge on the Neutron server inflates port
     API latencies; GRETEL reports a performance fault with the CPU as
@@ -147,7 +159,10 @@ def neutron_api_latency(
     """
     from repro.evaluation import fig6
 
-    result = fig6.run(character, concurrency=60, duration=30.0, seed=seed)
+    result = fig6.run_surge(
+        character, concurrency=60, duration=30.0,
+        seed=NEUTRON_API_LATENCY_SEED,
+    )
     correct = bool(result.alarms) and result.cpu_root_cause_found
     return CaseStudyResult(
         name="neutron_api_latency",
@@ -166,13 +181,15 @@ def neutron_api_latency(
 
 
 def linuxbridge_failure(
-    character: Optional[CharacterizationResult] = None, *, seed: int = 104,
+    character: Optional[CharacterizationResult] = None,
 ) -> CaseStudyResult:
     """§7.2.3: the Linux bridge agent crashed on the hypervisors; VM
     create fails with "No valid host" though nova-compute is up;
     GRETEL finds the dead agent."""
     character = character or default_characterization()
-    cloud, plane, analyzer = make_monitored_analyzer(character, seed=seed)
+    cloud, plane, analyzer = make_monitored_analyzer(
+        character, seed=LINUXBRIDGE_FAILURE_SEED,
+    )
     downed = cloud.faults.crash_everywhere("neutron-plugin-linuxbridge-agent")
     test = _find_test("compute.boot_server")
     WorkloadRunner(cloud).run_isolated(test, settle=2.0)
@@ -200,13 +217,15 @@ def linuxbridge_failure(
 
 
 def ntp_failure(
-    character: Optional[CharacterizationResult] = None, *, seed: int = 105,
+    character: Optional[CharacterizationResult] = None,
 ) -> CaseStudyResult:
     """§7.2.4: NTP stopped on the Cinder node; `cinder list` fails with
     a Keystone connection error; the wire shows 401 Unauthorized from
     Keystone to Cinder; GRETEL finds the stopped NTP agent."""
     character = character or default_characterization()
-    cloud, plane, analyzer = make_monitored_analyzer(character, seed=seed)
+    cloud, plane, analyzer = make_monitored_analyzer(
+        character, seed=NTP_FAILURE_SEED,
+    )
     cloud.faults.crash_process("cinder-node", "ntp")
     test = _find_test("storage.queries")
     outcome = WorkloadRunner(cloud).run_isolated(test, settle=2.0)

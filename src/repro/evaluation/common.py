@@ -56,10 +56,16 @@ def default_suite(seed: int = 0) -> TempestSuite:
 
 
 def _trace_sources() -> List[str]:
-    """Every source file a trace depends on: the workload templates,
-    the simulated services and the simulation kernel under them."""
+    """Every source file a cached characterization depends on: the
+    workload templates, the simulated services and the simulation
+    kernel that record the traces, and the three modules that turn
+    them into a library (Alg. 1's noise rules and LCS merge, symbol
+    assignment, ``characterize_suite`` and its cache format)."""
     import glob
 
+    import repro.core.characterize as characterize_mod
+    import repro.core.fingerprint as fingerprint_mod
+    import repro.core.symbols as symbols_mod
     import repro.openstack as openstack_pkg
     import repro.sim as sim_pkg
     import repro.workloads as workloads_pkg
@@ -69,12 +75,17 @@ def _trace_sources() -> List[str]:
         root = os.path.dirname(pkg.__file__)
         paths.extend(sorted(glob.glob(os.path.join(root, "**", "*.py"),
                                       recursive=True)))
+    paths.extend(
+        module.__file__
+        for module in (fingerprint_mod, characterize_mod, symbols_mod)
+    )
     return paths
 
 
 def _template_space_tag() -> str:
     """Content hash of :func:`_trace_sources`, so the on-disk
-    characterization cache invalidates whenever behaviour changes."""
+    characterization cache invalidates whenever the code behind it
+    changes."""
     import hashlib
 
     digest = hashlib.sha256()
@@ -84,18 +95,16 @@ def _template_space_tag() -> str:
     return digest.hexdigest()[:12]
 
 
-def default_characterization(seed: int = 0, iterations: int = 2,
-                             use_disk_cache: bool = True) -> CharacterizationResult:
+def default_characterization(seed: int = 0,
+                             iterations: int = 2) -> CharacterizationResult:
     """Full-suite characterization, memoized in memory and on disk."""
     key = (seed, iterations)
     result = _CHAR_CACHE.get(key)
     if result is None:
-        cache_path = None
-        if use_disk_cache:
-            cache_path = os.path.join(
-                _cache_dir(),
-                f"characterization-s{seed}-i{iterations}-{_template_space_tag()}.json",
-            )
+        cache_path = os.path.join(
+            _cache_dir(),
+            f"characterization-s{seed}-i{iterations}-{_template_space_tag()}.json",
+        )
         result = characterize_suite(
             default_suite(seed), iterations=iterations, seed=seed,
             cache_path=cache_path,
@@ -336,6 +345,10 @@ def _distinctive_fault_api(test: TempestTest, character: CharacterizationResult,
     return rng.choice(distinctive)
 
 
+#: Seconds between consecutive operation starts in a §7.3 workload.
+FAULT_WORKLOAD_STAGGER = 0.01
+
+
 def run_fault_workload(
     *,
     concurrency: int,
@@ -344,7 +357,6 @@ def run_fault_workload(
     seed: int = 0,
     config: Optional[GretelConfig] = None,
     identical_faulty_test: Optional[TempestTest] = None,
-    stagger: float = 0.01,
     fault_phase: str = "late",
 ) -> FaultRunStats:
     """One §7.3 experiment: ``concurrency`` random non-faulty tests
@@ -384,7 +396,7 @@ def run_fault_workload(
         injected += 1
 
     outcomes = runner.run_concurrent(
-        mix + faulty_tests, stagger=stagger, settle=2.0,
+        mix + faulty_tests, stagger=FAULT_WORKLOAD_STAGGER, settle=2.0,
     )
     analyzer.flush()
     return FaultRunStats(

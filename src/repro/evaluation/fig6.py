@@ -28,6 +28,13 @@ from repro.workloads.runner import WorkloadRunner
 
 #: The API whose latency the figure plots.
 TARGET_API = "rest:neutron:GET:/v2.0/ports.json"
+#: The paper's run: 400 parallel operations for 60 simulated seconds.
+CONCURRENCY = 400
+DURATION = 60.0
+SEED = 11
+#: CPU load (0..1) the surge adds on the Neutron node, from 40 % to
+#: 80 % of the run.
+SURGE = 0.55
 
 
 @dataclass
@@ -48,15 +55,19 @@ class Fig6Result:
         return sum(1 for ts, _, _ in self.alarms if lo <= ts <= hi + 5.0)
 
 
-def run(
-    character: Optional[CharacterizationResult] = None,
-    *,
-    concurrency: int = 400,
-    duration: float = 60.0,
-    surge: float = 0.55,
-    seed: int = 11,
+def run(character: Optional[CharacterizationResult] = None) -> Fig6Result:
+    """The figure: :func:`run_surge` at the paper's scale."""
+    return run_surge(character, CONCURRENCY, DURATION, SEED)
+
+
+def run_surge(
+    character: Optional[CharacterizationResult],
+    concurrency: int,
+    duration: float,
+    seed: int,
 ) -> Fig6Result:
-    """Sustained workload with a mid-run CPU surge on the Neutron node."""
+    """Sustained workload with a mid-run CPU surge on the Neutron node
+    (the figure, and at a smaller size the §7.2.2 case study)."""
     character = character or default_characterization()
     config = GretelConfig(p_rate=p_rate_for(concurrency))
     ls_series: List[Tuple[float, float]] = []
@@ -74,7 +85,7 @@ def run(
 
     surge_start = duration * 0.4
     surge_end = duration * 0.8
-    cloud.faults.cpu_surge("neutron-ctl", surge, start=surge_start, end=surge_end)
+    cloud.faults.cpu_surge("neutron-ctl", SURGE, start=surge_start, end=surge_end)
 
     runner = WorkloadRunner(cloud)
     outcomes = runner.run_sustained(

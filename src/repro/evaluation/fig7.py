@@ -28,6 +28,10 @@ PAPER_MIN_THETA = 0.98
 
 CONCURRENCIES = (100, 200, 300, 400)
 FAULT_COUNTS = (1, 4, 8, 16)
+#: Workload seeds pooled per cell (Fig. 7a/7b), and for the RPC
+#: pruning comparison (Fig. 7c).
+SEEDS = (3, 4)
+FIG7C_SEEDS = (3, 4, 5)
 
 
 @dataclass
@@ -84,44 +88,39 @@ def aggregate(concurrency: int, faults: int,
 
 def run_fig7a(
     character: Optional[CharacterizationResult] = None,
-    *,
-    concurrencies: Sequence[int] = CONCURRENCIES,
-    fault_counts: Sequence[int] = FAULT_COUNTS,
-    seeds: Sequence[int] = (3, 4),
 ) -> List[PrecisionCell]:
     """The full precision grid."""
     character = character or default_characterization()
     return [
-        aggregate(concurrency, faults, character, seeds)
-        for concurrency in concurrencies
-        for faults in fault_counts
+        aggregate(concurrency, faults, character, SEEDS)
+        for concurrency in CONCURRENCIES
+        for faults in FAULT_COUNTS
     ]
 
 
 def run_fig7b(
     character: Optional[CharacterizationResult] = None,
-    *,
-    concurrencies: Sequence[int] = CONCURRENCIES,
-    seeds: Sequence[int] = (3, 4),
 ) -> List[PrecisionCell]:
     """Operations matched (API error only vs snapshot), 8 faults."""
     character = character or default_characterization()
     return [
-        aggregate(concurrency, 8, character, seeds)
-        for concurrency in concurrencies
+        aggregate(concurrency, 8, character, SEEDS)
+        for concurrency in CONCURRENCIES
     ]
 
 
 def run_fig7c(
     character: Optional[CharacterizationResult] = None,
-    *,
-    seeds: Sequence[int] = (3, 4, 5),
 ) -> Dict[str, PrecisionCell]:
     """RPC pruning ablation: 100 tests, 8 faults."""
     character = character or default_characterization()
     return {
-        "without_rpcs": aggregate(100, 8, character, seeds, prune_rpcs=True),
-        "with_rpcs": aggregate(100, 8, character, seeds, prune_rpcs=False),
+        "without_rpcs": aggregate(
+            100, 8, character, FIG7C_SEEDS, prune_rpcs=True
+        ),
+        "with_rpcs": aggregate(
+            100, 8, character, FIG7C_SEEDS, prune_rpcs=False
+        ),
     }
 
 

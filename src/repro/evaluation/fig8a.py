@@ -9,7 +9,7 @@ concurrency grows (richer context → sharper matches).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.core.characterize import CharacterizationResult
 from repro.core.config import GretelConfig
@@ -22,6 +22,8 @@ from repro.evaluation.common import (
 
 CONCURRENCIES = (100, 200, 300, 400)
 IDENTICAL_FAULTS = 16
+#: Workload seeds pooled per concurrency level.
+SEEDS = (3, 4)
 
 
 @dataclass
@@ -36,9 +38,6 @@ class Fig8aPoint:
 
 def run(
     character: Optional[CharacterizationResult] = None,
-    *,
-    concurrencies: Sequence[int] = CONCURRENCIES,
-    seeds: Sequence[int] = (3, 4),
 ) -> List[Fig8aPoint]:
     """Sweep concurrency with 16 identical faulty operations."""
     character = character or default_characterization()
@@ -47,11 +46,11 @@ def run(
         t for t in suite.tests if t.name.startswith("compute.attach_volume")
     )
     points: List[Fig8aPoint] = []
-    for concurrency in concurrencies:
+    for concurrency in CONCURRENCIES:
         matched: List[int] = []
         thetas: List[float] = []
         reports = 0
-        for seed in seeds:
+        for seed in SEEDS:
             config = GretelConfig(p_rate=p_rate_for(concurrency))
             stats = run_fault_workload(
                 concurrency=concurrency, n_faults=IDENTICAL_FAULTS,

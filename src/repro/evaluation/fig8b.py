@@ -31,6 +31,12 @@ from repro.workloads.runner import WorkloadRunner
 
 #: The most frequently invoked Glance API (image metadata by id).
 TARGET_API = "rest:glance:GET:/v2/images/{id}"
+#: 200 parallel operations for 80 simulated seconds, with 50 ms of
+#: delay injected on the Glance node from 25 % to 75 % of the run.
+CONCURRENCY = 200
+DURATION = 80.0
+INJECTED_DELAY = 0.050
+SEED = 23
 
 
 @dataclass
@@ -56,20 +62,13 @@ class Fig8bResult:
         return len(self.alarms) - self.alarms_in_window
 
 
-def run(
-    character: Optional[CharacterizationResult] = None,
-    *,
-    concurrency: int = 200,
-    duration: float = 80.0,
-    injected_delay: float = 0.050,
-    seed: int = 23,
-) -> Fig8bResult:
+def run(character: Optional[CharacterizationResult] = None) -> Fig8bResult:
     """Sustained workload with a tc-style latency injection on Glance."""
     character = character or default_characterization()
-    config = GretelConfig(p_rate=p_rate_for(concurrency))
+    config = GretelConfig(p_rate=p_rate_for(CONCURRENCY))
     ls_series: List[Tuple[float, float]] = []
     cloud, plane, analyzer = make_monitored_analyzer(
-        character, seed=seed, concurrency=concurrency,
+        character, seed=SEED, concurrency=CONCURRENCY,
         config=config, track_latency=True,
         intercept=record_ls_series(TARGET_API, ls_series),
     )
@@ -80,14 +79,14 @@ def run(
         if event.api_key == TARGET_API else None
     )
 
-    start = duration * 0.25
-    end = duration * 0.75
-    cloud.faults.inject_latency("glance-node", injected_delay, start=start, end=end)
+    start = DURATION * 0.25
+    end = DURATION * 0.75
+    cloud.faults.inject_latency("glance-node", INJECTED_DELAY, start=start, end=end)
 
     runner = WorkloadRunner(cloud)
     outcomes = runner.run_sustained(
-        default_suite().tests, concurrency=concurrency,
-        duration=duration, seed=seed,
+        default_suite().tests, concurrency=CONCURRENCY,
+        duration=DURATION, seed=SEED,
     )
     analyzer.flush()
 
@@ -95,7 +94,7 @@ def run(
         series=series,
         alarms=ls_alarms(ls_series),
         injection_window=(start, end),
-        injected_delay=injected_delay,
+        injected_delay=INJECTED_DELAY,
         reports=analyzer.performance_reports,
         operations_completed=len(outcomes),
     )

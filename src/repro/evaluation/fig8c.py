@@ -32,6 +32,8 @@ from repro.monitoring.store import MetadataStore
 from repro.workloads.traffic import SyntheticStream
 
 FAULT_FREQUENCIES = (100, 500, 1000, 1500, 2000)
+#: Seed of every point's synthetic stream.
+SEED = 5
 
 #: Paper reference points (Mbps at the two extremes).
 PAPER_MBPS_AT_1_IN_100 = 7.5
@@ -59,7 +61,6 @@ def run(
     *,
     fault_frequencies: Sequence[int] = FAULT_FREQUENCIES,
     events_per_point: int = 60_000,
-    seed: int = 5,
 ) -> List[ThroughputPoint]:
     """Measure GRETEL and HANSEL on identical synthetic streams."""
     character = character or default_characterization()
@@ -72,7 +73,7 @@ def run(
     for fault_every in fault_frequencies:
         stream = SyntheticStream(
             character.library, symbols,
-            fault_every=fault_every, seed=seed,
+            fault_every=fault_every, seed=SEED,
         )
         events = stream.events(events_per_point)
         total_bytes = stream.total_bytes(events)

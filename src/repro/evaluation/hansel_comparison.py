@@ -31,6 +31,12 @@ from repro.evaluation.common import (
 )
 from repro.workloads.runner import WorkloadRunner
 
+#: One workload: 100 concurrent operations, 4 of them hit by an
+#: injected API error.
+CONCURRENCY = 100
+N_FAULTS = 4
+SEED = 41
+
 
 @dataclass
 class ComparisonResult:
@@ -50,28 +56,24 @@ class ComparisonResult:
 
 def run(
     character: Optional[CharacterizationResult] = None,
-    *,
-    concurrency: int = 100,
-    n_faults: int = 4,
-    seed: int = 41,
 ) -> ComparisonResult:
     """Run both analyzers on one faulty concurrent workload."""
     character = character or default_characterization()
     suite = default_suite()
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
 
     cloud, plane, analyzer = make_monitored_analyzer(
-        character, seed=seed, concurrency=concurrency,
-        config=GretelConfig(p_rate=p_rate_for(concurrency)),
+        character, seed=SEED, concurrency=CONCURRENCY,
+        config=GretelConfig(p_rate=p_rate_for(CONCURRENCY)),
     )
     hansel = HanselAnalyzer()
     events = []
     cloud.taps.attach_global(hansel.on_event)
     cloud.taps.attach_global(events.append)
 
-    mix = suite.sample(concurrency, rng)
+    mix = suite.sample(CONCURRENCY, rng)
     eligible = [t for t in suite.tests if t.category in ("compute", "network")]
-    faulty = [rng.choice(eligible) for _ in range(n_faults)]
+    faulty = [rng.choice(eligible) for _ in range(N_FAULTS)]
     symbols = character.library.symbols
     injected = 0
     for test in faulty:

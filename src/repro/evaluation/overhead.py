@@ -31,6 +31,10 @@ from repro.workloads.runner import WorkloadRunner
 PAPER_CPU_SHARE = 0.0426
 PAPER_MEMORY_MB = 123.0
 
+#: The paper's workload shape: 100 parallel tests.
+CONCURRENCY = 100
+SEED = 17
+
 
 @dataclass
 class OverheadResult:
@@ -72,15 +76,15 @@ class OverheadResult:
 
 
 def _workload(character: CharacterizationResult, config: GretelConfig,
-              concurrency: int, seed: int, intercept=None):
+              intercept=None):
     """The monitored cloud and analyzer of one pass, plus the thunk
     that drives the 100-test workload through them and returns
     ``(wall seconds, simulated seconds)``."""
     cloud, _, analyzer = make_monitored_analyzer(
-        character, seed=seed, concurrency=concurrency, config=config,
+        character, seed=SEED, concurrency=CONCURRENCY, config=config,
         track_latency=True, intercept=intercept,
     )
-    tests = default_suite().sample(concurrency, random.Random(seed))
+    tests = default_suite().sample(CONCURRENCY, random.Random(SEED))
 
     def drive():
         started = time.perf_counter()
@@ -94,9 +98,6 @@ def _workload(character: CharacterizationResult, config: GretelConfig,
 
 def run(
     character: Optional[CharacterizationResult] = None,
-    *,
-    concurrency: int = 100,
-    seed: int = 17,
 ) -> OverheadResult:
     """100 parallel tests, twice: CPU time with the tracer off, peak
     memory with it on.
@@ -107,7 +108,7 @@ def run(
     the timed ``on_event``.
     """
     character = character or default_characterization()
-    config = GretelConfig(p_rate=p_rate_for(concurrency))
+    config = GretelConfig(p_rate=p_rate_for(CONCURRENCY))
     spent = [0.0]
 
     def timed(on_event):
@@ -117,10 +118,10 @@ def run(
             spent[0] += time.perf_counter() - started
         return wrapper
 
-    analyzer, drive = _workload(character, config, concurrency, seed, timed)
+    analyzer, drive = _workload(character, config, timed)
     total, simulated = drive()
 
-    _, drive_traced = _workload(character, config, concurrency, seed)
+    _, drive_traced = _workload(character, config)
     tracemalloc.start()
     try:
         drive_traced()

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.openstack.cloud import Cloud
 from repro.openstack.wire import WireEvent
@@ -10,6 +10,12 @@ from repro.monitoring.network import NetworkAgent
 from repro.monitoring.resources import ResourceAgent
 from repro.monitoring.store import MetadataStore
 from repro.monitoring.watchers import DependencyWatcher
+
+#: Seconds between two resource samples, and between two dependency
+#: watcher passes, on every node.
+POLL_INTERVAL = 1.0
+#: Seconds a network agent takes to forward one captured event.
+FORWARD_DELAY = 0.0005
 
 
 class MonitoringPlane:
@@ -20,23 +26,20 @@ class MonitoringPlane:
     :attr:`store` automatically once :meth:`start` is called.
     """
 
-    def __init__(self, cloud: Cloud, *,
-                 poll_interval: float = 1.0,
-                 forward_delay: float = 0.0005,
-                 store: Optional[MetadataStore] = None):
+    def __init__(self, cloud: Cloud):
         self.cloud = cloud
-        self.store = store or MetadataStore()
+        self.store = MetadataStore()
         self.network_agents: Dict[str, NetworkAgent] = {}
         self.resource_agents: Dict[str, ResourceAgent] = {}
         self.watchers: Dict[str, DependencyWatcher] = {}
         for node in cloud.topology.node_names():
             self.network_agents[node] = NetworkAgent(
-                cloud, node, forward_delay=forward_delay
+                cloud, node, forward_delay=FORWARD_DELAY
             )
-            resource_agent = ResourceAgent(cloud, node, interval=poll_interval)
+            resource_agent = ResourceAgent(cloud, node, interval=POLL_INTERVAL)
             resource_agent.subscribe(self.store.add_sample)
             self.resource_agents[node] = resource_agent
-            watcher = DependencyWatcher(cloud, node, interval=poll_interval)
+            watcher = DependencyWatcher(cloud, node, interval=POLL_INTERVAL)
             watcher.subscribe(self.store.add_watcher_report)
             self.watchers[node] = watcher
         self._started = False

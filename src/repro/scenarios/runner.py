@@ -189,12 +189,11 @@ def run_catalog(
     *,
     seed: int = 0,
     names: Optional[Sequence[str]] = None,
-    detect: bool = True,
 ) -> CatalogResult:
     """Run every (or the named subset of) registered scenario."""
     selected = list(names) if names else registry.names()
     results = [
-        run_scenario(name, character, seed=seed, detect=detect)
+        run_scenario(name, character, seed=seed)
         for name in selected
     ]
     return CatalogResult(results=results, seed=seed)

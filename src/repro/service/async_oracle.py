@@ -37,7 +37,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.core.config import GretelConfig
 from repro.core.fingerprint import FingerprintLibrary
 from repro.core.reports import report_signature
-from repro.monitoring.store import MetadataStore
 from repro.openstack.wire import WireEvent
 from repro.oracle import (
     OracleResult,
@@ -142,7 +141,6 @@ def verify_async(
     tenants: int = 4,
     producers: int = 2,
     config: Optional[GretelConfig] = None,
-    store: Optional[MetadataStore] = None,
     track_latency: bool = True,
     queue_capacity: int = 1024,
     strict: bool = True,
@@ -153,8 +151,11 @@ def verify_async(
     A report signature here is
     :func:`~repro.core.reports.report_signature` with the tenant
     appended; a counter divergence is a
-    ``counter: [tenant] <name> ...`` line in ``mismatches``.
-    ``strict`` is :func:`repro.oracle.settle`'s.
+    ``counter: [tenant] <name> ...`` line in ``mismatches``.  Every
+    session of both halves reads an empty metadata store (no caller
+    has ever handed in a populated one), so Alg. 3 findings are empty
+    on both.  ``strict`` is
+    :func:`repro.oracle.settle`'s.
     """
     if tenants < 1:
         raise ValueError("tenants must be at least 1")
@@ -168,7 +169,6 @@ def verify_async(
 
     service = StreamingService(
         library,
-        store=store,
         config=config,
         track_latency=track_latency,
         queue_capacity=queue_capacity,

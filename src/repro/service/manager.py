@@ -298,21 +298,15 @@ class StreamingService:
         for live in self._live_sessions():
             live.flush()
 
-    def close(self) -> None:
-        """Flush everything, then checkpoint if a store is attached."""
-        self.flush()
-        if self.checkpoints is not None:
-            self.checkpoint_all()
-
     def shutdown(self) -> None:
-        """Close the service, then release every session's analyzer.
+        """Flush every session, checkpoint it if a store is attached,
+        and stop its pump: the service's one terminal verb.
 
-        :meth:`close` keeps sessions usable (a drained service can
-        keep ingesting); ``shutdown`` is terminal and idempotent — it
-        additionally stops the pump threads.  The order matters
-        with live producers: **seal first** (so queues stop growing
-        and blocked producers wake), then per session flush/quiesce,
-        checkpoint, stop the pump.  One tenant's
+        Terminal and idempotent (:meth:`flush` is the barrier that
+        keeps sessions usable).  The order matters with live
+        producers: **seal first** (so queues stop growing and blocked
+        producers wake), then per session flush/quiesce, checkpoint,
+        stop the pump.  One tenant's
         failure (a dead pump re-raising out of its flush) must not
         strand the others: **every** session is closed, and only
         then is the first failure raised.

@@ -76,7 +76,6 @@ def verify_checkpoint(
     cuts: int = 3,
     *,
     config: Optional[GretelConfig] = None,
-    store: Optional[MetadataStore] = None,
     track_latency: bool = True,
     defer_detection: bool = False,
     mutate: Optional[StateMutator] = None,
@@ -86,8 +85,9 @@ def verify_checkpoint(
 
     The restored half kills and rehydrates the analyzer at ``cuts``
     evenly spaced points; each checkpoint crosses a real JSON round
-    trip.  Both halves share the same (possibly caller-provided)
-    metadata store so root-cause findings are compared too; a counter
+    trip.  Both halves share one empty metadata store (no caller has
+    ever handed in a populated one), so Alg. 3 finds no root cause on
+    either and the findings compared are empty on both; a counter
     divergence is a ``counter: <name> ...`` line in ``mismatches``.
     ``mutate`` edits each decoded state dict before restore — the
     negative-test hook.  ``strict`` is :func:`repro.oracle.settle`'s.
@@ -102,7 +102,7 @@ def verify_checkpoint(
             f"{len(events)}-event stream (need cuts >= 1 and at "
             f"least 2 events)"
         )
-    store = store if store is not None else MetadataStore()
+    store = MetadataStore()
 
     def replay(
         points: Tuple[int, ...]

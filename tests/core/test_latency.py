@@ -113,9 +113,9 @@ def test_batch_gate_skips_noise_and_errors(small_character):
     sample, under both per-event bodies (fused, and observed by
     middleware)."""
     from repro.core.analyzer import GretelAnalyzer
-    from repro.core.pipeline import StageCounters
+    from repro.core.pipeline import StageTimer
 
-    for middleware in ((), (StageCounters(),)):
+    for middleware in ((), (StageTimer(),)):
         analyzer = GretelAnalyzer(
             small_character.library, middleware=middleware,
         )

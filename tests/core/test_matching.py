@@ -488,8 +488,8 @@ def oracle_snapshots(catalog):
 
 
 def test_verify_detection_equivalent(
-        library, catalog, oracle_snapshots, small_character):
-    outcome = verify_detection(oracle_snapshots, library, catalog=catalog)
+        library, oracle_snapshots, small_character):
+    outcome = verify_detection(oracle_snapshots, library)
     assert outcome.ok
     assert outcome.facts["snapshots"] == len(oracle_snapshots)
     assert outcome.summary().startswith("EQUIVALENT")
@@ -518,17 +518,17 @@ def test_verify_detection_equivalent(
 
 
 def test_verify_detection_raises_on_divergence(
-        library, catalog, oracle_snapshots, monkeypatch):
+        library, oracle_snapshots, monkeypatch):
     """A corrupted incremental scorer must trip the oracle."""
     monkeypatch.setattr(
         MatchSession, "score",
         lambda self, lo, hi, finalized=None: {},
     )
     with pytest.raises(OracleDivergence, match="DIVERGED") as excinfo:
-        verify_detection(oracle_snapshots, library, catalog=catalog)
+        verify_detection(oracle_snapshots, library)
     assert excinfo.value.result.layer == "detection"
     outcome = verify_detection(
-        oracle_snapshots, library, catalog=catalog, strict=False,
+        oracle_snapshots, library, strict=False,
     )
     assert not outcome.ok
     assert outcome.mismatches
@@ -555,13 +555,12 @@ def test_verify_detection_catches_a_member_dropped_from_fan_out(
     # the compilation is memoized per library: a fresh library per
     # half keeps the tampered one out of the honest run.
     honest = verify_detection(
-        snapshots, duplicate_library(catalog, symbols), catalog=catalog,
+        snapshots, duplicate_library(catalog, symbols),
     )
     assert honest.ok
     monkeypatch.setattr(detector_module, "scoring_classes", lossy)
     outcome = verify_detection(
-        snapshots, duplicate_library(catalog, symbols), catalog=catalog,
-        strict=False,
+        snapshots, duplicate_library(catalog, symbols), strict=False,
     )
     assert not outcome.ok
     assert outcome.summary().startswith("DIVERGED")
@@ -569,9 +568,9 @@ def test_verify_detection_catches_a_member_dropped_from_fan_out(
 
 
 def test_verify_detection_covers_performance_path(
-        library, catalog, oracle_snapshots):
+        library, oracle_snapshots):
     outcome = verify_detection(
-        oracle_snapshots, library, catalog=catalog, performance_fault=True,
+        oracle_snapshots, library, performance_fault=True,
     )
     assert outcome.ok
 

@@ -9,7 +9,6 @@ from repro.core.parallel import ShardedAnalyzer
 from repro.core.pipeline import (
     STAGE_NAMES,
     PipelineStats,
-    StageCounters,
     StageTimer,
 )
 from repro.core.reports import report_signature
@@ -61,7 +60,7 @@ def test_build_serial_equals_direct_construction(library):
         )
 
     def run(build):
-        seen, counters = [], StageCounters()
+        seen, counters = [], StageTimer()
         analyzer = build(seen.append, counters)
         analyzer.feed(events)
         analyzer.flush()
@@ -88,8 +87,6 @@ def test_builder_defaults_resolve_collaborators(library):
 
     analyzer = PipelineBuilder(library).build_serial()
     assert analyzer.library is library
-    assert analyzer.symbols is library.symbols
-    assert analyzer.catalog is not None
     assert analyzer.store is not None
     assert analyzer.config is not None
     assert analyzer.track_latency is True
@@ -107,7 +104,7 @@ def test_builder_none_setters_keep_defaults(library):
         .with_config(None)
         .build_serial()
     )
-    assert analyzer.symbols is library.symbols
+    assert analyzer.library is library
     assert analyzer.store is not None
     assert analyzer.config is not None
 
@@ -117,12 +114,10 @@ def test_constructor_defaults_resolve_collaborators(library):
     call site forwards its optional arguments verbatim."""
     for analyzer in (
         GretelAnalyzer(library),
-        GretelAnalyzer(library, symbols=None, catalog=None, store=None,
-                       config=None),
+        GretelAnalyzer(library, store=None, config=None),
     ):
         assert analyzer.library is library
-        assert analyzer.symbols is library.symbols
-        assert analyzer.catalog is not None
+        assert analyzer.detector.symbols is library.symbols
         assert analyzer.store is not None
         assert analyzer.config is not None
         assert analyzer.track_latency is True
@@ -163,7 +158,7 @@ def test_builder_report_listener_on_every_shard(library):
 
 def test_middleware_counts_serial_stages(library):
     events = make_stream(library).events(500)
-    counters = StageCounters()
+    counters = StageTimer()
     analyzer = GretelAnalyzer(
         library, config=config(), middleware=(counters,),
     )
@@ -185,7 +180,7 @@ def test_middleware_does_not_change_reports(library):
     plain.flush()
 
     observed = GretelAnalyzer(
-        library, config=config(), middleware=(StageCounters(),),
+        library, config=config(), middleware=(StageTimer(),),
     )
     observed.feed(events)
     observed.flush()

@@ -31,6 +31,16 @@ def test_cache_tag_hashes_every_package_a_trace_depends_on():
         assert any(path.endswith(suffix) for path in hashed), suffix
 
 
+def test_cache_tag_hashes_the_code_that_builds_a_library():
+    # Alg. 1 (noise rules, LCS merge), symbol assignment and
+    # ``characterize_suite`` with its file format turn the traces into
+    # the cached library: an edit to any of them must miss the cache.
+    hashed = _trace_sources()
+    for module in ("fingerprint.py", "characterize.py", "symbols.py"):
+        suffix = os.path.join("repro", "core", module)
+        assert any(path.endswith(suffix) for path in hashed), suffix
+
+
 def test_default_suite_memoized():
     assert default_suite(0) is default_suite(0)
     assert default_suite(0) is not default_suite(1)

@@ -137,7 +137,7 @@ def test_close_flushes_then_checkpoints(
     store = CheckpointStore(tmp_path)
     service = build_service(checkpoint_store=store)
     service.pump(stream_events, tenant="acme")
-    service.close()
+    service.shutdown()
     session = service.sessions["acme"]
     assert session.queued == 0
     assert session.events_analyzed == len(stream_events)

@@ -159,6 +159,16 @@ def test_removed_index_surface_is_a_usage_error():
         assert excinfo.value.code == 2
 
 
+def test_no_subcommand_has_a_cache_switch():
+    """The characterization cache key hashes the code that builds a
+    library, so there is no stale file to bypass."""
+    for argv in (["characterize"], ["lint"], ["analyze"], ["serve"],
+                 ["scenarios", "run"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--no-cache"])
+        assert excinfo.value.code == 2
+
+
 # ---------------------------------------------------------------------------
 # Determinism: byte-identical output across hash seeds
 # ---------------------------------------------------------------------------
