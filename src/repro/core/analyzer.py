@@ -182,12 +182,6 @@ class GretelAnalyzer:
         self._observers: Tuple[StageObserver, ...] = tuple(middleware)
         self._deferred: List[Snapshot] = []
         self._last_perf_analysis: Dict[str, float] = {}
-        # Hot-path bindings: the components are fixed once wired (and
-        # restored in place), so the per-event path pre-resolves its
-        # attribute chains.
-        self._append = self.window.append
-        self._mark = self.window.mark_fault
-        self._observe = self.latency.observe
 
     @property
     def pipeline(self) -> "GretelAnalyzer":
@@ -306,8 +300,8 @@ class GretelAnalyzer:
     def restore_state(self, state: Mapping[str, Any]) -> None:
         """Rehydrate a freshly built, identically configured analyzer.
 
-        Components are restored *in place* (the hot-path bound methods
-        keep pointing at the same objects); a config, latency-mode or
+        Components are restored *in place* (``window.push`` keeps
+        pointing at the window's deque); a config, latency-mode or
         defer-mode mismatch refuses loudly instead of replaying the
         stream under different semantics.  A component that refuses
         its part puts every component back as it was.
@@ -389,26 +383,38 @@ class GretelAnalyzer:
         if self._observers:
             self._on_event_observed(event)
             return
-        # Fused fast path: the same steps as the observed body below,
-        # no dispatch.
+        # Fused fast path: the observed body's steps with the window
+        # append and ``LatencyTracker.observe`` inline; a fault-free
+        # REST sample calls only its series' ``update`` from here.
         self.events_processed += 1
         self.bytes_processed += event.size_bytes
-        completed = self._append(event)
-        if completed:
-            for snapshot in completed:
+        window = self.window
+        window.push(event)
+        window.appended += 1
+        if window.pending and window.pending[0][1] <= window.appended:
+            for snapshot in window.freeze_due():
                 self._dispatch(snapshot)
+        status = event.status
         if event.kind is ApiKind.REST:
-            if event.status >= 400:
+            if status >= 400:
                 # §5.3.1: REST error responses freeze the window.
                 self.operational_faults_seen += 1
-                self._mark(event)
+                window.mark_fault(event)
+                return
         elif rpc_body_error(event):
             # RPC bodies are scanned for error markers and counted
             # but — matching the paper's REST-triggered snapshots —
             # do not freeze it.
             self.operational_faults_seen += 1
-        if self.track_latency and not event.noise and not event.error:
-            self._observe(event)
+        if status < 400 and self.track_latency and not event.noise:
+            latency = self.latency
+            latency.ls_samples_fed += 1
+            series = (latency.detectors.get(event.api_key)
+                      or latency.detector_for(event.api_key))
+            ts = event.ts_response
+            shift = series.update(ts, ts - event.ts_request)
+            if shift is not None:
+                latency.hand_off(event, shift)
 
     def feed(self, events: Iterable[WireEvent]) -> int:
         """Pump a pre-recorded stream; returns the event count."""
@@ -421,11 +427,11 @@ class GretelAnalyzer:
 
     def _on_event_observed(self, event: WireEvent) -> None:
         self._call("ingest", 1, self._count_one, event)
-        completed = self._call("window", 1, self._append, event)
+        completed = self._call("window", 1, self.window.append, event)
         for snapshot in completed:
             self._dispatch(snapshot)
         if self._call("fault-scan", 1, self._scan_one, event):
-            self._mark(event)
+            self.window.mark_fault(event)
         self._call("latency", 1, self._observe_one, event)
 
     def _count_one(self, event: WireEvent) -> None:
@@ -446,7 +452,7 @@ class GretelAnalyzer:
 
     def _observe_one(self, event: WireEvent) -> None:
         if self.track_latency and not event.noise and not event.error:
-            self._observe(event)
+            self.latency.observe(event)
 
     # ------------------------------------------------------------------
     # Draining.

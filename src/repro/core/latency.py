@@ -71,8 +71,8 @@ class LatencyTracker:
         # passes it and may not be edited here — ROADMAP lists it as
         # residue for the next ``benchmark`` PR.
         del config
-        self._detectors: Dict[str, IncrementalLevelShiftDetector] = {}
-        self._samples_fed = 0
+        self.detectors: Dict[str, IncrementalLevelShiftDetector] = {}
+        self.ls_samples_fed = 0
         #: The one consumer of confirmed shifts (the analyzer's
         #: performance path); ``None`` leaves them to the caller of
         #: :meth:`observe`.
@@ -80,21 +80,25 @@ class LatencyTracker:
 
     def detector_for(self, api_key: str) -> IncrementalLevelShiftDetector:
         """The (lazily created) detector for one API identity."""
-        detector = self._detectors.get(api_key)
+        detector = self.detectors.get(api_key)
         if detector is None:
             detector = IncrementalLevelShiftDetector()
-            self._detectors[api_key] = detector
+            self.detectors[api_key] = detector
         return detector
 
     def observe(self, event: WireEvent) -> Optional[PerformanceAnomaly]:
         """Feed one event's latency; returns an anomaly if confirmed
-        (after handing it to ``on_anomaly``)."""
-        self._samples_fed += 1
+        (after handing it to ``on_anomaly``); the analyzer's fused
+        intake inlines it."""
+        self.ls_samples_fed += 1
         shift = self.detector_for(event.api_key).update(
             event.ts_response, event.latency
         )
-        if shift is None:
-            return None
+        return None if shift is None else self.hand_off(event, shift)
+
+    def hand_off(self, event: WireEvent,
+                 shift: outliers.LevelShift) -> PerformanceAnomaly:
+        """Make ``shift`` an anomaly, hand it to ``on_anomaly``, return it."""
         anomaly = PerformanceAnomaly(
             api_key=event.api_key,
             ts=shift.ts,
@@ -107,11 +111,6 @@ class LatencyTracker:
         return anomaly
 
     @property
-    def ls_samples_fed(self) -> int:
-        """Latency samples fed into level-shift detectors."""
-        return self._samples_fed
-
-    @property
     def ls_threshold_recomputes(self) -> int:
         """Full (median, MAD, threshold) computations across all series.
 
@@ -122,7 +121,7 @@ class LatencyTracker:
         """
         return sum(
             detector.threshold_recomputes
-            for detector in self._detectors.values()
+            for detector in self.detectors.values()
         )
 
     # -- state lifecycle (see repro.core.state) -------------------------
@@ -135,10 +134,10 @@ class LatencyTracker:
         """
         return {
             "tuning": _ls_tuning(),
-            "samples_fed": self._samples_fed,
+            "samples_fed": self.ls_samples_fed,
             "detectors": {
                 api_key: detector.snapshot_state()
-                for api_key, detector in sorted(self._detectors.items())
+                for api_key, detector in sorted(self.detectors.items())
             },
         }
 
@@ -172,5 +171,5 @@ class LatencyTracker:
             with under(f"detectors[{api_key!r}]"):
                 detector.restore_state(detector_state)
             detectors[api_key] = detector
-        self._detectors = detectors
-        self._samples_fed = samples_fed
+        self.detectors = detectors
+        self.ls_samples_fed = samples_fed

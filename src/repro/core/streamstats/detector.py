@@ -9,7 +9,7 @@ everything — with the per-sample cost model replaced:
 step                             reference              incremental
 ===============================  =====================  ==============
 window maintenance               O(1) deque append      O(log w) insort
-median                           O(w·log w) sort        O(1) index
+median                           O(w·log w) sort        O(1), kept on append
 MAD                              2 × O(w·log w) sorts   O(log w) search
 threshold                        recomputed per sample  median-only
                                                         floor; MAD only
@@ -73,10 +73,9 @@ class IncrementalLevelShiftDetector:
 
     @property
     def baseline(self) -> float:
-        """Current robust baseline (median of the window)."""
-        if not len(self._baseline):
-            return 0.0
-        return self._baseline.median()
+        """Current robust baseline (median of the window; 0.0 when
+        empty)."""
+        return self._baseline.med
 
     @property
     def spread(self) -> float:
@@ -132,9 +131,9 @@ class IncrementalLevelShiftDetector:
         # The floor gate (module docstring): at or under the floor the
         # sample takes the below-threshold branch whatever the MAD is,
         # so this — once per latency sample on the receiver hot path —
-        # reads only the median.  Same leftmost-wins chain as
-        # ``_threshold``.
-        med = baseline.median()
+        # reads only the window's kept median.  Same leftmost-wins
+        # chain as ``_threshold``.
+        med = baseline.med
         margin = self.min_delta
         rel = self.rel_delta * med
         if margin < rel:

@@ -34,7 +34,7 @@ class SortedWindow:
     is internal to the order statistics.
     """
 
-    __slots__ = ("maxlen", "size", "_arrival", "_sorted")
+    __slots__ = ("maxlen", "size", "med", "_arrival", "_sorted")
 
     def __init__(self, maxlen: int) -> None:
         if maxlen < 1:
@@ -43,6 +43,9 @@ class SortedWindow:
         #: Current fill: a plain attribute, not a ``len()`` dispatch —
         #: it is read once per detector update on the receiver hot path.
         self.size = 0
+        #: :meth:`median`, kept current (0.0 when empty) for the
+        #: detector's update; derived, never in the state document.
+        self.med = 0.0
         self._arrival: Deque[float] = deque()
         self._sorted: List[float] = []
 
@@ -57,18 +60,24 @@ class SortedWindow:
         """Add ``value``; evict the oldest value if the window is full."""
         arrival = self._arrival
         ordered = self._sorted
-        if self.size == self.maxlen:
+        size = self.size
+        if size == self.maxlen:
             del ordered[bisect_left(ordered, arrival.popleft())]
         else:
-            self.size += 1
+            self.size = size = size + 1
         arrival.append(value)
         insort(ordered, value)
+        # :meth:`median`'s arithmetic, inline.
+        mid = size // 2
+        self.med = (ordered[mid] if size % 2
+                    else 0.5 * (ordered[mid - 1] + ordered[mid]))
 
     def clear(self) -> None:
         """Forget every value (the detector's post-alarm re-seed)."""
         self._arrival.clear()
         self._sorted.clear()
         self.size = 0
+        self.med = 0.0
 
     def median(self) -> float:
         """The window median, as an O(1) read of the sorted array.
@@ -166,3 +175,4 @@ class SortedWindow:
         self._arrival.extend(values)
         self._sorted = sorted(values)
         self.size = len(values)
+        self.med = self.median() if values else 0.0

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Mapping, Tuple
+from typing import Any, Deque, Dict, List, Mapping, Sequence, Tuple
 
 from repro.core.state import (
     StateError,
@@ -97,21 +97,31 @@ class SlidingWindow:
             raise ValueError("alpha must be at least 2")
         self.alpha = alpha
         self._events: Deque[WireEvent] = deque(maxlen=alpha)
-        #: (fault, due ``appended`` count); dues are non-decreasing
-        #: because every fault waits the same α/2.
-        self._pending: List[Tuple[WireEvent, int]] = []
+        #: Snapshots still waiting for their post-fault half: (fault,
+        #: due ``appended`` count), dues non-decreasing because every
+        #: fault waits the same α/2.
+        self.pending: List[Tuple[WireEvent, int]] = []
         self.snapshots_taken = 0
         self.appended = 0
+        #: The fused intake's :meth:`append`, inline: ``push`` (the
+        #: deque's C append; restored in place), count ``appended``,
+        #: and :meth:`freeze_due` once the front due is reached.
+        self.push = self._events.append
 
-    def append(self, event: WireEvent) -> List[Snapshot]:
-        """Add one event; returns any snapshots that completed."""
+    def append(self, event: WireEvent) -> Sequence[Snapshot]:
+        """Add one event; returns any snapshots that completed (the
+        shared empty tuple when none did)."""
         self._events.append(event)
         self.appended += 1
-        completed: List[Snapshot] = []
-        while self._pending and self._pending[0][1] <= self.appended:
-            fault, _ = self._pending.pop(0)
-            completed.append(self._freeze(fault))
-        return completed
+        if self.pending and self.pending[0][1] <= self.appended:
+            return self.freeze_due()
+        return ()
+
+    def freeze_due(self) -> List[Snapshot]:
+        """Freeze every pending snapshot whose due count is reached."""
+        ready = [fault for fault, due in self.pending if due <= self.appended]
+        del self.pending[:len(ready)]   # dues are non-decreasing
+        return [self._freeze(fault) for fault in ready]
 
     def live_events(self) -> List[WireEvent]:
         """A copy of the current window contents, oldest first.
@@ -124,12 +134,12 @@ class SlidingWindow:
 
     def mark_fault(self, fault: WireEvent) -> None:
         """Register a fault; its snapshot freezes after α/2 more events."""
-        self._pending.append((fault, self.appended + self.alpha // 2))
+        self.pending.append((fault, self.appended + self.alpha // 2))
 
     def flush(self) -> List[Snapshot]:
         """Force-freeze all pending snapshots (end of stream)."""
-        completed = [self._freeze(fault) for fault, _ in self._pending]
-        self._pending.clear()
+        completed = [self._freeze(fault) for fault, _ in self.pending]
+        self.pending.clear()
         return completed
 
     def _freeze(self, fault: WireEvent) -> Snapshot:
@@ -146,11 +156,6 @@ class SlidingWindow:
         self.snapshots_taken += 1
         return Snapshot(fault=fault, events=events,
                         fault_index=fault_index)
-
-    @property
-    def pending_snapshots(self) -> int:
-        """Snapshots still waiting for their post-fault half."""
-        return len(self._pending)
 
     def __len__(self) -> int:
         return len(self._events)
@@ -169,8 +174,8 @@ class SlidingWindow:
             "appended": self.appended,
             "snapshots_taken": self.snapshots_taken,
             "events": encode_events(self._events),
-            "pending": encode_events(fault for fault, _ in self._pending),
-            "due": [due for _, due in self._pending],
+            "pending": encode_events(fault for fault, _ in self.pending),
+            "due": [due for _, due in self.pending],
         }
 
     def restore_state(self, state: Mapping[str, Any]) -> None:
@@ -195,6 +200,6 @@ class SlidingWindow:
         snapshots_taken = read_key(state, "snapshots_taken", int)
         self._events.clear()
         self._events.extend(events)
-        self._pending = list(zip(faults, dues))
+        self.pending = list(zip(faults, dues))
         self.appended = appended
         self.snapshots_taken = snapshots_taken

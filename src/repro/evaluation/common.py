@@ -4,6 +4,8 @@ precision experiments."""
 
 from __future__ import annotations
 
+import contextlib
+import glob
 import os
 import random
 import tempfile
@@ -61,8 +63,6 @@ def _trace_sources() -> List[str]:
     kernel that record the traces, and the three modules that turn
     them into a library (Alg. 1's noise rules and LCS merge, symbol
     assignment, ``characterize_suite`` and its cache format)."""
-    import glob
-
     import repro.core.characterize as characterize_mod
     import repro.core.fingerprint as fingerprint_mod
     import repro.core.symbols as symbols_mod
@@ -97,14 +97,25 @@ def _template_space_tag() -> str:
 
 def default_characterization(seed: int = 0,
                              iterations: int = 2) -> CharacterizationResult:
-    """Full-suite characterization, memoized in memory and on disk."""
+    """Full-suite characterization, memoized in memory and on disk.
+
+    A load touches its file; a build first deletes the other tags'
+    files of this seed and iterations but the most recently used."""
     key = (seed, iterations)
     result = _CHAR_CACHE.get(key)
     if result is None:
-        cache_path = os.path.join(
-            _cache_dir(),
-            f"characterization-s{seed}-i{iterations}-{_template_space_tag()}.json",
+        stem = os.path.join(
+            _cache_dir(), f"characterization-s{seed}-i{iterations}-"
         )
+        cache_path = f"{stem}{_template_space_tag()}.json"
+        if os.path.exists(cache_path):
+            os.utime(cache_path)
+        else:
+            others = glob.glob(glob.escape(stem) + "*.json")
+            # A file that another process prunes first ends the pass.
+            with contextlib.suppress(FileNotFoundError):
+                for path in sorted(others, key=os.path.getmtime)[:-1]:
+                    os.remove(path)
         result = characterize_suite(
             default_suite(seed), iterations=iterations, seed=seed,
             cache_path=cache_path,

@@ -36,7 +36,7 @@ def test_analyzer_handles_arbitrary_streams(library, seed, fault_every, count):
         assert report.detection.candidates >= len(report.detection.matched)
         assert report.report_delay >= 0.0
     # Faults seen vs snapshots taken are consistent.
-    assert analyzer.window.snapshots_taken + analyzer.window.pending_snapshots \
+    assert analyzer.window.snapshots_taken + len(analyzer.window.pending) \
         >= len(analyzer.operational_reports)
 
 

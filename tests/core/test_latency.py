@@ -14,9 +14,9 @@ def reference_tracker():
     tracker = LatencyTracker()
 
     def detector_for(api_key):
-        if api_key not in tracker._detectors:
-            tracker._detectors[api_key] = LevelShiftDetector()
-        return tracker._detectors[api_key]
+        if api_key not in tracker.detectors:
+            tracker.detectors[api_key] = LevelShiftDetector()
+        return tracker.detectors[api_key]
 
     tracker.detector_for = detector_for
     return tracker
@@ -143,3 +143,47 @@ def test_threshold_recompute_counter_aggregates_series():
     # above its median-only floor; the reference recomputes on every
     # threshold() call.
     assert incremental_recomputes <= reference.ls_threshold_recomputes
+
+
+def test_fused_intake_feeds_the_restored_series(small_character):
+    """``LatencyTracker.restore_state`` replaces its series dict, so the
+    analyzer's fused intake must reach the series through the tracker,
+    never through a binding of the dict it was built with: a restored
+    analyzer finishes the stream exactly as an uninterrupted one."""
+    from dataclasses import replace
+
+    from repro.core.analyzer import GretelAnalyzer
+    from repro.core.reports import report_signature
+    from repro.workloads.traffic import SyntheticStream
+
+    library = small_character.library
+    keys = []   # three of the library's REST APIs, for detection
+    for event in SyntheticStream(library, library.symbols).events(100):
+        if event.kind is ApiKind.REST and event.api_key not in keys:
+            keys.append(event.api_key)
+    events = [
+        replace(event, api_key=keys[int(event.api_key[-1])])
+        for event in shift_stream()
+    ]
+    cut = len(events) * 3 // 4   # inside the shifted stretch
+    straight = GretelAnalyzer(library)
+    straight.feed(events)
+    first = GretelAnalyzer(library)
+    first.feed(events[:cut])
+
+    resumed = GretelAnalyzer(library)
+    resumed.feed(events[:5])     # series of its own, to be replaced
+    resumed.restore_state(first.snapshot_state())
+    assert sorted(resumed.latency.detectors) == sorted(keys[:3])
+    resumed.feed(events[cut:])
+
+    def finished(analyzer):
+        state = analyzer.snapshot_state()
+        state["counters"]["analysis_seconds"] = 0.0
+        return state
+
+    assert finished(resumed) == finished(straight)
+    assert [report_signature(r) for r in resumed.reports] == [
+        report_signature(r) for r in straight.reports[len(first.reports):]
+    ]
+    assert straight.performance_reports

@@ -85,7 +85,7 @@ def test_rest_fault_gate_is_rest_only():
     ):
         analyzer.on_event(event)
         assert analyzer.operational_faults_seen == faults_seen
-        assert analyzer.window.pending_snapshots == pending
+        assert len(analyzer.window.pending) == pending
 
 
 def test_generic_error_message_pattern():

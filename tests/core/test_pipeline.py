@@ -1,6 +1,9 @@
 """Tests for the analyzer object (construction, middleware, the
 engines built from it, merged stats)."""
 
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
 from repro.core.analyzer import GretelAnalyzer
@@ -13,6 +16,7 @@ from repro.core.pipeline import (
 )
 from repro.core.reports import report_signature
 from repro.monitoring.store import MetadataStore
+from repro.openstack.apis import ApiKind
 from repro.workloads.traffic import SyntheticStream
 
 
@@ -172,21 +176,62 @@ def test_middleware_counts_serial_stages(library):
     assert set(counters.calls) <= set(STAGE_NAMES)
 
 
+class NoOpObserver:
+    """Switches the analyzer to its observed body and records nothing."""
+
+    def observe(self, stage, seconds, items):
+        pass
+
+
+def mixed_stream(library):
+    """REST faults, noise, RPC error bodies and one API whose latency
+    shifts up for good two thirds of the way in."""
+    events = make_stream(library).events(1500)
+    rest = [e for e in events if e.kind is ApiKind.REST and e.status < 400]
+    shifted = Counter(e.api_key for e in rest).most_common(1)[0][0]
+    start = events[len(events) * 2 // 3].seq
+    mixed = []
+    for index, event in enumerate(events):
+        if event.kind is ApiKind.RPC and index % 7 == 0:
+            event = replace(event, body='{"failure": "remote"}')
+        elif index % 53 == 0:
+            event = replace(event, noise=True)
+        elif event.api_key == shifted and event.seq >= start:
+            event = replace(event, ts_request=event.ts_response - 0.2)
+        mixed.append(event)
+    return mixed
+
+
+def without_wall_clock(document):
+    """``document`` with the wall-clock ``analysis_seconds`` zeroed."""
+    document["counters"]["analysis_seconds"] = 0.0
+    return document
+
+
 def test_middleware_does_not_change_reports(library):
-    events = make_stream(library).events(800)
+    """The fused and the observed body leave the same reports, counters
+    and state behind, on a stream that takes every branch of both."""
+    events = mixed_stream(library)
+    engines = []
+    for middleware in ((), (NoOpObserver(),), (StageTimer(),)):
+        analyzer = GretelAnalyzer(
+            library, config=config(), middleware=middleware,
+        )
+        analyzer.feed(events)
+        state = without_wall_clock(analyzer.snapshot_state())
+        analyzer.flush()
+        engines.append((analyzer, state))
 
-    plain = GretelAnalyzer(library, config=config())
-    plain.feed(events)
-    plain.flush()
-
-    observed = GretelAnalyzer(
-        library, config=config(), middleware=(StageTimer(),),
-    )
-    observed.feed(events)
-    observed.flush()
-
-    assert [report_signature(r) for r in observed.reports] == \
-        [report_signature(r) for r in plain.reports]
+    (plain, state), *others = engines
+    stats = replace(plain.stats(), analysis_seconds=0.0)
+    assert plain.performance_reports
+    assert stats.operational_faults_seen > stats.snapshots_taken > 0
+    assert stats.ls_samples_fed < len(events) - stats.snapshots_taken
+    for analyzer, observed_state in others:
+        assert [report_signature(r) for r in analyzer.reports] == \
+            [report_signature(r) for r in plain.reports]
+        assert replace(analyzer.stats(), analysis_seconds=0.0) == stats
+        assert observed_state == state
 
 
 def test_stage_timer_summary_renders(library):

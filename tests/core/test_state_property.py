@@ -85,7 +85,7 @@ def test_sliding_window_round_trip(case):
         assert feed(original, seq) == feed(restored, seq)
     assert original.appended == restored.appended
     assert original.snapshots_taken == restored.snapshots_taken
-    assert original.pending_snapshots == restored.pending_snapshots
+    assert original.pending == restored.pending
     # End-of-stream freezes must agree too (pending order survives).
     assert (
         [s.to_dict() for s in original.flush()]

@@ -1,6 +1,7 @@
 """Tests for the streaming robust-statistics LS engine."""
 
 import itertools
+import json
 import math
 import random
 from collections import deque
@@ -98,8 +99,28 @@ def test_window_statistics_match_reference(maxlen, values):
         current = list(mirror)
         assert list(window) == current
         assert window.median() == _median(current)
+        assert window.med == window.median()
         assert window.mad(window.median()) == reference_mad(current)
         assert window.bounds() == (min(current), max(current))
+
+
+def test_window_keeps_its_median_through_clear_and_restore():
+    """``med`` is derived: 0.0 when empty, recomputed on restore, and
+    never in the state document."""
+    window = SortedWindow(4)
+    assert window.med == 0.0
+    for value in [5.0, 1.0, 3.0, 2.0, 4.0]:
+        window.append(value)
+    assert window.med == window.median() == 2.5
+    state = window.snapshot_state()
+    assert "med" not in state
+    restored = SortedWindow(4)
+    restored.restore_state(state)
+    assert restored.med == restored.median() == 2.5
+    window.clear()
+    assert window.med == 0.0
+    restored.restore_state(window.snapshot_state())
+    assert restored.med == 0.0
 
 
 def test_window_mad_with_duplicates():
@@ -333,3 +354,65 @@ def test_both_detectors_default_to_the_stated_tuning():
         assert detector._baseline.maxlen == 8
         assert (detector.sigmas, detector.warmup) == (2.0, 30)
         assert (detector.min_delta, detector.confirm) == (0.004, 3)
+
+
+def test_every_branch_equivalent_across_restores():
+    """One series through every ``update`` branch — warm-up, the floor
+    gate, above the floor but under the threshold, a pending streak
+    that breaks, a confirmed shift with its re-seed, the under-filled
+    window after it, cooldown — with the incremental detector
+    snapshotted and restored into a fresh one between each pair of
+    branches.  The reference runs straight through; every leg must be
+    EQUIVALENT, and every restored window's kept median must equal its
+    median recomputed from the sorted values."""
+    rng = random.Random(5)
+
+    def level(n):
+        # Wide enough that the MAD lifts the threshold over the floor.
+        return [rng.uniform(0.005, 0.015) for _ in range(n)]
+
+    legs = [
+        ("warm-up", level(12)),
+        ("under the floor", level(12)),
+        ("above the floor, under the threshold", [0.018, 0.019]),
+        ("pending", [0.2, 0.2]),
+        ("streak broken", level(1)),
+        ("shift confirmed", [0.2, 0.21, 0.19]),
+        ("cooldown", [0.2] * 9),
+        ("re-seeded", [0.2 + v for v in level(6)]),
+    ]
+    reference = LevelShiftDetector()
+    incremental = IncrementalLevelShiftDetector()
+    seen = {}
+    ts = 0.0
+    for name, values in legs:
+        samples = [(ts + i, v) for i, v in enumerate(values)]
+        ts += len(values)
+        result = verify_levelshift(
+            samples, detectors=(reference, incremental), label=name
+        )
+        assert result.summary().startswith("EQUIVALENT"), name
+        seen[name] = (
+            result.facts["alarms"], len(incremental._pending),
+            incremental.threshold_recomputes,
+            samples[-1][0] < incremental._cooldown_until,
+        )
+        restored = IncrementalLevelShiftDetector()
+        restored.restore_state(
+            json.loads(json.dumps(incremental.snapshot_state()))
+        )
+        window = restored._baseline
+        assert window.med == (window.median() if len(window) else 0.0)
+        assert window.med == incremental._baseline.med
+        incremental = restored
+
+    # Each leg took the branch it is named for.
+    assert seen["warm-up"][2] == 0
+    assert seen["under the floor"][2] == 0
+    assert seen["above the floor, under the threshold"][1:3] == (0, 2)
+    assert seen["pending"][1] == 2
+    assert seen["streak broken"][1] == 0
+    assert seen["shift confirmed"][0] == 1
+    assert seen["cooldown"][3]
+    assert not seen["re-seeded"][3]
+    assert seen["re-seeded"][2] == seen["cooldown"][2]

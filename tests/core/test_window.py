@@ -88,10 +88,10 @@ def test_flush_freezes_pending():
     fault = make_event(0, status=500)
     window.append(fault)
     window.mark_fault(fault)
-    assert window.pending_snapshots == 1
+    assert len(window.pending) == 1
     snapshots = window.flush()
     assert len(snapshots) == 1
-    assert window.pending_snapshots == 0
+    assert len(window.pending) == 0
 
 
 def test_fault_scrolled_out_still_anchored():
@@ -177,7 +177,7 @@ def test_flush_completes_with_partial_future_context():
     # Partial post-fault context: present, but short of alpha/2.
     future = [e for e in snapshot.events if e.seq > 5]
     assert len(future) == 2
-    assert window.pending_snapshots == 0
+    assert len(window.pending) == 0
 
 
 def test_live_events_is_a_public_snapshot_of_the_window():

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.core.config import GretelConfig
+from repro.evaluation import common
 from repro.evaluation.common import (
     FaultRunStats,
     _trace_sources,
@@ -39,6 +40,66 @@ def test_cache_tag_hashes_the_code_that_builds_a_library():
     for module in ("fingerprint.py", "characterize.py", "symbols.py"):
         suffix = os.path.join("repro", "core", module)
         assert any(path.endswith(suffix) for path in hashed), suffix
+
+
+def test_characterization_cache_keeps_one_other_tag(tmp_path, monkeypatch):
+    """A fresh write deletes the other tags' files for the same seed
+    and iterations, except the most recently used one; a load only
+    refreshes its own file's mtime."""
+    monkeypatch.setenv("GRETEL_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(common, "_CHAR_CACHE", {})
+    monkeypatch.setattr(common, "default_suite", lambda seed: None)
+    built = []
+
+    def characterize_suite(suite, *, iterations, seed, cache_path):
+        if not os.path.exists(cache_path):
+            built.append(os.path.basename(cache_path))
+            with open(cache_path, "w") as handle:
+                handle.write("{}")
+        return object()
+
+    monkeypatch.setattr(common, "characterize_suite", characterize_suite)
+    stubs = {
+        "characterization-s9-i2-old0.json": 50,
+        "characterization-s9-i2-old1.json": 100,
+        "characterization-s9-i2-old2.json": 200,
+        "characterization-s9-i2-old3.json.tmp": 10,
+        "characterization-s8-i2-old1.json": 10,
+        "characterization-s9-i3-old1.json": 10,
+    }
+    for name, mtime in stubs.items():
+        (tmp_path / name).write_text("{}")
+        os.utime(tmp_path / name, (mtime, mtime))
+
+    def cached():
+        return sorted(path.name for path in tmp_path.iterdir())
+
+    def characterize(tag):
+        monkeypatch.setattr(common, "_template_space_tag", lambda: tag)
+        common._CHAR_CACHE.clear()
+        return common.default_characterization(9, 2)
+
+    characterize("new")
+    assert built == ["characterization-s9-i2-new.json"]
+    assert cached() == sorted(
+        set(stubs) - {"characterization-s9-i2-old0.json",
+                      "characterization-s9-i2-old1.json"}
+        | {"characterization-s9-i2-new.json"}
+    )
+
+    # A load is a use: it refreshes the file and deletes nothing.
+    new = tmp_path / "characterization-s9-i2-new.json"
+    os.utime(new, (150, 150))
+    before = cached()
+    characterize("new")
+    assert len(built) == 1 and cached() == before
+    assert new.stat().st_mtime > 200
+
+    # The next fresh write keeps "new", the most recently used other.
+    characterize("newer")
+    assert not (tmp_path / "characterization-s9-i2-old2.json").exists()
+    assert new.exists()
+    assert (tmp_path / "characterization-s9-i2-newer.json").exists()
 
 
 def test_default_suite_memoized():
