@@ -27,21 +27,27 @@ Quickstart::
         print(report.summary())
 """
 
-from repro.openstack import Cloud, FaultInjector, default_topology
-from repro.monitoring import MonitoringPlane
-from repro.core import (
-    CharacterizationResult,
-    FaultReport,
-    Fingerprint,
-    FingerprintLibrary,
-    GretelAnalyzer,
-    GretelConfig,
-    Incident,
-    IncidentAggregator,
-    SymbolTable,
-    characterize_suite,
-)
-from repro.workloads import WorkloadRunner, build_suite
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.analyzer import GretelAnalyzer
+    from repro.core.characterize import (
+        CharacterizationResult,
+        characterize_suite,
+    )
+    from repro.core.config import GretelConfig
+    from repro.core.fingerprint import Fingerprint, FingerprintLibrary
+    from repro.core.incidents import Incident, IncidentAggregator
+    from repro.core.reports import FaultReport
+    from repro.core.symbols import SymbolTable
+    from repro.monitoring.plane import MonitoringPlane
+    from repro.openstack.cloud import Cloud
+    from repro.openstack.faults import FaultInjector
+    from repro.openstack.topology import default_topology
+    from repro.workloads.runner import WorkloadRunner
+    from repro.workloads.tempest import build_suite
 
 __version__ = "1.0.0"
 
@@ -64,3 +70,21 @@ __all__ = [
     "default_topology",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.analyzer": ("GretelAnalyzer",),
+    "repro.core.characterize": (
+        "CharacterizationResult", "characterize_suite",
+    ),
+    "repro.core.config": ("GretelConfig",),
+    "repro.core.fingerprint": ("Fingerprint", "FingerprintLibrary"),
+    "repro.core.incidents": ("Incident", "IncidentAggregator"),
+    "repro.core.reports": ("FaultReport",),
+    "repro.core.symbols": ("SymbolTable",),
+    "repro.monitoring.plane": ("MonitoringPlane",),
+    "repro.openstack.cloud": ("Cloud",),
+    "repro.openstack.faults": ("FaultInjector",),
+    "repro.openstack.topology": ("default_topology",),
+    "repro.workloads.runner": ("WorkloadRunner",),
+    "repro.workloads.tempest": ("build_suite",),
+})

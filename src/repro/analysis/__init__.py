@@ -32,10 +32,15 @@ looks candidates up in, with ``verify_selection`` as its differential
 oracle (``docs/indexing.md``).
 """
 
-from repro.analysis.findings import Finding, LintReport, Severity
-from repro.analysis.context import LintContext
-from repro.analysis.engine import PASSES, run_lint
-from repro.analysis.render import render_json, render_text
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.analysis.findings import Finding, LintReport, Severity
+    from repro.analysis.context import LintContext
+    from repro.analysis.engine import PASSES, run_lint
+    from repro.analysis.render import render_json, render_text
 
 __all__ = [
     "Finding",
@@ -47,3 +52,10 @@ __all__ = [
     "render_text",
     "run_lint",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.findings": ("Finding", "LintReport", "Severity"),
+    "repro.analysis.context": ("LintContext",),
+    "repro.analysis.engine": ("PASSES", "run_lint"),
+    "repro.analysis.render": ("render_json", "render_text"),
+})

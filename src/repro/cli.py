@@ -46,16 +46,25 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
-
-from repro.evaluation import case_studies
-from repro.evaluation.registry import EXPERIMENTS
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.core.characterize import CharacterizationResult
     from repro.core.config import GretelConfig
     from repro.core.fingerprint import FingerprintLibrary
     from repro.core.reports import FaultReport
     from repro.core.symbols import SymbolTable
+    from repro.evaluation.case_studies import CaseStudyResult
+    from repro.evaluation.registry import Experiment
     from repro.openstack.catalog import ApiCatalog
     from repro.openstack.wire import WireEvent
     from repro.oracle import OracleResult
@@ -66,6 +75,49 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+
+def _experiments() -> Dict[str, "Experiment"]:
+    """The experiment registry (imports every figure module)."""
+    from repro.evaluation.registry import EXPERIMENTS
+
+    return EXPERIMENTS
+
+
+def _case_studies() -> Dict[
+    str, Callable[["CharacterizationResult"], "CaseStudyResult"]
+]:
+    """``repro demo``'s scenarios by name (imports the simulator)."""
+    from repro.evaluation.case_studies import ALL_CASE_STUDIES
+
+    return {study.__name__: study for study in ALL_CASE_STUDIES}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose help may describe what a command
+    imports only when it runs: a subcommand's ``describe`` renders its
+    epilog when help is printed, not when the parser is built."""
+
+    describe: Optional[Callable[[], str]] = None
+
+    def format_help(self) -> str:
+        if self.describe is not None:
+            self.epilog = self.describe()
+        return super().format_help()
+
+
+class _Choices:
+    """``choices`` read from a registry that argparse loads only when
+    it checks a value or prints the choices."""
+
+    def __init__(self, names: Callable[[], Dict[str, Any]]) -> None:
+        self._names = names
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._names()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names())
 
 
 def _int_at_least(floor: int) -> Callable[[str], int]:
@@ -157,9 +209,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 def _cmd_demo(args: argparse.Namespace) -> int:
     from repro.evaluation.common import default_characterization
 
-    scenarios = {
-        study.__name__: study for study in case_studies.ALL_CASE_STUDIES
-    }
+    scenarios = _case_studies()
     if args.scenario == "all":
         selected = list(scenarios.values())
     elif args.scenario in scenarios:
@@ -183,7 +233,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     from repro.evaluation.common import default_characterization
 
-    experiment = EXPERIMENTS[args.experiment]
+    experiment = _experiments()[args.experiment]
     result = experiment.run(default_characterization())
     print(experiment.render(result))
     try:
@@ -448,13 +498,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             # Resurrect every checkpointed tenant up front, so sessions
             # whose tenants never reappear still finish their pending
             # analysis at the final flush.  Each restored tenant
-            # resumes where its checkpoint stopped: every event it
-            # accepted or shed is not offered again.
+            # resumes where its checkpoint stopped.
             service.restore_all()
-            offsets = {
-                tenant: live.events_ingested + live.events_shed
-                for tenant, live in service.sessions.items()
-            }
+            offsets = dict(service.resume_offsets)
         started = time.perf_counter()
         # Creates (and restores) each bucket's session before any
         # producer starts.
@@ -660,7 +706,7 @@ def _add_document_arguments(parser: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for testing)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="GRETEL (CoNEXT'16) reproduction toolkit",
     )
@@ -680,23 +726,19 @@ def build_parser() -> argparse.ArgumentParser:
     suite.set_defaults(handler=_cmd_suite)
 
     demo = sub.add_parser("demo", help="run a case-study scenario")
-    demo.add_argument(
-        "scenario",
-        help=("one of: "
-              + ", ".join(s.__name__ for s in case_studies.ALL_CASE_STUDIES)
-              + ", all"),
-    )
+    demo.add_argument("scenario", help="a case study named below, or all")
+    demo.describe = lambda: "case studies: " + ", ".join(_case_studies())
     demo.set_defaults(handler=_cmd_demo)
 
     evaluate = sub.add_parser(
         "evaluate", help="regenerate a table/figure",
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="\n".join(
-            f"  {name:28s}{experiment.artifact}"
-            for name, experiment in EXPERIMENTS.items()
-        ),
     )
-    evaluate.add_argument("experiment", choices=list(EXPERIMENTS),
+    evaluate.describe = lambda: "\n".join(
+        f"  {name:28s}{experiment.artifact}"
+        for name, experiment in _experiments().items()
+    )
+    evaluate.add_argument("experiment", choices=_Choices(_experiments),
                           metavar="experiment")
     evaluate.set_defaults(handler=_cmd_evaluate)
 

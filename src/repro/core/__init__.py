@@ -28,16 +28,28 @@ This package implements the paper's primary contribution:
   pipeline over a (Tempest-like) suite (§7.1).
 """
 
-from repro.core.analyzer import GretelAnalyzer, PipelineStats
-from repro.core.characterize import CharacterizationResult, characterize_suite
-from repro.core.config import GretelConfig
-from repro.core.detector import DetectionResult, OperationDetector
-from repro.core.fingerprint import Fingerprint, FingerprintLibrary, generate_fingerprint
-from repro.core.incidents import Incident, IncidentAggregator
-from repro.core.pipeline import StageTimer
-from repro.core.precision import theta
-from repro.core.reports import FaultReport, RootCauseFinding
-from repro.core.symbols import SymbolTable
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.analyzer import GretelAnalyzer, PipelineStats
+    from repro.core.characterize import (
+        CharacterizationResult,
+        characterize_suite,
+    )
+    from repro.core.config import GretelConfig
+    from repro.core.detector import DetectionResult, OperationDetector
+    from repro.core.fingerprint import (
+        Fingerprint,
+        FingerprintLibrary,
+        generate_fingerprint,
+    )
+    from repro.core.incidents import Incident, IncidentAggregator
+    from repro.core.pipeline import StageTimer
+    from repro.core.precision import theta
+    from repro.core.reports import FaultReport, RootCauseFinding
+    from repro.core.symbols import SymbolTable
 
 __all__ = [
     "CharacterizationResult",
@@ -58,3 +70,20 @@ __all__ = [
     "generate_fingerprint",
     "theta",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.analyzer": ("GretelAnalyzer", "PipelineStats"),
+    "repro.core.characterize": (
+        "CharacterizationResult", "characterize_suite",
+    ),
+    "repro.core.config": ("GretelConfig",),
+    "repro.core.detector": ("DetectionResult", "OperationDetector"),
+    "repro.core.fingerprint": (
+        "Fingerprint", "FingerprintLibrary", "generate_fingerprint",
+    ),
+    "repro.core.incidents": ("Incident", "IncidentAggregator"),
+    "repro.core.pipeline": ("StageTimer",),
+    "repro.core.precision": ("theta",),
+    "repro.core.reports": ("FaultReport", "RootCauseFinding"),
+    "repro.core.symbols": ("SymbolTable",),
+})

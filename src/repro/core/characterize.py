@@ -13,7 +13,9 @@ the simulated cloud:
   touched, software dependencies) are collected along the way.
 
 Characterization is deterministic and cacheable: pass ``cache_path``
-to persist/reload the whole result as JSON.
+to persist the whole result as JSON, and :func:`load_characterization`
+reads it back without a suite.  This module imports the simulated
+cloud only inside the build, so a load imports no simulator.
 """
 
 from __future__ import annotations
@@ -21,16 +23,17 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.openstack.apis import ApiKind
 from repro.openstack.catalog import default_catalog
-from repro.openstack.cloud import Cloud
-from repro.openstack.wire import WireEvent
 from repro.core.fingerprint import FingerprintLibrary, generate_fingerprint
 from repro.core.symbols import SymbolTable
-from repro.workloads.runner import WorkloadRunner
-from repro.workloads.tempest import TempestSuite
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.openstack.cloud import Cloud
+    from repro.openstack.wire import WireEvent
+    from repro.workloads.tempest import TempestSuite
 
 
 @dataclass
@@ -112,13 +115,13 @@ def characterize_suite(
     cache_path: Optional[str] = None,
 ) -> CharacterizationResult:
     """Fingerprint every test of ``suite`` (Algorithm 1 end to end)
-    over the default catalog and a fresh symbol table."""
+    over the default catalog and a fresh symbol table, and save the
+    result at ``cache_path`` when one is given."""
+    from repro.openstack.cloud import Cloud
+    from repro.workloads.runner import WorkloadRunner
+
     catalog = default_catalog()
     symbols = SymbolTable(catalog)
-
-    if cache_path and os.path.exists(cache_path):
-        return _load(cache_path, symbols, iterations)
-
     if cloud_factory is None:
         def cloud_factory(run_seed: int) -> Cloud:
             return Cloud(seed=run_seed, catalog=catalog)
@@ -214,10 +217,12 @@ def _save(result: CharacterizationResult, path: str) -> None:
     os.replace(tmp, path)
 
 
-def _load(path: str, symbols: SymbolTable,
-          iterations: int) -> CharacterizationResult:
+def load_characterization(path: str) -> CharacterizationResult:
+    """The result :func:`characterize_suite` saved at ``path``, over
+    the default catalog and a fresh symbol table."""
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
+    symbols = SymbolTable(default_catalog())
     library = FingerprintLibrary.from_dict(payload["library"], symbols)
     stats = {}
     for name, raw in payload["stats"].items():
@@ -233,6 +238,6 @@ def _load(path: str, symbols: SymbolTable,
         )
     return CharacterizationResult(
         library=library, stats=stats,
-        iterations=payload.get("iterations", iterations),
-        failed_tests=payload.get("failed_tests", []),
+        iterations=payload["iterations"],
+        failed_tests=payload["failed_tests"],
     )

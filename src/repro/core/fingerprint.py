@@ -30,6 +30,7 @@ has no literal to order, so it is scored on its full sequence.  See
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.openstack.apis import Api, ApiKind
@@ -176,15 +177,11 @@ class Fingerprint:
 
     def rest_only(self, symbols: SymbolTable) -> "Fingerprint":
         """A copy with RPC symbols pruned (§6's optimization)."""
-        kept = [
-            (symbol, is_sc)
-            for symbol, is_sc in zip(self.symbols, self.state_change_mask)
-            if symbols.api(symbol).kind is ApiKind.REST
-        ]
+        kept = list(map(symbols.rest_symbols.__contains__, self.symbols))
         return Fingerprint(
             operation=self.operation,
-            symbols="".join(s for s, _ in kept),
-            state_change_mask=tuple(sc for _, sc in kept),
+            symbols="".join(compress(self.symbols, kept)),
+            state_change_mask=tuple(compress(self.state_change_mask, kept)),
             category=self.category,
             nodes=self.nodes,
             dependencies=self.dependencies,
@@ -206,8 +203,8 @@ class Fingerprint:
         """Inverse of :meth:`to_dict`."""
         return cls(
             operation=data["operation"],
-            symbols="".join(chr(c) for c in data["symbols"]),
-            state_change_mask=tuple(bool(b) for b in data["state_change_mask"]),
+            symbols="".join(map(chr, data["symbols"])),
+            state_change_mask=tuple(map(bool, data["state_change_mask"])),
             category=data.get("category", ""),
             nodes=tuple(data.get("nodes", ())),
             dependencies=tuple(tuple(d) for d in data.get("dependencies", ())),

@@ -16,9 +16,9 @@ pass re-checks the same bound statically (rule SYM001).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
-from repro.openstack.apis import Api
+from repro.openstack.apis import Api, ApiKind
 from repro.openstack.catalog import ApiCatalog
 
 #: First code point used for API symbols (private use area).
@@ -60,6 +60,11 @@ class SymbolTable:
             symbol = chr(PUA_BASE + index)
             self._by_key[api.key] = symbol
             self._by_symbol[symbol] = api.key
+        #: The symbols of REST APIs (what §6's RPC pruning keeps).
+        self.rest_symbols: FrozenSet[str] = frozenset(
+            self._by_key[api.key] for api in catalog.apis
+            if api.kind is ApiKind.REST
+        )
 
     def symbol(self, api_key: str) -> str:
         """The symbol for an API key; raises ``KeyError`` if unknown."""

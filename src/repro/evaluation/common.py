@@ -1,6 +1,11 @@
 """Shared evaluation infrastructure: cached characterization, monitored
 clouds, and the fault-injection workload runner behind §7.3's
-precision experiments."""
+precision experiments.
+
+A warm :func:`default_characterization` reads its cache file and
+nothing else, so the simulated cloud, the monitoring plane and the
+Tempest suite are imported only by the functions that run them.
+"""
 
 from __future__ import annotations
 
@@ -10,21 +15,35 @@ import os
 import random
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+)
 
-from repro.openstack.cloud import Cloud
 from repro.openstack.apis import ApiKind
 from repro.openstack.catalog import default_catalog
 from repro.openstack.wire import WireEvent
 from repro.core.analyzer import GretelAnalyzer
-from repro.core.characterize import CharacterizationResult, characterize_suite
+from repro.core.characterize import (
+    CharacterizationResult,
+    characterize_suite,
+    load_characterization,
+)
 from repro.core.config import GretelConfig
 from repro.core.reports import FaultReport
 from repro.core.streamstats import IncrementalLevelShiftDetector
 from repro.core.symbols import SymbolTable
-from repro.monitoring.plane import MonitoringPlane
-from repro.workloads.runner import OperationOutcome, WorkloadRunner
-from repro.workloads.tempest import TempestSuite, TempestTest, build_suite
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.monitoring.plane import MonitoringPlane
+    from repro.openstack.cloud import Cloud
+    from repro.workloads.runner import OperationOutcome
+    from repro.workloads.tempest import TempestSuite, TempestTest
 
 #: Calibration of the sliding window: observed control-traffic rate of
 #: the simulated deployment is ~13 packets/second per concurrent
@@ -52,6 +71,8 @@ def default_suite(seed: int = 0) -> TempestSuite:
     """The 1200-test suite (memoized per seed)."""
     suite = _SUITE_CACHE.get(seed)
     if suite is None:
+        from repro.workloads.tempest import build_suite
+
         suite = build_suite(seed=seed)
         _SUITE_CACHE[seed] = suite
     return suite
@@ -62,22 +83,18 @@ def _trace_sources() -> List[str]:
     workload templates, the simulated services and the simulation
     kernel that record the traces, and the three modules that turn
     them into a library (Alg. 1's noise rules and LCS merge, symbol
-    assignment, ``characterize_suite`` and its cache format)."""
-    import repro.core.characterize as characterize_mod
-    import repro.core.fingerprint as fingerprint_mod
-    import repro.core.symbols as symbols_mod
-    import repro.openstack as openstack_pkg
-    import repro.sim as sim_pkg
-    import repro.workloads as workloads_pkg
+    assignment, ``characterize_suite`` and its cache format).  Found
+    on disk, so hashing them imports none of them."""
+    import repro
 
+    root = os.path.dirname(repro.__file__)
     paths: List[str] = []
-    for pkg in (workloads_pkg, openstack_pkg, sim_pkg):
-        root = os.path.dirname(pkg.__file__)
-        paths.extend(sorted(glob.glob(os.path.join(root, "**", "*.py"),
-                                      recursive=True)))
+    for package in ("workloads", "openstack", "sim"):
+        pattern = os.path.join(root, package, "**", "*.py")
+        paths.extend(sorted(glob.glob(pattern, recursive=True)))
     paths.extend(
-        module.__file__
-        for module in (fingerprint_mod, characterize_mod, symbols_mod)
+        os.path.join(root, "core", module)
+        for module in ("fingerprint.py", "characterize.py", "symbols.py")
     )
     return paths
 
@@ -110,16 +127,17 @@ def default_characterization(seed: int = 0,
         cache_path = f"{stem}{_template_space_tag()}.json"
         if os.path.exists(cache_path):
             os.utime(cache_path)
+            result = load_characterization(cache_path)
         else:
             others = glob.glob(glob.escape(stem) + "*.json")
             # A file that another process prunes first ends the pass.
             with contextlib.suppress(FileNotFoundError):
                 for path in sorted(others, key=os.path.getmtime)[:-1]:
                     os.remove(path)
-        result = characterize_suite(
-            default_suite(seed), iterations=iterations, seed=seed,
-            cache_path=cache_path,
-        )
+            result = characterize_suite(
+                default_suite(seed), iterations=iterations, seed=seed,
+                cache_path=cache_path,
+            )
         _CHAR_CACHE[key] = result
     return result
 
@@ -143,6 +161,9 @@ def make_monitored_analyzer(
     ``intercept`` wraps the analyzer's ``on_event`` before the agents
     subscribe to it (§7.4.2 times the analyzer from there).
     """
+    from repro.monitoring.plane import MonitoringPlane
+    from repro.openstack.cloud import Cloud
+
     cloud = Cloud(seed=seed)
     plane = MonitoringPlane(cloud)
     if config is None:
@@ -321,7 +342,8 @@ class FaultRunStats:
         return max(delays) if delays else 0.0
 
 
-def _distinctive_fault_api(test: TempestTest, character: CharacterizationResult,
+def _distinctive_fault_api(test: TempestTest,
+                           character: CharacterizationResult,
                            symbols: SymbolTable, rng: random.Random,
                            phase: str = "late") -> Optional[str]:
     """Pick a state-change REST API from the test's fingerprint.
@@ -337,7 +359,8 @@ def _distinctive_fault_api(test: TempestTest, character: CharacterizationResult,
     keys = symbols.decode(fingerprint.symbols)
     state_change = [
         key for key in keys
-        if catalog.get(key).state_change and catalog.get(key).kind is ApiKind.REST
+        if catalog.get(key).state_change
+        and catalog.get(key).kind is ApiKind.REST
     ]
     if not state_change:
         return None
@@ -377,6 +400,8 @@ def run_fault_workload(
     With ``identical_faulty_test`` set, the faulty workload is
     ``n_faults`` parallel instances of that single test (Fig. 8a).
     """
+    from repro.workloads.runner import WorkloadRunner
+
     character = character or default_characterization()
     suite = default_suite()
     rng = random.Random(seed * 7919 + concurrency * 31 + n_faults)

@@ -14,11 +14,16 @@ their outputs into any number of subscribers (normally one GRETEL
 analyzer).
 """
 
-from repro.monitoring.network import NetworkAgent
-from repro.monitoring.plane import MonitoringPlane
-from repro.monitoring.resources import ResourceAgent
-from repro.monitoring.store import MetadataStore, WatcherReport
-from repro.monitoring.watchers import DependencyWatcher
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.monitoring.network import NetworkAgent
+    from repro.monitoring.plane import MonitoringPlane
+    from repro.monitoring.resources import ResourceAgent
+    from repro.monitoring.store import MetadataStore, WatcherReport
+    from repro.monitoring.watchers import DependencyWatcher
 
 __all__ = [
     "DependencyWatcher",
@@ -28,3 +33,11 @@ __all__ = [
     "ResourceAgent",
     "WatcherReport",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.monitoring.network": ("NetworkAgent",),
+    "repro.monitoring.plane": ("MonitoringPlane",),
+    "repro.monitoring.resources": ("ResourceAgent",),
+    "repro.monitoring.store": ("MetadataStore", "WatcherReport"),
+    "repro.monitoring.watchers": ("DependencyWatcher",),
+})

@@ -17,13 +17,18 @@ Entry point: :class:`repro.openstack.cloud.Cloud` assembles a
 deployment from a :class:`repro.openstack.topology.Topology`.
 """
 
-from repro.openstack.apis import Api, ApiKind
-from repro.openstack.catalog import ApiCatalog, build_catalog
-from repro.openstack.cloud import Cloud
-from repro.openstack.errors import ApiError
-from repro.openstack.faults import FaultInjector
-from repro.openstack.topology import Topology, default_topology
-from repro.openstack.wire import WireEvent
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.openstack.apis import Api, ApiKind
+    from repro.openstack.catalog import ApiCatalog, build_catalog
+    from repro.openstack.cloud import Cloud
+    from repro.openstack.errors import ApiError
+    from repro.openstack.faults import FaultInjector
+    from repro.openstack.topology import Topology, default_topology
+    from repro.openstack.wire import WireEvent
 
 __all__ = [
     "Api",
@@ -37,3 +42,13 @@ __all__ = [
     "build_catalog",
     "default_topology",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.openstack.apis": ("Api", "ApiKind"),
+    "repro.openstack.catalog": ("ApiCatalog", "build_catalog"),
+    "repro.openstack.cloud": ("Cloud",),
+    "repro.openstack.errors": ("ApiError",),
+    "repro.openstack.faults": ("FaultInjector",),
+    "repro.openstack.topology": ("Topology", "default_topology"),
+    "repro.openstack.wire": ("WireEvent",),
+})

@@ -117,7 +117,9 @@ class StreamingService:
         self.restore_on_start = restore
         self.sessions: Dict[str, TenantSession] = {}
         self.checkpoints_written = 0
-        self.sessions_restored = 0
+        #: Where each restored tenant's stream resumes: every event
+        #: its checkpoint had accepted or shed is not offered again.
+        self.resume_offsets: Dict[str, int] = {}
         #: Per-tenant ``events_ingested`` high-water mark at the last
         #: checkpoint; the periodic trigger fires on the delta.
         self._checkpoint_seq: Dict[str, int] = {}
@@ -167,7 +169,9 @@ class StreamingService:
                     state = self.checkpoints.load(tenant)
                     if state is not None:
                         live.restore_state(state)
-                        self.sessions_restored += 1
+                        self.resume_offsets[tenant] = (
+                            live.events_ingested + live.events_shed
+                        )
                 except StateError:
                     live.close()  # refused: stop its pump, keep no session
                     raise
@@ -276,6 +280,11 @@ class StreamingService:
         for tenant in self.checkpoints.tenants():
             self.session(tenant)
         return self.sessions_restored - before
+
+    @property
+    def sessions_restored(self) -> int:
+        """Sessions rehydrated from a checkpoint so far."""
+        return len(self.resume_offsets)
 
     def checkpoint_all(self) -> int:
         """Persist every live session; returns how many were written."""

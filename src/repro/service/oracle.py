@@ -11,13 +11,16 @@ same configuration:
   built* analyzer is rehydrated to continue the stream.
 
 Both halves must publish the identical multiset of fault reports
-(compared via :func:`repro.core.reports.report_signature`) and end
+(compared via :func:`repro.core.reports.report_signature`), end
 with identical :class:`~repro.core.analyzer.PipelineStats`
-(every counter except wall-clock ``analysis_seconds``).  Any
-divergence raises :class:`~repro.oracle.OracleDivergence` — counters
-too, since a checkpoint that silently resets e.g.
-``postings_scanned`` would corrupt capacity planning after every
-service restart.
+(every counter except wall-clock ``analysis_seconds``) and end in
+the identical ``snapshot_state()`` document (the same clock field
+aside).  Any divergence raises
+:class:`~repro.oracle.OracleDivergence` — counters too, since a
+checkpoint that silently resets e.g. ``postings_scanned`` would
+corrupt capacity planning after every service restart, and state
+too, since a restored analyzer that feeds a stale latency series
+publishes the same reports until the next level shift.
 
 The ``mutate`` hook lets tests prove the oracle actually fires:
 it edits the decoded state dict before restore, and a correct
@@ -70,6 +73,21 @@ def _cut_points(total: int, cuts: int) -> Tuple[int, ...]:
     return tuple(points)
 
 
+def _state_mismatches(reference: Any, candidate: Any,
+                      path: str = "state") -> List[str]:
+    """One ``state.<key path> differs`` line per leaf where two
+    ``snapshot_state()`` documents disagree (lists compare whole)."""
+    if isinstance(reference, dict) and isinstance(candidate, dict):
+        return [
+            line
+            for key in sorted(set(reference) | set(candidate), key=str)
+            for line in _state_mismatches(
+                reference.get(key), candidate.get(key), f"{path}.{key}"
+            )
+        ]
+    return [] if reference == candidate else [f"{path} differs"]
+
+
 def verify_checkpoint(
     events: Sequence[WireEvent],
     library: FingerprintLibrary,
@@ -88,7 +106,8 @@ def verify_checkpoint(
     trip.  Both halves share one empty metadata store (no caller has
     ever handed in a populated one), so Alg. 3 finds no root cause on
     either and the findings compared are empty on both; a counter
-    divergence is a ``counter: <name> ...`` line in ``mismatches``.
+    divergence is a ``counter: <name> ...`` line in ``mismatches``,
+    a final-state one a ``state.<key path> differs`` line.
     ``mutate`` edits each decoded state dict before restore — the
     negative-test hook.  ``strict`` is :func:`repro.oracle.settle`'s.
     Raises :class:`ValueError` when there is no interior cut to take
@@ -106,9 +125,10 @@ def verify_checkpoint(
 
     def replay(
         points: Tuple[int, ...]
-    ) -> Tuple[List[ReportSignature], Dict[str, Any]]:
+    ) -> Tuple[List[ReportSignature], Dict[str, Any], Dict[str, Any]]:
         """Run ``events`` through an analyzer that is killed and
-        rehydrated at each of ``points`` (none: the straight half)."""
+        rehydrated at each of ``points`` (none: the straight half);
+        returns its reports, stats and final state."""
         signatures: List[ReportSignature] = []
 
         def build() -> GretelAnalyzer:
@@ -139,12 +159,14 @@ def verify_checkpoint(
         if defer_detection:
             analyzer.process_deferred()
         stats = asdict(analyzer.stats())
+        state = json.loads(json.dumps(analyzer.snapshot_state()))
         for name in _TIMING_FIELDS:
             del stats[name]
-        return signatures, stats
+            del state["counters"][name]
+        return signatures, stats, state
 
-    straight, straight_stats = replay(())
-    restored, restored_stats = replay(points)
+    straight, straight_stats, straight_state = replay(())
+    restored, restored_stats, restored_state = replay(points)
 
     missing, extra = diff_multisets(straight, restored)
     result = OracleResult(
@@ -159,6 +181,9 @@ def verify_checkpoint(
         },
         missing=missing,
         extra=extra,
-        mismatches=diff_counters(straight_stats, restored_stats),
+        mismatches=(
+            diff_counters(straight_stats, restored_stats)
+            + _state_mismatches(straight_state, restored_state)
+        ),
     )
     return settle(result, strict)

@@ -16,9 +16,14 @@ concurrently with injected faults.  This package provides:
   event-stream generator used for throughput stress tests (§7.4.1).
 """
 
-from repro.workloads.tempest import TempestSuite, TempestTest, build_suite
-from repro.workloads.runner import OperationOutcome, WorkloadRunner
-from repro.workloads.toolkit import OpenStackClient, OperationFailed
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.workloads.tempest import TempestSuite, TempestTest, build_suite
+    from repro.workloads.runner import OperationOutcome, WorkloadRunner
+    from repro.workloads.toolkit import OpenStackClient, OperationFailed
 
 __all__ = [
     "OpenStackClient",
@@ -29,3 +34,9 @@ __all__ = [
     "WorkloadRunner",
     "build_suite",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workloads.tempest": ("TempestSuite", "TempestTest", "build_suite"),
+    "repro.workloads.runner": ("OperationOutcome", "WorkloadRunner"),
+    "repro.workloads.toolkit": ("OpenStackClient", "OperationFailed"),
+})

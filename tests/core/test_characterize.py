@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.openstack.catalog import default_catalog
-from repro.core.characterize import characterize_suite
+from repro.core.characterize import characterize_suite, load_characterization
 from repro.core.fingerprint import filter_noise
 from repro.core.symbols import SymbolTable
 from repro.workloads.tempest import TempestSuite
@@ -75,10 +75,15 @@ def test_cache_roundtrip(tiny_suite, tmp_path):
     path = str(tmp_path / "char.json")
     first = characterize_suite(tiny_suite, iterations=2, cache_path=path)
     assert os.path.exists(path)
-    second = characterize_suite(tiny_suite, iterations=2, cache_path=path)
+    # Loading needs no suite, and equals the build fingerprint for
+    # fingerprint (every field).
+    second = load_characterization(path)
     assert len(second.library) == len(first.library)
+    assert second.library.operations() == first.library.operations()
     for op in first.library.operations():
         assert second.library.get(op).symbols == first.library.get(op).symbols
+        assert second.library.get(op) == first.library.get(op)
+    assert second.failed_tests == first.failed_tests
     rows_first = {r["category"]: r for r in first.table1_rows()}
     rows_second = {r["category"]: r for r in second.table1_rows()}
     assert rows_first == rows_second

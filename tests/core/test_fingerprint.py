@@ -222,6 +222,25 @@ def test_rest_only_prunes_rpcs(catalog, symbols):
     assert len(pruned) == 2
 
 
+def test_rest_only_matches_the_per_symbol_catalog_filter(small_character):
+    """The precomputed REST set prunes exactly what asking the catalog
+    for each symbol's kind does."""
+    library = small_character.library
+    symbols = library.symbols
+    for operation in library.operations():
+        fingerprint = library.get(operation)
+        kept = [
+            (symbol, is_sc)
+            for symbol, is_sc in zip(fingerprint.symbols,
+                                     fingerprint.state_change_mask)
+            if symbols.api(symbol).kind.value == "rest"
+        ]
+        pruned = fingerprint.rest_only(symbols)
+        assert pruned.symbols == "".join(s for s, _ in kept)
+        assert pruned.state_change_mask == tuple(sc for _, sc in kept)
+        assert pruned.operation == fingerprint.operation
+
+
 def test_truncate_at_last_occurrence(catalog, symbols):
     poll = catalog.find_rest("nova", "GET", "/v2.1/servers/{id}").key
     boot = catalog.find_rest("nova", "POST", "/v2.1/servers").key

@@ -52,13 +52,16 @@ def test_characterization_cache_keeps_one_other_tag(tmp_path, monkeypatch):
     built = []
 
     def characterize_suite(suite, *, iterations, seed, cache_path):
-        if not os.path.exists(cache_path):
-            built.append(os.path.basename(cache_path))
-            with open(cache_path, "w") as handle:
-                handle.write("{}")
+        assert not os.path.exists(cache_path)
+        built.append(os.path.basename(cache_path))
+        with open(cache_path, "w") as handle:
+            handle.write("{}")
         return object()
 
     monkeypatch.setattr(common, "characterize_suite", characterize_suite)
+    monkeypatch.setattr(
+        common, "load_characterization", lambda path: object()
+    )
     stubs = {
         "characterization-s9-i2-old0.json": 50,
         "characterization-s9-i2-old1.json": 100,

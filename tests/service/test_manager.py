@@ -228,3 +228,29 @@ def test_router_keyword_selects_nothing(library):
     with pytest.raises(ValueError, match="repro.reference.SyncSession"):
         StreamingService(library, async_ingest=False)
     StreamingService(library, async_ingest=True)  # builds no session
+
+
+def test_restored_tenants_report_their_resume_offsets(
+    build_service, stream_events, tmp_path
+):
+    """Each restored tenant resumes after every event its checkpoint
+    accepted or shed: 8 accepted + 32 shed for one, 5 accepted for the
+    other."""
+    store = CheckpointStore(tmp_path)
+    first = build_service(checkpoint_store=store, queue_capacity=8,
+                          policy="shed")
+    for tenant, offers in (("acme", stream_events[:40]),
+                           ("globex", stream_events[40:45])):
+        with first.session(tenant).parked():
+            for event in offers:
+                first.submit(event, tenant=tenant)
+    first.checkpoint_all()
+    assert first.resume_offsets == {}
+
+    resumed = build_service(checkpoint_store=store, queue_capacity=8,
+                            policy="shed")
+    assert resumed.restore_all() == 2
+    assert resumed.resume_offsets == {"acme": 40, "globex": 5}
+    assert resumed.sessions_restored == 2
+    acme = resumed.sessions["acme"]
+    assert (acme.events_ingested, acme.events_shed) == (8, 32)

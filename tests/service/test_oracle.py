@@ -7,6 +7,7 @@ and a behavior-level corruption and the oracle must flag each.
 
 import pytest
 
+from repro.core.latency import LatencyTracker
 from repro.core.state import encode_events
 from repro.oracle import OracleDivergence
 from repro.service import verify_checkpoint
@@ -124,3 +125,28 @@ def test_strict_false_returns_instead_of_raising(library, stream_events):
         line.startswith("counter: events_processed reference=")
         for line in result.mismatches
     )
+
+
+def test_oracle_flags_a_stale_latency_series(library, stream_events,
+                                            monkeypatch):
+    """A restored analyzer whose intake keeps feeding the series dict
+    it was built with, not the one ``restore_state`` installed,
+    publishes the straight run's reports and counters on a stream that
+    confirms no level shift; only the final state shows it."""
+    restore = LatencyTracker.restore_state
+
+    def restore_but_feed_the_built_series(tracker, state):
+        built = tracker.detectors
+        restore(tracker, state)
+        tracker.detectors = built
+
+    monkeypatch.setattr(LatencyTracker, "restore_state",
+                        restore_but_feed_the_built_series)
+    result = verify_checkpoint(
+        stream_events, library, cuts=3, config=CONFIG, strict=False,
+    )
+    assert not result.ok
+    assert not result.missing and not result.extra
+    assert result.mismatches
+    assert all(line.startswith("state.latency.detectors.")
+               for line in result.mismatches), result.mismatches

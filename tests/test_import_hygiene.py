@@ -1,31 +1,65 @@
 """The production packages never load the reference implementations,
 the oracle harness depends on none of them, nothing in the program
 reaches the sharding modules (only the benchmark ledger and their own
-tests still use them), and nothing builds an analyzer through the
-ledger's ``PipelineBuilder`` residue."""
+tests still use them), nothing builds an analyzer through the
+ledger's ``PipelineBuilder`` residue, and a serving process (analyzer,
+service, compiled index, warm characterization load, CLI) loads no
+simulator module."""
 
 import ast
 import glob
+import importlib
 import os
 import subprocess
 import sys
+
+import pytest
 
 import repro
 
 SHARDING = ("repro.core.parallel", "repro.core.workers")
 
+#: The simulated cloud, its monitoring agents and workload drivers,
+#: and the figure modules that run them: what a process that only
+#: analyzes never loads.
+SIMULATOR = (
+    "repro.sim",
+    "repro.openstack.cloud", "repro.openstack.services",
+    "repro.openstack.messaging", "repro.openstack.faults",
+    "repro.openstack.software", "repro.openstack.broker",
+    "repro.openstack.database",
+    "repro.monitoring.plane", "repro.monitoring.network",
+    "repro.monitoring.resources", "repro.monitoring.watchers",
+    "repro.workloads.runner", "repro.workloads.tempest",
+    "repro.workloads.templates", "repro.workloads.toolkit",
+    "repro.evaluation.registry", "repro.evaluation.case_studies",
+    "repro.evaluation.table1", "repro.evaluation.fig",
+    "repro.evaluation.ablations", "repro.evaluation.overhead",
+    "repro.evaluation.hansel_comparison",
+)
+
+#: The packages whose ``__init__`` exports its names lazily.
+LAZY_PACKAGES = (
+    "repro", "repro.analysis", "repro.core", "repro.monitoring",
+    "repro.openstack", "repro.workloads",
+)
+
 PROBE = """
 import sys
 import {modules}
+{then}
 loaded = sorted(m for m in sys.modules if m.startswith({prefixes!r}))
 assert not loaded, loaded
 """
 
 
-def assert_unloaded_after_importing(prefixes, *modules):
+def assert_unloaded_after_importing(prefixes, *modules, then=""):
+    """Import ``modules`` in a fresh interpreter, run the ``then``
+    statement, and require that no module under ``prefixes`` loaded."""
     src = os.path.dirname(os.path.dirname(repro.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = PROBE.format(modules=", ".join(modules), prefixes=prefixes)
+    probe = PROBE.format(modules=", ".join(modules), prefixes=prefixes,
+                         then=then)
     done = subprocess.run(
         [sys.executable, "-c", probe],
         env=env, capture_output=True, text=True,
@@ -141,3 +175,69 @@ def test_program_imports_leave_sharding_unloaded():
         SHARDING, "repro", "repro.cli", "repro.scenarios",
         "repro.service", "repro.analysis",
     )
+
+
+def test_serving_path_loads_no_simulator(full_character):
+    """The layer rule of docs/architecture.md: importing the serving
+    packages and loading the characterization warm (the fixture has
+    written the cache file) loads nothing that simulates a cloud."""
+    assert_unloaded_after_importing(
+        SIMULATOR,
+        "repro", "repro.core", "repro.service", "repro.analysis.compile",
+        "repro.workloads.traffic", "repro.evaluation.common", "repro.cli",
+        then="repro.evaluation.common.default_characterization()",
+    )
+
+
+def test_warm_load_builds_no_suite(full_character, monkeypatch):
+    """A warm load reads the cache file; it never builds the 1200-test
+    suite that only a cold build runs."""
+    from repro.evaluation import common
+    from repro.workloads import tempest
+
+    def build_suite(seed=0):
+        raise AssertionError("a warm load built the suite")
+
+    monkeypatch.setattr(tempest, "build_suite", build_suite)
+    monkeypatch.setattr(common, "_CHAR_CACHE", {})
+    monkeypatch.setattr(common, "_SUITE_CACHE", {})
+    warm = common.default_characterization()
+    assert warm is not full_character
+    assert common._SUITE_CACHE == {}
+    operations = full_character.library.operations()
+    assert warm.library.operations() == operations
+    assert all(warm.library.get(op) == full_character.library.get(op)
+               for op in operations)
+
+
+def type_checking_imports(path):
+    """``{name: module}`` of the ``from ... import`` statements under
+    a file's ``if TYPE_CHECKING:``."""
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    found = {}
+    for node in tree.body:
+        if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                and node.test.id == "TYPE_CHECKING"):
+            for statement in node.body:
+                if isinstance(statement, ast.ImportFrom):
+                    found.update((alias.name, statement.module)
+                                 for alias in statement.names)
+    return found
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_lazy_exports_resolve_to_their_definitions(package):
+    """Every name in a lazy package's ``__all__`` is imported for the
+    type checkers, listed by ``dir()``, and resolves to the object of
+    the module it is imported from there."""
+    module = importlib.import_module(package)
+    typed = type_checking_imports(module.__file__)
+    assert set(typed) == set(module.__all__) - {"__version__"}
+    listed = dir(module)
+    for name, source in typed.items():
+        assert name in listed, name
+        value = getattr(importlib.import_module(source), name)
+        assert getattr(module, name) is value, name
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        getattr(module, "nope")
