@@ -246,14 +246,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _resolve_library(
-    args: argparse.Namespace,
+    args: argparse.Namespace, grouped: bool,
 ) -> Optional[Tuple[FingerprintLibrary, SymbolTable, ApiCatalog,
                     Optional[Dict[str, str]]]]:
     """``repro lint``'s ``--library``/characterization loader.
 
     Returns ``(library, symbols, catalog, groups)`` or ``None`` after
     printing an error (exit code 2 territory): a file that cannot be
-    read, is not JSON, or is not a serialized library.
+    read, is not JSON, or is not a serialized library.  ``groups``
+    needs the test suite built, so it is filled only when ``grouped``
+    (the ambiguity pass, its one reader, runs).
     """
     import json
 
@@ -293,10 +295,11 @@ def _resolve_library(
         # Tests instantiated from one workload template intentionally
         # share a fingerprint shape; group them so the ambiguity pass
         # reports only cross-template confusability.
-        groups = {
-            test.test_id: test.template.name
-            for test in default_suite(args.seed).tests
-        }
+        if grouped:
+            groups = {
+                test.test_id: test.template.name
+                for test in default_suite(args.seed).tests
+            }
     return library, symbols, catalog, groups
 
 
@@ -318,7 +321,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             )
             return EXIT_USAGE
 
-    resolved = _resolve_library(args)
+    resolved = _resolve_library(
+        args, grouped="ambiguity" in (PASSES if passes is None else passes)
+    )
     if resolved is None:
         return EXIT_USAGE
     library, symbols, catalog, groups = resolved

@@ -22,12 +22,20 @@ and a checkpoint records that tuning once, for the whole tracker.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Optional
+from itertools import chain, islice
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.openstack.wire import WireEvent
 from repro.core import outliers
 from repro.core.config import GretelConfig
-from repro.core.state import StateError, read_key, under
+from repro.core.state import (
+    StateError,
+    decode_key,
+    pack_floats,
+    read_key,
+    under,
+    unpack_floats,
+)
 from repro.core.streamstats.detector import IncrementalLevelShiftDetector
 
 
@@ -130,14 +138,35 @@ class LatencyTracker:
         """JSON-serializable rendering of every series.
 
         The LS tuning is written once, as ``tuning``: every series
-        ran it, so no series state repeats it.
+        ran it.  ``detectors`` is one column block, a row per series
+        in ``keys`` order (sorted): every baseline packed into one
+        float block and every pending ``(ts, value)`` pair into
+        another, each cut by its per-series sizes; the cooldown
+        deadlines packed too (``-inf`` survives); the two counters as
+        lists.
         """
+        keys = sorted(self.detectors)
+        detectors = self.detectors
+        baselines, pending, counts, cooldowns, recomputes = (
+            zip(*[detectors[key].state_row() for key in keys])
+            if keys else ((), (), (), (), ())
+        )
         return {
             "tuning": _ls_tuning(),
             "samples_fed": self.ls_samples_fed,
             "detectors": {
-                api_key: detector.snapshot_state()
-                for api_key, detector in sorted(self.detectors.items())
+                "keys": keys,
+                "baseline_sizes": list(map(len, baselines)),
+                "baselines": pack_floats(
+                    list(chain.from_iterable(baselines))
+                ),
+                "pending_sizes": list(map(len, pending)),
+                "pending": pack_floats(list(
+                    chain.from_iterable(chain.from_iterable(pending))
+                )),
+                "count": list(counts),
+                "cooldown_until": pack_floats(cooldowns),
+                "threshold_recomputes": list(recomputes),
             },
         }
 
@@ -145,8 +174,9 @@ class LatencyTracker:
         """Rehydrate a fresh tracker.
 
         A checkpoint taken under another LS tuning is refused with
-        each differing constant named.  A series whose payload does
-        not read is refused with its key path, never resurrected.
+        each differing constant named.  A block that does not read is
+        refused with its key path (a series' own fault names the
+        series, ``detectors['<api key>']``), never resurrected.
         Every series is rebuilt before any is installed, so a refusal
         leaves the tracker as it was.
         """
@@ -164,12 +194,68 @@ class LatencyTracker:
                 "tuning",
             )
         samples_fed = read_key(state, "samples_fed", int)
-        series = read_key(state, "detectors", dict)
+        rows = _read_series(read_key(state, "detectors", dict))
         detectors: Dict[str, IncrementalLevelShiftDetector] = {}
-        for api_key, detector_state in series.items():
+        for api_key, row in rows:
             detector = IncrementalLevelShiftDetector()
-            with under(f"detectors[{api_key!r}]"):
-                detector.restore_state(detector_state)
+            detector.restore_row(*row)
             detectors[api_key] = detector
         self.detectors = detectors
         self.ls_samples_fed = samples_fed
+
+
+def _read_series(block: Dict[str, Any]) -> List[Tuple[str, Tuple[Any, ...]]]:
+    """The ``(api key, row)`` pairs of a :meth:`LatencyTracker.
+    snapshot_state` series block (the value of ``detectors``), every
+    column checked against the number of series and the sizes first."""
+    with under("detectors"):
+        keys = read_key(block, "keys", list)
+        if not all(isinstance(key, str) for key in keys):
+            raise StateError("expected a list of str", "keys")
+        if len(set(keys)) != len(keys):
+            raise StateError("a series appears twice", "keys")
+        lists = {}
+        for name in ("baseline_sizes", "pending_sizes", "count",
+                     "threshold_recomputes"):
+            values = read_key(block, name, list)
+            if not all(type(value) is int and value >= 0 for value in values):
+                raise StateError("expected a list of non-negative int", name)
+            lists[name] = values
+        packed = {
+            name: decode_key(block, name, unpack_floats)
+            for name in ("baselines", "pending", "cooldown_until")
+        }
+        for name, values in (*lists.items(),
+                             ("cooldown_until", packed["cooldown_until"])):
+            if len(values) != len(keys):
+                raise StateError(f"{len(values)} values for {len(keys)} "
+                                 f"series", name)
+        for sizes, name, per_row in (("baseline_sizes", "baselines", 1),
+                                     ("pending_sizes", "pending", 2)):
+            want = sum(lists[sizes]) * per_row
+            if len(packed[name]) != want:
+                raise StateError(
+                    f"{len(packed[name])} floats, the sizes add up to {want}",
+                    name,
+                )
+    window = outliers.LS_WINDOW
+    baselines = iter(packed["baselines"])
+    pending = iter(packed["pending"])
+    rows = []
+    for api_key, size, pairs, count, cooldown, recomputes in zip(
+        keys, lists["baseline_sizes"], lists["pending_sizes"],
+        lists["count"], packed["cooldown_until"],
+        lists["threshold_recomputes"],
+    ):
+        if size > window:
+            raise StateError(
+                f"{size} baseline values, LS_WINDOW is {window}",
+                f"detectors[{api_key!r}].baseline_sizes",
+            )
+        values = list(islice(baselines, size))
+        flat = list(islice(pending, 2 * pairs))
+        rows.append((api_key, (
+            values, list(zip(flat[::2], flat[1::2])), count, cooldown,
+            recomputes,
+        )))
+    return rows

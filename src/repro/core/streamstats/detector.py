@@ -30,19 +30,10 @@ oracle pattern ``repro.core.matching`` uses for Algorithm 2 scoring.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core import outliers
 from repro.core.outliers import LevelShift, _median
-from repro.core.state import (
-    StateError,
-    decode_key,
-    decode_ts,
-    encode_ts,
-    pack_floats,
-    read_key,
-    unpack_floats,
-)
 from repro.core.streamstats.window import SortedWindow
 
 
@@ -172,40 +163,25 @@ class IncrementalLevelShiftDetector:
         return None
 
     # -- state lifecycle (see repro.core.state) -------------------------
+    # A series writes no document of its own: the latency tracker
+    # packs every series into one column block, a row each.
 
-    def snapshot_state(self) -> Dict[str, Any]:
-        """JSON-serializable rendering of the detector.
+    def state_row(self) -> Tuple[SortedWindow, List[Tuple[float, float]],
+                                 int, float, int]:
+        """The series as one row of the tracker's block: the baseline
+        (iterated in arrival order), the pending ``(ts, value)``
+        pairs, the sample count, the cooldown deadline and the
+        threshold recomputes.  Read-only views, not copies."""
+        return (self._baseline, self._pending, self._count,
+                self._cooldown_until, self.threshold_recomputes)
 
-        The pending ``(ts, value)`` pairs are packed flat, ts first.
-        """
-        return {
-            "baseline": self._baseline.snapshot_state(),
-            "pending": pack_floats(
-                [x for pair in self._pending for x in pair]
-            ),
-            "count": self._count,
-            "cooldown_until": encode_ts(self._cooldown_until),
-            "threshold_recomputes": self.threshold_recomputes,
-        }
-
-    def restore_state(self, state: Mapping[str, Any]) -> None:
-        """Rehydrate a fresh detector (the latency tracker checks that
-        the checkpoint ran the same tuning)."""
-        flat = decode_key(state, "pending", unpack_floats)
-        if len(flat) % 2:
-            raise StateError(
-                f"{len(flat)} floats do not pair into (ts, value)",
-                "pending",
-            )
-        count = read_key(state, "count", int)
-        cooldown_until = read_key(
-            state, "cooldown_until", (float, int, type(None))
-        )
-        recomputes = read_key(state, "threshold_recomputes", int)
-        # Read before the baseline is installed: a refused document
-        # leaves the detector as it was.
-        decode_key(state, "baseline", self._baseline.restore_state)
-        self._pending = list(zip(flat[::2], flat[1::2]))
+    def restore_row(self, baseline: List[float],
+                    pending: List[Tuple[float, float]], count: int,
+                    cooldown_until: float, recomputes: int) -> None:
+        """Inverse of :meth:`state_row` on a fresh detector (the
+        tracker has checked the row, and the tuning it ran under)."""
+        self._baseline.refill(baseline)
+        self._pending = pending
         self._count = count
-        self._cooldown_until = decode_ts(cooldown_until)
+        self._cooldown_until = cooldown_until
         self.threshold_recomputes = recomputes

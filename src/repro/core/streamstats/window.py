@@ -14,15 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, Mapping, Tuple
-
-from repro.core.state import (
-    StateError,
-    decode_key,
-    pack_floats,
-    read_key,
-    unpack_floats,
-)
+from typing import Deque, Iterator, List, Tuple
 
 
 class SortedWindow:
@@ -150,27 +142,9 @@ class SortedWindow:
             raise ValueError("bounds() of an empty window")
         return ordered[0], ordered[-1]
 
-    # -- state lifecycle (see repro.core.state) -------------------------
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        """JSON-serializable rendering of the window.
-
-        Arrival order is the only payload (the sorted view is
-        derived), packed (:func:`~repro.core.state.pack_floats`).
-        """
-        return {
-            "maxlen": self.maxlen,
-            "values": pack_floats(self._arrival),
-        }
-
-    def restore_state(self, state: Mapping[str, Any]) -> None:
-        """Rehydrate a fresh window of the same ``maxlen``."""
-        maxlen = read_key(state, "maxlen", int)
-        if maxlen != self.maxlen:
-            raise StateError(
-                f"{maxlen} in the checkpoint, {self.maxlen} here", "maxlen"
-            )
-        values = decode_key(state, "values", unpack_floats)
+    def refill(self, values: List[float]) -> None:
+        """Replace the contents with ``values``, in arrival order (the
+        latency tracker's restore; it checks the length first)."""
         self._arrival.clear()
         self._arrival.extend(values)
         self._sorted = sorted(values)

@@ -28,7 +28,7 @@ import os
 import re
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.core.state import StateError, require_state
 
@@ -43,7 +43,7 @@ class CheckpointStore:
 
     #: Covers the envelope and the session document inside it: a
     #: change to either shape bumps it.
-    STATE_FMT = "gretel-checkpoint/v2"
+    STATE_FMT = "gretel-checkpoint/v3"
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
@@ -95,16 +95,52 @@ class CheckpointStore:
         """
         path = self.path_for(tenant)
         try:
-            with open(path, encoding="utf-8") as handle:
-                envelope = json.load(handle)
+            envelope = self._parse(path)
         except FileNotFoundError:
             return None
         except (OSError, ValueError) as exc:
             raise StateError(
                 f"unreadable checkpoint for {tenant!r} at {path}: {exc}"
             ) from exc
+        return self._state_of(tenant, path, envelope)
+
+    def load_all(self) -> Dict[str, Dict[str, Any]]:
+        """Every persisted session state, by tenant, each file parsed
+        once.
+
+        A file that does not parse, or names no tenant, is skipped
+        (:meth:`load` refuses it when its tenant is asked for), so
+        one junk file cannot stop a restart; any other fault
+        :meth:`load` would refuse raises :class:`StateError`.
+        """
+        found = []
+        for path in self.root.glob(f"*{_SUFFIX}"):
+            try:
+                envelope = self._parse(path)
+            except (OSError, ValueError):
+                continue
+            if isinstance(envelope, dict) and isinstance(
+                envelope.get("tenant"), str
+            ):
+                found.append((envelope["tenant"], path, envelope))
+        return {
+            tenant: self._state_of(tenant, path, envelope)
+            for tenant, path, envelope in sorted(
+                found, key=lambda entry: entry[0]
+            )
+        }
+
+    def _parse(self, path: Path) -> Any:
+        """One checkpoint file, parsed: the only place a file is read."""
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+
+    def _state_of(self, tenant: str, path: Path,
+                  envelope: Any) -> Dict[str, Any]:
+        """The session state inside ``envelope``, read from ``path``
+        for ``tenant``, once the tag and the tenant check out."""
         require_state(envelope, self.STATE_FMT)
-        if envelope.get("tenant") != tenant:
+        if envelope.get("tenant") != tenant or self.path_for(tenant) != path:
             raise StateError(
                 f"checkpoint at {path} belongs to tenant "
                 f"{envelope.get('tenant')!r}, not {tenant!r}"
@@ -116,22 +152,6 @@ class CheckpointStore:
                 f"checkpoint for {tenant!r} carries no state dict"
             )
         return state
-
-    def tenants(self) -> List[str]:
-        """Tenant ids with a persisted checkpoint, sorted."""
-        found: List[str] = []
-        for path in self.root.glob(f"*{_SUFFIX}"):
-            try:
-                with open(path, encoding="utf-8") as handle:
-                    envelope = json.load(handle)
-            except (OSError, ValueError):
-                continue
-            if not isinstance(envelope, dict):
-                continue
-            tenant = envelope.get("tenant")
-            if isinstance(tenant, str):
-                found.append(tenant)
-        return sorted(found)
 
     def delete(self, tenant: str) -> bool:
         """Remove one tenant's checkpoint; True if one existed."""

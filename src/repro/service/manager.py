@@ -20,9 +20,10 @@ that tenant appears (unless built with ``restore=False``; see also
 :meth:`StreamingService.restore_all`), and (b) re-checkpoints a
 session every ``checkpoint_every`` accepted events (0 disables the
 periodic trigger; explicit :meth:`StreamingService.checkpoint_all`
-still works).  Because a session's state includes its ingest queue —
-and a checkpoint pauses the tenant's pump at an event boundary — a
-checkpoint never needs to force a drain first.
+still works).  A checkpoint parks the tenant's pump at an event
+boundary and analyzes the tenant's backlog on the checkpointing
+thread (the submitter's, for the periodic trigger) before it saves,
+so a checkpoint holds analyzer state and no queued events.
 """
 
 from __future__ import annotations
@@ -152,6 +153,13 @@ class StreamingService:
         live = self.sessions.get(tenant)
         if live is not None:
             return live
+        return self._open(tenant, None)
+
+    def _open(self, tenant: str,
+              state: Optional[Dict[str, Any]]) -> TenantSession:
+        """Create ``tenant``'s session unless one is live, restoring
+        ``state`` (or, when that is ``None``, the store's checkpoint)
+        if the service restores on start."""
         with self._session_lock:
             live = self.sessions.get(tenant)
             if live is not None:
@@ -166,7 +174,8 @@ class StreamingService:
                 live.on_report(sink)
             if self.checkpoints is not None and self.restore_on_start:
                 try:
-                    state = self.checkpoints.load(tenant)
+                    if state is None:
+                        state = self.checkpoints.load(tenant)
                     if state is not None:
                         live.restore_state(state)
                         self.resume_offsets[tenant] = (
@@ -271,14 +280,16 @@ class StreamingService:
         Session restore is otherwise lazy (first ``submit`` for the
         tenant); a restarting replay calls this up front so tenants
         that never reappear in the remaining stream still get their
-        pending analysis finished by the final :meth:`flush`.  Returns
-        how many sessions were restored.
+        pending analysis finished by the final :meth:`flush`.  Each
+        checkpoint file is parsed once
+        (:meth:`~repro.service.checkpoint.CheckpointStore.load_all`).
+        Returns how many sessions were restored.
         """
         if self.checkpoints is None:
             raise ValueError("service has no checkpoint store")
         before = self.sessions_restored
-        for tenant in self.checkpoints.tenants():
-            self.session(tenant)
+        for tenant, state in self.checkpoints.load_all().items():
+            self._open(tenant, state)
         return self.sessions_restored - before
 
     @property

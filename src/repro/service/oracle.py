@@ -4,11 +4,15 @@
 same configuration:
 
 * **straight** — one analyzer consumes the whole stream;
-* **restored** — the stream is cut at ``K`` evenly spaced points; at
-  each cut the running analyzer's state is frozen through an actual
-  ``json.dumps``/``json.loads`` round trip (so "JSON-serializable" is
-  exercised, not assumed), the analyzer is discarded, and a *freshly
-  built* analyzer is rehydrated to continue the stream.
+* **restored** — the stream runs through a
+  :class:`~repro.service.session.TenantSession` and is cut at ``K``
+  evenly spaced points.  Before each cut the pump is parked for the
+  last ``queue_capacity`` events, so the session's snapshot has a
+  backlog to analyze first, as a checkpoint under load does; the
+  session document then crosses an actual ``json.dumps``/
+  ``json.loads`` round trip (so "JSON-serializable" is exercised, not
+  assumed), the session is discarded, and a *freshly built* one is
+  rehydrated to continue the stream.
 
 Both halves must publish the identical multiset of fault reports
 (compared via :func:`repro.core.reports.report_signature`), end
@@ -23,7 +27,7 @@ too, since a restored analyzer that feeds a stale latency series
 publishes the same reports until the next level shift.
 
 The ``mutate`` hook lets tests prove the oracle actually fires:
-it edits the decoded state dict before restore, and a correct
+it edits the decoded analyzer document before restore, and a correct
 implementation must then diverge (or refuse to restore).
 """
 
@@ -53,6 +57,7 @@ from repro.oracle import (
     diff_multisets,
     settle,
 )
+from repro.service.session import TenantSession
 
 #: Stats fields that legitimately differ between runs.
 _TIMING_FIELDS = ("analysis_seconds",)
@@ -101,14 +106,15 @@ def verify_checkpoint(
 ) -> OracleResult:
     """Prove checkpoint/kill/restore is invisible on ``events``.
 
-    The restored half kills and rehydrates the analyzer at ``cuts``
-    evenly spaced points; each checkpoint crosses a real JSON round
-    trip.  Both halves share one empty metadata store (no caller has
-    ever handed in a populated one), so Alg. 3 finds no root cause on
-    either and the findings compared are empty on both; a counter
+    The restored half kills and rehydrates its session at ``cuts``
+    evenly spaced points, each snapshot analyzing a parked backlog
+    first; each checkpoint crosses a real JSON round trip.  Both
+    halves share one empty metadata store (no caller has ever handed
+    in a populated one), so Alg. 3 finds no root cause on either and
+    the findings compared are empty on both; a counter
     divergence is a ``counter: <name> ...`` line in ``mismatches``,
     a final-state one a ``state.<key path> differs`` line.
-    ``mutate`` edits each decoded state dict before restore — the
+    ``mutate`` edits each decoded analyzer document before restore — the
     negative-test hook.  ``strict`` is :func:`repro.oracle.settle`'s.
     Raises :class:`ValueError` when there is no interior cut to take
     (``cuts < 1`` or fewer than 2 events): a verdict that restored
@@ -126,9 +132,9 @@ def verify_checkpoint(
     def replay(
         points: Tuple[int, ...]
     ) -> Tuple[List[ReportSignature], Dict[str, Any], Dict[str, Any]]:
-        """Run ``events`` through an analyzer that is killed and
-        rehydrated at each of ``points`` (none: the straight half);
-        returns its reports, stats and final state."""
+        """Run ``events`` through an analyzer, or (given ``points``)
+        through a session that is killed and rehydrated at each of
+        them; returns the reports, stats and final analyzer state."""
         signatures: List[ReportSignature] = []
 
         def build() -> GretelAnalyzer:
@@ -142,22 +148,14 @@ def verify_checkpoint(
             )
             return analyzer
 
-        analyzer = build()
-        position = 0
-        for cut in points:
-            for event in events[position:cut]:
-                analyzer.on_event(event)
-            position = cut
-            state = json.loads(json.dumps(analyzer.snapshot_state()))
-            if mutate is not None:
-                state = mutate(state)
+        if points:
+            analyzer = _through_sessions(events, points, build, mutate)
+        else:
             analyzer = build()
-            analyzer.restore_state(state)
-        for event in events[position:]:
-            analyzer.on_event(event)
-        analyzer.flush()
-        if defer_detection:
-            analyzer.process_deferred()
+            analyzer.feed(events)
+            analyzer.flush()
+            if defer_detection:
+                analyzer.process_deferred()
         stats = asdict(analyzer.stats())
         state = json.loads(json.dumps(analyzer.snapshot_state()))
         for name in _TIMING_FIELDS:
@@ -187,3 +185,41 @@ def verify_checkpoint(
         ),
     )
     return settle(result, strict)
+
+
+def _through_sessions(
+    events: Sequence[WireEvent],
+    points: Tuple[int, ...],
+    build: Callable[[], GretelAnalyzer],
+    mutate: Optional[StateMutator],
+) -> GretelAnalyzer:
+    """The restored half: ``events`` through a session killed and
+    rehydrated at each of ``points``; returns the last session's
+    analyzer, flushed (and its deferred snapshots analyzed)."""
+    session = TenantSession("oracle", build())
+    try:
+        position = 0
+        for cut in points:
+            held = max(position, cut - session.queue_capacity)
+            for event in events[position:held]:
+                session.submit(event)
+            session.quiesce()
+            with session.parked():
+                for event in events[held:cut]:
+                    session.submit(event)
+                state = json.loads(json.dumps(session.snapshot_state()))
+            session.close()
+            if mutate is not None:
+                state["analyzer"] = mutate(state["analyzer"])
+            session = TenantSession("oracle", build())
+            session.restore_state(state)
+            position = cut
+        for event in events[position:]:
+            session.submit(event)
+        session.flush()
+        with session.parked():
+            if session.analyzer.defer_detection:
+                session.analyzer.process_deferred()
+        return session.analyzer
+    finally:
+        session.close()

@@ -1,5 +1,10 @@
 """Tests for per-API latency tracking."""
 
+import re
+
+import pytest
+
+from repro.core.state import StateError, pack_floats
 from repro.openstack.apis import ApiKind
 from repro.openstack.wire import WireEvent
 from repro.core.config import GretelConfig
@@ -37,9 +42,10 @@ def test_separate_series_per_api():
     tracker = LatencyTracker()
     tracker.observe(make_event(1, "api-a", 0.01))
     tracker.observe(make_event(2, "api-b", 0.01))
-    assert sorted(tracker.snapshot_state()["detectors"]) == [
-        "api-a", "api-b",
-    ]
+    series = tracker.snapshot_state()["detectors"]
+    assert series["keys"] == ["api-a", "api-b"]
+    assert series["count"] == [1, 1]
+    assert series["baseline_sizes"] == [1, 1]
 
 
 def test_anomaly_on_level_shift():
@@ -187,3 +193,86 @@ def test_fused_intake_feeds_the_restored_series(small_character):
         report_signature(r) for r in straight.reports[len(first.reports):]
     ]
     assert straight.performance_reports
+
+
+def test_series_block_round_trips_empty_and_full_series():
+    """One column block for every series: a tracker with none, and
+    one whose series hold a full baseline, a pending streak and a
+    cooldown deadline (and one that saw a single sample), restore to
+    trackers that behave identically afterwards."""
+    import json
+
+    empty = LatencyTracker()
+    state = empty.snapshot_state()
+    assert state["detectors"] == {
+        "keys": [], "baseline_sizes": [], "baselines": "",
+        "pending_sizes": [], "pending": "", "count": [],
+        "cooldown_until": "", "threshold_recomputes": [],
+    }
+    restored = LatencyTracker()
+    restored.restore_state(json.loads(json.dumps(state)))
+    assert restored.detectors == {}
+
+    tracker = LatencyTracker()
+    seq = 0
+    for value in [0.010] * 40 + [0.080] * 5 + [0.011] * 30 + [0.9] * 2:
+        seq += 1
+        tracker.observe(make_event(seq, "api-a", value, ts=seq * 1.0))
+    tracker.observe(make_event(seq + 1, "api-b", 0.02))
+    state = json.loads(json.dumps(tracker.snapshot_state()))
+    series = state["detectors"]
+    assert series["keys"] == ["api-a", "api-b"]
+    assert series["baseline_sizes"] == [outliers.LS_WINDOW, 1]
+    assert series["pending_sizes"] == [2, 0]
+    restored = LatencyTracker()
+    restored.restore_state(state)
+    assert restored.snapshot_state() == state
+    for value in [0.9] * 3 + [0.011] * 20:
+        seq += 1
+        for each in (tracker, restored):
+            each.observe(make_event(seq, "api-a", value, ts=seq * 1.0))
+    assert restored.snapshot_state() == tracker.snapshot_state()
+
+
+@pytest.mark.parametrize("column, value, named", [
+    ("keys", ["api-a", "api-a"], "detectors.keys: a series appears twice"),
+    ("count", [1], "detectors.count: 1 values for 2 series"),
+    ("threshold_recomputes", [0, -1],
+     "detectors.threshold_recomputes: expected a list of non-negative"),
+    ("baseline_sizes", [2, 1],
+     "detectors.baselines: 2 floats, the sizes add up to 3"),
+    ("pending", "AAAAAAAAAAA=",
+     "detectors.pending: 1 floats, the sizes add up to 0"),
+    ("cooldown_until", [None, None],
+     "detectors.cooldown_until: expected packed float64 text"),
+])
+def test_malformed_series_block_is_refused_by_key_path(column, value,
+                                                       named):
+    tracker = LatencyTracker()
+    tracker.observe(make_event(1, "api-a", 0.01))
+    tracker.observe(make_event(2, "api-b", 0.01))
+    state = tracker.snapshot_state()
+    state["detectors"][column] = value
+    before = LatencyTracker()
+    before.observe(make_event(3, "api-c", 0.01))
+    kept = before.snapshot_state()
+    with pytest.raises(StateError, match=re.escape(named)):
+        before.restore_state(state)
+    assert before.snapshot_state() == kept
+
+
+def test_an_overfull_baseline_names_its_series():
+    tracker = LatencyTracker()
+    for seq in range(3):
+        tracker.observe(make_event(seq, "api-a", 0.01))
+    state = tracker.snapshot_state()
+    state["detectors"]["baseline_sizes"] = [outliers.LS_WINDOW + 1]
+    state["detectors"]["baselines"] = pack_floats(
+        [0.01] * (outliers.LS_WINDOW + 1)
+    )
+    with pytest.raises(
+        StateError,
+        match=re.escape("detectors['api-a'].baseline_sizes: 25 baseline "
+                        "values, LS_WINDOW is 24"),
+    ):
+        LatencyTracker().restore_state(state)

@@ -309,12 +309,16 @@ def test_restore_refuses_per_stage_v1_state(library):
 
     analyzer = GretelAnalyzer(library, config=config())
     state = analyzer.snapshot_state()
-    assert state["fmt"] == "analyzer-state/v1"
+    assert state["fmt"] == "analyzer-state/v2"
     assert "columns" not in state and "columns" not in state["window"]
     assert set(state["window"]) == {
         "alpha", "appended", "snapshots_taken", "events", "pending", "due",
     }
     assert set(state["latency"]) == {"tuning", "samples_fed", "detectors"}
+    assert set(state["latency"]["detectors"]) == {
+        "keys", "baseline_sizes", "baselines", "pending_sizes", "pending",
+        "count", "cooldown_until", "threshold_recomputes",
+    }
     assert set(state["detector"]) == {
         "postings_scanned", "candidates_indexed", "matching",
     }
@@ -322,6 +326,9 @@ def test_restore_refuses_per_stage_v1_state(library):
         older = f"analysis-pipeline/v{version}"
         with pytest.raises(StateFormatError, match=older):
             analyzer.restore_state(dict(state, fmt=older))
+    with pytest.raises(StateFormatError,
+                       match="'analyzer-state/v1' is older than"):
+        analyzer.restore_state(dict(state, fmt="analyzer-state/v1"))
 
 
 def test_shards_compose_shared_wiring(library):

@@ -24,7 +24,6 @@ from repro.core.state import (
     pack_floats,
     unpack_floats,
 )
-from repro.core.streamstats.detector import IncrementalLevelShiftDetector
 from repro.core.streamstats.window import SortedWindow
 from repro.core.window import SlidingWindow
 from repro.openstack.apis import ApiKind
@@ -123,8 +122,9 @@ def test_sorted_window_round_trip(maxlen, values, tail):
     for value in values:
         original.append(value)
 
+    # What the latency tracker's block does with one baseline.
     restored = SortedWindow(maxlen)
-    restored.restore_state(round_trip(original.snapshot_state()))
+    restored.refill(unpack_floats(round_trip(pack_floats(list(original)))))
 
     assert list(restored) == list(original)
     for value in tail:
@@ -182,12 +182,15 @@ def test_incremental_ls_round_trip(case):
             ("LS_WARMUP", confirm + 1), ("LS_COOLDOWN", 3.0),
         ):
             patch.setattr(outliers, name, value)
-        original = IncrementalLevelShiftDetector()
-        restored = IncrementalLevelShiftDetector()
-
-    for index, value in enumerate(samples[:cut]):
-        original.update(float(index), value)
-    restored.restore_state(round_trip(original.snapshot_state()))
+        # One series, through the latency tracker's block (the tuning
+        # guard reads the patched constants at both ends).
+        tracker = LatencyTracker()
+        original = tracker.detector_for("api")
+        for index, value in enumerate(samples[:cut]):
+            original.update(float(index), value)
+        twin = LatencyTracker()
+        twin.restore_state(round_trip(tracker.snapshot_state()))
+        restored = twin.detectors["api"]
 
     for index in range(cut, len(samples)):
         assert (
@@ -204,7 +207,8 @@ def test_incremental_ls_refuses_retuned_restore(monkeypatch):
     original.observe(make_event(1))
     state = round_trip(original.snapshot_state())
     assert state["tuning"]["LS_SIGMAS"] == 4.0
-    assert "tuning" not in state["detectors"][make_event(1).api_key]
+    assert state["detectors"]["keys"] == [make_event(1).api_key]
+    assert "tuning" not in state["detectors"]
 
     monkeypatch.setattr(outliers, "LS_SIGMAS", 3.0)
     with pytest.raises(
@@ -217,14 +221,15 @@ def test_incremental_ls_state_does_not_grow_with_alarms():
     """A series keeps no alarm log: after 20 confirmed shifts its
     serialized state is as large as after the first, give or take the
     digits its counters gained."""
-    detector = IncrementalLevelShiftDetector()
+    tracker = LatencyTracker()
+    detector = tracker.detector_for("api")
     sizes = []
     ts = 0.0
     while len(sizes) < 20:
         for value in [0.01] * 30 + [0.5] * 30:
             ts += 1.0
             if detector.update(ts, value) is not None:
-                sizes.append(len(json.dumps(detector.snapshot_state())))
+                sizes.append(len(json.dumps(tracker.snapshot_state())))
     assert sizes[-1] <= sizes[0] + 32, sizes
 
 
@@ -323,9 +328,9 @@ def fmt_keys(node, path="$"):
 
 def test_service_checkpoint_holds_no_float_list(small_character, tmp_path):
     """The invariant that keeps the encoder off ``repr(float)``: a
-    session checkpoint taken after a fault — queue non-empty, a fault
-    pending, detection deferred, latency series warm — holds no JSON
-    list with a float in it.  And it carries exactly two format tags,
+    session checkpoint taken after a fault — a backlog analyzed by the
+    snapshot, a fault pending, detection deferred, latency series
+    warm — holds no JSON list with a float in it.  And it carries exactly two format tags,
     at the envelope root and the analyzer root: no layer below either
     tags itself."""
     from repro.core.analyzer import GretelAnalyzer
@@ -358,14 +363,13 @@ def test_service_checkpoint_holds_no_float_list(small_character, tmp_path):
     finally:
         session.close()
 
-    assert len(decode_events(state["queue"])) == 10
+    assert "queue" not in state
+    assert state["events_ingested"] == stop + 10
     pipeline = state["analyzer"]
+    assert pipeline["counters"]["events_processed"] == stop + 10
     assert decode_events(pipeline["window"]["pending"])
     assert pipeline["deferred"]
-    assert any(
-        unpack_floats(series["baseline"]["values"])
-        for series in pipeline["latency"]["detectors"].values()
-    )
+    assert unpack_floats(pipeline["latency"]["detectors"]["baselines"])
     assert list(float_lists(state)) == []
     saved = CheckpointStore(tmp_path).save("acme", state, seq=0)
     assert list(fmt_keys(json.loads(saved.read_text()))) == [

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import outliers
+from repro.core.latency import LatencyTracker
 from repro.core.outliers import _median
 from repro.core.streamstats import (
     IncrementalLevelShiftDetector,
@@ -105,21 +106,21 @@ def test_window_statistics_match_reference(maxlen, values):
 
 
 def test_window_keeps_its_median_through_clear_and_restore():
-    """``med`` is derived: 0.0 when empty, recomputed on restore, and
-    never in the state document."""
+    """``med`` is derived: 0.0 when empty, and recomputed when a
+    restore refills the window from its arrival-order values (all the
+    checkpoint holds)."""
     window = SortedWindow(4)
     assert window.med == 0.0
     for value in [5.0, 1.0, 3.0, 2.0, 4.0]:
         window.append(value)
     assert window.med == window.median() == 2.5
-    state = window.snapshot_state()
-    assert "med" not in state
     restored = SortedWindow(4)
-    restored.restore_state(state)
+    restored.refill(list(window))
+    assert list(restored) == [1.0, 3.0, 2.0, 4.0]
     assert restored.med == restored.median() == 2.5
     window.clear()
     assert window.med == 0.0
-    restored.restore_state(window.snapshot_state())
+    restored.refill(list(window))
     assert restored.med == 0.0
 
 
@@ -397,10 +398,11 @@ def test_every_branch_equivalent_across_restores():
             incremental.threshold_recomputes,
             samples[-1][0] < incremental._cooldown_until,
         )
-        restored = IncrementalLevelShiftDetector()
-        restored.restore_state(
-            json.loads(json.dumps(incremental.snapshot_state()))
-        )
+        tracker = LatencyTracker()
+        tracker.detectors["api"] = incremental
+        twin = LatencyTracker()
+        twin.restore_state(json.loads(json.dumps(tracker.snapshot_state())))
+        restored = twin.detectors["api"]
         window = restored._baseline
         assert window.med == (window.median() if len(window) else 0.0)
         assert window.med == incremental._baseline.med

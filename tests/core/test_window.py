@@ -211,11 +211,12 @@ def test_state_under_other_columns_is_refused_and_nothing_moves():
     swapped = dict(events, columns=events["columns"][::-1])
     unnamed = {k: v for k, v in events.items() if k != "columns"}
     # The events decode; the pending block's seq column is short.
-    short_pending = dict(state["pending"], seq=[])
+    short_pending = dict(state["pending"], seq="")
     for refused, path in (
         (dict(state, events=swapped), r"events\.columns: \['test_id'"),
         (dict(state, events=unnamed), r"events\.columns: missing"),
-        (dict(state, pending=short_pending), "pending: columns of unequal"),
+        (dict(state, pending=short_pending),
+         r"pending\.seq: 0 values for 1 rows"),
         (dict(state, due=[]), "due: 0 dues for 1 pending faults"),
     ):
         with pytest.raises(StateError, match=path):

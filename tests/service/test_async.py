@@ -12,6 +12,7 @@ proving the oracle actually trips on a tampered pump).
 
 import sys
 import threading
+import time
 from collections import Counter
 
 import pytest
@@ -19,7 +20,6 @@ import pytest
 import repro.service.session
 
 from repro.core.reports import report_signature
-from repro.core.state import decode_events
 from repro.oracle import OracleDivergence
 from repro.service import (
     CheckpointStore,
@@ -165,20 +165,92 @@ def test_checkpoint_races_cleanly_with_live_pump(
     )
     producer.start()
     # Snapshot repeatedly while the pump is mid-stream.  Each call
-    # must park the pump at an event boundary and persist a
-    # monotonically growing watermark.
+    # must park the pump at an event boundary, analyze the backlog
+    # and persist a monotonically growing watermark.
     watermarks = []
     for _ in range(5):
         service.checkpoint("acme")
-        watermarks.append(store.load("acme")["events_analyzed"])
+        watermarks.append(store.load("acme")["events_ingested"])
     producer.join()
     service.flush()
     service.checkpoint("acme")
     assert watermarks == sorted(watermarks)
     state = store.load("acme")
-    assert state["events_analyzed"] == len(bucket)
-    assert decode_events(state["queue"]) == []
+    assert state["events_ingested"] == len(bucket)
+    assert "queue" not in state
     service.shutdown()
+
+
+def test_checkpoint_under_live_producers_saves_state_not_backlog(
+    build_service, stream_events, tmp_path
+):
+    """A producer thread per tenant keeps submitting while this thread
+    checkpoints one tenant again and again, the first time with a
+    full 16-event queue.  Every document is the analyzer after
+    exactly the events its session had ingested, with no queue; and
+    restoring one taken mid-stream, then offering the rest of that
+    tenant's stream, ends in the straight run's report multiset."""
+    buckets = partition(stream_events, 2)
+    tenant = sorted(buckets)[0]
+    bucket = buckets[tenant]
+
+    def signatures(service):
+        seen = []
+        service.on_report(
+            lambda key, report: seen.append(report_signature(report))
+            if key == tenant else None
+        )
+        return seen
+
+    straight = build_service()
+    straight_sigs = signatures(straight)
+    straight.pump(bucket, tenant=tenant)
+    straight.flush()
+
+    store = CheckpointStore(tmp_path / "live")
+    first = build_service(checkpoint_store=store, queue_capacity=16)
+    first_sigs = signatures(first)
+    live = first.session(tenant)
+    producers = [
+        threading.Thread(target=first.pump, args=(work,),
+                         kwargs={"tenant": key})
+        for key, work in buckets.items()
+    ]
+    documents = []
+    with live.parked():
+        for producer in producers:
+            producer.start()
+        while live.queued < 16:
+            time.sleep(0.001)
+        first.checkpoint(tenant)
+        documents.append(store.load(tenant))
+    while any(producer.is_alive() for producer in producers):
+        first.checkpoint(tenant)
+        documents.append(store.load(tenant))
+    for producer in producers:
+        producer.join()
+    first.checkpoint(tenant)
+    documents.append(store.load(tenant))
+
+    watermarks = [doc["events_ingested"] for doc in documents]
+    assert watermarks == sorted(watermarks)
+    assert watermarks[0] >= 16 and watermarks[-1] == len(bucket)
+    for doc in documents:
+        assert "queue" not in doc
+        counters = doc["analyzer"]["counters"]
+        assert counters["events_processed"] == doc["events_ingested"]
+
+    cut = documents[0]
+    chosen = CheckpointStore(tmp_path / "chosen")
+    chosen.save(tenant, cut, seq=cut["events_ingested"])
+    second = build_service(checkpoint_store=chosen)
+    second_sigs = signatures(second)
+    assert second.restore_all() == 1
+    second.pump(bucket[cut["events_ingested"]:], tenant=tenant)
+    second.flush()
+    assert second.sessions[tenant].events_analyzed == len(bucket)
+    assert sorted(first_sigs[:cut["reports_emitted"]] + second_sigs) \
+        == sorted(straight_sigs)
 
 
 def test_async_checkpoint_resume_matches_straight_run(
@@ -540,6 +612,6 @@ def test_one_dead_pump_does_not_strand_the_other_tenants(
         service.shutdown()
     for live in service.sessions.values():
         assert live.pump_alive is False
-    assert store.load("healthy")["events_analyzed"] == 100
+    assert store.load("healthy")["events_ingested"] == 100
     # The dead tenant lost a claimed chunk: its state is not saved.
-    assert store.tenants() == ["healthy"]
+    assert sorted(store.load_all()) == ["healthy"]

@@ -63,7 +63,7 @@ def test_crash_before_replace_leaves_previous_checkpoint(
         store.save("acme", dict(STATE, marker=2), seq=2)
     monkeypatch.undo()
     assert store.load("acme")["marker"] == 1
-    assert store.tenants() == ["acme"]  # the orphan .tmp is not listed
+    assert sorted(store.load_all()) == ["acme"]  # the orphan .tmp is not listed
     store.save("acme", dict(STATE, marker=3), seq=3)
     assert store.load("acme")["marker"] == 3
     assert list(tmp_path.glob("*.tmp")) == []
@@ -143,7 +143,7 @@ def test_tenants_listing_and_delete(tmp_path):
     # Valid JSON that is not an envelope is skipped the same way.
     (tmp_path / "list.checkpoint.json").write_text("[]")
     (tmp_path / "null.checkpoint.json").write_text("null")
-    assert store.tenants() == ["alpha", "beta", "gamma"]
+    assert sorted(store.load_all()) == ["alpha", "beta", "gamma"]
     assert store.delete("beta")
     assert not store.delete("beta")
-    assert store.tenants() == ["alpha", "gamma"]
+    assert sorted(store.load_all()) == ["alpha", "gamma"]

@@ -63,7 +63,7 @@ def test_checkpoint_unknown_tenant_raises(
     with pytest.raises(KeyError, match="unknown tenant 'ghost'"):
         service.checkpoint("ghost")
     assert list(service.sessions) == ["acme"]
-    assert store.tenants() == ["acme"]
+    assert sorted(store.load_all()) == ["acme"]
 
 
 def test_stats_split_submitted_vs_accepted(build_service, stream_events):
@@ -120,7 +120,7 @@ def test_periodic_checkpoints_fire_per_tenant(
     service = build_service(checkpoint_store=store, checkpoint_every=10)
     service.pump(stream_events[:60], tenant="acme")
     assert service.checkpoints_written == 6
-    assert store.tenants() == ["acme"]
+    assert sorted(store.load_all()) == ["acme"]
     # The stall is readable without a harness: size and time of the
     # saves sit next to their count.
     stats = service.stats()
@@ -142,7 +142,8 @@ def test_close_flushes_then_checkpoints(
     assert session.queued == 0
     assert session.events_analyzed == len(stream_events)
     state = store.load("acme")
-    assert state["events_analyzed"] == len(stream_events)
+    assert state["events_ingested"] == len(stream_events)
+    assert "queue" not in state
 
 
 def test_report_sinks_cover_current_and_future_sessions(
@@ -180,10 +181,10 @@ def test_kill_and_resume_equals_straight_run(
     first.pump(stream_events[:cut])
     # Mid-stream durability point: checkpoint *without* flushing —
     # flush() is an end-of-stream operation that would freeze pending
-    # snapshots early and diverge from the straight run.  (Drained
-    # first only because this "killed" service's pumps live on in the
-    # test process: anything still queued would be analyzed twice.)
-    first.drain()
+    # snapshots early and diverge from the straight run.  No drain
+    # first: each checkpoint analyzes its tenant's backlog before it
+    # saves, so this "killed" service's pumps, which live on in the
+    # test process, find nothing left to analyze twice.
     first.checkpoint_all()
 
     resumed = build_service(checkpoint_store=store)
@@ -254,3 +255,36 @@ def test_restored_tenants_report_their_resume_offsets(
     assert resumed.sessions_restored == 2
     acme = resumed.sessions["acme"]
     assert (acme.events_ingested, acme.events_shed) == (8, 32)
+
+
+def test_restore_all_parses_each_checkpoint_once(
+    build_service, stream_events, tmp_path
+):
+    """``restore_all`` reads every checkpoint file once: the listing
+    and the restore share one parse per tenant, and a tenant it
+    restored is not read again when its events arrive."""
+    store = CheckpointStore(tmp_path)
+    first = build_service(checkpoint_store=store)
+    for tenant in ("acme", "globex", "initech"):
+        first.pump(stream_events[:50], tenant=tenant)
+    first.checkpoint_all()
+
+    class CountingStore(CheckpointStore):
+        def __init__(self, root):
+            super().__init__(root)
+            self.parsed = []
+
+        def _parse(self, path):
+            self.parsed.append(path.name)
+            return super()._parse(path)
+
+    counting = CountingStore(tmp_path)
+    resumed = build_service(checkpoint_store=counting)
+    assert resumed.restore_all() == 3
+    assert sorted(counting.parsed) == [
+        "acme.checkpoint.json", "globex.checkpoint.json",
+        "initech.checkpoint.json",
+    ]
+    resumed.pump(stream_events[50:60], tenant="acme")
+    assert len(counting.parsed) == 3
+    assert resumed.sessions["acme"].events_ingested == 60

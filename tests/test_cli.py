@@ -80,6 +80,39 @@ def test_lint_clean_library_exits_zero(full_character, capsys):
             "discriminability") in out
 
 
+def test_lint_ambiguity_pass_still_groups_by_template(full_character,
+                                                     capsys):
+    """The suite's template groups are built only when the ambiguity
+    pass runs, and then as before: the report is the one a context
+    grouping every suite test by its template gives, which is not the
+    ungrouped one."""
+    from repro.analysis import LintContext, render_json, run_lint
+    from repro.core.config import GretelConfig
+    from repro.evaluation.common import default_suite
+    from repro.openstack.catalog import default_catalog
+
+    passes = ["ambiguity", "integrity"]
+    assert main(["lint", "--passes", ",".join(passes),
+                 "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    library = full_character.library
+
+    def report(groups):
+        ctx = LintContext(
+            library=library, symbols=library.symbols,
+            catalog=default_catalog(), config=GretelConfig(),
+            operation_groups=groups,
+        )
+        return render_json(run_lint(ctx, passes)) + "\n"
+
+    grouped = report({
+        test.test_id: test.template.name
+        for test in default_suite(0).tests
+    })
+    assert out == grouped
+    assert out != report(None)
+
+
 def test_lint_strict_flags_injected_ambiguous_pair(tmp_path, capsys):
     path = _ambiguous_library_file(tmp_path)
     assert main(["lint", "--library", path]) == 0
@@ -566,18 +599,19 @@ def test_serve_refused_checkpoint_is_a_usage_error(
 def test_serve_refuses_a_checkpoint_of_the_previous_format(
     full_character, tmp_path, capsys
 ):
-    """A directory written by an older build (the fixture: ``repro
+    """A directory written by the previous build (the fixture: ``repro
     serve --events 30 --tenants 1 --alpha 8 --no-latency`` under
-    ``gretel-checkpoint/v1``) stops at the envelope, with exit 2 and
-    the directory left as it was."""
-    fixture = Path(__file__).parent / "data" / "tenant-session-v2"
+    ``gretel-checkpoint/v2``, whose session document carried a queue)
+    stops at the envelope, with exit 2 and the directory left as it
+    was."""
+    fixture = Path(__file__).parent / "data" / "gretel-checkpoint-v2"
     checkpoints = tmp_path / "ckpt"
     shutil.copytree(fixture, checkpoints)
     saved = {path: path.read_bytes() for path in checkpoints.iterdir()}
     assert main(["serve", "--events", "30", "--tenants", "1",
                  "--alpha", "8", "--no-latency", "--resume",
                  "--checkpoint-dir", str(checkpoints)]) == 2
-    assert ("'gretel-checkpoint/v1' is older than 'gretel-checkpoint/v2'"
+    assert ("'gretel-checkpoint/v2' is older than 'gretel-checkpoint/v3'"
             in capsys.readouterr().err)
     assert {path: path.read_bytes() for path in checkpoints.iterdir()} \
         == saved
@@ -589,11 +623,11 @@ def _garble_window_ts(state):
 
 def _truncate_baseline(state):
     series = state["analyzer"]["latency"]["detectors"]
-    series[sorted(series)[0]]["baseline"]["values"] = "AAAAAAAAAAAAAAAA"
+    series["baselines"] = "AAAAAAAAAAAAAAAA"
 
 
-def _unequal_queue_columns(state):
-    state["queue"]["seq"] = [1]
+def _unequal_window_columns(state):
+    state["analyzer"]["window"]["events"]["seq"] = [1]
 
 
 def _float_list_timestamps(state):
@@ -611,8 +645,8 @@ def _drop_events_shed(state):
 
 @pytest.mark.parametrize("corrupt, named", [
     (_garble_window_ts, "analyzer.window.events.ts_request: not base64"),
-    (_truncate_baseline, "].baseline.values: 12 bytes"),
-    (_unequal_queue_columns, "queue: columns of unequal length"),
+    (_truncate_baseline, "latency.detectors.baselines: 12 bytes"),
+    (_unequal_window_columns, "window.events.seq: 1 values for 64 rows"),
     (_float_list_timestamps,
      "analyzer.window.events.ts_response: expected packed"),
     (_drop_window_due, "analyzer.window.due: missing"),
@@ -688,21 +722,32 @@ def test_verdict_blocks_share_one_shape(full_character, capsys):
 def test_diverged_verdict_turns_the_exit_code_into_1(
     full_character, capsys, monkeypatch
 ):
-    """A tampered pump (the ``verify_async`` seam) must surface as a
-    ``DIVERGED`` block and exit 1, with the clean oracle beside it
-    still reported ``EQUIVALENT``."""
+    """A snapshot whose drain skips one backlog event (tampered at
+    the ``_pump_step`` seam, off the pump thread only) must surface
+    as a ``DIVERGED`` checkpoint block and exit 1, with the router
+    oracle beside it, which takes no snapshot, still reported
+    ``EQUIVALENT``."""
+    import threading
+
     from repro.service.session import TenantSession
 
-    monkeypatch.setattr(
-        TenantSession, "_pump_step", lambda self, chunk: None,
-    )
+    step = TenantSession._pump_step
+
+    def drain_skips_one(self, chunk):
+        if threading.current_thread().name.startswith("gretel-pump-"):
+            step(self, chunk)
+        else:
+            step(self, chunk[1:])
+
+    monkeypatch.setattr(TenantSession, "_pump_step", drain_skips_one)
     assert main(["serve", "--events", "2000", "--tenants", "2",
                  "--alpha", "64", "--no-latency", "--verify-async",
                  "--verify-checkpoint", "--cuts", "2",
                  "--format", "json"]) == 1
     document = json.loads(capsys.readouterr().out)
     assert document["exit_code"] == 1
-    assert document["verify_async"]["ok"] is False
-    assert document["verify_async"]["summary"].startswith("DIVERGED: ")
-    assert document["verify_async"]["missing"]
-    assert document["verify_checkpoint"]["ok"] is True
+    assert document["verify_checkpoint"]["ok"] is False
+    assert document["verify_checkpoint"]["summary"].startswith(
+        "DIVERGED: "
+    )
+    assert document["verify_async"]["ok"] is True

@@ -241,3 +241,19 @@ def test_lazy_exports_resolve_to_their_definitions(package):
         assert getattr(module, name) is value, name
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         getattr(module, "nope")
+
+
+def test_lint_without_the_ambiguity_pass_builds_no_suite(full_character):
+    """Only the ambiguity pass reads the template groups that the
+    1200-test suite supplies, so ``repro lint --passes integrity``
+    over the warm characterization builds no suite and loads no
+    simulator."""
+    assert_unloaded_after_importing(
+        ("repro.workloads.tempest", "repro.sim"), "repro.cli",
+        then=(
+            "import contextlib, io\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert repro.cli.main(['lint', '--passes', 'integrity'])"
+            " == 0"
+        ),
+    )
