@@ -449,6 +449,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return code
 
 
+def _serve_defaults() -> str:
+    """``repro serve``'s help epilog: the defaults the service owns
+    (imports the service layer)."""
+    from repro.service import TenantSession
+
+    return (
+        f"--queue-size defaults to TenantSession.QUEUE_CAPACITY = "
+        f"{TenantSession.QUEUE_CAPACITY} events, two pump claims"
+    )
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import json
     import time
@@ -456,6 +467,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import (
         CheckpointStore,
         StreamingService,
+        TenantSession,
         verify_async,
         verify_checkpoint,
     )
@@ -477,11 +489,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         CheckpointStore(args.checkpoint_dir) if args.checkpoint_dir else None
     )
     producers = args.pump_threads or args.tenants
+    queue_size = args.queue_size or TenantSession.QUEUE_CAPACITY
     service = StreamingService(
         library,
         config=config,
         track_latency=not args.no_latency,
-        queue_capacity=args.queue_size,
+        queue_capacity=queue_size,
         policy=args.policy,
         checkpoint_store=store,
         checkpoint_every=args.checkpoint_every,
@@ -489,7 +502,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     published: List[Tuple[str, FaultReport]] = []
     service.on_report(
-        # Sinks fire on per-tenant pump threads; list.append is atomic.
+        # Sinks fire on pump threads and on the threads that drain or
+        # checkpoint a session; list.append is atomic.
         lambda tenant, report: published.append((tenant, report))
     )
     # Re-key the synthetic stream's 64 tenants into the requested
@@ -543,7 +557,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "tenants": args.tenants,
         "pump_threads": producers,
         "alpha": args.alpha,
-        "queue_size": args.queue_size,
+        "queue_size": queue_size,
         "policy": args.policy,
         "seconds": round(elapsed, 6),
         "events_per_s": round(offered / elapsed, 1),
@@ -573,7 +587,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             producers=producers,
             config=config,
             track_latency=not args.no_latency,
-            queue_capacity=args.queue_size,
+            queue_capacity=queue_size,
             strict=False,
         )
         code = _record_verdict(
@@ -815,10 +829,12 @@ def build_parser() -> argparse.ArgumentParser:
              "(default 4)",
     )
     serve.add_argument(
-        "--queue-size", type=_int_at_least(1), default=1024,
+        "--queue-size", type=_int_at_least(1), default=None,
         help="per-session ingest queue capacity, also under "
-             "--verify-async (default 1024)",
+             "--verify-async (default: the session's QUEUE_CAPACITY, "
+             "below)",
     )
+    serve.describe = _serve_defaults
     serve.add_argument(
         "--pump-threads", type=_int_at_least(0), default=0,
         help="producer threads driving submit() concurrently while "

@@ -1,10 +1,11 @@
 """Differential oracle: the pump router must change nothing.
 
 The service's router (:class:`~repro.service.session.TenantSession`)
-analyzes on one dedicated pump thread per tenant, never on the
-submitter's thread.  Because each tenant keeps exactly **one**
-consumer thread and producers deliver each tenant's events in order,
-per-tenant event order is preserved — so the per-tenant report
+analyzes on one dedicated pump thread per tenant (or on the thread of
+a verb that owns the analyzer), never inside ``submit``.  Because
+each tenant's analyzer has exactly **one** owner at a time, taking
+the queue in order, and producers deliver each tenant's events in
+order, per-tenant event order is preserved — so the per-tenant report
 multiset and the per-tenant ingest counters must be *identical* to
 those of a single-threaded router that drains inline.
 :func:`verify_async` turns that argument into an assertion:
@@ -45,6 +46,7 @@ from repro.oracle import (
     settle,
 )
 from repro.service.manager import StreamingService
+from repro.service.session import TenantSession
 
 #: Per-session counters compared between the two halves.
 COUNTER_FIELDS = (
@@ -142,7 +144,7 @@ def verify_async(
     producers: int = 2,
     config: Optional[GretelConfig] = None,
     track_latency: bool = True,
-    queue_capacity: int = 1024,
+    queue_capacity: int = TenantSession.QUEUE_CAPACITY,
     strict: bool = True,
 ) -> OracleResult:
     """Prove the pump router is observably the reference sync router

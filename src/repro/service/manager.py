@@ -11,7 +11,7 @@ Every session has a dedicated pump thread (``docs/service.md``):
 ``submit()`` only routes and enqueues, so N producer threads ingest
 concurrently and tenants drain in parallel.  Session creation,
 checkpoint triggering and the stats rollup are thread-safe;
-:meth:`flush` is a barrier that quiesces every pump.
+:meth:`flush` is a barrier that analyzes every session's queue.
 
 Durability is opt-in: hand the service a
 :class:`~repro.service.checkpoint.CheckpointStore` and it (a)
@@ -20,10 +20,11 @@ that tenant appears (unless built with ``restore=False``; see also
 :meth:`StreamingService.restore_all`), and (b) re-checkpoints a
 session every ``checkpoint_every`` accepted events (0 disables the
 periodic trigger; explicit :meth:`StreamingService.checkpoint_all`
-still works).  A checkpoint parks the tenant's pump at an event
-boundary and analyzes the tenant's backlog on the checkpointing
-thread (the submitter's, for the periodic trigger) before it saves,
-so a checkpoint holds analyzer state and no queued events.
+still works).  A checkpoint takes the tenant's analyzer from its
+pump at an event boundary and analyzes the tenant's backlog on the
+checkpointing thread (the submitter's, for the periodic trigger)
+before it saves, so a checkpoint holds analyzer state and no queued
+events; the tenant's other producers keep enqueuing meanwhile.
 """
 
 from __future__ import annotations
@@ -196,7 +197,8 @@ class StreamingService:
 
     def on_report(self, sink: ReportSink) -> None:
         """Register a ``(tenant, report)`` consumer on every session —
-        current and future.  Sinks fire on pump threads."""
+        current and future.  Sinks fire on pump threads, and on the
+        threads that drain, flush or checkpoint a session."""
         self._sinks.append(sink)
         for live in self._live_sessions():
             live.on_report(sink)
@@ -268,11 +270,13 @@ class StreamingService:
                 "checkpoint (submit to it first)"
             ) from None
         with self._ckpt_lock:
-            self.checkpoints.save(
-                tenant, live.snapshot_state(), seq=live.events_ingested
-            )
+            state = live.snapshot_state()
+            # The document's watermark: producers may have enqueued
+            # more while the snapshot analyzed its backlog.
+            seq = state["events_ingested"]
+            self.checkpoints.save(tenant, state, seq=seq)
             self.checkpoints_written += 1
-            self._checkpoint_seq[tenant] = live.events_ingested
+            self._checkpoint_seq[tenant] = seq
 
     def restore_all(self) -> int:
         """Resurrect every tenant with a persisted checkpoint now.
@@ -307,14 +311,14 @@ class StreamingService:
     # -- draining ---------------------------------------------------------
 
     def drain(self) -> int:
-        """Block until every pump has emptied its queue; returns the
-        events the pumps analyzed while waiting."""
+        """Analyze what every session has queued, on this thread;
+        returns the events analyzed meanwhile, by the pumps or by it."""
         return sum(live.quiesce() for live in self._live_sessions())
 
     def flush(self) -> None:
         """Drain and flush every session (end of replay): a barrier
-        that quiesces each pump, then flushes its analyzer with the
-        pump parked."""
+        that takes each analyzer from its pump, analyzes the queue and
+        flushes the analyzer on this thread."""
         for live in self._live_sessions():
             live.flush()
 
@@ -327,7 +331,7 @@ class StreamingService:
         producers: **seal first** (so queues stop growing and blocked
         producers wake), then per session flush/quiesce, checkpoint,
         stop the pump.  One tenant's
-        failure (a dead pump re-raising out of its flush) must not
+        failure (a dead session re-raising out of its flush) must not
         strand the others: **every** session is closed, and only
         then is the first failure raised.
         """

@@ -14,26 +14,29 @@ dedicated daemon *pump thread* drains a thread-safe bounded queue in
 condition variable until the pump frees space (real backpressure —
 the producer sleeps instead of analyzing someone else's backlog);
 ``"shed"`` rejections are counted lock-free (one GIL-atomic C-level
-increment, no lock acquired on the reject path).  Because each tenant
-keeps exactly one consumer thread, per-tenant event order — and
-therefore the per-tenant report multiset — is exactly that of the
-single-threaded inline router this one replaced
-(:class:`repro.reference.session.SyncSession`, now the reference half
-of :func:`repro.service.async_oracle.verify_async`).
+increment, no lock acquired on the reject path).
 
-The control verbs — :meth:`parked`, :meth:`quiesce`, :meth:`seal`,
-:meth:`close` — are serialized by a per-session state lock, and
-every point where the pump can park is an event boundary: no event
-is ever half-analyzed, so ``snapshot_state`` / ``restore_state`` park
-the pump around the state transfer and checkpointing a live tenant
-is race-free.  A snapshot first analyzes the backlog on the calling
-thread while producers wait, so the state it saves is the analyzer's
-after exactly ``events_ingested`` events, with nothing queued.
+The analyzer has **one owner at a time**, the holder of the
+session's analysis lock.  The pump holds it while it analyzes a
+claimed chunk; a control verb — :meth:`parked`, :meth:`quiesce`,
+:meth:`flush`, :meth:`snapshot_state`, :meth:`restore_state`,
+:meth:`close` — holds it for the whole verb, and the pump claims
+nothing while a verb holds or waits for it.  A claimed chunk is
+always analyzed to completion, so every hand-over is an event
+boundary.  A verb that needs the queue empty takes the backlog in one
+hold of the session mutex and analyzes it itself, in order, while
+producers keep enqueuing behind it; a snapshot is therefore the
+analyzer's state after exactly the ``events_ingested`` it records.
+Since events leave the queue in order and one owner analyzes them at
+a time, per-tenant event order — and therefore the per-tenant report
+multiset — is exactly that of the single-threaded inline router this
+one replaced (:class:`repro.reference.session.SyncSession`, now the
+reference half of :func:`repro.service.async_oracle.verify_async`).
 
-Reports reach every registered sink at emit time, on the *pump
-thread* (:meth:`on_report`), or on the thread that called a snapshot
-(for the backlog it analyzes) or a flush (for the snapshots it
-freezes); the session keeps none of them.
+Reports reach every registered sink at emit time, on the thread that
+owns the analyzer (:meth:`on_report`): the pump, or the caller of a
+verb, for the backlog it analyzes and the snapshots a flush freezes.
+The session keeps none of them.
 """
 
 from __future__ import annotations
@@ -41,10 +44,9 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from typing import (
-    Any, Callable, Deque, Dict, Iterator, List, Mapping, Optional,
-    Tuple, cast,
+    Any, Callable, Deque, Dict, Iterator, List, Mapping, Optional, Tuple,
 )
 
 from repro.core.analyzer import GretelAnalyzer
@@ -55,8 +57,9 @@ from repro.openstack.wire import WireEvent
 #: Accepted backpressure policies.
 POLICIES = ("block", "shed")
 
-#: Events the pump claims per lock acquisition.  Also the pause
-#: latency bound: a pause request waits at most one chunk.
+#: Events the pump claims per lock acquisition.  Also the control
+#: verbs' latency bound: a verb waits at most one chunk for the
+#: analyzer.
 DEFAULT_PUMP_CHUNK = 512
 
 #: Seconds between defensive re-checks while parked on a condition.
@@ -74,34 +77,38 @@ ReportSink = Callable[[str, FaultReport], None]
 class _AtomicCounter:
     """A GIL-atomic increment-only counter (the lock-free shed path).
 
-    ``itertools.count.__next__`` is a single C call — two racing
-    :meth:`bump` calls cannot interleave under CPython's GIL — and
-    ``__reduce__`` exposes the pending value without consuming it.
-    No lock is ever acquired.
+    ``itertools.count.__next__`` is a single C call, so two racing
+    :meth:`bump` calls cannot interleave under CPython's GIL and no
+    lock is acquired.  A read takes a value from the same count under
+    a small lock and subtracts the values earlier reads took: reads
+    are rare, and the count needs no pickling support (gone from
+    ``itertools`` in Python 3.14).
     """
 
-    __slots__ = ("_count",)
+    __slots__ = ("_count", "_reads", "_read_lock")
 
     def __init__(self, start: int = 0) -> None:
         self._count = itertools.count(start)
+        self._reads = 0
+        self._read_lock = threading.Lock()
 
     def bump(self) -> None:
         next(self._count)
 
     @property
     def value(self) -> int:
-        reduced = cast(
-            Tuple[Any, Tuple[int, ...]], self._count.__reduce__()
-        )
-        return reduced[1][0]
+        with self._read_lock:
+            value = next(self._count) - self._reads
+            self._reads += 1
+        return value
 
 
 class TenantSession:
     """Bounded-queue streaming session for one tenant (one cloud)."""
 
-    #: Default depth, two pump claims.  A checkpoint analyzes the
-    #: backlog before it saves (docs/service.md), so depth bounds the
-    #: producers' wait for a snapshot: one queue's analysis.
+    #: Default depth, two pump claims.  A verb that drains (a
+    #: checkpoint, a flush) analyzes what is queued on its caller's
+    #: thread, so depth bounds that extra work: one queue's analysis.
     QUEUE_CAPACITY = 2 * DEFAULT_PUMP_CHUNK
 
     def __init__(
@@ -130,37 +137,31 @@ class TenantSession:
         self._shed = _AtomicCounter()
         self.reports_emitted = 0
         self._sinks: List[ReportSink] = []
-        self._sealed = False
         analyzer.on_report(self._on_report)
-        # Pump machinery.  One mutex guards the queue and the
-        # ingest/analyzed counters; three conditions on it separate
-        # the wakeup channels (producers waiting for space, the pump
-        # waiting for work, control threads waiting for idle/parked).
-        # Each channel is notified only when someone waits on it: the
-        # waiters count themselves, under the mutex.
+        # Coordination.  One mutex guards the queue, the counters and
+        # the flags below; two conditions on it separate the wakeup
+        # channels (producers waiting for space, the pump waiting for
+        # work or for the verbs to finish).  Each is notified only
+        # when someone may be waiting on it.
         self._lock = threading.Lock()
         self._not_full = threading.Condition(self._lock)
         self._wake = threading.Condition(self._lock)
-        self._idle = threading.Condition(self._lock)
-        #: Producers parked on ``_not_full`` and threads parked on
-        #: ``_idle``.
+        #: Producers parked on ``_not_full``.
         self._full_waiters = 0
-        self._idle_waiters = 0
         #: The pump is parked on ``_wake`` for lack of work.  The
         #: producer that wakes it clears the flag, so one wait costs
         #: one notify however many events arrive meanwhile.
         self._pump_waiting = False
-        #: Serializes the control verbs (parked/snapshot/restore/
-        #: flush/close) against each other across threads.
-        self._state_lock = threading.RLock()
-        self._pump_busy = False
-        #: A snapshot is analyzing the backlog: producers of either
-        #: policy wait on ``_not_full`` until it has saved.
-        self._draining = False
-        self._pause_requests = 0
-        self._paused = False
+        #: The analyzer's owner: the pump for one chunk, or a control
+        #: verb for the whole verb (reentrant: verbs nest).
+        self._analysis = threading.RLock()
+        #: Control verbs holding or waiting for ``_analysis``; the
+        #: pump claims no chunk while it is non-zero.
+        self._controls = 0
+        self._sealed = False
         self._stopping = False
-        self._pump_error: Optional[BaseException] = None
+        #: The analysis failure that killed the session, if any.
+        self._error: Optional[BaseException] = None
         self._pump = threading.Thread(
             target=self._pump_loop,
             daemon=True,
@@ -173,8 +174,9 @@ class TenantSession:
     def on_report(self, sink: ReportSink) -> None:
         """Register a ``(tenant, report)`` consumer.
 
-        Sinks fire on the pump thread, or on the thread that called
-        :meth:`snapshot_state` or :meth:`flush`; a sink shared across
+        Sinks fire on the thread that owns the analyzer: the pump, or
+        the caller of :meth:`quiesce`, :meth:`flush`,
+        :meth:`snapshot_state` or :meth:`close`.  A sink shared across
         tenants must be thread-safe (``list.append`` is).
         """
         self._sinks.append(sink)
@@ -189,14 +191,13 @@ class TenantSession:
     def submit(self, event: WireEvent) -> bool:
         """Offer one event; returns False iff it was shed (or sealed).
 
-        ``"block"`` waits on a condition variable until the pump
-        frees space — the stall *is* the backpressure; ``"shed"``
-        rejects a full queue without touching the lock (one
-        GIL-atomic counter bump).  A sealed or pump-dead session
-        sheds everything.  While a snapshot analyzes the backlog,
-        producers of either policy wait and none is shed for it.  The
-        common path is one short hold of the session mutex, and it
-        notifies the pump only when the pump is waiting for work.
+        ``"block"`` waits on a condition variable until the pump (or a
+        draining verb) frees space — the stall *is* the backpressure;
+        ``"shed"`` rejects a full queue without touching the lock (one
+        GIL-atomic counter bump).  A sealed or dead session sheds
+        everything.  The common path is one short hold of the session
+        mutex, and it notifies the pump only when the pump is waiting
+        for work.
         """
         capacity = self.queue_capacity
         queue = self.queue
@@ -208,17 +209,10 @@ class TenantSession:
             self._shed.bump()
             return False
         with self._lock:
-            if self._draining or (
-                len(queue) >= capacity and self.policy == "block"
-            ):
+            if len(queue) >= capacity and self.policy == "block":
                 self._full_waiters += 1
                 try:
-                    while not self._sealed and (
-                        self._draining or (
-                            len(queue) >= capacity
-                            and self.policy == "block"
-                        )
-                    ):
+                    while not self._sealed and len(queue) >= capacity:
                         self._not_full.wait(_WAIT_TICK)
                 finally:
                     self._full_waiters -= 1
@@ -234,67 +228,60 @@ class TenantSession:
                 self._wake.notify()
         return True
 
-    def flush(self) -> None:
-        """Drain the queue, then freeze pending pipeline snapshots.
-
-        Quiesces the pump, parks it, flushes the analyzer on the
-        calling thread, and resumes — so a flush never interleaves
-        with in-flight analysis.
-        """
-        with self._state_lock:
-            self.quiesce()
-            with self.parked():
-                self.analyzer.flush()
-                # Hand off the report log (already fanned out).
-                self.analyzer.shed_logs()
-
-    # -- pump machinery --------------------------------------------------
+    # -- the analyzer's owners -------------------------------------------
 
     def _pump_loop(self) -> None:
         """The per-tenant consumer: claim a chunk, analyze, repeat.
 
-        The single consumer thread is what preserves per-tenant event
-        order; a claimed chunk is always analyzed to completion, so
-        every park point is an event boundary.  The chunk is claimed
-        with one C call, so the mutex is held for O(1) bytecodes, and
-        the previous chunk is counted analyzed in the same hold.
+        The pump takes the analyzer in the same hold of the mutex that
+        claims a chunk, and lets it go in the hold that counts the
+        chunk analyzed, so a verb that gets the analyzer next sees
+        every claimed event analyzed and counted.  The chunk is
+        claimed with one C call, so the mutex is held for O(1)
+        bytecodes, once per chunk.
         """
         queue = self.queue
         popleft = deque.popleft
-        done = 0
+        analysis = self._analysis
+        chunk: List[WireEvent] = []
         while True:
             with self._lock:
-                self.events_analyzed += done
-                self._pump_busy = False
-                if self._idle_waiters:
-                    self._idle.notify_all()
-                while True:
-                    if self._pause_requests and not self._stopping:
-                        self._paused = True
-                        if self._idle_waiters:
-                            self._idle.notify_all()
-                        self._wake.wait(_WAIT_TICK)
-                        continue
-                    self._paused = False
-                    if queue or self._stopping:
-                        break
-                    self._pump_waiting = True
+                if chunk:
+                    self.events_analyzed += len(chunk)
+                    analysis.release()
+                while not self._stopping and (self._controls or not queue):
+                    # Producers wake an idle pump; the last verb out
+                    # wakes one it held back.
+                    self._pump_waiting = not self._controls
                     self._wake.wait(_WAIT_TICK)
                     self._pump_waiting = False
-                if not queue and self._stopping:
-                    self._idle.notify_all()
+                if self._stopping:
                     return
+                # Never blocks: a verb counts itself in ``_controls``
+                # before it takes the analyzer and uncounts itself only
+                # after it lets go.
+                analysis.acquire()
                 claim = min(len(queue), self.pump_chunk)
                 chunk = list(map(popleft, itertools.repeat(queue, claim)))
-                self._pump_busy = True
                 if self._full_waiters:
                     self._not_full.notify_all()
             try:
                 self._pump_step(chunk)
             except BaseException as error:  # noqa: B036 - no silent death
                 self._die(error)
+                analysis.release()
                 return
-            done = len(chunk)
+
+    def _pump_step(self, chunk: List[WireEvent]) -> None:
+        """Analyze one chunk of the queue, in order, on the owner's
+        thread (the pump's, or a draining verb's).
+
+        The documented tamper seam: the oracles' negative tests patch
+        this to drop or duplicate an event and assert the oracle
+        trips.
+        """
+        self.analyzer.feed(chunk)
+        self.analyzer.shed_logs()
 
     def _die(self, error: BaseException) -> None:
         """Record an analysis failure and stop the session: the
@@ -302,85 +289,97 @@ class TenantSession:
         events (every later submit sheds) and the control verbs
         re-raise the failure."""
         with self._lock:
-            self._pump_error = error
+            self._error = error
             self._sealed = True
             self._stopping = True
-            self._pump_busy = False
-            self._paused = False
             self._not_full.notify_all()
-            self._idle.notify_all()
             self._wake.notify_all()
 
-    def _pump_step(self, chunk: List[WireEvent]) -> None:
-        """Analyze one claimed chunk on the pump thread.
+    @contextmanager
+    def _owned(self) -> Iterator[None]:
+        """Own the analyzer for the block, waiting at most for the
+        chunk the pump is analyzing; the pump claims nothing until the
+        last verb lets go."""
+        with self._lock:
+            self._controls += 1
+        try:
+            with self._analysis:
+                yield
+        finally:
+            with self._lock:
+                self._controls -= 1
+                if not self._controls:
+                    self._wake.notify()
 
-        The documented tamper seam: the ``verify_async`` negative
-        tests patch this to drop or duplicate an event and assert the
-        oracle trips.
+    def _drain(self) -> Tuple[int, int]:
+        """Analyze the backlog on the calling thread, which owns the
+        analyzer; returns ``events_ingested`` and ``events_shed`` as
+        of the backlog's take, so the analyzer has then analyzed
+        exactly that many events.
+
+        The backlog is taken in one hold of the mutex, so producers
+        refill the queue while it is analyzed, and never wait for it.
+        A dead session's queue is left as it is.  A failure kills the
+        session (:meth:`_die`) and is raised.
         """
-        self.analyzer.feed(chunk)
-        self.analyzer.shed_logs()
+        with self._lock:
+            counts = (self.events_ingested, self._shed.value)
+            if self._error is not None:
+                return counts
+            backlog = list(self.queue)
+            self.queue.clear()
+            if self._full_waiters:
+                self._not_full.notify_all()
+        if backlog:
+            try:
+                self._pump_step(backlog)
+            except BaseException as error:
+                self._die(error)
+                raise
+            with self._lock:
+                self.events_analyzed += len(backlog)
+        return counts
+
+    # -- control verbs ----------------------------------------------------
 
     @contextmanager
     def parked(self) -> Iterator[None]:
-        """Hold the pump parked at an event boundary for the block.
+        """Own the analyzer for the block: the pump stops at an event
+        boundary and claims nothing until the block ends.
 
-        Blocks until the pump is parked, and re-raises a pump-thread
-        failure on the calling thread.  Nestable, and serialized with
-        the other control verbs by the per-session state lock.  While
-        parked, producers may still enqueue (and block on a full
-        queue); the pump claims nothing.
+        Re-raises an earlier analysis failure on the calling thread.
+        Nestable with the other verbs.  Producers may still enqueue
+        (and block on a full queue); nothing is analyzed.
         """
-        with self._state_lock:
-            with self._lock:
-                self._pause_requests += 1
-                self._wake.notify_all()
-                self._await_idle(
-                    lambda: (self._paused or self._stopping)
-                    and not self._pump_busy
-                )
-            try:
-                if self._pump_error is not None:
-                    raise RuntimeError(
-                        f"tenant {self.tenant!r} pump thread died"
-                    ) from self._pump_error
-                yield
-            finally:
-                with self._lock:
-                    self._pause_requests -= 1
-                    if not self._pause_requests:
-                        self._wake.notify_all()
+        with self._owned():
+            if self._error is not None:
+                raise RuntimeError(
+                    f"tenant {self.tenant!r} analyzer failed"
+                ) from self._error
+            yield
 
     def quiesce(self) -> int:
-        """Block until the queue is empty and the pump is idle (and no
-        snapshot is analyzing the backlog); returns the events
-        analyzed while waiting.
+        """Analyze what is queued now, on the calling thread; returns
+        the events analyzed since the call (by the pump or by it).
 
         The per-tenant half of the service-wide drain/flush barrier.
-        A sealed-and-stopped (or dead) pump counts as quiesced — the
-        error, if any, surfaces via :meth:`flush` / :meth:`parked`.
+        A dead session counts as quiesced: its failure, this call's
+        own included, surfaces through :meth:`parked`, :meth:`flush`
+        and :meth:`snapshot_state`.
         """
-        with self._lock:
-            before = self.events_analyzed
-            self._await_idle(
-                lambda: not (self.queue or self._pump_busy
-                             or self._draining)
-                or (self._stopping and self._pump_error is not None)
-                or (self._stopping and not self._pump_busy
-                    and not self._pump.is_alive())
-            )
-            return self.events_analyzed - before
+        before = self.events_analyzed
+        with self._owned(), suppress(Exception):
+            self._drain()
+        return self.events_analyzed - before
 
-    def _await_idle(self, done: Callable[[], bool]) -> None:
-        """Wait on ``_idle`` until ``done()``; the caller holds the
-        session mutex.  Counted, so the pump notifies ``_idle`` only
-        while someone waits on it."""
-        self._idle_waiters += 1
-        try:
-            while not done():
-                self._idle.wait(_WAIT_TICK)
-        finally:
-            self._idle_waiters -= 1
+    def flush(self) -> None:
+        """Analyze the queue, then freeze pending pipeline snapshots,
+        all on the calling thread while it owns the analyzer."""
+        with self.parked():
+            self._drain()
+            self.analyzer.flush()
+            # Hand off the report log (already fanned out).
+            self.analyzer.shed_logs()
 
     def seal(self) -> None:
         """Close the front door: every later submit is counted shed.
@@ -402,20 +401,20 @@ class TenantSession:
         return self._pump.is_alive()
 
     def close(self) -> None:
-        """Seal, drain what was accepted, stop the pump, release the
-        analyzer.  Idempotent."""
-        with self._state_lock:
+        """Seal, analyze what was accepted, stop the pump, release the
+        analyzer.  Idempotent, and raises no analysis failure."""
+        with self._owned():
+            self.seal()
+            self.quiesce()
             with self._lock:
-                self._sealed = True
                 self._stopping = True
                 self._wake.notify_all()
-                self._not_full.notify_all()
             self._pump.join(PUMP_JOIN_TIMEOUT)
             self.analyzer.close()
 
     @property
     def events_shed(self) -> int:
-        """Events dropped (shed policy, sealed, or pump-dead)."""
+        """Events dropped (shed policy, sealed, or dead)."""
         return self._shed.value
 
     @property
@@ -428,43 +427,26 @@ class TenantSession:
     def snapshot_state(self) -> Dict[str, Any]:
         """Freeze the session JSON-serializably, backlog analyzed first.
 
-        With the pump parked, the calling thread analyzes what is
-        queued (at most ``queue_capacity`` events) while producers
-        wait, so the document is the analyzer's state after exactly
-        ``events_ingested`` events and carries no queue.  Reports
-        that backlog publishes fire on this thread.  Reports are
-        outputs, not in-flight state; the analyzer state carries
-        everything needed to finish the stream bit-identically.
+        Owning the analyzer, the calling thread analyzes what is
+        queued (at most ``queue_capacity`` events), so the document is
+        the analyzer's state after exactly the ``events_ingested`` it
+        records, and carries no queue; producers keep enqueuing behind
+        the backlog meanwhile.  Reports that backlog publishes fire on
+        this thread.  Reports are outputs, not in-flight state; the
+        analyzer state carries everything needed to finish the stream
+        bit-identically.
         """
         with self.parked():
-            with self._lock:
-                self._draining = True
-                backlog = list(self.queue)
-                self.queue.clear()
-            try:
-                if backlog:
-                    try:
-                        self._pump_step(backlog)
-                    except BaseException as error:  # noqa: B036
-                        self._die(error)
-                        raise
-                with self._lock:
-                    self.events_analyzed += len(backlog)
-                return {
-                    "tenant": self.tenant,
-                    "policy": self.policy,
-                    "queue_capacity": self.queue_capacity,
-                    "events_ingested": self.events_ingested,
-                    "events_shed": self.events_shed,
-                    "reports_emitted": self.reports_emitted,
-                    "analyzer": self.analyzer.snapshot_state(),
-                }
-            finally:
-                with self._lock:
-                    self._draining = False
-                    self._not_full.notify_all()
-                    if self._idle_waiters:
-                        self._idle.notify_all()
+            ingested, shed = self._drain()
+            return {
+                "tenant": self.tenant,
+                "policy": self.policy,
+                "queue_capacity": self.queue_capacity,
+                "events_ingested": ingested,
+                "events_shed": shed,
+                "reports_emitted": self.reports_emitted,
+                "analyzer": self.analyzer.snapshot_state(),
+            }
 
     def restore_state(self, state: Mapping[str, Any]) -> None:
         """Rehydrate a freshly built session for the same tenant.
@@ -494,3 +476,5 @@ class TenantSession:
                 self.events_analyzed = ingested
                 self._shed = _AtomicCounter(shed)
                 self.reports_emitted = emitted
+                if self._full_waiters:
+                    self._not_full.notify_all()

@@ -1,4 +1,7 @@
-"""Shared fixtures: clouds, suites and cached characterizations."""
+"""Shared fixtures: clouds, suites, cached characterizations and one
+service tamper."""
+
+import threading
 
 import pytest
 
@@ -51,3 +54,34 @@ def quiet_cloud():
     from repro.openstack.config import CloudConfig
 
     return Cloud(seed=1, config=CloudConfig(heartbeats_enabled=False))
+
+
+@pytest.fixture()
+def snapshot_drain_skips_one(monkeypatch):
+    """Tamper ``TenantSession._pump_step`` (the oracles' seam) so that
+    the backlog a ``snapshot_state`` analyzes loses its first event,
+    while every other analysis (the pump's, a quiesce's or a flush's)
+    is left alone.  Returns the seq of each skipped event."""
+    from repro.service.session import TenantSession
+
+    snapshot = TenantSession.snapshot_state
+    step = TenantSession._pump_step
+    in_snapshot = threading.local()
+    skipped = []
+
+    def flagged_snapshot(session):
+        in_snapshot.on = True
+        try:
+            return snapshot(session)
+        finally:
+            in_snapshot.on = False
+
+    def drain_skips_one(session, chunk):
+        if getattr(in_snapshot, "on", False):
+            skipped.append(chunk[0].seq)
+            chunk = chunk[1:]
+        step(session, chunk)
+
+    monkeypatch.setattr(TenantSession, "snapshot_state", flagged_snapshot)
+    monkeypatch.setattr(TenantSession, "_pump_step", drain_skips_one)
+    return skipped

@@ -10,6 +10,7 @@ the whole thing is observably identical to the reference sync router
 proving the oracle actually trips on a tampered pump).
 """
 
+import itertools
 import sys
 import threading
 import time
@@ -444,6 +445,156 @@ def test_no_lost_wakeup_the_tick_could_mask(
     assert Counter(pumped) == serial
 
 
+def _until(predicate):
+    """Poll ``predicate`` until it holds (under ``_within``)."""
+    def wait():
+        while not predicate():
+            time.sleep(0.001)
+    return wait
+
+
+def test_a_verb_wakes_blocked_producers_and_the_pump(
+    build_session, stream_events, monkeypatch,
+):
+    """With the defensive re-check at 60 s: a producer blocked on a
+    full queue is woken by the verb that takes the backlog, and the
+    pump a verb held back is woken when the last verb lets go."""
+    monkeypatch.setattr(repro.service.session, "_WAIT_TICK", 60.0)
+    session = build_session(queue_capacity=4)
+    events = stream_events[:12]
+    producer = threading.Thread(
+        target=lambda: [session.submit(event) for event in events],
+        daemon=True,
+    )
+    def blocked_on_a_full_queue():
+        return session.queued == 4 and session._full_waiters == 1
+
+    with session.parked():
+        producer.start()
+        _within(30, _until(blocked_on_a_full_queue))
+        assert session.quiesce() == 4
+        _within(30, _until(blocked_on_a_full_queue))
+    _within(30, _until(lambda: session.events_analyzed == len(events)))
+    producer.join(30)
+    assert not producer.is_alive()
+
+
+# ---------------------------------------------------------------------------
+# One owner for the analyzer
+# ---------------------------------------------------------------------------
+
+def test_the_analyzer_has_one_owner_at_a_time(
+    build_service, stream_events, monkeypatch, tmp_path
+):
+    """Producers, periodic checkpoints, ``quiesce``, ``flush`` and
+    ``parked`` all at once, with the GIL switching every 10 µs: no two
+    threads are ever inside one session's ``_pump_step``, though both
+    the pumps and the verbs' callers analyze."""
+    step = TenantSession._pump_step
+    guard = threading.Lock()
+    inside, peak, owners = Counter(), Counter(), set()
+
+    def counted_step(self, chunk):
+        with guard:
+            inside[self.tenant] += 1
+            peak[self.tenant] = max(peak[self.tenant], inside[self.tenant])
+            owners.add(
+                threading.current_thread().name.startswith("gretel-pump-")
+            )
+        try:
+            step(self, chunk)
+        finally:
+            with guard:
+                inside[self.tenant] -= 1
+
+    monkeypatch.setattr(TenantSession, "_pump_step", counted_step)
+    buckets = partition(stream_events, 2)
+    service = build_service(
+        checkpoint_store=CheckpointStore(tmp_path), checkpoint_every=40,
+        queue_capacity=16,
+    )
+    sessions = [service.session(key) for key in buckets]
+    done = threading.Event()
+
+    def control():
+        while not done.is_set():
+            for live in sessions:
+                live.quiesce()
+                with live.parked():
+                    time.sleep(0)
+                live.flush()
+
+    def produce():
+        drive_producers(service, buckets, 2)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    controller = threading.Thread(target=control, daemon=True)
+    try:
+        controller.start()
+        _within(60, produce)
+    finally:
+        done.set()
+        controller.join(30)
+        sys.setswitchinterval(interval)
+    assert not controller.is_alive()
+    service.flush()
+    assert service.checkpoints_written >= 2
+    assert owners == {True, False}
+    assert set(peak) == set(buckets)
+    assert max(peak.values()) == 1
+    for key, stream in buckets.items():
+        live = service.sessions[key]
+        assert live.events_analyzed == live.events_ingested == len(stream)
+
+
+def test_a_verb_gets_the_analyzer_while_the_queue_stays_full(
+    build_session, stream_events, monkeypatch
+):
+    """Every analysis refills the queue to capacity before it starts,
+    so the queue is never empty between chunks; yet with the GIL
+    switching every microsecond each control verb returns far inside
+    the 60-s tick: a verb takes the backlog it finds instead of
+    waiting for an empty queue."""
+    monkeypatch.setattr(repro.service.session, "_WAIT_TICK", 60.0)
+    feed = itertools.cycle(stream_events)
+    step = TenantSession._pump_step
+
+    def refilling_step(self, chunk):
+        while self.queued < self.queue_capacity and self.submit(next(feed)):
+            pass
+        step(self, chunk)
+
+    monkeypatch.setattr(TenantSession, "_pump_step", refilling_step)
+    session = build_session(queue_capacity=64)
+    drained = []
+
+    def quiesce():
+        drained.append(session.quiesce())
+
+    def park():
+        with session.parked():
+            pass
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert session.submit(stream_events[0])
+        # From the pump's first chunk on, the queue is full at every
+        # chunk boundary.
+        _within(30, _until(lambda: session.events_analyzed > 0))
+        for verb in (quiesce, session.snapshot_state, session.flush, park,
+                     quiesce):
+            _within(30, verb)
+    finally:
+        session.seal()
+        sys.setswitchinterval(interval)
+    assert min(drained) >= session.queue_capacity
+    session.quiesce()
+    assert session.queued == 0
+    assert session.events_analyzed == session.events_ingested
+
+
 # ---------------------------------------------------------------------------
 # Shutdown with producers still running
 # ---------------------------------------------------------------------------
@@ -578,13 +729,14 @@ def test_pump_death_seals_session_and_surfaces_on_flush(
     service = build_service()
     service.submit(stream_events[0], tenant="acme")
     session = service.sessions["acme"]
-    # The pump records the error, seals the door, and exits.
+    # Whichever thread analyzed the event (the pump, or this one in
+    # quiesce) records the error, seals the door and stops the pump.
     session.quiesce()
     assert session.sealed
     assert service.submit(stream_events[1], tenant="acme") is False
-    with pytest.raises(RuntimeError, match="pump thread died"):
+    with pytest.raises(RuntimeError, match="tenant 'acme' analyzer failed"):
         session.flush()
-    with pytest.raises(RuntimeError, match="pump thread died"):
+    with pytest.raises(RuntimeError, match="tenant 'acme' analyzer failed"):
         service.shutdown()
 
 
@@ -606,9 +758,9 @@ def test_one_dead_pump_does_not_strand_the_other_tenants(
     # The doomed tenant is created (and so flushed) first.
     service.submit(stream_events[0], tenant="doomed")
     service.pump(stream_events[:100], tenant="healthy")
-    service.sessions["doomed"].quiesce()  # its pump has died by now
+    service.sessions["doomed"].quiesce()  # it has died by now
 
-    with pytest.raises(RuntimeError, match="'doomed' pump thread died"):
+    with pytest.raises(RuntimeError, match="tenant 'doomed' analyzer failed"):
         service.shutdown()
     for live in service.sessions.values():
         assert live.pump_alive is False

@@ -5,8 +5,6 @@ fail proves nothing, so the mutate hook injects both a counter-level
 and a behavior-level corruption and the oracle must flag each.
 """
 
-import threading
-
 import pytest
 
 from repro.core.latency import LatencyTracker
@@ -14,7 +12,6 @@ from repro.core.state import encode_events
 from repro.oracle import OracleDivergence
 from repro.service import verify_checkpoint
 from repro.service.oracle import _cut_points
-from repro.service.session import TenantSession
 
 from .conftest import CONFIG
 
@@ -156,22 +153,13 @@ def test_oracle_flags_a_stale_latency_series(library, stream_events,
 
 
 def test_oracle_flags_a_drain_that_skips_a_backlog_event(
-        library, stream_events, monkeypatch):
+        library, stream_events, snapshot_drain_skips_one):
     """The restored half's snapshots each analyze a parked backlog on
-    the calling thread.  A drain that skips one backlog event (the
-    ``_pump_step`` seam, tampered off the pump thread only) leaves the
-    restored analyzer an event short, and the oracle says so."""
-    step = TenantSession._pump_step
-    skipped = []
-
-    def drain_skips_one(session, chunk):
-        if threading.current_thread().name.startswith("gretel-pump-"):
-            step(session, chunk)
-        else:
-            skipped.append(chunk[0].seq)
-            step(session, chunk[1:])
-
-    monkeypatch.setattr(TenantSession, "_pump_step", drain_skips_one)
+    the calling thread.  A snapshot whose drain skips one backlog
+    event (the ``_pump_step`` seam, tampered inside ``snapshot_state``
+    only) leaves the restored analyzer an event short, and the oracle
+    says so."""
+    skipped = snapshot_drain_skips_one
     result = verify_checkpoint(
         stream_events, library, cuts=3, config=CONFIG, strict=False,
     )

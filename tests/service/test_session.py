@@ -5,8 +5,10 @@ Where a test needs "accepted but not yet analyzed" it holds the pump
 in ``test_reference_session.py``.
 """
 
+import itertools
 import json
 import re
+import threading
 from functools import reduce
 
 import pytest
@@ -17,6 +19,7 @@ from repro.core.state import (
     StateFormatError,
     unpack_floats,
 )
+from repro.service.session import _AtomicCounter
 
 
 def test_constructor_validation(build_session):
@@ -312,7 +315,7 @@ def test_a_failed_drain_stops_the_session(build_session, stream_events,
             session.snapshot_state()
     assert session.submit(stream_events[10]) is False
     assert session.events_shed == 1
-    with pytest.raises(RuntimeError, match="pump thread died"):
+    with pytest.raises(RuntimeError, match="tenant 'acme' analyzer failed"):
         session.flush()
     session.close()
     assert not session.pump_alive
@@ -324,8 +327,6 @@ def test_quiesce_waits_for_a_snapshot_analyzing_the_backlog(
     the pump parked, yet those events are not analyzed: ``quiesce``
     (the service's ``drain``) returns only once the snapshot has
     counted them."""
-    import threading
-
     session = build_session()
     step = session._pump_step
     returned, waiting = [], []
@@ -352,3 +353,53 @@ def test_quiesce_waits_for_a_snapshot_analyzing_the_backlog(
     assert waiting == [True]
     assert returned == [10]
     assert session.events_analyzed == session.events_ingested == 10
+
+
+class _CountWithoutPickling:
+    """``itertools.count`` as Python 3.14 ships it: ``__reduce__``
+    (pickling support) is gone."""
+
+    def __init__(self, start):
+        self._count = itertools.count(start)
+
+    def __next__(self):
+        return next(self._count)
+
+    def __reduce__(self):
+        raise TypeError("cannot pickle 'itertools.count' object")
+
+
+def test_shed_counter_reads_without_pickling_support():
+    counter = _AtomicCounter(7)
+    counter._count = _CountWithoutPickling(7)
+    assert counter.value == 7
+    counter.bump()
+    counter.bump()
+    assert counter.value == counter.value == 9
+
+
+def test_shed_counter_is_exact_under_concurrent_bumps_and_reads():
+    """Reads take values from the count the bumps advance: racing
+    readers never make a reader see the count go back, and never lose
+    or add a bump."""
+    counter = _AtomicCounter(3)
+    reads = [[], []]
+
+    def bump():
+        for _ in range(20_000):
+            counter.bump()
+
+    def read(seen):
+        seen.extend(counter.value for _ in range(2_000))
+
+    threads = [threading.Thread(target=bump) for _ in range(3)]
+    threads += [threading.Thread(target=read, args=(seen,))
+                for seen in reads]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert counter.value == 3 + 3 * 20_000
+    for seen in reads:
+        assert seen == sorted(seen)
+        assert 3 <= seen[0] and seen[-1] <= 3 + 3 * 20_000

@@ -345,6 +345,19 @@ def test_exit_code_constants():
     assert (EXIT_OK, EXIT_FAIL, EXIT_USAGE) == (0, 1, 2)
 
 
+def test_serve_queue_default_is_the_sessions(capsys):
+    """``--queue-size`` restates no number: its help and the service
+    both read ``TenantSession.QUEUE_CAPACITY``."""
+    from repro.service import TenantSession
+
+    assert build_parser().parse_args(["serve"]).queue_size is None
+    with pytest.raises(SystemExit):
+        main(["serve", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert (f"TenantSession.QUEUE_CAPACITY = "
+            f"{TenantSession.QUEUE_CAPACITY} events") in out
+
+
 #: Bounded integer flags, one unusable value each, and the message
 #: argparse must answer it with.
 UNUSABLE_FLAG_VALUES = {
@@ -720,26 +733,13 @@ def test_verdict_blocks_share_one_shape(full_character, capsys):
 
 
 def test_diverged_verdict_turns_the_exit_code_into_1(
-    full_character, capsys, monkeypatch
+    full_character, capsys, snapshot_drain_skips_one
 ):
     """A snapshot whose drain skips one backlog event (tampered at
-    the ``_pump_step`` seam, off the pump thread only) must surface
-    as a ``DIVERGED`` checkpoint block and exit 1, with the router
-    oracle beside it, which takes no snapshot, still reported
+    the ``_pump_step`` seam, inside ``snapshot_state`` only) must
+    surface as a ``DIVERGED`` checkpoint block and exit 1, with the
+    router oracle beside it, which takes no snapshot, still reported
     ``EQUIVALENT``."""
-    import threading
-
-    from repro.service.session import TenantSession
-
-    step = TenantSession._pump_step
-
-    def drain_skips_one(self, chunk):
-        if threading.current_thread().name.startswith("gretel-pump-"):
-            step(self, chunk)
-        else:
-            step(self, chunk[1:])
-
-    monkeypatch.setattr(TenantSession, "_pump_step", drain_skips_one)
     assert main(["serve", "--events", "2000", "--tenants", "2",
                  "--alpha", "64", "--no-latency", "--verify-async",
                  "--verify-checkpoint", "--cuts", "2",
