@@ -259,7 +259,7 @@ class GretelAnalyzer:
     #: guard covers only the settable fields, so changing a module
     #: constant (``MATCH_COVERAGE``, ``LS_WINDOW``,
     #: ``_MAX_TRUNCATIONS``, ...) bumps it too.
-    STATE_FMT = "analyzer-state/v2"
+    STATE_FMT = "analyzer-state/v3"
 
     #: The counters this object owns, as checkpointed, by type.  Every
     #: other :class:`PipelineStats` field lives in (and is restored by)
@@ -278,14 +278,21 @@ class GretelAnalyzer:
         and are *not* serialized; the config rendering rides along
         purely as a rehydration guard.  The report log is an output,
         not in-flight state, and stays out (see
-        :mod:`repro.core.state`).
+        :mod:`repro.core.state`).  Snapshots parked by
+        ``defer_detection`` are not state either: an analyzer holding
+        any refuses to freeze until :meth:`process_deferred` has
+        analyzed them.
         ``repro.service.oracle.verify_checkpoint`` proves a restored
         analyzer finishes the stream bit-identically.
         """
+        if self._deferred:
+            raise RuntimeError(
+                f"{len(self._deferred)} parked snapshot(s) are not "
+                "state: call process_deferred() before snapshot_state()"
+            )
         return {
             "fmt": self.STATE_FMT,
             "config": asdict(self.config),
-            "defer_detection": self.defer_detection,
             "track_latency": self.track_latency,
             "counters": {
                 name: getattr(self, name) for name in self._COUNTERS
@@ -293,7 +300,6 @@ class GretelAnalyzer:
             "window": self.window.snapshot_state(),
             "latency": self.latency.snapshot_state(),
             "detector": self.detector.snapshot_state(),
-            "deferred": [s.to_dict() for s in self._deferred],
             "last_perf_analysis": dict(self._last_perf_analysis),
         }
 
@@ -301,10 +307,12 @@ class GretelAnalyzer:
         """Rehydrate a freshly built, identically configured analyzer.
 
         Components are restored *in place* (``window.push`` keeps
-        pointing at the window's deque); a config, latency-mode or
-        defer-mode mismatch refuses loudly instead of replaying the
-        stream under different semantics.  A component that refuses
-        its part puts every component back as it was.
+        pointing at the window's deque); a config or latency-mode
+        mismatch refuses loudly instead of replaying the stream under
+        different semantics.  ``defer_detection`` is no part of the
+        document: it decides only when later snapshots are analyzed.
+        A component that refuses its part puts every component back
+        as it was.
         """
         require_state(state, self.STATE_FMT)
         theirs = read_key(state, "config", dict)
@@ -319,13 +327,12 @@ class GretelAnalyzer:
                 + "; ".join(differing) + ")",
                 "config",
             )
-        for name in ("defer_detection", "track_latency"):
-            value = read_key(state, name, bool)
-            if value != getattr(self, name):
-                raise StateError(
-                    f"{value} in the checkpoint, {getattr(self, name)} "
-                    f"here", name,
-                )
+        track_latency = read_key(state, "track_latency", bool)
+        if track_latency != self.track_latency:
+            raise StateError(
+                f"{track_latency} in the checkpoint, "
+                f"{self.track_latency} here", "track_latency",
+            )
         before = self.snapshot_state()
         try:
             self._install(state)
@@ -341,10 +348,6 @@ class GretelAnalyzer:
                 name: read_key(counters, name, kind)
                 for name, kind in self._COUNTERS.items()
             }
-        deferred = []
-        for i, snapshot in enumerate(read_key(state, "deferred", list)):
-            with under(f"deferred[{i}]"):
-                deferred.append(Snapshot.from_dict(snapshot))
         last_perf = read_key(state, "last_perf_analysis", dict)
         if not all(isinstance(ts, (int, float)) for ts in last_perf.values()):
             raise StateError("expected numbers", "last_perf_analysis")
@@ -352,7 +355,6 @@ class GretelAnalyzer:
             decode_key(state, name, getattr(self, name).restore_state)
         for name, value in values.items():
             setattr(self, name, value)
-        self._deferred = deferred
         self._last_perf_analysis = dict(last_perf)
 
     # ------------------------------------------------------------------

@@ -128,7 +128,7 @@ def require_state(state: Mapping[str, Any], expected: str) -> None:
     """Check a state dict's ``fmt`` against ``expected``.
 
     ``expected`` is the owner's *current* tag (e.g.
-    ``"analyzer-state/v2"``).  Owner name and version must both
+    ``"analyzer-state/v3"``).  Owner name and version must both
     match exactly: no owner reads any version but its current one.
     """
     if not isinstance(state, Mapping):
@@ -176,7 +176,7 @@ class _Under:
 def under(key: str) -> _Under:
     """Prefix the path of a :class:`StateError` raised in the block
     with ``key``, the key the block's document sits under
-    (``"window"``, ``"deferred[3]"``)."""
+    (``"window"``, ``"parts[3]"``)."""
     return _Under(key)
 
 

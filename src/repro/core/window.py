@@ -64,30 +64,6 @@ class Snapshot:
         return (self.fault_index - radius <= 0
                 and self.fault_index + radius + 1 >= len(self.events))
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable rendering (checkpoint/restore protocol).
-
-        One event column block (:func:`~repro.core.state.encode_events`)
-        holds the fault, then the snapshot's events.
-        """
-        return {
-            "events": encode_events([self.fault, *self.events]),
-            "fault_index": self.fault_index,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Snapshot":
-        """Inverse of :meth:`to_dict`; a document that does not decode
-        raises :class:`~repro.core.state.StateError` naming the key."""
-        events = decode_key(data, "events", decode_events)
-        if not events:
-            raise StateError("no fault event", "events")
-        return cls(
-            fault=events[0],
-            events=events[1:],
-            fault_index=read_key(data, "fault_index", int),
-        )
-
 
 class SlidingWindow:
     """Dual-buffer sliding window of the α most recent events."""

@@ -154,9 +154,9 @@ def verify_async(
     :func:`~repro.core.reports.report_signature` with the tenant
     appended; a counter divergence is a
     ``counter: [tenant] <name> ...`` line in ``mismatches``.  Every
-    session of both halves reads an empty metadata store (no caller
-    has ever handed in a populated one), so Alg. 3 findings are empty
-    on both.  ``strict`` is
+    session of both halves owns an empty metadata store
+    (:meth:`StreamingService.build_analyzer`), so Alg. 3 findings are
+    empty on both.  ``strict`` is
     :func:`repro.oracle.settle`'s.
     """
     if tenants < 1:

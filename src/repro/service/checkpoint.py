@@ -43,17 +43,15 @@ class CheckpointStore:
 
     #: Covers the envelope and the session document inside it: a
     #: change to either shape bumps it.
-    STATE_FMT = "gretel-checkpoint/v3"
+    STATE_FMT = "gretel-checkpoint/v4"
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.writes = 0
         #: Cumulative size and wall clock of every :meth:`save`: what
         #: durability costs the thread that asked for it.
         self.bytes_written = 0
         self.save_seconds = 0.0
-        self.loads = 0
 
     def path_for(self, tenant: str) -> Path:
         """The checkpoint file backing one tenant."""
@@ -66,7 +64,8 @@ class CheckpointStore:
         """Atomically persist one tenant's session state.
 
         ``seq`` is the session's events-ingested watermark, stored in
-        the envelope for observability (``repro serve`` prints it).
+        the envelope for whoever reads the file; a restore reads the
+        session document's own ``events_ingested``.
         """
         started = time.perf_counter()
         path = self.path_for(tenant)
@@ -81,7 +80,6 @@ class CheckpointStore:
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
-        self.writes += 1
         self.bytes_written += len(text)  # ensure_ascii: chars are bytes
         self.save_seconds += time.perf_counter() - started
         return path
@@ -145,7 +143,6 @@ class CheckpointStore:
                 f"checkpoint at {path} belongs to tenant "
                 f"{envelope.get('tenant')!r}, not {tenant!r}"
             )
-        self.loads += 1
         state = envelope.get("state")
         if not isinstance(state, dict):
             raise StateError(

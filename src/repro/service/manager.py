@@ -3,9 +3,11 @@
 :class:`StreamingService` owns one
 :class:`~repro.service.session.TenantSession` per tenant id, building
 each session's :class:`~repro.core.analyzer.GretelAnalyzer` from one
-shared recipe (same library, metadata store, config and latency
-switch for every tenant — tenants differ only in their stream,
-exactly as one GRETEL deployment watches many clouds).
+shared recipe (same library, config and latency switch for every
+tenant — tenants differ only in their stream, exactly as one GRETEL
+deployment watches many clouds).  Each analyzer owns a fresh
+metadata store, so nothing a tenant reads lies outside its
+checkpoint.
 
 Every session has a dedicated pump thread (``docs/service.md``):
 ``submit()`` only routes and enqueues, so N producer threads ingest
@@ -37,7 +39,6 @@ from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
 from repro.core.fingerprint import FingerprintLibrary
 from repro.core.state import StateError
-from repro.monitoring.store import MetadataStore
 from repro.openstack.wire import WireEvent
 from repro.service.checkpoint import CheckpointStore
 from repro.service.session import (
@@ -52,12 +53,14 @@ DEFAULT_TENANT = "default"
 class ServiceStats:
     """Aggregated counters across every live session.
 
-    ``events_submitted`` counts every front-door offer;
-    ``events_accepted`` only those that entered a queue.  The shed
-    rate is their difference (``events_shed``) — no cross-referencing
-    of per-session stats required.  Offers refused because the
-    service was already shut down belong to no session; they are
-    counted here (submitted and shed) so no drop goes unrecorded.
+    ``events_accepted`` counts the offers that entered a queue and
+    ``events_shed`` those that did not.  ``events_submitted`` is
+    derived, not counted: it is their sum, so ``submitted == accepted
+    + shed`` holds by construction, and only a count kept by the
+    producers themselves can show an offer lost between the two.
+    Offers refused because the service was already shut down belong
+    to no session; they are counted here (submitted and shed) so no
+    drop goes unrecorded.
     """
 
     tenants: int = 0
@@ -85,7 +88,6 @@ class StreamingService:
         self,
         library: FingerprintLibrary,
         *,
-        store: Optional[MetadataStore] = None,
         config: Optional[GretelConfig] = None,
         track_latency: bool = True,
         queue_capacity: int = TenantSession.QUEUE_CAPACITY,
@@ -109,7 +111,6 @@ class StreamingService:
         if checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
         self.library = library
-        self._store = store
         self._config = config
         self._track_latency = track_latency
         self.queue_capacity = queue_capacity
@@ -140,10 +141,11 @@ class StreamingService:
     # -- session lifecycle ----------------------------------------------
 
     def build_analyzer(self) -> GretelAnalyzer:
-        """A fresh analyzer configured as every session's is
-        (``verify_async`` hands these to its reference sessions)."""
+        """A fresh analyzer configured as every session's is, with its
+        own empty metadata store (``verify_async`` hands these to its
+        reference sessions)."""
         return GretelAnalyzer(
-            self.library, store=self._store, config=self._config,
+            self.library, config=self._config,
             track_latency=self._track_latency,
         )
 

@@ -49,7 +49,6 @@ from repro.core.analyzer import GretelAnalyzer
 from repro.core.config import GretelConfig
 from repro.core.fingerprint import FingerprintLibrary
 from repro.core.reports import ReportSignature, report_signature
-from repro.monitoring.store import MetadataStore
 from repro.openstack.wire import WireEvent
 from repro.oracle import (
     OracleResult,
@@ -100,7 +99,6 @@ def verify_checkpoint(
     *,
     config: Optional[GretelConfig] = None,
     track_latency: bool = True,
-    defer_detection: bool = False,
     mutate: Optional[StateMutator] = None,
     strict: bool = True,
 ) -> OracleResult:
@@ -108,10 +106,10 @@ def verify_checkpoint(
 
     The restored half kills and rehydrates its session at ``cuts``
     evenly spaced points, each snapshot analyzing a parked backlog
-    first; each checkpoint crosses a real JSON round trip.  Both
-    halves share one empty metadata store (no caller has ever handed
-    in a populated one), so Alg. 3 finds no root cause on either and
-    the findings compared are empty on both; a counter
+    first; each checkpoint crosses a real JSON round trip.  Every
+    analyzer of both halves owns an empty metadata store, as a
+    service tenant's does, so Alg. 3 finds no root cause on either
+    and the findings compared are empty on both; a counter
     divergence is a ``counter: <name> ...`` line in ``mismatches``,
     a final-state one a ``state.<key path> differs`` line.
     ``mutate`` edits each decoded analyzer document before restore — the
@@ -127,7 +125,6 @@ def verify_checkpoint(
             f"{len(events)}-event stream (need cuts >= 1 and at "
             f"least 2 events)"
         )
-    store = MetadataStore()
 
     def replay(
         points: Tuple[int, ...]
@@ -139,9 +136,7 @@ def verify_checkpoint(
 
         def build() -> GretelAnalyzer:
             analyzer = GretelAnalyzer(
-                library, store=store, config=config,
-                track_latency=track_latency,
-                defer_detection=defer_detection,
+                library, config=config, track_latency=track_latency,
             )
             analyzer.on_report(
                 lambda report: signatures.append(report_signature(report))
@@ -154,8 +149,6 @@ def verify_checkpoint(
             analyzer = build()
             analyzer.feed(events)
             analyzer.flush()
-            if defer_detection:
-                analyzer.process_deferred()
         stats = asdict(analyzer.stats())
         state = json.loads(json.dumps(analyzer.snapshot_state()))
         for name in _TIMING_FIELDS:
@@ -195,7 +188,7 @@ def _through_sessions(
 ) -> GretelAnalyzer:
     """The restored half: ``events`` through a session killed and
     rehydrated at each of ``points``; returns the last session's
-    analyzer, flushed (and its deferred snapshots analyzed)."""
+    analyzer, flushed."""
     session = TenantSession("oracle", build())
     try:
         position = 0
@@ -217,9 +210,6 @@ def _through_sessions(
         for event in events[position:]:
             session.submit(event)
         session.flush()
-        with session.parked():
-            if session.analyzer.defer_detection:
-                session.analyzer.process_deferred()
         return session.analyzer
     finally:
         session.close()

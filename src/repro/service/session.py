@@ -434,14 +434,14 @@ class TenantSession:
         the backlog meanwhile.  Reports that backlog publishes fire on
         this thread.  Reports are outputs, not in-flight state; the
         analyzer state carries everything needed to finish the stream
-        bit-identically.
+        bit-identically.  The queue's capacity and policy are the
+        restoring service's to choose, and stay out: every key
+        written here is one :meth:`restore_state` reads.
         """
         with self.parked():
             ingested, shed = self._drain()
             return {
                 "tenant": self.tenant,
-                "policy": self.policy,
-                "queue_capacity": self.queue_capacity,
                 "events_ingested": ingested,
                 "events_shed": shed,
                 "reports_emitted": self.reports_emitted,

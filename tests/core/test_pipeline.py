@@ -304,13 +304,20 @@ def test_restore_refuses_per_stage_v1_state(library):
     """The analyzer document carries the one tag of every layer inside
     it, and every retired analyzer tag is refused by name, never
     migrated: ``analysis-pipeline/v1`` nested one tagged document per
-    stage wrapper, v2–v6 one tagged document per layer."""
+    stage wrapper, v2–v6 one tagged document per layer;
+    ``analyzer-state/v1`` wrote one document per level-shift series,
+    and v2 carried the deferred backlog and the ``defer_detection``
+    guard."""
     from repro.core.state import StateFormatError
 
     analyzer = GretelAnalyzer(library, config=config())
     state = analyzer.snapshot_state()
-    assert state["fmt"] == "analyzer-state/v2"
-    assert "columns" not in state and "columns" not in state["window"]
+    assert state["fmt"] == "analyzer-state/v3"
+    assert set(state) == {
+        "fmt", "config", "track_latency", "counters", "window",
+        "latency", "detector", "last_perf_analysis",
+    }
+    assert "columns" not in state["window"]
     assert set(state["window"]) == {
         "alpha", "appended", "snapshots_taken", "events", "pending", "due",
     }
@@ -326,9 +333,46 @@ def test_restore_refuses_per_stage_v1_state(library):
         older = f"analysis-pipeline/v{version}"
         with pytest.raises(StateFormatError, match=older):
             analyzer.restore_state(dict(state, fmt=older))
-    with pytest.raises(StateFormatError,
-                       match="'analyzer-state/v1' is older than"):
-        analyzer.restore_state(dict(state, fmt="analyzer-state/v1"))
+    for version in (1, 2):
+        older = f"analyzer-state/v{version}"
+        with pytest.raises(StateFormatError,
+                           match=f"'{older}' is older than"):
+            analyzer.restore_state(dict(state, fmt=older))
+
+
+def test_parked_snapshots_are_not_state(library):
+    """A deferring analyzer that holds parked snapshots refuses to
+    freeze and names the call that analyzes them.  After
+    ``process_deferred()`` its document restores into a non-deferring
+    analyzer, and the rest of the stream publishes what the straight
+    run published after the cut."""
+    import json
+
+    events = make_stream(library).events(800)
+    cut = len(events) // 2
+    straight = GretelAnalyzer(library, config=config())
+    straight.feed(events)
+    straight.flush()
+
+    deferring = GretelAnalyzer(library, config=config(),
+                               defer_detection=True)
+    deferring.feed(events[:cut])
+    assert deferring.deferred_snapshots()
+    with pytest.raises(RuntimeError, match=r"process_deferred\(\)"):
+        deferring.snapshot_state()
+    deferring.process_deferred()
+    state = json.loads(json.dumps(deferring.snapshot_state()))
+
+    resumed = GretelAnalyzer(library, config=config())
+    resumed.restore_state(state)
+    resumed.feed(events[cut:])
+    resumed.flush()
+    assert resumed.reports
+    assert (
+        Counter(map(report_signature, deferring.reports + resumed.reports))
+        == Counter(map(report_signature, straight.reports))
+    )
+    assert resumed.stats().events_processed == len(events)
 
 
 def test_shards_compose_shared_wiring(library):

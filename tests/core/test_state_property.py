@@ -71,7 +71,7 @@ def test_sliding_window_round_trip(case):
         frozen = window.append(event)
         if seq in faults:
             window.mark_fault(event)
-        return [snapshot.to_dict() for snapshot in frozen]
+        return list(frozen)
 
     original = SlidingWindow(alpha=alpha)
     for seq in range(cut):
@@ -86,10 +86,7 @@ def test_sliding_window_round_trip(case):
     assert original.snapshots_taken == restored.snapshots_taken
     assert original.pending == restored.pending
     # End-of-stream freezes must agree too (pending order survives).
-    assert (
-        [s.to_dict() for s in original.flush()]
-        == [s.to_dict() for s in restored.flush()]
-    )
+    assert original.flush() == restored.flush()
 
 
 def test_sliding_window_refuses_alpha_mismatch():
@@ -329,8 +326,8 @@ def fmt_keys(node, path="$"):
 def test_service_checkpoint_holds_no_float_list(small_character, tmp_path):
     """The invariant that keeps the encoder off ``repr(float)``: a
     session checkpoint taken after a fault — a backlog analyzed by the
-    snapshot, a fault pending, detection deferred, latency series
-    warm — holds no JSON list with a float in it.  And it carries exactly two format tags,
+    snapshot, a fault pending, latency series warm — holds no JSON
+    list with a float in it.  And it carries exactly two format tags,
     at the envelope root and the analyzer root: no layer below either
     tags itself."""
     from repro.core.analyzer import GretelAnalyzer
@@ -345,11 +342,10 @@ def test_service_checkpoint_holds_no_float_list(small_character, tmp_path):
     ).events(900)
     faults = [i for i, event in enumerate(events) if event.error]
     # Stop 4 events after a fault: its α/2 = 32 post-fault events
-    # have not arrived, so it is pending; earlier ones are deferred.
+    # have not arrived, so it is pending; earlier ones were analyzed.
     stop = next(i for i in faults if i > 300) + 4
     analyzer = GretelAnalyzer(
         library, store=MetadataStore(), config=GretelConfig(alpha=64),
-        defer_detection=True,
     )
     session = TenantSession("acme", analyzer)
     try:
@@ -368,7 +364,6 @@ def test_service_checkpoint_holds_no_float_list(small_character, tmp_path):
     pipeline = state["analyzer"]
     assert pipeline["counters"]["events_processed"] == stop + 10
     assert decode_events(pipeline["window"]["pending"])
-    assert pipeline["deferred"]
     assert unpack_floats(pipeline["latency"]["detectors"]["baselines"])
     assert list(float_lists(state)) == []
     saved = CheckpointStore(tmp_path).save("acme", state, seq=0)

@@ -16,8 +16,7 @@ def test_save_load_round_trip(tmp_path):
     path = store.save("acme", STATE, seq=42)
     assert path.exists()
     assert store.load("acme") == STATE
-    assert store.writes == 1
-    assert store.loads == 1
+    assert store.load_all() == {"acme": STATE}
     # The envelope carries the watermark for observability.
     envelope = json.loads(path.read_text())
     assert envelope["seq"] == 42
@@ -35,7 +34,6 @@ def test_saved_bytes_are_one_compact_dumps(tmp_path):
     assert store.load("acme") == state
     # What the saves cost, cumulative, for ServiceStats.
     store.save("acme", state, seq=8)
-    assert store.writes == 2
     assert store.bytes_written == 2 * len(want) == 2 * path.stat().st_size
     assert store.save_seconds > 0.0
 
@@ -47,7 +45,8 @@ def test_unserializable_state_leaves_previous_checkpoint(tmp_path):
         store.save("acme", dict(STATE, marker={2}), seq=2)
     assert list(tmp_path.glob("*.tmp")) == []
     assert store.load("acme")["marker"] == 1
-    assert store.writes == 1
+    # The refused save wrote nothing, and counts no bytes.
+    assert store.bytes_written == store.path_for("acme").stat().st_size
 
 
 def test_crash_before_replace_leaves_previous_checkpoint(
@@ -72,7 +71,7 @@ def test_crash_before_replace_leaves_previous_checkpoint(
 def test_load_missing_returns_none(tmp_path):
     store = CheckpointStore(tmp_path)
     assert store.load("nobody") is None
-    assert store.loads == 0
+    assert store.load_all() == {}
 
 
 def test_save_overwrites_atomically(tmp_path):

@@ -1,5 +1,10 @@
 """Tests for the multi-tenant streaming service front door."""
 
+import itertools
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.core.reports import report_signature
@@ -84,6 +89,60 @@ def test_stats_split_submitted_vs_accepted(build_service, stream_events):
     document = stats.to_dict()
     assert document["events_submitted"] == 40
     assert document["events_accepted"] == 8
+
+
+def test_submitted_matches_the_producers_own_count(
+    build_service, stream_events
+):
+    """``events_submitted`` is derived (accepted + shed), so it is
+    checked against a count it does not derive from: the producers'
+    own.  Three producers offer flat out into 4-slot shed queues, and
+    ``shutdown()`` seals the service while they do.  Every offer is
+    counted once, and every accepted event is analyzed."""
+    service = build_service(queue_capacity=4, policy="shed")
+    tenants = ["acme", "globex", "initech"]
+    for tenant in tenants:
+        service.session(tenant)
+    offered = [0] * len(tenants)
+    stop = threading.Event()
+
+    def produce(index):
+        for event in itertools.cycle(stream_events):
+            if stop.is_set():
+                return
+            service.submit(event, tenant=tenants[index])
+            offered[index] += 1
+
+    def wait_for(least):
+        deadline = time.monotonic() + 60
+        while min(offered) < least:
+            assert time.monotonic() < deadline, offered
+            time.sleep(0.001)
+
+    producers = [
+        threading.Thread(target=produce, args=(index,))
+        for index in range(len(tenants))
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in producers:
+            thread.start()
+        wait_for(200)
+        service.shutdown()
+        wait_for(max(offered) + 200)
+    finally:
+        stop.set()
+        for thread in producers:
+            thread.join(60)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in producers)
+
+    stats = service.stats()
+    assert stats.events_submitted == sum(offered)
+    assert stats.events_analyzed == stats.events_accepted > 0
+    assert stats.queued == 0
+    assert stats.events_shed >= 3 * 200  # every offer after shutdown()
 
 
 def test_offers_after_shutdown_are_counted_as_shed(

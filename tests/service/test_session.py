@@ -217,6 +217,32 @@ def test_restore_refuses_foreign_tenant(build_session):
         other.restore_state(state)
 
 
+def test_every_key_a_checkpoint_writes_is_read_by_its_restore(
+        build_session, stream_events):
+    """A warm session's document with one key deleted — each
+    session-level key in turn, then each key of the analyzer document
+    — is refused with that key named: a checkpoint holds nothing its
+    restore does not read."""
+    donor = build_session()
+    for event in stream_events[:300]:
+        donor.submit(event)
+    state = json.loads(json.dumps(donor.snapshot_state()))
+    build_session().restore_state(state)
+
+    paths = [(key,) for key in state]
+    paths += [("analyzer", key) for key in state["analyzer"]]
+    for *parents, key in paths:
+        tampered = json.loads(json.dumps(state))
+        del reduce(dict.__getitem__, parents, tampered)[key]
+        with pytest.raises(StateError) as refused:
+            build_session().restore_state(tampered)
+        named = (
+            ".".join(parents) + ": state dict has no fmt tag"
+            if key == "fmt" else ".".join([*parents, key]) + ": missing"
+        )
+        assert str(refused.value).startswith(named), (key, refused.value)
+
+
 def assert_corrupt_refused_untouched(build_session, stream_events, tamper,
                                      match):
     """A warm donor's state (latency series, faults, a 20-event

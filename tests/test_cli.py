@@ -614,17 +614,18 @@ def test_serve_refuses_a_checkpoint_of_the_previous_format(
 ):
     """A directory written by the previous build (the fixture: ``repro
     serve --events 30 --tenants 1 --alpha 8 --no-latency`` under
-    ``gretel-checkpoint/v2``, whose session document carried a queue)
-    stops at the envelope, with exit 2 and the directory left as it
-    was."""
-    fixture = Path(__file__).parent / "data" / "gretel-checkpoint-v2"
+    ``gretel-checkpoint/v3``, whose session document carried the
+    queue's policy and capacity and whose analyzer document carried a
+    deferred backlog) stops at the envelope, with exit 2 and the
+    directory left as it was."""
+    fixture = Path(__file__).parent / "data" / "gretel-checkpoint-v3"
     checkpoints = tmp_path / "ckpt"
     shutil.copytree(fixture, checkpoints)
     saved = {path: path.read_bytes() for path in checkpoints.iterdir()}
     assert main(["serve", "--events", "30", "--tenants", "1",
                  "--alpha", "8", "--no-latency", "--resume",
                  "--checkpoint-dir", str(checkpoints)]) == 2
-    assert ("'gretel-checkpoint/v2' is older than 'gretel-checkpoint/v3'"
+    assert ("'gretel-checkpoint/v3' is older than 'gretel-checkpoint/v4'"
             in capsys.readouterr().err)
     assert {path: path.read_bytes() for path in checkpoints.iterdir()} \
         == saved

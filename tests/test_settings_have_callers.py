@@ -15,6 +15,7 @@ from repro.core.characterize import characterize_suite
 from repro.core.matching.oracle import verify_detection
 from repro.core.parallel import ShardedAnalyzer, verify_equivalence
 from repro.evaluation.registry import EXPERIMENTS
+from repro.service import StreamingService, verify_async, verify_checkpoint
 
 #: Takes a reduced scale: ``tests/integration/test_evaluation.py``
 #: runs two points of 20K events.
@@ -33,6 +34,18 @@ REDUCED_SCALE = {"fig8c"}
 def test_no_symbol_table_or_catalog_parameter(callable_):
     parameters = inspect.signature(callable_).parameters
     assert not {"symbols", "catalog"} & set(parameters)
+
+
+@pytest.mark.parametrize("callable_", [
+    StreamingService,
+    verify_checkpoint,
+    verify_async,
+], ids=lambda callable_: callable_.__name__)
+def test_no_shared_store_or_defer_parameter(callable_):
+    """Every tenant's analyzer owns its metadata store, and no service
+    session defers detection: neither can be handed in."""
+    parameters = inspect.signature(callable_).parameters
+    assert not {"store", "defer_detection"} & set(parameters)
 
 
 @pytest.mark.parametrize("name", sorted(set(EXPERIMENTS) - REDUCED_SCALE))
