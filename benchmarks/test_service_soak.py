@@ -167,6 +167,7 @@ def _async_leg(
         # Bounded state: a long-lived session must not grow with
         # ingest — read from the live analyzer and from what the last
         # per-pass checkpoint persisted of it.
+        saved_states = store.load_all()
         for live in service.sessions.values():
             assert live.queued == 0
             assert not live.analyzer.reports, (
@@ -174,7 +175,7 @@ def _async_leg(
                 "would grow with every fault"
             )
             assert len(live.analyzer.window) <= ALPHA
-            saved = store.load(live.tenant)["analyzer"]
+            saved = saved_states[live.tenant]["analyzer"]
             # Count decoded events: a column block's own length is
             # the number of its columns.
             persisted = decode_events(saved["window"]["events"])

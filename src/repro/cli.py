@@ -498,7 +498,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         policy=args.policy,
         checkpoint_store=store,
         checkpoint_every=args.checkpoint_every,
-        restore=args.resume,
     )
     published: List[Tuple[str, FaultReport]] = []
     service.on_report(
@@ -516,12 +515,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.resume:
             # Resurrect every checkpointed tenant up front, so sessions
             # whose tenants never reappear still finish their pending
-            # analysis at the final flush.  Each restored tenant
+            # analysis at the final flush, and refuse a directory with
+            # a checkpoint it cannot read.  Each restored tenant
             # resumes where its checkpoint stopped.
             service.restore_all()
             offsets = dict(service.resume_offsets)
         started = time.perf_counter()
-        # Creates (and restores) each bucket's session before any
+        # Opens the sessions restore_all() did not, before any
         # producer starts.
         drive_producers(
             service, buckets, producers, passes=args.passes,

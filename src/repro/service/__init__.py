@@ -8,7 +8,7 @@ an explicit backpressure policy and one pump thread per tenant (the
 service's only router), durable periodic checkpoints
 (:mod:`repro.service.checkpoint`) built on the core state-lifecycle
 protocol (:mod:`repro.core.state`), a service manager that keys
-sessions by tenant and restores them on start
+sessions by tenant and restores them only through ``restore_all()``
 (:mod:`repro.service.manager`), and two differential oracles: one
 proving checkpoint/kill/restore changes nothing
 (:mod:`repro.service.oracle`), one proving the pump router is

@@ -4,21 +4,22 @@ One :class:`CheckpointStore` owns a directory of
 ``<tenant>.checkpoint.json`` files.  Each file is an envelope around a
 :class:`~repro.service.session.TenantSession` state dict (the core
 state-lifecycle protocol, :mod:`repro.core.state`).  The envelope's
-``fmt`` tag, checked once on :meth:`CheckpointStore.load`, covers the
-envelope and the session document; the analyzer document inside
-carries the only other tag.  The whole text is encoded before any file
-is opened — one ``json.dumps``, the only stdlib entry point that
-reaches the C encoder — then written to a temp file and moved in with
-``os.replace``, so a state that cannot be encoded, or a process killed
-mid-write, leaves the previous checkpoint intact: a torn checkpoint
-would otherwise rehydrate a half-written pipeline.  There is no
-``fsync``: a checkpoint survives a killed process, not a lost page
-cache.
+``fmt`` tag, checked once by :meth:`CheckpointStore.load_all` (the
+store's one reader), covers the envelope and the session document;
+the analyzer document inside carries the only other tag.  The whole
+text is encoded before any file is opened — one ``json.dumps``, the
+only stdlib entry point that reaches the C encoder — then written to
+a temp file and moved in with ``os.replace``, so a state that cannot
+be encoded, or a process killed mid-write, leaves the previous
+checkpoint intact: a torn checkpoint would otherwise rehydrate a
+half-written pipeline.  There is no ``fsync``: a checkpoint survives
+a killed process, not a lost page cache.
 
-Tenant ids become filenames through a conservative sanitizer (the id
-itself is stored *inside* the envelope and checked on load, so two
-ids colliding after sanitization fail loudly instead of silently
-restoring the wrong tenant).
+Tenant ids become filenames through a conservative sanitizer.  The
+id itself is stored *inside* the envelope and checked on load, and
+the store remembers which tenant owns each file it has written or
+read, so two ids colliding after sanitization fail loudly instead of
+one overwriting the other's checkpoint.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import os
 import re
 import time
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Dict, Mapping, Tuple, Union
 
 from repro.core.state import StateError, require_state
 
@@ -52,6 +53,8 @@ class CheckpointStore:
         #: durability costs the thread that asked for it.
         self.bytes_written = 0
         self.save_seconds = 0.0
+        #: The tenant each file this store wrote or read belongs to.
+        self._owners: Dict[Path, str] = {}
 
     def path_for(self, tenant: str) -> Path:
         """The checkpoint file backing one tenant."""
@@ -65,10 +68,18 @@ class CheckpointStore:
 
         ``seq`` is the session's events-ingested watermark, stored in
         the envelope for whoever reads the file; a restore reads the
-        session document's own ``events_ingested``.
+        session document's own ``events_ingested``.  A file that
+        belongs to another tenant (two ids that sanitize alike) is
+        refused with :class:`StateError`, not overwritten.
         """
         started = time.perf_counter()
         path = self.path_for(tenant)
+        owner = self._owners.setdefault(path, tenant)
+        if owner != tenant:
+            raise StateError(
+                f"checkpoint at {path} belongs to tenant {owner!r}, "
+                f"not {tenant!r}"
+            )
         envelope = {
             "fmt": self.STATE_FMT,
             "tenant": tenant,
@@ -84,77 +95,51 @@ class CheckpointStore:
         self.save_seconds += time.perf_counter() - started
         return path
 
-    def load(self, tenant: str) -> Optional[Dict[str, Any]]:
-        """The persisted session state for ``tenant``, or ``None``.
-
-        A malformed envelope or a tenant mismatch (two ids collapsing
-        to one sanitized filename) raises :class:`StateError` rather
-        than restoring the wrong stream position.
-        """
-        path = self.path_for(tenant)
-        try:
-            envelope = self._parse(path)
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError) as exc:
-            raise StateError(
-                f"unreadable checkpoint for {tenant!r} at {path}: {exc}"
-            ) from exc
-        return self._state_of(tenant, path, envelope)
-
     def load_all(self) -> Dict[str, Dict[str, Any]]:
-        """Every persisted session state, by tenant, each file parsed
-        once.
+        """Every persisted session state, by tenant: the store's one
+        reader, each file parsed once.
 
-        A file that does not parse, or names no tenant, is skipped
-        (:meth:`load` refuses it when its tenant is asked for), so
-        one junk file cannot stop a restart; any other fault
-        :meth:`load` would refuse raises :class:`StateError`.
+        Every ``*.checkpoint.json`` in the directory must be a
+        checkpoint this build restores.  A file that does not parse,
+        is not an object, carries another tag, names no tenant, sits
+        under another tenant's filename or holds no state dict raises
+        :class:`StateError`, and nothing is returned: a restart that
+        cannot read a tenant refuses instead of leaving it behind.
         """
-        found = []
-        for path in self.root.glob(f"*{_SUFFIX}"):
+        states = {}
+        for path in sorted(self.root.glob(f"*{_SUFFIX}")):
             try:
                 envelope = self._parse(path)
-            except (OSError, ValueError):
-                continue
-            if isinstance(envelope, dict) and isinstance(
-                envelope.get("tenant"), str
-            ):
-                found.append((envelope["tenant"], path, envelope))
-        return {
-            tenant: self._state_of(tenant, path, envelope)
-            for tenant, path, envelope in sorted(
-                found, key=lambda entry: entry[0]
-            )
-        }
+            except (OSError, ValueError) as exc:
+                raise StateError(
+                    f"unreadable checkpoint at {path}: {exc}"
+                ) from exc
+            tenant, state = self._state_of(path, envelope)
+            states[tenant] = state
+            self._owners[path] = tenant
+        return dict(sorted(states.items()))
 
     def _parse(self, path: Path) -> Any:
         """One checkpoint file, parsed: the only place a file is read."""
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
 
-    def _state_of(self, tenant: str, path: Path,
-                  envelope: Any) -> Dict[str, Any]:
-        """The session state inside ``envelope``, read from ``path``
-        for ``tenant``, once the tag and the tenant check out."""
+    def _state_of(self, path: Path,
+                  envelope: Any) -> Tuple[str, Dict[str, Any]]:
+        """The tenant and session state inside ``envelope``, read from
+        ``path``, once the tag and the tenant check out."""
+        if not isinstance(envelope, dict):
+            raise StateError(f"checkpoint at {path} is not an object")
         require_state(envelope, self.STATE_FMT)
-        if envelope.get("tenant") != tenant or self.path_for(tenant) != path:
+        tenant = envelope.get("tenant")
+        if not isinstance(tenant, str):
+            raise StateError(f"checkpoint at {path} names no tenant")
+        if self.path_for(tenant) != path:
             raise StateError(
-                f"checkpoint at {path} belongs to tenant "
-                f"{envelope.get('tenant')!r}, not {tenant!r}"
+                f"checkpoint at {path} belongs to tenant {tenant!r}, "
+                f"whose file is {self.path_for(tenant).name}"
             )
         state = envelope.get("state")
         if not isinstance(state, dict):
-            raise StateError(
-                f"checkpoint for {tenant!r} carries no state dict"
-            )
-        return state
-
-    def delete(self, tenant: str) -> bool:
-        """Remove one tenant's checkpoint; True if one existed."""
-        path = self.path_for(tenant)
-        try:
-            path.unlink()
-        except FileNotFoundError:
-            return False
-        return True
+            raise StateError(f"checkpoint at {path} carries no state dict")
+        return tenant, state

@@ -16,14 +16,14 @@ checkpoint triggering and the stats rollup are thread-safe;
 :meth:`flush` is a barrier that analyzes every session's queue.
 
 Durability is opt-in: hand the service a
-:class:`~repro.service.checkpoint.CheckpointStore` and it (a)
-rehydrates any tenant that has a persisted checkpoint the first time
-that tenant appears (unless built with ``restore=False``; see also
-:meth:`StreamingService.restore_all`), and (b) re-checkpoints a
-session every ``checkpoint_every`` accepted events (0 disables the
-periodic trigger; explicit :meth:`StreamingService.checkpoint_all`
-still works).  A checkpoint takes the tenant's analyzer from its
-pump at an event boundary and analyzes the tenant's backlog on the
+:class:`~repro.service.checkpoint.CheckpointStore` and it
+re-checkpoints a session every ``checkpoint_every`` accepted events
+(0 disables the periodic trigger; explicit
+:meth:`StreamingService.checkpoint_all` still works).  A restart has
+one way back, :meth:`StreamingService.restore_all`, called before the
+first event; a session opened any other way starts fresh.  A
+checkpoint takes the tenant's analyzer from its pump at an event
+boundary and analyzes the tenant's backlog on the
 checkpointing thread (the submitter's, for the periodic trigger)
 before it saves, so a checkpoint holds analyzer state and no queued
 events; the tenant's other producers keep enqueuing meanwhile.
@@ -41,9 +41,7 @@ from repro.core.fingerprint import FingerprintLibrary
 from repro.core.state import StateError
 from repro.openstack.wire import WireEvent
 from repro.service.checkpoint import CheckpointStore
-from repro.service.session import (
-    ReportSink, TenantSession, _AtomicCounter,
-)
+from repro.service.session import ReportSink, TenantSession
 
 #: Tenant bucket used when an event carries no tenant id.
 DEFAULT_TENANT = "default"
@@ -97,16 +95,22 @@ class StreamingService:
         restore: bool = True,
         async_ingest: bool = True,
     ) -> None:
-        # Residue, not an option: the ledger's service workload
-        # (benchmarks/e2e/workloads.py) still passes this keyword, and
-        # a PR may not edit the benchmark it is judged by.  It selects
-        # nothing — there is one router — and goes with the next
-        # benchmark PR.
+        # Residue, not options: the ledger's service workload
+        # (benchmarks/e2e/workloads.py) still passes these keywords,
+        # and a PR may not edit the benchmark it is judged by.  They
+        # select nothing — there is one router and one restore — and
+        # go with the next benchmark PR.
         if async_ingest is not True:
             raise ValueError(
                 "async_ingest accepts only True: every session is a "
                 "pump session, and the inline-drain router is "
                 "repro.reference.SyncSession (verify_async's reference)"
+            )
+        if restore is not True:
+            raise ValueError(
+                "restore accepts only True: a service restores only "
+                "through restore_all(), and a session opened without "
+                "it starts fresh"
             )
         if checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
@@ -117,7 +121,6 @@ class StreamingService:
         self.policy = policy
         self.checkpoints = checkpoint_store
         self.checkpoint_every = checkpoint_every
-        self.restore_on_start = restore
         self.sessions: Dict[str, TenantSession] = {}
         self.checkpoints_written = 0
         #: Where each restored tenant's stream resumes: every event
@@ -127,13 +130,13 @@ class StreamingService:
         #: checkpoint; the periodic trigger fires on the delta.
         self._checkpoint_seq: Dict[str, int] = {}
         self._sinks: List[ReportSink] = []
-        self._shut_down = False
-        #: Offers refused after shutdown (lock-free: the reject path
-        #: must stay as cheap as the shed path).
-        self._rejected = _AtomicCounter()
-        #: Serializes lazy session creation (producers race on first
-        #: submit for a new tenant).
+        #: Serializes session creation (producers race on first submit
+        #: for a new tenant) with ``shutdown()``, and guards the two
+        #: fields below.
         self._session_lock = threading.Lock()
+        self._shut_down = False
+        #: Offers refused because the service was shut down.
+        self._rejected = 0
         #: Serializes checkpoint writes and the periodic trigger's
         #: check-then-write (reentrant: the trigger calls checkpoint).
         self._ckpt_lock = threading.RLock()
@@ -150,20 +153,26 @@ class StreamingService:
         )
 
     def session(self, tenant: str) -> TenantSession:
-        """The live session for ``tenant``, created (and restored from
-        its checkpoint, if one is persisted) on first use.  Creation
-        is serialized, so racing producers agree on one session."""
-        live = self.sessions.get(tenant)
-        if live is not None:
-            return live
-        return self._open(tenant, None)
+        """The live session for ``tenant``, opened fresh on first use.
+        Creation is serialized, so racing producers agree on one
+        session; a shut-down service opens none and raises
+        ``RuntimeError``."""
+        live = self.sessions.get(tenant) or self._open(tenant)
+        if live is None:
+            raise RuntimeError(
+                f"service is shut down: no session for {tenant!r}"
+            )
+        return live
 
     def _open(self, tenant: str,
-              state: Optional[Dict[str, Any]]) -> TenantSession:
+              state: Optional[Dict[str, Any]] = None
+              ) -> Optional[TenantSession]:
         """Create ``tenant``'s session unless one is live, restoring
-        ``state`` (or, when that is ``None``, the store's checkpoint)
-        if the service restores on start."""
+        ``state`` when :meth:`restore_all` hands one over; ``None``,
+        creating nothing, once the service is shut down."""
         with self._session_lock:
+            if self._shut_down:
+                return None
             live = self.sessions.get(tenant)
             if live is not None:
                 return live
@@ -175,18 +184,15 @@ class StreamingService:
             )
             for sink in self._sinks:
                 live.on_report(sink)
-            if self.checkpoints is not None and self.restore_on_start:
+            if state is not None:
                 try:
-                    if state is None:
-                        state = self.checkpoints.load(tenant)
-                    if state is not None:
-                        live.restore_state(state)
-                        self.resume_offsets[tenant] = (
-                            live.events_ingested + live.events_shed
-                        )
+                    live.restore_state(state)
                 except StateError:
                     live.close()  # refused: stop its pump, keep no session
                     raise
+                self.resume_offsets[tenant] = (
+                    live.events_ingested + live.events_shed
+                )
             self._checkpoint_seq[tenant] = live.events_ingested
             self.sessions[tenant] = live
         return live
@@ -215,17 +221,16 @@ class StreamingService:
         The explicit ``tenant`` overrides the event's own tenant id
         (replay tools re-bucket streams this way); events with neither
         land in the ``"default"`` session.  A shut-down service sheds
-        everything (and creates no sessions); those offers are counted
+        everything and opens no session, an offer that raced
+        ``shutdown()`` to open one included; those offers are counted
         service-wide, in ``events_submitted`` and ``events_shed``.
         """
         if self._shut_down:
-            self._rejected.bump()
-            return False
+            return self._refuse()
         key = tenant or event.tenant or DEFAULT_TENANT
-        try:
-            live = self.sessions[key]
-        except KeyError:
-            live = self.session(key)
+        live = self.sessions.get(key) or self._open(key)
+        if live is None:  # lost the race to shutdown()
+            return self._refuse()
         accepted = live.submit(event)
         every = self.checkpoint_every
         # The unlocked pre-check keeps the hot path one subtraction.
@@ -234,6 +239,12 @@ class StreamingService:
         ):
             self._checkpoint_if_due(key, live)
         return accepted
+
+    def _refuse(self) -> bool:
+        """Count one offer a shut-down service refused; False."""
+        with self._session_lock:
+            self._rejected += 1
+        return False
 
     def pump(self, events: Any, *, tenant: Optional[str] = None) -> int:
         """Submit an iterable of events; returns the accepted count."""
@@ -260,7 +271,7 @@ class StreamingService:
 
         Only a tenant that actually has a live session can be
         checkpointed; an unknown tenant raises ``KeyError`` instead of
-        silently creating (and checkpoint-restoring) an empty session.
+        silently creating an empty session.
         """
         if self.checkpoints is None:
             raise ValueError("service has no checkpoint store")
@@ -281,21 +292,26 @@ class StreamingService:
             self._checkpoint_seq[tenant] = seq
 
     def restore_all(self) -> int:
-        """Resurrect every tenant with a persisted checkpoint now.
+        """Resurrect every tenant with a persisted checkpoint: the
+        service's only restore.
 
-        Session restore is otherwise lazy (first ``submit`` for the
-        tenant); a restarting replay calls this up front so tenants
-        that never reappear in the remaining stream still get their
-        pending analysis finished by the final :meth:`flush`.  Each
-        checkpoint file is parsed once
-        (:meth:`~repro.service.checkpoint.CheckpointStore.load_all`).
-        Returns how many sessions were restored.
+        A restarting replay calls this before its first event, so each
+        restored tenant's producer starts at
+        :attr:`resume_offsets`, and a tenant that never reappears in the
+        remaining stream still gets its pending analysis finished by
+        the final :meth:`flush`.  Each checkpoint file is parsed once
+        (:meth:`~repro.service.checkpoint.CheckpointStore.load_all`),
+        and a directory holding one it cannot read is refused with
+        :class:`StateError` before any session is restored.  Returns
+        how many sessions were restored.
         """
         if self.checkpoints is None:
             raise ValueError("service has no checkpoint store")
         before = self.sessions_restored
         for tenant, state in self.checkpoints.load_all().items():
-            self._open(tenant, state)
+            if self._open(tenant, state) is None:
+                raise RuntimeError("service is shut down: it restores "
+                                   "no session")
         return self.sessions_restored - before
 
     @property
@@ -337,10 +353,11 @@ class StreamingService:
         strand the others: **every** session is closed, and only
         then is the first failure raised.
         """
-        if self._shut_down:
-            return
-        self._shut_down = True
-        sessions = self._live_sessions()
+        with self._session_lock:
+            if self._shut_down:
+                return
+            self._shut_down = True
+            sessions = list(self.sessions.values())
         for live in sessions:
             live.seal()
         failures: List[Exception] = []
@@ -371,7 +388,7 @@ class StreamingService:
 
     def stats(self) -> ServiceStats:
         stats = ServiceStats(
-            events_shed=self._rejected.value,
+            events_shed=self._rejected,
             checkpoints_written=self.checkpoints_written,
             sessions_restored=self.sessions_restored,
         )

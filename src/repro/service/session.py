@@ -13,8 +13,8 @@ dedicated daemon *pump thread* drains a thread-safe bounded queue in
 ``DEFAULT_PUMP_CHUNK``-event claims.  ``"block"`` producers wait on a
 condition variable until the pump frees space (real backpressure —
 the producer sleeps instead of analyzing someone else's backlog);
-``"shed"`` rejections are counted lock-free (one GIL-atomic C-level
-increment, no lock acquired on the reject path).
+``"shed"`` rejections are counted under the same mutex that counts
+the accepted events.
 
 The analyzer has **one owner at a time**, the holder of the
 session's analysis lock.  The pump holds it while it analyzes a
@@ -74,35 +74,6 @@ PUMP_JOIN_TIMEOUT = 120.0
 ReportSink = Callable[[str, FaultReport], None]
 
 
-class _AtomicCounter:
-    """A GIL-atomic increment-only counter (the lock-free shed path).
-
-    ``itertools.count.__next__`` is a single C call, so two racing
-    :meth:`bump` calls cannot interleave under CPython's GIL and no
-    lock is acquired.  A read takes a value from the same count under
-    a small lock and subtracts the values earlier reads took: reads
-    are rare, and the count needs no pickling support (gone from
-    ``itertools`` in Python 3.14).
-    """
-
-    __slots__ = ("_count", "_reads", "_read_lock")
-
-    def __init__(self, start: int = 0) -> None:
-        self._count = itertools.count(start)
-        self._reads = 0
-        self._read_lock = threading.Lock()
-
-    def bump(self) -> None:
-        next(self._count)
-
-    @property
-    def value(self) -> int:
-        with self._read_lock:
-            value = next(self._count) - self._reads
-            self._reads += 1
-        return value
-
-
 class TenantSession:
     """Bounded-queue streaming session for one tenant (one cloud)."""
 
@@ -134,7 +105,8 @@ class TenantSession:
         self.queue: Deque[WireEvent] = deque()
         self.events_ingested = 0
         self.events_analyzed = 0
-        self._shed = _AtomicCounter()
+        #: Offers dropped: shed policy, sealed, or dead.
+        self.events_shed = 0
         self.reports_emitted = 0
         self._sinks: List[ReportSink] = []
         analyzer.on_report(self._on_report)
@@ -193,21 +165,13 @@ class TenantSession:
 
         ``"block"`` waits on a condition variable until the pump (or a
         draining verb) frees space — the stall *is* the backpressure;
-        ``"shed"`` rejects a full queue without touching the lock (one
-        GIL-atomic counter bump).  A sealed or dead session sheds
-        everything.  The common path is one short hold of the session
-        mutex, and it notifies the pump only when the pump is waiting
-        for work.
+        ``"shed"`` rejects a full queue.  A sealed or dead session
+        sheds everything.  Every offer is one short hold of the session
+        mutex, which counts it accepted or shed, and it notifies the
+        pump only when the pump is waiting for work.
         """
         capacity = self.queue_capacity
         queue = self.queue
-        if self._sealed or (
-            self.policy == "shed" and len(queue) >= capacity
-        ):
-            # Lock-free reject path: reading a deque's length and
-            # bumping the shed counter are both single C calls.
-            self._shed.bump()
-            return False
         with self._lock:
             if len(queue) >= capacity and self.policy == "block":
                 self._full_waiters += 1
@@ -216,10 +180,8 @@ class TenantSession:
                         self._not_full.wait(_WAIT_TICK)
                 finally:
                     self._full_waiters -= 1
-            # Sealed while waiting, or ("shed") filled since the
-            # lock-free look.
             if self._sealed or len(queue) >= capacity:
-                self._shed.bump()
+                self.events_shed += 1
                 return False
             queue.append(event)
             self.events_ingested += 1
@@ -323,7 +285,7 @@ class TenantSession:
         session (:meth:`_die`) and is raised.
         """
         with self._lock:
-            counts = (self.events_ingested, self._shed.value)
+            counts = (self.events_ingested, self.events_shed)
             if self._error is not None:
                 return counts
             backlog = list(self.queue)
@@ -413,11 +375,6 @@ class TenantSession:
             self.analyzer.close()
 
     @property
-    def events_shed(self) -> int:
-        """Events dropped (shed policy, sealed, or dead)."""
-        return self._shed.value
-
-    @property
     def queued(self) -> int:
         """Events accepted but not yet analyzed."""
         return len(self.queue)
@@ -474,7 +431,7 @@ class TenantSession:
                 self.queue.clear()
                 self.events_ingested = ingested
                 self.events_analyzed = ingested
-                self._shed = _AtomicCounter(shed)
+                self.events_shed = shed
                 self.reports_emitted = emitted
                 if self._full_waiters:
                     self._not_full.notify_all()

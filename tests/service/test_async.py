@@ -171,12 +171,12 @@ def test_checkpoint_races_cleanly_with_live_pump(
     watermarks = []
     for _ in range(5):
         service.checkpoint("acme")
-        watermarks.append(store.load("acme")["events_ingested"])
+        watermarks.append(store.load_all()["acme"]["events_ingested"])
     producer.join()
     service.flush()
     service.checkpoint("acme")
     assert watermarks == sorted(watermarks)
-    state = store.load("acme")
+    state = store.load_all()["acme"]
     assert state["events_ingested"] == len(bucket)
     assert "queue" not in state
     service.shutdown()
@@ -224,14 +224,14 @@ def test_checkpoint_under_live_producers_saves_state_not_backlog(
         while live.queued < 16:
             time.sleep(0.001)
         first.checkpoint(tenant)
-        documents.append(store.load(tenant))
+        documents.append(store.load_all()[tenant])
     while any(producer.is_alive() for producer in producers):
         first.checkpoint(tenant)
-        documents.append(store.load(tenant))
+        documents.append(store.load_all()[tenant])
     for producer in producers:
         producer.join()
     first.checkpoint(tenant)
-    documents.append(store.load(tenant))
+    documents.append(store.load_all()[tenant])
 
     watermarks = [doc["events_ingested"] for doc in documents]
     assert watermarks == sorted(watermarks)
@@ -764,6 +764,6 @@ def test_one_dead_pump_does_not_strand_the_other_tenants(
         service.shutdown()
     for live in service.sessions.values():
         assert live.pump_alive is False
-    assert store.load("healthy")["events_ingested"] == 100
+    assert store.load_all()["healthy"]["events_ingested"] == 100
     # The dead tenant lost a claimed chunk: its state is not saved.
     assert sorted(store.load_all()) == ["healthy"]

@@ -1,6 +1,7 @@
 """Tests for the multi-tenant streaming service front door."""
 
 import itertools
+import re
 import sys
 import threading
 import time
@@ -8,6 +9,7 @@ import time
 import pytest
 
 from repro.core.reports import report_signature
+from repro.core.state import StateError
 from repro.service import CheckpointStore, StreamingService
 from repro.service.manager import DEFAULT_TENANT
 
@@ -200,7 +202,7 @@ def test_close_flushes_then_checkpoints(
     session = service.sessions["acme"]
     assert session.queued == 0
     assert session.events_analyzed == len(stream_events)
-    state = store.load("acme")
+    state = store.load_all()["acme"]
     assert state["events_ingested"] == len(stream_events)
     assert "queue" not in state
 
@@ -269,25 +271,113 @@ def test_kill_and_resume_equals_straight_run(
     assert stats.events_analyzed == len(stream_events)
 
 
-def test_restore_false_starts_fresh(build_service, stream_events, tmp_path):
+def test_a_session_opened_without_restore_all_starts_fresh(
+    build_service, stream_events, tmp_path
+):
+    """``restore_all()`` is the only restore: a tenant with a
+    checkpoint on disk, fed without it, gets a fresh session that
+    ingests every event it is offered, and its file stays as it was
+    until that session's own next checkpoint."""
     store = CheckpointStore(tmp_path)
     first = build_service(checkpoint_store=store)
     first.pump(stream_events[:100], tenant="acme")
     first.checkpoint_all()
+    path = store.path_for("acme")
+    saved = path.read_bytes()
 
-    fresh = build_service(checkpoint_store=store, restore=False)
+    fresh = build_service(checkpoint_store=CheckpointStore(tmp_path))
     fresh.pump(stream_events[100:110], tenant="acme")
+    fresh.drain()
     assert fresh.sessions_restored == 0
+    assert fresh.resume_offsets == {}
     assert fresh.sessions["acme"].events_ingested == 10
+    assert path.read_bytes() == saved
+    fresh.checkpoint("acme")
+    assert store.load_all()["acme"]["events_ingested"] == 10
+
+
+def test_restore_all_refuses_a_torn_checkpoint_untouched(
+    build_service, stream_events, tmp_path
+):
+    """A checkpoint cut off mid-file stops ``restore_all()`` with a
+    refusal naming the file, before any tenant is restored; the
+    directory is left byte for byte as it was."""
+    store = CheckpointStore(tmp_path)
+    first = build_service(checkpoint_store=store)
+    for tenant in ("acme", "globex"):
+        first.pump(stream_events[:50], tenant=tenant)
+    first.checkpoint_all()
+    torn = store.path_for("globex")
+    whole = torn.read_bytes()
+    torn.write_bytes(whole[:len(whole) // 2])
+    saved = {path: path.read_bytes() for path in tmp_path.iterdir()}
+
+    resumed = build_service(checkpoint_store=CheckpointStore(tmp_path))
+    with pytest.raises(StateError, match=re.escape(str(torn))):
+        resumed.restore_all()
+    assert resumed.sessions == {}
+    assert resumed.resume_offsets == {}
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} \
+        == saved
+
+
+def test_a_shut_down_service_opens_no_session(
+    build_service, stream_events, tmp_path
+):
+    """After ``shutdown()`` no verb opens a session: ``session()`` and
+    ``restore_all()`` raise, and an offer for a new tenant is counted
+    shed; no pump thread is started for it."""
+    store = CheckpointStore(tmp_path)
+    service = build_service(checkpoint_store=store)
+    service.submit(stream_events[0], tenant="acme")
+    service.shutdown()
+    with pytest.raises(RuntimeError, match="shut down"):
+        service.session("late")
+    with pytest.raises(RuntimeError, match="shut down"):
+        service.restore_all()
+    assert service.submit(stream_events[1], tenant="late") is False
+    assert list(service.sessions) == ["acme"]
+    assert service.stats().events_shed == 1
+    assert not [thread for thread in threading.enumerate()
+                if thread.name == "gretel-pump-late"]
+
+
+def test_an_offer_that_loses_the_race_to_shutdown_is_shed(
+    build_service, stream_events
+):
+    """An offer that passed the shut-down check, then found
+    ``shutdown()`` done before it could open its tenant's session,
+    opens none and is counted shed."""
+    service = build_service()
+
+    class ShutsDownOnLookup(dict):
+        """The session table, with ``shutdown()`` landing between
+        the offer's check and its lookup."""
+
+        def get(self, key, default=None):
+            if key == "late":
+                service.shutdown()
+            return super().get(key, default)
+
+    service.sessions = ShutsDownOnLookup()
+    assert service.submit(stream_events[0], tenant="late") is False
+    assert dict(service.sessions) == {}
+    assert service.stats().events_shed == 1
+    assert service.events_submitted == 1
+    assert not [thread for thread in threading.enumerate()
+                if thread.name == "gretel-pump-late"]
 
 
 def test_router_keyword_selects_nothing(library):
-    """``async_ingest`` survives only because the ledger still passes
-    it: ``True`` is accepted, anything else names where the sync
-    router went."""
+    """``async_ingest`` and ``restore`` survive only because the ledger
+    still passes them: ``True`` is accepted, anything else names where
+    the sync router went, or the one restore, ``restore_all()``."""
     with pytest.raises(ValueError, match="repro.reference.SyncSession"):
         StreamingService(library, async_ingest=False)
-    StreamingService(library, async_ingest=True)  # builds no session
+    with pytest.raises(ValueError, match=r"restore_all\(\)"):
+        StreamingService(library, restore=False)
+    # Neither builds a session.
+    StreamingService(library, async_ingest=True, restore=True)
 
 
 def test_restored_tenants_report_their_resume_offsets(
