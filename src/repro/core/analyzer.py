@@ -259,7 +259,7 @@ class GretelAnalyzer:
     #: guard covers only the settable fields, so changing a module
     #: constant (``MATCH_COVERAGE``, ``LS_WINDOW``,
     #: ``_MAX_TRUNCATIONS``, ...) bumps it too.
-    STATE_FMT = "analyzer-state/v3"
+    STATE_FMT = "analyzer-state/v4"
 
     #: The counters this object owns, as checkpointed, by type.  Every
     #: other :class:`PipelineStats` field lives in (and is restored by)

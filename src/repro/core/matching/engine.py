@@ -3,10 +3,9 @@
 The adaptive loop in :meth:`OperationDetector.detect` evaluates every
 candidate fingerprint against a window that grows by δ events per side
 per iteration.  The reference scorer re-derives each score from the
-whole window, so iteration ``i`` costs O(β₀ + i·δ) per candidate even
-though at most 2δ events are new.  This engine keeps matcher state
-alive across the iterations of one snapshot and reduces the
-steady-state per-iteration cost to a function of what *changed*:
+whole window's joined, regex-filtered string, per candidate.  This
+engine indexes the snapshot once per session and scores each window
+per distinct candidate, only while that candidate can still rank:
 
 * **Scoring classes.**  The library stamps ~1200 fingerprints out of
   ~140 operations, so once candidates are truncated at the offending
@@ -16,8 +15,8 @@ steady-state per-iteration cost to a function of what *changed*:
   Candidates sharing that triple get the same multiplicity bound, the
   same DP rows and the same :func:`select_cut` result on every
   window, so the triple — a :class:`Preparation`, held once per
-  :class:`ScoringClass` — is the unit the session gates, DPs and
-  caches, and the unit its scores are keyed by: the β-loop ranks
+  :class:`ScoringClass` — is the unit the session gates and DPs,
+  and the unit its scores are keyed by: the β-loop ranks
   classes, and :func:`member_scores` expands the winning window to
   candidate indexes once, at the end.
   :func:`scoring_classes` computes the partition once per selection;
@@ -41,9 +40,7 @@ steady-state per-iteration cost to a function of what *changed*:
   symbol the needle lacks matches nothing — its bit stays 1 — so
   leaving it in the row changes no count: the integers, and therefore
   every coverage float, gate decision and ranking, are bit-identical
-  to the reference.  A window that holds the same relevant positions
-  as the class's previous one returns its cached score without
-  touching the DP.
+  to the reference.
 * **The multiplicity gate as one popcount.**  The reference's
   Counter-based upper bound sums ``min(need, have)`` over a needle's
   symbols.  Almost every needle symbol is needed once, so each class
@@ -63,26 +60,18 @@ steady-state per-iteration cost to a function of what *changed*:
   What it skips could not have ranked.  :meth:`MatchSession.score`
   returns the ranked classes only (:func:`rank`).
 
-Why not the incremental Hirschberg split?  An earlier design kept a
-forward row fed by right-side extensions plus a reversed-needle row
-fed by reversed left-side extensions, combining them with
-``LCS(N, L+R) = max_k LCS(N[:k], L) + LCS(N[k:], R)``.  Those two rows
-are the wrong pair: outward feeding yields ``LCS(N[k:], L)`` and
-``LCS(N[:k], R)``, whose combination computes ``LCS(N, R+L)`` — the
-window with its halves *swapped* — while the split needs
-``LCS(N[:k], L)`` and ``LCS(N[k:], R)``, both of which are anti-
-incremental under outward growth (each left extension *prepends* to
-L).  See ``docs/matching.md`` for the full argument.  The
-orientation-swapped formulation needs no split: per iteration it costs
-O(distinct symbols + n) operations on (hi − lo)-bit integers (2 to
-12 machine words at α = 768 — the only term that grows with the
-buffer, and it grows inside C), and is exact.
+Why not an incremental Hirschberg split?  Feeding the window's halves
+outward yields ``LCS(N[k:], L)`` and ``LCS(N[:k], R)``, the wrong pair
+for ``LCS(N, L+R)`` (``docs/matching.md`` has the argument).  The
+orientation-swapped rows need no split: an iteration costs O(distinct
+symbols + n) operations on (hi − lo)-bit integers (2 to 12 machine
+words at α = 768, growing inside C), and is exact.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import (
     Dict,
     FrozenSet,
@@ -216,25 +205,12 @@ class MatchingStats:
     #: Candidates skipped by the multiplicity upper bound before any
     #: LCS work (a gated class counts every member).
     candidates_gated: int = 0
-    #: DP passes actually run — window evaluations whose relevant
-    #: positions changed since the class's previous iteration.
+    #: DP passes run: one per window evaluation of a gated-in class
+    #: whose bound could still reach the best length.
     lcs_row_extensions: int = 0
     #: Needle symbols fed through the bit-parallel recurrence across
     #: all DP passes.
     lcs_symbols_fed: int = 0
-    #: Window evaluations answered from the cached result without a
-    #: DP pass.
-    rescore_hits: int = 0
-
-    def __add__(self, other: "MatchingStats") -> "MatchingStats":
-        # Merge by iterating own fields (the ``PipelineStats`` rule):
-        # a counter added above is summed without another line here.
-        return MatchingStats(**{
-            spec.name: (
-                getattr(self, spec.name) + getattr(other, spec.name)
-            )
-            for spec in fields(self)
-        })
 
     def to_dict(self) -> Dict[str, int]:
         """JSON-serializable rendering (checkpoint/restore protocol)."""
@@ -397,91 +373,44 @@ class _ShiftedMasks(Dict[str, int]):
         return mask
 
 
-class _CandidateState:
-    """One scoring class's live state within a session."""
+def _run(
+    preparation: Preparation,
+    shifted: Mapping[str, int],
+    width: int,
+    stats: MatchingStats,
+) -> Score:
+    """One orientation-swapped Hyyrö pass over a ``width``-event window.
 
-    __slots__ = (
-        "preparation", "pure_read", "ones", "multi", "gate_size",
-        "final_length", "weight", "required", "relevant", "last_key",
-        "last_result",
-    )
-
-    def __init__(
-        self, scoring_class: ScoringClass, required: float,
-    ) -> None:
-        preparation = self.preparation = scoring_class.preparation
-        self.pure_read = preparation.pure_read
-        self.ones = scoring_class.ones
-        self.multi = scoring_class.multi
-        self.gate_size = preparation.gate_size
-        self.final_length = preparation.final_length
-        #: Candidates this class answers for (what a gate skips).
-        self.weight = len(scoring_class.members)
-        self.required = required
-        #: Snapshot positions carrying a symbol of the needle's
-        #: alphabet, as a bit set (−1: not derived yet — a class the
-        #: gate or the bound always skips never needs it).
-        self.relevant = -1
-        #: ``relevant`` restricted to the last window scored (−1:
-        #: nothing scored yet) — the rescore cache key.
-        self.last_key = -1
-        self.last_result: Score = (0, 0.0)
-
-    def run(
-        self,
-        shifted: Mapping[str, int],
-        width: int,
-        stats: MatchingStats,
-    ) -> Score:
-        """One orientation-swapped Hyyrö pass over a ``width``-event
-        window.
-
-        The recurrence is byte-for-byte the one in
-        ``repro.reference.prefix_lcs_lengths``; only the roles are
-        swapped — row bit ``i`` is window event ``lo + i``, and the
-        needle symbols are fed through it.  A position whose symbol
-        the needle lacks is in no mask, so its bit stays 1 and is
-        never counted.  Bits at ``width`` and above in a shifted mask
-        lie outside the window; they never enter ``row`` because
-        ``update = row & mask`` confines the carry to live bits.
-        """
-        window_mask = (1 << width) - 1
-        row = window_mask  # all ones: no increments yet
-        preparation = self.preparation
-        needle = preparation.needle
-        if preparation.pure_read:
-            for symbol in needle:
-                mask = shifted[symbol]
-                if mask:
-                    update = row & mask
-                    row = ((row + update) | (row - update)) & window_mask
-            stats.lcs_symbols_fed += len(needle)
-            length = width - row.bit_count()
-            return length, length / preparation.size
-        lengths: Dict[int, int] = {}
-        cuts = preparation.cuts
-        remaining = len(cuts)
-        cut_index = 0
-        fed = 0
-        for symbol in needle:
-            fed += 1
+    The recurrence is byte-for-byte the one in
+    ``repro.reference.prefix_lcs_lengths``; only the roles are
+    swapped — row bit ``i`` is window event ``lo + i``, and the
+    needle symbols are fed through it.  A position whose symbol the
+    needle lacks is in no mask, so its bit stays 1 and is never
+    counted.  Bits at ``width`` and above in a shifted mask lie
+    outside the window; they never enter ``row`` because ``update =
+    row & mask`` confines the carry to live bits.
+    """
+    stats.lcs_row_extensions += 1
+    window_mask = (1 << width) - 1
+    row = window_mask  # all ones: no increments yet
+    needle = preparation.needle
+    # A pure read has no cut (its ``cuts`` is ``(0,)``): it is read
+    # off once, after the whole needle.
+    stops = (len(needle),) if preparation.pure_read else preparation.cuts
+    lengths: Dict[int, int] = {}
+    fed = 0
+    for cut in stops:
+        for symbol in needle[fed:cut]:
             mask = shifted[symbol]
             if mask:
                 update = row & mask
                 row = ((row + update) | (row - update)) & window_mask
-            while cut_index < len(cuts) and cuts[cut_index] == fed:
-                lengths[fed] = width - row.bit_count()
-                cut_index += 1
-                remaining -= 1
-            if not remaining:
-                break
-        stats.lcs_symbols_fed += fed
-        return select_cut(cuts, lengths)
-
-
-#: A gated-in class waiting for its DP: ``(−bound, class index)``, so
-#: an ascending sort is descending bound, ties by class index.
-_Queued = Tuple[int, int]
+        fed = cut
+        lengths[cut] = width - row.bit_count()
+    stats.lcs_symbols_fed += fed
+    if preparation.pure_read:
+        return lengths[fed], lengths[fed] / preparation.size
+    return select_cut(stops, lengths)
 
 
 class MatchSession:
@@ -492,9 +421,10 @@ class MatchSession:
     by class: :meth:`score` returns ``{class index: (length,
     coverage)}`` for the *ranked* classes — the position of each
     :class:`ScoringClass` in the partition the session was opened
-    over, with the floats the reference computes for every member —
-    while keeping each class's last result alive between calls.
-    :func:`member_scores` expands a mapping to candidate indexes.
+    over, with the floats the reference computes for every member.
+    :func:`member_scores` expands a mapping to candidate indexes.  It
+    keeps no per-class state between windows: only the caller's
+    ``finalized`` carries over.
 
     ``fragments`` is the snapshot's per-event encoding, read once
     through :func:`symbol_masks`; ``stats`` is the caller's counter
@@ -512,12 +442,10 @@ class MatchSession:
     ) -> None:
         masks = self._masks = symbol_masks(fragments)
         self._classes = classes
-        self._states = [
-            _CandidateState(
-                scoring_class,
-                0.999 if (scoring_class.preparation.pure_read or strict)
-                else threshold,
-            )
+        #: Per class, the coverage a score must reach to count.
+        self._required = [
+            0.999 if (scoring_class.preparation.pure_read or strict)
+            else threshold
             for scoring_class in classes
         ]
         #: Snapshot-wide mask per union symbol, in ``symbols`` order
@@ -558,15 +486,9 @@ class MatchSession:
         ``finalized`` would have served (coverage is monotone under
         growth).
 
-        A class whose relevant positions inside the window are the
-        ones it was last scored on returns that result without a DP
-        pass — exact for any pair of windows, nested or not, because
-        those positions *are* the filtered string the reference
-        scores; so a class skipped on some windows is never served
-        stale.
-
-        ``finalized`` is keyed like the result and must be the dict
-        this session's earlier calls filled (or a copy of it).
+        Every class the bound lets through runs its DP.  ``finalized``
+        is keyed like the result and must be the dict this session's
+        earlier calls filled (or a copy of it).
         """
         width = hi - lo
         window_bits = ((1 << width) - 1) << lo
@@ -575,87 +497,74 @@ class MatchSession:
             if mask & window_bits:
                 present |= bit
         union = self._union
+        required = self._required
         scores: Dict[int, Score] = {}
-        queued: List[_Queued] = []
-        queued_reads: List[_Queued] = []
+        # Gated-in classes waiting for their DP, as ``(−bound, class
+        # index)``: an ascending sort is descending bound.
+        queued: List[Tuple[int, int]] = []
+        queued_reads: List[Tuple[int, int]] = []
         best = best_read = -1
         gated = 0
-        for number, state in enumerate(self._states):
+        for number, scoring_class in enumerate(self._classes):
+            preparation = scoring_class.preparation
             if finalized and number in finalized:
                 result = scores[number] = finalized[number]
                 length = result[0]
-                if state.pure_read:
+                if preparation.pure_read:
                     best_read = max(best_read, length)
                 else:
                     best = max(best, length)
                 continue
-            credits = (present & state.ones).bit_count()
-            for bit, need in state.multi:
+            credits = (present & scoring_class.ones).bit_count()
+            for bit, need in scoring_class.multi:
                 have = (union[bit] & window_bits).bit_count()
                 credits += need if need < have else have
-            if credits / state.gate_size < state.required:
-                gated += state.weight
+            if credits / preparation.gate_size < required[number]:
+                gated += len(scoring_class.members)
                 continue
-            final_length = state.final_length
+            final_length = preparation.final_length
             bound = credits if credits < final_length else final_length
-            (queued_reads if state.pure_read else queued).append(
+            (queued_reads if preparation.pure_read else queued).append(
                 (-bound, number)
             )
         self._stats.candidates_gated += gated
         shifted = _ShiftedMasks(self._masks, lo)
-        if self._scan(
-            queued, best, scores, finalized, shifted, window_bits, width,
-        ) < 0:
+        if self._scan(queued, best, scores, finalized, shifted, width) < 0:
             self._scan(
-                queued_reads, best_read, scores, finalized, shifted,
-                window_bits, width,
+                queued_reads, best_read, scores, finalized, shifted, width,
             )
         return rank(self._classes, scores)
 
     def _scan(
         self,
-        queued: List[_Queued],
+        queued: List[Tuple[int, int]],
         best: int,
         scores: Dict[int, Score],
         finalized: Optional[Dict[int, Score]],
         shifted: Mapping[str, int],
-        window_bits: int,
         width: int,
     ) -> int:
         """Score ``queued`` in bound order into ``scores`` until the
         next bound cannot reach ``best`` minus the tolerance; return
         the best length that passed coverage (−1: none)."""
         stats = self._stats
-        states = self._states
+        classes = self._classes
+        required = self._required
         queued.sort()
         for negative_bound, number in queued:
             if -negative_bound < best - LENGTH_TOLERANCE:
                 break
-            state = states[number]
-            relevant = state.relevant
-            if relevant < 0:
-                relevant = 0
-                for symbol in state.preparation.alphabet:
-                    relevant |= self._masks.get(symbol, 0)
-                state.relevant = relevant
-            key = relevant & window_bits
-            if key == state.last_key:
-                stats.rescore_hits += 1
-                result = state.last_result
-            else:
-                stats.lcs_row_extensions += 1
-                result = state.run(shifted, width, stats)
-                state.last_key = key
-                state.last_result = result
+            preparation = classes[number].preparation
+            result = _run(preparation, shifted, width, stats)
             length, coverage = result
-            if coverage >= state.required:
+            if coverage >= required[number]:
                 scores[number] = result
                 if length > best:
                     best = length
                 # A class is final only once its *longest* cut is
                 # fully corroborated (see the reference scorer).
                 if (coverage >= 0.999
-                        and length >= state.final_length
+                        and length >= preparation.final_length
                         and finalized is not None):
                     finalized[number] = result
         return best

@@ -128,7 +128,7 @@ def require_state(state: Mapping[str, Any], expected: str) -> None:
     """Check a state dict's ``fmt`` against ``expected``.
 
     ``expected`` is the owner's *current* tag (e.g.
-    ``"analyzer-state/v3"``).  Owner name and version must both
+    ``"analyzer-state/v4"``).  Owner name and version must both
     match exactly: no owner reads any version but its current one.
     """
     if not isinstance(state, Mapping):

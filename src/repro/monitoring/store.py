@@ -14,6 +14,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.openstack.resources import ResourceSample
 
+#: Samples kept per node; past it, the older half is dropped.
+MAX_SAMPLES_PER_NODE = 100_000
+
 
 @dataclass(frozen=True)
 class WatcherReport:
@@ -28,11 +31,10 @@ class WatcherReport:
 class MetadataStore:
     """Time-indexed resource samples and watcher reports per node."""
 
-    def __init__(self, max_samples_per_node: int = 100_000):
+    def __init__(self) -> None:
         self._samples: Dict[str, List[ResourceSample]] = {}
         self._sample_ts: Dict[str, List[float]] = {}
         self._watcher: Dict[Tuple[str, str], List[WatcherReport]] = {}
-        self.max_samples_per_node = max_samples_per_node
 
     # -- ingestion ---------------------------------------------------------
 
@@ -42,7 +44,7 @@ class MetadataStore:
         stamps = self._sample_ts.setdefault(sample.node, [])
         samples.append(sample)
         stamps.append(sample.ts)
-        if len(samples) > self.max_samples_per_node:
+        if len(samples) > MAX_SAMPLES_PER_NODE:
             del samples[: len(samples) // 2]
             del stamps[: len(stamps) // 2]
 

@@ -21,7 +21,8 @@ re-checkpoints a session every ``checkpoint_every`` accepted events
 (0 disables the periodic trigger; explicit
 :meth:`StreamingService.checkpoint_all` still works).  A restart has
 one way back, :meth:`StreamingService.restore_all`, called before the
-first event; a session opened any other way starts fresh.  A
+first event (it refuses a checkpointed tenant that already has a
+session); a session opened any other way starts fresh.  A
 checkpoint takes the tenant's analyzer from its pump at an event
 boundary and analyzes the tenant's backlog on the
 checkpointing thread (the submitter's, for the periodic trigger)
@@ -45,6 +46,16 @@ from repro.service.session import ReportSink, TenantSession
 
 #: Tenant bucket used when an event carries no tenant id.
 DEFAULT_TENANT = "default"
+
+
+def _restore_over_live(tenants: List[str]) -> str:
+    """Why a checkpoint cannot be restored into ``tenants``' live
+    sessions."""
+    named = ", ".join(repr(tenant) for tenant in tenants)
+    return (
+        f"cannot restore {named}: already has a live session (call "
+        "restore_all() before the first submit)"
+    )
 
 
 @dataclass
@@ -169,12 +180,17 @@ class StreamingService:
               ) -> Optional[TenantSession]:
         """Create ``tenant``'s session unless one is live, restoring
         ``state`` when :meth:`restore_all` hands one over; ``None``,
-        creating nothing, once the service is shut down."""
+        creating nothing, once the service is shut down.  A ``state``
+        for a tenant that is already live raises ``RuntimeError``:
+        restoring it would drop either the checkpoint or the events
+        the live session took."""
         with self._session_lock:
             if self._shut_down:
                 return None
             live = self.sessions.get(tenant)
             if live is not None:
+                if state is not None:
+                    raise RuntimeError(_restore_over_live([tenant]))
                 return live
             live = TenantSession(
                 tenant,
@@ -302,13 +318,20 @@ class StreamingService:
         the final :meth:`flush`.  Each checkpoint file is parsed once
         (:meth:`~repro.service.checkpoint.CheckpointStore.load_all`),
         and a directory holding one it cannot read is refused with
-        :class:`StateError` before any session is restored.  Returns
-        how many sessions were restored.
+        :class:`StateError` before any session is restored, as is a
+        checkpointed tenant that already has a session (a ``submit``
+        before the restore), with ``RuntimeError`` naming every such
+        tenant.  Returns how many sessions were restored.
         """
         if self.checkpoints is None:
             raise ValueError("service has no checkpoint store")
+        saved = self.checkpoints.load_all()
+        live = sorted(tenant for tenant in saved if tenant in self.sessions)
+        # A shut-down service is refused below, by its own message.
+        if live and not self._shut_down:
+            raise RuntimeError(_restore_over_live(live))
         before = self.sessions_restored
-        for tenant, state in self.checkpoints.load_all().items():
+        for tenant, state in saved.items():
             if self._open(tenant, state) is None:
                 raise RuntimeError("service is shut down: it restores "
                                    "no session")

@@ -297,28 +297,6 @@ def test_session_matches_reference_scorer(library, symbols, catalog):
                 <= finalized_ref.items())
 
 
-def test_session_rescore_uses_cache(library, symbols, catalog):
-    """Re-scoring an unchanged relevant span must answer from cache."""
-    detector = make_detector(library, symbols, catalog)
-    snapshot = make_snapshot(
-        catalog, [KEYPAIR, IMAGE, UPLOAD, BOOT, PORT, POLL], POLL,
-    )
-    candidates = detector.candidates_for(snapshot.fault.api_key)
-    session = MatchSession(
-        detector._session_fragments(snapshot, ""),
-        candidates.classes,
-        threshold=MATCH_COVERAGE,
-        strict=not detector.config.relaxed_match,
-        stats=detector.matching_stats,
-    )
-    lo, hi = 0, len(snapshot.events)
-    first = session.score(lo, hi)
-    before = detector.matching_stats.rescore_hits
-    second = session.score(lo, hi)
-    assert second == first
-    assert detector.matching_stats.rescore_hits > before
-
-
 def test_reference_scorer_bypasses_engine_without_changing_results(
         library, symbols, catalog):
     reference = ScratchScoringDetector(library, symbols, catalog)
@@ -416,9 +394,9 @@ def test_stats_account_for_every_candidate_of_every_iteration(
     """On one fixed snapshot: per window, candidates gated + members
     of the classes that pass the gate + members answered from
     ``finalized`` is the whole selection.  ``candidates_gated`` counts
-    candidates; ``lcs_row_extensions`` + ``rescore_hits`` count the
-    evaluations actually run — one per class at most, none for a
-    class whose bound cannot reach the best length."""
+    candidates; ``lcs_row_extensions`` counts the DP passes actually
+    run — one per class at most, none for a class whose bound cannot
+    reach the best length."""
     from collections import Counter
 
     library = duplicate_library(catalog, symbols)
@@ -453,10 +431,10 @@ def test_stats_account_for_every_candidate_of_every_iteration(
             ) >= MATCH_COVERAGE
         ]
         gated_before = stats.candidates_gated
-        runs_before = stats.lcs_row_extensions + stats.rescore_hits
+        runs_before = stats.lcs_row_extensions
         session.score(lo, hi, finalized)
         gated = stats.candidates_gated - gated_before
-        runs = stats.lcs_row_extensions + stats.rescore_hits - runs_before
+        runs = stats.lcs_row_extensions - runs_before
         assert runs <= len(evaluated)
         fanned_out = sum(len(c.members) for c in evaluated)
         assert gated + fanned_out + answered == len(candidates)
@@ -758,8 +736,7 @@ def test_class_pruned_where_the_reference_finalizes_it(catalog, symbols):
     it while the buffer grows past the fault.  The session's
     ``finalized`` stays a subset of the reference's, at equal values,
     and the detection ends in the reference's result.  The subset
-    check fails if a skipped class is entered in ``finalized`` with
-    its cached result."""
+    check fails if a skipped class is entered in ``finalized``."""
     library = FingerprintLibrary(symbols)
     for name, specs in {
         "op-short": [KEYPAIR, PORT],
@@ -808,20 +785,6 @@ def test_class_pruned_where_the_reference_finalizes_it(catalog, symbols):
 
 
 # -- stats plumbing -------------------------------------------------------
-
-
-def test_matching_stats_merge():
-    merged = MatchingStats(
-        candidates_gated=1, lcs_row_extensions=3,
-        lcs_symbols_fed=4, rescore_hits=5,
-    ) + MatchingStats(
-        candidates_gated=10, lcs_row_extensions=30,
-        lcs_symbols_fed=40, rescore_hits=50,
-    )
-    assert merged == MatchingStats(
-        candidates_gated=11, lcs_row_extensions=33,
-        lcs_symbols_fed=44, rescore_hits=55,
-    )
 
 
 def test_detector_exposes_matching_stats(library, symbols, catalog):

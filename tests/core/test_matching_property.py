@@ -192,11 +192,11 @@ def arbitrary_window_cases(draw):
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_session_equals_reference_on_non_nested_windows(detector, case):
-    """The rescore cache keys on the relevant positions *inside the
-    window*, so a cached result may be served across any two windows
-    — not only a window and one that contains it.  No ``finalized``
-    dict: finalization leans on coverage being monotone under growth,
-    which an arbitrary schedule does not give."""
+    """A session carries no window state of its own besides
+    ``finalized``, so it scores any schedule of windows — not only a
+    growing one — as the reference does.  No ``finalized`` dict here:
+    finalization leans on coverage being monotone under growth, which
+    an arbitrary schedule does not give."""
     fragments, pool, windows = case
     assert_session_equals_reference(
         detector, fragments, pool, windows, finalize=False,

@@ -306,13 +306,13 @@ def test_restore_refuses_per_stage_v1_state(library):
     migrated: ``analysis-pipeline/v1`` nested one tagged document per
     stage wrapper, v2–v6 one tagged document per layer;
     ``analyzer-state/v1`` wrote one document per level-shift series,
-    and v2 carried the deferred backlog and the ``defer_detection``
-    guard."""
+    v2 carried the deferred backlog and the ``defer_detection`` guard,
+    and v3's detector block carried the scorer's ``rescore_hits``."""
     from repro.core.state import StateFormatError
 
     analyzer = GretelAnalyzer(library, config=config())
     state = analyzer.snapshot_state()
-    assert state["fmt"] == "analyzer-state/v3"
+    assert state["fmt"] == "analyzer-state/v4"
     assert set(state) == {
         "fmt", "config", "track_latency", "counters", "window",
         "latency", "detector", "last_perf_analysis",
@@ -329,11 +329,14 @@ def test_restore_refuses_per_stage_v1_state(library):
     assert set(state["detector"]) == {
         "postings_scanned", "candidates_indexed", "matching",
     }
+    assert set(state["detector"]["matching"]) == {
+        "candidates_gated", "lcs_row_extensions", "lcs_symbols_fed",
+    }
     for version in range(1, 7):
         older = f"analysis-pipeline/v{version}"
         with pytest.raises(StateFormatError, match=older):
             analyzer.restore_state(dict(state, fmt=older))
-    for version in (1, 2):
+    for version in (1, 2, 3):
         older = f"analyzer-state/v{version}"
         with pytest.raises(StateFormatError,
                            match=f"'{older}' is older than"):

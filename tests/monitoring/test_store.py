@@ -1,5 +1,6 @@
 """Tests for the analyzer-side metadata store."""
 
+import repro.monitoring.store
 from repro.openstack.resources import ResourceSample
 from repro.monitoring.store import MetadataStore, WatcherReport
 
@@ -64,8 +65,9 @@ def test_dead_processes_at_time():
     assert [d.process for d in dead] == ["mysql"]
 
 
-def test_sample_eviction_keeps_recent():
-    store = MetadataStore(max_samples_per_node=100)
+def test_sample_eviction_keeps_recent(monkeypatch):
+    monkeypatch.setattr(repro.monitoring.store, "MAX_SAMPLES_PER_NODE", 100)
+    store = MetadataStore()
     for ts in range(250):
         store.add_sample(sample("a", float(ts)))
     assert store.latest_sample("a").ts == 249.0

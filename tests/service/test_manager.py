@@ -296,6 +296,49 @@ def test_a_session_opened_without_restore_all_starts_fresh(
     assert store.load_all()["acme"]["events_ingested"] == 10
 
 
+def test_restore_all_refuses_a_tenant_that_is_already_live(
+    build_service, stream_events, tmp_path
+):
+    """A ``submit`` before ``restore_all()`` leaves its tenant live, so
+    its checkpoint cannot be restored without dropping one side:
+    ``restore_all()`` raises naming that tenant before it restores
+    any, and the live session keeps the one event it took.  Fails if
+    the live tenant is silently skipped (the call then returns 1, for
+    ``beta`` alone)."""
+    store = CheckpointStore(tmp_path)
+    first = build_service(checkpoint_store=store)
+    for tenant in ("acme", "beta"):
+        first.pump(stream_events[:50], tenant=tenant)
+    first.checkpoint_all()
+
+    resumed = build_service(checkpoint_store=CheckpointStore(tmp_path))
+    resumed.submit(stream_events[50], tenant="acme")
+    with pytest.raises(RuntimeError, match="'acme'"):
+        resumed.restore_all()
+    assert resumed.resume_offsets == {}
+    assert "beta" not in resumed.sessions
+    resumed.drain()
+    assert resumed.sessions["acme"].events_ingested == 1
+
+
+def test_a_checkpoint_is_not_restored_over_a_live_session(
+    build_service, stream_events, tmp_path
+):
+    """The session table refuses a checkpoint for a tenant that went
+    live after ``restore_all()`` looked (a racing producer), rather
+    than hand back the live session and drop the checkpoint."""
+    store = CheckpointStore(tmp_path)
+    first = build_service(checkpoint_store=store)
+    first.pump(stream_events[:50], tenant="acme")
+    first.checkpoint_all()
+
+    resumed = build_service(checkpoint_store=CheckpointStore(tmp_path))
+    resumed.submit(stream_events[50], tenant="acme")
+    with pytest.raises(RuntimeError, match="'acme'"):
+        resumed._open("acme", store.load_all()["acme"])
+    assert resumed.resume_offsets == {}
+
+
 def test_restore_all_refuses_a_torn_checkpoint_untouched(
     build_service, stream_events, tmp_path
 ):

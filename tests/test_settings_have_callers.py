@@ -15,6 +15,7 @@ from repro.core.characterize import characterize_suite
 from repro.core.matching.oracle import verify_detection
 from repro.core.parallel import ShardedAnalyzer, verify_equivalence
 from repro.evaluation.registry import EXPERIMENTS
+from repro.monitoring.store import MetadataStore
 from repro.service import StreamingService, verify_async, verify_checkpoint
 
 #: Takes a reduced scale: ``tests/integration/test_evaluation.py``
@@ -46,6 +47,12 @@ def test_no_shared_store_or_defer_parameter(callable_):
     session defers detection: neither can be handed in."""
     parameters = inspect.signature(callable_).parameters
     assert not {"store", "defer_detection"} & set(parameters)
+
+
+def test_metadata_store_takes_no_parameter():
+    """The per-node sample cap is a module constant: only a test ever
+    varied it, and it monkeypatches ``MAX_SAMPLES_PER_NODE``."""
+    assert not inspect.signature(MetadataStore).parameters
 
 
 @pytest.mark.parametrize("name", sorted(set(EXPERIMENTS) - REDUCED_SCALE))
