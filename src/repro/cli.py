@@ -523,10 +523,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         started = time.perf_counter()
         # Opens the sessions restore_all() did not, before any
         # producer starts.
-        drive_producers(
-            service, buckets, producers, passes=args.passes,
-            offsets=offsets,
-        )
+        drive_producers(service, buckets, producers, offsets=offsets)
     except StateError as error:
         # A checkpoint this build cannot restore (an older format,
         # another config, a malformed document) is unusable input; the
@@ -543,17 +540,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # twice.
     service.shutdown()
 
-    count = len(events) * args.passes
     # The rate counts what this process offered, not what a resumed
     # session had already taken before its checkpoint.
     offered = sum(
-        max(0, len(stream) * args.passes - offsets.get(tenant, 0))
+        max(0, len(stream) - offsets.get(tenant, 0))
         for tenant, stream in buckets.items()
     )
     stats = service.stats()
     document = {
-        "events": count,
-        "passes": args.passes,
+        "events": len(events),
         "tenants": args.tenants,
         "pump_threads": producers,
         "alpha": args.alpha,
@@ -568,9 +563,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ],
     }
     if text_mode:
-        print(f"streaming service over {count} events "
-              f"({args.passes} pass(es), {args.tenants} tenant "
-              f"session(s), {producers} producer thread(s), "
+        print(f"streaming service over {len(events)} events "
+              f"({args.tenants} tenant session(s), "
+              f"{producers} producer thread(s), "
               f"policy {args.policy}):")
         print(f"  drained   {offered / elapsed:12,.0f} events/s "
               f"({elapsed:.3f}s)")
@@ -819,10 +814,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_replay_arguments(serve)
     _add_document_arguments(serve)
-    serve.add_argument(
-        "--passes", type=_int_at_least(1), default=1,
-        help="replay the stream this many times (soak; default 1)",
-    )
     serve.add_argument(
         "--tenants", type=_int_at_least(1), default=4,
         help="re-key the stream into this many tenant sessions "

@@ -1,10 +1,10 @@
 """Streaming robust statistics: incremental level-shift detection.
 
 See ``docs/streamstats.md``.  The window (``window``) keeps the LS
-rolling baseline sorted as it rolls, making the median an O(1) read
-and the MAD an O(log w) contiguous-slice search; the detector
-(``detector``) preserves the reference LS alarm semantics bit for bit
-and computes the MAD only for a sample above its median-only floor;
+rolling baseline sorted as it rolls, making the median an O(1) read;
+the detector (``detector``) preserves the reference LS alarm semantics
+bit for bit and computes the MAD (the reference's one sort) only for a
+sample above its median-only floor;
 the oracle (``oracle``) proves it by differential replay.
 """
 

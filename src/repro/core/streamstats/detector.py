@@ -10,7 +10,8 @@ step                             reference              incremental
 ===============================  =====================  ==============
 window maintenance               O(1) deque append      O(log w) insort
 median                           O(w·log w) sort        O(1), kept on append
-MAD                              2 × O(w·log w) sorts   O(log w) search
+MAD                              2 × O(w·log w) sorts   1 sort, only
+                                                        above the floor
 threshold                        recomputed per sample  median-only
                                                         floor; MAD only
                                                         above it
@@ -21,7 +22,8 @@ never below the *floor* ``med + max(min_delta, rel_delta·med)``, and
 round-to-nearest addition is monotone: a sample at or under the floor
 cannot alarm, whatever the MAD.  So ``update`` reads only the median
 for it, and pays for the MAD and the full threshold only above the
-floor (a NaN sample fails ``<=`` and takes that path too).
+floor (a NaN sample fails ``<=`` and takes that path too).  Above the
+floor it runs the reference's own ``threshold()`` arithmetic.
 ``repro.core.streamstats.oracle.verify_levelshift`` replays both
 detectors over the same stream and raises on any alarm/baseline/
 threshold divergence — the same reference-half-of-a-differential-
@@ -38,7 +40,8 @@ from repro.core.streamstats.window import SortedWindow
 
 
 class IncrementalLevelShiftDetector:
-    """Online LS detector for one time series, amortized O(log w)."""
+    """Online LS detector for one time series (cost model: module
+    docstring)."""
 
     def __init__(self) -> None:
         # The one LS tuning, read at construction (not import) so a
@@ -72,39 +75,18 @@ class IncrementalLevelShiftDetector:
     def spread(self) -> float:
         """Robust spread: MAD scaled to sigma-equivalent, floored."""
         window = self._baseline
-        if len(window) < 4:
+        if window.size < 4:
             return float("inf")
-        return max(1.4826 * window.mad(window.median()), 1e-12)
+        return max(1.4826 * window.mad(window.med), 1e-12)
 
     def threshold(self) -> float:
-        """Current alarm threshold above the baseline (computed afresh;
-        the oracle compares it after every sample)."""
-        window = self._baseline
-        if window.size < 4:
-            # An under-filled window has infinite spread (an infinite
-            # MAD scales to the same), hence the reference's threshold.
-            return self._threshold(self.baseline, float("inf"))
-        med = window.median()
-        return self._threshold(med, window.mad(med))
-
-    def _threshold(self, med: float, mad: float) -> float:
-        """``med + max(sigmas·spread, min_delta, rel_delta·med)``.
-
-        The ``max()`` is a comparison chain with the builtin dispatch
-        shaved off; leftmost-wins tie-breaking (and NaN propagation) is
-        preserved, because a later value replaces the running maximum
-        only when strictly larger.
-        """
-        spread = 1.4826 * mad
-        if spread < 1e-12:
-            spread = 1e-12
-        margin = self.sigmas * spread
-        if margin < self.min_delta:
-            margin = self.min_delta
-        rel = self.rel_delta * med
-        if margin < rel:
-            margin = rel
-        return med + margin
+        """Current alarm threshold above the baseline: the reference's
+        formula, computed afresh (the oracle compares it after every
+        sample)."""
+        med = self._baseline.med
+        return med + max(
+            self.sigmas * self.spread, self.min_delta, self.rel_delta * med
+        )
 
     # -- feeding ----------------------------------------------------------
 
@@ -122,8 +104,8 @@ class IncrementalLevelShiftDetector:
         # The floor gate (module docstring): at or under the floor the
         # sample takes the below-threshold branch whatever the MAD is,
         # so this — once per latency sample on the receiver hot path —
-        # reads only the window's kept median.  Same leftmost-wins
-        # chain as ``_threshold``.
+        # reads only the window's kept median.  The comparison chain
+        # is ``max()``'s leftmost-wins without the builtin dispatch.
         med = baseline.med
         margin = self.min_delta
         rel = self.rel_delta * med
@@ -132,7 +114,7 @@ class IncrementalLevelShiftDetector:
         if not value <= med + margin:
             # Above the floor (or NaN): only now does the MAD matter.
             self.threshold_recomputes += 1
-            if value > self._threshold(med, baseline.mad(med)):
+            if value > self.threshold():
                 self._pending.append((ts, value))
                 if len(self._pending) < self.confirm:
                     return None

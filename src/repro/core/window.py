@@ -95,9 +95,10 @@ class SlidingWindow:
 
     def freeze_due(self) -> List[Snapshot]:
         """Freeze every pending snapshot whose due count is reached."""
-        ready = [fault for fault, due in self.pending if due <= self.appended]
+        ready = [(fault, due) for fault, due in self.pending
+                 if due <= self.appended]
         del self.pending[:len(ready)]   # dues are non-decreasing
-        return [self._freeze(fault) for fault in ready]
+        return [self._freeze(fault, due) for fault, due in ready]
 
     def live_events(self) -> List[WireEvent]:
         """A copy of the current window contents, oldest first.
@@ -109,29 +110,27 @@ class SlidingWindow:
         return list(self._events)
 
     def mark_fault(self, fault: WireEvent) -> None:
-        """Register a fault; its snapshot freezes after α/2 more events."""
+        """Register ``fault``, the event just appended; its snapshot
+        freezes after α/2 more events."""
         self.pending.append((fault, self.appended + self.alpha // 2))
 
     def flush(self) -> List[Snapshot]:
         """Force-freeze all pending snapshots (end of stream)."""
-        completed = [self._freeze(fault) for fault, _ in self.pending]
+        completed = [self._freeze(fault, due) for fault, due in self.pending]
         self.pending.clear()
         return completed
 
-    def _freeze(self, fault: WireEvent) -> Snapshot:
+    def _freeze(self, fault: WireEvent, due: int) -> Snapshot:
+        # The fault is anchored by position, not by seq (a stream may
+        # carry one seq twice): ``mark_fault`` ran when it was appended,
+        # at count ``due − α//2``, and the newest event is ``appended``.
         events = list(self._events)
-        try:
-            fault_index = next(
-                i for i, e in enumerate(events) if e.seq == fault.seq
-            )
-        except StopIteration:
-            # The fault scrolled out (pathologically bursty stream);
-            # anchor at the window start so analysis can still proceed.
-            fault_index = 0
-            events = [fault] + events
         self.snapshots_taken += 1
-        return Snapshot(fault=fault, events=events,
-                        fault_index=fault_index)
+        return Snapshot(
+            fault=fault, events=events,
+            fault_index=len(events) - 1
+            - (self.appended - (due - self.alpha // 2)),
+        )
 
     def __len__(self) -> int:
         return len(self._events)
@@ -174,6 +173,34 @@ class SlidingWindow:
             )
         appended = read_key(state, "appended", int)
         snapshots_taken = read_key(state, "snapshots_taken", int)
+        # The window holds the last α of ``appended`` events, and every
+        # pending fault is the event its due names, still in the window
+        # and not yet frozen.
+        if len(events) != min(self.alpha, appended):
+            raise StateError(
+                f"{len(events)} events after {appended} appended "
+                f"(alpha {self.alpha})", "events"
+            )
+        half = self.alpha // 2
+        for index, due in enumerate(dues):
+            if index and due < dues[index - 1]:
+                raise StateError(
+                    f"{due} after {dues[index - 1]}: dues decrease",
+                    f"due[{index}]",
+                )
+            if not appended < due <= appended + half:
+                raise StateError(
+                    f"{due} is outside ({appended}, {appended + half}]",
+                    f"due[{index}]",
+                )
+        for index, (fault, due) in enumerate(zip(faults, dues)):
+            # ``_freeze``'s anchor.
+            at = len(events) - 1 - (appended - (due - half))
+            if at < 0 or events[at] != fault:
+                raise StateError(
+                    f"seq {fault.seq} is not the event appended at count "
+                    f"{due - half}", f"pending[{index}]"
+                )
         self._events.clear()
         self._events.extend(events)
         self.pending = list(zip(faults, dues))

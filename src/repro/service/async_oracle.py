@@ -31,7 +31,6 @@ oracle trips.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -84,18 +83,16 @@ def drive_producers(
     service: StreamingService,
     buckets: Dict[str, List[WireEvent]],
     producers: int,
-    passes: int = 1,
     offsets: Optional[Mapping[str, int]] = None,
 ) -> None:
     """Submit every bucket from ``producers`` concurrent threads.
 
-    Each bucket is owned by exactly one producer, which replays it
-    ``passes`` times in stream order — so per-tenant delivery order is
-    the stream order however the threads interleave.  A tenant with
-    an offset (a restored session's ``events_ingested +
-    events_shed``) skips that many events of its ``passes`` replays
-    laid end to end.  The sessions are created *before* the producers
-    start.  Returns once every producer has finished; the first
+    Each bucket is owned by exactly one producer, which replays it in
+    stream order — so per-tenant delivery order is the stream order
+    however the threads interleave.  A tenant with an offset (a
+    restored session's ``events_ingested + events_shed``) skips that
+    many events of its bucket.  The sessions are created *before* the
+    producers start.  Returns once every producer has finished; the first
     exception a producer raised is re-raised here rather than left on
     its thread.
     """
@@ -111,12 +108,7 @@ def drive_producers(
     def produce(work: List[Tuple[str, List[WireEvent]]]) -> None:
         try:
             for tenant, stream in work:
-                replay = itertools.chain.from_iterable(
-                    itertools.repeat(stream, passes)
-                )
-                for event in itertools.islice(
-                    replay, skip.get(tenant, 0), None
-                ):
+                for event in stream[skip.get(tenant, 0):]:
                     service.submit(event, tenant=tenant)
         except Exception as error:
             failures.append(error)  # re-raised on the caller below

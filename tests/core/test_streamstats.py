@@ -50,14 +50,6 @@ def test_window_validation():
         SortedWindow(0)
 
 
-def test_window_empty_statistics_raise():
-    window = SortedWindow(8)
-    with pytest.raises(ValueError):
-        window.mad(0.0)
-    with pytest.raises(ValueError):
-        window.bounds()
-
-
 def test_window_eviction_matches_deque():
     window = SortedWindow(4)
     mirror = deque(maxlen=4)
@@ -65,16 +57,15 @@ def test_window_eviction_matches_deque():
         window.append(value)
         mirror.append(value)
         assert list(window) == list(mirror)
-    assert window.bounds() == (min(mirror), max(mirror))
 
 
 def test_window_median_and_mad_small_cases():
     window = SortedWindow(8)
     window.append(3.0)
-    assert window.median() == 3.0
+    assert window.med == 3.0
     assert window.mad(3.0) == 0.0
     window.append(1.0)
-    assert window.median() == 2.0
+    assert window.med == 2.0
     assert window.mad(2.0) == reference_mad([3.0, 1.0])
 
 
@@ -90,7 +81,7 @@ def test_window_median_and_mad_small_cases():
 )
 @settings(max_examples=200, deadline=None)
 def test_window_statistics_match_reference(maxlen, values):
-    """Median, MAD and bounds are bit-identical to the sort-from-
+    """The kept median and the MAD are bit-identical to the sort-from-
     scratch reference at every step of an arbitrary rolling stream."""
     window = SortedWindow(maxlen)
     mirror = deque(maxlen=maxlen)
@@ -99,10 +90,8 @@ def test_window_statistics_match_reference(maxlen, values):
         mirror.append(value)
         current = list(mirror)
         assert list(window) == current
-        assert window.median() == _median(current)
-        assert window.med == window.median()
-        assert window.mad(window.median()) == reference_mad(current)
-        assert window.bounds() == (min(current), max(current))
+        assert window.med == _median(current)
+        assert window.mad(window.med) == reference_mad(current)
 
 
 def test_window_keeps_its_median_through_clear_and_restore():
@@ -113,11 +102,11 @@ def test_window_keeps_its_median_through_clear_and_restore():
     assert window.med == 0.0
     for value in [5.0, 1.0, 3.0, 2.0, 4.0]:
         window.append(value)
-    assert window.med == window.median() == 2.5
+    assert window.med == 2.5
     restored = SortedWindow(4)
     restored.refill(list(window))
     assert list(restored) == [1.0, 3.0, 2.0, 4.0]
-    assert restored.med == restored.median() == 2.5
+    assert restored.med == 2.5
     window.clear()
     assert window.med == 0.0
     restored.refill(list(window))
@@ -128,7 +117,7 @@ def test_window_mad_with_duplicates():
     window = SortedWindow(6)
     for value in [2.0, 2.0, 2.0, 5.0, 5.0, 5.0]:
         window.append(value)
-    assert window.mad(window.median()) == reference_mad([2.0] * 3 + [5.0] * 3)
+    assert window.mad(window.med) == reference_mad([2.0] * 3 + [5.0] * 3)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +393,7 @@ def test_every_branch_equivalent_across_restores():
         twin.restore_state(json.loads(json.dumps(tracker.snapshot_state())))
         restored = twin.detectors["api"]
         window = restored._baseline
-        assert window.med == (window.median() if len(window) else 0.0)
+        assert window.med == (_median(list(window)) if len(window) else 0.0)
         assert window.med == incremental._baseline.med
         incremental = restored
 

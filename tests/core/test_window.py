@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.openstack.apis import ApiKind
 from repro.openstack.wire import ROW_FIELDS, WireEvent
-from repro.core.state import StateError, decode_events
+from repro.core.state import StateError, decode_events, encode_events
 from repro.core.window import SlidingWindow, Snapshot
 
 
@@ -99,9 +99,8 @@ def test_fault_scrolled_out_still_anchored():
     fault = make_event(0, status=500)
     window.append(fault)
     window.mark_fault(fault)
-    # Push so many events that the fault leaves the deque before the
-    # freeze ever happens (freeze occurs at alpha/2 = 2, so force it by
-    # flushing after overflow instead).
+    # The snapshot freezes α/2 = 2 events later, before the fault
+    # could leave the deque: nothing is left for the flush.
     for seq in range(1, 10):
         window.append(make_event(seq))
     snapshots = window.flush()
@@ -196,16 +195,19 @@ def test_live_events_is_a_public_snapshot_of_the_window():
 
 def test_state_under_other_columns_is_refused_and_nothing_moves():
     donor = SlidingWindow(alpha=4)
-    for seq in range(6):
+    for seq in range(5):
         donor.append(make_event(seq))
-    donor.mark_fault(make_event(5, status=500))
+    fault = make_event(5, status=500)
+    donor.append(fault)
+    donor.mark_fault(fault)
     state = donor.snapshot_state()
     assert state["events"]["columns"] == list(ROW_FIELDS)
     assert decode_events(state["events"])[0] == make_event(2)
 
     window = SlidingWindow(alpha=4)
-    window.append(make_event(40))
-    window.mark_fault(make_event(40, status=500))
+    fault = make_event(40, status=500)
+    window.append(fault)
+    window.mark_fault(fault)
     before = window.snapshot_state()
     events = state["events"]
     swapped = dict(events, columns=events["columns"][::-1])
@@ -224,3 +226,77 @@ def test_state_under_other_columns_is_refused_and_nothing_moves():
         assert window.snapshot_state() == before
     window.restore_state(state)
     assert window.snapshot_state() == state
+
+def test_a_stream_fed_twice_anchors_each_snapshot_on_its_own_copy():
+    """A replayed stream carries every seq twice; each snapshot is
+    anchored on the event appended when its fault was marked, not on
+    the first event with the fault's seq."""
+    stream = [make_event(seq, status=500 if seq in (3, 23) else 200)
+              for seq in range(40)]
+    window = SlidingWindow(alpha=64)
+    snapshots = []
+    for event in stream + stream:
+        snapshots.extend(window.append(event))
+        if event.status >= 400:
+            window.mark_fault(event)
+    snapshots.extend(window.flush())
+    # Frozen at counts 36, 56, 76 and (flushed) 80; the second pass's
+    # seq 23 sits 16 events before the newest, after an older copy.
+    assert [s.fault_index for s in snapshots] == [3, 23, 31, 47]
+    for snapshot in snapshots:
+        assert snapshot.events[snapshot.fault_index] == snapshot.fault
+
+
+def _faulted(alpha=8, count=10, faults=(8,)):
+    window = SlidingWindow(alpha=alpha)
+    for seq in range(count):
+        event = make_event(seq, status=500 if seq in faults else 200)
+        window.append(event)
+        if seq in faults:
+            window.mark_fault(event)
+    return window
+
+
+def _refused(state, path):
+    window = _faulted()
+    before = window.snapshot_state()
+    with pytest.raises(StateError, match=path):
+        window.restore_state(state)
+    assert window.snapshot_state() == before
+
+
+def test_restore_refuses_a_pending_fault_that_is_not_where_its_due_says():
+    """A pending fault must be the event appended at count
+    ``due - alpha//2``: one from outside the window, or one at another
+    position, would freeze a snapshot around the wrong event."""
+    state = _faulted().snapshot_state()   # seq 8 appended at count 9
+    assert state["due"] == [13]
+    for seq in (2501, 7):
+        _refused(
+            dict(state, pending=encode_events([make_event(seq, 500)])),
+            rf"pending\[0\]: seq {seq} is not the event appended at "
+            r"count 9",
+        )
+
+
+def test_restore_refuses_a_due_outside_the_next_half_window():
+    """Every due lies in ``(appended, appended + alpha//2]`` and the
+    dues never decrease."""
+    state = _faulted().snapshot_state()
+    for due in (10 ** 9, 15, 10, 0):
+        _refused(dict(state, due=[due]),
+                 rf"due\[0\]: {due} is outside \(10, 14\]")
+    twice = _faulted(faults=(6, 8)).snapshot_state()
+    assert twice["due"] == [11, 13]
+    _refused(dict(twice, due=[13, 11]),
+             r"due\[1\]: 11 after 13: dues decrease")
+
+
+def test_restore_refuses_an_events_block_of_the_wrong_length():
+    """The window holds the last ``min(alpha, appended)`` events."""
+    state = _faulted().snapshot_state()
+    events = decode_events(state["events"])
+    _refused(dict(state, events=encode_events(events[1:])),
+             r"events: 7 events after 10 appended \(alpha 8\)")
+    _refused(dict(state, appended=7),
+             r"events: 8 events after 7 appended \(alpha 8\)")

@@ -305,14 +305,13 @@ def test_async_checkpoint_resume_matches_straight_run(
     second.shutdown()
 
 
-def test_resume_from_offsets_over_passes_matches_straight_run(
+def test_resume_from_offsets_matches_straight_run(
     build_service, stream_events, tmp_path
 ):
-    """A restored tenant resumes at ``events_ingested + events_shed``,
-    counted over its passes laid end to end (what ``repro serve
-    --resume`` does): every event is analyzed once, and the two
-    processes' pages are the straight run's."""
-    passes = 2
+    """A restored tenant resumes at ``events_ingested + events_shed``
+    of its bucket (what ``repro serve --resume`` does): every event is
+    analyzed once, and the two processes' pages are the straight
+    run's."""
     buckets = partition(stream_events)
 
     def sink(service):
@@ -324,18 +323,17 @@ def test_resume_from_offsets_over_passes_matches_straight_run(
 
     straight = build_service()
     straight_sigs = sink(straight)
-    drive_producers(straight, buckets, PRODUCERS, passes=passes)
+    drive_producers(straight, buckets, PRODUCERS)
     straight.flush()
 
-    # Kill each tenant at a different point of its two passes: inside
-    # the first, at the seam, inside the second.
+    # Kill each tenant at a different point of its bucket.
     store = CheckpointStore(tmp_path)
     first = build_service(checkpoint_store=store)
     first_sigs = sink(first)
     cuts = {}
     for index, (key, stream) in enumerate(buckets.items()):
-        cuts[key] = (index + 1) * len(stream) * passes // (TENANTS + 1)
-        for event in (stream * passes)[:cuts[key]]:
+        cuts[key] = (index + 1) * len(stream) // (TENANTS + 1)
+        for event in stream[:cuts[key]]:
             first.submit(event, tenant=key)
     first.drain()
     first.checkpoint_all()
@@ -350,12 +348,10 @@ def test_resume_from_offsets_over_passes_matches_straight_run(
         for key, live in second.sessions.items()
     }
     assert offsets == cuts
-    drive_producers(
-        second, buckets, PRODUCERS, passes=passes, offsets=offsets,
-    )
+    drive_producers(second, buckets, PRODUCERS, offsets=offsets)
     second.flush()
     assert sorted(first_sigs + second_sigs) == sorted(straight_sigs)
-    assert second.stats().events_analyzed == passes * len(stream_events)
+    assert second.stats().events_analyzed == len(stream_events)
 
 
 # ---------------------------------------------------------------------------

@@ -371,8 +371,6 @@ UNUSABLE_FLAG_VALUES = {
     "analyze --fault-every x": "--fault-every: invalid int value: 'x'",
     "analyze --events -5": "--events: must be >= 1, got -5",
     "serve --events 0": "--events: must be >= 1, got 0",
-    "serve --passes 0": "--passes: must be >= 1, got 0",
-    "serve --passes -1": "--passes: must be >= 1, got -1",
     "serve --cuts 0": "--cuts: must be >= 1, got 0",
     "serve --cuts -2": "--cuts: must be >= 1, got -2",
     "characterize --iterations 0": "--iterations: must be >= 1, got 0",
@@ -474,10 +472,12 @@ def test_serve_usage_errors(capsys):
     assert "--checkpoint-dir" in capsys.readouterr().err
     assert main(["serve", "--events", "100", "--resume"]) == 2
     assert "--checkpoint-dir" in capsys.readouterr().err
-    # The flag that used to select the router is gone, not ignored.
-    with pytest.raises(SystemExit) as excinfo:
-        main(["serve", "--events", "100", "--async"])
-    assert excinfo.value.code == 2
+    # The flags that used to select the router and replay the stream
+    # again are gone, not ignored.
+    for flags in (["--async"], ["--passes", "2"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--events", "100", *flags])
+        assert excinfo.value.code == 2
 
 
 def test_serve_async_json_document(full_character, capsys):
@@ -558,8 +558,8 @@ def test_serve_resume_ingests_each_event_once(
 ):
     """``--resume`` over a finished run offers no event twice and
     publishes none of the first run's pages again."""
-    replay = ["serve", "--events", "3000", "--tenants", "3",
-              "--alpha", "64", "--no-latency", "--passes", "2",
+    replay = ["serve", "--events", "6000", "--tenants", "3",
+              "--alpha", "64", "--no-latency",
               "--checkpoint-dir", str(tmp_path), "--format", "json"]
     assert main(replay + ["--checkpoint-every", "700"]) == 0
     first = json.loads(capsys.readouterr().out)
