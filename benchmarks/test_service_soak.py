@@ -22,8 +22,9 @@ no ledger row covers:
 * **bounded state** — on every session: the pipeline's report log
   drained, the queue empty post-flush, and the window ≤ α both live
   and in the last checkpoint persisted;
-* both service differential oracles (checkpoint and async) hold on
-  the measured stream.
+* the service differential oracle (``verify_service``: the service
+  killed and restarted through ``restore_all()`` against the
+  single-threaded reference) holds on the measured stream.
 
 This file asserts *properties* and measures no speed: under
 ``tracemalloc`` every events/s figure is several-fold off, and the
@@ -40,13 +41,8 @@ from conftest import full_scale
 
 from repro.core.config import GretelConfig
 from repro.core.state import decode_events
-from repro.service import (
-    CheckpointStore,
-    StreamingService,
-    verify_async,
-    verify_checkpoint,
-)
-from repro.service.async_oracle import drive_producers
+from repro.service import CheckpointStore, StreamingService, verify_service
+from repro.service.oracle import drive_producers
 from repro.workloads.traffic import SyntheticStream
 
 FAULT_EVERY = 1000
@@ -199,15 +195,13 @@ def _async_leg(
 
 
 def _run_oracles(library, events, config):
-    """Both service differential oracles on the measured stream.
+    """The service differential oracle on the measured stream.
     Strict — a divergence fails the soak with the oracle's own
     summary."""
     return {
-        "verify_checkpoint": verify_checkpoint(
-            events, library, cuts=2, config=config,
-        ),
-        "verify_async": verify_async(
-            events, library, tenants=4, producers=4, config=config,
+        "verify_service": verify_service(
+            events, library, tenants=4, producers=4, cuts=2,
+            config=config,
         ),
     }
 
@@ -279,7 +273,7 @@ def test_service_async_soak(character, save_result, tmp_path):
         print()
         print(_render_async(payload))
 
-    # Correctness: both differential oracles must hold on the very
+    # Correctness: the differential oracle must hold on the very
     # stream the sweep replayed.
     assert all(result.ok for result in oracles.values()), oracles
 

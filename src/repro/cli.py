@@ -27,9 +27,8 @@ Commands
     Replay a synthetic stream through the multi-tenant streaming
     service layer: per-tenant analyzer sessions with bounded queues
     and backpressure, periodic durable checkpoints (``--resume``
-    continues from them), and the checkpoint/kill/restore
-    differential oracle via ``--verify-checkpoint`` (see
-    ``docs/service.md``).
+    continues from them), and the kill/restart differential oracle
+    via ``--verify`` (see ``docs/service.md``).
 ``scenarios list`` / ``scenarios run``
     Enumerate the fault-injection scenario catalog, or run it (or a
     subset) with graded oracles over one serial replay per scenario;
@@ -468,11 +467,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         CheckpointStore,
         StreamingService,
         TenantSession,
-        verify_async,
-        verify_checkpoint,
+        verify_service,
     )
     from repro.core.state import StateError
-    from repro.service.async_oracle import drive_producers, partition_tenants
+    from repro.service.oracle import drive_producers, partition_tenants
 
     text_mode = args.format == "text"
     if args.checkpoint_every and not args.checkpoint_dir:
@@ -575,26 +573,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"  [{tenant}] {report.summary()}")
 
     code = EXIT_OK
-    if args.verify_async:
-        async_result = verify_async(
+    if args.verify:
+        result = verify_service(
             events, library,
             tenants=args.tenants,
             producers=producers,
+            cuts=args.cuts,
             config=config,
             track_latency=not args.no_latency,
             queue_capacity=queue_size,
             strict=False,
         )
         code = _record_verdict(
-            args, document, "verify_async", async_result, code
-        )
-    if args.verify_checkpoint:
-        result = verify_checkpoint(
-            events, library, cuts=args.cuts, config=config,
-            track_latency=not args.no_latency, strict=False,
-        )
-        code = _record_verdict(
-            args, document, "verify_checkpoint", result, code
+            args, document, "verify_service", result, code
         )
 
     document["exit_code"] = code
@@ -822,7 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--queue-size", type=_int_at_least(1), default=None,
         help="per-session ingest queue capacity, also under "
-             "--verify-async (default: the session's QUEUE_CAPACITY, "
+             "--verify (default: the session's QUEUE_CAPACITY, "
              "below)",
     )
     serve.describe = _serve_defaults
@@ -853,19 +844,15 @@ def build_parser() -> argparse.ArgumentParser:
              "--checkpoint-dir before replaying",
     )
     serve.add_argument(
-        "--verify-checkpoint", action="store_true",
-        help="also run the checkpoint/kill/restore differential "
-             "oracle on this stream (exit 1 on divergence)",
-    )
-    serve.add_argument(
-        "--verify-async", action="store_true",
-        help="also run the pump-vs-reference-sync-router differential "
-             "oracle on this stream (exit 1 on divergence)",
+        "--verify", action="store_true",
+        help="also run the service differential oracle on this "
+             "stream: the service, killed and restarted through "
+             "restore_all() at --cuts points per tenant, against the "
+             "single-threaded reference router (exit 1 on divergence)",
     )
     serve.add_argument(
         "--cuts", type=_int_at_least(1), default=3,
-        help="checkpoint/kill/restore points for --verify-checkpoint "
-             "(default 3)",
+        help="kill/restart points per tenant for --verify (default 3)",
     )
     serve.set_defaults(handler=_cmd_serve)
 

@@ -282,7 +282,7 @@ class GretelAnalyzer:
         ``defer_detection`` are not state either: an analyzer holding
         any refuses to freeze until :meth:`process_deferred` has
         analyzed them.
-        ``repro.service.oracle.verify_checkpoint`` proves a restored
+        ``repro.service.oracle.verify_service`` proves a restored
         analyzer finishes the stream bit-identically.
         """
         if self._deferred:

@@ -13,7 +13,7 @@ the analyzer that owns them — exposes the same two methods:
     instance from such a dict.  Restoration is **bit-identical**: an
     analyzer frozen mid-stream and rehydrated produces exactly the
     reports, alarms and perf counters the uninterrupted run would —
-    ``repro.service.oracle.verify_checkpoint`` is the differential
+    ``repro.service.oracle.verify_service`` is the differential
     proof.
 
 A checkpoint carries two ``fmt`` tags, each checked once by

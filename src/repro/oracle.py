@@ -5,7 +5,7 @@ from a checkpoint, pumped) and its fast paths (incremental scoring,
 incremental level-shift, indexed selection) are each trusted only
 because a ``verify_*`` function replays the same input through a
 *reference* half and a *candidate* half and proves the outputs
-identical.  The six oracles differ in what they run and in the
+identical.  The five oracles differ in what they run and in the
 signature they compare; how a comparison is recorded, rendered,
 serialized and turned into a failure is the same everywhere, and
 lives here:
@@ -38,8 +38,7 @@ LAYERS: Dict[str, str] = {
     "detection": "scoring",
     "levelshift": "level-shift detection",
     "selection": "selection",
-    "checkpoint": "replay",
-    "async": "router",
+    "service": "service",
 }
 
 #: Divergences rendered per list before the "... N more" line.
@@ -170,7 +169,7 @@ class OracleResult:
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready rendering; the key set is the same for every
-        layer, so one consumer reads all six oracles."""
+        layer, so one consumer reads all five oracles."""
         return {
             "layer": self.layer,
             "ok": self.ok,

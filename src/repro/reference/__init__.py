@@ -10,7 +10,7 @@ single-threaded inline-drain tenant router (``session``).
 
 Nothing in the production packages imports this one at module level —
 only the four oracles do, inside the call (``verify_selection``,
-``verify_detection``, ``verify_levelshift``, ``verify_async``), plus
+``verify_detection``, ``verify_levelshift``, ``verify_service``), plus
 tests and benchmarks.  ``tests/test_import_hygiene.py`` holds that
 line.  A production path that gets replaced is parked here as the new
 path's oracle half, not kept beside it behind a switch.

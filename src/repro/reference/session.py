@@ -1,4 +1,4 @@
-"""The synchronous tenant router: ``verify_async``'s reference half.
+"""The synchronous tenant router: ``verify_service``'s reference half.
 
 The service's first router, and its default until the pump router
 replaced it: ``submit()`` appends to a plain deque and, under
@@ -11,9 +11,10 @@ reference for the concurrent
 It is deliberately its own class sharing no code with the pump: the
 oracle's negative tests tamper with ``TenantSession._pump_step`` and
 rely on this half never noticing (``docs/service.md``).  It carries
-only what the oracle compares — the report fan-out and the four
-``repro.service.async_oracle.COUNTER_FIELDS`` — so no pump and no
-checkpoint state.  Like the pump session it keeps no reports: each
+only what the oracle compares — the report fan-out, the four
+``repro.service.oracle.COUNTER_FIELDS`` and the analyzer whose stats
+and final state are read — so no pump and no checkpoint state: the
+service half is the one killed and restarted.  Like the pump session it keeps no reports: each
 is fanned out and ``drain`` empties the analyzer's log
 (``shed_logs``), so it holds only its queue and the analyzer's window
 (≤ α).

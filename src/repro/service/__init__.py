@@ -9,19 +9,18 @@ service's only router), durable periodic checkpoints
 (:mod:`repro.service.checkpoint`) built on the core state-lifecycle
 protocol (:mod:`repro.core.state`), a service manager that keys
 sessions by tenant and restores them only through ``restore_all()``
-(:mod:`repro.service.manager`), and two differential oracles: one
-proving checkpoint/kill/restore changes nothing
-(:mod:`repro.service.oracle`), one proving the pump router is
-observably the single-threaded reference router parked in
-:mod:`repro.reference.session` (:mod:`repro.service.async_oracle`).
+(:mod:`repro.service.manager`), and one differential oracle proving
+that the service, fed by concurrent producers and killed and
+restarted through ``restore_all()``, is observably the
+single-threaded reference router parked in
+:mod:`repro.reference.session` (:mod:`repro.service.oracle`).
 ``repro serve`` drives it all over replayed captures; see
 ``docs/service.md``.
 """
 
-from repro.service.async_oracle import verify_async
 from repro.service.checkpoint import CheckpointStore
 from repro.service.manager import ServiceStats, StreamingService
-from repro.service.oracle import verify_checkpoint
+from repro.service.oracle import verify_service
 from repro.service.session import TenantSession
 
 __all__ = [
@@ -29,6 +28,5 @@ __all__ = [
     "ServiceStats",
     "StreamingService",
     "TenantSession",
-    "verify_async",
-    "verify_checkpoint",
+    "verify_service",
 ]

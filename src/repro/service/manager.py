@@ -115,7 +115,7 @@ class StreamingService:
             raise ValueError(
                 "async_ingest accepts only True: every session is a "
                 "pump session, and the inline-drain router is "
-                "repro.reference.SyncSession (verify_async's reference)"
+                "repro.reference.SyncSession (verify_service's reference)"
             )
         if restore is not True:
             raise ValueError(
@@ -156,7 +156,7 @@ class StreamingService:
 
     def build_analyzer(self) -> GretelAnalyzer:
         """A fresh analyzer configured as every session's is, with its
-        own empty metadata store (``verify_async`` hands these to its
+        own empty metadata store (``verify_service`` hands these to its
         reference sessions)."""
         return GretelAnalyzer(
             self.library, config=self._config,

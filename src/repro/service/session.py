@@ -31,7 +31,7 @@ Since events leave the queue in order and one owner analyzes them at
 a time, per-tenant event order — and therefore the per-tenant report
 multiset — is exactly that of the single-threaded inline router this
 one replaced (:class:`repro.reference.session.SyncSession`, now the
-reference half of :func:`repro.service.async_oracle.verify_async`).
+reference half of :func:`repro.service.oracle.verify_service`).
 
 Reports reach every registered sink at emit time, on the thread that
 owns the analyzer (:meth:`on_report`): the pump, or the caller of a

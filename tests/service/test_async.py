@@ -5,8 +5,9 @@ producers lose nothing under ``"block"``, account for everything
 under ``"shed"``, checkpointing races cleanly with live pumps,
 shutdown with producers still running neither deadlocks nor leaks a
 pump thread — nor lets one dead pump strand the other tenants — and
-the whole thing is observably identical to the reference sync router
-(:func:`repro.service.verify_async` — including a negative test
+the whole thing, killed and restarted through ``restore_all()``, is
+observably identical to the reference sync router
+(:func:`repro.service.verify_service` — including a negative test
 proving the oracle actually trips on a tampered pump).
 """
 
@@ -25,13 +26,9 @@ from repro.oracle import OracleDivergence
 from repro.service import (
     CheckpointStore,
     StreamingService,
-    verify_async,
+    verify_service,
 )
-from repro.service.async_oracle import (
-    bucket_tenant,
-    drive_producers,
-    partition_tenants,
-)
+from repro.service.oracle import drive_producers, partition_tenants
 from repro.service.session import TenantSession
 
 from .conftest import CONFIG
@@ -252,106 +249,6 @@ def test_checkpoint_under_live_producers_saves_state_not_backlog(
     assert second.sessions[tenant].events_analyzed == len(bucket)
     assert sorted(first_sigs[:cut["reports_emitted"]] + second_sigs) \
         == sorted(straight_sigs)
-
-
-def test_async_checkpoint_resume_matches_straight_run(
-    build_service, stream_events, tmp_path
-):
-    """Kill-and-resume through the pump router replays to the same
-    per-tenant reports as one uninterrupted run.  Checkpoint after a
-    *quiesce*, never a flush — flush is an end-of-stream operation."""
-    def sink(service):
-        sigs = []
-        service.on_report(
-            lambda t, r: sigs.append((t, report_signature(r)))
-        )
-        return sigs
-
-    straight = build_service()
-    straight_sigs = sink(straight)
-    for event in stream_events:
-        straight.submit(
-            event, tenant=bucket_tenant(event.tenant, TENANTS)
-        )
-    straight.flush()
-    straight.shutdown()
-
-    cut = len(stream_events) // 2
-    store = CheckpointStore(tmp_path)
-    first = build_service(checkpoint_store=store)
-    first_sigs = sink(first)
-    for event in stream_events[:cut]:
-        first.submit(
-            event, tenant=bucket_tenant(event.tenant, TENANTS)
-        )
-    # Quiesce (pumps finish what was accepted, nothing is frozen),
-    # persist, then kill: close the pumps without ever flushing.
-    first.drain()
-    first.checkpoint_all()
-    for live in first.sessions.values():
-        live.close()
-
-    second = build_service(checkpoint_store=store)
-    second_sigs = sink(second)
-    assert second.restore_all() == len(first.sessions)
-    for event in stream_events[cut:]:
-        second.submit(
-            event, tenant=bucket_tenant(event.tenant, TENANTS)
-        )
-    second.flush()
-    combined = first_sigs + second_sigs
-    assert sorted(combined) == sorted(straight_sigs)
-    assert second.stats().events_analyzed == len(stream_events)
-    second.shutdown()
-
-
-def test_resume_from_offsets_matches_straight_run(
-    build_service, stream_events, tmp_path
-):
-    """A restored tenant resumes at ``events_ingested + events_shed``
-    of its bucket (what ``repro serve --resume`` does): every event is
-    analyzed once, and the two processes' pages are the straight
-    run's."""
-    buckets = partition(stream_events)
-
-    def sink(service):
-        sigs = []
-        service.on_report(
-            lambda t, r: sigs.append((t, report_signature(r)))
-        )
-        return sigs
-
-    straight = build_service()
-    straight_sigs = sink(straight)
-    drive_producers(straight, buckets, PRODUCERS)
-    straight.flush()
-
-    # Kill each tenant at a different point of its bucket.
-    store = CheckpointStore(tmp_path)
-    first = build_service(checkpoint_store=store)
-    first_sigs = sink(first)
-    cuts = {}
-    for index, (key, stream) in enumerate(buckets.items()):
-        cuts[key] = (index + 1) * len(stream) // (TENANTS + 1)
-        for event in stream[:cuts[key]]:
-            first.submit(event, tenant=key)
-    first.drain()
-    first.checkpoint_all()
-    for live in first.sessions.values():
-        live.close()
-
-    second = build_service(checkpoint_store=store)
-    second_sigs = sink(second)
-    assert second.restore_all() == TENANTS
-    offsets = {
-        key: live.events_ingested + live.events_shed
-        for key, live in second.sessions.items()
-    }
-    assert offsets == cuts
-    drive_producers(second, buckets, PRODUCERS, offsets=offsets)
-    second.flush()
-    assert sorted(first_sigs + second_sigs) == sorted(straight_sigs)
-    assert second.stats().events_analyzed == len(stream_events)
 
 
 # ---------------------------------------------------------------------------
@@ -637,11 +534,11 @@ def test_shutdown_with_live_producers_neither_deadlocks_nor_leaks(
 # The differential oracle
 # ---------------------------------------------------------------------------
 
-def test_verify_async_inline_backend(library, stream_events):
-    result = verify_async(
+def test_verify_service_at_a_small_queue(library, stream_events):
+    result = verify_service(
         stream_events, library,
         tenants=TENANTS, producers=2, config=CONFIG,
-        queue_capacity=64,
+        queue_capacity=16,
     )
     assert result.ok
     assert (result.facts["reference_reports"]
@@ -656,18 +553,18 @@ def test_tampered_pump_trips_the_oracle(
     library, stream_events, monkeypatch
 ):
     # Swallow every claimed chunk: the pumps count the events but
-    # never analyze them, so the async half emits no reports.  The
+    # never analyze them, so the service emits no reports.  The
     # sync half never touches _pump_step and is unaffected.
     monkeypatch.setattr(
         TenantSession, "_pump_step", lambda self, chunk: None,
     )
     with pytest.raises(OracleDivergence, match="DIVERGED") as excinfo:
-        verify_async(
+        verify_service(
             stream_events, library,
             tenants=TENANTS, producers=2, config=CONFIG,
         )
     result = excinfo.value.result
-    assert result.layer == "async"
+    assert result.layer == "service"
     # Every sync report is missing from the pump half, each carrying
     # its tenant as the signature's last element.
     assert len(result.missing) == result.facts["reference_reports"] > 0
@@ -680,11 +577,11 @@ def test_tampered_pump_trips_the_oracle(
     )
 
 
-def test_verify_async_rejects_bad_arguments(library, stream_events):
+def test_verify_service_rejects_bad_arguments(library, stream_events):
     with pytest.raises(ValueError, match="tenants"):
-        verify_async(stream_events, library, tenants=0, config=CONFIG)
+        verify_service(stream_events, library, tenants=0, config=CONFIG)
     with pytest.raises(ValueError, match="producers"):
-        verify_async(
+        verify_service(
             stream_events, library, producers=0, config=CONFIG,
         )
 

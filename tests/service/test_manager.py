@@ -151,7 +151,7 @@ def test_offers_after_shutdown_are_counted_as_shed(
     build_service, stream_events
 ):
     """A shut-down service refuses every offer — and counts it, so
-    no drop is silent.  Per-session counters (what ``verify_async``
+    no drop is silent.  Per-session counters (what ``verify_service``
     compares) do not move: the offer never reached a session."""
     service = build_service()
     for event in stream_events[:20]:

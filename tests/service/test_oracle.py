@@ -1,8 +1,9 @@
-"""Tests for the checkpoint differential oracle.
+"""Tests for the service differential oracle.
 
 The oracle's own tests are mostly *negative*: an oracle that cannot
 fail proves nothing, so the mutate hook injects both a counter-level
-and a behavior-level corruption and the oracle must flag each.
+and a behavior-level corruption, the restart path is tampered with,
+and the oracle must flag each.
 """
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from repro.core.latency import LatencyTracker
 from repro.core.state import encode_events
 from repro.oracle import OracleDivergence
-from repro.service import verify_checkpoint
+from repro.service import StreamingService, verify_service
 from repro.service.oracle import _cut_points
 
 from .conftest import CONFIG
@@ -29,12 +30,14 @@ def test_cut_points_are_interior_and_spread():
 
 
 def test_checkpoint_restore_is_invisible(library, stream_events):
-    result = verify_checkpoint(stream_events, library, cuts=3, config=CONFIG)
+    result = verify_service(stream_events, library, cuts=3, config=CONFIG)
     assert result.ok
     assert (result.facts["reference_reports"]
             == result.facts["candidate_reports"] > 0)
-    assert len(result.facts["cuts"]) == 3
-    assert result.summary().startswith("EQUIVALENT: restored vs straight")
+    assert result.facts["cuts"] == 3
+    # Every tenant bucket is restarted at each of its three cuts.
+    assert result.facts["restores"] == 3 * result.facts["tenants"]
+    assert result.summary().startswith("EQUIVALENT: restarted vs sync")
     assert result.to_dict()["ok"] is True
 
 
@@ -45,7 +48,7 @@ def test_oracle_refuses_to_check_nothing(
     """No interior cut means nothing was restored: that is not a
     verdict, so the oracle refuses instead of printing EQUIVALENT."""
     with pytest.raises(ValueError, match="no interior cut"):
-        verify_checkpoint(
+        verify_service(
             stream_events[:length], library, cuts=cuts, config=CONFIG,
         )
 
@@ -56,12 +59,12 @@ def test_oracle_flags_counter_corruption(library, stream_events):
         return state
 
     with pytest.raises(OracleDivergence, match="DIVERGED") as excinfo:
-        verify_checkpoint(
+        verify_service(
             stream_events, library, cuts=1, config=CONFIG,
             mutate=bump_counter,
         )
-    assert excinfo.value.result.layer == "checkpoint"
-    assert "counter: events_processed" in str(excinfo.value)
+    assert excinfo.value.result.layer == "service"
+    assert "] events_processed reference=" in str(excinfo.value)
 
 
 def test_oracle_flags_behavioral_corruption(library, stream_events):
@@ -71,7 +74,7 @@ def test_oracle_flags_behavioral_corruption(library, stream_events):
         state["window"]["due"] = []
         return state
 
-    result = verify_checkpoint(
+    result = verify_service(
         stream_events, library, cuts=3, config=CONFIG,
         mutate=drop_pending, strict=False,
     )
@@ -85,13 +88,14 @@ def test_strict_false_returns_instead_of_raising(library, stream_events):
         state["counters"]["events_processed"] += 7
         return state
 
-    result = verify_checkpoint(
+    result = verify_service(
         stream_events, library, cuts=1, config=CONFIG,
         mutate=bump_counter, strict=False,
     )
     assert not result.ok
     assert any(
-        line.startswith("counter: events_processed reference=")
+        line.startswith("counter: [tenant-")
+        and " events_processed reference=" in line
         for line in result.mismatches
     )
 
@@ -111,28 +115,55 @@ def test_oracle_flags_a_stale_latency_series(library, stream_events,
 
     monkeypatch.setattr(LatencyTracker, "restore_state",
                         restore_but_feed_the_built_series)
-    result = verify_checkpoint(
+    result = verify_service(
         stream_events, library, cuts=3, config=CONFIG, strict=False,
     )
     assert not result.ok
     assert not result.missing and not result.extra
     assert result.mismatches
-    assert all(line.startswith("state.latency.detectors.")
+    assert all(line.startswith("[tenant-")
+               and "] state.latency.detectors." in line
                for line in result.mismatches), result.mismatches
 
 
 def test_oracle_flags_a_drain_that_skips_a_backlog_event(
         library, stream_events, snapshot_drain_skips_one):
-    """The restored half's snapshots each analyze a parked backlog on
+    """Every checkpoint the service takes analyzes a parked backlog on
     the calling thread.  A snapshot whose drain skips one backlog
     event (the ``_pump_step`` seam, tampered inside ``snapshot_state``
-    only) leaves the restored analyzer an event short, and the oracle
+    only) leaves each restored analyzer an event short, and the oracle
     says so."""
     skipped = snapshot_drain_skips_one
-    result = verify_checkpoint(
+    result = verify_service(
         stream_events, library, cuts=3, config=CONFIG, strict=False,
     )
-    assert len(skipped) == 3
+    # One skip per tenant per cut: every checkpoint had a backlog.
+    assert len(skipped) == 3 * result.facts["tenants"]
     assert not result.ok
     assert result.summary().startswith("DIVERGED: ")
-    assert "counter: events_processed" in " ".join(result.mismatches)
+    assert "] events_processed reference=" in " ".join(result.mismatches)
+
+
+def test_oracle_flags_a_wrong_resume_offset(library, stream_events,
+                                           monkeypatch):
+    """A restart that records each restored tenant's resume offset one
+    event short replays that event twice.  Neither the restored
+    analyzers nor the reports of a straight run show a restart, so
+    only an oracle that resumes at ``resume_offsets`` catches it."""
+    open_session = StreamingService._open
+
+    def open_one_short(service, tenant, state=None):
+        live = open_session(service, tenant, state)
+        if state is not None:
+            service.resume_offsets[tenant] -= 1
+        return live
+
+    monkeypatch.setattr(StreamingService, "_open", open_one_short)
+    result = verify_service(
+        stream_events, library, cuts=3, config=CONFIG, strict=False,
+    )
+    assert not result.ok
+    assert result.summary().startswith("DIVERGED: ")
+    assert any(line.startswith("resume: [tenant-")
+               for line in result.mismatches), result.mismatches
+    assert "] events_ingested reference=" in " ".join(result.mismatches)

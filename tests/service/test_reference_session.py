@@ -1,5 +1,5 @@
 """Tests for ``repro.reference.session.SyncSession``: the inline-drain
-router ``verify_async`` holds the pump router against."""
+router ``verify_service`` holds the pump router against."""
 
 import pytest
 

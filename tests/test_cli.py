@@ -474,7 +474,9 @@ def test_serve_usage_errors(capsys):
     assert "--checkpoint-dir" in capsys.readouterr().err
     # The flags that used to select the router and replay the stream
     # again are gone, not ignored.
-    for flags in (["--async"], ["--passes", "2"]):
+    # So are the two oracle flags that ``--verify`` replaced.
+    for flags in (["--async"], ["--passes", "2"],
+                  ["--verify-checkpoint"], ["--verify-async"]):
         with pytest.raises(SystemExit) as excinfo:
             main(["serve", "--events", "100", *flags])
         assert excinfo.value.code == 2
@@ -496,21 +498,6 @@ def test_serve_async_json_document(full_character, capsys):
     assert document["service"]["events_analyzed"] == 2000
     assert document["service"]["queued"] == 0
     assert document["reports"]
-
-
-def test_serve_verify_async_oracle(full_character, capsys):
-    assert main(["serve", "--events", "2000", "--tenants", "2",
-                 "--alpha", "64", "--no-latency",
-                 "--pump-threads", "2", "--verify-async",
-                 "--format", "json"]) == 0
-    document = json.loads(capsys.readouterr().out)
-    verdict = document["verify_async"]
-    assert verdict["ok"] is True
-    assert verdict["layer"] == "async"
-    facts = verdict["facts"]
-    assert facts["producers"] == 2
-    assert facts["reference_reports"] == facts["candidate_reports"]
-    assert verdict["missing"] == [] and verdict["extra"] == []
 
 
 def test_serve_json_document(full_character, capsys):
@@ -689,35 +676,55 @@ def test_serve_resume_refuses_a_corrupt_payload(
 
 
 def test_serve_verify_checkpoint_oracle(full_character, capsys):
+    """``--verify`` at the default queue: every tenant is checkpointed
+    at each of ``--cuts`` points and comes back through
+    ``restore_all()``."""
     assert main(["serve", "--events", "2000", "--tenants", "2",
                  "--alpha", "64", "--no-latency",
-                 "--verify-checkpoint", "--cuts", "2",
+                 "--verify", "--cuts", "2",
                  "--format", "json"]) == 0
     document = json.loads(capsys.readouterr().out)
-    verdict = document["verify_checkpoint"]
+    verdict = document["verify_service"]
     assert verdict["ok"] is True
-    assert verdict["layer"] == "checkpoint"
+    assert verdict["layer"] == "service"
     facts = verdict["facts"]
-    assert len(facts["cuts"]) == 2
+    assert (facts["tenants"], facts["cuts"]) == (2, 2)
+    assert facts["restores"] == 2 * 2
     assert facts["reference_reports"] == facts["candidate_reports"]
 
 
+def test_serve_verify_async_oracle(full_character, capsys):
+    """``--verify`` hands the replay's producers and queue size to the
+    oracle: three pump threads block on a 16-slot queue."""
+    assert main(["serve", "--events", "2000", "--tenants", "2",
+                 "--alpha", "64", "--no-latency",
+                 "--pump-threads", "3", "--queue-size", "16",
+                 "--verify", "--format", "json"]) == 0
+    document = json.loads(capsys.readouterr().out)
+    verdict = document["verify_service"]
+    assert verdict["ok"] is True
+    assert verdict["layer"] == "service"
+    facts = verdict["facts"]
+    assert (facts["tenants"], facts["producers"]) == (2, 3)
+    assert facts["reference_reports"] == facts["candidate_reports"]
+    assert verdict["missing"] == [] and verdict["extra"] == []
+
+
 def test_verdict_blocks_share_one_shape(full_character, capsys):
-    """All three ``--verify-*`` flags go through one helper: same key
-    set in the JSON document, same ``EQUIVALENT: `` line in text."""
+    """``analyze --verify-selection`` and ``serve --verify`` go through
+    one helper: same key set in the JSON document, same
+    ``EQUIVALENT: `` line in text."""
     assert main(["analyze", "--events", "2000",
                  "--no-latency", "--verify-selection",
                  "--format", "json"]) == 0
     analyze = json.loads(capsys.readouterr().out)
     assert main(["serve", "--events", "2000", "--tenants", "2",
-                 "--alpha", "64", "--no-latency", "--verify-async",
-                 "--verify-checkpoint", "--cuts", "2",
-                 "--format", "json"]) == 0
+                 "--alpha", "64", "--no-latency", "--verify",
+                 "--cuts", "2", "--format", "json"]) == 0
     serve = json.loads(capsys.readouterr().out)
     blocks = {
         "selection": analyze["verify_selection"],
-        "async": serve["verify_async"],
-        "checkpoint": serve["verify_checkpoint"],
+        "service": serve["verify_service"],
     }
     for layer, block in blocks.items():
         assert block["layer"] == layer
@@ -726,11 +733,10 @@ def test_verdict_blocks_share_one_shape(full_character, capsys):
         assert set(block) == set(blocks["selection"])
 
     assert main(["serve", "--events", "2000", "--tenants", "2",
-                 "--alpha", "64", "--no-latency", "--verify-async",
-                 "--verify-checkpoint", "--cuts", "2"]) == 0
+                 "--alpha", "64", "--no-latency", "--verify",
+                 "--cuts", "2"]) == 0
     out = capsys.readouterr().out
-    assert "EQUIVALENT: pump vs sync router" in out
-    assert "EQUIVALENT: restored vs straight replay" in out
+    assert "EQUIVALENT: restarted vs sync service" in out
 
 
 def test_diverged_verdict_turns_the_exit_code_into_1(
@@ -738,17 +744,16 @@ def test_diverged_verdict_turns_the_exit_code_into_1(
 ):
     """A snapshot whose drain skips one backlog event (tampered at
     the ``_pump_step`` seam, inside ``snapshot_state`` only) must
-    surface as a ``DIVERGED`` checkpoint block and exit 1, with the
-    router oracle beside it, which takes no snapshot, still reported
-    ``EQUIVALENT``."""
+    surface as a ``DIVERGED`` service block and exit 1, while the
+    replay itself, which takes no checkpoint, still publishes."""
     assert main(["serve", "--events", "2000", "--tenants", "2",
-                 "--alpha", "64", "--no-latency", "--verify-async",
-                 "--verify-checkpoint", "--cuts", "2",
-                 "--format", "json"]) == 1
+                 "--alpha", "64", "--no-latency", "--verify",
+                 "--cuts", "2", "--format", "json"]) == 1
     document = json.loads(capsys.readouterr().out)
     assert document["exit_code"] == 1
-    assert document["verify_checkpoint"]["ok"] is False
-    assert document["verify_checkpoint"]["summary"].startswith(
+    assert document["verify_service"]["ok"] is False
+    assert document["verify_service"]["summary"].startswith(
         "DIVERGED: "
     )
-    assert document["verify_async"]["ok"] is True
+    assert document["reports"]
+    assert snapshot_drain_skips_one

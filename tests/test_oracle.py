@@ -3,7 +3,7 @@
 Each ``verify_*`` has its own positive and negative tests beside the
 layer it checks; these cover what they share — the multiset diff, the
 result type's rendering / serialization / merge, and the promise that
-all six speak one dialect.
+all five speak one dialect.
 """
 
 import json
@@ -102,7 +102,7 @@ def test_summary_speaks_one_vocabulary():
         "  missing: operational fault seq=7 ops=[boot,attach] "
         "theta=0.5000"
     )
-    # A trailing scope label (the async oracle's tenant) is shown.
+    # A trailing scope label (the service oracle's tenant) is shown.
     assert lines[2] == (
         "  extra: [tenant-1] performance fault seq=9 ops=[<none>] "
         "theta=0.5000"
@@ -178,7 +178,7 @@ def test_settle_raises_only_when_strict():
 
 
 # ---------------------------------------------------------------------------
-# All six oracles, one dialect
+# All five oracles, one dialect
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -204,42 +204,53 @@ def snapshots(library, events):
     return serial.deferred_snapshots()
 
 
-def run_oracle(layer, library, events, snapshots):
-    if layer == "shards":
+#: ``verify_service`` runs under the names of the two oracles it
+#: replaced, at the two settings CI runs ``serve --verify`` at: the
+#: default queue, where each checkpoint analyzes a long backlog, and a
+#: 16-slot queue that blocks four producers.
+SERVICE_RUNS = {
+    "checkpoint": dict(producers=2),
+    "async": dict(producers=4, queue_capacity=16),
+}
+
+#: One run per oracle layer, the service layer's under both names.
+RUNS = sorted(set(LAYERS) - {"service"} | set(SERVICE_RUNS))
+
+
+def run_oracle(run, library, events, snapshots):
+    if run == "shards":
         from repro.core.parallel import verify_equivalence
 
         return verify_equivalence(events, library, 2, config=CONFIG)
-    if layer == "detection":
+    if run == "detection":
         from repro.core.matching import verify_detection
 
         return verify_detection(snapshots, library, config=CONFIG)
-    if layer == "levelshift":
+    if run == "levelshift":
         from repro.core.streamstats import verify_levelshift_stream
 
         return verify_levelshift_stream(events)
-    if layer == "selection":
+    if run == "selection":
         from repro.analysis.compile import verify_selection
 
         return verify_selection(
             library, config=CONFIG, snapshots=snapshots,
         )
-    if layer == "checkpoint":
-        from repro.service import verify_checkpoint
+    from repro.service import verify_service
 
-        return verify_checkpoint(events, library, cuts=2, config=CONFIG)
-    from repro.service import verify_async
-
-    return verify_async(
-        events, library, tenants=2, producers=2, config=CONFIG,
+    return verify_service(
+        events, library, tenants=2, cuts=2, config=CONFIG,
+        **SERVICE_RUNS[run],
     )
 
 
-@pytest.mark.parametrize("layer", sorted(LAYERS))
+@pytest.mark.parametrize("run", RUNS)
 def test_every_oracle_returns_the_same_shape(
-    layer, library, events, snapshots
+    run, library, events, snapshots
 ):
     assert snapshots
-    outcome = run_oracle(layer, library, events, snapshots)
+    outcome = run_oracle(run, library, events, snapshots)
+    layer = "service" if run in SERVICE_RUNS else run
     assert isinstance(outcome, OracleResult)
     assert outcome.layer == layer
     assert outcome.ok
