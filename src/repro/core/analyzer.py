@@ -259,16 +259,17 @@ class GretelAnalyzer:
     #: guard covers only the settable fields, so changing a module
     #: constant (``MATCH_COVERAGE``, ``LS_WINDOW``,
     #: ``_MAX_TRUNCATIONS``, ...) bumps it too.
-    STATE_FMT = "analyzer-state/v4"
+    STATE_FMT = "analyzer-state/v5"
 
     #: The counters this object owns, as checkpointed, by type.  Every
     #: other :class:`PipelineStats` field lives in (and is restored by)
-    #: the component that counts it.
+    #: the component that counts it, except the wall-clock
+    #: ``analysis_seconds``: it measures this process, is no function
+    #: of the stream, and a restored analyzer counts it from 0.0.
     _COUNTERS = {
         "events_processed": int,
         "bytes_processed": int,
         "operational_faults_seen": int,
-        "analysis_seconds": float,
     }
 
     def snapshot_state(self) -> Dict[str, Any]:
@@ -310,9 +311,10 @@ class GretelAnalyzer:
         pointing at the window's deque); a config or latency-mode
         mismatch refuses loudly instead of replaying the stream under
         different semantics.  ``defer_detection`` is no part of the
-        document: it decides only when later snapshots are analyzed.
-        A component that refuses its part puts every component back
-        as it was.
+        document: it decides only when later snapshots are analyzed,
+        and neither is the wall-clock ``analysis_seconds``, which a
+        restore leaves as it was.  A component that refuses its part
+        puts every component back as it was.
         """
         require_state(state, self.STATE_FMT)
         theirs = read_key(state, "config", dict)
@@ -393,7 +395,7 @@ class GretelAnalyzer:
         window = self.window
         window.push(event)
         window.appended += 1
-        if window.pending and window.pending[0][1] <= window.appended:
+        if window.pending and window.pending[0] <= window.appended:
             for snapshot in window.freeze_due():
                 self._dispatch(snapshot)
         status = event.status
@@ -401,7 +403,7 @@ class GretelAnalyzer:
             if status >= 400:
                 # §5.3.1: REST error responses freeze the window.
                 self.operational_faults_seen += 1
-                window.mark_fault(event)
+                window.mark_fault()
                 return
         elif rpc_body_error(event):
             # RPC bodies are scanned for error markers and counted
@@ -433,7 +435,7 @@ class GretelAnalyzer:
         for snapshot in completed:
             self._dispatch(snapshot)
         if self._call("fault-scan", 1, self._scan_one, event):
-            self.window.mark_fault(event)
+            self.window.mark_fault()
         self._call("latency", 1, self._observe_one, event)
 
     def _count_one(self, event: WireEvent) -> None:
@@ -542,11 +544,8 @@ class GretelAnalyzer:
         # the newest live event; a caller that hands in an event the
         # window never saw gets it appended.
         events = self.window.live_events()
-        if not events or events[-1].seq != anomaly.event.seq:
+        if not events or events[-1] != anomaly.event:
             events.append(anomaly.event)
         events = events[-PERF_BUFFER_CAP:]
-        snapshot = Snapshot(
-            fault=anomaly.event, events=events,
-            fault_index=len(events) - 1,
-        )
+        snapshot = Snapshot(events=events, fault_index=len(events) - 1)
         self._localize(snapshot, started, anomaly)

@@ -6,7 +6,9 @@ the analyzer that owns them — exposes the same two methods:
 
 ``snapshot_state() -> dict``
     A *pure-JSON* rendering (dicts, lists, strings, numbers, bools,
-    ``None``) of everything the layer needs to resume mid-stream.
+    ``None``) of everything the layer needs to resume mid-stream, each
+    fact once, and of nothing else: no wall clock, so two layers fed
+    the same events write equal documents.
 
 ``restore_state(state) -> None``
     Rehydrates a *freshly constructed, identically configured*
@@ -128,7 +130,7 @@ def require_state(state: Mapping[str, Any], expected: str) -> None:
     """Check a state dict's ``fmt`` against ``expected``.
 
     ``expected`` is the owner's *current* tag (e.g.
-    ``"analyzer-state/v4"``).  Owner name and version must both
+    ``"analyzer-state/v5"``).  Owner name and version must both
     match exactly: no owner reads any version but its current one.
     """
     if not isinstance(state, Mapping):

@@ -10,9 +10,11 @@ is a copy of the deque once enough post-fault events arrived.
 
 Multiple overlapping faults are supported: each fault registers its
 own pending snapshot, and each snapshot completes after its own α/2
-subsequent events (or a flush).  Pending snapshots are stored as
-absolute due positions (the ``appended`` count at which they freeze),
-which makes the per-event cost a single front-of-list comparison.
+subsequent events (or a flush).  A pending snapshot is nothing but its
+absolute due position (the ``appended`` count at which it freezes),
+which makes the per-event cost a single front-of-list comparison; its
+fault is the event appended α/2 counts before the due, still in the
+window, so a fault is stored once, as a position.
 
 The window holds events and nothing else.  Turning a snapshot's
 events into symbol fragments is operation detection's job, done once
@@ -40,9 +42,13 @@ from repro.openstack.wire import WireEvent
 class Snapshot:
     """A frozen window of events centered on one faulty message."""
 
-    fault: WireEvent
     events: List[WireEvent]
     fault_index: int           # position of the fault inside ``events``
+
+    @property
+    def fault(self) -> WireEvent:
+        """The faulty message the snapshot is centered on."""
+        return self.events[self.fault_index]
 
     def __len__(self) -> int:
         return len(self.events)
@@ -73,10 +79,11 @@ class SlidingWindow:
             raise ValueError("alpha must be at least 2")
         self.alpha = alpha
         self._events: Deque[WireEvent] = deque(maxlen=alpha)
-        #: Snapshots still waiting for their post-fault half: (fault,
-        #: due ``appended`` count), dues non-decreasing because every
-        #: fault waits the same α/2.
-        self.pending: List[Tuple[WireEvent, int]] = []
+        #: The due ``appended`` count of each snapshot still waiting
+        #: for its post-fault half, non-decreasing because every fault
+        #: waits the same α/2.  Its fault is the event appended at
+        #: count ``due − α//2``.
+        self.pending: List[int] = []
         self.snapshots_taken = 0
         self.appended = 0
         #: The fused intake's :meth:`append`, inline: ``push`` (the
@@ -89,16 +96,15 @@ class SlidingWindow:
         shared empty tuple when none did)."""
         self._events.append(event)
         self.appended += 1
-        if self.pending and self.pending[0][1] <= self.appended:
+        if self.pending and self.pending[0] <= self.appended:
             return self.freeze_due()
         return ()
 
     def freeze_due(self) -> List[Snapshot]:
         """Freeze every pending snapshot whose due count is reached."""
-        ready = [(fault, due) for fault, due in self.pending
-                 if due <= self.appended]
+        ready = [due for due in self.pending if due <= self.appended]
         del self.pending[:len(ready)]   # dues are non-decreasing
-        return [self._freeze(fault, due) for fault, due in ready]
+        return [self._freeze(due) for due in ready]
 
     def live_events(self) -> List[WireEvent]:
         """A copy of the current window contents, oldest first.
@@ -109,25 +115,25 @@ class SlidingWindow:
         """
         return list(self._events)
 
-    def mark_fault(self, fault: WireEvent) -> None:
-        """Register ``fault``, the event just appended; its snapshot
+    def mark_fault(self) -> None:
+        """Register the event just appended as a fault; its snapshot
         freezes after α/2 more events."""
-        self.pending.append((fault, self.appended + self.alpha // 2))
+        self.pending.append(self.appended + self.alpha // 2)
 
     def flush(self) -> List[Snapshot]:
         """Force-freeze all pending snapshots (end of stream)."""
-        completed = [self._freeze(fault, due) for fault, due in self.pending]
+        completed = [self._freeze(due) for due in self.pending]
         self.pending.clear()
         return completed
 
-    def _freeze(self, fault: WireEvent, due: int) -> Snapshot:
+    def _freeze(self, due: int) -> Snapshot:
         # The fault is anchored by position, not by seq (a stream may
         # carry one seq twice): ``mark_fault`` ran when it was appended,
         # at count ``due − α//2``, and the newest event is ``appended``.
         events = list(self._events)
         self.snapshots_taken += 1
         return Snapshot(
-            fault=fault, events=events,
+            events=events,
             fault_index=len(events) - 1
             - (self.appended - (due - self.alpha // 2)),
         )
@@ -140,17 +146,16 @@ class SlidingWindow:
     def snapshot_state(self) -> Dict[str, Any]:
         """JSON-serializable rendering of the live window.
 
-        The window's events and the pending faults are one event
-        column block each; ``due`` lists each pending fault's due
-        ``appended`` count.
+        The window's events are one event column block; ``due`` lists
+        each pending snapshot's due ``appended`` count, which names
+        its fault by position.
         """
         return {
             "alpha": self.alpha,
             "appended": self.appended,
             "snapshots_taken": self.snapshots_taken,
             "events": encode_events(self._events),
-            "pending": encode_events(fault for fault, _ in self.pending),
-            "due": [due for _, due in self.pending],
+            "due": list(self.pending),
         }
 
     def restore_state(self, state: Mapping[str, Any]) -> None:
@@ -163,46 +168,34 @@ class SlidingWindow:
         # Read everything before installing anything: a refused
         # document leaves the window as it was.
         events = decode_key(state, "events", decode_events)
-        faults = decode_key(state, "pending", decode_events)
         dues = read_key(state, "due", list)
         if any(type(due) is not int for due in dues):
             raise StateError("expected a list of int", "due")
-        if len(dues) != len(faults):
-            raise StateError(
-                f"{len(dues)} dues for {len(faults)} pending faults", "due"
-            )
         appended = read_key(state, "appended", int)
         snapshots_taken = read_key(state, "snapshots_taken", int)
         # The window holds the last α of ``appended`` events, and every
-        # pending fault is the event its due names, still in the window
-        # and not yet frozen.
+        # due names a fault appended at a count of at least 1 within
+        # the last α/2, so still in the window and not yet frozen.
         if len(events) != min(self.alpha, appended):
             raise StateError(
                 f"{len(events)} events after {appended} appended "
                 f"(alpha {self.alpha})", "events"
             )
         half = self.alpha // 2
+        low = max(appended, half)
         for index, due in enumerate(dues):
             if index and due < dues[index - 1]:
                 raise StateError(
                     f"{due} after {dues[index - 1]}: dues decrease",
                     f"due[{index}]",
                 )
-            if not appended < due <= appended + half:
+            if not low < due <= appended + half:
                 raise StateError(
-                    f"{due} is outside ({appended}, {appended + half}]",
+                    f"{due} is outside ({low}, {appended + half}]",
                     f"due[{index}]",
-                )
-        for index, (fault, due) in enumerate(zip(faults, dues)):
-            # ``_freeze``'s anchor.
-            at = len(events) - 1 - (appended - (due - half))
-            if at < 0 or events[at] != fault:
-                raise StateError(
-                    f"seq {fault.seq} is not the event appended at count "
-                    f"{due - half}", f"pending[{index}]"
                 )
         self._events.clear()
         self._events.extend(events)
-        self.pending = list(zip(faults, dues))
+        self.pending = list(dues)
         self.appended = appended
         self.snapshots_taken = snapshots_taken

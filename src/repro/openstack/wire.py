@@ -11,11 +11,15 @@ payloads:
 * a short body fragment, which is what GRETEL's lightweight regular
   expression error scan runs over.
 
-Two extra field groups exist for *other* consumers, and GRETEL's code
-never reads them:
+Two extra field groups are payload and ground-truth labels that the
+paper's taps would not see without parsing:
 
 * ``request_id`` / ``tenant`` / ``resource_ids`` — payload identifiers
-  the HANSEL baseline stitches on,
+  the HANSEL baseline stitches on.  GRETEL's analysis reads only
+  ``request_id``, in the opt-in correlation-id filter
+  (``GretelConfig.use_correlation_ids``, off by default); the
+  streaming service routes each event to its session by ``tenant``
+  (``StreamingService.submit``, ``partition_tenants``),
 * ``op_id`` / ``test_id`` — ground-truth labels used only by the
   evaluation harness to score precision.
 
@@ -106,7 +110,8 @@ class WireEvent:
     msg_id: str = ""
     size_bytes: int = 192
     noise: bool = False
-    # --- payload identifiers (HANSEL baseline only; GRETEL never reads) ---
+    # --- payload identifiers (HANSEL stitching; the correlation-id
+    # filter reads request_id, the service routes on tenant) ---
     request_id: str = ""
     tenant: str = ""
     resource_ids: Tuple[str, ...] = ()

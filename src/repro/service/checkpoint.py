@@ -15,26 +15,24 @@ checkpoint intact: a torn checkpoint would otherwise rehydrate a
 half-written pipeline.  There is no ``fsync``: a checkpoint survives
 a killed process, not a lost page cache.
 
-Tenant ids become filenames through a conservative sanitizer.  The
-id itself is stored *inside* the envelope and checked on load, and
-the store remembers which tenant owns each file it has written or
-read, so two ids colliding after sanitization fail loudly instead of
-one overwriting the other's checkpoint.
+Tenant ids become filenames one to one: every byte outside
+``[A-Za-z0-9_.~-]`` is percent-encoded, and the empty id, which no
+other id encodes to, is ``%``.  Two tenants never share a file, so a
+save never refuses, and ``tenant-0`` keeps its plain name.  The id
+is also stored inside the envelope, and :meth:`CheckpointStore.load_all`
+refuses a file whose envelope names a tenant with another file name.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 import time
 from pathlib import Path
 from typing import Any, Dict, Mapping, Tuple, Union
+from urllib.parse import quote
 
 from repro.core.state import StateError, require_state
-
-#: Filename-safe characters; everything else becomes ``_``.
-_UNSAFE = re.compile(r"[^A-Za-z0-9._-]")
 
 _SUFFIX = ".checkpoint.json"
 
@@ -44,7 +42,7 @@ class CheckpointStore:
 
     #: Covers the envelope and the session document inside it: a
     #: change to either shape bumps it.
-    STATE_FMT = "gretel-checkpoint/v4"
+    STATE_FMT = "gretel-checkpoint/v5"
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
@@ -53,13 +51,10 @@ class CheckpointStore:
         #: durability costs the thread that asked for it.
         self.bytes_written = 0
         self.save_seconds = 0.0
-        #: The tenant each file this store wrote or read belongs to.
-        self._owners: Dict[Path, str] = {}
 
     def path_for(self, tenant: str) -> Path:
-        """The checkpoint file backing one tenant."""
-        safe = _UNSAFE.sub("_", tenant) or "_"
-        return self.root / f"{safe}{_SUFFIX}"
+        """The checkpoint file backing one tenant, and no other."""
+        return self.root / f"{quote(tenant, safe='') or '%'}{_SUFFIX}"
 
     def save(
         self, tenant: str, state: Mapping[str, Any], *, seq: int
@@ -68,18 +63,10 @@ class CheckpointStore:
 
         ``seq`` is the session's events-ingested watermark, stored in
         the envelope for whoever reads the file; a restore reads the
-        session document's own ``events_ingested``.  A file that
-        belongs to another tenant (two ids that sanitize alike) is
-        refused with :class:`StateError`, not overwritten.
+        session document's own ``events_ingested``.
         """
         started = time.perf_counter()
         path = self.path_for(tenant)
-        owner = self._owners.setdefault(path, tenant)
-        if owner != tenant:
-            raise StateError(
-                f"checkpoint at {path} belongs to tenant {owner!r}, "
-                f"not {tenant!r}"
-            )
         envelope = {
             "fmt": self.STATE_FMT,
             "tenant": tenant,
@@ -116,7 +103,6 @@ class CheckpointStore:
                 ) from exc
             tenant, state = self._state_of(path, envelope)
             states[tenant] = state
-            self._owners[path] = tenant
         return dict(sorted(states.items()))
 
     def _parse(self, path: Path) -> Any:

@@ -21,11 +21,12 @@ buckets, through two halves with the same configuration:
 Per tenant, both halves must agree on the report multiset (compared
 via :func:`repro.core.reports.report_signature`, tenant appended), the
 four :data:`COUNTER_FIELDS`, :class:`~repro.core.analyzer.PipelineStats`
-and the final ``snapshot_state()`` (wall-clock ``analysis_seconds``
-aside in both).  A restart that restores fewer sessions than were
-checkpointed, or resumes a bucket anywhere but at its cut, diverges
-too.  The oracle runs under ``"block"``: shedding is timing-dependent
-by design, so a shed-policy replay cannot be compared.  The negative
+(its wall-clock ``analysis_seconds`` aside) and the final
+``snapshot_state()``.  A restart that restores fewer sessions than
+were checkpointed, or resumes a bucket anywhere but at its cut,
+diverges too.  The oracle runs under ``"block"``: shedding is
+timing-dependent by design, so a shed-policy replay cannot be
+compared.  The negative
 tests tamper with the candidate only: :meth:`TenantSession._pump_step`
 (the documented seam), the restart path, or (``mutate``) each
 persisted analyzer document.
@@ -160,12 +161,12 @@ def _state_mismatches(reference: Any, candidate: Any,
 def _observed(session: Any) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """A finished session's counters (the four ingest counters and
     the pipeline stats) and its analyzer's state, without the one
-    field that legitimately differs between runs: the wall clock."""
+    stat that legitimately differs between runs: the wall clock,
+    which the state does not hold."""
     counters = {name: getattr(session, name) for name in COUNTER_FIELDS}
     counters.update(asdict(session.analyzer.stats()))
-    state = json.loads(json.dumps(session.analyzer.snapshot_state()))
     del counters["analysis_seconds"]
-    del state["counters"]["analysis_seconds"]
+    state = json.loads(json.dumps(session.analyzer.snapshot_state()))
     return counters, state
 
 

@@ -51,7 +51,7 @@ from typing import (
 
 from repro.core.analyzer import GretelAnalyzer
 from repro.core.reports import FaultReport
-from repro.core.state import StateError, decode_key, read_key
+from repro.core.state import decode_key, read_key
 from repro.openstack.wire import WireEvent
 
 #: Accepted backpressure policies.
@@ -398,7 +398,6 @@ class TenantSession:
         with self.parked():
             ingested, shed = self._drain()
             return {
-                "tenant": self.tenant,
                 "events_ingested": ingested,
                 "events_shed": shed,
                 "reports_emitted": self.reports_emitted,
@@ -412,14 +411,9 @@ class TenantSession:
         restores all or nothing: a refusal leaves the session as it
         was.  The restored session has analyzed all it ingested, so
         anything this session had queued is dropped.  The envelope's
-        tag covers this document.
+        tag covers this document, and its tenant, checked against the
+        file name, is the document's only identity.
         """
-        tenant = read_key(state, "tenant", str)
-        if tenant != self.tenant:
-            raise StateError(
-                f"session state is for tenant {tenant!r}, this session "
-                f"is {self.tenant!r}", "tenant",
-            )
         ingested, shed, emitted = [
             read_key(state, name, int)
             for name in ("events_ingested", "events_shed",

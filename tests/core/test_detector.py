@@ -90,8 +90,7 @@ def make_snapshot(catalog, specs, fault_spec, fault_status=500):
             fault_event = event
     if fault_event is None:
         fault_event = events[-1]
-    return Snapshot(fault=fault_event, events=events,
-                    fault_index=events.index(fault_event))
+    return Snapshot(events=events, fault_index=events.index(fault_event))
 
 
 def test_detects_single_matching_operation(library, symbols, catalog):

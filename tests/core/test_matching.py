@@ -115,8 +115,7 @@ def make_snapshot(catalog, specs, fault_spec, fault_status=500, tail=()):
             fault_event = event
     if fault_event is None:
         fault_event = events[-1]
-    return Snapshot(fault=fault_event, events=events,
-                    fault_index=events.index(fault_event))
+    return Snapshot(events=events, fault_index=events.index(fault_event))
 
 
 def make_candidate(needle, cuts=None, pure_read=False):
@@ -603,8 +602,7 @@ def test_verify_detection_equivalent_at_perf_buffer_cap(small_character):
         events = snapshot.events[lo:lo + cap]
         if len(events) == cap:
             snapshots.append(Snapshot(
-                fault=snapshot.fault, events=events,
-                fault_index=snapshot.fault_index - lo,
+                events=events, fault_index=snapshot.fault_index - lo,
             ))
     assert snapshots
     detector = OperationDetector(
@@ -659,9 +657,7 @@ def test_tie_on_length_is_broken_by_candidates_not_classes(
     assert detection_signature(reference.detect(snapshot)) == \
         detection_signature(result)
     # ... and one window earlier the reads were the answer.
-    early = Snapshot(
-        fault=snapshot.fault, events=snapshot.events[1:], fault_index=2,
-    )
+    early = Snapshot(events=snapshot.events[1:], fault_index=2)
     assert detector.detect(early).operations == [
         "op-read-a", "op-read-b", "op-read-c",
     ]

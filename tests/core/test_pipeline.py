@@ -202,12 +202,6 @@ def mixed_stream(library):
     return mixed
 
 
-def without_wall_clock(document):
-    """``document`` with the wall-clock ``analysis_seconds`` zeroed."""
-    document["counters"]["analysis_seconds"] = 0.0
-    return document
-
-
 def test_middleware_does_not_change_reports(library):
     """The fused and the observed body leave the same reports, counters
     and state behind, on a stream that takes every branch of both."""
@@ -218,7 +212,7 @@ def test_middleware_does_not_change_reports(library):
             library, config=config(), middleware=middleware,
         )
         analyzer.feed(events)
-        state = without_wall_clock(analyzer.snapshot_state())
+        state = analyzer.snapshot_state()
         analyzer.flush()
         engines.append((analyzer, state))
 
@@ -232,6 +226,22 @@ def test_middleware_does_not_change_reports(library):
             [report_signature(r) for r in plain.reports]
         assert replace(analyzer.stats(), analysis_seconds=0.0) == stats
         assert observed_state == state
+
+
+def test_state_is_a_function_of_the_stream(library):
+    """Two analyzers fed the same events write byte-equal documents:
+    the state holds no wall clock, though both spent it analyzing."""
+    import json
+
+    events = mixed_stream(library)
+    documents = []
+    for _ in range(2):
+        analyzer = GretelAnalyzer(library, config=config())
+        analyzer.feed(events)
+        assert analyzer.reports and analyzer.analysis_seconds > 0
+        assert analyzer.window.pending
+        documents.append(json.dumps(analyzer.snapshot_state()))
+    assert documents[0] == documents[1]
 
 
 def test_stage_timer_summary_renders(library):
@@ -307,19 +317,24 @@ def test_restore_refuses_per_stage_v1_state(library):
     stage wrapper, v2–v6 one tagged document per layer;
     ``analyzer-state/v1`` wrote one document per level-shift series,
     v2 carried the deferred backlog and the ``defer_detection`` guard,
-    and v3's detector block carried the scorer's ``rescore_hits``."""
+    v3's detector block carried the scorer's ``rescore_hits``, and v4
+    held each pending fault twice (an event block beside its due) and
+    the wall-clock ``analysis_seconds``."""
     from repro.core.state import StateFormatError
 
     analyzer = GretelAnalyzer(library, config=config())
     state = analyzer.snapshot_state()
-    assert state["fmt"] == "analyzer-state/v4"
+    assert state["fmt"] == "analyzer-state/v5"
     assert set(state) == {
         "fmt", "config", "track_latency", "counters", "window",
         "latency", "detector", "last_perf_analysis",
     }
     assert "columns" not in state["window"]
     assert set(state["window"]) == {
-        "alpha", "appended", "snapshots_taken", "events", "pending", "due",
+        "alpha", "appended", "snapshots_taken", "events", "due",
+    }
+    assert set(state["counters"]) == {
+        "events_processed", "bytes_processed", "operational_faults_seen",
     }
     assert set(state["latency"]) == {"tuning", "samples_fed", "detectors"}
     assert set(state["latency"]["detectors"]) == {
@@ -336,7 +351,7 @@ def test_restore_refuses_per_stage_v1_state(library):
         older = f"analysis-pipeline/v{version}"
         with pytest.raises(StateFormatError, match=older):
             analyzer.restore_state(dict(state, fmt=older))
-    for version in (1, 2, 3):
+    for version in (1, 2, 3, 4):
         older = f"analyzer-state/v{version}"
         with pytest.raises(StateFormatError,
                            match=f"'{older}' is older than"):

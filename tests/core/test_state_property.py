@@ -70,7 +70,7 @@ def test_sliding_window_round_trip(case):
         event = make_event(seq, status=500 if seq in faults else 200)
         frozen = window.append(event)
         if seq in faults:
-            window.mark_fault(event)
+            window.mark_fault()
         return list(frozen)
 
     original = SlidingWindow(alpha=alpha)
@@ -361,7 +361,7 @@ def test_service_checkpoint_holds_no_float_list(small_character, tmp_path):
     assert state["events_ingested"] == stop + 10
     pipeline = state["analyzer"]
     assert pipeline["counters"]["events_processed"] == stop + 10
-    assert decode_events(pipeline["window"]["pending"])
+    assert pipeline["window"]["due"]
     assert unpack_floats(pipeline["latency"]["detectors"]["baselines"])
     assert list(float_lists(state)) == []
     saved = CheckpointStore(tmp_path).save("acme", state, seq=0)

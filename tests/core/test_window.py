@@ -37,7 +37,7 @@ def test_snapshot_freezes_after_half_alpha():
         window.append(make_event(seq))
     fault = make_event(7, status=500)
     window.append(fault)
-    window.mark_fault(fault)
+    window.mark_fault()
     completed = []
     for seq in range(8, 20):
         completed.extend(window.append(make_event(seq)))
@@ -57,7 +57,7 @@ def test_snapshot_has_past_and_future():
         window.append(make_event(seq))
     fault = make_event(6, status=500)
     window.append(fault)
-    window.mark_fault(fault)
+    window.mark_fault()
     completed = []
     seq = 7
     while not completed:
@@ -72,10 +72,10 @@ def test_multiple_overlapping_faults():
     window = SlidingWindow(alpha=10)
     fault_a = make_event(0, status=500)
     window.append(fault_a)
-    window.mark_fault(fault_a)
+    window.mark_fault()
     fault_b = make_event(1, status=500)
     window.append(fault_b)
-    window.mark_fault(fault_b)
+    window.mark_fault()
     completed = []
     for seq in range(2, 20):
         completed.extend(window.append(make_event(seq)))
@@ -87,7 +87,7 @@ def test_flush_freezes_pending():
     window = SlidingWindow(alpha=10)
     fault = make_event(0, status=500)
     window.append(fault)
-    window.mark_fault(fault)
+    window.mark_fault()
     assert len(window.pending) == 1
     snapshots = window.flush()
     assert len(snapshots) == 1
@@ -98,7 +98,7 @@ def test_fault_scrolled_out_still_anchored():
     window = SlidingWindow(alpha=4)
     fault = make_event(0, status=500)
     window.append(fault)
-    window.mark_fault(fault)
+    window.mark_fault()
     # The snapshot freezes α/2 = 2 events later, before the fault
     # could leave the deque: nothing is left for the flush.
     for seq in range(1, 10):
@@ -110,7 +110,8 @@ def test_fault_scrolled_out_still_anchored():
 
 def test_snapshot_window_radius():
     events = [make_event(seq) for seq in range(11)]
-    snapshot = Snapshot(fault=events[5], events=events, fault_index=5)
+    snapshot = Snapshot(events=events, fault_index=5)
+    assert snapshot.fault is events[5]
     assert [e.seq for e in snapshot.window(2)] == [3, 4, 5, 6, 7]
     assert snapshot.window(100) == events
     assert not snapshot.covers_all(2)
@@ -135,13 +136,13 @@ def test_overlapping_faults_each_get_correct_fault_index():
         window.append(make_event(seq))
     fault_a = make_event(4, status=500)
     window.append(fault_a)
-    window.mark_fault(fault_a)
+    window.mark_fault()
     # Second fault lands 3 events later — well within alpha/2 = 6.
     for seq in range(5, 8):
         window.append(make_event(seq))
     fault_b = make_event(8, status=503)
     window.append(fault_b)
-    window.mark_fault(fault_b)
+    window.mark_fault()
 
     completed = []
     for seq in range(9, 30):
@@ -163,7 +164,7 @@ def test_flush_completes_with_partial_future_context():
         window.append(make_event(seq))
     fault = make_event(5, status=500)
     window.append(fault)
-    window.mark_fault(fault)
+    window.mark_fault()
     # Only 2 of the 6 future events arrive before shutdown.
     window.append(make_event(6))
     window.append(make_event(7))
@@ -199,7 +200,7 @@ def test_state_under_other_columns_is_refused_and_nothing_moves():
         donor.append(make_event(seq))
     fault = make_event(5, status=500)
     donor.append(fault)
-    donor.mark_fault(fault)
+    donor.mark_fault()
     state = donor.snapshot_state()
     assert state["events"]["columns"] == list(ROW_FIELDS)
     assert decode_events(state["events"])[0] == make_event(2)
@@ -207,19 +208,15 @@ def test_state_under_other_columns_is_refused_and_nothing_moves():
     window = SlidingWindow(alpha=4)
     fault = make_event(40, status=500)
     window.append(fault)
-    window.mark_fault(fault)
+    window.mark_fault()
     before = window.snapshot_state()
     events = state["events"]
     swapped = dict(events, columns=events["columns"][::-1])
     unnamed = {k: v for k, v in events.items() if k != "columns"}
-    # The events decode; the pending block's seq column is short.
-    short_pending = dict(state["pending"], seq="")
     for refused, path in (
         (dict(state, events=swapped), r"events\.columns: \['test_id'"),
         (dict(state, events=unnamed), r"events\.columns: missing"),
-        (dict(state, pending=short_pending),
-         r"pending\.seq: 0 values for 1 rows"),
-        (dict(state, due=[]), "due: 0 dues for 1 pending faults"),
+        (dict(state, due=["9"]), "due: expected a list of int"),
     ):
         with pytest.raises(StateError, match=path):
             window.restore_state(refused)
@@ -238,13 +235,13 @@ def test_a_stream_fed_twice_anchors_each_snapshot_on_its_own_copy():
     for event in stream + stream:
         snapshots.extend(window.append(event))
         if event.status >= 400:
-            window.mark_fault(event)
+            window.mark_fault()
     snapshots.extend(window.flush())
     # Frozen at counts 36, 56, 76 and (flushed) 80; the second pass's
     # seq 23 sits 16 events before the newest, after an older copy.
     assert [s.fault_index for s in snapshots] == [3, 23, 31, 47]
-    for snapshot in snapshots:
-        assert snapshot.events[snapshot.fault_index] == snapshot.fault
+    assert [s.fault.seq for s in snapshots] == [3, 23, 3, 23]
+    assert all(s.fault.status == 500 for s in snapshots)
 
 
 def _faulted(alpha=8, count=10, faults=(8,)):
@@ -253,7 +250,7 @@ def _faulted(alpha=8, count=10, faults=(8,)):
         event = make_event(seq, status=500 if seq in faults else 200)
         window.append(event)
         if seq in faults:
-            window.mark_fault(event)
+            window.mark_fault()
     return window
 
 
@@ -265,24 +262,11 @@ def _refused(state, path):
     assert window.snapshot_state() == before
 
 
-def test_restore_refuses_a_pending_fault_that_is_not_where_its_due_says():
-    """A pending fault must be the event appended at count
-    ``due - alpha//2``: one from outside the window, or one at another
-    position, would freeze a snapshot around the wrong event."""
-    state = _faulted().snapshot_state()   # seq 8 appended at count 9
-    assert state["due"] == [13]
-    for seq in (2501, 7):
-        _refused(
-            dict(state, pending=encode_events([make_event(seq, 500)])),
-            rf"pending\[0\]: seq {seq} is not the event appended at "
-            r"count 9",
-        )
-
-
 def test_restore_refuses_a_due_outside_the_next_half_window():
     """Every due lies in ``(appended, appended + alpha//2]`` and the
     dues never decrease."""
-    state = _faulted().snapshot_state()
+    state = _faulted().snapshot_state()   # seq 8 appended at count 9
+    assert state["due"] == [13]
     for due in (10 ** 9, 15, 10, 0):
         _refused(dict(state, due=[due]),
                  rf"due\[0\]: {due} is outside \(10, 14\]")
@@ -290,6 +274,21 @@ def test_restore_refuses_a_due_outside_the_next_half_window():
     assert twice["due"] == [11, 13]
     _refused(dict(twice, due=[13, 11]),
              r"due\[1\]: 11 after 13: dues decrease")
+
+
+def test_a_due_names_its_fault_by_position():
+    """A pending fault is stored as its due alone: the event appended
+    at count ``due - alpha//2``.  Early in a stream the first count is
+    1, so a due of at most ``alpha//2`` names no event and is refused
+    rather than wrapped to the back of the window."""
+    state = _faulted(count=3, faults=(1,)).snapshot_state()
+    assert state["due"] == [6]
+    assert "pending" not in state
+    _refused(dict(state, due=[4]), r"due\[0\]: 4 is outside \(4, 7\]")
+    window = SlidingWindow(alpha=8)
+    window.restore_state(dict(state, due=[5]))
+    (snapshot,) = window.flush()
+    assert (snapshot.fault_index, snapshot.fault.seq) == (0, 0)
 
 
 def test_restore_refuses_an_events_block_of_the_wrong_length():

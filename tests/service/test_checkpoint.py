@@ -8,7 +8,7 @@ import pytest
 from repro.core.state import StateError, StateFormatError
 from repro.service import CheckpointStore
 
-STATE = {"tenant": "acme", "queue": []}
+STATE = {"queue": []}
 
 
 def test_save_load_round_trip(tmp_path):
@@ -85,28 +85,37 @@ def test_save_overwrites_atomically(tmp_path):
 
 
 def test_tenant_ids_are_sanitized_into_filenames(tmp_path):
+    """One to one: every byte outside ``[A-Za-z0-9_.~-]`` is
+    percent-encoded, and the empty id, which nothing else encodes to,
+    is ``%``."""
     store = CheckpointStore(tmp_path)
+    assert store.path_for("tenant-0").name == "tenant-0.checkpoint.json"
     path = store.path_for("cloud/eu-west 1")
-    assert path.name == "cloud_eu-west_1.checkpoint.json"
-    assert store.path_for("") .name == "_.checkpoint.json"
+    assert path.name == "cloud%2Feu-west%201.checkpoint.json"
+    assert store.path_for("").name == "%.checkpoint.json"
+    assert store.path_for("%").name == "%25.checkpoint.json"
 
 
-def test_colliding_sanitized_ids_fail_loudly(tmp_path):
-    """"a/b" and "a_b" share a filename: saving the other tenant is
-    refused, by the store that wrote the file and by one that read
-    it, rather than overwrite the first tenant's checkpoint."""
+def test_ids_that_once_shared_a_file_each_keep_their_own(tmp_path):
+    """"a/b" and "a_b" (and "", "_", "%") each checkpoint to a file of
+    their own and come back with their own state."""
     store = CheckpointStore(tmp_path)
-    store.save("a/b", dict(STATE, tenant="a/b"), seq=1)
-    assert store.path_for("a/b") == store.path_for("a_b")
-    saved = store.path_for("a/b").read_bytes()
-    with pytest.raises(StateError, match="belongs to tenant 'a/b'"):
-        store.save("a_b", dict(STATE, tenant="a_b"), seq=2)
-    restarted = CheckpointStore(tmp_path)
-    assert sorted(restarted.load_all()) == ["a/b"]
-    with pytest.raises(StateError, match="belongs to tenant 'a/b'"):
-        restarted.save("a_b", dict(STATE, tenant="a_b"), seq=2)
-    assert store.path_for("a/b").read_bytes() == saved
-    # A file under another tenant's name is refused on load.
+    tenants = ("a/b", "a_b", "", "_", "%")
+    for marker, tenant in enumerate(tenants):
+        store.save(tenant, dict(STATE, marker=marker), seq=marker)
+    assert len(set(map(store.path_for, tenants))) == len(tenants)
+    loaded = CheckpointStore(tmp_path).load_all()
+    assert {tenant: loaded[tenant]["marker"] for tenant in tenants} == {
+        tenant: marker for marker, tenant in enumerate(tenants)
+    }
+
+
+def test_a_file_under_another_tenants_name_is_refused(tmp_path):
+    """The envelope's tenant is the file's identity: a file renamed to
+    another tenant's name is refused on load, not restored as that
+    tenant."""
+    store = CheckpointStore(tmp_path)
+    store.save("a/b", STATE, seq=1)
     store.path_for("a/b").rename(store.path_for("other"))
     with pytest.raises(StateError, match="belongs to tenant 'a/b'"):
         store.load_all()
@@ -153,7 +162,7 @@ def test_tenants_listing_and_delete(tmp_path):
     then, so a restart cannot leave a tenant behind unnoticed."""
     store = CheckpointStore(tmp_path)
     for tenant in ("beta", "alpha", "gamma"):
-        store.save(tenant, dict(STATE, tenant=tenant), seq=0)
+        store.save(tenant, STATE, seq=0)
     assert sorted(store.load_all()) == ["alpha", "beta", "gamma"]
     store.path_for("beta").unlink()
     assert sorted(store.load_all()) == ["alpha", "gamma"]

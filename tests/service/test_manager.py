@@ -296,6 +296,22 @@ def test_a_session_opened_without_restore_all_starts_fresh(
     assert store.load_all()["acme"]["events_ingested"] == 10
 
 
+def test_tenants_whose_ids_differ_only_in_unsafe_bytes_restore_apart(
+    build_service, stream_events, tmp_path
+):
+    """"a/b" and "a_b" checkpoint side by side and each comes back,
+    through ``restore_all()``, at its own offset."""
+    store = CheckpointStore(tmp_path)
+    first = build_service(checkpoint_store=store)
+    first.pump(stream_events[:30], tenant="a/b")
+    first.pump(stream_events[:50], tenant="a_b")
+    first.checkpoint_all()
+
+    resumed = build_service(checkpoint_store=CheckpointStore(tmp_path))
+    assert resumed.restore_all() == 2
+    assert resumed.resume_offsets == {"a/b": 30, "a_b": 50}
+
+
 def test_restore_all_refuses_a_tenant_that_is_already_live(
     build_service, stream_events, tmp_path
 ):

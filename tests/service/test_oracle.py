@@ -9,7 +9,6 @@ and the oracle must flag each.
 import pytest
 
 from repro.core.latency import LatencyTracker
-from repro.core.state import encode_events
 from repro.oracle import OracleDivergence
 from repro.service import StreamingService, verify_service
 from repro.service.oracle import _cut_points
@@ -70,7 +69,6 @@ def test_oracle_flags_counter_corruption(library, stream_events):
 def test_oracle_flags_behavioral_corruption(library, stream_events):
     def drop_pending(state):
         # Forgetting pending snapshots silently loses fault reports.
-        state["window"]["pending"] = encode_events([])
         state["window"]["due"] = []
         return state
 

@@ -208,13 +208,6 @@ def test_restore_refuses_a_missing_or_mistyped_key_untouched(
                              StateError, re.escape(named))
 
 
-def test_restore_refuses_foreign_tenant(build_session):
-    state = build_session().snapshot_state()
-    other = build_session("umbrella")
-    with pytest.raises(StateError, match="acme"):
-        other.restore_state(state)
-
-
 def test_every_key_a_checkpoint_writes_is_read_by_its_restore(
         build_session, stream_events):
     """A warm session's document with one key deleted — each

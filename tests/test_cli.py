@@ -612,7 +612,7 @@ def test_serve_refuses_a_checkpoint_of_the_previous_format(
     assert main(["serve", "--events", "30", "--tenants", "1",
                  "--alpha", "8", "--no-latency", "--resume",
                  "--checkpoint-dir", str(checkpoints)]) == 2
-    assert ("'gretel-checkpoint/v3' is older than 'gretel-checkpoint/v4'"
+    assert ("'gretel-checkpoint/v3' is older than 'gretel-checkpoint/v5'"
             in capsys.readouterr().err)
     assert {path: path.read_bytes() for path in checkpoints.iterdir()} \
         == saved
